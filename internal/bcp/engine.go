@@ -37,12 +37,15 @@ type Config struct {
 	// SoftTimeout is how long a probe's temporary resource reservation is
 	// held before it self-cancels (§4.2 step 2.1).
 	SoftTimeout time.Duration
-	// CollectTimeout is the base duration the destination waits for probes
-	// of one request before running optimal composition selection (§4.3).
-	// The effective window grows by CollectPerHop for every function in the
-	// request, since probes for deeper graphs spend longer in flight.
+	// CollectTimeout is the base of the upper bound on how long the
+	// destination collects one request's probes before running optimal
+	// composition selection (§4.3). Collection closes as soon as the
+	// probes' termination credit is complete (Probe.Credit); the window
+	// only decides when a probe died en route. The bound grows by
+	// CollectPerHop for every function in the request, since probes for
+	// deeper graphs spend longer in flight.
 	CollectTimeout time.Duration
-	// CollectPerHop extends the collection window per function node.
+	// CollectPerHop extends the collection window bound per function node.
 	CollectPerHop time.Duration
 	// DiscoveryTimeout bounds each DHT lookup during the discovery phase.
 	DiscoveryTimeout time.Duration
@@ -478,21 +481,29 @@ func (e *Engine) launchProbes(st *composeState, table registry.Table) {
 		budgetPer = 1
 		patterns = patterns[:req.Budget] // fewer patterns than budget units
 	}
-	launched := false
+	// The termination credit is split over the patterns that actually
+	// launch, so a pattern with no eligible source component strands none.
+	pr := Probe{ReqID: req.ID, Req: req, Budget: budgetPer}
+	launching := 0
 	for pi, pat := range patterns {
-		pr := Probe{
-			ReqID:      req.ID,
-			Req:        req,
-			PatternIdx: pi,
-			Pattern:    pat,
-			Budget:     budgetPer,
+		pr.PatternIdx, pr.Pattern = pi, pat
+		if e.fanout(&pr, pat.Sources(), service.Component{}, table) > 0 {
+			launching++
 		}
+	}
+	launched := 0
+	for pi, pat := range patterns {
+		if launched == launching {
+			break // every launching pattern is out (or none can launch)
+		}
+		pr.PatternIdx, pr.Pattern = pi, pat
+		pr.Credit = creditShare(TotalCredit, launching, launched)
 		if e.spawnNext(pr, pat.Sources(), service.Component{}, table) {
-			launched = true
+			launched++
 		}
 	}
 	st.probesOut = e.host.Now()
-	if !launched {
+	if launched == 0 {
 		// Nothing to probe (e.g. no duplicates found for a source function):
 		// fail fast.
 		delete(e.pending, req.ID)

@@ -1,0 +1,12 @@
+package bcp
+
+// CollectedCredit reports the termination credit this engine's collector for
+// reqID has summed so far, and whether such a collector exists (it is kept
+// for 10×CollectTimeout after it closes).
+func (e *Engine) CollectedCredit(reqID uint64) (uint64, bool) {
+	col, ok := e.collectors[reqID]
+	if !ok {
+		return 0, false
+	}
+	return col.credit, true
+}

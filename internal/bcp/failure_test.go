@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bcp"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 )
@@ -31,9 +32,29 @@ func allLedgersClean(t *testing.T, c *cluster.Cluster, context string) {
 	}
 }
 
+// onFirst is a tracer that runs fn once, inside the event that emits the
+// first record of the given kind — a protocol-relative trigger that does not
+// depend on how long each phase happens to take.
+type onFirst struct {
+	kind string
+	fn   func()
+}
+
+func (o *onFirst) Emit(ev obs.Event) {
+	if o.fn != nil && ev.Kind == o.kind {
+		fn := o.fn
+		o.fn = nil
+		fn()
+	}
+}
+
 func TestDestFailsMidCollection(t *testing.T) {
-	c := cluster.New(cluster.Options{Seed: 90, Peers: 50, Catalog: catalog(6)})
+	// Kill the destination while probes are in flight: right after it
+	// collected its first report, before the rest can complete the credit.
+	kill := &onFirst{kind: obs.KindProbeCollected}
+	c := cluster.New(cluster.Options{Seed: 90, Peers: 50, Catalog: catalog(6), Trace: kill})
 	req := req3(c, 1, 24)
+	kill.fn = func() { c.Net.Fail(req.Dest) }
 
 	done := false
 	var out bcp.Result
@@ -41,9 +62,6 @@ func TestDestFailsMidCollection(t *testing.T) {
 		done = true
 		out = r
 	})
-	// Kill the destination while probes are in flight, before its collector
-	// fires.
-	c.Sim.Schedule(500*time.Millisecond, func() { c.Net.Fail(req.Dest) })
 	c.Sim.Run(c.Sim.Now() + 60*time.Second)
 
 	if !done {
@@ -75,8 +93,11 @@ func TestChosenPeerFailsBeforeAck(t *testing.T) {
 	}
 
 	// Replay on a fresh identical cluster, killing that peer after the
-	// probes have passed it but before the ACK reaches it.
-	c := cluster.New(cluster.Options{Seed: 91, Peers: 50, Catalog: catalog(6)})
+	// probes have passed it but before the ACK reaches it: at selection, when
+	// the ACK leaves the destination for the sink end of the graph.
+	kill := &onFirst{kind: obs.KindSelectDone}
+	c := cluster.New(cluster.Options{Seed: 91, Peers: 50, Catalog: catalog(6), Trace: kill})
+	kill.fn = func() { c.Net.Fail(chosenFirst) }
 	req := req3(c, 1, 24)
 	done := false
 	var out bcp.Result
@@ -84,9 +105,6 @@ func TestChosenPeerFailsBeforeAck(t *testing.T) {
 		done = true
 		out = r
 	})
-	// The collection window is CollectTimeout + 3*CollectPerHop after the
-	// first report (~0.7s in): kill just before selection finishes.
-	c.Sim.Schedule(2*time.Second, func() { c.Net.Fail(chosenFirst) })
 	c.Sim.Run(c.Sim.Now() + 120*time.Second)
 
 	if !done {

@@ -26,6 +26,35 @@ type Probe struct {
 	// checkers can account for every probe exactly. 0 only on the synthetic
 	// pre-launch root, which is never put on the wire.
 	UID uint64
+	// Credit is this probe's exact share of the request's TotalCredit, for
+	// weight-throwing termination detection at the destination: the source
+	// splits TotalCredit over the patterns it launches, every hop splits a
+	// probe's credit over the children it actually emits (integer division,
+	// remainder to the last child), and a leaf's report carries its credit
+	// to the collector, which closes the moment the collected sum equals
+	// TotalCredit — every probe still alive has then reported. Credit is
+	// only ever divided or lost, never re-created: a probe that dies
+	// (dropProbe, wire loss, crashed peer) takes its credit with it, the
+	// sum stays short, and the collection window timer decides as before.
+	// (Budget cannot serve here: its floor-of-1 rules mint units.)
+	//
+	// The one thing that mints credit is a duplicated mid-path probe copy
+	// on a wire without per-hop hardening (dup= faults, ProbeAckTimeout 0):
+	// the receiver processes both copies and each lineage carries the full
+	// credit. The collected sum then either overshoots TotalCredit without
+	// ever equalling it, and the window timer decides, or lands on it with
+	// one copy's worth of reports, and the collector closes on those while
+	// the rest arrive as stragglers (about half each at dup=0.25). Either
+	// way selection only sees probes that really returned; obs.Checker
+	// excuses such a request from its complete-at-close invariant.
+	// Hardening de-duplicates the copy at the receiver, so it never mints,
+	// and a duplicated report copy is dropped by UID at the collector.
+	//
+	// A split that ran out of credit (more children than units) would hand
+	// out zeros and let the collector close before those children report;
+	// with TotalCredit = 2^60 that needs a fan-out product no budget-bounded
+	// request approaches.
+	Credit uint64
 
 	CurFn     int    // function index this probe is being sent to examine
 	CurCompID string // chosen component for CurFn on the receiving peer
@@ -41,8 +70,22 @@ type Hop struct {
 	Snap service.Snapshot
 }
 
+// TotalCredit is the termination credit a request's probes share (see
+// Probe.Credit): large enough that repeated integer splits stay non-zero.
+const TotalCredit uint64 = 1 << 60
+
+// creditShare is the credit the i-th of n recipients gets when credit is
+// split exactly: an equal integer share, the remainder on the last.
+func creditShare(credit uint64, n, i int) uint64 {
+	share := credit / uint64(n)
+	if i == n-1 {
+		share += credit % uint64(n)
+	}
+	return share
+}
+
 const (
-	probeBaseSize   = 128
+	probeBaseSize   = 136 // fixed header, including the 8 credit bytes
 	probePerHopSize = 64
 )
 
@@ -236,43 +279,38 @@ func (e *Engine) holdSoft(reqID uint64, compID string, res qos.Resources) bool {
 	return true
 }
 
-// spawnNext implements steps 2.2–2.4: distribute the budget over next-hop
-// functions by probing quota, pick the most promising duplicates for each,
-// and emit new probes. It returns true if at least one probe was sent.
-func (e *Engine) spawnNext(pr Probe, nextFns []int, prevComp service.Component, table registry.Table) bool {
-	req := pr.Req
-	// Probing quotas: explicit per-request quota, else replica-proportional.
-	quota := func(fn int) int {
-		if req.Quota != nil {
-			if q := req.Quota[fn]; q > 0 {
-				return q
-			}
-			return 1
+// quota is the probing quota of next-hop function fn: the request's explicit
+// per-function quota, else replica-proportional.
+func (pr *Probe) quota(fn int, table registry.Table) int {
+	if pr.Req.Quota != nil {
+		if q := pr.Req.Quota[fn]; q > 0 {
+			return q
 		}
-		z := len(table[pr.Pattern.Function(fn)])
-		if z < 1 {
-			z = 1
-		}
+		return 1
+	}
+	if z := len(table[pr.Pattern.Function(fn)]); z > 1 {
 		return z
 	}
+	return 1
+}
+
+// forEachNext distributes pr's budget over its next-hop functions by probing
+// quota (step 2.2) and visits each with its budget share bk and quota q.
+func (pr *Probe) forEachNext(nextFns []int, table registry.Table, visit func(fn, bk, q int)) {
 	totalQuota := 0
 	for _, fn := range nextFns {
-		totalQuota += quota(fn)
+		totalQuota += pr.quota(fn, table)
 	}
-	if totalQuota == 0 {
-		return false
-	}
-
-	sent := false
 	remaining := pr.Budget
 	for i, fn := range nextFns {
+		q := pr.quota(fn, table)
 		// Proportional split with a floor of 1 so every DAG branch stays
 		// probed; the last function absorbs rounding remainder.
 		var bk int
 		if i == len(nextFns)-1 {
 			bk = remaining
 		} else {
-			bk = pr.Budget * quota(fn) / totalQuota
+			bk = pr.Budget * q / totalQuota
 			if bk < 1 {
 				bk = 1
 			}
@@ -284,12 +322,44 @@ func (e *Engine) spawnNext(pr Probe, nextFns []int, prevComp service.Component, 
 		if bk < 1 {
 			bk = 1
 		}
+		visit(fn, bk, q)
+	}
+}
 
+// fanout counts the probes spawnNext would emit for pr, without emitting.
+func (e *Engine) fanout(pr *Probe, nextFns []int, prevComp service.Component, table registry.Table) int {
+	n := 0
+	pr.forEachNext(nextFns, table, func(fn, bk, q int) {
+		elig := 0
+		for _, c := range table[pr.Pattern.Function(fn)] {
+			if e.mayVisit(c, prevComp, pr) {
+				elig++
+			}
+		}
+		n += min3(bk, q, elig)
+	})
+	return n
+}
+
+// spawnNext implements steps 2.2–2.4: distribute the budget over next-hop
+// functions by probing quota, pick the most promising duplicates for each,
+// and emit new probes, splitting pr's termination credit exactly over them.
+// It returns true if at least one probe was sent.
+func (e *Engine) spawnNext(pr Probe, nextFns []int, prevComp service.Component, table registry.Table) bool {
+	// Counting pass first: the credit split needs the number of children
+	// before the first one leaves.
+	children := e.fanout(&pr, nextFns, prevComp, table)
+	if children == 0 {
+		return false
+	}
+	req := pr.Req
+	emitted := 0
+	pr.forEachNext(nextFns, table, func(fn, bk, q int) {
 		cands := e.eligible(table[pr.Pattern.Function(fn)], prevComp, &pr)
 		if len(cands) == 0 {
-			continue
+			return
 		}
-		ik := min3(bk, quota(fn), len(cands))
+		ik := min3(bk, q, len(cands))
 		chosen := e.pickNextHop(cands, ik, req)
 		newBudget := bk / ik
 		if newBudget < 1 {
@@ -298,6 +368,8 @@ func (e *Engine) spawnNext(pr Probe, nextFns []int, prevComp service.Component, 
 		for _, c := range chosen {
 			np := pr
 			np.Budget = newBudget
+			np.Credit = creditShare(pr.Credit, children, emitted)
+			emitted++
 			np.CurFn = fn
 			np.CurCompID = c.ID
 			np.UID = e.nextProbeUID()
@@ -320,10 +392,9 @@ func (e *Engine) spawnNext(pr Probe, nextFns []int, prevComp service.Component, 
 			}
 			e.sendReliable(p2p.Message{Type: MsgProbe, To: c.Peer,
 				Size: probeSize(np), Payload: np, UID: np.UID}, pr.ReqID, np.UID)
-			sent = true
 		}
-	}
-	return sent
+	})
+	return true
 }
 
 // nextProbeUID mints a run-unique, per-seed-deterministic probe identity:
@@ -339,21 +410,28 @@ func (e *Engine) nextProbeUID() uint64 {
 func (e *Engine) eligible(cands []service.Component, prevComp service.Component, pr *Probe) []service.Component {
 	out := make([]service.Component, 0, len(cands))
 	for _, c := range cands {
-		if prevComp.ID != "" && !service.Compatible(prevComp, c) {
-			continue
+		if e.mayVisit(c, prevComp, pr) {
+			out = append(out, c)
 		}
-		if pr.visitedComp(c.ID) {
-			continue
-		}
-		if e.Trust != nil && e.Trust.Score(c.Peer) < e.MinTrust {
-			continue // secure composition: skip distrusted hosts
-		}
-		if e.Load != nil && e.cfg.ShedThreshold > 0 && e.Load.Committed(c.Peer) >= e.cfg.ShedThreshold {
-			continue // overload shedding: the peer is declining new work
-		}
-		out = append(out, c)
 	}
 	return out
+}
+
+// mayVisit is the per-candidate eligibility rule.
+func (e *Engine) mayVisit(c, prevComp service.Component, pr *Probe) bool {
+	if prevComp.ID != "" && !service.Compatible(prevComp, c) {
+		return false
+	}
+	if pr.visitedComp(c.ID) {
+		return false
+	}
+	if e.Trust != nil && e.Trust.Score(c.Peer) < e.MinTrust {
+		return false // secure composition: skip distrusted hosts
+	}
+	if e.Load != nil && e.cfg.ShedThreshold > 0 && e.Load.Committed(c.Peer) >= e.cfg.ShedThreshold {
+		return false // overload shedding: the peer is declining new work
+	}
+	return true
 }
 
 // pickNextHop selects the k most promising candidates using the composite

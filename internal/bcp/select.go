@@ -12,11 +12,17 @@ import (
 )
 
 // collector gathers the probes of one request at the destination (§4.1
-// step 3) until the collection timer fires.
+// step 3) until their termination credit is complete (see Probe.Credit) or,
+// when a probe died en route, until the collection window timer fires.
 type collector struct {
 	req     *service.Request
 	records []Probe
 	done    bool
+	// credit sums the collected probes' termination credit; bound is when
+	// the window timer fires and cancel disarms it.
+	credit uint64
+	bound  time.Duration
+	cancel p2p.CancelFunc
 	// lastAt is when the most recent probe was collected — the boundary
 	// between the probe fan-out and residual collection-wait phases in the
 	// setup-latency breakdown reported back to the source.
@@ -40,10 +46,16 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 		reqID := pr.ReqID
 		window := e.cfg.CollectTimeout +
 			time.Duration(pr.Req.FGraph.NumFunctions())*e.cfg.CollectPerHop
-		e.host.After(window, func() { e.finishCollect(reqID) })
+		col.bound = e.host.Now() + window
+		col.cancel = e.host.After(window, func() { e.finishCollect(reqID) })
 	}
 	if col.done {
 		return // straggler after selection already ran
+	}
+	for i := range col.records {
+		if col.records[i].UID == pr.UID {
+			return // duplicated report copy: its credit is already counted
+		}
 	}
 	if e.Trace != nil {
 		e.Trace.Emit(obs.ProbeCollected(e.host.Now(), e.host.ID(), pr.ReqID,
@@ -51,6 +63,12 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 	}
 	col.lastAt = e.host.Now()
 	col.records = append(col.records, pr)
+	col.credit += pr.Credit
+	if col.credit == TotalCredit {
+		// Every probe still alive has reported: nothing is left to wait for.
+		col.cancel()
+		e.finishCollect(pr.ReqID)
+	}
 }
 
 // finishCollect runs optimal composition selection (§4.3): merge branch
@@ -75,7 +93,7 @@ func (e *Engine) finishCollect(reqID uint64) {
 	}
 	if e.Trace != nil {
 		e.Trace.Emit(obs.SelectDone(e.host.Now(), e.host.ID(), reqID,
-			len(candidates), len(qualified)))
+			len(candidates), len(qualified), max(col.bound-e.host.Now(), 0)))
 	}
 	if len(qualified) == 0 {
 		e.host.Send(p2p.Message{

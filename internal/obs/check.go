@@ -31,6 +31,7 @@ const (
 	VioDoneBeforeStart   = "done-before-start"
 	VioMultipleDone      = "multiple-done"
 	VioCounterMismatch   = "counter-mismatch"
+	VioIncompleteClose   = "incomplete-at-close"
 
 	VioFedDoublePrepare  = "fed-double-prepare"
 	VioFedDoubleResolve  = "fed-double-resolve"
@@ -51,7 +52,17 @@ const (
 //     probe that resolves no way at all must have lost every copy to the
 //     network (net.drop of a bcp.probe message, or an injected loss or
 //     partition net.fault) — while a resolved probe must have had at least
-//     one surviving copy. Nothing may leak silently;
+//     one surviving copy. Nothing may leak silently. The one excused leak is
+//     a probe that reached a peer which then crashed (a net.down of the
+//     probed peer at or after the emission): a dead peer cannot report the
+//     probes it was holding;
+//   - a collector that closed before its window bound (select.done with a
+//     positive Dur) was complete at close: every probe.returned of that
+//     request has its probe.collected at or before the select.done, and no
+//     report arrives after it. This certifies that early close selected
+//     from exactly what the full window would have seen. A request that had
+//     a probe copy duplicated on the wire (net.fault dup) is excused — both
+//     copies' lineages carry the full termination credit;
 //   - a child probe's budget never exceeds its parent's (the split of
 //     §4.2 only divides), and origin probes never exceed the request budget
 //     announced in compose.start;
@@ -82,6 +93,8 @@ type emission struct {
 	req    uint64
 	ppid   uint64
 	budget int
+	peer   p2p.NodeID // the probed peer, which holds the probe once delivered
+	ts     time.Duration
 }
 
 // Checker is the streaming form of Check: feed events with Add as they are
@@ -103,6 +116,12 @@ type Checker struct {
 	extraCopies map[uint64]int
 	wireDrops   map[uint64]int
 	strayPIDs   []uint64 // drop/retx/fault records naming unemitted pids
+	// Complete-at-close: returned probes not yet collected (pid -> request),
+	// requests whose collector closed early (-> select.done time), and
+	// requests excused because a duplicated probe copy minted credit.
+	uncollected map[uint64]uint64
+	earlyClose  map[uint64]time.Duration
+	minted      map[uint64]bool
 	// Federation 2PC lifecycle, keyed by sub-session PID.
 	fedPrep         map[uint64]Event
 	fedPrepCount    map[uint64]int
@@ -121,6 +140,9 @@ func NewChecker() *Checker {
 		admitMin:        make(map[uint64]time.Duration),
 		extraCopies:     make(map[uint64]int),
 		wireDrops:       make(map[uint64]int),
+		uncollected:     make(map[uint64]uint64),
+		earlyClose:      make(map[uint64]time.Duration),
+		minted:          make(map[uint64]bool),
 		fedPrep:         make(map[uint64]Event),
 		fedPrepCount:    make(map[uint64]int),
 		fedResolve:      make(map[uint64]Event),
@@ -157,7 +179,7 @@ func (c *Checker) Add(ev Event) {
 				fmt.Sprintf("pid=%d emitted twice (req=%d)", ev.PID, ev.Req)})
 			return
 		}
-		c.emitted[ev.PID] = emission{req: ev.Req, ppid: ev.PPID, budget: ev.Budget}
+		c.emitted[ev.PID] = emission{req: ev.Req, ppid: ev.PPID, budget: ev.Budget, peer: ev.Peer, ts: ev.TS}
 		if ev.PPID != 0 {
 			c.children[ev.PPID]++
 		}
@@ -168,6 +190,19 @@ func (c *Checker) Add(ev Event) {
 			return
 		}
 		c.terms[ev.PID]++
+		if ev.Kind == KindProbeReturned {
+			c.uncollected[ev.PID] = ev.Req
+		}
+	case KindProbeCollected:
+		delete(c.uncollected, ev.PID)
+		if at, early := c.earlyClose[ev.Req]; early && ev.TS > at {
+			c.vs = append(c.vs, Violation{VioIncompleteClose,
+				fmt.Sprintf("pid=%d (req=%d) collected at t=%v, after the early close at t=%v", ev.PID, ev.Req, ev.TS, at)})
+		}
+	case KindSelectDone:
+		if _, seen := c.earlyClose[ev.Req]; ev.Dur > 0 && !seen {
+			c.earlyClose[ev.Req] = ev.TS
+		}
 	case KindComposeStart:
 		if _, seen := c.starts[ev.Req]; !seen {
 			c.starts[ev.Req] = ev
@@ -204,6 +239,9 @@ func (c *Checker) Add(ev Event) {
 			c.wireDrops[ev.PID]++
 		case FaultDup:
 			c.extraCopies[ev.PID]++
+			if em, ok := c.emitted[ev.PID]; ok {
+				c.minted[em.req] = true
+			}
 		}
 		c.strayPIDs = append(c.strayPIDs, ev.PID)
 	case KindProbeRetx:
@@ -229,7 +267,6 @@ func (c *Checker) Finish() []Violation {
 	extraCopies, wireDrops, strayPIDs := c.extraCopies, c.wireDrops, c.strayPIDs
 	fedPrep, fedPrepCount := c.fedPrep, c.fedPrepCount
 	fedResolve, fedResolveCount := c.fedResolve, c.fedResolveCount
-	downs := c.downs
 
 	// Probe accounting, in pid order for deterministic reports.
 	pids := make([]uint64, 0, len(emitted))
@@ -243,9 +280,10 @@ func (c *Checker) Finish() []Violation {
 		drops := wireDrops[pid]
 		switch n := terms[pid]; {
 		case n == 0:
-			if children[pid] == 0 && drops != copies {
+			if children[pid] == 0 && drops != copies && !(drops < copies && c.crashedSince(em.peer, em.ts)) {
 				// Exact conservation: an unaccounted probe must have lost
-				// every wire copy — no more, no fewer.
+				// every wire copy — no more, no fewer — or have been
+				// delivered to a peer that crashed while holding it.
 				vs = append(vs, Violation{VioProbeConservation,
 					fmt.Sprintf("pid=%d (req=%d) unresolved but %d of %d wire copies dropped", pid, em.req, drops, copies)})
 			}
@@ -298,6 +336,20 @@ func (c *Checker) Finish() []Violation {
 		lastStray = pid
 		vs = append(vs, Violation{VioProbeUnknownPID,
 			fmt.Sprintf("pid=%d has wire drop/fault/retransmit records but was never emitted", pid)})
+	}
+
+	// Complete-at-close: reports an early-closed collector never saw.
+	lost := make([]uint64, 0, len(c.uncollected))
+	for pid, req := range c.uncollected {
+		if _, early := c.earlyClose[req]; early && !c.minted[req] {
+			lost = append(lost, pid)
+		}
+	}
+	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
+	for _, pid := range lost {
+		req := c.uncollected[pid]
+		vs = append(vs, Violation{VioIncompleteClose,
+			fmt.Sprintf("pid=%d (req=%d) returned but was not collected by the early close at t=%v", pid, req, c.earlyClose[req])})
 	}
 
 	// Composition lifecycle.
@@ -355,14 +407,7 @@ func (c *Checker) Finish() []Violation {
 		case !resolved:
 			// A prepare may go unresolved only if its holding gateway
 			// crashed after preparing — a dead peer cannot emit the release.
-			crashed := false
-			for _, t := range downs[prep.Node] {
-				if t >= prep.TS {
-					crashed = true
-					break
-				}
-			}
-			if !crashed {
+			if !c.crashedSince(prep.Node, prep.TS) {
 				vs = append(vs, Violation{VioFedUnresolved,
 					fmt.Sprintf("fed.prepare sub=%d (fed=%d) at t=%v node=%d never committed, aborted, or expired",
 						pid, prep.Req, prep.TS, prep.Node)})
@@ -383,6 +428,16 @@ func (c *Checker) Finish() []Violation {
 	}
 
 	return vs
+}
+
+// crashedSince reports whether node has a net.down record at or after ts.
+func (c *Checker) crashedSince(node p2p.NodeID, ts time.Duration) bool {
+	for _, t := range c.downs[node] {
+		if t >= ts {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckTotals verifies that registry counter totals match the event counts

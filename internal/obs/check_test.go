@@ -396,3 +396,102 @@ func TestCheckTotalsFed(t *testing.T) {
 		t.Fatalf("fed counter drift not flagged: %v", vs)
 	}
 }
+
+// TestCheckProbeCrashExcusal: a probe that reached a peer which then crashed
+// is excused from conservation — the dead peer cannot report what it held —
+// but only if the probed peer itself went down at or after the emission and
+// a wire copy actually got through.
+func TestCheckProbeCrashExcusal(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	held := func(down Event) []Event {
+		return []Event{
+			ComposeStart(0, 3, 44, 2, 8),
+			ProbeSent(ms(1), 3, 44, 7, "fn1", "p7/fn1.0", 8, 0, 301, 0),
+			down,
+		}
+	}
+	if vs := Check(held(NodeDown(ms(2), 7))); len(vs) != 0 {
+		t.Fatalf("probe held by a crashed peer flagged: %v", vs)
+	}
+	for name, evs := range map[string][]Event{
+		"crash before emission": {NodeDown(0, 7), NodeUp(ms(1), 7),
+			ComposeStart(ms(1), 3, 44, 2, 8),
+			ProbeSent(ms(2), 3, 44, 7, "fn1", "p7/fn1.0", 8, 0, 301, 0)},
+		"crash of another peer": held(NodeDown(ms(2), 8)),
+		// One copy, two drops: over-accounted, crash or not.
+		"more drops than copies": append(held(NodeDown(ms(2), 7)),
+			NetDrop(ms(3), 3, 7, "bcp.probe", 136, 301),
+			NetDrop(ms(3), 3, 7, "bcp.probe", 136, 301)),
+	} {
+		if vs := Check(evs); !hasViolation(vs, VioProbeConservation) {
+			t.Errorf("%s: leaked probe excused: %v", name, vs)
+		}
+	}
+}
+
+// closeTrace is one request whose two probes return and are collected, with
+// selection closing early (positive Dur) in the event of the last collection.
+func closeTrace() []Event {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	return []Event{
+		ComposeStart(0, 3, 45, 1, 4),
+		ProbeSent(ms(1), 3, 45, 7, "fn1", "p7/fn1.0", 2, 0, 401, 0),
+		ProbeSent(ms(1), 3, 45, 8, "fn1", "p8/fn1.1", 2, 0, 402, 0),
+		ProbeReturned(ms(2), 7, 45, 1, 1, 200, 401),
+		ProbeReturned(ms(3), 8, 45, 1, 1, 200, 402),
+		ProbeCollected(ms(4), 1, 45, 7, 1, 401),
+		ProbeCollected(ms(5), 1, 45, 8, 1, 402),
+		SelectDone(ms(5), 1, 45, 2, 2, ms(1500)),
+	}
+}
+
+func TestCheckCompleteAtClose(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	if vs := Check(closeTrace()); len(vs) != 0 {
+		t.Fatalf("complete early close flagged: %v", vs)
+	}
+	// without returns evs minus the records drop matches.
+	without := func(evs []Event, drop func(Event) bool) []Event {
+		out := evs[:0:0]
+		for _, ev := range evs {
+			if !drop(ev) {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	missed := without(closeTrace(), func(ev Event) bool {
+		return ev.Kind == KindProbeCollected && ev.PID == 402
+	})
+	if vs := Check(missed); !hasViolation(vs, VioIncompleteClose) {
+		t.Errorf("early close that missed a returned probe passed: %v", vs)
+	}
+	// The same gap is legitimate when the window timer decided (Dur 0): the
+	// report may have been lost, and the bound is what the paper specifies.
+	atBound := append([]Event(nil), missed...)
+	atBound[len(atBound)-1].Dur = 0
+	if vs := Check(atBound); len(vs) != 0 {
+		t.Errorf("window-bound close flagged: %v", vs)
+	}
+	// ... and is excused when a probe copy of the request was duplicated on
+	// the wire, which mints termination credit.
+	minted := append(append([]Event(nil), missed[:2]...),
+		NetFault(ms(1), 3, 7, FaultDup, "bcp.probe", 136, 401))
+	minted = append(minted, missed[2:]...)
+	if vs := Check(minted); len(vs) != 0 {
+		t.Errorf("dup-minted request not excused: %v", vs)
+	}
+	late := append(closeTrace(),
+		ProbeSent(ms(1), 3, 45, 9, "fn1", "p9/fn1.2", 2, 0, 403, 0),
+		ProbeReturned(ms(6), 9, 45, 1, 1, 200, 403))
+	if vs := Check(late); !hasViolation(vs, VioIncompleteClose) {
+		t.Errorf("report after the early close passed: %v", vs)
+	}
+	after := append(closeTrace(),
+		ProbeSent(ms(1), 3, 45, 9, "fn1", "p9/fn1.2", 2, 0, 403, 0),
+		ProbeReturned(ms(6), 9, 45, 1, 1, 200, 403),
+		ProbeCollected(ms(7), 1, 45, 9, 1, 403))
+	if vs := Check(after); !hasViolation(vs, VioIncompleteClose) {
+		t.Errorf("collection after the early close passed: %v", vs)
+	}
+}

@@ -212,14 +212,17 @@ func ProbeCollected(ts time.Duration, node p2p.NodeID, req uint64, from p2p.Node
 	return Event{TS: ts, Kind: KindProbeCollected, Node: node, Req: req, Peer: from, Hops: hops, PID: pid}
 }
 
-// SelectDone records destination-side optimal composition selection.
-func SelectDone(ts time.Duration, node p2p.NodeID, req uint64, candidates, qualified int) Event {
+// SelectDone records destination-side optimal composition selection. early
+// is how long before its window bound the collector closed: positive when
+// the probes' termination credit completed first, zero when the window timer
+// decided.
+func SelectDone(ts time.Duration, node p2p.NodeID, req uint64, candidates, qualified int, early time.Duration) Event {
 	note := "ok"
 	if qualified == 0 {
 		note = "unqualified"
 	}
 	return Event{TS: ts, Kind: KindSelectDone, Node: node, Req: req, Peer: p2p.NoNode,
-		Hops: candidates, Budget: qualified, Note: note}
+		Hops: candidates, Budget: qualified, Dur: early, Note: note}
 }
 
 // SessionAdmit records one peer hardening its reservation for a session.

@@ -17,7 +17,7 @@ func sampleEvents() []Event {
 		ProbeDropped(3*time.Millisecond, 9, 42, "fn2", "p9/fn2.1", "qos", 2, 102),
 		ProbeReturned(4*time.Millisecond, 9, 42, 1, 2, 256, 103),
 		ProbeCollected(5*time.Millisecond, 1, 42, 9, 2, 103),
-		SelectDone(6*time.Millisecond, 1, 42, 4, 2),
+		SelectDone(6*time.Millisecond, 1, 42, 4, 2, 0),
 		SessionAdmit(7*time.Millisecond, 9, 42, "p9/fn2.1"),
 		ComposeDone(8*time.Millisecond, 3, 42, true, 8*time.Millisecond),
 		DHTHop(9*time.Millisecond, 2, 5, 42, 1, "get"),

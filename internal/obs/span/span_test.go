@@ -157,7 +157,7 @@ func TestOrphansReportedNotDropped(t *testing.T) {
 	// Collection referencing an unknown probe.
 	b.Add(obs.ProbeCollected(ms(3), 1, 42, 9, 2, 777))
 	// Request with activity but no compose.start.
-	b.Add(obs.SelectDone(ms(4), 1, 99, 3, 1))
+	b.Add(obs.SelectDone(ms(4), 1, 99, 3, 1, 0))
 	b.Add(obs.ComposeDone(ms(5), 3, 42, false, ms(5)))
 	f := b.Build()
 
@@ -221,7 +221,7 @@ func TestFederationLinking(t *testing.T) {
 	each(func(seg, node int, id uint64) {
 		b.Add(obs.ProbeCollected(ms(4), obsNode(node+2), id, obsNode(node+1), 1, id*10+1))
 	})
-	each(func(seg, node int, id uint64) { b.Add(obs.SelectDone(ms(5), obsNode(node+2), id, 1, 1)) })
+	each(func(seg, node int, id uint64) { b.Add(obs.SelectDone(ms(5), obsNode(node+2), id, 1, 1, 0)) })
 	each(func(seg, node int, id uint64) {
 		b.Add(obs.ComposeDone(ms(6+seg), obsNode(node), id, true, ms(6+seg)))
 	})
@@ -295,7 +295,7 @@ func TestRunBoundariesScopeIDs(t *testing.T) {
 		b.Add(obs.ProbeSent(ms(2), 3, 7, 4, "f", "c", 5, 0, 11, 0))
 		b.Add(obs.ProbeReturned(ms(3), 4, 7, 3, 1, 64, 11))
 		b.Add(obs.ProbeCollected(ms(4), 5, 7, 4, 1, 11))
-		b.Add(obs.SelectDone(ms(5), 5, 7, 1, 1))
+		b.Add(obs.SelectDone(ms(5), 5, 7, 1, 1, 0))
 		b.Add(obs.ComposeDone(ms(6), 3, 7, true, ms(5)))
 	}
 	f := b.Build()

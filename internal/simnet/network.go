@@ -187,9 +187,9 @@ func (nw *Network) AddNode(id p2p.NodeID) p2p.Node {
 	case id >= 0 && int(id) < len(nw.dense):
 		nw.dense[id] = n
 	case id >= 0 && int(id) < len(nw.dense)+denseSlack:
-		grown := make([]*simNode, int(id)+1)
-		copy(grown, nw.dense)
-		nw.dense = grown
+		// append grows capacity geometrically, so n sequential adds copy
+		// O(n) slots in total; len stays highest id + 1.
+		nw.dense = append(nw.dense, make([]*simNode, int(id)+1-len(nw.dense))...)
 		nw.dense[id] = n
 	default:
 		if nw.sparse == nil {

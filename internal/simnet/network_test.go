@@ -204,3 +204,62 @@ func TestDuplicateNodePanics(t *testing.T) {
 	}()
 	nw.AddNode(0)
 }
+
+// TestAddNodeSequentialGrowthIsLinear guards the node table against the
+// copy-on-every-add growth it once had: 200k sequential adds allocated and
+// copied ~160 GB of pointer slots (2m39s on the 2-core reference box);
+// geometric growth takes ~40 ms.
+func TestAddNodeSequentialGrowthIsLinear(t *testing.T) {
+	const n = 200_000
+	nw := NewNetwork(NewSim(), ConstantLatency(time.Millisecond), rand.New(rand.NewSource(1)))
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		nw.AddNode(p2p.NodeID(i))
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("%d sequential AddNodes took %v, want well under 5s", n, took)
+	}
+	if nw.NumNodes() != n || len(nw.dense) != n || nw.sparse != nil {
+		t.Fatalf("NumNodes=%d len(dense)=%d sparse=%d, want %d dense-only",
+			nw.NumNodes(), len(nw.dense), len(nw.sparse), n)
+	}
+	if nw.Node(0) == nil || nw.Node(n-1) == nil || nw.Node(n) != nil {
+		t.Fatal("Node lookup misbehaved after growth")
+	}
+}
+
+// TestAddNodeDenseSlackAndSparseFallback pins the table's shape rules: an ID
+// within denseSlack of the end grows the dense slice to exactly id+1 (gap
+// slots unregistered), anything further out or negative lands in the map.
+func TestAddNodeDenseSlackAndSparseFallback(t *testing.T) {
+	nw, _ := newTestNet(3)
+	near := p2p.NodeID(3 + denseSlack - 1)
+	far := near + denseSlack + 1
+	for _, id := range []p2p.NodeID{near, far, -7} {
+		if nw.AddNode(id).ID() != id {
+			t.Fatalf("AddNode(%d) returned a node with another ID", id)
+		}
+	}
+	if len(nw.dense) != int(near)+1 {
+		t.Fatalf("len(dense)=%d, want highest dense id + 1 = %d", len(nw.dense), int(near)+1)
+	}
+	if len(nw.sparse) != 2 || nw.sparse[far] == nil || nw.sparse[-7] == nil {
+		t.Fatalf("sparse table = %v, want exactly ids %d and -7", nw.sparse, far)
+	}
+	if nw.NumNodes() != 6 {
+		t.Fatalf("NumNodes=%d, want 6", nw.NumNodes())
+	}
+	for _, id := range []p2p.NodeID{0, 2, near, far, -7} {
+		if nw.Node(id) == nil || !nw.Alive(id) {
+			t.Fatalf("node %d not found alive", id)
+		}
+	}
+	if nw.Node(3) != nil || nw.Node(near-1) != nil || nw.Node(far-1) != nil {
+		t.Fatal("gap slot reported a registered node")
+	}
+	// A gap ID fills its dense slot in place.
+	nw.AddNode(5)
+	if nw.Node(5) == nil || len(nw.dense) != int(near)+1 || len(nw.sparse) != 2 {
+		t.Fatal("filling a dense gap changed the table shape")
+	}
+}

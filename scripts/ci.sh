@@ -15,6 +15,13 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The benchmark is a module of its own (benchmark/go.mod), so ./... above
+# never descends into it: vet and test it here, so an internal/ rename that
+# breaks its driver fails CI and not only the next benchmark run.
+echo "== benchmark module (go vet + go test -C benchmark ./...)"
+go vet -C benchmark ./...
+go test -C benchmark ./...
+
 # Coverage gate: per-package statement coverage must stay at or above the
 # floor. Packages without test files are reported but do not fail the gate;
 # adding their first test pulls them in automatically.
