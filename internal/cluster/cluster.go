@@ -243,7 +243,7 @@ func New(opts Options) *Cluster {
 	}
 
 	c := &Cluster{Sim: sim, Net: net, IP: ip, Overlay: ov, Rng: rng, opts: o}
-	oracle := &overlayOracle{ov: ov}
+	oracle := overlayOracle{ov}
 
 	if o.Load != nil {
 		o.BCP.LoadAware = o.Load.Aware
@@ -562,7 +562,7 @@ func (c *Cluster) FunctionsByReplicas() []string {
 }
 
 // Oracle returns the data-plane oracle shared by all engines.
-func (c *Cluster) Oracle() bcp.Oracle { return &overlayOracle{ov: c.Overlay} }
+func (c *Cluster) Oracle() bcp.Oracle { return overlayOracle{c.Overlay} }
 
 // ApplyFaults installs a fault plan on the cluster's network. Partition
 // windows in the plan are interpreted relative to "now" (the plan's From/Until
@@ -607,38 +607,32 @@ func (lo loadOracle) Committed(p p2p.NodeID) float64 {
 	return 0
 }
 
-// overlayOracle adapts topology.Overlay to the bcp.Oracle interface.
+// overlayOracle is the one adapter between topology.Overlay and its callers:
+// bcp.Oracle for the engines and the data-plane third of baselines.World.
 type overlayOracle struct {
 	ov *topology.Overlay
 }
 
-func (o *overlayOracle) Path(a, b p2p.NodeID) (float64, float64, bool) {
-	p, ok := o.ov.Route(int(a), int(b))
-	if !ok {
-		return 0, 0, false
-	}
-	return p.Latency, o.ov.AvailBandwidth(p), true
+func (o overlayOracle) Path(a, b p2p.NodeID) (float64, float64, bool) {
+	return o.ov.PathCost(int(a), int(b))
 }
 
-func (o *overlayOracle) AllocBandwidth(a, b p2p.NodeID, kbps float64) bool {
-	p, ok := o.ov.Route(int(a), int(b))
-	if !ok {
-		return false
-	}
-	return o.ov.AllocBandwidth(p, kbps)
+func (o overlayOracle) AllocBandwidth(a, b p2p.NodeID, kbps float64) bool {
+	return o.ov.AllocBandwidth(int(a), int(b), kbps)
 }
 
-func (o *overlayOracle) ReleaseBandwidth(a, b p2p.NodeID, kbps float64) {
-	if p, ok := o.ov.Route(int(a), int(b)); ok {
-		o.ov.ReleaseBandwidth(p, kbps)
-	}
+func (o overlayOracle) ReleaseBandwidth(a, b p2p.NodeID, kbps float64) {
+	o.ov.ReleaseBandwidth(int(a), int(b), kbps)
 }
 
 // World returns the baselines' omniscient view over this cluster: global
 // component listings, liveness, ledgers, and the data plane.
-func (c *Cluster) World() baselines.World { return &world{c: c} }
+func (c *Cluster) World() baselines.World { return &world{c, overlayOracle{c.Overlay}} }
 
-type world struct{ c *Cluster }
+type world struct {
+	c *Cluster
+	overlayOracle
+}
 
 func (w *world) ComponentsFor(fn string) []service.Component { return w.c.ComponentsFor(fn) }
 func (w *world) Alive(p p2p.NodeID) bool                     { return w.c.Net.Alive(p) }
@@ -647,34 +641,12 @@ func (w *world) Avail(p p2p.NodeID) qos.Resources {
 	return w.c.Peers[int(p)].Ledger.AvailableHard()
 }
 
-func (w *world) Path(a, b p2p.NodeID) (float64, float64, bool) {
-	pth, ok := w.c.Overlay.Route(int(a), int(b))
-	if !ok {
-		return 0, 0, false
-	}
-	return pth.Latency, w.c.Overlay.AvailBandwidth(pth), true
-}
-
 func (w *world) Commit(p p2p.NodeID, res qos.Resources) bool {
 	return w.c.Peers[int(p)].Ledger.CommitDirect(res)
 }
 
 func (w *world) Free(p p2p.NodeID, res qos.Resources) {
 	w.c.Peers[int(p)].Ledger.Free(res)
-}
-
-func (w *world) AllocBandwidth(a, b p2p.NodeID, kbps float64) bool {
-	pth, ok := w.c.Overlay.Route(int(a), int(b))
-	if !ok {
-		return false
-	}
-	return w.c.Overlay.AllocBandwidth(pth, kbps)
-}
-
-func (w *world) ReleaseBandwidth(a, b p2p.NodeID, kbps float64) {
-	if pth, ok := w.c.Overlay.Route(int(a), int(b)); ok {
-		w.c.Overlay.ReleaseBandwidth(pth, kbps)
-	}
 }
 
 func (w *world) Peers() []p2p.NodeID {

@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Edge is one directed half of an undirected IP-layer link.
@@ -198,23 +200,35 @@ func (g *Graph) dijkstraInto(src int, dist []float64, h *nodeHeap) {
 }
 
 // PairDistances computes the shortest-path latency between every pair of the
-// given nodes in one batched pass: one Dijkstra per source, with the dist
-// vector and heap storage reused across sources. Row i holds the distances
-// from nodes[i] to every nodes[j]. This is the overlay builder's
-// peer-latency pass; at the paper's scale (1,000 peers over 10,000 IP nodes)
-// buffer reuse keeps the pass allocation-flat.
+// given nodes: one Dijkstra per source, fanned over GOMAXPROCS workers. Row i
+// holds the distances from nodes[i] to every nodes[j]. This is the overlay
+// builder's peer-latency pass and, at the paper's scale (1,000 peers over
+// 10,000 IP nodes), nearly all of a cluster build. Each worker owns a dist
+// vector and a heap, reused across its sources, reads the frozen graph, and
+// writes only the rows of its own sources; a row depends on nothing but its
+// source, so the matrix is the same at any worker count.
 func (g *Graph) PairDistances(nodes []int) [][]float64 {
+	g.Freeze()
 	out := make([][]float64, len(nodes))
-	dist := make([]float64, g.n)
-	var h nodeHeap
-	for i, src := range nodes {
-		g.dijkstraInto(src, dist, &h)
-		row := make([]float64, len(nodes))
-		for j, dst := range nodes {
-			row[j] = dist[dst]
-		}
-		out[i] = row
+	workers := min(runtime.GOMAXPROCS(0), len(nodes))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			dist := make([]float64, g.n)
+			var h nodeHeap
+			for i := w; i < len(nodes); i += workers {
+				g.dijkstraInto(nodes[i], dist, &h)
+				row := make([]float64, len(nodes))
+				for j, dst := range nodes {
+					row[j] = dist[dst]
+				}
+				out[i] = row
+			}
+		}(w)
 	}
+	wg.Wait()
 	return out
 }
 

@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -262,19 +263,56 @@ func TestEdgeIndexConsistency(t *testing.T) {
 	}
 }
 
-// TestPairDistancesMatchesDijkstra checks the batched buffer-reusing pass
-// returns exactly what per-source Dijkstra returns.
-func TestPairDistancesMatchesDijkstra(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
+// TestPairDistancesAnyWorkerCount runs the parallel pass at GOMAXPROCS 1, 2
+// and 8 — including no nodes, one node and fewer nodes than workers — and
+// requires the matrix to equal a sequential Dijkstra per source entry for
+// entry: rows are independent, so the worker count cannot show.
+func TestPairDistancesAnyWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(14))
 	g := GeneratePowerLaw(300, 2, 1, 25, rng)
-	nodes := rng.Perm(g.N())[:50]
-	got := g.PairDistances(nodes)
-	for i, src := range nodes {
-		want := g.Dijkstra(src)
-		for j, dst := range nodes {
-			if got[i][j] != want[dst] {
-				t.Fatalf("PairDistances[%d][%d]=%v, Dijkstra=%v", i, j, got[i][j], want[dst])
+	perm := rng.Perm(g.N())
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 3, 50} {
+			nodes := perm[:n]
+			got := g.PairDistances(nodes)
+			if len(got) != n {
+				t.Fatalf("GOMAXPROCS=%d: %d rows for %d nodes", procs, len(got), n)
 			}
+			for i, src := range nodes {
+				want := g.Dijkstra(src)
+				if len(got[i]) != n {
+					t.Fatalf("GOMAXPROCS=%d: row %d has %d entries, want %d", procs, i, len(got[i]), n)
+				}
+				for j, dst := range nodes {
+					if got[i][j] != want[dst] {
+						t.Fatalf("GOMAXPROCS=%d: PairDistances[%d][%d]=%v, Dijkstra=%v", procs, i, j, got[i][j], want[dst])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildOverlayAnyWorkerCount builds the same overlay at GOMAXPROCS 1 and
+// 8: the peer-latency pass is the only parallel step, and it must leave the
+// links, their order, latencies and capacities untouched.
+func TestBuildOverlayAnyWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func(procs int) *Overlay {
+		runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(15))
+		g := GeneratePowerLaw(500, 2, 2, 30, rng)
+		return BuildOverlay(g, OverlayConfig{NumPeers: 120, Degree: 4, CapMin: 1000, CapMax: 5000}, rng)
+	}
+	one, eight := build(1), build(8)
+	if len(one.links) != len(eight.links) {
+		t.Fatalf("link counts differ: %d at GOMAXPROCS=1, %d at 8", len(one.links), len(eight.links))
+	}
+	for i := range one.links {
+		if one.links[i] != eight.links[i] {
+			t.Fatalf("link %d differs: %+v at GOMAXPROCS=1, %+v at 8", i, one.links[i], eight.links[i])
 		}
 	}
 }

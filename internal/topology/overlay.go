@@ -68,15 +68,17 @@ type Overlay struct {
 	capMin, capMax float64 // link capacity range, for peers added later
 
 	// Bounded per-source route cache: an LRU of at most routeCap full
-	// Dijkstra tables (routeCap < 0 = unbounded), so steady-state memory is
-	// O(routeCap·peers) no matter how many sources probe. Once the cache is
-	// full, near destinations are answered by a truncated search over the
-	// trunc scratch state instead of evicting a table — see Route.
+	// Dijkstra tables, so steady-state memory is O(routeCap·peers) no matter
+	// how many sources probe. Once the cache is full, near destinations are
+	// answered by a truncated search over the trunc scratch state instead of
+	// evicting a table, and a far one recomputes into the evicted table's
+	// arrays — see tree. pq is the one heap both searches run on.
 	routeCap   int
 	routeCache map[int]*routeSlot
 	lruHead    *routeSlot // most recently used
 	lruTail    *routeSlot // next eviction victim
 	trunc      *truncRouteState
+	pq         distPQ
 
 	// Frozen link CSR: peer p's incident links occupy [loff[p], loff[p+1])
 	// in lto (the far endpoint), llink (the link index), and llat (the link
@@ -88,10 +90,17 @@ type Overlay struct {
 	llat  []float64
 }
 
+// routeTable is one source's shortest-path tree, 16 B per peer: the latency
+// to every peer and the (peer, link) each is reached through, -1 at the source
+// and at unreachable peers.
 type routeTable struct {
 	dist     []float64
-	prevPeer []int
-	prevLink []int
+	prevPeer []int32
+	prevLink []int32
+}
+
+func newRouteTable(n int) routeTable {
+	return routeTable{dist: make([]float64, n), prevPeer: make([]int32, n), prevLink: make([]int32, n)}
 }
 
 // routeSlot is one LRU entry: a full per-source routing table threaded on the
@@ -103,23 +112,28 @@ type routeSlot struct {
 }
 
 // truncRouteState is the reusable scratch for the truncated-Dijkstra fast
-// path: epoch-stamped arrays make per-call initialization O(touched) instead
-// of O(peers), and the priority queue's backing array is recycled.
+// path: a table whose entries are valid only where stamp carries the current
+// epoch, which makes per-call initialization O(touched) instead of O(peers).
 type truncRouteState struct {
-	dist     []float64
-	prevPeer []int32
-	prevLink []int32
-	stamp    []uint32
-	epoch    uint32
-	pq       distPQ
+	routeTable
+	stamp []uint32
+	epoch uint32
 }
 
-// DefaultRouteCacheSize is the route-cache bound applied when
-// OverlayConfig.RouteCacheSize is zero. It exceeds the source count of every
-// workload the figure pipeline runs, so bounding the cache changes neither
-// behavior (routes are cache-independent by construction) nor performance on
-// existing experiments; only deliberately huge sweeps engage eviction.
-const DefaultRouteCacheSize = 512
+// routeCacheBudget is the memory the route cache may hold when
+// OverlayConfig.RouteCacheSize is zero: as many 16 B/peer tables as fit in
+// 32 MB — 2,097 at 1,000 peers, 69 at 30,000, 20 at 100,000. An entry count
+// cannot be right at every scale; the traffic sets the one that matters: on
+// the paper's §6.1 world (1,000 peers) BCP makes every peer a route source,
+// and under the former 512-table bound one steady benchmark round ran 9,600
+// full Dijkstras for those 1,000 sources. With all of them resident (16 MB)
+// it runs 1,000.
+const routeCacheBudget = 32 << 20
+
+// defaultRouteCap is the number of route tables routeCacheBudget holds.
+func defaultRouteCap(peers int) int {
+	return max(1, routeCacheBudget/(16*max(1, peers)))
+}
 
 // OverlayConfig controls BuildOverlay.
 type OverlayConfig struct {
@@ -136,10 +150,10 @@ type OverlayConfig struct {
 	// Kind == Mesh only and does not support AddPeer.
 	Compact bool
 	// RouteCacheSize bounds how many per-source routing tables Route may
-	// retain (LRU eviction beyond it). Zero applies DefaultRouteCacheSize;
-	// negative disables the bound. Routes themselves are independent of the
-	// cache state, so any bound produces byte-identical results — only
-	// memory and recomputation change.
+	// retain (LRU eviction beyond it). Zero or less bounds the cache by
+	// memory instead: as many tables as fit routeCacheBudget. Routes
+	// themselves are independent of the cache state, so any bound produces
+	// byte-identical results — only memory and recomputation change.
 	RouteCacheSize int
 }
 
@@ -156,11 +170,11 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 	if cfg.CapMax <= 0 {
 		cfg.CapMin, cfg.CapMax = 1000, 10000
 	}
-	routeCap := cfg.RouteCacheSize
-	if routeCap == 0 {
-		routeCap = DefaultRouteCacheSize
-	}
 	n := cfg.NumPeers
+	routeCap := cfg.RouteCacheSize
+	if routeCap <= 0 {
+		routeCap = defaultRouteCap(n)
+	}
 	o := &Overlay{
 		peerIP:     rng.Perm(g.N())[:n],
 		adj:        make([][]int, n),
@@ -178,7 +192,7 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 		return o
 	}
 	// Pairwise peer latency over IP shortest paths, computed in one batched
-	// pass that reuses the Dijkstra buffers across sources.
+	// pass fanned over the available cores.
 	o.lat = g.PairDistances(o.peerIP)
 
 	cap := func() float64 { return cfg.CapMin + rng.Float64()*(cfg.CapMax-cfg.CapMin) }
@@ -304,8 +318,8 @@ func (o *Overlay) Latency(a, b int) float64 {
 	if o.lat != nil {
 		return o.lat[a][b]
 	}
-	if p, ok := o.Route(a, b); ok {
-		return p.Latency
+	if _, lat, ok := o.tree(a, b); ok {
+		return lat
 	}
 	return math.Inf(1)
 }
@@ -359,57 +373,36 @@ func (o *Overlay) AddPeer(g *Graph, ip, degree int, rng *rand.Rand) int {
 }
 
 // cacheReset drops every cached routing table and the truncated-search
-// scratch (its arrays are sized to the peer count, which may have changed).
+// scratch (their arrays are sized to the peer count, which may have changed).
 func (o *Overlay) cacheReset() {
 	o.routeCache = make(map[int]*routeSlot)
 	o.lruHead, o.lruTail = nil, nil
 	o.trunc = nil
 }
 
-// cacheGet returns src's cached table and marks it most recently used.
-func (o *Overlay) cacheGet(src int) (routeTable, bool) {
-	s, ok := o.routeCache[src]
-	if !ok {
-		return routeTable{}, false
-	}
-	if s != o.lruHead {
-		// Unlink, then splice in at the head.
+// lruUnlink takes s off the recency list.
+func (o *Overlay) lruUnlink(s *routeSlot) {
+	if s.prev != nil {
 		s.prev.next = s.next
-		if s.next != nil {
-			s.next.prev = s.prev
-		} else {
-			o.lruTail = s.prev
-		}
-		s.prev = nil
-		s.next = o.lruHead
-		o.lruHead.prev = s
-		o.lruHead = s
+	} else {
+		o.lruHead = s.next
 	}
-	return s.rt, true
+	if s.next != nil {
+		s.next.prev = s.prev
+	} else {
+		o.lruTail = s.prev
+	}
 }
 
-// cacheAdd inserts src's table at the head of the recency list, evicting the
-// least recently used table when the bound is exceeded. Eviction follows only
-// the (deterministic) access sequence, so same-seed runs evict identically.
-func (o *Overlay) cacheAdd(src int, rt routeTable) {
-	s := &routeSlot{src: src, rt: rt, next: o.lruHead}
+// lruPushFront makes s the most recently used slot.
+func (o *Overlay) lruPushFront(s *routeSlot) {
+	s.prev, s.next = nil, o.lruHead
 	if o.lruHead != nil {
 		o.lruHead.prev = s
 	} else {
 		o.lruTail = s
 	}
 	o.lruHead = s
-	o.routeCache[src] = s
-	if o.routeCap >= 0 && len(o.routeCache) > o.routeCap {
-		victim := o.lruTail
-		o.lruTail = victim.prev
-		if o.lruTail != nil {
-			o.lruTail.next = nil
-		} else {
-			o.lruHead = nil
-		}
-		delete(o.routeCache, victim.src)
-	}
 }
 
 // freezeLinks packs the per-peer link lists into the frozen CSR arrays.
@@ -439,78 +432,122 @@ func (o *Overlay) freezeLinks() {
 	}
 }
 
-// Route returns the shortest-latency overlay path from a to b, or ok=false
-// if none exists. Per-source tables are cached in an LRU bounded by
+// tree is the route oracle every query goes through: it returns a table in
+// which b's predecessor chain leads back to a, the a→b latency, and ok=false
+// if no route exists. The table is only valid until the next query, and nil
+// when a == b: that chain is empty, so nothing walks it.
+//
+// Per-source tables are cached in an LRU bounded by
 // OverlayConfig.RouteCacheSize and invalidated only by AddPeer, since links
 // otherwise never change. Once the cache is full, a near destination (one
 // that settles within a small ball around the source) is answered by a
 // truncated search without touching the cache; only far destinations pay a
-// full Dijkstra and recycle an LRU slot. Because Dijkstra's relaxation order
-// is deterministic and settled entries never change, every code path returns
-// the identical Path — the cache bound affects memory and recomputation, not
-// results, so same-seed traces stay byte-identical at any bound.
-func (o *Overlay) Route(a, b int) (Path, bool) {
+// full Dijkstra, which evicts the LRU table and computes into its arrays, so
+// a miss on a full cache allocates nothing. Because Dijkstra's relaxation
+// order is deterministic and settled entries never change, every code path
+// yields the identical chain — the cache bound affects memory and
+// recomputation, not results, so same-seed traces stay byte-identical at any
+// bound.
+func (o *Overlay) tree(a, b int) (*routeTable, float64, bool) {
 	if a == b {
-		return Path{Peers: []int{a}, Latency: 0}, true
+		return nil, 0, true
 	}
-	if rt, ok := o.cacheGet(a); ok {
-		return o.pathFrom(rt, a, b)
-	}
-	if o.routeCap >= 0 && len(o.routeCache) >= o.routeCap {
-		if p, ok, hit := o.routeNear(a, b); hit {
-			return p, ok
+	s, ok := o.routeCache[a]
+	switch {
+	case ok:
+		if s != o.lruHead {
+			o.lruUnlink(s)
+			o.lruPushFront(s)
 		}
+		return &s.rt, s.rt.dist[b], !math.IsInf(s.rt.dist[b], 1)
+	case len(o.routeCache) < o.routeCap:
+		s = &routeSlot{}
+	default:
+		if lat, ok, hit := o.routeNear(a, b); hit {
+			return &o.trunc.routeTable, lat, ok
+		}
+		// Eviction follows only the (deterministic) access sequence, so
+		// same-seed runs evict identically.
+		s = o.lruTail
+		o.lruUnlink(s)
+		delete(o.routeCache, s.src)
 	}
-	rt := o.dijkstra(a)
-	o.cacheAdd(a, rt)
-	return o.pathFrom(rt, a, b)
+	s.src = a
+	o.dijkstra(a, &s.rt)
+	o.lruPushFront(s)
+	o.routeCache[a] = s
+	return &s.rt, s.rt.dist[b], !math.IsInf(s.rt.dist[b], 1)
 }
 
-// pathFrom materializes the a→b path from a per-source table. Walk the
-// predecessor chain once to size the path exactly, then fill backward: two
-// right-sized allocations instead of append-grow + reverse. Route is the
-// hottest call in probe forwarding, so this matters.
-func (o *Overlay) pathFrom(rt routeTable, a, b int) (Path, bool) {
-	if math.IsInf(rt.dist[b], 1) {
+// Route returns the shortest-latency overlay path from a to b, or ok=false
+// if none exists. Callers that only need the path's cost use PathCost, which
+// allocates nothing.
+func (o *Overlay) Route(a, b int) (Path, bool) {
+	rt, lat, ok := o.tree(a, b)
+	if !ok {
 		return Path{}, false
 	}
+	return rt.path(a, b, lat), true
+}
+
+// path materializes the a→b path from a table holding b's chain. Walk the
+// predecessor chain once to size the path exactly, then fill backward: two
+// right-sized allocations instead of append-grow + reverse.
+func (rt *routeTable) path(a, b int, lat float64) Path {
 	hops := 0
-	for at := b; at != a; at = rt.prevPeer[at] {
+	for at := b; at != a; at = int(rt.prevPeer[at]) {
 		hops++
 	}
 	peers := make([]int, hops+1)
 	links := make([]int, hops)
 	i := hops
-	for at := b; at != a; at = rt.prevPeer[at] {
+	for at := b; at != a; at = int(rt.prevPeer[at]) {
 		peers[i] = at
-		links[i-1] = rt.prevLink[at]
+		links[i-1] = int(rt.prevLink[at])
 		i--
 	}
 	peers[0] = a
-	return Path{Peers: peers, Links: links, Latency: rt.dist[b]}, true
+	return Path{Peers: peers, Links: links, Latency: lat}
+}
+
+// PathCost returns what Route(a, b) followed by AvailBandwidth would — the
+// path's latency in ms and its bottleneck available bandwidth in kbps (+Inf
+// when a == b) — by folding along the predecessor chain instead of building
+// the Path. BCP asks this for every next-hop candidate of every probe.
+func (o *Overlay) PathCost(a, b int) (latencyMs, bandAvail float64, ok bool) {
+	rt, lat, ok := o.tree(a, b)
+	if !ok {
+		return 0, 0, false
+	}
+	return lat, o.bottleneck(rt, a, b), true
+}
+
+func (o *Overlay) bottleneck(rt *routeTable, a, b int) float64 {
+	bw := math.Inf(1)
+	for at := b; at != a; at = int(rt.prevPeer[at]) {
+		if v := o.links[rt.prevLink[at]].avail; v < bw {
+			bw = v
+		}
+	}
+	return bw
 }
 
 // routeNear runs Dijkstra from a but stops as soon as b settles, giving up
 // once the settled ball exceeds ~n/8 peers. hit reports whether the search
-// reached a verdict: b settled (the path is exact — a settled node's
-// distance and predecessor are final, and the relaxation order up to that
-// point is identical to the full run's), or a's entire component settled
-// without finding b (no route exists). hit=false means b lies outside the
-// ball and the caller must fall back to a full Dijkstra. Nothing is cached;
-// the epoch-stamped scratch keeps per-call cost O(ball), not O(peers).
-func (o *Overlay) routeNear(a, b int) (Path, bool, bool) {
+// reached a verdict: b settled (its chain in o.trunc is exact — a settled
+// node's distance and predecessor are final, and the relaxation order up to
+// that point is identical to the full run's), or a's entire component
+// settled without finding b (no route exists). hit=false means b lies outside
+// the ball and the caller must fall back to a full Dijkstra. Nothing is
+// cached; the epoch-stamped scratch keeps per-call cost O(ball), not O(peers).
+func (o *Overlay) routeNear(a, b int) (lat float64, ok, hit bool) {
 	if o.loff == nil {
 		o.freezeLinks()
 	}
 	n := o.N()
 	ts := o.trunc
 	if ts == nil || len(ts.dist) < n {
-		ts = &truncRouteState{
-			dist:     make([]float64, n),
-			prevPeer: make([]int32, n),
-			prevLink: make([]int32, n),
-			stamp:    make([]uint32, n),
-		}
+		ts = &truncRouteState{routeTable: newRouteTable(n), stamp: make([]uint32, n)}
 		o.trunc = ts
 	}
 	ts.epoch++
@@ -532,35 +569,23 @@ func (o *Overlay) routeNear(a, b int) (Path, bool, bool) {
 	if limit < 32 {
 		limit = 32
 	}
-	ts.pq.reset()
+	pq := &o.pq
+	pq.reset()
 	touch(int32(a))
 	ts.dist[a] = 0
-	ts.pq.push(distItem{node: a, dist: 0})
+	pq.push(distItem{node: a, dist: 0})
 	settled := 0
-	for ts.pq.len() > 0 {
-		it := ts.pq.pop()
+	for pq.len() > 0 {
+		it := pq.pop()
 		if it.dist > ts.dist[it.node] {
 			continue
 		}
 		if it.node == b {
-			hops := 0
-			for at := b; at != a; at = int(ts.prevPeer[at]) {
-				hops++
-			}
-			peers := make([]int, hops+1)
-			links := make([]int, hops)
-			i := hops
-			for at := b; at != a; at = int(ts.prevPeer[at]) {
-				peers[i] = at
-				links[i-1] = int(ts.prevLink[at])
-				i--
-			}
-			peers[0] = a
-			return Path{Peers: peers, Links: links, Latency: ts.dist[b]}, true, true
+			return it.dist, true, true
 		}
 		settled++
 		if settled >= limit {
-			return Path{}, false, false
+			return 0, false, false
 		}
 		for i, end := o.loff[it.node], o.loff[it.node+1]; i < end; i++ {
 			to := o.lto[i]
@@ -569,24 +594,23 @@ func (o *Overlay) routeNear(a, b int) (Path, bool, bool) {
 				ts.dist[to] = nd
 				ts.prevPeer[to] = int32(it.node)
 				ts.prevLink[to] = o.llink[i]
-				ts.pq.push(distItem{node: int(to), dist: nd})
+				pq.push(distItem{node: int(to), dist: nd})
 			}
 		}
 	}
 	// The queue drained before the limit: a's entire component is settled
 	// and b is not in it.
-	return Path{}, false, true
+	return 0, false, true
 }
 
-func (o *Overlay) dijkstra(src int) routeTable {
+// dijkstra fills rt with src's full shortest-path tree, reusing rt's arrays
+// when they fit (an evicted table's) and overwriting every entry.
+func (o *Overlay) dijkstra(src int, rt *routeTable) {
 	if o.loff == nil {
 		o.freezeLinks()
 	}
-	n := o.N()
-	rt := routeTable{
-		dist:     make([]float64, n),
-		prevPeer: make([]int, n),
-		prevLink: make([]int, n),
+	if n := o.N(); len(rt.dist) != n {
+		*rt = newRouteTable(n)
 	}
 	for i := range rt.dist {
 		rt.dist[i] = math.Inf(1)
@@ -594,7 +618,8 @@ func (o *Overlay) dijkstra(src int) routeTable {
 		rt.prevLink[i] = -1
 	}
 	rt.dist[src] = 0
-	var pq distPQ
+	pq := &o.pq
+	pq.reset()
 	pq.push(distItem{node: src, dist: 0})
 	for pq.len() > 0 {
 		it := pq.pop()
@@ -602,16 +627,15 @@ func (o *Overlay) dijkstra(src int) routeTable {
 			continue
 		}
 		for i, end := o.loff[it.node], o.loff[it.node+1]; i < end; i++ {
-			to := int(o.lto[i])
+			to := o.lto[i]
 			if nd := it.dist + o.llat[i]; nd < rt.dist[to] {
 				rt.dist[to] = nd
-				rt.prevPeer[to] = it.node
-				rt.prevLink[to] = int(o.llink[i])
-				pq.push(distItem{node: to, dist: nd})
+				rt.prevPeer[to] = int32(it.node)
+				rt.prevLink[to] = o.llink[i]
+				pq.push(distItem{node: int(to), dist: nd})
 			}
 		}
 	}
-	return rt
 }
 
 // AvailBandwidth returns the bottleneck available bandwidth along p in kbps.
@@ -626,22 +650,28 @@ func (o *Overlay) AvailBandwidth(p Path) float64 {
 	return bw
 }
 
-// AllocBandwidth reserves bw kbps on every link of p. It either reserves on
-// all links or none, returning whether the reservation succeeded.
-func (o *Overlay) AllocBandwidth(p Path, bw float64) bool {
-	if o.AvailBandwidth(p) < bw {
+// AllocBandwidth reserves bw kbps on every link of the a→b route. It either
+// reserves on all links or none, returning whether the reservation succeeded.
+func (o *Overlay) AllocBandwidth(a, b int, bw float64) bool {
+	rt, _, ok := o.tree(a, b)
+	if !ok || o.bottleneck(rt, a, b) < bw {
 		return false
 	}
-	for _, idx := range p.Links {
-		o.links[idx].avail -= bw
+	for at := b; at != a; at = int(rt.prevPeer[at]) {
+		o.links[rt.prevLink[at]].avail -= bw
 	}
 	return true
 }
 
-// ReleaseBandwidth returns bw kbps to every link of p, clamping at capacity.
-func (o *Overlay) ReleaseBandwidth(p Path, bw float64) {
-	for _, idx := range p.Links {
-		l := &o.links[idx]
+// ReleaseBandwidth returns bw kbps to every link of the a→b route, clamping
+// at capacity.
+func (o *Overlay) ReleaseBandwidth(a, b int, bw float64) {
+	rt, _, ok := o.tree(a, b)
+	if !ok {
+		return
+	}
+	for at := b; at != a; at = int(rt.prevPeer[at]) {
+		l := &o.links[rt.prevLink[at]]
 		l.avail += bw
 		if l.avail > l.capacity {
 			l.avail = l.capacity

@@ -100,14 +100,14 @@ func TestBandwidthAllocRelease(t *testing.T) {
 	if before < 1000 {
 		t.Fatalf("bottleneck bandwidth %v below configured minimum", before)
 	}
-	if !o.AllocBandwidth(p, 500) {
+	if !o.AllocBandwidth(0, o.N()-1, 500) {
 		t.Fatal("allocation within capacity should succeed")
 	}
 	after := o.AvailBandwidth(p)
 	if after > before-500+1e-9 {
 		t.Fatalf("bandwidth not deducted: before=%v after=%v", before, after)
 	}
-	o.ReleaseBandwidth(p, 500)
+	o.ReleaseBandwidth(0, o.N()-1, 500)
 	if math.Abs(o.AvailBandwidth(p)-before) > 1e-9 {
 		t.Fatal("release did not restore bandwidth")
 	}
@@ -120,7 +120,7 @@ func TestBandwidthAllocAllOrNothing(t *testing.T) {
 		t.Fatal("no route")
 	}
 	avail := o.AvailBandwidth(p)
-	if o.AllocBandwidth(p, avail+1) {
+	if o.AllocBandwidth(0, o.N()-1, avail+1) {
 		t.Fatal("over-allocation must fail")
 	}
 	if math.Abs(o.AvailBandwidth(p)-avail) > 1e-9 {
@@ -131,7 +131,7 @@ func TestBandwidthAllocAllOrNothing(t *testing.T) {
 func TestReleaseClampsAtCapacity(t *testing.T) {
 	o := testOverlay(t, Mesh)
 	p, _ := o.Route(0, 1)
-	o.ReleaseBandwidth(p, 1e9)
+	o.ReleaseBandwidth(0, 1, 1e9)
 	for _, idx := range p.Links {
 		if o.AvailBandwidth(Path{Links: []int{idx}}) > o.LinkCapacity(idx)+1e-9 {
 			t.Fatal("availability exceeded capacity after over-release")

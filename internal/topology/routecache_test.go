@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -27,13 +28,24 @@ func pathString(p Path, ok bool) string {
 	return fmt.Sprintf("ok=%v peers=%v links=%v lat=%.9f", ok, p.Peers, p.Links, p.Latency)
 }
 
+// oracleRoute answers a→b from a fresh full Dijkstra table, bypassing the
+// cache, the truncated search and table recycling.
+func oracleRoute(o *Overlay, a, b int) (Path, bool) {
+	var rt routeTable
+	o.dijkstra(a, &rt)
+	if math.IsInf(rt.dist[b], 1) {
+		return Path{}, false
+	}
+	return rt.path(a, b, rt.dist[b]), true
+}
+
 // TestRouteCacheEvictionDeterministic drives the identical route sequence
-// through a K=2 cache (evicting on nearly every source change) and an
-// unbounded one, and requires byte-identical paths: the bound may change
+// through a K=2 cache (evicting on nearly every source change) and one that
+// holds every source, and requires byte-identical paths: the bound may change
 // memory and recomputation, never results.
 func TestRouteCacheEvictionDeterministic(t *testing.T) {
 	tight := cacheOverlay(t, 80, 2)
-	unbounded := cacheOverlay(t, 80, -1)
+	unbounded := cacheOverlay(t, 80, 80)
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 600; i++ {
 		a, b := rng.Intn(80), rng.Intn(80)
@@ -49,8 +61,8 @@ func TestRouteCacheEvictionDeterministic(t *testing.T) {
 }
 
 // TestRouteCacheMissCorrect compares every route served after the cache is
-// full — truncated fast path and evict-and-recompute alike — against an
-// uncached full Dijkstra oracle.
+// full — truncated fast path and evict-and-recompute into the victim's
+// recycled arrays alike — against an uncached full Dijkstra oracle.
 func TestRouteCacheMissCorrect(t *testing.T) {
 	o := cacheOverlay(t, 80, 3)
 	// Fill the cache from three sources, then route from every other source:
@@ -64,8 +76,7 @@ func TestRouteCacheMissCorrect(t *testing.T) {
 				continue
 			}
 			got, gok := o.Route(a, b)
-			oracle := o.dijkstra(a) // fresh full table, bypassing the cache
-			want, wok := o.pathFrom(oracle, a, b)
+			want, wok := oracleRoute(o, a, b)
 			if pathString(got, gok) != pathString(want, wok) {
 				t.Fatalf("route %d→%d: cache-miss path %s != oracle %s",
 					a, b, pathString(got, gok), pathString(want, wok))
@@ -75,8 +86,8 @@ func TestRouteCacheMissCorrect(t *testing.T) {
 }
 
 // TestRouteCacheBounded checks the LRU never exceeds its bound no matter how
-// many distinct sources probe, and that the default bound applies when the
-// config leaves the size zero.
+// many distinct sources probe, and that the byte budget sets the bound when
+// the config leaves the size zero.
 func TestRouteCacheBounded(t *testing.T) {
 	o := cacheOverlay(t, 80, 5)
 	for a := 0; a < 80; a++ {
@@ -87,14 +98,22 @@ func TestRouteCacheBounded(t *testing.T) {
 	if len(o.routeCache) > 5 {
 		t.Fatalf("cache holds %d tables, bound is 5", len(o.routeCache))
 	}
-	def := cacheOverlay(t, 10, 0)
-	if def.routeCap != DefaultRouteCacheSize {
-		t.Fatalf("zero RouteCacheSize → routeCap %d, want %d", def.routeCap, DefaultRouteCacheSize)
+	for _, c := range []struct{ peers, want int }{{10, 209715}, {500, 4194}} {
+		if def := cacheOverlay(t, c.peers, 0); def.routeCap != c.want {
+			t.Fatalf("zero RouteCacheSize at %d peers → routeCap %d, want %d (32 MB of 16 B/peer tables)",
+				c.peers, def.routeCap, c.want)
+		}
+	}
+	for _, c := range []struct{ peers, want int }{{1000, 2097}, {30_000, 69}, {100_000, 20}, {10_000_000, 1}} {
+		if got := defaultRouteCap(c.peers); got != c.want {
+			t.Fatalf("defaultRouteCap(%d) = %d, want %d", c.peers, got, c.want)
+		}
 	}
 }
 
 // TestRouteCacheInvalidatedByAddPeer verifies AddPeer drops every cached
-// table: post-arrival routes must see the newcomer and match a fresh oracle.
+// table, leaving none of the old length to recycle: post-arrival routes must
+// see the newcomer and match a fresh oracle.
 func TestRouteCacheInvalidatedByAddPeer(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := GeneratePowerLaw(600, 2, 2, 30, rng)
@@ -126,14 +145,20 @@ func TestRouteCacheInvalidatedByAddPeer(t *testing.T) {
 	// routes must match a fresh oracle over the grown overlay.
 	for a := 0; a < 8; a++ {
 		got, gok := o.Route(a, np)
-		oracle := o.dijkstra(a)
-		want, wok := o.pathFrom(oracle, a, np)
+		want, wok := oracleRoute(o, a, np)
 		if !gok {
 			t.Fatalf("no route %d→new peer %d after AddPeer", a, np)
 		}
 		if pathString(got, gok) != pathString(want, wok) {
 			t.Fatalf("stale route %d→%d after AddPeer: %s != oracle %s",
 				a, np, pathString(got, gok), pathString(want, wok))
+		}
+	}
+	// Eight sources through four slots: the later misses recycled tables, and
+	// every table they could recycle was sized after the arrival.
+	for src, s := range o.routeCache {
+		if len(s.rt.dist) != o.N() || len(s.rt.prevPeer) != o.N() || len(s.rt.prevLink) != o.N() {
+			t.Fatalf("table of source %d has stale length %d, overlay has %d peers", src, len(s.rt.dist), o.N())
 		}
 	}
 }
@@ -149,24 +174,8 @@ func TestRouteCacheDisconnectedComponents(t *testing.T) {
 		NumPeers: 40, Kind: RandomOverlay, Degree: 2,
 		CapMin: 1000, CapMax: 5000, RouteCacheSize: 1,
 	}, rng)
-	// Sever peer 0 from everything by clearing its adjacency, then refreeze.
-	for _, idx := range o.adj[0] {
-		l := &o.links[idx]
-		other := l.u
-		if other == 0 {
-			other = l.v
-		}
-		keep := o.adj[other][:0]
-		for _, li := range o.adj[other] {
-			if li != idx {
-				keep = append(keep, li)
-			}
-		}
-		o.adj[other] = keep
-	}
-	o.adj[0] = nil
-	o.cacheReset()
-	o.loff = nil
+	// Sever peer 0 from everything.
+	dropLinks(o, func(u, v int) bool { return u == 0 || v == 0 })
 	o.Route(1, 2) // fill the single-slot cache from another source
 	for a := 3; a < 10; a++ {
 		if _, ok := o.Route(a, 0); ok {

@@ -51,7 +51,8 @@ go test -cover ./... | awk '
 # compact overlay must fit the live-heap budget asserted by the test (64 MB;
 # measured ~10 MB). A failure means a dense structure crept back into the
 # frozen representation — most likely the O(peers^2) latency matrix or a
-# per-node allocation in the Dijkstra hot path.
+# per-node allocation in the Dijkstra hot path. The default route cache is
+# bounded by bytes (32 MB), so this budget and the scale1m slice's keep meaning.
 echo "== memory budget gate (100k nodes / 10k peers)"
 go test -run TestMemoryBudget100k -count=1 ./internal/topology/
 
