@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race ci bench clean
+.PHONY: all build test vet race ci
 
 all: build
 
@@ -19,10 +19,3 @@ race:
 # ci runs the full verification gate: vet + build + race-enabled tests.
 ci:
 	sh scripts/ci.sh
-
-# bench writes BENCH_<timestamp>.json with the microbenchmark suite.
-bench:
-	$(GO) run ./cmd/spiderbench -bench
-
-clean:
-	rm -f BENCH_*.json

@@ -8,6 +8,7 @@ package spidernet
 // quantities. Full-size runs: `go run ./cmd/spiderbench -fig all [-paper]`.
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,9 +18,11 @@ import (
 	"repro/internal/dht"
 	"repro/internal/experiment"
 	"repro/internal/fgraph"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
+	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -477,6 +480,133 @@ func BenchmarkCostFunction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if c := g.Cost(w, req); c <= 0 {
 			b.Fatal("bad cost")
+		}
+	}
+}
+
+// benchHost is a construction-only transport stub: dht.Build never sends or
+// schedules, so ring-construction benchmarks skip the simulator entirely.
+type benchHost struct{ id p2p.NodeID }
+
+func (h *benchHost) ID() p2p.NodeID                             { return h.id }
+func (h *benchHost) Now() time.Duration                         { return 0 }
+func (h *benchHost) Send(p2p.Message)                           {}
+func (h *benchHost) After(time.Duration, func()) p2p.CancelFunc { return func() {} }
+func (h *benchHost) Rand() *rand.Rand                           { return nil }
+func (h *benchHost) Handle(string, p2p.Handler)                 {}
+func (h *benchHost) Alive() bool                                { return true }
+
+// BenchmarkDHTBuildRing measures the sorted-ring static construction at 1k,
+// 10k and 100k nodes. Node creation is excluded from the timer: the op is
+// construction, not SHA-1 identifier derivation.
+func BenchmarkDHTBuildRing(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"1k", 1000}, {"10k", 10000}, {"100k", 100000}} {
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nodes := make([]*dht.Node, size.n)
+				for j := range nodes {
+					nodes[j] = dht.New(&benchHost{id: p2p.NodeID(j)}, nil)
+				}
+				b.StartTimer()
+				dht.Build(nodes)
+			}
+		})
+	}
+}
+
+// BenchmarkOverlayRouteEvict measures Route in the post-eviction regime: the
+// cache bound is far below the rotating source count, so every call is a
+// cache miss served either by the truncated near-destination search or by a
+// full Dijkstra recycled into an LRU slot.
+func BenchmarkOverlayRouteEvict(b *testing.B) {
+	rng := newSeededRng(81)
+	g := topology.GeneratePowerLaw(2000, 2, 2, 30, rng)
+	ov := topology.BuildOverlay(g, topology.OverlayConfig{
+		NumPeers: 300, Degree: 4, RouteCacheSize: 8,
+	}, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := ov.Route(i%300, (i*7+1)%300); !ok {
+			b.Fatal("no route")
+		}
+	}
+}
+
+// BenchmarkTopologyGenerate100k is the headline capacity number: a
+// 100,000-node power-law IP network frozen into the CSR representation plus a
+// 10,000-peer compact-mode overlay (no peer-pair latency matrix) per
+// iteration.
+func BenchmarkTopologyGenerate100k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := newSeededRng(79)
+		g := topology.GeneratePowerLaw(100000, 2, 2, 30, rng)
+		topology.BuildOverlay(g, topology.OverlayConfig{
+			NumPeers: 10000, Degree: 4, Compact: true,
+		}, rng)
+	}
+}
+
+// BenchmarkShardLookup measures a cross-ring discovery round trip: a GetVia
+// from a peer whose shard does not home the key, entering the home ring
+// through a plan entry member — the per-lookup tax the sharded keyspace pays.
+func BenchmarkShardLookup(b *testing.B) {
+	sim := simnet.NewSim()
+	nw := simnet.NewNetwork(sim, simnet.ConstantLatency(time.Millisecond), newSeededRng(80))
+	const peers = 512
+	plan := registry.NewShardPlan(peers, 8)
+	nodes := make([]*dht.Node, peers)
+	for i := range nodes {
+		nodes[i] = dht.New(nw.AddNode(p2p.NodeID(i)), nw.Alive)
+	}
+	for s := 0; s < plan.NumShards; s++ {
+		ring := make([]*dht.Node, len(plan.Members[s]))
+		for j, id := range plan.Members[s] {
+			ring[j] = nodes[int(id)]
+		}
+		dht.Build(ring)
+	}
+	key := registry.FunctionKey("bench")
+	home := plan.Home(key)
+	entries := plan.Entries(key)
+	nodes[plan.Members[home][0]].Put(key, "x", 64)
+	sim.RunUntilIdle()
+	// A fixed foreign source: first member of the shard after the home one.
+	src := nodes[plan.Members[(home+1)%plan.NumShards][0]]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.GetVia(entries, key, 0, time.Second, func([]any, int, bool) {})
+		sim.RunUntilIdle()
+	}
+}
+
+// BenchmarkObsEmit measures encoding one event into a JSONL sink.
+func BenchmarkObsEmit(b *testing.B) {
+	sink := obs.NewJSONLSink(io.Discard)
+	ev := obs.ProbeSent(time.Millisecond, 3, 42, 7, "fn1", "p7/fn1.0", 10, 2, 12345, 12344)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink.Emit(ev)
+	}
+}
+
+// BenchmarkObsDisabled measures the disabled-tracer fast path: the nil check
+// plus event construction that instrumented call sites skip entirely.
+func BenchmarkObsDisabled(b *testing.B) {
+	var trace obs.Tracer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if trace != nil {
+			trace.Emit(obs.ProbeSent(time.Millisecond, 3, 42, 7, "fn1", "p7/fn1.0", 10, 2, 12345, 12344))
 		}
 	}
 }

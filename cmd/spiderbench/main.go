@@ -1,340 +1,224 @@
 // Command spiderbench regenerates the figures of the SpiderNet paper's
 // evaluation (§6). Each figure prints as an aligned table with the same
-// series the paper plots.
+// series the paper plots. experiment.Figures is the list of figures and of
+// the flags each one takes; `spiderbench -h` prints it.
 //
 // Usage:
 //
 //	spiderbench -fig 8            # Figure 8 at laptop scale
 //	spiderbench -fig 9 -paper     # Figure 9 at the paper's dimensions
-//	spiderbench -fig 10           # wide-area setup time (live runtime)
-//	spiderbench -fig 11           # delay vs probing budget
-//	spiderbench -fig scale        # offered-load sweep, load-blind vs load-aware
-//	spiderbench -fig stress       # adversarial workloads x composition algorithms
-//	spiderbench -fig overhead     # BCP vs centralized overhead
-//	spiderbench -fig federate     # cross-domain 2PC sweep, domains x gateways x faults
-//	spiderbench -fig scale100k    # 100k-node/10k-peer capacity sweep (not part of "all")
-//	spiderbench -fig scale1m      # 1M-node/100k-peer capacity sweep (not part of "all")
-//	spiderbench -fig all
-//	spiderbench -bench            # microbenchmarks -> BENCH_<timestamp>.json
+//	spiderbench -fig all          # every figure marked [all] in -h
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/simnet"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 8, 9, 10, 11, scale, stress, overhead, federate, scale100k, scale1m, all")
-	paper := flag.Bool("paper", false, "use the paper's full dimensions (slow)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	csvDir := flag.String("csv", "", "also write each figure as CSV into this directory")
-	bench := flag.Bool("bench", false, "run the microbenchmark suite and write BENCH_<timestamp>.json")
-	benchDir := flag.String("benchdir", ".", "directory for the BENCH_<timestamp>.json output")
-	traceFile := flag.String("trace", "", "write a deterministic JSONL event trace of the simulated figures to this file")
-	stats := flag.Bool("stats", false, "print per-layer counter tables after the figures")
-	faults := flag.String("faults", "", "fault spec layered onto figures 9 and 10, e.g. loss=0.05,jitter=20ms,partition=10s@30s")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker count for the independent cells of the simulated figures; 1 = serial. Output is byte-identical at any value")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// figureNames lists the registry's -fig values, "all" last.
+func figureNames() string {
+	var names []string
+	for _, f := range experiment.Figures {
+		names = append(names, f.Name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
+// run is main with its environment passed in: 0 on success, 1 when the run
+// failed, 2 on a flag the selected figure does not take.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spiderbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate: "+figureNames())
+	paper := fs.Bool("paper", false, "use the paper's full dimensions (slow)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	csvDir := fs.String("csv", "", "also write each figure as CSV into this directory")
+	traceFile := fs.String("trace", "", "write a deterministic JSONL event trace of the simulated figures to this file")
+	stats := fs.Bool("stats", false, "print per-layer counter tables after the simulated figures")
+	faults := fs.String("faults", "", "fault spec layered onto the figures that take one, e.g. loss=0.05,jitter=20ms,partition=10s@30s")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
+		"worker count for the independent cells of a figure; 1 = serial. Output is byte-identical at any value")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: spiderbench [flags]")
+		fs.PrintDefaults()
+		fmt.Fprintln(stderr, "figures (and the flags each takes beyond -seed, -parallel, -csv):")
+		for _, f := range experiment.Figures {
+			fmt.Fprintf(stderr, "  %-10s %s%s\n", f.Name, f.Title, takes(f))
+		}
+		fmt.Fprintln(stderr, "with -fig all each flag reaches the figures that take it")
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	// Select the figures, then refuse a flag the one named figure would
+	// silently ignore.
+	var selected []experiment.Figure
+	for _, f := range experiment.Figures {
+		if *fig == f.Name || (*fig == "all" && f.All) {
+			selected = append(selected, f)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "unknown figure %q; want %s\n", *fig, figureNames())
+		return 2
+	}
+	var fspec *simnet.FaultSpec
+	if *faults != "" {
+		var err error
+		if fspec, err = simnet.ParseFaultSpec(*faults); err != nil {
+			fmt.Fprintf(stderr, "faults: %v\n", err)
+			return 2
+		}
+	}
+
+	if f := selected[0]; *fig != "all" {
+		var bad string
+		switch {
+		case *paper && !f.Paper:
+			bad = "-paper: figure %s has no paper-scale dimensions"
+		case fspec != nil && !f.Faults:
+			bad = "-faults: figure %s takes no fault spec"
+		case *traceFile != "" && !f.Simulated:
+			bad = "-trace: figure %s does not run on the simulator and emits no events"
+		case *stats && !f.Simulated:
+			bad = "-stats: figure %s does not run on the simulator and feeds no counters"
+		}
+		if bad != "" {
+			fmt.Fprintf(stderr, bad+"\n", f.Name)
+			return 2
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
 
-	var fspec *simnet.FaultSpec
-	if *faults != "" {
-		var err error
-		fspec, err = simnet.ParseFaultSpec(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	if *bench {
-		if err := runBench(*benchDir); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// Figure 10 runs on the live TCP runtime, outside the virtual clock, so
-	// the deterministic tracer is wired only into the simulated figures
-	// (8, 9, 11, overhead).
-	var (
-		trace   obs.Tracer
-		tf      *obs.TraceFile
-		reg     *obs.Registry
-		tracers obs.MultiTracer
-	)
+	common := experiment.Common{Paper: *paper, Faults: fspec}
+	common.Seed, common.Parallel = *seed, *parallel
+	var tf *obs.TraceFile
 	if *traceFile != "" {
 		var err error
-		tf, err = obs.CreateTrace(*traceFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+		if tf, err = obs.CreateTrace(*traceFile); err != nil {
+			fmt.Fprintf(stderr, "trace: %v\n", err)
+			return 1
 		}
-		tracers = append(tracers, tf)
+		common.Trace = tf
 	}
 	if *stats {
-		reg = obs.NewRegistry()
-	}
-	switch len(tracers) {
-	case 0:
-	case 1:
-		trace = tracers[0]
-	default:
-		trace = tracers
+		common.Counters = obs.NewRegistry()
 	}
 
-	writeCSV := func(name string, t *metrics.Table) {
-		if *csvDir == "" {
-			return
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		}
-	}
-
-	run := func(name string, fn func()) {
-		fmt.Fprintf(os.Stderr, "== %s (started %s)\n", name, time.Now().Format(time.Kitchen))
+	for _, f := range selected {
+		fmt.Fprintf(stderr, "== %s (started %s)\n", f.Title, time.Now().Format(time.Kitchen))
 		start := time.Now()
-		fn()
-		fmt.Fprintf(os.Stderr, "== %s done in %v\n\n", name, time.Since(start).Round(time.Millisecond))
+		c := common
+		if !f.Simulated {
+			c.Trace, c.Counters = nil, nil
+		}
+		outputs, footnote := f.Run(c)
+		for _, o := range outputs {
+			o.Table.Render(stdout)
+			if *csvDir != "" {
+				path := filepath.Join(*csvDir, o.CSV+".csv")
+				if err := os.WriteFile(path, []byte(o.Table.CSV()), 0o644); err != nil {
+					fmt.Fprintf(stderr, "csv: %v\n", err)
+				}
+			}
+		}
+		if footnote != "" {
+			fmt.Fprintln(stdout, footnote)
+		}
+		fmt.Fprintf(stderr, "== %s done in %v\n\n", f.Title, time.Since(start).Round(time.Millisecond))
 	}
 
-	want := func(name string) bool { return *fig == "all" || *fig == name }
-	ran := false
-
-	if want("8") {
-		ran = true
-		run("Figure 8", func() {
-			cfg := experiment.DefaultFig8Config()
-			if *paper {
-				cfg = experiment.PaperFig8Config()
-			}
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Counters = reg
-			cfg.Parallel = *parallel
-			res := experiment.Fig8(cfg)
-			res.Table.Render(os.Stdout)
-			writeCSV("fig8", res.Table)
-		})
-	}
-	if want("9") {
-		ran = true
-		run("Figure 9", func() {
-			cfg := experiment.DefaultFig9Config()
-			if *paper {
-				cfg = experiment.PaperFig9Config()
-			}
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Counters = reg
-			cfg.Faults = fspec
-			cfg.Parallel = *parallel
-			res := experiment.Fig9(cfg)
-			res.Table.Render(os.Stdout)
-			writeCSV("fig9", res.Table)
-			fmt.Printf("avg backups/session: %.2f  switchovers: %d  reactive: %d  unrecovered(with): %d  unrecovered(without): %d\n",
-				res.AvgBackups, res.Switchovers, res.Reactives, res.DeadWithRecovery, res.DeadWithout)
-		})
-	}
-	if want("10") {
-		ran = true
-		run("Figure 10", func() {
-			cfg := experiment.DefaultFig10Config()
-			if *paper {
-				cfg = experiment.PaperFig10Config()
-			}
-			cfg.Seed = *seed
-			if fspec != nil {
-				cfg.Loss = fspec.Loss // live wire supports uniform loss only
-			}
-			res := experiment.Fig10(cfg)
-			res.Table.Render(os.Stdout)
-			writeCSV("fig10", res.Table)
-		})
-	}
-	if want("11") {
-		ran = true
-		run("Figure 11", func() {
-			cfg := experiment.DefaultFig11Config()
-			if *paper {
-				cfg = experiment.PaperFig11Config()
-			}
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Counters = reg
-			cfg.Parallel = *parallel
-			res := experiment.Fig11(cfg)
-			res.Table.Render(os.Stdout)
-			writeCSV("fig11", res.Table)
-		})
-	}
-	if want("scale") {
-		ran = true
-		run("Scale (offered load sweep)", func() {
-			cfg := experiment.DefaultScaleConfig()
-			if *paper {
-				cfg = experiment.PaperScaleConfig()
-			}
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Counters = reg
-			cfg.Parallel = *parallel
-			res := experiment.Scale(cfg)
-			res.Table.Render(os.Stdout)
-			writeCSV("scale", res.Table)
-		})
-	}
-	if want("stress") {
-		ran = true
-		run("Stress (adversarial workload sweep)", func() {
-			cfg := experiment.DefaultStressConfig()
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Parallel = *parallel
-			res := experiment.Stress(cfg)
-			res.Table.Render(os.Stdout)
-			writeCSV("stress", res.Table)
-		})
-	}
-	if want("overhead") {
-		ran = true
-		run("Overhead comparison", func() {
-			cfg := experiment.DefaultOverheadConfig()
-			if *paper {
-				cfg = experiment.PaperOverheadConfig()
-			}
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Counters = reg
-			cfg.Parallel = *parallel
-			res := experiment.Overhead(cfg)
-			res.Table.Render(os.Stdout)
-			writeCSV("overhead", res.Table)
-		})
-	}
-	if want("federate") {
-		ran = true
-		run("Federate (cross-domain 2PC sweep)", func() {
-			cfg := experiment.DefaultFederateConfig()
-			if *paper {
-				cfg = experiment.PaperFederateConfig()
-			}
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Counters = reg
-			cfg.Parallel = *parallel
-			res := experiment.Federate(cfg)
-			res.Table.Render(os.Stdout)
-			writeCSV("federate", res.Table)
-		})
-	}
-	// The 100k capacity sweep is explicit-only: it measures machine-dependent
-	// wall-clock and heap cost, so folding it into "all" would make the
-	// default run's duration depend on the host rather than the paper.
-	if *fig == "scale100k" {
-		ran = true
-		run("Scale100k (capacity sweep)", func() {
-			cfg := experiment.DefaultScale100kConfig()
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Parallel = *parallel
-			res := experiment.Scale100k(cfg)
-			res.TopoTable.Render(os.Stdout)
-			res.DiscTable.Render(os.Stdout)
-			writeCSV("scale100k_topo", res.TopoTable)
-			writeCSV("scale100k_disc", res.DiscTable)
-		})
-	}
-	// The million-node sweep is likewise explicit-only, and is the headline
-	// capacity run: 1M IP nodes, a 100k-peer compact overlay under a bounded
-	// route cache, and a 100k-peer sorted-ring discovery plane.
-	if *fig == "scale1m" {
-		ran = true
-		run("Scale1m (capacity sweep)", func() {
-			cfg := experiment.DefaultScale1mConfig()
-			cfg.Seed = *seed
-			cfg.Trace = trace
-			cfg.Parallel = *parallel
-			res := experiment.Scale1m(cfg)
-			res.TopoTable.Render(os.Stdout)
-			res.DiscTable.Render(os.Stdout)
-			writeCSV("scale1m_topo", res.TopoTable)
-			writeCSV("scale1m_disc", res.DiscTable)
-		})
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown figure %q; want 8, 9, 10, 11, scale, stress, overhead, federate, scale100k, scale1m, or all\n", *fig)
-		os.Exit(2)
-	}
 	if tf != nil {
 		n := tf.Count()
 		if err := tf.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "trace: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "trace: %d events -> %s\n", n, *traceFile)
+		fmt.Fprintf(stderr, "trace: %d events -> %s\n", n, *traceFile)
 	}
-	if reg != nil {
-		reg.Table("per-layer counters (all nodes)").Render(os.Stdout)
-		reg.PerNodeTable("busiest nodes", 10).Render(os.Stdout)
+	if reg := common.Counters; reg != nil {
+		reg.Table("per-layer counters (all nodes)").Render(stdout)
+		reg.PerNodeTable("busiest nodes", 10).Render(stdout)
 	}
 	// With both -trace and -stats set, rebuild the span forest from the trace
 	// just written and report where the setup time went.
-	if tf != nil && reg != nil {
+	if tf != nil && *stats {
 		b := span.NewBuilder()
 		if err := obs.StreamTrace(*traceFile, func(ev obs.Event) error {
 			b.Add(ev)
 			return nil
 		}); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "trace: %v\n", err)
+			return 1
 		}
-		span.PhaseTable(b.Build(), "setup-latency phases (from trace)").Render(os.Stdout)
+		span.PhaseTable(b.Build(), "setup-latency phases (from trace)").Render(stdout)
 	}
+	return 0
+}
+
+// takes renders a figure's help-line suffix: whether -fig all runs it and
+// which of the optional flags it accepts.
+func takes(f experiment.Figure) string {
+	s := ""
+	if f.All {
+		s += " [all]"
+	}
+	if f.Paper {
+		s += " -paper"
+	}
+	if f.Faults {
+		s += " -faults"
+	}
+	if f.Simulated {
+		s += " -trace -stats"
+	}
+	return s
 }

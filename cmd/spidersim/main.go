@@ -28,7 +28,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
 	"repro/internal/service"
@@ -150,11 +149,7 @@ func run() error {
 	recCfg := recovery.DefaultConfig()
 	bcpCfg := bcp.DefaultConfig()
 	if fspec != nil {
-		// Protocol hardening for a faulty wire: per-hop probe retransmits
-		// and missed-pong hysteresis against spurious failure detection.
-		bcpCfg.ProbeAckTimeout = 300 * time.Millisecond
-		bcpCfg.ProbeRetries = 2
-		recCfg.MissedPongs = 3
+		bcpCfg, recCfg = cluster.Hardened(bcpCfg, recCfg)
 	}
 	var loadOpts *cluster.LoadOptions
 	if *loadBase > 0 {
@@ -170,11 +165,12 @@ func run() error {
 	if dspec != nil {
 		recPtr = nil
 	}
+	catalog := cluster.Catalog(*functions)
 	c := cluster.New(cluster.Options{
 		Seed:     *seed,
 		IPNodes:  *ipNodes,
 		Peers:    *peers,
-		Catalog:  catalog(*functions),
+		Catalog:  catalog,
 		BCP:      bcpCfg,
 		Load:     loadOpts,
 		Recovery: recPtr,
@@ -184,15 +180,9 @@ func run() error {
 		Obs:      reg,
 		Metrics:  met,
 	})
-	if fspec != nil {
-		ids := make([]p2p.NodeID, *peers)
-		for i := range ids {
-			ids[i] = p2p.NodeID(i)
-		}
-		c.ApplyFaults(fspec.Plan(ids))
-	}
+	c.ApplyFaultSpec(fspec)
 	gen := workload.NewGenerator(workload.Config{
-		Catalog:     catalog(*functions),
+		Catalog:     catalog,
 		Peers:       *peers,
 		MinFuncs:    *minFuncs,
 		MaxFuncs:    *maxFuncs,
@@ -220,7 +210,7 @@ func run() error {
 			// candidate instant survives with probability RateMult/peak, so
 			// the accepted arrival density follows the diurnal/flash shape.
 			at = time.Duration(float64(*duration) * c.Rng.Float64() * 0.8)
-			if c.Rng.Float64()*scn.MaxRateMult(catalog(*functions)) > scn.RateMult(at, catalog(*functions)) {
+			if c.Rng.Float64()*scn.MaxRateMult(catalog) > scn.RateMult(at, catalog) {
 				continue
 			}
 			req = gen.NextAt(at)
@@ -292,29 +282,10 @@ func run() error {
 	c.Sim.Run(end)
 
 	st := c.Net.Stats()
-	var rec recovery.Stats
-	for _, p := range c.Peers {
-		if p.Recovery == nil {
-			continue
-		}
-		s := p.Recovery.Stats()
-		rec.FailuresDetected += s.FailuresDetected
-		rec.Switchovers += s.Switchovers
-		rec.Reactives += s.Reactives
-		rec.Dead += s.Dead
-	}
+	rec := c.RecoveryStats()
 	orphans := 0
 	if dspec != nil {
-		for i, p := range c.Peers {
-			if !c.Net.Alive(p2p.NodeID(i)) {
-				continue
-			}
-			if p.Ledger.HardAllocated() != (qos.Resources{}) ||
-				p.Ledger.SoftAllocated() != (qos.Resources{}) ||
-				p.Engine.Held() > 0 {
-				orphans++
-			}
-		}
+		orphans = c.Orphans()
 	}
 
 	t := metrics.NewTable(fmt.Sprintf("spidersim: %d peers on %d IP nodes, %d requests, budget %d",
@@ -479,7 +450,7 @@ func composeSpec(path string, seed int64, ipNodes, peers, functions int) error {
 		return err
 	}
 	c := cluster.New(cluster.Options{
-		Seed: seed, IPNodes: ipNodes, Peers: peers, Catalog: catalog(functions),
+		Seed: seed, IPNodes: ipNodes, Peers: peers, Catalog: cluster.Catalog(functions),
 	})
 	// Deploy the spec's functions too, in case the catalogue lacks them.
 	missing := map[string]bool{}
@@ -512,12 +483,4 @@ func composeSpec(path string, seed int64, ipNodes, peers, functions int) error {
 		fmt.Println("composition never completed")
 	}
 	return nil
-}
-
-func catalog(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("fn%d", i)
-	}
-	return out
 }

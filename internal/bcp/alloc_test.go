@@ -14,8 +14,8 @@ import (
 // one full composition (probe fan-out across the overlay, forwarding at every
 // hop, destination-side collection, reverse-path setup, teardown) must stay
 // under an allocation budget well below the pre-optimization figure of ~3300
-// objects. The committed BENCH_*.json baseline tracks the precise number;
-// this test fails fast if a change regresses the hot path wholesale.
+// objects. `BenchmarkBCPCompose -benchmem` reports the precise number; this
+// test fails fast if a change regresses the hot path wholesale.
 func TestComposeAllocBudget(t *testing.T) {
 	catalog := []string{"fn0", "fn1", "fn2", "fn3", "fn4", "fn5", "fn6", "fn7", "fn8", "fn9"}
 	c := cluster.New(cluster.Options{Seed: 75, IPNodes: 400, Peers: 60, Catalog: catalog})

@@ -146,6 +146,24 @@ func (c *Cluster) Plan() *federation.DomainPlan {
 	return c.Fed.Plan
 }
 
+// Catalog names n synthetic functions fn0..fn{n-1}.
+func Catalog(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("fn%d", i)
+	}
+	return out
+}
+
+// Hardened returns the protocol configs for a faulty wire: per-hop probe
+// retransmits and missed-pong hysteresis against spurious failure detection.
+func Hardened(b bcp.Config, r recovery.Config) (bcp.Config, recovery.Config) {
+	b.ProbeAckTimeout = 300 * time.Millisecond
+	b.ProbeRetries = 2
+	r.MissedPongs = 3
+	return b, r
+}
+
 func (o *Options) withDefaults() Options {
 	v := *o
 	if v.Seed == 0 {
@@ -161,9 +179,7 @@ func (o *Options) withDefaults() Options {
 		v.Degree = 4
 	}
 	if v.Catalog == nil {
-		for i := 0; i < 20; i++ {
-			v.Catalog = append(v.Catalog, fmt.Sprintf("fn%d", i))
-		}
+		v.Catalog = Catalog(20)
 	}
 	if v.MinComps == 0 {
 		v.MinComps = 1
@@ -572,6 +588,78 @@ func (c *Cluster) ApplyFaults(plan simnet.FaultPlan) {
 	c.Net.SetFaults(plan.Shift(c.Sim.Now()))
 }
 
+// ApplyFaultSpec expands a parsed fault spec over every peer and installs it;
+// a nil spec installs nothing.
+func (c *Cluster) ApplyFaultSpec(fs *simnet.FaultSpec) {
+	if fs != nil {
+		c.ApplyFaults(fs.Plan(c.peerIDs()))
+	}
+}
+
+func (c *Cluster) peerIDs() []p2p.NodeID {
+	ids := make([]p2p.NodeID, len(c.Peers))
+	for i := range ids {
+		ids[i] = p2p.NodeID(i)
+	}
+	return ids
+}
+
+// ChurnStep fails frac of the peers (at least one), walking a permutation
+// drawn from the caller's rng and skipping peers already down, and schedules
+// each victim's return downFor later. The rng is the caller's so a figure's
+// churn schedule stays isolated from the workload and cluster streams.
+func (c *Cluster) ChurnStep(rng *rand.Rand, frac float64, downFor time.Duration) {
+	n := int(frac * float64(len(c.Peers)))
+	if n < 1 {
+		n = 1
+	}
+	perm := rng.Perm(len(c.Peers))
+	for i, failed := 0, 0; i < len(perm) && failed < n; i++ {
+		id := p2p.NodeID(perm[i])
+		if !c.Net.Alive(id) {
+			continue
+		}
+		c.Net.Fail(id)
+		failed++
+		c.Sim.Schedule(downFor, func() { c.Net.Recover(id) })
+	}
+}
+
+// Orphans counts the live peers still holding any reservation — hard, soft,
+// or a held federation prepare. After a full lease drain each one is a leak.
+func (c *Cluster) Orphans() int {
+	n := 0
+	for i, p := range c.Peers {
+		if c.Net.Alive(p2p.NodeID(i)) &&
+			(p.Ledger.HardAllocated() != (qos.Resources{}) ||
+				p.Ledger.SoftAllocated() != (qos.Resources{}) ||
+				p.Engine.Held() > 0) {
+			n++
+		}
+	}
+	return n
+}
+
+// RecoveryStats sums every peer's recovery-manager statistics (zero when the
+// deployment runs without recovery).
+func (c *Cluster) RecoveryStats() recovery.Stats {
+	var t recovery.Stats
+	for _, p := range c.Peers {
+		if p.Recovery == nil {
+			continue
+		}
+		s := p.Recovery.Stats()
+		t.FailuresDetected += s.FailuresDetected
+		t.Switchovers += s.Switchovers
+		t.Reactives += s.Reactives
+		t.Dead += s.Dead
+		t.BackupSum += s.BackupSum
+		t.BackupSamples += s.BackupSamples
+		t.ComponentsReplaced += s.ComponentsReplaced
+	}
+	return t
+}
+
 // FailFraction fails the given fraction of peers uniformly at random and
 // returns their IDs.
 func (c *Cluster) FailFraction(frac float64) []p2p.NodeID {
@@ -649,10 +737,4 @@ func (w *world) Free(p p2p.NodeID, res qos.Resources) {
 	w.c.Peers[int(p)].Ledger.Free(res)
 }
 
-func (w *world) Peers() []p2p.NodeID {
-	ids := make([]p2p.NodeID, len(w.c.Peers))
-	for i := range ids {
-		ids[i] = p2p.NodeID(i)
-	}
-	return ids
-}
+func (w *world) Peers() []p2p.NodeID { return w.c.peerIDs() }

@@ -1,7 +1,7 @@
 package cluster_test
 
 import (
-	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -14,13 +14,7 @@ import (
 	"repro/internal/service"
 )
 
-func catalog(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("fn%d", i)
-	}
-	return out
-}
+func catalog(n int) []string { return cluster.Catalog(n) }
 
 func TestClusterDefaults(t *testing.T) {
 	c := cluster.New(cluster.Options{Seed: 5})
@@ -213,5 +207,56 @@ func TestDynamicPeerArrival(t *testing.T) {
 	c.Sim.Run(c.Sim.Now() + 60*time.Second)
 	if !okc {
 		t.Fatal("composition through the newcomer failed")
+	}
+}
+
+// TestChurnStepFailsLivePeersAndBringsThemBack: a step takes down exactly
+// frac of the peers (never one already down, at least one), and every victim
+// returns after downFor.
+func TestChurnStepFailsLivePeersAndBringsThemBack(t *testing.T) {
+	c := cluster.New(cluster.Options{Seed: 9, Peers: 40})
+	down := func() int {
+		n := 0
+		for i := range c.Peers {
+			if !c.Net.Alive(p2p.NodeID(i)) {
+				n++
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(4))
+	c.ChurnStep(rng, 0.1, time.Minute)
+	if got := down(); got != 4 {
+		t.Fatalf("first step: %d peers down, want 4", got)
+	}
+	c.ChurnStep(rng, 0.1, time.Minute)
+	if got := down(); got != 8 {
+		t.Fatalf("second step: %d peers down, want 8 (a dead peer was picked again)", got)
+	}
+	c.ChurnStep(rng, 0.001, time.Minute)
+	if got := down(); got != 9 {
+		t.Fatalf("tiny fraction: %d peers down, want 9 (at least one per step)", got)
+	}
+	c.Sim.Run(c.Sim.Now() + 2*time.Minute)
+	if got := down(); got != 0 {
+		t.Fatalf("%d peers still down after downFor", got)
+	}
+}
+
+// TestOrphansCountsLivePeersHoldingReservations: soft and hard holds both
+// count, once per peer, and a dead peer's do not.
+func TestOrphansCountsLivePeersHoldingReservations(t *testing.T) {
+	c := cluster.New(cluster.Options{Seed: 9, Peers: 20})
+	if n := c.Orphans(); n != 0 {
+		t.Fatalf("fresh cluster has %d orphans", n)
+	}
+	res := qos.Resources{qos.CPU: 1, qos.Memory: 10}
+	c.Peers[1].Ledger.Reserve(res)
+	c.Peers[2].Ledger.CommitDirect(res)
+	c.Peers[2].Ledger.Reserve(res)
+	c.Peers[3].Ledger.CommitDirect(res)
+	c.Net.Fail(3)
+	if n := c.Orphans(); n != 2 {
+		t.Fatalf("orphans=%d, want 2 (peers 1 and 2; peer 3 is down)", n)
 	}
 }

@@ -9,7 +9,8 @@ import (
 // Build wires a set of freshly created nodes into a consistent ring from
 // global knowledge, the static construction experiments use instead of serial
 // joins. It produces bit-identical leaf sets and routing tables to the legacy
-// all-pairs construction (kept as BuildLegacy for the differential harness)
+// all-pairs construction (kept as BuildLegacy in build_test.go, the oracle of
+// the differential harness)
 // in O(n·log n) instead of O(n²):
 //
 //   - Entries are sorted once by identifier. Because circular distance is
@@ -56,20 +57,6 @@ func Build(nodes []*Node) {
 	}
 	buildLeaves(nodes, entries, order, pos)
 	fillTables(nodes, entries, order, 0, n, 0)
-}
-
-// BuildLegacy is the original O(n²) all-pairs construction: every node learns
-// every other node's entry through AddEntry, which keeps only the relevant
-// leaf and table slots. It is retained as the reference implementation for
-// the differential tests and benchmarks that certify Build's equivalence.
-func BuildLegacy(nodes []*Node) {
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if a != b {
-				a.AddEntry(b.self)
-			}
-		}
-	}
 }
 
 type leafCand struct {

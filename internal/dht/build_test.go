@@ -9,6 +9,20 @@ import (
 	"repro/internal/simnet"
 )
 
+// BuildLegacy is the original O(n²) all-pairs construction: every node learns
+// every other node's entry through AddEntry, which keeps only the relevant
+// leaf and table slots. It is the reference implementation the differential
+// tests certify Build against.
+func BuildLegacy(nodes []*Node) {
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a != b {
+				a.AddEntry(b.self)
+			}
+		}
+	}
+}
+
 // buildHost is a minimal transport stub for construction-only tests: Build
 // never sends, schedules, or randomizes, so only ID and Handle matter. Using
 // it keeps the differential and speedup tests free of simulator overhead.

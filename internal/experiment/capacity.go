@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/dht"
@@ -13,56 +14,81 @@ import (
 	"repro/internal/topology"
 )
 
-// Scale1mConfig parameterizes the million-node capacity sweep — the sweep the
-// sub-quadratic core exists for. It stretches three structures at once: the
-// frozen-CSR IP topology to 10^6 nodes, the compact overlay to 10^5 peers
-// under a deliberately tiny route-cache bound (so the LRU + truncated-search
-// path is what's being measured, not an unbounded table collection), and the
-// sorted-ring discovery plane to 10^5 DHT peers. As with Scale100k, the
-// wall-clock and heap columns are machine-dependent while the structural
-// columns (links, simulated route latency/hops, lookup successes) are
-// seed-deterministic at any worker count.
-type Scale1mConfig struct {
+// CapacityConfig parameterizes a single-machine capacity sweep: how far the
+// frozen-CSR topology core, the compact overlay under a bounded route cache,
+// and the sorted-ring discovery plane stretch before memory or wall-clock
+// becomes the binding constraint. Unlike the protocol figures a sweep reports
+// real resource cost, so its wall-clock and heap columns are
+// machine-dependent; the structural columns (links, simulated route
+// latency/hops, lookup successes) are seed-deterministic at any worker count.
+// The named sweeps (scale100k, scale1m, the CI slice) differ only in data.
+type CapacityConfig struct {
+	// Name labels the sweep in its table titles and CSV files.
+	Name string
 	Seed int64
-	// Topo is the (IP nodes, overlay peers) grid, built with frozen CSR +
-	// compact overlays.
-	Topo []Scale1mTopo
-	// RouteCacheK bounds the overlay route cache in every topo cell. It is
-	// set far below RouteSources so the sweep continuously evicts — the
-	// steady-state memory of the route plane is K tables regardless of how
-	// many sources probe.
+	// Topo is the (IP nodes, overlay peers) grid. Every point builds the IP
+	// graph with the frozen CSR representation and the overlay in compact
+	// mode (no peer-pair latency matrix), then runs a route sweep.
+	Topo []CapacityTopo
+	// RouteCacheK bounds the overlay route cache in every topo cell; 0 keeps
+	// the overlay's default byte budget. Set far below RouteSources the sweep
+	// continuously evicts — the steady-state memory of the route plane is K
+	// tables regardless of how many sources probe, and what is measured is
+	// the LRU + truncated-search path.
 	RouteCacheK int
-	// RouteSources / RoutesPerSource size the route sweep per topo cell.
+	// RouteSources / RoutesPerSource size the route sweep per topo cell. Each
+	// distinct source pays one full Dijkstra (then caches).
 	RouteSources, RoutesPerSource int
 	// DiscoveryPeers is the DHT population for the discovery cells.
 	DiscoveryPeers int
 	// Shards lists the keyspace shard counts swept by the discovery cells.
 	// Since the sorted-ring builder made construction O(n·log n), sharding
 	// is no longer how build work is kept feasible — the sweep keeps it to
-	// bound per-ring leaf/table state and to exercise cross-ring homing at
-	// scale.
+	// show that per-ring leaf/table state shrinks by ~S while lookups for
+	// foreign keys pay only the cross-ring entry hop.
 	Shards []int
 	// Functions / ProvidersPerFn / Lookups size the discovery workload.
 	Functions, ProvidersPerFn, Lookups int
-	// Trace is wired through the parallel runner for symmetry with the other
-	// figures; the sweep itself emits no protocol events.
-	Trace obs.Tracer
 	// Parallel is the worker count for the cells; <= 1 runs them serially.
 	Parallel int
 }
 
-// Scale1mTopo is one (IP nodes, overlay peers) grid point.
-type Scale1mTopo struct {
+// CapacityTopo is one (IP nodes, overlay peers) grid point.
+type CapacityTopo struct {
 	IPNodes, Peers int
 }
 
-// DefaultScale1mConfig is the headline sweep: up to 1,000,000 IP nodes and
-// 100,000 overlay peers — 100x the paper's §6.1 dimensions — plus a
-// 100,000-peer discovery plane at shard counts {16, 64}.
-func DefaultScale1mConfig() Scale1mConfig {
-	return Scale1mConfig{
+// DefaultScale100kConfig is the 100k sweep: up to 100,000 IP nodes and
+// 10,000 overlay peers — 10x the paper's §6.1 dimensions — plus a 10,000-peer
+// discovery plane at shard counts {1, 4, 16}.
+func DefaultScale100kConfig() CapacityConfig {
+	return CapacityConfig{
+		Name: "scale100k",
 		Seed: 1,
-		Topo: []Scale1mTopo{
+		Topo: []CapacityTopo{
+			{IPNodes: 10000, Peers: 1000},
+			{IPNodes: 30000, Peers: 3000},
+			{IPNodes: 100000, Peers: 10000},
+		},
+		RouteSources:    64,
+		RoutesPerSource: 4,
+		DiscoveryPeers:  10000,
+		Shards:          []int{1, 4, 16},
+		Functions:       200,
+		ProvidersPerFn:  3,
+		Lookups:         200,
+	}
+}
+
+// DefaultScale1mConfig is the headline sweep: up to 1,000,000 IP nodes and
+// 100,000 overlay peers — 100x the paper's §6.1 dimensions — under a
+// deliberately tiny route-cache bound, plus a 100,000-peer discovery plane at
+// shard counts {16, 64}.
+func DefaultScale1mConfig() CapacityConfig {
+	return CapacityConfig{
+		Name: "scale1m",
+		Seed: 1,
+		Topo: []CapacityTopo{
 			{IPNodes: 300000, Peers: 30000},
 			{IPNodes: 1000000, Peers: 100000},
 		},
@@ -77,16 +103,17 @@ func DefaultScale1mConfig() Scale1mConfig {
 	}
 }
 
-// Scale1mSliceConfig is the CI-sized cell of the same sweep: one topology
+// Scale1mSliceConfig is the CI-sized cell of the scale1m sweep: one topology
 // point and one discovery point, small enough for a test gate but large
 // enough that the route cache evicts (RouteSources > RouteCacheK) and the
 // discovery plane spans many rings. The scale1m gate in scripts/ci.sh runs
 // it through TestScale1mSlice* with a build-time ceiling and a live-heap
 // budget.
-func Scale1mSliceConfig() Scale1mConfig {
-	return Scale1mConfig{
+func Scale1mSliceConfig() CapacityConfig {
+	return CapacityConfig{
+		Name:            "scale1m",
 		Seed:            1,
-		Topo:            []Scale1mTopo{{IPNodes: 100000, Peers: 10000}},
+		Topo:            []CapacityTopo{{IPNodes: 100000, Peers: 10000}},
 		RouteCacheK:     8,
 		RouteSources:    32,
 		RoutesPerSource: 4,
@@ -98,8 +125,8 @@ func Scale1mSliceConfig() Scale1mConfig {
 	}
 }
 
-// Scale1mTopoPoint is one topology cell's result.
-type Scale1mTopoPoint struct {
+// CapacityTopoPoint is one topology cell's result.
+type CapacityTopoPoint struct {
 	IPNodes, Peers int
 	Links          int
 	GenMS          float64 // wall-clock: power-law generation + CSR freeze
@@ -111,8 +138,8 @@ type Scale1mTopoPoint struct {
 	RouteOK        int     // deterministic
 }
 
-// Scale1mDiscPoint is one discovery cell's result.
-type Scale1mDiscPoint struct {
+// CapacityDiscPoint is one discovery cell's result.
+type CapacityDiscPoint struct {
 	Peers, Shards int
 	BuildMS       float64 // wall-clock: S sorted-ring builds, O(n·log n) total
 	HeapMB        float64 // live-heap delta across node creation + ring build
@@ -122,43 +149,50 @@ type Scale1mDiscPoint struct {
 	AvgHops       float64 // deterministic
 }
 
-// Scale1mResult is the full sweep.
-type Scale1mResult struct {
-	Topo      []Scale1mTopoPoint
-	Discovery []Scale1mDiscPoint
+// CapacityResult is the full sweep.
+type CapacityResult struct {
+	Topo      []CapacityTopoPoint
+	Discovery []CapacityDiscPoint
 	TopoTable *metrics.Table
 	DiscTable *metrics.Table
 }
 
-// Scale1m runs the capacity sweep: topology grid points first, then the
+// Capacity runs a capacity sweep: topology grid points first, then the
 // sharded-discovery grid, all as independent cells under the parallel runner.
-func Scale1m(cfg Scale1mConfig) Scale1mResult {
+func Capacity(cfg CapacityConfig) CapacityResult {
 	nt := len(cfg.Topo)
-	topo := make([]Scale1mTopoPoint, nt)
-	disc := make([]Scale1mDiscPoint, len(cfg.Shards))
-	runCells(nt+len(cfg.Shards), cfg.Parallel, cfg.Trace, func(i int, _ obs.Tracer) {
+	out := CapacityResult{
+		Topo:      make([]CapacityTopoPoint, nt),
+		Discovery: make([]CapacityDiscPoint, len(cfg.Shards)),
+	}
+	runCells(nt+len(cfg.Shards), cfg.Parallel, nil, func(i int, _ obs.Tracer) {
 		if i < nt {
-			topo[i] = scale1mTopo(cfg, cfg.Topo[i])
+			out.Topo[i] = topoCell(cfg, cfg.Topo[i])
 		} else {
-			disc[i-nt] = scale1mDiscovery(cfg, cfg.Shards[i-nt])
+			out.Discovery[i-nt] = discoveryCell(cfg, cfg.Shards[i-nt])
 		}
 	})
 
-	out := Scale1mResult{Topo: topo, Discovery: disc}
-	tt := metrics.NewTable(
-		fmt.Sprintf("Scale1m: topology grid (compact overlay, route cache K=%d)", cfg.RouteCacheK),
+	out.TopoTable = metrics.NewTable(
+		fmt.Sprintf("%s: topology grid (compact overlay, route cache K=%d)", cfg.Name, cfg.RouteCacheK),
 		"ip nodes", "peers", "links", "gen ms", "overlay ms", "sweep ms", "heap MB", "route ms", "route hops", "routes ok")
-	for _, p := range topo {
-		tt.AddRow(p.IPNodes, p.Peers, p.Links, p.GenMS, p.OverlayMS, p.RouteMS, p.HeapMB, p.RouteAvgMS, p.RouteAvgHops, p.RouteOK)
+	for _, p := range out.Topo {
+		out.TopoTable.AddRow(p.IPNodes, p.Peers, p.Links, p.GenMS, p.OverlayMS, p.RouteMS, p.HeapMB, p.RouteAvgMS, p.RouteAvgHops, p.RouteOK)
 	}
-	out.TopoTable = tt
-	dt := metrics.NewTable(fmt.Sprintf("Scale1m: sharded discovery, %d DHT peers (sorted-ring build)", cfg.DiscoveryPeers),
+	out.DiscTable = metrics.NewTable(
+		fmt.Sprintf("%s: sharded discovery, %d DHT peers (sorted-ring build)", cfg.Name, cfg.DiscoveryPeers),
 		"shards", "build ms", "heap MB", "register ms", "lookup ms", "lookups ok", "avg hops")
-	for _, p := range disc {
-		dt.AddRow(p.Shards, p.BuildMS, p.HeapMB, p.RegisterMS, p.LookupMS, p.LookupOK, p.AvgHops)
+	for _, p := range out.Discovery {
+		out.DiscTable.AddRow(p.Shards, p.BuildMS, p.HeapMB, p.RegisterMS, p.LookupMS, p.LookupOK, p.AvgHops)
 	}
-	out.DiscTable = dt
 	return out
+}
+
+func liveHeapBytes() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // heapDeltaMB returns the live-heap growth since before, clamped at zero:
@@ -173,62 +207,67 @@ func heapDeltaMB(before uint64) float64 {
 	return float64(after-before) / (1 << 20)
 }
 
-// scale1mTopo builds one grid point and sweeps routes over it with the
-// bounded cache. RouteSources deliberately exceeds RouteCacheK, so the sweep
-// spends most of its time in the post-eviction regime: near destinations on
-// the truncated fast path, far ones paying a full Dijkstra into a recycled
-// LRU slot.
-func scale1mTopo(cfg Scale1mConfig, pt Scale1mTopo) Scale1mTopoPoint {
+// sinceMS is the wall-clock time since start in ms, to the microsecond.
+func sinceMS(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
+}
+
+// topoCell builds one grid point and sweeps routes over it. The overlay is
+// built in compact mode: the O(peers^2) latency matrix alone would cost
+// ~800 MB at 10,000 peers, an order of magnitude over the whole-cell budget.
+// With RouteSources above RouteCacheK the sweep spends most of its time in the
+// post-eviction regime: near destinations on the truncated fast path, far
+// ones paying a full Dijkstra into a recycled LRU slot.
+func topoCell(cfg CapacityConfig, pt CapacityTopo) CapacityTopoPoint {
 	rng := newRng(cfg.Seed + int64(pt.IPNodes))
 	heapBefore := liveHeapBytes()
 
 	start := time.Now()
 	g := topology.GeneratePowerLaw(pt.IPNodes, 2, 2, 30, rng)
-	genMS := float64(time.Since(start).Microseconds()) / 1000
+	genMS := sinceMS(start)
 
 	start = time.Now()
 	ov := topology.BuildOverlay(g, topology.OverlayConfig{
 		NumPeers: pt.Peers, Degree: 4, Compact: true,
 		RouteCacheSize: cfg.RouteCacheK,
 	}, rng)
-	overlayMS := float64(time.Since(start).Microseconds()) / 1000
+	overlayMS := sinceMS(start)
 	heapMB := heapDeltaMB(heapBefore)
 
 	var lat, hops metrics.Sample
-	okCount := 0
 	start = time.Now()
 	for s := 0; s < cfg.RouteSources; s++ {
 		src := rng.Intn(pt.Peers)
 		for k := 0; k < cfg.RoutesPerSource; k++ {
 			dst := rng.Intn(pt.Peers)
 			if path, ok := ov.Route(src, dst); ok {
-				okCount++
 				lat.Add(path.Latency)
 				hops.Add(float64(len(path.Peers) - 1))
 			}
 		}
 	}
-	routeMS := float64(time.Since(start).Microseconds()) / 1000
-	return Scale1mTopoPoint{
+	return CapacityTopoPoint{
 		IPNodes:      pt.IPNodes,
 		Peers:        pt.Peers,
 		Links:        ov.NumLinks(),
 		GenMS:        genMS,
 		OverlayMS:    overlayMS,
-		RouteMS:      routeMS,
+		RouteMS:      sinceMS(start),
 		HeapMB:       heapMB,
 		RouteAvgMS:   lat.Mean(),
 		RouteAvgHops: hops.Mean(),
-		RouteOK:      okCount,
+		RouteOK:      lat.N(),
 	}
 }
 
-// scale1mDiscovery is the discovery cell at 10^5 peers: the shard plan
-// partitions the population into independent rings, each built with the
-// sorted-ring constructor, then a registration + lookup workload runs with
-// key-hash homing exactly as in Scale100k. The success count and hop totals
-// must not depend on the shard count — only the build and messaging cost do.
-func scale1mDiscovery(cfg Scale1mConfig, shards int) Scale1mDiscPoint {
+// discoveryCell builds cfg.DiscoveryPeers DHT nodes partitioned into `shards`
+// independent rings by the registry's shard plan, each built with the
+// sorted-ring constructor, registers a function catalog with the plan's
+// key-hash homing (local put on the home ring, PutVia through an entry member
+// otherwise), then sweeps lookups from random peers. The success count and
+// hop totals must not depend on the shard count — only the build and
+// messaging cost do.
+func discoveryCell(cfg CapacityConfig, shards int) CapacityDiscPoint {
 	netRng := newRng(cfg.Seed + 9000)
 	pickRng := newRng(cfg.Seed + 9001)
 	n := cfg.DiscoveryPeers
@@ -250,7 +289,7 @@ func scale1mDiscovery(cfg Scale1mConfig, shards int) Scale1mDiscPoint {
 		}
 		dht.Build(ring)
 	}
-	buildMS := float64(time.Since(start).Microseconds()) / 1000
+	buildMS := sinceMS(start)
 	heapMB := heapDeltaMB(heapBefore)
 
 	start = time.Now()
@@ -268,9 +307,8 @@ func scale1mDiscovery(cfg Scale1mConfig, shards int) Scale1mDiscPoint {
 		}
 	}
 	sim.RunUntilIdle()
-	registerMS := float64(time.Since(start).Microseconds()) / 1000
+	registerMS := sinceMS(start)
 
-	okCount := 0
 	var hops metrics.Sample
 	start = time.Now()
 	for l := 0; l < cfg.Lookups; l++ {
@@ -278,7 +316,6 @@ func scale1mDiscovery(cfg Scale1mConfig, shards int) Scale1mDiscPoint {
 		src := pickRng.Intn(n)
 		collect := func(items []any, h int, ok bool) {
 			if ok && len(items) > 0 {
-				okCount++
 				hops.Add(float64(h))
 			}
 		}
@@ -289,16 +326,15 @@ func scale1mDiscovery(cfg Scale1mConfig, shards int) Scale1mDiscPoint {
 		}
 	}
 	sim.RunUntilIdle()
-	lookupMS := float64(time.Since(start).Microseconds()) / 1000
 
-	return Scale1mDiscPoint{
+	return CapacityDiscPoint{
 		Peers:      n,
 		Shards:     plan.NumShards,
 		BuildMS:    buildMS,
 		HeapMB:     heapMB,
 		RegisterMS: registerMS,
-		LookupMS:   lookupMS,
-		LookupOK:   okCount,
+		LookupMS:   sinceMS(start),
+		LookupOK:   hops.N(),
 		AvgHops:    hops.Mean(),
 	}
 }

@@ -7,23 +7,14 @@ import (
 )
 
 // Shape tests: the reproduced figures must exhibit the qualitative
-// relationships the paper reports, at reduced scale so the suite stays
-// fast. Absolute values are not checked (our substrate is a simulator, not
-// the authors' testbed).
-
-func tinyFig8() Fig8Config {
-	c := DefaultFig8Config()
-	c.IPNodes = 400
-	c.Peers = 60
-	c.Functions = 12
-	c.Workloads = []int{2, 8}
-	c.TimeUnits = 10
-	return c
-}
+// relationships the paper reports. Absolute values are not checked here (our
+// substrate is a simulator, not the authors' testbed); they are pinned by
+// TestFiguresGolden, which renders the same default-configuration runs
+// (figures_test.go) the shape tests read.
 
 func TestFig8Shape(t *testing.T) {
-	res := Fig8(tinyFig8())
-	if len(res.Points) != 2 {
+	res := fig8Default().res
+	if len(res.Points) != 5 {
 		t.Fatalf("points=%d", len(res.Points))
 	}
 	for _, p := range res.Points {
@@ -43,7 +34,7 @@ func TestFig8Shape(t *testing.T) {
 		}
 	}
 	// Success decreases (or at least does not grow) as workload rises.
-	lo, hi := res.Points[0], res.Points[1]
+	lo, hi := res.Points[0], res.Points[len(res.Points)-1]
 	if hi.Optimal > lo.Optimal+0.05 {
 		t.Errorf("optimal success grew with workload: %.2f -> %.2f", lo.Optimal, hi.Optimal)
 	}
@@ -53,14 +44,8 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	cfg := DefaultFig9Config()
-	cfg.IPNodes = 400
-	cfg.Peers = 60
-	cfg.Functions = 10
-	cfg.Sessions = 12
-	cfg.TimeUnits = 20
-	res := Fig9(cfg)
-	if len(res.Points) != 20 {
+	res := fig9Default().res
+	if len(res.Points) != 60 {
 		t.Fatalf("points=%d", len(res.Points))
 	}
 	totalWithout, totalWith := 0, 0
@@ -128,16 +113,11 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	cfg := DefaultFig11Config()
-	cfg.IPNodes = 500
-	cfg.Peers = 60
-	cfg.Budgets = []int{4, 60, 400}
-	cfg.Requests = 8
-	res := Fig11(cfg)
-	if len(res.Points) != 3 {
+	res := fig11Default().res
+	if len(res.Points) != 8 {
 		t.Fatalf("points=%d", len(res.Points))
 	}
-	small, mid, large := res.Points[0], res.Points[1], res.Points[2]
+	small, mid, large := res.Points[0], res.Points[3], res.Points[7]
 	if small.SpiderNet == 0 || large.SpiderNet == 0 || large.Optimal == 0 {
 		t.Fatalf("missing series: %+v", res.Points)
 	}
@@ -163,12 +143,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestOverheadShape(t *testing.T) {
-	cfg := DefaultOverheadConfig()
-	cfg.IPNodes = 400
-	cfg.Peers = 80
-	cfg.Functions = 12
-	cfg.Requests = 30
-	res := Overhead(cfg)
+	res := overheadDefault().res
 	if res.SpiderNetMessages == 0 {
 		t.Fatal("no BCP messages recorded")
 	}

@@ -7,8 +7,6 @@ import (
 	"repro/internal/federation"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/p2p"
-	"repro/internal/qos"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -18,10 +16,7 @@ import (
 // schedule through the two-phase cross-domain commit and then draining until
 // every reservation must have resolved.
 type FederateConfig struct {
-	Seed      int64
-	IPNodes   int
-	Peers     int
-	Functions int
+	World
 	// Requests is the number of compositions injected per cell.
 	Requests int
 	// Window is the arrival window; requests land uniformly inside it.
@@ -41,21 +36,12 @@ type FederateConfig struct {
 	// window), "gwcrash" (the last domain's last gateway fails mid-window),
 	// "coordcrash" (domain 1's coordinator fails mid-window).
 	Scenarios []string
-	// Trace/Counters, when non-nil, are wired into every cluster.
-	Trace    obs.Tracer
-	Counters *obs.Registry
-	// Parallel is the worker count for the cells; <= 1 runs them serially.
-	// Results and traces are byte-identical at any count.
-	Parallel int
 }
 
 // DefaultFederateConfig returns the laptop-scale configuration: 20 cells.
 func DefaultFederateConfig() FederateConfig {
 	return FederateConfig{
-		Seed:      1,
-		IPNodes:   600,
-		Peers:     72,
-		Functions: 18,
+		World:     World{Sweep: Sweep{Seed: 1}, IPNodes: 600, Peers: 72, Functions: 18},
 		Requests:  40,
 		Window:    20 * time.Second,
 		MinFuncs:  2,
@@ -150,19 +136,12 @@ func Federate(cfg FederateConfig) FederateResult {
 // federateRun replays one cell. tracer is the cell's trace destination (a
 // private buffer under the parallel runner).
 func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tracer obs.Tracer) FederatePoint {
-	catalog := fnCatalog(cfg.Functions)
-	spec := &federation.Spec{Domains: domains, Gateways: gateways,
+	opts := cfg.options(tracer)
+	opts.Domains = &federation.Spec{Domains: domains, Gateways: gateways,
 		Hold: cfg.Hold, Life: cfg.Life}
-	c := cluster.New(cluster.Options{
-		Seed:    cfg.Seed,
-		IPNodes: cfg.IPNodes,
-		Peers:   cfg.Peers,
-		Catalog: catalog,
-		Domains: spec,
-		Trace:   tracer,
-		Obs:     cfg.Counters,
-	})
+	c := cluster.New(opts)
 	plan := c.Plan()
+	catalog := opts.Catalog
 
 	// Catalogue homing is round-robin by index, so a request's domain span
 	// is known at injection time — the denominator of the cross-domain
@@ -196,11 +175,7 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 		if err != nil {
 			panic("experiment: federate scenario " + scenario + ": " + err.Error())
 		}
-		peers := make([]p2p.NodeID, cfg.Peers)
-		for i := range peers {
-			peers[i] = p2p.NodeID(i)
-		}
-		c.ApplyFaults(fs.Plan(peers))
+		c.ApplyFaultSpec(fs)
 	}
 
 	var ratio, xdRatio, xdShare metrics.Ratio
@@ -236,18 +211,6 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 	c.Sim.Run(cfg.Window + c.Fed.Cfg.Drain())
 
 	ledger := c.Fed.TotalLedger()
-	orphans := 0
-	for i, p := range c.Peers {
-		if !c.Net.Alive(p2p.NodeID(i)) {
-			continue
-		}
-		if p.Ledger.HardAllocated() != (qos.Resources{}) ||
-			p.Ledger.SoftAllocated() != (qos.Resources{}) ||
-			p.Engine.Held() > 0 {
-			orphans++
-		}
-	}
-
 	return FederatePoint{
 		Domains:        domains,
 		Gateways:       gateways,
@@ -260,7 +223,7 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 		Prepares:       ledger.Prepares,
 		Commits:        ledger.Commits,
 		Aborts:         ledger.Aborts + ledger.Expires,
-		Orphans:        orphans,
+		Orphans:        c.Orphans(),
 	}
 }
 

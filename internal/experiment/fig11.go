@@ -19,7 +19,7 @@ import (
 // (average replication ≈ peers/6 ≈ 17 for 102 peers, so the optimal
 // algorithm needs ≈17³ = 4913 probes).
 type Fig11Config struct {
-	Seed    int64
+	Sweep
 	IPNodes int
 	Peers   int
 	// Budgets is the x axis (number of probes allowed per request).
@@ -28,19 +28,13 @@ type Fig11Config struct {
 	Requests int
 	// Funcs is the number of functions per request (3 in the paper).
 	Funcs int
-	// Trace/Counters, when non-nil, are wired into every per-budget cluster.
-	Trace    obs.Tracer
-	Counters *obs.Registry
-	// Parallel is the worker count for the per-budget cells; <= 1 runs them
-	// serially. Results and traces are byte-identical at any worker count.
-	Parallel int
 }
 
 // DefaultFig11Config mirrors the paper's prototype dimensions: 102 peers,
 // six media functions, one component per peer.
 func DefaultFig11Config() Fig11Config {
 	return Fig11Config{
-		Seed:     1,
+		Sweep:    Sweep{Seed: 1},
 		IPNodes:  1000,
 		Peers:    102,
 		Budgets:  []int{10, 50, 100, 200, 300, 400, 500, 1000},
@@ -162,16 +156,13 @@ func fig11Point(cfg Fig11Config, budget int, tracer obs.Tracer) Fig11Point {
 		// SpiderNet under the bounded budget; the session is torn down
 		// immediately so every request sees an idle deployment.
 		eng := c.Peers[int(src)].Engine
-		var done bool
 		eng.Compose(req, func(resu bcp.Result) {
-			done = true
 			if resu.Ok {
 				spiderD.Add(resu.Best.QoS[qos.Delay])
 				eng.Teardown(resu.Best)
 			}
 		})
 		c.Sim.Run(c.Sim.Now() + 60*time.Second)
-		_ = done
 	}
 	return Fig11Point{
 		Budget:        budget,

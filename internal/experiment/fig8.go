@@ -1,79 +1,35 @@
-// Package experiment reproduces every figure of the paper's evaluation
-// (§6): Figure 8 (success ratio vs. workload), Figure 9 (failure frequency
-// under churn), Figure 10 (wide-area session setup time), Figure 11 (service
-// delay vs. probing budget), and the centralized-vs-BCP overhead comparison.
-// Each Fig* function returns structured points plus a rendered table whose
-// rows mirror the series the paper plots. Default configurations are scaled
-// to run on a laptop in seconds; the Paper* variants use the paper's own
-// dimensions (10,000-node IP network, 1,000 peers, 200 functions, ...).
 package experiment
 
 import (
 	"time"
 
-	"fmt"
-	"math/rand"
-
-	"repro/internal/baselines"
-	"repro/internal/bcp"
-	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/service"
-	"repro/internal/workload"
 )
 
 // Fig8Config parameterizes the success-ratio-vs-workload experiment.
 type Fig8Config struct {
-	Seed      int64
-	IPNodes   int
-	Peers     int
-	Functions int
+	OpenLoop
 	// Workloads lists the requests-per-time-unit levels (the x axis).
 	Workloads []int
-	// TimeUnits is the number of workload time units simulated per level.
-	TimeUnits int
-	// TimeUnit is the simulated duration of one workload time unit.
-	TimeUnit time.Duration
-	// SessionLife is how long an admitted session holds its resources.
-	SessionLife time.Duration
-	// MinFuncs/MaxFuncs bound the function count per request.
-	MinFuncs, MaxFuncs int
-	// Capacity is the per-peer resource capacity (tightened vs. the cluster
-	// default so contention actually materializes at high workload).
-	Capacity qos.Resources
-	// DelayReq bounds the sampled end-to-end delay requirement (ms).
-	DelayReqMin, DelayReqMax float64
-	// Trace/Counters, when non-nil, are wired into every cluster this
-	// experiment builds (all algorithms and workload levels share them).
-	Trace    obs.Tracer
-	Counters *obs.Registry
-	// Parallel is the worker count for the (workload, algorithm) cells;
-	// <= 1 runs them serially. Results and traces are byte-identical at any
-	// worker count.
-	Parallel int
 }
 
 // DefaultFig8Config returns the laptop-scale configuration.
 func DefaultFig8Config() Fig8Config {
-	var cap qos.Resources
-	cap[qos.CPU] = 8
-	cap[qos.Memory] = 80
 	return Fig8Config{
-		Seed:        1,
-		IPNodes:     1200,
-		Peers:       120,
-		Functions:   30,
-		Workloads:   []int{2, 4, 6, 8, 10},
-		TimeUnits:   20,
-		TimeUnit:    time.Second,
-		SessionLife: 15 * time.Second,
-		MinFuncs:    2,
-		MaxFuncs:    3,
-		Capacity:    cap,
-		DelayReqMin: 150,
-		DelayReqMax: 400,
+		OpenLoop: OpenLoop{
+			World:       World{Sweep: Sweep{Seed: 1}, IPNodes: 1200, Peers: 120, Functions: 30},
+			TimeUnits:   20,
+			TimeUnit:    time.Second,
+			SessionLife: 15 * time.Second,
+			MinFuncs:    2,
+			MaxFuncs:    3,
+			Capacity:    qos.Resources{qos.CPU: 8, qos.Memory: 80},
+			DelayReqMin: 150,
+			DelayReqMax: 400,
+		},
+		Workloads: []int{2, 4, 6, 8, 10},
 	}
 }
 
@@ -107,15 +63,8 @@ type Fig8Result struct {
 	Table  *metrics.Table
 }
 
-// algorithms simulated by Fig8.
-const (
-	algOptimal = iota
-	algProbing20
-	algProbing10
-	algRandom
-	algStatic
-	numAlgs
-)
+// fig8Algs are Figure 8's series, in Fig8Point field and table column order.
+var fig8Algs = []algorithm{algOptimal, algProbing20, algProbing10, algRandom, algStatic}
 
 // Fig8 reproduces Figure 8: composition success ratio under increasing
 // workload for the optimal (unbounded flooding), probing-0.2, probing-0.1,
@@ -124,134 +73,26 @@ const (
 func Fig8(cfg Fig8Config) Fig8Result {
 	// One cell per (workload, algorithm) pair; each builds its own cluster
 	// from the same seed, so cells are independent and order-free.
-	ratios := make([]float64, len(cfg.Workloads)*numAlgs)
+	n := len(fig8Algs)
+	ratios := make([]float64, len(cfg.Workloads)*n)
 	runCells(len(ratios), cfg.Parallel, cfg.Trace, func(i int, tracer obs.Tracer) {
-		ratios[i] = fig8Run(cfg, cfg.Workloads[i/numAlgs], i%numAlgs, tracer)
+		ratios[i] = runLoadCell(loadCell{
+			OpenLoop: cfg.OpenLoop,
+			perUnit:  cfg.Workloads[i/n],
+			alg:      fig8Algs[i%n],
+		}, tracer).Success
 	})
 
-	var out Fig8Result
+	cols := []string{"workload"}
+	for _, a := range fig8Algs {
+		cols = append(cols, a.name)
+	}
+	out := Fig8Result{Table: metrics.NewTable("Figure 8: QoS success ratio vs. workload (requests/time unit)", cols...)}
 	for wi, w := range cfg.Workloads {
-		var p Fig8Point
-		p.Workload = w
-		for alg := 0; alg < numAlgs; alg++ {
-			ratio := ratios[wi*numAlgs+alg]
-			switch alg {
-			case algOptimal:
-				p.Optimal = ratio
-			case algProbing20:
-				p.Probing20 = ratio
-			case algProbing10:
-				p.Probing10 = ratio
-			case algRandom:
-				p.Random = ratio
-			case algStatic:
-				p.Static = ratio
-			}
-		}
+		r := ratios[wi*n:]
+		p := Fig8Point{Workload: w, Optimal: r[0], Probing20: r[1], Probing10: r[2], Random: r[3], Static: r[4]}
 		out.Points = append(out.Points, p)
-	}
-	t := metrics.NewTable("Figure 8: QoS success ratio vs. workload (requests/time unit)",
-		"workload", "optimal", "probing-0.2", "probing-0.1", "random", "static")
-	for _, p := range out.Points {
-		t.AddRow(p.Workload, p.Optimal, p.Probing20, p.Probing10, p.Random, p.Static)
-	}
-	out.Table = t
-	return out
-}
-
-// fig8Run replays one workload level through one algorithm and returns its
-// success ratio. tracer is the cell's trace destination (a private buffer
-// under the parallel runner, the shared sink when serial, nil when off).
-func fig8Run(cfg Fig8Config, perUnit int, alg int, tracer obs.Tracer) float64 {
-	bcpCfg := bcp.DefaultConfig()
-	// Soft reservations need to outlive probe collection plus the reverse
-	// ACK, but nothing more: longer holds make concurrent requests starve
-	// each other at high workload.
-	bcpCfg.SoftTimeout = 2500 * time.Millisecond
-	c := cluster.New(cluster.Options{
-		Seed:     cfg.Seed,
-		IPNodes:  cfg.IPNodes,
-		Peers:    cfg.Peers,
-		Catalog:  fnCatalog(cfg.Functions),
-		Capacity: cfg.Capacity,
-		BCP:      bcpCfg,
-		Trace:    tracer,
-		Obs:      cfg.Counters,
-	})
-	w := c.World()
-	gen := workload.NewGenerator(workload.Config{
-		Catalog:     fnCatalog(cfg.Functions),
-		Peers:       cfg.Peers,
-		MinFuncs:    cfg.MinFuncs,
-		MaxFuncs:    cfg.MaxFuncs,
-		DelayReqMin: cfg.DelayReqMin,
-		DelayReqMax: cfg.DelayReqMax,
-	}, newRng(cfg.Seed+100))
-
-	var ratio metrics.Ratio
-	arrivalRng := newRng(cfg.Seed + 200)
-	for unit := 0; unit < cfg.TimeUnits; unit++ {
-		for k := 0; k < perUnit; k++ {
-			req := gen.Next()
-			at := time.Duration(unit)*cfg.TimeUnit +
-				time.Duration(arrivalRng.Float64()*float64(cfg.TimeUnit))
-			c.Sim.Schedule(at-c.Sim.Now(), func() {
-				fig8Request(cfg, c, w, req, alg, &ratio)
-			})
-		}
-	}
-	// Drain: run past the last arrival plus composition and session time.
-	c.Sim.Run(time.Duration(cfg.TimeUnits)*cfg.TimeUnit + cfg.SessionLife + 30*time.Second)
-	return ratio.Value()
-}
-
-func fig8Request(cfg Fig8Config, c *cluster.Cluster, w baselines.World, req *service.Request, alg int, ratio *metrics.Ratio) {
-	switch alg {
-	case algOptimal, algRandom, algStatic:
-		var g *service.Graph
-		var ok bool
-		switch alg {
-		case algOptimal:
-			res := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinCost)
-			g, ok = res.Best, res.Best != nil
-		case algRandom:
-			g, ok = baselines.Random(w, req, c.Rng.Intn)
-		case algStatic:
-			g, ok = baselines.Static(w, req)
-		}
-		success := ok && g.Qualified(req) && baselines.Admit(w, g)
-		ratio.Add(success)
-		if success {
-			c.Sim.Schedule(cfg.SessionLife, func() { baselines.Release(w, g) })
-		}
-	case algProbing20, algProbing10:
-		frac := 0.2
-		if alg == algProbing10 {
-			frac = 0.1
-		}
-		budget := int(frac * float64(baselines.OptimalProbeCount(w, req)))
-		if budget < 1 {
-			budget = 1
-		}
-		req.Budget = budget
-		eng := c.Peers[int(req.Source)].Engine
-		eng.Compose(req, func(res bcp.Result) {
-			ratio.Add(res.Ok)
-			if res.Ok {
-				c.Sim.Schedule(cfg.SessionLife, func() { eng.Teardown(res.Best) })
-			}
-		})
-	}
-}
-
-// fnCatalog names n synthetic functions fn0..fn{n-1}.
-func fnCatalog(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("fn%d", i)
+		out.Table.AddRow(p.Workload, p.Optimal, p.Probing20, p.Probing10, p.Random, p.Static)
 	}
 	return out
 }
-
-// newRng returns a seeded random stream independent of the cluster's.
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

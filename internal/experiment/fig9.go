@@ -1,13 +1,13 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/bcp"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/p2p"
 	"repro/internal/recovery"
 	"repro/internal/simnet"
 	"repro/internal/workload"
@@ -15,10 +15,7 @@ import (
 
 // Fig9Config parameterizes the failure-frequency-under-churn experiment.
 type Fig9Config struct {
-	Seed      int64
-	IPNodes   int
-	Peers     int
-	Functions int
+	World
 	// Sessions is the population of long-lived streaming sessions kept
 	// alive for the whole run (dead ones are replaced).
 	Sessions int
@@ -39,22 +36,12 @@ type Fig9Config struct {
 	// on top of the churn in both runs, with the protocol hardening knobs
 	// (probe retransmits, missed-pong hysteresis) switched on.
 	Faults *simnet.FaultSpec
-	// Trace/Counters, when non-nil, are wired into both runs' clusters.
-	Trace    obs.Tracer
-	Counters *obs.Registry
-	// Parallel is the worker count for the two recovery-variant cells;
-	// <= 1 runs them serially. Results and traces are byte-identical at any
-	// worker count.
-	Parallel int
 }
 
 // DefaultFig9Config returns the laptop-scale configuration.
 func DefaultFig9Config() Fig9Config {
 	return Fig9Config{
-		Seed:         1,
-		IPNodes:      1200,
-		Peers:        120,
-		Functions:    20,
+		World:        World{Sweep: Sweep{Seed: 1}, IPNodes: 1200, Peers: 120, Functions: 20},
 		Sessions:     30,
 		TimeUnits:    60,
 		TimeUnit:     time.Minute,
@@ -110,16 +97,14 @@ func Fig9(cfg Fig9Config) Fig9Result {
 	recCfgs[1].Reactive = false
 
 	tls := make([]*metrics.Timeline, 2)
-	stats := make([]fig9Stats, 2)
+	stats := make([]recovery.Stats, 2)
 	runCells(2, cfg.Parallel, cfg.Trace, func(i int, tracer obs.Tracer) {
 		tls[i], stats[i] = fig9Run(cfg, recCfgs[i], tracer)
 	})
-	withTL, withStats := tls[0], stats[0]
-	withoutTL, withoutStats := tls[1], stats[1]
 
 	horizon := time.Duration(cfg.TimeUnits) * cfg.TimeUnit
-	wo := withoutTL.Counts(horizon)
-	wi := withTL.Counts(horizon)
+	wi := tls[0].Counts(horizon)
+	wo := tls[1].Counts(horizon)
 
 	var out Fig9Result
 	for i := 0; i < cfg.TimeUnits; i++ {
@@ -129,11 +114,11 @@ func Fig9(cfg Fig9Config) Fig9Result {
 			WithRecovery:    wi[i],
 		})
 	}
-	out.AvgBackups = withStats.avgBackups
-	out.Switchovers = withStats.switchovers
-	out.Reactives = withStats.reactives
-	out.DeadWithRecovery = withStats.dead
-	out.DeadWithout = withoutStats.dead
+	out.AvgBackups = stats[0].AvgBackups()
+	out.Switchovers = stats[0].Switchovers
+	out.Reactives = stats[0].Reactives
+	out.DeadWithRecovery = stats[0].Dead
+	out.DeadWithout = stats[1].Dead
 
 	t := metrics.NewTable("Figure 9: failure frequency in a dynamic P2P network (1% churn/unit)",
 		"minute", "without-recovery", "with-proactive-recovery")
@@ -144,41 +129,25 @@ func Fig9(cfg Fig9Config) Fig9Result {
 	return out
 }
 
-type fig9Stats struct {
-	avgBackups  float64
-	switchovers int
-	reactives   int
-	dead        int
+// Footnote renders the recovery statistics line printed under the table.
+func (r Fig9Result) Footnote() string {
+	return fmt.Sprintf("avg backups/session: %.2f  switchovers: %d  reactive: %d  unrecovered(with): %d  unrecovered(without): %d",
+		r.AvgBackups, r.Switchovers, r.Reactives, r.DeadWithRecovery, r.DeadWithout)
 }
 
 // fig9Run simulates one protected (or unprotected) session population under
 // churn and returns the timeline of unrecovered failures.
-func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metrics.Timeline, fig9Stats) {
-	bcpCfg := bcp.DefaultConfig()
+func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metrics.Timeline, recovery.Stats) {
+	opts := cfg.options(tracer)
+	opts.BCP = bcp.DefaultConfig()
 	if cfg.Faults != nil {
-		bcpCfg.ProbeAckTimeout = 300 * time.Millisecond
-		bcpCfg.ProbeRetries = 2
-		recCfg.MissedPongs = 3
+		opts.BCP, recCfg = cluster.Hardened(opts.BCP, recCfg)
 	}
-	c := cluster.New(cluster.Options{
-		Seed:     cfg.Seed,
-		IPNodes:  cfg.IPNodes,
-		Peers:    cfg.Peers,
-		Catalog:  fnCatalog(cfg.Functions),
-		BCP:      bcpCfg,
-		Recovery: &recCfg,
-		Trace:    tracer,
-		Obs:      cfg.Counters,
-	})
-	if cfg.Faults != nil {
-		ids := make([]p2p.NodeID, cfg.Peers)
-		for i := range ids {
-			ids[i] = pid(i)
-		}
-		c.ApplyFaults(cfg.Faults.Plan(ids))
-	}
+	opts.Recovery = &recCfg
+	c := cluster.New(opts)
+	c.ApplyFaultSpec(cfg.Faults)
 	gen := workload.NewGenerator(workload.Config{
-		Catalog:  fnCatalog(cfg.Functions),
+		Catalog:  opts.Catalog,
 		Peers:    cfg.Peers,
 		MinFuncs: 2,
 		MaxFuncs: 3,
@@ -225,65 +194,26 @@ func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metric
 
 	churnRng := newRng(cfg.Seed + 400)
 	for unit := 0; unit < cfg.TimeUnits; unit++ {
-		unit := unit
 		at := 30*time.Second + time.Duration(unit)*cfg.TimeUnit
 		c.Sim.Schedule(at-c.Sim.Now(), func() {
 			// Fail ChurnFrac of the peers; schedule their return.
-			n := int(cfg.ChurnFrac * float64(cfg.Peers))
-			if n < 1 {
-				n = 1
-			}
-			perm := churnRng.Perm(cfg.Peers)
-			for i, failed := 0, 0; i < cfg.Peers && failed < n; i++ {
-				id := perm[i]
-				if !c.Net.Alive(pid(id)) {
-					continue
-				}
-				c.Net.Fail(pid(id))
-				failed++
-				c.Sim.Schedule(time.Duration(cfg.RecoverAfter)*cfg.TimeUnit, func() {
-					c.Net.Recover(pid(id))
-				})
-			}
+			c.ChurnStep(churnRng, cfg.ChurnFrac, time.Duration(cfg.RecoverAfter)*cfg.TimeUnit)
 			// Replace sessions that died in earlier units to keep the
 			// population size steady.
-			deadTotal := 0
-			for _, p := range c.Peers {
-				if p.Recovery != nil {
-					deadTotal += p.Recovery.Stats().Dead
-				}
-			}
-			for i := live - deadTotal; i < cfg.Sessions; i++ {
+			for i := live - c.RecoveryStats().Dead; i < cfg.Sessions; i++ {
 				establish(2)
 			}
 		})
 	}
 	c.Sim.Run(30*time.Second + time.Duration(cfg.TimeUnits)*cfg.TimeUnit + 30*time.Second)
 
-	// Aggregate events: every EventDead is an unrecovered failure.
-	var st fig9Stats
-	var backupSum float64
-	var backupSamples int
+	// Every EventDead is an unrecovered failure.
 	for _, p := range c.Peers {
-		if p.Recovery == nil {
-			continue
-		}
-		s := p.Recovery.Stats()
-		st.switchovers += s.Switchovers
-		st.reactives += s.Reactives
-		st.dead += s.Dead
-		backupSum += float64(s.BackupSum)
-		backupSamples += s.BackupSamples
 		for _, ev := range p.Recovery.Events() {
 			if ev.Kind == recovery.EventDead && ev.Time >= 30*time.Second {
 				tl.Add(ev.Time - 30*time.Second)
 			}
 		}
 	}
-	if backupSamples > 0 {
-		st.avgBackups = backupSum / float64(backupSamples)
-	}
-	return tl, st
+	return tl, c.RecoveryStats()
 }
-
-func pid(i int) p2p.NodeID { return p2p.NodeID(i) }

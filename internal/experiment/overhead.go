@@ -7,7 +7,6 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -15,10 +14,9 @@ import (
 // behind the paper's claim that SpiderNet needs "more than one order of
 // magnitude less overhead" than a global-view scheme (§6.1).
 type OverheadConfig struct {
-	Seed      int64
-	IPNodes   int
-	Peers     int
-	Functions int
+	// World's Parallel is accepted for uniformity with the other figures; the
+	// overhead comparison is a single cell, so it never spawns workers.
+	World
 	// Requests is the composition workload over the measurement window.
 	Requests int
 	// Window is the measurement duration.
@@ -29,22 +27,12 @@ type OverheadConfig struct {
 	UpdatePeriod time.Duration
 	// Budget is BCP's probing budget per request.
 	Budget int
-	// Trace/Counters, when non-nil, are wired into the measured cluster.
-	Trace    obs.Tracer
-	Counters *obs.Registry
-	// Parallel is accepted for interface uniformity with the other
-	// experiments; the overhead comparison is a single cell, so it never
-	// spawns workers.
-	Parallel int
 }
 
 // DefaultOverheadConfig returns the laptop-scale configuration.
 func DefaultOverheadConfig() OverheadConfig {
 	return OverheadConfig{
-		Seed:         1,
-		IPNodes:      1200,
-		Peers:        120,
-		Functions:    30,
+		World:        World{Sweep: Sweep{Seed: 1}, IPNodes: 1200, Peers: 120, Functions: 30},
 		Requests:     60,
 		Window:       2 * time.Minute,
 		UpdatePeriod: 10 * time.Second,
@@ -79,16 +67,10 @@ type OverheadResult struct {
 // composition workload and compares it against the centralized scheme's
 // periodic global state maintenance over the same window.
 func Overhead(cfg OverheadConfig) OverheadResult {
-	c := cluster.New(cluster.Options{
-		Seed:    cfg.Seed,
-		IPNodes: cfg.IPNodes,
-		Peers:   cfg.Peers,
-		Catalog: fnCatalog(cfg.Functions),
-		Trace:   cfg.Trace,
-		Obs:     cfg.Counters,
-	})
+	opts := cfg.options(cfg.Trace)
+	c := cluster.New(opts)
 	gen := workload.NewGenerator(workload.Config{
-		Catalog:     fnCatalog(cfg.Functions),
+		Catalog:     opts.Catalog,
 		Peers:       cfg.Peers,
 		MinFuncs:    2,
 		MaxFuncs:    3,

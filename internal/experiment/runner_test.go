@@ -1,65 +1,10 @@
 package experiment
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-// TestParallelMatchesSerial is the determinism contract of the parallel
-// runner: the same configuration run serially and with 8 workers must
-// produce identical figure points AND byte-identical traces. Cells emit into
-// private buffers that are replayed in cell-index order, which is exactly
-// the serial emission order.
-func TestParallelMatchesSerial(t *testing.T) {
-	runFig8 := func(parallel int) (Fig8Result, []byte) {
-		var buf bytes.Buffer
-		sink := obs.NewJSONLSink(&buf)
-		cfg := tinyFig8()
-		cfg.Trace = sink
-		cfg.Parallel = parallel
-		res := Fig8(cfg)
-		sink.Flush()
-		return res, buf.Bytes()
-	}
-	serialRes, serialTrace := runFig8(1)
-	parRes, parTrace := runFig8(8)
-
-	if !reflect.DeepEqual(serialRes.Points, parRes.Points) {
-		t.Fatalf("Fig8 points diverge:\nserial:   %+v\nparallel: %+v", serialRes.Points, parRes.Points)
-	}
-	if len(serialTrace) == 0 {
-		t.Fatal("serial run produced an empty trace; the comparison is vacuous")
-	}
-	if !bytes.Equal(serialTrace, parTrace) {
-		t.Fatalf("Fig8 traces diverge: serial %d bytes, parallel %d bytes", len(serialTrace), len(parTrace))
-	}
-
-	runFig11 := func(parallel int) (Fig11Result, []byte) {
-		var buf bytes.Buffer
-		sink := obs.NewJSONLSink(&buf)
-		cfg := DefaultFig11Config()
-		cfg.IPNodes = 500
-		cfg.Peers = 60
-		cfg.Budgets = []int{4, 40, 200}
-		cfg.Requests = 5
-		cfg.Trace = sink
-		cfg.Parallel = parallel
-		res := Fig11(cfg)
-		sink.Flush()
-		return res, buf.Bytes()
-	}
-	serial11, serialTrace11 := runFig11(1)
-	par11, parTrace11 := runFig11(8)
-	if !reflect.DeepEqual(serial11.Points, par11.Points) {
-		t.Fatalf("Fig11 points diverge:\nserial:   %+v\nparallel: %+v", serial11.Points, par11.Points)
-	}
-	if !bytes.Equal(serialTrace11, parTrace11) {
-		t.Fatalf("Fig11 traces diverge: serial %d bytes, parallel %d bytes", len(serialTrace11), len(parTrace11))
-	}
-}
 
 // TestRunCellsCoversAllCells checks the worker pool executes every cell
 // exactly once and replays buffered events in cell order.

@@ -3,12 +3,9 @@ package experiment
 import (
 	"time"
 
-	"repro/internal/bcp"
-	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/workload"
 )
 
 // ScaleConfig parameterizes the offered-load scale experiment: the same
@@ -17,25 +14,9 @@ import (
 // load-blind and one with load-aware composition (§6-style sweep for the
 // overload control plane).
 type ScaleConfig struct {
-	Seed      int64
-	IPNodes   int
-	Peers     int
-	Functions int
+	OpenLoop
 	// Loads lists the offered-load levels (sessions per time unit, x axis).
 	Loads []int
-	// TimeUnits is the number of workload time units simulated per level.
-	TimeUnits int
-	// TimeUnit is the simulated duration of one workload time unit.
-	TimeUnit time.Duration
-	// SessionLife is how long an admitted session holds its resources.
-	SessionLife time.Duration
-	// MinFuncs/MaxFuncs bound the function count per request.
-	MinFuncs, MaxFuncs int
-	// Capacity is the per-peer resource capacity (tightened so contention
-	// materializes inside the sweep).
-	Capacity qos.Resources
-	// DelayReqMin/Max bound the sampled end-to-end delay requirement (ms).
-	DelayReqMin, DelayReqMax float64
 	// Budget is the probing budget per request.
 	Budget int
 	// Model is the utilization-driven processing-delay model applied to both
@@ -44,39 +25,29 @@ type ScaleConfig struct {
 	Model qos.LoadModel
 	// Shed is the overload-shedding threshold the load-aware variant uses.
 	Shed float64
-	// Trace/Counters, when non-nil, are wired into every cluster.
-	Trace    obs.Tracer
-	Counters *obs.Registry
-	// Parallel is the worker count for the (load, variant) cells; <= 1 runs
-	// them serially. Results and traces are byte-identical at any count.
-	Parallel int
 }
 
 // DefaultScaleConfig returns the laptop-scale configuration.
 func DefaultScaleConfig() ScaleConfig {
-	// Capacity is loose enough that admission rarely binds: the sweep probes
-	// the processing-load regime, where hotspot queueing delay — not
-	// resource exhaustion — is what separates the variants.
-	var cap qos.Resources
-	cap[qos.CPU] = 12
-	cap[qos.Memory] = 120
 	return ScaleConfig{
-		Seed:        1,
-		IPNodes:     1000,
-		Peers:       100,
-		Functions:   24,
-		Loads:       []int{4, 8, 16, 24},
-		TimeUnits:   12,
-		TimeUnit:    time.Second,
-		SessionLife: 10 * time.Second,
-		MinFuncs:    2,
-		MaxFuncs:    3,
-		Capacity:    cap,
-		DelayReqMin: 150,
-		DelayReqMax: 400,
-		Budget:      6,
-		Model:       qos.LoadModel{Base: 20 * time.Millisecond, Cap: 0.95},
-		Shed:        0.8,
+		OpenLoop: OpenLoop{
+			World:       World{Sweep: Sweep{Seed: 1}, IPNodes: 1000, Peers: 100, Functions: 24},
+			TimeUnits:   12,
+			TimeUnit:    time.Second,
+			SessionLife: 10 * time.Second,
+			MinFuncs:    2,
+			MaxFuncs:    3,
+			// Loose enough that admission rarely binds: the sweep probes the
+			// processing-load regime, where hotspot queueing delay — not
+			// resource exhaustion — is what separates the variants.
+			Capacity:    qos.Resources{qos.CPU: 12, qos.Memory: 120},
+			DelayReqMin: 150,
+			DelayReqMax: 400,
+		},
+		Loads:  []int{4, 8, 16, 24},
+		Budget: 6,
+		Model:  qos.LoadModel{Base: 20 * time.Millisecond, Cap: 0.95},
+		Shed:   0.8,
 	}
 }
 
@@ -113,12 +84,8 @@ type ScaleResult struct {
 	Table  *metrics.Table
 }
 
-// variants simulated by Scale.
-const (
-	scaleBlind = iota
-	scaleAware
-	numScaleVariants
-)
+// scaleAlgs are the variants simulated by Scale, in cell order.
+var scaleAlgs = []algorithm{algBlind, algSpiderNet}
 
 // Scale sweeps offered load over the load-blind and load-aware variants.
 // Both variants pay the same utilization-driven processing delay; only the
@@ -126,113 +93,41 @@ const (
 // sheds probes past the threshold, so any difference in the hotspot spread
 // and latency tail is attributable to the overload control plane.
 func Scale(cfg ScaleConfig) ScaleResult {
-	points := make([]ScalePoint, len(cfg.Loads)*numScaleVariants)
+	n := len(scaleAlgs)
+	points := make([]ScalePoint, len(cfg.Loads)*n)
 	runCells(len(points), cfg.Parallel, cfg.Trace, func(i int, tracer obs.Tracer) {
-		points[i] = scaleRun(cfg, cfg.Loads[i/numScaleVariants], i%numScaleVariants == scaleAware, tracer)
+		alg := scaleAlgs[i%n]
+		r := runLoadCell(loadCell{
+			OpenLoop: cfg.OpenLoop,
+			perUnit:  cfg.Loads[i/n],
+			budget:   cfg.Budget,
+			model:    cfg.Model,
+			shed:     cfg.Shed,
+			alg:      alg,
+		}, tracer)
+		points[i] = ScalePoint{
+			Load:     cfg.Loads[i/n],
+			Aware:    alg.aware,
+			Success:  r.Success,
+			SetupP50: r.Setup.Percentile(50),
+			SetupP99: r.Setup.Percentile(99),
+			UtilP50:  r.PeakUtil.Percentile(50),
+			UtilP90:  r.PeakUtil.Percentile(90),
+			UtilMax:  r.PeakUtil.Max(),
+		}
 	})
 
-	var out ScaleResult
-	out.Points = points
-	t := metrics.NewTable("Scale: offered load sweep, load-blind vs. load-aware composition",
+	out := ScaleResult{Points: points, Table: metrics.NewTable(
+		"Scale: offered load sweep, load-blind vs. load-aware composition",
 		"load", "variant", "success", "setup p50 ms", "setup p99 ms",
-		"util p50", "util p90", "util max")
+		"util p50", "util p90", "util max")}
 	for _, p := range points {
 		variant := "blind"
 		if p.Aware {
 			variant = "aware"
 		}
-		t.AddRow(p.Load, variant, p.Success, p.SetupP50, p.SetupP99,
+		out.Table.AddRow(p.Load, variant, p.Success, p.SetupP50, p.SetupP99,
 			p.UtilP50, p.UtilP90, p.UtilMax)
 	}
-	out.Table = t
 	return out
-}
-
-// scaleRun replays one offered-load level through one variant. tracer is the
-// cell's trace destination (a private buffer under the parallel runner).
-func scaleRun(cfg ScaleConfig, perUnit int, aware bool, tracer obs.Tracer) ScalePoint {
-	// Short soft holds: losing-path reservations release only by expiry, and
-	// holds that linger inflate committed utilization and make the shedding
-	// plane refuse work the peer could serve. Late ACKs whose reservation
-	// expired fall back to the shed-gated direct admission.
-	bcpCfg := bcp.DefaultConfig()
-	bcpCfg.SoftTimeout = 2500 * time.Millisecond
-	load := cluster.LoadOptions{Model: cfg.Model}
-	if aware {
-		load.Aware = true
-		load.Shed = cfg.Shed
-	}
-	c := cluster.New(cluster.Options{
-		Seed:     cfg.Seed,
-		IPNodes:  cfg.IPNodes,
-		Peers:    cfg.Peers,
-		Catalog:  fnCatalog(cfg.Functions),
-		Capacity: cfg.Capacity,
-		BCP:      bcpCfg,
-		Load:     &load,
-		Trace:    tracer,
-		Obs:      cfg.Counters,
-	})
-	gen := workload.NewGenerator(workload.Config{
-		Catalog:     fnCatalog(cfg.Functions),
-		Peers:       cfg.Peers,
-		MinFuncs:    cfg.MinFuncs,
-		MaxFuncs:    cfg.MaxFuncs,
-		DelayReqMin: cfg.DelayReqMin,
-		DelayReqMax: cfg.DelayReqMax,
-	}, newRng(cfg.Seed+100))
-
-	var ratio metrics.Ratio
-	var setup metrics.Sample
-	arrivalRng := newRng(cfg.Seed + 200)
-	for unit := 0; unit < cfg.TimeUnits; unit++ {
-		for k := 0; k < perUnit; k++ {
-			req := gen.Next()
-			req.Budget = cfg.Budget
-			at := time.Duration(unit)*cfg.TimeUnit +
-				time.Duration(arrivalRng.Float64()*float64(cfg.TimeUnit))
-			c.Sim.Schedule(at-c.Sim.Now(), func() {
-				start := c.Sim.Now()
-				eng := c.Peers[int(req.Source)].Engine
-				eng.Compose(req, func(res bcp.Result) {
-					ratio.Add(res.Ok)
-					if res.Ok {
-						setup.AddDuration(c.Sim.Now() - start)
-						c.Sim.Schedule(cfg.SessionLife, func() { eng.Teardown(res.Best) })
-					}
-				})
-			})
-		}
-	}
-
-	// Sample every peer's utilization twice per time unit across arrivals
-	// plus the session drain, keeping each peer's peak (the hotspot figure).
-	peak := make([]float64, len(c.Peers))
-	horizon := time.Duration(cfg.TimeUnits)*cfg.TimeUnit + cfg.SessionLife
-	for at := time.Duration(0); at <= horizon; at += cfg.TimeUnit / 2 {
-		c.Sim.Schedule(at, func() {
-			for i, p := range c.Peers {
-				if u := p.Ledger.Utilization(); u > peak[i] {
-					peak[i] = u
-				}
-			}
-		})
-	}
-
-	c.Sim.Run(horizon + 30*time.Second)
-
-	var util metrics.Sample
-	for _, u := range peak {
-		util.Add(u)
-	}
-	return ScalePoint{
-		Load:     perUnit,
-		Aware:    aware,
-		Success:  ratio.Value(),
-		SetupP50: setup.Percentile(50),
-		SetupP99: setup.Percentile(99),
-		UtilP50:  util.Percentile(50),
-		UtilP90:  util.Percentile(90),
-		UtilMax:  util.Max(),
-	}
 }

@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/baselines"
-	"repro/internal/bcp"
-	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -26,10 +22,7 @@ type StressScenario struct {
 // identically seeded clusters, so the per-cell differences are attributable
 // to the algorithm alone.
 type StressConfig struct {
-	Seed      int64
-	IPNodes   int
-	Peers     int
-	Functions int
+	OpenLoop
 	// Scenarios lists the stress shapes swept; each spec must parse under
 	// workload.ParseScenario (Stress panics otherwise — the sweep is
 	// config-driven, not user-input-driven).
@@ -37,18 +30,6 @@ type StressConfig struct {
 	// PerUnit is the baseline offered load (requests per time unit) before
 	// the scenario's rate curve scales it.
 	PerUnit int
-	// TimeUnits is the run length; TimeUnit its simulated duration.
-	TimeUnits int
-	TimeUnit  time.Duration
-	// SessionLife is how long an admitted session holds its resources.
-	SessionLife time.Duration
-	// MinFuncs/MaxFuncs bound the function count per request.
-	MinFuncs, MaxFuncs int
-	// Capacity is the per-peer resource capacity (tight, so heavy-tailed
-	// popularity actually concentrates contention on the popular replicas).
-	Capacity qos.Resources
-	// DelayReqMin/Max bound the sampled end-to-end delay requirement (ms).
-	DelayReqMin, DelayReqMax float64
 	// Budget is SpiderNet's probing budget per request.
 	Budget int
 	// Model/Shed configure the load plane: both SpiderNet and the baselines
@@ -58,24 +39,25 @@ type StressConfig struct {
 	Shed  float64
 	// RecoverAfter is how many time units a churn-storm victim stays down.
 	RecoverAfter int
-	// Trace, when non-nil, receives every cell's trace (byte-identical at
-	// any Parallel).
-	Trace obs.Tracer
-	// Parallel is the worker count for the scenario × algorithm cells.
-	Parallel int
 }
 
 // DefaultStressConfig returns the laptop-scale sweep: four scenarios
 // (heavy tail, diurnal, flash crowd, churn storm) over a 100-peer cluster.
 func DefaultStressConfig() StressConfig {
-	var cap qos.Resources
-	cap[qos.CPU] = 8
-	cap[qos.Memory] = 80
 	return StressConfig{
-		Seed:      1,
-		IPNodes:   1000,
-		Peers:     100,
-		Functions: 24,
+		OpenLoop: OpenLoop{
+			World:       World{Sweep: Sweep{Seed: 1}, IPNodes: 1000, Peers: 100, Functions: 24},
+			TimeUnits:   12,
+			TimeUnit:    time.Second,
+			SessionLife: 10 * time.Second,
+			MinFuncs:    2,
+			MaxFuncs:    3,
+			// Tight, so heavy-tailed popularity actually concentrates
+			// contention on the popular replicas.
+			Capacity:    qos.Resources{qos.CPU: 8, qos.Memory: 80},
+			DelayReqMin: 150,
+			DelayReqMax: 400,
+		},
 		Scenarios: []StressScenario{
 			{Name: "zipf", Spec: "zipf=1.1"},
 			{Name: "diurnal", Spec: "zipf=1.1,diurnal=8s@0.6"},
@@ -83,14 +65,6 @@ func DefaultStressConfig() StressConfig {
 			{Name: "churnstorm", Spec: "zipf=1.1,churn=0.04@4s+4s,seed=7"},
 		},
 		PerUnit:      8,
-		TimeUnits:    12,
-		TimeUnit:     time.Second,
-		SessionLife:  10 * time.Second,
-		MinFuncs:     2,
-		MaxFuncs:     3,
-		Capacity:     cap,
-		DelayReqMin:  150,
-		DelayReqMax:  400,
 		Budget:       6,
 		Model:        qos.LoadModel{Base: 20 * time.Millisecond, Cap: 0.95},
 		Shed:         0.8,
@@ -124,32 +98,8 @@ type StressResult struct {
 	Table  *metrics.Table
 }
 
-// Algorithms swept by Stress, in cell order.
-const (
-	stressSpiderNet = iota
-	stressGreedy
-	stressRandom
-	stressBacktracking
-	stressCommunity
-	numStressAlgs
-)
-
-// stressAlgName maps the cell index to its row label.
-func stressAlgName(alg int) string {
-	switch alg {
-	case stressSpiderNet:
-		return "spidernet"
-	case stressGreedy:
-		return "greedy"
-	case stressRandom:
-		return "random"
-	case stressBacktracking:
-		return "backtracking"
-	case stressCommunity:
-		return "community"
-	}
-	return fmt.Sprintf("alg%d", alg)
-}
+// stressAlgs are the algorithms swept by Stress, in cell order.
+var stressAlgs = []algorithm{algSpiderNet, algGreedy, algRandom, algBacktracking, algCommunity}
 
 // Stress sweeps every configured scenario over SpiderNet and the baseline
 // algorithms. Each cell replays the identical request and churn schedule on
@@ -164,184 +114,39 @@ func Stress(cfg StressConfig) StressResult {
 		}
 		scns[i] = scn
 	}
-	points := make([]StressPoint, len(cfg.Scenarios)*numStressAlgs)
+	n := len(stressAlgs)
+	points := make([]StressPoint, len(cfg.Scenarios)*n)
 	runCells(len(points), cfg.Parallel, cfg.Trace, func(i int, tracer obs.Tracer) {
-		si, alg := i/numStressAlgs, i%numStressAlgs
-		points[i] = stressRun(cfg, cfg.Scenarios[si].Name, scns[si], alg, tracer)
+		r := runLoadCell(loadCell{
+			OpenLoop:     cfg.OpenLoop,
+			scenario:     scns[i/n],
+			perUnit:      cfg.PerUnit,
+			budget:       cfg.Budget,
+			model:        cfg.Model,
+			shed:         cfg.Shed,
+			recoverAfter: cfg.RecoverAfter,
+			alg:          stressAlgs[i%n],
+		}, tracer)
+		points[i] = StressPoint{
+			Scenario: cfg.Scenarios[i/n].Name,
+			Spec:     scns[i/n].String(),
+			Alg:      stressAlgs[i%n].name,
+			Offered:  r.Offered,
+			Success:  r.Success,
+			SetupP50: r.Setup.Percentile(50),
+			SetupP99: r.Setup.Percentile(99),
+			UtilMax:  r.PeakUtil.Max(),
+			Shed:     r.Shed,
+		}
 	})
 
-	var out StressResult
-	out.Points = points
-	t := metrics.NewTable("Stress: adversarial workloads × composition algorithms",
+	out := StressResult{Points: points, Table: metrics.NewTable(
+		"Stress: adversarial workloads × composition algorithms",
 		"scenario", "alg", "offered", "success", "setup p50 ms", "setup p99 ms",
-		"util max", "shed")
+		"util max", "shed")}
 	for _, p := range points {
-		t.AddRow(p.Scenario, p.Alg, p.Offered, p.Success, p.SetupP50, p.SetupP99,
+		out.Table.AddRow(p.Scenario, p.Alg, p.Offered, p.Success, p.SetupP50, p.SetupP99,
 			p.UtilMax, p.Shed)
 	}
-	out.Table = t
 	return out
-}
-
-// stressRun replays one scenario through one algorithm. The request
-// schedule (arrival times, request contents) and the churn-storm schedule
-// are pure functions of (cfg, scenario), never of the algorithm, so every
-// algorithm faces exactly the same adversity.
-func stressRun(cfg StressConfig, name string, scn *workload.Scenario, alg int, tracer obs.Tracer) StressPoint {
-	bcpCfg := bcp.DefaultConfig()
-	bcpCfg.SoftTimeout = 2500 * time.Millisecond
-	load := cluster.LoadOptions{Model: cfg.Model}
-	if alg == stressSpiderNet {
-		load.Aware = true
-		load.Shed = cfg.Shed
-	}
-	counters := obs.NewRegistry()
-	c := cluster.New(cluster.Options{
-		Seed:     cfg.Seed,
-		IPNodes:  cfg.IPNodes,
-		Peers:    cfg.Peers,
-		Catalog:  fnCatalog(cfg.Functions),
-		Capacity: cfg.Capacity,
-		BCP:      bcpCfg,
-		Load:     &load,
-		Trace:    tracer,
-		Obs:      counters,
-	})
-	w := c.World()
-	gen := workload.NewGenerator(workload.Config{
-		Catalog:     fnCatalog(cfg.Functions),
-		Peers:       cfg.Peers,
-		MinFuncs:    cfg.MinFuncs,
-		MaxFuncs:    cfg.MaxFuncs,
-		DelayReqMin: cfg.DelayReqMin,
-		DelayReqMax: cfg.DelayReqMax,
-		Scenario:    scn,
-	}, newRng(cfg.Seed+100))
-
-	catalog := fnCatalog(cfg.Functions)
-	var offered int
-	var ratio metrics.Ratio
-	var setup metrics.Sample
-	arrivalRng := newRng(cfg.Seed + 200)
-	for unit := 0; unit < cfg.TimeUnits; unit++ {
-		unitStart := time.Duration(unit) * cfg.TimeUnit
-		// The scenario's rate curve (diurnal sine, flash surge) scales the
-		// offered load, evaluated at the unit boundary so the count is a
-		// deterministic function of the scenario alone.
-		n := int(float64(cfg.PerUnit)*scn.RateMult(unitStart, catalog) + 0.5)
-		for k := 0; k < n; k++ {
-			at := unitStart + time.Duration(arrivalRng.Float64()*float64(cfg.TimeUnit))
-			req := gen.NextAt(at)
-			req.Budget = cfg.Budget
-			c.Sim.Schedule(at-c.Sim.Now(), func() {
-				// Dead sources cannot issue requests; the skip depends only
-				// on the churn schedule, so it is identical across algorithms.
-				if !c.Net.Alive(req.Source) {
-					return
-				}
-				offered++
-				stressRequest(cfg, c, w, req, alg, &ratio, &setup)
-			})
-		}
-	}
-
-	// Churn storm: during the scenario's churn window, ChurnRate of the
-	// peers fails at every unit boundary and returns RecoverAfter units
-	// later. The victim stream is seeded from the scenario seed, isolated
-	// from the workload and cluster streams.
-	if scn.ChurnRate > 0 {
-		churnRng := newRng(cfg.Seed + 400 + scn.Seed)
-		for unit := 0; unit < cfg.TimeUnits; unit++ {
-			unitStart := time.Duration(unit) * cfg.TimeUnit
-			if !scn.ChurnActive(unitStart) {
-				continue
-			}
-			c.Sim.Schedule(unitStart-c.Sim.Now(), func() {
-				n := int(scn.ChurnRate * float64(cfg.Peers))
-				if n < 1 {
-					n = 1
-				}
-				perm := churnRng.Perm(cfg.Peers)
-				for i, failed := 0, 0; i < cfg.Peers && failed < n; i++ {
-					id := pid(perm[i])
-					if !c.Net.Alive(id) {
-						continue
-					}
-					c.Net.Fail(id)
-					failed++
-					c.Sim.Schedule(time.Duration(cfg.RecoverAfter)*cfg.TimeUnit, func() {
-						c.Net.Recover(id)
-					})
-				}
-			})
-		}
-	}
-
-	// Track each peer's peak utilization (the hotspot figure heavy tails
-	// and flash crowds are designed to produce).
-	peak := make([]float64, len(c.Peers))
-	horizon := time.Duration(cfg.TimeUnits)*cfg.TimeUnit + cfg.SessionLife
-	for at := time.Duration(0); at <= horizon; at += cfg.TimeUnit / 2 {
-		c.Sim.Schedule(at, func() {
-			for i, p := range c.Peers {
-				if u := p.Ledger.Utilization(); u > peak[i] {
-					peak[i] = u
-				}
-			}
-		})
-	}
-
-	c.Sim.Run(horizon + 30*time.Second)
-
-	var util metrics.Sample
-	for _, u := range peak {
-		util.Add(u)
-	}
-	return StressPoint{
-		Scenario: name,
-		Spec:     scn.String(),
-		Alg:      stressAlgName(alg),
-		Offered:  offered,
-		Success:  ratio.Value(),
-		SetupP50: setup.Percentile(50),
-		SetupP99: setup.Percentile(99),
-		UtilMax:  util.Max(),
-		Shed:     counters.Totals().ProbesShed,
-	}
-}
-
-// stressRequest issues one request through the cell's algorithm. SpiderNet
-// composes through BCP (paying discovery, probing, and setup latency); the
-// baselines select instantaneously from the global view and admit through
-// the same ledgers.
-func stressRequest(cfg StressConfig, c *cluster.Cluster, w baselines.World, req *service.Request, alg int, ratio *metrics.Ratio, setup *metrics.Sample) {
-	if alg == stressSpiderNet {
-		start := c.Sim.Now()
-		eng := c.Peers[int(req.Source)].Engine
-		eng.Compose(req, func(res bcp.Result) {
-			ratio.Add(res.Ok)
-			if res.Ok {
-				setup.AddDuration(c.Sim.Now() - start)
-				c.Sim.Schedule(cfg.SessionLife, func() { eng.Teardown(res.Best) })
-			}
-		})
-		return
-	}
-	var g *service.Graph
-	var ok bool
-	switch alg {
-	case stressGreedy:
-		g, ok = baselines.Greedy(w, req)
-	case stressRandom:
-		g, ok = baselines.Random(w, req, c.Rng.Intn)
-	case stressBacktracking:
-		g, _, ok = baselines.Backtracking(w, req, service.DefaultWeights(), baselines.BacktrackOptions{})
-	case stressCommunity:
-		g, ok = baselines.Community(w, req, baselines.DefaultCommunities)
-	}
-	success := ok && g.Qualified(req) && baselines.Admit(w, g)
-	ratio.Add(success)
-	if success {
-		c.Sim.Schedule(cfg.SessionLife, func() { baselines.Release(w, g) })
-	}
 }

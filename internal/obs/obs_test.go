@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,6 +135,37 @@ func TestRegistryRollup(t *testing.T) {
 	per := r.PerNodeTable("p", 1).String()
 	if !strings.Contains(per, "3") || strings.Contains(per, "\n5") {
 		t.Fatalf("per-node table should keep only the busiest node:\n%s", per)
+	}
+}
+
+// TestRegistryMerge fills every counter of one node by reflection, so a
+// counter added to NodeCounters but forgotten in Merge fails here.
+func TestRegistryMerge(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Node(1).MsgsSent.Store(100)
+	a.Node(2).MsgsSent.Store(5)
+	src := reflect.ValueOf(b.Node(1)).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		src.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+	}
+	want := a.Totals()
+	want.Add(b.Totals())
+	a.Merge(b)
+	if got := a.Totals(); got != want {
+		t.Fatalf("totals after merge %+v, want %+v", got, want)
+	}
+	got := reflect.ValueOf(a.Node(1).Snapshot())
+	for i := 0; i < got.NumField(); i++ {
+		want := int64(i + 1)
+		if got.Type().Field(i).Name == "MsgsSent" {
+			want += 100
+		}
+		if got.Field(i).Int() != want {
+			t.Errorf("node 1 %s = %d after merge, want %d", got.Type().Field(i).Name, got.Field(i).Int(), want)
+		}
+	}
+	if a.NumNodes() != 2 || b.Node(1).MsgsSent.Load() != 1 {
+		t.Error("merge must add nodes to the receiver only and leave its argument alone")
 	}
 }
 

@@ -129,6 +129,30 @@ func (r *Registry) Node(id p2p.NodeID) *NodeCounters {
 	return c
 }
 
+// Merge adds every node's counters in o into r. Parallel sweeps give each
+// cell a registry of its own (per-cell figures such as probes shed need one)
+// and fold it into the shared registry -stats prints.
+func (r *Registry) Merge(o *Registry) {
+	for _, s := range o.Snapshot() {
+		c := r.Node(s.ID)
+		c.MsgsSent.Add(s.MsgsSent)
+		c.BytesSent.Add(s.BytesSent)
+		c.MsgsRecv.Add(s.MsgsRecv)
+		c.MsgsDrop.Add(s.MsgsDrop)
+		c.ProbesSent.Add(s.ProbesSent)
+		c.ProbesDropped.Add(s.ProbesDropped)
+		c.ProbesReturned.Add(s.ProbesReturned)
+		c.BudgetSpent.Add(s.BudgetSpent)
+		c.ProbesRetx.Add(s.ProbesRetx)
+		c.ProbesShed.Add(s.ProbesShed)
+		c.DHTHops.Add(s.DHTHops)
+		c.Faults.Add(s.Faults)
+		c.FedPrepares.Add(s.FedPrepares)
+		c.FedCommits.Add(s.FedCommits)
+		c.FedAborts.Add(s.FedAborts)
+	}
+}
+
 // NumNodes returns how many nodes have counter blocks.
 func (r *Registry) NumNodes() int {
 	r.mu.Lock()
