@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -36,82 +38,148 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its environment passed in: 0 on success, 1 with one line
+// on stderr when the flags contradict each other or the run or its check
+// failed, 2 when the flag package refused the command line. Never a panic.
+func run(args []string, stdout, stderr io.Writer) int {
+	switch err := simulate(args, stdout, stderr); err {
+	case nil:
+		return 0
+	case errUsage:
+		return 2
+	default:
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 }
 
-func run() error {
-	var (
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		ipNodes   = flag.Int("ipnodes", 2000, "IP-layer nodes")
-		peers     = flag.Int("peers", 200, "overlay peers")
-		functions = flag.Int("functions", 40, "function catalogue size")
-		requests  = flag.Int("requests", 100, "composition requests")
-		budget    = flag.Int("budget", 20, "probing budget per request")
-		minFuncs  = flag.Int("minfuncs", 2, "min functions per request")
-		maxFuncs  = flag.Int("maxfuncs", 4, "max functions per request")
-		churn     = flag.Float64("churn", 0, "fraction of peers failing per minute")
-		scenario  = flag.String("scenario", "", "stress scenario layered on the workload, e.g. zipf=1.2,diurnal=60s@0.5,flash=fn3:10@30s+20s,churn=0.02@30s+20s")
-		duration  = flag.Duration("duration", 5*time.Minute, "simulated duration")
-		dagProb   = flag.Float64("dag", 0.2, "probability of DAG-shaped requests")
-		commute   = flag.Float64("commute", 0.2, "probability of commutation links")
-		faults    = flag.String("faults", "", "fault spec, e.g. loss=0.05,dup=0.01,jitter=20ms,partition=10s@30s,seed=3")
-		domains   = flag.String("domains", "", "federate the overlay into administrative domains and commit cross-domain sessions with 2PC, e.g. domains=4,gateways=2,hold=10s,life=30s")
-		shards    = flag.Int("shards", 0, "split the DHT keyspace across this many independent rings (0/1 = one flat ring); mutually exclusive with -domains")
-		loadBase  = flag.Duration("load", 0, "enable the overload control plane: per-peer processing delay base (M/M/1 inflation with utilization); 0 = off")
-		shed      = flag.Float64("shed", 0.8, "with -load: utilization threshold at which peers shed probes (0 disables shedding)")
-		specFile  = flag.String("spec", "", "compose a single request from a QoSTalk-style XML spec file")
-		traceFile = flag.String("trace", "", "write a deterministic JSONL event trace to this file (.gz compresses)")
-		stats     = flag.Bool("stats", false, "print per-layer counter tables, histograms, and a trace summary")
-		summarize = flag.String("summarize", "", "summarize an existing JSONL trace file and exit")
-		check     = flag.Bool("check", false, "verify trace invariants: on the given trace files, or on this run")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "workers for multi-file -check; 1 = serial")
-	)
-	flag.Parse()
+// optional parses a spec flag: nil when the flag was not given.
+func optional[T any](flagValue string, parse func(string) (*T, error)) (*T, error) {
+	if flagValue == "" {
+		return nil, nil
+	}
+	return parse(flagValue)
+}
 
-	if *summarize != "" {
-		return summarizeTrace(*summarize)
+// errUsage marks a command line the flag package has already reported.
+var errUsage = errors.New("usage")
+
+// simulate parses the command line and does what it asks, writing tables to
+// stdout and progress to stderr.
+func simulate(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("spidersim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seed      = fs.Int64("seed", 1, "simulation seed")
+		ipNodes   = fs.Int("ipnodes", 2000, "IP-layer nodes")
+		peers     = fs.Int("peers", 200, "overlay peers")
+		functions = fs.Int("functions", 40, "function catalogue size")
+		requests  = fs.Int("requests", 100, "composition requests")
+		budget    = fs.Int("budget", 20, "probing budget per request")
+		minFuncs  = fs.Int("minfuncs", 2, "min functions per request")
+		maxFuncs  = fs.Int("maxfuncs", 4, "max functions per request")
+		churn     = fs.Float64("churn", 0, "fraction of peers failing per minute")
+		scenario  = fs.String("scenario", "", "stress scenario layered on the workload, e.g. zipf=1.2,diurnal=60s@0.5,flash=fn3:10@30s+20s,churn=0.02@30s+20s")
+		duration  = fs.Duration("duration", 5*time.Minute, "simulated duration")
+		dagProb   = fs.Float64("dag", 0.2, "probability of DAG-shaped requests")
+		commute   = fs.Float64("commute", 0.2, "probability of commutation links")
+		faults    = fs.String("faults", "", "fault spec, e.g. loss=0.05,dup=0.01,jitter=20ms,partition=10s@30s,seed=3")
+		domains   = fs.String("domains", "", "federate the overlay into administrative domains and commit cross-domain sessions with 2PC, e.g. domains=4,gateways=2,hold=10s,life=30s")
+		shards    = fs.Int("shards", 0, "split the DHT keyspace across this many independent rings (0/1 = one flat ring); mutually exclusive with -domains")
+		loadBase  = fs.Duration("load", 0, "enable the overload control plane: per-peer processing delay base (M/M/1 inflation with utilization); 0 = off")
+		shed      = fs.Float64("shed", 0.8, "with -load: utilization threshold at which peers shed probes (0 disables shedding)")
+		specFile  = fs.String("spec", "", "compose a single request from a QoSTalk-style XML spec file")
+		traceFile = fs.String("trace", "", "write a deterministic JSONL event trace to this file (.gz compresses)")
+		stats     = fs.Bool("stats", false, "print per-layer counter tables, histograms, and a trace summary")
+		summarize = fs.String("summarize", "", "summarize an existing JSONL trace file and exit")
+		check     = fs.Bool("check", false, "verify trace invariants: on the given trace files, or on this run")
+		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "workers for multi-file -check; 1 = serial")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	// Each flag's own range; the rules that relate flags to each other are
+	// cluster.Options.Validate's.
+	for _, r := range []struct {
+		ok   bool
+		flag string
+		val  any
+		want string
+	}{
+		{*peers >= 2, "peers", *peers, "at least 2"},
+		{*functions >= 1, "functions", *functions, "at least 1"},
+		{*requests >= 0, "requests", *requests, "at least 0"},
+		{*budget >= 1, "budget", *budget, "at least 1"},
+		{*minFuncs >= 1, "minfuncs", *minFuncs, "at least 1"},
+		{*maxFuncs >= *minFuncs, "maxfuncs", *maxFuncs, "at least -minfuncs"},
+		{*churn >= 0 && *churn <= 1, "churn", *churn, "a fraction in [0,1]"},
+		{*shed >= 0 && *shed <= 1, "shed", *shed, "a utilization in [0,1]"},
+	} {
+		if !r.ok {
+			return fmt.Errorf("-%s %v: want %s", r.flag, r.val, r.want)
+		}
 	}
 
-	if *check && flag.NArg() > 0 {
-		return checkTraceFiles(flag.Args(), *parallel)
+	if *summarize != "" {
+		return summarizeTrace(*summarize, stdout)
+	}
+
+	if *check && fs.NArg() > 0 {
+		return checkTraceFiles(fs.Args(), *parallel, stderr)
 	}
 
 	if *specFile != "" {
-		return composeSpec(*specFile, *seed, *ipNodes, *peers, *functions)
+		return composeSpec(*specFile, *seed, *ipNodes, *peers, *functions, stdout)
 	}
 
-	var fspec *simnet.FaultSpec
-	if *faults != "" {
-		var err error
-		fspec, err = simnet.ParseFaultSpec(*faults)
-		if err != nil {
-			return err
-		}
+	fspec, err := optional(*faults, simnet.ParseFaultSpec)
+	if err != nil {
+		return err
+	}
+	scn, err := optional(*scenario, workload.ParseScenario)
+	if err != nil {
+		return err
+	}
+	dspec, err := optional(*domains, federation.ParseSpec)
+	if err != nil {
+		return err
 	}
 
-	var scn *workload.Scenario
-	if *scenario != "" {
-		var err error
-		scn, err = workload.ParseScenario(*scenario)
-		if err != nil {
-			return err
+	recCfg := recovery.DefaultConfig()
+	bcpCfg := bcp.DefaultConfig()
+	if fspec != nil {
+		bcpCfg, recCfg = cluster.Hardened(bcpCfg, recCfg)
+	}
+	catalog := cluster.Catalog(*functions)
+	opts := cluster.Options{
+		Seed:     *seed,
+		IPNodes:  *ipNodes,
+		Peers:    *peers,
+		Catalog:  catalog,
+		BCP:      bcpCfg,
+		Recovery: &recCfg,
+		Domains:  dspec,
+		Shards:   *shards,
+	}
+	if *loadBase > 0 {
+		opts.Load = &cluster.LoadOptions{
+			Model: qos.LoadModel{Base: *loadBase, Cap: 0.95},
+			Aware: true,
+			Shed:  *shed,
 		}
 	}
-
-	var dspec *federation.Spec
-	if *domains != "" {
-		var err error
-		dspec, err = federation.ParseSpec(*domains)
-		if err != nil {
-			return err
-		}
+	if dspec != nil {
+		// Federated sessions recover by presumed abort and bounded leases,
+		// not by the per-session recovery manager, so -domains disables it.
+		opts.Recovery = nil
 	}
-	if *shards > 1 && dspec != nil {
-		return fmt.Errorf("-shards and -domains are mutually exclusive: federation already shards the keyspace per domain")
+	if err := opts.Validate(); err != nil {
+		return err
 	}
 
 	var (
@@ -146,40 +214,8 @@ func run() error {
 		trace = tracers
 	}
 
-	recCfg := recovery.DefaultConfig()
-	bcpCfg := bcp.DefaultConfig()
-	if fspec != nil {
-		bcpCfg, recCfg = cluster.Hardened(bcpCfg, recCfg)
-	}
-	var loadOpts *cluster.LoadOptions
-	if *loadBase > 0 {
-		loadOpts = &cluster.LoadOptions{
-			Model: qos.LoadModel{Base: *loadBase, Cap: 0.95},
-			Aware: true,
-			Shed:  *shed,
-		}
-	}
-	// Federated sessions recover by presumed abort and bounded leases, not by
-	// the per-session recovery manager, so -domains disables it.
-	recPtr := &recCfg
-	if dspec != nil {
-		recPtr = nil
-	}
-	catalog := cluster.Catalog(*functions)
-	c := cluster.New(cluster.Options{
-		Seed:     *seed,
-		IPNodes:  *ipNodes,
-		Peers:    *peers,
-		Catalog:  catalog,
-		BCP:      bcpCfg,
-		Load:     loadOpts,
-		Recovery: recPtr,
-		Domains:  dspec,
-		Shards:   *shards,
-		Trace:    trace,
-		Obs:      reg,
-		Metrics:  met,
-	})
+	opts.Trace, opts.Obs, opts.Metrics = trace, reg, met
+	c := cluster.New(opts)
 	c.ApplyFaultSpec(fspec)
 	gen := workload.NewGenerator(workload.Config{
 		Catalog:     catalog,
@@ -249,27 +285,25 @@ func run() error {
 			})
 		})
 	}
+	// A churn tick fails a fraction of the peers; victims return two minutes
+	// later.
+	churnTick := func(frac float64) func() {
+		return func() {
+			for _, id := range c.FailFraction(frac) {
+				c.Sim.Schedule(2*time.Minute, func() { c.Net.Recover(id) })
+			}
+		}
+	}
 	if *churn > 0 {
 		for m := time.Minute; m < *duration; m += time.Minute {
-			c.Sim.Schedule(m, func() {
-				for _, id := range c.FailFraction(*churn) {
-					id := id
-					c.Sim.Schedule(2*time.Minute, func() { c.Net.Recover(id) })
-				}
-			})
+			c.Sim.Schedule(m, churnTick(*churn))
 		}
 	}
 	if scn != nil && scn.ChurnRate > 0 {
 		// Churn storm: the scenario's rate applies per minute tick inside the
-		// window, firing at least once even for sub-minute windows; victims
-		// return two minutes later, like -churn's.
+		// window, firing at least once even for sub-minute windows.
 		for at := scn.ChurnAt; at < scn.ChurnAt+scn.ChurnDur && at < *duration; at += time.Minute {
-			c.Sim.Schedule(at-c.Sim.Now(), func() {
-				for _, id := range c.FailFraction(scn.ChurnRate) {
-					id := id
-					c.Sim.Schedule(2*time.Minute, func() { c.Net.Recover(id) })
-				}
-			})
+			c.Sim.Schedule(at-c.Sim.Now(), churnTick(scn.ChurnRate))
 		}
 	}
 	end := *duration
@@ -314,27 +348,27 @@ func run() error {
 		t.AddRow("reactive recoveries", rec.Reactives)
 		t.AddRow("unrecovered failures", rec.Dead)
 	}
-	t.Render(os.Stdout)
+	t.Render(stdout)
 
 	if tf != nil {
 		n := tf.Count()
 		if err := tf.Close(); err != nil {
 			return fmt.Errorf("trace %s: %w", *traceFile, err)
 		}
-		fmt.Fprintf(os.Stderr, "trace: %d events -> %s\n", n, *traceFile)
+		fmt.Fprintf(stderr, "trace: %d events -> %s\n", n, *traceFile)
 	}
 	if *stats {
-		reg.Table("per-layer counters (all nodes)").Render(os.Stdout)
-		reg.PerNodeTable("busiest nodes", 10).Render(os.Stdout)
-		met.Table("distribution metrics").Render(os.Stdout)
-		met.PhaseTable("setup-latency phases (live histograms)").Render(os.Stdout)
+		reg.Table("per-layer counters (all nodes)").Render(stdout)
+		reg.PerNodeTable("busiest nodes", 10).Render(stdout)
+		met.Table("distribution metrics").Render(stdout)
+		met.PhaseTable("setup-latency phases (live histograms)").Render(stdout)
 		s := obs.Summarize(mem.Events())
-		s.Table("trace summary").Render(os.Stdout)
+		s.Table("trace summary").Render(stdout)
 		b := span.NewBuilder()
 		for _, ev := range mem.Events() {
 			b.Add(ev)
 		}
-		span.PhaseTable(b.Build(), "setup-latency phases (span trees)").Render(os.Stdout)
+		span.PhaseTable(b.Build(), "setup-latency phases (span trees)").Render(stdout)
 	}
 	if *check {
 		if hung := attempted - completed; hung > 0 {
@@ -346,10 +380,10 @@ func run() error {
 		events := mem.Events()
 		vs := obs.Check(events)
 		vs = append(vs, obs.CheckTotals(events, reg.Totals())...)
-		if err := reportViolations("this run", vs); err != nil {
+		if err := reportViolations(stderr, "this run", vs); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "check: %d events ok\n", len(events))
+		fmt.Fprintf(stderr, "check: %d events ok\n", len(events))
 	}
 	return nil
 }
@@ -359,7 +393,7 @@ func run() error {
 // Results are reported in argument order regardless of completion order.
 // Counter cross-checks need the live registry, so file mode runs only the
 // event-level invariants.
-func checkTraceFiles(paths []string, parallel int) error {
+func checkTraceFiles(paths []string, parallel int, stderr io.Writer) error {
 	if parallel > len(paths) {
 		parallel = len(paths)
 	}
@@ -403,21 +437,21 @@ func checkTraceFiles(paths []string, parallel int) error {
 		if o.err != nil {
 			return o.err
 		}
-		if err := reportViolations(paths[i], o.vs); err != nil {
+		if err := reportViolations(stderr, paths[i], o.vs); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "check: %s: %d events ok\n", paths[i], o.n)
+		fmt.Fprintf(stderr, "check: %s: %d events ok\n", paths[i], o.n)
 	}
 	return nil
 }
 
 // reportViolations prints every violation and returns an error if any.
-func reportViolations(what string, vs []obs.Violation) error {
+func reportViolations(stderr io.Writer, what string, vs []obs.Violation) error {
 	if len(vs) == 0 {
 		return nil
 	}
 	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "check: %s: %s\n", what, v)
+		fmt.Fprintf(stderr, "check: %s: %s\n", what, v)
 	}
 	return fmt.Errorf("check: %s: %d invariant violation(s)", what, len(vs))
 }
@@ -425,7 +459,7 @@ func reportViolations(what string, vs []obs.Violation) error {
 // summarizeTrace reads a JSONL trace produced by -trace — streaming, so
 // multi-gigabyte sweep traces summarize in constant memory — and prints the
 // per-request latency/overhead breakdown plus the span-tree phase table.
-func summarizeTrace(path string) error {
+func summarizeTrace(path string, stdout io.Writer) error {
 	z := obs.NewSummarizer()
 	b := span.NewBuilder()
 	if err := obs.StreamTrace(path, func(ev obs.Event) error {
@@ -436,22 +470,24 @@ func summarizeTrace(path string) error {
 		return err
 	}
 	s := z.Summary()
-	s.Table("trace summary: " + path).Render(os.Stdout)
-	s.RequestTable("per-request breakdown").Render(os.Stdout)
-	span.PhaseTable(b.Build(), "setup-latency phases").Render(os.Stdout)
+	s.Table("trace summary: " + path).Render(stdout)
+	s.RequestTable("per-request breakdown").Render(stdout)
+	span.PhaseTable(b.Build(), "setup-latency phases").Render(stdout)
 	return nil
 }
 
 // composeSpec parses one XML composite-service spec, binds random
 // endpoints, and composes it on a fresh deployment.
-func composeSpec(path string, seed int64, ipNodes, peers, functions int) error {
+func composeSpec(path string, seed int64, ipNodes, peers, functions int, stdout io.Writer) error {
 	req, err := spec.ParseFile(path)
 	if err != nil {
 		return err
 	}
-	c := cluster.New(cluster.Options{
-		Seed: seed, IPNodes: ipNodes, Peers: peers, Catalog: cluster.Catalog(functions),
-	})
+	opts := cluster.Options{Seed: seed, IPNodes: ipNodes, Peers: peers, Catalog: cluster.Catalog(functions)}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	c := cluster.New(opts)
 	// Deploy the spec's functions too, in case the catalogue lacks them.
 	missing := map[string]bool{}
 	for _, fn := range req.FGraph.Functions() {
@@ -472,15 +508,15 @@ func composeSpec(path string, seed int64, ipNodes, peers, functions int) error {
 	c.Peers[0].Engine.Compose(req, func(res bcp.Result) {
 		done = true
 		if !res.Ok {
-			fmt.Println("no qualified composition")
+			fmt.Fprintln(stdout, "no qualified composition")
 			return
 		}
-		fmt.Printf("composed: %s\nQoS: %s\nbackups: %d\nsetup: %v (discovery %v)\n",
+		fmt.Fprintf(stdout, "composed: %s\nQoS: %s\nbackups: %d\nsetup: %v (discovery %v)\n",
 			res.Best, res.Best.QoS, len(res.Backups), res.SetupTime, res.DiscoveryTime)
 	})
 	c.Sim.Run(c.Sim.Now() + 120*time.Second)
 	if !done {
-		fmt.Println("composition never completed")
+		fmt.Fprintln(stdout, "composition never completed")
 	}
 	return nil
 }

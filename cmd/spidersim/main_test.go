@@ -1,0 +1,75 @@
+package main
+
+import (
+	"bytes"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// spidersim runs the command in-process and returns its exit code and both
+// streams.
+func spidersim(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestFlagMistakesExitWithOneLine: every out-of-range flag and every
+// combination cluster.Options.Validate refuses exits non-zero with one line
+// naming the flag at fault — never a goroutine dump, never a silent accept.
+func TestFlagMistakesExitWithOneLine(t *testing.T) {
+	for _, c := range []struct{ args, names string }{
+		{"-minfuncs 5 -maxfuncs 2", "maxfuncs"},
+		{"-minfuncs 0", "minfuncs"},
+		{"-functions 0", "functions"},
+		{"-peers 500 -ipnodes 100", "peers"},
+		{"-peers 1", "peers"},
+		{"-domains domains=4,gateways=3 -peers 10", "domains"},
+		{"-domains domains=5 -functions 3 -peers 40 -ipnodes 200", "domains"},
+		{"-shards 2 -domains domains=2", "Shards"},
+		{"-shards 7 -peers 5 -ipnodes 50", "shards"},
+		{"-churn -0.5", "churn"},
+		{"-budget -3", "budget"},
+		{"-shed 7", "shed"},
+		{"-requests -1", "requests"},
+		{"-faults loss=2", "loss"},
+		{"-scenario zipf=-1", "zipf"},
+		{"-domains domains=1", "domains"},
+		{"-spec unused.xml -peers 500 -ipnodes 100", "unused.xml"},
+	} {
+		code, stdout, stderr := spidersim(strings.Fields(c.args)...)
+		if code == 0 || stdout != "" {
+			t.Errorf("%s: exit %d, stdout %q; want a refusal before anything runs", c.args, code, stdout)
+		}
+		msg := strings.TrimSpace(stderr)
+		if strings.Contains(msg, "\n") || strings.Contains(msg, "goroutine ") || !strings.Contains(msg, c.names) {
+			t.Errorf("%s: stderr %q; want one line naming %q", c.args, stderr, c.names)
+		}
+	}
+	if code, _, stderr := spidersim("-nosuchflag"); code != 2 || !strings.Contains(stderr, "nosuchflag") {
+		t.Errorf("-nosuchflag: exit %d, stderr %q; want the flag package's exit 2", code, stderr)
+	}
+}
+
+// TestSmallRunChecksClean: one small valid run passes its own invariant
+// check, writes a trace that -check and -summarize then accept as files, and
+// a trace that does not exist fails both.
+func TestSmallRunChecksClean(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "run.jsonl.gz")
+	code, stdout, stderr := spidersim("-peers", "30", "-ipnodes", "200", "-requests", "5", "-check", "-trace", trace)
+	if code != 0 || !strings.Contains(stdout, "success ratio") || !strings.Contains(stderr, "events ok") {
+		t.Fatalf("small run: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	if code, _, stderr := spidersim("-check", trace); code != 0 || !strings.Contains(stderr, "events ok") {
+		t.Errorf("-check %s: exit %d, stderr %q", trace, code, stderr)
+	}
+	if code, stdout, _ := spidersim("-summarize", trace); code != 0 || !strings.Contains(stdout, "trace summary") {
+		t.Errorf("-summarize %s: exit %d, stdout %q", trace, code, stdout)
+	}
+	for _, mode := range []string{"-check", "-summarize"} {
+		if code, _, stderr := spidersim(mode, trace+".missing"); code == 0 || !strings.Contains(stderr, "no such file") {
+			t.Errorf("%s on a nonexistent file: exit %d, stderr %q", mode, code, stderr)
+		}
+	}
+}

@@ -316,9 +316,8 @@ func TestBackupsQualifiedAndDistinct(t *testing.T) {
 	if len(res.Backups) == 0 {
 		t.Fatal("no backups returned despite generous budget")
 	}
-	cfg := bcp.DefaultConfig()
-	if len(res.Backups) > cfg.MaxBackups {
-		t.Fatalf("%d backups exceed cap %d", len(res.Backups), cfg.MaxBackups)
+	if len(res.Backups) > bcp.MaxBackups {
+		t.Fatalf("%d backups exceed cap %d", len(res.Backups), bcp.MaxBackups)
 	}
 	seen := map[string]bool{res.Best.Key(): true}
 	for _, b := range res.Backups {

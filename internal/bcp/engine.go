@@ -47,21 +47,6 @@ type Config struct {
 	CollectTimeout time.Duration
 	// CollectPerHop extends the collection window bound per function node.
 	CollectPerHop time.Duration
-	// DiscoveryTimeout bounds each DHT lookup during the discovery phase.
-	DiscoveryTimeout time.Duration
-	// CacheTTL is how long a peer trusts a cached function→duplicates list.
-	CacheTTL time.Duration
-	// MaxPatterns caps the commutation-induced composition patterns
-	// explored per request.
-	MaxPatterns int
-	// MaxBranches caps the DAG branch paths enumerated per pattern.
-	MaxBranches int
-	// MaxCandidates caps the merged candidate service graphs evaluated at
-	// the destination.
-	MaxCandidates int
-	// MaxBackups caps the number of qualified backup graphs returned to the
-	// source for proactive failure recovery.
-	MaxBackups int
 	// GiveUpTimeout bounds the sender's total wait for a composition
 	// outcome; if every probe dies en route no destination collector ever
 	// answers, and this timer converts silence into a failed Result.
@@ -112,18 +97,31 @@ type Config struct {
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		SoftTimeout:      4 * time.Second,
-		CollectTimeout:   1200 * time.Millisecond,
-		CollectPerHop:    400 * time.Millisecond,
-		DiscoveryTimeout: 2 * time.Second,
-		CacheTTL:         30 * time.Second,
-		MaxPatterns:      4,
-		MaxBranches:      8,
-		MaxCandidates:    256,
-		MaxBackups:       8,
-		GiveUpTimeout:    10 * time.Second,
+		SoftTimeout:    4 * time.Second,
+		CollectTimeout: 1200 * time.Millisecond,
+		CollectPerHop:  400 * time.Millisecond,
+		GiveUpTimeout:  10 * time.Second,
 	}
 }
+
+// The protocol bounds no deployment varies.
+const (
+	// discoveryTimeout bounds each DHT lookup during the discovery phase.
+	discoveryTimeout = 2 * time.Second
+	// cacheTTL is how long a peer trusts a cached function→duplicates list.
+	cacheTTL = 30 * time.Second
+	// maxPatterns caps the commutation-induced composition patterns
+	// explored per request.
+	maxPatterns = 4
+	// maxBranches caps the DAG branch paths enumerated per pattern.
+	maxBranches = 8
+	// maxCandidates caps the merged candidate service graphs evaluated at
+	// the destination.
+	maxCandidates = 256
+	// maxBackups caps the number of qualified backup graphs returned to the
+	// source for proactive failure recovery.
+	maxBackups = 8
+)
 
 // Oracle answers local questions about the data plane: the overlay path a
 // service link would map onto, and bandwidth admission on it. It abstracts
@@ -437,37 +435,34 @@ func (e *Engine) discoverAllCached(fns []string, span uint64, cb func(registry.T
 		cb(table, true)
 		return
 	}
-	e.reg.DiscoverAllSpan(missing, span, e.cfg.DiscoveryTimeout, func(t registry.Table, ok bool) {
+	e.reg.DiscoverAllSpan(missing, span, discoveryTimeout, func(t registry.Table, ok bool) {
 		if !ok {
 			cb(nil, false)
 			return
 		}
 		for f, comps := range t {
-			e.cache[f] = cacheEntry{comps: comps, expires: e.host.Now() + e.cfg.CacheTTL}
+			e.cache[f] = cacheEntry{comps: comps, expires: e.host.Now() + cacheTTL}
 			table[f] = comps
 		}
 		cb(table, true)
 	})
 }
 
-// primaryPatternCap returns the pattern cap used for the primary function
-// graph (mirrors launchProbes so selection can tell primary candidates from
-// variant fallbacks).
+// primaryPatternCap returns the pattern cap launchProbes explores per
+// function graph; selection uses it to tell primary candidates from variant
+// fallbacks.
 func (e *Engine) primaryPatternCap() int {
 	if e.cfg.DisableCommutation {
 		return 1
 	}
-	return e.cfg.MaxPatterns
+	return maxPatterns
 }
 
 // launchProbes splits the probing budget over composition patterns and
 // source functions and emits the initial probes (§4.1 step 1).
 func (e *Engine) launchProbes(st *composeState, table registry.Table) {
 	req := st.req
-	maxPat := e.cfg.MaxPatterns
-	if e.cfg.DisableCommutation {
-		maxPat = 1
-	}
+	maxPat := e.primaryPatternCap()
 	// Composition patterns come from the primary function graph's
 	// commutation links plus any alternative variants the request names
 	// (conditional-branch semantics): all are probed, and selection picks

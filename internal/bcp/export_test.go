@@ -1,5 +1,8 @@
 package bcp
 
+// MaxBackups is the backup cap, for the tests that check it is honoured.
+const MaxBackups = maxBackups
+
 // CollectedCredit reports the termination credit this engine's collector for
 // reqID has summed so far, and whether such a collector exists (it is kept
 // for 10×CollectTimeout after it closes).

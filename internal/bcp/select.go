@@ -138,10 +138,7 @@ func (e *Engine) finishCollect(reqID uint64) {
 		return score(qualified[i]) < score(qualified[j])
 	})
 	best := qualified[0]
-	nb := len(qualified) - 1
-	if nb > e.cfg.MaxBackups {
-		nb = e.cfg.MaxBackups
-	}
+	nb := min(len(qualified)-1, maxBackups)
 	backups := append([]*service.Graph(nil), qualified[1:1+nb]...)
 
 	// Tell the sender which graph is being confirmed (in parallel with the
@@ -184,7 +181,7 @@ func reverseTopo(g *service.Graph) []int {
 
 // mergeRecords groups branch probes by composition pattern and merges
 // agreeing branch records into complete candidate service graphs, bounded
-// by MaxCandidates.
+// by maxCandidates.
 func (e *Engine) mergeRecords(req *service.Request, records []Probe) []*service.Graph {
 	byPattern := make(map[int][]Probe)
 	patterns := make(map[int]*Probe)
@@ -202,7 +199,7 @@ func (e *Engine) mergeRecords(req *service.Request, records []Probe) []*service.
 	seen := make(map[string]bool)
 	for _, pi := range patIdx {
 		pat := patterns[pi].Pattern
-		branches := pat.Branches(e.cfg.MaxBranches)
+		branches := pat.Branches(maxBranches)
 		slots := make([][]Probe, len(branches))
 		for _, r := range byPattern[pi] {
 			if bi := branchIndex(branches, r); bi >= 0 {
@@ -224,9 +221,9 @@ func (e *Engine) mergeRecords(req *service.Request, records []Probe) []*service.
 				seen[key] = true
 				out = append(out, g)
 			}
-			return len(out) < e.cfg.MaxCandidates
+			return len(out) < maxCandidates
 		})
-		if len(out) >= e.cfg.MaxCandidates {
+		if len(out) >= maxCandidates {
 			break
 		}
 	}

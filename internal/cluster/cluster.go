@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"time"
@@ -27,24 +28,19 @@ import (
 )
 
 // Options configures a simulated SpiderNet deployment. Zero fields take the
-// defaults documented on each field.
+// defaults documented on each field. What no deployment varies — the mesh
+// overlay and its degree, the component delay range, the failure-probability
+// bound — is a constant below, not an option.
 type Options struct {
-	Seed     int64 // RNG seed (default 1)
-	IPNodes  int   // IP-layer nodes (default 400)
-	Peers    int   // overlay peers (default 60)
-	Degree   int   // overlay degree (default 4)
-	Kind     topology.OverlayKind
+	Seed     int64         // RNG seed (default 1)
+	IPNodes  int           // IP-layer nodes (default 400)
+	Peers    int           // overlay peers (default 60)
 	Catalog  []string      // function catalogue (default fn0..fn19)
 	MinComps int           // components per peer, inclusive range (default 1)
 	MaxComps int           // (default 3)
 	Capacity qos.Resources // per-peer capacity (default cpu=20, mem=200)
-	// QpDelayMin/Max bound each component's service delay in ms
-	// (default 5..30).
-	QpDelayMin, QpDelayMax float64
 	// QpLossMax bounds each component's data loss rate (default 0.004).
 	QpLossMax float64
-	// FailProbMax bounds per-peer failure probability (default 0.05).
-	FailProbMax float64
 	// BCP configures every peer's composition engine.
 	BCP bcp.Config
 	// Load, when non-nil, enables the overload control plane: every peer's
@@ -52,30 +48,24 @@ type Options struct {
 	// processing-delay model, and (per the option fields) BCP becomes
 	// load-aware and sheds work past a utilization threshold.
 	Load *LoadOptions
-	// DynamicJoin grows the DHT with serial joins instead of the static
-	// global-knowledge build.
-	DynamicJoin bool
 	// Shards, when > 1, splits the unfederated deployment's DHT keyspace
 	// across that many independent rings (registry.ShardPlan): registry and
 	// discovery state is O(services per shard), and each ring's membership
 	// state is bounded by the shard size instead of the peer count (the
 	// sorted-ring build is O(n·log n) either way). Key homing is by
 	// hash, so lookup results are identical at any shard count. Mutually
-	// exclusive with Domains (federation already shards per domain) and with
-	// DynamicJoin. 0 or 1 builds the single flat ring, byte-identical to
-	// pre-sharding clusters.
+	// exclusive with Domains (federation already shards per domain). 0 or 1
+	// builds the single flat ring, byte-identical to pre-sharding clusters.
 	Shards int
 	// Domains, when non-nil, federates the deployment: peers are partitioned
 	// into administrative domains per the spec, each domain gets its own DHT
 	// ring (keyspace shard) and a disjoint shard of the function catalogue,
 	// gateway peers run the two-phase-commit agents, and every peer gets a
-	// federation client (Peer.Fed) for cross-domain composition. Nil (the
-	// default) builds the flat single-overlay deployment, byte-identical to
-	// clusters built before federation existed.
+	// federation client (Peer.Fed) for cross-domain composition. The spec's
+	// hold/life keys set the federation timers. Nil (the default) builds the
+	// flat single-overlay deployment, byte-identical to clusters built before
+	// federation existed.
 	Domains *federation.Spec
-	// Federation overrides the federation protocol timers (the spec's
-	// hold/life keys still win). Zero fields take federation defaults.
-	Federation federation.Config
 	// Recovery, when non-nil, attaches a failure-recovery manager to every
 	// peer.
 	Recovery *recovery.Config
@@ -94,6 +84,14 @@ type Options struct {
 	// probe hops/budget, DHT lookups, switchover duration, wire bytes).
 	Metrics *obs.Metrics
 }
+
+// The §6.1 world's fixed dimensions.
+const (
+	overlayDegree = 4 // mesh neighbours per peer, initial and joining alike
+	// qpDelayMin/Max bound each component's service delay in ms.
+	qpDelayMin, qpDelayMax = 5.0, 30.0
+	failProbMax            = 0.05 // bound on per-peer failure probability
+)
 
 // LoadOptions configures the overload control plane on a deployment.
 type LoadOptions struct {
@@ -134,8 +132,9 @@ type Cluster struct {
 	Peers   []*Peer
 	Rng     *rand.Rand
 	// Fed is the federation control plane (nil unless Options.Domains set).
-	Fed  *federation.Federation
-	opts Options
+	Fed    *federation.Federation
+	shards *registry.ShardPlan // nil unless Options.Shards > 1
+	opts   Options
 }
 
 // Plan returns the domain plan of a federated cluster, nil otherwise.
@@ -166,87 +165,82 @@ func Hardened(b bcp.Config, r recovery.Config) (bcp.Config, recovery.Config) {
 
 func (o *Options) withDefaults() Options {
 	v := *o
-	if v.Seed == 0 {
-		v.Seed = 1
-	}
-	if v.IPNodes == 0 {
-		v.IPNodes = 400
-	}
-	if v.Peers == 0 {
-		v.Peers = 60
-	}
-	if v.Degree == 0 {
-		v.Degree = 4
-	}
+	v.Seed = cmp.Or(v.Seed, 1)
+	v.IPNodes = cmp.Or(v.IPNodes, 400)
+	v.Peers = cmp.Or(v.Peers, 60)
 	if v.Catalog == nil {
 		v.Catalog = Catalog(20)
 	}
-	if v.MinComps == 0 {
-		v.MinComps = 1
-	}
-	if v.MaxComps == 0 {
-		v.MaxComps = 3
-	}
-	if v.Capacity == (qos.Resources{}) {
-		v.Capacity[qos.CPU] = 20
-		v.Capacity[qos.Memory] = 200
-	}
-	if v.QpDelayMax == 0 {
-		v.QpDelayMin, v.QpDelayMax = 5, 30
-	}
-	if v.QpLossMax == 0 {
-		v.QpLossMax = 0.004
-	}
-	if v.FailProbMax == 0 {
-		v.FailProbMax = 0.05
-	}
-	if v.BCP == (bcp.Config{}) {
-		v.BCP = bcp.DefaultConfig()
-	}
+	v.MinComps = cmp.Or(v.MinComps, 1)
+	v.MaxComps = cmp.Or(v.MaxComps, 3)
+	v.Capacity = cmp.Or(v.Capacity, qos.Resources{qos.CPU: 20, qos.Memory: 200})
+	v.QpLossMax = cmp.Or(v.QpLossMax, 0.004)
+	v.BCP = cmp.Or(v.BCP, bcp.DefaultConfig())
+	v.MinTrust = cmp.Or(v.MinTrust, 0.2)
 	return v
+}
+
+// Validate reports the first cross-field rule the options (with defaults
+// applied) break. New panics with it; a CLI returns it.
+func (o Options) Validate() error {
+	_, err := o.withDefaults().domainPlan()
+	return err
+}
+
+// domainPlan checks the cross-field rules and, for a federated deployment,
+// returns the domain plan they had to build.
+func (o Options) domainPlan() (*federation.DomainPlan, error) {
+	if o.Peers > o.IPNodes {
+		return nil, fmt.Errorf("cluster: %d peers exceed %d IP nodes", o.Peers, o.IPNodes)
+	}
+	if o.Shards > o.Peers {
+		return nil, fmt.Errorf("cluster: %d shards exceed %d peers", o.Shards, o.Peers)
+	}
+	if o.Domains == nil {
+		return nil, nil
+	}
+	if o.Shards > 1 {
+		return nil, fmt.Errorf("cluster: Shards and Domains are mutually exclusive (federation shards per domain)")
+	}
+	plan, err := o.Domains.Plan(o.Peers)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %v", err)
+	}
+	if len(o.Catalog) < plan.NumDomains {
+		return nil, fmt.Errorf("cluster: catalogue of %d functions cannot shard across %d domains",
+			len(o.Catalog), plan.NumDomains)
+	}
+	return plan, nil
 }
 
 // New builds the deployment: topology, overlay, per-peer stacks, component
 // placement, and service registration (the simulator is run until the
-// registrations settle).
+// registrations settle). It panics on options Validate refuses.
 func New(opts Options) *Cluster {
 	o := opts.withDefaults()
-	// Federated deployments shard the catalogue and DHT per domain, and arm
-	// the BCP commit-TTL backstop before any engine is built. The nil-Domains
-	// path must stay byte-identical to pre-federation clusters, so every
-	// federation branch below is gated on plan != nil.
-	var plan *federation.DomainPlan
-	var fcfg federation.Config
-	if o.Domains != nil {
-		var err error
-		plan, err = o.Domains.Plan(o.Peers)
-		if err != nil {
-			panic("cluster: " + err.Error())
-		}
-		if len(o.Catalog) < plan.NumDomains {
-			panic(fmt.Sprintf("cluster: catalogue of %d functions cannot shard across %d domains",
-				len(o.Catalog), plan.NumDomains))
-		}
-		fcfg = o.Federation.Apply(o.Domains)
-		o.BCP.CommitTTL = fcfg.CommitTTL()
+	plan, err := o.domainPlan()
+	if err != nil {
+		panic(err.Error())
 	}
-	var splan *registry.ShardPlan
-	if o.Shards > 1 {
-		if o.Domains != nil {
-			panic("cluster: Shards and Domains are mutually exclusive (federation shards per domain)")
-		}
-		if o.DynamicJoin {
-			panic("cluster: Shards does not support DynamicJoin")
-		}
-		splan = registry.NewShardPlan(o.Peers, o.Shards)
+	// Everything every engine shares is folded into o.BCP before the first
+	// one is built: a federated deployment arms the commit-TTL backstop, a
+	// loaded one the overload control plane. The nil-Domains path must stay
+	// byte-identical to pre-federation clusters, so every federation branch
+	// below is gated on plan != nil.
+	if plan != nil {
+		o.BCP.CommitTTL = o.Domains.Config().CommitTTL()
+	}
+	if o.Load != nil {
+		o.BCP.LoadAware = o.Load.Aware
+		o.BCP.ShedThreshold = o.Load.Shed
+		o.BCP.LoadModel = o.Load.Model
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
 	sim := simnet.NewSim()
 	ip := topology.GeneratePowerLaw(o.IPNodes, 2, 2, 30, rng)
 	ov := topology.BuildOverlay(ip, topology.OverlayConfig{
 		NumPeers: o.Peers,
-		Kind:     o.Kind,
-		Degree:   o.Degree,
+		Degree:   overlayDegree,
 		CapMin:   2000,
 		CapMax:   10000,
 	}, rng)
@@ -259,46 +253,34 @@ func New(opts Options) *Cluster {
 	}
 
 	c := &Cluster{Sim: sim, Net: net, IP: ip, Overlay: ov, Rng: rng, opts: o}
-	oracle := overlayOracle{ov}
-
-	if o.Load != nil {
-		o.BCP.LoadAware = o.Load.Aware
-		o.BCP.ShedThreshold = o.Load.Shed
-		o.BCP.LoadModel = o.Load.Model
-		c.opts = o // engines built below and by Join share the load-enabled config
-		if o.Load.Model.Base > 0 {
-			model := o.Load.Model
-			net.SetProcDelay(func(to p2p.NodeID, msgType string) time.Duration {
-				// Every message the peer processes queues behind its service
-				// sessions (the peer is one M/M/1 server): probe handling,
-				// DHT lookups routed through it, ACKs, media — all inflate
-				// with its utilization.
-				if i := int(to); i >= 0 && i < len(c.Peers) {
-					return model.Delay(c.Peers[i].Ledger.Utilization())
-				}
-				return 0
-			})
-		}
+	if o.Shards > 1 {
+		c.shards = registry.NewShardPlan(o.Peers, o.Shards)
+	}
+	if o.Load != nil && o.Load.Model.Base > 0 {
+		model := o.Load.Model
+		net.SetProcDelay(func(to p2p.NodeID, msgType string) time.Duration {
+			// Every message the peer processes queues behind its service
+			// sessions (the peer is one M/M/1 server): probe handling,
+			// DHT lookups routed through it, ACKs, media — all inflate
+			// with its utilization.
+			if i := int(to); i >= 0 && i < len(c.Peers) {
+				return model.Delay(c.Peers[i].Ledger.Utilization())
+			}
+			return 0
+		})
 	}
 
-	dhtNodes := make([]*dht.Node, o.Peers)
+	// Placement: per peer, draw its failure probability, how many components
+	// it hosts, and each one's (function, delay, loss). This draw order is
+	// what every golden trace pins; newPeer itself draws nothing.
 	for i := 0; i < o.Peers; i++ {
-		host := net.AddNode(p2p.NodeID(i))
-		ledger := qos.NewLedger(o.Capacity)
-		dn := dht.New(host, net.Alive)
-		var reg *registry.Registry
-		if splan != nil {
-			reg = registry.NewSharded(dn, splan)
-		} else {
-			reg = registry.New(dn)
-		}
-		failProb := rng.Float64() * o.FailProbMax
-
+		id := p2p.NodeID(i)
+		failProb := rng.Float64() * failProbMax
 		// A federated peer draws its components from its domain's catalogue
 		// shard, so every function is provided by exactly one domain.
 		catalog := o.Catalog
 		if plan != nil {
-			catalog = plan.CatalogFor(plan.DomainOf(p2p.NodeID(i)), o.Catalog)
+			catalog = plan.CatalogFor(plan.Of(id), o.Catalog)
 		}
 		ncomps := o.MinComps + rng.Intn(o.MaxComps-o.MinComps+1)
 		comps := make([]service.Component, 0, ncomps)
@@ -309,101 +291,30 @@ func New(opts Options) *Cluster {
 				continue // a peer provides each function at most once
 			}
 			used[fn] = true
-			var qp qos.Vector
-			qp[qos.Delay] = o.QpDelayMin + rng.Float64()*(o.QpDelayMax-o.QpDelayMin)
-			qp[qos.Loss] = qos.LossToAdditive(rng.Float64() * o.QpLossMax)
-			var res qos.Resources
-			res[qos.CPU] = 1
-			res[qos.Memory] = 10
-			comps = append(comps, service.Component{
-				ID:       fmt.Sprintf("p%d/%s.%d", i, fn, k),
-				Function: fn,
-				Peer:     p2p.NodeID(i),
-				Qp:       qp,
-				Res:      res,
-				FailProb: failProb,
-			})
+			comps = append(comps, c.drawComponent(id, k, fn, failProb))
 		}
-		eng := bcp.NewEngine(host, ledger, reg, oracle, comps, o.BCP)
-		if o.Load != nil {
-			eng.Load = loadOracle{c}
-		}
-		eng.Trace = o.Trace
-		dn.Trace = o.Trace
-		eng.Met = o.Metrics
-		dn.Met = o.Metrics
-		if o.Obs != nil {
-			eng.Ctr = o.Obs.Node(host.ID())
-			dn.Ctr = eng.Ctr
-		}
-		var rec *recovery.Manager
-		if o.Recovery != nil {
-			rec = recovery.NewManager(eng, *o.Recovery)
-			rec.Trace = o.Trace
-			rec.Met = o.Metrics
-		}
-		var tm *trust.Manager
-		if o.TrustAware {
-			tm = trust.NewManager(host, dn, trust.DefaultConfig())
-			eng.Trust = tm
-			minTrust := o.MinTrust
-			if minTrust == 0 {
-				minTrust = 0.2
-			}
-			eng.MinTrust = minTrust
-			if rec != nil {
-				rec.Trust = tm
-			}
-		}
-		med := media.Attach(host, eng.LocalComponent)
-		c.Peers = append(c.Peers, &Peer{
-			Node: host, Ledger: ledger, DHT: dn, Registry: reg,
-			Engine: eng, Recovery: rec, Trust: tm, Media: med, Components: comps, FailProb: failProb,
-		})
-		dhtNodes[i] = dn
+		c.newPeer(id, comps, failProb)
 	}
 
-	switch {
-	case plan != nil && o.DynamicJoin:
-		// Serial joins bootstrap within the domain, so each domain grows its
-		// own ring.
-		for _, members := range plan.Members {
-			for i := 1; i < len(members); i++ {
-				dhtNodes[members[i]].Join(members[rng.Intn(i)])
-				sim.RunUntilIdle()
-			}
+	// One DHT ring per block of the deployment's partition — its domains when
+	// federated, its keyspace shards when sharded, else the one ring of every
+	// peer. A ring's members only ever learn each other, so each owns a
+	// disjoint keyspace shard and (federated) registrations stay within their
+	// domain. The sorted-ring build is O(n·log n), so S rings of size peers/S
+	// cost about what one flat build does — a partition buys bounded per-ring
+	// state and local maintenance traffic, not construction time.
+	rings := [][]p2p.NodeID{c.peerIDs()}
+	if plan != nil {
+		rings = plan.Members
+	} else if c.shards != nil {
+		rings = c.shards.Members
+	}
+	for _, members := range rings {
+		ring := make([]*dht.Node, len(members))
+		for i, id := range members {
+			ring[i] = c.Peers[id].DHT
 		}
-	case plan != nil:
-		// One DHT ring per domain: the member subsets never reference each
-		// other, so every domain owns a disjoint keyspace shard and service
-		// registrations stay within their domain.
-		for _, members := range plan.Members {
-			ring := make([]*dht.Node, len(members))
-			for i, id := range members {
-				ring[i] = dhtNodes[id]
-			}
-			dht.Build(ring)
-		}
-	case o.DynamicJoin:
-		for i := 1; i < o.Peers; i++ {
-			dhtNodes[i].Join(p2p.NodeID(rng.Intn(i)))
-			sim.RunUntilIdle()
-		}
-	case splan != nil:
-		// One DHT ring per keyspace shard: each ring's members only ever
-		// learn each other. The sorted-ring build is O(n·log n), so running
-		// it S times over rings of size peers/S costs about the same as one
-		// flat build — sharding here buys bounded per-ring state and local
-		// maintenance traffic, not construction time.
-		for _, members := range splan.Members {
-			ring := make([]*dht.Node, len(members))
-			for i, id := range members {
-				ring[i] = dhtNodes[id]
-			}
-			dht.Build(ring)
-		}
-	default:
-		dht.Build(dhtNodes)
+		dht.Build(ring)
 	}
 
 	// Register every component and let the puts settle.
@@ -433,7 +344,7 @@ func New(opts Options) *Cluster {
 		}
 		c.Fed = federation.New(federation.Deployment{
 			Plan:     plan,
-			Cfg:      fcfg,
+			Cfg:      o.Domains.Config(),
 			Host:     func(id p2p.NodeID) p2p.Node { return c.Peers[id].Node },
 			Engine:   func(id p2p.NodeID) *bcp.Engine { return c.Peers[id].Engine },
 			LocalFns: localFns,
@@ -450,13 +361,81 @@ func New(opts Options) *Cluster {
 	return c
 }
 
+// drawComponent builds peer id's k-th component, a provider of fn, drawing
+// its service delay and loss rate from the cluster's rng.
+func (c *Cluster) drawComponent(id p2p.NodeID, k int, fn string, failProb float64) service.Component {
+	comp := service.Component{
+		ID:       fmt.Sprintf("p%d/%s.%d", int(id), fn, k),
+		Function: fn,
+		Peer:     id,
+		FailProb: failProb,
+	}
+	comp.Qp[qos.Delay] = qpDelayMin + c.Rng.Float64()*(qpDelayMax-qpDelayMin)
+	comp.Qp[qos.Loss] = qos.LossToAdditive(c.Rng.Float64() * c.opts.QpLossMax)
+	comp.Res[qos.CPU] = 1
+	comp.Res[qos.Memory] = 10
+	return comp
+}
+
+// newPeer wires one peer's protocol stack and appends it to c.Peers: the one
+// place a peer is built, for New's initial population and Join's newcomers
+// alike, so the two cannot drift. The decisions — which components, what
+// failure probability — are its arguments; it draws nothing from the rng.
+func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb float64) *Peer {
+	o := &c.opts
+	host := c.Net.AddNode(id)
+	ledger := qos.NewLedger(o.Capacity)
+	dn := dht.New(host, c.Net.Alive)
+	reg := registry.New(dn)
+	if c.shards != nil {
+		reg = registry.NewSharded(dn, c.shards)
+	}
+	eng := bcp.NewEngine(host, ledger, reg, c.Oracle(), comps, o.BCP)
+	if o.Load != nil {
+		eng.Load = loadOracle{c}
+	}
+	eng.Trace = o.Trace
+	dn.Trace = o.Trace
+	eng.Met = o.Metrics
+	dn.Met = o.Metrics
+	if o.Obs != nil {
+		eng.Ctr = o.Obs.Node(id)
+		dn.Ctr = eng.Ctr
+	}
+	var rec *recovery.Manager
+	if o.Recovery != nil {
+		rec = recovery.NewManager(eng, *o.Recovery)
+		rec.Trace = o.Trace
+		rec.Met = o.Metrics
+	}
+	var tm *trust.Manager
+	if o.TrustAware {
+		tm = trust.NewManager(host, dn, trust.DefaultConfig())
+		eng.Trust = tm
+		eng.MinTrust = o.MinTrust
+		if rec != nil {
+			rec.Trust = tm
+		}
+	}
+	p := &Peer{
+		Node: host, Ledger: ledger, DHT: dn, Registry: reg, Engine: eng, Recovery: rec, Trust: tm,
+		Media: media.Attach(host, eng.LocalComponent), Components: comps, FailProb: failProb,
+	}
+	c.Peers = append(c.Peers, p)
+	return p
+}
+
 // Join adds a brand-new peer to a running deployment: it picks an unused IP
 // node as its host, joins the DHT through a live bootstrap peer, registers
 // the given components, and becomes fully composable once the join traffic
 // settles (run the simulator). This models the paper's dynamic peer
 // arrivals. The overlay data plane maps the newcomer onto its bootstrap's
-// routes.
+// routes. A sharded or federated deployment refuses: its ring plan is sized
+// to the initial peer count and has no block for a newcomer.
 func (c *Cluster) Join(components []string, bootstrap p2p.NodeID) *Peer {
+	if c.shards != nil || c.Fed != nil {
+		panic("cluster: Join on a sharded or federated deployment: its ring plan is sized to the initial peer count")
+	}
 	id := p2p.NodeID(len(c.Peers))
 	// Host the newcomer on an IP node no existing peer occupies.
 	used := make(map[int]bool, len(c.Peers))
@@ -467,59 +446,20 @@ func (c *Cluster) Join(components []string, bootstrap p2p.NodeID) *Peer {
 	for used[ip] {
 		ip = c.Rng.Intn(c.IP.N())
 	}
-	c.Overlay.AddPeer(c.IP, ip, 4, c.Rng)
-	host := c.Net.AddNode(id)
-	ledger := qos.NewLedger(c.opts.Capacity)
-	dn := dht.New(host, c.Net.Alive)
-	reg := registry.New(dn)
+	c.Overlay.AddPeer(c.IP, ip, overlayDegree, c.Rng)
 
-	comps := make([]service.Component, 0, len(components))
+	comps := make([]service.Component, len(components))
 	for k, fn := range components {
-		var qp qos.Vector
-		qp[qos.Delay] = c.opts.QpDelayMin + c.Rng.Float64()*(c.opts.QpDelayMax-c.opts.QpDelayMin)
-		qp[qos.Loss] = qos.LossToAdditive(c.Rng.Float64() * c.opts.QpLossMax)
-		var res qos.Resources
-		res[qos.CPU] = 1
-		res[qos.Memory] = 10
-		comps = append(comps, service.Component{
-			ID:       fmt.Sprintf("p%d/%s.%d", int(id), fn, k),
-			Function: fn,
-			Peer:     id,
-			Qp:       qp,
-			Res:      res,
-		})
+		comps[k] = c.drawComponent(id, k, fn, 0)
 	}
-	eng := bcp.NewEngine(host, ledger, reg, c.Oracle(), comps, c.opts.BCP)
-	if c.opts.Load != nil {
-		eng.Load = loadOracle{c}
-	}
-	eng.Trace = c.opts.Trace
-	dn.Trace = c.opts.Trace
-	eng.Met = c.opts.Metrics
-	dn.Met = c.opts.Metrics
-	if c.opts.Obs != nil {
-		eng.Ctr = c.opts.Obs.Node(host.ID())
-		dn.Ctr = eng.Ctr
-	}
-	var rec *recovery.Manager
-	if c.opts.Recovery != nil {
-		rec = recovery.NewManager(eng, *c.opts.Recovery)
-		rec.Trace = c.opts.Trace
-		rec.Met = c.opts.Metrics
-	}
-	med := media.Attach(host, eng.LocalComponent)
-	p := &Peer{
-		Node: host, Ledger: ledger, DHT: dn, Registry: reg,
-		Engine: eng, Recovery: rec, Media: med, Components: comps,
-	}
-	c.Peers = append(c.Peers, p)
+	p := c.newPeer(id, comps, 0)
 
-	dn.Join(bootstrap)
+	p.DHT.Join(bootstrap)
 	// Register services once the join has seeded the routing state; on the
 	// virtual clock one second is ample.
-	host.After(time.Second, func() {
+	p.Node.After(time.Second, func() {
 		for _, comp := range comps {
-			reg.Register(comp)
+			p.Registry.Register(comp)
 		}
 	})
 	return p

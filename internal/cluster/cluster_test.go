@@ -2,12 +2,15 @@ package cluster_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bcp"
 	"repro/internal/cluster"
+	"repro/internal/federation"
 	"repro/internal/fgraph"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
@@ -258,5 +261,88 @@ func TestOrphansCountsLivePeersHoldingReservations(t *testing.T) {
 	c.Net.Fail(3)
 	if n := c.Orphans(); n != 2 {
 		t.Fatalf("orphans=%d, want 2 (peers 1 and 2; peer 3 is down)", n)
+	}
+}
+
+// TestJoinWiresLikeNew: a newcomer is built by the same newPeer as the
+// initial population, so on a trust-aware, recovering, traced and counted
+// deployment it carries everything its siblings do.
+func TestJoinWiresLikeNew(t *testing.T) {
+	rc := recovery.DefaultConfig()
+	c := cluster.New(cluster.Options{
+		Seed: 10, Peers: 40, Catalog: catalog(4), Recovery: &rc, TrustAware: true,
+		Trace: &obs.MemSink{}, Obs: obs.NewRegistry(), Metrics: obs.NewMetrics(),
+	})
+	old, p := c.Peers[0], c.Join([]string{"exotic"}, 0)
+	switch {
+	case p.Trust == nil || p.Engine.Trust != p.Trust:
+		t.Error("newcomer has no trust manager wired into its engine")
+	case p.Engine.MinTrust != old.Engine.MinTrust:
+		t.Errorf("newcomer MinTrust %v, siblings %v", p.Engine.MinTrust, old.Engine.MinTrust)
+	case p.Recovery == nil || p.Recovery.Trust != p.Trust:
+		t.Error("newcomer's recovery manager is missing or reports no session outcomes to trust")
+	case p.Engine.Ctr == nil || p.DHT.Ctr != p.Engine.Ctr:
+		t.Error("newcomer's engine and DHT node share no counter block")
+	case p.Engine.Trace == nil || p.DHT.Trace == nil || p.Recovery.Trace == nil:
+		t.Error("newcomer is not traced")
+	case p.Engine.Met == nil || p.DHT.Met == nil || p.Recovery.Met == nil:
+		t.Error("newcomer feeds no histograms")
+	case p.Media == nil || p.Fed != nil:
+		t.Error("newcomer media/federation wiring differs from an unfederated sibling's")
+	}
+}
+
+// TestJoinRefusesPlannedDeployments: a shard plan and a domain plan are sized
+// to the initial peer count, so Join refuses both with a cluster: message
+// instead of building a peer no lookup can reach.
+func TestJoinRefusesPlannedDeployments(t *testing.T) {
+	for name, o := range map[string]cluster.Options{
+		"sharded":   {Seed: 10, Peers: 40, Catalog: catalog(4), Shards: 4},
+		"federated": {Seed: 10, Peers: 40, Catalog: catalog(4), Domains: &federation.Spec{Domains: 2}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := cluster.New(o)
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "cluster: Join") {
+					t.Errorf("Join on a %s deployment: recovered %q, want a cluster: refusal", name, msg)
+				}
+				if len(c.Peers) != 40 {
+					t.Errorf("refused Join left %d peers, want 40", len(c.Peers))
+				}
+			}()
+			c.Join([]string{"exotic"}, 0)
+		})
+	}
+}
+
+// TestValidateNamesTheBrokenRule: every cross-field rule lives in
+// Options.Validate, which New panics with and spidersim returns.
+func TestValidateNamesTheBrokenRule(t *testing.T) {
+	two := &federation.Spec{Domains: 2}
+	for want, o := range map[string]cluster.Options{
+		"500 peers exceed 100 IP nodes": {Peers: 500, IPNodes: 100},
+		"7 shards exceed 5 peers":       {Peers: 5, Shards: 7},
+		"mutually exclusive":            {Shards: 2, Domains: two},
+		"cannot host 4 domains":         {Peers: 10, Domains: &federation.Spec{Domains: 4, Gateways: 3}},
+		"cannot shard across 2 domains": {Catalog: catalog(1), Domains: two},
+	} {
+		err := o.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "cluster: ") || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate(%+v) = %v, want a cluster: error mentioning %q", o, err, want)
+			continue
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != err.Error() {
+					t.Errorf("New panicked with %q, Validate said %q", msg, err)
+				}
+			}()
+			cluster.New(o)
+		}()
+	}
+	for _, o := range []cluster.Options{{}, {Shards: 1, Domains: two}, {Peers: 64, Shards: 16}} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", o, err)
+		}
 	}
 }

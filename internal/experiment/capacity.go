@@ -299,7 +299,7 @@ func discoveryCell(cfg CapacityConfig, shards int) CapacityDiscPoint {
 		for p := 0; p < cfg.ProvidersPerFn; p++ {
 			src := pickRng.Intn(n)
 			item := fmt.Sprintf("p%d/fn%d", src, f)
-			if plan.ShardOfPeer(p2p.NodeID(src)) == home {
+			if plan.Of(p2p.NodeID(src)) == home {
 				nodes[src].Put(key, item, 96)
 			} else {
 				nodes[src].PutVia(plan.Entries(key)[0], key, item, 96)
@@ -319,7 +319,7 @@ func discoveryCell(cfg CapacityConfig, shards int) CapacityDiscPoint {
 				hops.Add(float64(h))
 			}
 		}
-		if plan.ShardOfPeer(p2p.NodeID(src)) == plan.Home(key) {
+		if plan.Of(p2p.NodeID(src)) == plan.Home(key) {
 			nodes[src].Get(key, time.Second, collect)
 		} else {
 			nodes[src].GetVia(plan.Entries(key), key, 0, time.Second, collect)

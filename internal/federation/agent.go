@@ -73,7 +73,7 @@ type Agent struct {
 // NewAgent registers the participant protocol on a gateway peer.
 func NewAgent(host p2p.Node, eng *bcp.Engine, domain int, cfg Config) *Agent {
 	a := &Agent{
-		host: host, eng: eng, domain: domain, cfg: cfg.withDefaults(),
+		host: host, eng: eng, domain: domain, cfg: cfg,
 		holds:     make(map[uint64]holdRec),
 		committed: make(map[uint64]bool),
 		seen:      make(map[uint64]bool),

@@ -37,7 +37,6 @@ type clientCall struct {
 type Client struct {
 	host    p2p.Node
 	coord   p2p.NodeID
-	timeout time.Duration
 	pending map[uint64]*clientCall
 
 	// Trace, when non-nil, receives the compose lifecycle events for
@@ -47,9 +46,8 @@ type Client struct {
 }
 
 // NewClient registers the client protocol on one peer.
-func NewClient(host p2p.Node, coord p2p.NodeID, timeout time.Duration) *Client {
-	c := &Client{host: host, coord: coord, timeout: timeout,
-		pending: make(map[uint64]*clientCall)}
+func NewClient(host p2p.Node, coord p2p.NodeID) *Client {
+	c := &Client{host: host, coord: coord, pending: make(map[uint64]*clientCall)}
 	host.Handle(MsgResult, c.onResult)
 	return c
 }
@@ -69,7 +67,7 @@ func (c *Client) Compose(req *service.Request, cb func(Result)) {
 	call := &clientCall{cb: cb, start: c.host.Now()}
 	c.pending[req.ID] = call
 	id := req.ID
-	call.timer = c.host.After(c.timeout, func() {
+	call.timer = c.host.After(clientTimeout, func() {
 		c.resolve(id, Result{ReqID: id})
 	})
 	c.host.Send(p2p.Message{Type: MsgCompose, To: c.coord, Size: 256,

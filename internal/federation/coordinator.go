@@ -79,7 +79,7 @@ type Coordinator struct {
 // coordinator peer. localFns is the domain's own provided function set.
 func NewCoordinator(host p2p.Node, d int, plan *DomainPlan, cfg Config, localFns []string) *Coordinator {
 	c := &Coordinator{
-		host: host, domain: d, plan: plan, cfg: cfg.withDefaults(),
+		host: host, domain: d, plan: plan, cfg: cfg,
 		localFns: localFns,
 		remote:   make(map[string][]int),
 		pending:  make(map[uint64]*fedState),
@@ -157,7 +157,7 @@ func (c *Coordinator) onCompose(_ p2p.Node, msg p2p.Message) {
 			Payload: prepareMsg{FedID: st.fedID, Seg: i, SubID: s.sub.ID,
 				Sub: s.sub, Domain: s.domain}})
 	}
-	st.voteTimer = c.host.After(c.cfg.VoteTimeout, func() { c.decide(st, false) })
+	st.voteTimer = c.host.After(voteTimeout, func() { c.decide(st, false) })
 }
 
 // split partitions the request's function graph into per-domain segments.
@@ -344,7 +344,7 @@ func (c *Coordinator) decide(st *fedState, commit bool) {
 			c.host.Send(p2p.Message{Type: MsgDecide, To: s.gw, Size: 32,
 				Payload: decideMsg{FedID: st.fedID, Seg: i, SubID: s.sub.ID, Commit: true}})
 		}
-		st.ackTimer = c.host.After(c.cfg.AckTimeout, func() { c.finish(st, false) })
+		st.ackTimer = c.host.After(ackTimeout, func() { c.finish(st, false) })
 		return
 	}
 	// Abort: release only the segments that voted yes; the rest hold nothing

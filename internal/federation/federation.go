@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"cmp"
 	"sort"
 	"time"
 
@@ -20,72 +21,42 @@ const (
 	MsgDecided   = "fed.decided"   // participant -> origin: decision applied
 )
 
-// Config tunes the federation protocol timers. The zero value of each field
-// takes the documented default.
+// Config is the pair of federation timers a deployment chooses, resolved
+// from the spec's hold/life keys by Spec.Config. The protocol's other timers
+// are the constants below.
 type Config struct {
 	// Hold is how long a prepared (held) reservation waits for the commit
 	// decision before presumed abort releases it (default 15s). It must
-	// exceed the origin's VoteTimeout plus decision latency, or healthy
+	// exceed the origin's voteTimeout plus decision latency, or healthy
 	// commits race the release.
 	Hold time.Duration
-	// VoteTimeout bounds the origin coordinator's wait for all votes
-	// (default 12s; sub-compositions give up after bcp's GiveUpTimeout, so
-	// this needs headroom above that).
-	VoteTimeout time.Duration
-	// AckTimeout bounds the origin's wait for commit acknowledgements
-	// (default 5s). A commit not fully acknowledged in time counts as a
-	// failed composition; already-committed segments still self-release at
-	// end of life.
-	AckTimeout time.Duration
 	// Life is how long a committed cross-domain session holds its
 	// reservations before the holding gateways tear it down (default 30s).
 	// Committed sessions are bounded leases by construction.
 	Life time.Duration
-	// ClientTimeout bounds a client's wait for any outcome — the backstop
-	// against a crashed or partitioned origin coordinator (default 25s).
-	ClientTimeout time.Duration
 }
+
+const (
+	// voteTimeout bounds the origin coordinator's wait for all votes
+	// (sub-compositions give up after bcp's GiveUpTimeout, 10s, so this needs
+	// headroom above that).
+	voteTimeout = 12 * time.Second
+	// ackTimeout bounds the origin's wait for commit acknowledgements. A
+	// commit not fully acknowledged in time counts as a failed composition;
+	// already-committed segments still self-release at end of life.
+	ackTimeout = 5 * time.Second
+	// clientTimeout bounds a client's wait for any outcome — the backstop
+	// against a crashed or partitioned origin coordinator.
+	clientTimeout = 25 * time.Second
+)
 
 // DefaultConfig returns the timer defaults.
-func DefaultConfig() Config {
-	return Config{
-		Hold:          15 * time.Second,
-		VoteTimeout:   12 * time.Second,
-		AckTimeout:    5 * time.Second,
-		Life:          30 * time.Second,
-		ClientTimeout: 25 * time.Second,
-	}
-}
+func DefaultConfig() Config { return (&Spec{}).Config() }
 
-func (c Config) withDefaults() Config {
-	def := DefaultConfig()
-	if c.Hold == 0 {
-		c.Hold = def.Hold
-	}
-	if c.VoteTimeout == 0 {
-		c.VoteTimeout = def.VoteTimeout
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = def.AckTimeout
-	}
-	if c.Life == 0 {
-		c.Life = def.Life
-	}
-	if c.ClientTimeout == 0 {
-		c.ClientTimeout = def.ClientTimeout
-	}
-	return c
-}
-
-// Apply folds the spec's timer overrides into the config.
-func (c Config) Apply(s *Spec) Config {
-	if s.Hold != 0 {
-		c.Hold = s.Hold
-	}
-	if s.Life != 0 {
-		c.Life = s.Life
-	}
-	return c.withDefaults()
+// Config resolves the deployment's timers: the spec's hold and life keys,
+// each defaulted when absent.
+func (s *Spec) Config() Config {
+	return Config{Hold: cmp.Or(s.Hold, 15*time.Second), Life: cmp.Or(s.Life, 30*time.Second)}
 }
 
 // CommitTTL is the per-holder backstop lifetime federated deployments set on
@@ -93,7 +64,6 @@ func (c Config) Apply(s *Spec) Config {
 // any legitimately held or committed session, so it only ever fires for
 // reservations stranded by a crashed session owner.
 func (c Config) CommitTTL() time.Duration {
-	c = c.withDefaults()
 	return c.Hold + c.Life + 10*time.Second
 }
 
@@ -101,8 +71,7 @@ func (c Config) CommitTTL() time.Duration {
 // every federated session to resolve: client give-up, hold expiry, committed
 // session end of life, and the TTL backstop all fire within this window.
 func (c Config) Drain() time.Duration {
-	c = c.withDefaults()
-	return c.ClientTimeout + c.CommitTTL() + 10*time.Second
+	return clientTimeout + c.CommitTTL() + 10*time.Second
 }
 
 // subIDBase namespaces sub-request IDs minted for per-domain segments above
@@ -172,11 +141,10 @@ type Federation struct {
 // population. Call Bootstrap afterwards (and run the simulator until idle)
 // to exchange the function advertisements.
 func New(d Deployment) *Federation {
-	cfg := d.Cfg.withDefaults()
-	f := &Federation{Plan: d.Plan, Cfg: cfg, agents: make(map[p2p.NodeID]*Agent), trace: d.Trace}
+	f := &Federation{Plan: d.Plan, Cfg: d.Cfg, agents: make(map[p2p.NodeID]*Agent), trace: d.Trace}
 	for dom := 0; dom < d.Plan.NumDomains; dom++ {
 		for _, gw := range d.Plan.Gateways(dom) {
-			a := NewAgent(d.Host(gw), d.Engine(gw), dom, cfg)
+			a := NewAgent(d.Host(gw), d.Engine(gw), dom, d.Cfg)
 			a.Trace = d.Trace
 			if d.Obs != nil {
 				a.Ctr = d.Obs.Node(gw)
@@ -186,7 +154,7 @@ func New(d Deployment) *Federation {
 		}
 		fns := append([]string(nil), d.LocalFns[dom]...)
 		sort.Strings(fns)
-		co := NewCoordinator(d.Host(d.Plan.Coordinator(dom)), dom, d.Plan, cfg, fns)
+		co := NewCoordinator(d.Host(d.Plan.Coordinator(dom)), dom, d.Plan, d.Cfg, fns)
 		co.Trace = d.Trace
 		f.Coords = append(f.Coords, co)
 	}
@@ -196,8 +164,7 @@ func New(d Deployment) *Federation {
 // NewClient attaches a federation client to one peer, pointing at its
 // domain's coordinator.
 func (f *Federation) NewClient(host p2p.Node) *Client {
-	dom := f.Plan.DomainOf(host.ID())
-	cl := NewClient(host, f.Plan.Coordinator(dom), f.Cfg.ClientTimeout)
+	cl := NewClient(host, f.Plan.Coordinator(f.Plan.Of(host.ID())))
 	cl.Trace = f.trace
 	return cl
 }

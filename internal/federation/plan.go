@@ -9,21 +9,18 @@ import (
 )
 
 // DomainPlan is the materialized partition of a peer set into administrative
-// domains: contiguous member blocks, the designated gateway peers of each
-// domain (its first NumGateways members), and the domain coordinator (the
-// first gateway). Cluster construction builds one DHT ring per domain over
-// exactly these member sets, so each domain owns its keyspace shard.
+// domains: the contiguous p2p.Blocks (one DHT ring per domain, so each domain
+// owns its keyspace shard), the designated gateway peers of each domain (its
+// first NumGateways members), and the domain coordinator (the first gateway).
 type DomainPlan struct {
+	p2p.Blocks  // Members[d] is domain d's peers; Of(peer) its domain
 	NumDomains  int
 	NumGateways int
-	// Members lists each domain's peers, in ascending node-ID order.
-	Members  [][]p2p.NodeID
-	domainOf []int
 }
 
 // Plan expands the spec over a peer count: peers [0..n) are split into
-// Domains contiguous blocks (remainders going to the lower-numbered
-// domains), and each block's first Gateways peers become its gateways.
+// Domains contiguous blocks, and each block's first Gateways peers become
+// its gateways.
 func (s *Spec) Plan(peers int) (*DomainPlan, error) {
 	d := s.Domains
 	g := s.Gateways
@@ -37,32 +34,7 @@ func (s *Spec) Plan(peers int) (*DomainPlan, error) {
 		return nil, fmt.Errorf("federation: %d peers cannot host %d domains of %d gateways each (+1 member)",
 			peers, d, g)
 	}
-	p := &DomainPlan{NumDomains: d, NumGateways: g, domainOf: make([]int, peers)}
-	base, rem := peers/d, peers%d
-	next := 0
-	for dom := 0; dom < d; dom++ {
-		size := base
-		if dom < rem {
-			size++
-		}
-		members := make([]p2p.NodeID, size)
-		for i := range members {
-			members[i] = p2p.NodeID(next)
-			p.domainOf[next] = dom
-			next++
-		}
-		p.Members = append(p.Members, members)
-	}
-	return p, nil
-}
-
-// DomainOf returns the domain hosting peer id, -1 if the id is outside the
-// planned peer set.
-func (p *DomainPlan) DomainOf(id p2p.NodeID) int {
-	if i := int(id); i >= 0 && i < len(p.domainOf) {
-		return p.domainOf[i]
-	}
-	return -1
+	return &DomainPlan{Blocks: p2p.NewBlocks(peers, d), NumDomains: d, NumGateways: g}, nil
 }
 
 // Gateways returns domain d's gateway peers (its first NumGateways members).

@@ -25,8 +25,9 @@ package federation
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/kvspec"
 )
 
 // Spec is the compact command-line form of a federated deployment, as
@@ -47,56 +48,31 @@ type Spec struct {
 	Life     time.Duration // committed session lifetime override; 0 = Config default
 }
 
+var specGrammar = kvspec.Grammar{
+	Name:    "domain spec",
+	Example: "domains=4,gateways=2",
+	Keys:    []string{"domains", "gateways", "hold", "life"},
+}
+
 // ParseSpec parses the -domains grammar. The empty string is an error — "no
 // federation" is expressed by not passing the flag at all.
 func ParseSpec(s string) (*Spec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty domain spec (want e.g. %q)", "domains=4,gateways=2")
-	}
 	spec := &Spec{}
-	seen := make(map[string]bool)
-	for _, field := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok || key == "" || val == "" {
-			return nil, fmt.Errorf("domain spec field %q: want key=value", field)
-		}
-		if seen[key] {
-			return nil, fmt.Errorf("domain spec key %q given twice", key)
-		}
-		seen[key] = true
+	err := specGrammar.Parse(s, func(key, val string) (err error) {
 		switch key {
-		case "domains", "gateways":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("domain spec %s=%q: %v", key, val, err)
-			}
-			if key == "domains" {
-				if n < 2 {
-					return nil, fmt.Errorf("domain spec domains=%d: want at least 2", n)
-				}
-				spec.Domains = n
-			} else {
-				if n < 1 {
-					return nil, fmt.Errorf("domain spec gateways=%d: want at least 1", n)
-				}
-				spec.Gateways = n
-			}
-		case "hold", "life":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return nil, fmt.Errorf("domain spec %s=%q: %v", key, val, err)
-			}
-			if d < 0 {
-				return nil, fmt.Errorf("domain spec %s=%v: negative", key, d)
-			}
-			if key == "hold" {
-				spec.Hold = d
-			} else {
-				spec.Life = d
-			}
-		default:
-			return nil, fmt.Errorf("domain spec key %q: want domains, gateways, hold, or life", key)
+		case "domains":
+			spec.Domains, err = parseCount(key, val, 2)
+		case "gateways":
+			spec.Gateways, err = parseCount(key, val, 1)
+		case "hold":
+			spec.Hold, err = kvspec.ParseDur(key, val)
+		case "life":
+			spec.Life, err = kvspec.ParseDur(key, val)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if spec.Domains == 0 {
 		return nil, fmt.Errorf("domain spec %q: missing required key domains", s)
@@ -104,22 +80,22 @@ func ParseSpec(s string) (*Spec, error) {
 	return spec, nil
 }
 
+// parseCount parses an int of at least min.
+func parseCount(key, val string, min int) (int, error) {
+	n, err := strconv.Atoi(val)
+	if err != nil {
+		return 0, fmt.Errorf("%s=%q: %v", key, val, err)
+	}
+	if n < min {
+		return 0, fmt.Errorf("%s=%d: want at least %d", key, n, min)
+	}
+	return n, nil
+}
+
 // String renders the canonical spec: fixed key order, zero-valued keys
 // omitted. ParseSpec(s.String()) reproduces s for any spec with at least one
 // non-zero field.
 func (s *Spec) String() string {
-	var parts []string
-	if s.Domains != 0 {
-		parts = append(parts, "domains="+strconv.Itoa(s.Domains))
-	}
-	if s.Gateways != 0 {
-		parts = append(parts, "gateways="+strconv.Itoa(s.Gateways))
-	}
-	if s.Hold != 0 {
-		parts = append(parts, "hold="+s.Hold.String())
-	}
-	if s.Life != 0 {
-		parts = append(parts, "life="+s.Life.String())
-	}
-	return strings.Join(parts, ",")
+	return specGrammar.String(kvspec.Int(int64(s.Domains)), kvspec.Int(int64(s.Gateways)),
+		kvspec.Dur(s.Hold), kvspec.Dur(s.Life))
 }

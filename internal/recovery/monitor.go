@@ -13,6 +13,17 @@ import (
 const (
 	probeMsgSize = 48 // "low-rate measurement probes" (§5): small on the wire
 	setupMsgSize = 96
+
+	// probeInterval is the period of the low-rate maintenance probes.
+	probeInterval = 2 * time.Second
+	// pongTimeout is how long the source waits for a path probe to return
+	// before declaring the probed graph failed.
+	pongTimeout = 1500 * time.Millisecond
+	// setupTimeout bounds one switchover attempt.
+	setupTimeout = 3 * time.Second
+	// pingTimeout bounds the per-peer liveness check that localizes a
+	// failure before switchover.
+	pingTimeout = 400 * time.Millisecond
 )
 
 // reattemptShift namespaces the request IDs of reactive re-compositions so
@@ -22,7 +33,7 @@ const reattemptShift = 40
 
 // scheduleProbes arms the periodic maintenance timer at the sender.
 func (m *Manager) scheduleProbes() {
-	m.probeTimer = m.host.After(m.cfg.ProbeInterval, func() {
+	m.probeTimer = m.host.After(probeInterval, func() {
 		m.probeTimer = nil
 		m.tick()
 		if len(m.sessions) > 0 {
@@ -73,7 +84,7 @@ func (m *Manager) probeGraph(s *Session, g *service.Graph) {
 		},
 	})
 	sess := s.ID
-	m.host.After(m.cfg.PongTimeout, func() {
+	m.host.After(pongTimeout, func() {
 		m.checkPong(sess, key, sentAt)
 	})
 }
@@ -117,7 +128,7 @@ func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 	}
 }
 
-// checkPong fires PongTimeout after a probe was sent: a missing pong means
+// checkPong fires pongTimeout after a probe was sent: a missing pong means
 // the probed graph is broken.
 func (m *Manager) checkPong(sessID uint64, graphKey string, sentAt time.Duration) {
 	s, ok := m.sessions[sessID]
@@ -166,7 +177,7 @@ func dropGraph(gs *[]*service.Graph, key string) {
 // activeFailed starts the recovery sequence for a broken session. The path
 // probe's silence says the graph is broken but not where, so the sender
 // first pings every component peer of the broken graph directly; the peers
-// that fail to answer within PingTimeout are the localized failure, and the
+// that fail to answer within pingTimeout are the localized failure, and the
 // switchover then skips backups that depend on them (the paper leaves the
 // failure-detection design open — §5 footnote 4).
 func (m *Manager) activeFailed(s *Session) {
@@ -224,7 +235,7 @@ func (m *Manager) ping(p p2p.NodeID, cb func(ok bool)) {
 		}
 	}
 	m.pingWait[id] = func() { once(true) }
-	m.host.After(m.cfg.PingTimeout, func() { once(false) })
+	m.host.After(pingTimeout, func() { once(false) })
 	m.host.Send(p2p.Message{Type: MsgPing, To: p, Size: 16, Payload: pingMsg{ID: id, Origin: m.host.ID()}})
 }
 
@@ -421,7 +432,7 @@ func (m *Manager) attemptSetup(g *service.Graph, cb func(ok bool)) {
 		}
 	}
 	m.setupWait[id] = once
-	m.host.After(m.cfg.SetupTimeout, func() { once(false) })
+	m.host.After(setupTimeout, func() { once(false) })
 
 	order := reverseTopoOrder(g)
 	m.host.Send(p2p.Message{

@@ -30,16 +30,6 @@ const (
 
 // Config tunes the recovery manager.
 type Config struct {
-	// ProbeInterval is the period of the low-rate maintenance probes.
-	ProbeInterval time.Duration
-	// PongTimeout is how long the source waits for a path probe to return
-	// before declaring the probed graph failed.
-	PongTimeout time.Duration
-	// SetupTimeout bounds one switchover attempt.
-	SetupTimeout time.Duration
-	// PingTimeout bounds the per-peer liveness check that localizes a
-	// failure before switchover.
-	PingTimeout time.Duration
 	// MissedPongs is how many consecutive path probes must go unanswered
 	// before a graph is declared failed. 1 (the default) reacts to the
 	// first silence; lossy networks raise it so a single dropped probe or
@@ -64,15 +54,11 @@ type Config struct {
 // DefaultConfig returns the settings used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		ProbeInterval: 2 * time.Second,
-		PongTimeout:   1500 * time.Millisecond,
-		SetupTimeout:  3 * time.Second,
-		PingTimeout:   400 * time.Millisecond,
-		MissedPongs:   1,
-		U:             2.0,
-		MaxBackups:    5,
-		Proactive:     true,
-		Reactive:      true,
+		MissedPongs: 1,
+		U:           2.0,
+		MaxBackups:  5,
+		Proactive:   true,
+		Reactive:    true,
 	}
 }
 

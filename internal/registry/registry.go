@@ -32,7 +32,7 @@ func New(node *dht.Node) *Registry { return &Registry{node: node, shard: -1} }
 // normally; foreign keys enter their home ring through the plan's
 // deterministic entry members.
 func NewSharded(node *dht.Node, plan *ShardPlan) *Registry {
-	return &Registry{node: node, plan: plan, shard: plan.ShardOfPeer(node.Addr())}
+	return &Registry{node: node, plan: plan, shard: plan.Of(node.Addr())}
 }
 
 // FunctionKey returns the DHT key a function name maps to.

@@ -7,55 +7,34 @@ import (
 	"repro/internal/p2p"
 )
 
-// ShardPlan partitions an unfederated deployment's peers into S independent
-// DHT rings and homes every discovery key on exactly one of them. It
-// generalizes the federation per-domain keyspace shards to deployments with
-// no administrative boundaries: each ring carries O(peers/S) membership
-// state and O(services/S) stored meta-data. (The static ring build is now
-// O(n·log n) — dht.Build's sorted-ring construction — so sharding no longer
-// carries the build-time savings it was introduced for; it remains the knob
-// that bounds per-ring state and localizes maintenance traffic.)
+// ShardPlan splits an unfederated deployment's peers into S independent DHT
+// rings — the contiguous p2p.Blocks, one ring per block — and homes every
+// discovery key on exactly one of them. It generalizes the federation
+// per-domain keyspace shards to deployments with no administrative
+// boundaries: each ring carries O(peers/S) membership state and
+// O(services/S) stored meta-data. (The static ring build is O(n·log n) —
+// dht.Build's sorted-ring construction — so sharding carries no build-time
+// savings; it is the knob that bounds per-ring state and localizes
+// maintenance traffic.)
 //
 // Homing is by key hash, not by registering peer: all duplicates of a
 // function land in the same ring (on the same root) no matter who registers
 // them, so a single lookup still returns the full duplicate list and shard
 // count cannot change lookup results.
 type ShardPlan struct {
-	NumShards int
-	// Members holds each shard's peers as contiguous ID blocks, mirroring
-	// federation.DomainPlan. Deterministic given (peers, shards).
-	Members [][]p2p.NodeID
-
-	shardOf []int // peer index -> shard
+	p2p.Blocks // Members[s] is shard s's ring; Of(peer) its shard
+	NumShards  int
 }
 
-// NewShardPlan splits peers 0..n-1 into shards contiguous blocks. shards is
-// clamped to [1, n].
+// NewShardPlan splits peers 0..n-1 into shards rings. shards is clamped to
+// [1, n].
 func NewShardPlan(n, shards int) *ShardPlan {
 	if n < 1 {
 		panic(fmt.Sprintf("registry: shard plan over %d peers", n))
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	p := &ShardPlan{NumShards: shards, shardOf: make([]int, n)}
-	for s := 0; s < shards; s++ {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		block := make([]p2p.NodeID, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			block = append(block, p2p.NodeID(i))
-			p.shardOf[i] = s
-		}
-		p.Members = append(p.Members, block)
-	}
-	return p
+	shards = max(1, min(shards, n))
+	return &ShardPlan{Blocks: p2p.NewBlocks(n, shards), NumShards: shards}
 }
-
-// ShardOfPeer returns the shard the given peer belongs to.
-func (p *ShardPlan) ShardOfPeer(id p2p.NodeID) int { return p.shardOf[int(id)] }
 
 // Home returns the shard whose ring stores the given key: an FNV-1a hash of
 // the key bytes mod the shard count. Purely a function of (key, NumShards),

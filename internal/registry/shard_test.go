@@ -26,8 +26,8 @@ func TestShardPlanContiguousAndComplete(t *testing.T) {
 				if int(id) != next {
 					t.Fatalf("n=%d s=%d: members not contiguous at %d (got %d)", tc.n, tc.s, next, id)
 				}
-				if p.ShardOfPeer(id) != s {
-					t.Fatalf("ShardOfPeer(%d)=%d, want %d", id, p.ShardOfPeer(id), s)
+				if p.Of(id) != s {
+					t.Fatalf("Of(%d)=%d, want %d", id, p.Of(id), s)
 				}
 				next++
 			}
@@ -57,7 +57,7 @@ func TestShardPlanHomeDeterministicAndSpread(t *testing.T) {
 			t.Fatalf("entries for key %d: %v", i, es)
 		}
 		for _, e := range es {
-			if p.ShardOfPeer(e) != h {
+			if p.Of(e) != h {
 				t.Fatalf("entry %d not a member of home shard %d", e, h)
 			}
 		}
@@ -90,7 +90,7 @@ func TestShardPlanOneShardHomesEverythingLocally(t *testing.T) {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if p.ShardOfPeer(p2p.NodeID(i)) != 0 {
+		if p.Of(p2p.NodeID(i)) != 0 {
 			t.Fatal("single-shard plan put a peer off shard 0")
 		}
 	}

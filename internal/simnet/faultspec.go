@@ -2,10 +2,10 @@ package simnet
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/kvspec"
 	"repro/internal/p2p"
 )
 
@@ -29,75 +29,48 @@ type FaultSpec struct {
 	Seed    int64
 }
 
+var faultGrammar = kvspec.Grammar{
+	Name:    "fault spec",
+	Example: "loss=0.05,jitter=20ms,partition=10s@30s",
+	Keys:    []string{"loss", "dup", "jitter", "partition", "seed"},
+}
+
 // ParseFaultSpec parses the -faults grammar. The empty string is an error —
 // "no faults" is expressed by not passing the flag at all.
 func ParseFaultSpec(s string) (*FaultSpec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty fault spec (want e.g. %q)", "loss=0.05,jitter=20ms,partition=10s@30s")
-	}
 	spec := &FaultSpec{}
-	seen := make(map[string]bool)
-	for _, field := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok || key == "" || val == "" {
-			return nil, fmt.Errorf("fault spec field %q: want key=value", field)
-		}
-		if seen[key] {
-			return nil, fmt.Errorf("fault spec key %q given twice", key)
-		}
-		seen[key] = true
+	err := faultGrammar.Parse(s, func(key, val string) (err error) {
 		switch key {
-		case "loss", "dup":
-			p, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault spec %s=%q: %v", key, val, err)
-			}
-			if p < 0 || p > 1 {
-				return nil, fmt.Errorf("fault spec %s=%v: probability outside [0,1]", key, p)
-			}
-			if key == "loss" {
-				spec.Loss = p
-			} else {
-				spec.Dup = p
-			}
+		case "loss":
+			spec.Loss, err = kvspec.ParseProb(key, val)
+		case "dup":
+			spec.Dup, err = kvspec.ParseProb(key, val)
 		case "jitter":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return nil, fmt.Errorf("fault spec jitter=%q: %v", val, err)
-			}
-			if d < 0 {
-				return nil, fmt.Errorf("fault spec jitter=%v: negative", d)
-			}
-			spec.Jitter = d
+			spec.Jitter, err = kvspec.ParseDur(key, val)
 		case "partition":
 			durStr, atStr, hasAt := strings.Cut(val, "@")
-			d, err := time.ParseDuration(durStr)
-			if err != nil {
-				return nil, fmt.Errorf("fault spec partition=%q: bad duration: %v", val, err)
+			if spec.PartDur, err = time.ParseDuration(durStr); err != nil {
+				return fmt.Errorf("partition=%q: bad duration: %v", val, err)
 			}
-			if d <= 0 {
-				return nil, fmt.Errorf("fault spec partition=%v: duration must be positive", d)
+			if spec.PartDur <= 0 {
+				return fmt.Errorf("partition=%v: duration must be positive", spec.PartDur)
 			}
-			spec.PartDur = d
-			if hasAt {
-				at, err := time.ParseDuration(atStr)
-				if err != nil {
-					return nil, fmt.Errorf("fault spec partition=%q: bad activation time: %v", val, err)
-				}
-				if at < 0 {
-					return nil, fmt.Errorf("fault spec partition=%q: negative activation time", val)
-				}
-				spec.PartAt = at
+			if !hasAt {
+				return nil
+			}
+			if spec.PartAt, err = time.ParseDuration(atStr); err != nil {
+				return fmt.Errorf("partition=%q: bad activation time: %v", val, err)
+			}
+			if spec.PartAt < 0 {
+				return fmt.Errorf("partition=%q: negative activation time", val)
 			}
 		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault spec seed=%q: %v", val, err)
-			}
-			spec.Seed = n
-		default:
-			return nil, fmt.Errorf("fault spec key %q: want loss, dup, jitter, partition, or seed", key)
+			spec.Seed, err = kvspec.ParseInt(key, val)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return spec, nil
 }
@@ -106,27 +79,11 @@ func ParseFaultSpec(s string) (*FaultSpec, error) {
 // omitted. ParseFaultSpec(s.String()) reproduces s for any spec with at
 // least one non-zero field.
 func (s *FaultSpec) String() string {
-	var parts []string
-	if s.Loss != 0 {
-		parts = append(parts, "loss="+strconv.FormatFloat(s.Loss, 'g', -1, 64))
+	part := kvspec.Dur(s.PartDur)
+	if part != "" && s.PartAt != 0 {
+		part += "@" + s.PartAt.String()
 	}
-	if s.Dup != 0 {
-		parts = append(parts, "dup="+strconv.FormatFloat(s.Dup, 'g', -1, 64))
-	}
-	if s.Jitter != 0 {
-		parts = append(parts, "jitter="+s.Jitter.String())
-	}
-	if s.PartDur != 0 {
-		p := "partition=" + s.PartDur.String()
-		if s.PartAt != 0 {
-			p += "@" + s.PartAt.String()
-		}
-		parts = append(parts, p)
-	}
-	if s.Seed != 0 {
-		parts = append(parts, "seed="+strconv.FormatInt(s.Seed, 10))
-	}
-	return strings.Join(parts, ",")
+	return faultGrammar.String(kvspec.Float(s.Loss), kvspec.Float(s.Dup), kvspec.Dur(s.Jitter), part, kvspec.Int(s.Seed))
 }
 
 // Plan expands the spec into a FaultPlan over peers: loss/dup/jitter become

@@ -26,8 +26,6 @@ func TestParseFaultSpec(t *testing.T) {
 				PartDur: 10 * time.Second, PartAt: 30 * time.Second, Seed: 3,
 			},
 		},
-		// Whitespace around fields and reordered keys are accepted.
-		{" jitter=1ms , loss=0.2 ", FaultSpec{Loss: 0.2, Jitter: time.Millisecond}},
 	}
 	for _, c := range cases {
 		got, err := ParseFaultSpec(c.in)
@@ -41,18 +39,16 @@ func TestParseFaultSpec(t *testing.T) {
 	}
 }
 
+// TestParseFaultSpecErrors covers the fault schema's own value rules; the
+// tokenizer's (empty spec, key=value shape, duplicate and unknown keys) are
+// pinned for every grammar by kvspec's TestTokenizerConformance.
 func TestParseFaultSpecErrors(t *testing.T) {
 	cases := []struct {
 		in      string
 		errPart string // the message must mention this
 	}{
-		{"", "empty fault spec"},
-		{"   ", "empty fault spec"},
-		{"loss", "want key=value"},
-		{"loss=", "want key=value"},
-		{"=0.5", "want key=value"},
-		{"loss=0.1,loss=0.2", "given twice"},
 		{"loss=abc", "loss"},
+		{"loss=NaN", "outside [0,1]"},
 		{"loss=1.5", "outside [0,1]"},
 		{"dup=-0.1", "outside [0,1]"},
 		{"jitter=5", "jitter"}, // bare number: not a duration
@@ -62,7 +58,6 @@ func TestParseFaultSpecErrors(t *testing.T) {
 		{"partition=10s@nope", "bad activation time"},
 		{"partition=10s@-1s", "negative activation time"},
 		{"seed=1.5", "seed"},
-		{"latency=5ms", "want loss, dup, jitter, partition, or seed"},
 	}
 	for _, c := range cases {
 		_, err := ParseFaultSpec(c.in)

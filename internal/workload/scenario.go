@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/kvspec"
 )
 
 // Scenario is the declarative stress-workload spec accepted by the
@@ -54,155 +56,120 @@ type Scenario struct {
 	Seed int64 // scenario RNG stream (churn victims)
 }
 
+var scenarioGrammar = kvspec.Grammar{
+	Name:    "scenario",
+	Example: "zipf=1.2,flash=fn3:10@30s+20s,churn=0.02@30s+20s",
+	Keys:    []string{"zipf", "diurnal", "flash", "churn", "seed"},
+}
+
 // ParseScenario parses the -scenario grammar. The empty string is an
 // error — "no scenario" is expressed by not passing the flag at all.
 func ParseScenario(s string) (*Scenario, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("empty scenario spec (want e.g. %q)",
-			"zipf=1.2,flash=fn3:10@30s+20s,churn=0.02@30s+20s")
-	}
 	scn := &Scenario{}
-	seen := make(map[string]bool)
-	for _, field := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if !ok || key == "" || val == "" {
-			return nil, fmt.Errorf("scenario field %q: want key=value", field)
+	err := scenarioGrammar.Parse(s, func(key, val string) error {
+		// bad reports a malformed value of this key.
+		bad := func(format string, args ...any) error {
+			return fmt.Errorf("%s=%q: "+format, append([]any{key, val}, args...)...)
 		}
-		if seen[key] {
-			return nil, fmt.Errorf("scenario key %q given twice", key)
-		}
-		seen[key] = true
 		switch key {
 		case "zipf":
 			x, err := strconv.ParseFloat(val, 64)
 			if err != nil {
-				return nil, fmt.Errorf("scenario zipf=%q: %v", val, err)
+				return bad("%v", err)
 			}
 			if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("scenario zipf=%v: exponent must be finite and >= 0", x)
+				return fmt.Errorf("zipf=%v: exponent must be finite and >= 0", x)
 			}
 			scn.Zipf = x
 		case "diurnal":
 			pStr, aStr, hasAmp := strings.Cut(val, "@")
 			if !hasAmp {
-				return nil, fmt.Errorf("scenario diurnal=%q: want period@amplitude", val)
+				return bad("want period@amplitude")
 			}
 			p, err := time.ParseDuration(pStr)
 			if err != nil {
-				return nil, fmt.Errorf("scenario diurnal=%q: bad period: %v", val, err)
+				return bad("bad period: %v", err)
 			}
 			if p <= 0 {
-				return nil, fmt.Errorf("scenario diurnal=%q: period must be positive", val)
+				return bad("period must be positive")
 			}
 			a, err := strconv.ParseFloat(aStr, 64)
 			if err != nil {
-				return nil, fmt.Errorf("scenario diurnal=%q: bad amplitude: %v", val, err)
+				return bad("bad amplitude: %v", err)
 			}
 			if a <= 0 || a > 1 || math.IsNaN(a) {
-				return nil, fmt.Errorf("scenario diurnal=%q: amplitude outside (0,1]", val)
+				return bad("amplitude outside (0,1]")
 			}
 			scn.DiurnalPeriod, scn.DiurnalAmp = p, a
 		case "flash":
 			fn, rest, hasMult := strings.Cut(val, ":")
 			if !hasMult || fn == "" {
-				return nil, fmt.Errorf("scenario flash=%q: want fn:mult@at+dur", val)
+				return bad("want fn:mult@at+dur")
 			}
 			if strings.ContainsAny(fn, "=@+,") {
-				return nil, fmt.Errorf("scenario flash=%q: function name contains reserved characters", val)
+				return bad("function name contains reserved characters")
 			}
 			mStr, window, hasAt := strings.Cut(rest, "@")
 			if !hasAt {
-				return nil, fmt.Errorf("scenario flash=%q: want fn:mult@at+dur", val)
+				return bad("want fn:mult@at+dur")
 			}
 			m, err := strconv.ParseFloat(mStr, 64)
 			if err != nil {
-				return nil, fmt.Errorf("scenario flash=%q: bad multiplier: %v", val, err)
+				return bad("bad multiplier: %v", err)
 			}
 			if m <= 1 || math.IsNaN(m) || math.IsInf(m, 0) {
-				return nil, fmt.Errorf("scenario flash=%q: multiplier must be finite and > 1", val)
+				return bad("multiplier must be finite and > 1")
 			}
-			at, dur, err := parseWindow(window)
+			at, dur, err := kvspec.ParseWindow(window)
 			if err != nil {
-				return nil, fmt.Errorf("scenario flash=%q: %v", val, err)
+				return bad("%v", err)
 			}
 			scn.FlashFn, scn.FlashMult, scn.FlashAt, scn.FlashDur = fn, m, at, dur
 		case "churn":
 			rStr, window, hasAt := strings.Cut(val, "@")
 			if !hasAt {
-				return nil, fmt.Errorf("scenario churn=%q: want rate@at+dur", val)
+				return bad("want rate@at+dur")
 			}
 			r, err := strconv.ParseFloat(rStr, 64)
 			if err != nil {
-				return nil, fmt.Errorf("scenario churn=%q: bad rate: %v", val, err)
+				return bad("bad rate: %v", err)
 			}
 			if r <= 0 || r > 1 || math.IsNaN(r) {
-				return nil, fmt.Errorf("scenario churn=%q: rate outside (0,1]", val)
+				return bad("rate outside (0,1]")
 			}
-			at, dur, err := parseWindow(window)
+			at, dur, err := kvspec.ParseWindow(window)
 			if err != nil {
-				return nil, fmt.Errorf("scenario churn=%q: %v", val, err)
+				return bad("%v", err)
 			}
 			scn.ChurnRate, scn.ChurnAt, scn.ChurnDur = r, at, dur
 		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("scenario seed=%q: %v", val, err)
-			}
+			n, err := kvspec.ParseInt(key, val)
 			scn.Seed = n
-		default:
-			return nil, fmt.Errorf("scenario key %q: want zipf, diurnal, flash, churn, or seed", key)
+			return err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return scn, nil
-}
-
-// parseWindow parses the shared "<at>+<dur>" window suffix.
-func parseWindow(s string) (at, dur time.Duration, err error) {
-	atStr, durStr, ok := strings.Cut(s, "+")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad window %q: want at+dur", s)
-	}
-	at, err = time.ParseDuration(atStr)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad window start: %v", err)
-	}
-	if at < 0 {
-		return 0, 0, fmt.Errorf("negative window start %v", at)
-	}
-	dur, err = time.ParseDuration(durStr)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad window length: %v", err)
-	}
-	if dur <= 0 {
-		return 0, 0, fmt.Errorf("window length %v must be positive", dur)
-	}
-	return at, dur, nil
 }
 
 // String renders the canonical spec: fixed key order, zero-valued keys
 // omitted.
 func (s *Scenario) String() string {
-	var parts []string
-	if s.Zipf != 0 {
-		parts = append(parts, "zipf="+strconv.FormatFloat(s.Zipf, 'g', -1, 64))
-	}
+	var diurnal, flash, churn string
 	if s.DiurnalPeriod != 0 {
-		parts = append(parts, "diurnal="+s.DiurnalPeriod.String()+"@"+
-			strconv.FormatFloat(s.DiurnalAmp, 'g', -1, 64))
+		diurnal = s.DiurnalPeriod.String() + "@" + strconv.FormatFloat(s.DiurnalAmp, 'g', -1, 64)
 	}
 	if s.FlashFn != "" {
-		parts = append(parts, "flash="+s.FlashFn+":"+
-			strconv.FormatFloat(s.FlashMult, 'g', -1, 64)+"@"+
-			s.FlashAt.String()+"+"+s.FlashDur.String())
+		flash = s.FlashFn + ":" + strconv.FormatFloat(s.FlashMult, 'g', -1, 64) + "@" +
+			s.FlashAt.String() + "+" + s.FlashDur.String()
 	}
 	if s.ChurnRate != 0 {
-		parts = append(parts, "churn="+strconv.FormatFloat(s.ChurnRate, 'g', -1, 64)+"@"+
-			s.ChurnAt.String()+"+"+s.ChurnDur.String())
+		churn = strconv.FormatFloat(s.ChurnRate, 'g', -1, 64) + "@" + s.ChurnAt.String() + "+" + s.ChurnDur.String()
 	}
-	if s.Seed != 0 {
-		parts = append(parts, "seed="+strconv.FormatInt(s.Seed, 10))
-	}
-	return strings.Join(parts, ",")
+	return scenarioGrammar.String(kvspec.Float(s.Zipf), diurnal, flash, churn, kvspec.Int(s.Seed))
 }
 
 // FlashActive reports whether the flash-crowd window covers time t.

@@ -22,6 +22,15 @@ echo "== benchmark module (go vet + go test -C benchmark ./...)"
 go vet -C benchmark ./...
 go test -C benchmark ./...
 
+# Fuzz smoke: `go test` above only replays the committed seed corpora. The
+# three flag grammars now share one tokenizer (internal/kvspec), so five
+# seconds of fresh inputs per grammar — accepted specs must be in range and
+# survive Parse(String(x)) — exercise it from all three sides on every run.
+echo "== fuzz smoke (3 x 5s: -faults, -domains, -scenario grammars)"
+go test -run '^$' -fuzz FuzzParseFaultSpec -fuzztime 5s ./internal/simnet
+go test -run '^$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/federation
+go test -run '^$' -fuzz FuzzStressSpec -fuzztime 5s ./internal/workload
+
 # Coverage gate: per-package statement coverage must stay at or above the
 # floor. Packages without test files are reported but do not fail the gate;
 # adding their first test pulls them in automatically.
@@ -134,7 +143,10 @@ cmp "$tmp/fc1.jsonl" "$tmp/fc2.jsonl"
 # The 4m horizon leaves room for late recovery re-compositions: probe
 # conservation requires every in-flight cross-ring get to resolve (deliver
 # or final-timeout) before the sim stops, and recovery can re-compose up to
-# 0.8*duration after the last scheduled arrival.
+# 0.8*duration after the last scheduled arrival. 64 peers over 16 shards is
+# the divisible case: the one block rule (p2p.Blocks, remainder to the low
+# blocks) cuts it exactly where the old ShardPlan formula did, which is what
+# the parent-vs-change trace comparison of this cell checked.
 echo "== sharded discovery gate (16 shards under chaos; 1 shard == unsharded)"
 "$tmp/spidersim" -seed 7 -ipnodes 400 -peers 64 -requests 100 -duration 4m \
     -shards 16 -faults "loss=0.2,dup=0.05,jitter=10ms,seed=3" -check \
