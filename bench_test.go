@@ -368,6 +368,39 @@ func BenchmarkBCPCompose(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoveryTick measures one maintenance interval of one established
+// session with its backups: a path probe along each graph, the pongs, the
+// deadline checks. -benchmem is the figure TestRecoveryTickAllocBudget
+// ratchets.
+func BenchmarkRecoveryTick(b *testing.B) {
+	rc := recovery.DefaultConfig()
+	c := cluster.New(cluster.Options{Seed: 73, IPNodes: 400, Peers: 80, Recovery: &rc})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: c.FunctionsByReplicas()[:5], Peers: 80,
+		MinFuncs: 3, MaxFuncs: 3, Budget: 60,
+		DelayReqMin: 4000, DelayReqMax: 8000,
+	}, newSeededRng(73))
+	req := gen.Next()
+	p := c.Peers[int(req.Source)]
+	backups := -1
+	p.Engine.Compose(req, func(res bcp.Result) {
+		if res.Ok {
+			backups = len(p.Recovery.Establish(req, res).Backups)
+		}
+	})
+	c.Sim.Run(c.Sim.Now() + 30*time.Second)
+	if backups < 1 {
+		b.Fatalf("no session with backups to maintain (%d)", backups)
+	}
+	const probeInterval = 2 * time.Second // recovery's maintenance period
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Sim.Run(c.Sim.Now() + probeInterval)
+	}
+	b.ReportMetric(float64(backups), "backups")
+}
+
 // BenchmarkSimEventDispatch measures the steady-state Schedule→fire cycle
 // of the indexed event queue with a warm freelist: one allocation per cycle
 // (the cancel closure).

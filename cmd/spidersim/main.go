@@ -68,7 +68,7 @@ var errUsage = errors.New("usage")
 
 // simulate parses the command line and does what it asks, writing tables to
 // stdout and progress to stderr.
-func simulate(args []string, stdout, stderr io.Writer) error {
+func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("spidersim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -96,6 +96,8 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 		summarize = fs.String("summarize", "", "summarize an existing JSONL trace file and exit")
 		check     = fs.Bool("check", false, "verify trace invariants: on the given trace files, or on this run")
 		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "workers for multi-file -check; 1 = serial")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of whatever this command line does to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit (GODEBUG=memprofilerate=1 counts every object)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -124,6 +126,16 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-%s %v: want %s", r.flag, r.val, r.want)
 		}
 	}
+
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 
 	if *summarize != "" {
 		return summarizeTrace(*summarize, stdout)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -37,6 +38,8 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 		{"-scenario zipf=-1", "zipf"},
 		{"-domains domains=1", "domains"},
 		{"-spec unused.xml -peers 500 -ipnodes 100", "unused.xml"},
+		{"-cpuprofile " + filepath.Join(t.TempDir(), "no-such-dir", "cpu.prof"), "cpuprofile"},
+		{"-memprofile " + filepath.Join(t.TempDir(), "no-such-dir", "mem.prof"), "memprofile"},
 	} {
 		code, stdout, stderr := spidersim(strings.Fields(c.args)...)
 		if code == 0 || stdout != "" {
@@ -66,6 +69,17 @@ func TestSmallRunChecksClean(t *testing.T) {
 	}
 	if code, stdout, _ := spidersim("-summarize", trace); code != 0 || !strings.Contains(stdout, "trace summary") {
 		t.Errorf("-summarize %s: exit %d, stdout %q", trace, code, stdout)
+	}
+	// The profile pair covers whatever the command line does, offline
+	// analysis included.
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
+	if code, _, stderr := spidersim("-cpuprofile", cpu, "-memprofile", mem, "-check", trace); code != 0 {
+		t.Errorf("-check with profiles: exit %d, stderr %q", code, stderr)
+	}
+	for _, prof := range []string{cpu, mem} {
+		if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written: %v", prof, err)
+		}
 	}
 	for _, mode := range []string{"-check", "-summarize"} {
 		if code, _, stderr := spidersim(mode, trace+".missing"); code == 0 || !strings.Contains(stderr, "no such file") {

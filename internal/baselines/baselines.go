@@ -12,6 +12,7 @@ package baselines
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fgraph"
@@ -247,12 +248,7 @@ func BuildGraph(w World, req *service.Request, pat *fgraph.Graph, assign []servi
 		total = total.Max(q)
 	}
 	g.QoS = total
-	sort.Slice(g.Links, func(i, j int) bool {
-		if g.Links[i].FromFn != g.Links[j].FromFn {
-			return g.Links[i].FromFn < g.Links[j].FromFn
-		}
-		return g.Links[i].ToFn < g.Links[j].ToFn
-	})
+	slices.SortFunc(g.Links, service.LinkSnapshot.Compare)
 	return g, true
 }
 

@@ -10,12 +10,14 @@ import (
 	"repro/internal/workload"
 )
 
-// TestComposeAllocBudget is the probe-forwarding allocation regression gate:
-// one full composition (probe fan-out across the overlay, forwarding at every
-// hop, destination-side collection, reverse-path setup, teardown) must stay
-// under an allocation budget well below the pre-optimization figure of ~3300
-// objects. `BenchmarkBCPCompose -benchmem` reports the precise number; this
-// test fails fast if a change regresses the hot path wholesale.
+// TestComposeAllocBudget is the composition-path allocation ratchet: one full
+// composition (discovery, probe fan-out across the overlay, forwarding at
+// every hop, destination-side collection and selection, reverse-path setup,
+// teardown) may allocate 5 % more objects than it measured when the budget
+// was last set, no more. `BenchmarkBCPCompose -benchmem` reports the same
+// path on a slightly different request stream; DESIGN.md "Allocation budget
+// of one composition" says where the objects go. Lower the budget when a
+// change lowers the figure.
 func TestComposeAllocBudget(t *testing.T) {
 	catalog := []string{"fn0", "fn1", "fn2", "fn3", "fn4", "fn5", "fn6", "fn7", "fn8", "fn9"}
 	c := cluster.New(cluster.Options{Seed: 75, IPNodes: 400, Peers: 60, Catalog: catalog})
@@ -41,7 +43,7 @@ func TestComposeAllocBudget(t *testing.T) {
 		compose()
 	}
 	avg := testing.AllocsPerRun(50, compose)
-	const budget = 2800 // pre-optimization: ~3300; current steady state: ~2300
+	const budget = 630 // measured 599; 1,331 before selection stopped building every candidate
 	if avg > budget {
 		t.Fatalf("one composition allocates %.0f objects, budget %d", avg, budget)
 	}

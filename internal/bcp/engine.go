@@ -173,7 +173,7 @@ type Engine struct {
 
 	collectors map[uint64]*collector
 	pending    map[uint64]*composeState
-	soft       map[softKey]*softHold
+	soft       map[softKey]softHold
 	cache      map[string]cacheEntry
 
 	// Session-scoped allocation registries. Commits and bandwidth
@@ -219,8 +219,14 @@ type Engine struct {
 	Met *obs.Metrics
 
 	// probeSeq numbers the probes this engine emits, for trace-checkable
-	// probe identities.
+	// probe identities; holdSeq numbers its soft reservations.
 	probeSeq uint64
+	holdSeq  uint64
+
+	// Scratch of the two allocation-heavy steps, reused across requests:
+	// next-hop planning at every hop, selection at the destination.
+	next nextHops
+	sel  selection
 
 	// Hardening state (touched only when cfg.ProbeAckTimeout > 0, except
 	// doneReqs, which also guards against duplicated results): retransmit
@@ -265,9 +271,12 @@ type allocKey struct {
 	a, b  p2p.NodeID
 }
 
+// softHold is one temporary reservation. seq tells a hold from a later one
+// under the same key, should a cancelled expiry timer fire after all.
 type softHold struct {
 	res    qos.Resources
 	cancel p2p.CancelFunc
+	seq    uint64
 }
 
 type cacheEntry struct {
@@ -308,7 +317,7 @@ func NewEngine(host p2p.Node, ledger *qos.Ledger, reg *registry.Registry, oracle
 		local:      local,
 		collectors: make(map[uint64]*collector),
 		pending:    make(map[uint64]*composeState),
-		soft:       make(map[softKey]*softHold),
+		soft:       make(map[softKey]softHold),
 		cache:      make(map[string]cacheEntry),
 		hard:       make(map[softKey]qos.Resources),
 		bws:        make(map[allocKey]float64),
@@ -402,7 +411,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	for _, v := range req.Variants {
 		fns = append(fns, v.Functions()...)
 	}
-	e.discoverAllCached(fns, req.ID, func(table registry.Table, ok bool) {
+	e.discoverAllCached(fns, req.ID, func(table []dups, ok bool) {
 		st.discovery = e.host.Now() - st.started
 		if e.Trace != nil {
 			e.Trace.Emit(obs.DiscDone(e.host.Now(), e.host.ID(), req.ID, ok, st.discovery))
@@ -417,35 +426,106 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	})
 }
 
-// discoverAllCached resolves function duplicate lists through the local
-// cache, falling back to DHT lookups attributed to span (the composition
-// request the discovery serves).
-func (e *Engine) discoverAllCached(fns []string, span uint64, cb func(registry.Table, bool)) {
-	table := make(registry.Table, len(fns))
-	var missing []string
-	now := e.host.Now()
-	for _, f := range fns {
-		if ce, ok := e.cache[f]; ok && ce.expires > now {
-			table[f] = ce.comps
-		} else {
-			missing = append(missing, f)
+// dups is one resolved function: its name and its duplicate list.
+type dups struct {
+	fn    string
+	comps []service.Component
+	// miss is set when the list was not in this peer's cache and had to be
+	// looked up; the lookup is issued once per name (see leader).
+	miss bool
+}
+
+// leader returns the first entry of table naming the same function as entry
+// i — i itself unless the caller listed the function twice.
+func leader(table []dups, i int) int {
+	for j := range table[:i] {
+		if table[j].fn == table[i].fn {
+			return j
 		}
 	}
-	if len(missing) == 0 {
+	return i
+}
+
+// dupsOf returns the duplicate list table holds for function fn.
+func dupsOf(table []dups, fn string) []service.Component {
+	for i := range table {
+		if table[i].fn == fn {
+			return table[i].comps
+		}
+	}
+	return nil
+}
+
+// resolution joins the DHT lookups of one discoverAllCached call.
+type resolution struct {
+	table   []dups
+	pending int
+	failed  bool
+	cb      func([]dups, bool)
+}
+
+// discoverAllCached resolves function duplicate lists through the local
+// cache, falling back to concurrent DHT lookups attributed to span (the
+// composition request the discovery serves). cb fires once, with one entry
+// per function in the order given, or with ok=false if any lookup timed out;
+// it fires before discoverAllCached returns when the cache serves everything.
+func (e *Engine) discoverAllCached(fns []string, span uint64, cb func(table []dups, ok bool)) {
+	table := make([]dups, len(fns))
+	misses := 0
+	now := e.host.Now()
+	for i, f := range fns {
+		table[i].fn = f
+		if ce, ok := e.cache[f]; ok && ce.expires > now {
+			table[i].comps = ce.comps
+		} else {
+			table[i].miss = true
+			misses++
+		}
+	}
+	if misses == 0 {
 		cb(table, true)
 		return
 	}
-	e.reg.DiscoverAllSpan(missing, span, discoveryTimeout, func(t registry.Table, ok bool) {
-		if !ok {
-			cb(nil, false)
-			return
+	// pending starts at one for this loop itself, so the join cannot
+	// complete before every lookup is out.
+	st := &resolution{table: table, pending: 1, cb: cb}
+	for i := range table {
+		if !table[i].miss || leader(table, i) != i {
+			continue
 		}
-		for f, comps := range t {
-			e.cache[f] = cacheEntry{comps: comps, expires: e.host.Now() + cacheTTL}
-			table[f] = comps
+		st.pending++
+		e.reg.DiscoverSpan(table[i].fn, span, discoveryTimeout, func(comps []service.Component, _ int, ok bool) {
+			st.table[i].comps = comps
+			st.failed = st.failed || !ok
+			e.resolved(st)
+		})
+	}
+	e.resolved(st)
+}
+
+// resolved retires one pending lookup of st; the last one caches what was
+// fetched and reports.
+func (e *Engine) resolved(st *resolution) {
+	if st.pending--; st.pending > 0 {
+		return
+	}
+	if st.failed {
+		st.cb(nil, false)
+		return
+	}
+	expires := e.host.Now() + cacheTTL
+	for i := range st.table {
+		d := &st.table[i]
+		if !d.miss {
+			continue
 		}
-		cb(table, true)
-	})
+		if l := leader(st.table, i); l != i {
+			d.comps = st.table[l].comps
+			continue
+		}
+		e.cache[d.fn] = cacheEntry{comps: d.comps, expires: expires}
+	}
+	st.cb(st.table, true)
 }
 
 // primaryPatternCap returns the pattern cap launchProbes explores per
@@ -460,7 +540,7 @@ func (e *Engine) primaryPatternCap() int {
 
 // launchProbes splits the probing budget over composition patterns and
 // source functions and emits the initial probes (§4.1 step 1).
-func (e *Engine) launchProbes(st *composeState, table registry.Table) {
+func (e *Engine) launchProbes(st *composeState, table []dups) {
 	req := st.req
 	maxPat := e.primaryPatternCap()
 	// Composition patterns come from the primary function graph's
@@ -476,24 +556,35 @@ func (e *Engine) launchProbes(st *composeState, table registry.Table) {
 		budgetPer = 1
 		patterns = patterns[:req.Budget] // fewer patterns than budget units
 	}
+	// sources resolves pattern pi's source functions against table.
+	var sources []dups
+	enter := func(pr *Probe, pi int) []int {
+		pr.PatternIdx, pr.Pattern = pi, patterns[pi]
+		fns := pr.Pattern.Sources()
+		sources = sources[:0]
+		for _, fn := range fns {
+			name := pr.Pattern.Function(fn)
+			sources = append(sources, dups{fn: name, comps: dupsOf(table, name)})
+		}
+		return fns
+	}
 	// The termination credit is split over the patterns that actually
 	// launch, so a pattern with no eligible source component strands none.
 	pr := Probe{ReqID: req.ID, Req: req, Budget: budgetPer}
 	launching := 0
-	for pi, pat := range patterns {
-		pr.PatternIdx, pr.Pattern = pi, pat
-		if e.fanout(&pr, pat.Sources(), service.Component{}, table) > 0 {
+	for pi := range patterns {
+		if e.planNext(&pr, enter(&pr, pi), sources) > 0 {
 			launching++
 		}
 	}
 	launched := 0
-	for pi, pat := range patterns {
+	for pi := range patterns {
 		if launched == launching {
 			break // every launching pattern is out (or none can launch)
 		}
-		pr.PatternIdx, pr.Pattern = pi, pat
+		fns := enter(&pr, pi)
 		pr.Credit = creditShare(TotalCredit, launching, launched)
-		if e.spawnNext(pr, pat.Sources(), service.Component{}, table) {
+		if e.spawnNext(&pr, fns, sources) {
 			launched++
 		}
 	}

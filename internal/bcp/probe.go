@@ -1,14 +1,14 @@
 package bcp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/fgraph"
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
-	"repro/internal/registry"
 	"repro/internal/service"
 )
 
@@ -59,15 +59,23 @@ type Probe struct {
 	CurFn     int    // function index this probe is being sent to examine
 	CurCompID string // chosen component for CurFn on the receiving peer
 
+	// Visited is the branch walked so far. A probe's children all carry
+	// their parent's slice: a hop never writes into the slice it received,
+	// it records itself in a copy one element longer (onProbe), so siblings
+	// and retransmitted copies keep reading the shared prefix unharmed.
 	Visited []Hop
-	Links   []service.LinkSnapshot
-	QoS     qos.Vector
+	// Egress is the service link from the branch's last component to the
+	// destination, recorded by the leaf on the report.
+	Egress service.LinkSnapshot
+	QoS    qos.Vector
 }
 
-// Hop is one probed (function, component, availability) record.
+// Hop is one probed (function, component, availability) record, with the
+// service link the probe reached the component over.
 type Hop struct {
 	Fn   int
 	Snap service.Snapshot
+	In   service.LinkSnapshot
 }
 
 // TotalCredit is the termination credit a request's probes share (see
@@ -91,13 +99,12 @@ const (
 
 func probeSize(p Probe) int { return probeBaseSize + probePerHopSize*len(p.Visited) }
 
-// lastComp returns the most recently visited component (zero value at the
-// source).
-func (p *Probe) lastComp() service.Component {
+// lastComp returns the most recently visited component, nil at the source.
+func (p *Probe) lastComp() *service.Component {
 	if len(p.Visited) == 0 {
-		return service.Component{}
+		return nil
 	}
-	return p.Visited[len(p.Visited)-1].Snap.Comp
+	return &p.Visited[len(p.Visited)-1].Snap.Comp
 }
 
 func (p *Probe) visitedComp(id string) bool {
@@ -178,13 +185,12 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		return
 	}
 
-	// Step 2.4 (for this hop): record local QoS and resource states.
-	pr.Links = append(pr.Links, service.LinkSnapshot{
-		FromFn: pr.prevFn(), ToFn: pr.CurFn, BandAvail: band, Latency: lat,
-	})
-	pr.Visited = append(pr.Visited, Hop{
+	// Step 2.4 (for this hop): record local QoS and resource states, in a
+	// copy of the shared branch prefix (see Probe.Visited).
+	pr.Visited = append(slices.Clip(pr.Visited), Hop{
 		Fn:   pr.CurFn,
 		Snap: service.Snapshot{Comp: comp, Avail: e.ledger.AvailableHard(), Util: util},
+		In:   service.LinkSnapshot{FromFn: pr.prevFn(), ToFn: pr.CurFn, BandAvail: band, Latency: lat},
 	})
 
 	succs := pr.Pattern.Successors(pr.CurFn)
@@ -203,9 +209,7 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 			e.dropProbe(&pr, "qos")
 			return
 		}
-		pr.Links = append(pr.Links, service.LinkSnapshot{
-			FromFn: pr.CurFn, ToFn: -1, BandAvail: eband, Latency: elat,
-		})
+		pr.Egress = service.LinkSnapshot{FromFn: pr.CurFn, ToFn: -1, BandAvail: eband, Latency: elat}
 		if e.Ctr != nil {
 			e.Ctr.ProbesReturned.Add(1)
 		}
@@ -224,16 +228,17 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	// Steps 2.2–2.3: derive next-hop functions and select next-hop
 	// components, after resolving their duplicate lists through this peer's
 	// discovery cache.
-	names := make([]string, len(succs))
-	for i, s := range succs {
-		names[i] = pr.Pattern.Function(s)
+	var buf [4]string
+	names := buf[:0]
+	for _, s := range succs {
+		names = append(names, pr.Pattern.Function(s))
 	}
-	e.discoverAllCached(names, pr.ReqID, func(table registry.Table, ok bool) {
+	e.discoverAllCached(names, pr.ReqID, func(table []dups, ok bool) {
 		if !ok {
 			e.dropProbe(&pr, "discovery")
 			return
 		}
-		if !e.spawnNext(pr, succs, comp, table) {
+		if !e.spawnNext(&pr, succs, table) {
 			// No eligible next hop anywhere: the probe dies here. Without
 			// this record the probe would vanish from the accounting and
 			// break the trace checker's conservation invariant.
@@ -268,42 +273,71 @@ func (e *Engine) holdSoft(reqID uint64, compID string, res qos.Resources) bool {
 	if !e.ledger.Reserve(res) {
 		return false
 	}
-	h := &softHold{res: res}
-	h.cancel = e.host.After(e.cfg.SoftTimeout, func() {
-		if cur, ok := e.soft[key]; ok && cur == h {
+	e.holdSeq++
+	seq := e.holdSeq
+	cancel := e.host.After(e.cfg.SoftTimeout, func() {
+		if cur, ok := e.soft[key]; ok && cur.seq == seq {
 			delete(e.soft, key)
 			e.ledger.Release(res)
 		}
 	})
-	e.soft[key] = h
+	e.soft[key] = softHold{res: res, cancel: cancel, seq: seq}
 	return true
 }
 
-// quota is the probing quota of next-hop function fn: the request's explicit
-// per-function quota, else replica-proportional.
-func (pr *Probe) quota(fn int, table registry.Table) int {
+// quota is the probing quota of next-hop function fn with duplicate list
+// comps: the request's explicit per-function quota, else
+// replica-proportional.
+func (pr *Probe) quota(fn int, comps []service.Component) int {
 	if pr.Req.Quota != nil {
 		if q := pr.Req.Quota[fn]; q > 0 {
 			return q
 		}
 		return 1
 	}
-	if z := len(table[pr.Pattern.Function(fn)]); z > 1 {
+	if z := len(comps); z > 1 {
 		return z
 	}
 	return 1
 }
 
-// forEachNext distributes pr's budget over its next-hop functions by probing
-// quota (step 2.2) and visits each with its budget share bk and quota q.
-func (pr *Probe) forEachNext(nextFns []int, table registry.Table, visit func(fn, bk, q int)) {
+// nextHops is the engine-owned scratch in which one probe's next hops are
+// planned and then emitted; the two steps run back to back inside one
+// handler, so nothing else can touch it in between.
+type nextHops struct {
+	fns    []nextFn
+	elig   []*service.Component // every function's eligible duplicates, end to end
+	scored []scoredComp
+}
+
+// nextFn is the plan for one next-hop function: its budget share, the
+// number of probes it gets, and its eligible duplicates next.elig[lo:hi].
+type nextFn struct {
+	fn, budget, probes int
+	lo, hi             int
+}
+
+type scoredComp struct {
+	c     *service.Component
+	score float64
+}
+
+// planNext distributes pr's budget over its next-hop functions by probing
+// quota (step 2.2), collects each function's eligible duplicates from table
+// (one entry per function, in order) and returns the number of probes
+// spawnNext would emit. It draws no randomness and sends nothing.
+func (e *Engine) planNext(pr *Probe, nextFns []int, table []dups) int {
+	nx := &e.next
+	prevComp := pr.lastComp()
+	nx.fns, nx.elig = nx.fns[:0], nx.elig[:0]
 	totalQuota := 0
-	for _, fn := range nextFns {
-		totalQuota += pr.quota(fn, table)
-	}
-	remaining := pr.Budget
 	for i, fn := range nextFns {
-		q := pr.quota(fn, table)
+		totalQuota += pr.quota(fn, table[i].comps)
+	}
+	remaining, children := pr.Budget, 0
+	for i, fn := range nextFns {
+		comps := table[i].comps
+		q := pr.quota(fn, comps)
 		// Proportional split with a floor of 1 so every DAG branch stays
 		// probed; the last function absorbs rounding remainder.
 		var bk int
@@ -322,69 +356,56 @@ func (pr *Probe) forEachNext(nextFns []int, table registry.Table, visit func(fn,
 		if bk < 1 {
 			bk = 1
 		}
-		visit(fn, bk, q)
-	}
-}
-
-// fanout counts the probes spawnNext would emit for pr, without emitting.
-func (e *Engine) fanout(pr *Probe, nextFns []int, prevComp service.Component, table registry.Table) int {
-	n := 0
-	pr.forEachNext(nextFns, table, func(fn, bk, q int) {
-		elig := 0
-		for _, c := range table[pr.Pattern.Function(fn)] {
-			if e.mayVisit(c, prevComp, pr) {
-				elig++
+		lo := len(nx.elig)
+		for ci := range comps {
+			if c := &comps[ci]; e.mayVisit(c, prevComp, pr) {
+				nx.elig = append(nx.elig, c)
 			}
 		}
-		n += min3(bk, q, elig)
-	})
-	return n
+		probes := min(bk, q, len(nx.elig)-lo)
+		nx.fns = append(nx.fns, nextFn{fn: fn, budget: bk, probes: probes, lo: lo, hi: len(nx.elig)})
+		children += probes
+	}
+	return children
 }
 
 // spawnNext implements steps 2.2–2.4: distribute the budget over next-hop
 // functions by probing quota, pick the most promising duplicates for each,
 // and emit new probes, splitting pr's termination credit exactly over them.
-// It returns true if at least one probe was sent.
-func (e *Engine) spawnNext(pr Probe, nextFns []int, prevComp service.Component, table registry.Table) bool {
-	// Counting pass first: the credit split needs the number of children
-	// before the first one leaves.
-	children := e.fanout(&pr, nextFns, prevComp, table)
+// table holds one entry per next-hop function, in order. It returns true if
+// at least one probe was sent.
+func (e *Engine) spawnNext(pr *Probe, nextFns []int, table []dups) bool {
+	// The credit split needs the number of children before the first one
+	// leaves.
+	children := e.planNext(pr, nextFns, table)
 	if children == 0 {
 		return false
 	}
-	req := pr.Req
 	emitted := 0
-	pr.forEachNext(nextFns, table, func(fn, bk, q int) {
-		cands := e.eligible(table[pr.Pattern.Function(fn)], prevComp, &pr)
-		if len(cands) == 0 {
-			return
+	for _, nf := range e.next.fns {
+		if nf.probes == 0 {
+			continue
 		}
-		ik := min3(bk, q, len(cands))
-		chosen := e.pickNextHop(cands, ik, req)
-		newBudget := bk / ik
+		newBudget := nf.budget / nf.probes
 		if newBudget < 1 {
 			newBudget = 1
 		}
-		for _, c := range chosen {
-			np := pr
+		for _, c := range e.pickNextHop(e.next.elig[nf.lo:nf.hi], nf.probes, pr.Req) {
+			// The child shares pr's Visited slice; see Probe.Visited.
+			np := *pr
 			np.Budget = newBudget
 			np.Credit = creditShare(pr.Credit, children, emitted)
 			emitted++
-			np.CurFn = fn
+			np.CurFn = nf.fn
 			np.CurCompID = c.ID
 			np.UID = e.nextProbeUID()
-			// Visited/Links slices are shared by value-copy; appends in the
-			// receiver re-slice safely only if capacity isn't shared. Force
-			// copies to keep sibling probes independent.
-			np.Visited = append([]Hop(nil), pr.Visited...)
-			np.Links = append([]service.LinkSnapshot(nil), pr.Links...)
 			if e.Ctr != nil {
 				e.Ctr.ProbesSent.Add(1)
 				e.Ctr.BudgetSpent.Add(int64(newBudget))
 			}
 			if e.Trace != nil {
 				e.Trace.Emit(obs.ProbeSent(e.host.Now(), e.host.ID(), pr.ReqID,
-					c.Peer, pr.Pattern.Function(fn), c.ID, newBudget, len(pr.Visited),
+					c.Peer, pr.Pattern.Function(nf.fn), c.ID, newBudget, len(pr.Visited),
 					np.UID, pr.UID))
 			}
 			if e.Met != nil {
@@ -393,7 +414,7 @@ func (e *Engine) spawnNext(pr Probe, nextFns []int, prevComp service.Component, 
 			e.sendReliable(p2p.Message{Type: MsgProbe, To: c.Peer,
 				Size: probeSize(np), Payload: np, UID: np.UID}, pr.ReqID, np.UID)
 		}
-	})
+	}
 	return true
 }
 
@@ -405,21 +426,10 @@ func (e *Engine) nextProbeUID() uint64 {
 	return uint64(e.host.ID())<<32 | e.probeSeq
 }
 
-// eligible filters a duplicate list down to components this probe may visit
-// next: format-compatible with the previous hop and not already visited.
-func (e *Engine) eligible(cands []service.Component, prevComp service.Component, pr *Probe) []service.Component {
-	out := make([]service.Component, 0, len(cands))
-	for _, c := range cands {
-		if e.mayVisit(c, prevComp, pr) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// mayVisit is the per-candidate eligibility rule.
-func (e *Engine) mayVisit(c, prevComp service.Component, pr *Probe) bool {
-	if prevComp.ID != "" && !service.Compatible(prevComp, c) {
+// mayVisit is the per-candidate eligibility rule: format-compatible with
+// the previous hop's component (nil at the source) and not already visited.
+func (e *Engine) mayVisit(c, prevComp *service.Component, pr *Probe) bool {
+	if prevComp != nil && !service.Compatible(*prevComp, *c) {
 		return false
 	}
 	if pr.visitedComp(c.ID) {
@@ -436,75 +446,67 @@ func (e *Engine) mayVisit(c, prevComp service.Component, pr *Probe) bool {
 
 // pickNextHop selects the k most promising candidates using the composite
 // local metric of step 2.3: network delay to the candidate, bandwidth
-// headroom on the path, and the candidate peer's failure probability.
-func (e *Engine) pickNextHop(cands []service.Component, k int, req *service.Request) []service.Component {
+// headroom on the path, and the candidate peer's failure probability. It
+// reorders cands (a piece of the engine's scratch) and returns its head.
+func (e *Engine) pickNextHop(cands []*service.Component, k int, req *service.Request) []*service.Component {
 	if k >= len(cands) {
 		return cands
 	}
 	if e.cfg.RandomNextHop {
-		idx := e.host.Rand().Perm(len(cands))[:k]
-		out := make([]service.Component, k)
-		for i, j := range idx {
+		out := make([]*service.Component, k)
+		for i, j := range e.host.Rand().Perm(len(cands))[:k] {
 			out[i] = cands[j]
 		}
 		return out
 	}
-	type scored struct {
-		c     service.Component
-		score float64
+	ss := e.next.scored[:0]
+	for _, c := range cands {
+		ss = append(ss, scoredComp{c: c, score: e.nextHopScore(c, req)})
 	}
-	ss := make([]scored, len(cands))
-	for i, c := range cands {
-		lat, band, ok := e.oracle.Path(e.host.ID(), c.Peer)
-		score := c.FailProb * 20
-		if !ok {
-			score += 1e9
-		} else {
-			score += lat / 50
-			if band <= 0 {
-				score += 1e9
-			} else if req.Bandwidth > 0 {
-				score += req.Bandwidth / band
-			}
+	e.next.scored = ss
+	slices.SortFunc(ss, func(a, b scoredComp) int {
+		if c := cmp.Compare(a.score, b.score); c != 0 {
+			return c
 		}
-		if e.Trust != nil {
-			score += (1 - e.Trust.Score(c.Peer)) * 5
-		}
-		if e.cfg.LoadAware && e.Load != nil {
-			// Load-aware probing: a saturated peer serves this session (and
-			// this very probe) at M/M/1-inflated latency. Charge each
-			// candidate its predicted queueing delay in the same units as
-			// path latency, so the trade is exactly "detour vs. queue": the
-			// convex model barely perturbs routing at moderate load but
-			// deflects probes hard off near-saturated peers.
-			u := e.Load.Util(c.Peer)
-			if e.cfg.LoadModel.Base > 0 {
-				score += float64(e.cfg.LoadModel.Delay(u)) / float64(50*time.Millisecond)
-			} else {
-				score += u * 3
-			}
-		}
-		ss[i] = scored{c: c, score: score}
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].score != ss[j].score {
-			return ss[i].score < ss[j].score
-		}
-		return ss[i].c.ID < ss[j].c.ID
+		return cmp.Compare(a.c.ID, b.c.ID)
 	})
-	out := make([]service.Component, k)
-	for i := 0; i < k; i++ {
-		out[i] = ss[i].c
+	for i := range cands[:k] {
+		cands[i] = ss[i].c
 	}
-	return out
+	return cands[:k]
 }
 
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
+// nextHopScore is the composite local metric of one candidate; lower is
+// more promising.
+func (e *Engine) nextHopScore(c *service.Component, req *service.Request) float64 {
+	lat, band, ok := e.oracle.Path(e.host.ID(), c.Peer)
+	score := c.FailProb * 20
+	if !ok {
+		score += 1e9
+	} else {
+		score += lat / 50
+		if band <= 0 {
+			score += 1e9
+		} else if req.Bandwidth > 0 {
+			score += req.Bandwidth / band
+		}
 	}
-	if c < a {
-		a = c
+	if e.Trust != nil {
+		score += (1 - e.Trust.Score(c.Peer)) * 5
 	}
-	return a
+	if e.cfg.LoadAware && e.Load != nil {
+		// Load-aware probing: a saturated peer serves this session (and
+		// this very probe) at M/M/1-inflated latency. Charge each
+		// candidate its predicted queueing delay in the same units as
+		// path latency, so the trade is exactly "detour vs. queue": the
+		// convex model barely perturbs routing at moderate load but
+		// deflects probes hard off near-saturated peers.
+		u := e.Load.Util(c.Peer)
+		if e.cfg.LoadModel.Base > 0 {
+			score += float64(e.cfg.LoadModel.Delay(u)) / float64(50*time.Millisecond)
+		} else {
+			score += u * 3
+		}
+	}
+	return score
 }

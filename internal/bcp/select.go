@@ -1,10 +1,14 @@
 package bcp
 
 import (
+	"bytes"
+	"cmp"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
+	"repro/internal/fgraph"
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
@@ -82,64 +86,30 @@ func (e *Engine) finishCollect(reqID uint64) {
 	col.done = true
 	e.host.After(10*e.cfg.CollectTimeout, func() { delete(e.collectors, reqID) })
 
-	req := col.req
-	candidates := e.mergeRecords(req, col.records)
-
-	qualified := candidates[:0]
-	for _, c := range candidates {
-		if c.Qualified(req) {
-			qualified = append(qualified, c)
-		}
-	}
+	req, records := col.req, col.records
+	// The closed collector stays only to refuse stragglers, which it does on
+	// done alone: the probes, their hop slices included, are garbage as soon
+	// as the graphs below are built.
+	col.records = nil
+	sel := &e.sel
+	distinct := e.rank(req, records)
 	if e.Trace != nil {
 		e.Trace.Emit(obs.SelectDone(e.host.Now(), e.host.ID(), reqID,
-			len(candidates), len(qualified), max(col.bound-e.host.Now(), 0)))
+			distinct, len(sel.cands), max(col.bound-e.host.Now(), 0)))
 	}
-	if len(qualified) == 0 {
+	if len(sel.cands) == 0 {
 		e.host.Send(p2p.Message{
 			Type: MsgResult, To: req.Source, Size: 64,
 			Payload: Result{ReqID: reqID, Ok: false},
 		})
 		return
 	}
-	score := func(g *service.Graph) float64 {
-		var s float64
-		if e.SelectByDelay {
-			s = g.QoS[qos.Delay]
-		} else {
-			s = g.Cost(e.Weights, req)
-		}
-		if e.cfg.LoadAware {
-			// Overload control: probes recorded each hop's utilization, and
-			// the hottest component bounds how slowly the session will run
-			// under the load-inflated processing model. Scaling the score by
-			// (1 + max utilization) steers selection toward cool graphs
-			// without distorting the load-blind default (off: factor 1).
-			s *= 1 + maxUtil(g)
-		}
-		return s
+	best := sel.build(req, records, &sel.cands[0])
+	nb := min(len(sel.cands)-1, maxBackups)
+	backups := make([]*service.Graph, nb)
+	for i := range backups {
+		backups[i] = sel.build(req, records, &sel.cands[1+i])
 	}
-	// Conditional-branch semantics: graphs instantiating the primary
-	// function graph rank before variant fallbacks; within a tier, lowest
-	// score wins. (ψ sums per component, so comparing costs across shapes
-	// of different sizes would always favor the shortest variant.)
-	primaryPatterns := len(req.FGraph.Patterns(e.primaryPatternCap()))
-	tier := func(g *service.Graph) int {
-		if g.PatternIdx < primaryPatterns {
-			return 0
-		}
-		return 1
-	}
-	sort.SliceStable(qualified, func(i, j int) bool {
-		ti, tj := tier(qualified[i]), tier(qualified[j])
-		if ti != tj {
-			return ti < tj
-		}
-		return score(qualified[i]) < score(qualified[j])
-	})
-	best := qualified[0]
-	nb := min(len(qualified)-1, maxBackups)
-	backups := append([]*service.Graph(nil), qualified[1:1+nb]...)
 
 	// Tell the sender which graph is being confirmed (in parallel with the
 	// ACK), so a broken ACK chain can be rolled back from the sender side.
@@ -179,60 +149,237 @@ func reverseTopo(g *service.Graph) []int {
 	return out
 }
 
-// mergeRecords groups branch probes by composition pattern and merges
-// agreeing branch records into complete candidate service graphs, bounded
-// by maxCandidates.
-func (e *Engine) mergeRecords(req *service.Request, records []Probe) []*service.Graph {
-	byPattern := make(map[int][]Probe)
-	patterns := make(map[int]*Probe)
-	for i, r := range records {
-		byPattern[r.PatternIdx] = append(byPattern[r.PatternIdx], r)
-		patterns[r.PatternIdx] = &records[i]
-	}
-	patIdx := make([]int, 0, len(byPattern))
-	for pi := range byPattern {
-		patIdx = append(patIdx, pi)
-	}
-	sort.Ints(patIdx)
+// selection is the scratch optimal composition selection works in. It
+// belongs to one engine, whose handlers run one at a time, and is reused by
+// every request that engine is the destination of: a combination of branch
+// records is merged into the one trial graph, keyed, qualified and scored
+// there, and only the few that are returned become graphs of their own.
+type selection struct {
+	trial service.Graph
+	// cands are the distinct qualified combinations, best first after rank.
+	cands []candidate
+	// keys are the signatures of the distinct combinations seen so far, end
+	// to end in keyBytes; key is the signature under construction, behind
+	// its pattern's rendering.
+	keyBytes []byte
+	keyEnds  []int
+	key      []byte
+	// Per pattern: the pattern indices present, each record's branch, and
+	// the record indices grouped by branch, recs[off[b]:off[b+1]].
+	pats     []int
+	branchOf []int
+	recs     []int32
+	off      [maxBranches + 1]int
+}
 
-	var out []*service.Graph
-	seen := make(map[string]bool)
-	for _, pi := range patIdx {
-		pat := patterns[pi].Pattern
-		branches := pat.Branches(maxBranches)
-		slots := make([][]Probe, len(branches))
-		for _, r := range byPattern[pi] {
-			if bi := branchIndex(branches, r); bi >= 0 {
-				slots[bi] = append(slots[bi], r)
-			}
+// candidate is one qualified combination: which record it takes per branch,
+// and the rank selection sorts by.
+type candidate struct {
+	score   float64
+	variant bool // instantiates a request variant: ranks after every primary
+	n       int  // branches of its pattern
+	recs    [maxBranches]int32
+}
+
+// addKey records key as seen and reports whether it was new. A request has
+// at most maxCandidates of them, of a few dozen bytes each, so a scan beats
+// a map that would own a string per key.
+func (s *selection) addKey(key []byte) bool {
+	start := 0
+	for _, end := range s.keyEnds {
+		if bytes.Equal(s.keyBytes[start:end], key) {
+			return false
 		}
-		complete := true
-		for _, s := range slots {
-			if len(s) == 0 {
-				complete = false
-				break
+		start = end
+	}
+	s.keyBytes = append(s.keyBytes, key...)
+	s.keyEnds = append(s.keyEnds, len(s.keyBytes))
+	return true
+}
+
+// merge fills the trial graph from one record per branch, or reports false
+// if the records disagree on a shared function's component. Of a function or
+// link recorded by several branches the first record's snapshot stands.
+func (s *selection) merge(req *service.Request, records []Probe, recs []int32) bool {
+	g := &s.trial
+	first := &records[recs[0]]
+	g.Pattern, g.PatternIdx, g.Req = first.Pattern, first.PatternIdx, req
+	g.QoS = qos.Vector{}
+	g.Links = g.Links[:0]
+	if g.Comps == nil {
+		g.Comps = make(map[int]service.Snapshot)
+	}
+	clear(g.Comps)
+	for _, ri := range recs {
+		r := &records[ri]
+		for i := range r.Visited {
+			h := &r.Visited[i]
+			if prev, ok := g.Comps[h.Fn]; ok {
+				if prev.Comp.ID != h.Snap.Comp.ID {
+					return false // branches disagree on a shared function
+				}
+				continue
 			}
+			g.Comps[h.Fn] = h.Snap
 		}
-		if !complete {
-			continue // some branch got no surviving probe; pattern unusable
+		for i := range r.Visited {
+			s.addLink(r.Visited[i].In)
 		}
-		e.enumerateCombos(req, pi, slots, func(g *service.Graph) bool {
-			if key := g.Key(); !seen[key] {
-				seen[key] = true
-				out = append(out, g)
-			}
-			return len(out) < maxCandidates
-		})
-		if len(out) >= maxCandidates {
+		s.addLink(r.Egress)
+		g.QoS = g.QoS.Max(r.QoS)
+	}
+	slices.SortFunc(g.Links, service.LinkSnapshot.Compare)
+	return true
+}
+
+func (s *selection) addLink(l service.LinkSnapshot) {
+	for _, have := range s.trial.Links {
+		if have.FromFn == l.FromFn && have.ToFn == l.ToFn {
+			return
+		}
+	}
+	s.trial.Links = append(s.trial.Links, l)
+}
+
+// build merges c's records again and returns the result as a graph of its
+// own.
+func (s *selection) build(req *service.Request, records []Probe, c *candidate) *service.Graph {
+	s.merge(req, records, c.recs[:c.n])
+	g := s.trial
+	g.Comps = maps.Clone(g.Comps)
+	g.Links = slices.Clone(g.Links)
+	return &g
+}
+
+// score is the figure selection minimizes within a tier.
+func (e *Engine) score(g *service.Graph, req *service.Request) float64 {
+	var s float64
+	if e.SelectByDelay {
+		s = g.QoS[qos.Delay]
+	} else {
+		s = g.Cost(e.Weights, req)
+	}
+	if e.cfg.LoadAware {
+		// Overload control: probes recorded each hop's utilization, and
+		// the hottest component bounds how slowly the session will run
+		// under the load-inflated processing model. Scaling the score by
+		// (1 + max utilization) steers selection toward cool graphs
+		// without distorting the load-blind default (off: factor 1).
+		s *= 1 + maxUtil(g)
+	}
+	return s
+}
+
+// rank groups the branch probes by composition pattern and walks the
+// combinations of one record per branch that agree on their shared
+// functions, at most maxCandidates distinct ones. It returns how many
+// distinct ones it saw and leaves the qualified ones in e.sel.cands, best
+// first.
+func (e *Engine) rank(req *service.Request, records []Probe) int {
+	s := &e.sel
+	s.cands, s.keyBytes, s.keyEnds = s.cands[:0], s.keyBytes[:0], s.keyEnds[:0]
+	// Conditional-branch semantics: graphs instantiating the primary
+	// function graph rank before variant fallbacks; within a tier, lowest
+	// score wins. (ψ sums per component, so comparing costs across shapes
+	// of different sizes would always favor the shortest variant.)
+	primaryPatterns := len(req.FGraph.Patterns(e.primaryPatternCap()))
+
+	s.pats = s.pats[:0]
+	for i := range records {
+		if !slices.Contains(s.pats, records[i].PatternIdx) {
+			s.pats = append(s.pats, records[i].PatternIdx)
+		}
+	}
+	slices.Sort(s.pats)
+	for _, pi := range s.pats {
+		if !e.rankPattern(req, records, pi, pi >= primaryPatterns) {
 			break
 		}
 	}
-	return out
+	slices.SortStableFunc(s.cands, func(a, b candidate) int {
+		if a.variant != b.variant {
+			if b.variant {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.score, b.score)
+	})
+	return len(s.keyEnds)
+}
+
+// rankPattern is rank for the records of one pattern; it reports false once
+// maxCandidates distinct combinations have been seen.
+func (e *Engine) rankPattern(req *service.Request, records []Probe, pi int, variant bool) bool {
+	s := &e.sel
+	var pat *fgraph.Graph
+	for i := range records {
+		if records[i].PatternIdx == pi {
+			pat = records[i].Pattern
+		}
+	}
+	branches := pat.Branches(maxBranches)
+	s.branchOf = s.branchOf[:0]
+	for i := range records {
+		bi := -1
+		if records[i].PatternIdx == pi {
+			bi = branchIndex(branches, &records[i])
+		}
+		s.branchOf = append(s.branchOf, bi)
+	}
+	s.recs = s.recs[:0]
+	for bi := range branches {
+		s.off[bi] = len(s.recs)
+		for i, b := range s.branchOf {
+			if b == bi {
+				s.recs = append(s.recs, int32(i))
+			}
+		}
+		if len(s.recs) == s.off[bi] {
+			return true // some branch got no surviving probe; pattern unusable
+		}
+	}
+	s.off[len(branches)] = len(s.recs)
+
+	s.key = append(pat.AppendString(s.key[:0]), '|')
+	prefix := len(s.key)
+	c := candidate{variant: variant, n: len(branches)}
+	var idx [maxBranches]int
+	for {
+		for b := 0; b < c.n; b++ {
+			c.recs[b] = s.recs[s.off[b]+idx[b]]
+		}
+		if s.merge(req, records, c.recs[:c.n]) {
+			s.key = s.trial.AppendAssignment(s.key[:prefix])
+			if s.addKey(s.key) {
+				if s.trial.Qualified(req) {
+					c.score = e.score(&s.trial, req)
+					s.cands = append(s.cands, c)
+				}
+				if len(s.keyEnds) >= maxCandidates {
+					return false
+				}
+			}
+		}
+		// Odometer increment.
+		k := c.n - 1
+		for k >= 0 {
+			idx[k]++
+			if s.off[k]+idx[k] < s.off[k+1] {
+				break
+			}
+			idx[k] = 0
+			k--
+		}
+		if k < 0 {
+			return true
+		}
+	}
 }
 
 // branchIndex matches a record's visited function sequence to one of the
 // pattern's branches.
-func branchIndex(branches [][]int, r Probe) int {
+func branchIndex(branches [][]int, r *Probe) int {
 	for bi, br := range branches {
 		if len(br) != len(r.Visited) {
 			continue
@@ -249,76 +396,6 @@ func branchIndex(branches [][]int, r Probe) int {
 		}
 	}
 	return -1
-}
-
-// enumerateCombos walks the cartesian product of per-branch records,
-// merging combinations whose shared functions agree on the same component.
-// emit returns false to stop enumeration.
-func (e *Engine) enumerateCombos(req *service.Request, patternIdx int, slots [][]Probe, emit func(*service.Graph) bool) {
-	idx := make([]int, len(slots))
-	for {
-		if g := mergeCombo(req, patternIdx, slots, idx); g != nil {
-			if !emit(g) {
-				return
-			}
-		}
-		// Odometer increment.
-		k := len(idx) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < len(slots[k]) {
-				break
-			}
-			idx[k] = 0
-			k--
-		}
-		if k < 0 {
-			return
-		}
-	}
-}
-
-// mergeCombo merges one record per branch into a complete service graph, or
-// returns nil if the records disagree on a shared function's component.
-func mergeCombo(req *service.Request, patternIdx int, slots [][]Probe, idx []int) *service.Graph {
-	g := &service.Graph{
-		Pattern:    slots[0][idx[0]].Pattern,
-		PatternIdx: patternIdx,
-		Comps:      make(map[int]service.Snapshot),
-		Req:        req,
-	}
-	type linkKey struct{ from, to int }
-	links := make(map[linkKey]service.LinkSnapshot)
-	for bi := range slots {
-		r := slots[bi][idx[bi]]
-		for _, h := range r.Visited {
-			if prev, ok := g.Comps[h.Fn]; ok {
-				if prev.Comp.ID != h.Snap.Comp.ID {
-					return nil // branches disagree on a shared function
-				}
-				continue
-			}
-			g.Comps[h.Fn] = h.Snap
-		}
-		for _, l := range r.Links {
-			k := linkKey{l.FromFn, l.ToFn}
-			if _, ok := links[k]; !ok {
-				links[k] = l
-			}
-		}
-		g.QoS = g.QoS.Max(r.QoS)
-	}
-	g.Links = make([]service.LinkSnapshot, 0, len(links))
-	for _, l := range links {
-		g.Links = append(g.Links, l)
-	}
-	sort.Slice(g.Links, func(i, j int) bool {
-		if g.Links[i].FromFn != g.Links[j].FromFn {
-			return g.Links[i].FromFn < g.Links[j].FromFn
-		}
-		return g.Links[i].ToFn < g.Links[j].ToFn
-	})
-	return g
 }
 
 // ackMsg confirms the selected service graph along the reverse path,

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -35,15 +36,17 @@ type Entry struct {
 }
 
 // RouteMsg is the envelope routed greedily toward Key. Exactly one of Put,
-// Get, Join is set. Span carries the composition-request ID the lookup is
-// serving (0 for maintenance traffic) so every hop's trace event can be
-// attributed to the request's span tree.
+// Get, Join is set; Get is held by value and set when its ReqID is not 0,
+// because a lookup is re-enveloped at every hop and its payload should not
+// be an object of its own. Span carries the composition-request ID the
+// lookup is serving (0 for maintenance traffic) so every hop's trace event
+// can be attributed to the request's span tree.
 type RouteMsg struct {
 	Key  ID
 	Hops int
 	Span uint64
 	Put  *PutPayload
-	Get  *GetPayload
+	Get  GetPayload
 	Join *JoinPayload
 }
 
@@ -54,6 +57,7 @@ type PutPayload struct {
 }
 
 // GetPayload asks the key's root to return all items stored under the key.
+// ReqID numbers the requester's lookups from 1.
 type GetPayload struct {
 	ReqID  uint64
 	Origin p2p.NodeID
@@ -327,7 +331,7 @@ func payloadSize(rm RouteMsg) int {
 	switch {
 	case rm.Put != nil:
 		return rm.Put.Size
-	case rm.Get != nil:
+	case rm.Get.ReqID != 0:
 		return 16
 	case rm.Join != nil:
 		return 24
@@ -339,7 +343,7 @@ func payloadKind(rm RouteMsg) string {
 	switch {
 	case rm.Put != nil:
 		return "put"
-	case rm.Get != nil:
+	case rm.Get.ReqID != 0:
 		return "get"
 	case rm.Join != nil:
 		return "join"
@@ -361,8 +365,10 @@ func (n *Node) deliver(rm RouteMsg) {
 		}
 		n.store[rm.Key] = append(n.store[rm.Key], rm.Put.Item)
 		n.replicate(rm.Key, rm.Put.Item, rm.Put.Size)
-	case rm.Get != nil:
-		items := append([]any(nil), n.store[rm.Key]...)
+	case rm.Get.ReqID != 0:
+		// The response shares the store's backing array: the store only ever
+		// appends, and clipping makes any append by the reader copy first.
+		items := slices.Clip(n.store[rm.Key])
 		n.host.Send(p2p.Message{
 			Type: MsgGetResp, To: rm.Get.Origin,
 			Size:    routeSize + 96*len(items),
@@ -518,7 +524,7 @@ func (n *Node) GetVia(entries []p2p.NodeID, key ID, span uint64, timeout time.Du
 // sendGetVia routes a get into the key's home ring through entry, returning
 // the hop used.
 func (n *Node) sendGetVia(reqID uint64, key ID, span uint64, entry p2p.NodeID) p2p.NodeID {
-	rm := RouteMsg{Key: key, Span: span, Get: &GetPayload{ReqID: reqID, Origin: n.self.Addr}}
+	rm := RouteMsg{Key: key, Span: span, Get: GetPayload{ReqID: reqID, Origin: n.self.Addr}}
 	if entry == n.self.Addr {
 		return n.routeVia(rm, n.nextHop(key))
 	}
@@ -534,7 +540,7 @@ func (n *Node) sendGet(reqID uint64, key ID, span uint64, avoid p2p.NodeID) p2p.
 	if next.Addr == p2p.NoNode && avoid != p2p.NoNode {
 		next = n.nextHop(key)
 	}
-	return n.routeVia(RouteMsg{Key: key, Span: span, Get: &GetPayload{ReqID: reqID, Origin: n.self.Addr}}, next)
+	return n.routeVia(RouteMsg{Key: key, Span: span, Get: GetPayload{ReqID: reqID, Origin: n.self.Addr}}, next)
 }
 
 func (n *Node) getTimeout(id uint64) {

@@ -263,21 +263,27 @@ func (g *Graph) signature() string {
 }
 
 // String renders the graph as "F1->F2 F1->F3 ..." with node names.
-func (g *Graph) String() string {
-	var b strings.Builder
+func (g *Graph) String() string { return string(g.AppendString(nil)) }
+
+// AppendString appends the String rendering to dst and returns the extended
+// buffer, for callers that render many graphs into one reused buffer.
+func (g *Graph) AppendString(dst []byte) []byte {
+	start := len(dst)
 	for i := range g.succ {
 		for _, v := range g.succ[i] {
-			if b.Len() > 0 {
-				b.WriteByte(' ')
+			if len(dst) > start {
+				dst = append(dst, ' ')
 			}
-			fmt.Fprintf(&b, "%s->%s", g.fns[i], g.fns[v])
+			dst = append(dst, g.fns[i]...)
+			dst = append(dst, "->"...)
+			dst = append(dst, g.fns[v]...)
 		}
 	}
-	if b.Len() == 0 {
+	if len(dst) == start {
 		// single node, no edges
-		b.WriteString(g.fns[0])
+		dst = append(dst, g.fns[0]...)
 	}
-	return b.String()
+	return dst
 }
 
 // swappable reports whether nodes a and b form a chain segment a->b with

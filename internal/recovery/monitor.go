@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -69,8 +70,7 @@ func (m *Manager) tick() {
 }
 
 func (m *Manager) probeGraph(s *Session, g *service.Graph) {
-	order := g.Pattern.TopoOrder()
-	key := g.Key()
+	order, key := s.known[g].order, s.known[g].key
 	sentAt := m.host.Now()
 	first := g.Comps[order[0]].Comp.Peer
 	if m.Trace != nil {
@@ -151,27 +151,24 @@ func (m *Manager) checkPong(sessID uint64, graphKey string, sentAt time.Duration
 		return
 	}
 	delete(s.missed, graphKey)
-	if s.Active.Key() == graphKey {
+	if s.known[s.Active].key == graphKey {
 		m.activeFailed(s)
 		return
 	}
 	// A backup broke: drop it from the maintained set and the pool, then
 	// re-select.
-	dropGraph(&s.Backups, graphKey)
-	dropGraph(&s.Pool, graphKey)
+	s.drop(graphKey)
 	if m.cfg.Proactive {
 		m.refreshBackups(s)
 	}
 }
 
-func dropGraph(gs *[]*service.Graph, key string) {
-	out := (*gs)[:0]
-	for _, g := range *gs {
-		if g.Key() != key {
-			out = append(out, g)
-		}
-	}
-	*gs = out
+// drop removes the graph with the given key from the maintained backups and
+// the pool.
+func (s *Session) drop(key string) {
+	is := func(g *service.Graph) bool { return s.known[g].key == key }
+	s.Backups = slices.DeleteFunc(s.Backups, is)
+	s.Pool = slices.DeleteFunc(s.Pool, is)
 }
 
 // activeFailed starts the recovery sequence for a broken session. The path
@@ -284,8 +281,8 @@ func (m *Manager) tryRecovery(s *Session, dead map[p2p.NodeID]bool) {
 			return s.Backups[i].Cost(m.eng.Weights, s.Req) < s.Backups[j].Cost(m.eng.Weights, s.Req)
 		})
 		cand := s.Backups[0]
-		dropGraph(&s.Backups, cand.Key())
-		dropGraph(&s.Pool, cand.Key())
+		candKey := s.known[cand].key
+		s.drop(candKey)
 		if usesDead(cand) {
 			// Every backup depends on a dead peer: go straight to reactive
 			// re-composition rather than paying doomed setup timeouts.
@@ -303,8 +300,8 @@ func (m *Manager) tryRecovery(s *Session, dead map[p2p.NodeID]bool) {
 			}
 			old := s.Active
 			s.Active = cand
-			s.lastPong[cand.Key()] = m.host.Now()
-			delete(s.missed, cand.Key())
+			s.lastPong[candKey] = m.host.Now()
+			delete(s.missed, candKey)
 			m.stats.ComponentsReplaced += len(old.Comps) - cand.Overlap(old)
 			m.allocIngress(s)
 			m.reportDropped(old, cand)
@@ -341,9 +338,8 @@ func (m *Manager) reactive(s *Session) {
 			return
 		}
 		old := s.Active
-		s.Active = res.Best
-		s.Pool = append([]*service.Graph(nil), res.Backups...)
-		s.lastPong = map[string]time.Duration{res.Best.Key(): m.host.Now()}
+		s.adopt(res.Best, res.Backups)
+		s.lastPong = map[string]time.Duration{s.known[res.Best].key: m.host.Now()}
 		s.missed = make(map[string]int)
 		m.stats.ComponentsReplaced += len(old.Comps) - res.Best.Overlap(old)
 		m.reportDropped(old, res.Best)

@@ -130,12 +130,36 @@ type Session struct {
 	Backups []*service.Graph // currently maintained (γ of them)
 	Pool    []*service.Graph // remaining qualified graphs, backup candidates
 
+	// known holds, for every graph composition handed this session, what
+	// maintenance would otherwise work out again on every tick.
+	known map[*service.Graph]tracked
+
 	alive       bool
 	lastPong    map[string]time.Duration // graph key -> last pong time
 	missed      map[string]int           // graph key -> consecutive missed pongs
 	awaitingFix bool
 	brokenAt    time.Duration
 	reattempt   int
+}
+
+// tracked is the part of a graph's identity that maintenance sends with
+// every path probe. Neither changes while the session holds the graph: pongs
+// refresh the snapshots in Comps, never the assignment. It is kept here and
+// not cached inside service.Graph, whose Comps anyone may reassign.
+type tracked struct {
+	key   string // Graph.Key
+	order []int  // topological order of the pattern's functions
+}
+
+// adopt makes active and pool the session's graphs.
+func (s *Session) adopt(active *service.Graph, pool []*service.Graph) {
+	s.Active = active
+	s.Pool = append([]*service.Graph(nil), pool...)
+	s.known = make(map[*service.Graph]tracked, 1+len(pool))
+	s.known[active] = tracked{key: active.Key(), order: active.Pattern.TopoOrder()}
+	for _, g := range pool {
+		s.known[g] = tracked{key: g.Key(), order: g.Pattern.TopoOrder()}
+	}
 }
 
 // TrustReporter receives first-hand session outcomes per peer; implemented
@@ -255,12 +279,11 @@ func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
 	s := &Session{
 		ID:       req.ID,
 		Req:      req,
-		Active:   res.Best,
-		Pool:     append([]*service.Graph(nil), res.Backups...),
 		alive:    true,
 		lastPong: make(map[string]time.Duration),
 		missed:   make(map[string]int),
 	}
+	s.adopt(res.Best, res.Backups)
 	m.sessions[s.ID] = s
 	if m.cfg.Proactive {
 		m.refreshBackups(s)
@@ -348,15 +371,18 @@ func SelectBackups(active *service.Graph, pool []*service.Graph, gamma int, disj
 	sort.SliceStable(comps, func(i, j int) bool { return comps[i].FailProb > comps[j].FailProb })
 
 	chosen := make([]*service.Graph, 0, gamma)
+	keys := make([]string, len(pool))
+	for i, g := range pool {
+		keys[i] = g.Key()
+	}
 	used := make(map[string]bool)
 	pick := func(exclude ...string) {
 		if len(chosen) >= gamma {
 			return
 		}
-		var best *service.Graph
-		bestOverlap := -1
-		for _, g := range pool {
-			if used[g.Key()] {
+		best, bestOverlap := -1, -1
+		for i, g := range pool {
+			if used[keys[i]] {
 				continue
 			}
 			excluded := false
@@ -370,12 +396,12 @@ func SelectBackups(active *service.Graph, pool []*service.Graph, gamma int, disj
 				continue
 			}
 			if ov := g.Overlap(active); ov > bestOverlap {
-				best, bestOverlap = g, ov
+				best, bestOverlap = i, ov
 			}
 		}
-		if best != nil {
-			used[best.Key()] = true
-			chosen = append(chosen, best)
+		if best >= 0 {
+			used[keys[best]] = true
+			chosen = append(chosen, pool[best])
 		}
 	}
 	// Single-component failures, bottleneck first.

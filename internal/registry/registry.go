@@ -66,15 +66,7 @@ func (r *Registry) DiscoverSpan(function string, span uint64, timeout time.Durat
 			cb(nil, 0, false)
 			return
 		}
-		comps := make([]service.Component, 0, len(items))
-		seen := make(map[string]bool, len(items))
-		for _, it := range items {
-			if c, isComp := it.(service.Component); isComp && !seen[c.ID] {
-				seen[c.ID] = true
-				comps = append(comps, c)
-			}
-		}
-		cb(comps, hops, true)
+		cb(components(items), hops, true)
 	}
 	if r.plan != nil && r.plan.Home(key) != r.shard {
 		r.node.GetVia(r.plan.Entries(key), key, span, timeout, collect)
@@ -83,51 +75,26 @@ func (r *Registry) DiscoverSpan(function string, span uint64, timeout time.Durat
 	r.node.GetSpan(key, span, timeout, collect)
 }
 
-// Table is the result of resolving every function of a request: function
-// name → duplicate component list.
-type Table map[string][]service.Component
-
-// DiscoverAll resolves all functions concurrently and fires cb once when
-// every lookup has completed. ok is false if any lookup timed out. This is
-// the "decentralized service discovery" phase of session setup whose
-// duration Figure 10 reports separately.
-func (r *Registry) DiscoverAll(functions []string, timeout time.Duration, cb func(t Table, ok bool)) {
-	r.DiscoverAllSpan(functions, 0, timeout, cb)
-}
-
-// DiscoverAllSpan is DiscoverAll with the composition-request ID threaded
-// through every constituent lookup's trace events.
-func (r *Registry) DiscoverAllSpan(functions []string, span uint64, timeout time.Duration, cb func(t Table, ok bool)) {
-	// Deduplicate function names first.
-	uniq := make([]string, 0, len(functions))
-	seen := make(map[string]bool, len(functions))
-	for _, f := range functions {
-		if !seen[f] {
-			seen[f] = true
-			uniq = append(uniq, f)
+// components returns the component meta-data among items, one per component
+// ID (a component that registered again after a rejoin is stored twice).
+// Duplicate lists are a handful to a few dozen entries, so the scan for an
+// ID already taken is cheaper than a set.
+func components(items []any) []service.Component {
+	comps := make([]service.Component, 0, len(items))
+next:
+	for _, it := range items {
+		c, isComp := it.(service.Component)
+		if !isComp {
+			continue
 		}
-	}
-	t := make(Table, len(uniq))
-	remaining := len(uniq)
-	failed := false
-	if remaining == 0 {
-		cb(t, true)
-		return
-	}
-	for _, f := range uniq {
-		f := f
-		r.DiscoverSpan(f, span, timeout, func(comps []service.Component, _ int, ok bool) {
-			if !ok {
-				failed = true
-			} else {
-				t[f] = comps
+		for i := range comps {
+			if comps[i].ID == c.ID {
+				continue next
 			}
-			remaining--
-			if remaining == 0 {
-				cb(t, !failed)
-			}
-		})
+		}
+		comps = append(comps, c)
 	}
+	return comps
 }
 
 // DHT exposes the underlying DHT node (e.g. to read its identifier).

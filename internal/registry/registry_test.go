@@ -98,57 +98,6 @@ func TestDiscoverDeduplicatesReplicaCopies(t *testing.T) {
 	nw.Sim().RunUntilIdle()
 }
 
-func TestDiscoverAll(t *testing.T) {
-	nw, regs := cluster(t, 50)
-	fns := []string{"a", "b", "c"}
-	for i, fn := range fns {
-		for r := 0; r < 2; r++ {
-			p := 1 + i*3 + r
-			regs[p].Register(mkComp(p, fn, r))
-		}
-	}
-	nw.Sim().RunUntilIdle()
-
-	var table Table
-	start := nw.Sim().Now()
-	var elapsed time.Duration
-	regs[0].DiscoverAll([]string{"a", "b", "c", "a"}, time.Second, func(tb Table, ok bool) {
-		if !ok {
-			t.Error("DiscoverAll failed")
-		}
-		table = tb
-		elapsed = nw.Sim().Now() - start
-	})
-	nw.Sim().RunUntilIdle()
-	if table == nil {
-		t.Fatal("callback never fired")
-	}
-	for _, fn := range fns {
-		if len(table[fn]) != 2 {
-			t.Fatalf("function %q has %d duplicates, want 2", fn, len(table[fn]))
-		}
-	}
-	// Lookups run concurrently: total time must be far below 3 sequential
-	// lookups (each several 5ms hops).
-	if elapsed > 200*time.Millisecond {
-		t.Fatalf("DiscoverAll took %v; lookups appear serialized", elapsed)
-	}
-}
-
-func TestDiscoverAllEmptyFunctionList(t *testing.T) {
-	_, regs := cluster(t, 5)
-	called := false
-	regs[0].DiscoverAll(nil, time.Second, func(tb Table, ok bool) {
-		called = true
-		if !ok || len(tb) != 0 {
-			t.Errorf("tb=%v ok=%v", tb, ok)
-		}
-	})
-	if !called {
-		t.Fatal("empty DiscoverAll must call back synchronously")
-	}
-}
-
 func TestDiscoverSurvivesRootFailure(t *testing.T) {
 	nw, regs := cluster(t, 60)
 	regs[7].Register(mkComp(7, "resilient", 0))

@@ -7,9 +7,11 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/fgraph"
@@ -157,6 +159,15 @@ type LinkSnapshot struct {
 	Latency   float64 // overlay path latency, ms
 }
 
+// Compare orders links by (FromFn, ToFn), the order Graph.Links is kept in
+// so that ψ's bandwidth term folds identically wherever a graph was built.
+func (l LinkSnapshot) Compare(o LinkSnapshot) int {
+	if c := cmp.Compare(l.FromFn, o.FromFn); c != 0 {
+		return c
+	}
+	return cmp.Compare(l.ToFn, o.ToFn)
+}
+
 // Graph is a service graph λ: one composition pattern with every function
 // node mapped to a concrete component, plus the QoS and resource snapshots
 // the probes collected along the way. Before selection it is a candidate;
@@ -178,34 +189,53 @@ type Graph struct {
 	Req *Request
 }
 
+// fns appends the assigned function indices to buf in ascending order — the
+// one iteration order every float fold and every rendering of a graph uses,
+// because map order would differ between identically seeded runs. Callers
+// pass a small stack buffer, so graphs of ordinary size cost no allocation.
+func (g *Graph) fns(buf []int) []int {
+	for i := range g.Comps {
+		buf = append(buf, i)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// fnsBuf is the size of the stack buffer handed to fns: requests compose a
+// handful of functions, larger graphs spill to the heap.
+const fnsBuf = 16
+
 // Key returns a canonical signature of the graph: its composition pattern
 // plus the component assignment. Two graphs over different patterns (e.g.
 // the two orders of a commutation link) are distinct even with identical
 // assignments, because the execution order differs.
 func (g *Graph) Key() string {
-	idx := make([]int, 0, len(g.Comps))
-	for i := range g.Comps {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	var b strings.Builder
+	var buf [128]byte
+	dst := buf[:0]
 	if g.Pattern != nil {
-		b.WriteString(g.Pattern.String())
-		b.WriteByte('|')
+		dst = append(g.Pattern.AppendString(dst), '|')
 	}
-	for _, i := range idx {
-		fmt.Fprintf(&b, "%d=%s;", i, g.Comps[i].Comp.ID)
+	return string(g.AppendAssignment(dst))
+}
+
+// AppendAssignment appends the assignment half of Key ("fn=component;" in
+// function order) to dst and returns the extended buffer. Selection renders
+// a pattern once and then one assignment per candidate behind it.
+func (g *Graph) AppendAssignment(dst []byte) []byte {
+	var buf [fnsBuf]int
+	for _, i := range g.fns(buf[:0]) {
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		dst = append(dst, '=')
+		dst = append(dst, g.Comps[i].Comp.ID...)
+		dst = append(dst, ';')
 	}
-	return b.String()
+	return dst
 }
 
 // Components returns the assigned components in function-index order.
 func (g *Graph) Components() []Component {
-	idx := make([]int, 0, len(g.Comps))
-	for i := range g.Comps {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
+	var buf [fnsBuf]int
+	idx := g.fns(buf[:0])
 	out := make([]Component, len(idx))
 	for k, i := range idx {
 		out[k] = g.Comps[i].Comp
@@ -264,7 +294,7 @@ func (g *Graph) FailProb() float64 {
 	}
 	// Multiply in sorted peer order: float rounding depends on operation
 	// order, and map iteration would make the product run-dependent.
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 	alive := 1.0
 	for _, p := range peers {
 		alive *= 1 - seen[p]
@@ -305,14 +335,8 @@ func (g *Graph) Qualified(req *Request) bool {
 func (g *Graph) Cost(w Weights, req *Request) float64 {
 	w = w.Normalize()
 	var cost float64
-	// Sorted function order keeps the float accumulation identical across
-	// runs (map iteration order would perturb the rounding).
-	idx := make([]int, 0, len(g.Comps))
-	for i := range g.Comps {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	for _, fn := range idx {
+	var buf [fnsBuf]int
+	for _, fn := range g.fns(buf[:0]) {
 		s := g.Comps[fn]
 		for i := range s.Avail {
 			if req.Res[i] == 0 {
@@ -337,13 +361,9 @@ func (g *Graph) Cost(w Weights, req *Request) float64 {
 
 // String renders the assignment compactly, e.g. "f0→p3/scale.0 f1→p9/tick.1".
 func (g *Graph) String() string {
-	idx := make([]int, 0, len(g.Comps))
-	for i := range g.Comps {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
+	var buf [fnsBuf]int
 	var b strings.Builder
-	for k, i := range idx {
+	for k, i := range g.fns(buf[:0]) {
 		if k > 0 {
 			b.WriteByte(' ')
 		}

@@ -242,3 +242,24 @@ func TestGraphString(t *testing.T) {
 		t.Fatalf("String=%q", s)
 	}
 }
+
+// TestCostAndKeyAllocs: scoring a graph and appending its assignment to a
+// warm buffer — what selection does once per candidate — allocate nothing,
+// and a rendered Key is one object, the string itself.
+func TestCostAndKeyAllocs(t *testing.T) {
+	g, req := twoFnGraph(res(10, 100), res(10, 100))
+	w := DefaultWeights()
+	if avg := testing.AllocsPerRun(100, func() { g.Cost(w, req) }); avg != 0 {
+		t.Fatalf("Cost allocates %.0f objects, want 0", avg)
+	}
+	buf := g.AppendAssignment(nil)
+	if string(buf) != "0=c0;1=c1;" || g.Key() != "a->b|0=c0;1=c1;" {
+		t.Fatalf("assignment %q, key %q", buf, g.Key())
+	}
+	if avg := testing.AllocsPerRun(100, func() { buf = g.AppendAssignment(buf[:0]) }); avg != 0 {
+		t.Fatalf("AppendAssignment into a warm buffer allocates %.0f objects, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = g.Key() }); avg > 1 {
+		t.Fatalf("Key allocates %.0f objects, want the string alone", avg)
+	}
+}

@@ -143,6 +143,11 @@ func TestComposeOverRealSockets(t *testing.T) {
 		if len(r.Best.Comps) != 2 {
 			t.Fatalf("incomplete graph %v", r.Best)
 		}
+		// Each hop's ingress link and the leaf's egress link crossed the
+		// sockets inside the probes and reports the graph was merged from.
+		if len(r.Best.Links) != 3 || r.Best.Links[0].FromFn != -1 || r.Best.Links[2].ToFn != -1 {
+			t.Fatalf("graph links %+v, want sender→alpha→beta→receiver", r.Best.Links)
+		}
 		// Stream a frame through the composed graph over the sockets.
 		delivered := make(chan media.Frame, 1)
 		d.transports[3].Exec(func() {

@@ -15,6 +15,16 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# Allocation gates: the object budgets of one composition and one recovery
+# interval, and the paths that must allocate nothing at all (route cost,
+# candidate scoring, the dedupe key, next-hop planning). The run above had
+# them under the race detector only, whose runtime allocates differently;
+# these are the figures DESIGN.md quotes. The two benchmarks print the same
+# paths' objects, bytes and time into the log.
+echo "== allocation gates (no race detector) + compose/recovery-tick benchmarks"
+go test -run 'Alloc' -count=1 ./internal/...
+go test -run '^$' -bench 'BCPCompose|RecoveryTick' -benchmem -benchtime 20x .
+
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that
 # breaks its driver fails CI and not only the next benchmark run.
