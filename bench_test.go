@@ -422,13 +422,47 @@ func BenchmarkSimEventDispatch(b *testing.B) {
 // BenchmarkTopologyPaperScale generates the paper's full 10,000-node IP
 // network and builds a 1,000-peer overlay on it — the construction cost every
 // -paper experiment pays up front. The edge-set index and the batched
-// peer-pair Dijkstra keep this in single-digit seconds.
+// peer-pair sweep keep this well under a second.
 func BenchmarkTopologyPaperScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := newSeededRng(79)
 		g := topology.GeneratePowerLaw(10000, 2, 2, 30, rng)
 		ov := topology.BuildOverlay(g, topology.OverlayConfig{NumPeers: 1000, Degree: 4}, rng)
 		if ov.N() != 1000 {
+			b.Fatal("overlay incomplete")
+		}
+	}
+}
+
+// BenchmarkPairDistancesPaperScale is the peer-latency pass of that build on
+// its own: 1,000 sources swept over the 10,000-node graph, most of what a
+// world build costs once the graph exists. One sweep is ns/op × workers ÷
+// 1,000; allocs/op is the matrix plus per-worker scratch.
+func BenchmarkPairDistancesPaperScale(b *testing.B) {
+	rng := newSeededRng(79)
+	g := topology.GeneratePowerLaw(10000, 2, 2, 30, rng)
+	peers := rng.Perm(g.N())[:1000]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lat := g.PairDistances(peers); len(lat) != len(peers) {
+			b.Fatal("matrix incomplete")
+		}
+	}
+}
+
+// BenchmarkCompactMesh30k builds the scale workload's overlay — 30,000 peers
+// wired by truncated nearest-peer searches over a 300,000-node graph, fanned
+// over the available cores — on a graph generated once outside the timer.
+func BenchmarkCompactMesh30k(b *testing.B) {
+	g := topology.GeneratePowerLaw(300000, 2, 2, 30, newSeededRng(79))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ov := topology.BuildOverlay(g, topology.OverlayConfig{
+			NumPeers: 30000, Degree: 4, Compact: true,
+		}, newSeededRng(80))
+		if ov.N() != 30000 {
 			b.Fatal("overlay incomplete")
 		}
 	}

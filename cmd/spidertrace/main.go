@@ -22,81 +22,84 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "spidertrace:", err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+const usage = "usage: spidertrace {summary|phases|slow [-k N]|waterfall -req N|critical [-req N|-k N]} trace.jsonl[.gz]"
+
+// run is main with its environment passed in: 0 on success, 1 when the
+// command line or the trace is unusable, 2 on a flag the flag package rejects.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "spidertrace: "+format+"\n", a...)
+		return 1
 	}
-}
-
-func usage() error {
-	return fmt.Errorf("usage: spidertrace {summary|phases|slow [-k N]|waterfall -req N|critical [-req N|-k N]} trace.jsonl[.gz]")
-}
-
-func run(args []string) error {
 	if len(args) == 0 {
-		return usage()
+		return fail(usage)
 	}
 	cmd, rest := args[0], args[1:]
 
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs := flag.NewFlagSet("spidertrace "+cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	k := fs.Int("k", 10, "how many requests to report")
 	req := fs.Uint64("req", 0, "request ID to inspect")
 	orphans := fs.Bool("orphans", false, "also list unattributable events")
 	if err := fs.Parse(rest); err != nil {
-		return err
+		return 2
+	}
+	switch cmd {
+	case "summary", "phases", "slow", "critical":
+	case "waterfall":
+		if *req == 0 {
+			return fail("waterfall needs -req N")
+		}
+	default:
+		return fail("unknown command %q\n%s", cmd, usage)
 	}
 	if fs.NArg() != 1 {
-		return usage()
+		return fail(usage)
 	}
 	path := fs.Arg(0)
 
 	f, err := buildForest(path)
 	if err != nil {
-		return err
+		return fail("%v", err)
 	}
 
 	switch cmd {
 	case "summary":
-		span.Summary(f, "trace "+path).Render(os.Stdout)
+		span.Summary(f, "trace "+path).Render(stdout)
 		if *orphans || len(f.Orphans) > 0 {
-			span.OrphanTable(f, "orphans").Render(os.Stdout)
+			span.OrphanTable(f, "orphans").Render(stdout)
 		}
 	case "phases":
-		span.PhaseTable(f, "setup-latency phases").Render(os.Stdout)
+		span.PhaseTable(f, "setup-latency phases").Render(stdout)
 	case "slow":
-		span.SlowTable(f, *k, fmt.Sprintf("top %d slowest requests", *k)).Render(os.Stdout)
-	case "waterfall":
-		if *req == 0 {
-			return fmt.Errorf("waterfall needs -req N")
-		}
-		t := f.Tree(*req)
-		if t == nil {
-			return fmt.Errorf("request %d not in trace", *req)
-		}
-		fmt.Print(span.Waterfall(t))
-	case "critical":
+		span.SlowTable(f, *k, fmt.Sprintf("top %d slowest requests", *k)).Render(stdout)
+	case "waterfall", "critical":
+		trees := f.Slowest(*k)
 		if *req != 0 {
 			t := f.Tree(*req)
 			if t == nil {
-				return fmt.Errorf("request %d not in trace", *req)
+				return fail("request %d not in trace", *req)
 			}
-			fmt.Print(span.Critical(t))
-			return nil
+			trees = []*span.Tree{t}
 		}
-		for _, t := range f.Slowest(*k) {
-			fmt.Print(span.Critical(t))
+		for _, t := range trees {
+			if cmd == "waterfall" {
+				fmt.Fprint(stdout, span.Waterfall(t))
+			} else {
+				fmt.Fprint(stdout, span.Critical(t))
+			}
 		}
-	default:
-		return usage()
 	}
-	return nil
+	return 0
 }
 
 func buildForest(path string) (*span.Forest, error) {

@@ -12,6 +12,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -51,8 +52,10 @@ func (g *legacyGraph) dijkstra(src int) []float64 {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	var h nodeHeap
-	h.init(g.n)
+	h := nodeHeap{pos: make([]int32, g.n)}
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
 	h.update(dist, int32(src))
 	for len(h.nodes) > 0 {
 		u := h.pop(dist)
@@ -146,27 +149,99 @@ func legacyRoute(o *Overlay, a, b int) (Path, bool) {
 	return Path{Peers: peers, Links: links, Latency: dist[b]}, true
 }
 
+// edgeScript is how buildBoth draws one script's weights and whether the
+// script starts with a chain through every node.
+type edgeScript struct {
+	name     string
+	weight   func(rng *rand.Rand) float64
+	backbone bool
+}
+
+// friendly is the script the CSR rewrite was certified on: a connected
+// backbone and weights from [1, 21), max/min under 21 — also the easy case
+// for a bucket sweep, which is why adversarialScripts exists.
+var friendly = edgeScript{"friendly", func(rng *rand.Rand) float64 { return 1 + rng.Float64()*20 }, true}
+
+// oneOf draws a or b with equal probability.
+func oneOf(a, b func(*rand.Rand) float64) func(*rand.Rand) float64 {
+	return func(rng *rand.Rand) float64 {
+		if rng.Intn(2) == 0 {
+			return a(rng)
+		}
+		return b(rng)
+	}
+}
+
+func constant(w float64) func(*rand.Rand) float64 {
+	return func(*rand.Rand) float64 { return w }
+}
+
+// adversarialScripts are the weight distributions a bucket sweep could get
+// wrong where a heap would not: entries landing in the bucket being drained
+// (zero and sub-width weights), every node of a level in one bucket (equal
+// weights), a weight ratio far beyond the ring (the maxBucketsPerEdge floor
+// must engage), weights the running sum absorbs (d+w == d), scales that
+// overflow the bucket scale (subnormal weights), no positive weight at all,
+// and graphs in pieces (+Inf rows, sources without edges).
+var adversarialScripts = []edgeScript{
+	{"zero-weight", oneOf(constant(0), friendly.weight), true},
+	{"all-zero", constant(0), true},
+	{"all-equal", constant(5), true},
+	{"ratio-1e9", oneOf(func(rng *rand.Rand) float64 { return 1e-9 * (1 + rng.Float64()) }, friendly.weight), true},
+	{"absorbed", oneOf(oneOf(constant(1e-300), constant(1e-17)), friendly.weight), true},
+	{"subnormal", func(rng *rand.Rand) float64 { return float64(1+rng.Intn(40)) * 5e-324 }, true},
+	{"disconnected", friendly.weight, false},
+	{"disconnected-zero", oneOf(constant(0), constant(3)), false},
+}
+
 // buildBoth replays one deterministic edge script into both representations.
 // Duplicate and self-loop attempts are part of the script on purpose: the
 // dedup behavior must match too.
-func buildBoth(rng *rand.Rand, n, attempts int) (*Graph, *legacyGraph) {
+func buildBoth(rng *rand.Rand, n, attempts int, script edgeScript) (*Graph, *legacyGraph) {
 	g := NewGraph(n)
 	lg := newLegacyGraph(n)
-	// Chain backbone so most of the graph is connected (mirrors GenerateRandom).
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		l := 1 + rng.Float64()*20
-		g.AddEdge(perm[i-1], perm[i], l)
-		lg.addEdge(perm[i-1], perm[i], l)
+	if script.backbone {
+		// Chain so most of the graph is connected (mirrors GenerateRandom).
+		perm := rng.Perm(n)
+		for i := 1; i < n; i++ {
+			l := script.weight(rng)
+			g.AddEdge(perm[i-1], perm[i], l)
+			lg.addEdge(perm[i-1], perm[i], l)
+		}
 	}
 	for i := 0; i < attempts; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		l := 1 + rng.Float64()*20
+		l := script.weight(rng)
 		g.AddEdge(u, v, l)
 		lg.addEdge(u, v, l)
 	}
 	g.Freeze()
 	return g, lg
+}
+
+// diffDistances requires the production searches to return the heap
+// oracle's distances to the bit (+Inf included): PairDistances over a random
+// node subset, Dijkstra over the whole graph from a few sources.
+func diffDistances(t *testing.T, g *Graph, lg *legacyGraph, rng *rand.Rand) {
+	t.Helper()
+	nodes := rng.Perm(g.N())[:min(g.N(), max(2, min(g.N()/4, 40)))]
+	got := g.PairDistances(nodes)
+	want := lg.pairDistances(nodes)
+	for i := range nodes {
+		for j := range nodes {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("PairDistances[%d][%d]: sweep %v, heap oracle %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	for _, src := range nodes[:min(len(nodes), 3)] {
+		got, want := g.Dijkstra(src), lg.dijkstra(src)
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("Dijkstra(%d)[%d]: sweep %v, heap oracle %v", src, v, got[v], want[v])
+			}
+		}
+	}
 }
 
 func diffCheck(t *testing.T, g *Graph, lg *legacyGraph, rng *rand.Rand) {
@@ -188,24 +263,7 @@ func diffCheck(t *testing.T, g *Graph, lg *legacyGraph, rng *rand.Rand) {
 		}
 	}
 
-	// PairDistances: bit-exact, +Inf included.
-	k := g.N() / 4
-	if k < 2 {
-		k = 2
-	}
-	if k > 40 {
-		k = 40
-	}
-	nodes := rng.Perm(g.N())[:k]
-	got := g.PairDistances(nodes)
-	want := lg.pairDistances(nodes)
-	for i := range nodes {
-		for j := range nodes {
-			if got[i][j] != want[i][j] && !(math.IsInf(got[i][j], 1) && math.IsInf(want[i][j], 1)) {
-				t.Fatalf("PairDistances[%d][%d]: CSR %v, legacy %v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
+	diffDistances(t, g, lg, rng)
 
 	// Neighbors must come back in identical order: insertion order is the
 	// contract the whole byte-identical claim rests on.
@@ -226,8 +284,68 @@ func TestDiffGraphAgainstLegacy(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(200)
-		g, lg := buildBoth(rng, n, n*3)
+		g, lg := buildBoth(rng, n, n*3, friendly)
 		diffCheck(t, g, lg, rng)
+	}
+}
+
+// TestDiffAdversarialWeights runs the differential over the scripts chosen to
+// break a bucket sweep, dense and sparse, and over the degenerate shapes: a
+// single node, a source with no edges.
+func TestDiffAdversarialWeights(t *testing.T) {
+	for _, script := range adversarialScripts {
+		t.Run(script.name, func(t *testing.T) {
+			for seed := int64(0); seed < 12; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				n := 2 + rng.Intn(150)
+				attempts := n * 3
+				if !script.backbone {
+					attempts = n / 2
+				}
+				g, lg := buildBoth(rng, n, attempts, script)
+				diffCheck(t, g, lg, rng)
+			}
+		})
+	}
+	t.Run("single-node", func(t *testing.T) {
+		g, lg := buildBoth(rand.New(rand.NewSource(1)), 1, 4, friendly)
+		diffCheck(t, g, lg, rand.New(rand.NewSource(1)))
+	})
+	t.Run("isolated-source", func(t *testing.T) {
+		g, lg := NewGraph(4), newLegacyGraph(4)
+		g.AddEdge(1, 2, 3)
+		lg.addEdge(1, 2, 3)
+		got, want := g.Dijkstra(0), lg.dijkstra(0)
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("Dijkstra(0)[%d]: sweep %v, heap oracle %v", v, got[v], want[v])
+			}
+		}
+		if d := g.PairDistances([]int{0, 1, 3}); d[0][0] != 0 || !math.IsInf(d[0][1], 1) || !math.IsInf(d[1][2], 1) {
+			t.Fatalf("PairDistances from an isolated source: %v", d)
+		}
+	})
+}
+
+// TestBucketPlan pins the ring the sweep runs on: 32 slots on the paper's
+// §6.1 weights, the maxBucketsPerEdge floor on a 1e9 ratio, and a usable plan
+// where there is no positive weight or only subnormal ones.
+func TestBucketPlan(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		minPos, maxW float64
+		ring         int
+	}{
+		{"paper [2,30)", 2.0001, 29.9999, 32},
+		{"all-equal", 5, 5, 4},
+		{"ratio-1e9 floored", 1e-9, 21, 2048},
+		{"no positive weight", math.Inf(1), 0, 4},
+		{"subnormal", 5e-324, 200e-324, 4},
+	} {
+		inv, ring := bucketPlan(c.minPos, c.maxW)
+		if ring != c.ring || math.IsInf(inv, 0) || math.IsNaN(inv) || int(c.maxW*inv)+3 > ring {
+			t.Errorf("%s: bucketPlan(%v, %v) = scale %v, ring %d; want ring %d", c.name, c.minPos, c.maxW, inv, ring, c.ring)
+		}
 	}
 }
 
@@ -254,6 +372,9 @@ func TestDiffGeneratedGraphs(t *testing.T) {
 				t.Fatalf("seed %d degree %d: CSR %d, legacy %d", seed, row.Degree, row.Count, lh[row.Degree])
 			}
 		}
+		// Distances do not depend on relaxation order (see Graph.sweep), so
+		// the replay is an oracle for them too — on the paper's own weights.
+		diffDistances(t, g, lg, rng)
 	}
 }
 
@@ -297,29 +418,35 @@ func TestDiffRoutePaths(t *testing.T) {
 // builder must produce the same peers, the same links in the same order with
 // the same capacities, and the same routes as the full-matrix builder —
 // the truncated per-peer Dijkstra consumes no RNG and settles the same
-// k-nearest sets the full sort finds.
+// k-nearest sets the full selection finds. The compact build fans its
+// searches over GOMAXPROCS workers, so it is held to that at 1, 2 and 8.
 func TestDiffCompactMesh(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const seed = 99
 	rngG := rand.New(rand.NewSource(seed))
 	g := GeneratePowerLaw(2000, 2, 2, 30, rngG)
 
 	full := BuildOverlay(g, OverlayConfig{NumPeers: 200, Kind: Mesh, Degree: 4}, rand.New(rand.NewSource(7)))
-	comp := BuildOverlay(g, OverlayConfig{NumPeers: 200, Kind: Mesh, Degree: 4, Compact: true}, rand.New(rand.NewSource(7)))
+	var comp *Overlay
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		comp = BuildOverlay(g, OverlayConfig{NumPeers: 200, Kind: Mesh, Degree: 4, Compact: true}, rand.New(rand.NewSource(7)))
 
-	if comp.Compact() == false || full.Compact() == true {
-		t.Fatal("Compact() flags wrong")
-	}
-	for p := 0; p < full.N(); p++ {
-		if full.PeerIP(p) != comp.PeerIP(p) {
-			t.Fatalf("peer %d hosts differ: %d vs %d", p, full.PeerIP(p), comp.PeerIP(p))
+		if comp.Compact() == false || full.Compact() == true {
+			t.Fatal("Compact() flags wrong")
 		}
-	}
-	if len(full.links) != len(comp.links) {
-		t.Fatalf("link counts differ: full %d, compact %d", len(full.links), len(comp.links))
-	}
-	for i := range full.links {
-		if full.links[i] != comp.links[i] {
-			t.Fatalf("link %d differs: full %+v, compact %+v", i, full.links[i], comp.links[i])
+		for p := 0; p < full.N(); p++ {
+			if full.PeerIP(p) != comp.PeerIP(p) {
+				t.Fatalf("GOMAXPROCS=%d: peer %d hosts differ: %d vs %d", procs, p, full.PeerIP(p), comp.PeerIP(p))
+			}
+		}
+		if len(full.links) != len(comp.links) {
+			t.Fatalf("GOMAXPROCS=%d: link counts differ: full %d, compact %d", procs, len(full.links), len(comp.links))
+		}
+		for i := range full.links {
+			if full.links[i] != comp.links[i] {
+				t.Fatalf("GOMAXPROCS=%d: link %d differs: full %+v, compact %+v", procs, i, full.links[i], comp.links[i])
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -343,7 +470,9 @@ func TestDiffCompactMesh(t *testing.T) {
 }
 
 // FuzzDiffGraph drives the same differential through the fuzzer: arbitrary
-// seeds generate edge scripts replayed into both representations.
+// seeds generate edge scripts replayed into both representations — the
+// friendly script, then the adversarial one the seed selects
+// (testdata/fuzz/FuzzDiffGraph/adversarial-* hold one seed per script).
 func FuzzDiffGraph(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(7))
@@ -352,7 +481,10 @@ func FuzzDiffGraph(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(120)
-		g, lg := buildBoth(rng, n, n*2)
+		g, lg := buildBoth(rng, n, n*2, friendly)
+		diffCheck(t, g, lg, rng)
+		script := adversarialScripts[uint64(seed)%uint64(len(adversarialScripts))]
+		g, lg = buildBoth(rng, n, n, script)
 		diffCheck(t, g, lg, rng)
 	})
 }

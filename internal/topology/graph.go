@@ -46,6 +46,13 @@ type Graph struct {
 	off []int32
 	to  []int32
 	w   []float64
+
+	// Bucket plan of the shortest-path sweep, fixed by Freeze from the
+	// smallest positive and the largest edge weight: a distance d belongs to
+	// bucket int(d*bucketInv), and ringLen (a power of two) buckets are live
+	// at any time. See sweep.
+	bucketInv float64
+	ringLen   int
 }
 
 // pairKey packs an unordered node pair into one map key. Node indices are
@@ -74,12 +81,18 @@ func (g *Graph) M() int { return g.m }
 // Frozen reports whether the graph has been packed into CSR form.
 func (g *Graph) Frozen() bool { return g.off != nil }
 
-// AddEdge inserts an undirected link between u and v with the given latency.
-// Self-loops and duplicate edges are ignored. Adding to a frozen graph
-// panics: the CSR arrays are immutable by construction.
+// AddEdge inserts an undirected link between u and v with the given latency,
+// which must be finite and >= 0: the shortest-path searches are label-setting
+// and compare with <, so a negative weight or a NaN would make them silently
+// wrong. Self-loops and duplicate edges are ignored. Adding to a frozen graph
+// or adding a weight outside that range panics: the CSR arrays are immutable
+// by construction, and a bad weight is a caller bug.
 func (g *Graph) AddEdge(u, v int, latency float64) {
 	if g.Frozen() {
 		panic("topology: AddEdge on frozen graph")
+	}
+	if !(latency >= 0) || math.IsInf(latency, 1) {
+		panic(fmt.Sprintf("topology: AddEdge latency %v is not finite and >= 0", latency))
 	}
 	if u == v {
 		return
@@ -94,14 +107,17 @@ func (g *Graph) AddEdge(u, v int, latency float64) {
 	g.m++
 }
 
-// Freeze packs the adjacency lists into the CSR arrays and releases the
+// Freeze packs the adjacency lists into the CSR arrays, fixes the bucket plan
+// of the shortest-path sweep from the edge weights, and releases the
 // build-phase structures (per-node slices and the edge-set index). It is
-// idempotent; query methods freeze lazily, and the generators freeze before
+// idempotent; query methods freeze lazily — before they start any worker, so
+// the searches themselves only read — and the generators freeze before
 // returning so a generated graph starts life compact.
 func (g *Graph) Freeze() {
 	if g.Frozen() {
 		return
 	}
+	minPos, maxW := math.Inf(1), 0.0
 	g.off = make([]int32, g.n+1)
 	for u, es := range g.adj {
 		g.off[u+1] = g.off[u] + int32(len(es))
@@ -114,8 +130,13 @@ func (g *Graph) Freeze() {
 		for i, e := range es {
 			g.to[base+int32(i)] = int32(e.To)
 			g.w[base+int32(i)] = e.Latency
+			if e.Latency > 0 && e.Latency < minPos {
+				minPos = e.Latency
+			}
+			maxW = max(maxW, e.Latency)
 		}
 	}
+	g.bucketInv, g.ringLen = bucketPlan(minPos, maxW)
 	g.adj = nil
 	g.edges = nil
 }
@@ -163,73 +184,179 @@ func (g *Graph) Neighbors(u int) []Edge {
 	return out
 }
 
-// Dijkstra computes single-source shortest-path latencies from src.
-// Unreachable nodes get +Inf.
-func (g *Graph) Dijkstra(src int) []float64 {
-	dist := make([]float64, g.n)
-	var h nodeHeap
-	g.dijkstraInto(src, dist, &h)
-	return dist
+// maxBucketsPerEdge floors the bucket width at maxW/maxBucketsPerEdge, so a
+// graph mixing nanosecond and second links asks for a ring of a couple of
+// thousand buckets, not a billion; edges lighter than the floor are handled by
+// re-reading the bucket being drained (see sweep).
+const maxBucketsPerEdge = 1024
+
+// bucketPlan turns the smallest positive and the largest edge weight into the
+// sweep's bucket scale (the reciprocal of the bucket width δ) and ring length.
+// δ is the smallest positive weight, floored at maxW/maxBucketsPerEdge. A node
+// scanned from bucket k sits below (k+1)δ and an edge adds at most maxW, so a
+// relaxation lands at most ⌊maxW/δ⌋+1 buckets ahead, +1 more because fl(d+w)
+// may round up across a boundary: ⌊maxW/δ⌋+3 slots keep every live entry in
+// its own bucket, rounded up to a power of two so the ring index is a mask.
+// A graph with no positive weight passes minPos=+Inf and gets scale 0: one
+// bucket holds every distance. The plan sets how much work a sweep does,
+// never its result (see sweep).
+func bucketPlan(minPos, maxW float64) (inv float64, ringLen int) {
+	inv = 1 / max(minPos, maxW/maxBucketsPerEdge)
+	if math.IsInf(inv, 1) { // all weights subnormal: any finite scale is correct
+		inv = math.MaxFloat64
+	}
+	ringLen = 1
+	for ringLen < int(maxW*inv)+3 {
+		ringLen <<= 1
+	}
+	return inv, ringLen
 }
 
-// dijkstraInto runs Dijkstra from src into dist (len g.n), reusing h's
-// backing arrays. The indexed heap supports decrease-key, so the queue never
-// holds stale duplicates: exactly one pop per reachable node. The scan is a
-// straight walk of the CSR arrays — no per-node allocation, no pointer
-// chasing through per-node slices — which is what makes the overlay's
-// ten-thousand-source batch fast.
-func (g *Graph) dijkstraInto(src int, dist []float64, h *nodeHeap) {
-	g.Freeze()
+// sweepState is one worker's reusable state for sweep: allocated once, shared
+// by all of that worker's sources.
+type sweepState struct {
+	dist []float64
+	slot []int32   // node -> ring slot holding its live entry, -1 when none
+	ring [][]int32 // ring[k]: nodes whose tentative distance fell in a bucket ≡ k
+}
+
+func (g *Graph) newSweepState() *sweepState {
+	s := &sweepState{dist: make([]float64, g.n), slot: make([]int32, g.n), ring: make([][]int32, g.ringLen)}
+	for i := range s.slot {
+		s.slot[i] = -1
+	}
+	return s
+}
+
+// sweep fills s.dist with the shortest-path latency from src to every node
+// (+Inf where unreachable) by a bucket sweep — Dial's algorithm on float keys —
+// instead of a priority queue. Every improving relaxation gives the node a
+// live entry in the bucket of its new distance (slot dedups: one live entry
+// per node, older ones are skipped as stale); buckets are drained in
+// increasing order until no live entry is left.
+//
+// Buckets are as wide as the smallest positive edge weight, so relaxing out
+// of the bucket being drained lands in a later one and a node is final when
+// its bucket is reached: label-setting across buckets, no ordering needed
+// inside one, each node scanned once. The exceptions — zero-weight edges,
+// edges under the maxBucketsPerEdge floor, a sum rounded down onto the
+// boundary — land in the current bucket, which is why the drain loop reads
+// the bucket again once it runs out: inside a bucket the sweep is
+// label-correcting.
+//
+// Correctness needs none of that. A node is only ever scanned at its current
+// distance and every improvement makes its entry live again, so the loop
+// stops exactly when no edge improves anything; bucket width and ring length
+// decide how many scans are wasted, not what is computed. And the distances
+// are the ones a heap Dijkstra computes, to the bit: fl(d+w) is monotone in d,
+// so there is exactly one dist with dist[src]=0 and dist[v] = min over edges
+// (u,v) of fl(dist[u]+w) — the smallest left-to-right float sum over all
+// src→v paths — and every search that stops with no improving edge left has
+// reached it, in whatever order it relaxed.
+//
+// The graph must be frozen; sweep only reads it, so workers may share it.
+func (g *Graph) sweep(src int, s *sweepState) {
+	dist, slot, ring := s.dist, s.slot, s.ring
+	off, to, w, inv := g.off, g.to, g.w, g.bucketInv
+	mask := len(ring) - 1
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
+	for k := range ring {
+		ring[k] = ring[k][:0] // stale entries the last source left behind
+	}
 	dist[src] = 0
-	h.init(g.n)
-	h.update(dist, int32(src))
-	for len(h.nodes) > 0 {
-		u := h.pop(dist)
-		du := dist[u]
-		for i, end := g.off[u], g.off[u+1]; i < end; i++ {
-			v := g.to[i]
-			if nd := du + g.w[i]; nd < dist[v] {
-				dist[v] = nd
-				h.update(dist, v)
+	slot[src] = 0
+	ring[0] = append(ring[0], int32(src))
+	for cur, live := 0, 1; live > 0; cur++ {
+		k := int32(cur & mask)
+		for done := 0; done < len(ring[k]); {
+			bucket := ring[k]
+			for _, u := range bucket[done:] {
+				if slot[u] != k {
+					continue
+				}
+				slot[u] = -1
+				live--
+				du := dist[u]
+				for e, end := off[u], off[u+1]; e < end; e++ {
+					v := to[e]
+					nd := du + w[e]
+					if nd >= dist[v] {
+						continue
+					}
+					dist[v] = nd
+					if b := int32(int(nd*inv) & mask); slot[v] != b {
+						if slot[v] < 0 {
+							live++
+						}
+						slot[v] = b
+						ring[b] = append(ring[b], v)
+					}
+				}
 			}
+			done = len(bucket)
 		}
+		ring[k] = ring[k][:0]
 	}
 }
 
+// Dijkstra computes single-source shortest-path latencies from src.
+// Unreachable nodes get +Inf. Edge weights are finite and >= 0 (AddEdge
+// enforces it). The name is the contract — Dijkstra's distances — not the
+// algorithm: see sweep.
+func (g *Graph) Dijkstra(src int) []float64 {
+	g.Freeze()
+	s := g.newSweepState()
+	g.sweep(src, s)
+	return s.dist
+}
+
 // PairDistances computes the shortest-path latency between every pair of the
-// given nodes: one Dijkstra per source, fanned over GOMAXPROCS workers. Row i
+// given nodes: one sweep per source, fanned over GOMAXPROCS workers. Row i
 // holds the distances from nodes[i] to every nodes[j]. This is the overlay
 // builder's peer-latency pass and, at the paper's scale (1,000 peers over
-// 10,000 IP nodes), nearly all of a cluster build. Each worker owns a dist
-// vector and a heap, reused across its sources, reads the frozen graph, and
-// writes only the rows of its own sources; a row depends on nothing but its
-// source, so the matrix is the same at any worker count.
+// 10,000 IP nodes), most of a cluster build. Each worker owns one sweepState,
+// reused across its sources, reads the frozen graph, and writes only the rows
+// of its own sources; a row depends on nothing but its source, so the matrix
+// is the same at any worker count. Edge weights are finite and >= 0 (AddEdge
+// enforces it).
 func (g *Graph) PairDistances(nodes []int) [][]float64 {
 	g.Freeze()
 	out := make([][]float64, len(nodes))
-	workers := min(runtime.GOMAXPROCS(0), len(nodes))
+	fanOut(len(nodes), func() func(int) {
+		s := g.newSweepState()
+		return func(i int) {
+			g.sweep(nodes[i], s)
+			row := make([]float64, len(nodes))
+			for j, dst := range nodes {
+				row[j] = s.dist[dst]
+			}
+			out[i] = row
+		}
+	})
+	return out
+}
+
+// fanOut runs items 0..n-1 over min(GOMAXPROCS, n) goroutines and returns
+// when all are done: each goroutine calls newWorker once — that is where a
+// worker allocates the scratch it reuses — and the returned func for items
+// w, w+workers, w+2·workers, …. Items must be independent and write only
+// their own results, which makes the outcome the same at any worker count.
+func fanOut(n int, newWorker func() func(item int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			dist := make([]float64, g.n)
-			var h nodeHeap
-			for i := w; i < len(nodes); i += workers {
-				g.dijkstraInto(nodes[i], dist, &h)
-				row := make([]float64, len(nodes))
-				for j, dst := range nodes {
-					row[j] = dist[dst]
-				}
-				out[i] = row
+			do := newWorker()
+			for i := w; i < n; i += workers {
+				do(i)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return out
 }
 
 // settledPeer is one (node, distance) pair produced by NearestPeers.
@@ -269,8 +396,11 @@ func (s *truncState) init(n int) {
 // order — ascending distance — to s.out. Settle order is the k-nearest-peer
 // set: Dijkstra pops nodes in nondecreasing distance. The search touches
 // only the ball around src, and s's buffers are restored before returning.
+// This is the one search that keeps the heap: it stops after a ball of a few
+// dozen nodes, where a bucket ring has nothing to amortize. The graph must be
+// frozen; the search only reads it, so workers with a truncState each may
+// share it.
 func (g *Graph) nearestPeers(src int, isPeer func(int32) bool, k int, s *truncState) []settledPeer {
-	g.Freeze()
 	s.init(g.n)
 	h := nodeHeap{nodes: s.nodes, pos: s.pos}
 	s.dist[src] = 0
@@ -313,17 +443,6 @@ func (g *Graph) nearestPeers(src int, isPeer func(int32) bool, k int, s *truncSt
 type nodeHeap struct {
 	nodes []int32
 	pos   []int32 // node -> heap slot, -1 when absent
-}
-
-func (h *nodeHeap) init(n int) {
-	if cap(h.pos) < n {
-		h.pos = make([]int32, n)
-	}
-	h.pos = h.pos[:n]
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	h.nodes = h.nodes[:0]
 }
 
 // update inserts v or restores heap order after v's key decreased.

@@ -42,6 +42,31 @@ func TestAddEdgeIgnoresSelfLoopsAndDuplicates(t *testing.T) {
 	}
 }
 
+// TestAddEdgeRejectsBadLatency: the searches assume finite weights >= 0, and
+// a weight outside that range must fail loudly at insertion, not skew
+// distances later. Zero is in range.
+func TestAddEdgeRejectsBadLatency(t *testing.T) {
+	for _, bad := range []float64{-1, -1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			g := NewGraph(2)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddEdge accepted latency %v", bad)
+				}
+				if g.M() != 0 {
+					t.Errorf("rejected latency %v still left %d edges", bad, g.M())
+				}
+			}()
+			g.AddEdge(0, 1, bad)
+		}()
+	}
+	g := NewGraph(2)
+	g.AddEdge(0, 1, 0)
+	if d := g.Dijkstra(0); d[1] != 0 {
+		t.Fatalf("zero-weight edge: dist %v", d)
+	}
+}
+
 func TestDijkstraSimplePath(t *testing.T) {
 	// 0 -1ms- 1 -2ms- 2, plus a slow direct 0-2 link of 10ms.
 	g := NewGraph(4)
@@ -292,6 +317,25 @@ func TestPairDistancesAnyWorkerCount(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPairDistancesAllocs ratchets the peer-latency pass at two workers: the
+// matrix (one spine, one row per source) plus per-worker scratch — a
+// sweepState whose ring buckets grow by doubling to their working size, a
+// goroutine — and nothing per source after that. One object per source (a
+// dist vector, a heap) would put the 200-source pass 200 over.
+func TestPairDistancesAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(16))
+	g := GeneratePowerLaw(2000, 2, 2, 30, rng)
+	nodes := rng.Perm(g.N())[:200]
+	const workers = 2
+	budget := float64(1 + len(nodes) + workers*(6+5*g.ringLen))
+	got := testing.AllocsPerRun(5, func() { g.PairDistances(nodes) })
+	t.Logf("PairDistances(200 of 2000): %.0f allocs (matrix %d), budget %.0f", got, 1+len(nodes), budget)
+	if got > budget {
+		t.Fatalf("PairDistances allocates %.0f objects, budget %.0f", got, budget)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // OverlayKind selects how overlay links between peers are constructed.
@@ -53,7 +52,8 @@ type Path struct {
 // node), overlay links with bandwidth capacities, and latency/routing
 // oracles. Overlay links model the application-level connections data
 // streams travel on; control messages between any two peers use the direct
-// IP-layer latency.
+// IP-layer latency — except on a compact overlay, which has no latency matrix
+// and answers unlinked pairs with the overlay-path latency (see Latency).
 //
 // Like Graph, the link set has a mutable build phase and a frozen CSR form:
 // routing consumes packed per-peer (neighbor, link, latency) arrays built
@@ -210,16 +210,11 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 
 	switch cfg.Kind {
 	case Mesh:
+		nearest := make([]int, 0, cfg.Degree)
 		for u := 0; u < n; u++ {
-			order := make([]int, 0, n-1)
-			for v := 0; v < n; v++ {
-				if v != u {
-					order = append(order, v)
-				}
-			}
-			sort.Slice(order, func(i, j int) bool { return o.lat[u][order[i]] < o.lat[u][order[j]] })
-			for i := 0; i < cfg.Degree && i < len(order); i++ {
-				addLink(u, order[i])
+			nearest = nearestInRow(o.lat[u], u, cfg.Degree, nearest)
+			for _, v := range nearest {
+				addLink(u, v)
 			}
 		}
 	case PowerLawOverlay:
@@ -257,13 +252,40 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 	return o
 }
 
+// nearestInRow returns the indices of the k smallest entries of row other
+// than row[skip], in ascending latency, equal latencies in index order — what
+// stably sorting all of them and keeping the head would select — by insertion
+// into buf[:0], the one k-slot buffer a caller reuses across rows.
+func nearestInRow(row []float64, skip, k int, buf []int) []int {
+	buf = buf[:0]
+	for v, lat := range row {
+		if v == skip || (len(buf) == k && !(lat < row[buf[k-1]])) {
+			continue
+		}
+		if len(buf) < k {
+			buf = append(buf, v)
+		}
+		i := len(buf) - 1
+		for ; i > 0 && lat < row[buf[i-1]]; i-- {
+			buf[i] = buf[i-1]
+		}
+		buf[i] = v
+	}
+	return buf
+}
+
 // buildCompactMesh wires each peer to its Degree nearest peers without ever
 // materializing the pairwise latency matrix. One truncated Dijkstra per peer
 // settles just the ball around its host until Degree foreign peers have been
 // found; link latency is the settled IP-layer distance. Memory is O(peers +
 // links + IP nodes) instead of O(peers²).
+//
+// The searches are independent and draw nothing, so they fan over GOMAXPROCS
+// workers (one truncState each) into a flat peers×Degree result; links are
+// then inserted and capacities drawn serially in peer order, so link indices
+// and the RNG stream are those of a one-worker build.
 func (o *Overlay) buildCompactMesh(g *Graph, cfg OverlayConfig, rng *rand.Rand) {
-	n := len(o.peerIP)
+	n, k := len(o.peerIP), cfg.Degree
 	peerOf := make([]int32, g.N())
 	for i := range peerOf {
 		peerOf[i] = -1
@@ -272,9 +294,19 @@ func (o *Overlay) buildCompactMesh(g *Graph, cfg OverlayConfig, rng *rand.Rand) 
 		peerOf[ip] = int32(p)
 	}
 	isPeer := func(v int32) bool { return peerOf[v] >= 0 }
-	var ts truncState
+
+	g.Freeze()
+	found := make([]settledPeer, n*k) // peer u's nearest: found[u*k : u*k+count[u]]
+	count := make([]int32, n)
+	fanOut(n, func() func(int) {
+		var ts truncState
+		return func(u int) {
+			count[u] = int32(copy(found[u*k:(u+1)*k], g.nearestPeers(o.peerIP[u], isPeer, k, &ts)))
+		}
+	})
+
 	for u := 0; u < n; u++ {
-		for _, sp := range g.nearestPeers(o.peerIP[u], isPeer, cfg.Degree, &ts) {
+		for _, sp := range found[u*k : u*k+int(count[u])] {
 			v := int(peerOf[sp.node])
 			if u == v || o.hasLink(u, v) {
 				continue
@@ -347,16 +379,10 @@ func (o *Overlay) AddPeer(g *Graph, ip, degree int, rng *rand.Rand) int {
 	o.lat = append(o.lat, row)
 	o.adj = append(o.adj, nil)
 
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return row[order[a]] < row[order[b]] })
 	if degree < 1 {
 		degree = 4
 	}
-	for i := 0; i < degree && i < len(order); i++ {
-		v := order[i]
+	for _, v := range nearestInRow(row, n, degree, nil) {
 		if o.hasLink(n, v) {
 			continue
 		}

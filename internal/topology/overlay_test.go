@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -172,5 +173,122 @@ func TestWideAreaLatencies(t *testing.T) {
 	}
 	if max < 60 {
 		t.Fatalf("maximum latency %v too low for transatlantic pairs", max)
+	}
+}
+
+// sortedNearest is the selection nearestInRow replaced, kept as its oracle:
+// order every other index by row latency and take the first k. The sort is
+// stable, which pins the tie rule — equal latencies in index order; the
+// unstable sort.Slice this descends from never had to break a tie, because
+// two distinct shortest-path sums from one source do not collide on
+// generated graphs (TestNearestInRowMatchesSort checks that too).
+func sortedNearest(row []float64, skip, k int) []int {
+	var order []int
+	for v := range row {
+		if v != skip {
+			order = append(order, v)
+		}
+	}
+	sort.SliceStable(order, func(i, j int) bool { return row[order[i]] < row[order[j]] })
+	return order[:min(k, len(order))]
+}
+
+func sameInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNearestInRowMatchesSort: bounded insertion selects what the full sort
+// selects, in the same order — on every row of the seed-1..5 paper-shape
+// overlays (where it also asserts the rows hold no tie the two sorts could
+// have resolved differently), and on rows built to tie: duplicates across the
+// cut, all-equal, +Inf tails, k past the row.
+func TestNearestInRowMatchesSort(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := GeneratePowerLaw(3000, 2, 2, 30, rng)
+		o := BuildOverlay(g, OverlayConfig{NumPeers: 300, Degree: 4}, rng)
+		buf := make([]int, 0, 4)
+		next, linked := 0, make(map[uint64]bool) // replay of the mesh build's link order
+		for u, row := range o.lat {
+			want := sortedNearest(row, u, 5)
+			for i := 1; i < len(want); i++ {
+				if row[want[i-1]] == row[want[i]] {
+					t.Fatalf("seed %d row %d: peers %d and %d tie at %v", seed, u, want[i-1], want[i], row[want[i]])
+				}
+			}
+			if buf = nearestInRow(row, u, 4, buf); !sameInts(buf, want[:4]) {
+				t.Fatalf("seed %d row %d: insertion %v, sort %v", seed, u, buf, want[:4])
+			}
+			for _, v := range want[:4] {
+				if linked[pairKey(u, v)] {
+					continue
+				}
+				linked[pairKey(u, v)] = true
+				if l := o.links[next]; l.u != u || l.v != v {
+					t.Fatalf("seed %d link %d: built %d-%d, sort oracle adds %d-%d", seed, next, l.u, l.v, u, v)
+				}
+				next++
+			}
+		}
+		if next != o.NumLinks() {
+			t.Fatalf("seed %d: overlay has %d links, sort oracle adds %d", seed, o.NumLinks(), next)
+		}
+	}
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		row     []float64
+		skip, k int
+	}{
+		{[]float64{0, 3, 1, 3, 1, 3, 2}, 0, 4},       // ties inside and across the cut
+		{[]float64{5, 5, 5, 5, 5, 5}, 2, 3},          // all equal: index order
+		{[]float64{7, 1, 7, 1, 7, 1}, 5, 4},          // skip one of the tied minima
+		{[]float64{4, inf, 2, inf, inf, 0}, 5, 4},    // unreachable peers fill the tail
+		{[]float64{inf, inf, inf}, 1, 4},             // k past the row, nothing reachable
+		{[]float64{9, 8, 7, 6, 5, 4, 3, 2, 1}, 8, 3}, // descending: every entry displaces
+		{[]float64{0}, 0, 4},                         // a lone peer has no neighbors
+		{[]float64{2, 1}, 2, 1},                      // skip outside the row (AddPeer's shape)
+	} {
+		got, want := nearestInRow(c.row, c.skip, c.k, nil), sortedNearest(c.row, c.skip, c.k)
+		if !sameInts(got, want) {
+			t.Errorf("row %v skip %d k %d: insertion %v, sort %v", c.row, c.skip, c.k, got, want)
+		}
+	}
+}
+
+// TestAddPeerLinksNearest: the newcomer's links are the sort oracle's picks
+// over its latency row, in that order, with the row's latencies.
+func TestAddPeerLinksNearest(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := GeneratePowerLaw(600, 2, 2, 30, rng)
+		o := BuildOverlay(g, OverlayConfig{NumPeers: 80, Degree: 4}, rng)
+		hosts := make(map[int]bool)
+		for p := 0; p < o.N(); p++ {
+			hosts[o.PeerIP(p)] = true
+		}
+		ip := 0
+		for hosts[ip] {
+			ip++
+		}
+		before := o.NumLinks()
+		p := o.AddPeer(g, ip, 3, rng)
+		want := sortedNearest(o.lat[p], p, 3)
+		if got := o.NumLinks() - before; got != len(want) {
+			t.Fatalf("seed %d: AddPeer added %d links, want %d", seed, got, len(want))
+		}
+		for i, v := range want {
+			l := o.links[before+i]
+			if l.u != p || l.v != v || l.latency != o.lat[p][v] {
+				t.Fatalf("seed %d link %d: got %d-%d @%v, want %d-%d @%v", seed, i, l.u, l.v, l.latency, p, v, o.lat[p][v])
+			}
+		}
 	}
 }

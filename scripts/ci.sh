@@ -20,10 +20,13 @@ go test -race ./...
 # candidate scoring, the dedupe key, next-hop planning). The run above had
 # them under the race detector only, whose runtime allocates differently;
 # these are the figures DESIGN.md quotes. The two benchmarks print the same
-# paths' objects, bytes and time into the log.
-echo "== allocation gates (no race detector) + compose/recovery-tick benchmarks"
+# paths' objects, bytes and time into the log; the next two do that for the
+# world build's two shortest-path passes (peer-latency matrix at the paper's
+# scale, compact mesh at the scale workload's).
+echo "== allocation gates (no race detector) + compose/recovery-tick + world-build benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
 go test -run '^$' -bench 'BCPCompose|RecoveryTick' -benchmem -benchtime 20x .
+go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k' -benchmem -benchtime 3x .
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that
