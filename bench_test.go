@@ -22,7 +22,6 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
-	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -617,40 +616,6 @@ func BenchmarkTopologyGenerate100k(b *testing.B) {
 		topology.BuildOverlay(g, topology.OverlayConfig{
 			NumPeers: 10000, Degree: 4, Compact: true,
 		}, rng)
-	}
-}
-
-// BenchmarkShardLookup measures a cross-ring discovery round trip: a GetVia
-// from a peer whose shard does not home the key, entering the home ring
-// through a plan entry member — the per-lookup tax the sharded keyspace pays.
-func BenchmarkShardLookup(b *testing.B) {
-	sim := simnet.NewSim()
-	nw := simnet.NewNetwork(sim, simnet.ConstantLatency(time.Millisecond), newSeededRng(80))
-	const peers = 512
-	plan := registry.NewShardPlan(peers, 8)
-	nodes := make([]*dht.Node, peers)
-	for i := range nodes {
-		nodes[i] = dht.New(nw.AddNode(p2p.NodeID(i)), nw.Alive)
-	}
-	for s := 0; s < plan.NumShards; s++ {
-		ring := make([]*dht.Node, len(plan.Members[s]))
-		for j, id := range plan.Members[s] {
-			ring[j] = nodes[int(id)]
-		}
-		dht.Build(ring)
-	}
-	key := registry.FunctionKey("bench")
-	home := plan.Home(key)
-	entries := plan.Entries(key)
-	nodes[plan.Members[home][0]].Put(key, "x", 64)
-	sim.RunUntilIdle()
-	// A fixed foreign source: first member of the shard after the home one.
-	src := nodes[plan.Members[(home+1)%plan.NumShards][0]]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.GetVia(entries, key, 0, time.Second, func([]any, int, bool) {})
-		sim.RunUntilIdle()
 	}
 }
 

@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,7 +33,7 @@ import (
 // deployment: per-domain member ranges, gateway and coordinator assignments,
 // and which media functions each domain would home. The live runtime itself
 // runs unfederated; the simulator (spidersim -domains) executes the plan.
-func previewDomains(spec string, hosts int) error {
+func previewDomains(spec string, hosts int, stdout io.Writer) error {
 	s, err := federation.ParseSpec(spec)
 	if err != nil {
 		return err
@@ -41,44 +43,82 @@ func previewDomains(spec string, hosts int) error {
 		return err
 	}
 	catalog := spidernet.MediaFunctions()
-	fmt.Printf("federation plan: %s over %d hosts\n\n", s, hosts)
+	fmt.Fprintf(stdout, "federation plan: %s over %d hosts\n\n", s, hosts)
 	for d := 0; d < plan.NumDomains; d++ {
 		members := plan.Members[d]
-		fmt.Printf("domain %d: peers %d..%d (%d members)\n",
+		fmt.Fprintf(stdout, "domain %d: peers %d..%d (%d members)\n",
 			d, members[0], members[len(members)-1], len(members))
-		fmt.Printf("  gateways:    %v\n", plan.Gateways(d))
-		fmt.Printf("  coordinator: %d\n", plan.Coordinator(d))
-		fmt.Printf("  functions:   %v\n", plan.CatalogFor(d, catalog))
+		fmt.Fprintf(stdout, "  gateways:    %v\n", plan.Gateways(d))
+		fmt.Fprintf(stdout, "  coordinator: %d\n", plan.Coordinator(d))
+		fmt.Fprintf(stdout, "  functions:   %v\n", plan.CatalogFor(d, catalog))
 	}
 	return nil
 }
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its environment passed in: 0 on success, 1 with one line
+// on stderr when a flag is out of range or the run failed, 2 when the flag
+// package refused the command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	switch err := serve(args, stdout, stderr); err {
+	case nil:
+		return 0
+	case errUsage:
+		return 2
+	default:
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 }
 
-func run() (err error) {
+// errUsage marks a command line the flag package has already reported.
+var errUsage = errors.New("usage")
+
+// serve parses the command line and runs the deployment it describes.
+func serve(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("spidernode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		hosts     = flag.Int("hosts", 102, "number of live peers")
-		nfuncs    = flag.Int("functions", 3, "functions to compose (<=6)")
-		frames    = flag.Int("frames", 30, "video frames to stream")
-		budget    = flag.Int("budget", 20, "probing budget")
-		speedup   = flag.Float64("speedup", 10, "wide-area time compression (1 = real time)")
-		seed      = flag.Int64("seed", 1, "deployment seed")
-		requests  = flag.Int("requests", 3, "compositions to run")
-		traceFile = flag.String("trace", "", "write a JSONL event trace to this file (.gz compresses)")
-		stats     = flag.Bool("stats", false, "print counter and histogram tables after the workload")
-		adminAddr = flag.String("admin", "", "serve /metrics, /snapshot, /debug/pprof on this address (e.g. 127.0.0.1:9090)")
-		hold      = flag.Duration("hold", 0, "keep the deployment (and admin endpoint) alive this long after the workload")
-		domains   = flag.String("domains", "", "preview how a federation spec (e.g. domains=4,gateways=2) partitions the hosts, then exit")
+		hosts     = fs.Int("hosts", 102, "number of live peers")
+		nfuncs    = fs.Int("functions", 3, "functions to compose (<=6)")
+		frames    = fs.Int("frames", 30, "video frames to stream")
+		budget    = fs.Int("budget", 20, "probing budget")
+		speedup   = fs.Float64("speedup", 10, "wide-area time compression (1 = real time)")
+		seed      = fs.Int64("seed", 1, "deployment seed")
+		requests  = fs.Int("requests", 3, "compositions to run; request i runs between peers 2i and 2i+1")
+		traceFile = fs.String("trace", "", "write a JSONL event trace to this file (.gz compresses)")
+		stats     = fs.Bool("stats", false, "print counter and histogram tables after the workload")
+		adminAddr = fs.String("admin", "", "serve /metrics, /snapshot, /debug/pprof on this address (e.g. 127.0.0.1:9090)")
+		hold      = fs.Duration("hold", 0, "keep the deployment (and admin endpoint) alive this long after the workload")
+		domains   = fs.String("domains", "", "preview how a federation spec (e.g. domains=4,gateways=2) partitions the hosts, then exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	media := len(spidernet.MediaFunctions())
+	switch {
+	case *hosts < 2:
+		return fmt.Errorf("-hosts %d: want at least 2", *hosts)
+	case *nfuncs < 1 || *nfuncs > media:
+		return fmt.Errorf("-functions %d: want 1 to %d, the media functions there are", *nfuncs, media)
+	case *frames < 0:
+		return fmt.Errorf("-frames %d: want at least 0", *frames)
+	case *budget < 1:
+		return fmt.Errorf("-budget %d: want at least 1", *budget)
+	case *speedup <= 0:
+		return fmt.Errorf("-speedup %v: want above 0", *speedup)
+	case *requests < 0 || 2**requests > *hosts:
+		return fmt.Errorf("-requests %d: want at least 0 and two of the %d hosts each", *requests, *hosts)
+	case *hold < 0:
+		return fmt.Errorf("-hold %v: want at least 0", *hold)
+	}
 
 	if *domains != "" {
-		return previewDomains(*domains, *hosts)
+		return previewDomains(*domains, *hosts, stdout)
 	}
 
 	var trace obs.Tracer
@@ -100,7 +140,7 @@ func run() (err error) {
 				}
 				return
 			}
-			fmt.Fprintf(os.Stderr, "trace: %d events -> %s\n", n, *traceFile)
+			fmt.Fprintf(stderr, "trace: %d events -> %s\n", n, *traceFile)
 		}()
 	}
 	reg := spidernet.NewCounterRegistry()
@@ -122,7 +162,7 @@ func run() (err error) {
 			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "admin: http://%s/metrics\n", srv.Addr())
+		fmt.Fprintf(stderr, "admin: http://%s/metrics\n", srv.Addr())
 	}
 
 	var fns []string
@@ -135,7 +175,7 @@ func run() (err error) {
 		return fmt.Errorf("only %d functions have replicas; lower -functions", len(fns))
 	}
 	fns = fns[:*nfuncs]
-	fmt.Printf("live deployment: %d hosts, composing %v\n\n", *hosts, fns)
+	fmt.Fprintf(stdout, "live deployment: %d hosts, composing %v\n\n", *hosts, fns)
 
 	for i := 0; i < *requests; i++ {
 		req := spidernet.NewRequest().
@@ -147,25 +187,25 @@ func run() (err error) {
 			MustBuild()
 		res := live.Compose(req)
 		if !res.Ok {
-			fmt.Printf("request %d: no qualified composition\n", i)
+			fmt.Fprintf(stdout, "request %d: no qualified composition\n", i)
 			continue
 		}
-		fmt.Printf("request %d: %s\n", i, res.Best)
-		fmt.Printf("  setup %v (discovery %v)\n",
+		fmt.Fprintf(stdout, "request %d: %s\n", i, res.Best)
+		fmt.Fprintf(stdout, "  setup %v (discovery %v)\n",
 			live.Unscale(res.SetupTime).Round(time.Millisecond),
 			live.Unscale(res.DiscoveryTime).Round(time.Millisecond))
 		got := live.Stream(res.Best, *frames, 640, 480, 60*time.Second)
-		fmt.Printf("  streamed %d/%d frames\n", len(got), *frames)
+		fmt.Fprintf(stdout, "  streamed %d/%d frames\n", len(got), *frames)
 		live.Teardown(res.Best)
 	}
 
 	if *stats {
-		reg.Table("per-layer counters (all nodes)").Render(os.Stdout)
-		reg.PerNodeTable("busiest nodes", 10).Render(os.Stdout)
-		met.Table("distribution metrics").Render(os.Stdout)
+		reg.Table("per-layer counters (all nodes)").Render(stdout)
+		reg.PerNodeTable("busiest nodes", 10).Render(stdout)
+		met.Table("distribution metrics").Render(stdout)
 	}
 	if *hold > 0 {
-		fmt.Fprintf(os.Stderr, "holding deployment for %v\n", *hold)
+		fmt.Fprintf(stderr, "holding deployment for %v\n", *hold)
 		time.Sleep(*hold)
 	}
 	return nil

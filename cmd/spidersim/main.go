@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +88,6 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		commute   = fs.Float64("commute", 0.2, "probability of commutation links")
 		faults    = fs.String("faults", "", "fault spec, e.g. loss=0.05,dup=0.01,jitter=20ms,partition=10s@30s,seed=3")
 		domains   = fs.String("domains", "", "federate the overlay into administrative domains and commit cross-domain sessions with 2PC, e.g. domains=4,gateways=2,hold=10s,life=30s")
-		shards    = fs.Int("shards", 0, "split the DHT keyspace across this many independent rings (0/1 = one flat ring); mutually exclusive with -domains")
 		loadBase  = fs.Duration("load", 0, "enable the overload control plane: per-peer processing delay base (M/M/1 inflation with utilization); 0 = off")
 		shed      = fs.Float64("shed", 0.8, "with -load: utilization threshold at which peers shed probes (0 disables shedding)")
 		specFile  = fs.String("spec", "", "compose a single request from a QoSTalk-style XML spec file")
@@ -104,6 +104,31 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 			return nil
 		}
 		return errUsage
+	}
+	// The mode decides which flags mean anything; one given explicitly that
+	// the mode never reads is refused, not ignored. A run (reads == nil)
+	// reads every flag but -parallel, and -shed only under -load.
+	mode, reads := "a simulation run", []string(nil)
+	switch {
+	case *summarize != "":
+		mode, reads = "-summarize", []string{"summarize"}
+	case *check && fs.NArg() > 0:
+		mode, reads = "-check on trace files", []string{"check", "parallel"}
+	case *specFile != "":
+		mode, reads = "-spec", []string{"spec", "seed", "ipnodes", "peers", "functions"}
+	}
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case unread != nil || f.Name == "cpuprofile" || f.Name == "memprofile":
+		case reads != nil && !slices.Contains(reads, f.Name), reads == nil && f.Name == "parallel":
+			unread = fmt.Errorf("-%s: %s does not read it", f.Name, mode)
+		case reads == nil && f.Name == "shed" && *loadBase <= 0:
+			unread = errors.New("-shed: needs -load")
+		}
+	})
+	if unread != nil {
+		return unread
 	}
 	// Each flag's own range; the rules that relate flags to each other are
 	// cluster.Options.Validate's.
@@ -176,7 +201,6 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		BCP:      bcpCfg,
 		Recovery: &recCfg,
 		Domains:  dspec,
-		Shards:   *shards,
 	}
 	if *loadBase > 0 {
 		opts.Load = &cluster.LoadOptions{
@@ -500,14 +524,12 @@ func composeSpec(path string, seed int64, ipNodes, peers, functions int, stdout 
 		return err
 	}
 	c := cluster.New(opts)
-	// Deploy the spec's functions too, in case the catalogue lacks them.
-	missing := map[string]bool{}
+	// Deploy the spec's functions too, in case the catalogue lacks them: in
+	// spec order, because every Join draws from the cluster rng.
 	for _, fn := range req.FGraph.Functions() {
-		if c.Replicas(fn) == 0 {
-			missing[fn] = true
+		if c.Replicas(fn) > 0 {
+			continue // in the catalogue, or joined for an earlier node
 		}
-	}
-	for fn := range missing {
 		for i := 0; i < 3; i++ {
 			c.Join([]string{fn}, 0)
 		}

@@ -16,9 +16,10 @@ func spidersim(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestFlagMistakesExitWithOneLine: every out-of-range flag and every
-// combination cluster.Options.Validate refuses exits non-zero with one line
-// naming the flag at fault — never a goroutine dump, never a silent accept.
+// TestFlagMistakesExitWithOneLine: every out-of-range flag, every
+// combination cluster.Options.Validate refuses and every flag the chosen mode
+// would not read exits non-zero with one line naming the flag at fault —
+// never a goroutine dump, never a silent accept.
 func TestFlagMistakesExitWithOneLine(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
 		{"-minfuncs 5 -maxfuncs 2", "maxfuncs"},
@@ -28,8 +29,6 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 		{"-peers 1", "peers"},
 		{"-domains domains=4,gateways=3 -peers 10", "domains"},
 		{"-domains domains=5 -functions 3 -peers 40 -ipnodes 200", "domains"},
-		{"-shards 2 -domains domains=2", "Shards"},
-		{"-shards 7 -peers 5 -ipnodes 50", "shards"},
 		{"-churn -0.5", "churn"},
 		{"-budget -3", "budget"},
 		{"-shed 7", "shed"},
@@ -38,6 +37,13 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 		{"-scenario zipf=-1", "zipf"},
 		{"-domains domains=1", "domains"},
 		{"-spec unused.xml -peers 500 -ipnodes 100", "unused.xml"},
+		{"-spec f.xml -faults loss=0.5", "-faults"},
+		{"-spec f.xml -trace t.jsonl -check -stats", "-check"},
+		{"-summarize t.jsonl -requests 5", "-requests"},
+		{"-check -seed 3 t.jsonl", "-seed"},
+		{"-shed 0.5", "-shed"},
+		{"-parallel 2", "-parallel"},
+		{"-check -parallel 2", "-parallel"},
 		{"-cpuprofile " + filepath.Join(t.TempDir(), "no-such-dir", "cpu.prof"), "cpuprofile"},
 		{"-memprofile " + filepath.Join(t.TempDir(), "no-such-dir", "mem.prof"), "memprofile"},
 	} {
@@ -50,8 +56,38 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 			t.Errorf("%s: stderr %q; want one line naming %q", c.args, stderr, c.names)
 		}
 	}
-	if code, _, stderr := spidersim("-nosuchflag"); code != 2 || !strings.Contains(stderr, "nosuchflag") {
-		t.Errorf("-nosuchflag: exit %d, stderr %q; want the flag package's exit 2", code, stderr)
+	for _, f := range []string{"-nosuchflag", "-shards"} {
+		if code, _, stderr := spidersim(f, "4"); code != 2 || !strings.Contains(stderr, "not defined: "+f) {
+			t.Errorf("%s 4: exit %d, stderr %q; want the flag package's exit 2", f, code, stderr)
+		}
+	}
+}
+
+// TestSpecComposesTheSameEveryTime: a spec whose functions the catalogue
+// lacks joins their providers in spec order, so one seed gives one
+// composition however often it is asked.
+func TestSpecComposesTheSameEveryTime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.xml")
+	if err := os.WriteFile(path, []byte(`<composite name="stream">
+  <function id="down" name="downscale"/>
+  <function id="tick" name="stock-ticker"/>
+  <function id="rq" name="requant"/>
+  <dependency from="down" to="tick"/>
+  <dependency from="tick" to="rq"/>
+</composite>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 10; i++ {
+		code, stdout, stderr := spidersim("-spec", path, "-peers", "60", "-ipnodes", "400")
+		if code != 0 || !strings.Contains(stdout, "composed: ") {
+			t.Fatalf("run %d: exit %d\nstdout: %s\nstderr: %s", i, code, stdout, stderr)
+		}
+		if i == 0 {
+			first = stdout
+		} else if stdout != first {
+			t.Fatalf("run %d composed\n%s\nrun 0 composed\n%s", i, stdout, first)
+		}
 	}
 }
 

@@ -48,15 +48,6 @@ type Options struct {
 	// processing-delay model, and (per the option fields) BCP becomes
 	// load-aware and sheds work past a utilization threshold.
 	Load *LoadOptions
-	// Shards, when > 1, splits the unfederated deployment's DHT keyspace
-	// across that many independent rings (registry.ShardPlan): registry and
-	// discovery state is O(services per shard), and each ring's membership
-	// state is bounded by the shard size instead of the peer count (the
-	// sorted-ring build is O(n·log n) either way). Key homing is by
-	// hash, so lookup results are identical at any shard count. Mutually
-	// exclusive with Domains (federation already shards per domain). 0 or 1
-	// builds the single flat ring, byte-identical to pre-sharding clusters.
-	Shards int
 	// Domains, when non-nil, federates the deployment: peers are partitioned
 	// into administrative domains per the spec, each domain gets its own DHT
 	// ring (keyspace shard) and a disjoint shard of the function catalogue,
@@ -132,9 +123,8 @@ type Cluster struct {
 	Peers   []*Peer
 	Rng     *rand.Rand
 	// Fed is the federation control plane (nil unless Options.Domains set).
-	Fed    *federation.Federation
-	shards *registry.ShardPlan // nil unless Options.Shards > 1
-	opts   Options
+	Fed  *federation.Federation
+	opts Options
 }
 
 // Plan returns the domain plan of a federated cluster, nil otherwise.
@@ -193,14 +183,8 @@ func (o Options) domainPlan() (*federation.DomainPlan, error) {
 	if o.Peers > o.IPNodes {
 		return nil, fmt.Errorf("cluster: %d peers exceed %d IP nodes", o.Peers, o.IPNodes)
 	}
-	if o.Shards > o.Peers {
-		return nil, fmt.Errorf("cluster: %d shards exceed %d peers", o.Shards, o.Peers)
-	}
 	if o.Domains == nil {
 		return nil, nil
-	}
-	if o.Shards > 1 {
-		return nil, fmt.Errorf("cluster: Shards and Domains are mutually exclusive (federation shards per domain)")
 	}
 	plan, err := o.Domains.Plan(o.Peers)
 	if err != nil {
@@ -253,9 +237,6 @@ func New(opts Options) *Cluster {
 	}
 
 	c := &Cluster{Sim: sim, Net: net, IP: ip, Overlay: ov, Rng: rng, opts: o}
-	if o.Shards > 1 {
-		c.shards = registry.NewShardPlan(o.Peers, o.Shards)
-	}
 	if o.Load != nil && o.Load.Model.Base > 0 {
 		model := o.Load.Model
 		net.SetProcDelay(func(to p2p.NodeID, msgType string) time.Duration {
@@ -296,18 +277,13 @@ func New(opts Options) *Cluster {
 		c.newPeer(id, comps, failProb)
 	}
 
-	// One DHT ring per block of the deployment's partition — its domains when
-	// federated, its keyspace shards when sharded, else the one ring of every
-	// peer. A ring's members only ever learn each other, so each owns a
-	// disjoint keyspace shard and (federated) registrations stay within their
-	// domain. The sorted-ring build is O(n·log n), so S rings of size peers/S
-	// cost about what one flat build does — a partition buys bounded per-ring
-	// state and local maintenance traffic, not construction time.
+	// One DHT ring per administrative block: each domain's when federated,
+	// else the one ring of every peer. A ring's members only ever learn each
+	// other, so a domain owns a disjoint keyspace shard and its registrations
+	// stay within it.
 	rings := [][]p2p.NodeID{c.peerIDs()}
 	if plan != nil {
 		rings = plan.Members
-	} else if c.shards != nil {
-		rings = c.shards.Members
 	}
 	for _, members := range rings {
 		ring := make([]*dht.Node, len(members))
@@ -387,9 +363,6 @@ func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb flo
 	ledger := qos.NewLedger(o.Capacity)
 	dn := dht.New(host, c.Net.Alive)
 	reg := registry.New(dn)
-	if c.shards != nil {
-		reg = registry.NewSharded(dn, c.shards)
-	}
 	eng := bcp.NewEngine(host, ledger, reg, c.Oracle(), comps, o.BCP)
 	if o.Load != nil {
 		eng.Load = loadOracle{c}
@@ -430,11 +403,11 @@ func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb flo
 // the given components, and becomes fully composable once the join traffic
 // settles (run the simulator). This models the paper's dynamic peer
 // arrivals. The overlay data plane maps the newcomer onto its bootstrap's
-// routes. A sharded or federated deployment refuses: its ring plan is sized
-// to the initial peer count and has no block for a newcomer.
+// routes. A federated deployment refuses: its domain plan is sized to the
+// initial peer count and has no block for a newcomer.
 func (c *Cluster) Join(components []string, bootstrap p2p.NodeID) *Peer {
-	if c.shards != nil || c.Fed != nil {
-		panic("cluster: Join on a sharded or federated deployment: its ring plan is sized to the initial peer count")
+	if c.Fed != nil {
+		panic("cluster: Join on a federated deployment: its domain plan is sized to the initial peer count")
 	}
 	id := p2p.NodeID(len(c.Peers))
 	// Host the newcomer on an IP node no existing peer occupies.

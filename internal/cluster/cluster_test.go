@@ -292,12 +292,11 @@ func TestJoinWiresLikeNew(t *testing.T) {
 	}
 }
 
-// TestJoinRefusesPlannedDeployments: a shard plan and a domain plan are sized
-// to the initial peer count, so Join refuses both with a cluster: message
-// instead of building a peer no lookup can reach.
+// TestJoinRefusesPlannedDeployments: a domain plan is sized to the initial
+// peer count, so Join refuses it with a cluster: message instead of building
+// a peer no lookup can reach.
 func TestJoinRefusesPlannedDeployments(t *testing.T) {
 	for name, o := range map[string]cluster.Options{
-		"sharded":   {Seed: 10, Peers: 40, Catalog: catalog(4), Shards: 4},
 		"federated": {Seed: 10, Peers: 40, Catalog: catalog(4), Domains: &federation.Spec{Domains: 2}},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -321,8 +320,6 @@ func TestValidateNamesTheBrokenRule(t *testing.T) {
 	two := &federation.Spec{Domains: 2}
 	for want, o := range map[string]cluster.Options{
 		"500 peers exceed 100 IP nodes": {Peers: 500, IPNodes: 100},
-		"7 shards exceed 5 peers":       {Peers: 5, Shards: 7},
-		"mutually exclusive":            {Shards: 2, Domains: two},
 		"cannot host 4 domains":         {Peers: 10, Domains: &federation.Spec{Domains: 4, Gateways: 3}},
 		"cannot shard across 2 domains": {Catalog: catalog(1), Domains: two},
 	} {
@@ -340,7 +337,7 @@ func TestValidateNamesTheBrokenRule(t *testing.T) {
 			cluster.New(o)
 		}()
 	}
-	for _, o := range []cluster.Options{{}, {Shards: 1, Domains: two}, {Peers: 64, Shards: 16}} {
+	for _, o := range []cluster.Options{{}, {Domains: two}, {Peers: 64}} {
 		if err := o.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", o, err)
 		}

@@ -46,8 +46,8 @@ func freshNodes(ids []p2p.NodeID) []*Node {
 }
 
 // idSet derives n transport IDs from a seed: sequential for even seeds,
-// sparse-random (the cluster and sharding layers hand dht non-contiguous
-// NodeIDs) for odd ones.
+// sparse-random (federated rings hand dht non-contiguous NodeIDs) for odd
+// ones.
 func idSet(n int, seed int64) []p2p.NodeID {
 	ids := make([]p2p.NodeID, n)
 	if seed%2 == 0 {

@@ -125,7 +125,6 @@ type getReq struct {
 	timeout  time.Duration
 	started  time.Duration // host clock at Get, for the lookup histogram
 	firstHop p2p.NodeID    // route used first; the retry avoids it
-	via      []p2p.NodeID  // cross-ring entry candidates (GetVia); nil for in-ring gets
 }
 
 // tableRow is one routing-table row: the known entry (if any) for each next
@@ -459,21 +458,6 @@ func (n *Node) Put(key ID, item any, size int) {
 	n.forwardOrDeliver(RouteMsg{Key: key, Put: &PutPayload{Item: item, Size: size}})
 }
 
-// PutVia stores item under key in a ring this node is not a member of, by
-// handing the routed put to entry — a member of the key's home ring — which
-// then routes it greedily as usual. Sharded discovery uses this to home
-// registrations: this node's own tables know nothing about the foreign ring,
-// so local prefix routing would terminate at the wrong root. entry == self
-// degrades to a plain Put.
-func (n *Node) PutVia(entry p2p.NodeID, key ID, item any, size int) {
-	rm := RouteMsg{Key: key, Put: &PutPayload{Item: item, Size: size}}
-	if entry == n.self.Addr {
-		n.forwardOrDeliver(rm)
-		return
-	}
-	n.routeVia(rm, Entry{ID: FromNode(entry), Addr: entry})
-}
-
 // Get fetches all items stored under key. cb fires exactly once: with the
 // items and hop count on success, or ok=false after two timeouts. The call
 // is asynchronous; cb runs on this node's event context.
@@ -494,41 +478,6 @@ func (n *Node) GetSpan(key ID, span uint64, timeout time.Duration, cb func(items
 	n.pending[id] = req
 	req.cancel = n.host.After(timeout, func() { n.getTimeout(id) })
 	req.firstHop = n.sendGet(id, key, span, p2p.NoNode)
-}
-
-// GetVia fetches all items stored under key from a ring this node is not a
-// member of. entries lists deterministic entry members of the key's home
-// ring: the first attempt enters through entries[0]; a timeout retries
-// through the first alternate entry. The retry must target another entry
-// member, never fall back to local prefix routing — this node's tables would
-// route within its own ring and deliver at a wrong-ring root, fabricating an
-// empty result. The root's response returns directly to this node (the
-// transport is shared across rings). entries[i] == self degrades to in-ring
-// routing for that attempt.
-func (n *Node) GetVia(entries []p2p.NodeID, key ID, span uint64, timeout time.Duration, cb func(items []any, hops int, ok bool)) {
-	if len(entries) == 0 {
-		n.GetSpan(key, span, timeout, cb)
-		return
-	}
-	n.nextReq++
-	id := n.nextReq
-	req := &getReq{key: key, span: span, cb: cb, timeout: timeout, started: n.host.Now(), via: entries}
-	if n.pending == nil {
-		n.pending = make(map[uint64]*getReq)
-	}
-	n.pending[id] = req
-	req.cancel = n.host.After(timeout, func() { n.getTimeout(id) })
-	req.firstHop = n.sendGetVia(id, key, span, entries[0])
-}
-
-// sendGetVia routes a get into the key's home ring through entry, returning
-// the hop used.
-func (n *Node) sendGetVia(reqID uint64, key ID, span uint64, entry p2p.NodeID) p2p.NodeID {
-	rm := RouteMsg{Key: key, Span: span, Get: GetPayload{ReqID: reqID, Origin: n.self.Addr}}
-	if entry == n.self.Addr {
-		return n.routeVia(rm, n.nextHop(key))
-	}
-	return n.routeVia(rm, Entry{ID: FromNode(entry), Addr: entry})
 }
 
 // sendGet routes a get toward key's root, avoiding one first hop (NoNode =
@@ -554,20 +503,6 @@ func (n *Node) getTimeout(id uint64) {
 			n.Trace.Emit(obs.DHTGetTimeout(n.host.Now(), n.self.Addr, req.span, true))
 		}
 		req.cancel = n.host.After(req.timeout, func() { n.getTimeout(id) })
-		if len(req.via) > 0 {
-			// Cross-ring retry: enter the home ring through an alternate
-			// entry member. Local rerouting is not an option here — see
-			// GetVia.
-			alt := req.via[0]
-			for _, e := range req.via {
-				if e != req.firstHop {
-					alt = e
-					break
-				}
-			}
-			n.sendGetVia(id, req.key, req.span, alt)
-			return
-		}
 		// Retry via a different routing-table entry: the first hop may be
 		// unreachable (partitioned, overloaded) without being seen as dead.
 		n.sendGet(id, req.key, req.span, req.firstHop)

@@ -39,14 +39,8 @@ type CapacityConfig struct {
 	// RouteSources / RoutesPerSource size the route sweep per topo cell. Each
 	// distinct source pays one full Dijkstra (then caches).
 	RouteSources, RoutesPerSource int
-	// DiscoveryPeers is the DHT population for the discovery cells.
+	// DiscoveryPeers is the DHT population of the discovery cell's one ring.
 	DiscoveryPeers int
-	// Shards lists the keyspace shard counts swept by the discovery cells.
-	// Since the sorted-ring builder made construction O(n·log n), sharding
-	// is no longer how build work is kept feasible — the sweep keeps it to
-	// show that per-ring leaf/table state shrinks by ~S while lookups for
-	// foreign keys pay only the cross-ring entry hop.
-	Shards []int
 	// Functions / ProvidersPerFn / Lookups size the discovery workload.
 	Functions, ProvidersPerFn, Lookups int
 	// Parallel is the worker count for the cells; <= 1 runs them serially.
@@ -60,7 +54,7 @@ type CapacityTopo struct {
 
 // DefaultScale100kConfig is the 100k sweep: up to 100,000 IP nodes and
 // 10,000 overlay peers — 10x the paper's §6.1 dimensions — plus a 10,000-peer
-// discovery plane at shard counts {1, 4, 16}.
+// discovery ring.
 func DefaultScale100kConfig() CapacityConfig {
 	return CapacityConfig{
 		Name: "scale100k",
@@ -73,7 +67,6 @@ func DefaultScale100kConfig() CapacityConfig {
 		RouteSources:    64,
 		RoutesPerSource: 4,
 		DiscoveryPeers:  10000,
-		Shards:          []int{1, 4, 16},
 		Functions:       200,
 		ProvidersPerFn:  3,
 		Lookups:         200,
@@ -82,8 +75,7 @@ func DefaultScale100kConfig() CapacityConfig {
 
 // DefaultScale1mConfig is the headline sweep: up to 1,000,000 IP nodes and
 // 100,000 overlay peers — 100x the paper's §6.1 dimensions — under a
-// deliberately tiny route-cache bound, plus a 100,000-peer discovery plane at
-// shard counts {16, 64}.
+// deliberately tiny route-cache bound, plus a 100,000-peer discovery ring.
 func DefaultScale1mConfig() CapacityConfig {
 	return CapacityConfig{
 		Name: "scale1m",
@@ -96,7 +88,6 @@ func DefaultScale1mConfig() CapacityConfig {
 		RouteSources:    64,
 		RoutesPerSource: 4,
 		DiscoveryPeers:  100000,
-		Shards:          []int{16, 64},
 		Functions:       300,
 		ProvidersPerFn:  3,
 		Lookups:         300,
@@ -104,11 +95,10 @@ func DefaultScale1mConfig() CapacityConfig {
 }
 
 // Scale1mSliceConfig is the CI-sized cell of the scale1m sweep: one topology
-// point and one discovery point, small enough for a test gate but large
-// enough that the route cache evicts (RouteSources > RouteCacheK) and the
-// discovery plane spans many rings. The scale1m gate in scripts/ci.sh runs
-// it through TestScale1mSlice* with a build-time ceiling and a live-heap
-// budget.
+// point and a 10,000-peer discovery ring, small enough for a test gate but
+// large enough that the route cache evicts (RouteSources > RouteCacheK). The
+// scale1m gate in scripts/ci.sh runs it through TestScale1mSlice* with a
+// build-time ceiling and a live-heap budget.
 func Scale1mSliceConfig() CapacityConfig {
 	return CapacityConfig{
 		Name:            "scale1m",
@@ -118,7 +108,6 @@ func Scale1mSliceConfig() CapacityConfig {
 		RouteSources:    32,
 		RoutesPerSource: 4,
 		DiscoveryPeers:  10000,
-		Shards:          []int{16},
 		Functions:       120,
 		ProvidersPerFn:  3,
 		Lookups:         200,
@@ -138,38 +127,35 @@ type CapacityTopoPoint struct {
 	RouteOK        int     // deterministic
 }
 
-// CapacityDiscPoint is one discovery cell's result.
+// CapacityDiscPoint is the discovery cell's result.
 type CapacityDiscPoint struct {
-	Peers, Shards int
-	BuildMS       float64 // wall-clock: S sorted-ring builds, O(n·log n) total
-	HeapMB        float64 // live-heap delta across node creation + ring build
-	RegisterMS    float64 // wall-clock: puts + simulated delivery
-	LookupMS      float64 // wall-clock: gets + simulated delivery
-	LookupOK      int     // deterministic
-	AvgHops       float64 // deterministic
+	Peers      int
+	BuildMS    float64 // wall-clock: the sorted-ring build, O(n·log n)
+	HeapMB     float64 // live-heap delta across node creation + ring build
+	RegisterMS float64 // wall-clock: puts + simulated delivery
+	LookupMS   float64 // wall-clock: gets + simulated delivery
+	LookupOK   int     // deterministic
+	AvgHops    float64 // deterministic
 }
 
 // CapacityResult is the full sweep.
 type CapacityResult struct {
 	Topo      []CapacityTopoPoint
-	Discovery []CapacityDiscPoint
+	Discovery CapacityDiscPoint
 	TopoTable *metrics.Table
 	DiscTable *metrics.Table
 }
 
-// Capacity runs a capacity sweep: topology grid points first, then the
-// sharded-discovery grid, all as independent cells under the parallel runner.
+// Capacity runs a capacity sweep: the topology grid points and the discovery
+// ring, all as independent cells under the parallel runner.
 func Capacity(cfg CapacityConfig) CapacityResult {
 	nt := len(cfg.Topo)
-	out := CapacityResult{
-		Topo:      make([]CapacityTopoPoint, nt),
-		Discovery: make([]CapacityDiscPoint, len(cfg.Shards)),
-	}
-	runCells(nt+len(cfg.Shards), cfg.Parallel, nil, func(i int, _ obs.Tracer) {
+	out := CapacityResult{Topo: make([]CapacityTopoPoint, nt)}
+	runCells(nt+1, cfg.Parallel, nil, func(i int, _ obs.Tracer) {
 		if i < nt {
 			out.Topo[i] = topoCell(cfg, cfg.Topo[i])
 		} else {
-			out.Discovery[i-nt] = discoveryCell(cfg, cfg.Shards[i-nt])
+			out.Discovery = discoveryCell(cfg)
 		}
 	})
 
@@ -180,11 +166,10 @@ func Capacity(cfg CapacityConfig) CapacityResult {
 		out.TopoTable.AddRow(p.IPNodes, p.Peers, p.Links, p.GenMS, p.OverlayMS, p.RouteMS, p.HeapMB, p.RouteAvgMS, p.RouteAvgHops, p.RouteOK)
 	}
 	out.DiscTable = metrics.NewTable(
-		fmt.Sprintf("%s: sharded discovery, %d DHT peers (sorted-ring build)", cfg.Name, cfg.DiscoveryPeers),
-		"shards", "build ms", "heap MB", "register ms", "lookup ms", "lookups ok", "avg hops")
-	for _, p := range out.Discovery {
-		out.DiscTable.AddRow(p.Shards, p.BuildMS, p.HeapMB, p.RegisterMS, p.LookupMS, p.LookupOK, p.AvgHops)
-	}
+		fmt.Sprintf("%s: discovery, one ring of %d DHT peers (sorted-ring build)", cfg.Name, cfg.DiscoveryPeers),
+		"build ms", "heap MB", "register ms", "lookup ms", "lookups ok", "avg hops")
+	d := out.Discovery
+	out.DiscTable.AddRow(d.BuildMS, d.HeapMB, d.RegisterMS, d.LookupMS, d.LookupOK, d.AvgHops)
 	return out
 }
 
@@ -260,14 +245,10 @@ func topoCell(cfg CapacityConfig, pt CapacityTopo) CapacityTopoPoint {
 	}
 }
 
-// discoveryCell builds cfg.DiscoveryPeers DHT nodes partitioned into `shards`
-// independent rings by the registry's shard plan, each built with the
-// sorted-ring constructor, registers a function catalog with the plan's
-// key-hash homing (local put on the home ring, PutVia through an entry member
-// otherwise), then sweeps lookups from random peers. The success count and
-// hop totals must not depend on the shard count — only the build and
-// messaging cost do.
-func discoveryCell(cfg CapacityConfig, shards int) CapacityDiscPoint {
+// discoveryCell builds one ring of cfg.DiscoveryPeers DHT nodes with the
+// sorted-ring constructor, registers a function catalog from random peers,
+// then sweeps lookups from random peers.
+func discoveryCell(cfg CapacityConfig) CapacityDiscPoint {
 	netRng := newRng(cfg.Seed + 9000)
 	pickRng := newRng(cfg.Seed + 9001)
 	n := cfg.DiscoveryPeers
@@ -279,31 +260,18 @@ func discoveryCell(cfg CapacityConfig, shards int) CapacityDiscPoint {
 	for i := range nodes {
 		nodes[i] = dht.New(nw.AddNode(p2p.NodeID(i)), nw.Alive)
 	}
-	plan := registry.NewShardPlan(n, shards)
 
 	start := time.Now()
-	for s := 0; s < plan.NumShards; s++ {
-		ring := make([]*dht.Node, len(plan.Members[s]))
-		for j, id := range plan.Members[s] {
-			ring[j] = nodes[int(id)]
-		}
-		dht.Build(ring)
-	}
+	dht.Build(nodes)
 	buildMS := sinceMS(start)
 	heapMB := heapDeltaMB(heapBefore)
 
 	start = time.Now()
 	for f := 0; f < cfg.Functions; f++ {
 		key := registry.FunctionKey(fmt.Sprintf("fn%d", f))
-		home := plan.Home(key)
 		for p := 0; p < cfg.ProvidersPerFn; p++ {
 			src := pickRng.Intn(n)
-			item := fmt.Sprintf("p%d/fn%d", src, f)
-			if plan.Of(p2p.NodeID(src)) == home {
-				nodes[src].Put(key, item, 96)
-			} else {
-				nodes[src].PutVia(plan.Entries(key)[0], key, item, 96)
-			}
+			nodes[src].Put(key, fmt.Sprintf("p%d/fn%d", src, f), 96)
 		}
 	}
 	sim.RunUntilIdle()
@@ -313,23 +281,16 @@ func discoveryCell(cfg CapacityConfig, shards int) CapacityDiscPoint {
 	start = time.Now()
 	for l := 0; l < cfg.Lookups; l++ {
 		key := registry.FunctionKey(fmt.Sprintf("fn%d", pickRng.Intn(cfg.Functions)))
-		src := pickRng.Intn(n)
-		collect := func(items []any, h int, ok bool) {
+		nodes[pickRng.Intn(n)].Get(key, time.Second, func(items []any, h int, ok bool) {
 			if ok && len(items) > 0 {
 				hops.Add(float64(h))
 			}
-		}
-		if plan.Of(p2p.NodeID(src)) == plan.Home(key) {
-			nodes[src].Get(key, time.Second, collect)
-		} else {
-			nodes[src].GetVia(plan.Entries(key), key, 0, time.Second, collect)
-		}
+		})
 	}
 	sim.RunUntilIdle()
 
 	return CapacityDiscPoint{
 		Peers:      n,
-		Shards:     plan.NumShards,
 		BuildMS:    buildMS,
 		HeapMB:     heapMB,
 		RegisterMS: registerMS,

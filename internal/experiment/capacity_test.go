@@ -9,7 +9,7 @@ import (
 // quick shrinks a named capacity sweep to unit-test size while keeping the
 // structural properties the full run relies on: several grid points, compact
 // overlays, a route cache that evicts when the sweep bounds it (sources > K),
-// and a sharded discovery plane with cross-ring homing.
+// and a discovery ring deep enough for multi-hop lookups.
 func quick(cfg CapacityConfig) CapacityConfig {
 	cfg.Topo = []CapacityTopo{{IPNodes: 400, Peers: 60}, {IPNodes: 800, Peers: 120}}
 	if cfg.RouteCacheK > 0 {
@@ -18,7 +18,6 @@ func quick(cfg CapacityConfig) CapacityConfig {
 	cfg.RouteSources = 16
 	cfg.RoutesPerSource = 2
 	cfg.DiscoveryPeers = 320
-	cfg.Shards = []int{1, 4, 16}
 	cfg.Functions = 24
 	cfg.ProvidersPerFn = 2
 	cfg.Lookups = 60
@@ -34,11 +33,20 @@ func structuralString(r CapacityResult) string {
 		s += fmt.Sprintf("topo %d/%d links=%d lat=%.9f hops=%.9f ok=%d\n",
 			p.IPNodes, p.Peers, p.Links, p.RouteAvgMS, p.RouteAvgHops, p.RouteOK)
 	}
-	for _, p := range r.Discovery {
-		s += fmt.Sprintf("disc %d/%d ok=%d hops=%.9f\n", p.Peers, p.Shards, p.LookupOK, p.AvgHops)
-	}
-	return s
+	return s + discRow(r.Discovery)
 }
+
+func discRow(d CapacityDiscPoint) string {
+	return fmt.Sprintf("disc %d ok=%d hops=%.9f\n", d.Peers, d.LookupOK, d.AvgHops)
+}
+
+// quickStructural is what both named sweeps report at quick size (they share
+// every dimension quick leaves alone but the route-cache bound, which changes
+// cost, not routes). Recorded once at seed 1.
+const quickStructural = `topo 400/60 links=191 lat=53.164720029 hops=2.531250000 ok=32
+topo 800/120 links=399 lat=61.786726208 hops=2.906250000 ok=32
+disc 320 ok=60 hops=1.983333333
+`
 
 // Live-heap budgets of one topology and one discovery cell at slice size;
 // every smaller cell must fit them too.
@@ -58,22 +66,18 @@ func checkHeap(t *testing.T, what string, mb, budget float64) {
 }
 
 // TestCapacityStructuralColumns runs every named sweep at unit-test size,
-// serially and with 8 workers: the seed-deterministic columns must be
-// byte-identical, every lookup must resolve at every shard count (key-hash
-// homing means the shard count cannot change what discovery finds), and the
-// heap columns must be real figures inside the cell budgets.
+// serially and with 8 workers: the seed-deterministic columns must equal the
+// recorded rows byte for byte, every lookup must resolve, and the heap columns
+// must be real figures inside the cell budgets.
 func TestCapacityStructuralColumns(t *testing.T) {
 	for _, named := range []func() CapacityConfig{DefaultScale100kConfig, DefaultScale1mConfig} {
 		cfg := quick(named())
 		t.Run(cfg.Name, func(t *testing.T) {
-			var serial string
 			for _, workers := range []int{1, 8} {
 				cfg.Parallel = workers
 				res := Capacity(cfg)
-				if workers == 1 {
-					serial = structuralString(res)
-				} else if got := structuralString(res); got != serial {
-					t.Errorf("structural columns differ between 1 and %d workers:\n%s\nvs\n%s", workers, serial, got)
+				if got := structuralString(res); got != quickStructural {
+					t.Errorf("structural columns at %d workers:\n%s\nwant\n%s", workers, got, quickStructural)
 				}
 				for _, p := range res.Topo {
 					if p.Links == 0 || p.RouteOK == 0 {
@@ -81,15 +85,10 @@ func TestCapacityStructuralColumns(t *testing.T) {
 					}
 					checkHeap(t, fmt.Sprintf("parallel=%d topo %d/%d", workers, p.IPNodes, p.Peers), p.HeapMB, topoHeapBudgetMB)
 				}
-				if len(res.Discovery) != len(cfg.Shards) {
-					t.Fatalf("expected %d discovery points, got %d", len(cfg.Shards), len(res.Discovery))
+				if d := res.Discovery; d.LookupOK != cfg.Lookups {
+					t.Errorf("resolved %d of %d lookups", d.LookupOK, cfg.Lookups)
 				}
-				for _, p := range res.Discovery {
-					if p.LookupOK != cfg.Lookups {
-						t.Errorf("shards=%d resolved %d of %d lookups", p.Shards, p.LookupOK, cfg.Lookups)
-					}
-					checkHeap(t, fmt.Sprintf("parallel=%d disc shards=%d", workers, p.Shards), p.HeapMB, discHeapBudgetMB)
-				}
+				checkHeap(t, fmt.Sprintf("parallel=%d discovery", workers), res.Discovery.HeapMB, discHeapBudgetMB)
 			}
 		})
 	}
@@ -118,13 +117,22 @@ func TestScale1mSliceBudget(t *testing.T) {
 		t.Error("route sweep resolved no routes")
 	}
 
-	dp := res.Discovery[0]
+	dp := res.Discovery
 	if dp.BuildMS > 60_000 {
 		t.Errorf("ring build took %.0f ms, ceiling 60000", dp.BuildMS)
 	}
 	checkHeap(t, "discovery cell", dp.HeapMB, discHeapBudgetMB)
 	if dp.LookupOK != cfg.Lookups {
 		t.Errorf("resolved %d of %d lookups", dp.LookupOK, cfg.Lookups)
+	}
+	// The flat 10,000-peer ring's rows, recorded once at seed 1: the slice's
+	// and the one the scale100k discovery table prints.
+	const slice, full = "disc 10000 ok=200 hops=3.110000000\n", "disc 10000 ok=200 hops=3.160000000\n"
+	if got := discRow(dp); got != slice {
+		t.Errorf("slice discovery row %q, want %q", got, slice)
+	}
+	if got := discRow(discoveryCell(DefaultScale100kConfig())); got != full {
+		t.Errorf("scale100k discovery row %q, want %q", got, full)
 	}
 }
 

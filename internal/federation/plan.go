@@ -9,18 +9,21 @@ import (
 )
 
 // DomainPlan is the materialized partition of a peer set into administrative
-// domains: the contiguous p2p.Blocks (one DHT ring per domain, so each domain
-// owns its keyspace shard), the designated gateway peers of each domain (its
-// first NumGateways members), and the domain coordinator (the first gateway).
+// domains: contiguous member blocks (one DHT ring per domain, so each domain
+// owns its keyspace shard — the only partition of the discovery ring a
+// deployment has), the designated gateway peers of each domain (its first
+// NumGateways members), and the domain coordinator (the first gateway).
 type DomainPlan struct {
-	p2p.Blocks  // Members[d] is domain d's peers; Of(peer) its domain
 	NumDomains  int
 	NumGateways int
+	// Members lists each domain's peers, in ascending node-ID order.
+	Members [][]p2p.NodeID
 }
 
 // Plan expands the spec over a peer count: peers [0..n) are split into
-// Domains contiguous blocks, and each block's first Gateways peers become
-// its gateways.
+// Domains contiguous blocks whose sizes differ by at most one (remainders
+// going to the lower-numbered domains), and each block's first Gateways
+// peers become its gateways.
 func (s *Spec) Plan(peers int) (*DomainPlan, error) {
 	d := s.Domains
 	g := s.Gateways
@@ -34,7 +37,27 @@ func (s *Spec) Plan(peers int) (*DomainPlan, error) {
 		return nil, fmt.Errorf("federation: %d peers cannot host %d domains of %d gateways each (+1 member)",
 			peers, d, g)
 	}
-	return &DomainPlan{Blocks: p2p.NewBlocks(peers, d), NumDomains: d, NumGateways: g}, nil
+	p := &DomainPlan{NumDomains: d, NumGateways: g, Members: make([][]p2p.NodeID, d)}
+	// Domain dom is peers [cut(dom), cut(dom+1)).
+	cut := func(dom int) int { return dom*(peers/d) + min(dom, peers%d) }
+	for dom := range p.Members {
+		p.Members[dom] = make([]p2p.NodeID, 0, cut(dom+1)-cut(dom))
+		for id := cut(dom); id < cut(dom+1); id++ {
+			p.Members[dom] = append(p.Members[dom], p2p.NodeID(id))
+		}
+	}
+	return p, nil
+}
+
+// Of returns the domain hosting peer id, -1 if the id is outside the planned
+// peer set.
+func (p *DomainPlan) Of(id p2p.NodeID) int {
+	for d, members := range p.Members {
+		if id >= members[0] && id <= members[len(members)-1] {
+			return d
+		}
+	}
+	return -1
 }
 
 // Gateways returns domain d's gateway peers (its first NumGateways members).

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/p2p"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -84,6 +86,40 @@ func TestPlanPartitionsPeers(t *testing.T) {
 	}
 	if p.Of(-1) != -1 || p.Of(99) != -1 {
 		t.Error("Of outside the peer set should be -1")
+	}
+}
+
+// TestBlocksPartitionProperties: for every peer count up to 200 and every
+// domain count a one-gateway spec admits, the domains are contiguous, cover
+// 0..n-1 exactly once, differ in size by at most one — the larger ones first —
+// and agree with Of.
+func TestBlocksPartitionProperties(t *testing.T) {
+	for n := 4; n <= 200; n++ {
+		for k := 2; 2*k <= n; k++ {
+			p, err := (&Spec{Domains: k}).Plan(n)
+			if err != nil {
+				t.Fatalf("n=%d k=%d: %v", n, k, err)
+			}
+			next, minSize, maxSize := 0, n, 0
+			for d, members := range p.Members {
+				if len(members) > minSize {
+					t.Fatalf("n=%d k=%d: domain %d of %d peers follows one of %d", n, k, d, len(members), minSize)
+				}
+				minSize, maxSize = min(minSize, len(members)), max(maxSize, len(members))
+				for _, id := range members {
+					if int(id) != next || p.Of(id) != d {
+						t.Fatalf("n=%d k=%d: domain %d holds %d (Of says %d) where %d is next", n, k, d, id, p.Of(id), next)
+					}
+					next++
+				}
+			}
+			if len(p.Members) != k || next != n || maxSize-minSize > 1 {
+				t.Fatalf("n=%d k=%d: %d domains of %d..%d peers cover %d", n, k, len(p.Members), minSize, maxSize, next)
+			}
+			if p.Of(-1) != -1 || p.Of(p2p.NodeID(n)) != -1 {
+				t.Fatalf("n=%d k=%d: Of outside the peer set is not -1", n, k)
+			}
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ type Network struct {
 	speedup float64
 
 	mu    sync.Mutex
-	nodes map[p2p.NodeID]*liveNode
+	nodes map[p2p.NodeID]*LoopNode
 
 	messages atomic.Int64
 	bytes    atomic.Int64
@@ -62,7 +62,7 @@ func NewNetwork(lat [][]float64, speedup float64) *Network {
 		lat:     lat,
 		start:   time.Now(),
 		speedup: speedup,
-		nodes:   make(map[p2p.NodeID]*liveNode),
+		nodes:   make(map[p2p.NodeID]*LoopNode),
 	}
 }
 
@@ -135,20 +135,12 @@ func (nw *Network) AddNode(id p2p.NodeID, seed int64) p2p.Node {
 	if _, dup := nw.nodes[id]; dup {
 		panic(fmt.Sprintf("livenet: duplicate node %d", id))
 	}
-	n := &liveNode{
-		id:       id,
-		net:      nw,
-		inbox:    make(chan any, 1024),
-		quit:     make(chan struct{}),
-		handlers: make(map[string]p2p.Handler),
-		rng:      rand.New(rand.NewSource(seed ^ int64(id)<<17)),
-	}
+	n := NewLoopNode(id, rand.New(rand.NewSource(seed^int64(id)<<17)), nw.start, nw.speedup, nw.send)
 	if nw.obsReg != nil {
 		n.ctr = nw.obsReg.Node(id)
 	}
-	n.alive.Store(true)
 	nw.nodes[id] = n
-	go n.loop()
+	go n.Run()
 	return n
 }
 
@@ -166,12 +158,8 @@ func (nw *Network) Exec(id p2p.NodeID, fn func()) {
 	nw.mu.Lock()
 	n := nw.nodes[id]
 	nw.mu.Unlock()
-	if n == nil || !n.alive.Load() {
-		return
-	}
-	select {
-	case n.inbox <- fn:
-	case <-n.quit:
+	if n != nil && n.alive.Load() {
+		n.Post(fn)
 	}
 }
 
@@ -214,7 +202,7 @@ func (nw *Network) Close() {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	for _, n := range nw.nodes {
-		close(n.quit)
+		n.Stop()
 	}
 }
 
@@ -255,100 +243,6 @@ func (nw *Network) send(msg p2p.Message) {
 			}
 			return
 		}
-		select {
-		case dst.inbox <- msg:
-		case <-dst.quit:
-		}
+		dst.Post(msg)
 	})
-}
-
-// liveNode implements p2p.Node with a single event-loop goroutine, so
-// handlers and timers never race — the same single-threaded-per-peer
-// semantics the simulator provides.
-type liveNode struct {
-	id    p2p.NodeID
-	net   *Network
-	inbox chan any // p2p.Message or func()
-	quit  chan struct{}
-	alive atomic.Bool
-	epoch atomic.Uint64
-
-	hmu      sync.Mutex
-	handlers map[string]p2p.Handler
-
-	rng *rand.Rand
-	ctr *obs.NodeCounters // nil unless a Registry is attached
-}
-
-func (n *liveNode) loop() {
-	for {
-		select {
-		case <-n.quit:
-			return
-		case item := <-n.inbox:
-			if !n.alive.Load() {
-				continue // crashed: drain and discard
-			}
-			switch v := item.(type) {
-			case func():
-				v()
-			case p2p.Message:
-				if n.ctr != nil {
-					n.ctr.MsgsRecv.Add(1)
-				}
-				n.hmu.Lock()
-				h := n.handlers[v.Type]
-				n.hmu.Unlock()
-				if h != nil {
-					h(n, v)
-				}
-			}
-		}
-	}
-}
-
-func (n *liveNode) ID() p2p.NodeID     { return n.id }
-func (n *liveNode) Now() time.Duration { return time.Since(n.net.start) }
-func (n *liveNode) Rand() *rand.Rand   { return n.rng }
-func (n *liveNode) Alive() bool        { return n.alive.Load() }
-
-func (n *liveNode) Handle(msgType string, h p2p.Handler) {
-	n.hmu.Lock()
-	defer n.hmu.Unlock()
-	n.handlers[msgType] = h
-}
-
-func (n *liveNode) Send(msg p2p.Message) {
-	if !n.alive.Load() {
-		return
-	}
-	msg.From = n.id
-	if n.ctr != nil {
-		n.ctr.MsgsSent.Add(1)
-		n.ctr.BytesSent.Add(int64(msg.Size))
-	}
-	n.net.send(msg)
-}
-
-func (n *liveNode) After(d time.Duration, fn func()) p2p.CancelFunc {
-	epoch := n.epoch.Load()
-	var cancelled atomic.Bool
-	timer := time.AfterFunc(n.net.Scale(d), func() {
-		if cancelled.Load() {
-			return
-		}
-		task := func() {
-			if !cancelled.Load() && n.epoch.Load() == epoch {
-				fn()
-			}
-		}
-		select {
-		case n.inbox <- task:
-		case <-n.quit:
-		}
-	})
-	return func() {
-		cancelled.Store(true)
-		timer.Stop()
-	}
 }

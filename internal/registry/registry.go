@@ -19,34 +19,19 @@ const metaSize = 96
 
 // Registry is one peer's interface to the discovery substrate.
 type Registry struct {
-	node  *dht.Node
-	plan  *ShardPlan
-	shard int // this peer's shard under plan; -1 when unsharded
+	node *dht.Node
 }
 
 // New wraps a DHT node in the discovery meta-data layer.
-func New(node *dht.Node) *Registry { return &Registry{node: node, shard: -1} }
-
-// NewSharded wraps a DHT node whose deployment shards the keyspace across
-// independent rings per plan. Keys homed on this peer's own shard route
-// normally; foreign keys enter their home ring through the plan's
-// deterministic entry members.
-func NewSharded(node *dht.Node, plan *ShardPlan) *Registry {
-	return &Registry{node: node, plan: plan, shard: plan.Of(node.Addr())}
-}
+func New(node *dht.Node) *Registry { return &Registry{node: node} }
 
 // FunctionKey returns the DHT key a function name maps to.
 func FunctionKey(function string) dht.ID { return dht.Key("fn:" + function) }
 
 // Register shares a service component: its meta-data is stored in the DHT
-// under its function name's key, in the key's home ring when sharded.
+// under its function name's key.
 func (r *Registry) Register(c service.Component) {
-	key := FunctionKey(c.Function)
-	if r.plan != nil && r.plan.Home(key) != r.shard {
-		r.node.PutVia(r.plan.Entries(key)[0], key, c, metaSize)
-		return
-	}
-	r.node.Put(key, c, metaSize)
+	r.node.Put(FunctionKey(c.Function), c, metaSize)
 }
 
 // Discover retrieves the meta-data list of all components providing
@@ -60,19 +45,13 @@ func (r *Registry) Discover(function string, timeout time.Duration, cb func(comp
 // underlying DHT lookup stamps every hop event with span so trace span trees
 // can attribute discovery traffic to the request.
 func (r *Registry) DiscoverSpan(function string, span uint64, timeout time.Duration, cb func(comps []service.Component, hops int, ok bool)) {
-	key := FunctionKey(function)
-	collect := func(items []any, hops int, ok bool) {
+	r.node.GetSpan(FunctionKey(function), span, timeout, func(items []any, hops int, ok bool) {
 		if !ok {
 			cb(nil, 0, false)
 			return
 		}
 		cb(components(items), hops, true)
-	}
-	if r.plan != nil && r.plan.Home(key) != r.shard {
-		r.node.GetVia(r.plan.Entries(key), key, span, timeout, collect)
-		return
-	}
-	r.node.GetSpan(key, span, timeout, collect)
+	})
 }
 
 // components returns the component meta-data among items, one per component

@@ -74,7 +74,7 @@ type delivery struct {
 
 // denseSlack bounds how far past the current dense-table end an ID may land
 // while still growing the slice instead of falling back to the sparse map,
-// so scattered-but-small ID spaces (shard bases, cluster offsets) stay on
+// so scattered-but-small ID spaces (ring bases, cluster offsets) stay on
 // the fast path without a pathological ID exploding memory.
 const denseSlack = 1024
 

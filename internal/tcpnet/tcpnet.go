@@ -6,8 +6,9 @@
 // the paper's networked Java prototype.
 //
 // The transport uses a static address book (NodeID → host:port), one
-// persistent outbound connection per destination with reconnection, and a
-// per-node single-threaded event loop for handler/timer serialization.
+// persistent outbound connection per destination with reconnection, and the
+// live runtime's single-threaded event-loop node (livenet.LoopNode) for
+// handler/timer serialization.
 package tcpnet
 
 import (
@@ -19,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/livenet"
 	"repro/internal/p2p"
 	"repro/internal/wire"
 )
@@ -44,7 +46,7 @@ type Transport struct {
 	self  p2p.NodeID
 	addrs map[p2p.NodeID]string
 	ln    net.Listener
-	node  *tcpNode
+	node  *livenet.LoopNode
 
 	mu    sync.Mutex
 	conns map[p2p.NodeID]*outConn
@@ -83,19 +85,13 @@ func New(self p2p.NodeID, listenAddr string, addrs map[p2p.NodeID]string, seed i
 		ln:    ln,
 		conns: make(map[p2p.NodeID]*outConn),
 	}
-	t.node = &tcpNode{
-		id:       self,
-		t:        t,
-		inbox:    make(chan any, 4096),
-		quit:     make(chan struct{}),
-		handlers: make(map[string]p2p.Handler),
-		rng:      rand.New(rand.NewSource(seed ^ int64(self)<<13)),
-		start:    time.Now(),
-	}
-	t.node.alive.Store(true)
+	t.node = livenet.NewLoopNode(self, rand.New(rand.NewSource(seed^int64(self)<<13)), time.Now(), 1, t.send)
 	t.wg.Add(2)
 	go t.acceptLoop()
-	go t.node.loop(&t.wg)
+	go func() {
+		defer t.wg.Done()
+		t.node.Run()
+	}()
 	return t, nil
 }
 
@@ -111,12 +107,7 @@ func (t *Transport) Stats() Stats {
 }
 
 // Exec runs fn on the node's event loop (for setup and test code).
-func (t *Transport) Exec(fn func()) {
-	select {
-	case t.node.inbox <- fn:
-	case <-t.node.quit:
-	}
-}
+func (t *Transport) Exec(fn func()) { t.node.Post(fn) }
 
 // Close stops the listener, connections, and event loop.
 func (t *Transport) Close() {
@@ -124,7 +115,7 @@ func (t *Transport) Close() {
 		return
 	}
 	t.ln.Close()
-	close(t.node.quit)
+	t.node.Stop()
 	t.mu.Lock()
 	for _, oc := range t.conns {
 		if oc.c != nil {
@@ -155,9 +146,7 @@ func (t *Transport) readLoop(c net.Conn) {
 			return
 		}
 		msg := p2p.Message{Type: wm.Type, From: wm.From, To: wm.To, Size: wm.Size, Payload: wm.Payload}
-		select {
-		case t.node.inbox <- msg:
-		case <-t.node.quit:
+		if !t.node.Post(msg) {
 			return
 		}
 	}
@@ -171,10 +160,7 @@ func (t *Transport) send(msg p2p.Message) {
 	t.bytes.Add(int64(msg.Size))
 	if msg.To == t.self {
 		// Loopback without a socket round trip.
-		select {
-		case t.node.inbox <- msg:
-		case <-t.node.quit:
-		}
+		t.node.Post(msg)
 		return
 	}
 	addr, ok := t.addrs[msg.To]
@@ -212,87 +198,4 @@ func (t *Transport) conn(to p2p.NodeID) *outConn {
 		t.conns[to] = oc
 	}
 	return oc
-}
-
-// tcpNode implements p2p.Node with a single event-loop goroutine.
-type tcpNode struct {
-	id    p2p.NodeID
-	t     *Transport
-	inbox chan any
-	quit  chan struct{}
-	alive atomic.Bool
-	epoch atomic.Uint64
-	start time.Time
-
-	hmu      sync.Mutex
-	handlers map[string]p2p.Handler
-
-	rng *rand.Rand
-}
-
-func (n *tcpNode) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		select {
-		case <-n.quit:
-			return
-		case item := <-n.inbox:
-			if !n.alive.Load() {
-				continue
-			}
-			switch v := item.(type) {
-			case func():
-				v()
-			case p2p.Message:
-				n.hmu.Lock()
-				h := n.handlers[v.Type]
-				n.hmu.Unlock()
-				if h != nil {
-					h(n, v)
-				}
-			}
-		}
-	}
-}
-
-func (n *tcpNode) ID() p2p.NodeID     { return n.id }
-func (n *tcpNode) Now() time.Duration { return time.Since(n.start) }
-func (n *tcpNode) Rand() *rand.Rand   { return n.rng }
-func (n *tcpNode) Alive() bool        { return n.alive.Load() }
-
-func (n *tcpNode) Handle(msgType string, h p2p.Handler) {
-	n.hmu.Lock()
-	defer n.hmu.Unlock()
-	n.handlers[msgType] = h
-}
-
-func (n *tcpNode) Send(msg p2p.Message) {
-	if !n.alive.Load() {
-		return
-	}
-	msg.From = n.id
-	n.t.send(msg)
-}
-
-func (n *tcpNode) After(d time.Duration, fn func()) p2p.CancelFunc {
-	epoch := n.epoch.Load()
-	var cancelled atomic.Bool
-	timer := time.AfterFunc(d, func() {
-		if cancelled.Load() {
-			return
-		}
-		task := func() {
-			if !cancelled.Load() && n.epoch.Load() == epoch {
-				fn()
-			}
-		}
-		select {
-		case n.inbox <- task:
-		case <-n.quit:
-		}
-	})
-	return func() {
-		cancelled.Store(true)
-		timer.Stop()
-	}
 }
