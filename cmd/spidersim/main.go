@@ -396,6 +396,16 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	if *stats {
 		reg.Table("per-layer counters (all nodes)").Render(stdout)
 		reg.PerNodeTable("busiest nodes", 10).Render(stdout)
+		wire := metrics.NewTable("wire traffic by message type", "type", "msgs", "bytes", "byte share")
+		types := make([]string, 0, len(st.ByType))
+		for typ := range st.ByType {
+			types = append(types, typ)
+		}
+		slices.Sort(types)
+		for _, typ := range types {
+			wire.AddRow(typ, st.ByType[typ], st.BytesByType[typ], float64(st.BytesByType[typ])/float64(st.BytesSent))
+		}
+		wire.Render(stdout)
 		met.Table("distribution metrics").Render(stdout)
 		met.PhaseTable("setup-latency phases (live histograms)").Render(stdout)
 		s := obs.Summarize(mem.Events())

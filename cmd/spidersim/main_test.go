@@ -123,3 +123,21 @@ func TestSmallRunChecksClean(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsAttributesTheWire: -stats prints, besides the counter rollup with
+// its discovery rows, messages and bytes per message type — enough to say
+// which layer's which message carries the wire without reading a trace.
+func TestStatsAttributesTheWire(t *testing.T) {
+	code, stdout, stderr := spidersim("-peers", "30", "-ipnodes", "200", "-requests", "5", "-stats")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{
+		"discovery lookups ", "discovery cache hits ", "discovery lookups hinted ",
+		"# wire traffic by message type", "byte share", "dht.get.resp ", "dht.route ", "bcp.probe ",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("-stats output lacks %q:\n%s", want, stdout)
+		}
+	}
+}

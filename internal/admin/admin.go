@@ -98,6 +98,9 @@ var counterSpecs = []counterSpec{
 	{"probe_budget_spent_total", "Probing budget carried by emitted probes.", func(c obs.Counters) int64 { return c.BudgetSpent }},
 	{"probe_retransmits_total", "Per-hop probe retransmits (same PID, no budget).", func(c obs.Counters) int64 { return c.ProbesRetx }},
 	{"dht_hops_total", "DHT messages forwarded.", func(c obs.Counters) int64 { return c.DHTHops }},
+	{"disc_lookups_total", "Discovery lookups issued (cache misses).", func(c obs.Counters) int64 { return c.DiscLookups }},
+	{"disc_cache_hits_total", "Duplicate lists served from the discovery cache.", func(c obs.Counters) int64 { return c.DiscCacheHits }},
+	{"disc_hinted_total", "Discovery lookups handed straight to a hinted peer.", func(c obs.Counters) int64 { return c.DiscHinted }},
 	{"faults_injected_total", "Injected network faults on sent messages.", func(c obs.Counters) int64 { return c.Faults }},
 }
 

@@ -21,6 +21,9 @@ func testData() (*obs.Registry, *obs.Metrics) {
 	c5 := reg.Node(5)
 	c5.MsgsSent.Store(7)
 	c5.DHTHops.Store(2)
+	c5.DiscLookups.Store(9)
+	c5.DiscCacheHits.Store(4)
+	c5.DiscHinted.Store(6)
 	met := obs.NewMetrics()
 	met.SetupLatency.ObserveDuration(40 * time.Millisecond)
 	met.SetupLatency.ObserveDuration(3 * time.Millisecond)
@@ -51,6 +54,9 @@ func TestMetricsExposition(t *testing.T) {
 		`spidernet_msgs_sent_total{node="3"} 10`,
 		`spidernet_msgs_sent_total{node="5"} 7`,
 		`spidernet_dht_hops_total{node="5"} 2`,
+		"spidernet_disc_lookups_total 9",
+		"spidernet_disc_cache_hits_total 4",
+		`spidernet_disc_hinted_total{node="5"} 6`,
 		"# TYPE spidernet_setup_latency_ms histogram",
 		"spidernet_setup_latency_ms_count 2",
 		"spidernet_setup_latency_ms_sum 43",

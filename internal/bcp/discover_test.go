@@ -3,10 +3,12 @@ package bcp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/dht"
+	"repro/internal/fgraph"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/registry"
@@ -53,7 +55,7 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 	sent := nw.Stats().MessagesSent
 	start := nw.Sim().Now()
 	var elapsed time.Duration
-	e.discoverAllCached(asked, 0, func(tb []dups, ok bool) {
+	e.discoverAllCached(asked, nil, 0, func(tb []dups, ok bool) {
 		if !ok {
 			t.Error("discovery failed")
 		}
@@ -83,7 +85,7 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 	cold := nw.Stats().MessagesSent - sent
 	sent = nw.Stats().MessagesSent
 	warm := false
-	e.discoverAllCached(asked, 0, func(tb []dups, ok bool) {
+	e.discoverAllCached(asked, nil, 0, func(tb []dups, ok bool) {
 		warm = ok && len(tb) == len(asked) && len(tb[2].comps) == 2
 	})
 	if !warm {
@@ -97,7 +99,7 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 func TestDiscoverAllCachedEmptyFunctionList(t *testing.T) {
 	_, engines := discoveryRing(5)
 	called := false
-	engines[0].discoverAllCached(nil, 0, func(tb []dups, ok bool) {
+	engines[0].discoverAllCached(nil, nil, 0, func(tb []dups, ok bool) {
 		called = true
 		if !ok || len(tb) != 0 {
 			t.Errorf("tb=%v ok=%v", tb, ok)
@@ -105,5 +107,82 @@ func TestDiscoverAllCachedEmptyFunctionList(t *testing.T) {
 	})
 	if !called {
 		t.Fatal("an empty resolution must call back synchronously")
+	}
+}
+
+// TestDiscoverAllCachedKeepsAnswersOfAFailedBatch: when one lookup of a batch
+// times out the batch fails, but the list that did arrive is cached — the
+// next resolution of that function costs no DHT traffic.
+func TestDiscoverAllCachedKeepsAnswersOfAFailedBatch(t *testing.T) {
+	nw, engines := discoveryRing(50)
+	for i, fn := range []string{"a", "b"} {
+		engines[1+i].reg.Register(service.Component{ID: "c/" + fn, Function: fn, Peer: p2p.NodeID(1 + i)})
+	}
+	nw.Sim().RunUntilIdle()
+	var roots []p2p.NodeID
+	engines[10].discoverAllCached([]string{"a", "b"}, nil, 0, func(tb []dups, _ bool) {
+		roots = []p2p.NodeID{tb[0].root, tb[1].root}
+	})
+	nw.Sim().RunUntilIdle()
+	e := engines[0]
+	if roots[0] == roots[1] || slices.Contains(roots, e.host.ID()) {
+		t.Fatalf("roots %v: want two distinct peers other than the asker", roots)
+	}
+
+	// b's root is up but unreachable: its lookup waits out both timeouts.
+	nw.SetFaults(simnet.FaultPlan{Seed: 1, Nodes: map[p2p.NodeID]simnet.LinkFaults{roots[1]: {Loss: 1}}})
+	failed := false
+	e.discoverAllCached([]string{"a", "b"}, nil, 0, func(tb []dups, ok bool) { failed = !ok && tb == nil })
+	nw.Sim().RunUntilIdle()
+	if !failed {
+		t.Fatal("a batch with an unreachable root must report failure")
+	}
+	nw.SetFaults(simnet.FaultPlan{})
+
+	routed := nw.Stats().ByType[dht.MsgRoute]
+	served := false
+	e.discoverAllCached([]string{"a"}, nil, 0, func(tb []dups, ok bool) {
+		served = ok && len(tb[0].comps) == 1 && tb[0].root == roots[0]
+	})
+	if !served || nw.Stats().ByType[dht.MsgRoute] != routed {
+		t.Fatalf("served from cache: %v, new dht.route messages: %d; want the answered list kept",
+			served, nw.Stats().ByType[dht.MsgRoute]-routed)
+	}
+}
+
+// TestHintsFollowThePattern: a probe carries the hints from its target's
+// first successor on — everything downstream of the target (for b also e, the
+// tail of its sibling c's branch), and nothing at all when the target is a
+// sink, whichever branch of a DAG it ends.
+func TestHintsFollowThePattern(t *testing.T) {
+	b := fgraph.NewBuilder()
+	for _, fn := range []string{"a", "b", "c", "d", "e"} {
+		b.AddFunction(fn)
+	}
+	// a feeds b and c; b and c both feed d (a diamond); c also feeds the
+	// second sink e.
+	g, err := b.AddDependency(0, 1).AddDependency(0, 2).AddDependency(1, 3).AddDependency(2, 3).AddDependency(2, 4).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := make([]dups, g.NumFunctions())
+	for i := range table {
+		table[i] = dups{fn: g.Function(i), root: p2p.NodeID(100 + i)}
+	}
+	all := hintsFor(g, table)
+	carried := func(target int) []int {
+		var fns []int
+		for _, h := range hintsFrom(all, g.Successors(target)) {
+			if h.Root != p2p.NodeID(100+h.Fn) {
+				t.Errorf("hint for function %d names peer %d", h.Fn, h.Root)
+			}
+			fns = append(fns, h.Fn)
+		}
+		return fns
+	}
+	for target, want := range [][]int{{1, 2, 3, 4}, {3, 4}, {3, 4}, nil, nil} {
+		if got := carried(target); !slices.Equal(got, want) {
+			t.Errorf("a probe bound for function %d carries hints for %v, want %v", target, got, want)
+		}
 	}
 }

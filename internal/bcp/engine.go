@@ -281,6 +281,7 @@ type softHold struct {
 
 type cacheEntry struct {
 	comps   []service.Component
+	root    p2p.NodeID
 	expires time.Duration
 }
 
@@ -411,7 +412,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	for _, v := range req.Variants {
 		fns = append(fns, v.Functions()...)
 	}
-	e.discoverAllCached(fns, req.ID, func(table []dups, ok bool) {
+	e.discoverAllCached(fns, nil, req.ID, func(table []dups, ok bool) {
 		st.discovery = e.host.Now() - st.started
 		if e.Trace != nil {
 			e.Trace.Emit(obs.DiscDone(e.host.Now(), e.host.ID(), req.ID, ok, st.discovery))
@@ -426,10 +427,12 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	})
 }
 
-// dups is one resolved function: its name and its duplicate list.
+// dups is one resolved function: its name, its duplicate list and the peer
+// that answered the lookup (the key's DHT root or a replica; NoNode if none).
 type dups struct {
 	fn    string
 	comps []service.Component
+	root  p2p.NodeID
 	// miss is set when the list was not in this peer's cache and had to be
 	// looked up; the lookup is issued once per name (see leader).
 	miss bool
@@ -446,14 +449,14 @@ func leader(table []dups, i int) int {
 	return i
 }
 
-// dupsOf returns the duplicate list table holds for function fn.
-func dupsOf(table []dups, fn string) []service.Component {
+// entryOf returns table's entry for function fn.
+func entryOf(table []dups, fn string) dups {
 	for i := range table {
 		if table[i].fn == fn {
-			return table[i].comps
+			return table[i]
 		}
 	}
-	return nil
+	return dups{fn: fn, root: p2p.NoNode}
 }
 
 // resolution joins the DHT lookups of one discoverAllCached call.
@@ -466,21 +469,25 @@ type resolution struct {
 
 // discoverAllCached resolves function duplicate lists through the local
 // cache, falling back to concurrent DHT lookups attributed to span (the
-// composition request the discovery serves). cb fires once, with one entry
-// per function in the order given, or with ok=false if any lookup timed out;
-// it fires before discoverAllCached returns when the cache serves everything.
-func (e *Engine) discoverAllCached(fns []string, span uint64, cb func(table []dups, ok bool)) {
+// composition request the discovery serves), each handed straight to the peer
+// hints, when not nil, names for its function (NoNode = route from scratch).
+// cb fires once, with one entry per function in the order given, or ok=false if
+// a lookup timed out — before discoverAllCached returns if the cache serves all.
+func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64, cb func(table []dups, ok bool)) {
 	table := make([]dups, len(fns))
 	misses := 0
 	now := e.host.Now()
 	for i, f := range fns {
 		table[i].fn = f
 		if ce, ok := e.cache[f]; ok && ce.expires > now {
-			table[i].comps = ce.comps
+			table[i].comps, table[i].root = ce.comps, ce.root
 		} else {
 			table[i].miss = true
 			misses++
 		}
+	}
+	if e.Ctr != nil {
+		e.Ctr.DiscCacheHits.Add(int64(len(fns) - misses))
 	}
 	if misses == 0 {
 		cb(table, true)
@@ -494,8 +501,18 @@ func (e *Engine) discoverAllCached(fns []string, span uint64, cb func(table []du
 			continue
 		}
 		st.pending++
-		e.reg.DiscoverSpan(table[i].fn, span, discoveryTimeout, func(comps []service.Component, _ int, ok bool) {
-			st.table[i].comps = comps
+		via := p2p.NoNode
+		if hints != nil {
+			via = hints[i]
+		}
+		if e.Ctr != nil {
+			e.Ctr.DiscLookups.Add(1)
+			if via != p2p.NoNode {
+				e.Ctr.DiscHinted.Add(1)
+			}
+		}
+		e.reg.DiscoverSpan(table[i].fn, span, via, discoveryTimeout, func(comps []service.Component, root p2p.NodeID, _ int, ok bool) {
+			st.table[i].comps, st.table[i].root = comps, root
 			st.failed = st.failed || !ok
 			e.resolved(st)
 		})
@@ -503,14 +520,10 @@ func (e *Engine) discoverAllCached(fns []string, span uint64, cb func(table []du
 	e.resolved(st)
 }
 
-// resolved retires one pending lookup of st; the last one caches what was
-// fetched and reports.
+// resolved retires one pending lookup of st; the last one caches every list
+// that was answered, even if another lookup of the batch timed out, and reports.
 func (e *Engine) resolved(st *resolution) {
 	if st.pending--; st.pending > 0 {
-		return
-	}
-	if st.failed {
-		st.cb(nil, false)
 		return
 	}
 	expires := e.host.Now() + cacheTTL
@@ -520,10 +533,14 @@ func (e *Engine) resolved(st *resolution) {
 			continue
 		}
 		if l := leader(st.table, i); l != i {
-			d.comps = st.table[l].comps
-			continue
+			d.comps, d.root = st.table[l].comps, st.table[l].root
+		} else if d.root != p2p.NoNode {
+			e.cache[d.fn] = cacheEntry{comps: d.comps, root: d.root, expires: expires}
 		}
-		e.cache[d.fn] = cacheEntry{comps: d.comps, expires: expires}
+	}
+	if st.failed {
+		st.cb(nil, false)
+		return
 	}
 	st.cb(st.table, true)
 }
@@ -563,8 +580,7 @@ func (e *Engine) launchProbes(st *composeState, table []dups) {
 		fns := pr.Pattern.Sources()
 		sources = sources[:0]
 		for _, fn := range fns {
-			name := pr.Pattern.Function(fn)
-			sources = append(sources, dups{fn: name, comps: dupsOf(table, name)})
+			sources = append(sources, entryOf(table, pr.Pattern.Function(fn)))
 		}
 		return fns
 	}
@@ -583,6 +599,7 @@ func (e *Engine) launchProbes(st *composeState, table []dups) {
 			break // every launching pattern is out (or none can launch)
 		}
 		fns := enter(&pr, pi)
+		pr.Hints = hintsFor(pr.Pattern, table)
 		pr.Credit = creditShare(TotalCredit, launching, launched)
 		if e.spawnNext(&pr, fns, sources) {
 			launched++

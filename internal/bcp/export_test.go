@@ -1,5 +1,7 @@
 package bcp
 
+import "repro/internal/p2p"
+
 // MaxBackups is the backup cap, for the tests that check it is honoured.
 const MaxBackups = maxBackups
 
@@ -12,4 +14,16 @@ func (e *Engine) CollectedCredit(reqID uint64) (uint64, bool) {
 		return 0, false
 	}
 	return col.credit, true
+}
+
+// TapProbes shows f every probe this engine receives, with its wire size,
+// before the engine processes it; f may edit the probe (tests strip hints
+// that way).
+func (e *Engine) TapProbes(f func(pr *Probe, size int)) {
+	e.host.Handle(MsgProbe, func(n p2p.Node, msg p2p.Message) {
+		pr := msg.Payload.(Probe)
+		f(&pr, msg.Size)
+		msg.Payload = pr
+		e.onProbe(n, msg)
+	})
 }

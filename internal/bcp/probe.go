@@ -64,6 +64,10 @@ type Probe struct {
 	// it records itself in a copy one element longer (onProbe), so siblings
 	// and retransmitted copies keep reading the shared prefix unharmed.
 	Visited []Hop
+	// Hints names who answered the source's lookup of each function downstream
+	// of CurFn; a hop whose cache misses hands its lookup straight to that peer.
+	// A read-only tail of the source's list (hintsFor); a report has none.
+	Hints []Hint
 	// Egress is the service link from the branch's last component to the
 	// destination, recorded by the leaf on the report.
 	Egress service.LinkSnapshot
@@ -76,6 +80,35 @@ type Hop struct {
 	Fn   int
 	Snap service.Snapshot
 	In   service.LinkSnapshot
+}
+
+// Hint is the peer (Root) that answered the source's lookup of pattern function Fn.
+type Hint struct {
+	Fn   int
+	Root p2p.NodeID
+}
+
+// hintsFor lists who answered the lookup of each function of pattern g, in
+// g's topological order, from the table the source resolved.
+func hintsFor(g *fgraph.Graph, table []dups) []Hint {
+	order := g.TopoOrder()
+	hints := make([]Hint, 0, len(order))
+	for _, fn := range order {
+		hints = append(hints, Hint{Fn: fn, Root: entryOf(table, g.Function(fn)).root})
+	}
+	return hints
+}
+
+// hintsFrom returns the tail of the topologically ordered hints from the
+// first function of succs on — what a probe bound for their predecessor
+// carries: all that is downstream of it, plus, on a fork, a sibling's tail.
+func hintsFrom(hints []Hint, succs []int) []Hint {
+	for i, h := range hints {
+		if slices.Contains(succs, h.Fn) {
+			return hints[i:]
+		}
+	}
+	return nil
 }
 
 // TotalCredit is the termination credit a request's probes share (see
@@ -95,9 +128,12 @@ func creditShare(credit uint64, n, i int) uint64 {
 const (
 	probeBaseSize   = 136 // fixed header, including the 8 credit bytes
 	probePerHopSize = 64
+	probeHintSize   = 8 // function index + peer address
 )
 
-func probeSize(p Probe) int { return probeBaseSize + probePerHopSize*len(p.Visited) }
+func probeSize(p Probe) int {
+	return probeBaseSize + probePerHopSize*len(p.Visited) + probeHintSize*len(p.Hints)
+}
 
 // lastComp returns the most recently visited component, nil at the source.
 func (p *Probe) lastComp() *service.Component {
@@ -148,14 +184,14 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		e.Met.PeerLoad.Observe(util)
 		e.Met.PeerLoadMax.SetMax(int64(util * 1000))
 	}
-	// Overload shedding: a peer past the threshold declines the probe
-	// outright instead of queueing work it will serve too slowly. The probe
-	// dies here with an accountable reason, so conservation still holds and
-	// the source's remaining probes (on other duplicates) carry the request.
-	// The threshold compares committed utilization (hard + soft) so that
-	// concurrent compositions racing through the probe→confirm window see
-	// each other's reservations.
-	if e.cfg.ShedThreshold > 0 && e.ledger.CommittedUtilization() >= e.cfg.ShedThreshold {
+	// Overload shedding: a peer past the threshold declines new work outright
+	// instead of queueing what it will serve too slowly; the probe dies with an
+	// accountable reason and the request's other probes carry on. The threshold
+	// compares committed utilization (hard + soft), so concurrent compositions
+	// see each other's reservations — but a request is not shed against its own:
+	// a sibling of a probe that already holds this component adds no load.
+	_, mine := e.soft[softKey{reqID: pr.ReqID, compID: comp.ID}]
+	if !mine && e.cfg.ShedThreshold > 0 && e.ledger.CommittedUtilization() >= e.cfg.ShedThreshold {
 		if e.Ctr != nil {
 			e.Ctr.ProbesShed.Add(1)
 		}
@@ -229,11 +265,17 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	// components, after resolving their duplicate lists through this peer's
 	// discovery cache.
 	var buf [4]string
-	names := buf[:0]
+	var hbuf [4]p2p.NodeID
+	names, hints := buf[:0], hbuf[:0]
 	for _, s := range succs {
 		names = append(names, pr.Pattern.Function(s))
+		root := p2p.NoNode
+		if i := slices.IndexFunc(pr.Hints, func(h Hint) bool { return h.Fn == s }); i >= 0 {
+			root = pr.Hints[i].Root
+		}
+		hints = append(hints, root)
 	}
-	e.discoverAllCached(names, pr.ReqID, func(table []dups, ok bool) {
+	e.discoverAllCached(names, hints, pr.ReqID, func(table []dups, ok bool) {
 		if !ok {
 			e.dropProbe(&pr, "discovery")
 			return
@@ -390,9 +432,11 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table []dups) bool {
 		if newBudget < 1 {
 			newBudget = 1
 		}
+		below := hintsFrom(pr.Hints, pr.Pattern.Successors(nf.fn))
 		for _, c := range e.pickNextHop(e.next.elig[nf.lo:nf.hi], nf.probes, pr.Req) {
 			// The child shares pr's Visited slice; see Probe.Visited.
 			np := *pr
+			np.Hints = below
 			np.Budget = newBudget
 			np.Credit = creditShare(pr.Credit, children, emitted)
 			emitted++

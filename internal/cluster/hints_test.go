@@ -1,0 +1,104 @@
+package cluster_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/bcp"
+	"repro/internal/cluster"
+	"repro/internal/dht"
+	"repro/internal/federation"
+	"repro/internal/obs"
+	"repro/internal/workload"
+)
+
+// TestHintsStayInsideTheirRing: a hint is an address on the ring it was
+// learned on, and a segment composes inside one domain, so on a federated
+// deployment no lookup — hinted first hop included — is ever handed to a
+// member of another domain's ring.
+func TestHintsStayInsideTheirRing(t *testing.T) {
+	mem := &obs.MemSink{}
+	reg := obs.NewRegistry()
+	c := cluster.New(cluster.Options{
+		Seed: 5, IPNodes: 600, Peers: 120, Catalog: catalog(12),
+		Domains: &federation.Spec{Domains: 4, Gateways: 2}, Trace: mem, Obs: reg,
+	})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: catalog(12), Peers: 120, MinFuncs: 3, MaxFuncs: 5, Budget: 12,
+	}, c.Rng)
+	composed := 0
+	for i := 0; i < 30; i++ {
+		req := gen.Next()
+		c.Sim.Schedule(time.Duration(i)*time.Second, func() {
+			c.Peers[int(req.Source)].Fed.Compose(req, func(res federation.Result) {
+				if res.Ok {
+					composed++
+				}
+			})
+		})
+	}
+	c.Sim.Run(30*time.Second + c.Fed.Cfg.Drain())
+
+	if hinted := reg.Totals().DiscHinted; composed == 0 || hinted == 0 {
+		t.Fatalf("%d sessions composed, %d hinted lookups: the run exercised nothing", composed, hinted)
+	}
+	plan := c.Plan()
+	for _, ev := range mem.Events() {
+		if ev.Kind == obs.KindDHTHop && ev.Note == "get" && plan.Of(ev.Node) != plan.Of(ev.Peer) {
+			t.Fatalf("peer %d (domain %d) handed a lookup to peer %d (domain %d)",
+				ev.Node, plan.Of(ev.Node), ev.Peer, plan.Of(ev.Peer))
+		}
+	}
+}
+
+// TestDiscoveryMessageBudget is scripts/ci.sh's message gate: one pinned
+// small cell whose DHT traffic per composed session and routed hops per
+// hop-origin lookup must stay under ceilings set 10 % above what the cell
+// measures (45.4 messages, 0.99 hops). A change that silently stops hinting
+// reads 59.0 and 1.67 here and fails CI, not the next benchmark run.
+func TestDiscoveryMessageBudget(t *testing.T) {
+	const maxDHTPerSession, maxHopsPerHopLookup = 50.0, 1.09
+	mem := &obs.MemSink{}
+	c := cluster.New(cluster.Options{Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), Trace: mem})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: catalog(12), Peers: 120, MinFuncs: 3, MaxFuncs: 5, Budget: 12,
+	}, c.Rng)
+	before := c.Net.Stats()
+	composed := 0
+	for i := 0; i < 40; i++ {
+		req := gen.Next()
+		c.Sim.Schedule(time.Duration(i)*time.Second, func() {
+			c.Peers[int(req.Source)].Engine.Compose(req, func(res bcp.Result) {
+				if res.Ok {
+					composed++
+				}
+			})
+		})
+	}
+	c.Sim.Run(2 * time.Minute)
+	if composed < 30 {
+		t.Fatalf("only %d of 40 requests composed", composed)
+	}
+
+	after := c.Net.Stats()
+	msgs := float64(after.ByType[dht.MsgRoute]+after.ByType[dht.MsgGetResp]-
+		before.ByType[dht.MsgRoute]-before.ByType[dht.MsgGetResp]) / float64(composed)
+	// A request's lookups are its source's until disc.done, its hops' after.
+	discovered := make(map[uint64]bool)
+	lookups, hops := 0, 0
+	for _, ev := range mem.Events() {
+		switch {
+		case ev.Kind == obs.KindDiscDone:
+			discovered[ev.Req] = true
+		case ev.Kind == obs.KindDHTDeliver && ev.Note == "get" && discovered[ev.Req]:
+			lookups++
+			hops += ev.Hops
+		}
+	}
+	perLookup := float64(hops) / float64(lookups)
+	t.Logf("%d sessions: %.1f DHT messages per session, %d hop-origin lookups at %.2f routed hops", composed, msgs, lookups, perLookup)
+	if msgs > maxDHTPerSession || perLookup > maxHopsPerHopLookup {
+		t.Fatalf("DHT messages per session %.1f (ceiling %.1f), hops per hop-origin lookup %.2f (ceiling %.2f)",
+			msgs, maxDHTPerSession, perLookup, maxHopsPerHopLookup)
+	}
+}

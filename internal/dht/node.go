@@ -117,9 +117,11 @@ type Node struct {
 }
 
 type getReq struct {
-	key      ID
-	span     uint64 // composition request the lookup serves, for trace spans
+	key  ID
+	span uint64 // composition request the lookup serves, for trace spans
+	// One of the two is set; Get's own shape spares it an adapter closure per lookup.
 	cb       func(items []any, hops int, ok bool)
+	cbFrom   func(items []any, from p2p.NodeID, hops int, ok bool)
 	cancel   p2p.CancelFunc
 	retried  bool
 	timeout  time.Duration
@@ -462,34 +464,52 @@ func (n *Node) Put(key ID, item any, size int) {
 // items and hop count on success, or ok=false after two timeouts. The call
 // is asynchronous; cb runs on this node's event context.
 func (n *Node) Get(key ID, timeout time.Duration, cb func(items []any, hops int, ok bool)) {
-	n.GetSpan(key, 0, timeout, cb)
+	n.get(&getReq{key: key, cb: cb, timeout: timeout}, p2p.NoNode)
 }
 
-// GetSpan is Get with the composition-request ID the lookup serves attached;
-// every routing and timeout event it emits carries span, so trace span trees
-// can claim the lookup as a child of the request.
-func (n *Node) GetSpan(key ID, span uint64, timeout time.Duration, cb func(items []any, hops int, ok bool)) {
+// GetSpan is Get with the composition-request ID the lookup serves attached
+// (its routing and timeout events carry span, so trace span trees claim the
+// lookup), handed directly to via, the peer that answered an earlier lookup of
+// key (NoNode = route as Get does); cb also learns who answered this one.
+func (n *Node) GetSpan(key ID, span uint64, via p2p.NodeID, timeout time.Duration, cb func(items []any, from p2p.NodeID, hops int, ok bool)) {
+	n.get(&getReq{key: key, span: span, cbFrom: cb, timeout: timeout}, via)
+}
+
+func (n *Node) get(req *getReq, via p2p.NodeID) {
 	n.nextReq++
 	id := n.nextReq
-	req := &getReq{key: key, span: span, cb: cb, timeout: timeout, started: n.host.Now()}
+	req.started = n.host.Now()
 	if n.pending == nil {
 		n.pending = make(map[uint64]*getReq)
 	}
 	n.pending[id] = req
-	req.cancel = n.host.After(timeout, func() { n.getTimeout(id) })
-	req.firstHop = n.sendGet(id, key, span, p2p.NoNode)
+	req.cancel = n.host.After(req.timeout, func() { n.getTimeout(id) })
+	req.firstHop = n.sendGet(id, req.key, req.span, via, p2p.NoNode)
 }
 
-// sendGet routes a get toward key's root, avoiding one first hop (NoNode =
-// unconstrained), and returns the hop actually used. When exclusion leaves
-// no viable route the unexcluded route is used after all: forcing local
-// delivery at a non-root node would fabricate an empty result.
-func (n *Node) sendGet(reqID uint64, key ID, span uint64, avoid p2p.NodeID) p2p.NodeID {
-	next := n.nextHopExcluding(key, avoid)
-	if next.Addr == p2p.NoNode && avoid != p2p.NoNode {
-		next = n.nextHop(key)
+// sendGet sends a get toward key's root and returns the hop actually used:
+// via when it names a live peer other than self (which routes on unless it is
+// the root), else the routing table's choice avoiding one first hop (NoNode =
+// unconstrained). When exclusion leaves no viable route the unexcluded one is
+// used: forcing local delivery at a non-root node would fabricate an empty result.
+func (n *Node) sendGet(reqID uint64, key ID, span uint64, via, avoid p2p.NodeID) p2p.NodeID {
+	next := Entry{Addr: via}
+	if via == p2p.NoNode || via == n.self.Addr || !n.alive(via) {
+		next = n.nextHopExcluding(key, avoid)
+		if next.Addr == p2p.NoNode && avoid != p2p.NoNode {
+			next = n.nextHop(key)
+		}
 	}
 	return n.routeVia(RouteMsg{Key: key, Span: span, Get: GetPayload{ReqID: reqID, Origin: n.self.Addr}}, next)
+}
+
+// done reports a finished lookup to whichever callback it was issued with.
+func (req *getReq) done(items []any, from p2p.NodeID, hops int, ok bool) {
+	if req.cb != nil {
+		req.cb(items, hops, ok)
+		return
+	}
+	req.cbFrom(items, from, hops, ok)
 }
 
 func (n *Node) getTimeout(id uint64) {
@@ -505,14 +525,14 @@ func (n *Node) getTimeout(id uint64) {
 		req.cancel = n.host.After(req.timeout, func() { n.getTimeout(id) })
 		// Retry via a different routing-table entry: the first hop may be
 		// unreachable (partitioned, overloaded) without being seen as dead.
-		n.sendGet(id, req.key, req.span, req.firstHop)
+		n.sendGet(id, req.key, req.span, p2p.NoNode, req.firstHop)
 		return
 	}
 	delete(n.pending, id)
 	if n.Trace != nil {
 		n.Trace.Emit(obs.DHTGetTimeout(n.host.Now(), n.self.Addr, req.span, false))
 	}
-	req.cb(nil, 0, false)
+	req.done(nil, p2p.NoNode, 0, false)
 }
 
 func (n *Node) onGetResp(_ p2p.Node, msg p2p.Message) {
@@ -526,5 +546,5 @@ func (n *Node) onGetResp(_ p2p.Node, msg p2p.Message) {
 	if n.Met != nil {
 		n.Met.DHTLookup.ObserveDuration(n.host.Now() - req.started)
 	}
-	req.cb(gr.Items, gr.Hops, true)
+	req.done(gr.Items, msg.From, gr.Hops, true)
 }

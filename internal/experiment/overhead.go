@@ -6,6 +6,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/bcp"
 	"repro/internal/cluster"
+	"repro/internal/dht"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -95,7 +96,9 @@ func Overhead(cfg OverheadConfig) OverheadResult {
 	}
 	c.Sim.Run(cfg.Window + 30*time.Second)
 
-	spider := c.Net.Stats().MessagesSent
+	st := c.Net.Stats()
+	spider := st.MessagesSent
+	discovery := st.ByType[dht.MsgRoute] + st.ByType[dht.MsgGetResp]
 	periods := int64(cfg.Window / cfg.UpdatePeriod)
 	central := periods*int64(baselines.CentralizedOverheadPerPeriod(cfg.Peers)) +
 		2*int64(cfg.Requests)
@@ -107,6 +110,7 @@ func Overhead(cfg OverheadConfig) OverheadResult {
 	t := metrics.NewTable("Overhead: centralized global-view maintenance vs. BCP probing",
 		"scheme", "messages", "requests", "window")
 	t.AddRow("spidernet (BCP)", spider, cfg.Requests, cfg.Window)
+	t.AddRow("  of which discovery (DHT)", discovery, "", "")
 	t.AddRow("centralized", central, cfg.Requests, cfg.Window)
 	t.AddRow("ratio (centralized/spidernet)", ratio, "", "")
 	return OverheadResult{

@@ -28,7 +28,10 @@ type NodeCounters struct {
 	ProbesRetx     atomic.Int64 // per-hop probe retransmits (same PID, no budget)
 	ProbesShed     atomic.Int64 // probes declined by overload shedding (util over threshold)
 
-	DHTHops atomic.Int64 // DHT messages this node forwarded
+	DHTHops       atomic.Int64 // DHT messages this node forwarded
+	DiscLookups   atomic.Int64 // discovery lookups this node issued (cache misses)
+	DiscCacheHits atomic.Int64 // duplicate lists served from this node's discovery cache
+	DiscHinted    atomic.Int64 // lookups handed straight to the peer a probe's hint named
 
 	Faults atomic.Int64 // injected network faults on messages this node sent
 
@@ -51,6 +54,9 @@ func (c *NodeCounters) Snapshot() Counters {
 		ProbesRetx:     c.ProbesRetx.Load(),
 		ProbesShed:     c.ProbesShed.Load(),
 		DHTHops:        c.DHTHops.Load(),
+		DiscLookups:    c.DiscLookups.Load(),
+		DiscCacheHits:  c.DiscCacheHits.Load(),
+		DiscHinted:     c.DiscHinted.Load(),
 		Faults:         c.Faults.Load(),
 		FedPrepares:    c.FedPrepares.Load(),
 		FedCommits:     c.FedCommits.Load(),
@@ -74,7 +80,10 @@ type Counters struct {
 	ProbesRetx     int64
 	ProbesShed     int64
 
-	DHTHops int64
+	DHTHops       int64
+	DiscLookups   int64
+	DiscCacheHits int64
+	DiscHinted    int64
 
 	Faults int64
 
@@ -96,6 +105,9 @@ func (c *Counters) Add(o Counters) {
 	c.ProbesRetx += o.ProbesRetx
 	c.ProbesShed += o.ProbesShed
 	c.DHTHops += o.DHTHops
+	c.DiscLookups += o.DiscLookups
+	c.DiscCacheHits += o.DiscCacheHits
+	c.DiscHinted += o.DiscHinted
 	c.Faults += o.Faults
 	c.FedPrepares += o.FedPrepares
 	c.FedCommits += o.FedCommits
@@ -146,6 +158,9 @@ func (r *Registry) Merge(o *Registry) {
 		c.ProbesRetx.Add(s.ProbesRetx)
 		c.ProbesShed.Add(s.ProbesShed)
 		c.DHTHops.Add(s.DHTHops)
+		c.DiscLookups.Add(s.DiscLookups)
+		c.DiscCacheHits.Add(s.DiscCacheHits)
+		c.DiscHinted.Add(s.DiscHinted)
 		c.Faults.Add(s.Faults)
 		c.FedPrepares.Add(s.FedPrepares)
 		c.FedCommits.Add(s.FedCommits)
@@ -206,6 +221,9 @@ func (r *Registry) Table(title string) *metrics.Table {
 	t.AddRow("probe retransmits", tot.ProbesRetx)
 	t.AddRow("probes shed", tot.ProbesShed)
 	t.AddRow("dht hops", tot.DHTHops)
+	t.AddRow("discovery lookups", tot.DiscLookups)
+	t.AddRow("discovery cache hits", tot.DiscCacheHits)
+	t.AddRow("discovery lookups hinted", tot.DiscHinted)
 	t.AddRow("faults injected", tot.Faults)
 	if tot.FedPrepares != 0 || tot.FedCommits != 0 || tot.FedAborts != 0 {
 		t.AddRow("fed prepares", tot.FedPrepares)

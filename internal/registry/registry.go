@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dht"
+	"repro/internal/p2p"
 	"repro/internal/service"
 )
 
@@ -38,19 +39,22 @@ func (r *Registry) Register(c service.Component) {
 // function. cb fires exactly once with the duplicate list (possibly empty)
 // and the DHT hop count, or ok=false if the lookup timed out.
 func (r *Registry) Discover(function string, timeout time.Duration, cb func(comps []service.Component, hops int, ok bool)) {
-	r.DiscoverSpan(function, 0, timeout, cb)
+	r.DiscoverSpan(function, 0, p2p.NoNode, timeout, func(comps []service.Component, _ p2p.NodeID, hops int, ok bool) {
+		cb(comps, hops, ok)
+	})
 }
 
-// DiscoverSpan is Discover with the composition-request ID attached: the
-// underlying DHT lookup stamps every hop event with span so trace span trees
-// can attribute discovery traffic to the request.
-func (r *Registry) DiscoverSpan(function string, span uint64, timeout time.Duration, cb func(comps []service.Component, hops int, ok bool)) {
-	r.node.GetSpan(FunctionKey(function), span, timeout, func(items []any, hops int, ok bool) {
+// DiscoverSpan is Discover with the composition-request ID attached (the DHT
+// lookup stamps every hop event with span so trace span trees can attribute
+// discovery traffic to the request), tried first at via, the peer that answered
+// an earlier lookup of function (dht.Node.GetSpan); cb learns who answered.
+func (r *Registry) DiscoverSpan(function string, span uint64, via p2p.NodeID, timeout time.Duration, cb func(comps []service.Component, root p2p.NodeID, hops int, ok bool)) {
+	r.node.GetSpan(FunctionKey(function), span, via, timeout, func(items []any, from p2p.NodeID, hops int, ok bool) {
 		if !ok {
-			cb(nil, 0, false)
+			cb(nil, p2p.NoNode, 0, false)
 			return
 		}
-		cb(components(items), hops, true)
+		cb(components(items), from, hops, true)
 	})
 }
 

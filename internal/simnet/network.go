@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"time"
 
@@ -32,6 +33,7 @@ type Stats struct {
 	Faulted      int64 // killed at send time by injected loss or partition
 	Duplicated   int64 // extra copies injected by duplication faults
 	ByType       map[string]int64
+	BytesByType  map[string]int64 // BytesSent split like ByType
 }
 
 // Network is the simulated message-passing layer connecting simNodes. All
@@ -86,8 +88,8 @@ func NewNetwork(sim *Sim, latency LatencyFunc, rng *rand.Rand) *Network {
 		sim:     sim,
 		rng:     rng,
 		latency: latency,
-		stats:   Stats{ByType: make(map[string]int64)},
 	}
+	nw.ResetStats()
 	nw.delFn = func(arg any) {
 		rec := arg.(*delivery)
 		msg, epoch, known := rec.msg, rec.epoch, rec.known
@@ -162,16 +164,13 @@ func (nw *Network) SetProcDelay(f ProcDelayFunc) { nw.proc = f }
 // Stats returns a snapshot of the overhead counters.
 func (nw *Network) Stats() Stats {
 	s := nw.stats
-	s.ByType = make(map[string]int64, len(nw.stats.ByType))
-	for k, v := range nw.stats.ByType {
-		s.ByType[k] = v
-	}
+	s.ByType, s.BytesByType = maps.Clone(s.ByType), maps.Clone(s.BytesByType)
 	return s
 }
 
 // ResetStats zeroes the overhead counters.
 func (nw *Network) ResetStats() {
-	nw.stats = Stats{ByType: make(map[string]int64)}
+	nw.stats = Stats{ByType: make(map[string]int64), BytesByType: make(map[string]int64)}
 }
 
 // AddNode creates and registers a live node with the given ID.
@@ -248,6 +247,7 @@ func (nw *Network) send(msg p2p.Message) {
 	nw.stats.MessagesSent++
 	nw.stats.BytesSent += int64(msg.Size)
 	nw.stats.ByType[msg.Type]++
+	nw.stats.BytesByType[msg.Type] += int64(msg.Size)
 	if nw.met != nil {
 		nw.met.WireBytes.Observe(float64(msg.Size))
 	}

@@ -38,8 +38,13 @@ func TestSendDeliversWithLatency(t *testing.T) {
 	if st.MessagesSent != 1 || st.Delivered != 1 || st.BytesSent != 100 {
 		t.Fatalf("stats=%+v", st)
 	}
-	if st.ByType["ping"] != 1 {
-		t.Fatalf("ByType=%v", st.ByType)
+	if st.ByType["ping"] != 1 || st.BytesByType["ping"] != 100 {
+		t.Fatalf("ByType=%v BytesByType=%v", st.ByType, st.BytesByType)
+	}
+	// A snapshot is a copy: later traffic must not show through it.
+	ns[0].Send(p2p.Message{Type: "ping", To: 1, Size: 40})
+	if st.BytesByType["ping"] != 100 || nw.Stats().BytesByType["ping"] != 140 {
+		t.Fatalf("snapshot %v, live %v", st.BytesByType, nw.Stats().BytesByType)
 	}
 }
 
@@ -159,7 +164,7 @@ func TestResetStats(t *testing.T) {
 	nw.Sim().RunUntilIdle()
 	nw.ResetStats()
 	st := nw.Stats()
-	if st.MessagesSent != 0 || st.Delivered != 0 || len(st.ByType) != 0 {
+	if st.MessagesSent != 0 || st.Delivered != 0 || len(st.ByType) != 0 || len(st.BytesByType) != 0 {
 		t.Fatalf("stats not reset: %+v", st)
 	}
 }
