@@ -368,8 +368,9 @@ func BenchmarkBCPCompose(b *testing.B) {
 }
 
 // BenchmarkRecoveryTick measures one maintenance interval of one established
-// session with its backups: a path probe along each graph, the pongs, the
-// deadline checks. -benchmem is the figure TestRecoveryTickAllocBudget
+// session with its backups: the walk along the active graph — every third
+// interval on through the backups' own peers — its one pong and its one
+// deadline check. -benchmem is the figure TestRecoveryTickAllocBudget
 // ratchets.
 func BenchmarkRecoveryTick(b *testing.B) {
 	rc := recovery.DefaultConfig()

@@ -383,6 +383,9 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		t.AddRow("switchovers", rec.Switchovers)
 		t.AddRow("reactive recoveries", rec.Reactives)
 		t.AddRow("unrecovered failures", rec.Dead)
+		t.AddRow("maintenance walks", rec.Walks)
+		t.AddRow("stops per walk", float64(rec.WalkStops)/float64(max(rec.Walks, 1)))
+		t.AddRow("silences localized by ping", rec.Localizations)
 	}
 	t.Render(stdout)
 

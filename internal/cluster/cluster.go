@@ -569,6 +569,9 @@ func (c *Cluster) RecoveryStats() recovery.Stats {
 		t.BackupSum += s.BackupSum
 		t.BackupSamples += s.BackupSamples
 		t.ComponentsReplaced += s.ComponentsReplaced
+		t.Walks += s.Walks
+		t.WalkStops += s.WalkStops
+		t.Localizations += s.Localizations
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/federation"
 	"repro/internal/obs"
+	"repro/internal/recovery"
 	"repro/internal/workload"
 )
 
@@ -100,5 +102,49 @@ func TestDiscoveryMessageBudget(t *testing.T) {
 	if msgs > maxDHTPerSession || perLookup > maxHopsPerHopLookup {
 		t.Fatalf("DHT messages per session %.1f (ceiling %.1f), hops per hop-origin lookup %.2f (ceiling %.2f)",
 			msgs, maxDHTPerSession, perLookup, maxHopsPerHopLookup)
+	}
+}
+
+// TestMaintenanceMessageBudget is the message gate's other half: one pinned
+// small cell with recovery on and nothing failing, whose rec.* traffic per
+// session-interval (one session through one maintenance period) must stay
+// under a ceiling set 10 % above what the cell measures (7.02 messages at 4.18 backups).
+// A prober that walks the active graph and every backup end to end each
+// interval reads 25.79 here and fails CI, not the next benchmark run.
+func TestMaintenanceMessageBudget(t *testing.T) {
+	const maxPerSessionInterval = 7.72
+	rc := recovery.DefaultConfig()
+	c := cluster.New(cluster.Options{Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), Recovery: &rc})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: catalog(12), Peers: 120, MinFuncs: 3, MaxFuncs: 5, Budget: 20,
+		DelayReqMin: 4000, DelayReqMax: 8000, FailReq: 0.02,
+	}, c.Rng)
+	for i := 0; i < 40; i++ {
+		req := gen.Next()
+		c.Sim.Schedule(time.Duration(i)*time.Second, func() {
+			p := c.Peers[int(req.Source)]
+			p.Engine.Compose(req, func(res bcp.Result) {
+				if res.Ok {
+					p.Recovery.Establish(req, res)
+				}
+			})
+		})
+	}
+	c.Sim.Run(2 * time.Minute)
+
+	var msgs int64
+	for typ, n := range c.Net.Stats().ByType {
+		if strings.HasPrefix(typ, "rec.") {
+			msgs += n
+		}
+	}
+	st := c.RecoveryStats()
+	if st.BackupSamples < 1000 || st.AvgBackups() < 1.5 || st.FailuresDetected != 0 {
+		t.Fatalf("the cell exercised too little, or something failed: %+v", st)
+	}
+	per := float64(msgs) / float64(st.BackupSamples)
+	t.Logf("%d session-intervals at %.2f backups: %.2f rec.* messages each", st.BackupSamples, st.AvgBackups(), per)
+	if per > maxPerSessionInterval {
+		t.Fatalf("%.2f rec.* messages per session-interval, ceiling %.2f", per, maxPerSessionInterval)
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/baselines"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dht"
 	"repro/internal/metrics"
+	"repro/internal/recovery"
 	"repro/internal/workload"
 )
 
@@ -56,6 +58,10 @@ type OverheadResult struct {
 	// SpiderNetMessages counts every control message BCP-based composition
 	// sent during the window (probes, discovery lookups, ACKs, results).
 	SpiderNetMessages int64
+	// MaintenanceMessages counts what keeping the composed sessions and
+	// their backups alive cost on top (rec.*: one walk per session per
+	// interval; nothing fails in this run).
+	MaintenanceMessages int64
 	// CentralizedMessages counts the global-view scheme's cost over the
 	// same window: periodic state updates from every peer plus one
 	// request/response pair per composition.
@@ -69,6 +75,8 @@ type OverheadResult struct {
 // periodic global state maintenance over the same window.
 func Overhead(cfg OverheadConfig) OverheadResult {
 	opts := cfg.options(cfg.Trace)
+	rc := recovery.DefaultConfig()
+	opts.Recovery = &rc
 	c := cluster.New(opts)
 	gen := workload.NewGenerator(workload.Config{
 		Catalog:     opts.Catalog,
@@ -85,11 +93,12 @@ func Overhead(cfg OverheadConfig) OverheadResult {
 		req := gen.Next()
 		at := time.Duration(arrivalRng.Float64() * float64(cfg.Window))
 		c.Sim.Schedule(at, func() {
-			eng := c.Peers[int(req.Source)].Engine
-			eng.Compose(req, func(res bcp.Result) {
+			p := c.Peers[int(req.Source)]
+			p.Engine.Compose(req, func(res bcp.Result) {
 				if res.Ok {
-					// Long-lived sessions: hold through the window.
-					c.Sim.Schedule(cfg.Window, func() { eng.Teardown(res.Best) })
+					// Long-lived sessions: maintained through the window.
+					p.Recovery.Establish(req, res)
+					c.Sim.Schedule(cfg.Window, func() { p.Recovery.Close(req.ID) })
 				}
 			})
 		})
@@ -97,7 +106,13 @@ func Overhead(cfg OverheadConfig) OverheadResult {
 	c.Sim.Run(cfg.Window + 30*time.Second)
 
 	st := c.Net.Stats()
-	spider := st.MessagesSent
+	var maintenance int64
+	for typ, n := range st.ByType {
+		if strings.HasPrefix(typ, "rec.") {
+			maintenance += n
+		}
+	}
+	spider := st.MessagesSent - maintenance
 	discovery := st.ByType[dht.MsgRoute] + st.ByType[dht.MsgGetResp]
 	periods := int64(cfg.Window / cfg.UpdatePeriod)
 	central := periods*int64(baselines.CentralizedOverheadPerPeriod(cfg.Peers)) +
@@ -111,10 +126,12 @@ func Overhead(cfg OverheadConfig) OverheadResult {
 		"scheme", "messages", "requests", "window")
 	t.AddRow("spidernet (BCP)", spider, cfg.Requests, cfg.Window)
 	t.AddRow("  of which discovery (DHT)", discovery, "", "")
+	t.AddRow("session maintenance (rec.*)", maintenance, "", "")
 	t.AddRow("centralized", central, cfg.Requests, cfg.Window)
 	t.AddRow("ratio (centralized/spidernet)", ratio, "", "")
 	return OverheadResult{
 		SpiderNetMessages:   spider,
+		MaintenanceMessages: maintenance,
 		CentralizedMessages: central,
 		Ratio:               ratio,
 		Table:               t,

@@ -38,6 +38,10 @@ const (
 	VioFedResolveNoPrep  = "fed-resolve-without-prepare"
 	VioFedUnresolved     = "fed-unresolved-prepare"
 	VioFedDomainMismatch = "fed-domain-mismatch"
+
+	VioRecUnresolved       = "rec-failure-unresolved"
+	VioRecResolveNoFailure = "rec-resolve-without-failure"
+	VioRecProbeAfterDead   = "rec-probe-after-dead"
 )
 
 // Check replays a trace and verifies protocol invariants that must hold on
@@ -76,7 +80,15 @@ const (
 //     fed.abort with note "expire" — at the same node and domain, at or
 //     after the prepare. The only excused unresolved prepare is one whose
 //     holding gateway crashed (a net.down record at or after the prepare):
-//     a dead peer cannot emit its own release.
+//     a dead peer cannot emit its own release;
+//   - failure recovery resolves what it declares: every rec.failure of a
+//     session is followed by exactly one rec.switchover, rec.reactive or
+//     rec.dead before the session's next rec.failure, a resolution has an
+//     unresolved failure before it, and no rec.probe follows a session's
+//     rec.dead. An open failure is excused when its source crashed (a
+//     net.down record at or after it), or when the trace was cut inside its
+//     latest rec.attempt: before the switchover's own deadline, or with the
+//     re-composition the attempt names not yet at its compose.done.
 //
 // Traces cut off mid-run (a simulator duration expiring with probes in
 // flight) can legitimately fail the conservation check; the seeded CI runs
@@ -128,6 +140,12 @@ type Checker struct {
 	fedResolve      map[uint64]Event
 	fedResolveCount map[uint64]int
 	downs           map[p2p.NodeID][]time.Duration
+	// Recovery lifecycle, keyed by session: the failure not yet resolved or
+	// the latest attempt at it, and the sessions given up on; last is the
+	// latest timestamp seen.
+	recOpen map[uint64]Event
+	recDead map[uint64]bool
+	last    time.Duration
 }
 
 // NewChecker creates an empty streaming invariant checker.
@@ -148,11 +166,14 @@ func NewChecker() *Checker {
 		fedResolve:      make(map[uint64]Event),
 		fedResolveCount: make(map[uint64]int),
 		downs:           make(map[p2p.NodeID][]time.Duration),
+		recOpen:         make(map[uint64]Event),
+		recDead:         make(map[uint64]bool),
 	}
 }
 
 // Add folds one event into the checker's state.
 func (c *Checker) Add(ev Event) {
+	c.last = max(c.last, ev.TS)
 	switch ev.Kind {
 	case KindFedPrepare:
 		if c.fedPrepCount[ev.PID] == 0 {
@@ -166,6 +187,30 @@ func (c *Checker) Add(ev Event) {
 		c.fedResolveCount[ev.PID]++
 	case KindNetDown:
 		c.downs[ev.Node] = append(c.downs[ev.Node], ev.TS)
+	case KindRecProbe:
+		if c.recDead[ev.Req] {
+			c.vs = append(c.vs, Violation{VioRecProbeAfterDead,
+				fmt.Sprintf("rec.probe sess=%d at t=%v after the session's rec.dead", ev.Req, ev.TS)})
+		}
+	case KindRecFailure:
+		if open, ok := c.recOpen[ev.Req]; ok {
+			c.vs = append(c.vs, Violation{VioRecUnresolved,
+				fmt.Sprintf("sess=%d: %s at t=%v still open at the next rec.failure at t=%v", ev.Req, open.Kind, open.TS, ev.TS)})
+		}
+		c.recOpen[ev.Req] = ev
+	case KindRecAttempt:
+		if _, ok := c.recOpen[ev.Req]; ok {
+			c.recOpen[ev.Req] = ev
+		}
+	case KindRecSwitchover, KindRecReactive, KindRecDead:
+		if _, ok := c.recOpen[ev.Req]; !ok {
+			c.vs = append(c.vs, Violation{VioRecResolveNoFailure,
+				fmt.Sprintf("%s sess=%d at t=%v resolves no open rec.failure", ev.Kind, ev.Req, ev.TS)})
+		}
+		delete(c.recOpen, ev.Req)
+		if ev.Kind == KindRecDead {
+			c.recDead[ev.Req] = true
+		}
 	}
 	switch ev.Kind {
 	case KindProbeSent, KindProbeForwarded:
@@ -412,6 +457,23 @@ func (c *Checker) Finish() []Violation {
 					fmt.Sprintf("fed.prepare sub=%d (fed=%d) at t=%v node=%d never committed, aborted, or expired",
 						pid, prep.Req, prep.TS, prep.Node)})
 			}
+		}
+	}
+
+	// Recovery lifecycle: failures still open, in session order. A crashed
+	// source cannot finish the recovery it started, a cut run did not let an
+	// attempt in flight end.
+	open := make([]uint64, 0, len(c.recOpen))
+	for sess := range c.recOpen {
+		open = append(open, sess)
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
+	for _, sess := range open {
+		ev := c.recOpen[sess]
+		inFlight := ev.PID != 0 && !doneSeen[ev.PID] || c.last < ev.TS+ev.Dur
+		if !inFlight && !c.crashedSince(ev.Node, ev.TS) {
+			vs = append(vs, Violation{VioRecUnresolved,
+				fmt.Sprintf("sess=%d: %s at t=%v node=%d never switched over, recomposed or given up", sess, ev.Kind, ev.TS, ev.Node)})
 		}
 	}
 

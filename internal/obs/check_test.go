@@ -495,3 +495,91 @@ func TestCheckCompleteAtClose(t *testing.T) {
 		t.Errorf("collection after the early close passed: %v", vs)
 	}
 }
+
+// recTrace is a clean recovery lifecycle: session 7 at source 3 fails twice
+// and is repaired by a switchover, then — the switchover attempt timing out —
+// by re-composition 70; session 8 fails once and is given up on; probes run
+// in between.
+func recTrace() []Event {
+	s := func(n int) time.Duration { return time.Duration(n) * time.Second }
+	return []Event{
+		RecProbe(s(2), 3, 7, 5),
+		RecFailure(s(4), 3, 7),
+		RecAttempt(s(4), 3, 7, 0, s(3)),
+		RecOutcome(s(5), 3, 7, KindRecSwitchover, s(1)),
+		RecProbe(s(6), 3, 7, 6),
+		RecProbe(s(6), 4, 8, 9),
+		RecFailure(s(8), 3, 7),
+		RecFailure(s(8), 4, 8),
+		RecAttempt(s(8), 3, 7, 0, s(3)),
+		RecAttempt(s(11), 3, 7, 70, 0),
+		ComposeStart(s(11), 3, 70, 3, 20),
+		ComposeDone(s(12), 3, 70, true, s(1)),
+		RecOutcome(s(12), 3, 7, KindRecReactive, s(4)),
+		RecOutcome(s(12), 4, 8, KindRecDead, 0),
+		RecProbe(s(12), 3, 7, 6),
+	}
+}
+
+func TestCheckRecLifecycle(t *testing.T) {
+	if vs := Check(recTrace()); len(vs) != 0 {
+		t.Fatalf("clean recovery trace flagged: %v", vs)
+	}
+}
+
+// TestCheckRecUnresolved: a failure must be resolved before the session's
+// next one and before the trace ends. Excused are a source that crashed at or
+// after declaring it, and a trace cut inside the failure's latest attempt:
+// before a switchover's own deadline, or before the compose.done of the
+// re-composition it names.
+func TestCheckRecUnresolved(t *testing.T) {
+	s := func(n int) time.Duration { return time.Duration(n) * time.Second }
+	evs := recTrace()
+	fail, setup := RecFailure(s(14), 3, 7), RecAttempt(s(14), 3, 7, 0, s(3))
+	redo := []Event{RecAttempt(s(14), 3, 7, 71, 0), ComposeStart(s(14), 3, 71, 3, 20)}
+	at := func(n int) Event { return RecProbe(s(n), 5, 9, 2) } // another session's probe: the trace goes on
+	for name, bad := range map[string][]Event{
+		"no attempt follows":         append(evs, fail, at(14)),
+		"switchover deadline passed": append(evs, fail, setup, at(17)),
+		"re-composition ended":       append(append(append(evs, fail), redo...), ComposeDone(s(15), 3, 71, false, s(1)), at(15)),
+		"open at the next failure":   {evs[1], evs[2], evs[6], evs[8], evs[12]},
+		"source crashed before it":   append(evs, NodeDown(s(13), 3), NodeUp(s(13), 3), fail, at(14)),
+	} {
+		if vs := Check(bad); !hasViolation(vs, VioRecUnresolved) {
+			t.Errorf("%s: want %s, got %v", name, VioRecUnresolved, vs)
+		}
+	}
+	for name, good := range map[string][]Event{
+		"source crashed":          append(evs, fail, NodeDown(s(14), 3), at(60)),
+		"cut inside a switchover": append(evs, fail, setup, at(16)),
+		"cut while re-composing":  append(append(append(evs, fail), redo...), at(60)),
+	} {
+		if vs := Check(good); len(vs) != 0 {
+			t.Errorf("%s: open failure flagged: %v", name, vs)
+		}
+	}
+}
+
+// TestCheckRecResolveNoFailure: a resolution needs an unresolved failure of
+// its own session before it — a second one has none left.
+func TestCheckRecResolveNoFailure(t *testing.T) {
+	s := func(n int) time.Duration { return time.Duration(n) * time.Second }
+	evs := recTrace()
+	for name, bad := range map[string][]Event{
+		"resolved twice":        append(evs, RecOutcome(s(13), 3, 7, KindRecSwitchover, s(5))),
+		"no failure at all":     {RecProbe(s(2), 3, 7, 5), RecOutcome(s(5), 3, 7, KindRecDead, 0)},
+		"another session's own": {RecFailure(s(4), 3, 7), RecOutcome(s(5), 4, 8, KindRecReactive, s(1)), RecOutcome(s(5), 3, 7, KindRecReactive, s(1))},
+	} {
+		if vs := Check(bad); !hasViolation(vs, VioRecResolveNoFailure) {
+			t.Errorf("%s: want %s, got %v", name, VioRecResolveNoFailure, vs)
+		}
+	}
+}
+
+// TestCheckRecProbeAfterDead: a session given up on is never probed again.
+func TestCheckRecProbeAfterDead(t *testing.T) {
+	bad := append(recTrace(), RecProbe(14*time.Second, 4, 8, 9))
+	if vs := Check(bad); len(vs) != 1 || vs[0].Name != VioRecProbeAfterDead {
+		t.Fatalf("want exactly %s, got %v", VioRecProbeAfterDead, vs)
+	}
+}

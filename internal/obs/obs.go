@@ -55,6 +55,7 @@ const (
 	KindDHTGetFail     = "dht.get.fail"
 	KindRecProbe       = "rec.probe"
 	KindRecFailure     = "rec.failure"
+	KindRecAttempt     = "rec.attempt"
 	KindRecSwitchover  = "rec.switchover"
 	KindRecReactive    = "rec.reactive"
 	KindRecDead        = "rec.dead"
@@ -267,7 +268,7 @@ func DHTGetTimeout(ts time.Duration, node p2p.NodeID, req uint64, retry bool) Ev
 	return Event{TS: ts, Kind: kind, Node: node, Req: req, Peer: p2p.NoNode}
 }
 
-// RecProbe records a low-rate maintenance probe launched for a session.
+// RecProbe records a maintenance walk launched for a session toward its first stop.
 func RecProbe(ts time.Duration, node p2p.NodeID, sess uint64, first p2p.NodeID) Event {
 	return Event{TS: ts, Kind: KindRecProbe, Node: node, Req: sess, Peer: first}
 }
@@ -275,6 +276,12 @@ func RecProbe(ts time.Duration, node p2p.NodeID, sess uint64, first p2p.NodeID) 
 // RecFailure records the sender detecting a broken active graph.
 func RecFailure(ts time.Duration, node p2p.NodeID, sess uint64) Event {
 	return Event{TS: ts, Kind: KindRecFailure, Node: node, Req: sess, Peer: p2p.NoNode}
+}
+
+// RecAttempt records one step of a recovery: a switchover that gives itself
+// deadline to be confirmed, or (pid non-zero) the re-composition pid.
+func RecAttempt(ts time.Duration, node p2p.NodeID, sess, pid uint64, deadline time.Duration) Event {
+	return Event{TS: ts, Kind: KindRecAttempt, Node: node, Req: sess, Peer: p2p.NoNode, PID: pid, Dur: deadline}
 }
 
 // RecOutcome records a recovery ending: kind is KindRecSwitchover,

@@ -337,7 +337,7 @@ func (b *Builder) Add(ev obs.Event) {
 		rs.commits = append(rs.commits, ev)
 	case obs.KindSessionEstab:
 		rs.estabs = append(rs.estabs, ev)
-	case obs.KindRecProbe, obs.KindRecFailure, obs.KindRecSwitchover, obs.KindRecReactive, obs.KindRecDead:
+	case obs.KindRecProbe, obs.KindRecFailure, obs.KindRecAttempt, obs.KindRecSwitchover, obs.KindRecReactive, obs.KindRecDead:
 		rs.rec = append(rs.rec, ev)
 	case obs.KindFedPrepare:
 		fs := rs.fedState(ev.PID)

@@ -11,7 +11,8 @@ var gobOnce sync.Once
 // encoding/gob for real network transports. Safe to call multiple times.
 func RegisterGob() {
 	gobOnce.Do(func() {
-		gob.RegisterName("recovery.probeMsg", probeMsg{})
+		gob.RegisterName("recovery.walkMsg", walkMsg{})
+		gob.RegisterName("recovery.pingMsg", pingMsg{})
 		gob.RegisterName("recovery.setupMsg", setupMsg{})
 		gob.RegisterName("recovery.setupReply", setupReply{})
 	})

@@ -8,22 +8,31 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/qos"
 	"repro/internal/service"
 )
 
 const (
-	probeMsgSize = 48 // "low-rate measurement probes" (§5): small on the wire
-	setupMsgSize = 96
+	// A maintenance walk lists its stops: header plus one entry per stop, so
+	// a three-peer walk is the 48 B of "low-rate measurement probes" (§5).
+	walkBaseSize    = 24
+	walkPerStopSize = 8
+	setupMsgSize    = 96
 
-	// probeInterval is the period of the low-rate maintenance probes.
+	// probeInterval is the period of the maintenance walk along a session's
+	// active graph.
 	probeInterval = 2 * time.Second
-	// pongTimeout is how long the source waits for a path probe to return
-	// before declaring the probed graph failed.
+	// backupEvery makes the paper's "low-rate" literal: every backupEvery-th
+	// walk of a session, starting with its first, continues through the peers
+	// only its maintained backups use.
+	backupEvery = 3
+	// pongTimeout is how long the source waits for a walk to return before
+	// counting it silent.
 	pongTimeout = 1500 * time.Millisecond
 	// setupTimeout bounds one switchover attempt.
 	setupTimeout = 3 * time.Second
 	// pingTimeout bounds the per-peer liveness check that localizes a
-	// failure before switchover.
+	// silence.
 	pingTimeout = 400 * time.Millisecond
 )
 
@@ -32,19 +41,25 @@ const (
 // below 2^40).
 const reattemptShift = 40
 
-// scheduleProbes arms the periodic maintenance timer at the sender.
-func (m *Manager) scheduleProbes() {
-	m.probeTimer = m.host.After(probeInterval, func() {
-		m.probeTimer = nil
+// armProbes makes sure a tick fires at due. Whichever timer armed for the
+// pending instant fires first ticks and re-arms; its twins and superseded
+// timers do nothing. Establish arms one each time because a source that
+// crashed lost its timers for good, however short the outage.
+func (m *Manager) armProbes(due time.Duration) {
+	m.probeDue = due
+	m.host.After(due-m.host.Now(), func() {
+		if m.probeDue != due {
+			return
+		}
+		m.probeDue = 0
 		m.tick()
 		if len(m.sessions) > 0 {
-			m.scheduleProbes()
+			m.armProbes(m.host.Now() + probeInterval)
 		}
 	})
 }
 
-// tick sends one low-rate path probe along each session's active graph and
-// every maintained backup, and schedules the pong deadline checks.
+// tick sends each session's maintenance walk and schedules its deadline.
 func (m *Manager) tick() {
 	// Deterministic probing order: map iteration would reorder sends (and
 	// therefore the whole downstream event schedule) between runs.
@@ -52,187 +67,237 @@ func (m *Manager) tick() {
 	for id := range m.sessions {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		s := m.sessions[id]
 		if !s.alive || s.awaitingFix {
 			continue
 		}
-		m.probeGraph(s, s.Active)
-		if m.cfg.Proactive {
-			for _, b := range s.Backups {
-				m.probeGraph(s, b)
-			}
-		}
+		m.walk(s)
 		m.stats.BackupSum += len(s.Backups)
 		m.stats.BackupSamples++
 	}
 }
 
-func (m *Manager) probeGraph(s *Session, g *service.Graph) {
-	order, key := s.known[g].order, s.known[g].key
+// stop is one peer of a maintenance walk and the components the session
+// expects it to host.
+type stop struct {
+	Peer  p2p.NodeID
+	Comps []string
+}
+
+// plan lists the distinct peers of the session's graphs in walk order — the
+// active graph's in its topological order, so the walk travels the service
+// path, then those only the maintained backups use — and returns how many
+// belong to the active graph. It is rebuilt only after the graphs changed.
+func (s *Session) plan() ([]stop, int) {
+	if s.stops != nil {
+		return s.stops, s.activeStops
+	}
+	add := func(g *service.Graph) {
+		for _, fn := range g.Pattern.TopoOrder() {
+			c := g.Comps[fn].Comp
+			i := slices.IndexFunc(s.stops, func(st stop) bool { return st.Peer == c.Peer })
+			if i < 0 {
+				i = len(s.stops)
+				s.stops = append(s.stops, stop{Peer: c.Peer})
+			}
+			if !slices.Contains(s.stops[i].Comps, c.ID) {
+				s.stops[i].Comps = append(s.stops[i].Comps, c.ID)
+			}
+		}
+	}
+	add(s.Active)
+	s.activeStops = len(s.stops)
+	for _, b := range s.Backups {
+		add(b)
+	}
+	return s.stops, s.activeStops
+}
+
+// walk launches one maintenance walk for s: a single rec.probe that visits
+// the active graph's peers — and on every backupEvery-th walk the backups'
+// own peers too — and comes back as one rec.pong.
+func (m *Manager) walk(s *Session) {
+	stops, active := s.plan()
+	full := s.walks%backupEvery == 0 || active == len(stops)
+	if !full {
+		stops = stops[:active]
+	}
+	s.walks++
+	m.stats.Walks++
+	m.stats.WalkStops += len(stops)
 	sentAt := m.host.Now()
-	first := g.Comps[order[0]].Comp.Peer
 	if m.Trace != nil {
-		m.Trace.Emit(obs.RecProbe(sentAt, m.host.ID(), s.ID, first))
+		m.Trace.Emit(obs.RecProbe(sentAt, m.host.ID(), s.ID, stops[0].Peer))
 	}
 	m.host.Send(p2p.Message{
-		Type: MsgProbe, To: first, Size: probeMsgSize,
-		Payload: probeMsg{
-			SessID: s.ID, GraphKey: key, Graph: g, Order: order,
-			Origin: m.host.ID(),
+		Type: MsgProbe, To: stops[0].Peer, Size: walkSize(len(stops)),
+		Payload: walkMsg{
+			SessID: s.ID, Origin: m.host.ID(), Stops: stops,
+			Avail: make([]qos.Resources, 0, len(stops)),
 		},
 	})
 	sess := s.ID
-	m.host.After(pongTimeout, func() {
-		m.checkPong(sess, key, sentAt)
-	})
+	m.host.After(pongTimeout, func() { m.checkPong(sess, sentAt, full) })
 }
 
-// onProbe runs on a component host: confirm the component is still here,
-// append a fresh availability snapshot, and forward (or bounce the pong).
+func walkSize(stops int) int { return walkBaseSize + walkPerStopSize*stops }
+
+// onProbe runs at a stop: report which expected components are no longer
+// hosted here, append a fresh availability snapshot, and forward (or bounce
+// the pong).
 func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
-	pm := msg.Payload.(probeMsg)
-	fn := pm.Order[pm.Pos]
-	snap := pm.Graph.Comps[fn]
-	comp, hosted := m.eng.LocalComponent(snap.Comp.ID)
-	if !hosted {
-		return // component gone: probe dies, source times out
+	wm := msg.Payload.(walkMsg)
+	for _, id := range wm.Stops[wm.Pos].Comps {
+		if _, hosted := m.eng.LocalComponent(id); !hosted {
+			wm.Missing = append(wm.Missing, id)
+		}
 	}
-	pm.Avail = append(pm.Avail, service.Snapshot{Comp: comp, Avail: m.eng.Ledger().AvailableHard()})
-	pm.Pos++
-	if pm.Pos < len(pm.Order) {
-		next := pm.Graph.Comps[pm.Order[pm.Pos]].Comp.Peer
-		m.host.Send(p2p.Message{Type: MsgProbe, To: next, Size: probeMsgSize, Payload: pm})
-		return
+	wm.Avail = append(wm.Avail, m.eng.Ledger().AvailableHard())
+	wm.Pos++
+	to, typ := wm.Origin, MsgPong
+	if wm.Pos < len(wm.Stops) {
+		to, typ = wm.Stops[wm.Pos].Peer, MsgProbe
 	}
-	m.host.Send(p2p.Message{Type: MsgPong, To: pm.Origin, Size: probeMsgSize, Payload: pm})
+	m.host.Send(p2p.Message{Type: typ, To: to, Size: walkSize(len(wm.Stops)), Payload: wm})
 }
 
-// onPong refreshes the graph's liveness timestamp and resource snapshots at
-// the sender.
+// onPong ends a walk at the sender: the session was heard from, every
+// snapshot hosted on a visited peer gets the fresh availability so backup
+// qualification stays current, and graphs that contain a component a stop
+// reported missing are failed.
 func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
-	pm := msg.Payload.(probeMsg)
-	s, ok := m.sessions[pm.SessID]
+	wm := msg.Payload.(walkMsg)
+	s, ok := m.sessions[wm.SessID]
 	if !ok || !s.alive {
 		return
 	}
-	s.lastPong[pm.GraphKey] = m.host.Now()
-	delete(s.missed, pm.GraphKey)
-	// Fold the fresh availability snapshots back into the graph so backup
-	// qualification stays current.
-	for i, fn := range pm.Order {
-		if i < len(pm.Avail) {
-			pm.Graph.Comps[fn] = pm.Avail[i]
+	s.lastPong = m.host.Now()
+	s.silent = 0
+	if stops, _ := s.plan(); len(wm.Stops) >= len(stops) {
+		s.silentFull = 0
+	}
+	refresh := func(g *service.Graph) {
+		for fn, snap := range g.Comps {
+			i := slices.IndexFunc(wm.Stops, func(st stop) bool { return st.Peer == snap.Comp.Peer })
+			if i >= 0 && i < len(wm.Avail) {
+				snap.Avail = wm.Avail[i]
+				g.Comps[fn] = snap
+			}
 		}
 	}
+	refresh(s.Active)
+	for _, b := range s.Backups {
+		refresh(b)
+	}
+	if len(wm.Missing) > 0 && !s.awaitingFix {
+		m.failGraphs(s, func(g *service.Graph) bool { return slices.ContainsFunc(wm.Missing, g.Contains) }, m.host.Now())
+	}
 }
 
-// checkPong fires pongTimeout after a probe was sent: a missing pong means
-// the probed graph is broken.
-func (m *Manager) checkPong(sessID uint64, graphKey string, sentAt time.Duration) {
+// checkPong fires pongTimeout after a walk left: no pong since then makes
+// the walk silent. One silent walk is not yet a failure when MissedPongs > 1:
+// on lossy links the probe (or its pong) may simply have been dropped, so
+// only MissedPongs consecutive silences send the source looking for the
+// reason. The stretch only full walks reach keeps its own count, which only
+// a full walk's pong resets: the active graph answering in between says
+// nothing about a dead backup — and clears the active graph of that silence.
+func (m *Manager) checkPong(sessID uint64, sentAt time.Duration, full bool) {
 	s, ok := m.sessions[sessID]
-	if !ok || !s.alive || s.awaitingFix {
+	if !ok || !s.alive || s.awaitingFix || s.lastPong >= sentAt {
 		return
 	}
-	if last, ok := s.lastPong[graphKey]; ok && last >= sentAt {
-		return // pong arrived in time
+	s.silent++
+	if full {
+		s.silentFull++
 	}
-	// One silent probe is not yet a failure when MissedPongs > 1: on lossy
-	// links the probe (or its pong) may simply have been dropped. Count
-	// consecutive misses and only declare the graph broken at the threshold;
-	// any pong in between resets the count (onPong).
-	need := m.cfg.MissedPongs
-	if need < 1 {
-		need = 1
-	}
-	s.missed[graphKey]++
-	if s.missed[graphKey] < need {
+	n := max(m.cfg.MissedPongs, 1)
+	if s.silent < n && s.silentFull < n {
 		return
 	}
-	delete(s.missed, graphKey)
-	if s.known[s.Active].key == graphKey {
-		m.activeFailed(s)
-		return
-	}
-	// A backup broke: drop it from the maintained set and the pool, then
-	// re-select.
-	s.drop(graphKey)
-	if m.cfg.Proactive {
-		m.refreshBackups(s)
-	}
+	blameActive := s.silent >= n
+	s.silent, s.silentFull = 0, 0
+	m.localize(s, blameActive)
 }
 
-// drop removes the graph with the given key from the maintained backups and
-// the pool.
-func (s *Session) drop(key string) {
-	is := func(g *service.Graph) bool { return s.known[g].key == key }
-	s.Backups = slices.DeleteFunc(s.Backups, is)
-	s.Pool = slices.DeleteFunc(s.Pool, is)
-}
-
-// activeFailed starts the recovery sequence for a broken session. The path
-// probe's silence says the graph is broken but not where, so the sender
-// first pings every component peer of the broken graph directly; the peers
-// that fail to answer within pingTimeout are the localized failure, and the
-// switchover then skips backups that depend on them (the paper leaves the
-// failure-detection design open — §5 footnote 4).
-func (m *Manager) activeFailed(s *Session) {
-	m.stats.FailuresDetected++
-	s.awaitingFix = true
-	s.brokenAt = m.host.Now()
-	if m.Trace != nil {
-		m.Trace.Emit(obs.RecFailure(s.brokenAt, m.host.ID(), s.ID))
-	}
-
-	peerSet := make(map[p2p.NodeID]bool)
-	for _, snap := range s.Active.Comps {
-		peerSet[snap.Comp.Peer] = true
-	}
-	// Ping in sorted order so the failure-localization traffic is identical
-	// across identically seeded runs.
-	peers := make([]p2p.NodeID, 0, len(peerSet))
-	for p := range peerSet {
-		peers = append(peers, p)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	alivePeers := make(map[p2p.NodeID]bool, len(peers))
-	waiting := len(peers)
-	for _, p := range peers {
-		p := p
-		m.ping(p, func(ok bool) {
-			if ok {
-				alivePeers[p] = true
+// localize finds out what a silent walk could not say. The sender pings
+// every peer of the session's graphs directly; the ones that fail to answer
+// within pingTimeout are the localized failure (the paper leaves the
+// failure-detection design open — §5 footnote 4). Every graph on a dead
+// peer is broken, and so is the active graph when nobody is dead and
+// blameActive says its own stretch was among the silent: that is unexplained
+// silence on the service path.
+func (m *Manager) localize(s *Session, blameActive bool) {
+	m.stats.Localizations++
+	s.awaitingFix = true // no walk leaves while the pings are out
+	noticed := m.host.Now()
+	stops, _ := s.plan()
+	dead := make(map[p2p.NodeID]bool)
+	waiting := len(stops)
+	for _, st := range stops {
+		m.ping(st.Peer, func(ok bool) {
+			if !ok {
+				dead[st.Peer] = true
 			}
-			waiting--
-			if waiting == 0 {
-				dead := make(map[p2p.NodeID]bool)
-				for _, q := range peers {
-					if !alivePeers[q] {
-						dead[q] = true
+			if waiting--; waiting > 0 || !s.alive {
+				return
+			}
+			m.failGraphs(s, func(g *service.Graph) bool {
+				for p := range dead {
+					if g.ContainsPeer(p) {
+						return true
 					}
 				}
-				m.tryRecovery(s, dead)
-			}
+				return g == s.Active && len(dead) == 0 && blameActive
+			}, noticed)
 		})
 	}
 }
 
-// ping checks one peer's liveness with a direct round trip; cb fires
-// exactly once.
-func (m *Manager) ping(p p2p.NodeID, cb func(ok bool)) {
-	m.pingSeq++
-	id := m.pingSeq
-	fired := false
-	once := func(ok bool) {
-		if !fired {
-			fired = true
-			delete(m.pingWait, id)
-			cb(ok)
+// failGraphs drops every backup and pool graph that broken reports, so a
+// switchover never spends a setupTimeout on one, and re-selects the backups.
+// A broken active graph starts the recovery sequence instead, since being
+// the instant the session broke.
+func (m *Manager) failGraphs(s *Session, broken func(*service.Graph) bool, since time.Duration) {
+	s.setGraphs(s.Active, slices.DeleteFunc(s.Backups, broken))
+	s.Pool = slices.DeleteFunc(s.Pool, broken)
+	if !broken(s.Active) {
+		s.awaitingFix = false
+		if m.cfg.Proactive {
+			m.refreshBackups(s)
 		}
+		return
 	}
-	m.pingWait[id] = func() { once(true) }
-	m.host.After(pingTimeout, func() { once(false) })
+	m.stats.FailuresDetected++
+	s.awaitingFix = true
+	s.brokenAt = since
+	if m.Trace != nil {
+		m.Trace.Emit(obs.RecFailure(m.host.Now(), m.host.ID(), s.ID))
+	}
+	m.tryRecovery(s)
+}
+
+// await parks cb under a fresh ID until reply delivers a verdict for it or d
+// passes; cb fires exactly once, a timeout counting as failure.
+func (m *Manager) await(d time.Duration, cb func(ok bool)) uint64 {
+	m.waitSeq++
+	id := m.waitSeq
+	m.wait[id] = cb
+	m.host.After(d, func() { m.reply(id, false) })
+	return id
+}
+
+func (m *Manager) reply(id uint64, ok bool) {
+	if cb, open := m.wait[id]; open {
+		delete(m.wait, id)
+		cb(ok)
+	}
+}
+
+// ping checks one peer's liveness with a direct round trip.
+func (m *Manager) ping(p p2p.NodeID, cb func(ok bool)) {
+	id := m.await(pingTimeout, cb)
 	m.host.Send(p2p.Message{Type: MsgPing, To: p, Size: 16, Payload: pingMsg{ID: id, Origin: m.host.ID()}})
 }
 
@@ -247,76 +312,52 @@ func (m *Manager) onPing(_ p2p.Node, msg p2p.Message) {
 }
 
 func (m *Manager) onPingAck(_ p2p.Node, msg p2p.Message) {
-	pm := msg.Payload.(pingMsg)
-	if ack, ok := m.pingWait[pm.ID]; ok {
-		ack()
-	}
+	m.reply(msg.Payload.(pingMsg).ID, true)
 }
 
-// tryRecovery attempts switchover to the best live backup that avoids the
-// localized dead peers; exhausting the backups triggers reactive
-// re-composition (if enabled); exhausting that kills the session.
-func (m *Manager) tryRecovery(s *Session, dead map[p2p.NodeID]bool) {
-	if m.cfg.Proactive && len(s.Backups) > 0 {
-		// Best candidate: avoid localized dead peers first, then largest
-		// overlap with the broken graph for the cheapest switchover, then
-		// lowest cost.
-		usesDead := func(g *service.Graph) bool {
-			for p := range dead {
-				if g.ContainsPeer(p) {
-					return true
-				}
-			}
-			return false
+// tryRecovery attempts switchover to the best maintained backup — failGraphs
+// already took those on a localized dead peer; exhausting the backups
+// triggers reactive re-composition (if enabled); exhausting that kills the
+// session.
+func (m *Manager) tryRecovery(s *Session) {
+	if !m.cfg.Proactive || len(s.Backups) == 0 {
+		if m.cfg.Reactive {
+			m.reactive(s)
+		} else {
+			m.kill(s)
 		}
-		sort.SliceStable(s.Backups, func(i, j int) bool {
-			di, dj := usesDead(s.Backups[i]), usesDead(s.Backups[j])
-			if di != dj {
-				return !di
-			}
-			oi, oj := s.Backups[i].Overlap(s.Active), s.Backups[j].Overlap(s.Active)
-			if oi != oj {
-				return oi > oj
-			}
-			return s.Backups[i].Cost(m.eng.Weights, s.Req) < s.Backups[j].Cost(m.eng.Weights, s.Req)
-		})
-		cand := s.Backups[0]
-		candKey := s.known[cand].key
-		s.drop(candKey)
-		if usesDead(cand) {
-			// Every backup depends on a dead peer: go straight to reactive
-			// re-composition rather than paying doomed setup timeouts.
-			if m.cfg.Reactive {
-				m.reactive(s)
-			} else {
-				m.kill(s)
-			}
+		return
+	}
+	// Best candidate: largest overlap with the broken graph for the cheapest
+	// switchover, then lowest cost.
+	sort.SliceStable(s.Backups, func(i, j int) bool {
+		oi, oj := s.Backups[i].Overlap(s.Active), s.Backups[j].Overlap(s.Active)
+		if oi != oj {
+			return oi > oj
+		}
+		return s.Backups[i].Cost(m.eng.Weights, s.Req) < s.Backups[j].Cost(m.eng.Weights, s.Req)
+	})
+	cand := s.Backups[0]
+	s.setGraphs(s.Active, s.Backups[1:])
+	s.Pool = slices.DeleteFunc(s.Pool, func(g *service.Graph) bool { return g == cand })
+	if m.Trace != nil {
+		m.Trace.Emit(obs.RecAttempt(m.host.Now(), m.host.ID(), s.ID, 0, setupTimeout))
+	}
+	m.attemptSetup(cand, func(ok bool) {
+		if !ok {
+			m.tryRecovery(s)
 			return
 		}
-		m.attemptSetup(cand, func(ok bool) {
-			if !ok {
-				m.tryRecovery(s, dead)
-				return
-			}
-			old := s.Active
-			s.Active = cand
-			s.lastPong[candKey] = m.host.Now()
-			delete(s.missed, candKey)
-			m.stats.ComponentsReplaced += len(old.Comps) - cand.Overlap(old)
-			m.allocIngress(s)
-			m.reportDropped(old, cand)
-			m.eng.TeardownExcept(old, cand)
-			s.awaitingFix = false
-			m.record(s, EventSwitchover)
-			m.refreshBackups(s)
-		})
-		return
-	}
-	if m.cfg.Reactive {
-		m.reactive(s)
-		return
-	}
-	m.kill(s)
+		old := s.Active
+		s.setGraphs(cand, s.Backups)
+		m.stats.ComponentsReplaced += len(old.Comps) - cand.Overlap(old)
+		m.allocIngress(s)
+		m.reportDropped(old, cand)
+		m.eng.TeardownExcept(old, cand)
+		s.awaitingFix = false
+		m.record(s, EventSwitchover)
+		m.refreshBackups(s)
+	})
 }
 
 // reactive falls back to a full BCP re-composition (§5: "triggered only when
@@ -326,6 +367,9 @@ func (m *Manager) reactive(s *Session) {
 	req := *s.Req
 	req.ID = s.Req.ID | (uint64(s.reattempt) << reattemptShift)
 	m.stats.Reactives++ // count attempts, successful or not
+	if m.Trace != nil {
+		m.Trace.Emit(obs.RecAttempt(m.host.Now(), m.host.ID(), s.ID, req.ID, 0))
+	}
 	m.eng.Compose(&req, func(res bcp.Result) {
 		if !s.alive {
 			if res.Ok {
@@ -339,8 +383,6 @@ func (m *Manager) reactive(s *Session) {
 		}
 		old := s.Active
 		s.adopt(res.Best, res.Backups)
-		s.lastPong = map[string]time.Duration{s.known[res.Best].key: m.host.Now()}
-		s.missed = make(map[string]int)
 		m.stats.ComponentsReplaced += len(old.Comps) - res.Best.Overlap(old)
 		m.reportDropped(old, res.Best)
 		m.eng.TeardownExcept(old, res.Best)
@@ -401,49 +443,19 @@ func (m *Manager) record(s *Session, kind EventKind) {
 	}
 	m.events = append(m.events, ev)
 	if m.Trace != nil {
-		var obsKind string
-		switch kind {
-		case EventSwitchover:
-			obsKind = obs.KindRecSwitchover
-		case EventReactive:
-			obsKind = obs.KindRecReactive
-		default:
-			obsKind = obs.KindRecDead
-		}
-		m.Trace.Emit(obs.RecOutcome(ev.Time, m.host.ID(), s.ID, obsKind, ev.RecoveryTime))
+		m.Trace.Emit(obs.RecOutcome(ev.Time, m.host.ID(), s.ID, "rec."+kind.String(), ev.RecoveryTime))
 	}
 }
 
 // attemptSetup commits a backup graph over the reverse path. cb fires
 // exactly once with the outcome (a timeout counts as failure).
 func (m *Manager) attemptSetup(g *service.Graph, cb func(ok bool)) {
-	m.setupSeq++
-	id := m.setupSeq
-	fired := false
-	once := func(ok bool) {
-		if !fired {
-			fired = true
-			delete(m.setupWait, id)
-			cb(ok)
-		}
-	}
-	m.setupWait[id] = once
-	m.host.After(setupTimeout, func() { once(false) })
-
-	order := reverseTopoOrder(g)
+	order := slices.Clone(g.Pattern.TopoOrder())
+	slices.Reverse(order)
 	m.host.Send(p2p.Message{
 		Type: MsgSetup, To: g.Comps[order[0]].Comp.Peer, Size: setupMsgSize,
-		Payload: setupMsg{SetupID: id, Graph: g, Order: order, Origin: m.host.ID()},
+		Payload: setupMsg{SetupID: m.await(setupTimeout, cb), Graph: g, Order: order, Origin: m.host.ID()},
 	})
-}
-
-func reverseTopoOrder(g *service.Graph) []int {
-	topo := g.Pattern.TopoOrder()
-	out := make([]int, len(topo))
-	for i, fn := range topo {
-		out[len(topo)-1-i] = fn
-	}
-	return out
 }
 
 // onSetup runs on a component host during switchover: admit the component
@@ -500,7 +512,5 @@ func (m *Manager) onSetup(_ p2p.Node, msg p2p.Message) {
 
 func (m *Manager) onSetupReply(_ p2p.Node, msg p2p.Message) {
 	sr := msg.Payload.(setupReply)
-	if cb, ok := m.setupWait[sr.SetupID]; ok {
-		cb(sr.OK)
-	}
+	m.reply(sr.SetupID, sr.OK)
 }

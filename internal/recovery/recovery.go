@@ -1,9 +1,9 @@
 // Package recovery implements SpiderNet's proactive failure recovery (§5 of
 // the paper). The application sender maintains a small, adaptively sized set
-// of backup service graphs per active session, monitors them with low-rate
-// path probes, and repairs a broken session by fast switchover to the best
-// live backup — falling back to a reactive BCP re-composition only when
-// every backup has become unqualified too.
+// of backup service graphs per active session, monitors them with one
+// low-rate maintenance walk, and repairs a broken session by fast switchover
+// to the best live backup — falling back to a reactive BCP re-composition
+// only when every backup has become unqualified too.
 package recovery
 
 import (
@@ -14,14 +14,15 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/qos"
 	"repro/internal/service"
 )
 
 // Protocol message types.
 const (
-	MsgProbe     = "rec.probe"     // low-rate path probe along a (backup) graph
-	MsgPong      = "rec.pong"      // path probe returning to the source
-	MsgPing      = "rec.ping"      // direct per-peer liveness check during recovery
+	MsgProbe     = "rec.probe"     // maintenance walk, from stop to stop
+	MsgPong      = "rec.pong"      // the walk returning to the source
+	MsgPing      = "rec.ping"      // direct per-peer liveness check that localizes a silence
 	MsgPingAck   = "rec.pingack"   // liveness confirmation
 	MsgSetup     = "rec.setup"     // switchover: commit a backup graph
 	MsgSetupOK   = "rec.setupok"   // switchover confirmation
@@ -30,10 +31,11 @@ const (
 
 // Config tunes the recovery manager.
 type Config struct {
-	// MissedPongs is how many consecutive path probes must go unanswered
-	// before a graph is declared failed. 1 (the default) reacts to the
-	// first silence; lossy networks raise it so a single dropped probe or
-	// pong doesn't trigger a spurious switchover. 0 is treated as 1.
+	// MissedPongs is how many consecutive maintenance walks must go
+	// unanswered before a graph can be declared failed. 1 (the default)
+	// reacts to the first silence; lossy networks raise it so a single
+	// dropped probe or pong doesn't trigger a spurious switchover. 0 is
+	// treated as 1.
 	MissedPongs int
 	// U is the configurable upper-bound factor of the backup-count formula
 	// (Eq. 2).
@@ -112,6 +114,11 @@ type Stats struct {
 	// graph's components the replacement did NOT reuse — the disruption the
 	// overlap-maximizing backup selection minimizes (§5.2).
 	ComponentsReplaced int
+	// Walks counts maintenance walks launched, WalkStops the peers they
+	// listed, Localizations the silences that had to be localized by ping.
+	Walks         int
+	WalkStops     int
+	Localizations int
 }
 
 // AvgBackups returns the time-averaged number of maintained backups.
@@ -130,36 +137,31 @@ type Session struct {
 	Backups []*service.Graph // currently maintained (γ of them)
 	Pool    []*service.Graph // remaining qualified graphs, backup candidates
 
-	// known holds, for every graph composition handed this session, what
-	// maintenance would otherwise work out again on every tick.
-	known map[*service.Graph]tracked
+	// stops caches plan's walk order, activeStops how many of them belong to
+	// the active graph; nil after the graphs changed.
+	stops       []stop
+	activeStops int
+	walks       int // maintenance walks launched so far
 
 	alive       bool
-	lastPong    map[string]time.Duration // graph key -> last pong time
-	missed      map[string]int           // graph key -> consecutive missed pongs
+	lastPong    time.Duration // when a walk last came back
+	silent      int           // consecutive walks that did not
+	silentFull  int           // consecutive full walks that did not
 	awaitingFix bool
 	brokenAt    time.Duration
 	reattempt   int
 }
 
-// tracked is the part of a graph's identity that maintenance sends with
-// every path probe. Neither changes while the session holds the graph: pongs
-// refresh the snapshots in Comps, never the assignment. It is kept here and
-// not cached inside service.Graph, whose Comps anyone may reassign.
-type tracked struct {
-	key   string // Graph.Key
-	order []int  // topological order of the pattern's functions
-}
-
 // adopt makes active and pool the session's graphs.
 func (s *Session) adopt(active *service.Graph, pool []*service.Graph) {
-	s.Active = active
+	s.setGraphs(active, s.Backups)
 	s.Pool = append([]*service.Graph(nil), pool...)
-	s.known = make(map[*service.Graph]tracked, 1+len(pool))
-	s.known[active] = tracked{key: active.Key(), order: active.Pattern.TopoOrder()}
-	for _, g := range pool {
-		s.known[g] = tracked{key: g.Key(), order: g.Pattern.TopoOrder()}
-	}
+}
+
+// setGraphs is the one place the walked graphs change, so the cached plan
+// never outlives them.
+func (s *Session) setGraphs(active *service.Graph, backups []*service.Graph) {
+	s.Active, s.Backups, s.stops = active, backups, nil
 }
 
 // TrustReporter receives first-hand session outcomes per peer; implemented
@@ -192,23 +194,21 @@ type Manager struct {
 	stats    Stats
 	events   []Event
 
-	probeTimer p2p.CancelFunc
-	setupSeq   uint64
-	setupWait  map[uint64]func(ok bool)
-	pingSeq    uint64
-	pingWait   map[uint64]func()
+	probeDue time.Duration // when the next tick is due; 0 when none is armed
+	waitSeq  uint64
+	wait     map[uint64]func(ok bool) // pings and switchovers awaiting their reply
 }
 
-// probeMsg walks a graph's components in topological order collecting fresh
-// availability, then bounces back to the origin as MsgPong.
-type probeMsg struct {
-	SessID   uint64
-	GraphKey string
-	Graph    *service.Graph
-	Order    []int
-	Pos      int
-	Origin   p2p.NodeID
-	Avail    []service.Snapshot
+// walkMsg is one maintenance walk: it visits Stops in order, each appending
+// its availability and the expected components it no longer hosts, then
+// bounces back to the origin as MsgPong.
+type walkMsg struct {
+	SessID  uint64
+	Origin  p2p.NodeID
+	Stops   []stop
+	Pos     int
+	Avail   []qos.Resources // one per visited stop
+	Missing []string        // component IDs a visited stop does not host
 }
 
 // setupMsg commits a backup graph hop by hop (reverse topological order),
@@ -230,12 +230,11 @@ type setupReply struct {
 // NewManager wires a recovery manager to a peer's BCP engine.
 func NewManager(eng *bcp.Engine, cfg Config) *Manager {
 	m := &Manager{
-		eng:       eng,
-		host:      eng.Host(),
-		cfg:       cfg,
-		sessions:  make(map[uint64]*Session),
-		setupWait: make(map[uint64]func(bool)),
-		pingWait:  make(map[uint64]func()),
+		eng:      eng,
+		host:     eng.Host(),
+		cfg:      cfg,
+		sessions: make(map[uint64]*Session),
+		wait:     make(map[uint64]func(bool)),
 	}
 	m.host.Handle(MsgProbe, m.onProbe)
 	m.host.Handle(MsgPong, m.onPong)
@@ -276,13 +275,7 @@ func (m *Manager) Session(id uint64) *Session {
 // bcp.Compose) and starts proactive maintenance. It computes the backup
 // count γ from Eq. 2 and picks backups per §5.2.
 func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
-	s := &Session{
-		ID:       req.ID,
-		Req:      req,
-		alive:    true,
-		lastPong: make(map[string]time.Duration),
-		missed:   make(map[string]int),
-	}
+	s := &Session{ID: req.ID, Req: req, alive: true}
 	s.adopt(res.Best, res.Backups)
 	m.sessions[s.ID] = s
 	if m.cfg.Proactive {
@@ -294,9 +287,10 @@ func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
 	if m.Met != nil {
 		m.Met.ActiveSessions.Add(1)
 	}
-	if m.probeTimer == nil {
-		m.scheduleProbes()
+	if m.host.Now() >= m.probeDue {
+		m.probeDue = m.host.Now() + probeInterval
 	}
+	m.armProbes(m.probeDue)
 	return s
 }
 
@@ -352,8 +346,7 @@ func (m *Manager) BackupCount(s *Session) int {
 // backups excluding pairs, and so on, each time preferring the candidate
 // with the largest overlap with the active graph for cheap switchover.
 func (m *Manager) refreshBackups(s *Session) {
-	gamma := m.BackupCount(s)
-	s.Backups = SelectBackups(s.Active, s.Pool, gamma, m.cfg.DisjointBackups)
+	s.setGraphs(s.Active, SelectBackups(s.Active, s.Pool, m.BackupCount(s), m.cfg.DisjointBackups))
 }
 
 // SelectBackups implements the backup selection rule. Exported for the

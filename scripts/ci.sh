@@ -35,12 +35,15 @@ go test -run 'Alloc' -count=1 ./internal/...
 go test -run '^$' -bench 'BCPCompose|RecoveryTick' -benchmem -benchtime 20x .
 go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k' -benchmem -benchtime 3x .
 
-# Message gate, beside the allocation gates: one pinned small cell holds DHT
+# Message gates, beside the allocation gates: one pinned small cell holds DHT
 # messages per composed session and routed hops per hop-origin lookup under
 # ceilings 10 % above their measured values, so a change that silently stops
-# probes from carrying first-hop hints fails here. -v prints the measured pair.
-echo "== discovery message gate"
-go test -run 'DiscoveryMessageBudget' -count=1 -v ./internal/cluster
+# probes from carrying first-hop hints fails here; a second one, with
+# recovery on, holds rec.* messages per session-interval the same way, so a
+# prober that walks every backup every interval does. -v prints what each
+# measured.
+echo "== discovery + maintenance message gates"
+go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget' -count=1 -v ./internal/cluster
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that
