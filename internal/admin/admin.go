@@ -101,6 +101,9 @@ var counterSpecs = []counterSpec{
 	{"disc_lookups_total", "Discovery lookups issued (cache misses).", func(c obs.Counters) int64 { return c.DiscLookups }},
 	{"disc_cache_hits_total", "Duplicate lists served from the discovery cache.", func(c obs.Counters) int64 { return c.DiscCacheHits }},
 	{"disc_hinted_total", "Discovery lookups handed straight to a hinted peer.", func(c obs.Counters) int64 { return c.DiscHinted }},
+	{"disc_joined_total", "Cache misses that waited on a lookup already in flight.", func(c obs.Counters) int64 { return c.DiscJoined }},
+	{"disc_carried_total", "Duplicate lists installed from a source's probe.", func(c obs.Counters) int64 { return c.DiscCarried }},
+	{"disc_delta_total", "Discovery lookups answered with only the new items.", func(c obs.Counters) int64 { return c.DiscDelta }},
 	{"faults_injected_total", "Injected network faults on sent messages.", func(c obs.Counters) int64 { return c.Faults }},
 }
 

@@ -24,6 +24,9 @@ func testData() (*obs.Registry, *obs.Metrics) {
 	c5.DiscLookups.Store(9)
 	c5.DiscCacheHits.Store(4)
 	c5.DiscHinted.Store(6)
+	c3.DiscJoined.Store(8)
+	c5.DiscCarried.Store(5)
+	c5.DiscDelta.Store(1)
 	met := obs.NewMetrics()
 	met.SetupLatency.ObserveDuration(40 * time.Millisecond)
 	met.SetupLatency.ObserveDuration(3 * time.Millisecond)
@@ -57,6 +60,9 @@ func TestMetricsExposition(t *testing.T) {
 		"spidernet_disc_lookups_total 9",
 		"spidernet_disc_cache_hits_total 4",
 		`spidernet_disc_hinted_total{node="5"} 6`,
+		"spidernet_disc_joined_total 8",
+		`spidernet_disc_carried_total{node="5"} 5`,
+		"spidernet_disc_delta_total 1",
 		"# TYPE spidernet_setup_latency_ms histogram",
 		"spidernet_setup_latency_ms_count 2",
 		"spidernet_setup_latency_ms_sum 43",

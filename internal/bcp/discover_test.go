@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dht"
 	"repro/internal/fgraph"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/registry"
@@ -51,11 +52,11 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 
 	e := engines[0]
 	asked := []string{"a", "b", "c", "a"}
-	var table []dups
+	var table []List
 	sent := nw.Stats().MessagesSent
 	start := nw.Sim().Now()
 	var elapsed time.Duration
-	e.discoverAllCached(asked, nil, 0, func(tb []dups, ok bool) {
+	e.discoverAllCached(asked, nil, 0, func(tb []List, ok bool) {
 		if !ok {
 			t.Error("discovery failed")
 		}
@@ -69,11 +70,11 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 		t.Fatalf("callback delivered %d entries for %d functions", len(table), len(asked))
 	}
 	for i, d := range table {
-		if d.fn != asked[i] || len(d.comps) != 2 {
-			t.Fatalf("entry %d: function %q with %d duplicates, want %q with 2", i, d.fn, len(d.comps), asked[i])
+		if d.Fn != asked[i] || len(d.Comps) != 2 {
+			t.Fatalf("entry %d: function %q with %d duplicates, want %q with 2", i, d.Fn, len(d.Comps), asked[i])
 		}
 	}
-	if &table[0].comps[0] != &table[3].comps[0] {
+	if &table[0].Comps[0] != &table[3].Comps[0] {
 		t.Fatal("the second \"a\" did not share the first one's lookup")
 	}
 	// Lookups run concurrently: total time must be far below 3 sequential
@@ -85,8 +86,8 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 	cold := nw.Stats().MessagesSent - sent
 	sent = nw.Stats().MessagesSent
 	warm := false
-	e.discoverAllCached(asked, nil, 0, func(tb []dups, ok bool) {
-		warm = ok && len(tb) == len(asked) && len(tb[2].comps) == 2
+	e.discoverAllCached(asked, nil, 0, func(tb []List, ok bool) {
+		warm = ok && len(tb) == len(asked) && len(tb[2].Comps) == 2
 	})
 	if !warm {
 		t.Fatal("a resolution the cache serves must call back synchronously")
@@ -99,7 +100,7 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 func TestDiscoverAllCachedEmptyFunctionList(t *testing.T) {
 	_, engines := discoveryRing(5)
 	called := false
-	engines[0].discoverAllCached(nil, nil, 0, func(tb []dups, ok bool) {
+	engines[0].discoverAllCached(nil, nil, 0, func(tb []List, ok bool) {
 		called = true
 		if !ok || len(tb) != 0 {
 			t.Errorf("tb=%v ok=%v", tb, ok)
@@ -110,29 +111,38 @@ func TestDiscoverAllCachedEmptyFunctionList(t *testing.T) {
 	}
 }
 
-// TestDiscoverAllCachedKeepsAnswersOfAFailedBatch: when one lookup of a batch
-// times out the batch fails, but the list that did arrive is cached — the
-// next resolution of that function costs no DHT traffic.
-func TestDiscoverAllCachedKeepsAnswersOfAFailedBatch(t *testing.T) {
+// ringWithTwoRoots is a discoveryRing with one component each of functions
+// "a" and "b" registered, an engine that is neither function's root, and the
+// two (distinct) peers that answer their lookups.
+func ringWithTwoRoots(t *testing.T) (*simnet.Network, *Engine, []p2p.NodeID) {
+	t.Helper()
 	nw, engines := discoveryRing(50)
 	for i, fn := range []string{"a", "b"} {
 		engines[1+i].reg.Register(service.Component{ID: "c/" + fn, Function: fn, Peer: p2p.NodeID(1 + i)})
 	}
 	nw.Sim().RunUntilIdle()
 	var roots []p2p.NodeID
-	engines[10].discoverAllCached([]string{"a", "b"}, nil, 0, func(tb []dups, _ bool) {
-		roots = []p2p.NodeID{tb[0].root, tb[1].root}
+	engines[10].discoverAllCached([]string{"a", "b"}, nil, 0, func(tb []List, _ bool) {
+		roots = []p2p.NodeID{tb[0].Root, tb[1].Root}
 	})
 	nw.Sim().RunUntilIdle()
 	e := engines[0]
 	if roots[0] == roots[1] || slices.Contains(roots, e.host.ID()) {
 		t.Fatalf("roots %v: want two distinct peers other than the asker", roots)
 	}
+	return nw, e, roots
+}
+
+// TestDiscoverAllCachedKeepsAnswersOfAFailedBatch: when one lookup of a batch
+// times out the batch fails, but the list that did arrive is cached — the
+// next resolution of that function costs no DHT traffic.
+func TestDiscoverAllCachedKeepsAnswersOfAFailedBatch(t *testing.T) {
+	nw, e, roots := ringWithTwoRoots(t)
 
 	// b's root is up but unreachable: its lookup waits out both timeouts.
 	nw.SetFaults(simnet.FaultPlan{Seed: 1, Nodes: map[p2p.NodeID]simnet.LinkFaults{roots[1]: {Loss: 1}}})
 	failed := false
-	e.discoverAllCached([]string{"a", "b"}, nil, 0, func(tb []dups, ok bool) { failed = !ok && tb == nil })
+	e.discoverAllCached([]string{"a", "b"}, nil, 0, func(tb []List, ok bool) { failed = !ok && tb == nil })
 	nw.Sim().RunUntilIdle()
 	if !failed {
 		t.Fatal("a batch with an unreachable root must report failure")
@@ -141,12 +151,52 @@ func TestDiscoverAllCachedKeepsAnswersOfAFailedBatch(t *testing.T) {
 
 	routed := nw.Stats().ByType[dht.MsgRoute]
 	served := false
-	e.discoverAllCached([]string{"a"}, nil, 0, func(tb []dups, ok bool) {
-		served = ok && len(tb[0].comps) == 1 && tb[0].root == roots[0]
+	e.discoverAllCached([]string{"a"}, nil, 0, func(tb []List, ok bool) {
+		served = ok && len(tb[0].Comps) == 1 && tb[0].Root == roots[0]
 	})
 	if !served || nw.Stats().ByType[dht.MsgRoute] != routed {
 		t.Fatalf("served from cache: %v, new dht.route messages: %d; want the answered list kept",
 			served, nw.Stats().ByType[dht.MsgRoute]-routed)
+	}
+}
+
+// TestDiscoverAllCachedServesAnAnswerOnArrival: a list is in the cache the
+// moment its lookup is answered, not when the slowest lookup of its batch is —
+// here one that waits out both timeouts — and resolutions that miss a function
+// while its lookup is out share that lookup: one get, every caller answered in
+// the order it asked.
+func TestDiscoverAllCachedServesAnAnswerOnArrival(t *testing.T) {
+	nw, e, roots := ringWithTwoRoots(t)
+
+	nw.SetFaults(simnet.FaultPlan{Seed: 1, Nodes: map[p2p.NodeID]simnet.LinkFaults{roots[1]: {Loss: 1}}})
+	start := nw.Sim().Now()
+	e.Ctr = &obs.NodeCounters{}
+	var order []string
+	batchFailed := false
+	e.discoverAllCached([]string{"a", "b"}, nil, 0, func(_ []List, ok bool) { batchFailed = !ok })
+	for _, name := range []string{"second", "third"} {
+		e.discoverAllCached([]string{"a"}, nil, 0, func(tb []List, ok bool) {
+			if ok && len(tb[0].Comps) == 1 && tb[0].Root == roots[0] {
+				order = append(order, name)
+			}
+		})
+	}
+	nw.Sim().Run(start + time.Second)
+	if !slices.Equal(order, []string{"second", "third"}) || batchFailed {
+		t.Fatalf("a second in: answered %v, the batch failed: %v; want the two askers of \"a\" answered in order and the batch still waiting on \"b\"", order, batchFailed)
+	}
+	gets := nw.Stats().ByType[dht.MsgRoute]
+	served := false
+	e.discoverAllCached([]string{"a"}, nil, 0, func(tb []List, ok bool) { served = ok && tb[0].Root == roots[0] })
+	if !served || nw.Stats().ByType[dht.MsgRoute] != gets {
+		t.Fatal("\"a\" was answered but is not served from the cache while \"b\" is still out")
+	}
+	nw.Sim().RunUntilIdle()
+	if !batchFailed {
+		t.Fatal("the batch with the unreachable root never reported")
+	}
+	if c := e.Ctr.Snapshot(); c.DiscLookups != 2 || c.DiscJoined != 2 || c.DiscCacheHits != 1 {
+		t.Fatalf("%d gets sent, %d misses joined, %d cache hits; want 2 (one a function), 2 and 1", c.DiscLookups, c.DiscJoined, c.DiscCacheHits)
 	}
 }
 
@@ -165,9 +215,9 @@ func TestHintsFollowThePattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := make([]dups, g.NumFunctions())
+	table := make([]List, g.NumFunctions())
 	for i := range table {
-		table[i] = dups{fn: g.Function(i), root: p2p.NodeID(100 + i)}
+		table[i] = List{Fn: g.Function(i), Listing: registry.Listing{Root: p2p.NodeID(100 + i)}}
 	}
 	all := hintsFor(g, table)
 	carried := func(target int) []int {

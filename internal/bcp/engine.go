@@ -174,7 +174,8 @@ type Engine struct {
 	collectors map[uint64]*collector
 	pending    map[uint64]*composeState
 	soft       map[softKey]softHold
-	cache      map[string]cacheEntry
+	cache      map[string]List
+	fetching   map[string][]waiter // lookups in flight, by function
 
 	// Session-scoped allocation registries. Commits and bandwidth
 	// admissions are idempotent per key, and releases free exactly what
@@ -279,12 +280,6 @@ type softHold struct {
 	seq    uint64
 }
 
-type cacheEntry struct {
-	comps   []service.Component
-	root    p2p.NodeID
-	expires time.Duration
-}
-
 type composeState struct {
 	req       *service.Request
 	cb        func(Result)
@@ -319,7 +314,8 @@ func NewEngine(host p2p.Node, ledger *qos.Ledger, reg *registry.Registry, oracle
 		collectors: make(map[uint64]*collector),
 		pending:    make(map[uint64]*composeState),
 		soft:       make(map[softKey]softHold),
-		cache:      make(map[string]cacheEntry),
+		cache:      make(map[string]List),
+		fetching:   make(map[string][]waiter),
 		hard:       make(map[softKey]qos.Resources),
 		bws:        make(map[allocKey]float64),
 		held:       make(map[uint64]*heldSession),
@@ -412,7 +408,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	for _, v := range req.Variants {
 		fns = append(fns, v.Functions()...)
 	}
-	e.discoverAllCached(fns, nil, req.ID, func(table []dups, ok bool) {
+	e.discoverAllCached(fns, nil, req.ID, func(table []List, ok bool) {
 		st.discovery = e.host.Now() - st.started
 		if e.Trace != nil {
 			e.Trace.Emit(obs.DiscDone(e.host.Now(), e.host.ID(), req.ID, ok, st.discovery))
@@ -427,116 +423,122 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	})
 }
 
-// dups is one resolved function: its name, its duplicate list and the peer
-// that answered the lookup (the key's DHT root or a replica; NoNode if none).
-type dups struct {
-	fn    string
-	comps []service.Component
-	root  p2p.NodeID
-	// miss is set when the list was not in this peer's cache and had to be
-	// looked up; the lookup is issued once per name (see leader).
-	miss bool
-}
-
-// leader returns the first entry of table naming the same function as entry
-// i — i itself unless the caller listed the function twice.
-func leader(table []dups, i int) int {
-	for j := range table[:i] {
-		if table[j].fn == table[i].fn {
-			return j
-		}
-	}
-	return i
+// List is one function's duplicate list as a peer holds it — in its discovery
+// cache, in a resolved table, or riding a source's probe to its first hop: the
+// listing with who answered it, and until when the peer that looked it up
+// trusts it. Comps is shared by every holder and never written.
+type List struct {
+	Fn string
+	registry.Listing
+	Expires time.Duration
 }
 
 // entryOf returns table's entry for function fn.
-func entryOf(table []dups, fn string) dups {
+func entryOf(table []List, fn string) List {
 	for i := range table {
-		if table[i].fn == fn {
+		if table[i].Fn == fn {
 			return table[i]
 		}
 	}
-	return dups{fn: fn, root: p2p.NoNode}
+	return List{Fn: fn, Listing: registry.Listing{Root: p2p.NoNode}}
 }
 
-// resolution joins the DHT lookups of one discoverAllCached call.
+// resolution joins the lookups one discoverAllCached call waits on.
 type resolution struct {
-	table   []dups
+	table   []List
 	pending int
 	failed  bool
-	cb      func([]dups, bool)
+	cb      func([]List, bool)
+}
+
+// waiter is the table entry of a resolution that a function's lookup fills.
+type waiter struct {
+	st *resolution
+	i  int
 }
 
 // discoverAllCached resolves function duplicate lists through the local
-// cache, falling back to concurrent DHT lookups attributed to span (the
-// composition request the discovery serves), each handed straight to the peer
-// hints, when not nil, names for its function (NoNode = route from scratch).
-// cb fires once, with one entry per function in the order given, or ok=false if
-// a lookup timed out — before discoverAllCached returns if the cache serves all.
-func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64, cb func(table []dups, ok bool)) {
-	table := make([]dups, len(fns))
-	misses := 0
-	now := e.host.Now()
+// cache, falling back to concurrent DHT lookups, one in flight per function:
+// a miss on a function already being fetched — by this call, another probe or
+// another request — waits for that answer. A lookup is attributed to span (the
+// composition request that caused it) and handed straight to the peer that
+// answered this peer last, which sends only what is new (registry.DiscoverSpan),
+// else to the peer hints, when not nil, names for its function (NoNode = route
+// from scratch). cb fires once, with one entry per function in the order given,
+// or ok=false if a lookup timed out — before discoverAllCached returns if the
+// cache serves all.
+func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64, cb func(table []List, ok bool)) {
+	table := make([]List, len(fns))
+	var st *resolution
+	hits, now := 0, e.host.Now()
 	for i, f := range fns {
-		table[i].fn = f
-		if ce, ok := e.cache[f]; ok && ce.expires > now {
-			table[i].comps, table[i].root = ce.comps, ce.root
-		} else {
-			table[i].miss = true
-			misses++
-		}
-	}
-	if e.Ctr != nil {
-		e.Ctr.DiscCacheHits.Add(int64(len(fns) - misses))
-	}
-	if misses == 0 {
-		cb(table, true)
-		return
-	}
-	// pending starts at one for this loop itself, so the join cannot
-	// complete before every lookup is out.
-	st := &resolution{table: table, pending: 1, cb: cb}
-	for i := range table {
-		if !table[i].miss || leader(table, i) != i {
+		ce, had := e.cache[f]
+		if had && ce.Expires > now {
+			table[i] = ce
+			hits++
 			continue
 		}
+		if st == nil {
+			// pending starts at one for this loop itself, so the join cannot
+			// complete before every lookup is out.
+			st = &resolution{table: table, pending: 1, cb: cb}
+		}
 		st.pending++
-		via := p2p.NoNode
-		if hints != nil {
-			via = hints[i]
+		waiting, fetching := e.fetching[f]
+		e.fetching[f] = append(waiting, waiter{st, i})
+		if fetching {
+			if e.Ctr != nil {
+				e.Ctr.DiscJoined.Add(1)
+			}
+			continue
+		}
+		known := registry.Listing{Root: p2p.NoNode}
+		if had {
+			known = ce.Listing
+		} else if hints != nil {
+			known.Root = hints[i]
 		}
 		if e.Ctr != nil {
 			e.Ctr.DiscLookups.Add(1)
-			if via != p2p.NoNode {
+			if known.Root != p2p.NoNode {
 				e.Ctr.DiscHinted.Add(1)
 			}
 		}
-		e.reg.DiscoverSpan(table[i].fn, span, via, discoveryTimeout, func(comps []service.Component, root p2p.NodeID, _ int, ok bool) {
-			st.table[i].comps, st.table[i].root = comps, root
-			st.failed = st.failed || !ok
-			e.resolved(st)
+		e.reg.DiscoverSpan(f, span, known, discoveryTimeout, func(l registry.Listing, _ int, ok bool) {
+			e.fetched(f, l, ok)
 		})
+	}
+	if e.Ctr != nil {
+		e.Ctr.DiscCacheHits.Add(int64(hits))
+	}
+	if st == nil {
+		cb(table, true)
+		return
 	}
 	e.resolved(st)
 }
 
-// resolved retires one pending lookup of st; the last one caches every list
-// that was answered, even if another lookup of the batch timed out, and reports.
+// fetched ends the lookup of function fn: an answered list is cached there and
+// then, and every resolution waiting on it gets it (or the timeout), in the
+// order they came.
+func (e *Engine) fetched(fn string, l registry.Listing, ok bool) {
+	waiting := e.fetching[fn]
+	delete(e.fetching, fn)
+	got := List{Fn: fn, Listing: l, Expires: e.host.Now() + cacheTTL}
+	if ok {
+		e.cache[fn] = got
+	}
+	for _, w := range waiting {
+		w.st.table[w.i] = got
+		w.st.failed = w.st.failed || !ok
+		e.resolved(w.st)
+	}
+}
+
+// resolved retires one pending lookup of st; the last one reports.
 func (e *Engine) resolved(st *resolution) {
 	if st.pending--; st.pending > 0 {
 		return
-	}
-	expires := e.host.Now() + cacheTTL
-	for i := range st.table {
-		d := &st.table[i]
-		if !d.miss {
-			continue
-		}
-		if l := leader(st.table, i); l != i {
-			d.comps, d.root = st.table[l].comps, st.table[l].root
-		} else if d.root != p2p.NoNode {
-			e.cache[d.fn] = cacheEntry{comps: d.comps, root: d.root, expires: expires}
-		}
 	}
 	if st.failed {
 		st.cb(nil, false)
@@ -557,7 +559,7 @@ func (e *Engine) primaryPatternCap() int {
 
 // launchProbes splits the probing budget over composition patterns and
 // source functions and emits the initial probes (§4.1 step 1).
-func (e *Engine) launchProbes(st *composeState, table []dups) {
+func (e *Engine) launchProbes(st *composeState, table []List) {
 	req := st.req
 	maxPat := e.primaryPatternCap()
 	// Composition patterns come from the primary function graph's
@@ -574,7 +576,7 @@ func (e *Engine) launchProbes(st *composeState, table []dups) {
 		patterns = patterns[:req.Budget] // fewer patterns than budget units
 	}
 	// sources resolves pattern pi's source functions against table.
-	var sources []dups
+	var sources []List
 	enter := func(pr *Probe, pi int) []int {
 		pr.PatternIdx, pr.Pattern = pi, patterns[pi]
 		fns := pr.Pattern.Sources()
@@ -601,7 +603,7 @@ func (e *Engine) launchProbes(st *composeState, table []dups) {
 		fns := enter(&pr, pi)
 		pr.Hints = hintsFor(pr.Pattern, table)
 		pr.Credit = creditShare(TotalCredit, launching, launched)
-		if e.spawnNext(&pr, fns, sources) {
+		if e.spawnNext(&pr, fns, sources, table) {
 			launched++
 		}
 	}

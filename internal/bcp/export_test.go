@@ -16,6 +16,13 @@ func (e *Engine) CollectedCredit(reqID uint64) (uint64, bool) {
 	return col.credit, true
 }
 
+// Remembered returns this engine's cached list of function fn, live or
+// expired, and whether it has one.
+func (e *Engine) Remembered(fn string) (List, bool) {
+	l, ok := e.cache[fn]
+	return l, ok
+}
+
 // TapProbes shows f every probe this engine receives, with its wire size,
 // before the engine processes it; f may edit the probe (tests strip hints
 // that way).

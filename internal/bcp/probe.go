@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/dht"
 	"repro/internal/fgraph"
 	"repro/internal/obs"
 	"repro/internal/p2p"
@@ -68,6 +69,11 @@ type Probe struct {
 	// of CurFn; a hop whose cache misses hands its lookup straight to that peer.
 	// A read-only tail of the source's list (hintsFor); a report has none.
 	Hints []Hint
+	// Lists is what the source resolved for the direct successors of CurFn,
+	// handed to the first hop so it need not ask the DHT for what the source was
+	// just told. Only a probe leaving the source has any: the receiving hop keeps
+	// what its cache lacks, for no longer than the source would, and strips them.
+	Lists []List
 	// Egress is the service link from the branch's last component to the
 	// destination, recorded by the leaf on the report.
 	Egress service.LinkSnapshot
@@ -90,11 +96,11 @@ type Hint struct {
 
 // hintsFor lists who answered the lookup of each function of pattern g, in
 // g's topological order, from the table the source resolved.
-func hintsFor(g *fgraph.Graph, table []dups) []Hint {
+func hintsFor(g *fgraph.Graph, table []List) []Hint {
 	order := g.TopoOrder()
 	hints := make([]Hint, 0, len(order))
 	for _, fn := range order {
-		hints = append(hints, Hint{Fn: fn, Root: entryOf(table, g.Function(fn)).root})
+		hints = append(hints, Hint{Fn: fn, Root: entryOf(table, g.Function(fn)).Root})
 	}
 	return hints
 }
@@ -128,11 +134,29 @@ func creditShare(credit uint64, n, i int) uint64 {
 const (
 	probeBaseSize   = 136 // fixed header, including the 8 credit bytes
 	probePerHopSize = 64
-	probeHintSize   = 8 // function index + peer address
+	probeHintSize   = 8  // function index + peer address
+	probeListSize   = 16 // function key, answering peer, item count, expiry
 )
 
 func probeSize(p Probe) int {
-	return probeBaseSize + probePerHopSize*len(p.Visited) + probeHintSize*len(p.Hints)
+	size := probeBaseSize + probePerHopSize*len(p.Visited) + probeHintSize*len(p.Hints)
+	for _, l := range p.Lists {
+		size += probeListSize + dht.ItemSize*len(l.Comps)
+	}
+	return size
+}
+
+// carried returns the lists a probe bound for the predecessor of pattern g's
+// functions succs takes along from table, the source's own resolution (nil at
+// every later hop, which has only the list of the function it sends to).
+func carried(g *fgraph.Graph, succs []int, table []List) []List {
+	var lists []List
+	for _, s := range succs {
+		if l := entryOf(table, g.Function(s)); l.Root != p2p.NoNode {
+			lists = append(lists, l)
+		}
+	}
+	return lists
 }
 
 // lastComp returns the most recently visited component, nil at the source.
@@ -170,6 +194,18 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	}
 	pr := msg.Payload.(Probe)
 	req := pr.Req
+
+	// What the source handed along is kept where this peer holds nothing live,
+	// trusted no longer than the source would have, and rides no further.
+	for _, l := range pr.Lists {
+		if now := e.host.Now(); e.cache[l.Fn].Expires <= now && now < l.Expires {
+			e.cache[l.Fn] = l
+			if e.Ctr != nil {
+				e.Ctr.DiscCarried.Add(1)
+			}
+		}
+	}
+	pr.Lists = nil
 
 	// The component the probe came to examine must still be hosted here
 	// (discovery meta-data can be stale in a churning overlay).
@@ -275,12 +311,12 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		}
 		hints = append(hints, root)
 	}
-	e.discoverAllCached(names, hints, pr.ReqID, func(table []dups, ok bool) {
+	e.discoverAllCached(names, hints, pr.ReqID, func(table []List, ok bool) {
 		if !ok {
 			e.dropProbe(&pr, "discovery")
 			return
 		}
-		if !e.spawnNext(&pr, succs, table) {
+		if !e.spawnNext(&pr, succs, table, nil) {
 			// No eligible next hop anywhere: the probe dies here. Without
 			// this record the probe would vanish from the accounting and
 			// break the trace checker's conservation invariant.
@@ -368,17 +404,17 @@ type scoredComp struct {
 // quota (step 2.2), collects each function's eligible duplicates from table
 // (one entry per function, in order) and returns the number of probes
 // spawnNext would emit. It draws no randomness and sends nothing.
-func (e *Engine) planNext(pr *Probe, nextFns []int, table []dups) int {
+func (e *Engine) planNext(pr *Probe, nextFns []int, table []List) int {
 	nx := &e.next
 	prevComp := pr.lastComp()
 	nx.fns, nx.elig = nx.fns[:0], nx.elig[:0]
 	totalQuota := 0
 	for i, fn := range nextFns {
-		totalQuota += pr.quota(fn, table[i].comps)
+		totalQuota += pr.quota(fn, table[i].Comps)
 	}
 	remaining, children := pr.Budget, 0
 	for i, fn := range nextFns {
-		comps := table[i].comps
+		comps := table[i].Comps
 		q := pr.quota(fn, comps)
 		// Proportional split with a floor of 1 so every DAG branch stays
 		// probed; the last function absorbs rounding remainder.
@@ -414,9 +450,10 @@ func (e *Engine) planNext(pr *Probe, nextFns []int, table []dups) int {
 // spawnNext implements steps 2.2–2.4: distribute the budget over next-hop
 // functions by probing quota, pick the most promising duplicates for each,
 // and emit new probes, splitting pr's termination credit exactly over them.
-// table holds one entry per next-hop function, in order. It returns true if
-// at least one probe was sent.
-func (e *Engine) spawnNext(pr *Probe, nextFns []int, table []dups) bool {
+// table holds one entry per next-hop function, in order; carry is everything
+// the source resolved, for its probes to take their successors' lists from
+// (carried), nil at later hops. It returns true if at least one probe was sent.
+func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 	// The credit split needs the number of children before the first one
 	// leaves.
 	children := e.planNext(pr, nextFns, table)
@@ -432,11 +469,12 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table []dups) bool {
 		if newBudget < 1 {
 			newBudget = 1
 		}
-		below := hintsFrom(pr.Hints, pr.Pattern.Successors(nf.fn))
+		succs := pr.Pattern.Successors(nf.fn)
+		below, lists := hintsFrom(pr.Hints, succs), carried(pr.Pattern, succs, carry)
 		for _, c := range e.pickNextHop(e.next.elig[nf.lo:nf.hi], nf.probes, pr.Req) {
 			// The child shares pr's Visited slice; see Probe.Visited.
 			np := *pr
-			np.Hints = below
+			np.Hints, np.Lists = below, lists
 			np.Budget = newBudget
 			np.Credit = creditShare(pr.Credit, children, emitted)
 			emitted++

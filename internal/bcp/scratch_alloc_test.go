@@ -73,11 +73,11 @@ func TestNextHopPlanAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var table []dups
+	var table []List
 	for _, fn := range []string{"b", "c"} {
-		d := dups{fn: fn}
+		d := List{Fn: fn}
 		for i := 0; i < 24; i++ {
-			d.comps = append(d.comps, service.Component{
+			d.Comps = append(d.Comps, service.Component{
 				ID: fmt.Sprintf("p%d/%s", i, fn), Function: fn, Peer: p2p.NodeID(i), InFormat: i % 3,
 			})
 		}

@@ -11,13 +11,16 @@ import (
 )
 
 // shedCluster is a 60-peer cluster whose peers shed at the committed
-// utilization one req3 reservation alone produces (cpu 1 of 4).
+// utilization one req3 reservation alone produces (cpu 1 of 4). A peer hosts
+// one component, so none hosts two of a request's functions: the (request,
+// component) rule rightly sheds a probe at a second component of a peer its
+// request already loads, which is not what these tests are about.
 func shedCluster(tr obs.Tracer) *cluster.Cluster {
 	var cap qos.Resources
 	cap[qos.CPU] = 4
 	cap[qos.Memory] = 40
 	return cluster.New(cluster.Options{
-		Seed: 7, Peers: 60, Catalog: catalog(8), Capacity: cap, Trace: tr,
+		Seed: 7, Peers: 60, Catalog: catalog(8), MaxComps: 1, Capacity: cap, Trace: tr,
 		Load: &cluster.LoadOptions{Model: qos.DefaultLoadModel(), Aware: true, Shed: 0.25},
 	})
 }

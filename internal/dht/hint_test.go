@@ -14,6 +14,7 @@ import (
 // lookup is the outcome of one GetSpan run to completion.
 type lookup struct {
 	items []any
+	base  int
 	from  p2p.NodeID
 	hops  int
 	ok    bool
@@ -23,10 +24,16 @@ type lookup struct {
 // fails the test if the callback does not fire exactly once.
 func getVia(t *testing.T, nw *simnet.Network, n *Node, key ID, via p2p.NodeID) lookup {
 	t.Helper()
+	return getHeld(t, nw, n, key, via, 0)
+}
+
+// getHeld is getVia by a requester that says it holds held items of via's.
+func getHeld(t *testing.T, nw *simnet.Network, n *Node, key ID, via p2p.NodeID, held int) lookup {
+	t.Helper()
 	var out lookup
 	calls := 0
-	n.GetSpan(key, 0, via, time.Second, func(items []any, from p2p.NodeID, hops int, ok bool) {
-		out = lookup{items, from, hops, ok}
+	n.GetSpan(key, 0, via, held, time.Second, func(items []any, base int, from p2p.NodeID, hops int, ok bool) {
+		out = lookup{items, base, from, hops, ok}
 		calls++
 	})
 	nw.Sim().RunUntilIdle()
@@ -125,8 +132,8 @@ func TestHintedGetRetriesAroundSilentHint(t *testing.T) {
 	start := nw.Sim().Now()
 	var took time.Duration
 	var got lookup
-	src.GetSpan(key, 0, root, 200*time.Millisecond, func(items []any, from p2p.NodeID, hops int, ok bool) {
-		got, took = lookup{items, from, hops, ok}, nw.Sim().Now()-start
+	src.GetSpan(key, 0, root, 0, 200*time.Millisecond, func(items []any, base int, from p2p.NodeID, hops int, ok bool) {
+		got, took = lookup{items, base, from, hops, ok}, nw.Sim().Now()-start
 	})
 	nw.Sim().RunUntilIdle()
 	if !got.ok || len(got.items) != 1 || got.from != root {
@@ -137,6 +144,55 @@ func TestHintedGetRetriesAroundSilentHint(t *testing.T) {
 	}
 	if took < 200*time.Millisecond || took >= 400*time.Millisecond {
 		t.Fatalf("resolved after %v: want one timeout, then the retry", took)
+	}
+}
+
+// TestHeldItemsAreNotSentAgain: the peer a requester names as the one whose
+// first held items it still has sends the rest — nothing when nothing is new —
+// iff it is that peer and has that many; a requester naming another peer,
+// claiming more than the store holds, or re-routed by the retry gets them all.
+func TestHeldItemsAreNotSentAgain(t *testing.T) {
+	nw, nodes := ring(t, 400)
+	key := Key("held-fn")
+	for i := 0; i < 5; i++ {
+		nodes[7+i].Put(key, fmt.Sprintf("meta-%d", i), ItemSize)
+	}
+	nw.Sim().RunUntilIdle()
+	all := getVia(t, nw, nodes[0], key, p2p.NoNode)
+	root := all.from
+	i := slices.IndexFunc(nodes, func(n *Node) bool {
+		return n.Addr() != root && n.nextHop(key).Addr != root
+	})
+	src, other := nodes[i], nodes[i].nextHop(key).Addr
+	for _, c := range []struct {
+		name      string
+		via       p2p.NodeID
+		held      int
+		wantBase  int
+		wantBytes int64 // of the response
+	}{
+		{"three held", root, 3, 3, 64 + 2*ItemSize},
+		{"all held", root, 5, 5, 64},
+		{"more than stored", root, 6, 0, 64 + 5*ItemSize},
+		{"another peer remembered", other, 3, 0, 64 + 5*ItemSize},
+		{"nothing held", root, 0, 0, 64 + 5*ItemSize},
+	} {
+		before := nw.Stats().BytesByType[MsgGetResp]
+		got := getHeld(t, nw, src, key, c.via, c.held)
+		if !got.ok || got.from != root || got.base != c.wantBase || !slices.Equal(got.items, all.items[c.wantBase:]) {
+			t.Errorf("%s: %+v, want base %d and the items after it", c.name, got, c.wantBase)
+		}
+		if sent := nw.Stats().BytesByType[MsgGetResp] - before; sent != c.wantBytes {
+			t.Errorf("%s: response of %d bytes, want %d", c.name, sent, c.wantBytes)
+		}
+	}
+
+	nw.SetFaults(simnet.FaultPlan{
+		Seed:  1,
+		Links: map[[2]p2p.NodeID]simnet.LinkFaults{{src.Addr(), root}: {Loss: 1}},
+	})
+	if got := getHeld(t, nw, src, key, root, 3); !got.ok || got.from != root || got.base != 0 || len(got.items) != 5 {
+		t.Fatalf("after the first attempt was lost: %+v, want the root's whole list", got)
 	}
 }
 

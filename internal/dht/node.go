@@ -26,6 +26,10 @@ const (
 	Replicas = 4
 	// routeSize approximates the wire size of a routed message header.
 	routeSize = 64
+	// ItemSize is the wire size of one stored item in a get response — and of
+	// one component's meta-data wherever else a duplicate list travels, so
+	// "asked for" and "handed" lists are charged alike.
+	ItemSize = 96
 )
 
 // Entry pairs a DHT identifier with the transport address of the node that
@@ -57,10 +61,14 @@ type PutPayload struct {
 }
 
 // GetPayload asks the key's root to return all items stored under the key.
-// ReqID numbers the requester's lookups from 1.
+// ReqID numbers the requester's lookups from 1. Held > 0 says the requester
+// still has the first Held items Root's store answered it with earlier: Root
+// itself, if it holds at least as many, sends only the ones after them.
 type GetPayload struct {
 	ReqID  uint64
 	Origin p2p.NodeID
+	Root   p2p.NodeID
+	Held   int
 }
 
 // JoinPayload introduces a new node; the key's root replies with its state.
@@ -68,10 +76,12 @@ type JoinPayload struct {
 	New Entry
 }
 
-// GetResp returns the stored items directly to the requester.
+// GetResp returns the stored items directly to the requester, less the first
+// Base the request said it holds.
 type GetResp struct {
 	ReqID uint64
 	Items []any
+	Base  int
 	Hops  int
 }
 
@@ -121,7 +131,7 @@ type getReq struct {
 	span uint64 // composition request the lookup serves, for trace spans
 	// One of the two is set; Get's own shape spares it an adapter closure per lookup.
 	cb       func(items []any, hops int, ok bool)
-	cbFrom   func(items []any, from p2p.NodeID, hops int, ok bool)
+	cbFrom   func(items []any, base int, from p2p.NodeID, hops int, ok bool)
 	cancel   p2p.CancelFunc
 	retried  bool
 	timeout  time.Duration
@@ -332,6 +342,8 @@ func payloadSize(rm RouteMsg) int {
 	switch {
 	case rm.Put != nil:
 		return rm.Put.Size
+	case rm.Get.Held > 0:
+		return 24 // a get, plus the peer and count of the items held
 	case rm.Get.ReqID != 0:
 		return 16
 	case rm.Join != nil:
@@ -368,12 +380,17 @@ func (n *Node) deliver(rm RouteMsg) {
 		n.replicate(rm.Key, rm.Put.Item, rm.Put.Size)
 	case rm.Get.ReqID != 0:
 		// The response shares the store's backing array: the store only ever
-		// appends, and clipping makes any append by the reader copy first.
-		items := slices.Clip(n.store[rm.Key])
+		// appends, and clipping makes any append by the reader copy first. For
+		// the same reason the items the requester holds from this very store
+		// are still its first Held, and only the rest travel.
+		items, base := slices.Clip(n.store[rm.Key]), 0
+		if rm.Get.Root == n.self.Addr && rm.Get.Held <= len(items) {
+			base = rm.Get.Held
+		}
 		n.host.Send(p2p.Message{
 			Type: MsgGetResp, To: rm.Get.Origin,
-			Size:    routeSize + 96*len(items),
-			Payload: GetResp{ReqID: rm.Get.ReqID, Items: items, Hops: rm.Hops},
+			Size:    routeSize + ItemSize*(len(items)-base),
+			Payload: GetResp{ReqID: rm.Get.ReqID, Items: items[base:], Base: base, Hops: rm.Hops},
 		})
 	case rm.Join != nil:
 		// Send the root's view (self, leaves, table) to the joiner, then
@@ -464,18 +481,20 @@ func (n *Node) Put(key ID, item any, size int) {
 // items and hop count on success, or ok=false after two timeouts. The call
 // is asynchronous; cb runs on this node's event context.
 func (n *Node) Get(key ID, timeout time.Duration, cb func(items []any, hops int, ok bool)) {
-	n.get(&getReq{key: key, cb: cb, timeout: timeout}, p2p.NoNode)
+	n.get(&getReq{key: key, cb: cb, timeout: timeout}, p2p.NoNode, 0)
 }
 
 // GetSpan is Get with the composition-request ID the lookup serves attached
 // (its routing and timeout events carry span, so trace span trees claim the
 // lookup), handed directly to via, the peer that answered an earlier lookup of
-// key (NoNode = route as Get does); cb also learns who answered this one.
-func (n *Node) GetSpan(key ID, span uint64, via p2p.NodeID, timeout time.Duration, cb func(items []any, from p2p.NodeID, hops int, ok bool)) {
-	n.get(&getReq{key: key, span: span, cbFrom: cb, timeout: timeout}, via)
+// key (NoNode = route as Get does), with the number of items of that answer the
+// caller still holds (0 = none). cb also learns who answered this one and how
+// many leading items (base, 0 or held) the answer left out as already held.
+func (n *Node) GetSpan(key ID, span uint64, via p2p.NodeID, held int, timeout time.Duration, cb func(items []any, base int, from p2p.NodeID, hops int, ok bool)) {
+	n.get(&getReq{key: key, span: span, cbFrom: cb, timeout: timeout}, via, held)
 }
 
-func (n *Node) get(req *getReq, via p2p.NodeID) {
+func (n *Node) get(req *getReq, via p2p.NodeID, held int) {
 	n.nextReq++
 	id := n.nextReq
 	req.started = n.host.Now()
@@ -484,7 +503,7 @@ func (n *Node) get(req *getReq, via p2p.NodeID) {
 	}
 	n.pending[id] = req
 	req.cancel = n.host.After(req.timeout, func() { n.getTimeout(id) })
-	req.firstHop = n.sendGet(id, req.key, req.span, via, p2p.NoNode)
+	req.firstHop = n.sendGet(id, req.key, req.span, via, p2p.NoNode, held)
 }
 
 // sendGet sends a get toward key's root and returns the hop actually used:
@@ -492,7 +511,8 @@ func (n *Node) get(req *getReq, via p2p.NodeID) {
 // the root), else the routing table's choice avoiding one first hop (NoNode =
 // unconstrained). When exclusion leaves no viable route the unexcluded one is
 // used: forcing local delivery at a non-root node would fabricate an empty result.
-func (n *Node) sendGet(reqID uint64, key ID, span uint64, via, avoid p2p.NodeID) p2p.NodeID {
+// held items of via's earlier answer need not be sent again (GetPayload.Held).
+func (n *Node) sendGet(reqID uint64, key ID, span uint64, via, avoid p2p.NodeID, held int) p2p.NodeID {
 	next := Entry{Addr: via}
 	if via == p2p.NoNode || via == n.self.Addr || !n.alive(via) {
 		next = n.nextHopExcluding(key, avoid)
@@ -500,16 +520,16 @@ func (n *Node) sendGet(reqID uint64, key ID, span uint64, via, avoid p2p.NodeID)
 			next = n.nextHop(key)
 		}
 	}
-	return n.routeVia(RouteMsg{Key: key, Span: span, Get: GetPayload{ReqID: reqID, Origin: n.self.Addr}}, next)
+	return n.routeVia(RouteMsg{Key: key, Span: span, Get: GetPayload{ReqID: reqID, Origin: n.self.Addr, Root: via, Held: held}}, next)
 }
 
 // done reports a finished lookup to whichever callback it was issued with.
-func (req *getReq) done(items []any, from p2p.NodeID, hops int, ok bool) {
+func (req *getReq) done(items []any, base int, from p2p.NodeID, hops int, ok bool) {
 	if req.cb != nil {
 		req.cb(items, hops, ok)
 		return
 	}
-	req.cbFrom(items, from, hops, ok)
+	req.cbFrom(items, base, from, hops, ok)
 }
 
 func (n *Node) getTimeout(id uint64) {
@@ -525,14 +545,15 @@ func (n *Node) getTimeout(id uint64) {
 		req.cancel = n.host.After(req.timeout, func() { n.getTimeout(id) })
 		// Retry via a different routing-table entry: the first hop may be
 		// unreachable (partitioned, overloaded) without being seen as dead.
-		n.sendGet(id, req.key, req.span, p2p.NoNode, req.firstHop)
+		// Whoever the re-route reaches is asked for the whole list.
+		n.sendGet(id, req.key, req.span, p2p.NoNode, req.firstHop, 0)
 		return
 	}
 	delete(n.pending, id)
 	if n.Trace != nil {
 		n.Trace.Emit(obs.DHTGetTimeout(n.host.Now(), n.self.Addr, req.span, false))
 	}
-	req.done(nil, p2p.NoNode, 0, false)
+	req.done(nil, 0, p2p.NoNode, 0, false)
 }
 
 func (n *Node) onGetResp(_ p2p.Node, msg p2p.Message) {
@@ -546,5 +567,8 @@ func (n *Node) onGetResp(_ p2p.Node, msg p2p.Message) {
 	if n.Met != nil {
 		n.Met.DHTLookup.ObserveDuration(n.host.Now() - req.started)
 	}
-	req.done(gr.Items, msg.From, gr.Hops, true)
+	if gr.Base > 0 && n.Ctr != nil {
+		n.Ctr.DiscDelta.Add(1)
+	}
+	req.done(gr.Items, gr.Base, msg.From, gr.Hops, true)
 }

@@ -29,9 +29,12 @@ type NodeCounters struct {
 	ProbesShed     atomic.Int64 // probes declined by overload shedding (util over threshold)
 
 	DHTHops       atomic.Int64 // DHT messages this node forwarded
-	DiscLookups   atomic.Int64 // discovery lookups this node issued (cache misses)
+	DiscLookups   atomic.Int64 // discovery lookups this node issued (gets actually sent)
 	DiscCacheHits atomic.Int64 // duplicate lists served from this node's discovery cache
-	DiscHinted    atomic.Int64 // lookups handed straight to the peer a probe's hint named
+	DiscHinted    atomic.Int64 // lookups handed straight to a peer a hint or an earlier answer named
+	DiscJoined    atomic.Int64 // cache misses that waited on a lookup already in flight
+	DiscCarried   atomic.Int64 // duplicate lists installed from a source's probe
+	DiscDelta     atomic.Int64 // lookups answered with only the items new since the last answer
 
 	Faults atomic.Int64 // injected network faults on messages this node sent
 
@@ -57,6 +60,9 @@ func (c *NodeCounters) Snapshot() Counters {
 		DiscLookups:    c.DiscLookups.Load(),
 		DiscCacheHits:  c.DiscCacheHits.Load(),
 		DiscHinted:     c.DiscHinted.Load(),
+		DiscJoined:     c.DiscJoined.Load(),
+		DiscCarried:    c.DiscCarried.Load(),
+		DiscDelta:      c.DiscDelta.Load(),
 		Faults:         c.Faults.Load(),
 		FedPrepares:    c.FedPrepares.Load(),
 		FedCommits:     c.FedCommits.Load(),
@@ -84,6 +90,9 @@ type Counters struct {
 	DiscLookups   int64
 	DiscCacheHits int64
 	DiscHinted    int64
+	DiscJoined    int64
+	DiscCarried   int64
+	DiscDelta     int64
 
 	Faults int64
 
@@ -108,6 +117,9 @@ func (c *Counters) Add(o Counters) {
 	c.DiscLookups += o.DiscLookups
 	c.DiscCacheHits += o.DiscCacheHits
 	c.DiscHinted += o.DiscHinted
+	c.DiscJoined += o.DiscJoined
+	c.DiscCarried += o.DiscCarried
+	c.DiscDelta += o.DiscDelta
 	c.Faults += o.Faults
 	c.FedPrepares += o.FedPrepares
 	c.FedCommits += o.FedCommits
@@ -161,6 +173,9 @@ func (r *Registry) Merge(o *Registry) {
 		c.DiscLookups.Add(s.DiscLookups)
 		c.DiscCacheHits.Add(s.DiscCacheHits)
 		c.DiscHinted.Add(s.DiscHinted)
+		c.DiscJoined.Add(s.DiscJoined)
+		c.DiscCarried.Add(s.DiscCarried)
+		c.DiscDelta.Add(s.DiscDelta)
 		c.Faults.Add(s.Faults)
 		c.FedPrepares.Add(s.FedPrepares)
 		c.FedCommits.Add(s.FedCommits)
@@ -224,6 +239,9 @@ func (r *Registry) Table(title string) *metrics.Table {
 	t.AddRow("discovery lookups", tot.DiscLookups)
 	t.AddRow("discovery cache hits", tot.DiscCacheHits)
 	t.AddRow("discovery lookups hinted", tot.DiscHinted)
+	t.AddRow("discovery lookups joined", tot.DiscJoined)
+	t.AddRow("discovery lists carried", tot.DiscCarried)
+	t.AddRow("discovery lookups delta", tot.DiscDelta)
 	t.AddRow("faults injected", tot.Faults)
 	if tot.FedPrepares != 0 || tot.FedCommits != 0 || tot.FedAborts != 0 {
 		t.AddRow("fed prepares", tot.FedPrepares)

@@ -38,7 +38,8 @@ go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k' -benchmem -ben
 # Message gates, beside the allocation gates: one pinned small cell holds DHT
 # messages per composed session and routed hops per hop-origin lookup under
 # ceilings 10 % above their measured values, so a change that silently stops
-# probes from carrying first-hop hints fails here; a second one, with
+# probes from carrying first-hop hints or the source's lists, or concurrent
+# lookups of one function from joining, fails here; a second one, with
 # recovery on, holds rec.* messages per session-interval the same way, so a
 # prober that walks every backup every interval does. -v prints what each
 # measured.
