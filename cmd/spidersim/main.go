@@ -8,7 +8,7 @@
 //	spidersim -peers 200 -requests 100 -budget 24 -churn 0.01
 //
 // Traces written with -trace are deterministic JSONL (gzipped when the path
-// ends in .gz); -summarize replays one, and -check verifies the protocol
+// ends in .gz); spidertrace analyzes one, and -check verifies the protocol
 // invariants either on existing trace files (positional arguments) or on
 // the run itself.
 package main
@@ -93,7 +93,6 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		specFile  = fs.String("spec", "", "compose a single request from a QoSTalk-style XML spec file")
 		traceFile = fs.String("trace", "", "write a deterministic JSONL event trace to this file (.gz compresses)")
 		stats     = fs.Bool("stats", false, "print per-layer counter tables, histograms, and a trace summary")
-		summarize = fs.String("summarize", "", "summarize an existing JSONL trace file and exit")
 		check     = fs.Bool("check", false, "verify trace invariants: on the given trace files, or on this run")
 		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "workers for multi-file -check; 1 = serial")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of whatever this command line does to this file")
@@ -110,8 +109,6 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	// reads every flag but -parallel, and -shed only under -load.
 	mode, reads := "a simulation run", []string(nil)
 	switch {
-	case *summarize != "":
-		mode, reads = "-summarize", []string{"summarize"}
 	case *check && fs.NArg() > 0:
 		mode, reads = "-check on trace files", []string{"check", "parallel"}
 	case *specFile != "":
@@ -161,10 +158,6 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 			err = perr
 		}
 	}()
-
-	if *summarize != "" {
-		return summarizeTrace(*summarize, stdout)
-	}
 
 	if *check && fs.NArg() > 0 {
 		return checkTraceFiles(fs.Args(), *parallel, stderr)
@@ -411,13 +404,13 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		wire.Render(stdout)
 		met.Table("distribution metrics").Render(stdout)
 		met.PhaseTable("setup-latency phases (live histograms)").Render(stdout)
-		s := obs.Summarize(mem.Events())
-		s.Table("trace summary").Render(stdout)
 		b := span.NewBuilder()
 		for _, ev := range mem.Events() {
 			b.Add(ev)
 		}
-		span.PhaseTable(b.Build(), "setup-latency phases (span trees)").Render(stdout)
+		f := b.Build()
+		span.Summary(f, "trace summary").Render(stdout)
+		span.PhaseTable(f, "setup-latency phases (span trees)").Render(stdout)
 	}
 	if *check {
 		if hung := attempted - completed; hung > 0 {
@@ -503,26 +496,6 @@ func reportViolations(stderr io.Writer, what string, vs []obs.Violation) error {
 		fmt.Fprintf(stderr, "check: %s: %s\n", what, v)
 	}
 	return fmt.Errorf("check: %s: %d invariant violation(s)", what, len(vs))
-}
-
-// summarizeTrace reads a JSONL trace produced by -trace — streaming, so
-// multi-gigabyte sweep traces summarize in constant memory — and prints the
-// per-request latency/overhead breakdown plus the span-tree phase table.
-func summarizeTrace(path string, stdout io.Writer) error {
-	z := obs.NewSummarizer()
-	b := span.NewBuilder()
-	if err := obs.StreamTrace(path, func(ev obs.Event) error {
-		z.Add(ev)
-		b.Add(ev)
-		return nil
-	}); err != nil {
-		return err
-	}
-	s := z.Summary()
-	s.Table("trace summary: " + path).Render(stdout)
-	s.RequestTable("per-request breakdown").Render(stdout)
-	span.PhaseTable(b.Build(), "setup-latency phases").Render(stdout)
-	return nil
 }
 
 // composeSpec parses one XML composite-service spec, binds random

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/obs/span"
 )
 
 // spidersim runs the command in-process and returns its exit code and both
@@ -39,7 +42,6 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 		{"-spec unused.xml -peers 500 -ipnodes 100", "unused.xml"},
 		{"-spec f.xml -faults loss=0.5", "-faults"},
 		{"-spec f.xml -trace t.jsonl -check -stats", "-check"},
-		{"-summarize t.jsonl -requests 5", "-requests"},
 		{"-check -seed 3 t.jsonl", "-seed"},
 		{"-shed 0.5", "-shed"},
 		{"-parallel 2", "-parallel"},
@@ -56,7 +58,7 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 			t.Errorf("%s: stderr %q; want one line naming %q", c.args, stderr, c.names)
 		}
 	}
-	for _, f := range []string{"-nosuchflag", "-shards"} {
+	for _, f := range []string{"-nosuchflag", "-shards", "-summarize"} {
 		if code, _, stderr := spidersim(f, "4"); code != 2 || !strings.Contains(stderr, "not defined: "+f) {
 			t.Errorf("%s 4: exit %d, stderr %q; want the flag package's exit 2", f, code, stderr)
 		}
@@ -92,19 +94,25 @@ func TestSpecComposesTheSameEveryTime(t *testing.T) {
 }
 
 // TestSmallRunChecksClean: one small valid run passes its own invariant
-// check, writes a trace that -check and -summarize then accept as files, and
-// a trace that does not exist fails both.
+// check and writes a trace that -check then accepts as a file and that
+// summarizes, the way spidertrace summary reads it, to the very rows -stats
+// printed for the run; a trace that does not exist fails -check.
 func TestSmallRunChecksClean(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "run.jsonl.gz")
-	code, stdout, stderr := spidersim("-peers", "30", "-ipnodes", "200", "-requests", "5", "-check", "-trace", trace)
+	code, stdout, stderr := spidersim("-peers", "30", "-ipnodes", "200", "-requests", "5", "-check", "-stats", "-trace", trace)
 	if code != 0 || !strings.Contains(stdout, "success ratio") || !strings.Contains(stderr, "events ok") {
 		t.Fatalf("small run: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 	if code, _, stderr := spidersim("-check", trace); code != 0 || !strings.Contains(stderr, "events ok") {
 		t.Errorf("-check %s: exit %d, stderr %q", trace, code, stderr)
 	}
-	if code, stdout, _ := spidersim("-summarize", trace); code != 0 || !strings.Contains(stdout, "trace summary") {
-		t.Errorf("-summarize %s: exit %d, stdout %q", trace, code, stdout)
+	b := span.NewBuilder()
+	if err := obs.StreamTrace(trace, func(ev obs.Event) error { b.Add(ev); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	summary := span.Summary(b.Build(), "trace summary").String()
+	if !strings.Contains(summary, "events.compose.start ") || !strings.Contains(stdout, summary) {
+		t.Errorf("the trace file summarizes to\n%s\nwhich -stats did not print:\n%s", summary, stdout)
 	}
 	// The profile pair covers whatever the command line does, offline
 	// analysis included.
@@ -117,10 +125,8 @@ func TestSmallRunChecksClean(t *testing.T) {
 			t.Errorf("profile %s not written: %v", prof, err)
 		}
 	}
-	for _, mode := range []string{"-check", "-summarize"} {
-		if code, _, stderr := spidersim(mode, trace+".missing"); code == 0 || !strings.Contains(stderr, "no such file") {
-			t.Errorf("%s on a nonexistent file: exit %d, stderr %q", mode, code, stderr)
-		}
+	if code, _, stderr := spidersim("-check", trace+".missing"); code == 0 || !strings.Contains(stderr, "no such file") {
+		t.Errorf("-check on a nonexistent file: exit %d, stderr %q", code, stderr)
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // Commands:
 //
-//	summary            forest rollup: requests, outcomes, phase totals, orphans
+//	summary [-orphans] forest rollup: requests, outcomes, phase totals, events per kind, orphans
 //	phases             per-phase latency breakdown across all requests
 //	slow [-k N]        top-k slowest requests with per-phase columns
 //	waterfall -req N   span waterfall of one request (federated subs nested)
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/obs/span"
@@ -31,7 +32,17 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-const usage = "usage: spidertrace {summary|phases|slow [-k N]|waterfall -req N|critical [-req N|-k N]} trace.jsonl[.gz]"
+const usage = "usage: spidertrace {summary [-orphans]|phases|slow [-k N]|waterfall -req N|critical [-req N|-k N]} trace.jsonl[.gz]"
+
+// reads names, per command, the flags it reads; one given to a command that
+// does not read it is refused, not ignored.
+var reads = map[string][]string{
+	"summary":   {"orphans"},
+	"phases":    nil,
+	"slow":      {"k"},
+	"waterfall": {"req"},
+	"critical":  {"k", "req"},
+}
 
 // run is main with its environment passed in: 0 on success, 1 when the
 // command line or the trace is unusable, 2 on a flag the flag package rejects.
@@ -53,14 +64,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(rest); err != nil {
 		return 2
 	}
-	switch cmd {
-	case "summary", "phases", "slow", "critical":
-	case "waterfall":
-		if *req == 0 {
-			return fail("waterfall needs -req N")
-		}
-	default:
+	read, known := reads[cmd]
+	if !known {
 		return fail("unknown command %q\n%s", cmd, usage)
+	}
+	unread := ""
+	fs.Visit(func(f *flag.Flag) {
+		if unread == "" && !slices.Contains(read, f.Name) {
+			unread = f.Name
+		}
+	})
+	switch {
+	case unread != "":
+		return fail("-%s: %s does not read it", unread, cmd)
+	case *k < 1:
+		return fail("-k %d: want at least 1", *k)
+	case cmd == "waterfall" && *req == 0:
+		return fail("waterfall needs -req N")
 	}
 	if fs.NArg() != 1 {
 		return fail(usage)

@@ -43,6 +43,14 @@ func TestBadInvocationsExitWithMessage(t *testing.T) {
 		{"no trace file", "usage:", []string{"summary"}},
 		{"two trace files", "usage:", []string{"phases", goldenTrace, goldenTrace}},
 		{"waterfall without -req", "-req", []string{"waterfall", goldenTrace}},
+		{"phases reads neither -k nor -req", "-k: phases", []string{"phases", "-k", "5", "-req", "3", goldenTrace}},
+		{"waterfall does not read -k", "-k: waterfall", []string{"waterfall", "-req", "2", "-k", "3", goldenTrace}},
+		{"waterfall does not read -orphans", "-orphans: waterfall", []string{"waterfall", "-req", "2", "-orphans", goldenTrace}},
+		{"slow does not read -req", "-req: slow", []string{"slow", "-req", "4", goldenTrace}},
+		{"summary does not read -k", "-k: summary", []string{"summary", "-k", "3", goldenTrace}},
+		{"critical does not read -orphans", "-orphans: critical", []string{"critical", "-orphans", goldenTrace}},
+		{"slow -k -1", "-k -1", []string{"slow", "-k", "-1", goldenTrace}},
+		{"critical -k 0", "-k 0", []string{"critical", "-k", "0", goldenTrace}},
 		{"request not in trace", "999999", []string{"critical", "-req", "999999", goldenTrace}},
 		{"unreadable file", "no-such-trace", []string{"summary", filepath.Join(t.TempDir(), "no-such-trace.jsonl")}},
 		{"garbage file", "garbage.jsonl", []string{"phases", garbage}},
@@ -82,9 +90,10 @@ func TestReportsOnGoldenTrace(t *testing.T) {
 		t.Errorf("phases+critical differ from golden_spans.txt:\n%s", got)
 	}
 
-	code, stdout, stderr := spidertrace("summary", goldenTrace)
-	if code != 0 || stderr != "" || !strings.Contains(stdout, "trace "+goldenTrace) {
-		t.Errorf("summary: exit %d, stderr %q, stdout %q", code, stderr, stdout)
+	code, stdout, stderr := spidertrace("summary", "-orphans", goldenTrace)
+	if code != 0 || stderr != "" || !strings.Contains(stdout, "trace "+goldenTrace) ||
+		!strings.Contains(stdout, "events.compose.start ") || !strings.Contains(stdout, "# orphans") {
+		t.Errorf("summary -orphans: exit %d, stderr %q, stdout %q", code, stderr, stdout)
 	}
 	code, slow, _ := spidertrace("slow", "-k", "3", goldenTrace)
 	if code != 0 || !strings.Contains(slow, "top 3 slowest requests") {

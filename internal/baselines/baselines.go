@@ -347,11 +347,6 @@ func Release(w World, g *service.Graph) {
 // state collection eliminates (§6.1's order-of-magnitude claim).
 func CentralizedOverheadPerPeriod(peers int) int { return peers * (peers - 1) }
 
-// CoordinatorOverheadPerPeriod returns the per-period cost of the weaker
-// single-coordinator variant (every peer updates one central node). It
-// breaks the decentralization requirement but is reported for context.
-func CoordinatorOverheadPerPeriod(peers int) int { return peers }
-
 // OptimalProbeCount returns the number of probes unbounded flooding needs
 // for a linear request: the product of per-function replica counts
 // (17³ = 4913 in the paper's prototype experiment).

@@ -224,9 +224,6 @@ func TestCentralizedOverheadPerPeriod(t *testing.T) {
 	if baselines.CentralizedOverheadPerPeriod(1000) != 1000*999 {
 		t.Fatal("global-view overhead must replicate every peer's state to every other peer")
 	}
-	if baselines.CoordinatorOverheadPerPeriod(1000) != 1000 {
-		t.Fatal("coordinator variant must be one update per peer per period")
-	}
 }
 
 func TestBuildGraphRejectsIncompatibleFormats(t *testing.T) {

@@ -196,13 +196,6 @@ type Engine struct {
 	// load-balancing ψ objective to minimum end-to-end delay, the objective
 	// of the paper's Figure 11 experiment.
 	SelectByDelay bool
-	// Trust, when non-nil, makes next-hop selection trust-aware (the
-	// paper's future-work extension): candidates on peers scoring below
-	// MinTrust are excluded and lower-trust peers are penalized in the
-	// composite metric.
-	Trust TrustOracle
-	// MinTrust is the exclusion threshold used when Trust is set.
-	MinTrust float64
 	// Load, when non-nil, reports peers' current utilization for the
 	// overload control plane: load-aware next-hop scoring (cfg.LoadAware)
 	// and overloaded-candidate pruning (cfg.ShedThreshold). The simulation
@@ -240,12 +233,6 @@ type Engine struct {
 	seenReports seenSet[uint64]
 	doneReqs    seenSet[uint64]
 	ackSeen     seenSet[ackKey]
-}
-
-// TrustOracle scores a peer's trustworthiness in [0,1]; 0.5 is neutral.
-// Implemented by internal/trust.Manager.
-type TrustOracle interface {
-	Score(p p2p.NodeID) float64
 }
 
 // LoadOracle reports a peer's current scalar utilization in [0,1].

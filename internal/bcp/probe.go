@@ -517,9 +517,6 @@ func (e *Engine) mayVisit(c, prevComp *service.Component, pr *Probe) bool {
 	if pr.visitedComp(c.ID) {
 		return false
 	}
-	if e.Trust != nil && e.Trust.Score(c.Peer) < e.MinTrust {
-		return false // secure composition: skip distrusted hosts
-	}
 	if e.Load != nil && e.cfg.ShedThreshold > 0 && e.Load.Committed(c.Peer) >= e.cfg.ShedThreshold {
 		return false // overload shedding: the peer is declining new work
 	}
@@ -572,9 +569,6 @@ func (e *Engine) nextHopScore(c *service.Component, req *service.Request) float6
 		} else if req.Bandwidth > 0 {
 			score += req.Bandwidth / band
 		}
-	}
-	if e.Trust != nil {
-		score += (1 - e.Trust.Score(c.Peer)) * 5
 	}
 	if e.cfg.LoadAware && e.Load != nil {
 		// Load-aware probing: a saturated peer serves this session (and

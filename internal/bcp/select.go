@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"maps"
-	"math"
 	"slices"
 	"time"
 
@@ -476,13 +475,4 @@ func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 		Type: MsgResult, To: req.Source, Size: 128,
 		Payload: Result{ReqID: am.ReqID, Ok: true, Best: am.Best, Backups: am.Backups},
 	})
-}
-
-// BestDelay is a convenience for experiments: the end-to-end delay of a
-// graph, +Inf for nil.
-func BestDelay(g *service.Graph) float64 {
-	if g == nil {
-		return math.Inf(1)
-	}
-	return g.QoS[qos.Delay]
 }

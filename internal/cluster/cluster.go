@@ -24,7 +24,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/simnet"
 	"repro/internal/topology"
-	"repro/internal/trust"
 )
 
 // Options configures a simulated SpiderNet deployment. Zero fields take the
@@ -60,12 +59,6 @@ type Options struct {
 	// Recovery, when non-nil, attaches a failure-recovery manager to every
 	// peer.
 	Recovery *recovery.Config
-	// TrustAware attaches a trust manager to every peer, wires it into BCP
-	// next-hop selection (threshold MinTrust) and, when recovery is on,
-	// into session-outcome reporting.
-	TrustAware bool
-	// MinTrust is the exclusion threshold for TrustAware (default 0.2).
-	MinTrust float64
 	// Trace, when non-nil, receives structured events from every layer
 	// (network, DHT, BCP, recovery). Deterministic per seed.
 	Trace obs.Tracer
@@ -106,7 +99,6 @@ type Peer struct {
 	Registry   *registry.Registry
 	Engine     *bcp.Engine
 	Recovery   *recovery.Manager
-	Trust      *trust.Manager
 	Media      *media.Node
 	Components []service.Component
 	FailProb   float64
@@ -166,7 +158,6 @@ func (o *Options) withDefaults() Options {
 	v.Capacity = cmp.Or(v.Capacity, qos.Resources{qos.CPU: 20, qos.Memory: 200})
 	v.QpLossMax = cmp.Or(v.QpLossMax, 0.004)
 	v.BCP = cmp.Or(v.BCP, bcp.DefaultConfig())
-	v.MinTrust = cmp.Or(v.MinTrust, 0.2)
 	return v
 }
 
@@ -381,17 +372,8 @@ func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb flo
 		rec.Trace = o.Trace
 		rec.Met = o.Metrics
 	}
-	var tm *trust.Manager
-	if o.TrustAware {
-		tm = trust.NewManager(host, dn, trust.DefaultConfig())
-		eng.Trust = tm
-		eng.MinTrust = o.MinTrust
-		if rec != nil {
-			rec.Trust = tm
-		}
-	}
 	p := &Peer{
-		Node: host, Ledger: ledger, DHT: dn, Registry: reg, Engine: eng, Recovery: rec, Trust: tm,
+		Node: host, Ledger: ledger, DHT: dn, Registry: reg, Engine: eng, Recovery: rec,
 		Media: media.Attach(host, eng.LocalComponent), Components: comps, FailProb: failProb,
 	}
 	c.Peers = append(c.Peers, p)

@@ -25,7 +25,7 @@ func TestSoak(t *testing.T) {
 	c := cluster.New(cluster.Options{
 		Seed: 60, IPNodes: 600, Peers: 80,
 		Catalog:  []string{"downscale", "requant", "stock-ticker", "upscale", "subimage"},
-		Recovery: &rc, TrustAware: true,
+		Recovery: &rc,
 	})
 	gen := workload.NewGenerator(workload.Config{
 		Catalog: c.FunctionsByReplicas(), Peers: 80,

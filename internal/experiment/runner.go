@@ -3,21 +3,11 @@ package experiment
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
-
-// Parallelism resolves a -parallel flag value: n >= 1 is taken literally,
-// anything else means "one worker per CPU" (runtime.GOMAXPROCS(0)).
-func Parallelism(n int) int {
-	if n >= 1 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // runCells executes n independent experiment cells with up to parallel
 // workers. Every figure decomposes into cells — one (workload, algorithm) or

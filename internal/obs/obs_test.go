@@ -169,40 +169,6 @@ func TestRegistryMerge(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize(sampleEvents())
-	if s.Events != len(sampleEvents()) {
-		t.Fatalf("Events=%d", s.Events)
-	}
-	if len(s.Reqs) != 1 {
-		t.Fatalf("requests=%d want 1", len(s.Reqs))
-	}
-	r := s.Reqs[0]
-	if r.Req != 42 || !r.Done || !r.Ok {
-		t.Fatalf("req summary=%+v", r)
-	}
-	if r.Latency != 8*time.Millisecond {
-		t.Fatalf("latency=%v", r.Latency)
-	}
-	if r.ProbesSent != 2 || r.ProbesDropped != 1 || r.ProbesReturned != 1 {
-		t.Fatalf("probe counts=%+v", r)
-	}
-	if r.Candidates != 4 || r.Qualified != 2 || r.Admits != 1 {
-		t.Fatalf("selection counts=%+v", r)
-	}
-	if s.Succeeded() != 1 {
-		t.Fatalf("Succeeded=%d", s.Succeeded())
-	}
-	agg := s.Table("agg").String()
-	if !strings.Contains(agg, "compositions ok") || !strings.Contains(agg, "events.probe.sent") {
-		t.Fatalf("aggregate table:\n%s", agg)
-	}
-	per := s.RequestTable("per").String()
-	if !strings.Contains(per, "42") || !strings.Contains(per, "ok") {
-		t.Fatalf("request table:\n%s", per)
-	}
-}
-
 // BenchmarkJSONLEmit guards the allocation-conscious claim: steady-state
 // emission into a JSONL sink should not allocate.
 func BenchmarkJSONLEmit(b *testing.B) {

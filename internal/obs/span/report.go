@@ -10,7 +10,7 @@ import (
 )
 
 // Summary renders the forest-level rollup: tree counts, outcomes, orphans,
-// and where the aggregate setup time went.
+// where the aggregate setup time went, and the event count of every kind.
 func Summary(f *Forest, title string) *metrics.Table {
 	t := metrics.NewTable(title, "metric", "value")
 	var trees, done, ok, subs int
@@ -49,6 +49,14 @@ func Summary(f *Forest, title string) *metrics.Table {
 	t.AddRow("  session commit", tot.Commit)
 	t.AddRow("  unattributed wait", tot.Wait)
 	t.AddRow("attribution", pct(tot.Attribution()))
+	kinds := make([]string, 0, len(f.Kinds))
+	for k := range f.Kinds {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		t.AddRow("events."+k, f.Kinds[k])
+	}
 	return t
 }
 

@@ -21,6 +21,7 @@ package span
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -137,11 +138,12 @@ type Forest struct {
 	Runs int
 	// Orphans lists unattributable events, in trace order.
 	Orphans []Orphan
-	// Events is the total number of events folded in; WireDrops counts
-	// net.drop/net.fault records that referenced no known probe (non-probe
-	// protocol units — reports, pings — whose identity the builder does not
-	// track).
+	// Events is the total number of events folded in and Kinds the same
+	// count per event kind, over all runs; WireDrops counts net.drop/net.fault
+	// records that referenced no known probe (non-probe protocol units —
+	// reports, pings — whose identity the builder does not track).
 	Events    int
+	Kinds     map[string]int
 	WireDrops int
 }
 
@@ -188,6 +190,7 @@ type Builder struct {
 	lastTS   time.Duration
 	orphans  []Orphan
 	events   int
+	kinds    map[string]int
 	wire     int
 }
 
@@ -225,7 +228,7 @@ type reqState struct {
 
 // NewBuilder creates an empty streaming span builder.
 func NewBuilder() *Builder {
-	return &Builder{reqs: make(map[uint64]*reqState), pidReq: make(map[uint64]uint64)}
+	return &Builder{reqs: make(map[uint64]*reqState), pidReq: make(map[uint64]uint64), kinds: make(map[string]int)}
 }
 
 func (b *Builder) state(req uint64) *reqState {
@@ -256,6 +259,7 @@ func (b *Builder) orphan(ev obs.Event, reason string) {
 // run started (sweep traces concatenate cells).
 func (b *Builder) Add(ev obs.Event) {
 	b.events++
+	b.kinds[ev.Kind]++
 	if ev.TS < b.lastTS {
 		b.archived = append(b.archived, b.reqs)
 		b.reqs = make(map[uint64]*reqState)
@@ -279,7 +283,7 @@ func (b *Builder) Add(ev obs.Event) {
 		}
 		return
 	case obs.KindNetDown, obs.KindNetUp:
-		return // liveness records are global; the summary counts them
+		return // liveness records are global; the summary counts them by kind
 	}
 	if ev.Req == 0 {
 		if ev.Kind == obs.KindDHTHop || ev.Kind == obs.KindDHTDeliver {
@@ -373,7 +377,7 @@ func (rs *reqState) fedState(sub uint64) *fedSub {
 // non-destructive: the builder keeps accepting events and Build can run
 // again. Output is fully deterministic in the input events.
 func (b *Builder) Build() *Forest {
-	f := &Forest{Events: b.events, WireDrops: b.wire}
+	f := &Forest{Events: b.events, Kinds: maps.Clone(b.kinds), WireDrops: b.wire}
 	f.Orphans = append(f.Orphans, b.orphans...)
 	for _, run := range b.archived {
 		buildRun(f, run)

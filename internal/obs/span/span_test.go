@@ -285,19 +285,27 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 	}
 }
 
-func TestRunBoundariesScopeIDs(t *testing.T) {
+// addSweep folds two concatenated runs (sweep cells) into b, each composing
+// the same request IDs with the same probe IDs; only the clock regression at
+// the boundary separates them.
+func addSweep(b *Builder, reqs ...uint64) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	b := NewBuilder()
-	// Two concatenated runs (sweep cells) reusing the same request and probe
-	// IDs; the clock regression at the boundary separates them.
 	for run := 0; run < 2; run++ {
-		b.Add(obs.ComposeStart(ms(1), 3, 7, 2, 10))
-		b.Add(obs.ProbeSent(ms(2), 3, 7, 4, "f", "c", 5, 0, 11, 0))
-		b.Add(obs.ProbeReturned(ms(3), 4, 7, 3, 1, 64, 11))
-		b.Add(obs.ProbeCollected(ms(4), 5, 7, 4, 1, 11))
-		b.Add(obs.SelectDone(ms(5), 5, 7, 1, 1, 0))
-		b.Add(obs.ComposeDone(ms(6), 3, 7, true, ms(5)))
+		for i, req := range reqs {
+			t0, pid := 10*i, 10+req
+			b.Add(obs.ComposeStart(ms(t0+1), 3, req, 2, 10))
+			b.Add(obs.ProbeSent(ms(t0+2), 3, req, 4, "f", "c", 5, 0, pid, 0))
+			b.Add(obs.ProbeReturned(ms(t0+3), 4, req, 3, 1, 64, pid))
+			b.Add(obs.ProbeCollected(ms(t0+4), 5, req, 4, 1, pid))
+			b.Add(obs.SelectDone(ms(t0+5), 5, req, 1, 1, 0))
+			b.Add(obs.ComposeDone(ms(t0+6), 3, req, true, ms(5)))
+		}
 	}
+}
+
+func TestRunBoundariesScopeIDs(t *testing.T) {
+	b := NewBuilder()
+	addSweep(b, 7)
 	f := b.Build()
 	if f.Runs != 2 {
 		t.Fatalf("runs = %d, want 2", f.Runs)
@@ -311,6 +319,32 @@ func TestRunBoundariesScopeIDs(t *testing.T) {
 	for _, tr := range f.Trees {
 		if tr.Req != 7 || !tr.Ok || tr.Phases.Attribution() != 1 {
 			t.Errorf("run tree %+v not fully rebuilt", tr)
+		}
+	}
+}
+
+// TestSweepSummaryCountsEveryCell: a sweep trace whose two cells reuse
+// request IDs 1..n summarizes to 2n requests — keyed by ID alone it would be
+// n, each folded across cells — with every event counted under its kind.
+func TestSweepSummaryCountsEveryCell(t *testing.T) {
+	b := NewBuilder()
+	addSweep(b, 1, 2, 3)
+	f := b.Build()
+	sum := 0
+	for _, n := range f.Kinds {
+		sum += n
+	}
+	if f.Events != 36 || sum != f.Events {
+		t.Fatalf("%d events, %d summed over kinds %v; want 36 both ways", f.Events, sum, f.Kinds)
+	}
+	rows := strings.Join(strings.Fields(Summary(f, "sweep").String()), " ")
+	for _, want := range []string{
+		"runs (sweep cells) 2", "requests 6", "completed 6", "ok 6", "orphan events 0",
+		"events.compose.done 6", "events.compose.start 6", "events.probe.collected 6",
+		"events.probe.returned 6", "events.probe.sent 6", "events.select.done 6",
+	} {
+		if !strings.Contains(rows, want) {
+			t.Errorf("summary lacks %q:\n%s", want, rows)
 		}
 	}
 }

@@ -352,7 +352,6 @@ func (m *Manager) tryRecovery(s *Session) {
 		s.setGraphs(cand, s.Backups)
 		m.stats.ComponentsReplaced += len(old.Comps) - cand.Overlap(old)
 		m.allocIngress(s)
-		m.reportDropped(old, cand)
 		m.eng.TeardownExcept(old, cand)
 		s.awaitingFix = false
 		m.record(s, EventSwitchover)
@@ -384,7 +383,6 @@ func (m *Manager) reactive(s *Session) {
 		old := s.Active
 		s.adopt(res.Best, res.Backups)
 		m.stats.ComponentsReplaced += len(old.Comps) - res.Best.Overlap(old)
-		m.reportDropped(old, res.Best)
 		m.eng.TeardownExcept(old, res.Best)
 		s.awaitingFix = false
 		m.record(s, EventReactive)
@@ -392,19 +390,6 @@ func (m *Manager) reactive(s *Session) {
 			m.refreshBackups(s)
 		}
 	})
-}
-
-// reportDropped feeds the trust reporter: peers the recovery had to drop
-// (in the broken graph but not the replacement) are negative evidence.
-func (m *Manager) reportDropped(old, replacement *service.Graph) {
-	if m.Trust == nil {
-		return
-	}
-	for _, comp := range old.Components() {
-		if !replacement.ContainsPeer(comp.Peer) {
-			m.Trust.RecordFailure(comp.Peer)
-		}
-	}
 }
 
 // allocIngress admits the sender's ingress links to the (new) active

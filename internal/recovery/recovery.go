@@ -164,24 +164,12 @@ func (s *Session) setGraphs(active *service.Graph, backups []*service.Graph) {
 	s.Active, s.Backups, s.stops = active, backups, nil
 }
 
-// TrustReporter receives first-hand session outcomes per peer; implemented
-// by internal/trust.Manager. Optional.
-type TrustReporter interface {
-	RecordSuccess(p p2p.NodeID)
-	RecordFailure(p p2p.NodeID)
-}
-
 // Manager runs on every peer: on component hosts it answers maintenance
 // probes and switchover setups; on senders it owns the sessions.
 type Manager struct {
 	eng  *bcp.Engine
 	host p2p.Node
 	cfg  Config
-
-	// Trust, when set, receives session outcomes: peers dropped during a
-	// recovery are reported as failures, peers of a session closed in good
-	// standing as successes.
-	Trust TrustReporter
 
 	// Trace receives recovery lifecycle events when non-nil.
 	Trace obs.Tracer
@@ -294,20 +282,13 @@ func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
 	return s
 }
 
-// Close tears a session down and releases its resources. The hosting peers
-// served the session to completion, which counts as positive trust
-// evidence.
+// Close tears a session down and releases its resources.
 func (m *Manager) Close(id uint64) {
 	s, ok := m.sessions[id]
 	if !ok || !s.alive {
 		return
 	}
 	s.alive = false
-	if m.Trust != nil {
-		for _, comp := range s.Active.Components() {
-			m.Trust.RecordSuccess(comp.Peer)
-		}
-	}
 	if m.Met != nil {
 		m.Met.ActiveSessions.Add(-1)
 	}

@@ -201,7 +201,7 @@ func buildBoth(rng *rand.Rand, n, attempts int, script edgeScript) (*Graph, *leg
 	g := NewGraph(n)
 	lg := newLegacyGraph(n)
 	if script.backbone {
-		// Chain so most of the graph is connected (mirrors GenerateRandom).
+		// Chain so most of the graph is connected (a random chain first).
 		perm := rng.Perm(n)
 		for i := 1; i < n; i++ {
 			l := script.weight(rng)
@@ -380,33 +380,34 @@ func TestDiffGeneratedGraphs(t *testing.T) {
 
 // TestDiffRoutePaths: the frozen link-CSR router must return the identical
 // Path — peers, link indices, latency — as the legacy slice-walking router,
-// for every source/destination pair, on every overlay kind.
+// for every source/destination pair, on meshes from sparse (degree 1, several
+// components) to dense.
 func TestDiffRoutePaths(t *testing.T) {
-	for _, kind := range []OverlayKind{Mesh, PowerLawOverlay, RandomOverlay} {
+	for _, degree := range []int{1, 3, 6} {
 		rng := rand.New(rand.NewSource(42))
 		g := GeneratePowerLaw(400, 2, 2, 30, rng)
-		o := BuildOverlay(g, OverlayConfig{NumPeers: 60, Kind: kind, Degree: 3}, rng)
+		o := BuildOverlay(g, OverlayConfig{NumPeers: 60, Degree: degree}, rng)
 		for a := 0; a < o.N(); a++ {
 			for b := 0; b < o.N(); b++ {
 				got, gok := o.Route(a, b)
 				want, wok := legacyRoute(o, a, b)
 				if gok != wok {
-					t.Fatalf("%v route %d->%d: CSR ok=%v, legacy ok=%v", kind, a, b, gok, wok)
+					t.Fatalf("degree %v route %d->%d: CSR ok=%v, legacy ok=%v", degree, a, b, gok, wok)
 				}
 				if !gok {
 					continue
 				}
 				if got.Latency != want.Latency || len(got.Peers) != len(want.Peers) {
-					t.Fatalf("%v route %d->%d: CSR %+v, legacy %+v", kind, a, b, got, want)
+					t.Fatalf("degree %v route %d->%d: CSR %+v, legacy %+v", degree, a, b, got, want)
 				}
 				for i := range got.Peers {
 					if got.Peers[i] != want.Peers[i] {
-						t.Fatalf("%v route %d->%d peer %d: CSR %v, legacy %v", kind, a, b, i, got.Peers, want.Peers)
+						t.Fatalf("degree %v route %d->%d peer %d: CSR %v, legacy %v", degree, a, b, i, got.Peers, want.Peers)
 					}
 				}
 				for i := range got.Links {
 					if got.Links[i] != want.Links[i] {
-						t.Fatalf("%v route %d->%d link %d: CSR %v, legacy %v", kind, a, b, i, got.Links, want.Links)
+						t.Fatalf("degree %v route %d->%d link %d: CSR %v, legacy %v", degree, a, b, i, got.Links, want.Links)
 					}
 				}
 			}
@@ -426,11 +427,11 @@ func TestDiffCompactMesh(t *testing.T) {
 	rngG := rand.New(rand.NewSource(seed))
 	g := GeneratePowerLaw(2000, 2, 2, 30, rngG)
 
-	full := BuildOverlay(g, OverlayConfig{NumPeers: 200, Kind: Mesh, Degree: 4}, rand.New(rand.NewSource(7)))
+	full := BuildOverlay(g, OverlayConfig{NumPeers: 200, Degree: 4}, rand.New(rand.NewSource(7)))
 	var comp *Overlay
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		comp = BuildOverlay(g, OverlayConfig{NumPeers: 200, Kind: Mesh, Degree: 4, Compact: true}, rand.New(rand.NewSource(7)))
+		comp = BuildOverlay(g, OverlayConfig{NumPeers: 200, Degree: 4, Compact: true}, rand.New(rand.NewSource(7)))
 
 		if comp.Compact() == false || full.Compact() == true {
 			t.Fatal("Compact() flags wrong")

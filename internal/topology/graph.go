@@ -681,22 +681,3 @@ func pickPreferential(targets []int, m, exclude int, rng *rand.Rand, scratch []i
 	}
 	return chosen
 }
-
-// GenerateRandom builds a connected Erdős–Rényi-style graph with n nodes and
-// roughly avgDegree links per node. A random chain is inserted first to
-// guarantee connectivity. The returned graph is frozen.
-func GenerateRandom(n, avgDegree int, minLat, maxLat float64, rng *rand.Rand) *Graph {
-	g := NewGraph(n)
-	lat := func() float64 { return minLat + rng.Float64()*(maxLat-minLat) }
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		g.AddEdge(perm[i-1], perm[i], lat())
-	}
-	extra := n*avgDegree/2 - (n - 1)
-	for i := 0; i < extra; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		g.AddEdge(u, v, lat())
-	}
-	g.Freeze()
-	return g
-}

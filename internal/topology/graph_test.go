@@ -116,17 +116,6 @@ func TestGeneratePowerLawSkewedDegrees(t *testing.T) {
 	}
 }
 
-func TestGenerateRandomConnected(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := GenerateRandom(300, 4, 2, 30, rng)
-	if !g.IsConnected() {
-		t.Fatal("random graph with chain backbone must be connected")
-	}
-	if g.N() != 300 {
-		t.Fatalf("N=%d", g.N())
-	}
-}
-
 func TestDegreeHistogramSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := GeneratePowerLaw(200, 2, 2, 30, rng)

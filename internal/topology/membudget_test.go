@@ -31,7 +31,7 @@ func TestMemoryBudget100k(t *testing.T) {
 	before := liveHeap()
 	rng := rand.New(rand.NewSource(1))
 	g := GeneratePowerLaw(100_000, 2, 2, 30, rng)
-	ov := BuildOverlay(g, OverlayConfig{NumPeers: 10_000, Kind: Mesh, Degree: 4, Compact: true}, rng)
+	ov := BuildOverlay(g, OverlayConfig{NumPeers: 10_000, Degree: 4, Compact: true}, rng)
 	if _, ok := ov.Route(0, ov.N()-1); !ok {
 		t.Fatal("compact overlay is not connected")
 	}

@@ -6,33 +6,6 @@ import (
 	"math/rand"
 )
 
-// OverlayKind selects how overlay links between peers are constructed.
-type OverlayKind int
-
-const (
-	// Mesh connects each peer to its k latency-nearest peers
-	// (a topologically-aware overlay mesh).
-	Mesh OverlayKind = iota
-	// PowerLawOverlay grows a preferential-attachment overlay over the peers.
-	PowerLawOverlay
-	// RandomOverlay connects peers with a random connected graph.
-	RandomOverlay
-)
-
-// String names the overlay kind.
-func (k OverlayKind) String() string {
-	switch k {
-	case Mesh:
-		return "mesh"
-	case PowerLawOverlay:
-		return "power-law"
-	case RandomOverlay:
-		return "random"
-	default:
-		return fmt.Sprintf("overlaykind(%d)", int(k))
-	}
-}
-
 type overlayLink struct {
 	u, v     int
 	latency  float64 // ms, from IP-layer shortest path between u and v
@@ -138,16 +111,15 @@ func defaultRouteCap(peers int) int {
 // OverlayConfig controls BuildOverlay.
 type OverlayConfig struct {
 	NumPeers int
-	Kind     OverlayKind
-	Degree   int     // target links per peer (k for Mesh, m for power-law, avg for random)
+	Degree   int     // mesh links each peer opens: its k latency-nearest peers
 	CapMin   float64 // overlay link capacity range, kbps
 	CapMax   float64
 	// Compact skips the O(peers²) pairwise latency matrix: mesh links are
 	// found with truncated per-peer Dijkstra searches (stop once the k
 	// nearest peers have settled), and Latency falls back to overlay-path
 	// latency for unlinked pairs. This is the only mode that fits a
-	// 10,000-peer overlay in a laptop-class memory budget; it supports
-	// Kind == Mesh only and does not support AddPeer.
+	// 10,000-peer overlay in a laptop-class memory budget; it does not
+	// support AddPeer.
 	Compact bool
 	// RouteCacheSize bounds how many per-source routing tables Route may
 	// retain (LRU eviction beyond it). Zero or less bounds the cache by
@@ -158,8 +130,8 @@ type OverlayConfig struct {
 }
 
 // BuildOverlay selects cfg.NumPeers distinct IP nodes from g as peers,
-// derives pairwise peer latencies from IP shortest paths, and constructs
-// overlay links per cfg.Kind.
+// derives pairwise peer latencies from IP shortest paths, and links each
+// peer to its cfg.Degree latency-nearest peers (a topologically-aware mesh).
 func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 	if cfg.NumPeers > g.N() {
 		panic(fmt.Sprintf("topology: %d peers exceed %d IP nodes", cfg.NumPeers, g.N()))
@@ -185,9 +157,6 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 		routeCache: make(map[int]*routeSlot),
 	}
 	if cfg.Compact {
-		if cfg.Kind != Mesh {
-			panic("topology: compact overlays support the mesh kind only")
-		}
 		o.buildCompactMesh(g, cfg, rng)
 		return o
 	}
@@ -208,45 +177,11 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 		o.adj[v] = append(o.adj[v], idx)
 	}
 
-	switch cfg.Kind {
-	case Mesh:
-		nearest := make([]int, 0, cfg.Degree)
-		for u := 0; u < n; u++ {
-			nearest = nearestInRow(o.lat[u], u, cfg.Degree, nearest)
-			for _, v := range nearest {
-				addLink(u, v)
-			}
-		}
-	case PowerLawOverlay:
-		m := cfg.Degree
-		if m >= n {
-			m = n - 1
-		}
-		for u := 0; u <= m && u < n; u++ {
-			for v := u + 1; v <= m && v < n; v++ {
-				addLink(u, v)
-			}
-		}
-		var targets []int
-		for u := 0; u <= m && u < n; u++ {
-			for range o.adj[u] {
-				targets = append(targets, u)
-			}
-		}
-		for u := m + 1; u < n; u++ {
-			for _, v := range pickPreferential(targets, m, u, rng, nil) {
-				addLink(u, v)
-				targets = append(targets, u, v)
-			}
-		}
-	case RandomOverlay:
-		perm := rng.Perm(n)
-		for i := 1; i < n; i++ {
-			addLink(perm[i-1], perm[i])
-		}
-		extra := n*cfg.Degree/2 - (n - 1)
-		for i := 0; i < extra; i++ {
-			addLink(rng.Intn(n), rng.Intn(n))
+	nearest := make([]int, 0, cfg.Degree)
+	for u := 0; u < n; u++ {
+		nearest = nearestInRow(o.lat[u], u, cfg.Degree, nearest)
+		for _, v := range nearest {
+			addLink(u, v)
 		}
 	}
 	return o

@@ -7,23 +7,29 @@ import (
 	"testing"
 )
 
-func testOverlay(t *testing.T, kind OverlayKind) *Overlay {
+func testOverlay(t *testing.T, compact bool) *Overlay {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	g := GeneratePowerLaw(400, 2, 2, 30, rng)
 	return BuildOverlay(g, OverlayConfig{
 		NumPeers: 60,
-		Kind:     kind,
 		Degree:   4,
 		CapMin:   1000,
 		CapMax:   5000,
+		Compact:  compact,
 	}, rng)
 }
 
+// TestBuildOverlayAllKinds: both mesh builders — the one over the pairwise
+// latency matrix and the compact one without it — place every peer on its
+// own IP node and link them.
 func TestBuildOverlayAllKinds(t *testing.T) {
-	for _, kind := range []OverlayKind{Mesh, PowerLawOverlay, RandomOverlay} {
-		t.Run(kind.String(), func(t *testing.T) {
-			o := testOverlay(t, kind)
+	for _, kind := range []struct {
+		name    string
+		compact bool
+	}{{"mesh", false}, {"compact", true}} {
+		t.Run(kind.name, func(t *testing.T) {
+			o := testOverlay(t, kind.compact)
 			if o.N() != 60 {
 				t.Fatalf("N=%d", o.N())
 			}
@@ -44,7 +50,7 @@ func TestBuildOverlayAllKinds(t *testing.T) {
 }
 
 func TestOverlayLatencySymmetricNonNegative(t *testing.T) {
-	o := testOverlay(t, Mesh)
+	o := testOverlay(t, false)
 	for a := 0; a < o.N(); a++ {
 		if o.Latency(a, a) != 0 {
 			t.Fatalf("self latency nonzero for %d", a)
@@ -62,7 +68,7 @@ func TestOverlayLatencySymmetricNonNegative(t *testing.T) {
 }
 
 func TestOverlayRoute(t *testing.T) {
-	o := testOverlay(t, Mesh)
+	o := testOverlay(t, false)
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 50; trial++ {
 		a, b := rng.Intn(o.N()), rng.Intn(o.N())
@@ -84,7 +90,7 @@ func TestOverlayRoute(t *testing.T) {
 }
 
 func TestOverlayRouteSelf(t *testing.T) {
-	o := testOverlay(t, Mesh)
+	o := testOverlay(t, false)
 	p, ok := o.Route(7, 7)
 	if !ok || p.Latency != 0 || len(p.Links) != 0 {
 		t.Fatalf("self route = %+v ok=%v", p, ok)
@@ -92,7 +98,7 @@ func TestOverlayRouteSelf(t *testing.T) {
 }
 
 func TestBandwidthAllocRelease(t *testing.T) {
-	o := testOverlay(t, Mesh)
+	o := testOverlay(t, false)
 	p, ok := o.Route(0, o.N()-1)
 	if !ok {
 		t.Fatal("no route")
@@ -115,7 +121,7 @@ func TestBandwidthAllocRelease(t *testing.T) {
 }
 
 func TestBandwidthAllocAllOrNothing(t *testing.T) {
-	o := testOverlay(t, Mesh)
+	o := testOverlay(t, false)
 	p, ok := o.Route(0, o.N()-1)
 	if !ok {
 		t.Fatal("no route")
@@ -130,7 +136,7 @@ func TestBandwidthAllocAllOrNothing(t *testing.T) {
 }
 
 func TestReleaseClampsAtCapacity(t *testing.T) {
-	o := testOverlay(t, Mesh)
+	o := testOverlay(t, false)
 	p, _ := o.Route(0, 1)
 	o.ReleaseBandwidth(0, 1, 1e9)
 	for _, idx := range p.Links {

@@ -15,7 +15,6 @@ func cacheOverlay(t testing.TB, peers, cacheSize int) *Overlay {
 	g := GeneratePowerLaw(600, 2, 2, 30, rng)
 	return BuildOverlay(g, OverlayConfig{
 		NumPeers:       peers,
-		Kind:           Mesh,
 		Degree:         4,
 		CapMin:         1000,
 		CapMax:         5000,
@@ -118,7 +117,7 @@ func TestRouteCacheInvalidatedByAddPeer(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := GeneratePowerLaw(600, 2, 2, 30, rng)
 	o := BuildOverlay(g, OverlayConfig{
-		NumPeers: 60, Kind: Mesh, Degree: 4,
+		NumPeers: 60, Degree: 4,
 		CapMin: 1000, CapMax: 5000, RouteCacheSize: 4,
 	}, rng)
 	// Warm the cache.
@@ -171,7 +170,7 @@ func TestRouteCacheDisconnectedComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := GeneratePowerLaw(300, 2, 2, 30, rng)
 	o := BuildOverlay(g, OverlayConfig{
-		NumPeers: 40, Kind: RandomOverlay, Degree: 2,
+		NumPeers: 40, Degree: 2,
 		CapMin: 1000, CapMax: 5000, RouteCacheSize: 1,
 	}, rng)
 	// Sever peer 0 from everything.

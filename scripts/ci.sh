@@ -12,6 +12,14 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# Doc gate: every Go identifier, CLI flag and repo path that README.md,
+# DESIGN.md, EXPERIMENTS.md or the verify skill puts in backticks or in a
+# fenced command line must be one the tree, or the CLI's -h, knows — a
+# deletion cannot leave its name behind. Names cited *as deleted* are listed
+# in the script.
+echo "== doc gate (scripts/doccheck.sh)"
+sh scripts/doccheck.sh
+
 echo "== go test -race ./..."
 go test -race ./...
 
