@@ -8,9 +8,8 @@
 //	spidersim -peers 200 -requests 100 -budget 24 -churn 0.01
 //
 // Traces written with -trace are deterministic JSONL (gzipped when the path
-// ends in .gz); spidertrace analyzes one, and -check verifies the protocol
-// invariants either on existing trace files (positional arguments) or on
-// the run itself.
+// ends in .gz); spidertrace analyzes and checks one, and -check verifies the
+// protocol invariants of the run itself.
 package main
 
 import (
@@ -19,10 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bcp"
@@ -93,8 +89,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		specFile  = fs.String("spec", "", "compose a single request from a QoSTalk-style XML spec file")
 		traceFile = fs.String("trace", "", "write a deterministic JSONL event trace to this file (.gz compresses)")
 		stats     = fs.Bool("stats", false, "print per-layer counter tables, histograms, and a trace summary")
-		check     = fs.Bool("check", false, "verify trace invariants: on the given trace files, or on this run")
-		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "workers for multi-file -check; 1 = serial")
+		check     = fs.Bool("check", false, "verify this run's trace invariants and counter totals")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of whatever this command line does to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit (GODEBUG=memprofilerate=1 counts every object)")
 	)
@@ -104,22 +99,22 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		return errUsage
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: spidersim reads no trace files; check one with spidertrace check", fs.Arg(0))
+	}
 	// The mode decides which flags mean anything; one given explicitly that
 	// the mode never reads is refused, not ignored. A run (reads == nil)
-	// reads every flag but -parallel, and -shed only under -load.
-	mode, reads := "a simulation run", []string(nil)
-	switch {
-	case *check && fs.NArg() > 0:
-		mode, reads = "-check on trace files", []string{"check", "parallel"}
-	case *specFile != "":
-		mode, reads = "-spec", []string{"spec", "seed", "ipnodes", "peers", "functions"}
+	// reads every flag, -shed only under -load.
+	var reads []string
+	if *specFile != "" {
+		reads = []string{"spec", "seed", "ipnodes", "peers", "functions"}
 	}
 	var unread error
 	fs.Visit(func(f *flag.Flag) {
 		switch {
 		case unread != nil || f.Name == "cpuprofile" || f.Name == "memprofile":
-		case reads != nil && !slices.Contains(reads, f.Name), reads == nil && f.Name == "parallel":
-			unread = fmt.Errorf("-%s: %s does not read it", f.Name, mode)
+		case reads != nil && !slices.Contains(reads, f.Name):
+			unread = fmt.Errorf("-%s: -spec does not read it", f.Name)
 		case reads == nil && f.Name == "shed" && *loadBase <= 0:
 			unread = errors.New("-shed: needs -load")
 		}
@@ -158,10 +153,6 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 			err = perr
 		}
 	}()
-
-	if *check && fs.NArg() > 0 {
-		return checkTraceFiles(fs.Args(), *parallel, stderr)
-	}
 
 	if *specFile != "" {
 		return composeSpec(*specFile, *seed, *ipNodes, *peers, *functions, stdout)
@@ -214,9 +205,11 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	var (
 		trace   obs.Tracer
 		tf      *obs.TraceFile
-		mem     *obs.MemSink
 		reg     *obs.Registry
 		met     *obs.Metrics
+		checker *obs.Checker
+		spans   *span.Builder
+		events  int
 		tracers obs.MultiTracer
 	)
 	if *traceFile != "" {
@@ -227,13 +220,19 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		tracers = append(tracers, tf)
 	}
+	// The checker and the span builder fold the run's events as they are
+	// emitted, so no consumer needs the run buffered.
 	if *stats || *check {
-		mem = &obs.MemSink{}
 		reg = obs.NewRegistry()
-		tracers = append(tracers, mem)
+	}
+	if *check {
+		checker = obs.NewChecker()
+		tracers = append(tracers, obs.TracerFunc(func(ev obs.Event) { events++; checker.Add(ev) }))
 	}
 	if *stats {
 		met = obs.NewMetrics()
+		spans = span.NewBuilder()
+		tracers = append(tracers, obs.TracerFunc(spans.Add))
 	}
 	switch len(tracers) {
 	case 0:
@@ -404,11 +403,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		wire.Render(stdout)
 		met.Table("distribution metrics").Render(stdout)
 		met.PhaseTable("setup-latency phases (live histograms)").Render(stdout)
-		b := span.NewBuilder()
-		for _, ev := range mem.Events() {
-			b.Add(ev)
-		}
-		f := b.Build()
+		f := spans.Build()
 		span.Summary(f, "trace summary").Render(stdout)
 		span.PhaseTable(f, "setup-latency phases (span trees)").Render(stdout)
 	}
@@ -419,83 +414,16 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		if orphans > 0 {
 			return fmt.Errorf("check: %d alive peers left holding reservations after the drain", orphans)
 		}
-		events := mem.Events()
-		vs := obs.Check(events)
-		vs = append(vs, obs.CheckTotals(events, reg.Totals())...)
-		if err := reportViolations(stderr, "this run", vs); err != nil {
-			return err
+		vs := append(checker.Finish(), checker.Totals(reg.Totals())...)
+		for _, v := range vs {
+			fmt.Fprintf(stderr, "check: this run: %s\n", v)
 		}
-		fmt.Fprintf(stderr, "check: %d events ok\n", len(events))
+		if len(vs) > 0 {
+			return fmt.Errorf("check: this run: %d invariant violation(s)", len(vs))
+		}
+		fmt.Fprintf(stderr, "check: %d events ok\n", events)
 	}
 	return nil
-}
-
-// checkTraceFiles verifies trace invariants on existing (possibly gzipped)
-// trace files, loading and checking up to `parallel` files concurrently.
-// Results are reported in argument order regardless of completion order.
-// Counter cross-checks need the live registry, so file mode runs only the
-// event-level invariants.
-func checkTraceFiles(paths []string, parallel int, stderr io.Writer) error {
-	if parallel > len(paths) {
-		parallel = len(paths)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	type outcome struct {
-		n   int
-		vs  []obs.Violation
-		err error
-	}
-	outcomes := make([]outcome, len(paths))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(paths) {
-					return
-				}
-				c := obs.NewChecker()
-				n := 0
-				err := obs.StreamTrace(paths[i], func(ev obs.Event) error {
-					n++
-					c.Add(ev)
-					return nil
-				})
-				if err != nil {
-					outcomes[i] = outcome{err: err}
-					continue
-				}
-				outcomes[i] = outcome{n: n, vs: c.Finish()}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, o := range outcomes {
-		if o.err != nil {
-			return o.err
-		}
-		if err := reportViolations(stderr, paths[i], o.vs); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "check: %s: %d events ok\n", paths[i], o.n)
-	}
-	return nil
-}
-
-// reportViolations prints every violation and returns an error if any.
-func reportViolations(stderr io.Writer, what string, vs []obs.Violation) error {
-	if len(vs) == 0 {
-		return nil
-	}
-	for _, v := range vs {
-		fmt.Fprintf(stderr, "check: %s: %s\n", what, v)
-	}
-	return fmt.Errorf("check: %s: %d invariant violation(s)", what, len(vs))
 }
 
 // composeSpec parses one XML composite-service spec, binds random

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,8 +21,9 @@ func spidersim(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestFlagMistakesExitWithOneLine: every out-of-range flag, every
-// combination cluster.Options.Validate refuses and every flag the chosen mode
-// would not read exits non-zero with one line naming the flag at fault —
+// combination cluster.Options.Validate refuses, every flag the chosen mode
+// would not read and every positional argument (a trace file is
+// spidertrace check's) exits non-zero with one line naming the mistake —
 // never a goroutine dump, never a silent accept.
 func TestFlagMistakesExitWithOneLine(t *testing.T) {
 	for _, c := range []struct{ args, names string }{
@@ -42,10 +44,11 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 		{"-spec unused.xml -peers 500 -ipnodes 100", "unused.xml"},
 		{"-spec f.xml -faults loss=0.5", "-faults"},
 		{"-spec f.xml -trace t.jsonl -check -stats", "-check"},
-		{"-check -seed 3 t.jsonl", "-seed"},
+		{"-check -seed 3 t.jsonl", "spidertrace check"},
+		{"-seed 3 junk.jsonl", "spidertrace check"},
+		{"-check run.jsonl run.jsonl.gz", "spidertrace check"},
+		{"-spec f.xml extra", "spidertrace check"},
 		{"-shed 0.5", "-shed"},
-		{"-parallel 2", "-parallel"},
-		{"-check -parallel 2", "-parallel"},
 		{"-cpuprofile " + filepath.Join(t.TempDir(), "no-such-dir", "cpu.prof"), "cpuprofile"},
 		{"-memprofile " + filepath.Join(t.TempDir(), "no-such-dir", "mem.prof"), "memprofile"},
 	} {
@@ -58,7 +61,7 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 			t.Errorf("%s: stderr %q; want one line naming %q", c.args, stderr, c.names)
 		}
 	}
-	for _, f := range []string{"-nosuchflag", "-shards", "-summarize"} {
+	for _, f := range []string{"-nosuchflag", "-shards", "-summarize", "-parallel"} {
 		if code, _, stderr := spidersim(f, "4"); code != 2 || !strings.Contains(stderr, "not defined: "+f) {
 			t.Errorf("%s 4: exit %d, stderr %q; want the flag package's exit 2", f, code, stderr)
 		}
@@ -93,18 +96,18 @@ func TestSpecComposesTheSameEveryTime(t *testing.T) {
 	}
 }
 
-// TestSmallRunChecksClean: one small valid run passes its own invariant
-// check and writes a trace that -check then accepts as a file and that
-// summarizes, the way spidertrace summary reads it, to the very rows -stats
-// printed for the run; a trace that does not exist fails -check.
+// TestSmallRunChecksClean: one small valid run passes its own invariant and
+// counter check and writes a trace that spidertrace check then accepts and
+// that summarizes, the way spidertrace summary reads it, to the very rows
+// -stats printed for the run.
 func TestSmallRunChecksClean(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "run.jsonl.gz")
 	code, stdout, stderr := spidersim("-peers", "30", "-ipnodes", "200", "-requests", "5", "-check", "-stats", "-trace", trace)
 	if code != 0 || !strings.Contains(stdout, "success ratio") || !strings.Contains(stderr, "events ok") {
 		t.Fatalf("small run: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
-	if code, _, stderr := spidersim("-check", trace); code != 0 || !strings.Contains(stderr, "events ok") {
-		t.Errorf("-check %s: exit %d, stderr %q", trace, code, stderr)
+	if out, err := exec.Command("go", "run", "../spidertrace", "check", trace).CombinedOutput(); err != nil || !strings.Contains(string(out), "events ok") {
+		t.Errorf("spidertrace check %s: %v\n%s", trace, err, out)
 	}
 	b := span.NewBuilder()
 	if err := obs.StreamTrace(trace, func(ev obs.Event) error { b.Add(ev); return nil }); err != nil {
@@ -114,19 +117,15 @@ func TestSmallRunChecksClean(t *testing.T) {
 	if !strings.Contains(summary, "events.compose.start ") || !strings.Contains(stdout, summary) {
 		t.Errorf("the trace file summarizes to\n%s\nwhich -stats did not print:\n%s", summary, stdout)
 	}
-	// The profile pair covers whatever the command line does, offline
-	// analysis included.
+	// The profile pair covers whatever the command line does.
 	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")
-	if code, _, stderr := spidersim("-cpuprofile", cpu, "-memprofile", mem, "-check", trace); code != 0 {
-		t.Errorf("-check with profiles: exit %d, stderr %q", code, stderr)
+	if code, _, stderr := spidersim("-cpuprofile", cpu, "-memprofile", mem, "-peers", "30", "-ipnodes", "200", "-requests", "5"); code != 0 {
+		t.Errorf("a run with profiles: exit %d, stderr %q", code, stderr)
 	}
 	for _, prof := range []string{cpu, mem} {
 		if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
 			t.Errorf("profile %s not written: %v", prof, err)
 		}
-	}
-	if code, _, stderr := spidersim("-check", trace+".missing"); code == 0 || !strings.Contains(stderr, "no such file") {
-		t.Errorf("-check on a nonexistent file: exit %d, stderr %q", code, stderr)
 	}
 }
 

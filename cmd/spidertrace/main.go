@@ -1,7 +1,8 @@
 // Command spidertrace analyzes SpiderNet trace files (.jsonl, optionally
 // gzipped): it rebuilds the causal span tree of every composition request and
-// reports where the setup time went. Traces are decoded streaming, so
-// multi-gigabyte sweep traces analyze in constant memory.
+// reports where the setup time went, or checks the protocol invariants.
+// Traces are decoded streaming, so multi-gigabyte sweep traces analyze in
+// constant memory.
 //
 // Usage:
 //
@@ -14,6 +15,7 @@
 //	slow [-k N]        top-k slowest requests with per-phase columns
 //	waterfall -req N   span waterfall of one request (federated subs nested)
 //	critical [-req N | -k N]   critical path of one request, or of the top-k slowest
+//	check              protocol invariants (obs.Checker): one line per violation, exit 1 on any
 //
 // Every report is deterministic in the trace contents, so identically seeded
 // runs produce byte-identical output — CI diffs reports across reruns.
@@ -32,7 +34,7 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-const usage = "usage: spidertrace {summary [-orphans]|phases|slow [-k N]|waterfall -req N|critical [-req N|-k N]} trace.jsonl[.gz]"
+const usage = "usage: spidertrace {summary [-orphans]|phases|slow [-k N]|waterfall -req N|critical [-req N|-k N]|check} trace.jsonl[.gz]"
 
 // reads names, per command, the flags it reads; one given to a command that
 // does not read it is refused, not ignored.
@@ -42,6 +44,7 @@ var reads = map[string][]string{
 	"slow":      {"k"},
 	"waterfall": {"req"},
 	"critical":  {"k", "req"},
+	"check":     nil,
 }
 
 // run is main with its environment passed in: 0 on success, 1 when the
@@ -87,12 +90,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	path := fs.Arg(0)
 
-	f, err := buildForest(path)
-	if err != nil {
-		return fail("%v", err)
+	// One scan feeds the command's consumer: the invariant checker, or the
+	// span builder every report reads. A file carries no counters, so the
+	// registry cross-check is spidersim -check's.
+	c, b, n := obs.NewChecker(), span.NewBuilder(), 0
+	add := b.Add
+	if cmd == "check" {
+		add = c.Add
 	}
+	if err := obs.StreamTrace(path, func(ev obs.Event) error {
+		n++
+		add(ev)
+		return nil
+	}); err != nil {
+		return fail("read %s: %v", path, err)
+	}
+	f := b.Build()
 
 	switch cmd {
+	case "check":
+		vs := c.Finish()
+		for _, v := range vs {
+			fmt.Fprintf(stdout, "%s: %s\n", path, v)
+		}
+		if len(vs) > 0 {
+			return fail("check %s: %d invariant violation(s)", path, len(vs))
+		}
+		fmt.Fprintf(stdout, "%s: %d events ok\n", path, n)
 	case "summary":
 		span.Summary(f, "trace "+path).Render(stdout)
 		if *orphans || len(f.Orphans) > 0 {
@@ -120,15 +144,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-func buildForest(path string) (*span.Forest, error) {
-	b := span.NewBuilder()
-	if err := obs.StreamTrace(path, func(ev obs.Event) error {
-		b.Add(ev)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("read %s: %w", path, err)
-	}
-	return b.Build(), nil
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +51,8 @@ func TestBadInvocationsExitWithMessage(t *testing.T) {
 		{"slow does not read -req", "-req: slow", []string{"slow", "-req", "4", goldenTrace}},
 		{"summary does not read -k", "-k: summary", []string{"summary", "-k", "3", goldenTrace}},
 		{"critical does not read -orphans", "-orphans: critical", []string{"critical", "-orphans", goldenTrace}},
+		{"check does not read -k", "-k: check", []string{"check", "-k", "3", "t"}},
+		{"check without a trace file", "usage:", []string{"check"}},
 		{"slow -k -1", "-k -1", []string{"slow", "-k", "-1", goldenTrace}},
 		{"critical -k 0", "-k 0", []string{"critical", "-k", "0", goldenTrace}},
 		{"request not in trace", "999999", []string{"critical", "-req", "999999", goldenTrace}},
@@ -107,5 +111,45 @@ func TestReportsOnGoldenTrace(t *testing.T) {
 	}
 	if code, wf, _ := spidertrace("waterfall", "-req", "4", goldenTrace); code != 0 || !strings.Contains(wf, "compose") {
 		t.Errorf("waterfall -req 4: exit %d, stdout %q", code, wf)
+	}
+}
+
+// TestCheckVerdicts: check passes the golden trace with one "events ok" line,
+// and fails a copy of it missing one probe.returned record — a probe that
+// leaked without a trace — with one probe-conservation line.
+func TestCheckVerdicts(t *testing.T) {
+	code, stdout, stderr := spidertrace("check", goldenTrace)
+	if code != 0 || stderr != "" || strings.Count(stdout, "\n") != 1 || !strings.Contains(stdout, "events ok") {
+		t.Fatalf("check on the golden trace: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+
+	f, err := os.Open(goldenTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	for i, line := range lines {
+		if strings.Contains(line, `"kind":"probe.returned"`) {
+			lines = append(lines[:i], lines[i+1:]...)
+			break
+		}
+	}
+	leaked := filepath.Join(t.TempDir(), "leaked.jsonl")
+	if err := os.WriteFile(leaked, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr = spidertrace("check", leaked)
+	if code != 1 || strings.Count(stdout, "\n") != 1 || !strings.Contains(stdout, "probe-conservation") ||
+		!strings.HasPrefix(stderr, "spidertrace: ") {
+		t.Errorf("check on a trace missing a probe.returned: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }

@@ -145,13 +145,11 @@ func TestGoldenTrace(t *testing.T) {
 // TestGoldenTraceInvariants keeps the committed artifact honest: the golden
 // trace itself must satisfy the protocol invariant checker.
 func TestGoldenTraceInvariants(t *testing.T) {
-	events, err := obs.LoadTrace(goldenPath)
-	if err != nil {
+	c := obs.NewChecker()
+	if err := obs.StreamTrace(goldenPath, func(ev obs.Event) error { c.Add(ev); return nil }); err != nil {
 		t.Skipf("golden trace unreadable (run -update first): %v", err)
 	}
-	if vs := obs.Check(events); len(vs) != 0 {
-		for _, v := range vs {
-			t.Errorf("golden trace violates invariant: %v", v)
-		}
+	for _, v := range c.Finish() {
+		t.Errorf("golden trace violates invariant: %v", v)
 	}
 }

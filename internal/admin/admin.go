@@ -80,33 +80,6 @@ func Handler(reg *obs.Registry, met *obs.Metrics) http.Handler {
 	return mux
 }
 
-// counterSpec maps one Counters field to its exported metric.
-type counterSpec struct {
-	name string
-	help string
-	get  func(obs.Counters) int64
-}
-
-var counterSpecs = []counterSpec{
-	{"msgs_sent_total", "Messages put on the wire.", func(c obs.Counters) int64 { return c.MsgsSent }},
-	{"bytes_sent_total", "Approximate wire bytes sent.", func(c obs.Counters) int64 { return c.BytesSent }},
-	{"msgs_recv_total", "Messages delivered.", func(c obs.Counters) int64 { return c.MsgsRecv }},
-	{"msgs_dropped_total", "Messages dropped by the network.", func(c obs.Counters) int64 { return c.MsgsDrop }},
-	{"probes_sent_total", "BCP probes emitted (origin + forwards).", func(c obs.Counters) int64 { return c.ProbesSent }},
-	{"probes_dropped_total", "BCP probes killed by QoS/resource/link checks.", func(c obs.Counters) int64 { return c.ProbesDropped }},
-	{"probes_returned_total", "BCP probes that completed and reported.", func(c obs.Counters) int64 { return c.ProbesReturned }},
-	{"probe_budget_spent_total", "Probing budget carried by emitted probes.", func(c obs.Counters) int64 { return c.BudgetSpent }},
-	{"probe_retransmits_total", "Per-hop probe retransmits (same PID, no budget).", func(c obs.Counters) int64 { return c.ProbesRetx }},
-	{"dht_hops_total", "DHT messages forwarded.", func(c obs.Counters) int64 { return c.DHTHops }},
-	{"disc_lookups_total", "Discovery lookups issued (cache misses).", func(c obs.Counters) int64 { return c.DiscLookups }},
-	{"disc_cache_hits_total", "Duplicate lists served from the discovery cache.", func(c obs.Counters) int64 { return c.DiscCacheHits }},
-	{"disc_hinted_total", "Discovery lookups handed straight to a hinted peer.", func(c obs.Counters) int64 { return c.DiscHinted }},
-	{"disc_joined_total", "Cache misses that waited on a lookup already in flight.", func(c obs.Counters) int64 { return c.DiscJoined }},
-	{"disc_carried_total", "Duplicate lists installed from a source's probe.", func(c obs.Counters) int64 { return c.DiscCarried }},
-	{"disc_delta_total", "Discovery lookups answered with only the new items.", func(c obs.Counters) int64 { return c.DiscDelta }},
-	{"faults_injected_total", "Injected network faults on sent messages.", func(c obs.Counters) int64 { return c.Faults }},
-}
-
 // renderMetrics writes the Prometheus text exposition format (v0.0.4):
 // HELP/TYPE headers, counter totals plus per-node breakdowns, histograms
 // with cumulative le buckets and _sum/_count, and gauges.
@@ -118,26 +91,27 @@ func renderMetrics(reg *obs.Registry, met *obs.Metrics) []byte {
 		for _, n := range nodes {
 			tot.Add(n.Counters)
 		}
-		for _, spec := range counterSpecs {
+		for _, k := range obs.CounterTable {
+			name := k.Name() + "_total"
 			b = append(b, "# HELP "...)
 			b = append(b, namespace...)
-			b = append(b, spec.name...)
+			b = append(b, name...)
 			b = append(b, ' ')
-			b = append(b, spec.help...)
+			b = append(b, k.Help()...)
 			b = append(b, '\n')
 			b = append(b, "# TYPE "...)
 			b = append(b, namespace...)
-			b = append(b, spec.name...)
+			b = append(b, name...)
 			b = append(b, " counter\n"...)
 			b = append(b, namespace...)
-			b = append(b, spec.name...)
+			b = append(b, name...)
 			b = append(b, ' ')
-			b = strconv.AppendInt(b, spec.get(tot), 10)
+			b = strconv.AppendInt(b, k.Value(&tot), 10)
 			b = append(b, '\n')
 			for _, n := range nodes {
-				if v := spec.get(n.Counters); v != 0 {
+				if v := k.Value(&n.Counters); v != 0 {
 					b = append(b, namespace...)
-					b = append(b, spec.name...)
+					b = append(b, name...)
 					b = append(b, `{node="`...)
 					b = strconv.AppendInt(b, int64(n.ID), 10)
 					b = append(b, `"} `...)
@@ -235,29 +209,18 @@ func renderSnapshot(reg *obs.Registry, met *obs.Metrics) []byte {
 	return b
 }
 
+// appendCounters writes one counter block as a JSON object, keyed by the
+// counters' exported names in table order.
 func appendCounters(b []byte, c obs.Counters) []byte {
-	b = append(b, `{"msgs_sent":`...)
-	b = strconv.AppendInt(b, c.MsgsSent, 10)
-	b = append(b, `,"bytes_sent":`...)
-	b = strconv.AppendInt(b, c.BytesSent, 10)
-	b = append(b, `,"msgs_recv":`...)
-	b = strconv.AppendInt(b, c.MsgsRecv, 10)
-	b = append(b, `,"msgs_dropped":`...)
-	b = strconv.AppendInt(b, c.MsgsDrop, 10)
-	b = append(b, `,"probes_sent":`...)
-	b = strconv.AppendInt(b, c.ProbesSent, 10)
-	b = append(b, `,"probes_dropped":`...)
-	b = strconv.AppendInt(b, c.ProbesDropped, 10)
-	b = append(b, `,"probes_returned":`...)
-	b = strconv.AppendInt(b, c.ProbesReturned, 10)
-	b = append(b, `,"budget_spent":`...)
-	b = strconv.AppendInt(b, c.BudgetSpent, 10)
-	b = append(b, `,"probes_retx":`...)
-	b = strconv.AppendInt(b, c.ProbesRetx, 10)
-	b = append(b, `,"dht_hops":`...)
-	b = strconv.AppendInt(b, c.DHTHops, 10)
-	b = append(b, `,"faults":`...)
-	b = strconv.AppendInt(b, c.Faults, 10)
-	b = append(b, '}')
-	return b
+	b = append(b, '{')
+	for i, k := range obs.CounterTable {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, k.Name()...)
+		b = append(b, `":`...)
+		b = strconv.AppendInt(b, k.Value(&c), 10)
+	}
+	return append(b, '}')
 }

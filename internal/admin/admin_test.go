@@ -5,28 +5,27 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/p2p"
 )
 
+// testData gives node 3 the counter values 10, 20, 30, ... and node 5 the
+// values 1, 2, 3, ..., in NodeCounters field order, so counter i totals
+// 11*(i+1).
 func testData() (*obs.Registry, *obs.Metrics) {
 	reg := obs.NewRegistry()
-	c3 := reg.Node(3)
-	c3.MsgsSent.Store(10)
-	c3.BytesSent.Store(2048)
-	c3.ProbesSent.Store(4)
-	c5 := reg.Node(5)
-	c5.MsgsSent.Store(7)
-	c5.DHTHops.Store(2)
-	c5.DiscLookups.Store(9)
-	c5.DiscCacheHits.Store(4)
-	c5.DiscHinted.Store(6)
-	c3.DiscJoined.Store(8)
-	c5.DiscCarried.Store(5)
-	c5.DiscDelta.Store(1)
+	for id, scale := range map[p2p.NodeID]int64{3: 10, 5: 1} {
+		c := reflect.ValueOf(reg.Node(id)).Elem()
+		for i := 0; i < c.NumField(); i++ {
+			c.Field(i).Addr().Interface().(*atomic.Int64).Store(scale * int64(i+1))
+		}
+	}
 	met := obs.NewMetrics()
 	met.SetupLatency.ObserveDuration(40 * time.Millisecond)
 	met.SetupLatency.ObserveDuration(3 * time.Millisecond)
@@ -53,16 +52,18 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE spidernet_msgs_sent_total counter",
-		"spidernet_msgs_sent_total 17",
+		"spidernet_msgs_sent_total 11",
 		`spidernet_msgs_sent_total{node="3"} 10`,
-		`spidernet_msgs_sent_total{node="5"} 7`,
-		`spidernet_dht_hops_total{node="5"} 2`,
-		"spidernet_disc_lookups_total 9",
-		"spidernet_disc_cache_hits_total 4",
-		`spidernet_disc_hinted_total{node="5"} 6`,
-		"spidernet_disc_joined_total 8",
-		`spidernet_disc_carried_total{node="5"} 5`,
-		"spidernet_disc_delta_total 1",
+		`spidernet_msgs_sent_total{node="5"} 1`,
+		`spidernet_dht_hops_total{node="5"} 11`,
+		"spidernet_disc_lookups_total 132",
+		"spidernet_disc_cache_hits_total 143",
+		`spidernet_disc_hinted_total{node="5"} 14`,
+		"spidernet_disc_joined_total 165",
+		`spidernet_disc_carried_total{node="5"} 16`,
+		"spidernet_disc_delta_total 187",
+		"spidernet_probes_shed_total 110",
+		`spidernet_fed_aborts_total{node="3"} 210`,
 		"# TYPE spidernet_setup_latency_ms histogram",
 		"spidernet_setup_latency_ms_count 2",
 		"spidernet_setup_latency_ms_sum 43",
@@ -101,7 +102,7 @@ func TestMetricsNilSections(t *testing.T) {
 	}
 	reg, _ := testData()
 	body, _ = get(t, Handler(reg, nil), "/metrics")
-	if !strings.Contains(body, "spidernet_msgs_sent_total 17") ||
+	if !strings.Contains(body, "spidernet_msgs_sent_total 11") ||
 		strings.Contains(body, "histogram") {
 		t.Fatalf("reg-only exposition wrong:\n%s", body)
 	}
@@ -114,7 +115,7 @@ func TestSnapshotJSON(t *testing.T) {
 		t.Fatalf("content-type %q", ct)
 	}
 	for _, want := range []string{
-		`"totals":{"msgs_sent":17`,
+		`"totals":{"msgs_sent":11`,
 		`"3":{"msgs_sent":10`,
 		`"metrics":{"histograms":[`,
 		`"active_sessions":2`,

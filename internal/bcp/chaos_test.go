@@ -63,11 +63,11 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 		cfg.ProbeAckTimeout = 300 * time.Millisecond
 		cfg.ProbeRetries = 2
 	}
-	mem := &obs.MemSink{}
+	chk := obs.NewChecker()
 	reg := obs.NewRegistry()
 	c := cluster.New(cluster.Options{
 		Seed: seed, IPNodes: 150, Peers: nPeers, Catalog: cat,
-		BCP: cfg, Trace: mem, Obs: reg,
+		BCP: cfg, Trace: obs.TracerFunc(chk.Add), Obs: reg,
 	})
 	// Faults start after the registration warm-up so the DHT holds the full
 	// catalogue; a fresh per-run fault seed decorrelates the loss pattern
@@ -122,8 +122,7 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 		t.Errorf("seed=%d: no composition succeeded on a clean network", seed)
 	}
 
-	events := mem.Events()
-	for _, v := range obs.Check(events) {
+	for _, v := range chk.Finish() {
 		if loss == 0 && dup > 0 && v.Name == obs.VioProbeDoubleTerm {
 			// Without hardening nobody de-duplicates a copied probe: it is
 			// processed, and so terminates, once per copy.
@@ -131,7 +130,7 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 		}
 		t.Errorf("seed=%d loss=%g invariant: %s", seed, loss, v)
 	}
-	for _, v := range obs.CheckTotals(events, reg.Totals()) {
+	for _, v := range chk.Totals(reg.Totals()) {
 		t.Errorf("seed=%d loss=%g totals: %s", seed, loss, v)
 	}
 }

@@ -119,8 +119,8 @@ func randomRequest(c *cluster.Cluster, rng *rand.Rand, id uint64) (*service.Requ
 // close: on a loss-free wire, a request none of whose probes died collects
 // exactly TotalCredit and selects in the very event that collected its last
 // probe; a request that lost a probe stays short of the total and selects at
-// exactly the window bound. Either way the trace passes obs.Check, including
-// its complete-at-close invariant.
+// exactly the window bound. Either way the trace passes the obs.Checker,
+// including its complete-at-close invariant.
 func TestCreditConservedOnRandomGraphs(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -129,8 +129,8 @@ func TestCreditConservedOnRandomGraphs(t *testing.T) {
 	early, atBound := 0, 0
 	shapes := make(map[string]bool)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		mem := &obs.MemSink{}
-		c := cluster.New(cluster.Options{Seed: seed, IPNodes: 200, Peers: 40, Catalog: catalog(6), Trace: mem})
+		mem, chk := &obs.MemSink{}, obs.NewChecker()
+		c := cluster.New(cluster.Options{Seed: seed, IPNodes: 200, Peers: 40, Catalog: catalog(6), Trace: obs.MultiTracer{mem, obs.TracerFunc(chk.Add)}})
 		req, shape := randomRequest(c, rand.New(rand.NewSource(seed)), uint64(seed))
 		if req.FGraph == nil {
 			t.Fatalf("seed=%d %s: function graph did not build", seed, shape)
@@ -140,11 +140,10 @@ func TestCreditConservedOnRandomGraphs(t *testing.T) {
 		// enough that the closed collector is still around to inspect.
 		c.Sim.Run(c.Sim.Now() + 8*time.Second)
 
-		events := mem.Events()
-		for _, v := range obs.Check(events) {
+		for _, v := range chk.Finish() {
 			t.Errorf("seed=%d %s invariant: %s", seed, shape, v)
 		}
-		got := closeIn(events, req.ID)
+		got := closeIn(mem.Events(), req.ID)
 		credit, collecting := c.Peers[int(req.Dest)].Engine.CollectedCredit(req.ID)
 		if !collecting {
 			if got.returned != 0 {
@@ -218,8 +217,8 @@ func TestDroppedProbeClosesAtOldWindow(t *testing.T) {
 		t.Skip("all candidates have the same delay")
 	}
 
-	mem := &obs.MemSink{}
-	c, req := build(mem)
+	mem, chk := &obs.MemSink{}, obs.NewChecker()
+	c, req := build(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})
 	req.QoSReq[qos.Delay] = (lo + hi) / 2
 	out := compose(c, req)
 	got := closeIn(mem.Events(), req.ID)
@@ -237,7 +236,7 @@ func TestDroppedProbeClosesAtOldWindow(t *testing.T) {
 		t.Fatalf("ok=%v CollectPhase=%v, want a success that waited inside the %v window",
 			out.Ok, out.CollectPhase, window)
 	}
-	for _, v := range obs.Check(mem.Events()) {
+	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
 	}
 }

@@ -62,8 +62,8 @@ func TestProbesReachingOnePeerShareOneLookup(t *testing.T) {
 // it once, and on the second timeout every probe that waited on it dies there
 // with reason "discovery" — none hangs, none is lost from the accounting.
 func TestLookupTimeoutDropsEveryWaitingProbe(t *testing.T) {
-	mem := &obs.MemSink{}
-	c := cluster.New(cluster.Options{Seed: 7, Peers: 60, Catalog: catalog(8), Trace: mem})
+	mem, chk := &obs.MemSink{}, obs.NewChecker()
+	c := cluster.New(cluster.Options{Seed: 7, Peers: 60, Catalog: catalog(8), Trace: obs.MultiTracer{mem, obs.TracerFunc(chk.Add)}})
 	req := req3(c, 1, 24)
 	done := false
 	root := discoverThenLaunch(t, c, mem, req, func(bcp.Result) { done = true })
@@ -93,7 +93,7 @@ func TestLookupTimeoutDropsEveryWaitingProbe(t *testing.T) {
 		t.Fatalf("lookups failed at %d peers, probes died of it at %d, at most %d at one: want several on one lookup",
 			len(failed), len(dropped), most)
 	}
-	for _, v := range obs.Check(mem.Events()) {
+	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
 	}
 }

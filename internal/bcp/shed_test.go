@@ -76,8 +76,8 @@ func TestRequestIsNotShedAgainstItsOwnReservation(t *testing.T) {
 		t.Fatalf("collection waited out the window: %+v", got)
 	}
 
-	mem = &obs.MemSink{}
-	c = shedCluster(mem)
+	mem, chk := &obs.MemSink{}, obs.NewChecker()
+	c = shedCluster(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})
 	first, second := req3(c, 1, 24), req3(c, 2, 24)
 	second.Source, second.Dest = 2, 3
 	done := 0
@@ -89,7 +89,7 @@ func TestRequestIsNotShedAgainstItsOwnReservation(t *testing.T) {
 		t.Fatalf("%d of 2 compositions done, %d probes shed at components their request held, %d elsewhere; want 2, 0, > 0",
 			done, own, foreign)
 	}
-	for _, v := range obs.Check(mem.Events()) {
+	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
 	}
 }

@@ -23,16 +23,12 @@ import (
 func TestPartitionHealSoak(t *testing.T) {
 	const nPeers = 30
 	cat := catalog(6)
-	bcfg := bcp.DefaultConfig()
-	bcfg.ProbeAckTimeout = 300 * time.Millisecond
-	bcfg.ProbeRetries = 2
-	rc := recovery.DefaultConfig()
-	rc.MissedPongs = 3
-	mem := &obs.MemSink{}
+	bcfg, rc := cluster.Hardened(bcp.DefaultConfig(), recovery.DefaultConfig())
+	chk := obs.NewChecker()
 	reg := obs.NewRegistry()
 	c := cluster.New(cluster.Options{
 		Seed: 21, IPNodes: 200, Peers: nPeers, Catalog: cat,
-		BCP: bcfg, Recovery: &rc, Trace: mem, Obs: reg,
+		BCP: bcfg, Recovery: &rc, Trace: obs.TracerFunc(chk.Add), Obs: reg,
 	})
 
 	peers := make([]p2p.NodeID, nPeers)
@@ -97,11 +93,8 @@ func TestPartitionHealSoak(t *testing.T) {
 	checkDiscovery(t, c, cat)
 
 	// The trace must stay internally consistent through partition chaos.
-	for _, v := range obs.Check(mem.Events()) {
+	for _, v := range append(chk.Finish(), chk.Totals(reg.Totals())...) {
 		t.Errorf("invariant: %s", v)
-	}
-	for _, v := range obs.CheckTotals(mem.Events(), reg.Totals()) {
-		t.Errorf("totals: %s", v)
 	}
 }
 

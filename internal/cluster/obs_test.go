@@ -1,6 +1,8 @@
 package cluster_test
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -18,13 +20,20 @@ import (
 // equal the trace-derived counts, and the histograms must have observed
 // exactly as many values as the counters say happened.
 func TestObsTraceCounterConsistency(t *testing.T) {
-	mem := &obs.MemSink{}
+	chk := obs.NewChecker()
+	okDone := int64(0) // successful compositions, reactive re-compositions included
 	reg := obs.NewRegistry()
 	met := obs.NewMetrics()
 	rc := recovery.DefaultConfig()
 	c := cluster.New(cluster.Options{
 		Seed: 11, IPNodes: 400, Peers: 60, Catalog: catalog(8),
-		Recovery: &rc, Trace: mem, Obs: reg, Metrics: met,
+		Recovery: &rc, Obs: reg, Metrics: met,
+		Trace: obs.TracerFunc(func(ev obs.Event) {
+			chk.Add(ev)
+			if ev.Kind == obs.KindComposeDone && ev.Note == "ok" {
+				okDone++
+			}
+		}),
 	})
 	gen := workload.NewGenerator(workload.Config{
 		Catalog: catalog(8), Peers: 60, MinFuncs: 2, MaxFuncs: 3,
@@ -52,16 +61,12 @@ func TestObsTraceCounterConsistency(t *testing.T) {
 	})
 	c.Sim.Run(5 * time.Minute)
 
-	events := mem.Events()
-	if len(events) == 0 {
-		t.Fatal("no events traced")
-	}
-	for _, v := range obs.Check(events) {
-		t.Errorf("invariant: %s", v)
-	}
 	tot := reg.Totals()
-	for _, v := range obs.CheckTotals(events, tot) {
-		t.Errorf("totals: %s", v)
+	if tot.ProbesSent == 0 {
+		t.Fatal("no probes sent")
+	}
+	for _, v := range append(chk.Finish(), chk.Totals(tot)...) {
+		t.Errorf("invariant: %s", v)
 	}
 
 	// Histograms against counters: one observation per counted occurrence.
@@ -84,12 +89,6 @@ func TestObsTraceCounterConsistency(t *testing.T) {
 	// Setup latency is observed exactly once per successful composition
 	// (including reactive re-compositions, which emit their own
 	// compose.done).
-	okDone := int64(0)
-	for _, ev := range events {
-		if ev.Kind == obs.KindComposeDone && ev.Note == "ok" {
-			okDone++
-		}
-	}
 	if okDone == 0 {
 		t.Fatal("workload produced no successful composition")
 	}
@@ -98,6 +97,55 @@ func TestObsTraceCounterConsistency(t *testing.T) {
 	}
 	if n := met.DiscoveryLatency.Count(); n != okDone {
 		t.Errorf("DiscoveryLatency observed %d, trace has %d ok compositions", n, okDone)
+	}
+}
+
+// TestLiveCheckMatchesReplay: a Checker fed live as the run's tracer reports
+// exactly what one replaying the run's trace file reports — nothing on a
+// clean run, and the same counter mismatch when the totals are off by one.
+func TestLiveCheckMatchesReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl.gz")
+	tf, err := obs.CreateTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, reg := obs.NewChecker(), obs.NewRegistry()
+	rc := recovery.DefaultConfig()
+	c := cluster.New(cluster.Options{
+		Seed: 13, IPNodes: 300, Peers: 40, Catalog: catalog(6),
+		Recovery: &rc, Obs: reg, Trace: obs.MultiTracer{tf, obs.TracerFunc(live.Add)},
+	})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: catalog(6), Peers: 40, MinFuncs: 2, MaxFuncs: 3,
+		Budget: 10, DelayReqMin: 500, DelayReqMax: 2000,
+	}, c.Rng)
+	for i := 0; i < 10; i++ {
+		req := gen.Next()
+		c.Sim.Schedule(time.Duration(i)*2*time.Second, func() {
+			c.Peers[int(req.Source)].Engine.Compose(req, func(bcp.Result) {})
+		})
+	}
+	c.Sim.Run(2 * time.Minute)
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replay := obs.NewChecker()
+	if err := obs.StreamTrace(path, func(ev obs.Event) error { replay.Add(ev); return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	tot := reg.Totals()
+	off := tot
+	off.ProbesSent++
+	for name, tot := range map[string]obs.Counters{"clean": tot, "probes sent off by one": off} {
+		got := append(live.Finish(), live.Totals(tot)...)
+		want := append(replay.Finish(), replay.Totals(tot)...)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: live checker reports %v, replay %v", name, got, want)
+		}
+		if n := len(got); (name == "clean") != (n == 0) || n > 1 {
+			t.Errorf("%s: %d violations: %v", name, n, got)
+		}
 	}
 }
 

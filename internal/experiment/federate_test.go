@@ -71,10 +71,10 @@ func TestFederateHealthyCellsSucceed(t *testing.T) {
 	for _, sc := range federateTestConfig().Scenarios {
 		cfg := federateTestConfig()
 		cfg.Domains, cfg.Gateways, cfg.Scenarios = []int{2}, []int{1}, []string{sc}
-		sink := &obs.MemSink{}
-		cfg.Trace = sink
+		chk := obs.NewChecker()
+		cfg.Trace = obs.TracerFunc(chk.Add)
 		Federate(cfg)
-		for _, v := range obs.Check(sink.Events()) {
+		for _, v := range chk.Finish() {
 			t.Errorf("scenario %s invariant: %s", sc, v)
 		}
 	}

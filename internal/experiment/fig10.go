@@ -5,11 +5,14 @@ import (
 	"time"
 
 	"repro/internal/bcp"
+	"repro/internal/cluster"
 	"repro/internal/fgraph"
 	"repro/internal/livenet"
+	"repro/internal/media"
 	"repro/internal/metrics"
 	"repro/internal/p2p"
 	"repro/internal/qos"
+	"repro/internal/recovery"
 	"repro/internal/service"
 )
 
@@ -88,9 +91,7 @@ func Fig10(cfg Fig10Config) Fig10Result {
 	if cfg.Loss > 0 {
 		// Timer values are protocol time; the live runtime compresses them
 		// by the speedup like every other timer.
-		tbOpts.BCP = bcp.DefaultConfig()
-		tbOpts.BCP.ProbeAckTimeout = 300 * time.Millisecond
-		tbOpts.BCP.ProbeRetries = 2
+		tbOpts.BCP, _ = cluster.Hardened(bcp.DefaultConfig(), recovery.Config{})
 	}
 	tb := livenet.NewTestbed(tbOpts)
 	defer tb.Close()
@@ -161,7 +162,7 @@ func Fig10(cfg Fig10Config) Fig10Result {
 // replicas on the testbed; nil if impossible.
 func pickMediaFunctions(tb *livenet.Testbed, nf int, rng interface{ Perm(int) []int }) []string {
 	var avail []string
-	for _, f := range livenet.MediaFunctions {
+	for _, f := range media.Functions() {
 		if tb.Replicas(f) > 0 {
 			avail = append(avail, f)
 		}

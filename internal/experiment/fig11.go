@@ -7,6 +7,7 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/cluster"
 	"repro/internal/fgraph"
+	"repro/internal/media"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/p2p"
@@ -99,7 +100,7 @@ func fig11Point(cfg Fig11Config, budget int, tracer obs.Tracer) Fig11Point {
 		Seed:     cfg.Seed,
 		IPNodes:  cfg.IPNodes,
 		Peers:    cfg.Peers,
-		Catalog:  mediaCatalog(),
+		Catalog:  media.Functions(),
 		MinComps: 1,
 		MaxComps: 1,
 		Trace:    tracer,
@@ -170,13 +171,5 @@ func fig11Point(cfg Fig11Config, budget int, tracer obs.Tracer) Fig11Point {
 		SpiderNet:     spiderD.Mean(),
 		Optimal:       optimalD.Mean(),
 		OptimalProbes: optProbes,
-	}
-}
-
-// mediaCatalog returns the six prototype media function names.
-func mediaCatalog() []string {
-	return []string{
-		"weather-ticker", "stock-ticker", "upscale", "downscale",
-		"subimage", "requant",
 	}
 }

@@ -76,18 +76,22 @@ func orphanCount(c *cluster.Cluster) int {
 }
 
 // checkTrace asserts the obs invariants (including the 2PC lifecycle
-// invariant) over the recorded trace.
-func checkTrace(t *testing.T, mem *obs.MemSink) {
+// invariant) over the events chk was fed and, given the run's registry, the
+// counter totals against them.
+func checkTrace(t *testing.T, chk *obs.Checker, reg *obs.Registry) {
 	t.Helper()
-	for _, v := range obs.Check(mem.Events()) {
+	vs := chk.Finish()
+	if reg != nil {
+		vs = append(vs, chk.Totals(reg.Totals())...)
+	}
+	for _, v := range vs {
 		t.Errorf("invariant: %s", v)
 	}
 }
 
 func TestCrossDomainCommit(t *testing.T) {
-	mem := &obs.MemSink{}
-	reg := obs.NewRegistry()
-	c := fedCluster(21, 2, 1, mem, reg)
+	chk, reg := obs.NewChecker(), obs.NewRegistry()
+	c := fedCluster(21, 2, 1, obs.TracerFunc(chk.Add), reg)
 
 	// Catalogue homing is round-robin, so fn0 lives in domain 0 and fn1 in
 	// domain 1: this chain must cross the boundary.
@@ -124,15 +128,12 @@ func TestCrossDomainCommit(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d peers left holding reservations", n)
 	}
-	checkTrace(t, mem)
-	for _, v := range obs.CheckTotals(mem.Events(), reg.Totals()) {
-		t.Errorf("totals: %s", v)
-	}
+	checkTrace(t, chk, reg)
 }
 
 func TestSingleDomainStaysLocal(t *testing.T) {
-	mem := &obs.MemSink{}
-	c := fedCluster(22, 2, 1, mem, nil)
+	chk := obs.NewChecker()
+	c := fedCluster(22, 2, 1, obs.TracerFunc(chk.Add), nil)
 
 	// fn0 and fn2 both home in domain 0 (round-robin over 2 domains).
 	var got federation.Result
@@ -151,12 +152,12 @@ func TestSingleDomainStaysLocal(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d peers left holding reservations", n)
 	}
-	checkTrace(t, mem)
+	checkTrace(t, chk, nil)
 }
 
 func TestMissingFunctionFailsFast(t *testing.T) {
-	mem := &obs.MemSink{}
-	c := fedCluster(23, 2, 1, mem, nil)
+	chk := obs.NewChecker()
+	c := fedCluster(23, 2, 1, obs.TracerFunc(chk.Add), nil)
 
 	var got federation.Result
 	var done bool
@@ -179,7 +180,7 @@ func TestMissingFunctionFailsFast(t *testing.T) {
 	if led := c.Fed.TotalLedger(); led.Prepares != 0 {
 		t.Fatalf("failed split still prepared: %+v", led)
 	}
-	checkTrace(t, mem)
+	checkTrace(t, chk, nil)
 }
 
 // TestGatewayCrashPresumedAbort crashes the remote domain's gateway while
@@ -187,8 +188,8 @@ func TestMissingFunctionFailsFast(t *testing.T) {
 // its crash, every hold elsewhere resolves by presumed abort, and no alive
 // peer is left holding anything.
 func TestGatewayCrashPresumedAbort(t *testing.T) {
-	mem := &obs.MemSink{}
-	c := fedCluster(24, 2, 1, mem, nil)
+	chk := obs.NewChecker()
+	c := fedCluster(24, 2, 1, obs.TracerFunc(chk.Add), nil)
 	victim := c.Plan().Gateways(1)[0]
 
 	results := 0
@@ -211,15 +212,15 @@ func TestGatewayCrashPresumedAbort(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d alive peers left holding reservations", n)
 	}
-	checkTrace(t, mem)
+	checkTrace(t, chk, nil)
 }
 
 // TestPartitionDuringCommit cuts domain 0 off from the rest of the overlay
 // across the commit window, then heals it: in-flight protocol rounds resolve
 // by timeout on both sides and the drained cluster holds nothing.
 func TestPartitionDuringCommit(t *testing.T) {
-	mem := &obs.MemSink{}
-	c := fedCluster(25, 2, 1, mem, nil)
+	chk := obs.NewChecker()
+	c := fedCluster(25, 2, 1, obs.TracerFunc(chk.Add), nil)
 
 	for i := 0; i < 6; i++ {
 		id := uint64(30 + i)
@@ -240,15 +241,15 @@ func TestPartitionDuringCommit(t *testing.T) {
 	if n := c.Fed.OutstandingHolds(); n != 0 {
 		t.Fatalf("%d holds outstanding after heal", n)
 	}
-	checkTrace(t, mem)
+	checkTrace(t, chk, nil)
 }
 
 // TestCoordinatorCrashPresumedAbort kills the origin coordinator mid-window.
 // Clients fall back to their give-up timer; participant holds in the remote
 // domain expire; nothing leaks.
 func TestCoordinatorCrashPresumedAbort(t *testing.T) {
-	mem := &obs.MemSink{}
-	c := fedCluster(26, 2, 1, mem, nil)
+	chk := obs.NewChecker()
+	c := fedCluster(26, 2, 1, obs.TracerFunc(chk.Add), nil)
 	victim := c.Plan().Coordinator(0)
 
 	results := 0
@@ -271,16 +272,15 @@ func TestCoordinatorCrashPresumedAbort(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d alive peers left holding reservations", n)
 	}
-	checkTrace(t, mem)
+	checkTrace(t, chk, nil)
 }
 
 // TestLedgerMatchesTrace cross-checks the three federated telemetry planes on
 // a healthy multi-request run: gateway ledgers, trace events, and registry
 // counters must agree.
 func TestLedgerMatchesTrace(t *testing.T) {
-	mem := &obs.MemSink{}
-	reg := obs.NewRegistry()
-	c := fedCluster(27, 3, 2, mem, reg)
+	mem, chk, reg := &obs.MemSink{}, obs.NewChecker(), obs.NewRegistry()
+	c := fedCluster(27, 3, 2, obs.MultiTracer{mem, obs.TracerFunc(chk.Add)}, reg)
 
 	for i := 0; i < 8; i++ {
 		id := uint64(70 + i)
@@ -331,10 +331,7 @@ func TestLedgerMatchesTrace(t *testing.T) {
 		t.Errorf("domain ledgers %+v do not sum to total %+v", sum, led)
 	}
 
-	checkTrace(t, mem)
-	for _, v := range obs.CheckTotals(mem.Events(), reg.Totals()) {
-		t.Errorf("totals: %s", v)
-	}
+	checkTrace(t, chk, reg)
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d peers left holding reservations", n)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/fgraph"
+	"repro/internal/media"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -147,7 +148,7 @@ func TestTestbedComposeEndToEnd(t *testing.T) {
 
 	// Pick three functions that actually have replicas.
 	var fns []string
-	for _, f := range MediaFunctions {
+	for _, f := range media.Functions() {
 		if tb.Replicas(f) > 0 {
 			fns = append(fns, f)
 		}
@@ -187,7 +188,7 @@ func TestTestbedConcurrentCompositions(t *testing.T) {
 	tb := NewTestbed(TestbedOptions{Hosts: 40, Seed: 6, Speedup: 50})
 	defer tb.Close()
 	var fns []string
-	for _, f := range MediaFunctions {
+	for _, f := range media.Functions() {
 		if tb.Replicas(f) > 0 {
 			fns = append(fns, f)
 		}

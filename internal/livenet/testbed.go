@@ -16,13 +16,6 @@ import (
 	"repro/internal/topology"
 )
 
-// MediaFunctions are the six multimedia service functions of the paper's
-// prototype (§6.2), one of which is deployed on each testbed host.
-var MediaFunctions = []string{
-	"weather-ticker", "stock-ticker", "upscale", "downscale",
-	"subimage", "requant",
-}
-
 // TestbedOptions configures a live wide-area deployment.
 type TestbedOptions struct {
 	Hosts   int     // default 102, the paper's PlanetLab host count
@@ -92,7 +85,7 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 		opts.Speedup = 1
 	}
 	if opts.Catalog == nil {
-		opts.Catalog = MediaFunctions
+		opts.Catalog = media.Functions()
 	}
 	if opts.BCP == (bcp.Config{}) {
 		opts.BCP = bcp.DefaultConfig()

@@ -18,7 +18,7 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Name + ": " + v.Detail }
 
-// Violation names reported by Check/CheckTotals.
+// Violation names reported by the Checker.
 const (
 	VioProbeMissingPID   = "probe-missing-pid"
 	VioProbeDuplicatePID = "probe-duplicate-pid"
@@ -44,8 +44,22 @@ const (
 	VioRecProbeAfterDead   = "rec-probe-after-dead"
 )
 
-// Check replays a trace and verifies protocol invariants that must hold on
-// any complete run, regardless of seed, workload, or churn:
+type tally struct{ n, budget int64 }
+
+type emission struct {
+	req    uint64
+	ppid   uint64
+	budget int
+	peer   p2p.NodeID // the probed peer, which holds the probe once delivered
+	ts     time.Duration
+}
+
+// Checker verifies, one event at a time, the protocol invariants that must
+// hold on any complete run regardless of seed, workload, or churn: feed
+// events with Add as they are decoded or emitted (TracerFunc(c.Add) rides a
+// run as a sink), then call Finish for the verdict. Working state is
+// O(protocol units), not O(events), so multi-GB traces check in bounded
+// memory. The invariants:
 //
 //   - every emitted probe (probe.sent / probe.forwarded) carries a unique
 //     PID and resolves exactly one way: it dies with a probe.dropped
@@ -93,27 +107,14 @@ const (
 // Traces cut off mid-run (a simulator duration expiring with probes in
 // flight) can legitimately fail the conservation check; the seeded CI runs
 // are sized so all probing settles before the cutoff.
-func Check(events []Event) []Violation {
-	c := NewChecker()
-	for _, ev := range events {
-		c.Add(ev)
-	}
-	return c.Finish()
-}
-
-type emission struct {
-	req    uint64
-	ppid   uint64
-	budget int
-	peer   p2p.NodeID // the probed peer, which holds the probe once delivered
-	ts     time.Duration
-}
-
-// Checker is the streaming form of Check: feed events with Add as they are
-// decoded, then call Finish for the verdict. Working state is O(protocol
-// units), not O(events), so multi-GB traces check in bounded memory.
+//
+// Totals adds the cross-check between the two telemetry paths: the counters
+// the trace mirrors (CounterTable rows with event kinds) must equal what the
+// same run's events add up to.
 type Checker struct {
 	vs []Violation
+	// tallies counts the events of each kind and sums their Budget, for Totals.
+	tallies map[string]tally
 
 	emitted  map[uint64]emission
 	terms    map[uint64]int
@@ -151,6 +152,7 @@ type Checker struct {
 // NewChecker creates an empty streaming invariant checker.
 func NewChecker() *Checker {
 	return &Checker{
+		tallies:         make(map[string]tally),
 		emitted:         make(map[uint64]emission),
 		terms:           make(map[uint64]int),
 		children:        make(map[uint64]int),
@@ -174,6 +176,10 @@ func NewChecker() *Checker {
 // Add folds one event into the checker's state.
 func (c *Checker) Add(ev Event) {
 	c.last = max(c.last, ev.TS)
+	t := c.tallies[ev.Kind]
+	t.n++
+	t.budget += int64(ev.Budget)
+	c.tallies[ev.Kind] = t
 	switch ev.Kind {
 	case KindFedPrepare:
 		if c.fedPrepCount[ev.PID] == 0 {
@@ -307,25 +313,20 @@ func (c *Checker) Add(ev Event) {
 // returns every violation found, including those reported during Add.
 func (c *Checker) Finish() []Violation {
 	vs := c.vs
-	emitted, terms, children := c.emitted, c.terms, c.children
-	starts, dones, admitMin, estabs := c.starts, c.dones, c.admitMin, c.estabs
-	extraCopies, wireDrops, strayPIDs := c.extraCopies, c.wireDrops, c.strayPIDs
-	fedPrep, fedPrepCount := c.fedPrep, c.fedPrepCount
-	fedResolve, fedResolveCount := c.fedResolve, c.fedResolveCount
 
 	// Probe accounting, in pid order for deterministic reports.
-	pids := make([]uint64, 0, len(emitted))
-	for pid := range emitted {
+	pids := make([]uint64, 0, len(c.emitted))
+	for pid := range c.emitted {
 		pids = append(pids, pid)
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	for _, pid := range pids {
-		em := emitted[pid]
-		copies := 1 + extraCopies[pid]
-		drops := wireDrops[pid]
-		switch n := terms[pid]; {
+		em := c.emitted[pid]
+		copies := 1 + c.extraCopies[pid]
+		drops := c.wireDrops[pid]
+		switch n := c.terms[pid]; {
 		case n == 0:
-			if children[pid] == 0 && drops != copies && !(drops < copies && c.crashedSince(em.peer, em.ts)) {
+			if c.children[pid] == 0 && drops != copies && !(drops < copies && c.crashedSince(em.peer, em.ts)) {
 				// Exact conservation: an unaccounted probe must have lost
 				// every wire copy — no more, no fewer — or have been
 				// delivered to a peer that crashed while holding it.
@@ -336,14 +337,14 @@ func (c *Checker) Finish() []Violation {
 			vs = append(vs, Violation{VioProbeDoubleTerm,
 				fmt.Sprintf("pid=%d (req=%d) terminated %d times", pid, em.req, n)})
 		}
-		if (terms[pid] > 0 || children[pid] > 0) && drops >= copies {
+		if (c.terms[pid] > 0 || c.children[pid] > 0) && drops >= copies {
 			// The probe made progress, so at least one copy must have
 			// survived the wire.
 			vs = append(vs, Violation{VioProbeConservation,
 				fmt.Sprintf("pid=%d (req=%d) resolved but all %d wire copies dropped (%d drops)", pid, em.req, copies, drops)})
 		}
 		if em.ppid != 0 {
-			parent, ok := emitted[em.ppid]
+			parent, ok := c.emitted[em.ppid]
 			if !ok {
 				vs = append(vs, Violation{VioProbeUnknownPID,
 					fmt.Sprintf("pid=%d (req=%d) split from unknown parent pid=%d", pid, em.req, em.ppid)})
@@ -352,16 +353,16 @@ func (c *Checker) Finish() []Violation {
 					fmt.Sprintf("pid=%d budget=%d exceeds parent pid=%d budget=%d (req=%d)",
 						pid, em.budget, em.ppid, parent.budget, em.req)})
 			}
-		} else if st, ok := starts[em.req]; ok && st.Budget > 0 && em.budget > st.Budget {
+		} else if st, ok := c.starts[em.req]; ok && st.Budget > 0 && em.budget > st.Budget {
 			vs = append(vs, Violation{VioBudgetExceeded,
 				fmt.Sprintf("origin pid=%d budget=%d exceeds request budget=%d (req=%d)",
 					pid, em.budget, st.Budget, em.req)})
 		}
 	}
 	// Terminations of probes that were never emitted.
-	tpids := make([]uint64, 0, len(terms))
-	for pid := range terms {
-		if _, ok := emitted[pid]; !ok {
+	tpids := make([]uint64, 0, len(c.terms))
+	for pid := range c.terms {
+		if _, ok := c.emitted[pid]; !ok {
 			tpids = append(tpids, pid)
 		}
 	}
@@ -372,10 +373,10 @@ func (c *Checker) Finish() []Violation {
 	}
 	// Wire records (drops, faults, retransmits) naming probes that were
 	// never emitted — deduplicated, in pid order.
-	sort.Slice(strayPIDs, func(i, j int) bool { return strayPIDs[i] < strayPIDs[j] })
+	sort.Slice(c.strayPIDs, func(i, j int) bool { return c.strayPIDs[i] < c.strayPIDs[j] })
 	var lastStray uint64
-	for _, pid := range strayPIDs {
-		if _, ok := emitted[pid]; ok || pid == lastStray {
+	for _, pid := range c.strayPIDs {
+		if _, ok := c.emitted[pid]; ok || pid == lastStray {
 			continue
 		}
 		lastStray = pid
@@ -399,8 +400,8 @@ func (c *Checker) Finish() []Violation {
 
 	// Composition lifecycle.
 	doneSeen := make(map[uint64]bool)
-	for _, ev := range dones {
-		st, ok := starts[ev.Req]
+	for _, ev := range c.dones {
+		st, ok := c.starts[ev.Req]
 		switch {
 		case !ok:
 			vs = append(vs, Violation{VioDoneWithoutStart,
@@ -417,24 +418,24 @@ func (c *Checker) Finish() []Violation {
 	}
 
 	// Federation 2PC lifecycle, in sub-session PID order.
-	fedPIDs := make([]uint64, 0, len(fedPrep)+len(fedResolve))
-	for pid := range fedPrep {
+	fedPIDs := make([]uint64, 0, len(c.fedPrep)+len(c.fedResolve))
+	for pid := range c.fedPrep {
 		fedPIDs = append(fedPIDs, pid)
 	}
-	for pid := range fedResolve {
-		if _, ok := fedPrep[pid]; !ok {
+	for pid := range c.fedResolve {
+		if _, ok := c.fedPrep[pid]; !ok {
 			fedPIDs = append(fedPIDs, pid)
 		}
 	}
 	sort.Slice(fedPIDs, func(i, j int) bool { return fedPIDs[i] < fedPIDs[j] })
 	for _, pid := range fedPIDs {
-		prep, prepared := fedPrep[pid]
-		res, resolved := fedResolve[pid]
-		if n := fedPrepCount[pid]; n > 1 {
+		prep, prepared := c.fedPrep[pid]
+		res, resolved := c.fedResolve[pid]
+		if n := c.fedPrepCount[pid]; n > 1 {
 			vs = append(vs, Violation{VioFedDoublePrepare,
 				fmt.Sprintf("sub=%d (fed=%d) prepared %d times", pid, prep.Req, n)})
 		}
-		if n := fedResolveCount[pid]; n > 1 {
+		if n := c.fedResolveCount[pid]; n > 1 {
 			vs = append(vs, Violation{VioFedDoubleResolve,
 				fmt.Sprintf("sub=%d (fed=%d) resolved %d times", pid, res.Req, n)})
 		}
@@ -478,8 +479,8 @@ func (c *Checker) Finish() []Violation {
 	}
 
 	// Sessions admit before they establish.
-	for _, ev := range estabs {
-		t, ok := admitMin[ev.Req]
+	for _, ev := range c.estabs {
+		t, ok := c.admitMin[ev.Req]
 		if !ok {
 			vs = append(vs, Violation{VioEstabWithoutAdmit,
 				fmt.Sprintf("session.establish req=%d at t=%v with no session.admit", ev.Req, ev.TS)})
@@ -502,56 +503,28 @@ func (c *Checker) crashedSince(node p2p.NodeID, ts time.Duration) bool {
 	return false
 }
 
-// CheckTotals verifies that registry counter totals match the event counts
-// derivable from the same run's trace — the cross-consistency gate between
-// the two telemetry paths. Only counters whose producers are mirrored by a
-// trace emission are compared (message/byte counters have no per-event
-// trace records and are skipped).
-func CheckTotals(events []Event, tot Counters) []Violation {
-	var sent, dropped, returned, budget, retx, dhtHops, netDrops, faults int64
-	var fedPrepares, fedCommits, fedAborts int64
-	for _, ev := range events {
-		switch ev.Kind {
-		case KindProbeSent, KindProbeForwarded:
-			sent++
-			budget += int64(ev.Budget)
-		case KindProbeDropped:
-			dropped++
-		case KindProbeReturned:
-			returned++
-		case KindProbeRetx:
-			retx++
-		case KindDHTHop:
-			dhtHops++
-		case KindNetDrop:
-			netDrops++
-		case KindNetFault:
-			faults++
-		case KindFedPrepare:
-			fedPrepares++
-		case KindFedCommit:
-			fedCommits++
-		case KindFedAbort:
-			fedAborts++
-		}
-	}
+// Totals cross-checks a run's counter totals against the events added so
+// far: each counter with event kinds in CounterTable must equal the number of
+// those events (or the sum of their Budget). One counter-mismatch violation
+// per counter that differs.
+func (c *Checker) Totals(tot Counters) []Violation {
 	var vs []Violation
-	mismatch := func(what string, reg, trace int64) {
-		if reg != trace {
+	for _, k := range CounterTable {
+		if len(k.kinds) == 0 {
+			continue
+		}
+		var trace int64
+		for _, kind := range k.kinds {
+			if t := c.tallies[kind]; k.sum {
+				trace += t.budget
+			} else {
+				trace += t.n
+			}
+		}
+		if reg := k.Value(&tot); reg != trace {
 			vs = append(vs, Violation{VioCounterMismatch,
-				fmt.Sprintf("%s: registry=%d trace=%d", what, reg, trace)})
+				fmt.Sprintf("%s: registry=%d trace=%d", k.label, reg, trace)})
 		}
 	}
-	mismatch("probes sent", tot.ProbesSent, sent)
-	mismatch("probes dropped", tot.ProbesDropped, dropped)
-	mismatch("probes returned", tot.ProbesReturned, returned)
-	mismatch("probe budget spent", tot.BudgetSpent, budget)
-	mismatch("probe retransmits", tot.ProbesRetx, retx)
-	mismatch("dht hops", tot.DHTHops, dhtHops)
-	mismatch("messages dropped", tot.MsgsDrop, netDrops)
-	mismatch("faults injected", tot.Faults, faults)
-	mismatch("fed prepares", tot.FedPrepares, fedPrepares)
-	mismatch("fed commits", tot.FedCommits, fedCommits)
-	mismatch("fed aborts", tot.FedAborts, fedAborts)
 	return vs
 }

@@ -27,6 +27,15 @@ func cleanTrace() []Event {
 	}
 }
 
+// feed adds evs, in order, to a fresh Checker.
+func feed(evs []Event) *Checker {
+	c := NewChecker()
+	for _, ev := range evs {
+		c.Add(ev)
+	}
+	return c
+}
+
 func hasViolation(vs []Violation, name string) bool {
 	for _, v := range vs {
 		if v.Name == name {
@@ -37,7 +46,7 @@ func hasViolation(vs []Violation, name string) bool {
 }
 
 func TestCheckCleanTrace(t *testing.T) {
-	if vs := Check(cleanTrace()); len(vs) != 0 {
+	if vs := feed(cleanTrace()).Finish(); len(vs) != 0 {
 		t.Fatalf("clean trace flagged: %v", vs)
 	}
 }
@@ -143,7 +152,7 @@ func TestCheckNamedViolations(t *testing.T) {
 		}, VioProbeDuplicatePID},
 	}
 	for _, tc := range cases {
-		vs := Check(tc.corrupt(cleanTrace()))
+		vs := feed(tc.corrupt(cleanTrace())).Finish()
 		if !hasViolation(vs, tc.want) {
 			t.Errorf("%s: want violation %q, got %v", tc.name, tc.want, vs)
 		}
@@ -175,7 +184,7 @@ func faultTrace() []Event {
 }
 
 func TestCheckFaultTrace(t *testing.T) {
-	if vs := Check(faultTrace()); len(vs) != 0 {
+	if vs := feed(faultTrace()).Finish(); len(vs) != 0 {
 		t.Fatalf("fault trace flagged: %v", vs)
 	}
 }
@@ -233,7 +242,7 @@ func TestCheckFaultViolations(t *testing.T) {
 		}, VioProbeMissingPID},
 	}
 	for _, tc := range cases {
-		vs := Check(tc.corrupt(faultTrace()))
+		vs := feed(tc.corrupt(faultTrace())).Finish()
 		if !hasViolation(vs, tc.want) {
 			t.Errorf("%s: want violation %q, got %v", tc.name, tc.want, vs)
 		}
@@ -249,12 +258,12 @@ func TestCheckIgnoresNonProbeWireRecords(t *testing.T) {
 		NetFault(ms(9), 5, 6, FaultLoss, "recovery.ping", 64, 0),
 		NetDrop(ms(9), 5, 6, "recovery.ping", 64, 0),
 	)
-	if vs := Check(evs); len(vs) != 0 {
+	if vs := feed(evs).Finish(); len(vs) != 0 {
 		t.Fatalf("non-probe wire records flagged: %v", vs)
 	}
 }
 
-func TestCheckTotals(t *testing.T) {
+func TestCheckerTotals(t *testing.T) {
 	evs := cleanTrace()
 	good := Counters{
 		ProbesSent:     4,
@@ -266,19 +275,19 @@ func TestCheckTotals(t *testing.T) {
 		// Not trace-derivable; arbitrary values must not trip the check.
 		MsgsSent: 123, BytesSent: 456, MsgsRecv: 99,
 	}
-	if vs := CheckTotals(evs, good); len(vs) != 0 {
+	if vs := feed(evs).Totals(good); len(vs) != 0 {
 		t.Fatalf("consistent totals flagged: %v", vs)
 	}
 	bad := good
 	bad.ProbesSent = 7
 	bad.BudgetSpent = 1
-	vs := CheckTotals(evs, bad)
+	vs := feed(evs).Totals(bad)
 	if !hasViolation(vs, VioCounterMismatch) || len(vs) != 2 {
 		t.Fatalf("want 2 counter mismatches, got %v", vs)
 	}
 }
 
-func TestCheckTotalsFaults(t *testing.T) {
+func TestCheckerTotalsFaults(t *testing.T) {
 	evs := faultTrace()
 	good := Counters{
 		ProbesSent:     3,
@@ -288,13 +297,13 @@ func TestCheckTotalsFaults(t *testing.T) {
 		MsgsDrop:       1,
 		Faults:         4, // dup + loss + 2 partition kills
 	}
-	if vs := CheckTotals(evs, good); len(vs) != 0 {
+	if vs := feed(evs).Totals(good); len(vs) != 0 {
 		t.Fatalf("consistent fault totals flagged: %v", vs)
 	}
 	bad := good
 	bad.ProbesRetx = 0
 	bad.Faults = 9
-	vs := CheckTotals(evs, bad)
+	vs := feed(evs).Totals(bad)
 	if !hasViolation(vs, VioCounterMismatch) || len(vs) != 2 {
 		t.Fatalf("want 2 counter mismatches, got %v", vs)
 	}
@@ -315,7 +324,7 @@ func fedTrace() []Event {
 }
 
 func TestCheckFedLifecycle(t *testing.T) {
-	if vs := Check(fedTrace()); len(vs) != 0 {
+	if vs := feed(fedTrace()).Finish(); len(vs) != 0 {
 		t.Fatalf("clean 2PC trace flagged: %v", vs)
 	}
 }
@@ -353,7 +362,7 @@ func TestCheckFedViolations(t *testing.T) {
 		}, VioFedDomainMismatch},
 	}
 	for _, tc := range cases {
-		vs := Check(tc.corrupt(fedTrace()))
+		vs := feed(tc.corrupt(fedTrace())).Finish()
 		if !hasViolation(vs, tc.want) {
 			t.Errorf("%s: want %s, got %v", tc.name, tc.want, vs)
 		}
@@ -370,7 +379,7 @@ func TestCheckFedCrashExcusal(t *testing.T) {
 		FedPrepare(ms(1), 4, 9, sub, 0),
 		NodeDown(ms(3), 4),
 	}
-	if vs := Check(evs); len(vs) != 0 {
+	if vs := feed(evs).Finish(); len(vs) != 0 {
 		t.Fatalf("crash-excused prepare flagged: %v", vs)
 	}
 	// A crash BEFORE the prepare excuses nothing (the node was up when it
@@ -379,20 +388,20 @@ func TestCheckFedCrashExcusal(t *testing.T) {
 		NodeDown(0, 4),
 		FedPrepare(ms(1), 4, 9, sub, 0),
 	}
-	if vs := Check(early); !hasViolation(vs, VioFedUnresolved) {
+	if vs := feed(early).Finish(); !hasViolation(vs, VioFedUnresolved) {
 		t.Fatalf("pre-prepare crash excused the prepare: %v", vs)
 	}
 }
 
-func TestCheckTotalsFed(t *testing.T) {
+func TestCheckerTotalsFed(t *testing.T) {
 	evs := fedTrace()
 	good := Counters{FedPrepares: 2, FedCommits: 1, FedAborts: 1}
-	if vs := CheckTotals(evs, good); len(vs) != 0 {
+	if vs := feed(evs).Totals(good); len(vs) != 0 {
 		t.Fatalf("consistent fed totals flagged: %v", vs)
 	}
 	bad := good
 	bad.FedCommits = 5
-	if vs := CheckTotals(evs, bad); !hasViolation(vs, VioCounterMismatch) {
+	if vs := feed(evs).Totals(bad); !hasViolation(vs, VioCounterMismatch) {
 		t.Fatalf("fed counter drift not flagged: %v", vs)
 	}
 }
@@ -410,7 +419,7 @@ func TestCheckProbeCrashExcusal(t *testing.T) {
 			down,
 		}
 	}
-	if vs := Check(held(NodeDown(ms(2), 7))); len(vs) != 0 {
+	if vs := feed(held(NodeDown(ms(2), 7))).Finish(); len(vs) != 0 {
 		t.Fatalf("probe held by a crashed peer flagged: %v", vs)
 	}
 	for name, evs := range map[string][]Event{
@@ -423,7 +432,7 @@ func TestCheckProbeCrashExcusal(t *testing.T) {
 			NetDrop(ms(3), 3, 7, "bcp.probe", 136, 301),
 			NetDrop(ms(3), 3, 7, "bcp.probe", 136, 301)),
 	} {
-		if vs := Check(evs); !hasViolation(vs, VioProbeConservation) {
+		if vs := feed(evs).Finish(); !hasViolation(vs, VioProbeConservation) {
 			t.Errorf("%s: leaked probe excused: %v", name, vs)
 		}
 	}
@@ -447,7 +456,7 @@ func closeTrace() []Event {
 
 func TestCheckCompleteAtClose(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	if vs := Check(closeTrace()); len(vs) != 0 {
+	if vs := feed(closeTrace()).Finish(); len(vs) != 0 {
 		t.Fatalf("complete early close flagged: %v", vs)
 	}
 	// without returns evs minus the records drop matches.
@@ -463,14 +472,14 @@ func TestCheckCompleteAtClose(t *testing.T) {
 	missed := without(closeTrace(), func(ev Event) bool {
 		return ev.Kind == KindProbeCollected && ev.PID == 402
 	})
-	if vs := Check(missed); !hasViolation(vs, VioIncompleteClose) {
+	if vs := feed(missed).Finish(); !hasViolation(vs, VioIncompleteClose) {
 		t.Errorf("early close that missed a returned probe passed: %v", vs)
 	}
 	// The same gap is legitimate when the window timer decided (Dur 0): the
 	// report may have been lost, and the bound is what the paper specifies.
 	atBound := append([]Event(nil), missed...)
 	atBound[len(atBound)-1].Dur = 0
-	if vs := Check(atBound); len(vs) != 0 {
+	if vs := feed(atBound).Finish(); len(vs) != 0 {
 		t.Errorf("window-bound close flagged: %v", vs)
 	}
 	// ... and is excused when a probe copy of the request was duplicated on
@@ -478,20 +487,20 @@ func TestCheckCompleteAtClose(t *testing.T) {
 	minted := append(append([]Event(nil), missed[:2]...),
 		NetFault(ms(1), 3, 7, FaultDup, "bcp.probe", 136, 401))
 	minted = append(minted, missed[2:]...)
-	if vs := Check(minted); len(vs) != 0 {
+	if vs := feed(minted).Finish(); len(vs) != 0 {
 		t.Errorf("dup-minted request not excused: %v", vs)
 	}
 	late := append(closeTrace(),
 		ProbeSent(ms(1), 3, 45, 9, "fn1", "p9/fn1.2", 2, 0, 403, 0),
 		ProbeReturned(ms(6), 9, 45, 1, 1, 200, 403))
-	if vs := Check(late); !hasViolation(vs, VioIncompleteClose) {
+	if vs := feed(late).Finish(); !hasViolation(vs, VioIncompleteClose) {
 		t.Errorf("report after the early close passed: %v", vs)
 	}
 	after := append(closeTrace(),
 		ProbeSent(ms(1), 3, 45, 9, "fn1", "p9/fn1.2", 2, 0, 403, 0),
 		ProbeReturned(ms(6), 9, 45, 1, 1, 200, 403),
 		ProbeCollected(ms(7), 1, 45, 9, 1, 403))
-	if vs := Check(after); !hasViolation(vs, VioIncompleteClose) {
+	if vs := feed(after).Finish(); !hasViolation(vs, VioIncompleteClose) {
 		t.Errorf("collection after the early close passed: %v", vs)
 	}
 }
@@ -522,7 +531,7 @@ func recTrace() []Event {
 }
 
 func TestCheckRecLifecycle(t *testing.T) {
-	if vs := Check(recTrace()); len(vs) != 0 {
+	if vs := feed(recTrace()).Finish(); len(vs) != 0 {
 		t.Fatalf("clean recovery trace flagged: %v", vs)
 	}
 }
@@ -545,7 +554,7 @@ func TestCheckRecUnresolved(t *testing.T) {
 		"open at the next failure":   {evs[1], evs[2], evs[6], evs[8], evs[12]},
 		"source crashed before it":   append(evs, NodeDown(s(13), 3), NodeUp(s(13), 3), fail, at(14)),
 	} {
-		if vs := Check(bad); !hasViolation(vs, VioRecUnresolved) {
+		if vs := feed(bad).Finish(); !hasViolation(vs, VioRecUnresolved) {
 			t.Errorf("%s: want %s, got %v", name, VioRecUnresolved, vs)
 		}
 	}
@@ -554,7 +563,7 @@ func TestCheckRecUnresolved(t *testing.T) {
 		"cut inside a switchover": append(evs, fail, setup, at(16)),
 		"cut while re-composing":  append(append(append(evs, fail), redo...), at(60)),
 	} {
-		if vs := Check(good); len(vs) != 0 {
+		if vs := feed(good).Finish(); len(vs) != 0 {
 			t.Errorf("%s: open failure flagged: %v", name, vs)
 		}
 	}
@@ -570,7 +579,7 @@ func TestCheckRecResolveNoFailure(t *testing.T) {
 		"no failure at all":     {RecProbe(s(2), 3, 7, 5), RecOutcome(s(5), 3, 7, KindRecDead, 0)},
 		"another session's own": {RecFailure(s(4), 3, 7), RecOutcome(s(5), 4, 8, KindRecReactive, s(1)), RecOutcome(s(5), 3, 7, KindRecReactive, s(1))},
 	} {
-		if vs := Check(bad); !hasViolation(vs, VioRecResolveNoFailure) {
+		if vs := feed(bad).Finish(); !hasViolation(vs, VioRecResolveNoFailure) {
 			t.Errorf("%s: want %s, got %v", name, VioRecResolveNoFailure, vs)
 		}
 	}
@@ -579,7 +588,7 @@ func TestCheckRecResolveNoFailure(t *testing.T) {
 // TestCheckRecProbeAfterDead: a session given up on is never probed again.
 func TestCheckRecProbeAfterDead(t *testing.T) {
 	bad := append(recTrace(), RecProbe(14*time.Second, 4, 8, 9))
-	if vs := Check(bad); len(vs) != 1 || vs[0].Name != VioRecProbeAfterDead {
+	if vs := feed(bad).Finish(); len(vs) != 1 || vs[0].Name != VioRecProbeAfterDead {
 		t.Fatalf("want exactly %s, got %v", VioRecProbeAfterDead, vs)
 	}
 }

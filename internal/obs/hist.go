@@ -279,11 +279,6 @@ func (h *Histogram) AppendJSON(b []byte) []byte {
 	return b
 }
 
-// MarshalJSON implements json.Marshaler via AppendJSON.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return h.AppendJSON(nil), nil
-}
-
 func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
@@ -459,9 +454,4 @@ func (m *Metrics) AppendJSON(b []byte) []byte {
 	}
 	b = append(b, '}', '}')
 	return b
-}
-
-// MarshalJSON implements json.Marshaler via AppendJSON.
-func (m *Metrics) MarshalJSON() ([]byte, error) {
-	return m.AppendJSON(nil), nil
 }

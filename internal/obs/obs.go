@@ -146,6 +146,13 @@ type Tracer interface {
 	Emit(Event)
 }
 
+// TracerFunc adapts a function to Tracer, so a streaming consumer — a
+// Checker's or a span builder's Add — can ride a run as one of its sinks.
+type TracerFunc func(Event)
+
+// Emit calls f.
+func (f TracerFunc) Emit(ev Event) { f(ev) }
+
 // Typed event constructors. They only build the Event value; the caller
 // guards with `if tracer != nil` so the disabled path does no work.
 

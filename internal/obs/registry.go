@@ -45,29 +45,11 @@ type NodeCounters struct {
 
 // Snapshot reads every counter once and returns a plain copyable value.
 func (c *NodeCounters) Snapshot() Counters {
-	return Counters{
-		MsgsSent:       c.MsgsSent.Load(),
-		BytesSent:      c.BytesSent.Load(),
-		MsgsRecv:       c.MsgsRecv.Load(),
-		MsgsDrop:       c.MsgsDrop.Load(),
-		ProbesSent:     c.ProbesSent.Load(),
-		ProbesDropped:  c.ProbesDropped.Load(),
-		ProbesReturned: c.ProbesReturned.Load(),
-		BudgetSpent:    c.BudgetSpent.Load(),
-		ProbesRetx:     c.ProbesRetx.Load(),
-		ProbesShed:     c.ProbesShed.Load(),
-		DHTHops:        c.DHTHops.Load(),
-		DiscLookups:    c.DiscLookups.Load(),
-		DiscCacheHits:  c.DiscCacheHits.Load(),
-		DiscHinted:     c.DiscHinted.Load(),
-		DiscJoined:     c.DiscJoined.Load(),
-		DiscCarried:    c.DiscCarried.Load(),
-		DiscDelta:      c.DiscDelta.Load(),
-		Faults:         c.Faults.Load(),
-		FedPrepares:    c.FedPrepares.Load(),
-		FedCommits:     c.FedCommits.Load(),
-		FedAborts:      c.FedAborts.Load(),
+	var s Counters
+	for _, k := range CounterTable {
+		*k.get(&s) = k.node(c).Load()
 	}
+	return s
 }
 
 // Counters is a plain snapshot of a NodeCounters block (or a sum of them).
@@ -101,29 +83,87 @@ type Counters struct {
 	FedAborts   int64
 }
 
+// CounterSpec is one row of CounterTable: a counter's exported name, the
+// label it reports under, its help text and, for the counters the trace
+// mirrors, the event kinds behind it.
+type CounterSpec struct {
+	name  string // /snapshot key; with "_total" appended, the /metrics name
+	label string // Registry.Table row and counter-mismatch label
+	help  string // /metrics HELP text
+	col   string // PerNodeTable column, empty if the table leaves it out
+	// kinds are the trace events that mirror the counter (none: the trace
+	// has no per-event record of it); sum says the counter adds up their
+	// Budget instead of counting them.
+	kinds []string
+	sum   bool
+	node  func(*NodeCounters) *atomic.Int64
+	get   func(*Counters) *int64
+}
+
+// Name returns the counter's exported name.
+func (k CounterSpec) Name() string { return k.name }
+
+// Help returns the counter's one-line description.
+func (k CounterSpec) Help() string { return k.help }
+
+// Value returns the counter's value in c.
+func (k CounterSpec) Value(c *Counters) int64 { return *k.get(c) }
+
+// CounterTable declares the counter set once, in struct order. Snapshot,
+// Counters.Add, Registry.Merge, Registry.Table and PerNodeTable, the admin
+// endpoint's /metrics and /snapshot and the Checker's cross-check all loop
+// over it, so a counter added to the two structs and here is reported
+// everywhere.
+var CounterTable = []CounterSpec{
+	{name: "msgs_sent", col: "msgs", label: "messages sent", help: "Messages put on the wire.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.MsgsSent }, get: func(c *Counters) *int64 { return &c.MsgsSent }},
+	{name: "bytes_sent", col: "bytes", label: "bytes sent", help: "Approximate wire bytes sent.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.BytesSent }, get: func(c *Counters) *int64 { return &c.BytesSent }},
+	{name: "msgs_recv", col: "recv", label: "messages delivered", help: "Messages delivered.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.MsgsRecv }, get: func(c *Counters) *int64 { return &c.MsgsRecv }},
+	{name: "msgs_dropped", label: "messages dropped", help: "Messages dropped by the network.", kinds: []string{KindNetDrop},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.MsgsDrop }, get: func(c *Counters) *int64 { return &c.MsgsDrop }},
+	{name: "probes_sent", col: "probes", label: "probes sent", help: "BCP probes emitted (origin + forwards).", kinds: []string{KindProbeSent, KindProbeForwarded},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesSent }, get: func(c *Counters) *int64 { return &c.ProbesSent }},
+	{name: "probes_dropped", col: "dropped", label: "probes dropped", help: "BCP probes killed by QoS/resource/link checks.", kinds: []string{KindProbeDropped},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesDropped }, get: func(c *Counters) *int64 { return &c.ProbesDropped }},
+	{name: "probes_returned", col: "returned", label: "probes returned", help: "BCP probes that completed and reported.", kinds: []string{KindProbeReturned},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesReturned }, get: func(c *Counters) *int64 { return &c.ProbesReturned }},
+	{name: "probe_budget_spent", label: "probe budget spent", help: "Probing budget carried by emitted probes.", kinds: []string{KindProbeSent, KindProbeForwarded}, sum: true,
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.BudgetSpent }, get: func(c *Counters) *int64 { return &c.BudgetSpent }},
+	{name: "probe_retransmits", label: "probe retransmits", help: "Per-hop probe retransmits (same PID, no budget).", kinds: []string{KindProbeRetx},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesRetx }, get: func(c *Counters) *int64 { return &c.ProbesRetx }},
+	{name: "probes_shed", label: "probes shed", help: "BCP probes declined by overload shedding.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesShed }, get: func(c *Counters) *int64 { return &c.ProbesShed }},
+	{name: "dht_hops", col: "dht-hops", label: "dht hops", help: "DHT messages forwarded.", kinds: []string{KindDHTHop},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DHTHops }, get: func(c *Counters) *int64 { return &c.DHTHops }},
+	{name: "disc_lookups", label: "discovery lookups", help: "Discovery lookups issued (cache misses).",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscLookups }, get: func(c *Counters) *int64 { return &c.DiscLookups }},
+	{name: "disc_cache_hits", label: "discovery cache hits", help: "Duplicate lists served from the discovery cache.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscCacheHits }, get: func(c *Counters) *int64 { return &c.DiscCacheHits }},
+	{name: "disc_hinted", label: "discovery lookups hinted", help: "Discovery lookups handed straight to a hinted peer.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscHinted }, get: func(c *Counters) *int64 { return &c.DiscHinted }},
+	{name: "disc_joined", label: "discovery lookups joined", help: "Cache misses that waited on a lookup already in flight.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscJoined }, get: func(c *Counters) *int64 { return &c.DiscJoined }},
+	{name: "disc_carried", label: "discovery lists carried", help: "Duplicate lists installed from a source's probe.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscCarried }, get: func(c *Counters) *int64 { return &c.DiscCarried }},
+	{name: "disc_delta", label: "discovery lookups delta", help: "Discovery lookups answered with only the new items.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscDelta }, get: func(c *Counters) *int64 { return &c.DiscDelta }},
+	{name: "faults_injected", label: "faults injected", help: "Injected network faults on sent messages.", kinds: []string{KindNetFault},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.Faults }, get: func(c *Counters) *int64 { return &c.Faults }},
+	{name: "fed_prepares", label: "fed prepares", help: "Federation holds prepared by gateways.", kinds: []string{KindFedPrepare},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.FedPrepares }, get: func(c *Counters) *int64 { return &c.FedPrepares }},
+	{name: "fed_commits", label: "fed commits", help: "Federation holds promoted to committed sessions.", kinds: []string{KindFedCommit},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.FedCommits }, get: func(c *Counters) *int64 { return &c.FedCommits }},
+	{name: "fed_aborts", label: "fed aborts", help: "Federation holds released (explicit abort or expiry).", kinds: []string{KindFedAbort},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.FedAborts }, get: func(c *Counters) *int64 { return &c.FedAborts }},
+}
+
 // Add accumulates o into c.
 func (c *Counters) Add(o Counters) {
-	c.MsgsSent += o.MsgsSent
-	c.BytesSent += o.BytesSent
-	c.MsgsRecv += o.MsgsRecv
-	c.MsgsDrop += o.MsgsDrop
-	c.ProbesSent += o.ProbesSent
-	c.ProbesDropped += o.ProbesDropped
-	c.ProbesReturned += o.ProbesReturned
-	c.BudgetSpent += o.BudgetSpent
-	c.ProbesRetx += o.ProbesRetx
-	c.ProbesShed += o.ProbesShed
-	c.DHTHops += o.DHTHops
-	c.DiscLookups += o.DiscLookups
-	c.DiscCacheHits += o.DiscCacheHits
-	c.DiscHinted += o.DiscHinted
-	c.DiscJoined += o.DiscJoined
-	c.DiscCarried += o.DiscCarried
-	c.DiscDelta += o.DiscDelta
-	c.Faults += o.Faults
-	c.FedPrepares += o.FedPrepares
-	c.FedCommits += o.FedCommits
-	c.FedAborts += o.FedAborts
+	for _, k := range CounterTable {
+		*k.get(c) += *k.get(&o)
+	}
 }
 
 // Registry hands out per-node counter blocks and rolls them up into the
@@ -159,35 +199,10 @@ func (r *Registry) Node(id p2p.NodeID) *NodeCounters {
 func (r *Registry) Merge(o *Registry) {
 	for _, s := range o.Snapshot() {
 		c := r.Node(s.ID)
-		c.MsgsSent.Add(s.MsgsSent)
-		c.BytesSent.Add(s.BytesSent)
-		c.MsgsRecv.Add(s.MsgsRecv)
-		c.MsgsDrop.Add(s.MsgsDrop)
-		c.ProbesSent.Add(s.ProbesSent)
-		c.ProbesDropped.Add(s.ProbesDropped)
-		c.ProbesReturned.Add(s.ProbesReturned)
-		c.BudgetSpent.Add(s.BudgetSpent)
-		c.ProbesRetx.Add(s.ProbesRetx)
-		c.ProbesShed.Add(s.ProbesShed)
-		c.DHTHops.Add(s.DHTHops)
-		c.DiscLookups.Add(s.DiscLookups)
-		c.DiscCacheHits.Add(s.DiscCacheHits)
-		c.DiscHinted.Add(s.DiscHinted)
-		c.DiscJoined.Add(s.DiscJoined)
-		c.DiscCarried.Add(s.DiscCarried)
-		c.DiscDelta.Add(s.DiscDelta)
-		c.Faults.Add(s.Faults)
-		c.FedPrepares.Add(s.FedPrepares)
-		c.FedCommits.Add(s.FedCommits)
-		c.FedAborts.Add(s.FedAborts)
+		for _, k := range CounterTable {
+			k.node(c).Add(k.Value(&s.Counters))
+		}
 	}
-}
-
-// NumNodes returns how many nodes have counter blocks.
-func (r *Registry) NumNodes() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.nodes)
 }
 
 // Totals sums a snapshot of every node's counters.
@@ -225,59 +240,38 @@ func (r *Registry) Snapshot() []NodeSnapshot {
 func (r *Registry) Table(title string) *metrics.Table {
 	t := metrics.NewTable(title, "counter", "total")
 	tot := r.Totals()
-	t.AddRow("messages sent", tot.MsgsSent)
-	t.AddRow("bytes sent", tot.BytesSent)
-	t.AddRow("messages delivered", tot.MsgsRecv)
-	t.AddRow("messages dropped", tot.MsgsDrop)
-	t.AddRow("probes sent", tot.ProbesSent)
-	t.AddRow("probes dropped", tot.ProbesDropped)
-	t.AddRow("probes returned", tot.ProbesReturned)
-	t.AddRow("probe budget spent", tot.BudgetSpent)
-	t.AddRow("probe retransmits", tot.ProbesRetx)
-	t.AddRow("probes shed", tot.ProbesShed)
-	t.AddRow("dht hops", tot.DHTHops)
-	t.AddRow("discovery lookups", tot.DiscLookups)
-	t.AddRow("discovery cache hits", tot.DiscCacheHits)
-	t.AddRow("discovery lookups hinted", tot.DiscHinted)
-	t.AddRow("discovery lookups joined", tot.DiscJoined)
-	t.AddRow("discovery lists carried", tot.DiscCarried)
-	t.AddRow("discovery lookups delta", tot.DiscDelta)
-	t.AddRow("faults injected", tot.Faults)
-	if tot.FedPrepares != 0 || tot.FedCommits != 0 || tot.FedAborts != 0 {
-		t.AddRow("fed prepares", tot.FedPrepares)
-		t.AddRow("fed commits", tot.FedCommits)
-		t.AddRow("fed aborts", tot.FedAborts)
+	for _, k := range CounterTable {
+		t.AddRow(k.label, k.Value(&tot))
 	}
 	return t
 }
 
-// PerNodeTable lists the top busiest nodes by messages sent (all of them if
-// top <= 0), for spotting hot spots. Rows are ordered by traffic, ties by
-// node ID, so the table is deterministic.
+// PerNodeTable lists the top busiest nodes by messages sent, the table's
+// first counter (all of them if top <= 0), for spotting hot spots. Rows are
+// ordered by traffic, ties by node ID, so the table is deterministic.
 func (r *Registry) PerNodeTable(title string, top int) *metrics.Table {
-	r.mu.Lock()
-	type row struct {
-		id p2p.NodeID
-		c  Counters
-	}
-	rows := make([]row, 0, len(r.nodes))
-	for id, c := range r.nodes {
-		rows = append(rows, row{id, c.Snapshot()})
-	}
-	r.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].c.MsgsSent != rows[j].c.MsgsSent {
-			return rows[i].c.MsgsSent > rows[j].c.MsgsSent
-		}
-		return rows[i].id < rows[j].id
+	rows, msgs := r.Snapshot(), CounterTable[0]
+	sort.SliceStable(rows, func(i, j int) bool {
+		return msgs.Value(&rows[i].Counters) > msgs.Value(&rows[j].Counters)
 	})
 	if top > 0 && len(rows) > top {
 		rows = rows[:top]
 	}
-	t := metrics.NewTable(title, "node", "msgs", "bytes", "recv", "probes", "dropped", "returned", "dht-hops")
+	cols := []string{"node"}
+	for _, k := range CounterTable {
+		if k.col != "" {
+			cols = append(cols, k.col)
+		}
+	}
+	t := metrics.NewTable(title, cols...)
 	for _, r := range rows {
-		t.AddRow(int(r.id), r.c.MsgsSent, r.c.BytesSent, r.c.MsgsRecv,
-			r.c.ProbesSent, r.c.ProbesDropped, r.c.ProbesReturned, r.c.DHTHops)
+		cells := []any{int(r.ID)}
+		for _, k := range CounterTable {
+			if k.col != "" {
+				cells = append(cells, k.Value(&r.Counters))
+			}
+		}
+		t.AddRow(cells...)
 	}
 	return t
 }

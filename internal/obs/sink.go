@@ -147,13 +147,6 @@ func (m *MemSink) Events() []Event {
 	return append([]Event(nil), m.events...)
 }
 
-// Len returns the number of collected events.
-func (m *MemSink) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.events)
-}
-
 // MultiTracer fans one event out to several sinks (e.g. a file trace and an
 // in-memory summary at once).
 type MultiTracer []Tracer
@@ -189,18 +182,4 @@ func ScanTrace(r io.Reader, fn func(Event) error) error {
 		}
 	}
 	return sc.Err()
-}
-
-// ReadTrace parses a JSONL trace back into a buffered event slice. Prefer
-// ScanTrace for anything that might see a large trace.
-func ReadTrace(r io.Reader) ([]Event, error) {
-	var out []Event
-	err := ScanTrace(r, func(ev Event) error {
-		out = append(out, ev)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

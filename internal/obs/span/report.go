@@ -60,10 +60,11 @@ func Summary(f *Forest, title string) *metrics.Table {
 	return t
 }
 
-// PhaseTotals aggregates phase partitions over many requests.
+// PhaseTotals aggregates phase partitions over many requests: the summed
+// Phases (whose Named, Total and Attribution it inherits) and the count.
 type PhaseTotals struct {
-	Discovery, Probe, Collect, Commit, Wait time.Duration
-	Reqs                                    int
+	Phases
+	Reqs int
 }
 
 func (p *PhaseTotals) add(q Phases) {
@@ -73,22 +74,6 @@ func (p *PhaseTotals) add(q Phases) {
 	p.Commit += q.Commit
 	p.Wait += q.Wait
 	p.Reqs++
-}
-
-// Named returns the aggregate time claimed by named phases.
-func (p PhaseTotals) Named() time.Duration {
-	return p.Discovery + p.Probe + p.Collect + p.Commit
-}
-
-// Total returns the aggregate wall time.
-func (p PhaseTotals) Total() time.Duration { return p.Named() + p.Wait }
-
-// Attribution is the fraction of aggregate wall time in named phases.
-func (p PhaseTotals) Attribution() float64 {
-	if p.Total() == 0 {
-		return 1
-	}
-	return float64(p.Named()) / float64(p.Total())
 }
 
 // Totals aggregates every tree's phase partition (including federated

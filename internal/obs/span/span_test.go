@@ -269,8 +269,8 @@ func TestFederationLinking(t *testing.T) {
 }
 
 func TestStreamingMatchesBuffered(t *testing.T) {
-	evs, err := obs.LoadTrace(goldenTrace)
-	if err != nil {
+	var evs []obs.Event
+	if err := obs.StreamTrace(goldenTrace, func(ev obs.Event) error { evs = append(evs, ev); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	buffered := NewBuilder()

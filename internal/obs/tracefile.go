@@ -71,17 +71,6 @@ func OpenTrace(path string) (io.ReadCloser, error) {
 	return &traceReader{r: br, closers: []io.Closer{f}}, nil
 }
 
-// LoadTrace reads all events from a (possibly gzipped) trace file. Prefer
-// StreamTrace for consumers that can fold events as they arrive.
-func LoadTrace(path string) ([]Event, error) {
-	rc, err := OpenTrace(path)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	return ReadTrace(rc)
-}
-
 // StreamTrace decodes a (possibly gzipped) trace file one event at a time,
 // calling fn for each — the constant-memory path for multi-GB sweep traces.
 func StreamTrace(path string, fn func(Event) error) error {

@@ -24,13 +24,20 @@ func writeTraceFile(t *testing.T, path string, evs []Event) {
 	}
 }
 
+// readTrace streams a trace file into a slice.
+func readTrace(path string) ([]Event, error) {
+	var evs []Event
+	err := StreamTrace(path, func(ev Event) error { evs = append(evs, ev); return nil })
+	return evs, err
+}
+
 func TestTraceFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	evs := sampleEvents()
 	for _, name := range []string{"plain.jsonl", "packed.jsonl.gz"} {
 		path := filepath.Join(dir, name)
 		writeTraceFile(t, path, evs)
-		got, err := LoadTrace(path)
+		got, err := readTrace(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -71,7 +78,7 @@ func TestOpenTraceSniffsRenamedGzip(t *testing.T) {
 	if err := os.Rename(gz, renamed); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadTrace(renamed)
+	got, err := readTrace(renamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func TestOpenTraceSniffsRenamedGzip(t *testing.T) {
 }
 
 func TestOpenTraceMissingFile(t *testing.T) {
-	if _, err := LoadTrace(filepath.Join(t.TempDir(), "nope.jsonl")); err == nil {
+	if _, err := readTrace(filepath.Join(t.TempDir(), "nope.jsonl")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

@@ -115,12 +115,15 @@ echo "== scale1m slice gate (build ceilings + heap budget + rerun determinism)"
 go test -run 'TestScale1mSlice' -count=1 ./internal/experiment/
 
 # Trace gate: the same seed must produce byte-identical JSONL traces, the
-# traces must satisfy the protocol invariants (spidersim -check), and the
-# gzip trace path must round-trip to the same events.
+# traces must satisfy the protocol invariants (spidertrace check on each
+# file and on the committed golden trace; spidersim -check on a run, which
+# also holds the counters to the events), and the gzip trace path must
+# round-trip to the same events.
 echo "== trace determinism + invariant gate"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/spidersim" ./cmd/spidersim
+go build -o "$tmp/spidertrace" ./cmd/spidertrace
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -trace "$tmp/a.jsonl" > /dev/null
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
@@ -129,7 +132,9 @@ cmp "$tmp/a.jsonl" "$tmp/b.jsonl"
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -trace "$tmp/c.jsonl.gz" > /dev/null
 gunzip -c "$tmp/c.jsonl.gz" | cmp - "$tmp/a.jsonl"
-"$tmp/spidersim" -check "$tmp/a.jsonl" "$tmp/c.jsonl.gz"
+"$tmp/spidertrace" check "$tmp/a.jsonl"
+"$tmp/spidertrace" check "$tmp/c.jsonl.gz"
+"$tmp/spidertrace" check testdata/golden_trace.jsonl.gz
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -check > /dev/null
 
@@ -139,7 +144,6 @@ gunzip -c "$tmp/c.jsonl.gz" | cmp - "$tmp/a.jsonl"
 # either the span builder changed (regenerate testdata/golden_spans.txt with
 # the command below) or nondeterminism crept into tree construction.
 echo "== span determinism gate"
-go build -o "$tmp/spidertrace" ./cmd/spidertrace
 for cmd in summary phases critical; do
     "$tmp/spidertrace" "$cmd" "$tmp/a.jsonl" > "$tmp/span1.$cmd.txt"
     "$tmp/spidertrace" "$cmd" "$tmp/a.jsonl" > "$tmp/span2.$cmd.txt"
