@@ -55,15 +55,16 @@ func TestMetricsExposition(t *testing.T) {
 		"spidernet_msgs_sent_total 11",
 		`spidernet_msgs_sent_total{node="3"} 10`,
 		`spidernet_msgs_sent_total{node="5"} 1`,
-		`spidernet_dht_hops_total{node="5"} 11`,
-		"spidernet_disc_lookups_total 132",
-		"spidernet_disc_cache_hits_total 143",
-		`spidernet_disc_hinted_total{node="5"} 14`,
-		"spidernet_disc_joined_total 165",
-		`spidernet_disc_carried_total{node="5"} 16`,
-		"spidernet_disc_delta_total 187",
-		"spidernet_probes_shed_total 110",
-		`spidernet_fed_aborts_total{node="3"} 210`,
+		`spidernet_dht_hops_total{node="5"} 12`,
+		"spidernet_disc_lookups_total 143",
+		"spidernet_disc_cache_hits_total 154",
+		`spidernet_disc_hinted_total{node="5"} 15`,
+		"spidernet_disc_joined_total 176",
+		`spidernet_disc_carried_total{node="5"} 17`,
+		"spidernet_disc_delta_total 198",
+		"spidernet_probes_credited_total 88",
+		"spidernet_probes_shed_total 121",
+		`spidernet_fed_aborts_total{node="3"} 220`,
 		"# TYPE spidernet_setup_latency_ms histogram",
 		"spidernet_setup_latency_ms_count 2",
 		"spidernet_setup_latency_ms_sum 43",

@@ -3,6 +3,7 @@ package bcp_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -11,14 +12,17 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fgraph"
 	"repro/internal/obs"
+	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
+	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
 // Tests for the termination-credit collect window: the destination closes
-// collection the moment every live probe has reported, and the paper's
-// window timer stays as the bound for requests that lost a probe.
+// collection the moment every probe has reported or returned its credit
+// from where it died, and the paper's window timer stays as the bound for
+// requests that lost a report or a credit on the wire.
 
 // collectWindow is the window bound the default configuration gives req.
 func collectWindow(req *service.Request) time.Duration {
@@ -28,17 +32,20 @@ func collectWindow(req *service.Request) time.Duration {
 
 // closeOf summarises the destination side of one request's trace.
 type closeOf struct {
-	dropped, returned, collected int
-	firstCollected               time.Duration
-	selectDone                   *obs.Event
+	dropped, returned, collected, credited int
+	// first and last are when the destination accounted for its first and
+	// last probe, by report or by credit.
+	first, last time.Duration
+	selectDone  *obs.Event
 	// sameEvent is true when select.done directly follows the request's last
-	// probe.collected in the trace, at the same instant on the same node.
+	// probe.collected or probe.credited in the trace, at the same instant on
+	// the same node.
 	sameEvent bool
 }
 
 func closeIn(events []obs.Event, req uint64) closeOf {
 	var c closeOf
-	lastCollected := -1
+	lastAccounted := -1
 	for i := range events {
 		ev := &events[i]
 		if ev.Req != req {
@@ -49,16 +56,20 @@ func closeIn(events []obs.Event, req uint64) closeOf {
 			c.dropped++
 		case obs.KindProbeReturned:
 			c.returned++
-		case obs.KindProbeCollected:
-			if c.collected == 0 {
-				c.firstCollected = ev.TS
+		case obs.KindProbeCollected, obs.KindProbeCredited:
+			if lastAccounted < 0 {
+				c.first = ev.TS
 			}
-			c.collected++
-			lastCollected = i
+			if ev.Kind == obs.KindProbeCollected {
+				c.collected++
+			} else {
+				c.credited++
+			}
+			c.last, lastAccounted = ev.TS, i
 		case obs.KindSelectDone:
 			c.selectDone = ev
-			c.sameEvent = lastCollected == i-1 &&
-				events[lastCollected].TS == ev.TS && events[lastCollected].Node == ev.Node
+			c.sameEvent = lastAccounted == i-1 &&
+				events[lastAccounted].TS == ev.TS && events[lastAccounted].Node == ev.Node
 		}
 	}
 	return c
@@ -116,17 +127,18 @@ func randomRequest(c *cluster.Cluster, rng *rand.Rand, id uint64) (*service.Requ
 }
 
 // TestCreditConservedOnRandomGraphs is the protocol property behind the early
-// close: on a loss-free wire, a request none of whose probes died collects
-// exactly TotalCredit and selects in the very event that collected its last
-// probe; a request that lost a probe stays short of the total and selects at
-// exactly the window bound. Either way the trace passes the obs.Checker,
-// including its complete-at-close invariant.
+// close: on a loss-free wire the credit of a request's reports and of its dead
+// probes adds up to exactly TotalCredit, and selection runs in the very event
+// that accounted for the last of them — whether or not a probe died. A
+// collection of dead probes only selects nothing: the source's give-up timer
+// ends that request. The trace passes the obs.Checker, including its
+// complete-at-close invariant.
 func TestCreditConservedOnRandomGraphs(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 15
 	}
-	early, atBound := 0, 0
+	clean, credited, empty := 0, 0, 0
 	shapes := make(map[string]bool)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		mem, chk := &obs.MemSink{}, obs.NewChecker()
@@ -146,8 +158,19 @@ func TestCreditConservedOnRandomGraphs(t *testing.T) {
 		got := closeIn(mem.Events(), req.ID)
 		credit, collecting := c.Peers[int(req.Dest)].Engine.CollectedCredit(req.ID)
 		if !collecting {
-			if got.returned != 0 {
-				t.Errorf("seed=%d %s: %d probes returned but no collector ran", seed, shape, got.returned)
+			if got.returned+got.dropped != 0 {
+				t.Errorf("seed=%d %s: %d probes returned, %d died, but no collector ran", seed, shape, got.returned, got.dropped)
+			}
+			continue
+		}
+		if credit != bcp.TotalCredit || got.credited != got.dropped {
+			t.Errorf("seed=%d %s: collected credit %d != total %d (off by %d), %d of %d dead probes credited",
+				seed, shape, credit, bcp.TotalCredit, int64(bcp.TotalCredit-credit), got.credited, got.dropped)
+		}
+		if got.returned == 0 {
+			empty++
+			if got.selectDone != nil {
+				t.Errorf("seed=%d %s: every probe died, yet selection ran: %+v", seed, shape, got.selectDone)
 			}
 			continue
 		}
@@ -158,30 +181,18 @@ func TestCreditConservedOnRandomGraphs(t *testing.T) {
 		}
 		shapes[shape[:4]] = true
 		if got.dropped == 0 {
-			early++
-			if credit != bcp.TotalCredit {
-				t.Errorf("seed=%d %s: no probe died but collected credit %d != total %d (off by %d)",
-					seed, shape, credit, bcp.TotalCredit, int64(bcp.TotalCredit-credit))
-			}
-			if !got.sameEvent || got.selectDone.Dur <= 0 {
-				t.Errorf("seed=%d %s: selection (early by %v) did not run in the event of the last collection",
-					seed, shape, got.selectDone.Dur)
-			}
+			clean++
 		} else {
-			atBound++
-			if credit >= bcp.TotalCredit {
-				t.Errorf("seed=%d %s: %d probes died yet collected credit %d reached the total",
-					seed, shape, got.dropped, credit)
-			}
-			if want := got.firstCollected + collectWindow(req); got.selectDone.TS != want || got.selectDone.Dur != 0 {
-				t.Errorf("seed=%d %s: selection at %v (early by %v), want the window bound %v",
-					seed, shape, got.selectDone.TS, got.selectDone.Dur, want)
-			}
+			credited++
+		}
+		if !got.sameEvent || got.selectDone.Dur <= 0 {
+			t.Errorf("seed=%d %s: selection (early by %v) did not run in the event of the last report or credit (%d probes died)",
+				seed, shape, got.selectDone.Dur, got.dropped)
 		}
 	}
-	t.Logf("%d early closes, %d window-bound closes over %d seeds", early, atBound, seeds)
-	if early == 0 || atBound == 0 {
-		t.Errorf("property covered early=%d bound=%d closes, want both", early, atBound)
+	t.Logf("%d early closes without a dead probe, %d with, %d empty collections over %d seeds", clean, credited, empty, seeds)
+	if clean == 0 || credited == 0 {
+		t.Errorf("property covered %d closes without a dead probe and %d with, want both", clean, credited)
 	}
 	for _, s := range []string{"chai", "fork", "comm", "vari"} {
 		if !shapes[s] {
@@ -190,22 +201,27 @@ func TestCreditConservedOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestDroppedProbeClosesAtOldWindow forces part of a request's probes to die
-// on the QoS check while others return: the dead probes take their credit
-// with them, so the collector must close at exactly the paper's window —
-// CollectTimeout + n·CollectPerHop after the first report — as it did before
-// early close existed.
-func TestDroppedProbeClosesAtOldWindow(t *testing.T) {
+// splitRequest returns a builder of one cluster and request whose delay
+// requirement sits inside the spread of its candidates' delays, so that part
+// of its probes die on the QoS check while the rest return. The request's
+// destination hosts none of its functions: faults on the links into it touch
+// reports and credits, never a probe.
+func splitRequest(t *testing.T) func(tr obs.Tracer) (*cluster.Cluster, *service.Request) {
+	t.Helper()
 	build := func(tr obs.Tracer) (*cluster.Cluster, *service.Request) {
 		c := cluster.New(cluster.Options{Seed: 7, Peers: 60, Catalog: catalog(8), Trace: tr})
-		return c, req3(c, 1, 24)
+		req := req3(c, 1, 24)
+		for hostsAny(c, req) {
+			req.Dest++
+		}
+		return c, req
 	}
 	// Learn the spread of end-to-end delays the probes see, then replay on an
 	// identical cluster with the requirement set inside that spread.
 	c0, req0 := build(nil)
 	res := compose(c0, req0)
 	if !res.Ok || len(res.Backups) == 0 {
-		t.Skip("baseline composition has no alternatives to split")
+		t.Fatal("baseline composition has no alternatives to split")
 	}
 	var delays []float64
 	for _, g := range append(res.Backups, res.Best) {
@@ -214,27 +230,164 @@ func TestDroppedProbeClosesAtOldWindow(t *testing.T) {
 	sort.Float64s(delays)
 	lo, hi := delays[0], delays[len(delays)-1]
 	if lo == hi {
-		t.Skip("all candidates have the same delay")
+		t.Fatal("all candidates have the same delay")
 	}
+	return func(tr obs.Tracer) (*cluster.Cluster, *service.Request) {
+		c, req := build(tr)
+		req.QoSReq[qos.Delay] = (lo + hi) / 2
+		return c, req
+	}
+}
 
+// composeCredit is compose, also returning the credit req's destination had
+// collected 8 s in, while its closed collector is still kept.
+func composeCredit(c *cluster.Cluster, req *service.Request) (out bcp.Result, credit uint64) {
+	c.Sim.Schedule(8*time.Second, func() { credit, _ = c.Peers[int(req.Dest)].Engine.CollectedCredit(req.ID) })
+	return compose(c, req), credit
+}
+
+// hostsAny reports whether req's destination hosts a component of one of its
+// functions.
+func hostsAny(c *cluster.Cluster, req *service.Request) bool {
+	for _, comp := range c.Peers[int(req.Dest)].Engine.LocalComponents() {
+		if slices.Contains(req.FGraph.Functions(), comp.Function) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDroppedProbeReturnsItsCredit forces part of a request's probes to die on
+// the QoS check while others return: each dead probe sends its credit to the
+// destination, so the collector closes in the event of the later of its last
+// report and its last credit — not at the paper's window, CollectTimeout +
+// n·CollectPerHop after the first, as it did while dead probes took their
+// credit with them — and the success waited nothing after it.
+func TestDroppedProbeReturnsItsCredit(t *testing.T) {
 	mem, chk := &obs.MemSink{}, obs.NewChecker()
-	c, req := build(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})
-	req.QoSReq[qos.Delay] = (lo + hi) / 2
+	c, req := splitRequest(t)(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})
 	out := compose(c, req)
 	got := closeIn(mem.Events(), req.ID)
 	if got.dropped == 0 || got.collected == 0 || got.selectDone == nil {
 		t.Fatalf("setup did not split the probes: %+v", got)
 	}
-	window := collectWindow(req)
-	if want := got.firstCollected + window; got.selectDone.TS != want {
-		t.Fatalf("selection at %v, want exactly the old window bound %v", got.selectDone.TS, want)
+	if got.credited != got.dropped || !got.sameEvent || got.selectDone.TS != got.last {
+		t.Fatalf("%d of %d dead probes credited; selection at %v, want in the event of the last report or credit at %v",
+			got.credited, got.dropped, got.selectDone.TS, got.last)
 	}
-	if got.selectDone.Dur != 0 {
-		t.Fatalf("select.done claims an early close (by %v) although probes died", got.selectDone.Dur)
+	if bound := got.first + collectWindow(req); got.selectDone.Dur != bound-got.last || got.selectDone.Dur <= 0 {
+		t.Fatalf("select.done early by %v, want %v before the window bound %v", got.selectDone.Dur, bound-got.last, bound)
+	}
+	if !out.Ok || out.CollectPhase >= time.Millisecond {
+		t.Fatalf("ok=%v CollectPhase=%v, want a success that waited < 1ms after its last probe", out.Ok, out.CollectPhase)
+	}
+	for _, v := range chk.Finish() {
+		t.Errorf("invariant: %s", v)
+	}
+}
+
+// TestDuplicatedCreditCountsOnce duplicates every message into the
+// destination on a wire without hardening: each dead probe's credit arrives
+// twice, and the collector must count it once. Counted twice, a copy would
+// stand in for a live sibling's equal share, and collection would close before
+// that sibling reported (or overshoot the total and wait out the window).
+func TestDuplicatedCreditCountsOnce(t *testing.T) {
+	mem, chk := &obs.MemSink{}, obs.NewChecker()
+	c, req := splitRequest(t)(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})
+	dup := simnet.FaultPlan{Seed: 1, Links: map[[2]p2p.NodeID]simnet.LinkFaults{}}
+	for _, p := range c.Peers {
+		dup.Links[[2]p2p.NodeID{p.Node.ID(), req.Dest}] = simnet.LinkFaults{Dup: 1}
+	}
+	c.ApplyFaults(dup)
+	out, credit := composeCredit(c, req)
+	got := closeIn(mem.Events(), req.ID)
+	if got.dropped == 0 || got.collected == 0 || got.credited != got.dropped {
+		t.Fatalf("%d of %d dead probes credited, %d collected", got.credited, got.dropped, got.collected)
+	}
+	if credit != bcp.TotalCredit || got.selectDone == nil || !got.sameEvent || got.selectDone.Dur <= 0 || !out.Ok {
+		t.Fatalf("credit %d of %d, select.done %+v in the event of the last report or credit: %v, ok=%v",
+			credit, bcp.TotalCredit, got.selectDone, got.sameEvent, out.Ok)
+	}
+	dups := 0
+	for _, ev := range mem.Events() {
+		if ev.Kind == obs.KindNetFault && ev.Note == obs.FaultDup && ev.Comp == bcp.MsgCredit {
+			dups++
+		}
+	}
+	if dups < got.dropped {
+		t.Fatalf("%d credit copies duplicated for %d dead probes", dups, got.dropped)
+	}
+	for _, v := range chk.Finish() {
+		t.Errorf("invariant: %s", v)
+	}
+}
+
+// TestLostCreditFallsBackToWindow loses on the wire the credit of the last
+// probe of a request to die: the sum stays short, and the collector selects
+// at the paper's window bound, CollectTimeout + n·CollectPerHop after the
+// first report or credit, as it did for every request that lost a probe
+// before dead probes returned their credit.
+func TestLostCreditFallsBackToWindow(t *testing.T) {
+	build := splitRequest(t)
+	mem := &obs.MemSink{}
+	c, req := build(mem)
+	compose(c, req)
+	var last obs.Event
+	for _, ev := range mem.Events() {
+		if ev.Req == req.ID && ev.Kind == obs.KindProbeDropped {
+			last = ev
+		}
+	}
+
+	// Replay, with the dying probe's peer cut off the destination for the
+	// instant its credit leaves.
+	mem, chk := &obs.MemSink{}, obs.NewChecker()
+	c, req = build(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})
+	c.Net.SetFaults(simnet.FaultPlan{Partitions: []simnet.Partition{{
+		A: []p2p.NodeID{last.Node}, B: []p2p.NodeID{req.Dest}, From: last.TS, Until: last.TS + 1}}})
+	out := compose(c, req)
+	var lost []string
+	for _, ev := range mem.Events() {
+		if ev.Kind == obs.KindNetFault {
+			lost = append(lost, ev.Comp)
+		}
+	}
+	got := closeIn(mem.Events(), req.ID)
+	if len(lost) != 1 || lost[0] != bcp.MsgCredit || got.collected == 0 || got.credited != got.dropped-1 {
+		t.Fatalf("want exactly one credit lost, lost %v: %+v", lost, got)
+	}
+	window := collectWindow(req)
+	if want := got.first + window; got.selectDone == nil || got.selectDone.TS != want || got.selectDone.Dur != 0 {
+		t.Fatalf("selection %+v, want exactly at the window bound %v", got.selectDone, want)
 	}
 	if !out.Ok || out.CollectPhase <= 0 || out.CollectPhase > window {
-		t.Fatalf("ok=%v CollectPhase=%v, want a success that waited inside the %v window",
-			out.Ok, out.CollectPhase, window)
+		t.Fatalf("ok=%v CollectPhase=%v, want a success that waited inside the %v window", out.Ok, out.CollectPhase, window)
+	}
+	for _, v := range chk.Finish() {
+		t.Errorf("invariant: %s", v)
+	}
+}
+
+// TestEmptyCollectionSendsNothing kills every probe of a request on the QoS
+// check: their credit alone completes the collection, which selects nothing
+// and answers nothing — no select.done, no bcp.result — and the source's
+// give-up timer ends the request.
+func TestEmptyCollectionSendsNothing(t *testing.T) {
+	mem, chk := &obs.MemSink{}, obs.NewChecker()
+	c := cluster.New(cluster.Options{Seed: 7, Peers: 60, Catalog: catalog(8), Trace: obs.MultiTracer{mem, obs.TracerFunc(chk.Add)}})
+	req := req3(c, 1, 24)
+	req.QoSReq[qos.Delay] = 1 // no branch gets past its second hop
+	results := c.Net.Stats().ByType[bcp.MsgResult]
+	out, credit := composeCredit(c, req)
+	got := closeIn(mem.Events(), req.ID)
+	if got.dropped == 0 || got.returned != 0 || got.credited != got.dropped || credit != bcp.TotalCredit {
+		t.Fatalf("want every probe dead and credited: %+v, credit %d of %d", got, credit, bcp.TotalCredit)
+	}
+	if got.selectDone != nil || c.Net.Stats().ByType[bcp.MsgResult] != results {
+		t.Fatalf("an empty collection answered: select.done %+v, %d results", got.selectDone, c.Net.Stats().ByType[bcp.MsgResult]-results)
+	}
+	if out.Ok || out.SetupTime < bcp.DefaultConfig().GiveUpTimeout {
+		t.Fatalf("ok=%v after %v, want the give-up timer's failure", out.Ok, out.SetupTime)
 	}
 	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)

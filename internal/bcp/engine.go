@@ -23,6 +23,7 @@ import (
 const (
 	MsgProbe    = "bcp.probe"
 	MsgReport   = "bcp.report"
+	MsgCredit   = "bcp.credit"
 	MsgProbeAck = "bcp.probeack"
 	MsgAck      = "bcp.ack"
 	MsgChosen   = "bcp.chosen"
@@ -41,9 +42,9 @@ type Config struct {
 	// destination collects one request's probes before running optimal
 	// composition selection (§4.3). Collection closes as soon as the
 	// probes' termination credit is complete (Probe.Credit); the window
-	// only decides when a probe died en route. The bound grows by
-	// CollectPerHop for every function in the request, since probes for
-	// deeper graphs spend longer in flight.
+	// only decides when a probe or its credit was lost on the wire or at a
+	// crashed peer. The bound grows by CollectPerHop for every function in
+	// the request, since probes for deeper graphs spend longer in flight.
 	CollectTimeout time.Duration
 	// CollectPerHop extends the collection window bound per function node.
 	CollectPerHop time.Duration
@@ -225,8 +226,9 @@ type Engine struct {
 	// Hardening state (touched only when cfg.ProbeAckTimeout > 0, except
 	// doneReqs, which also guards against duplicated results): retransmit
 	// timers keyed by in-flight message UID, duplicate-suppression sets for
-	// received probe and report copies (two sets, because a leaf that is
-	// also the destination sees the same UID as both), delivered requests,
+	// received probe copies and report or credit copies (two sets, because a
+	// leaf that is also the destination sees the same UID as both; a probe
+	// either reports or returns its credit, never both), delivered requests,
 	// and processed reverse-path ack positions.
 	retx        map[uint64]*retxState
 	seenProbes  seenSet[uint64]
@@ -311,6 +313,7 @@ func NewEngine(host p2p.Node, ledger *qos.Ledger, reg *registry.Registry, oracle
 	}
 	host.Handle(MsgProbe, e.onProbe)
 	host.Handle(MsgReport, e.onReport)
+	host.Handle(MsgCredit, e.onCredit)
 	host.Handle(MsgProbeAck, e.onProbeAck)
 	host.Handle(MsgAck, e.onAck)
 	host.Handle(MsgChosen, e.onChosen)

@@ -19,7 +19,8 @@ import (
 // must survive the shape the real transports send — a concrete header with an
 // `any` payload: a probe with its walked branch, its hints and the lists the
 // source hands its first hop; a routed get that names the peer and the number
-// of items its sender holds; and the response that leaves those items out.
+// of items its sender holds; the response that leaves those items out; and
+// the credit a dead probe returns to the destination.
 func TestPayloadsCrossGob(t *testing.T) {
 	RegisterGob()
 	dht.RegisterGob()
@@ -44,7 +45,8 @@ func TestPayloadsCrossGob(t *testing.T) {
 		Get: dht.GetPayload{ReqID: 3, Origin: 4, Root: 7, Held: 2}}
 	b2 := service.Component{ID: "p6/b.2", Function: "b", Peer: 6, InFormat: 1}
 	resp := dht.GetResp{ReqID: 3, Items: []any{b2}, Base: 2, Hops: 1}
-	for _, want := range []any{get, resp} {
+	credit := creditMsg{ReqID: 9, UID: 4<<32 | 18, Credit: TotalCredit / 8, Funcs: 3}
+	for _, want := range []any{get, resp, credit} {
 		if got := roundTrip(want); !reflect.DeepEqual(got, want) {
 			t.Errorf("%T mangled:\n got %+v\nwant %+v", want, got, want)
 		}

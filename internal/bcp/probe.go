@@ -31,13 +31,13 @@ type Probe struct {
 	// weight-throwing termination detection at the destination: the source
 	// splits TotalCredit over the patterns it launches, every hop splits a
 	// probe's credit over the children it actually emits (integer division,
-	// remainder to the last child), and a leaf's report carries its credit
-	// to the collector, which closes the moment the collected sum equals
-	// TotalCredit — every probe still alive has then reported. Credit is
-	// only ever divided or lost, never re-created: a probe that dies
-	// (dropProbe, wire loss, crashed peer) takes its credit with it, the
-	// sum stays short, and the collection window timer decides as before.
-	// (Budget cannot serve here: its floor-of-1 rules mint units.)
+	// remainder to the last child), a leaf's report carries its credit to
+	// the collector, and a probe dropProbe kills sends it there in a
+	// creditMsg. The collector closes the moment the sum equals TotalCredit:
+	// every probe has then reported or died. Credit is never re-created, and
+	// is lost only with a lost wire copy or a crashed peer; the sum then
+	// stays short and the collection window timer decides. (Budget cannot
+	// serve here: its floor-of-1 rules mint units.)
 	//
 	// The one thing that mints credit is a duplicated mid-path probe copy
 	// on a wire without per-hop hardening (dup= faults, ProbeAckTimeout 0):
@@ -49,7 +49,8 @@ type Probe struct {
 	// way selection only sees probes that really returned; obs.Checker
 	// excuses such a request from its complete-at-close invariant.
 	// Hardening de-duplicates the copy at the receiver, so it never mints,
-	// and a duplicated report copy is dropped by UID at the collector.
+	// and a duplicated report or credit copy is dropped by UID at the
+	// collector.
 	//
 	// A split that ran out of credit (more children than units) would hand
 	// out zeros and let the collector close before those children report;
@@ -326,7 +327,8 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 }
 
 // dropProbe records a probe dying at this hop with a reason, for the
-// overhead accounting and the trace.
+// overhead accounting and the trace, and returns its credit to the
+// destination, whose collection need then not wait out the window for it.
 func (e *Engine) dropProbe(pr *Probe, reason string) {
 	if e.Ctr != nil {
 		e.Ctr.ProbesDropped.Add(1)
@@ -335,7 +337,20 @@ func (e *Engine) dropProbe(pr *Probe, reason string) {
 		e.Trace.Emit(obs.ProbeDropped(e.host.Now(), e.host.ID(), pr.ReqID,
 			pr.Pattern.Function(pr.CurFn), pr.CurCompID, reason, len(pr.Visited), pr.UID))
 	}
+	cm := creditMsg{ReqID: pr.ReqID, UID: pr.UID, Credit: pr.Credit, Funcs: pr.Req.FGraph.NumFunctions()}
+	e.sendReliable(p2p.Message{Type: MsgCredit, To: pr.Req.Dest, Size: creditSize,
+		Payload: cm, UID: pr.UID}, pr.ReqID, pr.UID)
 }
+
+// creditMsg carries a dead probe's termination credit to the destination.
+// Scalars only: Funcs sizes the collection window when the credit is the
+// first message of its request to arrive.
+type creditMsg struct {
+	ReqID, UID, Credit uint64
+	Funcs              int
+}
+
+const creditSize = 40
 
 // holdSoft makes (or re-confirms) the temporary resource reservation for one
 // (request, component) pair. The reservation self-cancels after SoftTimeout

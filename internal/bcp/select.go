@@ -16,20 +16,62 @@ import (
 
 // collector gathers the probes of one request at the destination (§4.1
 // step 3) until their termination credit is complete (see Probe.Credit) or,
-// when a probe died en route, until the collection window timer fires.
+// when a probe or its credit was lost, until the collection window timer
+// fires.
 type collector struct {
-	req     *service.Request
+	req     *service.Request // nil until the first report
 	records []Probe
-	done    bool
-	// credit sums the collected probes' termination credit; bound is when
-	// the window timer fires and cancel disarms it.
+	// credited lists the UIDs of the dead probes whose credit was counted.
+	credited []uint64
+	done     bool
+	// credit sums the termination credit of the probes accounted for; bound
+	// is when the window timer fires and cancel disarms it.
 	credit uint64
 	bound  time.Duration
 	cancel p2p.CancelFunc
-	// lastAt is when the most recent probe was collected — the boundary
+	// lastAt is when the most recent probe was accounted for — the boundary
 	// between the probe fan-out and residual collection-wait phases in the
 	// setup-latency breakdown reported back to the source.
 	lastAt time.Duration
+}
+
+// collectorFor returns request reqID's collector. The first report or
+// credit of the request opens it and arms the window for funcs functions.
+func (e *Engine) collectorFor(reqID uint64, funcs int) *collector {
+	col, ok := e.collectors[reqID]
+	if !ok {
+		col = &collector{}
+		e.collectors[reqID] = col
+		window := e.cfg.CollectTimeout + time.Duration(funcs)*e.cfg.CollectPerHop
+		col.bound = e.host.Now() + window
+		col.cancel = e.host.After(window, func() { e.finishCollect(reqID) })
+	}
+	return col
+}
+
+// accounted reports whether selection already ran or probe uid was already
+// counted: a straggler or a duplicated copy, whose credit must not count.
+func (col *collector) accounted(uid uint64) bool {
+	if col.done || slices.Contains(col.credited, uid) {
+		return true
+	}
+	for i := range col.records {
+		if col.records[i].UID == uid {
+			return true
+		}
+	}
+	return false
+}
+
+// account adds one probe's credit and closes collection in the event in
+// which the sum completes: every probe has then reported or died.
+func (e *Engine) account(reqID uint64, col *collector, credit uint64) {
+	col.lastAt = e.host.Now()
+	col.credit += credit
+	if col.credit == TotalCredit {
+		col.cancel()
+		e.finishCollect(reqID)
+	}
 }
 
 func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
@@ -42,41 +84,44 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 		}
 	}
 	pr := msg.Payload.(Probe)
-	col, ok := e.collectors[pr.ReqID]
-	if !ok {
-		col = &collector{req: pr.Req}
-		e.collectors[pr.ReqID] = col
-		reqID := pr.ReqID
-		window := e.cfg.CollectTimeout +
-			time.Duration(pr.Req.FGraph.NumFunctions())*e.cfg.CollectPerHop
-		col.bound = e.host.Now() + window
-		col.cancel = e.host.After(window, func() { e.finishCollect(reqID) })
-	}
-	if col.done {
-		return // straggler after selection already ran
-	}
-	for i := range col.records {
-		if col.records[i].UID == pr.UID {
-			return // duplicated report copy: its credit is already counted
-		}
+	col := e.collectorFor(pr.ReqID, pr.Req.FGraph.NumFunctions())
+	if col.accounted(pr.UID) {
+		return
 	}
 	if e.Trace != nil {
 		e.Trace.Emit(obs.ProbeCollected(e.host.Now(), e.host.ID(), pr.ReqID,
 			msg.From, len(pr.Visited), pr.UID))
 	}
-	col.lastAt = e.host.Now()
+	col.req = pr.Req
 	col.records = append(col.records, pr)
-	col.credit += pr.Credit
-	if col.credit == TotalCredit {
-		// Every probe still alive has reported: nothing is left to wait for.
-		col.cancel()
-		e.finishCollect(pr.ReqID)
+	e.account(pr.ReqID, col, pr.Credit)
+}
+
+// onCredit counts the credit a dead probe returned (dropProbe), under the
+// same ack-then-dedup discipline as a report.
+func (e *Engine) onCredit(_ p2p.Node, msg p2p.Message) {
+	if e.cfg.ProbeAckTimeout > 0 && e.ackHop(msg, &e.seenReports) {
+		return
 	}
+	cm := msg.Payload.(creditMsg)
+	col := e.collectorFor(cm.ReqID, cm.Funcs)
+	if col.accounted(cm.UID) {
+		return
+	}
+	if e.Ctr != nil {
+		e.Ctr.ProbesCredited.Add(1)
+	}
+	if e.Trace != nil {
+		e.Trace.Emit(obs.ProbeCredited(e.host.Now(), e.host.ID(), cm.ReqID, msg.From, cm.UID))
+	}
+	col.credited = append(col.credited, cm.UID)
+	e.account(cm.ReqID, col, cm.Credit)
 }
 
 // finishCollect runs optimal composition selection (§4.3): merge branch
 // records into complete candidate service graphs, keep the qualified ones,
-// and confirm the minimum-ψ graph over the reverse path.
+// and confirm the minimum-ψ graph over the reverse path. A collection of
+// dead probes only answers nothing: the source's give-up timer ends it.
 func (e *Engine) finishCollect(reqID uint64) {
 	col, ok := e.collectors[reqID]
 	if !ok || col.done {
@@ -84,6 +129,9 @@ func (e *Engine) finishCollect(reqID uint64) {
 	}
 	col.done = true
 	e.host.After(10*e.cfg.CollectTimeout, func() { delete(e.collectors, reqID) })
+	if len(col.records) == 0 {
+		return
+	}
 
 	req, records := col.req, col.records
 	// The closed collector stays only to refuse stragglers, which it does on

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/federation"
 	"repro/internal/obs"
+	"repro/internal/qos"
 	"repro/internal/recovery"
 	"repro/internal/workload"
 )
@@ -154,5 +156,55 @@ func TestMaintenanceMessageBudget(t *testing.T) {
 	t.Logf("%d session-intervals at %.2f backups: %.2f rec.* messages each", st.BackupSamples, st.AvgBackups(), per)
 	if per > maxPerSessionInterval {
 		t.Fatalf("%.2f rec.* messages per session-interval, ceiling %.2f", per, maxPerSessionInterval)
+	}
+}
+
+// TestCollectWaitBudget is the collect-wait gate beside the message gates: a
+// shedding cluster on a loss-free wire, tight enough that probes die of
+// shedding and of finding no candidate (≈ 500 of them, 200 shed). Each dead
+// probe returns its credit in one bcp.credit message, so the successes' median
+// wait after their last probe (Result.CollectPhase) stays below 1 ms; while
+// dead probes took their credit with them it read 2.35 s, the window.
+func TestCollectWaitBudget(t *testing.T) {
+	var capacity qos.Resources
+	capacity[qos.CPU], capacity[qos.Memory] = 6, 60
+	chk, reg := obs.NewChecker(), obs.NewRegistry()
+	c := cluster.New(cluster.Options{
+		Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), Capacity: capacity,
+		Load:  &cluster.LoadOptions{Model: qos.DefaultLoadModel(), Aware: true, Shed: 0.8},
+		Trace: obs.TracerFunc(chk.Add), Obs: reg,
+	})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: catalog(12), Peers: 120, MinFuncs: 3, MaxFuncs: 5, Budget: 8,
+	}, c.Rng)
+	var waits []time.Duration
+	for i := 0; i < 240; i++ {
+		req := gen.Next()
+		c.Sim.Schedule(time.Duration(i)*100*time.Millisecond, func() {
+			c.Peers[int(req.Source)].Engine.Compose(req, func(res bcp.Result) {
+				if res.Ok {
+					waits = append(waits, res.CollectPhase)
+				}
+			})
+		})
+	}
+	c.Sim.Run(2 * time.Minute)
+
+	tot := reg.Totals()
+	credits := c.Net.Stats().ByType[bcp.MsgCredit]
+	slices.Sort(waits)
+	t.Logf("%d sessions, %d probes dropped (%d shed), %d credits sent, %d counted; CollectPhase p50 %v",
+		len(waits), tot.ProbesDropped, tot.ProbesShed, credits, tot.ProbesCredited, waits[len(waits)/2])
+	if tot.ProbesShed == 0 || len(waits) < 30 {
+		t.Fatalf("the cell exercised too little: %d shed, %d sessions", tot.ProbesShed, len(waits))
+	}
+	if credits > tot.ProbesDropped {
+		t.Errorf("%d bcp.credit messages for %d dropped probes", credits, tot.ProbesDropped)
+	}
+	if p50 := waits[len(waits)/2]; p50 >= time.Millisecond {
+		t.Errorf("CollectPhase p50 %v, want < 1ms", p50)
+	}
+	for _, v := range append(chk.Finish(), chk.Totals(tot)...) {
+		t.Errorf("invariant: %s", v)
 	}
 }

@@ -32,6 +32,8 @@ const (
 	VioMultipleDone      = "multiple-done"
 	VioCounterMismatch   = "counter-mismatch"
 	VioIncompleteClose   = "incomplete-at-close"
+	VioCreditNoDrop      = "credit-without-drop"
+	VioCreditDouble      = "credit-double"
 
 	VioFedDoublePrepare  = "fed-double-prepare"
 	VioFedDoubleResolve  = "fed-double-resolve"
@@ -76,11 +78,14 @@ type emission struct {
 //     probes it was holding;
 //   - a collector that closed before its window bound (select.done with a
 //     positive Dur) was complete at close: every probe.returned of that
-//     request has its probe.collected at or before the select.done, and no
-//     report arrives after it. This certifies that early close selected
-//     from exactly what the full window would have seen. A request that had
-//     a probe copy duplicated on the wire (net.fault dup) is excused — both
-//     copies' lineages carry the full termination credit;
+//     request has its probe.collected, and every probe.dropped its
+//     probe.credited, at or before the select.done, and no report arrives
+//     after it. This certifies that early close selected from exactly what
+//     the full window would have seen. A request that had a probe copy
+//     duplicated on the wire (net.fault dup) is excused — both copies'
+//     lineages carry the full termination credit;
+//   - a destination credits only a probe dropped in the same request, and
+//     each at most once;
 //   - a child probe's budget never exceeds its parent's (the split of
 //     §4.2 only divides), and origin probes never exceed the request budget
 //     announced in compose.start;
@@ -130,9 +135,12 @@ type Checker struct {
 	wireDrops   map[uint64]int
 	strayPIDs   []uint64 // drop/retx/fault records naming unemitted pids
 	// Complete-at-close: returned probes not yet collected (pid -> request),
-	// requests whose collector closed early (-> select.done time), and
-	// requests excused because a duplicated probe copy minted credit.
+	// dropped probes (-> request) and their probe.credited records, requests
+	// whose collector closed early (-> select.done time), and requests
+	// excused because a duplicated probe copy minted credit.
 	uncollected map[uint64]uint64
+	dropped     map[uint64]uint64
+	credited    map[uint64]Event
 	earlyClose  map[uint64]time.Duration
 	minted      map[uint64]bool
 	// Federation 2PC lifecycle, keyed by sub-session PID.
@@ -161,6 +169,8 @@ func NewChecker() *Checker {
 		extraCopies:     make(map[uint64]int),
 		wireDrops:       make(map[uint64]int),
 		uncollected:     make(map[uint64]uint64),
+		dropped:         make(map[uint64]uint64),
+		credited:        make(map[uint64]Event),
 		earlyClose:      make(map[uint64]time.Duration),
 		minted:          make(map[uint64]bool),
 		fedPrep:         make(map[uint64]Event),
@@ -243,7 +253,16 @@ func (c *Checker) Add(ev Event) {
 		c.terms[ev.PID]++
 		if ev.Kind == KindProbeReturned {
 			c.uncollected[ev.PID] = ev.Req
+		} else {
+			c.dropped[ev.PID] = ev.Req
 		}
+	case KindProbeCredited:
+		if _, twice := c.credited[ev.PID]; twice {
+			c.vs = append(c.vs, Violation{VioCreditDouble,
+				fmt.Sprintf("pid=%d (req=%d) credited again at t=%v", ev.PID, ev.Req, ev.TS)})
+			return
+		}
+		c.credited[ev.PID] = ev
 	case KindProbeCollected:
 		delete(c.uncollected, ev.PID)
 		if at, early := c.earlyClose[ev.Req]; early && ev.TS > at {
@@ -384,18 +403,40 @@ func (c *Checker) Finish() []Violation {
 			fmt.Sprintf("pid=%d has wire drop/fault/retransmit records but was never emitted", pid)})
 	}
 
-	// Complete-at-close: reports an early-closed collector never saw.
+	// Complete-at-close: reports an early-closed collector never saw, and
+	// dead probes whose credit it closed without.
 	lost := make([]uint64, 0, len(c.uncollected))
 	for pid, req := range c.uncollected {
 		if _, early := c.earlyClose[req]; early && !c.minted[req] {
 			lost = append(lost, pid)
 		}
 	}
+	for pid, req := range c.dropped {
+		at, early := c.earlyClose[req]
+		if cr, ok := c.credited[pid]; early && !c.minted[req] && (!ok || cr.TS > at) {
+			lost = append(lost, pid)
+		}
+	}
 	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
 	for _, pid := range lost {
-		req := c.uncollected[pid]
+		req, what := c.uncollected[pid], "returned but was not collected"
+		if dreq, ok := c.dropped[pid]; ok {
+			req, what = dreq, "dropped but was not credited"
+		}
 		vs = append(vs, Violation{VioIncompleteClose,
-			fmt.Sprintf("pid=%d (req=%d) returned but was not collected by the early close at t=%v", pid, req, c.earlyClose[req])})
+			fmt.Sprintf("pid=%d (req=%d) %s by the early close at t=%v", pid, req, what, c.earlyClose[req])})
+	}
+	// Credit only comes back from a probe that died in its own request.
+	cpids := make([]uint64, 0, len(c.credited))
+	for pid, ev := range c.credited {
+		if req, ok := c.dropped[pid]; !ok || req != ev.Req {
+			cpids = append(cpids, pid)
+		}
+	}
+	sort.Slice(cpids, func(i, j int) bool { return cpids[i] < cpids[j] })
+	for _, pid := range cpids {
+		vs = append(vs, Violation{VioCreditNoDrop,
+			fmt.Sprintf("pid=%d credited in req=%d but not dropped there", pid, c.credited[pid].Req)})
 	}
 
 	// Composition lifecycle.

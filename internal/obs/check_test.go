@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -590,5 +591,73 @@ func TestCheckRecProbeAfterDead(t *testing.T) {
 	bad := append(recTrace(), RecProbe(14*time.Second, 4, 8, 9))
 	if vs := feed(bad).Finish(); len(vs) != 1 || vs[0].Name != VioRecProbeAfterDead {
 		t.Fatalf("want exactly %s, got %v", VioRecProbeAfterDead, vs)
+	}
+}
+
+// creditTrace is closeTrace with a third probe that dies on its QoS check and
+// whose credit the destination counts before the early close.
+func creditTrace() []Event {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	evs := closeTrace()
+	return append(evs[:len(evs)-1:len(evs)-1],
+		ProbeSent(ms(1), 3, 45, 9, "fn1", "p9/fn1.2", 2, 0, 403, 0),
+		ProbeDropped(ms(2), 9, 45, "fn1", "p9/fn1.2", "qos", 0, 403),
+		ProbeCredited(ms(5), 1, 45, 9, 403),
+		evs[len(evs)-1])
+}
+
+// uncredited is creditTrace without its probe.credited record.
+func uncredited() []Event {
+	return slices.DeleteFunc(creditTrace(), func(ev Event) bool { return ev.Kind == KindProbeCredited })
+}
+
+func TestCheckCreditClean(t *testing.T) {
+	c := feed(creditTrace())
+	if vs := c.Finish(); len(vs) != 0 {
+		t.Fatalf("credited early close flagged: %v", vs)
+	}
+	tot := Counters{ProbesSent: 3, BudgetSpent: 6, ProbesReturned: 2, ProbesDropped: 1, ProbesCredited: 1}
+	if vs := c.Totals(tot); len(vs) != 0 {
+		t.Fatalf("consistent credit totals flagged: %v", vs)
+	}
+	tot.ProbesCredited = 0
+	if vs := c.Totals(tot); len(vs) != 1 || vs[0].Name != VioCounterMismatch {
+		t.Fatalf("want one counter mismatch, got %v", vs)
+	}
+	// Without its credit the request may still close at the window bound.
+	atBound := uncredited()
+	atBound[len(atBound)-1].Dur = 0
+	if vs := feed(atBound).Finish(); len(vs) != 0 {
+		t.Fatalf("window-bound close without the credit flagged: %v", vs)
+	}
+}
+
+func TestCheckCreditViolations(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	// credited edits the probe.credited record of pid 403.
+	credited := func(edit func(*Event)) []Event {
+		evs := creditTrace()
+		for i := range evs {
+			if evs[i].Kind == KindProbeCredited {
+				edit(&evs[i])
+			}
+		}
+		return evs
+	}
+	for _, tc := range []struct {
+		name string
+		evs  []Event
+		want string
+	}{
+		{"credit of a probe that returned", append(creditTrace(), ProbeCredited(ms(6), 1, 45, 7, 401)), VioCreditNoDrop},
+		{"credit of a probe never emitted", append(creditTrace(), ProbeCredited(ms(6), 1, 45, 7, 999)), VioCreditNoDrop},
+		{"credit in another request", credited(func(ev *Event) { ev.Req = 46 }), VioCreditNoDrop},
+		{"credited twice", append(creditTrace(), ProbeCredited(ms(6), 1, 45, 9, 403)), VioCreditDouble},
+		{"early close without the credit", uncredited(), VioIncompleteClose},
+		{"credit after the early close", credited(func(ev *Event) { ev.TS = ms(6) }), VioIncompleteClose},
+	} {
+		if vs := feed(tc.evs).Finish(); !hasViolation(vs, tc.want) {
+			t.Errorf("%s: want %s, got %v", tc.name, tc.want, vs)
+		}
 	}
 }

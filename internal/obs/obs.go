@@ -13,7 +13,8 @@
 //	disc.done                           discovery phase boundary (source)
 //	probe.sent / probe.forwarded        probe lifecycle (§4.2)
 //	probe.dropped / probe.returned
-//	probe.collected / select.done       destination-side collection (§4.3)
+//	probe.collected / probe.credited    destination-side collection (§4.3)
+//	select.done
 //	session.admit / session.reject      reverse-path session setup
 //	session.establish                   recovery manager adopts a session
 //	dht.hop / dht.deliver               DHT routing
@@ -45,6 +46,7 @@ const (
 	KindProbeDropped   = "probe.dropped"
 	KindProbeReturned  = "probe.returned"
 	KindProbeCollected = "probe.collected"
+	KindProbeCredited  = "probe.credited"
 	KindSelectDone     = "select.done"
 	KindSessionAdmit   = "session.admit"
 	KindSessionReject  = "session.reject"
@@ -218,6 +220,13 @@ func ProbeReturned(ts time.Duration, node p2p.NodeID, req uint64, dest p2p.NodeI
 // back through the probe's PID/PPID lineage to its origin.
 func ProbeCollected(ts time.Duration, node p2p.NodeID, req uint64, from p2p.NodeID, hops int, pid uint64) Event {
 	return Event{TS: ts, Kind: KindProbeCollected, Node: node, Req: req, Peer: from, Hops: hops, PID: pid}
+}
+
+// ProbeCredited records the destination counting the termination credit
+// (bcp.Probe.Credit) that dead probe pid returned from peer from, where it
+// was dropped.
+func ProbeCredited(ts time.Duration, node p2p.NodeID, req uint64, from p2p.NodeID, pid uint64) Event {
+	return Event{TS: ts, Kind: KindProbeCredited, Node: node, Req: req, Peer: from, PID: pid}
 }
 
 // SelectDone records destination-side optimal composition selection. early

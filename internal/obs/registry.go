@@ -24,6 +24,7 @@ type NodeCounters struct {
 	ProbesSent     atomic.Int64 // BCP probes emitted (origin + forwards)
 	ProbesDropped  atomic.Int64 // probes this node killed (QoS/resources/links)
 	ProbesReturned atomic.Int64 // completed probes reported to a destination
+	ProbesCredited atomic.Int64 // dead probes' credit counted by a destination
 	BudgetSpent    atomic.Int64 // probing budget carried by emitted probes
 	ProbesRetx     atomic.Int64 // per-hop probe retransmits (same PID, no budget)
 	ProbesShed     atomic.Int64 // probes declined by overload shedding (util over threshold)
@@ -64,6 +65,7 @@ type Counters struct {
 	ProbesSent     int64
 	ProbesDropped  int64
 	ProbesReturned int64
+	ProbesCredited int64
 	BudgetSpent    int64
 	ProbesRetx     int64
 	ProbesShed     int64
@@ -129,6 +131,8 @@ var CounterTable = []CounterSpec{
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesDropped }, get: func(c *Counters) *int64 { return &c.ProbesDropped }},
 	{name: "probes_returned", col: "returned", label: "probes returned", help: "BCP probes that completed and reported.", kinds: []string{KindProbeReturned},
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesReturned }, get: func(c *Counters) *int64 { return &c.ProbesReturned }},
+	{name: "probes_credited", label: "probes credited", help: "Dead BCP probes whose credit a destination counted.", kinds: []string{KindProbeCredited},
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesCredited }, get: func(c *Counters) *int64 { return &c.ProbesCredited }},
 	{name: "probe_budget_spent", label: "probe budget spent", help: "Probing budget carried by emitted probes.", kinds: []string{KindProbeSent, KindProbeForwarded}, sum: true,
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.BudgetSpent }, get: func(c *Counters) *int64 { return &c.BudgetSpent }},
 	{name: "probe_retransmits", label: "probe retransmits", help: "Per-hop probe retransmits (same PID, no budget).", kinds: []string{KindProbeRetx},

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -216,6 +217,7 @@ type reqState struct {
 	last                              time.Duration // latest event timestamp
 
 	collected []obs.Event
+	credited  []obs.Event
 	probes    map[uint64]*probeInfo
 	pids      []uint64 // emission/first-reference order
 	dht       []obs.Event
@@ -335,6 +337,11 @@ func (b *Builder) Add(ev obs.Event) {
 			}
 		}
 		rs.collected = append(rs.collected, ev)
+	case obs.KindProbeCredited:
+		if _, ok := rs.probes[ev.PID]; !ok {
+			b.orphan(ev, "credited unknown probe")
+		}
+		rs.credited = append(rs.credited, ev)
 	case obs.KindDHTHop, obs.KindDHTDeliver, obs.KindDHTGetRetry, obs.KindDHTGetFail:
 		rs.dht = append(rs.dht, ev)
 	case obs.KindSessionAdmit, obs.KindSessionReject:
@@ -486,8 +493,8 @@ func buildTree(rs *reqState) *Tree {
 			t1 = clamp(pi.emit.TS, t0, t4)
 		}
 	}
-	lastCollect, haveCollect := lastCollected(rs)
-	t2 := clamp(lastCollect, t1, t4)
+	lastCollect, haveCollect := lastAccounted(rs)
+	t2 := clamp(lastCollect.TS, t1, t4)
 	t3 := t2
 	if rs.hasSelect {
 		t3 = clamp(rs.selectDone.TS, t2, t4)
@@ -522,15 +529,17 @@ func buildTree(rs *reqState) *Tree {
 	if sp := dhtSpan(probeDHT); sp != nil {
 		probing.Children = append(probing.Children, sp)
 	}
-	collectTS := make(map[uint64]time.Duration, len(rs.collected))
-	for _, ev := range rs.collected {
-		if ev.PID != 0 {
-			collectTS[ev.PID] = ev.TS
+	accounted := make(map[uint64]obs.Event, len(rs.collected)+len(rs.credited))
+	for _, evs := range [][]obs.Event{rs.collected, rs.credited} {
+		for _, ev := range evs {
+			if ev.PID != 0 {
+				accounted[ev.PID] = ev
+			}
 		}
 	}
 	spans := make(map[uint64]*Span, len(rs.pids))
 	for _, pid := range rs.pids {
-		spans[pid] = probeSpan(pid, rs.probes[pid], collectTS)
+		spans[pid] = probeSpan(pid, rs.probes[pid], accounted)
 	}
 	splits := make(map[uint64]int, len(rs.pids))
 	for _, pid := range rs.pids {
@@ -563,13 +572,13 @@ func buildTree(rs *reqState) *Tree {
 
 	// Residual collection window and destination selection.
 	if rs.hasSelect {
-		note := fmt.Sprintf("%d collected; %d candidates, %d qualified",
-			len(rs.collected), rs.selectDone.Hops, rs.selectDone.Budget)
+		note := fmt.Sprintf("%d collected, %d credited; %d candidates, %d qualified",
+			len(rs.collected), len(rs.credited), rs.selectDone.Hops, rs.selectDone.Budget)
 		if rs.selectDone.Note != "ok" {
 			note += ", " + rs.selectDone.Note
 		}
 		root.Children = append(root.Children, &Span{Kind: "collect", Name: "collect+select",
-			Node: rs.selectDone.Node, Start: t2, End: t3, Events: 1 + len(rs.collected), Note: note})
+			Node: rs.selectDone.Node, Start: t2, End: t3, Events: 1 + len(rs.collected) + len(rs.credited), Note: note})
 	}
 
 	// Reverse-path session commit with per-peer admissions.
@@ -647,16 +656,24 @@ func firstTS(rs *reqState) time.Duration {
 	return first
 }
 
-// lastCollected returns the timestamp of the destination's last collected
-// probe, reporting whether any probe was collected at all.
-func lastCollected(rs *reqState) (time.Duration, bool) {
-	var ts time.Duration
-	for _, ev := range rs.collected {
-		if ev.TS > ts {
-			ts = ev.TS
+// lastAccounted returns the destination's last probe.collected or
+// probe.credited record — the collection boundary, as the collector's own
+// (bcp.Result.CollectPhase) — ties broken toward the smaller PID. It reports
+// false when no probe was collected: a collection of dead probes only
+// selects nothing, and its request keeps the Wait attribution.
+func lastAccounted(rs *reqState) (last obs.Event, ok bool) {
+	if len(rs.collected) == 0 {
+		return last, false
+	}
+	last = rs.collected[0]
+	for _, evs := range [][]obs.Event{rs.collected, rs.credited} {
+		for _, ev := range evs {
+			if ev.TS > last.TS || (ev.TS == last.TS && ev.PID < last.PID) {
+				last = ev
+			}
 		}
 	}
-	return ts, len(rs.collected) > 0
+	return last, true
 }
 
 func dhtSpan(evs []obs.Event) *Span {
@@ -688,7 +705,7 @@ func dhtSpan(evs []obs.Event) *Span {
 	return sp
 }
 
-func probeSpan(pid uint64, pi *probeInfo, collectTS map[uint64]time.Duration) *Span {
+func probeSpan(pid uint64, pi *probeInfo, accounted map[uint64]obs.Event) *Span {
 	sp := &Span{Kind: "probe", Name: fmt.Sprintf("probe %d", pid), Events: 1}
 	if pi.hasEmit {
 		sp.Node = pi.emit.Node
@@ -708,9 +725,9 @@ func probeSpan(pid uint64, pi *probeInfo, collectTS map[uint64]time.Duration) *S
 	case pi.wire > 0:
 		note = "lost"
 	}
-	if ts, ok := collectTS[pid]; ok && ts > sp.End {
-		sp.End = ts
-		note += ", collected"
+	if ev, ok := accounted[pid]; ok && ev.TS > sp.End {
+		sp.End = ev.TS
+		note += ", " + strings.TrimPrefix(ev.Kind, "probe.")
 	}
 	if pi.retx > 0 {
 		note += fmt.Sprintf(", %d retx", pi.retx)
@@ -830,14 +847,9 @@ func criticalPath(rs *reqState, t0, t4 time.Duration) []Step {
 		add(rs.discDone.TS, rs.discDone.Node, "disc.done ("+rs.discDone.Note+")")
 	}
 
-	// The probe whose collection completed the candidate set last.
-	var lastEv obs.Event
-	haveLast := false
-	for _, ev := range rs.collected {
-		if !haveLast || ev.TS > lastEv.TS || (ev.TS == lastEv.TS && ev.PID < lastEv.PID) {
-			lastEv, haveLast = ev, true
-		}
-	}
+	// The probe, returned or dead, whose collection or credit completed the
+	// collection last.
+	lastEv, haveLast := lastAccounted(rs)
 	if haveLast && lastEv.PID != 0 {
 		// Lineage chain origin → leaf, bounded against PPID cycles.
 		var chain []uint64
@@ -859,10 +871,12 @@ func criticalPath(rs *reqState, t0, t4 time.Duration) []Step {
 		}
 		if pi, ok := rs.probes[lastEv.PID]; ok && pi.hasTerm && pi.term.Kind == obs.KindProbeReturned {
 			add(pi.term.TS, pi.term.Node, fmt.Sprintf("report → n%d", pi.term.Peer))
+		} else if ok && pi.hasTerm {
+			add(pi.term.TS, pi.term.Node, fmt.Sprintf("dropped(%s), credit → n%d", pi.term.Note, lastEv.Node))
 		}
 	}
 	if haveLast {
-		add(lastEv.TS, lastEv.Node, "probe.collected (last)")
+		add(lastEv.TS, lastEv.Node, lastEv.Kind+" (last)")
 	}
 	if rs.hasSelect {
 		add(rs.selectDone.TS, rs.selectDone.Node, fmt.Sprintf("select.done (%d qualified)", rs.selectDone.Budget))

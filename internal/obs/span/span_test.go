@@ -350,3 +350,47 @@ func TestSweepSummaryCountsEveryCell(t *testing.T) {
 }
 
 func obsNode(n int) p2p.NodeID { return p2p.NodeID(n) }
+
+// TestCreditIsACollectionBoundary: a dead probe's probe.credited ends the
+// probe phase like a report's probe.collected, as the collector's lastAt does
+// for bcp.Result, and the critical path runs through the dead probe's
+// lineage when its credit closed the collection. A request all of whose
+// probes died selects nothing and keeps the Wait attribution.
+func TestCreditIsACollectionBoundary(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	b := NewBuilder()
+	b.Add(obs.ComposeStart(0, 3, 42, 1, 10))
+	b.Add(obs.DiscDone(ms(1), 3, 42, true, ms(1)))
+	b.Add(obs.ProbeSent(ms(2), 3, 42, 7, "f", "p7/f", 5, 0, 101, 0))
+	b.Add(obs.ProbeSent(ms(2), 3, 42, 8, "f", "p8/f", 5, 0, 102, 0))
+	b.Add(obs.ProbeReturned(ms(3), 7, 42, 1, 1, 200, 101))
+	b.Add(obs.ProbeDropped(ms(4), 8, 42, "f", "p8/f", "shed", 0, 102))
+	b.Add(obs.ProbeCollected(ms(5), 1, 42, 7, 1, 101))
+	b.Add(obs.ProbeCredited(ms(6), 1, 42, 8, 102))
+	b.Add(obs.SelectDone(ms(6), 1, 42, 1, 1, ms(900)))
+	b.Add(obs.ComposeDone(ms(9), 3, 42, true, ms(9)))
+	b.Add(obs.ComposeStart(ms(10), 3, 43, 1, 10))
+	b.Add(obs.DiscDone(ms(11), 3, 43, true, ms(1)))
+	b.Add(obs.ProbeSent(ms(12), 3, 43, 8, "f", "p8/f", 5, 0, 201, 0))
+	b.Add(obs.ProbeDropped(ms(13), 8, 43, "f", "p8/f", "shed", 0, 201))
+	b.Add(obs.ProbeCredited(ms(14), 1, 43, 8, 201))
+	b.Add(obs.ComposeDone(ms(100), 3, 43, false, ms(90)))
+	f := b.Build()
+	if len(f.Orphans) != 0 {
+		t.Fatalf("orphans: %+v", f.Orphans)
+	}
+	if got, want := f.Tree(42).Phases, (Phases{Discovery: ms(1), Probe: ms(5), Commit: ms(3)}); got != want {
+		t.Errorf("phases %+v, want %+v", got, want)
+	}
+	var path []string
+	for _, st := range f.Tree(42).Critical {
+		path = append(path, st.What)
+	}
+	if got, want := strings.Join(path, " | "), "compose.start | disc.done (ok) | probe p8/f → n8 | "+
+		"dropped(shed), credit → n1 | probe.credited (last) | select.done (1 qualified) | compose.done (ok)"; got != want {
+		t.Errorf("critical path\n got %s\nwant %s", got, want)
+	}
+	if got, want := f.Tree(43).Phases, (Phases{Discovery: ms(1), Wait: ms(89)}); got != want {
+		t.Errorf("empty collection phases %+v, want %+v", got, want)
+	}
+}

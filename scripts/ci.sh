@@ -49,10 +49,12 @@ go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k' -benchmem -ben
 # probes from carrying first-hop hints or the source's lists, or concurrent
 # lookups of one function from joining, fails here; a second one, with
 # recovery on, holds rec.* messages per session-interval the same way, so a
-# prober that walks every backup every interval does. -v prints what each
+# prober that walks every backup every interval does; a third, a shedding
+# cell, holds the successes' median wait after their last probe under 1 ms,
+# so a dead probe that stops returning its credit does. -v prints what each
 # measured.
-echo "== discovery + maintenance message gates"
-go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget' -count=1 -v ./internal/cluster
+echo "== discovery + maintenance message gates, collect-wait gate"
+go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget' -count=1 -v ./internal/cluster
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that
