@@ -271,7 +271,8 @@ func New(opts Options) *Cluster {
 	// One DHT ring per administrative block: each domain's when federated,
 	// else the one ring of every peer. A ring's members only ever learn each
 	// other, so a domain owns a disjoint keyspace shard and its registrations
-	// stay within it.
+	// stay within it. Each routing-table slot holds the nearest member of its
+	// bucket by the latency the wire charges.
 	rings := [][]p2p.NodeID{c.peerIDs()}
 	if plan != nil {
 		rings = plan.Members
@@ -281,7 +282,7 @@ func New(opts Options) *Cluster {
 		for i, id := range members {
 			ring[i] = c.Peers[id].DHT
 		}
-		dht.Build(ring)
+		dht.BuildNear(ring, func(i, j int) float64 { return ov.Latency(int(members[i]), int(members[j])) })
 	}
 
 	// Register every component and let the puts settle.

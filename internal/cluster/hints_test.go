@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -11,8 +12,10 @@ import (
 	"repro/internal/dht"
 	"repro/internal/federation"
 	"repro/internal/obs"
+	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
 
@@ -206,5 +209,45 @@ func TestCollectWaitBudget(t *testing.T) {
 	}
 	for _, v := range append(chk.Finish(), chk.Totals(tot)...) {
 		t.Errorf("invariant: %s", v)
+	}
+}
+
+// TestLookupStretch is the route gate beside the message gates: on the
+// benchmark's steady world (seed 1, 10,000 IP nodes, 1,000 peers) 400
+// unhinted lookups, one at a time on an idle cluster, must take on average at
+// most 10 % longer than they measure (1.33) relative to a direct round trip
+// to the peer that answers them. Each routing-table slot holds the nearest
+// member of its bucket; with tables that hold each bucket's smallest index
+// instead, every hop is a leg of random length and the stretch reads 1.75
+// (202 ms against the same 116 ms).
+func TestLookupStretch(t *testing.T) {
+	const maxStretch = 1.46
+	fns := catalog(100)
+	c := cluster.New(cluster.Options{Seed: 1, IPNodes: 10000, Peers: 1000, Catalog: fns})
+	rng := rand.New(rand.NewSource(1))
+	var lookupMs, rttMs float64
+	answered := 0
+	for i := 0; i < 400; i++ {
+		src, fn := p2p.NodeID(rng.Intn(len(c.Peers))), fns[rng.Intn(len(fns))]
+		c.Sim.Schedule(time.Duration(i)*time.Second, func() {
+			start := c.Sim.Now()
+			c.Peers[src].DHT.GetSpan(registry.FunctionKey(fn), 0, p2p.NoNode, 0, 5*time.Second,
+				func(_ []any, _ int, from p2p.NodeID, _ int, ok bool) {
+					if ok {
+						answered++
+						lookupMs += float64(c.Sim.Now()-start) / float64(time.Millisecond)
+						rttMs += 2 * c.Overlay.Latency(int(src), int(from))
+					}
+				})
+		})
+	}
+	c.Sim.RunUntilIdle()
+	if answered != 400 {
+		t.Fatalf("%d of 400 lookups answered", answered)
+	}
+	stretch := lookupMs / rttMs
+	t.Logf("400 lookups: mean %.1f ms against a %.1f ms direct round trip, stretch %.3f", lookupMs/400, rttMs/400, stretch)
+	if stretch > maxStretch {
+		t.Fatalf("lookup stretch %.3f, ceiling %.2f", stretch, maxStretch)
 	}
 }

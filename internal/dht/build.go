@@ -8,10 +8,19 @@ import (
 
 // Build wires a set of freshly created nodes into a consistent ring from
 // global knowledge, the static construction experiments use instead of serial
-// joins. It produces bit-identical leaf sets and routing tables to the legacy
+// joins. It is BuildNear with no distance: every candidate ties, so each slot
+// takes its bucket's smallest nodes-slice index, bit-identical to the legacy
 // all-pairs construction (kept as BuildLegacy in build_test.go, the oracle of
-// the differential harness)
-// in O(n·log n) instead of O(n²):
+// the differential harness). Rings without a latency matrix (the compact
+// capacity worlds) are built this way.
+func Build(nodes []*Node) { BuildNear(nodes, nil) }
+
+// BuildNear is Build with Pastry's proximity neighbour selection: routing-table
+// slot (row, digit) of each node holds the member of that sibling bucket
+// nearest the node by dist (over nodes-slice indices), ties to the smallest
+// index. A nil dist ties every candidate. Leaf sets, and with them every key's
+// root, do not depend on dist. The work is O(n·log n) plus ≈ 1.07·n² dist
+// reads when dist is set:
 //
 //   - Entries are sorted once by identifier. Because circular distance is
 //     monotone along each direction of the sorted ring, a node's LeafSize
@@ -20,16 +29,17 @@ import (
 //     a 2·LeafSize window instead of all n entries.
 //   - Routing-table rows are filled by recursively partitioning the sorted
 //     entries into per-prefix digit buckets. Two nodes share exactly the
-//     prefix at which their buckets diverge, and the legacy builder's
-//     first-write-wins AddEntry semantics reduce to "the entry with the
-//     smallest nodes-slice index in each sibling bucket", which one scan per
-//     bucket computes for all of the bucket's nodes at once.
+//     prefix at which their buckets diverge, so a node's slot for a sibling
+//     bucket is chosen from that bucket alone: by one scan of the bucket per
+//     node, or, with every candidate tied, the bucket's smallest index for all
+//     of its siblings' nodes at once (the legacy builder's first-write-wins
+//     AddEntry result).
 //
-// Build assumes the nodes are fresh (no prior entries) and all alive, which
-// is how every call site uses it: static construction happens before any
-// traffic or failure injection. Dynamic membership still goes through
-// Join/AddEntry.
-func Build(nodes []*Node) {
+// BuildNear assumes the nodes are fresh (no prior entries) and all alive,
+// which is how every call site uses it: static construction happens before
+// any traffic or failure injection. Dynamic membership still goes through
+// Join/AddEntry, whose slots are first-write-wins, not proximity-chosen.
+func BuildNear(nodes []*Node, dist func(i, j int) float64) {
 	n := len(nodes)
 	if n < 2 {
 		return
@@ -56,7 +66,7 @@ func Build(nodes []*Node) {
 		pos[i] = int32(p)
 	}
 	buildLeaves(nodes, entries, order, pos)
-	fillTables(nodes, entries, order, 0, n, 0)
+	fillTables(nodes, entries, order, dist, 0, n, 0)
 }
 
 type leafCand struct {
@@ -119,9 +129,8 @@ func buildLeaves(nodes []*Node, entries []Entry, order, pos []int32) {
 // digits. Within the range the digit at `depth` is non-decreasing (higher
 // digits are equal, so the sort ordered by this digit first), so the digit
 // buckets are contiguous and one scan finds both their bounds and each
-// bucket's minimum nodes-slice index — the entry the legacy first-write-wins
-// AddEntry would have left in the slot.
-func fillTables(nodes []*Node, entries []Entry, order []int32, lo, hi, depth int) {
+// bucket's minimum nodes-slice index — the pick when every candidate ties.
+func fillTables(nodes []*Node, entries []Entry, order []int32, dist func(i, j int) float64, lo, hi, depth int) {
 	if hi-lo < 2 || depth >= NumDigits {
 		return
 	}
@@ -147,26 +156,42 @@ func fillTables(nodes []*Node, entries []Entry, order []int32, lo, hi, depth int
 		}
 		// Every node in bucket d shares exactly `depth` digits with every
 		// node in each sibling bucket d2, so its row[depth][d2] slot gets the
-		// sibling bucket's minimum-index entry. The row is only allocated
+		// sibling bucket's member nearest to it. The row is only allocated
 		// when a sibling bucket exists, matching the lazy allocation the
 		// incremental AddEntry path performs.
 		for j := bounds[d]; j < bounds[d+1]; j++ {
-			nd := nodes[order[j]]
+			i := order[j]
 			var row *tableRow
 			for d2 := 0; d2 < 16; d2++ {
 				if d2 == d || minIdx[d2] == -1 {
 					continue
 				}
 				if row == nil {
-					row = nd.tableRow(depth)
+					row = nodes[i].tableRow(depth)
 				}
-				row[d2] = entries[minIdx[d2]]
+				pick := minIdx[d2]
+				if dist != nil {
+					pick = nearest(i, order[bounds[d2]:bounds[d2+1]], dist)
+				}
+				row[d2] = entries[pick]
 			}
 		}
 		if bounds[d+1]-bounds[d] >= 2 {
-			fillTables(nodes, entries, order, bounds[d], bounds[d+1], depth+1)
+			fillTables(nodes, entries, order, dist, bounds[d], bounds[d+1], depth+1)
 		}
 	}
+}
+
+// nearest returns the member of bucket nearest node i by dist, ties to the
+// smallest nodes-slice index.
+func nearest(i int32, bucket []int32, dist func(i, j int) float64) int32 {
+	best, bestD := int32(-1), 0.0
+	for _, j := range bucket {
+		if d := dist(int(i), int(j)); best == -1 || d < bestD || (d == bestD && j < best) {
+			best, bestD = j, d
+		}
+	}
+	return best
 }
 
 // tableSlot reads one routing-table slot without allocating the row: empty

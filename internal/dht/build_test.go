@@ -79,20 +79,27 @@ func diffRings(t testing.TB, ids []p2p.NodeID) {
 	slow := freshNodes(ids)
 	Build(fast)
 	BuildLegacy(slow)
-	for i := range fast {
-		f, s := fast[i], slow[i]
+	sameRings(t, fast, slow, "legacy")
+}
+
+// sameRings fails the test unless got and want hold the same leaf sets and
+// routing-table slots, node for node.
+func sameRings(t testing.TB, got, want []*Node, what string) {
+	t.Helper()
+	for i := range got {
+		f, s := got[i], want[i]
 		if len(f.leaves) != len(s.leaves) {
-			t.Fatalf("node %d: leaf count %d != legacy %d", i, len(f.leaves), len(s.leaves))
+			t.Fatalf("node %d: leaf count %d != %s %d", i, len(f.leaves), what, len(s.leaves))
 		}
 		for j := range f.leaves {
 			if f.leaves[j] != s.leaves[j] {
-				t.Fatalf("node %d leaf %d: %+v != legacy %+v", i, j, f.leaves[j], s.leaves[j])
+				t.Fatalf("node %d leaf %d: %+v != %s %+v", i, j, f.leaves[j], what, s.leaves[j])
 			}
 		}
 		for row := 0; row < NumDigits; row++ {
 			for col := 0; col < 16; col++ {
-				if got, want := f.tableSlot(row, col), s.tableSlot(row, col); got != want {
-					t.Fatalf("node %d table[%d][%d]: %+v != legacy %+v", i, row, col, got, want)
+				if g, w := f.tableSlot(row, col), s.tableSlot(row, col); g != w {
+					t.Fatalf("node %d table[%d][%d]: %+v != %s %+v", i, row, col, g, what, w)
 				}
 			}
 		}

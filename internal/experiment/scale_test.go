@@ -18,7 +18,7 @@ func scaleTestConfig() ScaleConfig {
 // claim: at the highest offered load, the load-aware variant achieves a
 // strictly lower per-peer peak utilization (the hotspot) and no worse success
 // ratio than the load-blind one, and pays for its detours off hot peers at
-// most 10 % of setup latency, p50 and p99 (+4–7 % at p50 over seeds 1–4,
+// most 10 % of setup latency, p50 and p99 (+3–7 % at p50 over seeds 1–4,
 // EXPERIMENTS.md Scale).
 func TestScaleLoadAwareWinsUnderHeavyTraffic(t *testing.T) {
 	res := scaleDefault().res

@@ -138,8 +138,9 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 		dhtNodes[i] = dn
 	}
 	// Static DHT construction happens before any traffic, so direct calls
-	// are safe; registrations then flow as real messages.
-	dht.Build(dhtNodes)
+	// are safe; registrations then flow as real messages. Routing-table slots
+	// hold the wide-area-nearest member of their bucket.
+	dht.BuildNear(dhtNodes, func(i, j int) float64 { return lat[i][j] })
 	for i, p := range tb.Peers {
 		p := p
 		nw.Exec(p2p.NodeID(i), func() {

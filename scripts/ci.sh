@@ -51,10 +51,13 @@ go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k' -benchmem -ben
 # recovery on, holds rec.* messages per session-interval the same way, so a
 # prober that walks every backup every interval does; a third, a shedding
 # cell, holds the successes' median wait after their last probe under 1 ms,
-# so a dead probe that stops returning its credit does. -v prints what each
+# so a dead probe that stops returning its credit does; a fourth, on the
+# benchmark's steady world, holds a lookup's latency over a direct round trip
+# to its answering peer under a stretch ceiling, so routing tables that stop
+# holding each bucket's nearest member (1.33 → 1.75) do. -v prints what each
 # measured.
-echo "== discovery + maintenance message gates, collect-wait gate"
-go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget' -count=1 -v ./internal/cluster
+echo "== discovery + maintenance message gates, collect-wait gate, lookup-stretch gate"
+go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|LookupStretch' -count=1 -v ./internal/cluster
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that
