@@ -420,9 +420,10 @@ func BenchmarkSimEventDispatch(b *testing.B) {
 }
 
 // BenchmarkTopologyPaperScale generates the paper's full 10,000-node IP
-// network and builds a 1,000-peer overlay on it — the construction cost every
-// -paper experiment pays up front. The edge-set index and the batched
-// peer-pair sweep keep this well under a second.
+// network and builds a 1,000-peer overlay on it — mesh search plus latency
+// matrix, the construction cost every -paper experiment and the steady
+// workload's setup pay up front. The edge-set index, the truncated mesh
+// searches and the batched peer-pair sweep keep this well under a second.
 func BenchmarkTopologyPaperScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := newSeededRng(79)

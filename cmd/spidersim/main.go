@@ -258,6 +258,9 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		Scenario:    scn,
 	}, c.Rng)
 
+	// The run's instants — arrivals, churn ticks and windows, the horizon —
+	// count from origin, the virtual time cluster.New settled at.
+	origin := c.Sim.Now()
 	var ok metrics.Ratio
 	var setup, discovery, commitLat metrics.Sample
 	attempted, completed, xdomain := 0, 0, 0
@@ -279,10 +282,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 			}
 			req = gen.NextAt(at)
 		}
-		c.Sim.Schedule(at-c.Sim.Now(), func() {
-			if at < c.Sim.Now() {
-				return
-			}
+		c.Sim.Schedule(at, func() {
 			if !c.Net.Alive(req.Source) {
 				return // a crashed source composes nothing
 			}
@@ -331,10 +331,10 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		// Churn storm: the scenario's rate applies per minute tick inside the
 		// window, firing at least once even for sub-minute windows.
 		for at := scn.ChurnAt; at < scn.ChurnAt+scn.ChurnDur && at < *duration; at += time.Minute {
-			c.Sim.Schedule(at-c.Sim.Now(), churnTick(scn.ChurnRate))
+			c.Sim.Schedule(at, churnTick(scn.ChurnRate))
 		}
 	}
-	end := *duration
+	end := origin + *duration
 	if dspec != nil {
 		// Drain until every federated lease (client give-up, hold expiry,
 		// session end of life, commit-TTL backstop) must have resolved, so a
@@ -358,7 +358,9 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	t.AddRow("success ratio", ok.Value())
 	t.AddRow("hung compositions", attempted-completed)
 	t.AddRow("avg setup time", time.Duration(setup.Mean()*float64(time.Millisecond)))
-	t.AddRow("avg discovery time", time.Duration(discovery.Mean()*float64(time.Millisecond)))
+	if dspec == nil { // a federation.Result carries no discovery time
+		t.AddRow("avg discovery time", time.Duration(discovery.Mean()*float64(time.Millisecond)))
+	}
 	t.AddRow("messages sent", st.MessagesSent)
 	t.AddRow("bytes sent", st.BytesSent)
 	t.AddRow("probes sent", st.ByType[bcp.MsgProbe])

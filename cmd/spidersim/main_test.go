@@ -146,3 +146,32 @@ func TestStatsAttributesTheWire(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryRequestIsIssued: arrivals count from the instant cluster.New
+// settled, so a churn-free run issues all of its -requests — one drawn before
+// the build settled is not dropped — and traces one compose.start each. The
+// table's discovery row is printed only where something measured it: a
+// federation.Result carries no discovery time.
+func TestEveryRequestIsIssued(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "run.jsonl")
+	code, stdout, stderr := spidersim("-peers", "30", "-ipnodes", "200", "-requests", "40", "-duration", "2s", "-trace", trace)
+	if code != 0 || !strings.Contains(stdout, "avg discovery time ") {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	starts := 0
+	if err := obs.StreamTrace(trace, func(ev obs.Event) error {
+		if ev.Kind == obs.KindComposeStart {
+			starts++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if starts != 40 {
+		t.Errorf("-requests 40 traced %d compose.start events", starts)
+	}
+	code, stdout, stderr = spidersim("-peers", "30", "-ipnodes", "200", "-functions", "6", "-requests", "10", "-duration", "10s", "-domains", "domains=2")
+	if code != 0 || !strings.Contains(stdout, "fed commits ") || strings.Contains(stdout, "discovery time") {
+		t.Errorf("federated run: exit %d, want no discovery row\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}

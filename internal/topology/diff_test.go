@@ -3,7 +3,7 @@ package topology
 // Differential harness for the CSR rewrite: a frozen copy of the legacy
 // slice-of-slices representation lives here as the reference implementation,
 // and randomized graphs built edge-for-edge in both representations must
-// agree exactly — degree histograms, PairDistances to the last bit, Route
+// agree exactly — adjacency rows, PairDistances to the last bit, Route
 // paths tie-broken identically. "Exactly" is the point: the CSR arrays pack
 // half-edges in adjacency insertion order precisely so that relaxation order,
 // float folds, and heap behavior are unchanged, and this harness is what
@@ -12,7 +12,6 @@ package topology
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -44,26 +43,24 @@ func (g *legacyGraph) addEdge(u, v int, latency float64) {
 	g.m++
 }
 
-func (g *legacyGraph) degree(u int) int { return len(g.adj[u]) }
-
+// dijkstra is the heap oracle: a textbook lazy-deletion Dijkstra on distPQ.
 func (g *legacyGraph) dijkstra(src int) []float64 {
 	dist := make([]float64, g.n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	h := nodeHeap{pos: make([]int32, g.n)}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	h.update(dist, int32(src))
-	for len(h.nodes) > 0 {
-		u := h.pop(dist)
-		du := dist[u]
-		for _, e := range g.adj[u] {
-			if nd := du + e.Latency; nd < dist[e.To] {
+	var pq distPQ
+	pq.push(distItem{node: src, dist: 0})
+	for pq.len() > 0 {
+		it := pq.pop()
+		if it.dist > dist[it.node] {
+			continue
+		}
+		for _, e := range g.adj[it.node] {
+			if nd := it.dist + e.Latency; nd < dist[e.To] {
 				dist[e.To] = nd
-				h.update(dist, int32(e.To))
+				pq.push(distItem{node: e.To, dist: nd})
 			}
 		}
 	}
@@ -81,14 +78,6 @@ func (g *legacyGraph) pairDistances(nodes []int) [][]float64 {
 		out[i] = row
 	}
 	return out
-}
-
-func (g *legacyGraph) degreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		h[g.degree(u)]++
-	}
-	return h
 }
 
 // legacyRoute recomputes an overlay route with the pre-CSR algorithm: distPQ
@@ -250,26 +239,13 @@ func diffCheck(t *testing.T, g *Graph, lg *legacyGraph, rng *rand.Rand) {
 		t.Fatalf("edge counts differ: CSR %d, legacy %d", g.M(), lg.m)
 	}
 
-	// Degree histograms: the legacy map and the CSR sorted slice must hold
-	// the same distribution.
-	lh := lg.degreeHistogram()
-	ch := g.DegreeHistogram()
-	if len(ch) != len(lh) {
-		t.Fatalf("histogram sizes differ: CSR %d rows, legacy %d", len(ch), len(lh))
-	}
-	for _, row := range ch {
-		if lh[row.Degree] != row.Count {
-			t.Fatalf("degree %d: CSR count %d, legacy %d", row.Degree, row.Count, lh[row.Degree])
-		}
-	}
-
 	diffDistances(t, g, lg, rng)
 
-	// Neighbors must come back in identical order: insertion order is the
-	// contract the whole byte-identical claim rests on.
+	// Each CSR row must hold the legacy adjacency list in identical order:
+	// insertion order is the contract the whole byte-identical claim rests on.
 	for u := 0; u < g.N(); u++ {
-		ge, le := g.Neighbors(u), lg.adj[u]
-		if len(ge) != len(le) {
+		ge, le := neighbors(g, u), lg.adj[u]
+		if g.Degree(u) != len(le) || len(ge) != len(le) {
 			t.Fatalf("node %d: CSR degree %d, legacy %d", u, len(ge), len(le))
 		}
 		for i := range ge {
@@ -350,7 +326,7 @@ func TestBucketPlan(t *testing.T) {
 }
 
 // TestDiffGeneratedGraphs replays the generators' output into the legacy
-// representation edge-for-edge (via Neighbors, which preserves insertion
+// representation edge-for-edge (row by CSR row, which preserves insertion
 // order within each node but not globally) and checks the order-insensitive
 // agreements; the order-sensitive ones are covered by buildBoth scripts.
 func TestDiffGeneratedGraphs(t *testing.T) {
@@ -359,17 +335,16 @@ func TestDiffGeneratedGraphs(t *testing.T) {
 		g := GeneratePowerLaw(150+int(seed)*50, 2, 2, 30, rng)
 		lg := newLegacyGraph(g.N())
 		for u := 0; u < g.N(); u++ {
-			for _, e := range g.Neighbors(u) {
+			for _, e := range neighbors(g, u) {
 				lg.addEdge(u, e.To, e.Latency)
 			}
 		}
 		if lg.m != g.M() {
 			t.Fatalf("seed %d: replay lost edges: %d vs %d", seed, lg.m, g.M())
 		}
-		lh := lg.degreeHistogram()
-		for _, row := range g.DegreeHistogram() {
-			if lh[row.Degree] != row.Count {
-				t.Fatalf("seed %d degree %d: CSR %d, legacy %d", seed, row.Degree, row.Count, lh[row.Degree])
+		for u := 0; u < g.N(); u++ {
+			if g.Degree(u) != len(lg.adj[u]) {
+				t.Fatalf("seed %d node %d: CSR degree %d, legacy %d", seed, u, g.Degree(u), len(lg.adj[u]))
 			}
 		}
 		// Distances do not depend on relaxation order (see Graph.sweep), so
@@ -411,61 +386,6 @@ func TestDiffRoutePaths(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestDiffCompactMesh: with identical seeds the compact (matrix-free) mesh
-// builder must produce the same peers, the same links in the same order with
-// the same capacities, and the same routes as the full-matrix builder —
-// the truncated per-peer Dijkstra consumes no RNG and settles the same
-// k-nearest sets the full selection finds. The compact build fans its
-// searches over GOMAXPROCS workers, so it is held to that at 1, 2 and 8.
-func TestDiffCompactMesh(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	const seed = 99
-	rngG := rand.New(rand.NewSource(seed))
-	g := GeneratePowerLaw(2000, 2, 2, 30, rngG)
-
-	full := BuildOverlay(g, OverlayConfig{NumPeers: 200, Degree: 4}, rand.New(rand.NewSource(7)))
-	var comp *Overlay
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		comp = BuildOverlay(g, OverlayConfig{NumPeers: 200, Degree: 4, Compact: true}, rand.New(rand.NewSource(7)))
-
-		if comp.Compact() == false || full.Compact() == true {
-			t.Fatal("Compact() flags wrong")
-		}
-		for p := 0; p < full.N(); p++ {
-			if full.PeerIP(p) != comp.PeerIP(p) {
-				t.Fatalf("GOMAXPROCS=%d: peer %d hosts differ: %d vs %d", procs, p, full.PeerIP(p), comp.PeerIP(p))
-			}
-		}
-		if len(full.links) != len(comp.links) {
-			t.Fatalf("GOMAXPROCS=%d: link counts differ: full %d, compact %d", procs, len(full.links), len(comp.links))
-		}
-		for i := range full.links {
-			if full.links[i] != comp.links[i] {
-				t.Fatalf("GOMAXPROCS=%d: link %d differs: full %+v, compact %+v", procs, i, full.links[i], comp.links[i])
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		a, b := rng.Intn(full.N()), rng.Intn(full.N())
-		fp, fok := full.Route(a, b)
-		cp, cok := comp.Route(a, b)
-		if fok != cok || (fok && fp.Latency != cp.Latency) {
-			t.Fatalf("route %d->%d: full (%v,%v), compact (%v,%v)", a, b, fp, fok, cp, cok)
-		}
-		// Linked pairs: the direct link carries the IP-shortest latency, and
-		// by the triangle inequality no overlay detour beats it — so the
-		// compact Latency fallback must match the full-matrix answer, modulo
-		// a ULP: a detour folds different addends, and float addition is not
-		// associative, so Route can come in one bit under the direct link.
-		if fl, cl := full.Latency(a, b), comp.Latency(a, b); full.hasLink(a, b) &&
-			math.Abs(fl-cl) > 1e-12*fl {
-			t.Fatalf("linked latency %d-%d: full %v, compact %v", a, b, fl, cl)
 		}
 	}
 }

@@ -7,10 +7,10 @@
 // per-node adjacency lists with a hash-set dedup index. Freeze packs them
 // into a compressed-sparse-row (CSR) form — one offsets array plus flat
 // edge-target and edge-weight arrays, int32 node ids — and releases the
-// build-phase structures. All query paths (Dijkstra, PairDistances,
-// IsConnected, DegreeHistogram, routing) consume the CSR arrays with zero
-// per-node allocation, which is what lets a 100,000-node graph build and
-// sweep inside a laptop-class memory budget.
+// build-phase structures. All query paths (Dijkstra, PairDistances, the
+// overlay's nearest-peer search) consume the CSR arrays with zero per-node
+// allocation, which is what lets a 100,000-node graph build and sweep inside
+// a laptop-class memory budget.
 package topology
 
 import (
@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -29,7 +28,7 @@ type Edge struct {
 }
 
 // Graph is an undirected IP-layer graph with latency-weighted links.
-// An edge-set index keyed on the node pair makes AddEdge/HasEdge O(1)
+// An edge-set index keyed on the node pair makes AddEdge's dedup O(1)
 // during the build phase; Freeze converts to the packed CSR form.
 type Graph struct {
 	n int
@@ -141,47 +140,12 @@ func (g *Graph) Freeze() {
 	g.edges = nil
 }
 
-// HasEdge reports whether an undirected link between u and v exists. On a
-// frozen graph this scans the shorter of the two CSR rows (degrees are tiny
-// in every generated topology).
-func (g *Graph) HasEdge(u, v int) bool {
-	if !g.Frozen() {
-		_, ok := g.edges[pairKey(u, v)]
-		return ok
-	}
-	if g.Degree(v) < g.Degree(u) {
-		u, v = v, u
-	}
-	for i, end := g.off[u], g.off[u+1]; i < end; i++ {
-		if int(g.to[i]) == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Degree returns the number of links incident to u.
 func (g *Graph) Degree(u int) int {
 	if g.Frozen() {
 		return int(g.off[u+1] - g.off[u])
 	}
 	return len(g.adj[u])
-}
-
-// Neighbors returns the adjacency list of u. On an unfrozen graph the
-// returned slice aliases internal state and must not be modified; on a
-// frozen graph it is materialized from the CSR row (diagnostic/test use —
-// hot paths iterate the CSR arrays directly).
-func (g *Graph) Neighbors(u int) []Edge {
-	if !g.Frozen() {
-		return g.adj[u]
-	}
-	start, end := g.off[u], g.off[u+1]
-	out := make([]Edge, 0, end-start)
-	for i := start; i < end; i++ {
-		out = append(out, Edge{To: int(g.to[i]), Latency: g.w[i]})
-	}
-	return out
 }
 
 // maxBucketsPerEdge floors the bucket width at maxW/maxBucketsPerEdge, so a
@@ -359,189 +323,69 @@ func fanOut(n int, newWorker func() func(item int)) {
 	wg.Wait()
 }
 
-// settledPeer is one (node, distance) pair produced by NearestPeers.
+// settledPeer is one (peer, distance) pair produced by nearestPeers.
 type settledPeer struct {
-	node int32
+	peer int32
 	dist float64
 }
 
-// truncState holds the reusable buffers of the truncated Dijkstra. The dist
-// and pos arrays are initialized once and restored after every search by
-// walking the touched list, so a search over a small ball costs O(ball), not
-// O(n) — the difference between 10,000 cheap searches and 10,000 full-array
-// resets on a 100,000-node graph.
+// truncState holds the reusable buffers of the truncated search. dist is
+// initialized once and restored after every search by walking the touched
+// list, so a search over a small ball costs O(ball), not O(n) — the
+// difference between 10,000 cheap searches and 10,000 full-array resets on a
+// 100,000-node graph.
 type truncState struct {
 	dist    []float64
-	pos     []int32
-	nodes   []int32
 	touched []int32
 	out     []settledPeer
+	pq      distPQ
 }
 
-func (s *truncState) init(n int) {
-	if len(s.dist) != n {
-		s.dist = make([]float64, n)
-		s.pos = make([]int32, n)
+// nearestPeers runs Dijkstra from src until k peers other than src's own have
+// settled — peerOf maps an IP node to the peer it hosts, -1 for none — and
+// returns them in settle order, ascending distance: the k nearest peers. The
+// search touches only the ball around src, and s's buffers are restored
+// before returning. It runs on the overlay router's lazy-deletion heap: a
+// ball of a few dozen nodes gives a bucket ring nothing to amortize, and the
+// distances are the ones any correct search reaches (see sweep). The graph
+// must be frozen; the search only reads it, so workers with a truncState each
+// may share it.
+func (g *Graph) nearestPeers(src int, peerOf []int32, k int, s *truncState) []settledPeer {
+	if len(s.dist) != g.n {
+		s.dist = make([]float64, g.n)
 		for i := range s.dist {
 			s.dist[i] = math.Inf(1)
-			s.pos[i] = -1
 		}
 	}
-	s.nodes = s.nodes[:0]
 	s.out = s.out[:0]
-}
-
-// nearestPeers runs Dijkstra from src until k nodes for which isPeer returns
-// true (excluding src itself) have been settled, and appends them in settle
-// order — ascending distance — to s.out. Settle order is the k-nearest-peer
-// set: Dijkstra pops nodes in nondecreasing distance. The search touches
-// only the ball around src, and s's buffers are restored before returning.
-// This is the one search that keeps the heap: it stops after a ball of a few
-// dozen nodes, where a bucket ring has nothing to amortize. The graph must be
-// frozen; the search only reads it, so workers with a truncState each may
-// share it.
-func (g *Graph) nearestPeers(src int, isPeer func(int32) bool, k int, s *truncState) []settledPeer {
-	s.init(g.n)
-	h := nodeHeap{nodes: s.nodes, pos: s.pos}
+	s.pq.reset()
 	s.dist[src] = 0
 	s.touched = append(s.touched[:0], int32(src))
-	h.update(s.dist, int32(src))
-	for len(h.nodes) > 0 && len(s.out) < k {
-		u := h.pop(s.dist)
-		if int(u) != src && isPeer(u) {
-			s.out = append(s.out, settledPeer{node: u, dist: s.dist[u]})
-			if len(s.out) == k {
-				break
-			}
+	s.pq.push(distItem{node: src, dist: 0})
+	for s.pq.len() > 0 && len(s.out) < k {
+		it := s.pq.pop()
+		u := it.node
+		if it.dist > s.dist[u] {
+			continue // stale: u settled at a smaller distance
 		}
-		du := s.dist[u]
+		if p := peerOf[u]; p >= 0 && u != src {
+			s.out = append(s.out, settledPeer{peer: p, dist: it.dist})
+		}
 		for i, end := g.off[u], g.off[u+1]; i < end; i++ {
 			v := g.to[i]
-			if nd := du + g.w[i]; nd < s.dist[v] {
+			if nd := it.dist + g.w[i]; nd < s.dist[v] {
 				if math.IsInf(s.dist[v], 1) {
 					s.touched = append(s.touched, v)
 				}
 				s.dist[v] = nd
-				h.update(s.dist, v)
+				s.pq.push(distItem{node: int(v), dist: nd})
 			}
 		}
 	}
-	// Restore the touched entries (including any still sitting in the heap).
 	for _, v := range s.touched {
 		s.dist[v] = math.Inf(1)
-		s.pos[v] = -1
 	}
-	s.nodes = h.nodes[:0]
 	return s.out
-}
-
-// nodeHeap is an indexed binary min-heap of graph nodes keyed by their
-// current tentative distance. pos tracks each node's heap slot so a
-// relaxation does an in-place decrease-key (sift-up) instead of pushing a
-// stale duplicate — the queue is bounded by the node count and every node is
-// popped at most once.
-type nodeHeap struct {
-	nodes []int32
-	pos   []int32 // node -> heap slot, -1 when absent
-}
-
-// update inserts v or restores heap order after v's key decreased.
-func (h *nodeHeap) update(dist []float64, v int32) {
-	i := h.pos[v]
-	if i < 0 {
-		i = int32(len(h.nodes))
-		h.nodes = append(h.nodes, v)
-		h.pos[v] = i
-	}
-	for i > 0 {
-		p := (i - 1) / 2
-		if dist[h.nodes[p]] <= dist[h.nodes[i]] {
-			break
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-// pop removes and returns the node with the smallest tentative distance.
-func (h *nodeHeap) pop(dist []float64) int32 {
-	top := h.nodes[0]
-	h.pos[top] = -1
-	n := len(h.nodes) - 1
-	if n > 0 {
-		h.nodes[0] = h.nodes[n]
-		h.pos[h.nodes[0]] = 0
-	}
-	h.nodes = h.nodes[:n]
-	i := int32(0)
-	for {
-		c := 2*i + 1
-		if int(c) >= n {
-			break
-		}
-		if int(c+1) < n && dist[h.nodes[c+1]] < dist[h.nodes[c]] {
-			c++
-		}
-		if dist[h.nodes[i]] <= dist[h.nodes[c]] {
-			break
-		}
-		h.swap(i, c)
-		i = c
-	}
-	return top
-}
-
-func (h *nodeHeap) swap(i, j int32) {
-	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
-	h.pos[h.nodes[i]] = i
-	h.pos[h.nodes[j]] = j
-}
-
-// IsConnected reports whether every node is reachable from node 0.
-func (g *Graph) IsConnected() bool {
-	if g.n == 0 {
-		return true
-	}
-	g.Freeze()
-	seen := make([]bool, g.n)
-	stack := []int32{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for i, end := g.off[u], g.off[u+1]; i < end; i++ {
-			if v := g.to[i]; !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return count == g.n
-}
-
-// DegreeCount is one row of a degree histogram: Count nodes have exactly
-// Degree incident links.
-type DegreeCount struct {
-	Degree int
-	Count  int
-}
-
-// DegreeHistogram returns the degree distribution sorted by ascending
-// degree. The sorted slice replaces the map this used to return: map
-// iteration order leaked into summaries and made them nondeterministic.
-func (g *Graph) DegreeHistogram() []DegreeCount {
-	counts := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		counts[g.Degree(u)]++
-	}
-	out := make([]DegreeCount, 0, len(counts))
-	for d, c := range counts {
-		out = append(out, DegreeCount{Degree: d, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Degree < out[j].Degree })
-	return out
 }
 
 type distItem struct {

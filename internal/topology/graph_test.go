@@ -8,6 +8,36 @@ import (
 	"testing/quick"
 )
 
+// neighbors is node u's half-edges in insertion order, read from the CSR
+// arrays of the (now frozen) graph.
+func neighbors(g *Graph, u int) []Edge {
+	g.Freeze()
+	var out []Edge
+	for i := g.off[u]; i < g.off[u+1]; i++ {
+		out = append(out, Edge{To: int(g.to[i]), Latency: g.w[i]})
+	}
+	return out
+}
+
+func hasEdge(g *Graph, u, v int) bool {
+	for _, e := range neighbors(g, u) {
+		if e.To == v {
+			return true
+		}
+	}
+	return false
+}
+
+// connected reports whether every node is reachable from node 0.
+func connected(g *Graph) bool {
+	for _, d := range g.Dijkstra(0) {
+		if math.IsInf(d, 1) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewGraphBasics(t *testing.T) {
 	g := NewGraph(5)
 	if g.N() != 5 || g.M() != 0 {
@@ -18,14 +48,17 @@ func TestNewGraphBasics(t *testing.T) {
 	if g.M() != 2 {
 		t.Fatalf("M=%d after two edges", g.M())
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
+	if g.Degree(1) != 2 {
+		t.Fatalf("Degree(1)=%d before Freeze", g.Degree(1))
+	}
+	if !hasEdge(g, 0, 1) || !hasEdge(g, 1, 0) {
 		t.Fatal("undirected edge should be visible from both ends")
 	}
-	if g.HasEdge(0, 2) {
+	if hasEdge(g, 0, 2) {
 		t.Fatal("nonexistent edge reported")
 	}
 	if g.Degree(1) != 2 {
-		t.Fatalf("Degree(1)=%d", g.Degree(1))
+		t.Fatalf("Degree(1)=%d after Freeze", g.Degree(1))
 	}
 }
 
@@ -88,7 +121,7 @@ func TestGeneratePowerLawConnectedAndSized(t *testing.T) {
 	if g.N() != 500 {
 		t.Fatalf("N=%d", g.N())
 	}
-	if !g.IsConnected() {
+	if !connected(g) {
 		t.Fatal("power-law graph must be connected")
 	}
 	// Every non-seed node attaches >= 2 links.
@@ -116,49 +149,6 @@ func TestGeneratePowerLawSkewedDegrees(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogramSums(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := GeneratePowerLaw(200, 2, 2, 30, rng)
-	h := g.DegreeHistogram()
-	total := 0
-	for _, c := range h {
-		total += c.Count
-	}
-	if total != g.N() {
-		t.Fatalf("histogram counts %d nodes, want %d", total, g.N())
-	}
-}
-
-// TestDegreeHistogramDeterministic is the regression test for the old
-// map-ordered output: the histogram must come back sorted ascending by
-// degree, identically on every call, with no zero-count or duplicate rows.
-func TestDegreeHistogramDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := GeneratePowerLaw(500, 2, 2, 30, rng)
-	h := g.DegreeHistogram()
-	for i := 1; i < len(h); i++ {
-		if h[i].Degree <= h[i-1].Degree {
-			t.Fatalf("degrees not strictly ascending at %d: %v then %v", i, h[i-1], h[i])
-		}
-	}
-	for _, c := range h {
-		if c.Count <= 0 {
-			t.Fatalf("zero-count row %+v", c)
-		}
-	}
-	for trial := 0; trial < 3; trial++ {
-		again := g.DegreeHistogram()
-		if len(again) != len(h) {
-			t.Fatalf("length changed across calls: %d vs %d", len(again), len(h))
-		}
-		for i := range h {
-			if again[i] != h[i] {
-				t.Fatalf("row %d changed across calls: %+v vs %+v", i, again[i], h[i])
-			}
-		}
-	}
-}
-
 // Property: Dijkstra distances satisfy the triangle inequality over direct
 // edges: dist[v] <= dist[u] + w(u,v) for every edge (u,v).
 func TestDijkstraRelaxationProperty(t *testing.T) {
@@ -167,7 +157,7 @@ func TestDijkstraRelaxationProperty(t *testing.T) {
 		g := GeneratePowerLaw(100, 2, 1, 20, rng)
 		dist := g.Dijkstra(rng.Intn(g.N()))
 		for u := 0; u < g.N(); u++ {
-			for _, e := range g.Neighbors(u) {
+			for _, e := range neighbors(g, u) {
 				if dist[e.To] > dist[u]+e.Latency+1e-9 {
 					return false
 				}
@@ -243,7 +233,7 @@ func TestTinyPowerLawTerminates(t *testing.T) {
 	for n := 2; n < 8; n++ {
 		for m := 1; m < 4; m++ {
 			g := GeneratePowerLaw(n, m, 1, 5, rand.New(rand.NewSource(int64(n*10+m))))
-			if !g.IsConnected() {
+			if !connected(g) {
 				t.Fatalf("n=%d m=%d: disconnected", n, m)
 			}
 		}
@@ -251,18 +241,22 @@ func TestTinyPowerLawTerminates(t *testing.T) {
 }
 
 // TestEdgeIndexConsistency checks the O(1) edge set agrees with the
-// adjacency lists after randomized construction with duplicate attempts.
+// adjacency lists after randomized construction with duplicate attempts, and
+// that Freeze packs exactly those lists, both halves of every edge.
 func TestEdgeIndexConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := NewGraph(40)
 	for i := 0; i < 300; i++ {
 		g.AddEdge(rng.Intn(40), rng.Intn(40), 1+rng.Float64())
 	}
+	if len(g.edges) != g.M() {
+		t.Fatalf("edge index holds %d pairs, M=%d", len(g.edges), g.M())
+	}
 	edges := 0
 	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			if !g.HasEdge(u, e.To) || !g.HasEdge(e.To, u) {
-				t.Fatalf("adjacency edge %d-%d missing from index", u, e.To)
+		for _, e := range g.adj[u] {
+			if _, ok := g.edges[pairKey(u, e.To)]; !ok || e.To == u {
+				t.Fatalf("adjacency edge %d-%d missing from index (or a self-loop)", u, e.To)
 			}
 			edges++
 		}
@@ -270,9 +264,16 @@ func TestEdgeIndexConsistency(t *testing.T) {
 	if edges != 2*g.M() {
 		t.Fatalf("adjacency lists hold %d half-edges, M=%d", edges, g.M())
 	}
+	adj := g.adj
 	for u := 0; u < g.N(); u++ {
-		if g.HasEdge(u, u) {
-			t.Fatalf("self-loop at %d", u)
+		got := neighbors(g, u)
+		if len(got) != len(adj[u]) {
+			t.Fatalf("node %d: CSR row has %d half-edges, adjacency list %d", u, len(got), len(adj[u]))
+		}
+		for i, e := range got {
+			if e != adj[u][i] || !hasEdge(g, e.To, u) {
+				t.Fatalf("node %d half-edge %d: CSR %+v, adjacency %+v", u, i, e, adj[u][i])
+			}
 		}
 	}
 }
@@ -329,8 +330,9 @@ func TestPairDistancesAllocs(t *testing.T) {
 }
 
 // TestBuildOverlayAnyWorkerCount builds the same overlay at GOMAXPROCS 1 and
-// 8: the peer-latency pass is the only parallel step, and it must leave the
-// links, their order, latencies and capacities untouched.
+// 8: the mesh searches and the peer-latency pass are the parallel steps, and
+// they must leave the links, their order, latencies and capacities and the
+// latency matrix untouched.
 func TestBuildOverlayAnyWorkerCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	build := func(procs int) *Overlay {
@@ -346,6 +348,13 @@ func TestBuildOverlayAnyWorkerCount(t *testing.T) {
 	for i := range one.links {
 		if one.links[i] != eight.links[i] {
 			t.Fatalf("link %d differs: %+v at GOMAXPROCS=1, %+v at 8", i, one.links[i], eight.links[i])
+		}
+	}
+	for a := range one.lat {
+		for b, l := range one.lat[a] {
+			if l != eight.lat[a][b] {
+				t.Fatalf("latency %d-%d differs: %v at GOMAXPROCS=1, %v at 8", a, b, l, eight.lat[a][b])
+			}
 		}
 	}
 }

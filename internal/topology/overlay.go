@@ -25,8 +25,7 @@ type Path struct {
 // node), overlay links with bandwidth capacities, and latency/routing
 // oracles. Overlay links model the application-level connections data
 // streams travel on; control messages between any two peers use the direct
-// IP-layer latency — except on a compact overlay, which has no latency matrix
-// and answers unlinked pairs with the overlay-path latency (see Latency).
+// IP-layer latency (see Latency), which a compact overlay does not keep.
 //
 // Like Graph, the link set has a mutable build phase and a frozen CSR form:
 // routing consumes packed per-peer (neighbor, link, latency) arrays built
@@ -114,12 +113,10 @@ type OverlayConfig struct {
 	Degree   int     // mesh links each peer opens: its k latency-nearest peers
 	CapMin   float64 // overlay link capacity range, kbps
 	CapMax   float64
-	// Compact skips the O(peers²) pairwise latency matrix: mesh links are
-	// found with truncated per-peer Dijkstra searches (stop once the k
-	// nearest peers have settled), and Latency falls back to overlay-path
-	// latency for unlinked pairs. This is the only mode that fits a
-	// 10,000-peer overlay in a laptop-class memory budget; it does not
-	// support AddPeer.
+	// Compact builds no O(peers²) pairwise latency matrix. The mesh is the
+	// same; Latency and AddPeer, which read the matrix, panic. This is the
+	// only mode that fits a 10,000-peer overlay in a laptop-class memory
+	// budget.
 	Compact bool
 	// RouteCacheSize bounds how many per-source routing tables Route may
 	// retain (LRU eviction beyond it). Zero or less bounds the cache by
@@ -129,9 +126,17 @@ type OverlayConfig struct {
 	RouteCacheSize int
 }
 
-// BuildOverlay selects cfg.NumPeers distinct IP nodes from g as peers,
-// derives pairwise peer latencies from IP shortest paths, and links each
-// peer to its cfg.Degree latency-nearest peers (a topologically-aware mesh).
+// BuildOverlay selects cfg.NumPeers distinct IP nodes from g as peers, links
+// each peer to its cfg.Degree latency-nearest peers over IP shortest paths (a
+// topologically-aware mesh), and, unless cfg.Compact, derives the pairwise
+// peer latencies Latency answers from.
+//
+// Each peer's nearest peers come from one truncated search (nearestPeers)
+// that settles just the ball around its host, never a latency row. The
+// searches are independent and draw nothing, so they fan over GOMAXPROCS
+// workers (one truncState each) into a flat peers×Degree result; links are
+// then inserted and capacities drawn serially in peer order, so link indices
+// and the RNG stream are those of a one-worker build.
 func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 	if cfg.NumPeers > g.N() {
 		panic(fmt.Sprintf("topology: %d peers exceed %d IP nodes", cfg.NumPeers, g.N()))
@@ -156,109 +161,55 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 		routeCap:   routeCap,
 		routeCache: make(map[int]*routeSlot),
 	}
-	if cfg.Compact {
-		o.buildCompactMesh(g, cfg, rng)
-		return o
-	}
-	// Pairwise peer latency over IP shortest paths, computed in one batched
-	// pass fanned over the available cores.
-	o.lat = g.PairDistances(o.peerIP)
-
-	cap := func() float64 { return cfg.CapMin + rng.Float64()*(cfg.CapMax-cfg.CapMin) }
-	addLink := func(u, v int) {
-		if u == v || o.hasLink(u, v) {
-			return
+	g.Freeze()
+	peerOf := o.peerIndex(g.N())
+	k := cfg.Degree
+	found := make([]settledPeer, n*k) // peer u's nearest: found[u*k : u*k+count[u]]
+	count := make([]int32, n)
+	fanOut(n, func() func(int) {
+		var ts truncState
+		return func(u int) {
+			count[u] = int32(copy(found[u*k:(u+1)*k], g.nearestPeers(o.peerIP[u], peerOf, k, &ts)))
 		}
-		o.linkSet[pairKey(u, v)] = struct{}{}
-		idx := len(o.links)
-		c := cap()
-		o.links = append(o.links, overlayLink{u: u, v: v, latency: o.lat[u][v], capacity: c, avail: c})
-		o.adj[u] = append(o.adj[u], idx)
-		o.adj[v] = append(o.adj[v], idx)
-	}
-
-	nearest := make([]int, 0, cfg.Degree)
+	})
 	for u := 0; u < n; u++ {
-		nearest = nearestInRow(o.lat[u], u, cfg.Degree, nearest)
-		for _, v := range nearest {
-			addLink(u, v)
-		}
+		o.link(u, found[u*k:u*k+int(count[u])], rng)
+	}
+	if !cfg.Compact {
+		o.lat = g.PairDistances(o.peerIP)
 	}
 	return o
 }
 
-// nearestInRow returns the indices of the k smallest entries of row other
-// than row[skip], in ascending latency, equal latencies in index order — what
-// stably sorting all of them and keeping the head would select — by insertion
-// into buf[:0], the one k-slot buffer a caller reuses across rows.
-func nearestInRow(row []float64, skip, k int, buf []int) []int {
-	buf = buf[:0]
-	for v, lat := range row {
-		if v == skip || (len(buf) == k && !(lat < row[buf[k-1]])) {
-			continue
-		}
-		if len(buf) < k {
-			buf = append(buf, v)
-		}
-		i := len(buf) - 1
-		for ; i > 0 && lat < row[buf[i-1]]; i-- {
-			buf[i] = buf[i-1]
-		}
-		buf[i] = v
-	}
-	return buf
-}
-
-// buildCompactMesh wires each peer to its Degree nearest peers without ever
-// materializing the pairwise latency matrix. One truncated Dijkstra per peer
-// settles just the ball around its host until Degree foreign peers have been
-// found; link latency is the settled IP-layer distance. Memory is O(peers +
-// links + IP nodes) instead of O(peers²).
-//
-// The searches are independent and draw nothing, so they fan over GOMAXPROCS
-// workers (one truncState each) into a flat peers×Degree result; links are
-// then inserted and capacities drawn serially in peer order, so link indices
-// and the RNG stream are those of a one-worker build.
-func (o *Overlay) buildCompactMesh(g *Graph, cfg OverlayConfig, rng *rand.Rand) {
-	n, k := len(o.peerIP), cfg.Degree
-	peerOf := make([]int32, g.N())
+// peerIndex maps each of the n IP nodes to the peer it hosts, -1 for none.
+func (o *Overlay) peerIndex(n int) []int32 {
+	peerOf := make([]int32, n)
 	for i := range peerOf {
 		peerOf[i] = -1
 	}
 	for p, ip := range o.peerIP {
 		peerOf[ip] = int32(p)
 	}
-	isPeer := func(v int32) bool { return peerOf[v] >= 0 }
-
-	g.Freeze()
-	found := make([]settledPeer, n*k) // peer u's nearest: found[u*k : u*k+count[u]]
-	count := make([]int32, n)
-	fanOut(n, func() func(int) {
-		var ts truncState
-		return func(u int) {
-			count[u] = int32(copy(found[u*k:(u+1)*k], g.nearestPeers(o.peerIP[u], isPeer, k, &ts)))
-		}
-	})
-
-	for u := 0; u < n; u++ {
-		for _, sp := range found[u*k : u*k+int(count[u])] {
-			v := int(peerOf[sp.node])
-			if u == v || o.hasLink(u, v) {
-				continue
-			}
-			o.linkSet[pairKey(u, v)] = struct{}{}
-			idx := len(o.links)
-			c := cfg.CapMin + rng.Float64()*(cfg.CapMax-cfg.CapMin)
-			o.links = append(o.links, overlayLink{u: u, v: v, latency: sp.dist, capacity: c, avail: c})
-			o.adj[u] = append(o.adj[u], idx)
-			o.adj[v] = append(o.adj[v], idx)
-		}
-	}
+	return peerOf
 }
 
-// Compact reports whether this overlay was built without the pairwise
-// latency matrix.
-func (o *Overlay) Compact() bool { return o.lat == nil }
+// link connects peer u to each of its nearest peers it is not linked to yet,
+// in order, at the settled IP-layer distance, drawing each new link's
+// capacity from rng.
+func (o *Overlay) link(u int, nearest []settledPeer, rng *rand.Rand) {
+	for _, sp := range nearest {
+		v := int(sp.peer)
+		if o.hasLink(u, v) {
+			continue
+		}
+		o.linkSet[pairKey(u, v)] = struct{}{}
+		idx := len(o.links)
+		c := o.capMin + rng.Float64()*(o.capMax-o.capMin)
+		o.links = append(o.links, overlayLink{u: u, v: v, latency: sp.dist, capacity: c, avail: c})
+		o.adj[u] = append(o.adj[u], idx)
+		o.adj[v] = append(o.adj[v], idx)
+	}
+}
 
 func (o *Overlay) hasLink(u, v int) bool {
 	_, ok := o.linkSet[pairKey(u, v)]
@@ -275,34 +226,31 @@ func (o *Overlay) NumLinks() int { return len(o.links) }
 func (o *Overlay) PeerIP(p int) int { return o.peerIP[p] }
 
 // Latency returns the one-way control-message latency between peers a and b
-// in milliseconds (the IP-layer shortest path between their hosts). On a
-// compact overlay the matrix does not exist: linked pairs answer from the
-// link, anything else from the overlay-path latency (+Inf when disconnected).
+// in milliseconds: the IP-layer shortest path between their hosts. It panics
+// on a compact overlay, which keeps no latency matrix.
 func (o *Overlay) Latency(a, b int) float64 {
-	if a == b {
-		return 0
+	if o.lat == nil {
+		panic("topology: Latency on a compact overlay: it keeps no latency matrix")
 	}
-	if o.lat != nil {
-		return o.lat[a][b]
-	}
-	if _, lat, ok := o.tree(a, b); ok {
-		return lat
-	}
-	return math.Inf(1)
+	return o.lat[a][b]
 }
 
-// Degree returns the number of overlay links incident to peer p.
-func (o *Overlay) Degree(p int) int { return len(o.adj[p]) }
-
-// AddPeer extends a built overlay with one new peer hosted on IP node ip:
-// pairwise latencies are derived from fresh IP shortest paths, the newcomer
-// is connected to its `degree` latency-nearest peers (mesh-style), and the
-// route cache is invalidated. It returns the new peer's index. This is the
-// data-plane half of a dynamic peer arrival.
+// AddPeer extends a built overlay with one new peer hosted on IP node ip,
+// which must host no peer yet: the newcomer is linked to its `degree`
+// latency-nearest peers by the search BuildOverlay links every peer with,
+// its latency row is derived from fresh IP shortest paths, and the route
+// cache is invalidated. It returns the new peer's index. This is the
+// data-plane half of a dynamic peer arrival. It panics on a compact overlay,
+// which has no latency matrix to extend.
 func (o *Overlay) AddPeer(g *Graph, ip, degree int, rng *rand.Rand) int {
 	if o.lat == nil {
-		panic("topology: AddPeer on a compact overlay")
+		panic("topology: AddPeer on a compact overlay: it keeps no latency matrix")
 	}
+	if degree < 1 {
+		degree = 4
+	}
+	g.Freeze()
+	nearest := g.nearestPeers(ip, o.peerIndex(g.N()), degree, &truncState{})
 	dist := g.Dijkstra(ip)
 	n := len(o.peerIP)
 	row := make([]float64, n+1)
@@ -313,21 +261,7 @@ func (o *Overlay) AddPeer(g *Graph, ip, degree int, rng *rand.Rand) int {
 	o.peerIP = append(o.peerIP, ip)
 	o.lat = append(o.lat, row)
 	o.adj = append(o.adj, nil)
-
-	if degree < 1 {
-		degree = 4
-	}
-	for _, v := range nearestInRow(row, n, degree, nil) {
-		if o.hasLink(n, v) {
-			continue
-		}
-		o.linkSet[pairKey(n, v)] = struct{}{}
-		idx := len(o.links)
-		c := o.capMin + rng.Float64()*(o.capMax-o.capMin)
-		o.links = append(o.links, overlayLink{u: n, v: v, latency: row[v], capacity: c, avail: c})
-		o.adj[n] = append(o.adj[n], idx)
-		o.adj[v] = append(o.adj[v], idx)
-	}
+	o.link(n, nearest, rng)
 	o.cacheReset()
 	o.loff, o.lto, o.llink, o.llat = nil, nil, nil, nil
 	return n
@@ -639,9 +573,6 @@ func (o *Overlay) ReleaseBandwidth(a, b int, bw float64) {
 		}
 	}
 }
-
-// LinkCapacity returns the total capacity of overlay link idx in kbps.
-func (o *Overlay) LinkCapacity(idx int) float64 { return o.links[idx].capacity }
 
 // WideAreaLatencies builds an n×n one-way latency matrix (milliseconds)
 // shaped like a wide-area deployment across a few geographic clusters

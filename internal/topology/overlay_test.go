@@ -1,9 +1,13 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -20,9 +24,9 @@ func testOverlay(t *testing.T, compact bool) *Overlay {
 	}, rng)
 }
 
-// TestBuildOverlayAllKinds: both mesh builders — the one over the pairwise
-// latency matrix and the compact one without it — place every peer on its
-// own IP node and link them.
+// TestBuildOverlayAllKinds: both kinds of overlay — with the pairwise latency
+// matrix and the compact one without it — place every peer on its own IP
+// node and link them.
 func TestBuildOverlayAllKinds(t *testing.T) {
 	for _, kind := range []struct {
 		name    string
@@ -140,7 +144,7 @@ func TestReleaseClampsAtCapacity(t *testing.T) {
 	p, _ := o.Route(0, 1)
 	o.ReleaseBandwidth(0, 1, 1e9)
 	for _, idx := range p.Links {
-		if o.AvailBandwidth(Path{Links: []int{idx}}) > o.LinkCapacity(idx)+1e-9 {
+		if o.AvailBandwidth(Path{Links: []int{idx}}) > o.links[idx].capacity+1e-9 {
 			t.Fatal("availability exceeded capacity after over-release")
 		}
 	}
@@ -182,12 +186,34 @@ func TestWideAreaLatencies(t *testing.T) {
 	}
 }
 
-// sortedNearest is the selection nearestInRow replaced, kept as its oracle:
-// order every other index by row latency and take the first k. The sort is
-// stable, which pins the tie rule — equal latencies in index order; the
-// unstable sort.Slice this descends from never had to break a tie, because
-// two distinct shortest-path sums from one source do not collide on
-// generated graphs (TestNearestInRowMatchesSort checks that too).
+// nearestInRow is the matrix-row rule the mesh is held to: the indices of the
+// k smallest entries of row other than row[skip], in ascending latency, equal
+// latencies in index order — what stably sorting all of them and keeping the
+// head would select — by insertion into buf[:0], one k-slot buffer reused
+// across rows.
+func nearestInRow(row []float64, skip, k int, buf []int) []int {
+	buf = buf[:0]
+	for v, lat := range row {
+		if v == skip || (len(buf) == k && !(lat < row[buf[k-1]])) {
+			continue
+		}
+		if len(buf) < k {
+			buf = append(buf, v)
+		}
+		i := len(buf) - 1
+		for ; i > 0 && lat < row[buf[i-1]]; i-- {
+			buf[i] = buf[i-1]
+		}
+		buf[i] = v
+	}
+	return buf
+}
+
+// sortedNearest is nearestInRow's own oracle: order every other index by row
+// latency and take the first k. The sort is stable, which pins the tie rule —
+// equal latencies in index order; two distinct shortest-path sums from one
+// source do not collide on generated graphs, so the rule never has a tie to
+// break there (TestNearestInRowMatchesSort checks that too).
 func sortedNearest(row []float64, skip, k int) []int {
 	var order []int
 	for v := range row {
@@ -214,8 +240,9 @@ func sameInts(a, b []int) bool {
 // TestNearestInRowMatchesSort: bounded insertion selects what the full sort
 // selects, in the same order — on every row of the seed-1..5 paper-shape
 // overlays (where it also asserts the rows hold no tie the two sorts could
-// have resolved differently), and on rows built to tie: duplicates across the
-// cut, all-equal, +Inf tails, k past the row.
+// have resolved differently, and that the built mesh adds the sort's links in
+// its order), and on rows built to tie: duplicates across the cut, all-equal,
+// +Inf tails, k past the row.
 func TestNearestInRowMatchesSort(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -260,7 +287,7 @@ func TestNearestInRowMatchesSort(t *testing.T) {
 		{[]float64{inf, inf, inf}, 1, 4},             // k past the row, nothing reachable
 		{[]float64{9, 8, 7, 6, 5, 4, 3, 2, 1}, 8, 3}, // descending: every entry displaces
 		{[]float64{0}, 0, 4},                         // a lone peer has no neighbors
-		{[]float64{2, 1}, 2, 1},                      // skip outside the row (AddPeer's shape)
+		{[]float64{2, 1}, 2, 1},                      // skip outside the row
 	} {
 		got, want := nearestInRow(c.row, c.skip, c.k, nil), sortedNearest(c.row, c.skip, c.k)
 		if !sameInts(got, want) {
@@ -296,5 +323,135 @@ func TestAddPeerLinksNearest(t *testing.T) {
 				t.Fatalf("seed %d link %d: got %d-%d @%v, want %d-%d @%v", seed, i, l.u, l.v, l.latency, p, v, o.lat[p][v])
 			}
 		}
+	}
+}
+
+// meshWorlds are the (IP nodes, peers) shapes worlds are built at: the
+// benchmark's composition world (also the -paper figures'), the default-scale
+// figure worlds (Fig 8/9/overhead, scale/stress, Fig 11, federate), the
+// golden-trace world, the two ci.sh spidersim worlds (the second is also the
+// cluster default), the spidersim default and the spidersim tests' world.
+var meshWorlds = []struct{ ipNodes, peers int }{
+	{10000, 1000}, {1200, 120}, {1000, 100}, {1000, 102}, {600, 72},
+	{300, 30}, {600, 80}, {400, 60}, {2000, 200}, {200, 30},
+}
+
+// matrixMesh is the mesh the matrix-row rule builds from a latency matrix:
+// each row in peer order links its peer to nearestInRow's picks, a pair
+// already linked is skipped, and each new link draws its capacity from rng.
+func matrixMesh(lat [][]float64, k int, capMin, capMax float64, rng *rand.Rand) []overlayLink {
+	var links []overlayLink
+	linked := make(map[uint64]bool)
+	buf := make([]int, 0, k)
+	for u, row := range lat {
+		for _, v := range nearestInRow(row, u, k, buf) {
+			if linked[pairKey(u, v)] {
+				continue
+			}
+			linked[pairKey(u, v)] = true
+			c := capMin + rng.Float64()*(capMax-capMin)
+			links = append(links, overlayLink{u: u, v: v, latency: row[v], capacity: c, avail: c})
+		}
+	}
+	return links
+}
+
+// TestMeshMatchesNearestInRow holds every overlay's links — endpoints,
+// latency bits, capacity, order — to the matrix-row rule over the full
+// latency matrix, on every world shape at seeds 1–3, built the way
+// cluster.New builds them: the full overlay, and the compact one at
+// GOMAXPROCS 1, 2 and 8 (its searches fan over the cores; the mesh must not
+// show it). A newcomer linked by AddPeer gets the links the rule picks from
+// its own latency row.
+func TestMeshMatchesNearestInRow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const capMin, capMax = 2000, 10000
+	sameLinks := func(t *testing.T, what string, got, want []overlayLink) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d links, matrix rule %d", what, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.u != w.u || g.v != w.v || math.Float64bits(g.latency) != math.Float64bits(w.latency) ||
+				g.capacity != w.capacity || g.avail != w.avail {
+				t.Fatalf("%s link %d: built %+v, matrix rule %+v", what, i, g, w)
+			}
+		}
+	}
+	for _, w := range meshWorlds {
+		for seed := int64(1); seed <= 3; seed++ {
+			world := func() (*Graph, *rand.Rand) {
+				rng := rand.New(rand.NewSource(seed))
+				return GeneratePowerLaw(w.ipNodes, 2, 2, 30, rng), rng
+			}
+			cfg := OverlayConfig{NumPeers: w.peers, Degree: 4, CapMin: capMin, CapMax: capMax}
+			name := fmt.Sprintf("%d/%d seed %d", w.ipNodes, w.peers, seed)
+
+			g, rng := world()
+			full := BuildOverlay(g, cfg, rng)
+			_, ref := world()
+			ref.Perm(g.N()) // the peer draw
+			sameLinks(t, name+" full", full.links, matrixMesh(full.lat, cfg.Degree, capMin, capMax, ref))
+
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				cg, crng := world()
+				comp := BuildOverlay(cg, OverlayConfig{NumPeers: w.peers, Degree: 4, CapMin: capMin, CapMax: capMax, Compact: true}, crng)
+				if comp.lat != nil || !slices.Equal(comp.peerIP, full.peerIP) {
+					t.Fatalf("%s GOMAXPROCS=%d: compact overlay has a matrix or other hosts", name, procs)
+				}
+				sameLinks(t, fmt.Sprintf("%s compact GOMAXPROCS=%d", name, procs), comp.links, full.links)
+			}
+
+			hosts := make(map[int]bool)
+			for _, ip := range full.peerIP {
+				hosts[ip] = true
+			}
+			ip := 0
+			for hosts[ip] {
+				ip++
+			}
+			before := full.NumLinks()
+			p := full.AddPeer(g, ip, 4, rng)
+			want := nearestInRow(full.lat[p], p, 4, nil)
+			if got := full.NumLinks() - before; got != len(want) {
+				t.Fatalf("%s: AddPeer added %d links, matrix rule %d", name, got, len(want))
+			}
+			for i, v := range want {
+				if l := full.links[before+i]; l.u != p || l.v != v || math.Float64bits(l.latency) != math.Float64bits(full.lat[p][v]) {
+					t.Fatalf("%s: newcomer link %d is %d-%d @%v, matrix rule %d-%d @%v", name, i, l.u, l.v, l.latency, p, v, full.lat[p][v])
+				}
+			}
+		}
+	}
+}
+
+// TestCompactRefusesMatrixReads: a compact overlay keeps no latency matrix,
+// so Latency and AddPeer — the two methods that read it — each panic with one
+// line naming the compact mode, instead of answering another quantity.
+func TestCompactRefusesMatrixReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := GeneratePowerLaw(400, 2, 2, 30, rng)
+	o := BuildOverlay(g, OverlayConfig{NumPeers: 60, Degree: 4, Compact: true}, rng)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Latency", func() { o.Latency(0, 1) }},
+		{"AddPeer", func() { o.AddPeer(g, g.N()-1, 4, rng) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "topology: "+c.name+" on a compact overlay") || strings.Contains(msg, "\n") {
+					t.Errorf("%s on a compact overlay: panic %q; want one line naming the compact mode", c.name, msg)
+				}
+			}()
+			c.call()
+		}()
+	}
+	if o.N() != 60 || o.lat != nil {
+		t.Fatalf("a refused AddPeer grew the overlay to %d peers", o.N())
 	}
 }

@@ -35,13 +35,15 @@ go test -race -count=1 -timeout 60s ./cmd/spidernode
 # candidate scoring, the dedupe key, next-hop planning). The run above had
 # them under the race detector only, whose runtime allocates differently;
 # these are the figures DESIGN.md quotes. The two benchmarks print the same
-# paths' objects, bytes and time into the log; the next two do that for the
-# world build's two shortest-path passes (peer-latency matrix at the paper's
-# scale, compact mesh at the scale workload's).
+# paths' objects, bytes and time into the log; the next three do that for the
+# world build: its two shortest-path passes (peer-latency matrix at the
+# paper's scale, compact mesh at the scale workload's) and the whole full
+# overlay build at the paper's scale (mesh search plus matrix), which is what
+# the steady workload's setup_s pays.
 echo "== allocation gates (no race detector) + compose/recovery-tick + world-build benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
 go test -run '^$' -bench 'BCPCompose|RecoveryTick' -benchmem -benchtime 20x .
-go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k' -benchmem -benchtime 3x .
+go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k|TopologyPaperScale' -benchmem -benchtime 3x .
 
 # Message gates, beside the allocation gates: one pinned small cell holds DHT
 # messages per composed session and routed hops per hop-origin lookup under
@@ -123,7 +125,8 @@ go test -run 'TestScale1mSlice' -count=1 ./internal/experiment/
 # traces must satisfy the protocol invariants (spidertrace check on each
 # file and on the committed golden trace; spidersim -check on a run, which
 # also holds the counters to the events), and the gzip trace path must
-# round-trip to the same events.
+# round-trip to the same events. The churn-free run must issue every one of
+# its 30 requests: one compose.start each.
 echo "== trace determinism + invariant gate"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -134,6 +137,8 @@ go build -o "$tmp/spidertrace" ./cmd/spidertrace
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -trace "$tmp/b.jsonl" > /dev/null
 cmp "$tmp/a.jsonl" "$tmp/b.jsonl"
+starts="$(grep -c '"kind":"compose.start"' "$tmp/a.jsonl")"
+[ "$starts" -eq 30 ] || { echo "spidersim -requests 30 traced $starts compose.start events"; exit 1; }
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -trace "$tmp/c.jsonl.gz" > /dev/null
 gunzip -c "$tmp/c.jsonl.gz" | cmp - "$tmp/a.jsonl"
