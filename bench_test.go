@@ -469,6 +469,27 @@ func BenchmarkCompactMesh30k(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteTables30k is the scale workload's route plane: on its compact
+// overlay — 30,000 peers over a 300,000-node graph, built outside the timer —
+// one op routes once from each of 200 distinct sources. The default cache
+// holds 69 tables at this size, so the sources cycling through it miss every
+// time and an op is 200 route-table sweeps.
+func BenchmarkRouteTables30k(b *testing.B) {
+	rng := newSeededRng(79)
+	g := topology.GeneratePowerLaw(300000, 2, 2, 30, rng)
+	ov := topology.BuildOverlay(g, topology.OverlayConfig{
+		NumPeers: 30000, Degree: 4, CapMin: 2000, CapMax: 10000, Compact: true,
+	}, rng)
+	srcs := rng.Perm(ov.N())[:200]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, src := range srcs {
+			ov.Route(src, srcs[(j+1)%len(srcs)])
+		}
+	}
+}
+
 // BenchmarkDHTLookup measures a single decentralized discovery lookup.
 func BenchmarkDHTLookup(b *testing.B) {
 	sim := simnet.NewSim()
@@ -589,8 +610,8 @@ func BenchmarkDHTBuildRing(b *testing.B) {
 
 // BenchmarkOverlayRouteEvict measures Route in the post-eviction regime: the
 // cache bound is far below the rotating source count, so every call is a
-// cache miss served either by the truncated near-destination search or by a
-// full Dijkstra recycled into an LRU slot.
+// cache miss that evicts the LRU table and sweeps the source's whole route
+// table into its arrays.
 func BenchmarkOverlayRouteEvict(b *testing.B) {
 	rng := newSeededRng(81)
 	g := topology.GeneratePowerLaw(2000, 2, 2, 30, rng)

@@ -34,10 +34,10 @@ type CapacityConfig struct {
 	// the overlay's default byte budget. Set far below RouteSources the sweep
 	// continuously evicts — the steady-state memory of the route plane is K
 	// tables regardless of how many sources probe, and what is measured is
-	// the LRU + truncated-search path.
+	// the LRU eviction plus one route-table sweep per miss.
 	RouteCacheK int
 	// RouteSources / RoutesPerSource size the route sweep per topo cell. Each
-	// distinct source pays one full Dijkstra (then caches).
+	// distinct source pays one route-table sweep (then caches).
 	RouteSources, RoutesPerSource int
 	// DiscoveryPeers is the DHT population of the discovery cell's one ring.
 	DiscoveryPeers int
@@ -201,8 +201,8 @@ func sinceMS(start time.Time) float64 {
 // built in compact mode: the O(peers^2) latency matrix alone would cost
 // ~800 MB at 10,000 peers, an order of magnitude over the whole-cell budget.
 // With RouteSources above RouteCacheK the sweep spends most of its time in the
-// post-eviction regime: near destinations on the truncated fast path, far
-// ones paying a full Dijkstra into a recycled LRU slot.
+// post-eviction regime: each new source sweeps its whole route table into
+// the arrays of the LRU slot it evicts.
 func topoCell(cfg CapacityConfig, pt CapacityTopo) CapacityTopoPoint {
 	rng := newRng(cfg.Seed + int64(pt.IPNodes))
 	heapBefore := liveHeapBytes()

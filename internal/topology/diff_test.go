@@ -1,15 +1,17 @@
 package topology
 
-// Differential harness for the CSR rewrite: a frozen copy of the legacy
-// slice-of-slices representation lives here as the reference implementation,
-// and randomized graphs built edge-for-edge in both representations must
-// agree exactly — adjacency rows, PairDistances to the last bit, Route
-// paths tie-broken identically. "Exactly" is the point: the CSR arrays pack
-// half-edges in adjacency insertion order precisely so that relaxation order,
-// float folds, and heap behavior are unchanged, and this harness is what
-// certifies that claim instead of vibes.
+// Differential harness for the CSR representation and the bucket sweep: a
+// frozen copy of the legacy slice-of-slices representation and a heap
+// Dijkstra live here as the reference implementation, and randomized graphs
+// built edge-for-edge in both representations must agree exactly — adjacency
+// rows, PairDistances to the last bit, route tables (distances, predecessor
+// peers and links) tie-broken identically. "Exactly" is the point: the CSR
+// arrays pack half-edges in adjacency insertion order so that relaxation
+// order and float folds are unchanged, the sweep's tie rule reproduces the
+// heap's predecessors, and this harness is what certifies both claims.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,30 +82,23 @@ func (g *legacyGraph) pairDistances(nodes []int) [][]float64 {
 	return out
 }
 
-// legacyRoute recomputes an overlay route with the pre-CSR algorithm: distPQ
-// Dijkstra over the mutable o.adj link-index lists (which the frozen overlay
-// retains), then the same backward prev-chain walk. Reading unexported fields
-// is deliberate — the reference implementation must see exactly the links the
-// CSR was packed from.
-func legacyRoute(o *Overlay, a, b int) (Path, bool) {
-	if a == b {
-		return Path{Peers: []int{a}, Latency: 0}, true
+// legacyTable is the route table of source a by the heap reference: a
+// textbook lazy-deletion Dijkstra on distPQ over the mutable o.adj link-index
+// lists (which the frozen overlay retains), keeping the first predecessor
+// that reaches a node's final distance. Reading unexported fields is
+// deliberate — the reference must see exactly the links the CSR was packed
+// from.
+func legacyTable(o *Overlay, a int) routeTable {
+	rt := newRouteTable(o.N())
+	for i := range rt.dist {
+		rt.dist[i], rt.prevPeer[i], rt.prevLink[i] = math.Inf(1), -1, -1
 	}
-	n := o.N()
-	dist := make([]float64, n)
-	prevPeer := make([]int, n)
-	prevLink := make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevPeer[i] = -1
-		prevLink[i] = -1
-	}
-	dist[a] = 0
+	rt.dist[a] = 0
 	var pq distPQ
 	pq.push(distItem{node: a, dist: 0})
 	for pq.len() > 0 {
 		it := pq.pop()
-		if it.dist > dist[it.node] {
+		if it.dist > rt.dist[it.node] {
 			continue
 		}
 		for _, idx := range o.adj[it.node] {
@@ -112,30 +107,33 @@ func legacyRoute(o *Overlay, a, b int) (Path, bool) {
 			if to == it.node {
 				to = l.v
 			}
-			if nd := it.dist + l.latency; nd < dist[to] {
-				dist[to] = nd
-				prevPeer[to] = it.node
-				prevLink[to] = idx
+			if nd := it.dist + l.latency; nd < rt.dist[to] {
+				rt.dist[to], rt.prevPeer[to], rt.prevLink[to] = nd, int32(it.node), int32(idx)
 				pq.push(distItem{node: to, dist: nd})
 			}
 		}
 	}
-	if math.IsInf(dist[b], 1) {
-		return Path{}, false
+	return rt
+}
+
+// sourceTable is the table Route answers a's queries from: the route cache's,
+// fetched through the oracle every query goes through. o must have two peers.
+func sourceTable(o *Overlay, a int) *routeTable {
+	rt, _, _ := o.tree(a, (a+1)%o.N())
+	return rt
+}
+
+// tableDiff names the first entry where two route tables differ — distance
+// bits, predecessor peer or link — or returns "".
+func tableDiff(got, want *routeTable) string {
+	for v := range want.dist {
+		if math.Float64bits(got.dist[v]) != math.Float64bits(want.dist[v]) ||
+			got.prevPeer[v] != want.prevPeer[v] || got.prevLink[v] != want.prevLink[v] {
+			return fmt.Sprintf("peer %d: (dist %v, prev %d, link %d), want (%v, %d, %d)",
+				v, got.dist[v], got.prevPeer[v], got.prevLink[v], want.dist[v], want.prevPeer[v], want.prevLink[v])
+		}
 	}
-	var peers, links []int
-	for at := b; at != a; at = prevPeer[at] {
-		peers = append(peers, at)
-		links = append(links, prevLink[at])
-	}
-	peers = append(peers, a)
-	for i, j := 0, len(peers)-1; i < j; i, j = i+1, j-1 {
-		peers[i], peers[j] = peers[j], peers[i]
-	}
-	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
-		links[i], links[j] = links[j], links[i]
-	}
-	return Path{Peers: peers, Links: links, Latency: dist[b]}, true
+	return ""
 }
 
 // edgeScript is how buildBoth draws one script's weights and whether the
@@ -353,38 +351,113 @@ func TestDiffGeneratedGraphs(t *testing.T) {
 	}
 }
 
-// TestDiffRoutePaths: the frozen link-CSR router must return the identical
-// Path — peers, link indices, latency — as the legacy slice-walking router,
-// for every source/destination pair, on meshes from sparse (degree 1, several
-// components) to dense.
+// TestDiffRoutePaths: every route table the link-CSR sweep builds — distance
+// bits, predecessor peers and links, from which Route, PathCost and the
+// bandwidth calls walk — must be the heap reference's, on meshes from sparse
+// (degree 1, several components) to dense, for every source of the ten world
+// shapes the repo builds (meshWorlds) at seeds 1–3, and for 50 sources of the
+// scale workload's 300,000-node/30,000-peer world. The tie rule has to
+// reproduce the heap's predecessor wherever distance decides it, and on these
+// worlds distance always does.
 func TestDiffRoutePaths(t *testing.T) {
+	check := func(name string, o *Overlay, sources []int) {
+		t.Helper()
+		for _, a := range sources {
+			want := legacyTable(o, a)
+			if d := tableDiff(sourceTable(o, a), &want); d != "" {
+				t.Fatalf("%s source %d: sweep %s", name, a, d)
+			}
+		}
+	}
+	every := func(o *Overlay) []int {
+		s := make([]int, o.N())
+		for i := range s {
+			s[i] = i
+		}
+		return s
+	}
+	// A diamond whose one bucket holds peers 2 (at 1.5) and 1 (at 1), queued
+	// in that order: 2 reaches 3 first, at 1.5+2, and 1 then ties it from a
+	// smaller distance, 1+2.5, so the sweep must replace 3's predecessor to
+	// keep the one the heap settles first.
+	diamond := &Overlay{peerIP: make([]int, 4), adj: make([][]int, 4), routeCap: 4}
+	for _, l := range []overlayLink{{u: 0, v: 2, latency: 1.5}, {u: 0, v: 1, latency: 1}, {u: 2, v: 3, latency: 2}, {u: 1, v: 3, latency: 2.5}} {
+		diamond.adj[l.u] = append(diamond.adj[l.u], len(diamond.links))
+		diamond.adj[l.v] = append(diamond.adj[l.v], len(diamond.links))
+		diamond.links = append(diamond.links, l)
+	}
+	check("diamond", diamond, every(diamond))
 	for _, degree := range []int{1, 3, 6} {
 		rng := rand.New(rand.NewSource(42))
 		g := GeneratePowerLaw(400, 2, 2, 30, rng)
 		o := BuildOverlay(g, OverlayConfig{NumPeers: 60, Degree: degree}, rng)
-		for a := 0; a < o.N(); a++ {
-			for b := 0; b < o.N(); b++ {
-				got, gok := o.Route(a, b)
-				want, wok := legacyRoute(o, a, b)
-				if gok != wok {
-					t.Fatalf("degree %v route %d->%d: CSR ok=%v, legacy ok=%v", degree, a, b, gok, wok)
+		check(fmt.Sprintf("400/60 degree %d", degree), o, every(o))
+	}
+	for _, w := range meshWorlds {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := GeneratePowerLaw(w.ipNodes, 2, 2, 30, rng)
+			o := BuildOverlay(g, OverlayConfig{NumPeers: w.peers, Degree: 4, CapMin: 2000, CapMax: 10000, Compact: true}, rng)
+			check(fmt.Sprintf("%d/%d seed %d", w.ipNodes, w.peers, seed), o, every(o))
+		}
+	}
+	if testing.Short() {
+		t.Skip("300k-node world skipped in -short")
+	}
+	rng := rand.New(rand.NewSource(1))
+	g := GeneratePowerLaw(300_000, 2, 2, 30, rng)
+	o := BuildOverlay(g, OverlayConfig{NumPeers: 30_000, Degree: 4, CapMin: 2000, CapMax: 10000, Compact: true}, rng)
+	check("300000/30000", o, rng.Perm(o.N())[:50])
+}
+
+// diffOverlayTables builds an overlay on g at route-cache bounds 1 and ∞ and
+// holds every source's table to the heap reference where adversarial weights
+// leave room for ties: every latency is the heap's to the bit, every
+// predecessor is tight (its link joins it to the node and dist[prev] + latency
+// == dist[node]) and at the heap's predecessor's distance, every chain is
+// acyclic and ends at the source, and the two bounds' tables are identical.
+// Which of two tight predecessors at one distance a node keeps is the tie
+// rule's choice, not the heap's.
+func diffOverlayTables(t *testing.T, g *Graph, seed int64) {
+	t.Helper()
+	n := 1 + g.N()/2
+	build := func(k int) *Overlay {
+		rng := rand.New(rand.NewSource(seed))
+		return BuildOverlay(g, OverlayConfig{NumPeers: n, Degree: 1 + rng.Intn(4), RouteCacheSize: k, Compact: true}, rng)
+	}
+	one, all := build(1), build(n)
+	for a := 0; a < n; a++ {
+		got, want := sourceTable(one, a), legacyTable(one, a)
+		if d := tableDiff(got, sourceTable(all, a)); d != "" {
+			t.Fatalf("source %d: K=1 %s at K=∞", a, d)
+		}
+		for v, d := range got.dist {
+			if math.Float64bits(d) != math.Float64bits(want.dist[v]) {
+				t.Fatalf("source %d peer %d: sweep latency %v, heap %v", a, v, d, want.dist[v])
+			}
+			p, l := got.prevPeer[v], got.prevLink[v]
+			if v == a || math.IsInf(d, 1) {
+				if p != -1 || l != -1 {
+					t.Fatalf("source %d peer %d (dist %v): predecessor %d link %d, want none", a, v, d, p, l)
 				}
-				if !gok {
-					continue
+				continue
+			}
+			if p < 0 || l < 0 {
+				t.Fatalf("source %d peer %d: reachable without a predecessor", a, v)
+			}
+			lk := one.links[l]
+			if !(lk.u == v && lk.v == int(p) || lk.u == int(p) && lk.v == v) || got.dist[p]+lk.latency != d {
+				t.Fatalf("source %d peer %d: predecessor %d over link %d (%d-%d @%v) is not tight at %v", a, v, p, l, lk.u, lk.v, lk.latency, d)
+			}
+			if hp := want.prevPeer[v]; math.Float64bits(got.dist[p]) != math.Float64bits(want.dist[hp]) {
+				t.Fatalf("source %d peer %d: predecessor %d at %v, the heap's %d at %v", a, v, p, got.dist[p], hp, want.dist[hp])
+			}
+			at := v
+			for hops := 0; at != a; hops++ {
+				if at < 0 || hops > n {
+					t.Fatalf("source %d peer %d: predecessor chain does not end at the source", a, v)
 				}
-				if got.Latency != want.Latency || len(got.Peers) != len(want.Peers) {
-					t.Fatalf("degree %v route %d->%d: CSR %+v, legacy %+v", degree, a, b, got, want)
-				}
-				for i := range got.Peers {
-					if got.Peers[i] != want.Peers[i] {
-						t.Fatalf("degree %v route %d->%d peer %d: CSR %v, legacy %v", degree, a, b, i, got.Peers, want.Peers)
-					}
-				}
-				for i := range got.Links {
-					if got.Links[i] != want.Links[i] {
-						t.Fatalf("degree %v route %d->%d link %d: CSR %v, legacy %v", degree, a, b, i, got.Links, want.Links)
-					}
-				}
+				at = int(got.prevPeer[at])
 			}
 		}
 	}
@@ -393,7 +466,8 @@ func TestDiffRoutePaths(t *testing.T) {
 // FuzzDiffGraph drives the same differential through the fuzzer: arbitrary
 // seeds generate edge scripts replayed into both representations — the
 // friendly script, then the adversarial one the seed selects
-// (testdata/fuzz/FuzzDiffGraph/adversarial-* hold one seed per script).
+// (testdata/fuzz/FuzzDiffGraph/adversarial-* hold one seed per script), on
+// whose graph an overlay's route tables are then held to the heap too.
 func FuzzDiffGraph(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(7))
@@ -407,5 +481,6 @@ func FuzzDiffGraph(f *testing.F) {
 		script := adversarialScripts[uint64(seed)%uint64(len(adversarialScripts))]
 		g, lg = buildBoth(rng, n, n, script)
 		diffCheck(t, g, lg, rng)
+		diffOverlayTables(t, g, seed)
 	})
 }

@@ -10,7 +10,9 @@
 // build-phase structures. All query paths (Dijkstra, PairDistances, the
 // overlay's nearest-peer search) consume the CSR arrays with zero per-node
 // allocation, which is what lets a 100,000-node graph build and sweep inside
-// a laptop-class memory budget.
+// a laptop-class memory budget. The overlay's links freeze into the same CSR
+// form, and every search that runs to completion, on either layer, is the one
+// bucket sweep over it (csr.sweep).
 package topology
 
 import (
@@ -38,20 +40,38 @@ type Graph struct {
 	adj   [][]Edge
 	edges map[uint64]struct{}
 
-	// Frozen CSR: node u's incident half-edges are to[off[u]:off[u+1]]
-	// with weights w at the same indices, packed in insertion order so
-	// relaxation order — and therefore every float fold — is identical to
-	// the adjacency-list representation.
-	off []int32
-	to  []int32
-	w   []float64
+	csr // frozen form, set by Freeze
+}
 
-	// Bucket plan of the shortest-path sweep, fixed by Freeze from the
+// csr is a frozen weighted adjacency: node u's incident half-edges are
+// to[off[u]:off[u+1]] with weights w — and, on an overlay, link indices link —
+// at the same indices, packed in insertion order so relaxation order, and
+// therefore every float fold, is that of the adjacency lists it was packed
+// from.
+type csr struct {
+	off  []int32
+	to   []int32
+	w    []float64
+	link []int32 // overlay link index of each half-edge; nil on the IP graph
+
+	// Bucket plan of the shortest-path sweep, fixed by plan from the
 	// smallest positive and the largest edge weight: a distance d belongs to
 	// bucket int(d*bucketInv), and ringLen (a power of two) buckets are live
 	// at any time. See sweep.
 	bucketInv float64
 	ringLen   int
+}
+
+// plan fixes the sweep's bucket plan from the packed weights.
+func (c *csr) plan() {
+	minPos, maxW := math.Inf(1), 0.0
+	for _, w := range c.w {
+		if w > 0 && w < minPos {
+			minPos = w
+		}
+		maxW = max(maxW, w)
+	}
+	c.bucketInv, c.ringLen = bucketPlan(minPos, maxW)
 }
 
 // pairKey packs an unordered node pair into one map key. Node indices are
@@ -116,7 +136,6 @@ func (g *Graph) Freeze() {
 	if g.Frozen() {
 		return
 	}
-	minPos, maxW := math.Inf(1), 0.0
 	g.off = make([]int32, g.n+1)
 	for u, es := range g.adj {
 		g.off[u+1] = g.off[u] + int32(len(es))
@@ -129,13 +148,9 @@ func (g *Graph) Freeze() {
 		for i, e := range es {
 			g.to[base+int32(i)] = int32(e.To)
 			g.w[base+int32(i)] = e.Latency
-			if e.Latency > 0 && e.Latency < minPos {
-				minPos = e.Latency
-			}
-			maxW = max(maxW, e.Latency)
 		}
 	}
-	g.bucketInv, g.ringLen = bucketPlan(minPos, maxW)
+	g.plan()
 	g.adj = nil
 	g.edges = nil
 }
@@ -176,28 +191,30 @@ func bucketPlan(minPos, maxW float64) (inv float64, ringLen int) {
 	return inv, ringLen
 }
 
-// sweepState is one worker's reusable state for sweep: allocated once, shared
-// by all of that worker's sources.
+// sweepState is one worker's reusable scratch for sweep: allocated once, its
+// buckets grown to their working size by the first sources, and shared by all
+// of that worker's sources. A sweep leaves every slot at -1.
 type sweepState struct {
-	dist []float64
 	slot []int32   // node -> ring slot holding its live entry, -1 when none
 	ring [][]int32 // ring[k]: nodes whose tentative distance fell in a bucket ≡ k
 }
 
-func (g *Graph) newSweepState() *sweepState {
-	s := &sweepState{dist: make([]float64, g.n), slot: make([]int32, g.n), ring: make([][]int32, g.ringLen)}
+func (c *csr) newSweepState() sweepState {
+	s := sweepState{slot: make([]int32, len(c.off)-1), ring: make([][]int32, c.ringLen)}
 	for i := range s.slot {
 		s.slot[i] = -1
 	}
 	return s
 }
 
-// sweep fills s.dist with the shortest-path latency from src to every node
+// sweep fills rt.dist with the shortest-path latency from src to every node
 // (+Inf where unreachable) by a bucket sweep — Dial's algorithm on float keys —
 // instead of a priority queue. Every improving relaxation gives the node a
 // live entry in the bucket of its new distance (slot dedups: one live entry
 // per node, older ones are skipped as stale); buckets are drained in
-// increasing order until no live entry is left.
+// increasing order until no live entry is left. When rt.prevPeer is non-nil
+// the sweep also records each node's predecessor, peer and link (-1 at src
+// and where unreachable), which needs c.link.
 //
 // Buckets are as wide as the smallest positive edge weight, so relaxing out
 // of the bucket being drained lands in a later one and a node is final when
@@ -218,13 +235,26 @@ func (g *Graph) newSweepState() *sweepState {
 // src→v paths — and every search that stops with no improving edge left has
 // reached it, in whatever order it relaxed.
 //
-// The graph must be frozen; sweep only reads it, so workers may share it.
-func (g *Graph) sweep(src int, s *sweepState) {
-	dist, slot, ring := s.dist, s.slot, s.ring
-	off, to, w, inv := g.off, g.to, g.w, g.bucketInv
+// Predecessors follow one tie rule: a node keeps the first predecessor that
+// reached its final distance, except that a tight one (dist[u]+w == dist[v])
+// at a strictly smaller distance replaces it. A heap Dijkstra keeps the first
+// tight predecessor it settles, and it settles smaller distances first, so the
+// two pick the same one wherever distance decides; diff_test.go holds every
+// route table of the repo's world shapes to the heap's. The rule also keeps
+// every chain acyclic on zero-weight links: a predecessor at the same
+// distance reached it strictly earlier.
+//
+// c must be frozen; sweep only reads it, so workers may share it.
+func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
+	dist, slot, ring := rt.dist, s.slot, s.ring
+	off, to, w, inv := c.off, c.to, c.w, c.bucketInv
+	rec := rt.prevPeer != nil
 	mask := len(ring) - 1
 	for i := range dist {
 		dist[i] = math.Inf(1)
+	}
+	for i := range rt.prevPeer {
+		rt.prevPeer[i], rt.prevLink[i] = -1, -1
 	}
 	for k := range ring {
 		ring[k] = ring[k][:0] // stale entries the last source left behind
@@ -242,10 +272,35 @@ func (g *Graph) sweep(src int, s *sweepState) {
 				}
 				slot[u] = -1
 				live--
-				du := dist[u]
-				for e, end := off[u], off[u+1]; e < end; e++ {
-					v := to[e]
-					nd := du + w[e]
+				du, lo, hi := dist[u], off[u], off[u+1]
+				// rec is tested once per scanned node: tested per edge, it
+				// costs the IP layer's distance-only sweeps ~5 %.
+				if rec {
+					for e := lo; e < hi; e++ {
+						v, nd := to[e], du+w[e]
+						if nd > dist[v] {
+							continue
+						}
+						if nd == dist[v] {
+							if p := rt.prevPeer[v]; p >= 0 && du < dist[p] {
+								rt.prevPeer[v], rt.prevLink[v] = u, c.link[e]
+							}
+							continue
+						}
+						dist[v] = nd
+						rt.prevPeer[v], rt.prevLink[v] = u, c.link[e]
+						if b := int32(int(nd*inv) & mask); slot[v] != b {
+							if slot[v] < 0 {
+								live++
+							}
+							slot[v] = b
+							ring[b] = append(ring[b], v)
+						}
+					}
+					continue
+				}
+				for e := lo; e < hi; e++ {
+					v, nd := to[e], du+w[e]
 					if nd >= dist[v] {
 						continue
 					}
@@ -271,30 +326,30 @@ func (g *Graph) sweep(src int, s *sweepState) {
 // algorithm: see sweep.
 func (g *Graph) Dijkstra(src int) []float64 {
 	g.Freeze()
-	s := g.newSweepState()
-	g.sweep(src, s)
-	return s.dist
+	rt, s := routeTable{dist: make([]float64, g.n)}, g.newSweepState()
+	g.sweep(src, &rt, &s)
+	return rt.dist
 }
 
 // PairDistances computes the shortest-path latency between every pair of the
 // given nodes: one sweep per source, fanned over GOMAXPROCS workers. Row i
 // holds the distances from nodes[i] to every nodes[j]. This is the overlay
 // builder's peer-latency pass and, at the paper's scale (1,000 peers over
-// 10,000 IP nodes), most of a cluster build. Each worker owns one sweepState,
-// reused across its sources, reads the frozen graph, and writes only the rows
-// of its own sources; a row depends on nothing but its source, so the matrix
-// is the same at any worker count. Edge weights are finite and >= 0 (AddEdge
-// enforces it).
+// 10,000 IP nodes), most of a cluster build. Each worker owns one sweepState
+// and distance vector, reused across its sources, reads the frozen graph, and
+// writes only the rows of its own sources; a row depends on nothing but its
+// source, so the matrix is the same at any worker count. Edge weights are
+// finite and >= 0 (AddEdge enforces it).
 func (g *Graph) PairDistances(nodes []int) [][]float64 {
 	g.Freeze()
 	out := make([][]float64, len(nodes))
 	fanOut(len(nodes), func() func(int) {
-		s := g.newSweepState()
+		rt, s := routeTable{dist: make([]float64, g.n)}, g.newSweepState()
 		return func(i int) {
-			g.sweep(nodes[i], s)
+			g.sweep(nodes[i], &rt, &s)
 			row := make([]float64, len(nodes))
 			for j, dst := range nodes {
-				row[j] = s.dist[dst]
+				row[j] = rt.dist[dst]
 			}
 			out[i] = row
 		}
@@ -345,8 +400,9 @@ type truncState struct {
 // settled — peerOf maps an IP node to the peer it hosts, -1 for none — and
 // returns them in settle order, ascending distance: the k nearest peers. The
 // search touches only the ball around src, and s's buffers are restored
-// before returning. It runs on the overlay router's lazy-deletion heap: a
-// ball of a few dozen nodes gives a bucket ring nothing to amortize, and the
+// before returning. It is the one search here that runs on a heap: it stops
+// after k peers in settle order, which a bucket sweep does not produce, and a
+// ball of a few dozen nodes gives a bucket ring nothing to amortize; the
 // distances are the ones any correct search reaches (see sweep). The graph
 // must be frozen; the search only reads it, so workers with a truncState each
 // may share it.

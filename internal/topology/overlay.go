@@ -28,8 +28,8 @@ type Path struct {
 // IP-layer latency (see Latency), which a compact overlay does not keep.
 //
 // Like Graph, the link set has a mutable build phase and a frozen CSR form:
-// routing consumes packed per-peer (neighbor, link, latency) arrays built
-// lazily on the first Route and invalidated by AddPeer.
+// routing sweeps packed per-peer (neighbor, link, latency) arrays built lazily
+// on the first Route and invalidated by AddPeer.
 type Overlay struct {
 	peerIP  []int
 	lat     [][]float64 // pairwise peer latency over IP shortest paths; nil in compact mode
@@ -39,32 +39,29 @@ type Overlay struct {
 
 	capMin, capMax float64 // link capacity range, for peers added later
 
-	// Bounded per-source route cache: an LRU of at most routeCap full
-	// Dijkstra tables, so steady-state memory is O(routeCap·peers) no matter
-	// how many sources probe. Once the cache is full, near destinations are
-	// answered by a truncated search over the trunc scratch state instead of
-	// evicting a table, and a far one recomputes into the evicted table's
-	// arrays — see tree. pq is the one heap both searches run on.
-	routeCap   int
-	routeCache map[int]*routeSlot
-	lruHead    *routeSlot // most recently used
-	lruTail    *routeSlot // next eviction victim
-	trunc      *truncRouteState
-	pq         distPQ
+	routeCap int     // most per-source tables the route cache holds
+	r        *router // nil until the first route; AddPeer drops it
+}
 
-	// Frozen link CSR: peer p's incident links occupy [loff[p], loff[p+1])
-	// in lto (the far endpoint), llink (the link index), and llat (the link
-	// latency), packed in adj insertion order so routing relaxes in exactly
-	// the order the slice-of-slices representation did.
-	loff  []int32
-	lto   []int32
-	llink []int32
-	llat  []float64
+// router is what every route is computed with, built together on the first
+// route and dropped together by AddPeer: the frozen link CSR (peer p's
+// incident links in adj insertion order, so routing relaxes in the order the
+// slice-of-slices representation does), the one sweep scratch every table is
+// computed in, and a bounded per-source route cache — an LRU of at most
+// routeCap tables, so steady-state memory is O(routeCap·peers) no matter how
+// many sources probe.
+type router struct {
+	csr
+	sweepState
+	slotOf     []*routeSlot // source peer -> its cached table, nil when none
+	cached     int          // tables on the LRU list
+	head, tail *routeSlot   // most recently used, next eviction victim
 }
 
 // routeTable is one source's shortest-path tree, 16 B per peer: the latency
 // to every peer and the (peer, link) each is reached through, -1 at the source
-// and at unreachable peers.
+// and at unreachable peers. The IP layer's sweeps want distances only and
+// leave the predecessor arrays nil.
 type routeTable struct {
 	dist     []float64
 	prevPeer []int32
@@ -83,23 +80,13 @@ type routeSlot struct {
 	prev, next *routeSlot // prev = more recent
 }
 
-// truncRouteState is the reusable scratch for the truncated-Dijkstra fast
-// path: a table whose entries are valid only where stamp carries the current
-// epoch, which makes per-call initialization O(touched) instead of O(peers).
-type truncRouteState struct {
-	routeTable
-	stamp []uint32
-	epoch uint32
-}
-
 // routeCacheBudget is the memory the route cache may hold when
 // OverlayConfig.RouteCacheSize is zero: as many 16 B/peer tables as fit in
 // 32 MB — 2,097 at 1,000 peers, 69 at 30,000, 20 at 100,000. An entry count
 // cannot be right at every scale; the traffic sets the one that matters: on
 // the paper's §6.1 world (1,000 peers) BCP makes every peer a route source,
-// and under the former 512-table bound one steady benchmark round ran 9,600
-// full Dijkstras for those 1,000 sources. With all of them resident (16 MB)
-// it runs 1,000.
+// and under a 512-table bound one steady benchmark round sweeps 9,600 tables
+// for those 1,000 sources. With all of them resident (16 MB) it sweeps 1,000.
 const routeCacheBudget = 32 << 20
 
 // defaultRouteCap is the number of route tables routeCacheBudget holds.
@@ -153,13 +140,12 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 		routeCap = defaultRouteCap(n)
 	}
 	o := &Overlay{
-		peerIP:     rng.Perm(g.N())[:n],
-		adj:        make([][]int, n),
-		linkSet:    make(map[uint64]struct{}),
-		capMin:     cfg.CapMin,
-		capMax:     cfg.CapMax,
-		routeCap:   routeCap,
-		routeCache: make(map[int]*routeSlot),
+		peerIP:   rng.Perm(g.N())[:n],
+		adj:      make([][]int, n),
+		linkSet:  make(map[uint64]struct{}),
+		capMin:   cfg.CapMin,
+		capMax:   cfg.CapMax,
+		routeCap: routeCap,
 	}
 	g.Freeze()
 	peerOf := o.peerIndex(g.N())
@@ -262,69 +248,61 @@ func (o *Overlay) AddPeer(g *Graph, ip, degree int, rng *rand.Rand) int {
 	o.lat = append(o.lat, row)
 	o.adj = append(o.adj, nil)
 	o.link(n, nearest, rng)
-	o.cacheReset()
-	o.loff, o.lto, o.llink, o.llat = nil, nil, nil, nil
+	o.r = nil // its link CSR and tables predate the newcomer
 	return n
 }
 
-// cacheReset drops every cached routing table and the truncated-search
-// scratch (their arrays are sized to the peer count, which may have changed).
-func (o *Overlay) cacheReset() {
-	o.routeCache = make(map[int]*routeSlot)
-	o.lruHead, o.lruTail = nil, nil
-	o.trunc = nil
-}
-
-// lruUnlink takes s off the recency list.
-func (o *Overlay) lruUnlink(s *routeSlot) {
-	if s.prev != nil {
-		s.prev.next = s.next
-	} else {
-		o.lruHead = s.next
-	}
-	if s.next != nil {
-		s.next.prev = s.prev
-	} else {
-		o.lruTail = s.prev
-	}
-}
-
-// lruPushFront makes s the most recently used slot.
-func (o *Overlay) lruPushFront(s *routeSlot) {
-	s.prev, s.next = nil, o.lruHead
-	if o.lruHead != nil {
-		o.lruHead.prev = s
-	} else {
-		o.lruTail = s
-	}
-	o.lruHead = s
-}
-
-// freezeLinks packs the per-peer link lists into the frozen CSR arrays.
-func (o *Overlay) freezeLinks() {
+// newRouter packs the per-peer link lists into the link CSR, plans its sweep
+// and allocates the sweep scratch and an empty cache.
+func (o *Overlay) newRouter() *router {
 	n := o.N()
-	o.loff = make([]int32, n+1)
+	r := &router{slotOf: make([]*routeSlot, n)}
+	r.off = make([]int32, n+1)
 	for p, idxs := range o.adj {
-		o.loff[p+1] = o.loff[p] + int32(len(idxs))
+		r.off[p+1] = r.off[p] + int32(len(idxs))
 	}
-	half := o.loff[n]
-	o.lto = make([]int32, half)
-	o.llink = make([]int32, half)
-	o.llat = make([]float64, half)
+	half := r.off[n]
+	r.to, r.w, r.link = make([]int32, half), make([]float64, half), make([]int32, half)
 	for p, idxs := range o.adj {
-		at := o.loff[p]
+		at := r.off[p]
 		for _, idx := range idxs {
 			l := o.links[idx]
 			to := l.u
 			if to == p {
 				to = l.v
 			}
-			o.lto[at] = int32(to)
-			o.llink[at] = int32(idx)
-			o.llat[at] = l.latency
+			r.to[at], r.w[at], r.link[at] = int32(to), l.latency, int32(idx)
 			at++
 		}
 	}
+	r.plan()
+	r.sweepState = r.newSweepState()
+	return r
+}
+
+// unlink takes s off the recency list.
+func (r *router) unlink(s *routeSlot) {
+	if s.prev != nil {
+		s.prev.next = s.next
+	} else {
+		r.head = s.next
+	}
+	if s.next != nil {
+		s.next.prev = s.prev
+	} else {
+		r.tail = s.prev
+	}
+}
+
+// pushFront makes s the most recently used slot.
+func (r *router) pushFront(s *routeSlot) {
+	s.prev, s.next = nil, r.head
+	if r.head != nil {
+		r.head.prev = s
+	} else {
+		r.tail = s
+	}
+	r.head = s
 }
 
 // tree is the route oracle every query goes through: it returns a table in
@@ -334,43 +312,41 @@ func (o *Overlay) freezeLinks() {
 //
 // Per-source tables are cached in an LRU bounded by
 // OverlayConfig.RouteCacheSize and invalidated only by AddPeer, since links
-// otherwise never change. Once the cache is full, a near destination (one
-// that settles within a small ball around the source) is answered by a
-// truncated search without touching the cache; only far destinations pay a
-// full Dijkstra, which evicts the LRU table and computes into its arrays, so
-// a miss on a full cache allocates nothing. Because Dijkstra's relaxation
-// order is deterministic and settled entries never change, every code path
-// yields the identical chain — the cache bound affects memory and
-// recomputation, not results, so same-seed traces stay byte-identical at any
-// bound.
+// otherwise never change. A miss sweeps a's whole table over the link CSR; on
+// a full cache it evicts the LRU table and sweeps into its arrays, so it
+// allocates nothing. A table depends on nothing but its source, so the cache
+// bound affects memory and recomputation, not results, and same-seed traces
+// stay byte-identical at any bound.
 func (o *Overlay) tree(a, b int) (*routeTable, float64, bool) {
 	if a == b {
 		return nil, 0, true
 	}
-	s, ok := o.routeCache[a]
+	if o.r == nil {
+		o.r = o.newRouter()
+	}
+	r := o.r
+	s := r.slotOf[a]
 	switch {
-	case ok:
-		if s != o.lruHead {
-			o.lruUnlink(s)
-			o.lruPushFront(s)
+	case s != nil:
+		if s != r.head {
+			r.unlink(s)
+			r.pushFront(s)
 		}
 		return &s.rt, s.rt.dist[b], !math.IsInf(s.rt.dist[b], 1)
-	case len(o.routeCache) < o.routeCap:
-		s = &routeSlot{}
+	case r.cached < o.routeCap:
+		s = &routeSlot{rt: newRouteTable(o.N())}
+		r.cached++
 	default:
-		if lat, ok, hit := o.routeNear(a, b); hit {
-			return &o.trunc.routeTable, lat, ok
-		}
 		// Eviction follows only the (deterministic) access sequence, so
 		// same-seed runs evict identically.
-		s = o.lruTail
-		o.lruUnlink(s)
-		delete(o.routeCache, s.src)
+		s = r.tail
+		r.unlink(s)
+		r.slotOf[s.src] = nil
 	}
 	s.src = a
-	o.dijkstra(a, &s.rt)
-	o.lruPushFront(s)
-	o.routeCache[a] = s
+	r.sweep(a, &s.rt, &r.sweepState)
+	r.pushFront(s)
+	r.slotOf[a] = s
 	return &s.rt, s.rt.dist[b], !math.IsInf(s.rt.dist[b], 1)
 }
 
@@ -425,112 +401,6 @@ func (o *Overlay) bottleneck(rt *routeTable, a, b int) float64 {
 		}
 	}
 	return bw
-}
-
-// routeNear runs Dijkstra from a but stops as soon as b settles, giving up
-// once the settled ball exceeds ~n/8 peers. hit reports whether the search
-// reached a verdict: b settled (its chain in o.trunc is exact — a settled
-// node's distance and predecessor are final, and the relaxation order up to
-// that point is identical to the full run's), or a's entire component
-// settled without finding b (no route exists). hit=false means b lies outside
-// the ball and the caller must fall back to a full Dijkstra. Nothing is
-// cached; the epoch-stamped scratch keeps per-call cost O(ball), not O(peers).
-func (o *Overlay) routeNear(a, b int) (lat float64, ok, hit bool) {
-	if o.loff == nil {
-		o.freezeLinks()
-	}
-	n := o.N()
-	ts := o.trunc
-	if ts == nil || len(ts.dist) < n {
-		ts = &truncRouteState{routeTable: newRouteTable(n), stamp: make([]uint32, n)}
-		o.trunc = ts
-	}
-	ts.epoch++
-	if ts.epoch == 0 { // wrapped: stale stamps could alias, clear them
-		for i := range ts.stamp {
-			ts.stamp[i] = 0
-		}
-		ts.epoch = 1
-	}
-	touch := func(v int32) {
-		if ts.stamp[v] != ts.epoch {
-			ts.stamp[v] = ts.epoch
-			ts.dist[v] = math.Inf(1)
-			ts.prevPeer[v] = -1
-			ts.prevLink[v] = -1
-		}
-	}
-	limit := n / 8
-	if limit < 32 {
-		limit = 32
-	}
-	pq := &o.pq
-	pq.reset()
-	touch(int32(a))
-	ts.dist[a] = 0
-	pq.push(distItem{node: a, dist: 0})
-	settled := 0
-	for pq.len() > 0 {
-		it := pq.pop()
-		if it.dist > ts.dist[it.node] {
-			continue
-		}
-		if it.node == b {
-			return it.dist, true, true
-		}
-		settled++
-		if settled >= limit {
-			return 0, false, false
-		}
-		for i, end := o.loff[it.node], o.loff[it.node+1]; i < end; i++ {
-			to := o.lto[i]
-			touch(to)
-			if nd := it.dist + o.llat[i]; nd < ts.dist[to] {
-				ts.dist[to] = nd
-				ts.prevPeer[to] = int32(it.node)
-				ts.prevLink[to] = o.llink[i]
-				pq.push(distItem{node: int(to), dist: nd})
-			}
-		}
-	}
-	// The queue drained before the limit: a's entire component is settled
-	// and b is not in it.
-	return 0, false, true
-}
-
-// dijkstra fills rt with src's full shortest-path tree, reusing rt's arrays
-// when they fit (an evicted table's) and overwriting every entry.
-func (o *Overlay) dijkstra(src int, rt *routeTable) {
-	if o.loff == nil {
-		o.freezeLinks()
-	}
-	if n := o.N(); len(rt.dist) != n {
-		*rt = newRouteTable(n)
-	}
-	for i := range rt.dist {
-		rt.dist[i] = math.Inf(1)
-		rt.prevPeer[i] = -1
-		rt.prevLink[i] = -1
-	}
-	rt.dist[src] = 0
-	pq := &o.pq
-	pq.reset()
-	pq.push(distItem{node: src, dist: 0})
-	for pq.len() > 0 {
-		it := pq.pop()
-		if it.dist > rt.dist[it.node] {
-			continue
-		}
-		for i, end := o.loff[it.node], o.loff[it.node+1]; i < end; i++ {
-			to := o.lto[i]
-			if nd := it.dist + o.llat[i]; nd < rt.dist[to] {
-				rt.dist[to] = nd
-				rt.prevPeer[to] = int32(it.node)
-				rt.prevLink[to] = o.llink[i]
-				pq.push(distItem{node: int(to), dist: nd})
-			}
-		}
-	}
 }
 
 // AvailBandwidth returns the bottleneck available bandwidth along p in kbps.

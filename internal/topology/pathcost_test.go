@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// dropLinks removes every overlay link for which drop returns true, and
-// resets the route cache and the frozen link CSR so routing sees the cut.
+// dropLinks removes every overlay link for which drop returns true, and drops
+// the router — link CSR and route cache — so routing sees the cut.
 func dropLinks(o *Overlay, drop func(u, v int) bool) {
 	for p, idxs := range o.adj {
 		keep := idxs[:0]
@@ -18,17 +18,16 @@ func dropLinks(o *Overlay, drop func(u, v int) bool) {
 		}
 		o.adj[p] = keep
 	}
-	o.cacheReset()
-	o.loff = nil
+	o.r = nil
 }
 
 // TestPathCostMatchesRoute is the differential for the allocation-free cost
 // walk: for random (a, b) over an overlay with two components, an isolated
 // peer and bandwidth reserved on random routes, PathCost must equal Route +
 // AvailBandwidth bit for bit — latency, bottleneck and ok — in every cache
-// state: cold (miss, room left), hit, full-and-near (truncated search) and
-// full-and-evict (full Dijkstra into the victim's arrays). The reference
-// overlay holds every source, so it is only ever cold or hit.
+// state: cold (miss, room left), hit and full-and-evict (a sweep into the
+// victim's arrays). The reference overlay holds every source, so it is only
+// ever cold or hit.
 func TestPathCostMatchesRoute(t *testing.T) {
 	const peers = 80
 	cut := func(u, v int) bool { return u == 0 || v == 0 || (u < peers/2) != (v < peers/2) }
@@ -52,20 +51,15 @@ func TestPathCostMatchesRoute(t *testing.T) {
 				continue
 			}
 			state := "cold"
-			_, cached := pc.routeCache[a]
-			full := len(pc.routeCache) >= pc.routeCap
-			if a == b {
+			switch {
+			case a == b:
 				state = "self"
-			} else if cached {
+			case pc.r != nil && pc.r.slotOf[a] != nil:
 				state = "hit"
+			case cachedTables(pc) >= pc.routeCap:
+				state = "full-and-evict"
 			}
 			lat, band, ok := pc.PathCost(a, b)
-			if _, now := pc.routeCache[a]; !cached && full && a != b {
-				state = "full-and-near"
-				if now {
-					state = "full-and-evict"
-				}
-			}
 			seen[state]++
 
 			var wantLat, wantBand float64
@@ -89,17 +83,17 @@ func TestPathCostMatchesRoute(t *testing.T) {
 			t.Fatalf("K=%d isolated peer 0 has a route", k)
 		}
 	}
-	for _, state := range []string{"cold", "hit", "full-and-near", "full-and-evict"} {
+	for _, state := range []string{"cold", "hit", "full-and-evict"} {
 		if seen[state] == 0 {
 			t.Fatalf("cache state %q never exercised: %v", state, seen)
 		}
 	}
 }
 
-// TestRecycledTableCarriesNothingOver evicts between two components larger
-// than the truncated search's ball: each miss recomputes into arrays that
-// still hold the other component's finite distances, and must nevertheless
-// report no route across the cut and the oracle's route within it.
+// TestRecycledTableCarriesNothingOver evicts back and forth between two
+// components: each miss sweeps into arrays that still hold the other
+// component's finite distances and predecessors, and must nevertheless report
+// no route across the cut and the oracle's route within it.
 func TestRecycledTableCarriesNothingOver(t *testing.T) {
 	const peers = 120
 	o := cacheOverlay(t, peers, 1)
@@ -110,11 +104,14 @@ func TestRecycledTableCarriesNothingOver(t *testing.T) {
 		if i%2 == 1 {
 			a, b = b, a
 		}
-		before := o.lruHead
+		var before *routeSlot
+		if o.r != nil {
+			before = o.r.head
+		}
 		if _, _, ok := o.PathCost(a, b); ok {
 			t.Fatalf("route %d→%d crosses the cut", a, b)
 		}
-		if s := o.routeCache[a]; s != nil && s == before {
+		if s := o.r.slotOf[a]; s != nil && s == before {
 			recycled++ // the single slot was reused for a new source
 		}
 		within := (a + 17) % (peers / 2)
@@ -135,50 +132,40 @@ func TestRecycledTableCarriesNothingOver(t *testing.T) {
 
 // TestPathCostAllocs pins the point of PathCost: a cost query on a cached
 // source allocates nothing, and neither does a miss on a full cache — the
-// evicted table's arrays and the overlay's one heap are reused.
+// evicted table's arrays and the router's one sweep scratch, its ring
+// buckets grown by the first sweeps, are reused.
 func TestPathCostAllocs(t *testing.T) {
 	const peers = 400
 	o := cacheOverlay(t, peers, 2)
-	// For each of ten sources, the farthest reachable peer: outside the
-	// truncated search's ball, so every query below runs a full Dijkstra.
-	var srcs, fars [10]int
+	var srcs [10]int
 	for i := range srcs {
 		srcs[i] = i * 37
-		var rt routeTable
-		o.dijkstra(srcs[i], &rt)
-		for p, d := range rt.dist {
-			if !math.IsInf(d, 1) && d > rt.dist[fars[i]] {
-				fars[i] = p
-			}
-		}
 	}
-	o.PathCost(srcs[0], fars[0])
-	if avg := testing.AllocsPerRun(100, func() { o.PathCost(srcs[0], fars[0]) }); avg != 0 {
+	o.PathCost(srcs[0], peers-1)
+	if avg := testing.AllocsPerRun(100, func() { o.PathCost(srcs[0], peers-1) }); avg != 0 {
 		t.Fatalf("PathCost on a cached source allocates %.2f objects, want 0", avg)
 	}
 
-	i, evictions := 1, 0
+	i, misses := 1, 0
 	query := func() {
 		a := srcs[i%len(srcs)]
-		if _, _, ok := o.PathCost(a, fars[i%len(srcs)]); !ok {
-			t.Fatalf("no route from %d to its farthest peer", a)
+		if o.r.slotOf[a] == nil {
+			misses++ // ten sources cycling through two slots: every query
 		}
-		if o.lruHead.src == a {
-			evictions++
-		}
+		o.PathCost(a, peers-1-a)
 		i++
 	}
-	for n := 0; n < 3; n++ { // fill both slots, size the heap, then settle
+	for n := 0; n < len(srcs); n++ { // fill both slots and grow the ring buckets
 		query()
 	}
-	evictions = 0
+	misses = 0
 	if avg := testing.AllocsPerRun(200, query); avg != 0 {
 		t.Fatalf("PathCost miss on a full K=2 cache allocates %.2f objects, want 0", avg)
 	}
-	if evictions < 200 {
-		t.Fatalf("only %d of 200 queries evicted; the far destinations are not far", evictions)
+	if misses < 200 {
+		t.Fatalf("only %d of 200 queries missed the cache", misses)
 	}
-	if len(o.routeCache) != 2 {
-		t.Fatalf("K=2 cache holds %d tables", len(o.routeCache))
+	if n := cachedTables(o); n != 2 {
+		t.Fatalf("K=2 cache holds %d tables", n)
 	}
 }

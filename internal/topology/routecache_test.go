@@ -27,15 +27,23 @@ func pathString(p Path, ok bool) string {
 	return fmt.Sprintf("ok=%v peers=%v links=%v lat=%.9f", ok, p.Peers, p.Links, p.Latency)
 }
 
-// oracleRoute answers a→b from a fresh full Dijkstra table, bypassing the
-// cache, the truncated search and table recycling.
+// oracleRoute answers a→b from the heap reference's table (legacyTable),
+// bypassing the cache, the sweep and table recycling.
 func oracleRoute(o *Overlay, a, b int) (Path, bool) {
-	var rt routeTable
-	o.dijkstra(a, &rt)
+	rt := legacyTable(o, a)
 	if math.IsInf(rt.dist[b], 1) {
 		return Path{}, false
 	}
 	return rt.path(a, b, rt.dist[b]), true
+}
+
+// cachedTables is the route cache's table count: the LRU's, zero before the
+// first route and after AddPeer.
+func cachedTables(o *Overlay) int {
+	if o.r == nil {
+		return 0
+	}
+	return o.r.cached
 }
 
 // TestRouteCacheEvictionDeterministic drives the identical route sequence
@@ -54,14 +62,14 @@ func TestRouteCacheEvictionDeterministic(t *testing.T) {
 			t.Fatalf("route %d→%d diverges at K=2:\n  K=2: %s\n  K=∞: %s", a, b, got, want)
 		}
 	}
-	if len(tight.routeCache) > 2 {
-		t.Fatalf("K=2 cache holds %d tables", len(tight.routeCache))
+	if n := cachedTables(tight); n > 2 {
+		t.Fatalf("K=2 cache holds %d tables", n)
 	}
 }
 
 // TestRouteCacheMissCorrect compares every route served after the cache is
-// full — truncated fast path and evict-and-recompute into the victim's
-// recycled arrays alike — against an uncached full Dijkstra oracle.
+// full — each one a sweep into the evicted victim's recycled arrays —
+// against the uncached heap reference.
 func TestRouteCacheMissCorrect(t *testing.T) {
 	o := cacheOverlay(t, 80, 3)
 	// Fill the cache from three sources, then route from every other source:
@@ -94,8 +102,8 @@ func TestRouteCacheBounded(t *testing.T) {
 			o.Route(a, b)
 		}
 	}
-	if len(o.routeCache) > 5 {
-		t.Fatalf("cache holds %d tables, bound is 5", len(o.routeCache))
+	if n := cachedTables(o); n > 5 {
+		t.Fatalf("cache holds %d tables, bound is 5", n)
 	}
 	for _, c := range []struct{ peers, want int }{{10, 209715}, {500, 4194}} {
 		if def := cacheOverlay(t, c.peers, 0); def.routeCap != c.want {
@@ -137,8 +145,8 @@ func TestRouteCacheInvalidatedByAddPeer(t *testing.T) {
 		}
 	}
 	np := o.AddPeer(g, ip, 4, rng)
-	if len(o.routeCache) != 0 {
-		t.Fatalf("AddPeer left %d cached tables", len(o.routeCache))
+	if n := cachedTables(o); n != 0 {
+		t.Fatalf("AddPeer left %d cached tables", n)
 	}
 	// Every cached-before source must now route to the new peer, and all
 	// routes must match a fresh oracle over the grown overlay.
@@ -155,17 +163,17 @@ func TestRouteCacheInvalidatedByAddPeer(t *testing.T) {
 	}
 	// Eight sources through four slots: the later misses recycled tables, and
 	// every table they could recycle was sized after the arrival.
-	for src, s := range o.routeCache {
+	for s := o.r.head; s != nil; s = s.next {
 		if len(s.rt.dist) != o.N() || len(s.rt.prevPeer) != o.N() || len(s.rt.prevLink) != o.N() {
-			t.Fatalf("table of source %d has stale length %d, overlay has %d peers", src, len(s.rt.dist), o.N())
+			t.Fatalf("table of source %d has stale length %d, overlay has %d peers", s.src, len(s.rt.dist), o.N())
 		}
 	}
 }
 
-// TestRouteNearUnreachableVerdict exercises the truncated search's
-// drained-component verdict: with the cache full, a route between different
-// components must return ok=false without a full-table fallback changing the
-// answer.
+// TestRouteCacheDisconnectedComponents exercises the full sweep's no-route
+// verdict: with the single-slot cache full, every miss evicts and sweeps
+// its source's whole component, and a route to a severed peer, or from it,
+// must return ok=false.
 func TestRouteCacheDisconnectedComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := GeneratePowerLaw(300, 2, 2, 30, rng)

@@ -35,15 +35,17 @@ go test -race -count=1 -timeout 60s ./cmd/spidernode
 # candidate scoring, the dedupe key, next-hop planning). The run above had
 # them under the race detector only, whose runtime allocates differently;
 # these are the figures DESIGN.md quotes. The two benchmarks print the same
-# paths' objects, bytes and time into the log; the next three do that for the
-# world build: its two shortest-path passes (peer-latency matrix at the
-# paper's scale, compact mesh at the scale workload's) and the whole full
+# paths' objects, bytes and time into the log; the next ones do that for the
+# world build and the route plane: the two build passes (peer-latency matrix
+# at the paper's scale, compact mesh at the scale workload's), the whole full
 # overlay build at the paper's scale (mesh search plus matrix), which is what
-# the steady workload's setup_s pays.
-echo "== allocation gates (no race detector) + compose/recovery-tick + world-build benchmarks"
+# the steady workload's setup_s pays, 200 route-table sweeps on the scale
+# workload's overlay, which is its run_s, and one evicting route miss.
+echo "== allocation gates (no race detector) + compose/recovery-tick + world-build and route benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
 go test -run '^$' -bench 'BCPCompose|RecoveryTick' -benchmem -benchtime 20x .
-go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k|TopologyPaperScale' -benchmem -benchtime 3x .
+go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k|TopologyPaperScale|RouteTables30k' -benchmem -benchtime 3x .
+go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 
 # Message gates, beside the allocation gates: one pinned small cell holds DHT
 # messages per composed session and routed hops per hop-origin lookup under
