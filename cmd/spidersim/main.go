@@ -77,7 +77,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		budget    = fs.Int("budget", 20, "probing budget per request")
 		minFuncs  = fs.Int("minfuncs", 2, "min functions per request")
 		maxFuncs  = fs.Int("maxfuncs", 4, "max functions per request")
-		churn     = fs.Float64("churn", 0, "fraction of peers failing per minute")
+		churn     = fs.Float64("churn", 0, "fraction of peers failing per minute, at least one per tick")
 		scenario  = fs.String("scenario", "", "stress scenario layered on the workload, e.g. zipf=1.2,diurnal=60s@0.5,flash=fn3:10@30s+20s,churn=0.02@30s+20s")
 		duration  = fs.Duration("duration", 5*time.Minute, "simulated duration")
 		dagProb   = fs.Float64("dag", 0.2, "probability of DAG-shaped requests")
@@ -261,9 +261,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	// The run's instants — arrivals, churn ticks and windows, the horizon —
 	// count from origin, the virtual time cluster.New settled at.
 	origin := c.Sim.Now()
-	var ok metrics.Ratio
-	var setup, discovery, commitLat metrics.Sample
-	attempted, completed, xdomain := 0, 0, 0
+	plan := cluster.Plan{Horizon: origin + *duration}
 	for i := 0; i < *requests; i++ {
 		var req *service.Request
 		var at time.Duration
@@ -282,69 +280,46 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 			}
 			req = gen.NextAt(at)
 		}
-		c.Sim.Schedule(at, func() {
-			if !c.Net.Alive(req.Source) {
-				return // a crashed source composes nothing
-			}
-			attempted++
-			p := c.Peers[int(req.Source)]
-			if dspec != nil {
-				p.Fed.Compose(req, func(res federation.Result) {
-					completed++
-					ok.Add(res.Ok)
-					if res.Ok {
-						setup.AddDuration(res.SetupTime)
-						if res.Domains > 1 {
-							xdomain++
-							commitLat.AddDuration(res.CommitLatency)
-						}
-					}
-				})
-				return
-			}
-			p.Engine.Compose(req, func(res bcp.Result) {
-				completed++
-				ok.Add(res.Ok)
-				if res.Ok {
-					setup.AddDuration(res.SetupTime)
-					discovery.AddDuration(res.DiscoveryTime)
-					p.Recovery.Establish(req, res)
-				}
-			})
-		})
+		plan.Arrivals = append(plan.Arrivals, cluster.Arrival{At: origin + at, Req: req})
 	}
-	// A churn tick fails a fraction of the peers; victims return two minutes
-	// later.
-	churnTick := func(frac float64) func() {
-		return func() {
-			for _, id := range c.FailFraction(frac) {
-				c.Sim.Schedule(2*time.Minute, func() { c.Net.Recover(id) })
-			}
+	// Churn ticks, one a minute, fail a fraction of the peers drawn from the
+	// cluster's stream; victims return two minutes later. A storm's window
+	// ticks at least once, even when it is shorter than a minute.
+	churnTicks := func(frac float64, from, until time.Duration) {
+		ch := cluster.Churn{Rng: c.Rng, Frac: frac, DownFor: 2 * time.Minute}
+		for at := from; at < until && at < *duration; at += time.Minute {
+			ch.Ticks = append(ch.Ticks, origin+at)
 		}
+		plan.Churn = append(plan.Churn, ch)
 	}
 	if *churn > 0 {
-		for m := time.Minute; m < *duration; m += time.Minute {
-			c.Sim.Schedule(m, churnTick(*churn))
-		}
+		churnTicks(*churn, time.Minute, *duration)
 	}
 	if scn != nil && scn.ChurnRate > 0 {
-		// Churn storm: the scenario's rate applies per minute tick inside the
-		// window, firing at least once even for sub-minute windows.
-		for at := scn.ChurnAt; at < scn.ChurnAt+scn.ChurnDur && at < *duration; at += time.Minute {
-			c.Sim.Schedule(at, churnTick(scn.ChurnRate))
+		churnTicks(scn.ChurnRate, scn.ChurnAt, scn.ChurnAt+scn.ChurnDur)
+	}
+	var ok metrics.Ratio
+	var setup, discovery, commitLat metrics.Sample // commitLat: cross-domain sessions
+	run := c.Start(plan, func(_ int, o cluster.Outcome) {
+		if o.Skipped {
+			return
 		}
-	}
-	end := origin + *duration
-	if dspec != nil {
-		// Drain until every federated lease (client give-up, hold expiry,
-		// session end of life, commit-TTL backstop) must have resolved, so a
-		// reservation still held afterwards is a real leak.
-		end += c.Fed.Cfg.Drain()
-	}
-	c.Sim.Run(end)
+		ok.Add(o.Ok)
+		if o.Ok {
+			setup.AddDuration(o.SetupTime)
+			discovery.AddDuration(o.DiscoveryTime)
+			if o.Domains > 1 {
+				commitLat.AddDuration(o.CommitLatency)
+			}
+		}
+	})
+	run.Finish()
+	hung := run.Issued - run.Completed
 
 	st := c.Net.Stats()
 	rec := c.RecoveryStats()
+	// A federated run drained until every lease resolved, so a reservation
+	// still held is a real leak.
 	orphans := 0
 	if dspec != nil {
 		orphans = c.Orphans()
@@ -356,7 +331,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		t.AddRow("scenario", scn.String())
 	}
 	t.AddRow("success ratio", ok.Value())
-	t.AddRow("hung compositions", attempted-completed)
+	t.AddRow("hung compositions", hung)
 	t.AddRow("avg setup time", time.Duration(setup.Mean()*float64(time.Millisecond)))
 	if dspec == nil { // a federation.Result carries no discovery time
 		t.AddRow("avg discovery time", time.Duration(discovery.Mean()*float64(time.Millisecond)))
@@ -366,7 +341,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	t.AddRow("probes sent", st.ByType[bcp.MsgProbe])
 	if dspec != nil {
 		led := c.Fed.TotalLedger()
-		t.AddRow("cross-domain sessions", xdomain)
+		t.AddRow("cross-domain sessions", commitLat.N())
 		t.AddRow("avg commit latency", time.Duration(commitLat.Mean()*float64(time.Millisecond)))
 		t.AddRow("fed prepares", led.Prepares)
 		t.AddRow("fed commits", led.Commits)
@@ -410,8 +385,8 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		span.PhaseTable(f, "setup-latency phases (span trees)").Render(stdout)
 	}
 	if *check {
-		if hung := attempted - completed; hung > 0 {
-			return fmt.Errorf("check: %d of %d compositions never called back (hung sessions)", hung, attempted)
+		if hung > 0 {
+			return fmt.Errorf("check: %d of %d compositions never called back (hung sessions)", hung, run.Issued)
 		}
 		if orphans > 0 {
 			return fmt.Errorf("check: %d alive peers left holding reservations after the drain", orphans)

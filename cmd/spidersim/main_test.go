@@ -147,6 +147,35 @@ func TestStatsAttributesTheWire(t *testing.T) {
 	}
 }
 
+// TestChurnFailsWhatItAsksFor: -churn fails ⌊frac·peers⌋ live peers per
+// minute tick, at least one, refilling a pick that is already down — 2 ticks
+// of 1 % of 80 peers are 2 failures, 5 ticks of 5 % are 20.
+func TestChurnFailsWhatItAsksFor(t *testing.T) {
+	for _, c := range []struct {
+		churn, duration string
+		want            int
+	}{{"0.01", "3m", 2}, {"0.05", "6m", 20}} {
+		trace := filepath.Join(t.TempDir(), "run.jsonl")
+		code, _, stderr := spidersim("-seed", "7", "-ipnodes", "600", "-peers", "80", "-requests", "60",
+			"-churn", c.churn, "-duration", c.duration, "-trace", trace)
+		if code != 0 {
+			t.Fatalf("-churn %s: exit %d, stderr %q", c.churn, code, stderr)
+		}
+		downs := 0
+		if err := obs.StreamTrace(trace, func(ev obs.Event) error {
+			if ev.Kind == obs.KindNetDown {
+				downs++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if downs != c.want {
+			t.Errorf("-churn %s -duration %s traced %d net.down events, want %d", c.churn, c.duration, downs, c.want)
+		}
+	}
+}
+
 // TestEveryRequestIsIssued: arrivals count from the instant cluster.New
 // settled, so a churn-free run issues all of its -requests — one drawn before
 // the build settled is not dropped — and traces one compose.start each. The

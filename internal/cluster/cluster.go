@@ -119,8 +119,8 @@ type Cluster struct {
 	opts Options
 }
 
-// Plan returns the domain plan of a federated cluster, nil otherwise.
-func (c *Cluster) Plan() *federation.DomainPlan {
+// DomainPlan returns the domain plan of a federated cluster, nil otherwise.
+func (c *Cluster) DomainPlan() *federation.DomainPlan {
 	if c.Fed == nil {
 		return nil
 	}
@@ -500,27 +500,6 @@ func (c *Cluster) peerIDs() []p2p.NodeID {
 	return ids
 }
 
-// ChurnStep fails frac of the peers (at least one), walking a permutation
-// drawn from the caller's rng and skipping peers already down, and schedules
-// each victim's return downFor later. The rng is the caller's so a figure's
-// churn schedule stays isolated from the workload and cluster streams.
-func (c *Cluster) ChurnStep(rng *rand.Rand, frac float64, downFor time.Duration) {
-	n := int(frac * float64(len(c.Peers)))
-	if n < 1 {
-		n = 1
-	}
-	perm := rng.Perm(len(c.Peers))
-	for i, failed := 0, 0; i < len(perm) && failed < n; i++ {
-		id := p2p.NodeID(perm[i])
-		if !c.Net.Alive(id) {
-			continue
-		}
-		c.Net.Fail(id)
-		failed++
-		c.Sim.Schedule(downFor, func() { c.Net.Recover(id) })
-	}
-}
-
 // Orphans counts the live peers still holding any reservation — hard, soft,
 // or a held federation prepare. After a full lease drain each one is a leak.
 func (c *Cluster) Orphans() int {
@@ -559,8 +538,9 @@ func (c *Cluster) RecoveryStats() recovery.Stats {
 	return t
 }
 
-// FailFraction fails the given fraction of peers uniformly at random and
-// returns their IDs.
+// FailFraction fails the given fraction of peers, rounded down, uniformly at
+// random — a pick already down is not replaced — and returns their IDs. Only
+// benchmark/world.go churns this way; every other run uses a Plan's clauses.
 func (c *Cluster) FailFraction(frac float64) []p2p.NodeID {
 	n := int(frac * float64(len(c.Peers)))
 	perm := c.Rng.Perm(len(c.Peers))

@@ -210,9 +210,9 @@ func TestDynamicPeerArrival(t *testing.T) {
 	}
 }
 
-// TestChurnStepFailsLivePeersAndBringsThemBack: a step takes down exactly
-// frac of the peers (never one already down, at least one), and every victim
-// returns after downFor.
+// TestChurnStepFailsLivePeersAndBringsThemBack: a plan's churn tick takes
+// down exactly frac of the peers (never one already down, at least one), and
+// every victim returns after DownFor.
 func TestChurnStepFailsLivePeersAndBringsThemBack(t *testing.T) {
 	c := cluster.New(cluster.Options{Seed: 9, Peers: 40})
 	down := func() int {
@@ -225,21 +225,23 @@ func TestChurnStepFailsLivePeersAndBringsThemBack(t *testing.T) {
 		return n
 	}
 	rng := rand.New(rand.NewSource(4))
-	c.ChurnStep(rng, 0.1, time.Minute)
-	if got := down(); got != 4 {
-		t.Fatalf("first step: %d peers down, want 4", got)
+	t0 := c.Sim.Now()
+	run := c.Start(cluster.Plan{
+		Churn: []cluster.Churn{
+			{Rng: rng, Frac: 0.1, Ticks: []time.Duration{t0 + time.Second, t0 + 2*time.Second}, DownFor: time.Minute},
+			{Rng: rng, Frac: 0.001, Ticks: []time.Duration{t0 + 3*time.Second}, DownFor: time.Minute},
+		},
+		Horizon: t0 + 3*time.Second + time.Minute,
+	}, nil)
+	for tick, want := range []int{4, 8, 9} {
+		c.Sim.Run(t0 + time.Duration(tick+1)*time.Second)
+		if got := down(); got != want {
+			t.Fatalf("tick %d: %d peers down, want %d (a dead peer picked again, or none for a tiny fraction)", tick, got, want)
+		}
 	}
-	c.ChurnStep(rng, 0.1, time.Minute)
-	if got := down(); got != 8 {
-		t.Fatalf("second step: %d peers down, want 8 (a dead peer was picked again)", got)
-	}
-	c.ChurnStep(rng, 0.001, time.Minute)
-	if got := down(); got != 9 {
-		t.Fatalf("tiny fraction: %d peers down, want 9 (at least one per step)", got)
-	}
-	c.Sim.Run(c.Sim.Now() + 2*time.Minute)
+	run.Finish()
 	if got := down(); got != 0 {
-		t.Fatalf("%d peers still down after downFor", got)
+		t.Fatalf("%d peers still down after DownFor", got)
 	}
 }
 

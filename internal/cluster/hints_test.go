@@ -55,7 +55,7 @@ func TestHintsStayInsideTheirRing(t *testing.T) {
 	if composed == 0 || tot.DiscHinted < 20 || tot.DiscCarried == 0 {
 		t.Fatal("the run exercised too little")
 	}
-	plan := c.Plan()
+	plan := c.DomainPlan()
 	for _, ev := range mem.Events() {
 		if ev.Kind == obs.KindDHTHop && ev.Note == "get" && plan.Of(ev.Node) != plan.Of(ev.Peer) {
 			t.Fatalf("peer %d (domain %d) handed a lookup to peer %d (domain %d)",

@@ -140,7 +140,7 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 	opts.Domains = &federation.Spec{Domains: domains, Gateways: gateways,
 		Hold: cfg.Hold, Life: cfg.Life}
 	c := cluster.New(opts)
-	plan := c.Plan()
+	dom := c.DomainPlan()
 	catalog := opts.Catalog
 
 	// Catalogue homing is round-robin by index, so a request's domain span
@@ -161,14 +161,14 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 		// partition lands must resolve by presumed abort, and reservations
 		// must drain after the heal.
 		c.ApplyFaults(simnet.FaultPlan{Seed: 3, Partitions: []simnet.Partition{
-			plan.DomainPartition(0, cfg.Window/4, 3*cfg.Window/4),
+			dom.DomainPartition(0, cfg.Window/4, 3*cfg.Window/4),
 		}})
 	case scenario == "gwcrash":
-		gws := plan.Gateways(domains - 1)
+		gws := dom.Gateways(domains - 1)
 		victim := gws[len(gws)-1]
 		c.Sim.Schedule(cfg.Window/3, func() { c.Net.Fail(victim) })
 	case scenario == "coordcrash":
-		victim := plan.Coordinator(1)
+		victim := dom.Coordinator(1)
 		c.Sim.Schedule(cfg.Window/3, func() { c.Net.Fail(victim) })
 	case scenario != "none":
 		fs, err := simnet.ParseFaultSpec(scenario)
@@ -180,35 +180,26 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 
 	var ratio, xdRatio, xdShare metrics.Ratio
 	var commitLat metrics.Sample
+	xd := make([]bool, cfg.Requests)
+	plan := cluster.Plan{Horizon: cfg.Window}
 	arrivalRng := newRng(cfg.Seed + 200)
-	for k := 0; k < cfg.Requests; k++ {
+	for k := range xd {
 		req := gen.Next()
-		xd := spansDomains(req.FGraph.Functions(), catalog, domains)
-		xdShare.Add(xd)
+		xd[k] = spansDomains(req.FGraph.Functions(), catalog, domains)
+		xdShare.Add(xd[k])
 		at := time.Duration(arrivalRng.Float64() * float64(cfg.Window))
-		c.Sim.Schedule(at-c.Sim.Now(), func() {
-			// A source that crashed before its request fires cannot compose;
-			// count the loss rather than run protocol code on a dead node.
-			if !c.Net.Alive(req.Source) {
-				ratio.Add(false)
-				if xd {
-					xdRatio.Add(false)
-				}
-				return
-			}
-			c.Peers[int(req.Source)].Fed.Compose(req, func(res federation.Result) {
-				ratio.Add(res.Ok)
-				if xd {
-					xdRatio.Add(res.Ok)
-				}
-				if res.Ok && res.Domains > 1 {
-					commitLat.AddDuration(res.CommitLatency)
-				}
-			})
-		})
+		plan.Arrivals = append(plan.Arrivals, cluster.Arrival{At: at, Req: req})
 	}
-
-	c.Sim.Run(cfg.Window + c.Fed.Cfg.Drain())
+	// A request whose source crashed before its instant counts as a loss.
+	c.Start(plan, func(i int, o cluster.Outcome) {
+		ratio.Add(o.Ok)
+		if xd[i] {
+			xdRatio.Add(o.Ok)
+		}
+		if o.Ok && o.Domains > 1 {
+			commitLat.AddDuration(o.CommitLatency)
+		}
+	}).Finish()
 
 	ledger := c.Fed.TotalLedger()
 	return FederatePoint{

@@ -192,20 +192,24 @@ func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metric
 	// Let the initial population settle before churn starts.
 	c.Sim.Run(30 * time.Second)
 
-	churnRng := newRng(cfg.Seed + 400)
+	// Fail ChurnFrac of the peers at every unit; right after each tick's
+	// failures, replace the sessions that died in earlier units to keep the
+	// population size steady.
+	churn := cluster.Churn{Rng: newRng(cfg.Seed + 400), Frac: cfg.ChurnFrac,
+		DownFor: time.Duration(cfg.RecoverAfter) * cfg.TimeUnit}
 	for unit := 0; unit < cfg.TimeUnits; unit++ {
-		at := 30*time.Second + time.Duration(unit)*cfg.TimeUnit
+		churn.Ticks = append(churn.Ticks, 30*time.Second+time.Duration(unit)*cfg.TimeUnit)
+	}
+	run := c.Start(cluster.Plan{Churn: []cluster.Churn{churn},
+		Horizon: 30*time.Second + time.Duration(cfg.TimeUnits)*cfg.TimeUnit + 30*time.Second}, nil)
+	for _, at := range churn.Ticks {
 		c.Sim.Schedule(at-c.Sim.Now(), func() {
-			// Fail ChurnFrac of the peers; schedule their return.
-			c.ChurnStep(churnRng, cfg.ChurnFrac, time.Duration(cfg.RecoverAfter)*cfg.TimeUnit)
-			// Replace sessions that died in earlier units to keep the
-			// population size steady.
 			for i := live - c.RecoveryStats().Dead; i < cfg.Sessions; i++ {
 				establish(2)
 			}
 		})
 	}
-	c.Sim.Run(30*time.Second + time.Duration(cfg.TimeUnits)*cfg.TimeUnit + 30*time.Second)
+	run.Finish()
 
 	// Every EventDead is an unrecovered failure.
 	for _, p := range c.Peers {

@@ -101,9 +101,6 @@ type loadCell struct {
 	// recoverAfter is how many time units a churn-storm victim stays down.
 	recoverAfter int
 	alg          algorithm
-	// issued, when non-nil, observes every request as it is issued (the
-	// probe of the schedule-fairness test).
-	issued func(at time.Duration, req *service.Request)
 }
 
 // loadResult is what one cell measured.
@@ -121,6 +118,12 @@ type loadResult struct {
 	PeakUtil metrics.Sample
 	// Shed counts probes declined by overload shedding.
 	Shed int64
+	// plan is the replayed schedule and skipped the arrivals whose source was
+	// down at their instant. No figure reads them; they are kept for
+	// TestLoadCellScheduleIsAlgorithmIndependent, which compares them across
+	// algorithms.
+	plan    cluster.Plan
+	skipped []int
 }
 
 // runLoadCell builds the cell's deployment and replays its schedule. tracer is
@@ -155,84 +158,68 @@ func runLoadCell(cell loadCell, tracer obs.Tracer) loadResult {
 		Scenario:    cell.scenario,
 	}, newRng(cell.Seed+100))
 
-	var res loadResult
-	var ratio metrics.Ratio
-	issue := func(req *service.Request) {
-		if cell.alg.pick != nil {
-			g, ok := cell.alg.pick(w, req, c.Rng.Intn)
-			ok = ok && g.Qualified(req) && baselines.Admit(w, g)
-			ratio.Add(ok)
-			if ok {
-				c.Sim.Schedule(cell.SessionLife, func() { baselines.Release(w, g) })
-			}
-			return
-		}
-		if cell.alg.probeFrac > 0 {
-			req.Budget = max(1, int(cell.alg.probeFrac*float64(baselines.OptimalProbeCount(w, req))))
-		}
-		start := c.Sim.Now()
-		eng := c.Peers[int(req.Source)].Engine
-		eng.Compose(req, func(r bcp.Result) {
-			ratio.Add(r.Ok)
-			if r.Ok {
-				res.Setup.AddDuration(c.Sim.Now() - start)
-				c.Sim.Schedule(cell.SessionLife, func() { eng.Teardown(r.Best) })
-			}
-		})
-	}
-
-	// Events fire in insertion order on ties, so the order below — arrivals,
-	// churn, utilization sampler — is part of every figure's output.
+	// The plan's instants count from t = 0, before the cluster settled (see
+	// EXPERIMENTS.md, Known deviations #6). It drains past the last arrival
+	// plus composition and session time.
+	horizon := time.Duration(cell.TimeUnits)*cell.TimeUnit + cell.SessionLife
+	plan := cluster.Plan{Life: cell.SessionLife, Horizon: horizon + 30*time.Second}
+	var storm []time.Duration
 	arrivalRng := newRng(cell.Seed + 200)
 	for unit := 0; unit < cell.TimeUnits; unit++ {
 		unitStart := time.Duration(unit) * cell.TimeUnit
 		n := cell.perUnit
-		if cell.scenario != nil {
+		if scn := cell.scenario; scn != nil {
 			// The scenario's rate curve (diurnal sine, flash surge) scales the
 			// offered load, evaluated at the unit boundary so the count is a
-			// deterministic function of the scenario alone.
-			n = int(float64(n)*cell.scenario.RateMult(unitStart, opts.Catalog) + 0.5)
+			// deterministic function of the scenario alone; its churn storm
+			// ticks at every unit boundary inside the window.
+			n = int(float64(n)*scn.RateMult(unitStart, opts.Catalog) + 0.5)
+			if scn.ChurnActive(unitStart) {
+				storm = append(storm, unitStart)
+			}
 		}
 		for k := 0; k < n; k++ {
 			at := unitStart + time.Duration(arrivalRng.Float64()*float64(cell.TimeUnit))
 			req := gen.NextAt(at)
 			req.Budget = cell.budget
-			c.Sim.Schedule(at-c.Sim.Now(), func() {
-				// Dead sources cannot issue requests; the skip depends only
-				// on the churn schedule, so it is identical across algorithms.
-				if !c.Net.Alive(req.Source) {
-					return
-				}
-				res.Offered++
-				if cell.issued != nil {
-					cell.issued(c.Sim.Now(), req)
-				}
-				issue(req)
-			})
-		}
-	}
-
-	// Churn storm: during the scenario's churn window, ChurnRate of the
-	// peers fails at every unit boundary and returns recoverAfter units
-	// later. The victim stream is seeded from the scenario seed, isolated
-	// from the workload and cluster streams.
-	if scn := cell.scenario; scn != nil && scn.ChurnRate > 0 {
-		churnRng := newRng(cell.Seed + 400 + scn.Seed)
-		for unit := 0; unit < cell.TimeUnits; unit++ {
-			unitStart := time.Duration(unit) * cell.TimeUnit
-			if scn.ChurnActive(unitStart) {
-				c.Sim.Schedule(unitStart-c.Sim.Now(), func() {
-					c.ChurnStep(churnRng, scn.ChurnRate, time.Duration(cell.recoverAfter)*cell.TimeUnit)
-				})
+			if cell.alg.probeFrac > 0 {
+				req.Budget = max(1, int(cell.alg.probeFrac*float64(baselines.OptimalProbeCount(w, req))))
 			}
+			plan.Arrivals = append(plan.Arrivals, cluster.Arrival{At: at, Req: req})
+		}
+	}
+	if storm != nil {
+		// ChurnRate of the peers fails at each tick and returns recoverAfter
+		// units later, drawn from a stream seeded from the scenario seed.
+		plan.Churn = []cluster.Churn{{Rng: newRng(cell.Seed + 400 + cell.scenario.Seed), Frac: cell.scenario.ChurnRate,
+			Ticks: storm, DownFor: time.Duration(cell.recoverAfter) * cell.TimeUnit}}
+	}
+	if pick := cell.alg.pick; pick != nil {
+		plan.Admit = func(req *service.Request) (func(), bool) {
+			g, ok := pick(w, req, c.Rng.Intn)
+			if !ok || !g.Qualified(req) || !baselines.Admit(w, g) {
+				return nil, false
+			}
+			return func() { baselines.Release(w, g) }, true
 		}
 	}
 
+	res := loadResult{plan: plan}
+	var ratio metrics.Ratio
+	run := c.Start(plan, func(i int, o cluster.Outcome) {
+		if o.Skipped {
+			res.skipped = append(res.skipped, i)
+			return
+		}
+		ratio.Add(o.Ok)
+		if o.Ok && plan.Admit == nil {
+			res.Setup.AddDuration(o.SetupTime)
+		}
+	})
 	// Sample every peer's utilization twice per time unit across arrivals
 	// plus the session drain, keeping each peer's peak (the hotspot figure
 	// heavy tails and flash crowds are designed to produce).
 	peak := make([]float64, len(c.Peers))
-	horizon := time.Duration(cell.TimeUnits)*cell.TimeUnit + cell.SessionLife
 	for at := time.Duration(0); at <= horizon; at += cell.TimeUnit / 2 {
 		c.Sim.Schedule(at, func() {
 			for i, p := range c.Peers {
@@ -240,13 +227,12 @@ func runLoadCell(cell loadCell, tracer obs.Tracer) loadResult {
 			}
 		})
 	}
-
-	// Drain: run past the last arrival plus composition and session time.
-	c.Sim.Run(horizon + 30*time.Second)
+	run.Finish()
 
 	for _, u := range peak {
 		res.PeakUtil.Add(u)
 	}
+	res.Offered = run.Issued
 	res.Success = ratio.Value()
 	res.Shed = opts.Obs.Totals().ProbesShed
 	if cell.Counters != nil {

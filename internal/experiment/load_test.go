@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/service"
 	"repro/internal/workload"
 )
 
 // TestLoadCellScheduleIsAlgorithmIndependent is the fairness property of the
 // load driver: one cell — flash crowd plus churn storm, so popularity, rate
 // and the dead-source skip are all in play — replayed under every algorithm
-// of the table issues the identical (instant, request, source, functions)
-// sequence.
+// of the table plans the identical (instant, request, source, functions)
+// sequence and skips the identical arrivals.
 func TestLoadCellScheduleIsAlgorithmIndependent(t *testing.T) {
 	scn, err := workload.ParseScenario("zipf=1.1,flash=fn0:4@2s+2s,churn=0.1@1s+4s,seed=7")
 	if err != nil {
@@ -23,8 +21,8 @@ func TestLoadCellScheduleIsAlgorithmIndependent(t *testing.T) {
 	cfg := DefaultStressConfig()
 	cfg.IPNodes, cfg.Peers, cfg.Functions, cfg.TimeUnits = 400, 60, 12, 6
 	var want []string
+	var wantSkipped []int
 	for _, alg := range algorithms {
-		var got []string
 		r := runLoadCell(loadCell{
 			OpenLoop:     cfg.OpenLoop,
 			scenario:     scn,
@@ -34,29 +32,28 @@ func TestLoadCellScheduleIsAlgorithmIndependent(t *testing.T) {
 			shed:         cfg.Shed,
 			recoverAfter: 2,
 			alg:          alg,
-			issued: func(at time.Duration, req *service.Request) {
-				got = append(got, fmt.Sprintf("%v #%d from %d: %v", at, req.ID, req.Source, req.FGraph.Functions()))
-			},
 		}, nil)
-		if r.Offered != len(got) || len(got) == 0 {
-			t.Fatalf("%s: offered %d, observed %d issues", alg.name, r.Offered, len(got))
+		var got []string
+		for _, a := range r.plan.Arrivals {
+			got = append(got, fmt.Sprintf("%v #%d from %d: %v", a.At, a.Req.ID, a.Req.Source, a.Req.FGraph.Functions()))
+		}
+		if r.Offered == 0 || r.Offered+len(r.skipped) != len(got) {
+			t.Fatalf("%s: offered %d and skipped %d of %d arrivals", alg.name, r.Offered, len(r.skipped), len(got))
 		}
 		if want == nil {
-			want = got
 			// The churn window must actually skip arrivals, or the property
 			// is only checked on the flat schedule.
-			scheduled := 0
-			for unit := 0; unit < cfg.TimeUnits; unit++ {
-				at := time.Duration(unit) * cfg.TimeUnit
-				scheduled += int(6*scn.RateMult(at, catalogOf(cfg)) + 0.5)
+			if len(r.skipped) == 0 {
+				t.Fatalf("all %d arrivals were issued; churn skipped none", len(got))
 			}
-			if len(got) >= scheduled {
-				t.Fatalf("all %d scheduled arrivals were issued; churn skipped none", scheduled)
-			}
-		} else if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s issued a different sequence than %s:\n%v\nvs\n%v", alg.name, algorithms[0].name, got, want)
+			want, wantSkipped = got, r.skipped
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s planned a different sequence than %s:\n%v\nvs\n%v", alg.name, algorithms[0].name, got, want)
+		}
+		if !reflect.DeepEqual(r.skipped, wantSkipped) {
+			t.Errorf("%s skipped arrivals %v, %s skipped %v", alg.name, r.skipped, algorithms[0].name, wantSkipped)
 		}
 	}
 }
-
-func catalogOf(cfg StressConfig) []string { return cfg.options(nil).Catalog }

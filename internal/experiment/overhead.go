@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/baselines"
-	"repro/internal/bcp"
 	"repro/internal/cluster"
 	"repro/internal/dht"
 	"repro/internal/metrics"
@@ -88,22 +87,16 @@ func Overhead(cfg OverheadConfig) OverheadResult {
 		DelayReqMax: 5000,
 	}, newRng(cfg.Seed+700))
 
+	// Arrivals count from the settle instant; sessions live through the window.
+	origin := c.Sim.Now()
+	plan := cluster.Plan{Life: cfg.Window, Horizon: cfg.Window + 30*time.Second}
 	arrivalRng := newRng(cfg.Seed + 800)
 	for i := 0; i < cfg.Requests; i++ {
 		req := gen.Next()
-		at := time.Duration(arrivalRng.Float64() * float64(cfg.Window))
-		c.Sim.Schedule(at, func() {
-			p := c.Peers[int(req.Source)]
-			p.Engine.Compose(req, func(res bcp.Result) {
-				if res.Ok {
-					// Long-lived sessions: maintained through the window.
-					p.Recovery.Establish(req, res)
-					c.Sim.Schedule(cfg.Window, func() { p.Recovery.Close(req.ID) })
-				}
-			})
-		})
+		at := origin + time.Duration(arrivalRng.Float64()*float64(cfg.Window))
+		plan.Arrivals = append(plan.Arrivals, cluster.Arrival{At: at, Req: req})
 	}
-	c.Sim.Run(cfg.Window + 30*time.Second)
+	c.Start(plan, nil).Finish()
 
 	st := c.Net.Stats()
 	var maintenance int64

@@ -96,7 +96,7 @@ func TestCrossDomainCommit(t *testing.T) {
 	// Catalogue homing is round-robin, so fn0 lives in domain 0 and fn1 in
 	// domain 1: this chain must cross the boundary.
 	var got federation.Result
-	src := c.Plan().Members[0][1] // non-gateway member of domain 0
+	src := c.DomainPlan().Members[0][1] // non-gateway member of domain 0
 	c.Peers[int(src)].Fed.Compose(fedRequest(1, src, "fn0", "fn1"), func(r federation.Result) {
 		got = r
 	})
@@ -137,7 +137,7 @@ func TestSingleDomainStaysLocal(t *testing.T) {
 
 	// fn0 and fn2 both home in domain 0 (round-robin over 2 domains).
 	var got federation.Result
-	src := c.Plan().Members[0][2]
+	src := c.DomainPlan().Members[0][2]
 	c.Peers[int(src)].Fed.Compose(fedRequest(2, src, "fn0", "fn2"), func(r federation.Result) {
 		got = r
 	})
@@ -161,7 +161,7 @@ func TestMissingFunctionFailsFast(t *testing.T) {
 
 	var got federation.Result
 	var done bool
-	src := c.Plan().Members[0][1]
+	src := c.DomainPlan().Members[0][1]
 	c.Peers[int(src)].Fed.Compose(fedRequest(3, src, "fn0", "nosuchfn"), func(r federation.Result) {
 		got, done = r, true
 	})
@@ -190,12 +190,12 @@ func TestMissingFunctionFailsFast(t *testing.T) {
 func TestGatewayCrashPresumedAbort(t *testing.T) {
 	chk := obs.NewChecker()
 	c := fedCluster(24, 2, 1, obs.TracerFunc(chk.Add), nil)
-	victim := c.Plan().Gateways(1)[0]
+	victim := c.DomainPlan().Gateways(1)[0]
 
 	results := 0
 	for i := 0; i < 6; i++ {
 		id := uint64(10 + i)
-		src := c.Plan().Members[0][1+i%4]
+		src := c.DomainPlan().Members[0][1+i%4]
 		at := time.Duration(i) * 2 * time.Second
 		c.Sim.Schedule(at, func() {
 			c.Peers[int(src)].Fed.Compose(fedRequest(id, src, "fn0", "fn1"), func(federation.Result) {
@@ -224,14 +224,14 @@ func TestPartitionDuringCommit(t *testing.T) {
 
 	for i := 0; i < 6; i++ {
 		id := uint64(30 + i)
-		src := c.Plan().Members[0][1+i%4]
+		src := c.DomainPlan().Members[0][1+i%4]
 		at := time.Duration(i) * 2 * time.Second
 		c.Sim.Schedule(at, func() {
 			c.Peers[int(src)].Fed.Compose(fedRequest(id, src, "fn0", "fn1"), func(federation.Result) {})
 		})
 	}
 	c.ApplyFaults(simnet.FaultPlan{Seed: 9, Partitions: []simnet.Partition{
-		c.Plan().DomainPartition(0, 4*time.Second, 20*time.Second),
+		c.DomainPlan().DomainPartition(0, 4*time.Second, 20*time.Second),
 	}})
 	drain(c, 20*time.Second)
 
@@ -250,12 +250,12 @@ func TestPartitionDuringCommit(t *testing.T) {
 func TestCoordinatorCrashPresumedAbort(t *testing.T) {
 	chk := obs.NewChecker()
 	c := fedCluster(26, 2, 1, obs.TracerFunc(chk.Add), nil)
-	victim := c.Plan().Coordinator(0)
+	victim := c.DomainPlan().Coordinator(0)
 
 	results := 0
 	for i := 0; i < 6; i++ {
 		id := uint64(50 + i)
-		src := c.Plan().Members[0][1+i%4]
+		src := c.DomainPlan().Members[0][1+i%4]
 		at := time.Duration(i) * 2 * time.Second
 		c.Sim.Schedule(at, func() {
 			c.Peers[int(src)].Fed.Compose(fedRequest(id, src, "fn0", "fn1"), func(federation.Result) {
@@ -285,7 +285,7 @@ func TestLedgerMatchesTrace(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		id := uint64(70 + i)
 		dom := i % 3
-		src := c.Plan().Members[dom][2]
+		src := c.DomainPlan().Members[dom][2]
 		fns := []string{catalog(9)[dom], catalog(9)[dom+3], catalog(9)[(dom+1)%3]}
 		at := time.Duration(i) * 2 * time.Second
 		c.Sim.Schedule(at, func() {

@@ -149,6 +149,16 @@ gunzip -c "$tmp/c.jsonl.gz" | cmp - "$tmp/a.jsonl"
 "$tmp/spidertrace" check testdata/golden_trace.jsonl.gz
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -check > /dev/null
+# A churned run goes through a cluster.Plan's churn clause: deterministic,
+# checker-clean, and failing exactly what it asks for — five minute ticks
+# of 5 % of 80 peers, refilling a pick that is already down, are 20 failures.
+"$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 60 -duration 6m -churn 0.05 \
+    -check -trace "$tmp/ch1.jsonl" > /dev/null
+"$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 60 -duration 6m -churn 0.05 \
+    -check -trace "$tmp/ch2.jsonl" > /dev/null
+cmp "$tmp/ch1.jsonl" "$tmp/ch2.jsonl"
+downs="$(grep -c '"kind":"net.down"' "$tmp/ch1.jsonl")"
+[ "$downs" -eq 20 ] || { echo "spidersim -churn 0.05 traced $downs net.down events, want 20"; exit 1; }
 
 # Span gate: the causal span analyzer must be deterministic — the same trace
 # must render byte-identical reports across runs, and the committed golden
