@@ -165,6 +165,7 @@ type Result struct {
 // and initiates composition when it is a sender.
 type Engine struct {
 	host   p2p.Node
+	alive  func(p2p.NodeID) bool
 	ledger *qos.Ledger
 	reg    *registry.Registry
 	oracle Oracle
@@ -289,12 +290,18 @@ type composeState struct {
 }
 
 // NewEngine creates the BCP engine for one peer and registers its message
-// handlers. ledger tracks this peer's end-system resources; local lists the
+// handlers. alive is the liveness view dht.New reads: next-hop selection
+// skips candidates on peers it reports down, and nil treats every peer as
+// up. ledger tracks this peer's end-system resources; local lists the
 // components it hosts (they must already be registered with reg by the
 // caller).
-func NewEngine(host p2p.Node, ledger *qos.Ledger, reg *registry.Registry, oracle Oracle, local []service.Component, cfg Config) *Engine {
+func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, reg *registry.Registry, oracle Oracle, local []service.Component, cfg Config) *Engine {
+	if alive == nil {
+		alive = func(p2p.NodeID) bool { return true }
+	}
 	e := &Engine{
 		host:       host,
+		alive:      alive,
 		ledger:     ledger,
 		reg:        reg,
 		oracle:     oracle,

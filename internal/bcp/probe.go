@@ -320,8 +320,13 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		if !e.spawnNext(&pr, succs, table, nil) {
 			// No eligible next hop anywhere: the probe dies here. Without
 			// this record the probe would vanish from the accounting and
-			// break the trace checker's conservation invariant.
-			e.dropProbe(&pr, "no-candidate")
+			// break the trace checker's conservation invariant. "down" says
+			// a candidate would have qualified but for its peer being down.
+			reason := "no-candidate"
+			if e.next.down > 0 {
+				reason = "down"
+			}
+			e.dropProbe(&pr, reason)
 		}
 	})
 }
@@ -401,6 +406,7 @@ type nextHops struct {
 	fns    []nextFn
 	elig   []*service.Component // every function's eligible duplicates, end to end
 	scored []scoredComp
+	down   int // candidates eligible but for their peer being down
 }
 
 // nextFn is the plan for one next-hop function: its budget share, the
@@ -422,7 +428,7 @@ type scoredComp struct {
 func (e *Engine) planNext(pr *Probe, nextFns []int, table []List) int {
 	nx := &e.next
 	prevComp := pr.lastComp()
-	nx.fns, nx.elig = nx.fns[:0], nx.elig[:0]
+	nx.fns, nx.elig, nx.down = nx.fns[:0], nx.elig[:0], 0
 	totalQuota := 0
 	for i, fn := range nextFns {
 		totalQuota += pr.quota(fn, table[i].Comps)
@@ -524,7 +530,10 @@ func (e *Engine) nextProbeUID() uint64 {
 }
 
 // mayVisit is the per-candidate eligibility rule: format-compatible with
-// the previous hop's component (nil at the source) and not already visited.
+// the previous hop's component (nil at the source), not already visited, not
+// on a shedding peer, and on a peer the liveness view reports up — a probe
+// sent to a peer known to be down would only die on the wire with its credit.
+// A candidate that fails the last rule alone is counted in e.next.down.
 func (e *Engine) mayVisit(c, prevComp *service.Component, pr *Probe) bool {
 	if prevComp != nil && !service.Compatible(*prevComp, *c) {
 		return false
@@ -534,6 +543,10 @@ func (e *Engine) mayVisit(c, prevComp *service.Component, pr *Probe) bool {
 	}
 	if e.Load != nil && e.cfg.ShedThreshold > 0 && e.Load.Committed(c.Peer) >= e.cfg.ShedThreshold {
 		return false // overload shedding: the peer is declining new work
+	}
+	if !e.alive(c.Peer) {
+		e.next.down++
+		return false
 	}
 	return true
 }

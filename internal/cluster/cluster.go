@@ -355,7 +355,7 @@ func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb flo
 	ledger := qos.NewLedger(o.Capacity)
 	dn := dht.New(host, c.Net.Alive)
 	reg := registry.New(dn)
-	eng := bcp.NewEngine(host, ledger, reg, c.Oracle(), comps, o.BCP)
+	eng := bcp.NewEngine(host, c.Net.Alive, ledger, reg, c.Oracle(), comps, o.BCP)
 	if o.Load != nil {
 		eng.Load = loadOracle{c}
 	}

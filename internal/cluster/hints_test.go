@@ -212,6 +212,71 @@ func TestCollectWaitBudget(t *testing.T) {
 	}
 }
 
+// TestChurnCollectWait is the collect-wait gate under churn: a small recovery
+// cell in which a cluster.Plan churn clause fails 5 % of the peers every 10 s
+// for 30 s. Discovery keeps listing the dead peers' components, but next-hop
+// selection reads the liveness view, so no probe is sent to a peer already
+// down (the checker's probe-to-down) and only a crash in flight can strand a
+// probe's credit. The cell measures a CollectPhase of 0 for all 149
+// successes, so the p99 ceiling is 1 ms, the resolution of "closed on
+// credit" (10 % above a measured 0 would be no ceiling at all); while probes
+// still went to dead peers it read p50 2.33 s and p99 3.2 s, the collect
+// window of a five-function request, over 136 successes.
+func TestChurnCollectWait(t *testing.T) {
+	const maxP99 = time.Millisecond
+	rc := recovery.DefaultConfig()
+	chk, reg := obs.NewChecker(), obs.NewRegistry()
+	c := cluster.New(cluster.Options{
+		Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), Recovery: &rc,
+		Trace: obs.TracerFunc(chk.Add), Obs: reg,
+	})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: catalog(12), Peers: 120, MinFuncs: 3, MaxFuncs: 5, Budget: 12,
+	}, c.Rng)
+	start := c.Sim.Now()
+	var ticks []time.Duration
+	for at := 10 * time.Second; at <= 90*time.Second; at += 10 * time.Second {
+		ticks = append(ticks, start+at)
+	}
+	run := c.Start(cluster.Plan{
+		Churn:   []cluster.Churn{{Rng: rand.New(rand.NewSource(5)), Frac: 0.05, Ticks: ticks, DownFor: 30 * time.Second}},
+		Horizon: start + 2*time.Minute,
+	}, nil)
+	var waits []time.Duration
+	for i := 0; i < 200; i++ {
+		req := gen.Next()
+		c.Sim.Schedule(time.Duration(i)*500*time.Millisecond, func() {
+			if !c.Net.Alive(req.Source) {
+				return
+			}
+			p := c.Peers[int(req.Source)]
+			p.Engine.Compose(req, func(res bcp.Result) {
+				if res.Ok {
+					waits = append(waits, res.CollectPhase)
+					p.Recovery.Establish(req, res)
+				}
+			})
+		})
+	}
+	run.Finish()
+
+	tot := reg.Totals()
+	slices.Sort(waits)
+	st := c.RecoveryStats()
+	if len(waits) < 100 || st.FailuresDetected == 0 {
+		t.Fatalf("the cell exercised too little: %d sessions, %d failures detected", len(waits), st.FailuresDetected)
+	}
+	p99 := waits[len(waits)*99/100]
+	t.Logf("%d sessions, %d failures detected, %d probes dropped; CollectPhase p50 %v, p99 %v",
+		len(waits), st.FailuresDetected, tot.ProbesDropped, waits[len(waits)/2], p99)
+	if p99 >= maxP99 {
+		t.Errorf("CollectPhase p99 %v, want < %v", p99, maxP99)
+	}
+	for _, v := range append(chk.Finish(), chk.Totals(tot)...) {
+		t.Errorf("invariant: %s", v)
+	}
+}
+
 // TestLookupStretch is the route gate beside the message gates: on the
 // benchmark's steady world (seed 1, 10,000 IP nodes, 1,000 peers) 400
 // unhinted lookups, one at a time on an idle cluster, must take on average at

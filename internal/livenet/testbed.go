@@ -121,7 +121,7 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 			Peer:     p2p.NodeID(i),
 			Qp:       qp,
 		}}
-		eng := bcp.NewEngine(host, ledger, reg, oracle, comps, opts.BCP)
+		eng := bcp.NewEngine(host, nw.Alive, ledger, reg, oracle, comps, opts.BCP)
 		eng.Trace = opts.Trace
 		dn.Trace = opts.Trace
 		eng.Met = opts.Metrics

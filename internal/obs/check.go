@@ -25,6 +25,7 @@ const (
 	VioProbeUnknownPID   = "probe-unknown-pid"
 	VioProbeDoubleTerm   = "probe-double-termination"
 	VioProbeConservation = "probe-conservation"
+	VioProbeToDown       = "probe-to-down"
 	VioBudgetExceeded    = "budget-exceeded"
 	VioEstabWithoutAdmit = "establish-without-admit"
 	VioDoneWithoutStart  = "done-without-start"
@@ -76,6 +77,12 @@ type emission struct {
 //     a probe that reached a peer which then crashed (a net.down of the
 //     probed peer at or after the emission): a dead peer cannot report the
 //     probes it was holding;
+//   - no probe is emitted toward a peer that is down: next-hop selection reads
+//     the liveness view, so a probe.sent or probe.forwarded whose target
+//     peer's latest net.down precedes it, with no net.up in between, is a
+//     violation. The order is the trace's, which on the simulator is the
+//     order of execution; a live runtime can interleave a crash between the
+//     liveness check and the emission and would need that excused;
 //   - a collector that closed before its window bound (select.done with a
 //     positive Dur) was complete at close: every probe.returned of that
 //     request has its probe.collected, and every probe.dropped its
@@ -149,6 +156,7 @@ type Checker struct {
 	fedResolve      map[uint64]Event
 	fedResolveCount map[uint64]int
 	downs           map[p2p.NodeID][]time.Duration
+	down            map[p2p.NodeID]time.Duration // peers down now, since when
 	// Recovery lifecycle, keyed by session: the failure not yet resolved or
 	// the latest attempt at it, and the sessions given up on; last is the
 	// latest timestamp seen.
@@ -178,6 +186,7 @@ func NewChecker() *Checker {
 		fedResolve:      make(map[uint64]Event),
 		fedResolveCount: make(map[uint64]int),
 		downs:           make(map[p2p.NodeID][]time.Duration),
+		down:            make(map[p2p.NodeID]time.Duration),
 		recOpen:         make(map[uint64]Event),
 		recDead:         make(map[uint64]bool),
 	}
@@ -203,6 +212,9 @@ func (c *Checker) Add(ev Event) {
 		c.fedResolveCount[ev.PID]++
 	case KindNetDown:
 		c.downs[ev.Node] = append(c.downs[ev.Node], ev.TS)
+		c.down[ev.Node] = ev.TS
+	case KindNetUp:
+		delete(c.down, ev.Node)
 	case KindRecProbe:
 		if c.recDead[ev.Req] {
 			c.vs = append(c.vs, Violation{VioRecProbeAfterDead,
@@ -241,6 +253,10 @@ func (c *Checker) Add(ev Event) {
 			return
 		}
 		c.emitted[ev.PID] = emission{req: ev.Req, ppid: ev.PPID, budget: ev.Budget, peer: ev.Peer, ts: ev.TS}
+		if at, ok := c.down[ev.Peer]; ok {
+			c.vs = append(c.vs, Violation{VioProbeToDown,
+				fmt.Sprintf("pid=%d (req=%d) %s at t=%v node=%d to peer %d, down since t=%v", ev.PID, ev.Req, ev.Kind, ev.TS, ev.Node, ev.Peer, at)})
+		}
 		if ev.PPID != 0 {
 			c.children[ev.PPID]++
 		}

@@ -439,6 +439,42 @@ func TestCheckProbeCrashExcusal(t *testing.T) {
 	}
 }
 
+// TestCheckProbeToDown: a probe emitted toward a peer whose latest net.down
+// precedes the emission, with no net.up since, is a probe-to-down violation —
+// at the source and at a later hop alike. A peer that recovered before the
+// emission, or that crashed only after it, is a legitimate target.
+func TestCheckProbeToDown(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	start := ComposeStart(0, 3, 46, 2, 8)
+	for name, evs := range map[string][]Event{
+		"sent to a peer down": {NodeDown(0, 7), start,
+			ProbeSent(ms(1), 3, 46, 7, "fn1", "p7/fn1.0", 8, 0, 501, 0),
+			NetDrop(ms(1), 3, 7, "bcp.probe", 136, 501)},
+		"forwarded to a peer down": {start,
+			ProbeSent(ms(1), 3, 46, 6, "fn1", "p6/fn1.0", 8, 0, 501, 0),
+			NodeDown(ms(2), 7), NodeUp(ms(3), 7), NodeDown(ms(4), 7),
+			ProbeSent(ms(5), 6, 46, 7, "fn2", "p7/fn2.0", 8, 1, 502, 501),
+			NetDrop(ms(5), 6, 7, "bcp.probe", 200, 502)},
+	} {
+		vs := feed(evs).Finish()
+		if len(vs) != 1 || vs[0].Name != VioProbeToDown {
+			t.Errorf("%s: want exactly one %s, got %v", name, VioProbeToDown, vs)
+		}
+	}
+	for name, evs := range map[string][]Event{
+		"recovered before the emission": {NodeDown(0, 7), NodeUp(ms(1), 7), start,
+			ProbeSent(ms(2), 3, 46, 7, "fn1", "p7/fn1.0", 8, 0, 501, 0),
+			ProbeReturned(ms(3), 7, 46, 1, 1, 200, 501)},
+		"crashed after the emission": {start,
+			ProbeSent(ms(1), 3, 46, 7, "fn1", "p7/fn1.0", 8, 0, 501, 0),
+			NodeDown(ms(1), 7)},
+	} {
+		if vs := feed(evs).Finish(); len(vs) != 0 {
+			t.Errorf("%s: flagged %v", name, vs)
+		}
+	}
+}
+
 // closeTrace is one request whose two probes return and are collected, with
 // selection closing early (positive Dur) in the event of the last collection.
 func closeTrace() []Event {

@@ -202,8 +202,9 @@ func ProbeSent(ts time.Duration, node p2p.NodeID, req uint64, to p2p.NodeID, fn,
 }
 
 // ProbeDropped records a probe dying at node with a reason
-// ("stale-component", "ingress-link", "qos", "resources", "egress-link",
-// "discovery", "no-candidate").
+// ("stale-component", "shed", "ingress-link", "qos", "resources",
+// "egress-link", "discovery", "no-candidate", or "down": a next hop would
+// have qualified but its peer is down).
 func ProbeDropped(ts time.Duration, node p2p.NodeID, req uint64, fn, comp, reason string, hops int, pid uint64) Event {
 	return Event{TS: ts, Kind: KindProbeDropped, Node: node, Req: req, PID: pid, Peer: p2p.NoNode,
 		Fn: fn, Comp: comp, Hops: hops, Note: reason}

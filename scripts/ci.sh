@@ -55,13 +55,16 @@ go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 # recovery on, holds rec.* messages per session-interval the same way, so a
 # prober that walks every backup every interval does; a third, a shedding
 # cell, holds the successes' median wait after their last probe under 1 ms,
-# so a dead probe that stops returning its credit does; a fourth, on the
+# so a dead probe that stops returning its credit does; a fourth, a churned
+# recovery cell, holds the successes' p99 wait under 1 ms with the checker
+# clean, so next-hop selection that stops reading the liveness view (p99 back
+# at the 3.2 s window, probes sent to peers already down) does; a fifth, on the
 # benchmark's steady world, holds a lookup's latency over a direct round trip
 # to its answering peer under a stretch ceiling, so routing tables that stop
 # holding each bucket's nearest member (1.33 → 1.75) do. -v prints what each
 # measured.
-echo "== discovery + maintenance message gates, collect-wait gate, lookup-stretch gate"
-go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|LookupStretch' -count=1 -v ./internal/cluster
+echo "== discovery + maintenance message gates, collect-wait gates, lookup-stretch gate"
+go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|ChurnCollectWait|LookupStretch' -count=1 -v ./internal/cluster
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that
@@ -69,6 +72,17 @@ go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|
 echo "== benchmark module (go vet + go test -C benchmark ./...)"
 go vet -C benchmark ./...
 go test -C benchmark ./...
+
+# A/B smoke: one pair of the alternating-pair comparison every performance
+# claim is made with, HEAD against the working tree on steady. On a committed
+# tree both sides are the same code, so the script must report equal digests
+# and no move; anything else means its export, its parsing or its arithmetic
+# broke.
+echo "== A/B smoke (scripts/ab.sh HEAD --pairs 1 --workloads steady)"
+ab="$(sh scripts/ab.sh HEAD --pairs 1 --workloads steady 2> /dev/null)"
+echo "$ab"
+echo "$ab" | grep -qx 'digests steady: equal in all 1 pairs'
+echo "$ab" | grep -qx 'verdict: no move'
 
 # Fuzz smoke: `go test` above only replays the committed seed corpora. The
 # three flag grammars now share one tokenizer (internal/kvspec), so five
