@@ -402,8 +402,8 @@ func BenchmarkRecoveryTick(b *testing.B) {
 }
 
 // BenchmarkSimEventDispatch measures the steady-state Schedule→fire cycle
-// of the indexed event queue with a warm freelist: one allocation per cycle
-// (the cancel closure).
+// of the indexed event queue with a warm freelist: no allocation per cycle
+// (the returned Timer is the pooled event and its generation).
 func BenchmarkSimEventDispatch(b *testing.B) {
 	sim := simnet.NewSim()
 	fn := func() {}
@@ -577,13 +577,13 @@ func BenchmarkCostFunction(b *testing.B) {
 // schedules, so ring-construction benchmarks skip the simulator entirely.
 type benchHost struct{ id p2p.NodeID }
 
-func (h *benchHost) ID() p2p.NodeID                             { return h.id }
-func (h *benchHost) Now() time.Duration                         { return 0 }
-func (h *benchHost) Send(p2p.Message)                           {}
-func (h *benchHost) After(time.Duration, func()) p2p.CancelFunc { return func() {} }
-func (h *benchHost) Rand() *rand.Rand                           { return nil }
-func (h *benchHost) Handle(string, p2p.Handler)                 {}
-func (h *benchHost) Alive() bool                                { return true }
+func (h *benchHost) ID() p2p.NodeID                        { return h.id }
+func (h *benchHost) Now() time.Duration                    { return 0 }
+func (h *benchHost) Send(p2p.Message)                      {}
+func (h *benchHost) After(time.Duration, func()) p2p.Timer { return p2p.Timer{} }
+func (h *benchHost) Rand() *rand.Rand                      { return nil }
+func (h *benchHost) Handle(string, p2p.Handler)            {}
+func (h *benchHost) Alive() bool                           { return true }
 
 // BenchmarkDHTBuildRing measures the sorted-ring static construction at 1k,
 // 10k and 100k nodes. Node creation is excluded from the timer: the op is

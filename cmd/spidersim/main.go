@@ -76,7 +76,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		requests  = fs.Int("requests", 100, "composition requests")
 		budget    = fs.Int("budget", 20, "probing budget per request")
 		minFuncs  = fs.Int("minfuncs", 2, "min functions per request")
-		maxFuncs  = fs.Int("maxfuncs", 4, "max functions per request")
+		maxFuncs  = fs.Int("maxfuncs", 4, "max functions per request (capped at -functions)")
 		churn     = fs.Float64("churn", 0, "fraction of peers failing per minute, at least one per tick")
 		scenario  = fs.String("scenario", "", "stress scenario layered on the workload, e.g. zipf=1.2,diurnal=60s@0.5,flash=fn3:10@30s+20s,churn=0.02@30s+20s")
 		duration  = fs.Duration("duration", 5*time.Minute, "simulated duration")
@@ -122,8 +122,9 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	if unread != nil {
 		return unread
 	}
-	// Each flag's own range; the rules that relate flags to each other are
-	// cluster.Options.Validate's.
+	// Each flag's own range, and the workload's request sizes against the
+	// catalogue (-spec reads neither); the rules that relate flags to the
+	// deployment are cluster.Options.Validate's.
 	for _, r := range []struct {
 		ok   bool
 		flag string
@@ -133,10 +134,15 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		{*peers >= 2, "peers", *peers, "at least 2"},
 		{*functions >= 1, "functions", *functions, "at least 1"},
 		{*requests >= 0, "requests", *requests, "at least 0"},
+		{*duration > 0, "duration", *duration, "more than 0"},
 		{*budget >= 1, "budget", *budget, "at least 1"},
 		{*minFuncs >= 1, "minfuncs", *minFuncs, "at least 1"},
+		{reads != nil || *minFuncs <= *functions, "minfuncs", *minFuncs, "at most -functions"},
 		{*maxFuncs >= *minFuncs, "maxfuncs", *maxFuncs, "at least -minfuncs"},
+		{*dagProb >= 0 && *dagProb <= 1, "dag", *dagProb, "a probability in [0,1]"},
+		{*commute >= 0 && *commute <= 1, "commute", *commute, "a probability in [0,1]"},
 		{*churn >= 0 && *churn <= 1, "churn", *churn, "a fraction in [0,1]"},
+		{*loadBase >= 0, "load", *loadBase, "at least 0 (0 = off)"},
 		{*shed >= 0 && *shed <= 1, "shed", *shed, "a utilization in [0,1]"},
 	} {
 		if !r.ok {

@@ -38,6 +38,11 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 		{"-budget -3", "budget"},
 		{"-shed 7", "shed"},
 		{"-requests -1", "requests"},
+		{"-dag 2", "-dag 2: want"},
+		{"-commute -1", "-commute -1: want"},
+		{"-load -5ms", "-load -5ms: want"},
+		{"-duration 0", "-duration 0s: want"},
+		{"-minfuncs 9 -maxfuncs 9 -functions 4", "-minfuncs 9: want at most -functions"},
 		{"-faults loss=2", "loss"},
 		{"-scenario zipf=-1", "zipf"},
 		{"-domains domains=1", "domains"},

@@ -43,7 +43,8 @@ func TestComposeAllocBudget(t *testing.T) {
 		compose()
 	}
 	avg := testing.AllocsPerRun(50, compose)
-	const budget = 499 // measured 475; 598 before the first hops stopped looking up what the source's probes now hand them
+	t.Logf("one composition allocates %.0f objects", avg)
+	const budget = 396 // measured 377; 475 while timers cost two closures and a waiting hop a heap Probe and a closure, 598 before the first hops stopped looking up what the source's probes now hand them
 	if avg > budget {
 		t.Fatalf("one composition allocates %.0f objects, budget %d", avg, budget)
 	}

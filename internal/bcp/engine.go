@@ -9,6 +9,7 @@
 package bcp
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -220,9 +221,11 @@ type Engine struct {
 	holdSeq  uint64
 
 	// Scratch of the two allocation-heavy steps, reused across requests:
-	// next-hop planning at every hop, selection at the destination.
-	next nextHops
-	sel  selection
+	// next-hop planning at every hop, selection at the destination; and the
+	// table discoverAllCached hands on when the cache serves every list.
+	next  nextHops
+	sel   selection
+	table []List
 
 	// Hardening state (touched only when cfg.ProbeAckTimeout > 0, except
 	// doneReqs, which also guards against duplicated results): retransmit
@@ -266,7 +269,7 @@ type allocKey struct {
 // under the same key, should a cancelled expiry timer fire after all.
 type softHold struct {
 	res    qos.Resources
-	cancel p2p.CancelFunc
+	cancel p2p.Timer
 	seq    uint64
 }
 
@@ -281,7 +284,7 @@ type composeState struct {
 	// virtual clock makes them directly comparable to this peer's timestamps.
 	collectEnd time.Duration
 	selectAt   time.Duration
-	giveUp     p2p.CancelFunc
+	giveUp     p2p.Timer
 	// chosen is the graph the destination selected, learned from MsgChosen
 	// in parallel with the reverse ACK. If the ACK chain dies on a failed
 	// peer, the give-up path tears this graph down so the peers that did
@@ -405,19 +408,19 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	for _, v := range req.Variants {
 		fns = append(fns, v.Functions()...)
 	}
-	e.discoverAllCached(fns, nil, req.ID, func(table []List, ok bool) {
+	e.discoverAllCached(fns, nil, req.ID, discoveredFunc(func(table []List, ok bool) {
 		st.discovery = e.host.Now() - st.started
 		if e.Trace != nil {
 			e.Trace.Emit(obs.DiscDone(e.host.Now(), e.host.ID(), req.ID, ok, st.discovery))
 		}
 		if !ok {
 			delete(e.pending, req.ID)
-			st.giveUp()
+			st.giveUp.Stop()
 			cb(Result{ReqID: req.ID, Ok: false, DiscoveryTime: st.discovery})
 			return
 		}
 		e.launchProbes(st, table)
-	})
+	}))
 }
 
 // List is one function's duplicate list as a peer holds it — in its discovery
@@ -440,12 +443,23 @@ func entryOf(table []List, fn string) List {
 	return List{Fn: fn, Listing: registry.Listing{Root: p2p.NoNode}}
 }
 
+// afterDiscovery is what discoverAllCached continues into: a probe hop
+// (probeHop) or, through discoveredFunc, Compose.
+type afterDiscovery interface {
+	discovered(table []List, ok bool)
+}
+
+// discoveredFunc adapts a function to afterDiscovery.
+type discoveredFunc func(table []List, ok bool)
+
+func (f discoveredFunc) discovered(table []List, ok bool) { f(table, ok) }
+
 // resolution joins the lookups one discoverAllCached call waits on.
 type resolution struct {
 	table   []List
 	pending int
 	failed  bool
-	cb      func([]List, bool)
+	next    afterDiscovery
 }
 
 // waiter is the table entry of a resolution that a function's lookup fills.
@@ -461,11 +475,13 @@ type waiter struct {
 // composition request that caused it) and handed straight to the peer that
 // answered this peer last, which sends only what is new (registry.DiscoverSpan),
 // else to the peer hints, when not nil, names for its function (NoNode = route
-// from scratch). cb fires once, with one entry per function in the order given,
-// or ok=false if a lookup timed out — before discoverAllCached returns if the
-// cache serves all.
-func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64, cb func(table []List, ok bool)) {
-	table := make([]List, len(fns))
+// from scratch). next is continued once, with one entry per function in the
+// order given, or ok=false if a lookup timed out — before discoverAllCached
+// returns if the cache serves all. The table is then engine scratch, valid only
+// inside that call; a table that waited on a lookup is the resolution's own.
+func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64, next afterDiscovery) {
+	e.table = slices.Grow(e.table[:0], len(fns))[:len(fns)]
+	table := e.table
 	var st *resolution
 	hits, now := 0, e.host.Now()
 	for i, f := range fns {
@@ -478,7 +494,8 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64
 		if st == nil {
 			// pending starts at one for this loop itself, so the join cannot
 			// complete before every lookup is out.
-			st = &resolution{table: table, pending: 1, cb: cb}
+			table = slices.Clone(table)
+			st = &resolution{table: table, pending: 1, next: next}
 		}
 		st.pending++
 		waiting, fetching := e.fetching[f]
@@ -509,7 +526,7 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64
 		e.Ctr.DiscCacheHits.Add(int64(hits))
 	}
 	if st == nil {
-		cb(table, true)
+		next.discovered(table, true)
 		return
 	}
 	e.resolved(st)
@@ -538,10 +555,10 @@ func (e *Engine) resolved(st *resolution) {
 		return
 	}
 	if st.failed {
-		st.cb(nil, false)
+		st.next.discovered(nil, false)
 		return
 	}
-	st.cb(st.table, true)
+	st.next.discovered(st.table, true)
 }
 
 // primaryPatternCap returns the pattern cap launchProbes explores per
@@ -609,7 +626,7 @@ func (e *Engine) launchProbes(st *composeState, table []List) {
 		// Nothing to probe (e.g. no duplicates found for a source function):
 		// fail fast.
 		delete(e.pending, req.ID)
-		st.giveUp()
+		st.giveUp.Stop()
 		st.cb(Result{ReqID: req.ID, Ok: false, DiscoveryTime: st.discovery})
 	}
 }
@@ -651,7 +668,7 @@ func (e *Engine) onResult(_ p2p.Node, msg p2p.Message) {
 	}
 	e.doneReqs.seen(res.ReqID)
 	delete(e.pending, res.ReqID)
-	st.giveUp()
+	st.giveUp.Stop()
 	res.DiscoveryTime = st.discovery
 	res.ProbeTime = st.probesOut - st.started
 	res.SetupTime = e.host.Now() - st.started
@@ -690,7 +707,7 @@ func (e *Engine) onFail(_ p2p.Node, msg p2p.Message) {
 		return
 	}
 	delete(e.pending, f.ReqID)
-	st.giveUp()
+	st.giveUp.Stop()
 	e.Teardown(f.Graph)
 	st.cb(Result{
 		ReqID:         f.ReqID,
@@ -759,7 +776,7 @@ func (e *Engine) CommitSession(reqID uint64, compID string, res qos.Resources) b
 	}
 	if h, ok := e.soft[key]; ok {
 		delete(e.soft, key)
-		h.cancel()
+		h.cancel.Stop()
 		e.ledger.Commit(res)
 		e.hard[key] = res
 		e.armCommitTTL(key)

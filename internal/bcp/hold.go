@@ -19,7 +19,7 @@ import (
 // heldSession is one established graph awaiting an external decision.
 type heldSession struct {
 	g      *service.Graph
-	cancel p2p.CancelFunc
+	cancel p2p.Timer
 }
 
 // Hold registers an established service graph as a held reservation: if no
@@ -28,7 +28,7 @@ type heldSession struct {
 // replaces the previous hold (its timer is cancelled, its graph released).
 func (e *Engine) Hold(key uint64, g *service.Graph, d time.Duration, onExpire func()) {
 	if prev, ok := e.held[key]; ok {
-		prev.cancel()
+		prev.cancel.Stop()
 		delete(e.held, key)
 		e.Teardown(prev.g)
 	}
@@ -54,7 +54,7 @@ func (e *Engine) Promote(key uint64) *service.Graph {
 	if !ok {
 		return nil
 	}
-	hs.cancel()
+	hs.cancel.Stop()
 	delete(e.held, key)
 	return hs.g
 }
@@ -67,7 +67,7 @@ func (e *Engine) AbortHold(key uint64) *service.Graph {
 	if !ok {
 		return nil
 	}
-	hs.cancel()
+	hs.cancel.Stop()
 	delete(e.held, key)
 	e.Teardown(hs.g)
 	return hs.g

@@ -312,23 +312,35 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		}
 		hints = append(hints, root)
 	}
-	e.discoverAllCached(names, hints, pr.ReqID, func(table []List, ok bool) {
-		if !ok {
-			e.dropProbe(&pr, "discovery")
-			return
+	e.discoverAllCached(names, hints, pr.ReqID, &probeHop{e: e, pr: pr, succs: succs})
+}
+
+// probeHop is one probe hop waiting on the duplicate lists of its successor
+// functions succs: the hop's copy of the probe and where it fans out, in the
+// one object discovery continues into.
+type probeHop struct {
+	e     *Engine
+	pr    Probe
+	succs []int
+}
+
+func (h *probeHop) discovered(table []List, ok bool) {
+	e, pr := h.e, &h.pr
+	if !ok {
+		e.dropProbe(pr, "discovery")
+		return
+	}
+	if !e.spawnNext(pr, h.succs, table, nil) {
+		// No eligible next hop anywhere: the probe dies here. Without
+		// this record the probe would vanish from the accounting and
+		// break the trace checker's conservation invariant. "down" says
+		// a candidate would have qualified but for its peer being down.
+		reason := "no-candidate"
+		if e.next.down > 0 {
+			reason = "down"
 		}
-		if !e.spawnNext(&pr, succs, table, nil) {
-			// No eligible next hop anywhere: the probe dies here. Without
-			// this record the probe would vanish from the accounting and
-			// break the trace checker's conservation invariant. "down" says
-			// a candidate would have qualified but for its peer being down.
-			reason := "no-candidate"
-			if e.next.down > 0 {
-				reason = "down"
-			}
-			e.dropProbe(&pr, reason)
-		}
-	})
+		e.dropProbe(pr, reason)
+	}
 }
 
 // dropProbe records a probe dying at this hop with a reason, for the

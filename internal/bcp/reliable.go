@@ -23,7 +23,7 @@ const probeAckSize = 16
 // retxState is one armed retransmit timer; the pointer identity guards
 // against a stale timer firing after the entry was replaced.
 type retxState struct {
-	cancel p2p.CancelFunc
+	cancel p2p.Timer
 }
 
 // sendReliable transmits msg and, when hardening is enabled, arms the
@@ -70,7 +70,7 @@ func (e *Engine) armRetx(msg p2p.Message, reqID, pid uint64, try int) {
 func (e *Engine) onProbeAck(_ p2p.Node, msg p2p.Message) {
 	ack := msg.Payload.(probeAckMsg)
 	if st, ok := e.retx[ack.UID]; ok {
-		st.cancel()
+		st.cancel.Stop()
 		delete(e.retx, ack.UID)
 	}
 }

@@ -28,7 +28,7 @@ type collector struct {
 	// is when the window timer fires and cancel disarms it.
 	credit uint64
 	bound  time.Duration
-	cancel p2p.CancelFunc
+	cancel p2p.Timer
 	// lastAt is when the most recent probe was accounted for — the boundary
 	// between the probe fan-out and residual collection-wait phases in the
 	// setup-latency breakdown reported back to the source.
@@ -69,7 +69,7 @@ func (e *Engine) account(reqID uint64, col *collector, credit uint64) {
 	col.lastAt = e.host.Now()
 	col.credit += credit
 	if col.credit == TotalCredit {
-		col.cancel()
+		col.cancel.Stop()
 		e.finishCollect(reqID)
 	}
 }

@@ -28,13 +28,13 @@ func BuildLegacy(nodes []*Node) {
 // it keeps the differential and speedup tests free of simulator overhead.
 type buildHost struct{ id p2p.NodeID }
 
-func (h *buildHost) ID() p2p.NodeID                             { return h.id }
-func (h *buildHost) Now() time.Duration                         { return 0 }
-func (h *buildHost) Send(p2p.Message)                           {}
-func (h *buildHost) After(time.Duration, func()) p2p.CancelFunc { return func() {} }
-func (h *buildHost) Rand() *rand.Rand                           { return nil }
-func (h *buildHost) Handle(string, p2p.Handler)                 {}
-func (h *buildHost) Alive() bool                                { return true }
+func (h *buildHost) ID() p2p.NodeID                        { return h.id }
+func (h *buildHost) Now() time.Duration                    { return 0 }
+func (h *buildHost) Send(p2p.Message)                      {}
+func (h *buildHost) After(time.Duration, func()) p2p.Timer { return p2p.Timer{} }
+func (h *buildHost) Rand() *rand.Rand                      { return nil }
+func (h *buildHost) Handle(string, p2p.Handler)            {}
+func (h *buildHost) Alive() bool                           { return true }
 
 // freshNodes creates construction-only nodes for the given transport IDs.
 func freshNodes(ids []p2p.NodeID) []*Node {

@@ -132,7 +132,7 @@ type getReq struct {
 	// One of the two is set; Get's own shape spares it an adapter closure per lookup.
 	cb       func(items []any, hops int, ok bool)
 	cbFrom   func(items []any, base int, from p2p.NodeID, hops int, ok bool)
-	cancel   p2p.CancelFunc
+	cancel   p2p.Timer
 	retried  bool
 	timeout  time.Duration
 	started  time.Duration // host clock at Get, for the lookup histogram
@@ -563,7 +563,7 @@ func (n *Node) onGetResp(_ p2p.Node, msg p2p.Message) {
 		return // late duplicate after timeout
 	}
 	delete(n.pending, gr.ReqID)
-	req.cancel()
+	req.cancel.Stop()
 	if n.Met != nil {
 		n.Met.DHTLookup.ObserveDuration(n.host.Now() - req.started)
 	}

@@ -27,7 +27,7 @@ type Result struct {
 type clientCall struct {
 	cb    func(Result)
 	start time.Duration
-	timer p2p.CancelFunc
+	timer p2p.Timer
 }
 
 // Client is a peer's entry point into the federation: it forwards
@@ -86,7 +86,7 @@ func (c *Client) resolve(id uint64, r Result) {
 		return
 	}
 	delete(c.pending, id)
-	call.timer()
+	call.timer.Stop()
 	r.SetupTime = c.host.Now() - call.start
 	if c.Trace != nil {
 		c.Trace.Emit(obs.ComposeDone(c.host.Now(), c.host.ID(), id, r.Ok, r.SetupTime))

@@ -50,8 +50,8 @@ type fedState struct {
 	acks      map[int]bool // segment -> committed ack
 	decided   bool
 	sentAt    time.Duration
-	voteTimer p2p.CancelFunc
-	ackTimer  p2p.CancelFunc
+	voteTimer p2p.Timer
+	ackTimer  p2p.Timer
 }
 
 // Coordinator is one domain's federation control point. It advertises the
@@ -336,9 +336,7 @@ func (c *Coordinator) decide(st *fedState, commit bool) {
 		return
 	}
 	st.decided = true
-	if st.voteTimer != nil {
-		st.voteTimer()
-	}
+	st.voteTimer.Stop()
 	if commit {
 		for i, s := range st.segs {
 			c.host.Send(p2p.Message{Type: MsgDecide, To: s.gw, Size: 32,
@@ -381,12 +379,8 @@ func (c *Coordinator) onDecided(_ p2p.Node, msg p2p.Message) {
 }
 
 func (c *Coordinator) finish(st *fedState, ok bool) {
-	if st.voteTimer != nil {
-		st.voteTimer()
-	}
-	if st.ackTimer != nil {
-		st.ackTimer()
-	}
+	st.voteTimer.Stop()
+	st.ackTimer.Stop()
 	delete(c.pending, st.fedID)
 	var lat time.Duration
 	if ok {

@@ -76,7 +76,10 @@ func TestTimerAndCancel(t *testing.T) {
 		close(done)
 	})
 	c := n.After(20*time.Millisecond, func() { cancelled.Add(1) })
-	c()
+	c.Stop()
+	c.Stop() // a second Stop is a no-op
+	var zero p2p.Timer
+	zero.Stop() // so is Stop on a timer never armed
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -85,6 +88,42 @@ func TestTimerAndCancel(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if fired.Load() != 1 || cancelled.Load() != 0 {
 		t.Fatalf("fired=%d cancelled=%d", fired.Load(), cancelled.Load())
+	}
+}
+
+// TestTimerStopAfterFireAndFromTheLoop: Stop on a timer that already fired is
+// a no-op, a handle kept past its firing does not stop a timer armed later,
+// and Stop from the node's own loop — where protocol code calls it — races
+// neither the clock goroutine nor the callback (run under -race).
+func TestTimerStopAfterFireAndFromTheLoop(t *testing.T) {
+	nw := NewNetwork(flatLat(1, 1), 1)
+	defer nw.Close()
+	n := nw.AddNode(0, 1)
+	var fired atomic.Int32
+	first := make(chan p2p.Timer, 1)
+	done := make(chan struct{})
+	first <- n.After(time.Millisecond, func() {
+		fired.Add(1)
+		old := <-first
+		old.Stop() // after its own firing
+		n.After(5*time.Millisecond, func() {
+			fired.Add(1)
+			close(done)
+		})
+		old.Stop() // must not stop the timer just armed
+		// Arm and stop from the loop while the clock is running.
+		for i := 0; i < 50; i++ {
+			n.After(time.Duration(i%3)*time.Millisecond, func() { fired.Add(100) }).Stop()
+		}
+	})
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the timer armed after the stale Stop never fired")
+	}
+	time.Sleep(30 * time.Millisecond)
+	if got := fired.Load(); got != 2 {
+		t.Fatalf("fired=%d, want 2 (a stopped timer ran)", got)
 	}
 }
 

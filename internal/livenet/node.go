@@ -121,21 +121,31 @@ func (n *LoopNode) Send(msg p2p.Message) {
 	n.send(msg)
 }
 
-func (n *LoopNode) After(d time.Duration, fn func()) p2p.CancelFunc {
+func (n *LoopNode) After(d time.Duration, fn func()) p2p.Timer {
 	epoch := n.epoch.Load()
-	var cancelled atomic.Bool
-	timer := time.AfterFunc(time.Duration(float64(d)/n.speedup), func() {
-		if cancelled.Load() {
+	lt := &liveTimer{}
+	lt.t = time.AfterFunc(time.Duration(float64(d)/n.speedup), func() {
+		if lt.stopped.Load() {
 			return
 		}
 		n.Post(func() {
-			if !cancelled.Load() && n.epoch.Load() == epoch {
+			if !lt.stopped.Load() && n.epoch.Load() == epoch {
 				fn()
 			}
 		})
 	})
-	return func() {
-		cancelled.Store(true)
-		timer.Stop()
-	}
+	return p2p.NewTimer(lt, 0)
+}
+
+// liveTimer is a LoopNode timer. stopped also covers the window in which the
+// clock already fired and the callback waits in the inbox.
+type liveTimer struct {
+	t       *time.Timer
+	stopped atomic.Bool
+}
+
+// Stop implements p2p.Stopper; a liveTimer has one incarnation.
+func (lt *liveTimer) Stop(uint64) {
+	lt.stopped.Store(true)
+	lt.t.Stop()
 }

@@ -40,9 +40,31 @@ type Message struct {
 // Handlers run single-threaded per node in both runtimes.
 type Handler func(n Node, msg Message)
 
-// CancelFunc cancels a pending timer. Calling it after the timer fired is a
-// no-op.
-type CancelFunc func()
+// Timer is the handle After returns, a small value copied freely. Stop
+// cancels the timer if it has not fired. It is a no-op on a timer that
+// already fired or was already stopped, and on the zero Timer, so a field
+// that may never have been armed needs no guard. A runtime that reuses its
+// timer records tells their incarnations apart by generation: a handle kept
+// past its timer's firing never stops a later timer on the same record.
+type Timer struct {
+	s   Stopper
+	gen uint64
+}
+
+// Stopper is the runtime's side of a Timer: Stop(gen) cancels incarnation
+// gen of a pending timer and ignores any other. Protocol code holds Timers,
+// never Stoppers.
+type Stopper interface{ Stop(gen uint64) }
+
+// NewTimer returns the handle of incarnation gen of a runtime's timer s.
+func NewTimer(s Stopper, gen uint64) Timer { return Timer{s: s, gen: gen} }
+
+// Stop cancels the timer if it is still pending.
+func (t Timer) Stop() {
+	if t.s != nil {
+		t.s.Stop(t.gen)
+	}
+}
 
 // Node is a peer's view of the runtime: identity, clock, messaging, timers,
 // and randomness. Protocol packages register handlers at startup and then
@@ -57,9 +79,10 @@ type Node interface {
 	// Delivery is asynchronous and takes the modeled network latency;
 	// messages to failed peers are silently dropped, as in a real network.
 	Send(msg Message)
-	// After schedules fn on this node after d. The returned CancelFunc
-	// stops a timer that has not yet fired. Timers die with the node.
-	After(d time.Duration, fn func()) CancelFunc
+	// After schedules fn on this node after d. The returned Timer stops it
+	// before it fires. Timers die with the node: one armed before the node
+	// fails never fires, even after it recovers.
+	After(d time.Duration, fn func()) Timer
 	// Rand returns the runtime's random source. In simulation it is the
 	// single seeded stream that makes runs reproducible.
 	Rand() *rand.Rand

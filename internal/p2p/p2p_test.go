@@ -68,22 +68,50 @@ func TestHandleReplacesRegistration(t *testing.T) {
 }
 
 // TestAfterOrderingAndCancel pins the timer contract: timers fire on the
-// node's clock in order, and CancelFunc stops an unfired timer but is a
-// harmless no-op afterwards.
+// node's clock in order; Stop cancels an unfired timer and is a harmless
+// no-op on the zero Timer, a second time, after the timer fired, and on a
+// handle whose record a later timer reuses; a timer armed before its node
+// fails never fires, even after the node recovers.
 func TestAfterOrderingAndCancel(t *testing.T) {
-	sim, a, _, _ := newPair(t)
+	sim, a, _, nw := newPair(t)
 	var fired []string
 	a.After(20*time.Millisecond, func() { fired = append(fired, "late") })
 	a.After(5*time.Millisecond, func() { fired = append(fired, "early") })
-	cancel := a.After(10*time.Millisecond, func() { fired = append(fired, "cancelled") })
-	cancel()
-	cancel() // double-cancel must be a no-op
+	stopped := a.After(10*time.Millisecond, func() { fired = append(fired, "cancelled") })
+	stopped.Stop()
+	stopped.Stop() // a second Stop must be a no-op
+	var zero p2p.Timer
+	zero.Stop() // so must Stop on a timer never armed
 	sim.RunUntilIdle()
 	if len(fired) != 2 || fired[0] != "early" || fired[1] != "late" {
 		t.Fatalf("fired = %v, want [early late]", fired)
 	}
 	if sim.Now() < 20*time.Millisecond {
 		t.Fatalf("clock did not advance past the last timer: %v", sim.Now())
+	}
+
+	// A handle kept past its timer's firing stops nothing, not even the
+	// later timer the runtime arms on the same record.
+	fired = nil
+	old := a.After(time.Millisecond, func() { fired = append(fired, "old") })
+	sim.RunUntilIdle()
+	a.After(time.Millisecond, func() { fired = append(fired, "reuse") })
+	old.Stop()
+	sim.RunUntilIdle()
+	if len(fired) != 2 || fired[1] != "reuse" {
+		t.Fatalf("fired = %v, want [old reuse]: a stale handle stopped a later timer", fired)
+	}
+
+	// Timers die with their node: one armed before Fail stays dead after
+	// Recover, while one armed after Recover fires.
+	fired = nil
+	a.After(10*time.Millisecond, func() { fired = append(fired, "pre-failure") })
+	nw.Fail(a.ID())
+	nw.Recover(a.ID())
+	a.After(20*time.Millisecond, func() { fired = append(fired, "post-recovery") })
+	sim.RunUntilIdle()
+	if len(fired) != 1 || fired[0] != "post-recovery" {
+		t.Fatalf("fired = %v, want [post-recovery]", fired)
 	}
 }
 

@@ -344,7 +344,7 @@ type simNode struct {
 	id       p2p.NodeID
 	net      *Network
 	alive    bool
-	epoch    uint64 // bumped on failure; stale timers check it
+	epoch    uint64 // bumped on failure; Sim.Step checks a timer's against it
 	handlers []handlerReg
 	ctr      *obs.NodeCounters // nil unless a Registry is attached
 }
@@ -391,12 +391,8 @@ func (n *simNode) Send(msg p2p.Message) {
 	n.net.send(msg)
 }
 
-func (n *simNode) After(d time.Duration, fn func()) p2p.CancelFunc {
-	epoch := n.epoch
-	cancel := n.net.sim.Schedule(d, func() {
-		if n.alive && n.epoch == epoch {
-			fn()
-		}
-	})
-	return p2p.CancelFunc(cancel)
+func (n *simNode) After(d time.Duration, fn func()) p2p.Timer {
+	e := n.net.sim.enqueue(d)
+	e.fn, e.node, e.epoch = fn, n, n.epoch
+	return p2p.NewTimer(e, e.gen)
 }

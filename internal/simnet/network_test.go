@@ -128,11 +128,34 @@ func TestTimersFromBeforeFailureStayDeadAfterRecovery(t *testing.T) {
 func TestTimerCancel(t *testing.T) {
 	nw, ns := newTestNet(1)
 	fired := false
-	cancel := ns[0].After(10*time.Millisecond, func() { fired = true })
-	cancel()
+	timer := ns[0].After(10*time.Millisecond, func() { fired = true })
+	timer.Stop()
 	nw.Sim().RunUntilIdle()
 	if fired {
 		t.Fatal("cancelled timer fired")
+	}
+}
+
+// TestAfterFireAllocs pins a node timer at no object beyond the caller's fn:
+// with the freelist warm, arm→fire and arm→Stop each allocate nothing — the
+// crash guard lives in the pooled event, not in a wrapper closure.
+func TestAfterFireAllocs(t *testing.T) {
+	nw, ns := newTestNet(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		ns[0].After(0, fn)
+	}
+	nw.Sim().RunUntilIdle()
+	if avg := testing.AllocsPerRun(1000, func() {
+		ns[0].After(time.Microsecond, fn)
+		nw.Sim().Step()
+	}); avg != 0 {
+		t.Fatalf("After→fire allocates %.2f objects/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		ns[0].After(time.Microsecond, fn).Stop()
+	}); avg != 0 {
+		t.Fatalf("After→Stop allocates %.2f objects/op, want 0", avg)
 	}
 }
 

@@ -7,6 +7,8 @@ package simnet
 import (
 	"container/heap"
 	"time"
+
+	"repro/internal/p2p"
 )
 
 // Sim is a discrete-event scheduler over a virtual clock. It is not safe for
@@ -17,8 +19,8 @@ import (
 // its own heap slot, so cancellation removes the event immediately (no
 // tombstones accumulate across a long soak) and Pending is the heap length.
 // Fired and cancelled events return to a freelist and are reused by later
-// Schedule calls, so the steady-state Schedule→fire path allocates only the
-// returned cancel closure — and the ScheduleCall path not even that.
+// Schedule calls, and the handle Schedule returns is the event plus its
+// generation, so the steady-state Schedule→fire path allocates nothing.
 type Sim struct {
 	now    time.Duration
 	events eventHeap
@@ -27,6 +29,7 @@ type Sim struct {
 }
 
 type event struct {
+	sim *Sim
 	at  time.Duration
 	seq uint64 // FIFO tie-break for simultaneous events
 	fn  func()
@@ -36,8 +39,12 @@ type event struct {
 	// one of fn and call is set.
 	call func(any)
 	arg  any
-	idx  int    // heap slot; -1 once fired or cancelled
-	gen  uint64 // incremented on recycle so stale cancel closures are no-ops
+	// node, when set, armed this event as a timer in its epoch: the event
+	// fires only while the node is up in that epoch (timers die with it).
+	node  *simNode
+	epoch uint64
+	idx   int    // heap slot; -1 once fired or cancelled
+	gen   uint64 // incremented on recycle so stale handles are no-ops
 }
 
 // NewSim returns a simulator with the clock at zero and no pending events.
@@ -51,21 +58,19 @@ func (s *Sim) Now() time.Duration { return s.now }
 func (s *Sim) Pending() int { return len(s.events) }
 
 // Schedule runs fn after delay d of virtual time. Negative delays are
-// clamped to zero. The returned function cancels the event if it has not yet
-// fired; calling it after the event fired (or twice) is a no-op.
-func (s *Sim) Schedule(d time.Duration, fn func()) func() {
+// clamped to zero. The returned Timer cancels the event if it has not yet
+// fired.
+func (s *Sim) Schedule(d time.Duration, fn func()) p2p.Timer {
 	e := s.enqueue(d)
 	e.fn = fn
-	gen := e.gen
-	return func() { s.cancel(e, gen) }
+	return p2p.NewTimer(e, e.gen)
 }
 
 // ScheduleCall runs call(arg) after delay d of virtual time. It is the
-// non-cancellable, allocation-free flavor of Schedule for high-volume event
-// sources (message delivery): the caller supplies one long-lived call
-// function and a per-event argument, so no closure and no cancel func are
-// allocated. Ordering is shared with Schedule — one clock, one sequence
-// counter, one heap.
+// non-cancellable flavor of Schedule for high-volume event sources (message
+// delivery): the caller supplies one long-lived call function and a
+// per-event argument, so no closure is allocated. Ordering is shared with
+// Schedule — one clock, one sequence counter, one heap.
 func (s *Sim) ScheduleCall(d time.Duration, call func(any), arg any) {
 	e := s.enqueue(d)
 	e.call = call
@@ -84,7 +89,7 @@ func (s *Sim) enqueue(d time.Duration) *event {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &event{}
+		e = &event{sim: s}
 	}
 	e.at = s.now + d
 	e.seq = s.seq
@@ -93,15 +98,15 @@ func (s *Sim) enqueue(d time.Duration) *event {
 	return e
 }
 
-// cancel removes e from the queue if it is still the incarnation the cancel
-// closure was minted for. The generation check makes stale closures (held
+// Stop removes e from the queue if it is still incarnation gen, the one the
+// handle was minted for. The generation check makes stale handles (held
 // across the event firing and its struct being reused) harmless.
-func (s *Sim) cancel(e *event, gen uint64) {
+func (e *event) Stop(gen uint64) {
 	if e.gen != gen || e.idx < 0 {
 		return
 	}
-	heap.Remove(&s.events, e.idx)
-	s.recycle(e)
+	heap.Remove(&e.sim.events, e.idx)
+	e.sim.recycle(e)
 }
 
 // recycle retires a fired or cancelled event onto the freelist.
@@ -109,13 +114,15 @@ func (s *Sim) recycle(e *event) {
 	e.fn = nil
 	e.call = nil
 	e.arg = nil
+	e.node = nil
 	e.idx = -1
 	e.gen++
 	s.free = append(s.free, e)
 }
 
 // Step executes the earliest pending event, advancing the clock to its
-// timestamp. It returns false if no events remain.
+// timestamp. A node's timer whose node failed since it was armed is dropped
+// unfired. It returns false if no events remain.
 func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
@@ -123,10 +130,13 @@ func (s *Sim) Step() bool {
 	e := heap.Pop(&s.events).(*event)
 	s.now = e.at
 	fn, call, arg := e.fn, e.call, e.arg
+	live := e.node == nil || e.node.alive && e.node.epoch == e.epoch
 	s.recycle(e)
-	if fn != nil {
+	switch {
+	case !live: // its node failed since arming it
+	case fn != nil:
 		fn()
-	} else {
+	default:
 		call(arg)
 	}
 	return true
@@ -135,19 +145,8 @@ func (s *Sim) Step() bool {
 // Run executes all events with timestamps <= until, then advances the clock
 // to until.
 func (s *Sim) Run(until time.Duration) {
-	for len(s.events) > 0 {
-		if s.events[0].at > until {
-			break
-		}
-		e := heap.Pop(&s.events).(*event)
-		s.now = e.at
-		fn, call, arg := e.fn, e.call, e.arg
-		s.recycle(e)
-		if fn != nil {
-			fn()
-		} else {
-			call(arg)
-		}
+	for len(s.events) > 0 && s.events[0].at <= until {
+		s.Step()
 	}
 	if s.now < until {
 		s.now = until

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/p2p"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -52,13 +54,13 @@ func TestNegativeDelayClamps(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := NewSim()
 	fired := false
-	cancel := s.Schedule(time.Millisecond, func() { fired = true })
-	cancel()
+	timer := s.Schedule(time.Millisecond, func() { fired = true })
+	timer.Stop()
 	s.RunUntilIdle()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	cancel() // double-cancel is a no-op
+	timer.Stop() // double-cancel is a no-op
 }
 
 func TestRunHorizon(t *testing.T) {
@@ -104,7 +106,7 @@ func TestPending(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Fatalf("Pending=%d", s.Pending())
 	}
-	c1()
+	c1.Stop()
 	if s.Pending() != 1 {
 		t.Fatalf("Pending after cancel=%d", s.Pending())
 	}
@@ -281,7 +283,7 @@ func TestIndexedHeapMatchesLazyHeap(t *testing.T) {
 			return order
 		}
 		s := NewSim()
-		got := run(s.Schedule, s.RunUntilIdle)
+		got := run(func(d time.Duration, fn func()) func() { return s.Schedule(d, fn).Stop }, s.RunUntilIdle)
 		l := &lazyHeap{}
 		want := run(l.schedule, l.runUntilIdle)
 		if len(got) != len(want) {
@@ -295,9 +297,9 @@ func TestIndexedHeapMatchesLazyHeap(t *testing.T) {
 	}
 }
 
-// TestStaleCancelAfterReuse holds a cancel closure across its event firing
-// and a freelist reuse of the event struct: the stale cancel must not kill
-// the new incarnation.
+// TestStaleCancelAfterReuse holds a Timer across its event firing and a
+// freelist reuse of the event struct: the stale handle must not stop the new
+// incarnation.
 func TestStaleCancelAfterReuse(t *testing.T) {
 	s := NewSim()
 	stale := s.Schedule(time.Millisecond, func() {})
@@ -305,7 +307,7 @@ func TestStaleCancelAfterReuse(t *testing.T) {
 
 	fired := false
 	s.Schedule(time.Millisecond, func() { fired = true }) // reuses the struct
-	stale()                                               // must be a no-op
+	stale.Stop()                                          // must be a no-op
 	if s.Pending() != 1 {
 		t.Fatalf("stale cancel removed a live event: Pending=%d", s.Pending())
 	}
@@ -319,12 +321,12 @@ func TestStaleCancelAfterReuse(t *testing.T) {
 // rather than leaving a tombstone: the queue length drops at cancel time.
 func TestCancelRemovesImmediately(t *testing.T) {
 	s := NewSim()
-	var cancels []func()
+	var timers []p2p.Timer
 	for i := 0; i < 100; i++ {
-		cancels = append(cancels, s.Schedule(time.Hour, func() {}))
+		timers = append(timers, s.Schedule(time.Hour, func() {}))
 	}
-	for i, c := range cancels {
-		c()
+	for i, c := range timers {
+		c.Stop()
 		if got, want := s.Pending(), 100-i-1; got != want {
 			t.Fatalf("after %d cancels Pending=%d, want %d", i+1, got, want)
 		}
@@ -332,8 +334,8 @@ func TestCancelRemovesImmediately(t *testing.T) {
 }
 
 // TestScheduleFireAllocs pins the steady-state Schedule→fire allocation
-// budget: with the freelist warm, one Schedule+Step cycle allocates only the
-// returned cancel closure.
+// budget: with the freelist warm, one Schedule+Step cycle allocates nothing —
+// the returned Timer is the pooled event and its generation.
 func TestScheduleFireAllocs(t *testing.T) {
 	s := NewSim()
 	fn := func() {}
@@ -345,8 +347,8 @@ func TestScheduleFireAllocs(t *testing.T) {
 		s.Schedule(time.Microsecond, fn)
 		s.Step()
 	})
-	if avg > 1.1 {
-		t.Fatalf("Schedule→fire allocates %.2f objects/op, want <= 1 (the cancel closure)", avg)
+	if avg != 0 {
+		t.Fatalf("Schedule→fire allocates %.2f objects/op, want 0", avg)
 	}
 }
 
@@ -356,9 +358,9 @@ func TestScheduleFireAllocs(t *testing.T) {
 func TestCancelDuringDispatch(t *testing.T) {
 	s := NewSim()
 	fired := false
-	var cancel func()
-	s.Schedule(time.Millisecond, func() { cancel() })
-	cancel = s.Schedule(time.Millisecond, func() { fired = true })
+	var timer p2p.Timer
+	s.Schedule(time.Millisecond, func() { timer.Stop() })
+	timer = s.Schedule(time.Millisecond, func() { fired = true })
 	s.RunUntilIdle()
 	if fired {
 		t.Fatal("event cancelled during dispatch of its own timestamp still fired")
@@ -369,7 +371,7 @@ func TestCancelDuringDispatch(t *testing.T) {
 	s2 := NewSim()
 	fired2 := false
 	c2 := s2.Schedule(2*time.Millisecond, func() { fired2 = true })
-	s2.Schedule(time.Millisecond, func() { c2() })
+	s2.Schedule(time.Millisecond, func() { c2.Stop() })
 	s2.Run(5 * time.Millisecond)
 	if fired2 {
 		t.Fatal("event cancelled one tick earlier still fired")

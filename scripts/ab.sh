@@ -22,8 +22,12 @@
 #           by more than the parent's interquartile range
 #   same    anything else
 # Then one line per workload saying whether the virtual digests of every pair
-# were equal, and a last line: "verdict: no move" when no metric is worse,
-# noisy or better and every digest is equal. Exit status 1 when a metric is
+# were equal; one line per workload with each side's ok_share pooled over its
+# runs (operations ok over operations attempted, from each run's counts), its
+# 95 % Wilson score interval and whether the two intervals overlap — the
+# comparison a ratio near 1 needs, where a per-run median and quartiles say
+# little; and a last line: "verdict: no move" when no metric is worse, noisy
+# or better and every digest is equal. Exit status 1 when a metric is
 # worse or a run reported itself incorrect. Needs git, tar, jq and go.
 set -eu
 
@@ -60,6 +64,7 @@ run() {
     fi
     tail -n 2 "$tmp/out" | jq -sc --arg side "$1" --arg w "$3" --argjson seed "$4" \
         '{side: $side, workload: $w, seed: $seed, digest: .[0].virtual_digest,
+          ok: .[0].counts.ok, attempted: .[0].counts.attempted,
           correct: .[1].correct, metrics: (.[1].metrics | map_values(.value))}' >> "$tmp/runs.jsonl"
     printf '  %-6s %-8s seed %-2s %s\n' "$1" "$3" "$4" "$(tail -n 1 "$tmp/runs.jsonl" | jq -r '.digest')" >&2
 }
@@ -87,6 +92,13 @@ def spread: sort as $x
 def num: if . == 0 or (fabs >= 1000) then (. * 10 | round / 10 | tostring)
          else (. * 10000 | round / 10000 | tostring) end;
 def show: "\(.m | num) [\(.q1 | num), \(.q3 | num)]";
+# wilson(k; n): the share k/n and its 95 % Wilson score interval.
+def wilson($k; $n): (1.96 * 1.96) as $z2 | ($k / $n) as $p | (1 + $z2 / $n) as $d
+    | (($p + $z2 / (2 * $n)) / $d) as $c
+    | (($z2 * ($p * (1 - $p) / $n + $z2 / (4 * $n * $n)) | sqrt) / $d) as $h
+    | {p: $p, lo: ($c - $h), hi: ($c + $h)};
+def pooled: wilson(map(.ok) | add; map(.attempted) | add);
+def interval: "\(.p | num) [\(.lo | num), \(.hi | num)]";
 def wide($n): tostring | . + (" " * ([$n - length, 1] | max));
 . as $runs
 | [($order | split(","))[] as $w
@@ -97,6 +109,7 @@ def wide($n): tostring | . + (" " * ([$n - length, 1] | max));
       equal: ([range(0; $p | length) | select($p[.].digest == $c[.].digest)] | length),
       incorrect: ($rw | map(select(.correct | not)) | length),
       n: ($p | length),
+      pw: ($p | pooled), cw: ($c | pooled),
       rows: [$bench[0].end_to_end[] as $m
         | ($p | map(.metrics[$m.name])) as $pv
         | ($c | map(.metrics[$m.name])) as $cv
@@ -115,6 +128,8 @@ def wide($n): tostring | . + (" " * ([$n - length, 1] | max));
    | "\($w | wide(9))\(.name | wide(18))\(.ps | show | wide(32))\(.cs | show | wide(32))\(((.rel * 1000 | round) / 10 + 0 | tostring) + "%" | wide(9))\("\(.wins)/\($n)" | wide(7))\(((.bound * 100 | round | tostring) + "%") | wide(6))\(.verdict)"),
   ($cells[] | "digests \(.w): " + (if .equal == .n then "equal in all \(.n) pairs" else "differ in \(.n - .equal) of \(.n) pairs" end)
      + (if .incorrect > 0 then "; \(.incorrect) runs incorrect" else "" end)),
+  ($cells[] | "ok_share \(.w): parent \(.pw | interval), change \(.cw | interval), "
+     + (if .pw.lo <= .cw.hi and .cw.lo <= .pw.hi then "intervals overlap" else "intervals disjoint" end)),
   ([$cells[].rows[] | select(.verdict != "same") | "\(.verdict)"] | group_by(.) | map("\(length) \(.[0])")) as $moved
   | ([$cells[] | select(.equal != .n)] | length) as $differ
   | "verdict: " + (if ($moved | length) == 0 and $differ == 0 then "no move"

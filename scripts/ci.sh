@@ -35,7 +35,8 @@ go test -race -count=1 -timeout 60s ./cmd/spidernode
 # candidate scoring, the dedupe key, next-hop planning). The run above had
 # them under the race detector only, whose runtime allocates differently;
 # these are the figures DESIGN.md quotes. The two benchmarks print the same
-# paths' objects, bytes and time into the log; the next ones do that for the
+# paths' objects, bytes and time into the log, and the third the objects of
+# one simulator event (0: a timer is a pooled event); the next ones do that for the
 # world build and the route plane: the two build passes (peer-latency matrix
 # at the paper's scale, compact mesh at the scale workload's), the whole full
 # overlay build at the paper's scale (mesh search plus matrix), which is what
@@ -43,7 +44,7 @@ go test -race -count=1 -timeout 60s ./cmd/spidernode
 # workload's overlay, which is its run_s, and one evicting route miss.
 echo "== allocation gates (no race detector) + compose/recovery-tick + world-build and route benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
-go test -run '^$' -bench 'BCPCompose|RecoveryTick' -benchmem -benchtime 20x .
+go test -run '^$' -bench 'BCPCompose|RecoveryTick|SimEventDispatch' -benchmem -benchtime 20x .
 go test -run '^$' -bench 'PairDistancesPaperScale|CompactMesh30k|TopologyPaperScale|RouteTables30k' -benchmem -benchtime 3x .
 go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 
@@ -75,13 +76,14 @@ go test -C benchmark ./...
 
 # A/B smoke: one pair of the alternating-pair comparison every performance
 # claim is made with, HEAD against the working tree on steady. On a committed
-# tree both sides are the same code, so the script must report equal digests
-# and no move; anything else means its export, its parsing or its arithmetic
-# broke.
+# tree both sides are the same code, so the script must report equal digests,
+# overlapping ok_share intervals and no move; anything else means its export,
+# its parsing or its arithmetic broke.
 echo "== A/B smoke (scripts/ab.sh HEAD --pairs 1 --workloads steady)"
 ab="$(sh scripts/ab.sh HEAD --pairs 1 --workloads steady 2> /dev/null)"
 echo "$ab"
 echo "$ab" | grep -qx 'digests steady: equal in all 1 pairs'
+echo "$ab" | grep -qx 'ok_share steady: parent .*, change .*, intervals overlap'
 echo "$ab" | grep -qx 'verdict: no move'
 
 # Fuzz smoke: `go test` above only replays the committed seed corpora. The
