@@ -142,6 +142,7 @@ type Oracle interface {
 // Result is delivered to the source's callback when composition finishes.
 type Result struct {
 	ReqID   uint64
+	Walk    uint64 // the source's own walk a bcp.result answers (Confirm); 0 for a composition's
 	Ok      bool
 	Best    *service.Graph   // established service graph (nil if !Ok)
 	Backups []*service.Graph // other qualified graphs, best-first
@@ -192,6 +193,10 @@ type Engine struct {
 	// external two-phase-commit decision (the federation layer's prepare
 	// window). Each entry releases itself when its hold timer fires.
 	held map[uint64]*heldSession
+
+	// walks are the reverse-path walks this source started (Confirm).
+	walks   map[uint64]*walk
+	walkSeq uint64
 
 	// Weights for the ψ cost function used at selection time.
 	Weights service.Weights
@@ -318,6 +323,7 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 		hard:       make(map[softKey]qos.Resources),
 		bws:        make(map[allocKey]float64),
 		held:       make(map[uint64]*heldSession),
+		walks:      make(map[uint64]*walk),
 		retx:       make(map[uint64]*retxState),
 		Weights:    service.DefaultWeights(),
 	}
@@ -345,11 +351,6 @@ func (e *Engine) LocalComponents() []service.Component { return e.local }
 // LocalComponent finds a hosted component by ID, reporting whether this
 // peer still hosts it.
 func (e *Engine) LocalComponent(id string) (service.Component, bool) {
-	return e.localComponent(id)
-}
-
-// localComponent finds a hosted component by ID.
-func (e *Engine) localComponent(id string) (service.Component, bool) {
 	for _, c := range e.local {
 		if c.ID == id {
 			return c, true
@@ -655,6 +656,10 @@ type chosenMsg struct {
 // onResult delivers the final outcome to the waiting source callback.
 func (e *Engine) onResult(_ p2p.Node, msg p2p.Message) {
 	res := msg.Payload.(Result)
+	if res.Walk != 0 {
+		e.endWalk(res.Walk, res.Ok, true)
+		return
+	}
 	st, ok := e.pending[res.ReqID]
 	if !ok {
 		// The sender already gave up (or never asked): a successfully set-up
@@ -686,22 +691,19 @@ func (e *Engine) onResult(_ p2p.Node, msg p2p.Message) {
 		res.CommitPhase = e.host.Now() - t3
 	}
 	if res.Ok {
-		// Admit the ingress service links (sender → the components serving
-		// the pattern's source functions). Best-effort: the stream degrades
-		// rather than aborts if the sender's own uplink is saturated.
-		for _, fn := range res.Best.Pattern.Sources() {
-			if s, ok := res.Best.Comps[fn]; ok {
-				e.AllocSessionBandwidth(st.req.ID, s.Comp.Peer, st.req.Bandwidth)
-			}
-		}
+		e.admitIngress(res.Best)
 	}
 	st.cb(res)
 }
 
 // onFail handles a mid-ACK commit failure: the source gives up and tears
-// down whatever was committed.
+// down whatever was committed (endWalk for a walk of its own).
 func (e *Engine) onFail(_ p2p.Node, msg p2p.Message) {
 	f := msg.Payload.(failMsg)
+	if f.Walk != 0 {
+		e.endWalk(f.Walk, false, true)
+		return
+	}
 	st, ok := e.pending[f.ReqID]
 	if !ok {
 		return
@@ -720,6 +722,7 @@ func (e *Engine) onFail(_ p2p.Node, msg p2p.Message) {
 
 type failMsg struct {
 	ReqID uint64
+	Walk  uint64
 	Graph *service.Graph
 }
 
@@ -762,54 +765,6 @@ func (e *Engine) TeardownExcept(old, keep *service.Graph) {
 func (e *Engine) onTeardown(_ p2p.Node, msg p2p.Message) {
 	tm := msg.Payload.(teardownMsg)
 	e.releaseLocal(tm.Release, tm.Keep)
-}
-
-// CommitSession hardens this peer's allocation for one component of a
-// session: a live soft reservation is committed, otherwise admission is
-// attempted directly. The operation is idempotent per (request, component),
-// so a backup graph sharing the component with the broken graph re-commits
-// for free.
-func (e *Engine) CommitSession(reqID uint64, compID string, res qos.Resources) bool {
-	key := softKey{reqID: reqID, compID: compID}
-	if _, ok := e.hard[key]; ok {
-		return true
-	}
-	if h, ok := e.soft[key]; ok {
-		delete(e.soft, key)
-		h.cancel.Stop()
-		e.ledger.Commit(res)
-		e.hard[key] = res
-		e.armCommitTTL(key)
-		return true
-	}
-	// The soft reservation expired before the ACK arrived. A shedding peer
-	// declines this late direct admission just like it declines probes:
-	// without the gate, slow ACKs would push it past the threshold the
-	// overload plane promised to hold.
-	if e.cfg.ShedThreshold > 0 && e.ledger.CommittedUtilization() >= e.cfg.ShedThreshold {
-		return false
-	}
-	if !e.ledger.CommitDirect(res) {
-		return false
-	}
-	e.hard[key] = res
-	e.armCommitTTL(key)
-	return true
-}
-
-// AllocSessionBandwidth admits a session's bandwidth on the overlay path
-// from this peer to b, idempotently per (request, endpoint pair).
-func (e *Engine) AllocSessionBandwidth(reqID uint64, b p2p.NodeID, kbps float64) bool {
-	key := allocKey{reqID: reqID, a: e.host.ID(), b: b}
-	if _, ok := e.bws[key]; ok {
-		return true
-	}
-	if !e.oracle.AllocBandwidth(e.host.ID(), b, kbps) {
-		return false
-	}
-	e.bws[key] = kbps
-	e.armBandwidthTTL(key)
-	return true
 }
 
 // releaseLocal frees this peer's registered allocations for graph g, except

@@ -20,7 +20,8 @@ import (
 // `any` payload: a probe with its walked branch, its hints and the lists the
 // source hands its first hop; a routed get that names the peer and the number
 // of items its sender holds; the response that leaves those items out; and
-// the credit a dead probe returns to the destination.
+// the credit a dead probe returns to the destination; and a source's own
+// reverse-path walk with its walk ID.
 func TestPayloadsCrossGob(t *testing.T) {
 	RegisterGob()
 	dht.RegisterGob()
@@ -80,5 +81,27 @@ func TestPayloadsCrossGob(t *testing.T) {
 	got.Pattern, got.Req = fg, req
 	if !reflect.DeepEqual(got, probe) {
 		t.Errorf("probe mangled:\n got %+v\nwant %+v", got, probe)
+	}
+
+	// A source's own reverse-path walk (a switchover, Confirm) carries its
+	// walk ID and the whole graph, and so do its answers.
+	g := &service.Graph{Pattern: fg, Req: req, Comps: map[int]service.Snapshot{
+		0: {Comp: service.Component{ID: "p5/a.0", Function: "a", Peer: 5}, Avail: avail},
+		1: {Comp: service.Component{ID: "p6/b.0", Function: "b", Peer: 6}},
+		2: {Comp: service.Component{ID: "p8/c.0", Function: "c", Peer: 8}},
+	}}
+	ack := ackMsg{ReqID: 9, Walk: 3, Best: g, Order: []int{2, 1, 0}, Pos: 1}
+	gotAck, ok := roundTrip(ack).(ackMsg)
+	if !ok || gotAck.Walk != 3 || !gotAck.Best.Pattern.Equal(fg) || gotAck.Best.Req.Bandwidth != 64 {
+		t.Fatalf("ackMsg walk, pattern or request mangled: %+v", gotAck)
+	}
+	gotAck.Best.Pattern, gotAck.Best.Req = fg, req
+	if !reflect.DeepEqual(gotAck, ack) {
+		t.Errorf("ackMsg mangled:\n got %+v\nwant %+v", gotAck, ack)
+	}
+	for _, want := range []any{Result{ReqID: 9, Walk: 3, Ok: true}, failMsg{ReqID: 9, Walk: 3}} {
+		if got := roundTrip(want); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T mangled:\n got %+v\nwant %+v", want, got, want)
+		}
 	}
 }

@@ -210,7 +210,7 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 
 	// The component the probe came to examine must still be hosted here
 	// (discovery meta-data can be stale in a churning overlay).
-	comp, ok := e.localComponent(pr.CurCompID)
+	comp, ok := e.LocalComponent(pr.CurCompID)
 	if !ok {
 		e.dropProbe(&pr, "stale-component")
 		return

@@ -86,11 +86,12 @@ func (e *Engine) ackHop(msg p2p.Message, set *seenSet[uint64]) (dup bool) {
 	return set.seen(msg.UID)
 }
 
-// ackKey identifies one position of one request's reverse-path ack chain,
-// for duplicate-suppression of injected ack copies.
+// ackKey identifies one position of one reverse-path walk (the
+// destination's, walk 0, or one the source started), for
+// duplicate-suppression of injected ack copies.
 type ackKey struct {
-	req uint64
-	pos int
+	req, walk uint64
+	pos       int
 }
 
 // seenCap bounds every duplicate-suppression set; old entries are evicted

@@ -167,12 +167,7 @@ func (e *Engine) finishCollect(reqID uint64) {
 	})
 	// Reverse-path session setup (§4.1 step 4): the ACK visits the chosen
 	// components sink-first, hardening each soft reservation.
-	order := reverseTopo(best)
-	am := ackMsg{ReqID: reqID, Best: best, Backups: backups, Order: order, Pos: 0}
-	e.host.Send(p2p.Message{
-		Type: MsgAck, To: best.Comps[order[0]].Comp.Peer, Size: 96,
-		Payload: am,
-	})
+	e.startAck(ackMsg{ReqID: reqID, Best: best, Backups: backups})
 }
 
 // maxUtil returns the highest probe-recorded utilization across the graph's
@@ -185,15 +180,6 @@ func maxUtil(g *service.Graph) float64 {
 		}
 	}
 	return u
-}
-
-func reverseTopo(g *service.Graph) []int {
-	topo := g.Pattern.TopoOrder()
-	out := make([]int, len(topo))
-	for i, fn := range topo {
-		out[len(topo)-1-i] = fn
-	}
-	return out
 }
 
 // selection is the scratch optimal composition selection works in. It
@@ -443,84 +429,4 @@ func branchIndex(branches [][]int, r *Probe) int {
 		}
 	}
 	return -1
-}
-
-// ackMsg confirms the selected service graph along the reverse path,
-// committing each peer's soft reservation into a session allocation and
-// admitting bandwidth on outgoing service links.
-type ackMsg struct {
-	ReqID   uint64
-	Best    *service.Graph
-	Backups []*service.Graph
-	Order   []int // reverse topological order of function indices
-	Pos     int
-}
-
-func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
-	am := msg.Payload.(ackMsg)
-	if e.cfg.ProbeAckTimeout > 0 && e.ackSeen.seen(ackKey{req: am.ReqID, pos: am.Pos}) {
-		// A duplicated ack copy (dup fault) must not re-walk the reverse
-		// path: the cascade would end in a duplicate MsgResult.
-		return
-	}
-	fn := am.Order[am.Pos]
-	snap := am.Best.Comps[fn]
-	req := am.Best.Req
-
-	fail := func(reason string) {
-		if e.Trace != nil {
-			e.Trace.Emit(obs.SessionReject(e.host.Now(), e.host.ID(), am.ReqID,
-				snap.Comp.ID, reason))
-		}
-		e.host.Send(p2p.Message{
-			Type: MsgFail, To: req.Source, Size: 64,
-			Payload: failMsg{ReqID: am.ReqID, Graph: am.Best},
-		})
-	}
-
-	if _, hosted := e.localComponent(snap.Comp.ID); !hosted {
-		fail("vanished") // component vanished between probing and setup
-		return
-	}
-	if !e.CommitSession(am.ReqID, snap.Comp.ID, req.Res) {
-		fail("resources")
-		return
-	}
-	// Outgoing service links: to each successor's component, or to the
-	// receiving application for sink functions.
-	succs := am.Best.Pattern.Successors(fn)
-	if len(succs) == 0 {
-		if !e.AllocSessionBandwidth(am.ReqID, req.Dest, req.Bandwidth) {
-			fail("bandwidth")
-			return
-		}
-	}
-	for _, s := range succs {
-		next, ok := am.Best.Comps[s]
-		if !ok {
-			fail("vanished")
-			return
-		}
-		if !e.AllocSessionBandwidth(am.ReqID, next.Comp.Peer, req.Bandwidth) {
-			fail("bandwidth")
-			return
-		}
-	}
-	if e.Trace != nil {
-		e.Trace.Emit(obs.SessionAdmit(e.host.Now(), e.host.ID(), am.ReqID, snap.Comp.ID))
-	}
-
-	am.Pos++
-	if am.Pos < len(am.Order) {
-		e.host.Send(p2p.Message{
-			Type: MsgAck, To: am.Best.Comps[am.Order[am.Pos]].Comp.Peer, Size: 96,
-			Payload: am,
-		})
-		return
-	}
-	// All components confirmed: tell the sender the session is up.
-	e.host.Send(p2p.Message{
-		Type: MsgResult, To: req.Source, Size: 128,
-		Payload: Result{ReqID: am.ReqID, Ok: true, Best: am.Best, Backups: am.Backups},
-	})
 }

@@ -221,9 +221,9 @@ type reqState struct {
 	probes    map[uint64]*probeInfo
 	pids      []uint64 // emission/first-reference order
 	dht       []obs.Event
-	commits   []obs.Event // session.admit / session.reject, trace order
+	commits   []obs.Event // session.admit / session.reject up to compose.done
 	estabs    []obs.Event
-	rec       []obs.Event
+	rec       []obs.Event // recovery events, and a switchover's admissions
 	fed       map[uint64]*fedSub
 	fedSubs   []uint64 // first-reference order
 }
@@ -345,7 +345,11 @@ func (b *Builder) Add(ev obs.Event) {
 	case obs.KindDHTHop, obs.KindDHTDeliver, obs.KindDHTGetRetry, obs.KindDHTGetFail:
 		rs.dht = append(rs.dht, ev)
 	case obs.KindSessionAdmit, obs.KindSessionReject:
-		rs.commits = append(rs.commits, ev)
+		if rs.hasDone {
+			rs.rec = append(rs.rec, ev) // a switchover's
+		} else {
+			rs.commits = append(rs.commits, ev)
+		}
 	case obs.KindSessionEstab:
 		rs.estabs = append(rs.estabs, ev)
 	case obs.KindRecProbe, obs.KindRecFailure, obs.KindRecAttempt, obs.KindRecSwitchover, obs.KindRecReactive, obs.KindRecDead:
@@ -585,12 +589,7 @@ func buildTree(rs *reqState) *Tree {
 	if rs.hasSelect || len(rs.commits) > 0 {
 		commit := &Span{Kind: "commit", Name: "session commit", Node: rs.start.Node, Start: t3, End: t4}
 		for _, ev := range rs.commits {
-			kind, name := "admit", "admit "+ev.Comp
-			if ev.Kind == obs.KindSessionReject {
-				kind, name = "reject", "reject "+ev.Comp+" ("+ev.Note+")"
-			}
-			commit.Children = append(commit.Children, &Span{Kind: kind, Name: name,
-				Node: ev.Node, Start: ev.TS, End: ev.TS, Events: 1})
+			commit.Children = append(commit.Children, commitSpan(ev))
 		}
 		root.Children = append(root.Children, commit)
 	}
@@ -782,6 +781,15 @@ func fedSpan(rs *reqState, t4 time.Duration) *Span {
 	return sp
 }
 
+// commitSpan is one session.admit or session.reject as a point span.
+func commitSpan(ev obs.Event) *Span {
+	kind, name := "admit", "admit "+ev.Comp
+	if ev.Kind == obs.KindSessionReject {
+		kind, name = "reject", "reject "+ev.Comp+" ("+ev.Note+")"
+	}
+	return &Span{Kind: kind, Name: name, Node: ev.Node, Start: ev.TS, End: ev.TS, Events: 1}
+}
+
 func recSpan(rs *reqState) *Span {
 	if len(rs.rec) == 0 {
 		return nil
@@ -803,6 +811,8 @@ func recSpan(rs *reqState) *Span {
 			sp.Children = append(sp.Children, &Span{Kind: "recovery",
 				Name: ev.Kind, Note: fmt.Sprintf("broken %s", ev.Dur),
 				Node: ev.Node, Start: ev.TS, End: ev.TS, Events: 1})
+		case obs.KindSessionAdmit, obs.KindSessionReject:
+			sp.Children = append(sp.Children, commitSpan(ev))
 		}
 	}
 	sp.Note = fmt.Sprintf("%d keepalives", pings)
@@ -881,8 +891,8 @@ func criticalPath(rs *reqState, t0, t4 time.Duration) []Step {
 	if rs.hasSelect {
 		add(rs.selectDone.TS, rs.selectDone.Node, fmt.Sprintf("select.done (%d qualified)", rs.selectDone.Budget))
 		for _, ev := range rs.commits {
-			if ev.TS < rs.selectDone.TS || (rs.hasDone && ev.TS > rs.done.TS) {
-				continue // admission for an earlier attempt or late backup work
+			if ev.TS < rs.selectDone.TS {
+				continue // admission for an earlier attempt
 			}
 			if ev.Kind == obs.KindSessionAdmit {
 				add(ev.TS, ev.Node, "admit "+ev.Comp)

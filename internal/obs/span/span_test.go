@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/recovery"
+	"repro/internal/workload"
 )
 
 const goldenTrace = "../../../testdata/golden_trace.jsonl.gz"
@@ -350,6 +353,62 @@ func TestSweepSummaryCountsEveryCell(t *testing.T) {
 }
 
 func obsNode(n int) p2p.NodeID { return p2p.NodeID(n) }
+
+// TestSwitchoverAdmitsUnderRecovery: on a churned run, a request's commit
+// span holds only the admissions of its own setup, inside [select.done,
+// compose.done]; the admissions and rejections its switchovers made later
+// sit under its recovery span, and no admission is lost between the two.
+func TestSwitchoverAdmitsUnderRecovery(t *testing.T) {
+	mem := &obs.MemSink{}
+	rc := recovery.DefaultConfig()
+	c := cluster.New(cluster.Options{Seed: 7, IPNodes: 600, Peers: 80, Recovery: &rc, Trace: mem})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: cluster.Catalog(20), Peers: 80, MinFuncs: 2, MaxFuncs: 3, Budget: 40,
+		DelayReqMin: 4000, DelayReqMax: 8000, FailReq: 0.02,
+	}, c.Rng)
+	origin := c.Sim.Now()
+	plan := cluster.Plan{Horizon: origin + 6*time.Minute,
+		Churn: []cluster.Churn{{Rng: c.Rng, Frac: 0.05, DownFor: 2 * time.Minute}}}
+	for i := 0; i < 60; i++ {
+		plan.Arrivals = append(plan.Arrivals, cluster.Arrival{At: origin + time.Duration(i)*time.Second, Req: gen.Next()})
+	}
+	for at := time.Minute; at < 6*time.Minute; at += time.Minute {
+		plan.Churn[0].Ticks = append(plan.Churn[0].Ticks, origin+at)
+	}
+	c.Start(plan, nil).Finish()
+
+	b := NewBuilder()
+	for _, ev := range mem.Events() {
+		b.Add(ev)
+	}
+	f := b.Build()
+	placed, switched := 0, 0
+	f.All(func(tr *Tree) {
+		for _, sp := range tr.Root.Children {
+			for _, ch := range sp.Children {
+				if ch.Kind != "admit" && ch.Kind != "reject" {
+					continue
+				}
+				placed++
+				switch {
+				case sp.Kind == "commit" && (ch.Start < sp.Start || ch.End > sp.End):
+					t.Errorf("req %d: %s at %v outside the commit span [%v, %v]", tr.Req, ch.Name, ch.Start, sp.Start, sp.End)
+				case sp.Kind == "recovery" && tr.Done && ch.Start <= tr.Root.End:
+					t.Errorf("req %d: %s at %v under recovery, before compose.done at %v", tr.Req, ch.Name, ch.Start, tr.Root.End)
+				case sp.Kind == "recovery":
+					switched++
+				}
+			}
+		}
+	})
+	if want := f.Kinds[obs.KindSessionAdmit] + f.Kinds[obs.KindSessionReject]; placed != want {
+		t.Errorf("%d admissions and rejections placed in spans, the trace has %d", placed, want)
+	}
+	if switched == 0 {
+		t.Fatalf("no switchover admission in %d: the run exercised nothing", placed)
+	}
+	t.Logf("%d admissions and rejections, %d of them by switchovers", placed, switched)
+}
 
 // TestCreditIsACollectionBoundary: a dead probe's probe.credited ends the
 // probe phase like a report's probe.collected, as the collector's lastAt does

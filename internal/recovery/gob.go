@@ -13,7 +13,5 @@ func RegisterGob() {
 	gobOnce.Do(func() {
 		gob.RegisterName("recovery.walkMsg", walkMsg{})
 		gob.RegisterName("recovery.pingMsg", pingMsg{})
-		gob.RegisterName("recovery.setupMsg", setupMsg{})
-		gob.RegisterName("recovery.setupReply", setupReply{})
 	})
 }

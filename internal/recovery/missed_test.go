@@ -59,8 +59,9 @@ func TestMissedPongsToleratesTransientSilence(t *testing.T) {
 }
 
 // TestDuplicatedControlTrafficHarmless: duplicating every message on the
-// wire (pongs, ping acks, setup replies) must neither break a healthy
-// session nor trip spurious failure detection.
+// wire (pongs, ping acks) must neither break a healthy session nor trip
+// spurious failure detection. TestHardenedSwitchoverUnderDuplication
+// duplicates a switchover's walk.
 func TestDuplicatedControlTrafficHarmless(t *testing.T) {
 	c := newCluster(34, recovery.DefaultConfig())
 	req := makeReq(c, 5, 3, 60)

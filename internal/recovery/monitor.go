@@ -17,7 +17,6 @@ const (
 	// a three-peer walk is the 48 B of "low-rate measurement probes" (§5).
 	walkBaseSize    = 24
 	walkPerStopSize = 8
-	setupMsgSize    = 96
 
 	// probeInterval is the period of the maintenance walk along a session's
 	// active graph.
@@ -70,7 +69,7 @@ func (m *Manager) tick() {
 	slices.Sort(ids)
 	for _, id := range ids {
 		s := m.sessions[id]
-		if !s.alive || s.awaitingFix {
+		if s.awaitingFix {
 			continue
 		}
 		m.walk(s)
@@ -170,7 +169,7 @@ func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 	wm := msg.Payload.(walkMsg)
 	s, ok := m.sessions[wm.SessID]
-	if !ok || !s.alive {
+	if !ok {
 		return
 	}
 	s.lastPong = m.host.Now()
@@ -205,7 +204,7 @@ func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 // nothing about a dead backup — and clears the active graph of that silence.
 func (m *Manager) checkPong(sessID uint64, sentAt time.Duration, full bool) {
 	s, ok := m.sessions[sessID]
-	if !ok || !s.alive || s.awaitingFix || s.lastPong >= sentAt {
+	if !ok || s.awaitingFix || s.lastPong >= sentAt {
 		return
 	}
 	s.silent++
@@ -343,19 +342,12 @@ func (m *Manager) tryRecovery(s *Session) {
 	if m.Trace != nil {
 		m.Trace.Emit(obs.RecAttempt(m.host.Now(), m.host.ID(), s.ID, 0, setupTimeout))
 	}
-	m.attemptSetup(cand, func(ok bool) {
+	m.eng.Confirm(cand, s.Active, setupTimeout, func(ok bool) {
 		if !ok {
 			m.tryRecovery(s)
 			return
 		}
-		old := s.Active
-		s.setGraphs(cand, s.Backups)
-		m.stats.ComponentsReplaced += len(old.Comps) - cand.Overlap(old)
-		m.allocIngress(s)
-		m.eng.TeardownExcept(old, cand)
-		s.awaitingFix = false
-		m.record(s, EventSwitchover)
-		m.refreshBackups(s)
+		m.repaired(s, cand, EventSwitchover)
 	})
 }
 
@@ -380,36 +372,28 @@ func (m *Manager) reactive(s *Session) {
 			m.kill(s)
 			return
 		}
-		old := s.Active
-		s.adopt(res.Best, res.Backups)
-		m.stats.ComponentsReplaced += len(old.Comps) - res.Best.Overlap(old)
-		m.eng.TeardownExcept(old, res.Best)
-		s.awaitingFix = false
-		m.record(s, EventReactive)
-		if m.cfg.Proactive {
-			m.refreshBackups(s)
-		}
+		s.Pool = slices.Clone(res.Backups)
+		m.repaired(s, res.Best, EventReactive)
 	})
 }
 
-// allocIngress admits the sender's ingress links to the (new) active
-// graph's first components.
-func (m *Manager) allocIngress(s *Session) {
-	for _, fn := range s.Active.Pattern.Sources() {
-		if snap, ok := s.Active.Comps[fn]; ok {
-			m.eng.AllocSessionBandwidth(s.Req.ID, snap.Comp.Peer, s.Req.Bandwidth)
-		}
+// repaired makes g the active graph of the broken session, releasing what
+// of the broken graph g does not reuse, and records the repair.
+func (m *Manager) repaired(s *Session, g *service.Graph, kind EventKind) {
+	old := s.Active
+	s.setGraphs(g, s.Backups)
+	m.stats.ComponentsReplaced += len(old.Comps) - g.Overlap(old)
+	m.eng.TeardownExcept(old, g)
+	s.awaitingFix = false
+	m.record(s, kind)
+	if m.cfg.Proactive {
+		m.refreshBackups(s)
 	}
 }
 
 func (m *Manager) kill(s *Session) {
-	s.alive = false
-	if m.Met != nil {
-		m.Met.ActiveSessions.Add(-1)
-	}
 	m.record(s, EventDead)
-	m.eng.Teardown(s.Active)
-	delete(m.sessions, s.ID)
+	m.Close(s.ID)
 }
 
 func (m *Manager) record(s *Session, kind EventKind) {
@@ -430,72 +414,4 @@ func (m *Manager) record(s *Session, kind EventKind) {
 	if m.Trace != nil {
 		m.Trace.Emit(obs.RecOutcome(ev.Time, m.host.ID(), s.ID, "rec."+kind.String(), ev.RecoveryTime))
 	}
-}
-
-// attemptSetup commits a backup graph over the reverse path. cb fires
-// exactly once with the outcome (a timeout counts as failure).
-func (m *Manager) attemptSetup(g *service.Graph, cb func(ok bool)) {
-	order := slices.Clone(g.Pattern.TopoOrder())
-	slices.Reverse(order)
-	m.host.Send(p2p.Message{
-		Type: MsgSetup, To: g.Comps[order[0]].Comp.Peer, Size: setupMsgSize,
-		Payload: setupMsg{SetupID: m.await(setupTimeout, cb), Graph: g, Order: order, Origin: m.host.ID()},
-	})
-}
-
-// onSetup runs on a component host during switchover: admit the component
-// and its outgoing links, then forward (or confirm to the origin).
-func (m *Manager) onSetup(_ p2p.Node, msg p2p.Message) {
-	sm := msg.Payload.(setupMsg)
-	fn := sm.Order[sm.Pos]
-	snap := sm.Graph.Comps[fn]
-	req := sm.Graph.Req
-
-	reply := func(ok bool) {
-		typ := MsgSetupOK
-		if !ok {
-			typ = MsgSetupFail
-		}
-		m.host.Send(p2p.Message{
-			Type: typ, To: sm.Origin, Size: 32,
-			Payload: setupReply{SetupID: sm.SetupID, OK: ok},
-		})
-	}
-
-	if _, hosted := m.eng.LocalComponent(snap.Comp.ID); !hosted {
-		reply(false)
-		return
-	}
-	if !m.eng.CommitSession(req.ID, snap.Comp.ID, req.Res) {
-		reply(false)
-		return
-	}
-	succs := sm.Graph.Pattern.Successors(fn)
-	if len(succs) == 0 {
-		if !m.eng.AllocSessionBandwidth(req.ID, req.Dest, req.Bandwidth) {
-			reply(false)
-			return
-		}
-	}
-	for _, s := range succs {
-		next, ok := sm.Graph.Comps[s]
-		if !ok || !m.eng.AllocSessionBandwidth(req.ID, next.Comp.Peer, req.Bandwidth) {
-			reply(false)
-			return
-		}
-	}
-	sm.Pos++
-	if sm.Pos < len(sm.Order) {
-		m.host.Send(p2p.Message{
-			Type: MsgSetup, To: sm.Graph.Comps[sm.Order[sm.Pos]].Comp.Peer,
-			Size: setupMsgSize, Payload: sm,
-		})
-		return
-	}
-	reply(true)
-}
-
-func (m *Manager) onSetupReply(_ p2p.Node, msg p2p.Message) {
-	sr := msg.Payload.(setupReply)
-	m.reply(sr.SetupID, sr.OK)
 }

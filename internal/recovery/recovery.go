@@ -8,6 +8,7 @@ package recovery
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,13 +21,10 @@ import (
 
 // Protocol message types.
 const (
-	MsgProbe     = "rec.probe"     // maintenance walk, from stop to stop
-	MsgPong      = "rec.pong"      // the walk returning to the source
-	MsgPing      = "rec.ping"      // direct per-peer liveness check that localizes a silence
-	MsgPingAck   = "rec.pingack"   // liveness confirmation
-	MsgSetup     = "rec.setup"     // switchover: commit a backup graph
-	MsgSetupOK   = "rec.setupok"   // switchover confirmation
-	MsgSetupFail = "rec.setupfail" // switchover rejection
+	MsgProbe   = "rec.probe"   // maintenance walk, from stop to stop
+	MsgPong    = "rec.pong"    // the walk returning to the source
+	MsgPing    = "rec.ping"    // direct per-peer liveness check that localizes a silence
+	MsgPingAck = "rec.pingack" // liveness confirmation
 )
 
 // Config tunes the recovery manager.
@@ -152,12 +150,6 @@ type Session struct {
 	reattempt   int
 }
 
-// adopt makes active and pool the session's graphs.
-func (s *Session) adopt(active *service.Graph, pool []*service.Graph) {
-	s.setGraphs(active, s.Backups)
-	s.Pool = append([]*service.Graph(nil), pool...)
-}
-
 // setGraphs is the one place the walked graphs change, so the cached plan
 // never outlives them.
 func (s *Session) setGraphs(active *service.Graph, backups []*service.Graph) {
@@ -165,7 +157,8 @@ func (s *Session) setGraphs(active *service.Graph, backups []*service.Graph) {
 }
 
 // Manager runs on every peer: on component hosts it answers maintenance
-// probes and switchover setups; on senders it owns the sessions.
+// walks and pings; on senders it owns the sessions and switches them over
+// with BCP's reverse-path walk (bcp.Engine.Confirm).
 type Manager struct {
 	eng  *bcp.Engine
 	host p2p.Node
@@ -178,13 +171,13 @@ type Manager struct {
 	// active-sessions gauge of the online metrics plane.
 	Met *obs.Metrics
 
-	sessions map[uint64]*Session
+	sessions map[uint64]*Session // the live ones: Close alone ends one
 	stats    Stats
 	events   []Event
 
 	probeDue time.Duration // when the next tick is due; 0 when none is armed
 	waitSeq  uint64
-	wait     map[uint64]func(ok bool) // pings and switchovers awaiting their reply
+	wait     map[uint64]func(ok bool) // pings awaiting their ack
 }
 
 // walkMsg is one maintenance walk: it visits Stops in order, each appending
@@ -197,22 +190,6 @@ type walkMsg struct {
 	Pos     int
 	Avail   []qos.Resources // one per visited stop
 	Missing []string        // component IDs a visited stop does not host
-}
-
-// setupMsg commits a backup graph hop by hop (reverse topological order),
-// like BCP's ACK but with direct admission since probe-time reservations are
-// long gone.
-type setupMsg struct {
-	SetupID uint64
-	Graph   *service.Graph
-	Order   []int
-	Pos     int
-	Origin  p2p.NodeID
-}
-
-type setupReply struct {
-	SetupID uint64
-	OK      bool
 }
 
 // NewManager wires a recovery manager to a peer's BCP engine.
@@ -228,9 +205,6 @@ func NewManager(eng *bcp.Engine, cfg Config) *Manager {
 	m.host.Handle(MsgPong, m.onPong)
 	m.host.Handle(MsgPing, m.onPing)
 	m.host.Handle(MsgPingAck, m.onPingAck)
-	m.host.Handle(MsgSetup, m.onSetup)
-	m.host.Handle(MsgSetupOK, m.onSetupReply)
-	m.host.Handle(MsgSetupFail, m.onSetupReply)
 	return m
 }
 
@@ -241,30 +215,16 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) Events() []Event { return append([]Event(nil), m.events...) }
 
 // Sessions returns the number of live sessions at this sender.
-func (m *Manager) Sessions() int {
-	n := 0
-	for _, s := range m.sessions {
-		if s.alive {
-			n++
-		}
-	}
-	return n
-}
+func (m *Manager) Sessions() int { return len(m.sessions) }
 
 // Session returns a live session by ID, or nil.
-func (m *Manager) Session(id uint64) *Session {
-	if s, ok := m.sessions[id]; ok && s.alive {
-		return s
-	}
-	return nil
-}
+func (m *Manager) Session(id uint64) *Session { return m.sessions[id] }
 
 // Establish registers a freshly composed session (the output of
 // bcp.Compose) and starts proactive maintenance. It computes the backup
 // count γ from Eq. 2 and picks backups per §5.2.
 func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
-	s := &Session{ID: req.ID, Req: req, alive: true}
-	s.adopt(res.Best, res.Backups)
+	s := &Session{ID: req.ID, Req: req, Active: res.Best, Pool: slices.Clone(res.Backups), alive: true}
 	m.sessions[s.ID] = s
 	if m.cfg.Proactive {
 		m.refreshBackups(s)
@@ -285,7 +245,7 @@ func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
 // Close tears a session down and releases its resources.
 func (m *Manager) Close(id uint64) {
 	s, ok := m.sessions[id]
-	if !ok || !s.alive {
+	if !ok {
 		return
 	}
 	s.alive = false

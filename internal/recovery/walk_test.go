@@ -185,7 +185,7 @@ func TestLocalizationMatchesGroundTruth(t *testing.T) {
 // after a full walk, a peer of the active graph dies three seconds later —
 // before the backups' next turn, so no walk has met the dead backup. The
 // localization pings find both; the switchover goes straight to a live
-// backup, inside a second, and no rec.setup is ever sent toward the dead.
+// backup, inside a second, and no bcp.ack is ever sent toward the dead.
 func TestStaggeredFailureSkipsDeadBackup(t *testing.T) {
 	mem := &obs.MemSink{}
 	rc := recovery.DefaultConfig()
@@ -237,8 +237,8 @@ func TestStaggeredFailureSkipsDeadBackup(t *testing.T) {
 		t.Fatal("the session is gone or runs on a dead peer")
 	}
 	for _, ev := range mem.Events() {
-		if ev.Kind == obs.KindNetDrop && ev.Note == recovery.MsgSetup {
-			t.Errorf("rec.setup sent toward dead peer %d at %v", ev.Peer, ev.TS)
+		if ev.Kind == obs.KindNetDrop && ev.Note == bcp.MsgAck {
+			t.Errorf("bcp.ack sent toward dead peer %d at %v", ev.Peer, ev.TS)
 		}
 	}
 }
@@ -253,13 +253,6 @@ func TestMissingComponentReportedByPong(t *testing.T) {
 	sess := establish(t, c, req)
 	mgr := c.Peers[int(req.Source)].Recovery
 
-	// unhost makes the hosting peer forget the component, as if it had been
-	// undeployed; the peer itself stays up.
-	unhost := func(id string, peer p2p.NodeID) {
-		local := c.Peers[int(peer)].Engine.LocalComponents()
-		i := slices.IndexFunc(local, func(c service.Component) bool { return c.ID == id })
-		local[i].ID += "-gone"
-	}
 	var lost service.Component
 	for _, b := range sess.Backups {
 		for _, comp := range b.Components() {
@@ -272,7 +265,7 @@ func TestMissingComponentReportedByPong(t *testing.T) {
 		t.Skip("every backup component is also in the active graph")
 	}
 	pool := slices.Clone(sess.Pool)
-	unhost(lost.ID, lost.Peer)
+	unhost(c, lost)
 	c.Sim.Run(c.Sim.Now() + time.Duration(recovery.BackupEvery+1)*recovery.ProbeInterval)
 	if st := mgr.Stats(); st.FailuresDetected != 0 || st.Localizations != 0 {
 		t.Fatalf("a backup's missing component failed the session or sent pings: %+v", st)
@@ -292,7 +285,7 @@ func TestMissingComponentReportedByPong(t *testing.T) {
 	}
 
 	lost = sess.Active.Components()[1]
-	unhost(lost.ID, lost.Peer)
+	unhost(c, lost)
 	c.Sim.Run(c.Sim.Now() + 2*recovery.ProbeInterval)
 	st := mgr.Stats()
 	if st.FailuresDetected != 1 || st.Switchovers != 1 || st.Localizations != 0 {

@@ -197,12 +197,16 @@ cmp "$tmp/golden_spans.txt" testdata/golden_spans.txt
 # 100-request workload must finish with zero hung compositions, the trace
 # must satisfy the probe-conservation invariants with faults accounted, and
 # the fault plane must be deterministic: same seed, byte-identical trace.
+# The run must also switch at least one session over, so duplicated and lost
+# copies of a switchover's reverse-path walk stay exercised.
 echo "== chaos gate (loss=0.2, dup=0.05, jitter=10ms)"
 "$tmp/spidersim" -seed 7 -ipnodes 400 -peers 60 -requests 100 -duration 3m \
     -faults "loss=0.2,dup=0.05,jitter=10ms,seed=3" -check -trace "$tmp/f1.jsonl" > /dev/null
 "$tmp/spidersim" -seed 7 -ipnodes 400 -peers 60 -requests 100 -duration 3m \
     -faults "loss=0.2,dup=0.05,jitter=10ms,seed=3" -check -trace "$tmp/f2.jsonl" > /dev/null
 cmp "$tmp/f1.jsonl" "$tmp/f2.jsonl"
+switchovers="$(grep -c '"kind":"rec.switchover"' "$tmp/f1.jsonl" || true)"
+[ "$switchovers" -ge 1 ] || { echo "chaos run traced no rec.switchover"; exit 1; }
 
 # Flash-crowd chaos cell: the same faulty wire while a flash crowd piles
 # onto one function under a heavy-tailed popularity curve. Zero hung
