@@ -768,11 +768,16 @@ func (e *Engine) onTeardown(_ p2p.Node, msg p2p.Message) {
 }
 
 // releaseLocal frees this peer's registered allocations for graph g, except
-// those keep still needs. Only registered allocations are freed, so double
+// those keep still needs. Allocations are keyed by request, so keep spares a
+// component only when it runs under g's request: a reactive re-composition's
+// graph allocated its own. Only registered allocations are freed, so double
 // teardowns and partially set-up graphs are safe.
 func (e *Engine) releaseLocal(g, keep *service.Graph) {
 	req := reqFromGraph(g)
 	self := e.host.ID()
+	if keep != nil && reqFromGraph(keep).ID != req.ID {
+		keep = nil
+	}
 	for _, fn := range sortedFns(g) {
 		s := g.Comps[fn]
 		if s.Comp.Peer != self {

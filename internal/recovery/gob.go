@@ -11,7 +11,7 @@ var gobOnce sync.Once
 // encoding/gob for real network transports. Safe to call multiple times.
 func RegisterGob() {
 	gobOnce.Do(func() {
-		gob.RegisterName("recovery.walkMsg", walkMsg{})
+		gob.RegisterName("recovery.walkMsg", &walkMsg{})
 		gob.RegisterName("recovery.pingMsg", pingMsg{})
 	})
 }

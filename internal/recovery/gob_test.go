@@ -36,14 +36,16 @@ func TestPayloadsCrossGob(t *testing.T) {
 
 	var avail qos.Resources
 	avail[qos.CPU], avail[qos.Memory] = 7, 70
-	walk := walkMsg{
-		SessID: 9, Origin: 4, Pos: 2,
+	// A walk travels as one *walkMsg; halfway along, the slots of the stops
+	// still ahead are zero and must arrive, so the next stop has its own.
+	walk := &walkMsg{
+		SessID: 9, Origin: 4,
 		Stops: []stop{
 			{Peer: 5, Comps: []string{"p5/a.0", "p5/c.1"}},
 			{Peer: 6, Comps: []string{"p6/b.0"}},
 			{Peer: 8, Comps: []string{"p8/b.2"}},
 		},
-		Avail:   []qos.Resources{avail, {}},
+		Avail:   []qos.Resources{avail, {}, {}},
 		Missing: []string{"p5/c.1"},
 	}
 	ping := pingMsg{ID: 3, Origin: 4}

@@ -62,12 +62,12 @@ func (m *Manager) armProbes(due time.Duration) {
 func (m *Manager) tick() {
 	// Deterministic probing order: map iteration would reorder sends (and
 	// therefore the whole downstream event schedule) between runs.
-	ids := make([]uint64, 0, len(m.sessions))
+	m.ids = m.ids[:0]
 	for id := range m.sessions {
-		ids = append(ids, id)
+		m.ids = append(m.ids, id)
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
+	slices.Sort(m.ids)
+	for _, id := range m.ids {
 		s := m.sessions[id]
 		if s.awaitingFix {
 			continue
@@ -132,32 +132,46 @@ func (m *Manager) walk(s *Session) {
 	}
 	m.host.Send(p2p.Message{
 		Type: MsgProbe, To: stops[0].Peer, Size: walkSize(len(stops)),
-		Payload: walkMsg{
-			SessID: s.ID, Origin: m.host.ID(), Stops: stops,
-			Avail: make([]qos.Resources, 0, len(stops)),
-		},
+		Payload: newWalk(s.ID, m.host.ID(), stops),
 	})
 	sess := s.ID
 	m.host.After(pongTimeout, func() { m.checkPong(sess, sentAt, full) })
 }
 
+// newWalk returns a walk of stops with one zero Avail slot per stop.
+func newWalk(sess uint64, origin p2p.NodeID, stops []stop) *walkMsg {
+	wm := &walkMsg{SessID: sess, Origin: origin, Stops: stops}
+	if len(stops) <= len(wm.avail) {
+		wm.Avail = wm.avail[:len(stops)]
+	} else {
+		wm.Avail = make([]qos.Resources, len(stops))
+	}
+	return wm
+}
+
 func walkSize(stops int) int { return walkBaseSize + walkPerStopSize*stops }
 
-// onProbe runs at a stop: report which expected components are no longer
-// hosted here, append a fresh availability snapshot, and forward (or bounce
-// the pong).
+// onProbe runs at a stop: find this peer's entry, report which expected
+// components it no longer hosts, write a fresh availability snapshot into its
+// slot, and forward the walk (or bounce the pong). Session.plan lists a peer
+// once, so a duplicated copy finds the same entry, rewrites the same slot and
+// forwards to the same next stop.
 func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
-	wm := msg.Payload.(walkMsg)
-	for _, id := range wm.Stops[wm.Pos].Comps {
+	wm := msg.Payload.(*walkMsg)
+	self := m.host.ID()
+	i := slices.IndexFunc(wm.Stops, func(st stop) bool { return st.Peer == self })
+	if i < 0 {
+		return
+	}
+	for _, id := range wm.Stops[i].Comps {
 		if _, hosted := m.eng.LocalComponent(id); !hosted {
 			wm.Missing = append(wm.Missing, id)
 		}
 	}
-	wm.Avail = append(wm.Avail, m.eng.Ledger().AvailableHard())
-	wm.Pos++
+	wm.Avail[i] = m.eng.Ledger().AvailableHard()
 	to, typ := wm.Origin, MsgPong
-	if wm.Pos < len(wm.Stops) {
-		to, typ = wm.Stops[wm.Pos].Peer, MsgProbe
+	if i+1 < len(wm.Stops) {
+		to, typ = wm.Stops[i+1].Peer, MsgProbe
 	}
 	m.host.Send(p2p.Message{Type: typ, To: to, Size: walkSize(len(wm.Stops)), Payload: wm})
 }
@@ -167,7 +181,7 @@ func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 // qualification stays current, and graphs that contain a component a stop
 // reported missing are failed.
 func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
-	wm := msg.Payload.(walkMsg)
+	wm := msg.Payload.(*walkMsg)
 	s, ok := m.sessions[wm.SessID]
 	if !ok {
 		return
@@ -180,7 +194,7 @@ func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 	refresh := func(g *service.Graph) {
 		for fn, snap := range g.Comps {
 			i := slices.IndexFunc(wm.Stops, func(st stop) bool { return st.Peer == snap.Comp.Peer })
-			if i >= 0 && i < len(wm.Avail) {
+			if i >= 0 {
 				snap.Avail = wm.Avail[i]
 				g.Comps[fn] = snap
 			}
@@ -343,11 +357,18 @@ func (m *Manager) tryRecovery(s *Session) {
 		m.Trace.Emit(obs.RecAttempt(m.host.Now(), m.host.ID(), s.ID, 0, setupTimeout))
 	}
 	m.eng.Confirm(cand, s.Active, setupTimeout, func(ok bool) {
-		if !ok {
+		switch {
+		case !s.alive:
+			// Closed while the walk was out: what the walk committed belongs to
+			// nobody. A refused walk rolled back only what the broken graph does
+			// not share, and Close may have freed a shared component before the
+			// walk committed it again.
+			m.eng.Teardown(cand)
+		case ok:
+			m.repaired(s, cand, EventSwitchover)
+		default:
 			m.tryRecovery(s)
-			return
 		}
-		m.repaired(s, cand, EventSwitchover)
 	})
 }
 

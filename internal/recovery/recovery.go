@@ -176,21 +176,31 @@ type Manager struct {
 	events   []Event
 
 	probeDue time.Duration // when the next tick is due; 0 when none is armed
+	ids      []uint64      // tick's session order, reused across ticks
 	waitSeq  uint64
 	wait     map[uint64]func(ok bool) // pings awaiting their ack
 }
 
-// walkMsg is one maintenance walk: it visits Stops in order, each appending
-// its availability and the expected components it no longer hosts, then
-// bounces back to the origin as MsgPong.
+// walkMsg is one maintenance walk: it visits Stops in order, each writing its
+// availability into its own slot of Avail and appending the expected
+// components it no longer hosts to Missing, then bounces back to the origin as
+// MsgPong. The source sends one *walkMsg per walk and every stop works on that
+// object, finding its own entry by peer ID, so forwarding allocates nothing.
+// Walks are never reused: a late pong or a straggling duplicate may still
+// hold one.
 type walkMsg struct {
 	SessID  uint64
 	Origin  p2p.NodeID
 	Stops   []stop
-	Pos     int
-	Avail   []qos.Resources // one per visited stop
+	Avail   []qos.Resources // one slot per stop, in Stops order
 	Missing []string        // component IDs a visited stop does not host
+
+	avail [inlineStops]qos.Resources // backs Avail for the usual walk
 }
+
+// inlineStops is how many stops a walk's own array holds availability for; a
+// longer walk allocates Avail apart.
+const inlineStops = 8
 
 // NewManager wires a recovery manager to a peer's BCP engine.
 func NewManager(eng *bcp.Engine, cfg Config) *Manager {

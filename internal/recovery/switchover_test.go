@@ -2,6 +2,7 @@ package recovery_test
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -181,11 +182,87 @@ func TestReactiveThenSwitchoverReleasesIngress(t *testing.T) {
 
 	mgr.Close(req.ID)
 	c.Sim.Run(c.Sim.Now() + 30*time.Second)
-	for i, avail := range linkAvail(c) {
-		if math.Abs(avail-capacity[i]) > 1e-6 {
-			t.Errorf("overlay link %d: %.3f kbps available after Close, capacity %.3f", i, avail, capacity[i])
+	drained(t, c, capacity, "after Close")
+}
+
+// drained fails t unless every ledger reads zero and every overlay link is
+// back at capacity.
+func drained(t *testing.T, c *cluster.Cluster, capacity []float64, what string) {
+	t.Helper()
+	for i, p := range c.Peers {
+		if got := p.Ledger.HardAllocated(); got != (qos.Resources{}) {
+			t.Errorf("%s: peer %d still holds %v", what, i, got)
 		}
 	}
+	for i, avail := range linkAvail(c) {
+		if math.Abs(avail-capacity[i]) > 1e-6 {
+			t.Errorf("%s: overlay link %d has %.3f kbps available, capacity %.3f", what, i, avail, capacity[i])
+		}
+	}
+}
+
+// TestReactiveReleasesReusedComponents: a reactive re-composition runs under
+// a request ID of its own, and allocations are keyed by request, so the
+// broken graph's allocations of the components the new graph reuses are not
+// the new graph's: the teardown must free them too. One of the active graph's
+// components goes missing on a session that keeps no backups; once it closed
+// on the re-composed graph, nothing is held anywhere.
+func TestReactiveReleasesReusedComponents(t *testing.T) {
+	staged := 0
+	for seed := int64(30); seed < 40; seed++ {
+		cfg := recovery.DefaultConfig()
+		cfg.MaxBackups = 0
+		c := cluster.New(cluster.Options{Seed: seed, IPNodes: 300, Peers: 12, Catalog: catalog(5), Recovery: &cfg})
+		capacity := linkAvail(c)
+		req := makeReq(c, 1, 3, 60)
+		sess := establish(t, c, req)
+		mgr := c.Peers[int(req.Source)].Recovery
+		broken := sess.Active
+		unhost(c, broken.Components()[1])
+		c.Sim.Run(c.Sim.Now() + 30*time.Second)
+		if st := mgr.Stats(); st.Reactives != 1 || mgr.Session(req.ID) == nil {
+			t.Fatalf("seed %d: want the session re-composed: %+v", seed, st)
+		}
+		if sess.Active.Overlap(broken) == 0 {
+			continue
+		}
+		staged++
+		mgr.Close(req.ID)
+		c.Sim.Run(c.Sim.Now() + 30*time.Second)
+		drained(t, c, capacity, fmt.Sprintf("seed %d, closed after a re-composition reusing %d components", seed, sess.Active.Overlap(broken)))
+	}
+	if staged == 0 {
+		t.Fatal("no seed re-composed onto a graph that reuses a component")
+	}
+}
+
+// TestCloseDuringSwitchover: the session closes while its switchover's walk
+// is out. The walk's late answer must neither make the backup the active
+// graph of a session nobody will tear down nor walk the next backup:
+// afterwards no peer holds anything for the session.
+func TestCloseDuringSwitchover(t *testing.T) {
+	c := newCluster(30, recovery.DefaultConfig())
+	capacity := linkAvail(c)
+	req := makeReq(c, 1, 3, 60)
+	sess := establish(t, c, req)
+	mgr := c.Peers[int(req.Source)].Recovery
+	if len(sess.Backups) == 0 {
+		t.Fatal("no backup to switch over to")
+	}
+	unhost(c, sess.Active.Components()[1])
+	deadline := c.Sim.Now() + 2*recovery.ProbeInterval
+	for mgr.Stats().FailuresDetected == 0 && c.Sim.Now() < deadline {
+		c.Sim.Run(c.Sim.Now() + time.Millisecond)
+	}
+	if st := mgr.Stats(); st.FailuresDetected != 1 || st.Switchovers != 0 || st.Reactives != 0 {
+		t.Fatalf("want a switchover under way: %+v", st)
+	}
+	mgr.Close(req.ID)
+	c.Sim.Run(c.Sim.Now() + 30*time.Second)
+	if st := mgr.Stats(); st.Switchovers != 0 || st.Reactives != 0 {
+		t.Errorf("a closed session recovered: %+v", st)
+	}
+	drained(t, c, capacity, "closed during a switchover")
 }
 
 // TestHardenedSwitchoverUnderDuplication: on the hardened wire config with

@@ -12,6 +12,7 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/recovery"
 	"repro/internal/service"
+	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -120,6 +121,85 @@ func TestWalkVisitsEveryPeerOnce(t *testing.T) {
 	first, second := run(), run()
 	if !slices.EqualFunc(first, second, slices.Equal[[]p2p.NodeID]) {
 		t.Fatal("the same seed planned different walks on a re-run")
+	}
+}
+
+// TestWalkUnderDuplication: with every message duplicated on every link, the
+// copies of one walk share one object at every stop. Each stop still checks
+// its own components — a pong reports missing exactly those of its stops'
+// components their peers no longer host — and every pong carries every
+// stop's availability. A component only a backup uses goes missing halfway,
+// between two walks.
+func TestWalkUnderDuplication(t *testing.T) {
+	c := newCluster(30, recovery.DefaultConfig())
+	req := makeReq(c, 1, 3, 60)
+	sess := establish(t, c, req)
+	mgr := c.Peers[int(req.Source)].Recovery
+	var lost service.Component
+	for _, b := range sess.Backups {
+		for _, comp := range b.Components() {
+			if !sess.Active.Contains(comp.ID) {
+				lost = comp
+			}
+		}
+	}
+	if lost.ID == "" {
+		t.Fatal("every backup component is also in the active graph")
+	}
+
+	pongs, full, reported := 0, 0, 0
+	recovery.TapPongs(mgr, func(p recovery.Pong) {
+		pongs++
+		if _, active := recovery.WalkPeers(sess); len(p.Peers) > active {
+			full++
+		}
+		var want []string
+		for i, peer := range p.Peers {
+			eng := c.Peers[int(peer)].Engine
+			if got, avail := p.Avail[i], eng.Ledger().AvailableHard(); got != avail {
+				t.Errorf("pong %d: stop %d (peer %d) reported %v, its ledger has %v available", pongs, i, peer, got, avail)
+			}
+			for _, id := range p.Comps[i] {
+				if _, hosted := eng.LocalComponent(id); !hosted {
+					want = append(want, id)
+				}
+			}
+		}
+		got := p.Missing
+		slices.Sort(got)
+		got = slices.Compact(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("pong %d reports %v missing, its stops no longer host %v", pongs, got, want)
+		}
+		if slices.Contains(got, lost.ID) {
+			reported++
+		}
+	})
+	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Dup: 1}})
+	c.Sim.Run(c.Sim.Now() + 2*recovery.BackupEvery*recovery.ProbeInterval)
+	if pongs == 0 || full == 0 {
+		t.Fatalf("%d pongs, %d of full walks: the walk was not exercised", pongs, full)
+	}
+
+	// Every copy of a walk rides the same delays, so one pongTimeout after a
+	// walk left nothing is in flight.
+	for walks := mgr.Stats().Walks; mgr.Stats().Walks == walks; {
+		c.Sim.Run(c.Sim.Now() + 10*time.Millisecond)
+	}
+	c.Sim.Run(c.Sim.Now() + 1500*time.Millisecond)
+	unhost(c, lost)
+	c.Sim.Run(c.Sim.Now() + (recovery.BackupEvery+1)*recovery.ProbeInterval)
+	if reported == 0 {
+		t.Fatalf("no pong reported %s missing", lost.ID)
+	}
+	if st := mgr.Stats(); st.FailuresDetected != 0 || st.Localizations != 0 {
+		t.Fatalf("duplicated walks failed the session or sent pings: %+v", st)
+	}
+	for _, b := range sess.Backups {
+		if b.Contains(lost.ID) {
+			t.Errorf("backup %v still maintained without %s", b, lost.ID)
+		}
 	}
 }
 

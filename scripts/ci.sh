@@ -30,6 +30,12 @@ go test -race ./...
 echo "== spidernode flag table + live run (-race, 60s timeout)"
 go test -race -count=1 -timeout 60s ./cmd/spidernode
 
+# Recovery on the live runtime: every maintenance walk is one object handed
+# from peer goroutine to peer goroutine, and a switchover commits across
+# them. The same short timeout turns a lost pong that hangs into a failure.
+echo "== live recovery: maintenance walks + switchover (-race, 60s timeout)"
+go test -race -count=1 -timeout 60s -run TestTestbedRecovery ./internal/livenet
+
 # Allocation gates: the object budgets of one composition and one recovery
 # interval, and the paths that must allocate nothing at all (route cost,
 # candidate scoring, the dedupe key, next-hop planning). The run above had
