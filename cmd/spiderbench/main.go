@@ -78,8 +78,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			selected = append(selected, f)
 		}
 	}
-	if len(selected) == 0 {
+	switch {
+	case len(selected) == 0:
 		fmt.Fprintf(stderr, "unknown figure %q; want %s\n", *fig, figureNames())
+		return 2
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "%s: figure %s takes flags only, and none after a word\n", fs.Arg(0), *fig)
+		return 2
+	case *parallel < 1:
+		fmt.Fprintf(stderr, "-parallel %d: figure %s needs at least one worker\n", *parallel, *fig)
 		return 2
 	}
 	var fspec *simnet.FaultSpec

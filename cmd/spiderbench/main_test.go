@@ -37,6 +37,9 @@ func TestRejectsFlagsTheFigureDoesNotTake(t *testing.T) {
 		{"10", "-trace", "unused.jsonl"},
 		{"scale100k", "-trace", "unused.jsonl"},
 		{"scale1m", "-trace", "unused.jsonl"},
+		{"8", "extra", "-seed"}, // a word stops flag parsing: -seed would be lost
+		{"all", "extra", ""},
+		{"8", "-parallel", "0"},
 	} {
 		args := []string{"-fig", c.fig, c.flag}
 		if c.value != "" {

@@ -99,6 +99,10 @@ func serve(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		return errUsage
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "%s: spidernode takes flags only, and none after a word\n", fs.Arg(0))
+		return errUsage
+	}
 	media := len(spidernet.MediaFunctions())
 	switch {
 	case *hosts < 2:

@@ -33,6 +33,7 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 		{"-domains domains=x", "domains"},
 		{"-domains gateways=2", "domains"},
 		{"-hosts 6 -domains domains=4,gateways=2", "domains"},
+		{"-hosts 12 extra -seed 5", "extra"}, // a word stops flag parsing: -seed would be lost
 	} {
 		code, stdout, stderr := spidernode(strings.Fields(c.args)...)
 		if code == 0 || stdout != "" {

@@ -112,47 +112,61 @@ func TestDiscoverAllCachedEmptyFunctionList(t *testing.T) {
 }
 
 // ringWithTwoRoots is a discoveryRing with one component each of functions
-// "a" and "b" registered, an engine that is neither function's root, and the
-// two (distinct) peers that answer their lookups.
-func ringWithTwoRoots(t *testing.T) (*simnet.Network, *Engine, []p2p.NodeID) {
+// "a" and "d" registered, an engine that holds a copy of neither, and the two
+// (disjoint) sets of peers that store them — each key's root and its
+// replicas, any of which may answer a lookup.
+func ringWithTwoRoots(t *testing.T) (*simnet.Network, *Engine, [2][]p2p.NodeID) {
 	t.Helper()
 	nw, engines := discoveryRing(50)
-	for i, fn := range []string{"a", "b"} {
+	for i, fn := range []string{"a", "d"} {
 		engines[1+i].reg.Register(service.Component{ID: "c/" + fn, Function: fn, Peer: p2p.NodeID(1 + i)})
 	}
 	nw.Sim().RunUntilIdle()
-	var roots []p2p.NodeID
-	engines[10].discoverAllCached([]string{"a", "b"}, nil, 0, discoveredFunc(func(tb []List, _ bool) {
-		roots = []p2p.NodeID{tb[0].Root, tb[1].Root}
-	}))
-	nw.Sim().RunUntilIdle()
-	e := engines[0]
-	if roots[0] == roots[1] || slices.Contains(roots, e.host.ID()) {
-		t.Fatalf("roots %v: want two distinct peers other than the asker", roots)
+	var holders [2][]p2p.NodeID
+	for i, fn := range []string{"a", "d"} {
+		for _, e := range engines {
+			if e.reg.DHT().StoredUnder(registry.FunctionKey(fn)) > 0 {
+				holders[i] = append(holders[i], e.host.ID())
+			}
+		}
 	}
-	return nw, e, roots
+	e := engines[0]
+	if slices.ContainsFunc(holders[0], func(p p2p.NodeID) bool { return slices.Contains(holders[1], p) }) ||
+		slices.Contains(holders[0], e.host.ID()) || slices.Contains(holders[1], e.host.ID()) {
+		t.Fatalf("holders %v: want two disjoint sets without the asker", holders)
+	}
+	return nw, e, holders
+}
+
+// silence makes every peer of holders up but unreachable.
+func silence(nw *simnet.Network, holders []p2p.NodeID) {
+	nodes := make(map[p2p.NodeID]simnet.LinkFaults)
+	for _, p := range holders {
+		nodes[p] = simnet.LinkFaults{Loss: 1}
+	}
+	nw.SetFaults(simnet.FaultPlan{Seed: 1, Nodes: nodes})
 }
 
 // TestDiscoverAllCachedKeepsAnswersOfAFailedBatch: when one lookup of a batch
 // times out the batch fails, but the list that did arrive is cached — the
 // next resolution of that function costs no DHT traffic.
 func TestDiscoverAllCachedKeepsAnswersOfAFailedBatch(t *testing.T) {
-	nw, e, roots := ringWithTwoRoots(t)
+	nw, e, holders := ringWithTwoRoots(t)
 
-	// b's root is up but unreachable: its lookup waits out both timeouts.
-	nw.SetFaults(simnet.FaultPlan{Seed: 1, Nodes: map[p2p.NodeID]simnet.LinkFaults{roots[1]: {Loss: 1}}})
+	// d's holders are up but unreachable: its lookup waits out both timeouts.
+	silence(nw, holders[1])
 	failed := false
-	e.discoverAllCached([]string{"a", "b"}, nil, 0, discoveredFunc(func(tb []List, ok bool) { failed = !ok && tb == nil }))
+	e.discoverAllCached([]string{"a", "d"}, nil, 0, discoveredFunc(func(tb []List, ok bool) { failed = !ok && tb == nil }))
 	nw.Sim().RunUntilIdle()
 	if !failed {
-		t.Fatal("a batch with an unreachable root must report failure")
+		t.Fatal("a batch with unreachable holders must report failure")
 	}
 	nw.SetFaults(simnet.FaultPlan{})
 
 	routed := nw.Stats().ByType[dht.MsgRoute]
 	served := false
 	e.discoverAllCached([]string{"a"}, nil, 0, discoveredFunc(func(tb []List, ok bool) {
-		served = ok && len(tb[0].Comps) == 1 && tb[0].Root == roots[0]
+		served = ok && len(tb[0].Comps) == 1 && slices.Contains(holders[0], tb[0].Root)
 	}))
 	if !served || nw.Stats().ByType[dht.MsgRoute] != routed {
 		t.Fatalf("served from cache: %v, new dht.route messages: %d; want the answered list kept",
@@ -166,34 +180,34 @@ func TestDiscoverAllCachedKeepsAnswersOfAFailedBatch(t *testing.T) {
 // while its lookup is out share that lookup: one get, every caller answered in
 // the order it asked.
 func TestDiscoverAllCachedServesAnAnswerOnArrival(t *testing.T) {
-	nw, e, roots := ringWithTwoRoots(t)
+	nw, e, holders := ringWithTwoRoots(t)
 
-	nw.SetFaults(simnet.FaultPlan{Seed: 1, Nodes: map[p2p.NodeID]simnet.LinkFaults{roots[1]: {Loss: 1}}})
+	silence(nw, holders[1])
 	start := nw.Sim().Now()
 	e.Ctr = &obs.NodeCounters{}
 	var order []string
 	batchFailed := false
-	e.discoverAllCached([]string{"a", "b"}, nil, 0, discoveredFunc(func(_ []List, ok bool) { batchFailed = !ok }))
+	e.discoverAllCached([]string{"a", "d"}, nil, 0, discoveredFunc(func(_ []List, ok bool) { batchFailed = !ok }))
 	for _, name := range []string{"second", "third"} {
 		e.discoverAllCached([]string{"a"}, nil, 0, discoveredFunc(func(tb []List, ok bool) {
-			if ok && len(tb[0].Comps) == 1 && tb[0].Root == roots[0] {
+			if ok && len(tb[0].Comps) == 1 && slices.Contains(holders[0], tb[0].Root) {
 				order = append(order, name)
 			}
 		}))
 	}
 	nw.Sim().Run(start + time.Second)
 	if !slices.Equal(order, []string{"second", "third"}) || batchFailed {
-		t.Fatalf("a second in: answered %v, the batch failed: %v; want the two askers of \"a\" answered in order and the batch still waiting on \"b\"", order, batchFailed)
+		t.Fatalf("a second in: answered %v, the batch failed: %v; want the two askers of \"a\" answered in order and the batch still waiting on \"d\"", order, batchFailed)
 	}
 	gets := nw.Stats().ByType[dht.MsgRoute]
 	served := false
-	e.discoverAllCached([]string{"a"}, nil, 0, discoveredFunc(func(tb []List, ok bool) { served = ok && tb[0].Root == roots[0] }))
+	e.discoverAllCached([]string{"a"}, nil, 0, discoveredFunc(func(tb []List, ok bool) { served = ok && slices.Contains(holders[0], tb[0].Root) }))
 	if !served || nw.Stats().ByType[dht.MsgRoute] != gets {
-		t.Fatal("\"a\" was answered but is not served from the cache while \"b\" is still out")
+		t.Fatal("\"a\" was answered but is not served from the cache while \"d\" is still out")
 	}
 	nw.Sim().RunUntilIdle()
 	if !batchFailed {
-		t.Fatal("the batch with the unreachable root never reported")
+		t.Fatal("the batch with unreachable holders never reported")
 	}
 	if c := e.Ctr.Snapshot(); c.DiscLookups != 2 || c.DiscJoined != 2 || c.DiscCacheHits != 1 {
 		t.Fatalf("%d gets sent, %d misses joined, %d cache hits; want 2 (one a function), 2 and 1", c.DiscLookups, c.DiscJoined, c.DiscCacheHits)

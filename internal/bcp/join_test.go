@@ -10,6 +10,7 @@ import (
 	"repro/internal/fgraph"
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/registry"
 	"repro/internal/simnet"
 )
 
@@ -56,18 +57,29 @@ func TestProbesReachingOnePeerShareOneLookup(t *testing.T) {
 	}
 }
 
-// TestLookupTimeoutDropsEveryWaitingProbe: the peer holding the chain's last
-// function goes silent (up, but every message to or from it is lost) once the
-// source has its lists. Each peer that needs that list sends one get, retries
+// TestLookupTimeoutDropsEveryWaitingProbe: the peers holding the chain's last
+// function (its root and replicas, any of which answers a lookup) go silent
+// (up, but every message to or from them is lost) once the source has its
+// lists. Each peer that needs that list sends one get, retries
 // it once, and on the second timeout every probe that waited on it dies there
 // with reason "discovery" — none hangs, none is lost from the accounting.
 func TestLookupTimeoutDropsEveryWaitingProbe(t *testing.T) {
 	mem, chk := &obs.MemSink{}, obs.NewChecker()
 	c := cluster.New(cluster.Options{Seed: 7, Peers: 60, Catalog: catalog(8), Trace: obs.MultiTracer{mem, obs.TracerFunc(chk.Add)}})
-	req := req3(c, 1, 24)
+	req := bystanderSource(c, req3(c, 1, 24))
 	done := false
-	root := discoverThenLaunch(t, c, mem, req, func(bcp.Result) { done = true })
-	c.Net.SetFaults(simnet.FaultPlan{Seed: 1, Nodes: map[p2p.NodeID]simnet.LinkFaults{root: {Loss: 1}}})
+	discoverThenLaunch(t, c, mem, req, func(bcp.Result) { done = true })
+	key := registry.FunctionKey(req.FGraph.Function(2))
+	silent := make(map[p2p.NodeID]simnet.LinkFaults)
+	for id, p := range c.Peers {
+		if p.DHT.StoredUnder(key) > 0 {
+			if p2p.NodeID(id) == req.Source || p2p.NodeID(id) == req.Dest {
+				t.Fatalf("peer %d holds %q: want bystanders only", id, req.FGraph.Function(2))
+			}
+			silent[p2p.NodeID(id)] = simnet.LinkFaults{Loss: 1}
+		}
+	}
+	c.Net.SetFaults(simnet.FaultPlan{Seed: 1, Nodes: silent})
 	c.Sim.Run(c.Sim.Now() + 60*time.Second)
 	if !done {
 		t.Fatal("the composition never finished")

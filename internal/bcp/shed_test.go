@@ -79,10 +79,10 @@ func TestRequestIsNotShedAgainstItsOwnReservation(t *testing.T) {
 	mem, chk := &obs.MemSink{}, obs.NewChecker()
 	c = shedCluster(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})
 	first, second := req3(c, 1, 24), req3(c, 2, 24)
-	second.Source, second.Dest = 2, 3
+	second.Source, second.Dest = 4, 5
 	done := 0
 	c.Peers[0].Engine.Compose(first, func(bcp.Result) { done++ })
-	c.Peers[2].Engine.Compose(second, func(bcp.Result) { done++ })
+	c.Peers[4].Engine.Compose(second, func(bcp.Result) { done++ })
 	c.Sim.Run(c.Sim.Now() + 60*time.Second)
 	own, foreign := shedDrops(mem.Events())
 	if done != 2 || own != 0 || foreign == 0 {

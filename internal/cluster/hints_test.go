@@ -67,12 +67,14 @@ func TestHintsStayInsideTheirRing(t *testing.T) {
 // TestDiscoveryMessageBudget is scripts/ci.sh's message gate: one pinned
 // small cell whose DHT traffic per composed session and routed hops per
 // hop-origin lookup must stay under ceilings set 10 % above what the cell
-// measures (18.4 messages, 0.99 hops). A change that silently stops a source's
-// probes carrying its lists reads 34.6 messages here, one that stops concurrent
-// lookups of one function joining 33.4 (the parent, doing neither, read 45.4), and one that stops hinting
-// 1.67 hops — and fails CI, not the next benchmark run.
+// measures (17.0 messages, 0.95 hops; lookups that go on past a key's first
+// holder to its root read 18.4 and 0.99, inside both, and TestLookupStretch
+// is their gate). A change that silently stops a source's probes carrying its
+// lists reads 34.6 messages here, one that stops concurrent lookups of one
+// function joining 33.4 (the parent, doing neither, read 45.4), and one that
+// stops hinting 1.67 hops — and fails CI, not the next benchmark run.
 func TestDiscoveryMessageBudget(t *testing.T) {
-	const maxDHTPerSession, maxHopsPerHopLookup = 20.2, 1.09
+	const maxDHTPerSession, maxHopsPerHopLookup = 18.7, 1.05
 	mem := &obs.MemSink{}
 	c := cluster.New(cluster.Options{Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), Trace: mem})
 	gen := workload.NewGenerator(workload.Config{
@@ -280,13 +282,15 @@ func TestChurnCollectWait(t *testing.T) {
 // TestLookupStretch is the route gate beside the message gates: on the
 // benchmark's steady world (seed 1, 10,000 IP nodes, 1,000 peers) 400
 // unhinted lookups, one at a time on an idle cluster, must take on average at
-// most 10 % longer than they measure (1.33) relative to a direct round trip
-// to the peer that answers them. Each routing-table slot holds the nearest
-// member of its bucket; with tables that hold each bucket's smallest index
-// instead, every hop is a leg of random length and the stretch reads 1.75
-// (202 ms against the same 116 ms).
+// most 10 % longer than they measure (121.6 ms). A lookup stops at the first
+// holder of the key on its route; lookups that go on to the root take 153.6
+// ms. Each routing-table slot holds the nearest member of its bucket; with
+// tables that hold each bucket's smallest index instead, every hop is a leg of
+// random length and lookups take 173.2 ms. The direct round trip to the
+// answering peer is logged beside the mean: it moves with whoever answers, so
+// it is no denominator.
 func TestLookupStretch(t *testing.T) {
-	const maxStretch = 1.46
+	const maxMeanMs = 133.8
 	fns := catalog(100)
 	c := cluster.New(cluster.Options{Seed: 1, IPNodes: 10000, Peers: 1000, Catalog: fns})
 	rng := rand.New(rand.NewSource(1))
@@ -310,9 +314,8 @@ func TestLookupStretch(t *testing.T) {
 	if answered != 400 {
 		t.Fatalf("%d of 400 lookups answered", answered)
 	}
-	stretch := lookupMs / rttMs
-	t.Logf("400 lookups: mean %.1f ms against a %.1f ms direct round trip, stretch %.3f", lookupMs/400, rttMs/400, stretch)
-	if stretch > maxStretch {
-		t.Fatalf("lookup stretch %.3f, ceiling %.2f", stretch, maxStretch)
+	t.Logf("400 lookups: mean %.1f ms against a %.1f ms direct round trip to the answering peer", lookupMs/400, rttMs/400)
+	if mean := lookupMs / 400; mean > maxMeanMs {
+		t.Fatalf("mean lookup %.1f ms, ceiling %.1f ms", mean, maxMeanMs)
 	}
 }

@@ -45,9 +45,10 @@ func getHeld(t *testing.T, nw *simnet.Network, n *Node, key ID, via p2p.NodeID, 
 
 // TestHintedGetEqualsUnhintedGet: on a ring with a random tenth of the nodes
 // down, a first-hop hint never changes what a lookup returns, only how far
-// it travels. A hint naming the peer that answers takes exactly one hop; a
-// dead, self or absent hint is today's route hop for hop; any other live
-// peer costs the hand-over plus that peer's own route.
+// it travels and which holder of the key answers. A hint naming the peer that
+// answers takes exactly one hop; a dead, self or absent hint is today's route
+// hop for hop; any other live peer costs the hand-over plus that peer's own
+// route, and its own lookup's holder answers.
 func TestHintedGetEqualsUnhintedGet(t *testing.T) {
 	const n = 400
 	nw, nodes := ring(t, n)
@@ -74,29 +75,31 @@ func TestHintedGetEqualsUnhintedGet(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			src := nodes[live[rng.Intn(len(live))]]
 			plain := getVia(t, nw, src, key, p2p.NoNode)
-			if !plain.ok || len(plain.items) != 3 {
-				t.Fatalf("unhinted lookup: ok=%v items=%v", plain.ok, plain.items)
+			if !plain.ok || len(plain.items) != 3 || nodes[plain.from].StoredUnder(key) != 3 {
+				t.Fatalf("unhinted lookup: ok=%v items=%v from %d", plain.ok, plain.items, plain.from)
 			}
 			other := live[rng.Intn(len(live))]
+			own := getVia(t, nw, nodes[other], key, p2p.NoNode)
 			cases := []struct {
 				name     string
 				via      p2p.NodeID
 				wantHops int
+				wantFrom p2p.NodeID
 			}{
-				{"root", plain.from, 1},
-				{"live non-root", other, 1 + getVia(t, nw, nodes[other], key, p2p.NoNode).hops},
-				{"dead", dead[rng.Intn(len(dead))], plain.hops},
-				{"self", src.Addr(), plain.hops},
-				{"none", p2p.NoNode, plain.hops},
+				{"answering peer", plain.from, 1, plain.from},
+				{"another live peer", other, 1 + own.hops, own.from},
+				{"dead", dead[rng.Intn(len(dead))], plain.hops, plain.from},
+				{"self", src.Addr(), plain.hops, plain.from},
+				{"none", p2p.NoNode, plain.hops, plain.from},
 			}
 			for _, c := range cases {
 				if c.via == src.Addr() {
-					c.wantHops = plain.hops // a hint naming the asker is no hint
+					c.wantHops, c.wantFrom = plain.hops, plain.from // a hint naming the asker is no hint
 				}
 				got := getVia(t, nw, src, key, c.via)
-				if got.ok != plain.ok || !slices.Equal(got.items, plain.items) || got.from != plain.from {
-					t.Fatalf("%s hint %d from %d: got %v ok=%v from %d, unhinted %v ok=%v from %d",
-						c.name, c.via, src.Addr(), got.items, got.ok, got.from, plain.items, plain.ok, plain.from)
+				if got.ok != plain.ok || !slices.Equal(got.items, plain.items) || got.from != c.wantFrom {
+					t.Fatalf("%s hint %d from %d: got %v ok=%v from %d, unhinted %v ok=%v from %d, want from %d",
+						c.name, c.via, src.Addr(), got.items, got.ok, got.from, plain.items, plain.ok, plain.from, c.wantFrom)
 				}
 				if got.hops != c.wantHops {
 					t.Fatalf("%s hint %d from %d: %d hops, want %d (unhinted %d)",
@@ -109,34 +112,36 @@ func TestHintedGetEqualsUnhintedGet(t *testing.T) {
 
 // TestHintedGetRetriesAroundSilentHint: a hinted peer that is up but never
 // sees the get (the link to it black-holed) costs one timeout; the existing
-// retry then routes around it like around any swallowed first hop.
+// retry then routes around it like around any swallowed first hop, to a
+// holder of the key.
 func TestHintedGetRetriesAroundSilentHint(t *testing.T) {
 	nw, nodes := ring(t, 400)
 	key := Key("hinted-retry-fn")
 	nodes[7].Put(key, "meta", 64)
 	nw.Sim().RunUntilIdle()
-	// A requester at least two hops from the root: the retry has to find a
-	// route whose first hop is not the hinted peer.
-	root := getVia(t, nw, nodes[0], key, p2p.NoNode).from
+	// A requester that holds no copy and is at least two hops from the peer
+	// that answers: the retry has to find a route whose first hop is not the
+	// hinted peer.
+	holder := getVia(t, nw, nodes[0], key, p2p.NoNode).from
 	i := slices.IndexFunc(nodes, func(n *Node) bool {
-		return n.Addr() != root && n.nextHop(key).Addr != root
+		return n.Addr() != holder && n.StoredUnder(key) == 0 && n.nextHop(key).Addr != holder
 	})
 	if i < 0 {
-		t.Fatal("every node is the root's neighbour")
+		t.Fatal("every node is the holder's neighbour")
 	}
 	src := nodes[i]
 	nw.SetFaults(simnet.FaultPlan{
 		Seed:  1,
-		Links: map[[2]p2p.NodeID]simnet.LinkFaults{{src.Addr(), root}: {Loss: 1}},
+		Links: map[[2]p2p.NodeID]simnet.LinkFaults{{src.Addr(), holder}: {Loss: 1}},
 	})
 	start := nw.Sim().Now()
 	var took time.Duration
 	var got lookup
-	src.GetSpan(key, 0, root, 0, 200*time.Millisecond, func(items []any, base int, from p2p.NodeID, hops int, ok bool) {
+	src.GetSpan(key, 0, holder, 0, 200*time.Millisecond, func(items []any, base int, from p2p.NodeID, hops int, ok bool) {
 		got, took = lookup{items, base, from, hops, ok}, nw.Sim().Now()-start
 	})
 	nw.Sim().RunUntilIdle()
-	if !got.ok || len(got.items) != 1 || got.from != root {
+	if !got.ok || len(got.items) != 1 || nodes[got.from].StoredUnder(key) != 1 {
 		t.Fatalf("lookup after a swallowed hint: %+v", got)
 	}
 	if nw.Stats().Faulted != 1 {

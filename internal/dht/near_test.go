@@ -2,6 +2,7 @@ package dht
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,16 +116,17 @@ func TestBuildNearAllTiesIsBuild(t *testing.T) {
 }
 
 // TestBuildNearKeepsRoots runs one Put/Get workload on a ring built each way
-// and asks every key from every source: the items and the peer that answers
-// must not depend on which member of a bucket a slot holds.
+// and asks every key from every source: the peers that store a key (its root
+// and the root's replica picks) and the items every lookup returns must not
+// depend on which member of a bucket a slot holds. Which of those peers
+// answers does: it is the first the route reaches.
 func TestBuildNearKeepsRoots(t *testing.T) {
-	type answer struct {
-		items []any
-		from  p2p.NodeID
-		ok    bool
-	}
 	const n, nkeys = 120, 40
-	run := func(build func([]*Node)) [][]answer {
+	type result struct {
+		answers [][][]any      // [key][src]
+		holders [][]p2p.NodeID // [key]
+	}
+	run := func(build func([]*Node)) result {
 		sim := simnet.NewSim()
 		nw := simnet.NewNetwork(sim, simnet.ConstantLatency(5*time.Millisecond), rand.New(rand.NewSource(1)))
 		nodes := make([]*Node, n)
@@ -141,32 +143,38 @@ func TestBuildNearKeepsRoots(t *testing.T) {
 			nodes[rng.Intn(n)].Put(keys[k], k, 64)
 			sim.RunUntilIdle()
 		}
-		got := make([][]answer, nkeys)
+		var r result
 		for k, key := range keys {
-			got[k] = make([]answer, n)
+			r.answers = append(r.answers, make([][]any, n))
+			var holders []p2p.NodeID
+			for _, nd := range nodes {
+				if nd.StoredUnder(key) > 0 {
+					holders = append(holders, nd.Addr())
+				}
+			}
+			r.holders = append(r.holders, holders)
 			for src := range nodes {
 				k, src := k, src
 				nodes[src].GetSpan(key, 0, p2p.NoNode, 0, time.Second, func(items []any, _ int, from p2p.NodeID, _ int, ok bool) {
-					got[k][src] = answer{items, from, ok}
+					if !ok || !slices.Contains(holders, from) {
+						t.Errorf("key %d from node %d: ok=%v, answered by %d, not one of its holders %v", k, src, ok, from, holders)
+					}
+					r.answers[k][src] = items
 				})
 			}
 		}
 		sim.RunUntilIdle()
-		return got
+		return r
 	}
 	plain := run(Build)
 	near := run(func(nodes []*Node) { BuildNear(nodes, distMatrix(n, 9, 0)) })
-	for k := range plain {
-		for src := range plain[k] {
-			p, q := plain[k][src], near[k][src]
-			if !p.ok || !q.ok || p.from != q.from || len(p.items) != len(q.items) {
-				t.Fatalf("key %d from node %d: (ok=%v from=%d n=%d), Build gives (ok=%v from=%d n=%d)",
-					k, src, q.ok, q.from, len(q.items), p.ok, p.from, len(p.items))
-			}
-			for j := range p.items {
-				if p.items[j] != q.items[j] {
-					t.Fatalf("key %d from node %d item %d: %v, Build gives %v", k, src, j, q.items[j], p.items[j])
-				}
+	for k := range plain.answers {
+		if !slices.Equal(plain.holders[k], near.holders[k]) {
+			t.Fatalf("key %d stored on %v, Build stores it on %v", k, near.holders[k], plain.holders[k])
+		}
+		for src := range plain.answers[k] {
+			if p, q := plain.answers[k][src], near.answers[k][src]; !slices.Equal(p, q) {
+				t.Fatalf("key %d from node %d: %v, Build gives %v", k, src, q, p)
 			}
 		}
 	}

@@ -60,7 +60,8 @@ type PutPayload struct {
 	Size int
 }
 
-// GetPayload asks the key's root to return all items stored under the key.
+// GetPayload asks the key's root, or the first peer on the route holding a
+// copy it vouches for, to return all items stored under the key.
 // ReqID numbers the requester's lookups from 1. Held > 0 says the requester
 // still has the first Held items Root's store answered it with earlier: Root
 // itself, if it holds at least as many, sends only the ones after them.
@@ -95,12 +96,13 @@ type AnnounceMsg struct {
 	Who Entry
 }
 
-// ReplicaMsg pushes a stored item to a leaf-set neighbor for fault
-// tolerance.
+// ReplicaMsg copies items stored under Key to a leaf-set neighbor the root
+// picked to hold them, with Count, the root's item count after them. One with
+// no items tells the holder the root no longer picks it for Key.
 type ReplicaMsg struct {
-	Key  ID
-	Item any
-	Size int
+	Key   ID
+	Items []any
+	Count int
 }
 
 // Node is one DHT participant bound to a transport node. All methods must be
@@ -114,7 +116,9 @@ type Node struct {
 	leaves []Entry     // sorted by circular distance to self, <= LeafSize
 	rows   []*tableRow // routing table rows; nil slice/row slots are empty
 
-	store   map[ID][]any // allocated on first stored item
+	store   map[ID][]any        // allocated on first stored item, with picks and claims
+	picks   map[ID][]p2p.NodeID // per key this node is the root of: the leaves copying it
+	claims  map[ID]claim        // per key this node holds a copy of for a root
 	nextReq uint64
 	pending map[uint64]*getReq // allocated on first in-flight lookup
 
@@ -124,6 +128,12 @@ type Node struct {
 	Trace obs.Tracer
 	Ctr   *obs.NodeCounters
 	Met   *obs.Metrics
+}
+
+// claim is a holder's standing to answer for a key: who picked it, at what count.
+type claim struct {
+	root  p2p.NodeID
+	count int
 }
 
 type getReq struct {
@@ -312,13 +322,29 @@ func (n *Node) nextHopExcluding(key ID, avoid p2p.NodeID) Entry {
 	return best
 }
 
+// forwardOrDeliver routes rm on, or delivers it here when this node is the
+// key's root or, for a get, holds a copy of the key it can vouch for.
 func (n *Node) forwardOrDeliver(rm RouteMsg) {
-	n.routeVia(rm, n.nextHop(rm.Key))
+	next := Entry{Addr: p2p.NoNode}
+	if rm.Get.ReqID == 0 || !n.vouches(rm.Key) {
+		next = n.nextHop(rm.Key)
+	}
+	n.routeVia(rm, next)
+}
+
+// vouches reports whether this node may answer a get of key from its copy:
+// the root that picked it to hold one still does, the copy has at least as
+// many items as that root last said it had, and this node would route the get
+// to that root (a put reaches another peer while it is down, and one that
+// joins above it).
+func (n *Node) vouches(key ID) bool {
+	c, ok := n.claims[key]
+	return ok && len(n.store[key]) >= c.count && n.nextHop(key).Addr == c.root
 }
 
 // routeVia forwards rm through next, or delivers it locally when next is
-// empty (this node is the root). It returns the hop used, NoNode on local
-// delivery.
+// empty (this node is the root, or answers a get from its copy). It returns
+// the hop used, NoNode on local delivery.
 func (n *Node) routeVia(rm RouteMsg, next Entry) p2p.NodeID {
 	if next.Addr == p2p.NoNode {
 		if n.Trace != nil {
@@ -369,15 +395,14 @@ func (n *Node) onRoute(_ p2p.Node, msg p2p.Message) {
 	n.forwardOrDeliver(rm)
 }
 
-// deliver handles a routed message for which this node is the root.
+// deliver handles a routed message for which this node is the root, or a get
+// this node answers from a copy it vouches for.
 func (n *Node) deliver(rm RouteMsg) {
 	switch {
 	case rm.Put != nil:
-		if n.store == nil {
-			n.store = make(map[ID][]any)
-		}
+		n.allocStore()
 		n.store[rm.Key] = append(n.store[rm.Key], rm.Put.Item)
-		n.replicate(rm.Key, rm.Put.Item, rm.Put.Size)
+		n.replicate(rm.Key, 1)
 	case rm.Get.ReqID != 0:
 		// The response shares the store's backing array: the store only ever
 		// appends, and clipping makes any append by the reader copy first. For
@@ -392,6 +417,9 @@ func (n *Node) deliver(rm RouteMsg) {
 			Size:    routeSize + ItemSize*(len(items)-base),
 			Payload: GetResp{ReqID: rm.Get.ReqID, Items: items[base:], Base: base, Hops: rm.Hops},
 		})
+		if _, root := n.picks[rm.Key]; root {
+			n.replicate(rm.Key, 0) // a pick may have died or come back
+		}
 	case rm.Join != nil:
 		// Send the root's view (self, leaves, table) to the joiner, then
 		// adopt it.
@@ -406,35 +434,71 @@ func (n *Node) deliver(rm RouteMsg) {
 	}
 }
 
-func (n *Node) replicate(key ID, item any, size int) {
-	sent := 0
+// replicate keeps copies of key's items on the first Replicas live leaves.
+// A leaf newly picked gets the whole list, one still picked the last added
+// items (if any), and one no longer picked a notice to stop answering for
+// key. Every copy carries the root's item count.
+func (n *Node) replicate(key ID, added int) {
+	var buf [Replicas]p2p.NodeID
+	pick := buf[:0]
 	for _, e := range n.leaves {
-		if sent >= Replicas {
-			break
+		if len(pick) < Replicas && n.alive(e.Addr) {
+			pick = append(pick, e.Addr)
 		}
-		if !n.alive(e.Addr) {
-			continue
+	}
+	old := n.picks[key]
+	items := slices.Clip(n.store[key])
+	for _, to := range pick {
+		switch {
+		case !slices.Contains(old, to):
+			n.sendReplica(to, ReplicaMsg{Key: key, Items: items, Count: len(items)})
+		case added > 0:
+			n.sendReplica(to, ReplicaMsg{Key: key, Items: items[len(items)-added:], Count: len(items)})
 		}
-		n.host.Send(p2p.Message{
-			Type: MsgReplica, To: e.Addr,
-			Size:    routeSize + size,
-			Payload: ReplicaMsg{Key: key, Item: item, Size: size},
-		})
-		sent++
+	}
+	for _, to := range old {
+		if !slices.Contains(pick, to) {
+			n.sendReplica(to, ReplicaMsg{Key: key})
+		}
+	}
+	if old == nil || !slices.Equal(old, pick) {
+		n.picks[key] = append([]p2p.NodeID(nil), pick...)
 	}
 }
 
+func (n *Node) allocStore() {
+	if n.store == nil {
+		n.store, n.picks, n.claims = make(map[ID][]any), make(map[ID][]p2p.NodeID), make(map[ID]claim)
+	}
+}
+
+func (n *Node) sendReplica(to p2p.NodeID, rm ReplicaMsg) {
+	n.host.Send(p2p.Message{Type: MsgReplica, To: to, Size: routeSize + ItemSize*len(rm.Items), Payload: rm})
+}
+
+// onReplica merges a root's copy into this node's store (idempotent for
+// comparable items) and claims the key for that root at the count it sent,
+// or drops the claim on a stop notice. A root of the key (one that copied it
+// before, and then missed items while down) copies what it gained on.
 func (n *Node) onReplica(_ p2p.Node, msg p2p.Message) {
 	rm := msg.Payload.(ReplicaMsg)
-	for _, it := range n.store[rm.Key] {
-		if it == rm.Item {
-			return // idempotent for comparable items
+	if len(rm.Items) == 0 {
+		delete(n.claims, rm.Key)
+		return
+	}
+	n.allocStore()
+	have := n.store[rm.Key]
+	had := len(have)
+	for _, it := range rm.Items {
+		if !slices.Contains(have, it) {
+			have = append(have, it)
 		}
 	}
-	if n.store == nil {
-		n.store = make(map[ID][]any)
+	n.store[rm.Key] = have
+	n.claims[rm.Key] = claim{root: msg.From, count: rm.Count}
+	if _, root := n.picks[rm.Key]; root && len(have) > had {
+		n.replicate(rm.Key, len(have)-had)
 	}
-	n.store[rm.Key] = append(n.store[rm.Key], rm.Item)
 }
 
 func (n *Node) onState(_ p2p.Node, msg p2p.Message) {
@@ -507,14 +571,18 @@ func (n *Node) get(req *getReq, via p2p.NodeID, held int) {
 }
 
 // sendGet sends a get toward key's root and returns the hop actually used:
-// via when it names a live peer other than self (which routes on unless it is
-// the root), else the routing table's choice avoiding one first hop (NoNode =
-// unconstrained). When exclusion leaves no viable route the unexcluded one is
-// used: forcing local delivery at a non-root node would fabricate an empty result.
+// none when this node vouches for a copy of key, via when it names a live peer
+// other than self (which routes on unless it answers), else the routing
+// table's choice avoiding one first hop (NoNode = unconstrained). When
+// exclusion leaves no viable route the unexcluded one is used: forcing local
+// delivery at a node without a copy would fabricate an empty result.
 // held items of via's earlier answer need not be sent again (GetPayload.Held).
 func (n *Node) sendGet(reqID uint64, key ID, span uint64, via, avoid p2p.NodeID, held int) p2p.NodeID {
 	next := Entry{Addr: via}
-	if via == p2p.NoNode || via == n.self.Addr || !n.alive(via) {
+	switch {
+	case n.vouches(key):
+		next.Addr = p2p.NoNode // the asker holds a copy: it answers itself
+	case via == p2p.NoNode || via == n.self.Addr || !n.alive(via):
 		next = n.nextHopExcluding(key, avoid)
 		if next.Addr == p2p.NoNode && avoid != p2p.NoNode {
 			next = n.nextHop(key)

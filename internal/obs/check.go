@@ -108,9 +108,9 @@ type emission struct {
 //     holding gateway crashed (a net.down record at or after the prepare):
 //     a dead peer cannot emit its own release;
 //   - failure recovery resolves what it declares: every rec.failure of a
-//     session is followed by exactly one rec.switchover, rec.reactive or
-//     rec.dead before the session's next rec.failure, a resolution has an
-//     unresolved failure before it, and no rec.probe follows a session's
+//     session is followed by exactly one rec.switchover, rec.reactive,
+//     rec.dead or rec.closed before its next rec.failure, a resolution has
+//     an unresolved failure before it, and no rec.probe follows a session's
 //     rec.dead. An open failure is excused when its source crashed (a
 //     net.down record at or after it), or when the trace was cut inside its
 //     latest rec.attempt: before the switchover's own deadline, or with the
@@ -230,7 +230,7 @@ func (c *Checker) Add(ev Event) {
 		if _, ok := c.recOpen[ev.Req]; ok {
 			c.recOpen[ev.Req] = ev
 		}
-	case KindRecSwitchover, KindRecReactive, KindRecDead:
+	case KindRecSwitchover, KindRecReactive, KindRecDead, KindRecClosed:
 		if _, ok := c.recOpen[ev.Req]; !ok {
 			c.vs = append(c.vs, Violation{VioRecResolveNoFailure,
 				fmt.Sprintf("%s sess=%d at t=%v resolves no open rec.failure", ev.Kind, ev.Req, ev.TS)})

@@ -20,7 +20,7 @@
 //	dht.hop / dht.deliver               DHT routing
 //	dht.get.retry / dht.get.fail        lookup timeouts
 //	rec.probe / rec.failure             failure monitoring (§5)
-//	rec.switchover / rec.reactive / rec.dead
+//	rec.switchover / rec.reactive / rec.dead / rec.closed
 //	net.drop                            message to a dead or unknown peer
 //	net.fault                           injected loss/dup/jitter/partition
 //	net.down / net.up                   node crash / recovery
@@ -61,6 +61,7 @@ const (
 	KindRecSwitchover  = "rec.switchover"
 	KindRecReactive    = "rec.reactive"
 	KindRecDead        = "rec.dead"
+	KindRecClosed      = "rec.closed"
 	KindNetDrop        = "net.drop"
 	KindNetFault       = "net.fault"
 	KindNetDown        = "net.down"
@@ -269,8 +270,8 @@ func DHTHop(ts time.Duration, node, next p2p.NodeID, req uint64, hops int, what 
 	return Event{TS: ts, Kind: KindDHTHop, Node: node, Req: req, Peer: next, Hops: hops, Note: what}
 }
 
-// DHTDeliver records a routed DHT message reaching its root. req as in
-// DHTHop.
+// DHTDeliver records a routed DHT message reaching its root, or a get
+// reaching a peer that answers it from a copy. req as in DHTHop.
 func DHTDeliver(ts time.Duration, node p2p.NodeID, req uint64, hops int, what string) Event {
 	return Event{TS: ts, Kind: KindDHTDeliver, Node: node, Req: req, Peer: p2p.NoNode, Hops: hops, Note: what}
 }
@@ -302,7 +303,8 @@ func RecAttempt(ts time.Duration, node p2p.NodeID, sess, pid uint64, deadline ti
 }
 
 // RecOutcome records a recovery ending: kind is KindRecSwitchover,
-// KindRecReactive, or KindRecDead, dur how long the session was broken.
+// KindRecReactive, KindRecDead, or KindRecClosed (the session closed first),
+// dur how long the session was broken.
 func RecOutcome(ts time.Duration, node p2p.NodeID, sess uint64, kind string, dur time.Duration) Event {
 	return Event{TS: ts, Kind: kind, Node: node, Req: sess, Peer: p2p.NoNode, Dur: dur}
 }

@@ -352,7 +352,7 @@ func (b *Builder) Add(ev obs.Event) {
 		}
 	case obs.KindSessionEstab:
 		rs.estabs = append(rs.estabs, ev)
-	case obs.KindRecProbe, obs.KindRecFailure, obs.KindRecAttempt, obs.KindRecSwitchover, obs.KindRecReactive, obs.KindRecDead:
+	case obs.KindRecProbe, obs.KindRecFailure, obs.KindRecAttempt, obs.KindRecSwitchover, obs.KindRecReactive, obs.KindRecDead, obs.KindRecClosed:
 		rs.rec = append(rs.rec, ev)
 	case obs.KindFedPrepare:
 		fs := rs.fedState(ev.PID)
@@ -807,7 +807,7 @@ func recSpan(rs *reqState) *Span {
 		case obs.KindRecFailure:
 			sp.Children = append(sp.Children, &Span{Kind: "recovery", Name: "failure detected",
 				Node: ev.Node, Start: ev.TS, End: ev.TS, Events: 1})
-		case obs.KindRecSwitchover, obs.KindRecReactive, obs.KindRecDead:
+		case obs.KindRecSwitchover, obs.KindRecReactive, obs.KindRecDead, obs.KindRecClosed:
 			sp.Children = append(sp.Children, &Span{Kind: "recovery",
 				Name: ev.Kind, Note: fmt.Sprintf("broken %s", ev.Dur),
 				Node: ev.Node, Start: ev.TS, End: ev.TS, Events: 1})

@@ -283,7 +283,7 @@ func (m *Manager) failGraphs(s *Session, broken func(*service.Graph) bool, since
 		return
 	}
 	m.stats.FailuresDetected++
-	s.awaitingFix = true
+	s.awaitingFix, s.failed = true, true
 	s.brokenAt = since
 	if m.Trace != nil {
 		m.Trace.Emit(obs.RecFailure(m.host.Now(), m.host.ID(), s.ID))
@@ -418,6 +418,7 @@ func (m *Manager) kill(s *Session) {
 }
 
 func (m *Manager) record(s *Session, kind EventKind) {
+	s.failed = false
 	ev := Event{Time: m.host.Now(), Session: s.ID, Kind: kind}
 	switch kind {
 	case EventSwitchover:

@@ -146,7 +146,8 @@ type Session struct {
 	silent      int           // consecutive walks that did not
 	silentFull  int           // consecutive full walks that did not
 	awaitingFix bool
-	brokenAt    time.Duration
+	failed      bool          // a rec.failure is open: recovery has not ended it
+	brokenAt    time.Duration // when the failure began
 	reattempt   int
 }
 
@@ -259,6 +260,9 @@ func (m *Manager) Close(id uint64) {
 		return
 	}
 	s.alive = false
+	if s.failed && m.Trace != nil {
+		m.Trace.Emit(obs.RecOutcome(m.host.Now(), m.host.ID(), id, obs.KindRecClosed, m.host.Now()-s.brokenAt))
+	}
 	if m.Met != nil {
 		m.Met.ActiveSessions.Add(-1)
 	}

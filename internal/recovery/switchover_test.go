@@ -239,9 +239,11 @@ func TestReactiveReleasesReusedComponents(t *testing.T) {
 // TestCloseDuringSwitchover: the session closes while its switchover's walk
 // is out. The walk's late answer must neither make the backup the active
 // graph of a session nobody will tear down nor walk the next backup:
-// afterwards no peer holds anything for the session.
+// afterwards no peer holds anything for the session. The close resolves the
+// open rec.failure with rec.closed, so the trace checker finds nothing.
 func TestCloseDuringSwitchover(t *testing.T) {
-	c := newCluster(30, recovery.DefaultConfig())
+	rc, chk := recovery.DefaultConfig(), obs.NewChecker()
+	c := cluster.New(cluster.Options{Seed: 30, Peers: 80, Catalog: catalog(5), Recovery: &rc, Trace: obs.TracerFunc(chk.Add)})
 	capacity := linkAvail(c)
 	req := makeReq(c, 1, 3, 60)
 	sess := establish(t, c, req)
@@ -263,6 +265,10 @@ func TestCloseDuringSwitchover(t *testing.T) {
 		t.Errorf("a closed session recovered: %+v", st)
 	}
 	drained(t, c, capacity, "closed during a switchover")
+	establish(t, c, makeReq(c, 2, 3, 60)) // the trace goes on past the switchover's deadline
+	for _, v := range chk.Finish() {
+		t.Errorf("invariant: %s", v)
+	}
 }
 
 // TestHardenedSwitchoverUnderDuplication: on the hardened wire config with
