@@ -268,7 +268,7 @@ func Admit(w World, g *service.Graph) bool {
 			w.ReleaseBandwidth(l.a, l.b, req.Bandwidth)
 		}
 	}
-	fns := sortedFns(g)
+	fns := g.Fns()
 	for _, fn := range fns {
 		if !w.Commit(g.Comps[fn].Comp.Peer, req.Res) {
 			rollback()
@@ -305,21 +305,10 @@ func Admit(w World, g *service.Graph) bool {
 	return true
 }
 
-// sortedFns returns g's assigned function indices ascending, keeping
-// admission order (and its float arithmetic) identical across runs.
-func sortedFns(g *service.Graph) []int {
-	fns := make([]int, 0, len(g.Comps))
-	for fn := range g.Comps {
-		fns = append(fns, fn)
-	}
-	sort.Ints(fns)
-	return fns
-}
-
 // Release frees everything Admit committed for g.
 func Release(w World, g *service.Graph) {
 	req := g.Req
-	fns := sortedFns(g)
+	fns := g.Fns()
 	for _, fn := range fns {
 		w.Free(g.Comps[fn].Comp.Peer, req.Res)
 	}

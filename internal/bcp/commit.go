@@ -66,7 +66,7 @@ func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 		fail("vanished") // component vanished between probing and setup
 		return
 	}
-	if !e.commitSession(am.ReqID, snap.Comp.ID, req.Res) {
+	if !e.commitSession(am.ReqID, snap.Comp.ID, req.Res, req.Lease) {
 		fail("resources")
 		return
 	}
@@ -74,7 +74,7 @@ func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 	// receiving application for sink functions.
 	succs := am.Best.Pattern.Successors(fn)
 	if len(succs) == 0 {
-		if !e.allocSessionBandwidth(am.ReqID, req.Dest, req.Bandwidth) {
+		if !e.allocSessionBandwidth(am.ReqID, req.Dest, req.Bandwidth, req.Lease) {
 			fail("bandwidth")
 			return
 		}
@@ -85,7 +85,7 @@ func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 			fail("vanished")
 			return
 		}
-		if !e.allocSessionBandwidth(am.ReqID, next.Comp.Peer, req.Bandwidth) {
+		if !e.allocSessionBandwidth(am.ReqID, next.Comp.Peer, req.Bandwidth, req.Lease) {
 			fail("bandwidth")
 			return
 		}
@@ -155,55 +155,49 @@ func (e *Engine) endWalk(id uint64, ok, answer bool) {
 func (e *Engine) admitIngress(g *service.Graph) {
 	for _, fn := range g.Pattern.Sources() {
 		if s, ok := g.Comps[fn]; ok {
-			e.allocSessionBandwidth(g.Req.ID, s.Comp.Peer, g.Req.Bandwidth)
+			e.allocSessionBandwidth(g.Req.ID, s.Comp.Peer, g.Req.Bandwidth, g.Req.Lease)
 		}
 	}
 }
 
 // commitSession hardens this peer's allocation for one component of a
-// session: a live soft reservation is committed, otherwise admission is
-// attempted directly. The operation is idempotent per (request, component),
-// so a backup graph sharing the component with the broken graph re-commits
-// for free.
-func (e *Engine) commitSession(reqID uint64, compID string, res qos.Resources) bool {
-	key := softKey{reqID: reqID, compID: compID}
-	if _, ok := e.hard[key]; ok {
+// session, leased for lease: a live soft reservation is committed, otherwise
+// admission is attempted directly. The operation is idempotent per (request,
+// component), so a backup graph sharing the component with the broken graph
+// re-commits for free.
+func (e *Engine) commitSession(reqID uint64, compID string, res qos.Resources, lease time.Duration) bool {
+	key := allocKey{reqID: reqID, compID: compID}
+	if _, ok := e.allocs[key]; ok {
 		return true
 	}
-	if h, ok := e.soft[key]; ok {
-		delete(e.soft, key)
+	if h, ok := e.soft[softKey{reqID, compID}]; ok {
+		delete(e.soft, softKey{reqID, compID})
 		h.cancel.Stop()
 		e.ledger.Commit(res)
-		e.hard[key] = res
-		e.armCommitTTL(key)
-		return true
-	}
-	// The soft reservation expired before the ACK arrived. A shedding peer
-	// declines this late direct admission just like it declines probes:
-	// without the gate, slow ACKs would push it past the threshold the
-	// overload plane promised to hold.
-	if e.cfg.ShedThreshold > 0 && e.ledger.CommittedUtilization() >= e.cfg.ShedThreshold {
+	} else if e.cfg.ShedThreshold > 0 && e.ledger.CommittedUtilization() >= e.cfg.ShedThreshold {
+		// The soft reservation expired before the ACK arrived. A shedding
+		// peer declines this late direct admission just like it declines
+		// probes: without the gate, slow ACKs would push it past the
+		// threshold the overload plane promised to hold.
+		return false
+	} else if !e.ledger.CommitDirect(res) {
 		return false
 	}
-	if !e.ledger.CommitDirect(res) {
-		return false
-	}
-	e.hard[key] = res
-	e.armCommitTTL(key)
+	e.allocs[key] = alloc{res: res, at: e.host.Now(), due: e.leaseEnd(lease)}
 	return true
 }
 
 // allocSessionBandwidth admits a session's bandwidth on the overlay path
-// from this peer to b, idempotently per (request, endpoint pair).
-func (e *Engine) allocSessionBandwidth(reqID uint64, b p2p.NodeID, kbps float64) bool {
+// from this peer to b, leased for lease, idempotently per (request, endpoint
+// pair).
+func (e *Engine) allocSessionBandwidth(reqID uint64, b p2p.NodeID, kbps float64, lease time.Duration) bool {
 	key := allocKey{reqID: reqID, a: e.host.ID(), b: b}
-	if _, ok := e.bws[key]; ok {
+	if _, ok := e.allocs[key]; ok {
 		return true
 	}
 	if !e.oracle.AllocBandwidth(e.host.ID(), b, kbps) {
 		return false
 	}
-	e.bws[key] = kbps
-	e.armBandwidthTTL(key)
+	e.allocs[key] = alloc{kbps: kbps, at: e.host.Now(), due: e.leaseEnd(lease)}
 	return true
 }

@@ -10,7 +10,6 @@ package bcp
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -78,14 +77,6 @@ type Config struct {
 	// as path latency; with a zero model the scoring falls back to a flat
 	// utilization weight.
 	LoadModel qos.LoadModel
-	// CommitTTL, when positive, bounds the life of every hard allocation
-	// this peer registers: a commit or session-bandwidth admission not
-	// released within the TTL frees itself. Federated deployments set it as
-	// the backstop against session owners that crash after the reverse-path
-	// ACK committed resources on this peer — nobody else knows the session
-	// exists, so only a local lease can reclaim them. Zero (the default)
-	// keeps hard allocations permanent until torn down.
-	CommitTTL time.Duration
 	// DisableCommutation turns off pattern exploration (ablation).
 	DisableCommutation bool
 	// RandomNextHop replaces the composite next-hop selection metric with a
@@ -181,13 +172,18 @@ type Engine struct {
 	cache      map[string]List
 	fetching   map[string][]waiter // lookups in flight, by function
 
-	// Session-scoped allocation registries. Commits and bandwidth
-	// admissions are idempotent per key, and releases free exactly what
-	// this peer registered — so a switchover to an overlapping backup graph
-	// keeps shared components running, and tearing down a partially set-up
-	// graph never frees another session's resources.
-	hard map[softKey]qos.Resources
-	bws  map[allocKey]float64
+	// Session-scoped allocations: committed components and admitted service
+	// links. Commits and bandwidth admissions are idempotent per key, and
+	// releases free exactly what this peer registered — so a switchover to an
+	// overlapping backup graph keeps shared components running, and tearing
+	// down a partially set-up graph never frees another session's resources.
+	// Each may be leased (hold.go), also by its request's renewal: the lease
+	// timer fires at sweepAt and calls sweepFn, e.sweep bound once.
+	allocs  map[allocKey]alloc
+	renewed map[uint64]renewal
+	sweepAt time.Duration
+	sweepT  p2p.Timer
+	sweepFn func()
 
 	// held holds established service graphs whose session fate is pending an
 	// external two-phase-commit decision (the federation layer's prepare
@@ -265,10 +261,24 @@ type softKey struct {
 	compID string
 }
 
+// allocKey names a session allocation: component compID's, or (compID "")
+// the service link's from peer a to peer b.
 type allocKey struct {
-	reqID uint64
-	a, b  p2p.NodeID
+	reqID  uint64
+	compID string
+	a, b   p2p.NodeID
 }
+
+// alloc is what an allocation holds — a component's resources or a link's
+// kbps — when it was committed and when its own lease lapses (0: never).
+type alloc struct {
+	res     qos.Resources
+	kbps    float64
+	at, due time.Duration
+}
+
+// renewal is a request's last lease renewal on this peer and its deadline.
+type renewal struct{ at, due time.Duration }
 
 // softHold is one temporary reservation. seq tells a hold from a later one
 // under the same key, should a cancelled expiry timer fire after all.
@@ -320,8 +330,8 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 		soft:       make(map[softKey]softHold),
 		cache:      make(map[string]List),
 		fetching:   make(map[string][]waiter),
-		hard:       make(map[softKey]qos.Resources),
-		bws:        make(map[allocKey]float64),
+		allocs:     make(map[allocKey]alloc),
+		renewed:    make(map[uint64]renewal),
 		held:       make(map[uint64]*heldSession),
 		walks:      make(map[uint64]*walk),
 		retx:       make(map[uint64]*retxState),
@@ -336,6 +346,8 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 	host.Handle(MsgResult, e.onResult)
 	host.Handle(MsgFail, e.onFail)
 	host.Handle(MsgTeardown, e.onTeardown)
+	e.sweepFn = e.sweep
+	host.Handle(p2p.MsgUp, func(p2p.Node, p2p.Message) { e.sweep() })
 	return e
 }
 
@@ -749,7 +761,7 @@ func (e *Engine) TeardownExcept(old, keep *service.Graph) {
 	// Notify peers in sorted function order: iterating the Comps map would
 	// reorder the teardown sends between otherwise identical runs.
 	sent := make(map[p2p.NodeID]bool)
-	for _, fn := range sortedFns(old) {
+	for _, fn := range old.Fns() {
 		p := old.Comps[fn].Comp.Peer
 		if p == e.host.ID() || sent[p] {
 			continue
@@ -778,18 +790,13 @@ func (e *Engine) releaseLocal(g, keep *service.Graph) {
 	if keep != nil && reqFromGraph(keep).ID != req.ID {
 		keep = nil
 	}
-	for _, fn := range sortedFns(g) {
+	for _, fn := range g.Fns() {
 		s := g.Comps[fn]
 		if s.Comp.Peer != self {
 			continue
 		}
-		if keep != nil && keep.Contains(s.Comp.ID) {
-			continue
-		}
-		key := softKey{reqID: req.ID, compID: s.Comp.ID}
-		if res, ok := e.hard[key]; ok {
-			e.ledger.Free(res)
-			delete(e.hard, key)
+		if keep == nil || !keep.Contains(s.Comp.ID) {
+			e.free(allocKey{reqID: req.ID, compID: s.Comp.ID})
 		}
 	}
 	keepPairs := make(map[allocKey]bool)
@@ -799,14 +806,20 @@ func (e *Engine) releaseLocal(g, keep *service.Graph) {
 		}
 	}
 	for _, pair := range sessionPairs(g, self) {
-		if keepPairs[pair] {
-			continue
-		}
-		if kbps, ok := e.bws[pair]; ok {
-			e.oracle.ReleaseBandwidth(pair.a, pair.b, kbps)
-			delete(e.bws, pair)
+		if !keepPairs[pair] {
+			e.free(pair)
 		}
 	}
+}
+
+// free releases allocation k if this peer holds it.
+func (e *Engine) free(k allocKey) {
+	if a, ok := e.allocs[k]; ok && k.compID != "" {
+		e.ledger.Free(a.res)
+	} else if ok {
+		e.oracle.ReleaseBandwidth(k.a, k.b, a.kbps)
+	}
+	delete(e.allocs, k)
 }
 
 // sessionPairs lists the overlay endpoint pairs peer self allocates for
@@ -815,7 +828,7 @@ func (e *Engine) releaseLocal(g, keep *service.Graph) {
 func sessionPairs(g *service.Graph, self p2p.NodeID) []allocKey {
 	req := reqFromGraph(g)
 	var out []allocKey
-	for _, fn := range sortedFns(g) {
+	for _, fn := range g.Fns() {
 		s := g.Comps[fn]
 		if s.Comp.Peer != self {
 			continue
@@ -838,19 +851,6 @@ func sessionPairs(g *service.Graph, self p2p.NodeID) []allocKey {
 		}
 	}
 	return out
-}
-
-// sortedFns returns g's assigned function indices in ascending order, so
-// resource release and teardown traffic is ordered identically across
-// identically seeded runs (map iteration would not be — and even the
-// float64 bandwidth arithmetic is sensitive to operation order).
-func sortedFns(g *service.Graph) []int {
-	fns := make([]int, 0, len(g.Comps))
-	for fn := range g.Comps {
-		fns = append(fns, fn)
-	}
-	sort.Ints(fns)
-	return fns
 }
 
 // clampTS bounds a destination-reported timestamp into [lo, hi].

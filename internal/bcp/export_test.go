@@ -34,3 +34,6 @@ func (e *Engine) TapProbes(f func(pr *Probe, size int)) {
 		e.onProbe(n, msg)
 	})
 }
+
+// Sweep runs e's lease sweep now, as its lease timer would.
+func (e *Engine) Sweep() { e.sweep() }

@@ -1,8 +1,12 @@
 package bcp
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/service"
 )
@@ -76,30 +80,72 @@ func (e *Engine) AbortHold(key uint64) *service.Graph {
 // Held returns the number of reservations currently held.
 func (e *Engine) Held() int { return len(e.held) }
 
-// armCommitTTL schedules the self-release backstop for one hard allocation
-// when cfg.CommitTTL is set. Normal teardown deletes the map entry first,
-// making the expiry a no-op.
-func (e *Engine) armCommitTTL(key softKey) {
-	if e.cfg.CommitTTL <= 0 {
-		return
+// leaseEnd returns the deadline of a session allocation committed now for d
+// (its request's Lease; 0: none). It lapses at the later of that and the
+// deadline of the last renewal of its request since (Renew); one timer, armed
+// at the earliest deadline, frees what lapsed.
+func (e *Engine) leaseEnd(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
 	}
-	e.host.After(e.cfg.CommitTTL, func() {
-		if res, ok := e.hard[key]; ok {
-			e.ledger.Free(res)
-			delete(e.hard, key)
-		}
-	})
+	e.arm(e.host.Now() + d)
+	return e.host.Now() + d
 }
 
-// armBandwidthTTL is armCommitTTL for session bandwidth admissions.
-func (e *Engine) armBandwidthTTL(key allocKey) {
-	if e.cfg.CommitTTL <= 0 {
+// Renew extends every allocation this peer holds for request reqID to a lease
+// ending d from now, leasing one that had none.
+func (e *Engine) Renew(reqID uint64, d time.Duration) {
+	now := e.host.Now()
+	e.renewed[reqID] = renewal{now, max(e.renewed[reqID].due, now+d)}
+	e.arm(now + d)
+}
+
+// arm makes the lease timer fire at due unless it fires earlier already.
+func (e *Engine) arm(due time.Duration) {
+	if e.sweepAt > 0 && e.sweepAt <= due {
 		return
 	}
-	e.host.After(e.cfg.CommitTTL, func() {
-		if kbps, ok := e.bws[key]; ok {
-			e.oracle.ReleaseBandwidth(key.a, key.b, kbps)
-			delete(e.bws, key)
+	e.sweepT.Stop()
+	e.sweepAt, e.sweepT = due, e.host.After(due-e.host.Now(), e.sweepFn)
+}
+
+// sweep frees every allocation whose lease lapsed, in key order (the ledger's
+// and the links' float arithmetic depends on it), and re-arms for the earliest
+// deadline left. A peer coming back up sweeps too: its timer died with it.
+func (e *Engine) sweep() {
+	now, next := e.host.Now(), time.Duration(0)
+	var gone []allocKey
+	for k, a := range e.allocs {
+		due := a.due
+		if r := e.renewed[k.reqID]; r.at >= a.at {
+			due = max(due, r.due)
 		}
+		switch {
+		case due == 0:
+		case due <= now:
+			gone = append(gone, k)
+		case next == 0 || due < next:
+			next = due
+		}
+	}
+	for req, r := range e.renewed {
+		if r.due <= now {
+			delete(e.renewed, req)
+		} else if next == 0 || r.due < next {
+			next = r.due
+		}
+	}
+	slices.SortFunc(gone, func(k, o allocKey) int {
+		return cmp.Or(cmp.Compare(k.reqID, o.reqID), strings.Compare(k.compID, o.compID), cmp.Compare(k.a, o.a), cmp.Compare(k.b, o.b))
 	})
+	for _, k := range gone {
+		e.free(k)
+		if e.Trace != nil {
+			e.Trace.Emit(obs.SessionExpire(now, e.host.ID(), k.reqID, k.compID, k.b))
+		}
+	}
+	e.sweepAt = 0
+	if next > 0 {
+		e.arm(next)
+	}
 }

@@ -3,7 +3,6 @@ package bcp
 import (
 	"bytes"
 	"cmp"
-	"maps"
 	"slices"
 	"time"
 
@@ -278,10 +277,7 @@ func (s *selection) addLink(l service.LinkSnapshot) {
 // own.
 func (s *selection) build(req *service.Request, records []Probe, c *candidate) *service.Graph {
 	s.merge(req, records, c.recs[:c.n])
-	g := s.trial
-	g.Comps = maps.Clone(g.Comps)
-	g.Links = slices.Clone(g.Links)
-	return &g
+	return s.trial.Clone()
 }
 
 // score is the figure selection minimizes within a tier.

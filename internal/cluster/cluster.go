@@ -198,13 +198,9 @@ func New(opts Options) *Cluster {
 		panic(err.Error())
 	}
 	// Everything every engine shares is folded into o.BCP before the first
-	// one is built: a federated deployment arms the commit-TTL backstop, a
-	// loaded one the overload control plane. The nil-Domains path must stay
-	// byte-identical to pre-federation clusters, so every federation branch
-	// below is gated on plan != nil.
-	if plan != nil {
-		o.BCP.CommitTTL = o.Domains.Config().CommitTTL()
-	}
+	// one is built: a loaded deployment's overload control plane. The
+	// nil-Domains path must stay byte-identical to pre-federation clusters, so
+	// every federation branch below is gated on plan != nil.
 	if o.Load != nil {
 		o.BCP.LoadAware = o.Load.Aware
 		o.BCP.ShedThreshold = o.Load.Shed

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/federation"
 	"repro/internal/p2p"
+	"repro/internal/recovery"
 	"repro/internal/service"
 )
 
@@ -96,8 +97,9 @@ func (r *Run) Finish() {
 // issue dispatches arrival i at its instant: to Admit when the plan has one,
 // to the source's federation client on a federated cluster, to its engine
 // otherwise. A composed session is maintained by the source's recovery
-// manager when it has one and torn down otherwise; a federated one ends by
-// its own lease.
+// manager when it has one and torn down otherwise, and under a plan's Life
+// what it commits is leased for Life plus recovery's Lease, so what a crash
+// strands frees itself; a federated one ends by its own lease.
 func (r *Run) issue(i int, req *service.Request) {
 	c := r.c
 	if !c.Net.Alive(req.Source) {
@@ -124,6 +126,9 @@ func (r *Run) issue(i int, req *service.Request) {
 				Domains: res.Domains, CommitLatency: res.CommitLatency})
 		})
 	default:
+		if r.plan.Life > 0 {
+			req.Lease = r.plan.Life + recovery.DefaultConfig().Lease()
+		}
 		p.Engine.Compose(req, func(res bcp.Result) {
 			r.report(i, Outcome{Ok: res.Ok, SetupTime: res.SetupTime, DiscoveryTime: res.DiscoveryTime})
 			switch {

@@ -99,8 +99,8 @@ type FederateResult struct {
 
 // Federate sweeps domain count × gateway density × fault scenario over the
 // federated deployment. Every cell drains long enough that client give-up,
-// hold expiry, committed-session end of life, and the commit-TTL backstop
-// have all fired, so any reservation still held afterwards is a real leak.
+// hold expiry, committed-session end of life, and the segments' leases have
+// all fired, so any reservation still held afterwards is a real leak.
 func Federate(cfg FederateConfig) FederateResult {
 	type cellKey struct {
 		d, g int

@@ -301,6 +301,7 @@ func (c *Coordinator) subRequest(req *service.Request, seg, dom int, fg *fgraph.
 		FailReq:   req.FailReq,
 		Source:    gw,
 		Dest:      dest,
+		Lease:     c.cfg.lease(),
 		Budget:    budget,
 	}
 }

@@ -59,19 +59,17 @@ func (s *Spec) Config() Config {
 	return Config{Hold: cmp.Or(s.Hold, 15*time.Second), Life: cmp.Or(s.Life, 30*time.Second)}
 }
 
-// CommitTTL is the per-holder backstop lifetime federated deployments set on
-// every BCP hard allocation (bcp.Config.CommitTTL): long enough to outlive
-// any legitimately held or committed session, so it only ever fires for
-// reservations stranded by a crashed session owner.
-func (c Config) CommitTTL() time.Duration {
-	return c.Hold + c.Life + 10*time.Second
-}
+// lease is what a segment's sub-request leases its allocations for: long
+// enough to outlive any legitimately held or committed segment, so it only
+// ever frees what a crashed session owner stranded.
+func (c Config) lease() time.Duration { return c.Hold + c.Life + 10*time.Second }
 
 // Drain is how long after the last request arrival a simulation must run for
 // every federated session to resolve: client give-up, hold expiry, committed
-// session end of life, and the TTL backstop all fire within this window.
+// session end of life, and the lease of what a crash stranded all end within
+// this window.
 func (c Config) Drain() time.Duration {
-	return clientTimeout + c.CommitTTL() + 10*time.Second
+	return clientTimeout + c.lease() + 10*time.Second
 }
 
 // subIDBase namespaces sub-request IDs minted for per-domain segments above

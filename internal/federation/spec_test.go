@@ -183,10 +183,15 @@ func TestSubIDNamespace(t *testing.T) {
 
 func TestConfigDrainCoversTTL(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Drain() <= cfg.CommitTTL() {
-		t.Errorf("Drain %v must exceed CommitTTL %v", cfg.Drain(), cfg.CommitTTL())
+	if cfg.Drain() <= cfg.lease() {
+		t.Errorf("Drain %v must exceed the segments' lease %v", cfg.Drain(), cfg.lease())
 	}
-	if cfg.CommitTTL() <= cfg.Hold+cfg.Life {
-		t.Errorf("CommitTTL %v must exceed hold+life %v", cfg.CommitTTL(), cfg.Hold+cfg.Life)
+	if cfg.lease() <= cfg.Hold+cfg.Life {
+		t.Errorf("lease %v must exceed hold+life %v", cfg.lease(), cfg.Hold+cfg.Life)
+	}
+	// The benchmark's federate horizon reads Drain: 25 s client give-up +
+	// hold + life + 20 s.
+	if want := 25*time.Second + cfg.Hold + cfg.Life + 20*time.Second; cfg.Drain() != want {
+		t.Errorf("Drain %v, want %v", cfg.Drain(), want)
 	}
 }

@@ -184,13 +184,13 @@ func (nw *Network) Fail(id p2p.NodeID) {
 	}
 }
 
-// Recover brings a failed peer back.
+// Recover brings a failed peer back and tells it so (p2p.MsgUp).
 func (nw *Network) Recover(id p2p.NodeID) {
 	nw.mu.Lock()
 	n := nw.nodes[id]
 	nw.mu.Unlock()
-	if n != nil {
-		n.alive.Store(true)
+	if n != nil && !n.alive.Swap(true) {
+		n.Post(p2p.Message{Type: p2p.MsgUp, From: id, To: id})
 	}
 }
 

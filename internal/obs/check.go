@@ -28,6 +28,7 @@ const (
 	VioProbeToDown       = "probe-to-down"
 	VioBudgetExceeded    = "budget-exceeded"
 	VioEstabWithoutAdmit = "establish-without-admit"
+	VioExpireNoAdmit     = "expire-without-admit"
 	VioDoneWithoutStart  = "done-without-start"
 	VioDoneBeforeStart   = "done-before-start"
 	VioMultipleDone      = "multiple-done"
@@ -97,7 +98,9 @@ type emission struct {
 //     §4.2 only divides), and origin probes never exceed the request budget
 //     announced in compose.start;
 //   - a session establishes only after at least one peer admitted it
-//     (session.admit at or before session.establish);
+//     (session.admit at or before session.establish), and a component's
+//     lease expires (session.expire) only where an earlier session.admit of
+//     the same node, request and component committed it;
 //   - compose.done happens at most once per request, after its
 //     compose.start;
 //   - the federation two-phase commit leaks nothing: every fed.prepare
@@ -134,6 +137,7 @@ type Checker struct {
 	starts   map[uint64]Event
 	dones    []Event
 	admitMin map[uint64]time.Duration
+	admitted map[Event]bool // {Node, Req, Comp} of every session.admit
 	estabs   []Event
 	// Per-PID wire-copy accounting: a probe starts with one copy at
 	// emission; retransmits and injected duplications add copies; net.drop
@@ -174,6 +178,7 @@ func NewChecker() *Checker {
 		children:        make(map[uint64]int),
 		starts:          make(map[uint64]Event),
 		admitMin:        make(map[uint64]time.Duration),
+		admitted:        make(map[Event]bool),
 		extraCopies:     make(map[uint64]int),
 		wireDrops:       make(map[uint64]int),
 		uncollected:     make(map[uint64]uint64),
@@ -298,6 +303,12 @@ func (c *Checker) Add(ev Event) {
 	case KindSessionAdmit:
 		if t, ok := c.admitMin[ev.Req]; !ok || ev.TS < t {
 			c.admitMin[ev.Req] = ev.TS
+		}
+		c.admitted[Event{Node: ev.Node, Req: ev.Req, Comp: ev.Comp}] = true
+	case KindSessionExpire:
+		if ev.Comp != "" && !c.admitted[Event{Node: ev.Node, Req: ev.Req, Comp: ev.Comp}] {
+			c.vs = append(c.vs, Violation{VioExpireNoAdmit,
+				fmt.Sprintf("session.expire req=%d comp=%s at t=%v node=%d with no session.admit there", ev.Req, ev.Comp, ev.TS, ev.Node)})
 		}
 	case KindSessionEstab:
 		c.estabs = append(c.estabs, ev)

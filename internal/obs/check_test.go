@@ -372,7 +372,7 @@ func TestCheckFedViolations(t *testing.T) {
 
 // TestCheckFedCrashExcusal: a prepare left unresolved because its holder
 // crashed is excused — the dead gateway cannot emit its own release, and the
-// BCP commit TTL reclaims the resources out of band.
+// segment's lease reclaims the resources out of band.
 func TestCheckFedCrashExcusal(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	sub := uint64(1)<<62 | 9<<4
@@ -695,5 +695,31 @@ func TestCheckCreditViolations(t *testing.T) {
 		if vs := feed(tc.evs).Finish(); !hasViolation(vs, tc.want) {
 			t.Errorf("%s: want %s, got %v", tc.name, tc.want, vs)
 		}
+	}
+}
+
+// TestCheckExpireWithoutAdmit: a lease may lapse only on what a session.admit
+// of the same node, request and component committed; a link's expiry names
+// no component and needs none.
+func TestCheckExpireWithoutAdmit(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	ok := append(cleanTrace(),
+		SessionExpire(ms(20), 9, 42, "p9/fn2.1", -1),
+		SessionExpire(ms(20), 9, 42, "", 1))
+	if vs := feed(ok).Finish(); len(vs) != 0 {
+		t.Fatalf("expiry of an admitted component flagged: %v", vs)
+	}
+	for name, ev := range map[string]Event{
+		"other node":      SessionExpire(ms(20), 7, 42, "p9/fn2.1", -1),
+		"other request":   SessionExpire(ms(20), 9, 43, "p9/fn2.1", -1),
+		"other component": SessionExpire(ms(20), 9, 42, "p9/fn2.0", -1),
+	} {
+		if vs := feed(append(cleanTrace(), ev)).Finish(); !hasViolation(vs, VioExpireNoAdmit) {
+			t.Errorf("%s: expiry without its admission not flagged: %v", name, vs)
+		}
+	}
+	early := append([]Event{SessionExpire(0, 9, 42, "p9/fn2.1", -1)}, cleanTrace()...)
+	if vs := feed(early).Finish(); !hasViolation(vs, VioExpireNoAdmit) {
+		t.Errorf("expiry before the admission not flagged: %v", vs)
 	}
 }

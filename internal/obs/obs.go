@@ -17,6 +17,7 @@
 //	select.done
 //	session.admit / session.reject      reverse-path session setup
 //	session.establish                   recovery manager adopts a session
+//	session.expire                      a session allocation's lease lapses
 //	dht.hop / dht.deliver               DHT routing
 //	dht.get.retry / dht.get.fail        lookup timeouts
 //	rec.probe / rec.failure             failure monitoring (§5)
@@ -51,6 +52,7 @@ const (
 	KindSessionAdmit   = "session.admit"
 	KindSessionReject  = "session.reject"
 	KindSessionEstab   = "session.establish"
+	KindSessionExpire  = "session.expire"
 	KindDHTHop         = "dht.hop"
 	KindDHTDeliver     = "dht.deliver"
 	KindDHTGetRetry    = "dht.get.retry"
@@ -260,6 +262,15 @@ func SessionReject(ts time.Duration, node p2p.NodeID, req uint64, comp, reason s
 // with backups maintained backup graphs.
 func SessionEstablish(ts time.Duration, node p2p.NodeID, req uint64, backups int) Event {
 	return Event{TS: ts, Kind: KindSessionEstab, Node: node, Req: req, Peer: p2p.NoNode, Budget: backups}
+}
+
+// SessionExpire records a peer freeing a session allocation whose lease
+// lapsed: component comp, or (comp "") the service link to peer.
+func SessionExpire(ts time.Duration, node p2p.NodeID, req uint64, comp string, peer p2p.NodeID) Event {
+	if comp != "" {
+		peer = p2p.NoNode
+	}
+	return Event{TS: ts, Kind: KindSessionExpire, Node: node, Req: req, Peer: peer, Comp: comp}
 }
 
 // DHTHop records a routed DHT message being forwarded to next. req is the

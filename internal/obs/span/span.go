@@ -20,6 +20,7 @@
 package span
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"sort"
@@ -223,6 +224,7 @@ type reqState struct {
 	dht       []obs.Event
 	commits   []obs.Event // session.admit / session.reject up to compose.done
 	estabs    []obs.Event
+	expires   []obs.Event
 	rec       []obs.Event // recovery events, and a switchover's admissions
 	fed       map[uint64]*fedSub
 	fedSubs   []uint64 // first-reference order
@@ -295,6 +297,10 @@ func (b *Builder) Add(ev obs.Event) {
 		return
 	}
 	rs := b.state(ev.Req)
+	if ev.Kind == obs.KindSessionExpire {
+		rs.expires = append(rs.expires, ev) // a lease lapses after the request's wall
+		return
+	}
 	rs.note(ev.TS)
 	switch ev.Kind {
 	case obs.KindComposeStart:
@@ -606,6 +612,10 @@ func buildTree(rs *reqState) *Tree {
 	for _, ev := range rs.estabs {
 		root.Children = append(root.Children, &Span{Kind: "establish",
 			Name: fmt.Sprintf("session adopted (%d backups)", ev.Budget),
+			Node: ev.Node, Start: ev.TS, End: ev.TS, Events: 1})
+	}
+	for _, ev := range rs.expires {
+		root.Children = append(root.Children, &Span{Kind: "expire", Name: "lease expired " + cmp.Or(ev.Comp, fmt.Sprintf("link → n%d", ev.Peer)),
 			Node: ev.Node, Start: ev.TS, End: ev.TS, Events: 1})
 	}
 	sortSpans(root.Children)

@@ -1,6 +1,7 @@
 package span
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -451,5 +452,32 @@ func TestCreditIsACollectionBoundary(t *testing.T) {
 	}
 	if got, want := f.Tree(43).Phases, (Phases{Discovery: ms(1), Wait: ms(89)}); got != want {
 		t.Errorf("empty collection phases %+v, want %+v", got, want)
+	}
+}
+
+// TestExpiryFiledUnderItsRequest: a lease lapsing after the session ended is
+// a point span of its request, not an orphan, and does not stretch the
+// request's wall.
+func TestExpiryFiledUnderItsRequest(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	b := NewBuilder()
+	b.Add(obs.ComposeStart(0, 3, 42, 1, 10))
+	b.Add(obs.SessionAdmit(ms(5), 7, 42, "p7/f"))
+	b.Add(obs.ComposeDone(ms(8), 3, 42, true, ms(8)))
+	b.Add(obs.SessionExpire(ms(900), 7, 42, "p7/f", p2p.NoNode))
+	b.Add(obs.SessionExpire(ms(900), 7, 42, "", 3))
+	f := b.Build()
+	if len(f.Orphans) != 0 {
+		t.Fatalf("expiries orphaned: %+v", f.Orphans)
+	}
+	tr := f.Trees[0]
+	var names []string
+	for _, sp := range tr.Root.Children {
+		if sp.Kind == "expire" {
+			names = append(names, sp.Name)
+		}
+	}
+	if want := []string{"lease expired p7/f", "lease expired link → n3"}; !slices.Equal(names, want) || tr.Wall != ms(8) {
+		t.Fatalf("expire spans %q, wall %v; want %q, wall 8ms", names, tr.Wall, want)
 	}
 }

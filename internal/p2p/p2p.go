@@ -36,6 +36,10 @@ type Message struct {
 	UID uint64
 }
 
+// MsgUp is what a runtime hands a node's own handler when it brings the
+// crashed node back: its timers died with it, so the handler re-arms them.
+const MsgUp = "net.up"
+
 // Handler processes one received message on the destination node.
 // Handlers run single-threaded per node in both runtimes.
 type Handler func(n Node, msg Message)

@@ -31,7 +31,7 @@ func FullWalk(m *Manager, s *Session) p2p.Message {
 	stops, _ := s.plan()
 	return p2p.Message{
 		Type: MsgProbe, From: m.host.ID(), To: stops[0].Peer, Size: walkSize(len(stops)),
-		Payload: newWalk(s.ID, m.host.ID(), stops),
+		Payload: newWalk(s, m.host.ID(), stops),
 	}
 }
 

@@ -132,15 +132,15 @@ func (m *Manager) walk(s *Session) {
 	}
 	m.host.Send(p2p.Message{
 		Type: MsgProbe, To: stops[0].Peer, Size: walkSize(len(stops)),
-		Payload: newWalk(s.ID, m.host.ID(), stops),
+		Payload: newWalk(s, m.host.ID(), stops),
 	})
 	sess := s.ID
 	m.host.After(pongTimeout, func() { m.checkPong(sess, sentAt, full) })
 }
 
-// newWalk returns a walk of stops with one zero Avail slot per stop.
-func newWalk(sess uint64, origin p2p.NodeID, stops []stop) *walkMsg {
-	wm := &walkMsg{SessID: sess, Origin: origin, Stops: stops}
+// newWalk returns a walk of s along stops with one zero Avail slot per stop.
+func newWalk(s *Session, origin p2p.NodeID, stops []stop) *walkMsg {
+	wm := &walkMsg{SessID: s.ID, ReqID: s.Active.Req.ID, Origin: origin, Stops: stops}
 	if len(stops) <= len(wm.avail) {
 		wm.Avail = wm.avail[:len(stops)]
 	} else {
@@ -151,11 +151,11 @@ func newWalk(sess uint64, origin p2p.NodeID, stops []stop) *walkMsg {
 
 func walkSize(stops int) int { return walkBaseSize + walkPerStopSize*stops }
 
-// onProbe runs at a stop: find this peer's entry, report which expected
-// components it no longer hosts, write a fresh availability snapshot into its
-// slot, and forward the walk (or bounce the pong). Session.plan lists a peer
-// once, so a duplicated copy finds the same entry, rewrites the same slot and
-// forwards to the same next stop.
+// onProbe runs at a stop: find this peer's entry, renew the lease of what it
+// holds for the session, report which expected components it no longer hosts,
+// write a fresh availability snapshot into its slot, and forward the walk (or
+// bounce the pong). Session.plan lists a peer once, so a duplicated copy finds
+// the same entry, rewrites the same slot and forwards to the same next stop.
 func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 	wm := msg.Payload.(*walkMsg)
 	self := m.host.ID()
@@ -163,6 +163,7 @@ func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 	if i < 0 {
 		return
 	}
+	m.eng.Renew(wm.ReqID, m.cfg.Lease())
 	for _, id := range wm.Stops[i].Comps {
 		if _, hosted := m.eng.LocalComponent(id); !hosted {
 			wm.Missing = append(wm.Missing, id)
@@ -176,16 +177,17 @@ func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 	m.host.Send(p2p.Message{Type: typ, To: to, Size: walkSize(len(wm.Stops)), Payload: wm})
 }
 
-// onPong ends a walk at the sender: the session was heard from, every
-// snapshot hosted on a visited peer gets the fresh availability so backup
-// qualification stays current, and graphs that contain a component a stop
-// reported missing are failed.
+// onPong ends a walk at the sender: the session was heard from, the sender
+// renews the lease of its own links, every snapshot hosted on a visited peer
+// gets the fresh availability so backup qualification stays current, and
+// graphs that contain a component a stop reported missing are failed.
 func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 	wm := msg.Payload.(*walkMsg)
 	s, ok := m.sessions[wm.SessID]
 	if !ok {
 		return
 	}
+	m.eng.Renew(wm.ReqID, m.cfg.Lease())
 	s.lastPong = m.host.Now()
 	s.silent = 0
 	if stops, _ := s.plan(); len(wm.Stops) >= len(stops) {
@@ -356,7 +358,10 @@ func (m *Manager) tryRecovery(s *Session) {
 	if m.Trace != nil {
 		m.Trace.Emit(obs.RecAttempt(m.host.Now(), m.host.ID(), s.ID, 0, setupTimeout))
 	}
-	m.eng.Confirm(cand, s.Active, setupTimeout, func(ok bool) {
+	// The walk and its rollback carry copies: onPong refreshes the session's
+	// graphs in place, and other peers, goroutines of their own on a live
+	// runtime, read what they are sent.
+	m.eng.Confirm(cand.Clone(), s.Active.Clone(), setupTimeout, func(ok bool) {
 		switch {
 		case !s.alive:
 			// Closed while the walk was out: what the walk committed belongs to
@@ -404,7 +409,7 @@ func (m *Manager) repaired(s *Session, g *service.Graph, kind EventKind) {
 	old := s.Active
 	s.setGraphs(g, s.Backups)
 	m.stats.ComponentsReplaced += len(old.Comps) - g.Overlap(old)
-	m.eng.TeardownExcept(old, g)
+	m.eng.TeardownExcept(old, g.Clone()) // a copy, as in tryRecovery
 	s.awaitingFix = false
 	m.record(s, kind)
 	if m.cfg.Proactive {

@@ -51,6 +51,14 @@ type Config struct {
 	DisjointBackups bool
 }
 
+// Lease is how long a maintenance walk's renewal keeps a session's
+// allocations on a peer: until a walk comes round after the longest repair —
+// MissedPongs silent walks, the pings that localize the silence, a switchover
+// attempt on every backup, then the tick and walk that renew the new graph.
+func (c Config) Lease() time.Duration {
+	return time.Duration(max(c.MissedPongs, 1)+1)*(probeInterval+pongTimeout) + pingTimeout + time.Duration(c.MaxBackups)*setupTimeout
+}
+
 // DefaultConfig returns the settings used by the experiments.
 func DefaultConfig() Config {
 	return Config{
@@ -191,6 +199,7 @@ type Manager struct {
 // hold one.
 type walkMsg struct {
 	SessID  uint64
+	ReqID   uint64 // the active graph's request, whose leases the walk renews
 	Origin  p2p.NodeID
 	Stops   []stop
 	Avail   []qos.Resources // one slot per stop, in Stops order

@@ -9,10 +9,12 @@ package service
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/fgraph"
 	"repro/internal/p2p"
@@ -61,6 +63,9 @@ type Request struct {
 	FailReq   float64       // required session failure probability F^req
 	Source    p2p.NodeID    // application sender
 	Dest      p2p.NodeID    // application receiver
+	// Lease is how long each peer keeps what it commits for the request
+	// unless a teardown or a renewal comes first; 0 keeps it until torn down.
+	Lease time.Duration
 
 	Budget      int   // probing budget β (number of probes)
 	Quota       []int // per-function probing quota α; nil = replica-proportional default
@@ -200,6 +205,16 @@ func (g *Graph) fns(buf []int) []int {
 	slices.Sort(buf)
 	return buf
 }
+
+// Clone returns a copy of g with Comps and Links of its own.
+func (g *Graph) Clone() *Graph {
+	c := *g
+	c.Comps, c.Links = maps.Clone(g.Comps), slices.Clone(g.Links)
+	return &c
+}
+
+// Fns returns the assigned function indices in ascending order.
+func (g *Graph) Fns() []int { return g.fns(make([]int, 0, len(g.Comps))) }
 
 // fnsBuf is the size of the stack buffer handed to fns: requests compose a
 // handful of functions, larger graphs spill to the heap.

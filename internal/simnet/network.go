@@ -225,14 +225,17 @@ func (nw *Network) Fail(id p2p.NodeID) {
 	}
 }
 
-// Recover brings a failed node back up. Protocol state on the node is
-// whatever the protocol structs still hold; SpiderNet assumes stateless or
-// soft-state components (§5), so this matches the paper's model.
+// Recover brings a failed node back up and tells it (p2p.MsgUp). Protocol state
+// on the node is whatever the protocol structs still hold; SpiderNet assumes
+// stateless or soft-state components (§5), so this matches the paper's model.
 func (nw *Network) Recover(id p2p.NodeID) {
 	if n := nw.node(id); n != nil && !n.alive {
 		n.alive = true
 		if nw.trace != nil {
 			nw.trace.Emit(obs.NodeUp(nw.sim.Now(), id))
+		}
+		if h := n.handler(p2p.MsgUp); h != nil {
+			h(n, p2p.Message{Type: p2p.MsgUp, From: id, To: id})
 		}
 	}
 }

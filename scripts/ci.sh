@@ -32,9 +32,11 @@ go test -race -count=1 -timeout 60s ./cmd/spidernode
 
 # Recovery on the live runtime: every maintenance walk is one object handed
 # from peer goroutine to peer goroutine, and a switchover commits across
-# them. The same short timeout turns a lost pong that hangs into a failure.
-echo "== live recovery: maintenance walks + switchover (-race, 60s timeout)"
-go test -race -count=1 -timeout 60s -run TestTestbedRecovery ./internal/livenet
+# them. The same short timeout turns a lost pong that hangs into a failure. Ten
+# runs, because a graph one peer refreshes while another reads it raced about
+# once in sixteen.
+echo "== live recovery: maintenance walks + switchover (-race x10, 60s timeout)"
+go test -race -count=10 -timeout 60s -run TestTestbedRecovery ./internal/livenet
 
 # Allocation gates: the object budgets of one composition and one recovery
 # interval, and the paths that must allocate nothing at all (route cost,
@@ -68,13 +70,16 @@ go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 # at the 3.2 s window, probes sent to peers already down) does; a fifth, on the
 # benchmark's steady world, holds the mean lookup under a ceiling, so routing
 # tables that stop holding each bucket's nearest member (121.6 → 173.2 ms) or
-# lookups that go on past the key's first holder to its root (153.6 ms) do.
+# lookups that go on past the key's first holder to its root (153.6 ms) do; a
+# sixth, a churned run drained after its last session ended, holds what is
+# left hard-allocated and below link capacity at zero, so an allocation whose
+# lease nothing expires (a teardown a downed peer never heard) does.
 # Beside them the DHT's completeness tests hold what a holder answers to its
 # root's items under late puts, a join that displaces a replica, replica
 # outages and an out-of-order copy, and print the stale answers left. -v
 # prints what each measured.
-echo "== discovery + maintenance message gates, collect-wait gates, lookup gate, lookup completeness"
-go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|ChurnCollectWait|LookupStretch' -count=1 -v ./internal/cluster
+echo "== discovery + maintenance message gates, collect-wait gates, lookup gate, drain gate, lookup completeness"
+go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|ChurnCollectWait|LookupStretch|DrainAfterChurn' -count=1 -v ./internal/cluster
 go test -run 'HoldersAnswerWithTheRootsItems|StaleAnswersNeedAPeerThatWasDown|HolderWithAGapRoutesOn' -count=1 -v ./internal/dht
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above

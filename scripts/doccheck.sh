@@ -6,7 +6,8 @@
 #     tree contains as a word,
 #   - a -flag, given to one of the four CLIs or cited on its own, that the
 #     CLI's -h does not list,
-#   - a repo path (internal/..., cmd/..., a top-level file) that is not there.
+#   - a repo path (internal/..., cmd/..., a top-level file) that is not there,
+# and on a DESIGN.md longer than its cap.
 # A deletion that leaves its name behind in a document fails here, not in a
 # reader's shell. Names a document cites *as deleted* go on the list below.
 set -eu
@@ -23,6 +24,13 @@ gone="Shards PutVia GetVia DynamicJoin dijkstraInto fanout internal/trust TrustA
 
 # Flags of the go tool and of the tests, for spans that cite one bare.
 gotool="-race -run -bench -benchmem -benchtime -count -cpu -cover -fuzz -fuzztime -update -v -timeout -o"
+
+# DESIGN.md may only shrink: the cap is its length when the cap was set.
+cap=1277
+if [ "$(wc -l < DESIGN.md)" -gt "$cap" ]; then
+    echo "doccheck: DESIGN.md has $(wc -l < DESIGN.md) lines, more than its cap of $cap: cut it, do not grow it"
+    exit 1
+fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
