@@ -583,7 +583,6 @@ func (h *benchHost) Send(p2p.Message)                      {}
 func (h *benchHost) After(time.Duration, func()) p2p.Timer { return p2p.Timer{} }
 func (h *benchHost) Rand() *rand.Rand                      { return nil }
 func (h *benchHost) Handle(string, p2p.Handler)            {}
-func (h *benchHost) Alive() bool                           { return true }
 
 // BenchmarkDHTBuildRing measures the sorted-ring static construction at 1k,
 // 10k and 100k nodes. Node creation is excluded from the timer: the op is

@@ -347,7 +347,6 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 	host.Handle(MsgFail, e.onFail)
 	host.Handle(MsgTeardown, e.onTeardown)
 	e.sweepFn = e.sweep
-	host.Handle(p2p.MsgUp, func(p2p.Node, p2p.Message) { e.sweep() })
 	return e
 }
 

@@ -15,8 +15,8 @@ import (
 // the system must fail cleanly — no hung callbacks, no leaked allocations.
 
 // allLedgersClean asserts no LIVE peer holds hard or soft allocations. A
-// crashed peer's ledger is process state that died with it (its timers are
-// gone too); it reinitializes on recovery, so dead peers are exempt.
+// crashed peer's timers wait for it to come back, and what they would free
+// waits with them, so dead peers are exempt.
 func allLedgersClean(t *testing.T, c *cluster.Cluster, context string) {
 	t.Helper()
 	for i, p := range c.Peers {

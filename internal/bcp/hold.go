@@ -111,7 +111,7 @@ func (e *Engine) arm(due time.Duration) {
 
 // sweep frees every allocation whose lease lapsed, in key order (the ledger's
 // and the links' float arithmetic depends on it), and re-arms for the earliest
-// deadline left. A peer coming back up sweeps too: its timer died with it.
+// deadline left.
 func (e *Engine) sweep() {
 	now, next := e.host.Now(), time.Duration(0)
 	var gone []allocKey

@@ -15,18 +15,18 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDrainAfterChurn holds what a run leaves allocated once every session
-// has ended to zero: 200 sessions of 60 s on 120 peers, one arriving a
-// second, drained to 400 s, without churn and with 3 % of the peers failing
-// every 10 s from 10 s to 260 s, each down 20 s. A teardown sent to a downed
-// peer is dropped and the peer comes back holding what it had; the lease each
+// TestDrainAfterChurn holds what a run leaves behind once every session has
+// ended to zero: 200 sessions of 60 s on 120 peers, one arriving a second,
+// drained to 400 s, without churn and with 3 % of the peers failing every
+// 10 s from 10 s to 260 s, each down 20 s. A teardown sent to a downed peer
+// is dropped and the peer comes back holding what it had; the lease each
 // allocation carries (the session's life plus recovery's Lease, renewed by
-// its maintenance walks) frees it. No CPU unit may stay hard-allocated and
-// every overlay link must be back at its capacity. The trace's checker holds
-// each expiry to an admission. -v prints the expiries per seed and the peers
-// left holding a soft reservation: its SoftTimeout timer died with its peer
-// (EXPERIMENTS.md, Known deviations), so only the churn-free runs assert
-// that no peer holds anything.
+// its maintenance walks) frees it, and a timer that came due while its peer
+// was down fires when it comes back. No CPU unit may stay hard-allocated,
+// every overlay link must be back at its capacity, no peer may hold any
+// reservation (Orphans: a soft one's SoftTimeout fired) and every issued
+// arrival must have been answered. The trace's checker holds each expiry to an admission. -v prints
+// the expiries per seed.
 func TestDrainAfterChurn(t *testing.T) {
 	for _, frac := range []float64{0, 0.03} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -59,7 +59,8 @@ func TestDrainAfterChurn(t *testing.T) {
 				}
 				plan.Churn = []cluster.Churn{ch}
 			}
-			c.Start(plan, nil).Finish()
+			run := c.Start(plan, nil)
+			run.Finish()
 
 			var cpu float64
 			held := 0
@@ -78,16 +79,16 @@ func TestDrainAfterChurn(t *testing.T) {
 					busy++
 				}
 			}
-			if held > 0 || busy > 0 || (frac == 0 && c.Orphans() > 0) {
-				t.Errorf("seed %d, churn %.0f %%: %.0f CPU units on %d peers, %d links below capacity, %d peers holding anything after the drain",
-					seed, 100*frac, cpu, held, busy, c.Orphans())
+			if held > 0 || busy > 0 || c.Orphans() > 0 || run.Completed != run.Issued {
+				t.Errorf("seed %d, churn %.0f %%: %.0f CPU units on %d peers, %d links below capacity, %d peers holding anything after the drain, %d of %d arrivals answered",
+					seed, 100*frac, cpu, held, busy, c.Orphans(), run.Completed, run.Issued)
 			}
 			for _, v := range chk.Finish() {
 				if v.Name == obs.VioExpireNoAdmit {
 					t.Errorf("seed %d: %v", seed, v)
 				}
 			}
-			t.Logf("seed %d, churn %.0f %%: %d allocations expired; %d peers still hold a soft reservation", seed, 100*frac, expired, c.Orphans())
+			t.Logf("seed %d, churn %.0f %%: %d allocations expired, %d of %d arrivals answered", seed, 100*frac, expired, run.Completed, run.Issued)
 		}
 	}
 }

@@ -34,7 +34,6 @@ func (h *buildHost) Send(p2p.Message)                      {}
 func (h *buildHost) After(time.Duration, func()) p2p.Timer { return p2p.Timer{} }
 func (h *buildHost) Rand() *rand.Rand                      { return nil }
 func (h *buildHost) Handle(string, p2p.Handler)            {}
-func (h *buildHost) Alive() bool                           { return true }
 
 // freshNodes creates construction-only nodes for the given transport IDs.
 func freshNodes(ids []p2p.NodeID) []*Node {

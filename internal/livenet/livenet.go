@@ -171,26 +171,26 @@ func (nw *Network) Alive(id p2p.NodeID) bool {
 	return n != nil && n.alive.Load()
 }
 
-// Fail crashes a peer: messages to it are dropped and its timers are
-// invalidated. The event loop keeps draining (discarding) so senders never
-// block.
+// Fail crashes a peer: messages to it are dropped and its timers wait for it
+// to recover. The event loop keeps draining (discarding messages, parking
+// timers) so senders never block.
 func (nw *Network) Fail(id p2p.NodeID) {
 	nw.mu.Lock()
 	n := nw.nodes[id]
 	nw.mu.Unlock()
-	if n != nil && n.alive.Load() {
-		n.epoch.Add(1)
+	if n != nil {
 		n.alive.Store(false)
 	}
 }
 
-// Recover brings a failed peer back and tells it so (p2p.MsgUp).
+// Recover brings a failed peer back; the timers that came due while it was
+// down fire now, in due order.
 func (nw *Network) Recover(id p2p.NodeID) {
 	nw.mu.Lock()
 	n := nw.nodes[id]
 	nw.mu.Unlock()
 	if n != nil && !n.alive.Swap(true) {
-		n.Post(p2p.Message{Type: p2p.MsgUp, From: id, To: id})
+		n.Post(func() {}) // wakes the loop, which fires the parked timers first
 	}
 }
 

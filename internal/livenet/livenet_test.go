@@ -127,22 +127,49 @@ func TestTimerStopAfterFireAndFromTheLoop(t *testing.T) {
 	}
 }
 
-func TestTimersDieOnFailure(t *testing.T) {
+// TestTimersWaitForRecovery pins the crash model on real time: a crash
+// pauses a peer's timers. The timers due at 10 and 60 ms while the peer is
+// down for 150 ms fire once each when it recovers, in due order; the one
+// stopped while it waits never fires; one armed 200 ms before its due time
+// just ahead of the recovery fires on time, after them. The margins (50 ms
+// between the paused timers, 90 ms from the last to the recovery) hold on a
+// loaded 2-core runner under -race.
+func TestTimersWaitForRecovery(t *testing.T) {
 	nw := NewNetwork(flatLat(1, 1), 1)
 	defer nw.Close()
 	n := nw.AddNode(0, 1)
-	var fired atomic.Int32
-	n.After(50*time.Millisecond, func() { fired.Add(1) })
-	nw.Fail(0)
-	time.Sleep(120 * time.Millisecond)
-	if fired.Load() != 0 {
-		t.Fatal("timer fired on crashed node")
+	fired := make(chan string, 8)
+	after := func(d time.Duration, name string) p2p.Timer {
+		return n.After(d, func() { fired <- name })
 	}
-	// Recovery does not resurrect pre-failure timers.
+	nw.Fail(0)
+	after(60*time.Millisecond, "second")
+	after(10*time.Millisecond, "first")
+	stopped := after(30*time.Millisecond, "stopped")
+	time.Sleep(150 * time.Millisecond)
+	stopped.Stop()
+	if len(fired) != 0 {
+		t.Fatalf("%s fired on a crashed peer", <-fired)
+	}
+	armed := time.Now()
+	after(200*time.Millisecond, "on-time")
 	nw.Recover(0)
-	time.Sleep(60 * time.Millisecond)
-	if fired.Load() != 0 {
-		t.Fatal("stale timer fired after recovery")
+	for _, want := range []string{"first", "second", "on-time"} {
+		select {
+		case got := <-fired:
+			if got != want {
+				t.Fatalf("fired %s, want %s", got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s never fired", want)
+		}
+	}
+	if el := time.Since(armed); el < 200*time.Millisecond {
+		t.Fatalf("on-time fired after %v, before its 200ms", el)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if len(fired) != 0 {
+		t.Fatalf("%s fired as well", <-fired)
 	}
 }
 

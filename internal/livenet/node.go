@@ -23,7 +23,7 @@ type LoopNode struct {
 	inbox   chan any // p2p.Message or func()
 	quit    chan struct{}
 	alive   atomic.Bool
-	epoch   atomic.Uint64
+	parked  []func() // timers that came due while down; the loop's alone
 
 	hmu      sync.Mutex
 	handlers map[string]p2p.Handler
@@ -63,9 +63,17 @@ func (n *LoopNode) Run() {
 		case <-n.quit:
 			return
 		case item := <-n.inbox:
+			f, timer := item.(func())
 			if !n.alive.Load() {
-				continue // crashed: drain and discard
+				if timer { // crashed: park timers, discard messages
+					n.parked = append(n.parked, f)
+				}
+				continue
 			}
+			for _, p := range n.parked {
+				p()
+			}
+			n.parked = nil
 			switch v := item.(type) {
 			case func():
 				v()
@@ -101,7 +109,6 @@ func (n *LoopNode) Stop() { close(n.quit) }
 func (n *LoopNode) ID() p2p.NodeID     { return n.id }
 func (n *LoopNode) Now() time.Duration { return time.Since(n.start) }
 func (n *LoopNode) Rand() *rand.Rand   { return n.rng }
-func (n *LoopNode) Alive() bool        { return n.alive.Load() }
 
 func (n *LoopNode) Handle(msgType string, h p2p.Handler) {
 	n.hmu.Lock()
@@ -122,14 +129,13 @@ func (n *LoopNode) Send(msg p2p.Message) {
 }
 
 func (n *LoopNode) After(d time.Duration, fn func()) p2p.Timer {
-	epoch := n.epoch.Load()
 	lt := &liveTimer{}
 	lt.t = time.AfterFunc(time.Duration(float64(d)/n.speedup), func() {
 		if lt.stopped.Load() {
 			return
 		}
 		n.Post(func() {
-			if !lt.stopped.Load() && n.epoch.Load() == epoch {
+			if !lt.stopped.Load() {
 				fn()
 			}
 		})
@@ -138,7 +144,7 @@ func (n *LoopNode) After(d time.Duration, fn func()) p2p.Timer {
 }
 
 // liveTimer is a LoopNode timer. stopped also covers the window in which the
-// clock already fired and the callback waits in the inbox.
+// clock already fired and the callback waits in the inbox or is parked.
 type liveTimer struct {
 	t       *time.Timer
 	stopped atomic.Bool

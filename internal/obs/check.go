@@ -76,8 +76,8 @@ type emission struct {
 //     partition net.fault) — while a resolved probe must have had at least
 //     one surviving copy. Nothing may leak silently. The one excused leak is
 //     a probe that reached a peer which then crashed (a net.down of the
-//     probed peer at or after the emission): a dead peer cannot report the
-//     probes it was holding;
+//     probed peer at or after the emission, no net.up since): a dead peer
+//     cannot report the probes it was holding;
 //   - no probe is emitted toward a peer that is down: next-hop selection reads
 //     the liveness view, so a probe.sent or probe.forwarded whose target
 //     peer's latest net.down precedes it, with no net.up in between, is a
@@ -108,14 +108,14 @@ type emission struct {
 //     or fed.abort — including the presumed-abort expiry, which traces as
 //     fed.abort with note "expire" — at the same node and domain, at or
 //     after the prepare. The only excused unresolved prepare is one whose
-//     holding gateway crashed (a net.down record at or after the prepare):
-//     a dead peer cannot emit its own release;
+//     holding gateway crashed (a net.down at or after the prepare, no net.up
+//     since): a dead peer cannot emit its own release;
 //   - failure recovery resolves what it declares: every rec.failure of a
 //     session is followed by exactly one rec.switchover, rec.reactive,
 //     rec.dead or rec.closed before its next rec.failure, a resolution has
 //     an unresolved failure before it, and no rec.probe follows a session's
 //     rec.dead. An open failure is excused when its source crashed (a
-//     net.down record at or after it), or when the trace was cut inside its
+//     net.down at or after it, no net.up since), or when the trace was cut inside its
 //     latest rec.attempt: before the switchover's own deadline, or with the
 //     re-composition the attempt names not yet at its compose.done.
 //
@@ -159,7 +159,6 @@ type Checker struct {
 	fedPrepCount    map[uint64]int
 	fedResolve      map[uint64]Event
 	fedResolveCount map[uint64]int
-	downs           map[p2p.NodeID][]time.Duration
 	down            map[p2p.NodeID]time.Duration // peers down now, since when
 	// Recovery lifecycle, keyed by session: the failure not yet resolved or
 	// the latest attempt at it, and the sessions given up on; last is the
@@ -190,7 +189,6 @@ func NewChecker() *Checker {
 		fedPrepCount:    make(map[uint64]int),
 		fedResolve:      make(map[uint64]Event),
 		fedResolveCount: make(map[uint64]int),
-		downs:           make(map[p2p.NodeID][]time.Duration),
 		down:            make(map[p2p.NodeID]time.Duration),
 		recOpen:         make(map[uint64]Event),
 		recDead:         make(map[uint64]bool),
@@ -216,7 +214,6 @@ func (c *Checker) Add(ev Event) {
 		}
 		c.fedResolveCount[ev.PID]++
 	case KindNetDown:
-		c.downs[ev.Node] = append(c.downs[ev.Node], ev.TS)
 		c.down[ev.Node] = ev.TS
 	case KindNetUp:
 		delete(c.down, ev.Node)
@@ -520,7 +517,8 @@ func (c *Checker) Finish() []Violation {
 					pid, prep.Node, prep.Domain(), res.Node, res.Domain())})
 		case !resolved:
 			// A prepare may go unresolved only if its holding gateway
-			// crashed after preparing — a dead peer cannot emit the release.
+			// crashed after preparing and stayed down — a dead peer cannot
+			// emit the release.
 			if !c.crashedSince(prep.Node, prep.TS) {
 				vs = append(vs, Violation{VioFedUnresolved,
 					fmt.Sprintf("fed.prepare sub=%d (fed=%d) at t=%v node=%d never committed, aborted, or expired",
@@ -561,14 +559,12 @@ func (c *Checker) Finish() []Violation {
 	return vs
 }
 
-// crashedSince reports whether node has a net.down record at or after ts.
+// crashedSince reports whether node went down at or after ts and is still
+// down: a peer that came back fires the timers that came due meanwhile, so
+// what it held resolves.
 func (c *Checker) crashedSince(node p2p.NodeID, ts time.Duration) bool {
-	for _, t := range c.downs[node] {
-		if t >= ts {
-			return true
-		}
-	}
-	return false
+	t, down := c.down[node]
+	return down && t >= ts
 }
 
 // Totals cross-checks a run's counter totals against the events added so

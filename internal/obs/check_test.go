@@ -371,8 +371,8 @@ func TestCheckFedViolations(t *testing.T) {
 }
 
 // TestCheckFedCrashExcusal: a prepare left unresolved because its holder
-// crashed is excused — the dead gateway cannot emit its own release, and the
-// segment's lease reclaims the resources out of band.
+// crashed and is still down is excused — the dead gateway cannot emit its
+// own release, and the segment's lease reclaims the resources out of band.
 func TestCheckFedCrashExcusal(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	sub := uint64(1)<<62 | 9<<4
@@ -392,6 +392,12 @@ func TestCheckFedCrashExcusal(t *testing.T) {
 	if vs := feed(early).Finish(); !hasViolation(vs, VioFedUnresolved) {
 		t.Fatalf("pre-prepare crash excused the prepare: %v", vs)
 	}
+	// Nor does a crash the gateway came back from: its timers fired at
+	// recovery, so it had every chance to resolve too.
+	back := append(evs, NodeUp(ms(5), 4))
+	if vs := feed(back).Finish(); !hasViolation(vs, VioFedUnresolved) {
+		t.Fatalf("a crash the gateway recovered from excused the prepare: %v", vs)
+	}
 }
 
 func TestCheckerTotalsFed(t *testing.T) {
@@ -409,8 +415,8 @@ func TestCheckerTotalsFed(t *testing.T) {
 
 // TestCheckProbeCrashExcusal: a probe that reached a peer which then crashed
 // is excused from conservation — the dead peer cannot report what it held —
-// but only if the probed peer itself went down at or after the emission and
-// a wire copy actually got through.
+// but only if the probed peer itself went down at or after the emission, is
+// still down, and a wire copy actually got through.
 func TestCheckProbeCrashExcusal(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	held := func(down Event) []Event {
@@ -427,7 +433,8 @@ func TestCheckProbeCrashExcusal(t *testing.T) {
 		"crash before emission": {NodeDown(0, 7), NodeUp(ms(1), 7),
 			ComposeStart(ms(1), 3, 44, 2, 8),
 			ProbeSent(ms(2), 3, 44, 7, "fn1", "p7/fn1.0", 8, 0, 301, 0)},
-		"crash of another peer": held(NodeDown(ms(2), 8)),
+		"crash of another peer":   held(NodeDown(ms(2), 8)),
+		"crash it came back from": append(held(NodeDown(ms(2), 7)), NodeUp(ms(3), 7)),
 		// One copy, two drops: over-accounted, crash or not.
 		"more drops than copies": append(held(NodeDown(ms(2), 7)),
 			NetDrop(ms(3), 3, 7, "bcp.probe", 136, 301),
@@ -575,9 +582,9 @@ func TestCheckRecLifecycle(t *testing.T) {
 
 // TestCheckRecUnresolved: a failure must be resolved before the session's
 // next one and before the trace ends. Excused are a source that crashed at or
-// after declaring it, and a trace cut inside the failure's latest attempt:
-// before a switchover's own deadline, or before the compose.done of the
-// re-composition it names.
+// after declaring it and is still down, and a trace cut inside the failure's
+// latest attempt: before a switchover's own deadline, or before the
+// compose.done of the re-composition it names.
 func TestCheckRecUnresolved(t *testing.T) {
 	s := func(n int) time.Duration { return time.Duration(n) * time.Second }
 	evs := recTrace()
@@ -590,6 +597,7 @@ func TestCheckRecUnresolved(t *testing.T) {
 		"re-composition ended":       append(append(append(evs, fail), redo...), ComposeDone(s(15), 3, 71, false, s(1)), at(15)),
 		"open at the next failure":   {evs[1], evs[2], evs[6], evs[8], evs[12]},
 		"source crashed before it":   append(evs, NodeDown(s(13), 3), NodeUp(s(13), 3), fail, at(14)),
+		"source came back":           append(evs, fail, NodeDown(s(14), 3), NodeUp(s(20), 3), at(60)),
 	} {
 		if vs := feed(bad).Finish(); !hasViolation(vs, VioRecUnresolved) {
 			t.Errorf("%s: want %s, got %v", name, VioRecUnresolved, vs)

@@ -36,10 +36,6 @@ type Message struct {
 	UID uint64
 }
 
-// MsgUp is what a runtime hands a node's own handler when it brings the
-// crashed node back: its timers died with it, so the handler re-arms them.
-const MsgUp = "net.up"
-
 // Handler processes one received message on the destination node.
 // Handlers run single-threaded per node in both runtimes.
 type Handler func(n Node, msg Message)
@@ -84,8 +80,8 @@ type Node interface {
 	// messages to failed peers are silently dropped, as in a real network.
 	Send(msg Message)
 	// After schedules fn on this node after d. The returned Timer stops it
-	// before it fires. Timers die with the node: one armed before the node
-	// fails never fires, even after it recovers.
+	// before it fires. A crash pauses the node's timers: one that comes due
+	// while the node is down fires when it recovers, in due order.
 	After(d time.Duration, fn func()) Timer
 	// Rand returns the runtime's random source. In simulation it is the
 	// single seeded stream that makes runs reproducible.
@@ -93,6 +89,4 @@ type Node interface {
 	// Handle registers the handler for a message type, replacing any
 	// previous registration.
 	Handle(msgType string, h Handler)
-	// Alive reports whether the peer is currently up.
-	Alive() bool
 }

@@ -2,6 +2,7 @@ package p2p_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,8 +71,10 @@ func TestHandleReplacesRegistration(t *testing.T) {
 // TestAfterOrderingAndCancel pins the timer contract: timers fire on the
 // node's clock in order; Stop cancels an unfired timer and is a harmless
 // no-op on the zero Timer, a second time, after the timer fired, and on a
-// handle whose record a later timer reuses; a timer armed before its node
-// fails never fires, even after the node recovers.
+// handle whose record a later timer reuses; a crash pauses the node's
+// timers: those that come due while it is down fire once when it recovers,
+// in due order, one not yet due fires on time, and one stopped while it
+// waits never fires.
 func TestAfterOrderingAndCancel(t *testing.T) {
 	sim, a, _, nw := newPair(t)
 	var fired []string
@@ -102,16 +105,28 @@ func TestAfterOrderingAndCancel(t *testing.T) {
 		t.Fatalf("fired = %v, want [old reuse]: a stale handle stopped a later timer", fired)
 	}
 
-	// Timers die with their node: one armed before Fail stays dead after
-	// Recover, while one armed after Recover fires.
+	// A crash pauses timers: down from +5 ms to +30 ms, the timers due at
+	// +20 and +10 ms fire at recovery in due order, the one stopped while
+	// it waits never does, and the one due at +40 ms fires on time.
 	fired = nil
-	a.After(10*time.Millisecond, func() { fired = append(fired, "pre-failure") })
-	nw.Fail(a.ID())
-	nw.Recover(a.ID())
-	a.After(20*time.Millisecond, func() { fired = append(fired, "post-recovery") })
+	at := map[string]time.Duration{}
+	after := func(d time.Duration, name string) p2p.Timer {
+		return a.After(d, func() { fired, at[name] = append(fired, name), sim.Now() })
+	}
+	t0 := sim.Now()
+	after(20*time.Millisecond, "second")
+	after(10*time.Millisecond, "first")
+	parked := after(15*time.Millisecond, "stopped")
+	after(40*time.Millisecond, "on-time")
+	sim.Schedule(5*time.Millisecond, func() { nw.Fail(a.ID()) })
+	sim.Schedule(25*time.Millisecond, func() { parked.Stop() })
+	sim.Schedule(30*time.Millisecond, func() { nw.Recover(a.ID()) })
 	sim.RunUntilIdle()
-	if len(fired) != 1 || fired[0] != "post-recovery" {
-		t.Fatalf("fired = %v, want [post-recovery]", fired)
+	if want := []string{"first", "second", "on-time"}; !slices.Equal(fired, want) {
+		t.Fatalf("fired = %v, want %v", fired, want)
+	}
+	if at["first"] != t0+30*time.Millisecond || at["second"] != t0+30*time.Millisecond || at["on-time"] != t0+40*time.Millisecond {
+		t.Fatalf("fired at %v, want the paused timers at recovery (+30ms) and the last at +40ms", at)
 	}
 }
 
@@ -137,8 +152,8 @@ func TestSendToFailedPeerIsDropped(t *testing.T) {
 	b.Handle("test.m", func(p2p.Node, p2p.Message) { delivered++ })
 
 	nw.Fail(b.ID())
-	if b.Alive() {
-		t.Fatalf("failed node still Alive()")
+	if nw.Alive(b.ID()) {
+		t.Fatalf("failed node still Alive")
 	}
 	a.Send(p2p.Message{Type: "test.m", To: b.ID()})
 	sim.RunUntilIdle()
@@ -147,8 +162,8 @@ func TestSendToFailedPeerIsDropped(t *testing.T) {
 	}
 
 	nw.Recover(b.ID())
-	if !b.Alive() {
-		t.Fatalf("recovered node not Alive()")
+	if !nw.Alive(b.ID()) {
+		t.Fatalf("recovered node not Alive")
 	}
 	a.Send(p2p.Message{Type: "test.m", To: b.ID()})
 	sim.RunUntilIdle()

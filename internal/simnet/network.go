@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -213,8 +214,8 @@ func (nw *Network) Node(id p2p.NodeID) p2p.Node {
 func (nw *Network) NumNodes() int { return nw.count }
 
 // Fail marks a node as crashed: in-flight and future messages to it are
-// dropped and its pending timers never fire. Handlers stay registered so the
-// node can be recovered later.
+// dropped and its timers wait for it to recover. Handlers stay registered so
+// the node can be recovered later.
 func (nw *Network) Fail(id p2p.NodeID) {
 	if n := nw.node(id); n != nil && n.alive {
 		n.alive = false
@@ -225,17 +226,20 @@ func (nw *Network) Fail(id p2p.NodeID) {
 	}
 }
 
-// Recover brings a failed node back up and tells it (p2p.MsgUp). Protocol state
-// on the node is whatever the protocol structs still hold; SpiderNet assumes
-// stateless or soft-state components (§5), so this matches the paper's model.
+// Recover brings a failed node back up. Protocol state on the node is
+// whatever the protocol structs still hold, and the timers that came due
+// while it was down fire now, in due order, so soft state (§5) expires as if
+// the node had never crashed.
 func (nw *Network) Recover(id p2p.NodeID) {
 	if n := nw.node(id); n != nil && !n.alive {
 		n.alive = true
 		if nw.trace != nil {
 			nw.trace.Emit(obs.NodeUp(nw.sim.Now(), id))
 		}
-		if h := n.handler(p2p.MsgUp); h != nil {
-			h(n, p2p.Message{Type: p2p.MsgUp, From: id, To: id})
+		for len(n.parked) > 0 && n.alive { // a timer may stop another
+			e := n.parked[0]
+			n.parked = slices.Delete(n.parked, 0, 1)
+			nw.sim.fire(e)
 		}
 	}
 }
@@ -347,7 +351,8 @@ type simNode struct {
 	id       p2p.NodeID
 	net      *Network
 	alive    bool
-	epoch    uint64 // bumped on failure; Sim.Step checks a timer's against it
+	epoch    uint64   // bumped on failure; a message in flight across it dies
+	parked   []*event // timers that came due while down, in due order
 	handlers []handlerReg
 	ctr      *obs.NodeCounters // nil unless a Registry is attached
 }
@@ -370,7 +375,6 @@ func (n *simNode) handler(msgType string) p2p.Handler {
 func (n *simNode) ID() p2p.NodeID     { return n.id }
 func (n *simNode) Now() time.Duration { return n.net.sim.Now() }
 func (n *simNode) Rand() *rand.Rand   { return n.net.rng }
-func (n *simNode) Alive() bool        { return n.alive }
 
 func (n *simNode) Handle(msgType string, h p2p.Handler) {
 	for i := range n.handlers {
@@ -396,6 +400,6 @@ func (n *simNode) Send(msg p2p.Message) {
 
 func (n *simNode) After(d time.Duration, fn func()) p2p.Timer {
 	e := n.net.sim.enqueue(d)
-	e.fn, e.node, e.epoch = fn, n, n.epoch
+	e.fn, e.node = fn, n
 	return p2p.NewTimer(e, e.gen)
 }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -113,15 +114,50 @@ func TestTimersDieWithNode(t *testing.T) {
 	}
 }
 
-func TestTimersFromBeforeFailureStayDeadAfterRecovery(t *testing.T) {
+// TestTimersDueWhileDownFireAtRecovery pins the crash model: a crash pauses
+// a node's timers. Down from 5 ms to 30 ms, the timers due at 20, 12 and
+// 10 ms fire once each at 30 ms in due order, the one a global event stops
+// while it waits never fires, nor does the one the 12 ms timer stops as it
+// fires, the one due at 40 ms fires on time, and a second crash parks the
+// 50 ms timer again.
+func TestTimersDueWhileDownFireAtRecovery(t *testing.T) {
 	nw, ns := newTestNet(1)
-	fired := false
-	ns[0].After(30*time.Millisecond, func() { fired = true })
-	nw.Sim().Schedule(5*time.Millisecond, func() { nw.Fail(0) })
-	nw.Sim().Schedule(10*time.Millisecond, func() { nw.Recover(0) })
-	nw.Sim().RunUntilIdle()
-	if fired {
-		t.Fatal("pre-failure timer fired after recovery (stale epoch)")
+	sim := nw.Sim()
+	type firing struct {
+		name string
+		at   time.Duration
+	}
+	var fired []firing
+	after := func(d time.Duration, name string) p2p.Timer {
+		return ns[0].After(d, func() { fired = append(fired, firing{name, sim.Now()}) })
+	}
+	after(20*time.Millisecond, "second")
+	after(10*time.Millisecond, "first")
+	parked := after(15*time.Millisecond, "stopped")
+	var victim p2p.Timer
+	ns[0].After(12*time.Millisecond, func() {
+		victim.Stop()
+		fired = append(fired, firing{"stopper", sim.Now()})
+	})
+	victim = after(14*time.Millisecond, "victim")
+	after(40*time.Millisecond, "on-time")
+	after(50*time.Millisecond, "down-again")
+	sim.Schedule(5*time.Millisecond, func() { nw.Fail(0) })
+	sim.Schedule(25*time.Millisecond, func() {
+		parked.Stop()
+		parked.Stop()
+	})
+	sim.Schedule(30*time.Millisecond, func() { nw.Recover(0) })
+	sim.Schedule(45*time.Millisecond, func() { nw.Fail(0) })
+	sim.Schedule(60*time.Millisecond, func() { nw.Recover(0) })
+	sim.RunUntilIdle()
+	want := []firing{{"first", 30 * time.Millisecond}, {"stopper", 30 * time.Millisecond}, {"second", 30 * time.Millisecond},
+		{"on-time", 40 * time.Millisecond}, {"down-again", 60 * time.Millisecond}}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if sim.Pending() != 0 {
+		t.Fatalf("%d events left pending", sim.Pending())
 	}
 }
 

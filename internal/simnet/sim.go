@@ -6,6 +6,7 @@ package simnet
 
 import (
 	"container/heap"
+	"slices"
 	"time"
 
 	"repro/internal/p2p"
@@ -39,12 +40,11 @@ type event struct {
 	// one of fn and call is set.
 	call func(any)
 	arg  any
-	// node, when set, armed this event as a timer in its epoch: the event
-	// fires only while the node is up in that epoch (timers die with it).
-	node  *simNode
-	epoch uint64
-	idx   int    // heap slot; -1 once fired or cancelled
-	gen   uint64 // incremented on recycle so stale handles are no-ops
+	// node, when set, armed this event as a timer: one that comes due while
+	// the node is down waits in node.parked until it recovers.
+	node *simNode
+	idx  int    // heap slot; -1 once popped (parked, fired or cancelled)
+	gen  uint64 // incremented on recycle so stale handles are no-ops
 }
 
 // NewSim returns a simulator with the clock at zero and no pending events.
@@ -98,14 +98,18 @@ func (s *Sim) enqueue(d time.Duration) *event {
 	return e
 }
 
-// Stop removes e from the queue if it is still incarnation gen, the one the
+// Stop unqueues or unparks e if it is still incarnation gen, the one the
 // handle was minted for. The generation check makes stale handles (held
 // across the event firing and its struct being reused) harmless.
 func (e *event) Stop(gen uint64) {
-	if e.gen != gen || e.idx < 0 {
+	if e.gen != gen {
 		return
 	}
-	heap.Remove(&e.sim.events, e.idx)
+	if e.idx >= 0 {
+		heap.Remove(&e.sim.events, e.idx)
+	} else {
+		e.node.parked = slices.DeleteFunc(e.node.parked, func(p *event) bool { return p == e })
+	}
 	e.sim.recycle(e)
 }
 
@@ -121,25 +125,31 @@ func (s *Sim) recycle(e *event) {
 }
 
 // Step executes the earliest pending event, advancing the clock to its
-// timestamp. A node's timer whose node failed since it was armed is dropped
-// unfired. It returns false if no events remain.
+// timestamp. A timer whose node is down is parked on the node instead, to
+// fire when it recovers. It returns false if no events remain.
 func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
 	e := heap.Pop(&s.events).(*event)
 	s.now = e.at
-	fn, call, arg := e.fn, e.call, e.arg
-	live := e.node == nil || e.node.alive && e.node.epoch == e.epoch
-	s.recycle(e)
-	switch {
-	case !live: // its node failed since arming it
-	case fn != nil:
-		fn()
-	default:
-		call(arg)
+	if e.node != nil && !e.node.alive {
+		e.node.parked = append(e.node.parked, e)
+	} else {
+		s.fire(e)
 	}
 	return true
+}
+
+// fire recycles a popped or parked event and runs its payload.
+func (s *Sim) fire(e *event) {
+	fn, call, arg := e.fn, e.call, e.arg
+	s.recycle(e)
+	if fn != nil {
+		fn()
+	} else {
+		call(arg)
+	}
 }
 
 // Run executes all events with timestamps <= until, then advances the clock

@@ -34,9 +34,11 @@ go test -race -count=1 -timeout 60s ./cmd/spidernode
 # from peer goroutine to peer goroutine, and a switchover commits across
 # them. The same short timeout turns a lost pong that hangs into a failure. Ten
 # runs, because a graph one peer refreshes while another reads it raced about
-# once in sixteen.
-echo "== live recovery: maintenance walks + switchover (-race x10, 60s timeout)"
-go test -race -count=10 -timeout 60s -run TestTestbedRecovery ./internal/livenet
+# once in sixteen. Beside it, the crash model on real time: a downed peer's
+# loop parks the timers that come due and fires them, in due order, when the
+# peer is back (its margins are tens of milliseconds, sized for 2 cores).
+echo "== live recovery: maintenance walks + switchover + paused timers (-race x10, 60s timeout)"
+go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitForRecovery' ./internal/livenet
 
 # Allocation gates: the object budgets of one composition and one recovery
 # interval, and the paths that must allocate nothing at all (route cost,
@@ -72,8 +74,9 @@ go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 # tables that stop holding each bucket's nearest member (121.6 → 173.2 ms) or
 # lookups that go on past the key's first holder to its root (153.6 ms) do; a
 # sixth, a churned run drained after its last session ended, holds what is
-# left hard-allocated and below link capacity at zero, so an allocation whose
-# lease nothing expires (a teardown a downed peer never heard) does.
+# left reserved (hard, soft or held) and below link capacity at zero and
+# wants every arrival answered, so an allocation whose lease nothing expires
+# (a teardown a downed peer never heard) or a timer a crash throws away does.
 # Beside them the DHT's completeness tests hold what a holder answers to its
 # root's items under late puts, a join that displaces a replica, replica
 # outages and an out-of-order copy, and print the stale answers left. -v
