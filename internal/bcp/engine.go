@@ -101,7 +101,8 @@ func DefaultConfig() Config {
 const (
 	// discoveryTimeout bounds each DHT lookup during the discovery phase.
 	discoveryTimeout = 2 * time.Second
-	// cacheTTL is how long a peer trusts a cached function→duplicates list.
+	// cacheTTL is the age at which a cached function→duplicates list is
+	// refreshed; an older list still answers while its refresh is out.
 	cacheTTL = 30 * time.Second
 	// maxPatterns caps the commutation-induced composition patterns
 	// explored per request.
@@ -170,7 +171,7 @@ type Engine struct {
 	pending    map[uint64]*composeState
 	soft       map[softKey]softHold
 	cache      map[string]List
-	fetching   map[string][]waiter // lookups in flight, by function
+	fetching   map[string][]waiter // lookups and refreshes in flight, by function
 
 	// Session-scoped allocations: committed components and admitted service
 	// links. Commits and bandwidth admissions are idempotent per key, and
@@ -420,7 +421,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	for _, v := range req.Variants {
 		fns = append(fns, v.Functions()...)
 	}
-	e.discoverAllCached(fns, nil, req.ID, discoveredFunc(func(table []List, ok bool) {
+	e.discoverAllCached(fns, nil, nil, req.ID, discoveredFunc(func(table []List, ok bool) {
 		st.discovery = e.host.Now() - st.started
 		if e.Trace != nil {
 			e.Trace.Emit(obs.DiscDone(e.host.Now(), e.host.ID(), req.ID, ok, st.discovery))
@@ -437,8 +438,8 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 
 // List is one function's duplicate list as a peer holds it — in its discovery
 // cache, in a resolved table, or riding a source's probe to its first hop: the
-// listing with who answered it, and until when the peer that looked it up
-// trusts it. Comps is shared by every holder and never written.
+// listing with who answered it, and when the peer that looked it up refreshes
+// it. Comps is shared by every holder and never written.
 type List struct {
 	Fn string
 	registry.Listing
@@ -483,22 +484,32 @@ type waiter struct {
 // discoverAllCached resolves function duplicate lists through the local
 // cache, falling back to concurrent DHT lookups, one in flight per function:
 // a miss on a function already being fetched — by this call, another probe or
-// another request — waits for that answer. A lookup is attributed to span (the
-// composition request that caused it) and handed straight to the peer that
-// answered this peer last, which sends only what is new (registry.DiscoverSpan),
-// else to the peer hints, when not nil, names for its function (NoNode = route
-// from scratch). next is continued once, with one entry per function in the
-// order given, or ok=false if a lookup timed out — before discoverAllCached
-// returns if the cache serves all. The table is then engine scratch, valid only
-// inside that call; a table that waited on a lookup is the resolution's own.
-func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64, next afterDiscovery) {
+// another request — waits for that answer. A cached list answers at once
+// whatever its age, and one past its expiry sends the one refresh of it
+// (refresh), unless carried — what the source's probe handed this hop (onProbe),
+// nil elsewhere — has the function's list: that one serves instead. A lookup
+// is attributed to span (the composition request that caused it) and handed to
+// the peer hints, when not nil, names for its function (NoNode = route from
+// scratch). next is continued once, with one entry per function in the order
+// given, or ok=false if a lookup timed out — before discoverAllCached returns
+// if the cache serves all. The table is then engine scratch, valid only inside
+// that call; a table that waited on a lookup is the resolution's own.
+func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []List, span uint64, next afterDiscovery) {
 	e.table = slices.Grow(e.table[:0], len(fns))[:len(fns)]
 	table := e.table
 	var st *resolution
 	hits, now := 0, e.host.Now()
 	for i, f := range fns {
-		ce, had := e.cache[f]
-		if had && ce.Expires > now {
+		if ce, had := e.cache[f]; had {
+			if ce.Expires <= now {
+				// An expired list answers at once. One the source's probe
+				// carried is the source's to refresh; any other is refreshed here.
+				if j := slices.IndexFunc(carried, func(l List) bool { return l.Fn == f }); j >= 0 {
+					ce = carried[j]
+				} else {
+					e.refresh(f, ce.Listing, span)
+				}
+			}
 			table[i] = ce
 			hits++
 			continue
@@ -518,21 +529,11 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64
 			}
 			continue
 		}
-		known := registry.Listing{Root: p2p.NoNode}
-		if had {
-			known = ce.Listing
-		} else if hints != nil {
-			known.Root = hints[i]
+		hint := p2p.NoNode
+		if hints != nil {
+			hint = hints[i]
 		}
-		if e.Ctr != nil {
-			e.Ctr.DiscLookups.Add(1)
-			if known.Root != p2p.NoNode {
-				e.Ctr.DiscHinted.Add(1)
-			}
-		}
-		e.reg.DiscoverSpan(f, span, known, discoveryTimeout, func(l registry.Listing, _ int, ok bool) {
-			e.fetched(f, l, ok)
-		})
+		e.lookup(f, registry.Listing{Root: hint}, span)
 	}
 	if e.Ctr != nil {
 		e.Ctr.DiscCacheHits.Add(int64(hits))
@@ -544,9 +545,36 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, span uint64
 	e.resolved(st)
 }
 
+// refresh renews the expired list known of function fn unless a lookup of fn
+// is already out; nobody waits on it.
+func (e *Engine) refresh(fn string, known registry.Listing, span uint64) {
+	if _, out := e.fetching[fn]; out {
+		return
+	}
+	e.fetching[fn] = nil
+	if e.Ctr != nil {
+		e.Ctr.DiscStale.Add(1)
+	}
+	e.lookup(fn, known, span)
+}
+
+// lookup sends the DHT lookup of function fn to known.Root first, which sends
+// only what is new if it answered known (registry.DiscoverSpan).
+func (e *Engine) lookup(fn string, known registry.Listing, span uint64) {
+	if e.Ctr != nil {
+		e.Ctr.DiscLookups.Add(1)
+		if known.Root != p2p.NoNode {
+			e.Ctr.DiscHinted.Add(1)
+		}
+	}
+	e.reg.DiscoverSpan(fn, span, known, discoveryTimeout, func(l registry.Listing, _ int, ok bool) {
+		e.fetched(fn, l, ok)
+	})
+}
+
 // fetched ends the lookup of function fn: an answered list is cached there and
 // then, and every resolution waiting on it gets it (or the timeout), in the
-// order they came.
+// order they came. A failed refresh leaves the expired list in place.
 func (e *Engine) fetched(fn string, l registry.Listing, ok bool) {
 	waiting := e.fetching[fn]
 	delete(e.fetching, fn)

@@ -72,8 +72,9 @@ type Probe struct {
 	Hints []Hint
 	// Lists is what the source resolved for the direct successors of CurFn,
 	// handed to the first hop so it need not ask the DHT for what the source was
-	// just told. Only a probe leaving the source has any: the receiving hop keeps
-	// what its cache lacks, for no longer than the source would, and strips them.
+	// just told. Only a probe leaving the source has any: the receiving hop is
+	// served by them where its own list expired, keeps each, under the source's
+	// expiry, where it holds nothing live or newer, and strips them.
 	Lists []List
 	// Egress is the service link from the branch's last component to the
 	// destination, recorded by the leaf on the report.
@@ -196,17 +197,19 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	pr := msg.Payload.(Probe)
 	req := pr.Req
 
-	// What the source handed along is kept where this peer holds nothing live,
-	// trusted no longer than the source would have, and rides no further.
-	for _, l := range pr.Lists {
-		if now := e.host.Now(); e.cache[l.Fn].Expires <= now && now < l.Expires {
+	// What the source handed along is kept where this peer holds nothing live
+	// or newer, under the source's expiry, serves this hop's discovery below
+	// whatever its age, and rides no further.
+	carried := pr.Lists
+	pr.Lists = nil
+	for _, l := range carried {
+		if ce := e.cache[l.Fn]; ce.Expires <= e.host.Now() && ce.Expires <= l.Expires {
 			e.cache[l.Fn] = l
 			if e.Ctr != nil {
 				e.Ctr.DiscCarried.Add(1)
 			}
 		}
 	}
-	pr.Lists = nil
 
 	// The component the probe came to examine must still be hosted here
 	// (discovery meta-data can be stale in a churning overlay).
@@ -312,7 +315,7 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		}
 		hints = append(hints, root)
 	}
-	e.discoverAllCached(names, hints, pr.ReqID, &probeHop{e: e, pr: pr, succs: succs})
+	e.discoverAllCached(names, hints, carried, pr.ReqID, &probeHop{e: e, pr: pr, succs: succs})
 }
 
 // probeHop is one probe hop waiting on the duplicate lists of its successor

@@ -34,8 +34,9 @@ type NodeCounters struct {
 	DiscCacheHits atomic.Int64 // duplicate lists served from this node's discovery cache
 	DiscHinted    atomic.Int64 // lookups handed straight to a peer a hint or an earlier answer named
 	DiscJoined    atomic.Int64 // cache misses that waited on a lookup already in flight
-	DiscCarried   atomic.Int64 // duplicate lists installed from a source's probe
+	DiscCarried   atomic.Int64 // duplicate lists from a source's probe installed where nothing live or newer was cached
 	DiscDelta     atomic.Int64 // lookups answered with only the items new since the last answer
+	DiscStale     atomic.Int64 // duplicate lists answered past their expiry, each starting the one refresh behind it
 
 	Faults atomic.Int64 // injected network faults on messages this node sent
 
@@ -77,6 +78,7 @@ type Counters struct {
 	DiscJoined    int64
 	DiscCarried   int64
 	DiscDelta     int64
+	DiscStale     int64
 
 	Faults int64
 
@@ -149,10 +151,12 @@ var CounterTable = []CounterSpec{
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscHinted }, get: func(c *Counters) *int64 { return &c.DiscHinted }},
 	{name: "disc_joined", label: "discovery lookups joined", help: "Cache misses that waited on a lookup already in flight.",
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscJoined }, get: func(c *Counters) *int64 { return &c.DiscJoined }},
-	{name: "disc_carried", label: "discovery lists carried", help: "Duplicate lists installed from a source's probe.",
+	{name: "disc_carried", label: "discovery lists carried", help: "Duplicate lists from a source's probe installed where nothing live or newer was cached.",
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscCarried }, get: func(c *Counters) *int64 { return &c.DiscCarried }},
 	{name: "disc_delta", label: "discovery lookups delta", help: "Discovery lookups answered with only the new items.",
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscDelta }, get: func(c *Counters) *int64 { return &c.DiscDelta }},
+	{name: "disc_stale", label: "discovery lists stale", help: "Duplicate lists answered past their expiry, each starting one refresh.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscStale }, get: func(c *Counters) *int64 { return &c.DiscStale }},
 	{name: "faults_injected", label: "faults injected", help: "Injected network faults on sent messages.", kinds: []string{KindNetFault},
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.Faults }, get: func(c *Counters) *int64 { return &c.Faults }},
 	{name: "fed_prepares", label: "fed prepares", help: "Federation holds prepared by gateways.", kinds: []string{KindFedPrepare},

@@ -55,6 +55,19 @@ func TestRegistryMerge(t *testing.T) {
 			}
 		}
 	}
+	// One row per field, and the newest ones under their own names.
+	if len(obs.CounterTable) != src.NumField() {
+		t.Errorf("%d counter rows for %d NodeCounters fields", len(obs.CounterTable), src.NumField())
+	}
+	for report, line := range map[string]string{
+		"/metrics":  "spidernet_disc_stale_total " + strconv.FormatInt(want["DiscStale"], 10),
+		"/snapshot": `"disc_stale":` + strconv.FormatInt(want["DiscStale"], 10),
+		"Table":     "discovery lists stale",
+	} {
+		if !strings.Contains(reports[report], line) {
+			t.Errorf("%s lacks %q", report, line)
+		}
+	}
 	if len(a.Snapshot()) != 2 || b.Node(1).MsgsSent.Load() != want["MsgsSent"] {
 		t.Error("merge must add nodes to the receiver only and leave its argument alone")
 	}

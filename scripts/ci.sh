@@ -79,11 +79,17 @@ go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 # (a teardown a downed peer never heard) or a timer a crash throws away does.
 # Beside them the DHT's completeness tests hold what a holder answers to its
 # root's items under late puts, a join that displaces a replica, replica
-# outages and an out-of-order copy, and print the stale answers left. -v
-# prints what each measured.
-echo "== discovery + maintenance message gates, collect-wait gates, lookup gate, drain gate, lookup completeness"
+# outages and an out-of-order copy, and print the stale answers left; and
+# BCP's discovery cache is held to answering an expired list at once: a source
+# composes on expired lists in the time it takes on fresh ones, with one
+# refresh per list, sent to the peer that answered it last and answered as a
+# delta, and a refresh that times out leaves the list in place — so a cache
+# that goes back to blocking on a refresh, or forgets a list whose refresh
+# failed, fails here. -v prints what each measured.
+echo "== discovery + maintenance message gates, collect-wait gates, lookup gate, drain gate, lookup completeness, stale discovery cache"
 go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|ChurnCollectWait|LookupStretch|DrainAfterChurn' -count=1 -v ./internal/cluster
 go test -run 'HoldersAnswerWithTheRootsItems|StaleAnswersNeedAPeerThatWasDown|HolderWithAGapRoutesOn' -count=1 -v ./internal/dht
+go test -run 'ExpiredListAnswersAtOnce|FailedRefreshKeepsTheList' -count=1 -v ./internal/bcp
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that
