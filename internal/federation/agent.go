@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"time"
+
 	"repro/internal/bcp"
 	"repro/internal/obs"
 	"repro/internal/p2p"
@@ -25,20 +27,33 @@ type voteMsg struct {
 	Ok    bool
 }
 
-// decideMsg carries the origin coordinator's decision for one segment.
+// decideMsg carries the origin coordinator's decision for one segment. A
+// commit also carries Ack, what the participant's acknowledgement needs.
 type decideMsg struct {
 	FedID  uint64
 	Seg    int
 	SubID  uint64
 	Commit bool
+	Ack    commitAck
 }
 
-// decidedMsg acknowledges that a commit decision was applied (Committed) or
-// arrived after the hold had already expired (not Committed).
+// commitAck is the request as the client settles it: the client to
+// acknowledge to, the segments it waits for, the domains they span and the
+// instant the coordinator sent the prepares.
+type commitAck struct {
+	Client     p2p.NodeID
+	Segs       int
+	Domains    int
+	PreparedAt time.Duration
+}
+
+// decidedMsg acknowledges to the client that a commit decision was applied
+// (Committed) or arrived after the hold had already expired (not Committed).
 type decidedMsg struct {
 	FedID     uint64
 	Seg       int
 	Committed bool
+	Ack       commitAck
 }
 
 type holdRec struct {
@@ -60,7 +75,7 @@ type Agent struct {
 
 	holds     map[uint64]holdRec // subID -> held reservation
 	committed map[uint64]bool    // subID tombstones for duplicate decides
-	seen      map[uint64]bool    // subID dedup for duplicated prepares
+	seen      map[uint64]bool    // subID dedup for duplicated prepares, until Hold after resolution
 
 	// Ledger counts this gateway's 2PC outcomes.
 	Ledger Ledger
@@ -95,6 +110,7 @@ func (a *Agent) onPrepare(_ p2p.Node, msg p2p.Message) {
 	origin := msg.From
 	a.eng.Compose(m.Sub, func(res bcp.Result) {
 		if !res.Ok {
+			a.resolved(m.SubID)
 			a.host.Send(p2p.Message{Type: MsgVote, To: origin, Size: 32,
 				Payload: voteMsg{FedID: m.FedID, Seg: m.Seg, Ok: false}})
 			return
@@ -114,6 +130,14 @@ func (a *Agent) onPrepare(_ p2p.Node, msg p2p.Message) {
 	})
 }
 
+// resolved forgets a prepare's sub-ID Hold after the prepare resolved (vote
+// no, commit, abort or expiry). A duplicated copy trails its original by link
+// jitter, far less than Hold, so the dedup set stays bounded by the prepares
+// of the last Hold plus those in flight.
+func (a *Agent) resolved(subID uint64) {
+	a.host.After(a.cfg.Hold, func() { delete(a.seen, subID) })
+}
+
 // expire is the presumed-abort path: the hold window elapsed with no
 // decision, and the engine has already torn the reservation down.
 func (a *Agent) expire(subID uint64) {
@@ -122,6 +146,7 @@ func (a *Agent) expire(subID uint64) {
 		return
 	}
 	delete(a.holds, subID)
+	a.resolved(subID)
 	a.Ledger.Expires++
 	if a.Ctr != nil {
 		a.Ctr.FedAborts.Add(1)
@@ -133,11 +158,11 @@ func (a *Agent) expire(subID uint64) {
 
 func (a *Agent) onDecide(_ p2p.Node, msg p2p.Message) {
 	m := msg.Payload.(decideMsg)
-	origin := msg.From
 	if !m.Commit {
 		if rec, ok := a.holds[m.SubID]; ok {
 			a.eng.AbortHold(m.SubID)
 			delete(a.holds, m.SubID)
+			a.resolved(m.SubID)
 			a.Ledger.Aborts++
 			if a.Ctr != nil {
 				a.Ctr.FedAborts.Add(1)
@@ -152,13 +177,13 @@ func (a *Agent) onDecide(_ p2p.Node, msg p2p.Message) {
 	if !ok {
 		// Duplicate decide for an already-committed sub-session, or a decide
 		// that lost the race against hold expiry. Re-acknowledging a
-		// committed one keeps the origin's ack collection idempotent.
-		a.host.Send(p2p.Message{Type: MsgDecided, To: origin, Size: 32,
-			Payload: decidedMsg{FedID: m.FedID, Seg: m.Seg, Committed: a.committed[m.SubID]}})
+		// committed one keeps the client's ack collection idempotent.
+		a.ack(m, a.committed[m.SubID])
 		return
 	}
 	g := a.eng.Promote(m.SubID)
 	delete(a.holds, m.SubID)
+	a.resolved(m.SubID)
 	a.committed[m.SubID] = true
 	a.Ledger.Commits++
 	if a.Ctr != nil {
@@ -174,13 +199,11 @@ func (a *Agent) onDecide(_ p2p.Node, msg p2p.Message) {
 			a.eng.Teardown(g)
 		}
 	})
-	a.host.Send(p2p.Message{Type: MsgDecided, To: origin, Size: 32,
-		Payload: decidedMsg{FedID: m.FedID, Seg: m.Seg, Committed: true}})
+	a.ack(m, true)
 }
 
-// Holds returns the number of reservations currently held awaiting a
-// decision.
-func (a *Agent) Holds() int { return len(a.holds) }
-
-// Domain returns the agent's administrative domain.
-func (a *Agent) Domain() int { return a.domain }
+// ack answers a commit decide to the request's client.
+func (a *Agent) ack(m decideMsg, committed bool) {
+	a.host.Send(p2p.Message{Type: MsgDecided, To: m.Ack.Client, Size: 32,
+		Payload: decidedMsg{FedID: m.FedID, Seg: m.Seg, Committed: committed, Ack: m.Ack}})
+}

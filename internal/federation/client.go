@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/obs"
@@ -17,8 +18,10 @@ type Result struct {
 	// (1 for a composition served entirely within one domain, 0 on failure
 	// before splitting).
 	Domains int
-	// CommitLatency is the origin coordinator's prepare-to-full-ack time on
-	// success.
+	// CommitLatency is, on success, the time from the coordinator sending the
+	// prepares to the last segment's commit acknowledgement reaching the
+	// client, read at the client from the prepare instant the
+	// acknowledgements echo.
 	CommitLatency time.Duration
 	// SetupTime is the client's request-to-outcome time.
 	SetupTime time.Duration
@@ -28,12 +31,13 @@ type clientCall struct {
 	cb    func(Result)
 	start time.Duration
 	timer p2p.Timer
+	acks  uint16 // segments that acknowledged a commit, one bit each
 }
 
 // Client is a peer's entry point into the federation: it forwards
-// compositions to its domain coordinator and delivers the outcome, with a
-// give-up timeout as the backstop against a crashed or partitioned
-// coordinator.
+// compositions to its domain coordinator and settles the outcome — ok once
+// every segment acknowledged its commit, failed on a failure result or a late
+// commit, or failed by a give-up timeout when neither comes.
 type Client struct {
 	host    p2p.Node
 	coord   p2p.NodeID
@@ -49,6 +53,7 @@ type Client struct {
 func NewClient(host p2p.Node, coord p2p.NodeID) *Client {
 	c := &Client{host: host, coord: coord, pending: make(map[uint64]*clientCall)}
 	host.Handle(MsgResult, c.onResult)
+	host.Handle(MsgDecided, c.onDecided)
 	return c
 }
 
@@ -76,8 +81,26 @@ func (c *Client) Compose(req *service.Request, cb func(Result)) {
 
 func (c *Client) onResult(_ p2p.Node, msg p2p.Message) {
 	m := msg.Payload.(resultMsg)
-	c.resolve(m.ReqID, Result{ReqID: m.ReqID, Ok: m.Ok, Domains: m.Domains,
-		CommitLatency: m.CommitLat})
+	c.resolve(m.ReqID, Result{ReqID: m.ReqID})
+}
+
+func (c *Client) onDecided(_ p2p.Node, msg p2p.Message) {
+	m := msg.Payload.(decidedMsg)
+	call, ok := c.pending[m.FedID]
+	if !ok {
+		return
+	}
+	if !m.Committed {
+		// A segment's hold expired before its commit decide arrived; the
+		// segments that did commit self-release at end of life.
+		c.resolve(m.FedID, Result{ReqID: m.FedID})
+		return
+	}
+	call.acks |= 1 << m.Seg
+	if bits.OnesCount16(call.acks) == m.Ack.Segs {
+		c.resolve(m.FedID, Result{ReqID: m.FedID, Ok: true, Domains: m.Ack.Domains,
+			CommitLatency: c.host.Now() - m.Ack.PreparedAt})
+	}
 }
 
 func (c *Client) resolve(id uint64, r Result) {
@@ -93,6 +116,3 @@ func (c *Client) resolve(id uint64, r Result) {
 	}
 	call.cb(r)
 }
-
-// Pending returns the number of requests awaiting an outcome.
-func (c *Client) Pending() int { return len(c.pending) }

@@ -24,12 +24,10 @@ type composeMsg struct {
 	Req *service.Request
 }
 
-// resultMsg is the coordinator's final outcome back to the client.
+// resultMsg tells the client its request failed: it did not split, or the
+// coordinator decided abort. A commit is the participants' to report.
 type resultMsg struct {
-	ReqID     uint64
-	Ok        bool
-	Domains   int
-	CommitLat time.Duration
+	ReqID uint64
 }
 
 // segment is one per-domain subgraph of a split request.
@@ -41,23 +39,20 @@ type segment struct {
 
 type fedState struct {
 	fedID   uint64
-	req     *service.Request
 	client  p2p.NodeID
 	segs    []segment
 	domains int // distinct domains spanned
 
 	votes     map[int]bool // segment -> vote
-	acks      map[int]bool // segment -> committed ack
-	decided   bool
 	sentAt    time.Duration
 	voteTimer p2p.Timer
-	ackTimer  p2p.Timer
 }
 
 // Coordinator is one domain's federation control point. It advertises the
 // domain's function set, splits requests originating in its domain into
 // per-domain segments along the remote-availability table, and drives the
-// two-phase commit over the segments' gateway agents.
+// two-phase commit over the segments' gateway agents. Its part of a request
+// ends at the decision: participants acknowledge a commit to the client.
 type Coordinator struct {
 	host   p2p.Node
 	domain int
@@ -91,7 +86,6 @@ func NewCoordinator(host p2p.Node, d int, plan *DomainPlan, cfg Config, localFns
 	host.Handle(MsgAdvertise, c.onAdvertise)
 	host.Handle(MsgCompose, c.onCompose)
 	host.Handle(MsgVote, c.onVote)
-	host.Handle(MsgDecided, c.onDecided)
 	return c
 }
 
@@ -135,13 +129,10 @@ func (c *Coordinator) onCompose(_ p2p.Node, msg p2p.Message) {
 		// Duplicated compose (dup fault): the first copy's round is running.
 		return
 	}
-	st := &fedState{
-		fedID: req.ID, req: req, client: msg.From,
-		votes: make(map[int]bool), acks: make(map[int]bool),
-	}
+	st := &fedState{fedID: req.ID, client: msg.From, votes: make(map[int]bool)}
 	segs, ok := c.split(req)
 	if !ok {
-		c.finish(st, false)
+		c.fail(st)
 		return
 	}
 	st.segs = segs
@@ -309,8 +300,8 @@ func (c *Coordinator) subRequest(req *service.Request, seg, dom int, fg *fgraph.
 func (c *Coordinator) onVote(_ p2p.Node, msg p2p.Message) {
 	m := msg.Payload.(voteMsg)
 	st, ok := c.pending[m.FedID]
-	if !ok || st.decided {
-		if !ok && m.Ok && c.aborted[m.FedID] {
+	if !ok {
+		if m.Ok && c.aborted[m.FedID] {
 			// Straggler yes-vote after the abort decision: release the
 			// participant's hold early rather than waiting out the window.
 			c.host.Send(p2p.Message{Type: MsgDecide, To: msg.From, Size: 32,
@@ -332,18 +323,18 @@ func (c *Coordinator) onVote(_ p2p.Node, msg p2p.Message) {
 	}
 }
 
+// decide ends the coordinator's part of a request: it sends the decision and
+// forgets the request. A commit carries what each participant's
+// acknowledgement to the client needs.
 func (c *Coordinator) decide(st *fedState, commit bool) {
-	if st.decided {
-		return
-	}
-	st.decided = true
 	st.voteTimer.Stop()
+	delete(c.pending, st.fedID)
 	if commit {
+		ack := commitAck{Client: st.client, Segs: len(st.segs), Domains: st.domains, PreparedAt: st.sentAt}
 		for i, s := range st.segs {
 			c.host.Send(p2p.Message{Type: MsgDecide, To: s.gw, Size: 32,
-				Payload: decideMsg{FedID: st.fedID, Seg: i, SubID: s.sub.ID, Commit: true}})
+				Payload: decideMsg{FedID: st.fedID, Seg: i, SubID: s.sub.ID, Commit: true, Ack: ack}})
 		}
-		st.ackTimer = c.host.After(ackTimeout, func() { c.finish(st, false) })
 		return
 	}
 	// Abort: release only the segments that voted yes; the rest hold nothing
@@ -357,39 +348,11 @@ func (c *Coordinator) decide(st *fedState, commit bool) {
 	fid := st.fedID
 	c.aborted[fid] = true
 	c.host.After(c.cfg.Hold, func() { delete(c.aborted, fid) })
-	c.finish(st, false)
+	c.fail(st)
 }
 
-func (c *Coordinator) onDecided(_ p2p.Node, msg p2p.Message) {
-	m := msg.Payload.(decidedMsg)
-	st, ok := c.pending[m.FedID]
-	if !ok {
-		return
-	}
-	if !m.Committed {
-		// A segment's hold expired before the commit decision arrived. The
-		// session cannot be established; segments that did commit are
-		// bounded leases and self-release at end of life.
-		c.finish(st, false)
-		return
-	}
-	st.acks[m.Seg] = true
-	if len(st.acks) == len(st.segs) {
-		c.finish(st, true)
-	}
-}
-
-func (c *Coordinator) finish(st *fedState, ok bool) {
-	st.voteTimer.Stop()
-	st.ackTimer.Stop()
-	delete(c.pending, st.fedID)
-	var lat time.Duration
-	if ok {
-		lat = c.host.Now() - st.sentAt
-	}
+// fail tells the request's client it failed.
+func (c *Coordinator) fail(st *fedState) {
 	c.host.Send(p2p.Message{Type: MsgResult, To: st.client, Size: 48,
-		Payload: resultMsg{ReqID: st.req.ID, Ok: ok, Domains: st.domains, CommitLat: lat}})
+		Payload: resultMsg{ReqID: st.fedID}})
 }
-
-// Pending returns the number of in-flight federated compositions.
-func (c *Coordinator) Pending() int { return len(c.pending) }

@@ -14,11 +14,11 @@ import (
 const (
 	MsgAdvertise = "fed.advertise" // coordinator -> coordinator: domain function set
 	MsgCompose   = "fed.compose"   // client -> domain coordinator: new request
-	MsgResult    = "fed.result"    // coordinator -> client: final outcome
+	MsgResult    = "fed.result"    // coordinator -> client: the request failed
 	MsgPrepare   = "fed.prepare"   // origin coordinator -> participant gateway
 	MsgVote      = "fed.vote"      // participant -> origin: prepared / refused
 	MsgDecide    = "fed.decide"    // origin -> participant: commit or abort
-	MsgDecided   = "fed.decided"   // participant -> origin: decision applied
+	MsgDecided   = "fed.decided"   // participant -> client: commit applied or too late
 )
 
 // Config is the pair of federation timers a deployment chooses, resolved
@@ -41,12 +41,9 @@ const (
 	// (sub-compositions give up after bcp's GiveUpTimeout, 10s, so this needs
 	// headroom above that).
 	voteTimeout = 12 * time.Second
-	// ackTimeout bounds the origin's wait for commit acknowledgements. A
-	// commit not fully acknowledged in time counts as a failed composition;
-	// already-committed segments still self-release at end of life.
-	ackTimeout = 5 * time.Second
-	// clientTimeout bounds a client's wait for any outcome — the backstop
-	// against a crashed or partitioned origin coordinator.
+	// clientTimeout bounds a client's wait for any outcome: a crashed or
+	// partitioned coordinator, or a commit acknowledgement that never comes,
+	// fails the request here; committed segments self-release at end of life.
 	clientTimeout = 25 * time.Second
 )
 
@@ -131,7 +128,6 @@ type Federation struct {
 	Cfg    Config
 	Coords []*Coordinator // one per domain
 	Agents []*Agent       // every gateway, domain-major order
-	agents map[p2p.NodeID]*Agent
 	trace  obs.Tracer
 }
 
@@ -139,7 +135,7 @@ type Federation struct {
 // population. Call Bootstrap afterwards (and run the simulator until idle)
 // to exchange the function advertisements.
 func New(d Deployment) *Federation {
-	f := &Federation{Plan: d.Plan, Cfg: d.Cfg, agents: make(map[p2p.NodeID]*Agent), trace: d.Trace}
+	f := &Federation{Plan: d.Plan, Cfg: d.Cfg, trace: d.Trace}
 	for dom := 0; dom < d.Plan.NumDomains; dom++ {
 		for _, gw := range d.Plan.Gateways(dom) {
 			a := NewAgent(d.Host(gw), d.Engine(gw), dom, d.Cfg)
@@ -148,7 +144,6 @@ func New(d Deployment) *Federation {
 				a.Ctr = d.Obs.Node(gw)
 			}
 			f.Agents = append(f.Agents, a)
-			f.agents[gw] = a
 		}
 		fns := append([]string(nil), d.LocalFns[dom]...)
 		sort.Strings(fns)
@@ -175,10 +170,6 @@ func (f *Federation) Bootstrap() {
 		co.Advertise()
 	}
 }
-
-// Agent returns the participant agent hosted on gateway gw, nil if gw is not
-// a gateway.
-func (f *Federation) Agent(gw p2p.NodeID) *Agent { return f.agents[gw] }
 
 // DomainLedger sums the 2PC ledgers of domain d's gateways.
 func (f *Federation) DomainLedger(d int) Ledger {

@@ -89,17 +89,20 @@ func checkTrace(t *testing.T, chk *obs.Checker, reg *obs.Registry) {
 	}
 }
 
+// composeAcross submits the two-domain request of TestCrossDomainCommit.
+// Catalogue homing is round-robin, so fn0 lives in domain 0 and fn1 in
+// domain 1: the chain must cross the boundary.
+func composeAcross(c *cluster.Cluster, cb func(federation.Result)) {
+	src := c.DomainPlan().Members[0][1] // non-gateway member of domain 0
+	c.Peers[int(src)].Fed.Compose(fedRequest(1, src, "fn0", "fn1"), cb)
+}
+
 func TestCrossDomainCommit(t *testing.T) {
 	chk, reg := obs.NewChecker(), obs.NewRegistry()
 	c := fedCluster(21, 2, 1, obs.TracerFunc(chk.Add), reg)
 
-	// Catalogue homing is round-robin, so fn0 lives in domain 0 and fn1 in
-	// domain 1: this chain must cross the boundary.
 	var got federation.Result
-	src := c.DomainPlan().Members[0][1] // non-gateway member of domain 0
-	c.Peers[int(src)].Fed.Compose(fedRequest(1, src, "fn0", "fn1"), func(r federation.Result) {
-		got = r
-	})
+	composeAcross(c, func(r federation.Result) { got = r })
 	drain(c, 0)
 
 	if !got.Ok {
@@ -129,6 +132,71 @@ func TestCrossDomainCommit(t *testing.T) {
 		t.Fatalf("%d peers left holding reservations", n)
 	}
 	checkTrace(t, chk, reg)
+}
+
+// TestDecisionOutlivesCoordinator fails the origin coordinator right after
+// the first participant applied its commit. By then the coordinator has sent
+// every decide, and the participants acknowledge to the client, so the
+// request succeeds without the coordinator and long before the client's
+// give-up timer.
+func TestDecisionOutlivesCoordinator(t *testing.T) {
+	chk := obs.NewChecker()
+	var c *cluster.Cluster
+	failed := false
+	hook := obs.TracerFunc(func(ev obs.Event) {
+		chk.Add(ev)
+		if ev.Kind == obs.KindFedCommit && !failed {
+			failed = true
+			// After the handler that emitted the commit, so the participant
+			// on the coordinator's own peer has sent its acknowledgement.
+			c.Sim.Schedule(0, func() { c.Net.Fail(c.DomainPlan().Coordinator(0)) })
+		}
+	})
+	c = fedCluster(21, 2, 1, hook, nil)
+
+	var got federation.Result
+	composeAcross(c, func(r federation.Result) { got = r })
+	drain(c, 0)
+
+	if !failed {
+		t.Fatal("no fed.commit event: the coordinator was never failed")
+	}
+	if !got.Ok || got.Domains != 2 || got.CommitLatency <= 0 {
+		t.Fatalf("result %+v, want ok over 2 domains with a positive commit latency", got)
+	}
+	if got.SetupTime >= 5*time.Second {
+		t.Fatalf("setup time %v: the client waited for a timeout", got.SetupTime)
+	}
+	if led := c.Fed.TotalLedger(); led.Prepares != 2 || led.Commits != 2 {
+		t.Fatalf("ledger %+v, want 2 prepares and 2 commits", led)
+	}
+	if n := orphanCount(c); n != 0 {
+		t.Fatalf("%d alive peers left holding reservations", n)
+	}
+	checkTrace(t, chk, nil)
+}
+
+// TestCommitWireCost counts the federation messages of one healthy
+// two-segment request: the participants acknowledge to the client, so the
+// coordinator sends no result after a commit.
+func TestCommitWireCost(t *testing.T) {
+	c := fedCluster(21, 2, 1, nil, nil)
+	ok := false
+	composeAcross(c, func(r federation.Result) { ok = r.Ok })
+	drain(c, 0)
+	if !ok {
+		t.Fatal("cross-domain composition failed on a healthy cluster")
+	}
+	byType := c.Net.Stats().ByType
+	want := map[string]int64{
+		federation.MsgCompose: 1, federation.MsgPrepare: 2, federation.MsgVote: 2,
+		federation.MsgDecide: 2, federation.MsgDecided: 2, federation.MsgResult: 0,
+	}
+	for typ, n := range want {
+		if byType[typ] != n {
+			t.Errorf("%s: %d messages, want %d", typ, byType[typ], n)
+		}
+	}
 }
 
 func TestSingleDomainStaysLocal(t *testing.T) {
@@ -245,8 +313,9 @@ func TestPartitionDuringCommit(t *testing.T) {
 }
 
 // TestCoordinatorCrashPresumedAbort kills the origin coordinator mid-window.
-// Clients fall back to their give-up timer; participant holds in the remote
-// domain expire; nothing leaks.
+// A request it decided before the crash succeeds, because the participants
+// acknowledge to the client; the others' clients fall back to their give-up
+// timer, and participant holds in the remote domain expire; nothing leaks.
 func TestCoordinatorCrashPresumedAbort(t *testing.T) {
 	chk := obs.NewChecker()
 	c := fedCluster(26, 2, 1, obs.TracerFunc(chk.Add), nil)
@@ -275,13 +344,10 @@ func TestCoordinatorCrashPresumedAbort(t *testing.T) {
 	checkTrace(t, chk, nil)
 }
 
-// TestLedgerMatchesTrace cross-checks the three federated telemetry planes on
-// a healthy multi-request run: gateway ledgers, trace events, and registry
-// counters must agree.
-func TestLedgerMatchesTrace(t *testing.T) {
-	mem, chk, reg := &obs.MemSink{}, obs.NewChecker(), obs.NewRegistry()
-	c := fedCluster(27, 3, 2, obs.MultiTracer{mem, obs.TracerFunc(chk.Add)}, reg)
-
+// ledgerWorkload schedules eight three-function requests over three domains,
+// one every 2 s, and returns the cluster they run on.
+func ledgerWorkload(trace obs.Tracer, reg *obs.Registry) *cluster.Cluster {
+	c := fedCluster(27, 3, 2, trace, reg)
 	for i := 0; i < 8; i++ {
 		id := uint64(70 + i)
 		dom := i % 3
@@ -292,6 +358,15 @@ func TestLedgerMatchesTrace(t *testing.T) {
 			c.Peers[int(src)].Fed.Compose(fedRequest(id, src, fns...), func(federation.Result) {})
 		})
 	}
+	return c
+}
+
+// TestLedgerMatchesTrace cross-checks the three federated telemetry planes on
+// a healthy multi-request run: gateway ledgers, trace events, and registry
+// counters must agree.
+func TestLedgerMatchesTrace(t *testing.T) {
+	mem, chk, reg := &obs.MemSink{}, obs.NewChecker(), obs.NewRegistry()
+	c := ledgerWorkload(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)}, reg)
 	drain(c, 16*time.Second)
 
 	var prep, commit, abort int64
@@ -334,5 +409,34 @@ func TestLedgerMatchesTrace(t *testing.T) {
 	checkTrace(t, chk, reg)
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d peers left holding reservations", n)
+	}
+}
+
+// TestPrepareDedupForgets holds the agents' prepare dedup sets bounded: an
+// entry stays while its prepare may still see a duplicated copy and goes
+// Hold after the prepare resolved, so a drained cluster keeps none.
+func TestPrepareDedupForgets(t *testing.T) {
+	c := ledgerWorkload(nil, nil)
+	seen := func() int {
+		n := 0
+		for _, a := range c.Fed.Agents {
+			n += a.SeenCount()
+		}
+		return n
+	}
+	// The last request arrives at 14 s and resolves within a few seconds;
+	// the test's Hold is 10 s.
+	c.Sim.Run(16 * time.Second)
+	if n := seen(); n == 0 {
+		t.Fatal("no prepare remembered while its duplicates may still arrive")
+	}
+	drain(c, 16*time.Second)
+	if led := c.Fed.TotalLedger(); led.Prepares == 0 {
+		t.Fatal("workload drove no prepares")
+	}
+	for i, a := range c.Fed.Agents {
+		if n := a.SeenCount(); n != 0 {
+			t.Errorf("gateway agent %d keeps %d prepare sub-IDs after the drain", i, n)
+		}
 	}
 }

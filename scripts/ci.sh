@@ -249,8 +249,14 @@ cmp "$tmp/fc1.jsonl" "$tmp/fc2.jsonl"
 # of a federated run. After the heal and a full lease drain the run must show
 # zero hung compositions and zero orphaned reservations (-check enforces
 # both, plus the 2PC lifecycle trace invariant), and the fault plane must
-# stay deterministic: same seed, byte-identical trace.
-echo "== federation chaos gate (domain partition during commit)"
+# stay deterministic: same seed, byte-identical trace. Beside it, the commit's
+# acknowledgement path: participants acknowledge a commit to the client, so a
+# request decided before its coordinator crashes still succeeds, a committed
+# two-segment request costs no fed.result, and the gateways' prepare dedup
+# sets are empty after a drain — a relay through the coordinator, or a dedup
+# entry nothing forgets, fails here.
+echo "== federation chaos gate (domain partition during commit, commit acknowledgements, prepare dedup)"
+go test -run 'TestDecisionOutlivesCoordinator|TestCommitWireCost|TestPrepareDedupForgets' -count=1 -v ./internal/federation
 "$tmp/spidersim" -seed 7 -ipnodes 400 -peers 60 -functions 12 -requests 40 \
     -duration 60s -domains "domains=3,gateways=2,hold=8s,life=8s" \
     -faults "partition=20s@15s,seed=4" -check -trace "$tmp/d1.jsonl" > /dev/null
