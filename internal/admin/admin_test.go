@@ -61,11 +61,12 @@ func TestMetricsExposition(t *testing.T) {
 		`spidernet_disc_hinted_total{node="5"} 15`,
 		"spidernet_disc_joined_total 176",
 		`spidernet_disc_carried_total{node="5"} 17`,
-		"spidernet_disc_delta_total 198",
-		"spidernet_disc_stale_total 209",
+		"spidernet_disc_carried_short_total 198",
+		"spidernet_disc_delta_total 209",
+		"spidernet_disc_stale_total 220",
 		"spidernet_probes_credited_total 88",
 		"spidernet_probes_shed_total 121",
-		`spidernet_fed_aborts_total{node="3"} 230`,
+		`spidernet_fed_aborts_total{node="3"} 240`,
 		"# TYPE spidernet_setup_latency_ms histogram",
 		"spidernet_setup_latency_ms_count 2",
 		"spidernet_setup_latency_ms_sum 43",

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fgraph"
 	"repro/internal/media"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -111,18 +112,51 @@ func TestComposeUnknownFunctionFailsFast(t *testing.T) {
 	}
 }
 
+// TestComposeInvalidRequestRejected: a request Validate refuses — a zero
+// budget, no function graph at all — fails at once, traced or not, and a
+// traced engine records it as a composition of no functions that failed.
 func TestComposeInvalidRequestRejected(t *testing.T) {
-	c := cluster.New(cluster.Options{Seed: 10, Peers: 40, Catalog: catalog(6)})
-	req := req3(c, 4, 0) // zero budget
-	called := false
-	c.Peers[0].Engine.Compose(req, func(r bcp.Result) {
-		called = true
-		if r.Ok {
-			t.Error("invalid request accepted")
+	for _, traced := range []bool{false, true} {
+		chk, mem := obs.NewChecker(), &obs.MemSink{}
+		opts := cluster.Options{Seed: 10, Peers: 40, Catalog: catalog(6)}
+		if traced {
+			opts.Trace = obs.TracerFunc(func(ev obs.Event) { mem.Emit(ev); chk.Add(ev) })
 		}
-	})
-	if !called {
-		t.Fatal("callback must fire synchronously for invalid requests")
+		c := cluster.New(opts)
+		noGraph := req3(c, 5, 8)
+		noGraph.FGraph = nil
+		for _, req := range []*service.Request{req3(c, 4, 0), noGraph} {
+			called := false
+			c.Peers[0].Engine.Compose(req, func(r bcp.Result) {
+				called = true
+				if r.Ok {
+					t.Errorf("traced=%v: invalid request %d accepted", traced, req.ID)
+				}
+			})
+			if !called {
+				t.Fatalf("traced=%v: callback must fire synchronously for invalid request %d", traced, req.ID)
+			}
+		}
+		if !traced {
+			continue
+		}
+		starts, fails := map[uint64]int{}, map[uint64]int{}
+		for _, ev := range mem.Events() {
+			switch {
+			case ev.Kind == obs.KindComposeStart && ev.Hops == 0:
+				starts[ev.Req]++
+			case ev.Kind == obs.KindComposeDone && ev.Note == "fail":
+				fails[ev.Req]++
+			}
+		}
+		for _, id := range []uint64{4, 5} {
+			if starts[id] != 1 || fails[id] != 1 {
+				t.Errorf("request %d traced %d starts of no functions and %d failed ends, want one each", id, starts[id], fails[id])
+			}
+		}
+		for _, v := range chk.Finish() {
+			t.Errorf("invariant: %s", v)
+		}
 	}
 }
 

@@ -172,6 +172,9 @@ type Engine struct {
 	soft       map[softKey]softHold
 	cache      map[string]List
 	fetching   map[string][]waiter // lookups and refreshes in flight, by function
+	// handed is what of each function's list this engine's probes have
+	// handed each first-hop peer (hand): at most peers × functions entries.
+	handed map[handKey]handedList
 
 	// Session-scoped allocations: committed components and admitted service
 	// links. Commits and bandwidth admissions are idempotent per key, and
@@ -228,6 +231,7 @@ type Engine struct {
 	next  nextHops
 	sel   selection
 	table []List
+	carry []List // the lists a probe carried, rebuilt (rebuilt)
 
 	// Hardening state (touched only when cfg.ProbeAckTimeout > 0, except
 	// doneReqs, which also guards against duplicated results): retransmit
@@ -330,6 +334,7 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 		pending:    make(map[uint64]*composeState),
 		soft:       make(map[softKey]softHold),
 		cache:      make(map[string]List),
+		handed:     make(map[handKey]handedList),
 		fetching:   make(map[string][]waiter),
 		allocs:     make(map[allocKey]alloc),
 		renewed:    make(map[uint64]renewal),
@@ -377,10 +382,14 @@ func (e *Engine) LocalComponent(id string) (service.Component, bool) {
 // composition probing, (3) destination-side optimal selection, (4)
 // reverse-path session setup.
 func (e *Engine) Compose(req *service.Request, cb func(Result)) {
+	err := req.Validate() // first: a rejected request may have no graph
 	if e.Trace != nil || e.Met != nil {
 		if e.Trace != nil {
-			e.Trace.Emit(obs.ComposeStart(e.host.Now(), e.host.ID(), req.ID,
-				req.FGraph.NumFunctions(), req.Budget))
+			fns := 0
+			if err == nil {
+				fns = req.FGraph.NumFunctions()
+			}
+			e.Trace.Emit(obs.ComposeStart(e.host.Now(), e.host.ID(), req.ID, fns, req.Budget))
 		}
 		inner := cb
 		cb = func(res Result) {
@@ -397,7 +406,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 			inner(res)
 		}
 	}
-	if err := req.Validate(); err != nil {
+	if err != nil {
 		cb(Result{ReqID: req.ID, Ok: false})
 		return
 	}
@@ -439,11 +448,27 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 // List is one function's duplicate list as a peer holds it — in its discovery
 // cache, in a resolved table, or riding a source's probe to its first hop: the
 // listing with who answered it, and when the peer that looked it up refreshes
-// it. Comps is shared by every holder and never written.
+// it. Comps is shared by every holder and never written. On a probe, Base is
+// how many leading items the source handed this hop before, and Comps only the
+// tail past them (0 and the whole list elsewhere).
 type List struct {
 	Fn string
 	registry.Listing
 	Expires time.Duration
+	Base    int
+}
+
+// handKey names a function's list as handed to one first-hop peer;
+// handedList is how many of its items were, from which answering peer's
+// listing.
+type handKey struct {
+	peer p2p.NodeID
+	fn   string
+}
+
+type handedList struct {
+	root  p2p.NodeID
+	items int
 }
 
 // entryOf returns table's entry for function fn.

@@ -72,9 +72,11 @@ type Probe struct {
 	Hints []Hint
 	// Lists is what the source resolved for the direct successors of CurFn,
 	// handed to the first hop so it need not ask the DHT for what the source was
-	// just told. Only a probe leaving the source has any: the receiving hop is
-	// served by them where its own list expired, keeps each, under the source's
-	// expiry, where it holds nothing live or newer, and strips them.
+	// just told. Only a probe leaving the source has any, and of each list only
+	// the tail past what the source handed that peer before (List.Base; hand).
+	// The receiving hop rebuilds each from its own entry (rebuilt), is served by
+	// them where its own list expired, keeps each, under the source's expiry,
+	// where it holds nothing live or newer, and strips them.
 	Lists []List
 	// Egress is the service link from the branch's last component to the
 	// destination, recorded by the leaf on the report.
@@ -140,7 +142,8 @@ const (
 	probeListSize   = 16 // function key, answering peer, item count, expiry
 )
 
-func probeSize(p Probe) int {
+// ProbeSize is the modelled wire size of probe p, which its message carries.
+func ProbeSize(p Probe) int {
 	size := probeBaseSize + probePerHopSize*len(p.Visited) + probeHintSize*len(p.Hints)
 	for _, l := range p.Lists {
 		size += probeListSize + dht.ItemSize*len(l.Comps)
@@ -148,17 +151,52 @@ func probeSize(p Probe) int {
 	return size
 }
 
-// carried returns the lists a probe bound for the predecessor of pattern g's
-// functions succs takes along from table, the source's own resolution (nil at
-// every later hop, which has only the list of the function it sends to).
-func carried(g *fgraph.Graph, succs []int, table []List) []List {
-	var lists []List
+// hand appends to dst the lists a probe bound for peer, the predecessor of
+// pattern g's functions succs, takes along from table, the source's own
+// resolution (nil at every later hop, which has only the list of the function
+// it sends to): each past the items this engine's probes already handed peer
+// (Base), or whole where the list is no longer what was handed — shorter, or
+// answered by another peer. It records peer as holding all of each.
+func (e *Engine) hand(dst []List, peer p2p.NodeID, g *fgraph.Graph, succs []int, table []List) []List {
 	for _, s := range succs {
-		if l := entryOf(table, g.Function(s)); l.Root != p2p.NoNode {
-			lists = append(lists, l)
+		l := entryOf(table, g.Function(s))
+		if l.Root == p2p.NoNode {
+			continue
 		}
+		k := handKey{peer: peer, fn: l.Fn}
+		if h := e.handed[k]; h.root == l.Root && h.items <= len(l.Comps) {
+			l.Base, l.Comps = h.items, l.Comps[h.items:]
+		}
+		e.handed[k] = handedList{root: l.Root, items: l.Base + len(l.Comps)}
+		dst = append(dst, l)
 	}
-	return lists
+	return dst
+}
+
+// rebuilt returns the lists a probe carried as the source holds them, in
+// engine scratch: each tail after the first Base items of this peer's own
+// entry, which an earlier probe handed it — stores only append (DESIGN.md
+// "Delta"). A list of which this peer holds fewer than Base items is left out,
+// and the hop served as if it had not been carried. lists, which siblings and
+// retransmitted copies share, is never written.
+func (e *Engine) rebuilt(lists []List) []List {
+	out := e.carry[:0]
+	for _, l := range lists {
+		if l.Base > 0 {
+			have := e.cache[l.Fn].Comps
+			if len(have) < l.Base {
+				if e.Ctr != nil {
+					e.Ctr.DiscCarriedShort.Add(1)
+				}
+				continue
+			}
+			// Clipped, so a tail is copied on append and an empty one costs nothing.
+			l.Comps, l.Base = append(have[:l.Base:l.Base], l.Comps...), 0
+		}
+		out = append(out, l)
+	}
+	e.carry = out
+	return out
 }
 
 // lastComp returns the most recently visited component, nil at the source.
@@ -200,7 +238,7 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	// What the source handed along is kept where this peer holds nothing live
 	// or newer, under the source's expiry, serves this hop's discovery below
 	// whatever its age, and rides no further.
-	carried := pr.Lists
+	carried := e.rebuilt(pr.Lists)
 	pr.Lists = nil
 	for _, l := range carried {
 		if ce := e.cache[l.Fn]; ce.Expires <= e.host.Now() && ce.Expires <= l.Expires {
@@ -291,13 +329,13 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		}
 		if e.Trace != nil {
 			e.Trace.Emit(obs.ProbeReturned(e.host.Now(), e.host.ID(), pr.ReqID,
-				req.Dest, len(pr.Visited), probeSize(pr), pr.UID))
+				req.Dest, len(pr.Visited), ProbeSize(pr), pr.UID))
 		}
 		if e.Met != nil {
 			e.Met.ProbeHops.Observe(float64(len(pr.Visited)))
 		}
 		e.sendReliable(p2p.Message{Type: MsgReport, To: req.Dest,
-			Size: probeSize(pr), Payload: pr, UID: pr.UID}, pr.ReqID, pr.UID)
+			Size: ProbeSize(pr), Payload: pr, UID: pr.UID}, pr.ReqID, pr.UID)
 		return
 	}
 
@@ -488,7 +526,7 @@ func (e *Engine) planNext(pr *Probe, nextFns []int, table []List) int {
 // and emit new probes, splitting pr's termination credit exactly over them.
 // table holds one entry per next-hop function, in order; carry is everything
 // the source resolved, for its probes to take their successors' lists from
-// (carried), nil at later hops. It returns true if at least one probe was sent.
+// (hand), nil at later hops. It returns true if at least one probe was sent.
 func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 	// The credit split needs the number of children before the first one
 	// leaves.
@@ -506,11 +544,17 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 			newBudget = 1
 		}
 		succs := pr.Pattern.Successors(nf.fn)
-		below, lists := hintsFrom(pr.Hints, succs), carried(pr.Pattern, succs, carry)
+		below := hintsFrom(pr.Hints, succs)
+		var sent []List // every child's lists, end to end
+		if carry != nil {
+			sent = make([]List, 0, nf.probes*len(succs))
+		}
 		for _, c := range e.pickNextHop(e.next.elig[nf.lo:nf.hi], nf.probes, pr.Req) {
 			// The child shares pr's Visited slice; see Probe.Visited.
 			np := *pr
-			np.Hints, np.Lists = below, lists
+			at := len(sent)
+			sent = e.hand(sent, c.Peer, pr.Pattern, succs, carry)
+			np.Hints, np.Lists = below, slices.Clip(sent[at:])
 			np.Budget = newBudget
 			np.Credit = creditShare(pr.Credit, children, emitted)
 			emitted++
@@ -530,7 +574,7 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 				e.Met.ProbeBudget.Observe(float64(newBudget))
 			}
 			e.sendReliable(p2p.Message{Type: MsgProbe, To: c.Peer,
-				Size: probeSize(np), Payload: np, UID: np.UID}, pr.ReqID, np.UID)
+				Size: ProbeSize(np), Payload: np, UID: np.UID}, pr.ReqID, np.UID)
 		}
 	}
 	return true

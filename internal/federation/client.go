@@ -61,13 +61,20 @@ func NewClient(host p2p.Node, coord p2p.NodeID) *Client {
 // on this peer, with the outcome — a coordinator that never answers resolves
 // as a failure after the client timeout.
 func (c *Client) Compose(req *service.Request, cb func(Result)) {
-	if err := req.Validate(); err != nil {
+	err := req.Validate()
+	if c.Trace != nil {
+		fns := 0
+		if err == nil {
+			fns = req.FGraph.NumFunctions()
+		}
+		c.Trace.Emit(obs.ComposeStart(c.host.Now(), c.host.ID(), req.ID, fns, req.Budget))
+	}
+	if err != nil {
+		if c.Trace != nil {
+			c.Trace.Emit(obs.ComposeDone(c.host.Now(), c.host.ID(), req.ID, false, 0))
+		}
 		cb(Result{ReqID: req.ID})
 		return
-	}
-	if c.Trace != nil {
-		c.Trace.Emit(obs.ComposeStart(c.host.Now(), c.host.ID(), req.ID,
-			req.FGraph.NumFunctions(), req.Budget))
 	}
 	call := &clientCall{cb: cb, start: c.host.Now()}
 	c.pending[req.ID] = call

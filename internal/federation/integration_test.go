@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bcp"
 	"repro/internal/cluster"
+	"repro/internal/dht"
 	"repro/internal/federation"
 	"repro/internal/fgraph"
 	"repro/internal/obs"
@@ -199,6 +201,45 @@ func TestCommitWireCost(t *testing.T) {
 	}
 }
 
+// TestGatewayHandsItsListsOnce: two requests split alike, one after the
+// other, so one gateway per domain composes a two-function segment twice. The
+// second time its probes carry none of the items of the lists the first
+// handed their first hops, so the second request's probe bytes are lower by
+// at least every duplicate of each segment's second function.
+func TestGatewayHandsItsListsOnce(t *testing.T) {
+	c := fedCluster(21, 2, 1, nil, nil)
+	src := c.DomainPlan().Members[0][1]
+	// fn0 and fn2 home in domain 0, fn1 and fn3 in domain 1.
+	probeBytes := func(id uint64) int64 {
+		t.Helper()
+		before, ok := c.Net.Stats().BytesByType[bcp.MsgProbe], false
+		c.Peers[int(src)].Fed.Compose(fedRequest(id, src, "fn0", "fn2", "fn1", "fn3"), func(r federation.Result) {
+			ok = r.Ok && r.Domains == 2
+		})
+		drain(c, 0)
+		if !ok {
+			t.Fatalf("request %d did not compose over both domains", id)
+		}
+		return c.Net.Stats().BytesByType[bcp.MsgProbe] - before
+	}
+	first, second := probeBytes(1), probeBytes(2)
+	items := 0
+	for dom, fn := range []string{"fn2", "fn3"} {
+		for _, p := range c.DomainPlan().Members[dom] {
+			for _, comp := range c.Peers[int(p)].Engine.LocalComponents() {
+				if comp.Function == fn {
+					items++
+				}
+			}
+		}
+	}
+	t.Logf("probe bytes %d, then %d; %d items handed", first, second, items)
+	if want := int64(items * dht.ItemSize); items == 0 || first-second < want {
+		t.Fatalf("probe bytes %d, then %d: want a drop of at least %d, the %d items of the lists handed",
+			first, second, want, items)
+	}
+}
+
 func TestSingleDomainStaysLocal(t *testing.T) {
 	chk := obs.NewChecker()
 	c := fedCluster(22, 2, 1, obs.TracerFunc(chk.Add), nil)
@@ -247,6 +288,48 @@ func TestMissingFunctionFailsFast(t *testing.T) {
 	}
 	if led := c.Fed.TotalLedger(); led.Prepares != 0 {
 		t.Fatalf("failed split still prepared: %+v", led)
+	}
+	checkTrace(t, chk, nil)
+}
+
+// TestInvalidRequestRejected: a request Validate refuses — no function graph,
+// a zero budget — fails on the client at once, before anything is sent, and
+// the trace records it as a composition of no functions that failed.
+func TestInvalidRequestRejected(t *testing.T) {
+	chk, mem := obs.NewChecker(), &obs.MemSink{}
+	c := fedCluster(23, 2, 1, obs.TracerFunc(func(ev obs.Event) { mem.Emit(ev); chk.Add(ev) }), nil)
+	src := c.DomainPlan().Members[0][1]
+	noGraph, noBudget := fedRequest(7, src, "fn0"), fedRequest(8, src, "fn0", "fn1")
+	noGraph.FGraph, noBudget.Budget = nil, 0
+	for _, req := range []*service.Request{noGraph, noBudget} {
+		called := false
+		c.Peers[int(src)].Fed.Compose(req, func(r federation.Result) {
+			called = true
+			if r.Ok || r.ReqID != req.ID {
+				t.Errorf("invalid request %d: result %+v", req.ID, r)
+			}
+		})
+		if !called {
+			t.Fatalf("callback must fire synchronously for invalid request %d", req.ID)
+		}
+	}
+	drain(c, 0)
+	if n := c.Net.Stats().ByType[federation.MsgCompose]; n != 0 {
+		t.Errorf("%d compose messages sent for invalid requests", n)
+	}
+	starts, fails := map[uint64]int{}, map[uint64]int{}
+	for _, ev := range mem.Events() {
+		switch {
+		case ev.Kind == obs.KindComposeStart && ev.Hops == 0:
+			starts[ev.Req]++
+		case ev.Kind == obs.KindComposeDone && ev.Note == "fail":
+			fails[ev.Req]++
+		}
+	}
+	for _, id := range []uint64{7, 8} {
+		if starts[id] != 1 || fails[id] != 1 {
+			t.Errorf("request %d traced %d starts of no functions and %d failed ends, want one each", id, starts[id], fails[id])
+		}
 	}
 	checkTrace(t, chk, nil)
 }

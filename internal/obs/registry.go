@@ -29,14 +29,15 @@ type NodeCounters struct {
 	ProbesRetx     atomic.Int64 // per-hop probe retransmits (same PID, no budget)
 	ProbesShed     atomic.Int64 // probes declined by overload shedding (util over threshold)
 
-	DHTHops       atomic.Int64 // DHT messages this node forwarded
-	DiscLookups   atomic.Int64 // discovery lookups this node issued (gets actually sent)
-	DiscCacheHits atomic.Int64 // duplicate lists served from this node's discovery cache
-	DiscHinted    atomic.Int64 // lookups handed straight to a peer a hint or an earlier answer named
-	DiscJoined    atomic.Int64 // cache misses that waited on a lookup already in flight
-	DiscCarried   atomic.Int64 // duplicate lists from a source's probe installed where nothing live or newer was cached
-	DiscDelta     atomic.Int64 // lookups answered with only the items new since the last answer
-	DiscStale     atomic.Int64 // duplicate lists answered past their expiry, each starting the one refresh behind it
+	DHTHops          atomic.Int64 // DHT messages this node forwarded
+	DiscLookups      atomic.Int64 // discovery lookups this node issued (gets actually sent)
+	DiscCacheHits    atomic.Int64 // duplicate lists served from this node's discovery cache
+	DiscHinted       atomic.Int64 // lookups handed straight to a peer a hint or an earlier answer named
+	DiscJoined       atomic.Int64 // cache misses that waited on a lookup already in flight
+	DiscCarried      atomic.Int64 // duplicate lists from a source's probe, whole or rebuilt from a tail, installed where nothing live or newer was cached
+	DiscCarriedShort atomic.Int64 // carried list tails a hop held too few items to rebuild
+	DiscDelta        atomic.Int64 // lookups answered with only the items new since the last answer
+	DiscStale        atomic.Int64 // duplicate lists answered past their expiry, each starting the one refresh behind it
 
 	Faults atomic.Int64 // injected network faults on messages this node sent
 
@@ -71,14 +72,15 @@ type Counters struct {
 	ProbesRetx     int64
 	ProbesShed     int64
 
-	DHTHops       int64
-	DiscLookups   int64
-	DiscCacheHits int64
-	DiscHinted    int64
-	DiscJoined    int64
-	DiscCarried   int64
-	DiscDelta     int64
-	DiscStale     int64
+	DHTHops          int64
+	DiscLookups      int64
+	DiscCacheHits    int64
+	DiscHinted       int64
+	DiscJoined       int64
+	DiscCarried      int64
+	DiscCarriedShort int64
+	DiscDelta        int64
+	DiscStale        int64
 
 	Faults int64
 
@@ -151,8 +153,10 @@ var CounterTable = []CounterSpec{
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscHinted }, get: func(c *Counters) *int64 { return &c.DiscHinted }},
 	{name: "disc_joined", label: "discovery lookups joined", help: "Cache misses that waited on a lookup already in flight.",
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscJoined }, get: func(c *Counters) *int64 { return &c.DiscJoined }},
-	{name: "disc_carried", label: "discovery lists carried", help: "Duplicate lists from a source's probe installed where nothing live or newer was cached.",
+	{name: "disc_carried", label: "discovery lists carried", help: "Duplicate lists from a source's probe, whole or rebuilt from a tail, installed where nothing live or newer was cached.",
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscCarried }, get: func(c *Counters) *int64 { return &c.DiscCarried }},
+	{name: "disc_carried_short", label: "discovery tails short", help: "Carried list tails a hop could not rebuild: it held fewer items than the source had handed it.",
+		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscCarriedShort }, get: func(c *Counters) *int64 { return &c.DiscCarriedShort }},
 	{name: "disc_delta", label: "discovery lookups delta", help: "Discovery lookups answered with only the new items.",
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DiscDelta }, get: func(c *Counters) *int64 { return &c.DiscDelta }},
 	{name: "disc_stale", label: "discovery lists stale", help: "Duplicate lists answered past their expiry, each starting one refresh.",

@@ -60,9 +60,9 @@ func TestRegistryMerge(t *testing.T) {
 		t.Errorf("%d counter rows for %d NodeCounters fields", len(obs.CounterTable), src.NumField())
 	}
 	for report, line := range map[string]string{
-		"/metrics":  "spidernet_disc_stale_total " + strconv.FormatInt(want["DiscStale"], 10),
-		"/snapshot": `"disc_stale":` + strconv.FormatInt(want["DiscStale"], 10),
-		"Table":     "discovery lists stale",
+		"/metrics":  "spidernet_disc_carried_short_total " + strconv.FormatInt(want["DiscCarriedShort"], 10),
+		"/snapshot": `"disc_carried_short":` + strconv.FormatInt(want["DiscCarriedShort"], 10),
+		"Table":     "discovery tails short",
 	} {
 		if !strings.Contains(reports[report], line) {
 			t.Errorf("%s lacks %q", report, line)

@@ -5,12 +5,14 @@ import (
 	"encoding/gob"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/bcp"
 	"repro/internal/dht"
 	"repro/internal/fgraph"
 	"repro/internal/p2p"
 	"repro/internal/qos"
+	"repro/internal/registry"
 	"repro/internal/service"
 )
 
@@ -79,7 +81,7 @@ func TestRegisterAllRoundTrip(t *testing.T) {
 // TestProbeRoundTrip: a probe's branch record — each hop with the service
 // link it arrived over, and the leaf's egress link — is what selection
 // rebuilds service graphs from at the destination, so all of it must cross
-// the wire.
+// the wire, as must a carried list's tail and the count it follows.
 func TestProbeRoundTrip(t *testing.T) {
 	RegisterAll()
 	fg := fgraph.Linear("x", "y")
@@ -96,6 +98,9 @@ func TestProbeRoundTrip(t *testing.T) {
 		CurFn: 1, CurCompID: "c1",
 		Visited: []bcp.Hop{hop(0, "c0"), hop(1, "c1")},
 		Egress:  service.LinkSnapshot{FromFn: 1, ToFn: -1, BandAvail: 640, Latency: 3},
+		// A list's tail past the items the hop was handed before.
+		Lists: []bcp.List{{Fn: "y", Listing: registry.Listing{Comps: []service.Component{hop(1, "c3").Snap.Comp}, Root: 5, Held: 3},
+			Expires: 31 * time.Second, Base: 2}},
 	}
 	probe.QoS[qos.Delay] = 41.5
 	got, ok := roundTrip(t, probe).(bcp.Probe)

@@ -85,11 +85,17 @@ go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 # refresh per list, sent to the peer that answered it last and answered as a
 # delta, and a refresh that times out leaves the list in place — so a cache
 # that goes back to blocking on a refresh, or forgets a list whose refresh
-# failed, fails here. -v prints what each measured.
-echo "== discovery + maintenance message gates, collect-wait gates, lookup gate, drain gate, lookup completeness, stale discovery cache"
+# failed, fails here. A source hands each first-hop peer a list once: a
+# second probe through the same hop carries none of its items, one after the
+# root gained an item carries exactly that item, the hop rebuilds the source's
+# list every time, and a hop that never got the first probe counts the tail
+# short, looks the function up at the hinted peer and composes — so probes
+# that carry whole lists again, or a hop that trusts a tail it cannot rebuild,
+# fail here. -v prints what each measured.
+echo "== discovery + maintenance message gates, collect-wait gates, lookup gate, drain gate, lookup completeness, stale discovery cache, carried tails"
 go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|ChurnCollectWait|LookupStretch|DrainAfterChurn' -count=1 -v ./internal/cluster
 go test -run 'HoldersAnswerWithTheRootsItems|StaleAnswersNeedAPeerThatWasDown|HolderWithAGapRoutesOn' -count=1 -v ./internal/dht
-go test -run 'ExpiredListAnswersAtOnce|FailedRefreshKeepsTheList' -count=1 -v ./internal/bcp
+go test -run 'ExpiredListAnswersAtOnce|FailedRefreshKeepsTheList|SecondProbeCarriesOnlyTheTail|ShortHopIgnoresTheTail|HandRestartsWhenTheListChanges' -count=1 -v ./internal/bcp
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that
@@ -254,9 +260,12 @@ cmp "$tmp/fc1.jsonl" "$tmp/fc2.jsonl"
 # request decided before its coordinator crashes still succeeds, a committed
 # two-segment request costs no fed.result, and the gateways' prepare dedup
 # sets are empty after a drain — a relay through the coordinator, or a dedup
-# entry nothing forgets, fails here.
-echo "== federation chaos gate (domain partition during commit, commit acknowledgements, prepare dedup)"
-go test -run 'TestDecisionOutlivesCoordinator|TestCommitWireCost|TestPrepareDedupForgets' -count=1 -v ./internal/federation
+# entry nothing forgets, fails here. A gateway that composes a segment a
+# second time hands its first hops no list items they were handed before, so
+# the second request's probe bytes drop by at least those items (-v prints
+# both totals).
+echo "== federation chaos gate (domain partition during commit, commit acknowledgements, prepare dedup, lists handed once)"
+go test -run 'TestDecisionOutlivesCoordinator|TestCommitWireCost|TestPrepareDedupForgets|TestGatewayHandsItsListsOnce' -count=1 -v ./internal/federation
 "$tmp/spidersim" -seed 7 -ipnodes 400 -peers 60 -functions 12 -requests 40 \
     -duration 60s -domains "domains=3,gateways=2,hold=8s,life=8s" \
     -faults "partition=20s@15s,seed=4" -check -trace "$tmp/d1.jsonl" > /dev/null
