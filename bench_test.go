@@ -422,8 +422,9 @@ func BenchmarkSimEventDispatch(b *testing.B) {
 // BenchmarkTopologyPaperScale generates the paper's full 10,000-node IP
 // network and builds a 1,000-peer overlay on it — mesh search plus latency
 // matrix, the construction cost every -paper experiment and the steady
-// workload's setup pay up front. The edge-set index, the truncated mesh
-// searches and the batched peer-pair sweep keep this well under a second.
+// workload's setup pay up front. Packing the generator's edge list straight
+// into CSR, the truncated mesh searches and the fanned-out peer-pair sweep
+// keep this well under a second.
 func BenchmarkTopologyPaperScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rng := newSeededRng(79)
@@ -448,6 +449,18 @@ func BenchmarkPairDistancesPaperScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if lat := g.PairDistances(peers); len(lat) != len(peers) {
 			b.Fatal("matrix incomplete")
+		}
+	}
+}
+
+// BenchmarkGeneratePowerLaw300k generates the scale workload's IP graph:
+// 300,000 nodes drawn by preferential attachment into an edge list and packed
+// into CSR, with the per-row weight order the mesh searches read.
+func BenchmarkGeneratePowerLaw300k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if g := topology.GeneratePowerLaw(300000, 2, 2, 30, newSeededRng(79)); g.N() != 300000 {
+			b.Fatal("graph incomplete")
 		}
 	}
 }

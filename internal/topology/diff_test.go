@@ -17,6 +17,20 @@ import (
 	"testing"
 )
 
+// Edge is one directed half of an undirected IP-layer link.
+type Edge struct {
+	To      int
+	Latency float64 // one-way propagation delay in milliseconds
+}
+
+// pairKey packs an unordered node pair into one map key.
+func pairKey(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
 // legacyGraph is the pre-CSR Graph: per-node []Edge adjacency plus a
 // pair-keyed edge-set index. Kept verbatim (modulo lowercased names) as the
 // differential reference.
@@ -53,7 +67,7 @@ func (g *legacyGraph) dijkstra(src int) []float64 {
 	}
 	dist[src] = 0
 	var pq distPQ
-	pq.push(distItem{node: src, dist: 0})
+	pq.push(distItem{node: int32(src), dist: 0})
 	for pq.len() > 0 {
 		it := pq.pop()
 		if it.dist > dist[it.node] {
@@ -62,7 +76,7 @@ func (g *legacyGraph) dijkstra(src int) []float64 {
 		for _, e := range g.adj[it.node] {
 			if nd := it.dist + e.Latency; nd < dist[e.To] {
 				dist[e.To] = nd
-				pq.push(distItem{node: e.To, dist: nd})
+				pq.push(distItem{node: int32(e.To), dist: nd})
 			}
 		}
 	}
@@ -95,7 +109,7 @@ func legacyTable(o *Overlay, a int) routeTable {
 	}
 	rt.dist[a] = 0
 	var pq distPQ
-	pq.push(distItem{node: a, dist: 0})
+	pq.push(distItem{node: int32(a), dist: 0})
 	for pq.len() > 0 {
 		it := pq.pop()
 		if it.dist > rt.dist[it.node] {
@@ -104,12 +118,12 @@ func legacyTable(o *Overlay, a int) routeTable {
 		for _, idx := range o.adj[it.node] {
 			l := o.links[idx]
 			to := l.u
-			if to == it.node {
+			if to == int(it.node) {
 				to = l.v
 			}
 			if nd := it.dist + l.latency; nd < rt.dist[to] {
-				rt.dist[to], rt.prevPeer[to], rt.prevLink[to] = nd, int32(it.node), int32(idx)
-				pq.push(distItem{node: to, dist: nd})
+				rt.dist[to], rt.prevPeer[to], rt.prevLink[to] = nd, it.node, int32(idx)
+				pq.push(distItem{node: int32(to), dist: nd})
 			}
 		}
 	}
@@ -181,29 +195,29 @@ var adversarialScripts = []edgeScript{
 	{"disconnected-zero", oneOf(constant(0), constant(3)), false},
 }
 
-// buildBoth replays one deterministic edge script into both representations.
+// buildBoth replays one deterministic edge script into both representations:
+// the legacy graph link by link, the CSR from the script's edge list.
 // Duplicate and self-loop attempts are part of the script on purpose: the
 // dedup behavior must match too.
 func buildBoth(rng *rand.Rand, n, attempts int, script edgeScript) (*Graph, *legacyGraph) {
-	g := NewGraph(n)
+	var edges []ipLink
 	lg := newLegacyGraph(n)
+	add := func(u, v int, l float64) {
+		edges = append(edges, ipLink{int32(u), int32(v), l})
+		lg.addEdge(u, v, l)
+	}
 	if script.backbone {
 		// Chain so most of the graph is connected (a random chain first).
 		perm := rng.Perm(n)
 		for i := 1; i < n; i++ {
-			l := script.weight(rng)
-			g.AddEdge(perm[i-1], perm[i], l)
-			lg.addEdge(perm[i-1], perm[i], l)
+			add(perm[i-1], perm[i], script.weight(rng))
 		}
 	}
 	for i := 0; i < attempts; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		l := script.weight(rng)
-		g.AddEdge(u, v, l)
-		lg.addEdge(u, v, l)
+		add(u, v, script.weight(rng))
 	}
-	g.Freeze()
-	return g, lg
+	return newGraph(n, edges), lg
 }
 
 // diffDistances requires the production searches to return the heap
@@ -286,8 +300,7 @@ func TestDiffAdversarialWeights(t *testing.T) {
 		diffCheck(t, g, lg, rand.New(rand.NewSource(1)))
 	})
 	t.Run("isolated-source", func(t *testing.T) {
-		g, lg := NewGraph(4), newLegacyGraph(4)
-		g.AddEdge(1, 2, 3)
+		g, lg := newGraph(4, []ipLink{{1, 2, 3}}), newLegacyGraph(4)
 		lg.addEdge(1, 2, 3)
 		got, want := g.Dijkstra(0), lg.dijkstra(0)
 		for v := range want {

@@ -3,51 +3,52 @@
 // Inet-3.0 generator the paper uses) and a P2P service overlay whose peers
 // are a subset of the IP nodes.
 //
-// A Graph has two phases. During the mutable build phase edges accumulate in
-// per-node adjacency lists with a hash-set dedup index. Freeze packs them
-// into a compressed-sparse-row (CSR) form — one offsets array plus flat
-// edge-target and edge-weight arrays, int32 node ids — and releases the
-// build-phase structures. All query paths (Dijkstra, PairDistances, the
-// overlay's nearest-peer search) consume the CSR arrays with zero per-node
-// allocation, which is what lets a 100,000-node graph build and sweep inside
-// a laptop-class memory budget. The overlay's links freeze into the same CSR
-// form, and every search that runs to completion, on either layer, is the one
-// bucket sweep over it (csr.sweep).
+// A Graph is immutable and built in one step: newGraph packs an edge list
+// straight into a compressed-sparse-row (CSR) form — one offsets array plus
+// flat edge-target and edge-weight arrays, int32 node ids. All query paths
+// (Dijkstra, PairDistances, the overlay's nearest-peer search) consume the CSR
+// arrays with zero per-node allocation, which is what lets a 100,000-node
+// graph build and sweep inside a laptop-class memory budget. The overlay's
+// links pack into the same CSR form, and every search that runs to
+// completion, on either layer, is the one bucket sweep over it (csr.sweep).
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 )
 
-// Edge is one directed half of an undirected IP-layer link.
-type Edge struct {
-	To      int
-	Latency float64 // one-way propagation delay in milliseconds
+// ipLink is one undirected IP-layer link of an edge list: its endpoints and
+// its one-way propagation delay in milliseconds.
+type ipLink struct {
+	u, v int32
+	lat  float64
 }
 
-// Graph is an undirected IP-layer graph with latency-weighted links.
-// An edge-set index keyed on the node pair makes AddEdge's dedup O(1)
-// during the build phase; Freeze converts to the packed CSR form.
+// Graph is an undirected IP-layer graph with latency-weighted links, packed
+// by newGraph.
 type Graph struct {
 	n int
 	m int // number of undirected edges
+	csr
 
-	// Build phase (released by Freeze).
-	adj   [][]Edge
-	edges map[uint64]struct{}
-
-	csr // frozen form, set by Freeze
+	// byW lists node u's half-edge indices in ascending weight, equal
+	// weights in row order, at byW[off[u]:off[u+1]]: the order nearestPeers
+	// reads a node's links in. The CSR itself keeps edge order, which the
+	// full sweeps read with better locality.
+	byW []int32
 }
 
-// csr is a frozen weighted adjacency: node u's incident half-edges are
+// csr is a packed weighted adjacency: node u's incident half-edges are
 // to[off[u]:off[u+1]] with weights w — and, on an overlay, link indices link —
 // at the same indices, packed in insertion order so relaxation order, and
-// therefore every float fold, is that of the adjacency lists it was packed
-// from.
+// therefore every float fold, is that of an adjacency list appended to edge
+// by edge.
 type csr struct {
 	off  []int32
 	to   []int32
@@ -74,21 +75,69 @@ func (c *csr) plan() {
 	c.bucketInv, c.ringLen = bucketPlan(minPos, maxW)
 }
 
-// pairKey packs an unordered node pair into one map key. Node indices are
-// bounded well below 2^32 (the 100k sweep is three decimal orders under it).
-func pairKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
-}
-
-// NewGraph returns an empty graph with n nodes and no links.
-func NewGraph(n int) *Graph {
+// newGraph packs n nodes and the undirected links of edges into a Graph in
+// edge order: node u's half-edges keep the order of the links naming u.
+// Latencies must be finite and >= 0 — the label-setting searches compare
+// with <, so a negative weight or a NaN would make them silently wrong — and
+// a bad one panics. Self-loops are dropped, and so is every link repeating a
+// pair an earlier one joined: the first weight wins.
+func newGraph(n int, edges []ipLink) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("topology: negative node count %d", n))
 	}
-	return &Graph{n: n, adj: make([][]Edge, n), edges: make(map[uint64]struct{})}
+	g := &Graph{n: n}
+	// Count each node's half-edges into off[u+2], sum, then place each link's
+	// halves at off[u+1], which advances to the end of u's row.
+	off := make([]int32, n+2)
+	for _, e := range edges {
+		if !(e.lat >= 0) || math.IsInf(e.lat, 1) {
+			panic(fmt.Sprintf("topology: link latency %v is not finite and >= 0", e.lat))
+		}
+		if e.u != e.v {
+			off[e.u+2]++
+			off[e.v+2]++
+		}
+	}
+	for u := 2; u < len(off); u++ {
+		off[u] += off[u-1]
+	}
+	to, w := make([]int32, off[n+1]), make([]float64, off[n+1])
+	for _, e := range edges {
+		if e.u != e.v {
+			to[off[e.u+1]], w[off[e.u+1]] = e.v, e.lat
+			to[off[e.v+1]], w[off[e.v+1]] = e.u, e.lat
+			off[e.u+1]++
+			off[e.v+1]++
+		}
+	}
+	// A row lists a neighbor twice only for a repeated pair, and its first
+	// listing is the first link's, in both endpoints' rows: keeping each
+	// row's first listing keeps both halves of exactly the first link.
+	seen := make([]int32, n) // seen[v] == u+1: row u already lists v
+	kept := int32(0)
+	for u := 0; u < n; u++ {
+		lo, hi := off[u], off[u+1]
+		off[u] = kept
+		for e := lo; e < hi; e++ {
+			if v := to[e]; seen[v] != int32(u)+1 {
+				seen[v] = int32(u) + 1
+				to[kept], w[kept] = v, w[e]
+				kept++
+			}
+		}
+	}
+	off[n] = kept
+	g.m = int(kept) / 2
+	g.off, g.to, g.w = off[:n+1], to[:kept], w[:kept]
+	g.plan()
+	g.byW = make([]int32, kept)
+	for e := range g.byW {
+		g.byW[e] = int32(e)
+	}
+	for u := 0; u < n; u++ {
+		slices.SortStableFunc(g.byW[off[u]:off[u+1]], func(a, b int32) int { return cmp.Compare(w[a], w[b]) })
+	}
+	return g
 }
 
 // N returns the number of nodes.
@@ -97,71 +146,8 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
-// Frozen reports whether the graph has been packed into CSR form.
-func (g *Graph) Frozen() bool { return g.off != nil }
-
-// AddEdge inserts an undirected link between u and v with the given latency,
-// which must be finite and >= 0: the shortest-path searches are label-setting
-// and compare with <, so a negative weight or a NaN would make them silently
-// wrong. Self-loops and duplicate edges are ignored. Adding to a frozen graph
-// or adding a weight outside that range panics: the CSR arrays are immutable
-// by construction, and a bad weight is a caller bug.
-func (g *Graph) AddEdge(u, v int, latency float64) {
-	if g.Frozen() {
-		panic("topology: AddEdge on frozen graph")
-	}
-	if !(latency >= 0) || math.IsInf(latency, 1) {
-		panic(fmt.Sprintf("topology: AddEdge latency %v is not finite and >= 0", latency))
-	}
-	if u == v {
-		return
-	}
-	key := pairKey(u, v)
-	if _, dup := g.edges[key]; dup {
-		return
-	}
-	g.edges[key] = struct{}{}
-	g.adj[u] = append(g.adj[u], Edge{To: v, Latency: latency})
-	g.adj[v] = append(g.adj[v], Edge{To: u, Latency: latency})
-	g.m++
-}
-
-// Freeze packs the adjacency lists into the CSR arrays, fixes the bucket plan
-// of the shortest-path sweep from the edge weights, and releases the
-// build-phase structures (per-node slices and the edge-set index). It is
-// idempotent; query methods freeze lazily — before they start any worker, so
-// the searches themselves only read — and the generators freeze before
-// returning so a generated graph starts life compact.
-func (g *Graph) Freeze() {
-	if g.Frozen() {
-		return
-	}
-	g.off = make([]int32, g.n+1)
-	for u, es := range g.adj {
-		g.off[u+1] = g.off[u] + int32(len(es))
-	}
-	half := g.off[g.n]
-	g.to = make([]int32, half)
-	g.w = make([]float64, half)
-	for u, es := range g.adj {
-		base := g.off[u]
-		for i, e := range es {
-			g.to[base+int32(i)] = int32(e.To)
-			g.w[base+int32(i)] = e.Latency
-		}
-	}
-	g.plan()
-	g.adj = nil
-	g.edges = nil
-}
-
 // Degree returns the number of links incident to u.
-func (g *Graph) Degree(u int) int {
-	if g.Frozen() {
-		return int(g.off[u+1] - g.off[u])
-	}
-	return len(g.adj[u])
-}
+func (g *Graph) Degree(u int) int { return int(g.off[u+1] - g.off[u]) }
 
 // maxBucketsPerEdge floors the bucket width at maxW/maxBucketsPerEdge, so a
 // graph mixing nanosecond and second links asks for a ring of a couple of
@@ -244,7 +230,7 @@ func (c *csr) newSweepState() sweepState {
 // every chain acyclic on zero-weight links: a predecessor at the same
 // distance reached it strictly earlier.
 //
-// c must be frozen; sweep only reads it, so workers may share it.
+// sweep only reads c, so workers may share it.
 func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
 	dist, slot, ring := rt.dist, s.slot, s.ring
 	off, to, w, inv := c.off, c.to, c.w, c.bucketInv
@@ -321,11 +307,10 @@ func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
 }
 
 // Dijkstra computes single-source shortest-path latencies from src.
-// Unreachable nodes get +Inf. Edge weights are finite and >= 0 (AddEdge
+// Unreachable nodes get +Inf. Edge weights are finite and >= 0 (newGraph
 // enforces it). The name is the contract — Dijkstra's distances — not the
 // algorithm: see sweep.
 func (g *Graph) Dijkstra(src int) []float64 {
-	g.Freeze()
 	rt, s := routeTable{dist: make([]float64, g.n)}, g.newSweepState()
 	g.sweep(src, &rt, &s)
 	return rt.dist
@@ -336,12 +321,11 @@ func (g *Graph) Dijkstra(src int) []float64 {
 // holds the distances from nodes[i] to every nodes[j]. This is the overlay
 // builder's peer-latency pass and, at the paper's scale (1,000 peers over
 // 10,000 IP nodes), most of a cluster build. Each worker owns one sweepState
-// and distance vector, reused across its sources, reads the frozen graph, and
+// and distance vector, reused across its sources, reads the graph, and
 // writes only the rows of its own sources; a row depends on nothing but its
 // source, so the matrix is the same at any worker count. Edge weights are
-// finite and >= 0 (AddEdge enforces it).
+// finite and >= 0 (newGraph enforces it).
 func (g *Graph) PairDistances(nodes []int) [][]float64 {
-	g.Freeze()
 	out := make([][]float64, len(nodes))
 	fanOut(len(nodes), func() func(int) {
 		rt, s := routeTable{dist: make([]float64, g.n)}, g.newSweepState()
@@ -390,8 +374,8 @@ type settledPeer struct {
 // difference between 10,000 cheap searches and 10,000 full-array resets on a
 // 100,000-node graph.
 type truncState struct {
-	dist    []float64
-	touched []int32
+	dist    []float64 // settled distance, +Inf until settled
+	touched []int32   // settled nodes
 	out     []settledPeer
 	pq      distPQ
 }
@@ -401,11 +385,16 @@ type truncState struct {
 // returns them in settle order, ascending distance: the k nearest peers. The
 // search touches only the ball around src, and s's buffers are restored
 // before returning. It is the one search here that runs on a heap: it stops
-// after k peers in settle order, which a bucket sweep does not produce, and a
-// ball of a few dozen nodes gives a bucket ring nothing to amortize; the
-// distances are the ones any correct search reaches (see sweep). The graph
-// must be frozen; the search only reads it, so workers with a truncState each
-// may share it.
+// after k peers in settle order, which a bucket sweep does not produce.
+//
+// The heap holds one entry per settled node u with links left to read, keyed
+// by dist[u]+w of its lightest unread link (byW). Popping it settles the
+// link's far end, if unsettled, and moves the entry to u's next link, whose
+// key is no smaller: fl(d+w) is monotone in w. So keys pop in ascending order
+// and every node settles at the smallest fl(dist[u]+w) over its settled
+// neighbors, the distance any correct search reaches (see sweep), while a hub
+// costs one heap entry, not one per link. The search only reads the graph,
+// so workers with a truncState each may share it.
 func (g *Graph) nearestPeers(src int, peerOf []int32, k int, s *truncState) []settledPeer {
 	if len(s.dist) != g.n {
 		s.dist = make([]float64, g.n)
@@ -413,28 +402,27 @@ func (g *Graph) nearestPeers(src int, peerOf []int32, k int, s *truncState) []se
 			s.dist[i] = math.Inf(1)
 		}
 	}
-	s.out = s.out[:0]
+	s.out, s.touched = s.out[:0], s.touched[:0]
 	s.pq.reset()
-	s.dist[src] = 0
-	s.touched = append(s.touched[:0], int32(src))
-	s.pq.push(distItem{node: src, dist: 0})
+	settle := func(v int32, d float64) {
+		s.dist[v] = d
+		s.touched = append(s.touched, v)
+		if lo := g.off[v]; lo < g.off[v+1] {
+			s.pq.push(distItem{dist: d + g.w[g.byW[lo]], node: v, at: lo})
+		}
+	}
+	settle(int32(src), 0)
 	for s.pq.len() > 0 && len(s.out) < k {
-		it := s.pq.pop()
-		u := it.node
-		if it.dist > s.dist[u] {
-			continue // stale: u settled at a smaller distance
+		it := s.pq.items[0]
+		if next := it.at + 1; next < g.off[it.node+1] {
+			s.pq.replaceMin(distItem{dist: s.dist[it.node] + g.w[g.byW[next]], node: it.node, at: next})
+		} else {
+			s.pq.pop()
 		}
-		if p := peerOf[u]; p >= 0 && u != src {
-			s.out = append(s.out, settledPeer{peer: p, dist: it.dist})
-		}
-		for i, end := g.off[u], g.off[u+1]; i < end; i++ {
-			v := g.to[i]
-			if nd := it.dist + g.w[i]; nd < s.dist[v] {
-				if math.IsInf(s.dist[v], 1) {
-					s.touched = append(s.touched, v)
-				}
-				s.dist[v] = nd
-				s.pq.push(distItem{node: int(v), dist: nd})
+		if v := g.to[g.byW[it.at]]; math.IsInf(s.dist[v], 1) {
+			settle(v, it.dist)
+			if p := peerOf[v]; p >= 0 {
+				s.out = append(s.out, settledPeer{peer: p, dist: it.dist})
 			}
 		}
 	}
@@ -444,9 +432,12 @@ func (g *Graph) nearestPeers(src int, peerOf []int32, k int, s *truncState) []se
 	return s.out
 }
 
+// distItem is a heap entry: a key and the node it belongs to; in
+// nearestPeers also the position in byW of the link the key reads.
 type distItem struct {
-	node int
 	dist float64
+	node int32
+	at   int32
 }
 
 // distPQ is a concrete binary min-heap of distItems. It replaces
@@ -479,8 +470,20 @@ func (pq *distPQ) pop() distItem {
 	n := len(pq.items) - 1
 	pq.items[0] = pq.items[n]
 	pq.items = pq.items[:n]
-	i := 0
-	for {
+	pq.down()
+	return top
+}
+
+// replaceMin replaces the minimum with it: one sift-down, not a pop and a push.
+func (pq *distPQ) replaceMin(it distItem) {
+	pq.items[0] = it
+	pq.down()
+}
+
+// down sifts the root down to its place.
+func (pq *distPQ) down() {
+	n := len(pq.items)
+	for i := 0; ; {
 		c := 2*i + 1
 		if c >= n {
 			break
@@ -494,15 +497,14 @@ func (pq *distPQ) pop() distItem {
 		pq.items[i], pq.items[c] = pq.items[c], pq.items[i]
 		i = c
 	}
-	return top
 }
 
 // GeneratePowerLaw builds a connected power-law graph with n nodes using
 // degree-based preferential attachment (Barabási–Albert), the same family of
 // degree-driven generators as Inet-3.0. Each new node attaches m links to
-// existing nodes chosen with probability proportional to their degree. Link
-// latencies are sampled uniformly from [minLat, maxLat) milliseconds. The
-// returned graph is frozen.
+// distinct existing nodes chosen with probability proportional to their
+// degree, so no link repeats a pair. Link latencies are sampled uniformly
+// from [minLat, maxLat) milliseconds.
 func GeneratePowerLaw(n, m int, minLat, maxLat float64, rng *rand.Rand) *Graph {
 	if m < 1 {
 		m = 1
@@ -510,32 +512,30 @@ func GeneratePowerLaw(n, m int, minLat, maxLat float64, rng *rand.Rand) *Graph {
 	if n < m+1 {
 		n = m + 1
 	}
-	g := NewGraph(n)
 	lat := func() float64 { return minLat + rng.Float64()*(maxLat-minLat) }
-
+	edges := make([]ipLink, 0, m*(m+1)/2+(n-m-1)*m)
 	// Seed clique of m+1 nodes keeps the graph connected from the start.
 	for u := 0; u <= m; u++ {
 		for v := u + 1; v <= m; v++ {
-			g.AddEdge(u, v, lat())
+			edges = append(edges, ipLink{int32(u), int32(v), lat()})
 		}
 	}
 	// targets holds one entry per edge endpoint, so uniform sampling from it
-	// is degree-proportional sampling.
-	targets := make([]int, 0, 2*(m*(m+1)/2+(n-m-1)*m))
+	// is degree-proportional sampling; each clique node has degree m.
+	targets := make([]int, 0, 2*cap(edges))
 	for u := 0; u <= m; u++ {
-		for i := 0; i < g.Degree(u); i++ {
+		for i := 0; i < m; i++ {
 			targets = append(targets, u)
 		}
 	}
 	scratch := make([]int, 0, m)
 	for u := m + 1; u < n; u++ {
 		for _, v := range pickPreferential(targets, m, u, rng, scratch) {
-			g.AddEdge(u, v, lat())
+			edges = append(edges, ipLink{int32(u), int32(v), lat()})
 			targets = append(targets, u, v)
 		}
 	}
-	g.Freeze()
-	return g
+	return newGraph(n, edges)
 }
 
 // pickPreferential samples m distinct nodes (none equal to exclude) from

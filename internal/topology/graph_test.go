@@ -4,14 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 // neighbors is node u's half-edges in insertion order, read from the CSR
-// arrays of the (now frozen) graph.
+// arrays of the graph.
 func neighbors(g *Graph, u int) []Edge {
-	g.Freeze()
 	var out []Edge
 	for i := g.off[u]; i < g.off[u+1]; i++ {
 		out = append(out, Edge{To: int(g.to[i]), Latency: g.w[i]})
@@ -39,17 +39,15 @@ func connected(g *Graph) bool {
 }
 
 func TestNewGraphBasics(t *testing.T) {
-	g := NewGraph(5)
-	if g.N() != 5 || g.M() != 0 {
-		t.Fatalf("N=%d M=%d", g.N(), g.M())
+	if g := newGraph(5, nil); g.N() != 5 || g.M() != 0 || g.Degree(3) != 0 {
+		t.Fatalf("no links: N=%d M=%d", g.N(), g.M())
 	}
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(1, 2, 20)
-	if g.M() != 2 {
-		t.Fatalf("M=%d after two edges", g.M())
+	g := newGraph(5, []ipLink{{0, 1, 10}, {1, 2, 20}})
+	if g.N() != 5 || g.M() != 2 {
+		t.Fatalf("N=%d M=%d after two links", g.N(), g.M())
 	}
 	if g.Degree(1) != 2 {
-		t.Fatalf("Degree(1)=%d before Freeze", g.Degree(1))
+		t.Fatalf("Degree(1)=%d", g.Degree(1))
 	}
 	if !hasEdge(g, 0, 1) || !hasEdge(g, 1, 0) {
 		t.Fatal("undirected edge should be visible from both ends")
@@ -57,44 +55,38 @@ func TestNewGraphBasics(t *testing.T) {
 	if hasEdge(g, 0, 2) {
 		t.Fatal("nonexistent edge reported")
 	}
-	if g.Degree(1) != 2 {
-		t.Fatalf("Degree(1)=%d after Freeze", g.Degree(1))
+}
+
+func TestNewGraphDropsSelfLoopsAndRepeats(t *testing.T) {
+	if g := newGraph(3, []ipLink{{1, 1, 5}}); g.M() != 0 || g.Degree(1) != 0 {
+		t.Fatal("self-loop should be dropped")
+	}
+	g := newGraph(3, []ipLink{{0, 1, 5}, {1, 0, 7}, {0, 1, 9}})
+	if g.M() != 1 || g.Degree(0) != 1 || g.Degree(1) != 1 {
+		t.Fatal("repeated pair should be dropped")
+	}
+	if e := neighbors(g, 1); e[0] != (Edge{To: 0, Latency: 5}) {
+		t.Fatalf("node 1 lists %+v, want the first link's weight 5", e[0])
 	}
 }
 
-func TestAddEdgeIgnoresSelfLoopsAndDuplicates(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(1, 1, 5)
-	if g.M() != 0 {
-		t.Fatal("self-loop should be ignored")
-	}
-	g.AddEdge(0, 1, 5)
-	g.AddEdge(1, 0, 7)
-	if g.M() != 1 {
-		t.Fatal("duplicate edge should be ignored")
-	}
-}
-
-// TestAddEdgeRejectsBadLatency: the searches assume finite weights >= 0, and
-// a weight outside that range must fail loudly at insertion, not skew
-// distances later. Zero is in range.
-func TestAddEdgeRejectsBadLatency(t *testing.T) {
+// TestNewGraphRejectsBadLatency: the searches assume finite weights >= 0, and
+// a weight outside that range must fail loudly at construction, wherever it
+// sits in the list, not skew distances later. Zero is in range.
+func TestNewGraphRejectsBadLatency(t *testing.T) {
 	for _, bad := range []float64{-1, -1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		func() {
-			g := NewGraph(2)
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AddEdge accepted latency %v", bad)
-				}
-				if g.M() != 0 {
-					t.Errorf("rejected latency %v still left %d edges", bad, g.M())
-				}
+		for _, edges := range [][]ipLink{{{0, 1, bad}}, {{0, 1, 1}, {1, 2, bad}}, {{2, 2, bad}}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("newGraph accepted latency %v in %v", bad, edges)
+					}
+				}()
+				newGraph(3, edges)
 			}()
-			g.AddEdge(0, 1, bad)
-		}()
+		}
 	}
-	g := NewGraph(2)
-	g.AddEdge(0, 1, 0)
+	g := newGraph(2, []ipLink{{0, 1, 0}})
 	if d := g.Dijkstra(0); d[1] != 0 {
 		t.Fatalf("zero-weight edge: dist %v", d)
 	}
@@ -102,10 +94,7 @@ func TestAddEdgeRejectsBadLatency(t *testing.T) {
 
 func TestDijkstraSimplePath(t *testing.T) {
 	// 0 -1ms- 1 -2ms- 2, plus a slow direct 0-2 link of 10ms.
-	g := NewGraph(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(0, 2, 10)
+	g := newGraph(4, []ipLink{{0, 1, 1}, {1, 2, 2}, {0, 2, 10}})
 	dist := g.Dijkstra(0)
 	if dist[0] != 0 || dist[1] != 1 || dist[2] != 3 {
 		t.Fatalf("dist=%v", dist)
@@ -240,39 +229,127 @@ func TestTinyPowerLawTerminates(t *testing.T) {
 	}
 }
 
-// TestEdgeIndexConsistency checks the O(1) edge set agrees with the
-// adjacency lists after randomized construction with duplicate attempts, and
-// that Freeze packs exactly those lists, both halves of every edge.
+// TestEdgeIndexConsistency packs a randomized edge list, duplicate and
+// self-loop attempts included, and checks the CSR against the list: no node
+// lists itself or a neighbor twice, both halves of every link are packed,
+// M is half the half-edges, each pair carries the weight of its first link
+// and every pair the list joins is there. byW must hold each row in
+// ascending weight, equal weights in row order.
 func TestEdgeIndexConsistency(t *testing.T) {
+	const n = 40
 	rng := rand.New(rand.NewSource(11))
-	g := NewGraph(40)
+	var edges []ipLink
+	first := make(map[[2]int]float64) // the first weight given each pair
 	for i := 0; i < 300; i++ {
-		g.AddEdge(rng.Intn(40), rng.Intn(40), 1+rng.Float64())
+		u, v, w := rng.Intn(n), rng.Intn(n), 1+rng.Float64()
+		edges = append(edges, ipLink{int32(u), int32(v), w})
+		if _, ok := first[[2]int{u, v}]; !ok && u != v {
+			first[[2]int{u, v}], first[[2]int{v, u}] = w, w
+		}
 	}
-	if len(g.edges) != g.M() {
-		t.Fatalf("edge index holds %d pairs, M=%d", len(g.edges), g.M())
-	}
-	edges := 0
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.adj[u] {
-			if _, ok := g.edges[pairKey(u, e.To)]; !ok || e.To == u {
-				t.Fatalf("adjacency edge %d-%d missing from index (or a self-loop)", u, e.To)
+	g := newGraph(n, edges)
+	half := 0
+	for u := 0; u < n; u++ {
+		listed := make(map[int]bool)
+		for _, e := range neighbors(g, u) {
+			if e.To == u || listed[e.To] {
+				t.Fatalf("node %d lists %d twice or itself", u, e.To)
 			}
-			edges++
+			listed[e.To] = true
+			if w, ok := first[[2]int{u, e.To}]; !ok || e.Latency != w {
+				t.Fatalf("half-edge %d-%d @%v: the list's first weight is %v (joined: %v)", u, e.To, e.Latency, w, ok)
+			}
+			back := false
+			for _, r := range neighbors(g, e.To) {
+				back = back || r == Edge{To: u, Latency: e.Latency}
+			}
+			if !back {
+				t.Fatalf("half-edge %d-%d @%v has no other half", u, e.To, e.Latency)
+			}
+			half++
+		}
+		row := g.byW[g.off[u]:g.off[u+1]]
+		for i, e := range row {
+			if e < g.off[u] || e >= g.off[u+1] || i > 0 && (g.w[row[i-1]] > g.w[e] || g.w[row[i-1]] == g.w[e] && row[i-1] >= e) {
+				t.Fatalf("node %d: weight order %v is not its row %d..%d by weight", u, row, g.off[u], g.off[u+1])
+			}
 		}
 	}
-	if edges != 2*g.M() {
-		t.Fatalf("adjacency lists hold %d half-edges, M=%d", edges, g.M())
+	if half != 2*g.M() || half != len(first) || len(g.byW) != half {
+		t.Fatalf("%d half-edges, M=%d, %d joined pairs, %d in the weight order", half, g.M(), len(first)/2, len(g.byW))
 	}
-	adj := g.adj
-	for u := 0; u < g.N(); u++ {
-		got := neighbors(g, u)
-		if len(got) != len(adj[u]) {
-			t.Fatalf("node %d: CSR row has %d half-edges, adjacency list %d", u, len(got), len(adj[u]))
+}
+
+// legacyPowerLaw replays GeneratePowerLaw's draws the way it made them when
+// it built its graph link by link: into the legacy graph, whose seed-clique
+// targets read its own degrees, and into the edge list of the same links.
+func legacyPowerLaw(n, m int, minLat, maxLat float64, rng *rand.Rand) (*legacyGraph, []ipLink) {
+	lg := newLegacyGraph(n)
+	var edges []ipLink
+	add := func(u, v int) {
+		l := minLat + rng.Float64()*(maxLat-minLat)
+		lg.addEdge(u, v, l)
+		edges = append(edges, ipLink{int32(u), int32(v), l})
+	}
+	for u := 0; u <= m; u++ {
+		for v := u + 1; v <= m; v++ {
+			add(u, v)
 		}
-		for i, e := range got {
-			if e != adj[u][i] || !hasEdge(g, e.To, u) {
-				t.Fatalf("node %d half-edge %d: CSR %+v, adjacency %+v", u, i, e, adj[u][i])
+	}
+	var targets []int
+	for u := 0; u <= m; u++ {
+		for range lg.adj[u] {
+			targets = append(targets, u)
+		}
+	}
+	for u := m + 1; u < n; u++ {
+		for _, v := range pickPreferential(targets, m, u, rng, nil) {
+			add(u, v)
+			targets = append(targets, u, v)
+		}
+	}
+	return lg, edges
+}
+
+// TestGeneratePowerLawWorldsUnchanged pins the generated worlds: on the
+// paper-shape, paper-scale and scale-workload graphs, GeneratePowerLaw's
+// off/to/w must equal, bit for bit, both newGraph's packing of the replayed
+// draws and the legacy graph's adjacency lists the replay appended link by
+// link — so a skipped or extra draw, or a reordered half-edge, fails here —
+// and no node may list a neighbor twice, which the legacy edge set enforced.
+func TestGeneratePowerLawWorldsUnchanged(t *testing.T) {
+	worlds := []struct {
+		n    int
+		seed int64
+	}{{3000, 1}, {3000, 2}, {3000, 3}, {3000, 4}, {3000, 5}, {10000, 1}, {300000, 79}}
+	for _, w := range worlds {
+		if w.n > 10000 && testing.Short() {
+			continue
+		}
+		g := GeneratePowerLaw(w.n, 2, 2, 30, rand.New(rand.NewSource(w.seed)))
+		lg, edges := legacyPowerLaw(w.n, 2, 2, 30, rand.New(rand.NewSource(w.seed)))
+		p := newGraph(w.n, edges)
+		if !slices.Equal(g.off, p.off) || !slices.Equal(g.to, p.to) || !slices.Equal(g.byW, p.byW) ||
+			!slices.EqualFunc(g.w, p.w, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%d nodes seed %d: generated CSR differs from the replayed draws packed", w.n, w.seed)
+		}
+		if g.M() != lg.m || g.M() != len(edges) {
+			t.Fatalf("%d nodes seed %d: M=%d, legacy %d, %d draws", w.n, w.seed, g.M(), lg.m, len(edges))
+		}
+		seen := make([]int, w.n)
+		for u := 0; u < w.n; u++ {
+			row := neighbors(g, u)
+			if len(row) != len(lg.adj[u]) {
+				t.Fatalf("%d nodes seed %d: node %d has %d half-edges, legacy %d", w.n, w.seed, u, len(row), len(lg.adj[u]))
+			}
+			for i, e := range row {
+				if e.To != lg.adj[u][i].To || math.Float64bits(e.Latency) != math.Float64bits(lg.adj[u][i].Latency) {
+					t.Fatalf("%d nodes seed %d: node %d half-edge %d is %+v, legacy %+v", w.n, w.seed, u, i, e, lg.adj[u][i])
+				}
+				if seen[e.To] == u+1 {
+					t.Fatalf("%d nodes seed %d: node %d lists %d twice", w.n, w.seed, u, e.To)
+				}
+				seen[e.To] = u + 1
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 type overlayLink struct {
@@ -27,15 +28,14 @@ type Path struct {
 // streams travel on; control messages between any two peers use the direct
 // IP-layer latency (see Latency), which a compact overlay does not keep.
 //
-// Like Graph, the link set has a mutable build phase and a frozen CSR form:
-// routing sweeps packed per-peer (neighbor, link, latency) arrays built lazily
-// on the first Route and invalidated by AddPeer.
+// The link set grows in per-peer lists (BuildOverlay, AddPeer); routing
+// sweeps per-peer (neighbor, link, latency) arrays packed from them lazily on
+// the first Route and invalidated by AddPeer.
 type Overlay struct {
-	peerIP  []int
-	lat     [][]float64 // pairwise peer latency over IP shortest paths; nil in compact mode
-	links   []overlayLink
-	adj     [][]int             // per-peer incident link indices
-	linkSet map[uint64]struct{} // unordered peer pairs with a link, for O(1) hasLink
+	peerIP []int
+	lat    [][]float64 // pairwise peer latency over IP shortest paths; nil in compact mode
+	links  []overlayLink
+	adj    [][]int // per-peer incident link indices
 
 	capMin, capMax float64 // link capacity range, for peers added later
 
@@ -44,7 +44,7 @@ type Overlay struct {
 }
 
 // router is what every route is computed with, built together on the first
-// route and dropped together by AddPeer: the frozen link CSR (peer p's
+// route and dropped together by AddPeer: the link CSR (peer p's
 // incident links in adj insertion order, so routing relaxes in the order the
 // slice-of-slices representation does), the one sweep scratch every table is
 // computed in, and a bounded per-source route cache — an LRU of at most
@@ -142,12 +142,10 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 	o := &Overlay{
 		peerIP:   rng.Perm(g.N())[:n],
 		adj:      make([][]int, n),
-		linkSet:  make(map[uint64]struct{}),
 		capMin:   cfg.CapMin,
 		capMax:   cfg.CapMax,
 		routeCap: routeCap,
 	}
-	g.Freeze()
 	peerOf := o.peerIndex(g.N())
 	k := cfg.Degree
 	found := make([]settledPeer, n*k) // peer u's nearest: found[u*k : u*k+count[u]]
@@ -188,7 +186,6 @@ func (o *Overlay) link(u int, nearest []settledPeer, rng *rand.Rand) {
 		if o.hasLink(u, v) {
 			continue
 		}
-		o.linkSet[pairKey(u, v)] = struct{}{}
 		idx := len(o.links)
 		c := o.capMin + rng.Float64()*(o.capMax-o.capMin)
 		o.links = append(o.links, overlayLink{u: u, v: v, latency: sp.dist, capacity: c, avail: c})
@@ -197,9 +194,12 @@ func (o *Overlay) link(u int, nearest []settledPeer, rng *rand.Rand) {
 	}
 }
 
+// hasLink scans the shorter of u's and v's link lists, a mesh degree's worth.
 func (o *Overlay) hasLink(u, v int) bool {
-	_, ok := o.linkSet[pairKey(u, v)]
-	return ok
+	if len(o.adj[v]) < len(o.adj[u]) {
+		u, v = v, u
+	}
+	return slices.ContainsFunc(o.adj[u], func(idx int) bool { return o.links[idx].u == v || o.links[idx].v == v })
 }
 
 // N returns the number of peers.
@@ -235,7 +235,6 @@ func (o *Overlay) AddPeer(g *Graph, ip, degree int, rng *rand.Rand) int {
 	if degree < 1 {
 		degree = 4
 	}
-	g.Freeze()
 	nearest := g.nearestPeers(ip, o.peerIndex(g.N()), degree, &truncState{})
 	dist := g.Dijkstra(ip)
 	n := len(o.peerIP)
