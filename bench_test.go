@@ -437,9 +437,12 @@ func BenchmarkTopologyPaperScale(b *testing.B) {
 }
 
 // BenchmarkPairDistancesPaperScale is the peer-latency pass of that build on
-// its own: 1,000 sources swept over the 10,000-node graph, most of what a
-// world build costs once the graph exists. One sweep is ns/op × workers ÷
-// 1,000; allocs/op is the matrix plus per-worker scratch.
+// its own: 1,000 sources swept over the 10,000-node graph's bypass view, most
+// of what a world build costs once the graph exists. A sweep scans only the
+// ~5,000 nodes that are not relays, so ns/op × workers ÷ 1,000 is one such
+// sweep plus its relay reads, not a scan of every node; run it at -cpu 1 for
+// the unfanned cost. allocs/op is the matrix, the view plus per-worker
+// scratch.
 func BenchmarkPairDistancesPaperScale(b *testing.B) {
 	rng := newSeededRng(79)
 	g := topology.GeneratePowerLaw(10000, 2, 2, 30, rng)

@@ -220,6 +220,69 @@ func buildBoth(rng *rand.Rand, n, attempts int, script edgeScript) (*Graph, *leg
 	return newGraph(n, edges), lg
 }
 
+// negZero is the weight family a bypass could fold wrong: −0 links, which
+// newGraph accepts, mixed with friendly ones. A leg of −0 must vanish from
+// every sum as the direct half-edges' +0 does.
+var negZero = edgeScript{"neg-zero", oneOf(constant(math.Copysign(0, -1)), friendly.weight), true}
+
+// relayScripts are the weight families buildSparse's shape runs under: every
+// adversarial one, then negZero.
+var relayScripts = append(adversarialScripts[:len(adversarialScripts):len(adversarialScripts)], negZero)
+
+// buildSparse replays the relay-heavy shape into both representations: the
+// generator's preferential attachment at m = 2 — a triangle, then each node
+// linked to two distinct earlier ones drawn by degree — over all n nodes, or
+// over each half for a script without a backbone, weighted by the script. A
+// node no later one picks keeps degree 2 between two of degree 3 or more:
+// a relay, which the dense chain-plus-random scripts almost never contain.
+func buildSparse(rng *rand.Rand, n int, script edgeScript) (*Graph, *legacyGraph) {
+	var edges []ipLink
+	lg := newLegacyGraph(n)
+	parts := [][2]int{{0, n}}
+	if !script.backbone {
+		parts = [][2]int{{0, n / 2}, {n / 2, n}}
+	}
+	for _, p := range parts {
+		var targets []int
+		for u := p[0]; u < p[1]; u++ {
+			var picks []int
+			if u-p[0] < 3 {
+				for v := p[0]; v < u; v++ {
+					picks = append(picks, v) // the triangle
+				}
+			} else {
+				picks = pickPreferential(targets, 2, u, rng, nil)
+			}
+			for _, v := range picks {
+				l := script.weight(rng)
+				edges = append(edges, ipLink{int32(u), int32(v), l})
+				lg.addEdge(u, v, l)
+				targets = append(targets, u, v)
+			}
+		}
+	}
+	return newGraph(n, edges), lg
+}
+
+// diffAll requires Dijkstra from every node and PairDistances over all of
+// them to return the heap oracle's distances to the bit.
+func diffAll(t *testing.T, g *Graph, lg *legacyGraph) {
+	t.Helper()
+	all := make([]int, g.N())
+	for i := range all {
+		all[i] = i
+	}
+	pd := g.PairDistances(all)
+	for _, src := range all {
+		got, want := g.Dijkstra(src), lg.dijkstra(src)
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) || math.Float64bits(pd[src][v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%d → %d: Dijkstra %v, PairDistances %v, heap oracle %v", src, v, got[v], pd[src][v], want[v])
+			}
+		}
+	}
+}
+
 // diffDistances requires the production searches to return the heap
 // oracle's distances to the bit (+Inf included): PairDistances over a random
 // node subset, Dijkstra over the whole graph from a few sources.
@@ -314,6 +377,66 @@ func TestDiffAdversarialWeights(t *testing.T) {
 	})
 }
 
+// TestDiffRelayHeavy runs every relay family on buildSparse's shape, each
+// graph bypassing at least 30 % of its nodes, and holds every distance from
+// every source to the heap oracle: redirected half-edges, their legs and the
+// relays' own distances included.
+func TestDiffRelayHeavy(t *testing.T) {
+	for _, script := range relayScripts {
+		t.Run(script.name, func(t *testing.T) {
+			for seed := int64(0); seed < 12; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				g, lg := buildSparse(rng, 50+rng.Intn(200), script)
+				if r := len(relays(g)); r*10 < 3*g.N() {
+					t.Fatalf("seed %d: %d relays of %d nodes, want at least 30 %%", seed, r, g.N())
+				}
+				diffAll(t, g, lg)
+			}
+		})
+	}
+}
+
+// relays lists the nodes g's bypass view steps over, in id order.
+func relays(g *Graph) []int {
+	var out []int
+	for x, is := range g.bypass().relay {
+		if is {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// TestDiffRelayCases holds hand-built shapes to the heap oracle from every
+// source and pins which nodes the relay rule takes: one between two hubs,
+// as source and target alike; two between one pair of hubs that a direct
+// link also joins; one beside a degree-1 node; and a degree-2 chain and a
+// degree-2 triangle, where a relay would neighbor one and none is taken.
+func TestDiffRelayCases(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		links  []ipLink
+		relays []int
+	}{
+		{"between hubs", 7, []ipLink{{0, 2, 2.5}, {2, 1, 7.25}, {0, 3, 1}, {0, 4, 3}, {1, 5, 2}, {1, 6, 0}}, []int{2}},
+		{"two relays and a direct link", 4, []ipLink{{0, 2, 1}, {2, 1, 1.5}, {0, 1, 5}, {0, 3, 3}, {3, 1, 0.5}}, []int{2, 3}},
+		{"beside a degree-1 node", 5, []ipLink{{0, 1, 4}, {1, 2, 1e-300}, {2, 3, 2}, {2, 4, 6}, {3, 4, 1}}, []int{1}},
+		{"degree-2 chain", 9, []ipLink{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}, {3, 4, 4}, {0, 5, 5}, {0, 6, 6}, {4, 7, 7}, {4, 8, 8}}, nil},
+		{"degree-2 triangle", 4, []ipLink{{0, 1, 1}, {1, 2, math.Copysign(0, -1)}, {2, 0, 3}}, nil},
+	} {
+		lg := newLegacyGraph(c.n)
+		for _, l := range c.links {
+			lg.addEdge(int(l.u), int(l.v), l.lat)
+		}
+		g := newGraph(c.n, c.links)
+		if got := relays(g); fmt.Sprint(got) != fmt.Sprint(c.relays) {
+			t.Fatalf("%s: relays %v, want %v", c.name, got, c.relays)
+		}
+		diffAll(t, g, lg)
+	}
+}
+
 // TestBucketPlan pins the ring the sweep runs on: 32 slots on the paper's
 // §6.1 weights, the maxBucketsPerEdge floor on a 1e9 ratio, and a usable plan
 // where there is no positive weight or only subnormal ones.
@@ -324,6 +447,7 @@ func TestBucketPlan(t *testing.T) {
 		ring         int
 	}{
 		{"paper [2,30)", 2.0001, 29.9999, 32},
+		{"paper bypass, two legs", 2.0001, 59.9998, 32},
 		{"all-equal", 5, 5, 4},
 		{"ratio-1e9 floored", 1e-9, 21, 2048},
 		{"no positive weight", math.Inf(1), 0, 4},
@@ -480,7 +604,9 @@ func diffOverlayTables(t *testing.T, g *Graph, seed int64) {
 // seeds generate edge scripts replayed into both representations — the
 // friendly script, then the adversarial one the seed selects
 // (testdata/fuzz/FuzzDiffGraph/adversarial-* hold one seed per script), on
-// whose graph an overlay's route tables are then held to the heap too.
+// whose graph an overlay's route tables are then held to the heap too, and
+// last buildSparse's relay-heavy shape under the relay family the seed
+// selects (relay-* seeds land on −0 and on subnormal weights).
 func FuzzDiffGraph(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(7))
@@ -495,5 +621,7 @@ func FuzzDiffGraph(f *testing.F) {
 		g, lg = buildBoth(rng, n, n, script)
 		diffCheck(t, g, lg, rng)
 		diffOverlayTables(t, g, seed)
+		g, lg = buildSparse(rng, n, relayScripts[uint64(seed)%uint64(len(relayScripts))])
+		diffAll(t, g, lg)
 	})
 }

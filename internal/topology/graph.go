@@ -10,7 +10,8 @@
 // arrays with zero per-node allocation, which is what lets a 100,000-node
 // graph build and sweep inside a laptop-class memory budget. The overlay's
 // links pack into the same CSR form, and every search that runs to
-// completion, on either layer, is the one bucket sweep over it (csr.sweep).
+// completion, on either layer, is the one bucket sweep (csr.sweep) over it
+// or, on the IP layer, over a view that steps over relay nodes (bypass).
 package topology
 
 import (
@@ -31,7 +32,7 @@ type ipLink struct {
 }
 
 // Graph is an undirected IP-layer graph with latency-weighted links, packed
-// by newGraph.
+// by newGraph. Its full sweeps run on bypass views: its csr has no plan.
 type Graph struct {
 	n int
 	m int // number of undirected edges
@@ -45,15 +46,16 @@ type Graph struct {
 }
 
 // csr is a packed weighted adjacency: node u's incident half-edges are
-// to[off[u]:off[u+1]] with weights w — and, on an overlay, link indices link —
-// at the same indices, packed in insertion order so relaxation order, and
-// therefore every float fold, is that of an adjacency list appended to edge
-// by edge.
+// to[off[u]:off[u+1]] with weights w — and, on an overlay, link indices link;
+// on a bypass view, second legs leg — at the same indices, packed in
+// insertion order so relaxation order, and therefore every float fold, is
+// that of an adjacency list appended to edge by edge.
 type csr struct {
 	off  []int32
 	to   []int32
 	w    []float64
-	link []int32 // overlay link index of each half-edge; nil on the IP graph
+	link []int32   // overlay link index of each half-edge; nil on the IP graph
+	leg  []float64 // bypass view only: weight added after w (see bypass)
 
 	// Bucket plan of the shortest-path sweep, fixed by plan from the
 	// smallest positive and the largest edge weight: a distance d belongs to
@@ -63,10 +65,14 @@ type csr struct {
 	ringLen   int
 }
 
-// plan fixes the sweep's bucket plan from the packed weights.
+// plan fixes the sweep's bucket plan from the packed weights, w+leg on a
+// bypass view.
 func (c *csr) plan() {
 	minPos, maxW := math.Inf(1), 0.0
-	for _, w := range c.w {
+	for e, w := range c.w {
+		if c.leg != nil {
+			w += c.leg[e]
+		}
 		if w > 0 && w < minPos {
 			minPos = w
 		}
@@ -129,7 +135,6 @@ func newGraph(n int, edges []ipLink) *Graph {
 	off[n] = kept
 	g.m = int(kept) / 2
 	g.off, g.to, g.w = off[:n+1], to[:kept], w[:kept]
-	g.plan()
 	g.byW = make([]int32, kept)
 	for e := range g.byW {
 		g.byW[e] = int32(e)
@@ -230,10 +235,12 @@ func (c *csr) newSweepState() sweepState {
 // every chain acyclic on zero-weight links: a predecessor at the same
 // distance reached it strictly earlier.
 //
+// The distance-only loop adds leg[e] after w[e]: it runs on bypass views.
+//
 // sweep only reads c, so workers may share it.
 func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
 	dist, slot, ring := rt.dist, s.slot, s.ring
-	off, to, w, inv := c.off, c.to, c.w, c.bucketInv
+	off, to, w, leg, inv := c.off, c.to, c.w, c.leg, c.bucketInv
 	rec := rt.prevPeer != nil
 	mask := len(ring) - 1
 	for i := range dist {
@@ -286,7 +293,7 @@ func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
 					continue
 				}
 				for e := lo; e < hi; e++ {
-					v, nd := to[e], du+w[e]
+					v, nd := to[e], du+w[e]+leg[e]
 					if nd >= dist[v] {
 						continue
 					}
@@ -306,34 +313,87 @@ func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
 	}
 }
 
+// bypassView is the graph every IP-layer sweep runs on: g's rows with each
+// half-edge u→x into a relay x — degree 2, two different neighbors, neither
+// of degree 2, so no relay neighbors another — redirected to x's other
+// neighbor y with leg w(x,y), so a sweep folds fl(fl(du+w)+w') exactly as
+// the path through x does; a direct half-edge's leg is +0, and fl(s+0) == s
+// for s >= 0. Only walks u→x→u drop out, which never shorten a path (fl is
+// monotone). No half-edge reaches a relay, so a sweep scans the other nodes
+// only; at gives a relay its distance from its intact row.
+type bypassView struct {
+	csr
+	relay []bool
+}
+
+// bypass builds g's view in O(n+m): it shares off and w, copies to, and
+// plans its buckets on w+leg. It is built per call, never stored on g, so a
+// graph no full sweep reads pays nothing for it.
+func (g *Graph) bypass() *bypassView {
+	v := &bypassView{csr: csr{off: g.off, to: slices.Clone(g.to), w: g.w, leg: make([]float64, len(g.to))}, relay: make([]bool, g.n)}
+	for x := range v.relay {
+		e := g.off[x]
+		v.relay[x] = g.Degree(x) == 2 && g.to[e] != g.to[e+1] && g.Degree(int(g.to[e])) != 2 && g.Degree(int(g.to[e+1])) != 2
+	}
+	for u := range v.relay {
+		for e := g.off[u]; e < g.off[u+1]; e++ {
+			if x := g.to[e]; v.relay[x] {
+				f := g.off[x]
+				if g.to[f] == int32(u) {
+					f++
+				}
+				v.to[e], v.leg[e] = g.to[f], g.w[f]
+			}
+		}
+	}
+	v.plan()
+	return v
+}
+
+// at returns the distance to t from a sweep of v from src: dist[t], or, for
+// a relay t other than src, the fixpoint equation at t over its own two
+// links, whose far ends are no relays and so hold their final distances.
+func (v *bypassView) at(src, t int, dist []float64) float64 {
+	if !v.relay[t] || t == src {
+		return dist[t]
+	}
+	e := v.off[t]
+	return min(dist[v.to[e]]+v.w[e], dist[v.to[e+1]]+v.w[e+1])
+}
+
 // Dijkstra computes single-source shortest-path latencies from src.
 // Unreachable nodes get +Inf. Edge weights are finite and >= 0 (newGraph
 // enforces it). The name is the contract — Dijkstra's distances — not the
-// algorithm: see sweep.
+// algorithm: see sweep and bypass.
 func (g *Graph) Dijkstra(src int) []float64 {
-	rt, s := routeTable{dist: make([]float64, g.n)}, g.newSweepState()
-	g.sweep(src, &rt, &s)
+	v := g.bypass()
+	rt, s := routeTable{dist: make([]float64, g.n)}, v.newSweepState()
+	v.sweep(src, &rt, &s)
+	for t := range rt.dist {
+		rt.dist[t] = v.at(src, t, rt.dist)
+	}
 	return rt.dist
 }
 
 // PairDistances computes the shortest-path latency between every pair of the
-// given nodes: one sweep per source, fanned over GOMAXPROCS workers. Row i
-// holds the distances from nodes[i] to every nodes[j]. This is the overlay
-// builder's peer-latency pass and, at the paper's scale (1,000 peers over
-// 10,000 IP nodes), most of a cluster build. Each worker owns one sweepState
-// and distance vector, reused across its sources, reads the graph, and
-// writes only the rows of its own sources; a row depends on nothing but its
-// source, so the matrix is the same at any worker count. Edge weights are
-// finite and >= 0 (newGraph enforces it).
+// given nodes: one sweep of the bypass view per source, fanned over
+// GOMAXPROCS workers. Row i holds the distances from nodes[i] to every
+// nodes[j]. This is the overlay builder's peer-latency pass and, at the
+// paper's scale (1,000 peers over 10,000 IP nodes), most of a cluster build.
+// Each worker owns one sweepState and distance vector, reused across its
+// sources, reads the view, and writes only the rows of its own sources; a
+// row depends on nothing but its source, so the matrix is the same at any
+// worker count. Edge weights are finite and >= 0 (newGraph enforces it).
 func (g *Graph) PairDistances(nodes []int) [][]float64 {
+	v := g.bypass()
 	out := make([][]float64, len(nodes))
 	fanOut(len(nodes), func() func(int) {
-		rt, s := routeTable{dist: make([]float64, g.n)}, g.newSweepState()
+		rt, s := routeTable{dist: make([]float64, g.n)}, v.newSweepState()
 		return func(i int) {
-			g.sweep(nodes[i], &rt, &s)
+			v.sweep(nodes[i], &rt, &s)
 			row := make([]float64, len(nodes))
 			for j, dst := range nodes {
-				row[j] = rt.dist[dst]
+				row[j] = v.at(nodes[i], dst, rt.dist)
 			}
 			out[i] = row
 		}

@@ -357,12 +357,19 @@ func TestGeneratePowerLawWorldsUnchanged(t *testing.T) {
 
 // TestPairDistancesAnyWorkerCount runs the parallel pass at GOMAXPROCS 1, 2
 // and 8 — including no nodes, one node and fewer nodes than workers — and
-// requires the matrix to equal a sequential Dijkstra per source entry for
-// entry: rows are independent, so the worker count cannot show.
+// requires the matrix to equal the heap oracle's distances per source, bit
+// for bit: rows are independent, so the worker count cannot show. The
+// oracle, not Dijkstra, because Dijkstra sweeps the same bypass view.
 func TestPairDistancesAnyWorkerCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(14))
 	g := GeneratePowerLaw(300, 2, 1, 25, rng)
+	lg := newLegacyGraph(g.N())
+	for u := 0; u < g.N(); u++ {
+		for _, e := range neighbors(g, u) {
+			lg.addEdge(u, e.To, e.Latency)
+		}
+	}
 	perm := rng.Perm(g.N())
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
@@ -373,13 +380,13 @@ func TestPairDistancesAnyWorkerCount(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: %d rows for %d nodes", procs, len(got), n)
 			}
 			for i, src := range nodes {
-				want := g.Dijkstra(src)
+				want := lg.dijkstra(src)
 				if len(got[i]) != n {
 					t.Fatalf("GOMAXPROCS=%d: row %d has %d entries, want %d", procs, i, len(got[i]), n)
 				}
 				for j, dst := range nodes {
-					if got[i][j] != want[dst] {
-						t.Fatalf("GOMAXPROCS=%d: PairDistances[%d][%d]=%v, Dijkstra=%v", procs, i, j, got[i][j], want[dst])
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[dst]) {
+						t.Fatalf("GOMAXPROCS=%d: PairDistances[%d][%d]=%v, heap oracle %v", procs, i, j, got[i][j], want[dst])
 					}
 				}
 			}
@@ -388,21 +395,47 @@ func TestPairDistancesAnyWorkerCount(t *testing.T) {
 }
 
 // TestPairDistancesAllocs ratchets the peer-latency pass at two workers: the
-// matrix (one spine, one row per source) plus per-worker scratch — a
-// sweepState whose ring buckets grow by doubling to their working size, a
-// goroutine — and nothing per source after that. One object per source (a
-// dist vector, a heap) would put the 200-source pass 200 over.
+// matrix (one spine, one row per source), the bypass view (itself, its to,
+// leg and relay arrays) plus per-worker scratch — a sweepState whose ring
+// buckets, as many as the view's plan, grow by doubling to their working
+// size, a goroutine — and nothing per source after that. One object per
+// source (a dist vector, a heap) would put the 200-source pass 200 over.
 func TestPairDistancesAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rng := rand.New(rand.NewSource(16))
 	g := GeneratePowerLaw(2000, 2, 2, 30, rng)
 	nodes := rng.Perm(g.N())[:200]
 	const workers = 2
-	budget := float64(1 + len(nodes) + workers*(6+5*g.ringLen))
+	budget := float64(1 + len(nodes) + 4 + workers*(6+5*g.bypass().ringLen))
 	got := testing.AllocsPerRun(5, func() { g.PairDistances(nodes) })
 	t.Logf("PairDistances(200 of 2000): %.0f allocs (matrix %d), budget %.0f", got, 1+len(nodes), budget)
 	if got > budget {
 		t.Fatalf("PairDistances allocates %.0f objects, budget %.0f", got, budget)
+	}
+}
+
+// TestRelaysOnGeneratedWorlds pins that the bypass engages where the repo
+// sweeps: on the §6.1 generator's graphs, 3,000 and 10,000 nodes at seeds
+// 1–3, at least 45 % of the nodes are relays, and no relay neighbors one. A
+// relay rule that silently matched nothing would leave every distance test
+// green and the sweeps scanning every node.
+func TestRelaysOnGeneratedWorlds(t *testing.T) {
+	for _, n := range []int{3000, 10000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := GeneratePowerLaw(n, 2, 2, 30, rand.New(rand.NewSource(seed)))
+			rs, relay := relays(g), g.bypass().relay
+			for _, x := range rs {
+				for _, e := range neighbors(g, x) {
+					if relay[e.To] {
+						t.Fatalf("%d nodes seed %d: relays %d and %d are neighbors", n, seed, x, e.To)
+					}
+				}
+			}
+			t.Logf("%d nodes seed %d: %d relays", n, seed, len(rs))
+			if len(rs)*100 < 45*n {
+				t.Fatalf("%d nodes seed %d: %d relays, want at least 45 %%", n, seed, len(rs))
+			}
+		}
 	}
 }
 

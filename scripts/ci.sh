@@ -48,15 +48,16 @@ go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitFor
 # paths' objects, bytes and time into the log, and the third the objects of
 # one simulator event (0: a timer is a pooled event); the next ones do that for the
 # world build and the route plane: the three build passes (peer-latency matrix
-# at the paper's scale, the scale workload's 300k-node graph generation and
-# its compact mesh), the whole full overlay build at the paper's scale (mesh
-# search plus matrix), which is what
+# at the paper's scale, on one core and fanned over two, the scale workload's
+# 300k-node graph generation and its compact mesh), the whole full overlay
+# build at the paper's scale (mesh search plus matrix), which is what
 # the steady workload's setup_s pays, 200 route-table sweeps on the scale
 # workload's overlay, which is its run_s, and one evicting route miss.
 echo "== allocation gates (no race detector) + compose/recovery-tick + world-build and route benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
 go test -run '^$' -bench 'BCPCompose|RecoveryTick|SimEventDispatch' -benchmem -benchtime 20x .
-go test -run '^$' -bench 'PairDistancesPaperScale|GeneratePowerLaw300k|CompactMesh30k|TopologyPaperScale|RouteTables30k' -benchmem -benchtime 3x .
+go test -run '^$' -bench 'PairDistancesPaperScale' -benchmem -benchtime 3x -cpu 1,2 .
+go test -run '^$' -bench 'GeneratePowerLaw300k|CompactMesh30k|TopologyPaperScale|RouteTables30k' -benchmem -benchtime 3x .
 go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 
 # Message gates, beside the allocation gates: one pinned small cell holds DHT
