@@ -89,7 +89,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		specFile  = fs.String("spec", "", "compose a single request from a QoSTalk-style XML spec file")
 		traceFile = fs.String("trace", "", "write a deterministic JSONL event trace to this file (.gz compresses)")
 		stats     = fs.Bool("stats", false, "print per-layer counter tables, histograms, and a trace summary")
-		check     = fs.Bool("check", false, "verify this run's trace invariants and counter totals")
+		check     = fs.Bool("check", false, "verify this run's trace invariants")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of whatever this command line does to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit (GODEBUG=memprofilerate=1 counts every object)")
 	)
@@ -226,17 +226,14 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		tracers = append(tracers, tf)
 	}
-	// The checker and the span builder fold the run's events as they are
-	// emitted, so no consumer needs the run buffered.
-	if *stats || *check {
-		reg = obs.NewRegistry()
-	}
+	// The checker, the span builder and the counter registry fold the run's
+	// events as they are emitted, so no consumer needs the run buffered.
 	if *check {
 		checker = obs.NewChecker()
 		tracers = append(tracers, obs.TracerFunc(func(ev obs.Event) { events++; checker.Add(ev) }))
 	}
 	if *stats {
-		met = obs.NewMetrics()
+		reg, met = obs.NewRegistry(), obs.NewMetrics()
 		spans = span.NewBuilder()
 		tracers = append(tracers, obs.TracerFunc(spans.Add))
 	}
@@ -397,7 +394,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		if orphans > 0 {
 			return fmt.Errorf("check: %d alive peers left holding reservations after the drain", orphans)
 		}
-		vs := append(checker.Finish(), checker.Totals(reg.Totals())...)
+		vs := checker.Finish()
 		for _, v := range vs {
 			fmt.Fprintf(stderr, "check: this run: %s\n", v)
 		}

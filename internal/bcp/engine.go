@@ -213,7 +213,8 @@ type Engine struct {
 	// events of every request this engine touches. Nil (the default)
 	// disables tracing at the cost of one pointer check per site.
 	Trace obs.Tracer
-	// Ctr, when non-nil, accumulates this peer's probe/budget counters.
+	// Ctr, when non-nil, accumulates this peer's discovery and shedding
+	// counters, the ones no event records.
 	Ctr *obs.NodeCounters
 	// Met, when non-nil, observes composition latency and probe-shape
 	// histograms (the online metrics plane). Same nil-guard convention as

@@ -324,9 +324,6 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 			return
 		}
 		pr.Egress = service.LinkSnapshot{FromFn: pr.CurFn, ToFn: -1, BandAvail: eband, Latency: elat}
-		if e.Ctr != nil {
-			e.Ctr.ProbesReturned.Add(1)
-		}
 		if e.Trace != nil {
 			e.Trace.Emit(obs.ProbeReturned(e.host.Now(), e.host.ID(), pr.ReqID,
 				req.Dest, len(pr.Visited), ProbeSize(pr), pr.UID))
@@ -388,9 +385,6 @@ func (h *probeHop) discovered(table []List, ok bool) {
 // overhead accounting and the trace, and returns its credit to the
 // destination, whose collection need then not wait out the window for it.
 func (e *Engine) dropProbe(pr *Probe, reason string) {
-	if e.Ctr != nil {
-		e.Ctr.ProbesDropped.Add(1)
-	}
 	if e.Trace != nil {
 		e.Trace.Emit(obs.ProbeDropped(e.host.Now(), e.host.ID(), pr.ReqID,
 			pr.Pattern.Function(pr.CurFn), pr.CurCompID, reason, len(pr.Visited), pr.UID))
@@ -561,10 +555,6 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 			np.CurFn = nf.fn
 			np.CurCompID = c.ID
 			np.UID = e.nextProbeUID()
-			if e.Ctr != nil {
-				e.Ctr.ProbesSent.Add(1)
-				e.Ctr.BudgetSpent.Add(int64(newBudget))
-			}
 			if e.Trace != nil {
 				e.Trace.Emit(obs.ProbeSent(e.host.Now(), e.host.ID(), pr.ReqID,
 					c.Peer, pr.Pattern.Function(nf.fn), c.ID, newBudget, len(pr.Visited),

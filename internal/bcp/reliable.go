@@ -53,9 +53,6 @@ func (e *Engine) armRetx(msg p2p.Message, reqID, pid uint64, try int) {
 		if try > e.cfg.ProbeRetries {
 			return
 		}
-		if e.Ctr != nil {
-			e.Ctr.ProbesRetx.Add(1)
-		}
 		if e.Trace != nil {
 			e.Trace.Emit(obs.ProbeRetx(e.host.Now(), e.host.ID(), reqID, msg.To,
 				msg.Type, try, pid))

@@ -107,9 +107,6 @@ func (e *Engine) onCredit(_ p2p.Node, msg p2p.Message) {
 	if col.accounted(cm.UID) {
 		return
 	}
-	if e.Ctr != nil {
-		e.Ctr.ProbesCredited.Add(1)
-	}
 	if e.Trace != nil {
 		e.Trace.Emit(obs.ProbeCredited(e.host.Now(), e.host.ID(), cm.ReqID, msg.From, cm.UID))
 	}

@@ -25,10 +25,9 @@ func TestPartitionHealSoak(t *testing.T) {
 	cat := catalog(6)
 	bcfg, rc := cluster.Hardened(bcp.DefaultConfig(), recovery.DefaultConfig())
 	chk := obs.NewChecker()
-	reg := obs.NewRegistry()
 	c := cluster.New(cluster.Options{
 		Seed: 21, IPNodes: 200, Peers: nPeers, Catalog: cat,
-		BCP: bcfg, Recovery: &rc, Trace: obs.TracerFunc(chk.Add), Obs: reg,
+		BCP: bcfg, Recovery: &rc, Trace: obs.TracerFunc(chk.Add),
 	})
 
 	peers := make([]p2p.NodeID, nPeers)
@@ -93,7 +92,7 @@ func TestPartitionHealSoak(t *testing.T) {
 	checkDiscovery(t, c, cat)
 
 	// The trace must stay internally consistent through partition chaos.
-	for _, v := range append(chk.Finish(), chk.Totals(reg.Totals())...) {
+	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
 	}
 }

@@ -197,6 +197,8 @@ func New(opts Options) *Cluster {
 	if err != nil {
 		panic(err.Error())
 	}
+	// The registry counts by folding events: it rides every layer's trace.
+	o.Trace = obs.Counting(o.Trace, o.Obs)
 	// Everything every engine shares is folded into o.BCP before the first
 	// one is built: a loaded deployment's overload control plane. The
 	// nil-Domains path must stay byte-identical to pre-federation clusters, so
@@ -219,9 +221,7 @@ func New(opts Options) *Cluster {
 		return time.Duration(ov.Latency(int(from), int(to)) * float64(time.Millisecond))
 	}
 	net := simnet.NewNetwork(sim, latency, rng)
-	if o.Trace != nil || o.Obs != nil || o.Metrics != nil {
-		net.SetObs(o.Trace, o.Obs, o.Metrics)
-	}
+	net.SetObs(o.Trace, o.Obs, o.Metrics)
 
 	c := &Cluster{Sim: sim, Net: net, IP: ip, Overlay: ov, Rng: rng, opts: o}
 	if o.Load != nil && o.Load.Model.Base > 0 {
@@ -313,7 +313,6 @@ func New(opts Options) *Cluster {
 			Engine:   func(id p2p.NodeID) *bcp.Engine { return c.Peers[id].Engine },
 			LocalFns: localFns,
 			Trace:    o.Trace,
-			Obs:      o.Obs,
 		})
 		for _, p := range c.Peers {
 			p.Fed = c.Fed.NewClient(p.Node)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -164,6 +165,23 @@ func TestCountersPerNode(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("per-node counters differ from %s (go test -run CountersPerNode -update to rewrite):\n%s", path, firstDiff(buf.String(), string(want)))
+	}
+}
+
+// TestCountersOnlyEqualsTraced: a registry attached with no trace sink counts
+// node for node what it counts beside one, so the fold rides every layer
+// either way.
+func TestCountersOnlyEqualsTraced(t *testing.T) {
+	for _, r := range counterRuns {
+		alone, traced, mem := obs.NewRegistry(), obs.NewRegistry(), &obs.MemSink{}
+		r.run(nil, alone)
+		r.run(mem, traced)
+		if len(mem.Events()) == 0 {
+			t.Fatalf("%s: the traced run emitted nothing", r.name)
+		}
+		if a, b := alone.Snapshot(), traced.Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: counters-only run differs from the traced run", r.name)
+		}
 	}
 }
 

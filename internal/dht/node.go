@@ -122,8 +122,8 @@ type Node struct {
 	nextReq uint64
 	pending map[uint64]*getReq // allocated on first in-flight lookup
 
-	// Trace receives routing events when non-nil; Ctr accumulates hop
-	// counters; Met observes lookup-latency histograms. All are optional
+	// Trace receives routing events when non-nil; Ctr accumulates the
+	// delta-answer counter; Met observes lookup-latency histograms. All are optional
 	// and set by the wiring layer.
 	Trace obs.Tracer
 	Ctr   *obs.NodeCounters
@@ -354,9 +354,6 @@ func (n *Node) routeVia(rm RouteMsg, next Entry) p2p.NodeID {
 		return p2p.NoNode
 	}
 	rm.Hops++
-	if n.Ctr != nil {
-		n.Ctr.DHTHops.Add(1)
-	}
 	if n.Trace != nil {
 		n.Trace.Emit(obs.DHTHop(n.host.Now(), n.self.Addr, next.Addr, rm.Span, rm.Hops, payloadKind(rm)))
 	}

@@ -81,8 +81,6 @@ type Agent struct {
 	Ledger Ledger
 	// Trace, when non-nil, receives fed.prepare/commit/abort events.
 	Trace obs.Tracer
-	// Ctr, when non-nil, receives the per-node federation counters.
-	Ctr *obs.NodeCounters
 }
 
 // NewAgent registers the participant protocol on a gateway peer.
@@ -119,9 +117,6 @@ func (a *Agent) onPrepare(_ p2p.Node, msg p2p.Message) {
 		a.eng.Hold(sub, res.Best, a.cfg.Hold, func() { a.expire(sub) })
 		a.holds[sub] = holdRec{fedID: m.FedID, seg: m.Seg}
 		a.Ledger.Prepares++
-		if a.Ctr != nil {
-			a.Ctr.FedPrepares.Add(1)
-		}
 		if a.Trace != nil {
 			a.Trace.Emit(obs.FedPrepare(a.host.Now(), a.host.ID(), m.FedID, sub, a.domain))
 		}
@@ -148,9 +143,6 @@ func (a *Agent) expire(subID uint64) {
 	delete(a.holds, subID)
 	a.resolved(subID)
 	a.Ledger.Expires++
-	if a.Ctr != nil {
-		a.Ctr.FedAborts.Add(1)
-	}
 	if a.Trace != nil {
 		a.Trace.Emit(obs.FedAbort(a.host.Now(), a.host.ID(), rec.fedID, subID, a.domain, "expire"))
 	}
@@ -164,9 +156,6 @@ func (a *Agent) onDecide(_ p2p.Node, msg p2p.Message) {
 			delete(a.holds, m.SubID)
 			a.resolved(m.SubID)
 			a.Ledger.Aborts++
-			if a.Ctr != nil {
-				a.Ctr.FedAborts.Add(1)
-			}
 			if a.Trace != nil {
 				a.Trace.Emit(obs.FedAbort(a.host.Now(), a.host.ID(), rec.fedID, m.SubID, a.domain, "abort"))
 			}
@@ -186,9 +175,6 @@ func (a *Agent) onDecide(_ p2p.Node, msg p2p.Message) {
 	a.resolved(m.SubID)
 	a.committed[m.SubID] = true
 	a.Ledger.Commits++
-	if a.Ctr != nil {
-		a.Ctr.FedCommits.Add(1)
-	}
 	if a.Trace != nil {
 		a.Trace.Emit(obs.FedCommit(a.host.Now(), a.host.ID(), rec.fedID, m.SubID, a.domain))
 	}

@@ -117,9 +117,9 @@ type Deployment struct {
 	// components implement) — the coordinator's administrative knowledge of
 	// its own domain, exchanged with the other coordinators at bootstrap.
 	LocalFns [][]string
-	// Trace/Obs mirror the cluster's observability wiring.
+	// Trace receives the control plane's events (and counts them, when the
+	// cluster's registry rides it).
 	Trace obs.Tracer
-	Obs   *obs.Registry
 }
 
 // Federation bundles the control plane of one federated deployment.
@@ -140,9 +140,6 @@ func New(d Deployment) *Federation {
 		for _, gw := range d.Plan.Gateways(dom) {
 			a := NewAgent(d.Host(gw), d.Engine(gw), dom, d.Cfg)
 			a.Trace = d.Trace
-			if d.Obs != nil {
-				a.Ctr = d.Obs.Node(gw)
-			}
 			f.Agents = append(f.Agents, a)
 		}
 		fns := append([]string(nil), d.LocalFns[dom]...)

@@ -27,7 +27,7 @@ func catalog(n int) []string {
 
 // fedCluster builds a federated cluster small enough for fast tests but with
 // enough peers per domain that every catalogue function has replicas.
-func fedCluster(seed int64, domains, gateways int, trace obs.Tracer, reg *obs.Registry) *cluster.Cluster {
+func fedCluster(seed int64, domains, gateways int, trace obs.Tracer) *cluster.Cluster {
 	return cluster.New(cluster.Options{
 		Seed:    seed,
 		IPNodes: 200,
@@ -36,7 +36,6 @@ func fedCluster(seed int64, domains, gateways int, trace obs.Tracer, reg *obs.Re
 		Domains: &federation.Spec{Domains: domains, Gateways: gateways,
 			Hold: 10 * time.Second, Life: 10 * time.Second},
 		Trace: trace,
-		Obs:   reg,
 	})
 }
 
@@ -78,15 +77,10 @@ func orphanCount(c *cluster.Cluster) int {
 }
 
 // checkTrace asserts the obs invariants (including the 2PC lifecycle
-// invariant) over the events chk was fed and, given the run's registry, the
-// counter totals against them.
-func checkTrace(t *testing.T, chk *obs.Checker, reg *obs.Registry) {
+// invariant) over the events chk was fed.
+func checkTrace(t *testing.T, chk *obs.Checker) {
 	t.Helper()
-	vs := chk.Finish()
-	if reg != nil {
-		vs = append(vs, chk.Totals(reg.Totals())...)
-	}
-	for _, v := range vs {
+	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
 	}
 }
@@ -100,8 +94,8 @@ func composeAcross(c *cluster.Cluster, cb func(federation.Result)) {
 }
 
 func TestCrossDomainCommit(t *testing.T) {
-	chk, reg := obs.NewChecker(), obs.NewRegistry()
-	c := fedCluster(21, 2, 1, obs.TracerFunc(chk.Add), reg)
+	chk := obs.NewChecker()
+	c := fedCluster(21, 2, 1, obs.TracerFunc(chk.Add))
 
 	var got federation.Result
 	composeAcross(c, func(r federation.Result) { got = r })
@@ -133,7 +127,7 @@ func TestCrossDomainCommit(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d peers left holding reservations", n)
 	}
-	checkTrace(t, chk, reg)
+	checkTrace(t, chk)
 }
 
 // TestDecisionOutlivesCoordinator fails the origin coordinator right after
@@ -154,7 +148,7 @@ func TestDecisionOutlivesCoordinator(t *testing.T) {
 			c.Sim.Schedule(0, func() { c.Net.Fail(c.DomainPlan().Coordinator(0)) })
 		}
 	})
-	c = fedCluster(21, 2, 1, hook, nil)
+	c = fedCluster(21, 2, 1, hook)
 
 	var got federation.Result
 	composeAcross(c, func(r federation.Result) { got = r })
@@ -175,14 +169,14 @@ func TestDecisionOutlivesCoordinator(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d alive peers left holding reservations", n)
 	}
-	checkTrace(t, chk, nil)
+	checkTrace(t, chk)
 }
 
 // TestCommitWireCost counts the federation messages of one healthy
 // two-segment request: the participants acknowledge to the client, so the
 // coordinator sends no result after a commit.
 func TestCommitWireCost(t *testing.T) {
-	c := fedCluster(21, 2, 1, nil, nil)
+	c := fedCluster(21, 2, 1, nil)
 	ok := false
 	composeAcross(c, func(r federation.Result) { ok = r.Ok })
 	drain(c, 0)
@@ -207,7 +201,7 @@ func TestCommitWireCost(t *testing.T) {
 // handed their first hops, so the second request's probe bytes are lower by
 // at least every duplicate of each segment's second function.
 func TestGatewayHandsItsListsOnce(t *testing.T) {
-	c := fedCluster(21, 2, 1, nil, nil)
+	c := fedCluster(21, 2, 1, nil)
 	src := c.DomainPlan().Members[0][1]
 	// fn0 and fn2 home in domain 0, fn1 and fn3 in domain 1.
 	probeBytes := func(id uint64) int64 {
@@ -242,7 +236,7 @@ func TestGatewayHandsItsListsOnce(t *testing.T) {
 
 func TestSingleDomainStaysLocal(t *testing.T) {
 	chk := obs.NewChecker()
-	c := fedCluster(22, 2, 1, obs.TracerFunc(chk.Add), nil)
+	c := fedCluster(22, 2, 1, obs.TracerFunc(chk.Add))
 
 	// fn0 and fn2 both home in domain 0 (round-robin over 2 domains).
 	var got federation.Result
@@ -261,12 +255,12 @@ func TestSingleDomainStaysLocal(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d peers left holding reservations", n)
 	}
-	checkTrace(t, chk, nil)
+	checkTrace(t, chk)
 }
 
 func TestMissingFunctionFailsFast(t *testing.T) {
 	chk := obs.NewChecker()
-	c := fedCluster(23, 2, 1, obs.TracerFunc(chk.Add), nil)
+	c := fedCluster(23, 2, 1, obs.TracerFunc(chk.Add))
 
 	var got federation.Result
 	var done bool
@@ -289,7 +283,7 @@ func TestMissingFunctionFailsFast(t *testing.T) {
 	if led := c.Fed.TotalLedger(); led.Prepares != 0 {
 		t.Fatalf("failed split still prepared: %+v", led)
 	}
-	checkTrace(t, chk, nil)
+	checkTrace(t, chk)
 }
 
 // TestInvalidRequestRejected: a request Validate refuses — no function graph,
@@ -297,7 +291,7 @@ func TestMissingFunctionFailsFast(t *testing.T) {
 // the trace records it as a composition of no functions that failed.
 func TestInvalidRequestRejected(t *testing.T) {
 	chk, mem := obs.NewChecker(), &obs.MemSink{}
-	c := fedCluster(23, 2, 1, obs.TracerFunc(func(ev obs.Event) { mem.Emit(ev); chk.Add(ev) }), nil)
+	c := fedCluster(23, 2, 1, obs.TracerFunc(func(ev obs.Event) { mem.Emit(ev); chk.Add(ev) }))
 	src := c.DomainPlan().Members[0][1]
 	noGraph, noBudget := fedRequest(7, src, "fn0"), fedRequest(8, src, "fn0", "fn1")
 	noGraph.FGraph, noBudget.Budget = nil, 0
@@ -331,7 +325,7 @@ func TestInvalidRequestRejected(t *testing.T) {
 			t.Errorf("request %d traced %d starts of no functions and %d failed ends, want one each", id, starts[id], fails[id])
 		}
 	}
-	checkTrace(t, chk, nil)
+	checkTrace(t, chk)
 }
 
 // TestGatewayCrashPresumedAbort crashes the remote domain's gateway while
@@ -340,7 +334,7 @@ func TestInvalidRequestRejected(t *testing.T) {
 // peer is left holding anything.
 func TestGatewayCrashPresumedAbort(t *testing.T) {
 	chk := obs.NewChecker()
-	c := fedCluster(24, 2, 1, obs.TracerFunc(chk.Add), nil)
+	c := fedCluster(24, 2, 1, obs.TracerFunc(chk.Add))
 	victim := c.DomainPlan().Gateways(1)[0]
 
 	results := 0
@@ -363,7 +357,7 @@ func TestGatewayCrashPresumedAbort(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d alive peers left holding reservations", n)
 	}
-	checkTrace(t, chk, nil)
+	checkTrace(t, chk)
 }
 
 // TestPartitionDuringCommit cuts domain 0 off from the rest of the overlay
@@ -371,7 +365,7 @@ func TestGatewayCrashPresumedAbort(t *testing.T) {
 // by timeout on both sides and the drained cluster holds nothing.
 func TestPartitionDuringCommit(t *testing.T) {
 	chk := obs.NewChecker()
-	c := fedCluster(25, 2, 1, obs.TracerFunc(chk.Add), nil)
+	c := fedCluster(25, 2, 1, obs.TracerFunc(chk.Add))
 
 	for i := 0; i < 6; i++ {
 		id := uint64(30 + i)
@@ -392,7 +386,7 @@ func TestPartitionDuringCommit(t *testing.T) {
 	if n := c.Fed.OutstandingHolds(); n != 0 {
 		t.Fatalf("%d holds outstanding after heal", n)
 	}
-	checkTrace(t, chk, nil)
+	checkTrace(t, chk)
 }
 
 // TestCoordinatorCrashPresumedAbort kills the origin coordinator mid-window.
@@ -401,7 +395,7 @@ func TestPartitionDuringCommit(t *testing.T) {
 // timer, and participant holds in the remote domain expire; nothing leaks.
 func TestCoordinatorCrashPresumedAbort(t *testing.T) {
 	chk := obs.NewChecker()
-	c := fedCluster(26, 2, 1, obs.TracerFunc(chk.Add), nil)
+	c := fedCluster(26, 2, 1, obs.TracerFunc(chk.Add))
 	victim := c.DomainPlan().Coordinator(0)
 
 	results := 0
@@ -424,13 +418,13 @@ func TestCoordinatorCrashPresumedAbort(t *testing.T) {
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d alive peers left holding reservations", n)
 	}
-	checkTrace(t, chk, nil)
+	checkTrace(t, chk)
 }
 
 // ledgerWorkload schedules eight three-function requests over three domains,
 // one every 2 s, and returns the cluster they run on.
-func ledgerWorkload(trace obs.Tracer, reg *obs.Registry) *cluster.Cluster {
-	c := fedCluster(27, 3, 2, trace, reg)
+func ledgerWorkload(trace obs.Tracer) *cluster.Cluster {
+	c := fedCluster(27, 3, 2, trace)
 	for i := 0; i < 8; i++ {
 		id := uint64(70 + i)
 		dom := i % 3
@@ -444,12 +438,11 @@ func ledgerWorkload(trace obs.Tracer, reg *obs.Registry) *cluster.Cluster {
 	return c
 }
 
-// TestLedgerMatchesTrace cross-checks the three federated telemetry planes on
-// a healthy multi-request run: gateway ledgers, trace events, and registry
-// counters must agree.
+// TestLedgerMatchesTrace cross-checks the gateway ledgers against the trace
+// events on a healthy multi-request run.
 func TestLedgerMatchesTrace(t *testing.T) {
-	mem, chk, reg := &obs.MemSink{}, obs.NewChecker(), obs.NewRegistry()
-	c := ledgerWorkload(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)}, reg)
+	mem, chk := &obs.MemSink{}, obs.NewChecker()
+	c := ledgerWorkload(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})
 	drain(c, 16*time.Second)
 
 	var prep, commit, abort int64
@@ -489,7 +482,7 @@ func TestLedgerMatchesTrace(t *testing.T) {
 		t.Errorf("domain ledgers %+v do not sum to total %+v", sum, led)
 	}
 
-	checkTrace(t, chk, reg)
+	checkTrace(t, chk)
 	if n := orphanCount(c); n != 0 {
 		t.Fatalf("%d peers left holding reservations", n)
 	}
@@ -499,7 +492,7 @@ func TestLedgerMatchesTrace(t *testing.T) {
 // entry stays while its prepare may still see a duplicated copy and goes
 // Hold after the prepare resolved, so a drained cluster keeps none.
 func TestPrepareDedupForgets(t *testing.T) {
-	c := ledgerWorkload(nil, nil)
+	c := ledgerWorkload(nil)
 	seen := func() int {
 		n := 0
 		for _, a := range c.Fed.Agents {

@@ -214,12 +214,6 @@ func (nw *Network) send(msg p2p.Message) {
 	}
 	if nw.loseSend() {
 		nw.faulted.Add(1)
-		nw.mu.Lock()
-		src := nw.nodes[msg.From]
-		nw.mu.Unlock()
-		if src != nil && src.ctr != nil {
-			src.ctr.Faults.Add(1)
-		}
 		if nw.trace != nil {
 			nw.trace.Emit(obs.NetFault(time.Since(nw.start), msg.From, msg.To,
 				obs.FaultLoss, msg.Type, msg.Size, msg.UID))
@@ -231,13 +225,9 @@ func (nw *Network) send(msg p2p.Message) {
 	time.AfterFunc(d, func() {
 		nw.mu.Lock()
 		dst := nw.nodes[msg.To]
-		src := nw.nodes[msg.From]
 		nw.mu.Unlock()
 		if dst == nil || !dst.alive.Load() {
 			nw.dropped.Add(1)
-			if src != nil && src.ctr != nil {
-				src.ctr.MsgsDrop.Add(1)
-			}
 			if nw.trace != nil {
 				nw.trace.Emit(obs.NetDrop(time.Since(nw.start), msg.From, msg.To, msg.Type, msg.Size, msg.UID))
 			}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fgraph"
 	"repro/internal/media"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -208,8 +209,12 @@ func TestExecRunsOnNodeLoop(t *testing.T) {
 	}
 }
 
+// TestTestbedComposeEndToEnd composes across live peers with a counter
+// registry and no trace sink: the registry still folds the probe and DHT
+// events.
 func TestTestbedComposeEndToEnd(t *testing.T) {
-	tb := NewTestbed(TestbedOptions{Hosts: 40, Seed: 5, Speedup: 50})
+	reg := obs.NewRegistry()
+	tb := NewTestbed(TestbedOptions{Hosts: 40, Seed: 5, Speedup: 50, Obs: reg})
 	defer tb.Close()
 
 	// Pick three functions that actually have replicas.
@@ -247,6 +252,10 @@ func TestTestbedComposeEndToEnd(t *testing.T) {
 	// Protocol-time setup spans at least the collect timeout.
 	if tb.Net.Unscale(r.SetupTime) < 500*time.Millisecond {
 		t.Fatalf("unscaled setup time %v implausibly low", tb.Net.Unscale(r.SetupTime))
+	}
+	if tot := reg.Totals(); tot.ProbesSent == 0 || tot.BudgetSpent == 0 || tot.DHTHops == 0 {
+		t.Fatalf("counters-only run folded probes_sent=%d probe_budget_spent=%d dht_hops=%d",
+			tot.ProbesSent, tot.BudgetSpent, tot.DHTHops)
 	}
 }
 

@@ -94,12 +94,12 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 		opts.Capacity[qos.CPU] = 20
 		opts.Capacity[qos.Memory] = 200
 	}
+	// The registry counts by folding events: it rides every layer's trace.
+	opts.Trace = obs.Counting(opts.Trace, opts.Obs)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	lat := topology.WideAreaLatencies(opts.Hosts, rng)
 	nw := NewNetwork(lat, opts.Speedup)
-	if opts.Trace != nil || opts.Obs != nil || opts.Metrics != nil {
-		nw.SetObs(opts.Trace, opts.Obs, opts.Metrics)
-	}
+	nw.SetObs(opts.Trace, opts.Obs, opts.Metrics)
 	if opts.Loss > 0 {
 		nw.SetLoss(opts.Loss, opts.Seed)
 	}

@@ -32,7 +32,6 @@ const (
 	VioDoneWithoutStart  = "done-without-start"
 	VioDoneBeforeStart   = "done-before-start"
 	VioMultipleDone      = "multiple-done"
-	VioCounterMismatch   = "counter-mismatch"
 	VioIncompleteClose   = "incomplete-at-close"
 	VioCreditNoDrop      = "credit-without-drop"
 	VioCreditDouble      = "credit-double"
@@ -47,8 +46,6 @@ const (
 	VioRecResolveNoFailure = "rec-resolve-without-failure"
 	VioRecProbeAfterDead   = "rec-probe-after-dead"
 )
-
-type tally struct{ n, budget int64 }
 
 type emission struct {
 	req    uint64
@@ -122,14 +119,8 @@ type emission struct {
 // Traces cut off mid-run (a simulator duration expiring with probes in
 // flight) can legitimately fail the conservation check; the seeded CI runs
 // are sized so all probing settles before the cutoff.
-//
-// Totals adds the cross-check between the two telemetry paths: the counters
-// the trace mirrors (CounterTable rows with event kinds) must equal what the
-// same run's events add up to.
 type Checker struct {
 	vs []Violation
-	// tallies counts the events of each kind and sums their Budget, for Totals.
-	tallies map[string]tally
 
 	emitted  map[uint64]emission
 	terms    map[uint64]int
@@ -171,7 +162,6 @@ type Checker struct {
 // NewChecker creates an empty streaming invariant checker.
 func NewChecker() *Checker {
 	return &Checker{
-		tallies:         make(map[string]tally),
 		emitted:         make(map[uint64]emission),
 		terms:           make(map[uint64]int),
 		children:        make(map[uint64]int),
@@ -198,10 +188,6 @@ func NewChecker() *Checker {
 // Add folds one event into the checker's state.
 func (c *Checker) Add(ev Event) {
 	c.last = max(c.last, ev.TS)
-	t := c.tallies[ev.Kind]
-	t.n++
-	t.budget += int64(ev.Budget)
-	c.tallies[ev.Kind] = t
 	switch ev.Kind {
 	case KindFedPrepare:
 		if c.fedPrepCount[ev.PID] == 0 {
@@ -565,30 +551,4 @@ func (c *Checker) Finish() []Violation {
 func (c *Checker) crashedSince(node p2p.NodeID, ts time.Duration) bool {
 	t, down := c.down[node]
 	return down && t >= ts
-}
-
-// Totals cross-checks a run's counter totals against the events added so
-// far: each counter with event kinds in CounterTable must equal the number of
-// those events (or the sum of their Budget). One counter-mismatch violation
-// per counter that differs.
-func (c *Checker) Totals(tot Counters) []Violation {
-	var vs []Violation
-	for _, k := range CounterTable {
-		if len(k.kinds) == 0 {
-			continue
-		}
-		var trace int64
-		for _, kind := range k.kinds {
-			if t := c.tallies[kind]; k.sum {
-				trace += t.budget
-			} else {
-				trace += t.n
-			}
-		}
-		if reg := k.Value(&tot); reg != trace {
-			vs = append(vs, Violation{VioCounterMismatch,
-				fmt.Sprintf("%s: registry=%d trace=%d", k.label, reg, trace)})
-		}
-	}
-	return vs
 }

@@ -264,33 +264,33 @@ func TestCheckIgnoresNonProbeWireRecords(t *testing.T) {
 	}
 }
 
-func TestCheckerTotals(t *testing.T) {
-	evs := cleanTrace()
-	good := Counters{
-		ProbesSent:     4,
-		ProbesDropped:  1,
-		ProbesReturned: 1,
-		BudgetSpent:    30, // 10 + 10 + 5 + 5
-		DHTHops:        1,
-		MsgsDrop:       1,
-		// Not trace-derivable; arbitrary values must not trip the check.
-		MsgsSent: 123, BytesSent: 456, MsgsRecv: 99,
+// fold feeds evs into a fresh Registry, the way a run hands it its events.
+func fold(evs []Event) *Registry {
+	r := NewRegistry()
+	for _, ev := range evs {
+		r.Emit(ev)
 	}
-	if vs := feed(evs).Totals(good); len(vs) != 0 {
-		t.Fatalf("consistent totals flagged: %v", vs)
+	return r
+}
+
+// TestRegistryFoldsEvents: each event CounterTable names adds one (its Budget
+// for probe_budget_spent) on the node that emitted it; the others count
+// nothing and create no block.
+func TestRegistryFoldsEvents(t *testing.T) {
+	want := []NodeSnapshot{
+		{2, Counters{DHTHops: 1}},
+		{3, Counters{ProbesSent: 2, BudgetSpent: 20}},
+		{6, Counters{ProbesReturned: 1}},
+		{7, Counters{ProbesSent: 2, BudgetSpent: 10, MsgsDrop: 1}},
+		{9, Counters{ProbesDropped: 1}},
 	}
-	bad := good
-	bad.ProbesSent = 7
-	bad.BudgetSpent = 1
-	vs := feed(evs).Totals(bad)
-	if !hasViolation(vs, VioCounterMismatch) || len(vs) != 2 {
-		t.Fatalf("want 2 counter mismatches, got %v", vs)
+	if got := fold(cleanTrace()).Snapshot(); !slices.Equal(got, want) {
+		t.Fatalf("folded %v, want %v", got, want)
 	}
 }
 
-func TestCheckerTotalsFaults(t *testing.T) {
-	evs := faultTrace()
-	good := Counters{
+func TestRegistryFoldsFaults(t *testing.T) {
+	want := Counters{
 		ProbesSent:     3,
 		ProbesReturned: 1,
 		BudgetSpent:    18, // 6 + 6 + 6
@@ -298,15 +298,8 @@ func TestCheckerTotalsFaults(t *testing.T) {
 		MsgsDrop:       1,
 		Faults:         4, // dup + loss + 2 partition kills
 	}
-	if vs := feed(evs).Totals(good); len(vs) != 0 {
-		t.Fatalf("consistent fault totals flagged: %v", vs)
-	}
-	bad := good
-	bad.ProbesRetx = 0
-	bad.Faults = 9
-	vs := feed(evs).Totals(bad)
-	if !hasViolation(vs, VioCounterMismatch) || len(vs) != 2 {
-		t.Fatalf("want 2 counter mismatches, got %v", vs)
+	if got := fold(faultTrace()).Totals(); got != want {
+		t.Fatalf("folded %+v, want %+v", got, want)
 	}
 }
 
@@ -400,16 +393,10 @@ func TestCheckFedCrashExcusal(t *testing.T) {
 	}
 }
 
-func TestCheckerTotalsFed(t *testing.T) {
-	evs := fedTrace()
-	good := Counters{FedPrepares: 2, FedCommits: 1, FedAborts: 1}
-	if vs := feed(evs).Totals(good); len(vs) != 0 {
-		t.Fatalf("consistent fed totals flagged: %v", vs)
-	}
-	bad := good
-	bad.FedCommits = 5
-	if vs := feed(evs).Totals(bad); !hasViolation(vs, VioCounterMismatch) {
-		t.Fatalf("fed counter drift not flagged: %v", vs)
+func TestRegistryFoldsFed(t *testing.T) {
+	want := Counters{FedPrepares: 2, FedCommits: 1, FedAborts: 1}
+	if got := fold(fedTrace()).Totals(); got != want {
+		t.Fatalf("folded %+v, want %+v", got, want)
 	}
 }
 
@@ -656,17 +643,8 @@ func uncredited() []Event {
 }
 
 func TestCheckCreditClean(t *testing.T) {
-	c := feed(creditTrace())
-	if vs := c.Finish(); len(vs) != 0 {
+	if vs := feed(creditTrace()).Finish(); len(vs) != 0 {
 		t.Fatalf("credited early close flagged: %v", vs)
-	}
-	tot := Counters{ProbesSent: 3, BudgetSpent: 6, ProbesReturned: 2, ProbesDropped: 1, ProbesCredited: 1}
-	if vs := c.Totals(tot); len(vs) != 0 {
-		t.Fatalf("consistent credit totals flagged: %v", vs)
-	}
-	tot.ProbesCredited = 0
-	if vs := c.Totals(tot); len(vs) != 1 || vs[0].Name != VioCounterMismatch {
-		t.Fatalf("want one counter mismatch, got %v", vs)
 	}
 	// Without its credit the request may still close at the window bound.
 	atBound := uncredited()

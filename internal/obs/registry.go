@@ -10,11 +10,13 @@ import (
 )
 
 // NodeCounters is one peer's monotonically increasing overhead counters.
-// Producers cache the pointer once (at wiring time) and bump fields with
-// Add(1). The fields are atomic so the admin endpoint (and any other
-// observer) can snapshot counters while the live runtimes are moving them
-// from many goroutines; in the single-threaded simulator the atomic add is
-// uncontended and costs a few nanoseconds on runs that opted into counters.
+// Registry.Emit folds the events CounterTable names into them; for the rest,
+// which no event records, producers cache the pointer once (at wiring time)
+// and bump them with Add. The fields are atomic so the admin endpoint (and
+// any other observer) can snapshot counters while the live runtimes are
+// moving them from many goroutines; in the single-threaded simulator the
+// atomic add is uncontended and costs a few nanoseconds on runs that opted
+// into counters.
 type NodeCounters struct {
 	MsgsSent  atomic.Int64 // messages this node put on the wire
 	BytesSent atomic.Int64 // approximate wire bytes sent
@@ -90,14 +92,15 @@ type Counters struct {
 }
 
 // CounterSpec is one row of CounterTable: a counter's exported name, the
-// label it reports under, its help text and, for the counters the trace
-// mirrors, the event kinds behind it.
+// label it reports under, its help text and, for the counters that are folds
+// of the trace, the event kinds behind it.
 type CounterSpec struct {
 	name  string // /snapshot key; with "_total" appended, the /metrics name
-	label string // Registry.Table row and counter-mismatch label
+	label string // Registry.Table row
 	help  string // /metrics HELP text
 	col   string // PerNodeTable column, empty if the table leaves it out
-	// kinds are the trace events that mirror the counter (none: the trace
+	// kinds are the events Registry.Emit folds into the counter, on the
+	// emitting node (none: the producer adds to it directly, as the trace
 	// has no per-event record of it); sum says the counter adds up their
 	// Budget instead of counting them.
 	kinds []string
@@ -116,10 +119,10 @@ func (k CounterSpec) Help() string { return k.help }
 func (k CounterSpec) Value(c *Counters) int64 { return *k.get(c) }
 
 // CounterTable declares the counter set once, in struct order. Snapshot,
-// Counters.Add, Registry.Merge, Registry.Table and PerNodeTable, the admin
-// endpoint's /metrics and /snapshot and the Checker's cross-check all loop
-// over it, so a counter added to the two structs and here is reported
-// everywhere.
+// Counters.Add, Registry.Merge, Registry.Table and PerNodeTable and the admin
+// endpoint's /metrics and /snapshot all loop over it, so a counter added to
+// the two structs and here is reported everywhere. Its kinds column is the
+// one place an event is declared to count: Registry.Emit folds by it.
 var CounterTable = []CounterSpec{
 	{name: "msgs_sent", col: "msgs", label: "messages sent", help: "Messages put on the wire.",
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.MsgsSent }, get: func(c *Counters) *int64 { return &c.MsgsSent }},
@@ -171,6 +174,17 @@ var CounterTable = []CounterSpec{
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.FedAborts }, get: func(c *Counters) *int64 { return &c.FedAborts }},
 }
 
+// folds maps an event kind to the CounterTable rows that count it.
+var folds = func() map[string][]CounterSpec {
+	m := make(map[string][]CounterSpec)
+	for _, k := range CounterTable {
+		for _, kind := range k.kinds {
+			m[kind] = append(m[kind], k)
+		}
+	}
+	return m
+}()
+
 // Add accumulates o into c.
 func (c *Counters) Add(o Counters) {
 	for _, k := range CounterTable {
@@ -179,9 +193,9 @@ func (c *Counters) Add(o Counters) {
 }
 
 // Registry hands out per-node counter blocks and rolls them up into the
-// metrics tables the experiment harness prints. The map is guarded for the
-// concurrent live runtime; simulation wiring resolves each node's block
-// exactly once.
+// metrics tables the experiment harness prints. As a Tracer it folds the
+// events CounterTable names into them. The map is guarded for the
+// concurrent live runtime.
 type Registry struct {
 	mu    sync.Mutex
 	nodes map[p2p.NodeID]*NodeCounters
@@ -203,6 +217,36 @@ func (r *Registry) Node(id p2p.NodeID) *NodeCounters {
 		r.nodes[id] = c
 	}
 	return c
+}
+
+// Emit folds ev into the emitting node's block: one for each CounterTable
+// row whose kinds name ev.Kind, or ev.Budget for a sum row.
+func (r *Registry) Emit(ev Event) {
+	rows := folds[ev.Kind]
+	if rows == nil {
+		return
+	}
+	c := r.Node(ev.Node)
+	for _, k := range rows {
+		n := int64(1)
+		if k.sum {
+			n = int64(ev.Budget)
+		}
+		k.node(c).Add(n)
+	}
+}
+
+// Counting returns the tracer a run hands its layers when reg counts it:
+// trace and reg both, reg alone when trace is nil, trace when reg is nil.
+// Attach it before the first message so every counted event is folded.
+func Counting(trace Tracer, reg *Registry) Tracer {
+	switch {
+	case reg == nil:
+		return trace
+	case trace == nil:
+		return reg
+	}
+	return MultiTracer{trace, reg}
 }
 
 // Merge adds every node's counters in o into r. Parallel sweeps give each

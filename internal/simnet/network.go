@@ -308,11 +308,8 @@ func (nw *Network) send(msg p2p.Message) {
 	nw.scheduleDelivery(d, msg, epoch, known)
 }
 
-// fault records one injected fault against msg's sender and the trace.
+// fault records one injected fault in the trace.
 func (nw *Network) fault(msg p2p.Message, kind string) {
-	if src := nw.node(msg.From); src != nil && src.ctr != nil {
-		src.ctr.Faults.Add(1)
-	}
 	if nw.trace != nil {
 		nw.trace.Emit(obs.NetFault(nw.sim.Now(), msg.From, msg.To, kind, msg.Type, msg.Size, msg.UID))
 	}
@@ -322,9 +319,6 @@ func (nw *Network) deliver(msg p2p.Message, epoch uint64, known bool) {
 	dst := nw.node(msg.To)
 	if dst == nil || !dst.alive || (known && dst.epoch != epoch) {
 		nw.stats.Dropped++
-		if src := nw.node(msg.From); src != nil && src.ctr != nil {
-			src.ctr.MsgsDrop.Add(1)
-		}
 		if nw.trace != nil {
 			nw.trace.Emit(obs.NetDrop(nw.sim.Now(), msg.From, msg.To, msg.Type, msg.Size, msg.UID))
 		}

@@ -173,10 +173,11 @@ go test -run 'TestScale1mSlice' -count=1 ./internal/experiment/
 
 # Trace gate: the same seed must produce byte-identical JSONL traces, the
 # traces must satisfy the protocol invariants (spidertrace check on each
-# file and on the committed golden trace; spidersim -check on a run, which
-# also holds the counters to the events), and the gzip trace path must
-# round-trip to the same events. The churn-free run must issue every one of
-# its 30 requests: one compose.start each.
+# file and on the committed golden trace; spidersim -check on a run), and
+# the gzip trace path must round-trip to the same events. The churn-free run
+# must issue every one of its 30 requests: one compose.start each. Counters
+# are folds of the events, so a -stats run prints the same counter tables
+# with a trace file attached and without one.
 echo "== trace determinism + invariant gate"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -197,6 +198,15 @@ gunzip -c "$tmp/c.jsonl.gz" | cmp - "$tmp/a.jsonl"
 "$tmp/spidertrace" check testdata/golden_trace.jsonl.gz
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -check > /dev/null
+counters() { awk '/^# per-layer counters/{on=1} /^# wire traffic/{on=0} on' "$1"; }
+"$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
+    -stats > "$tmp/s1.txt"
+"$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
+    -stats -trace "$tmp/s.jsonl" > "$tmp/s2.txt"
+counters "$tmp/s1.txt" > "$tmp/c1.txt"
+counters "$tmp/s2.txt" > "$tmp/c2.txt"
+[ -s "$tmp/c1.txt" ] || { echo "spidersim -stats printed no counter tables"; exit 1; }
+cmp "$tmp/c1.txt" "$tmp/c2.txt"
 # A churned run goes through a cluster.Plan's churn clause: deterministic,
 # checker-clean, and failing exactly what it asks for — five minute ticks
 # of 5 % of 80 peers, refilling a pick that is already down, are 20 failures.
