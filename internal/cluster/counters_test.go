@@ -23,9 +23,9 @@ import (
 var updateCounters = flag.Bool("update", false, "rewrite testdata/counters_per_node.txt instead of comparing against it")
 
 // counterRuns are three seeded workloads that between them move every
-// counter: a churn burst (wire drops, recovery), a fault plan (loss, dup, a
-// partition, probe retransmits) and a federated plan (2PC prepares, commits
-// and aborts). Each takes the tracer the run hands its layers (nil: counters
+// counter but probes_shed (which needs a load model): a churn burst (wire
+// drops, recovery), a fault plan (loss, dup, a partition, probe
+// retransmits) and a federated plan (2PC prepares, commits and aborts). Each takes the tracer the run hands its layers (nil: counters
 // only) and the registry it counts into.
 var counterRuns = []struct {
 	name string

@@ -123,8 +123,8 @@ type Node struct {
 	pending map[uint64]*getReq // allocated on first in-flight lookup
 
 	// Trace receives routing events when non-nil; Ctr accumulates the
-	// delta-answer counter; Met observes lookup-latency histograms. All are optional
-	// and set by the wiring layer.
+	// delta-answer counter; Met observes lookup-latency histograms. All are
+	// optional and set by the wiring layer.
 	Trace obs.Tracer
 	Ctr   *obs.NodeCounters
 	Met   *obs.Metrics
