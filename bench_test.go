@@ -601,13 +601,15 @@ func (h *benchHost) Rand() *rand.Rand                      { return nil }
 func (h *benchHost) Handle(string, p2p.Handler)            {}
 
 // BenchmarkDHTBuildRing measures the sorted-ring static construction at 1k,
-// 10k and 100k nodes. Node creation is excluded from the timer: the op is
-// construction, not SHA-1 identifier derivation.
+// 10k, 30k (the benchmark's scale ring) and 100k nodes. Node creation is
+// excluded from the timer: the op is construction, not SHA-1 identifier
+// derivation. Leaf sets and the top-level table buckets fan out over
+// GOMAXPROCS, so run it at -cpu 1,2 to see both.
 func BenchmarkDHTBuildRing(b *testing.B) {
 	for _, size := range []struct {
 		name string
 		n    int
-	}{{"1k", 1000}, {"10k", 10000}, {"100k", 100000}} {
+	}{{"1k", 1000}, {"10k", 10000}, {"30k", 30000}, {"100k", 100000}} {
 		b.Run(size.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,9 +1,10 @@
 package dht
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"repro/internal/p2p"
+	"repro/internal/par"
 )
 
 // Build wires a set of freshly created nodes into a consistent ring from
@@ -22,11 +23,12 @@ func Build(nodes []*Node) { BuildNear(nodes, nil) }
 // root, do not depend on dist. The work is O(n·log n) plus ≈ 1.07·n² dist
 // reads when dist is set:
 //
-//   - Entries are sorted once by identifier. Because circular distance is
-//     monotone along each direction of the sorted ring, a node's LeafSize
-//     closest neighbors are always among its LeafSize predecessors and
-//     LeafSize successors in sorted order, so each leaf set is selected from
-//     a 2·LeafSize window instead of all n entries.
+//   - Identifiers are packed once into two machine words each and sorted.
+//     Because circular distance is monotone along each direction of the
+//     sorted ring, a node's LeafSize closest neighbors are always among its
+//     LeafSize predecessors and LeafSize successors in sorted order, so each
+//     leaf set is ranked from a 2·LeafSize window of precomputed word
+//     distances instead of all n entries.
 //   - Routing-table rows are filled by recursively partitioning the sorted
 //     entries into per-prefix digit buckets. Two nodes share exactly the
 //     prefix at which their buckets diverge, so a node's slot for a sibling
@@ -34,6 +36,10 @@ func Build(nodes []*Node) { BuildNear(nodes, nil) }
 //     node, or, with every candidate tied, the bucket's smallest index for all
 //     of its siblings' nodes at once (the legacy builder's first-write-wins
 //     AddEntry result).
+//
+// Leaf sets, and the 16 top-level buckets' tables, write disjoint nodes and
+// fan out over GOMAXPROCS, so dist is called from several goroutines at once
+// and must be safe for that; the ring is the same at any worker count.
 //
 // BuildNear assumes the nodes are fresh (no prior entries) and all alive,
 // which is how every call site uses it: static construction happens before
@@ -44,162 +50,176 @@ func BuildNear(nodes []*Node, dist func(i, j int) float64) {
 	if n < 2 {
 		return
 	}
-	entries := make([]Entry, n)
+	b := ringBuild{nodes: nodes, ring: make([]ringKey, n), dist: dist}
 	for i, nd := range nodes {
-		entries[i] = nd.self
+		b.ring[i] = ringKey{nd.self.ID.words(), int32(i)}
 	}
-	// Sort positions by identifier; ties (duplicate IDs) keep nodes-slice
-	// order so the construction below reproduces the legacy insertion order.
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if c := entries[ia].ID.Cmp(entries[ib].ID); c != 0 {
-			return c < 0
+	// Ties (duplicate IDs) keep nodes-slice order so the construction below
+	// reproduces the legacy insertion order.
+	slices.SortFunc(b.ring, func(x, y ringKey) int {
+		if c := x.key.cmp(y.key); c != 0 {
+			return c
 		}
-		return ia < ib
+		return cmp.Compare(x.idx, y.idx)
 	})
-	pos := make([]int32, n) // pos[i] = sorted position of nodes[i]
-	for p, i := range order {
-		pos[i] = int32(p)
-	}
-	buildLeaves(nodes, entries, order, pos)
-	fillTables(nodes, entries, order, dist, 0, n, 0)
+	par.FanOut(n, func() func(int) {
+		cands := make([]leafCand, 0, 2*LeafSize)
+		return func(p int) { b.leaves(p, cands) }
+	})
+	bounds, minIdx := b.buckets(0, n, 0)
+	par.FanOut(16, func() func(int) {
+		return func(d int) { b.fillBucket(&bounds, &minIdx, d, 0) }
+	})
 }
 
+// ringBuild is one BuildNear: the nodes and their identifier words sorted by
+// (identifier, nodes-slice index) into the ring.
+type ringBuild struct {
+	nodes []*Node
+	ring  []ringKey
+	dist  func(i, j int) float64
+}
+
+type ringKey struct {
+	key u128
+	idx int32 // in nodes
+}
+
+// leafCand is a leaf-set candidate: its circular distance to the node and
+// its ring position, which orders equal distances by (ID, nodes-slice index).
 type leafCand struct {
-	dist ID
-	idx  int32
+	dist u128
+	pos  int32
 }
 
-// buildLeaves fills every node's leaf set from its 2·LeafSize sorted-ring
-// neighbors. Distances to self are precomputed once per candidate: sorting 32
-// candidates with live Dist calls in the comparator would dominate the whole
-// build at 100k nodes.
-func buildLeaves(nodes []*Node, entries []Entry, order, pos []int32) {
-	n := len(nodes)
-	cands := make([]leafCand, 0, 2*LeafSize)
-	for i, nd := range nodes {
-		self := entries[i].ID
-		cands = cands[:0]
-		if n-1 <= 2*LeafSize {
-			for _, j := range order {
-				if int(j) != i {
-					cands = append(cands, leafCand{Dist(entries[j].ID, self), j})
+// leafOrder is the total order the legacy leaf insertion used: circular
+// distance, then numeric identifier, then (for duplicate identifiers)
+// nodes-slice insertion order.
+func leafOrder(a, b leafCand) int {
+	if c := a.dist.cmp(b.dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// leaves fills the leaf set of the node at ring position p from its
+// 2·LeafSize ring neighbors. Walking away from the node, each side's
+// distances grow until the side crosses the antipode, so the sides are
+// usually in leafOrder already and a merge of the two ranks the window; a
+// side that is not (it crosses, or holds duplicate identifiers) sorts it.
+func (b *ringBuild) leaves(p int, cands []leafCand) {
+	n := len(b.ring)
+	self := b.ring[p].key
+	cands = cands[:0]
+	if n-1 <= 2*LeafSize {
+		for q, r := range b.ring {
+			if q != p {
+				cands = append(cands, leafCand{circDist(r.key, self), int32(q)})
+			}
+		}
+		slices.SortFunc(cands, leafOrder)
+	} else {
+		for j := 1; j <= 2*LeafSize; j++ {
+			q := (p - j + n) % n // predecessors first, then successors
+			if j > LeafSize {
+				q = (p + j - LeafSize) % n
+			}
+			cands = append(cands, leafCand{circDist(b.ring[q].key, self), int32(q)})
+		}
+		pred, succ := cands[:LeafSize], cands[LeafSize:]
+		if !slices.IsSortedFunc(pred, leafOrder) || !slices.IsSortedFunc(succ, leafOrder) {
+			slices.SortFunc(cands, leafOrder)
+		} else {
+			// Neither side runs dry: before the last of LeafSize picks, at
+			// most LeafSize−1 came from either.
+			var merged [LeafSize]leafCand
+			for t := range merged {
+				if leafOrder(pred[0], succ[0]) < 0 {
+					merged[t], pred = pred[0], pred[1:]
+				} else {
+					merged[t], succ = succ[0], succ[1:]
 				}
 			}
-		} else {
-			p := int(pos[i])
-			for k := 1; k <= LeafSize; k++ {
-				jp := order[(p-k+n)%n]
-				js := order[(p+k)%n]
-				cands = append(cands,
-					leafCand{Dist(entries[jp].ID, self), jp},
-					leafCand{Dist(entries[js].ID, self), js})
-			}
-		}
-		// Order by the same total order the legacy leaf insertion used:
-		// circular distance, then numeric identifier, then (for duplicate
-		// identifiers) nodes-slice insertion order.
-		sort.Slice(cands, func(a, b int) bool {
-			ca, cb := cands[a], cands[b]
-			if c := ca.dist.Cmp(cb.dist); c != 0 {
-				return c < 0
-			}
-			if c := entries[ca.idx].ID.Cmp(entries[cb.idx].ID); c != 0 {
-				return c < 0
-			}
-			return ca.idx < cb.idx
-		})
-		k := LeafSize
-		if k > len(cands) {
-			k = len(cands)
-		}
-		nd.leaves = make([]Entry, k)
-		for t := 0; t < k; t++ {
-			nd.leaves[t] = entries[cands[t].idx]
+			cands = merged[:]
 		}
 	}
+	leaves := make([]Entry, min(LeafSize, len(cands)))
+	for t := range leaves {
+		leaves[t] = b.nodes[b.ring[cands[t].pos].idx].self
+	}
+	b.nodes[b.ring[p].idx].leaves = leaves
 }
 
-// fillTables populates routing-table row `depth` for every node in the
-// ID-sorted range order[lo:hi], which by induction shares its first `depth`
-// digits. Within the range the digit at `depth` is non-decreasing (higher
-// digits are equal, so the sort ordered by this digit first), so the digit
-// buckets are contiguous and one scan finds both their bounds and each
-// bucket's minimum nodes-slice index — the pick when every candidate ties.
-func fillTables(nodes []*Node, entries []Entry, order []int32, dist func(i, j int) float64, lo, hi, depth int) {
+// fillTables populates routing-table row `depth` for every node in the ring
+// range [lo, hi), which by induction shares its first `depth` digits.
+func (b *ringBuild) fillTables(lo, hi, depth int) {
 	if hi-lo < 2 || depth >= NumDigits {
 		return
 	}
-	var bounds [17]int
-	var minIdx [16]int32
+	bounds, minIdx := b.buckets(lo, hi, depth)
+	for d := 0; d < 16; d++ {
+		b.fillBucket(&bounds, &minIdx, d, depth)
+	}
+}
+
+// buckets splits the ring range [lo, hi), whose members share their first
+// `depth` digits, by the digit at `depth`. That digit is non-decreasing
+// along the range (higher digits are equal, so the sort ordered by this digit
+// first), so the digit buckets are contiguous and one scan finds both their
+// bounds and each bucket's minimum nodes-slice index (-1 when empty) — the
+// pick when every candidate ties.
+func (b *ringBuild) buckets(lo, hi, depth int) (bounds [17]int, minIdx [16]int32) {
 	for d := range minIdx {
 		minIdx[d] = -1
 	}
-	b := lo
+	j := lo
 	for d := 0; d < 16; d++ {
-		bounds[d] = b
-		for b < hi && entries[order[b]].ID.Digit(depth) == d {
-			if minIdx[d] == -1 || order[b] < minIdx[d] {
-				minIdx[d] = order[b]
+		bounds[d] = j
+		for ; j < hi && b.ring[j].key.digit(depth) == d; j++ {
+			if minIdx[d] == -1 || b.ring[j].idx < minIdx[d] {
+				minIdx[d] = b.ring[j].idx
 			}
-			b++
 		}
 	}
 	bounds[16] = hi
-	for d := 0; d < 16; d++ {
-		if bounds[d+1] == bounds[d] {
-			continue
-		}
-		// Every node in bucket d shares exactly `depth` digits with every
-		// node in each sibling bucket d2, so its row[depth][d2] slot gets the
-		// sibling bucket's member nearest to it. The row is only allocated
-		// when a sibling bucket exists, matching the lazy allocation the
-		// incremental AddEntry path performs.
-		for j := bounds[d]; j < bounds[d+1]; j++ {
-			i := order[j]
-			var row *tableRow
-			for d2 := 0; d2 < 16; d2++ {
-				if d2 == d || minIdx[d2] == -1 {
-					continue
-				}
-				if row == nil {
-					row = nodes[i].tableRow(depth)
-				}
-				pick := minIdx[d2]
-				if dist != nil {
-					pick = nearest(i, order[bounds[d2]:bounds[d2+1]], dist)
-				}
-				row[d2] = entries[pick]
+	return bounds, minIdx
+}
+
+// fillBucket fills row `depth` of bucket d's nodes and recurses into it.
+// Every node in bucket d shares exactly `depth` digits with every node in
+// each sibling bucket d2, so its row[depth][d2] slot gets the sibling
+// bucket's member nearest to it. The row is only allocated when a sibling
+// bucket exists, matching the lazy allocation the incremental AddEntry path
+// performs.
+func (b *ringBuild) fillBucket(bounds *[17]int, minIdx *[16]int32, d, depth int) {
+	for j := bounds[d]; j < bounds[d+1]; j++ {
+		i := b.ring[j].idx
+		var row *tableRow
+		for d2 := 0; d2 < 16; d2++ {
+			if d2 == d || minIdx[d2] == -1 {
+				continue
 			}
-		}
-		if bounds[d+1]-bounds[d] >= 2 {
-			fillTables(nodes, entries, order, dist, bounds[d], bounds[d+1], depth+1)
+			if row == nil {
+				row = b.nodes[i].tableRow(depth)
+			}
+			pick := minIdx[d2]
+			if b.dist != nil {
+				pick = nearest(i, b.ring[bounds[d2]:bounds[d2+1]], b.dist)
+			}
+			row[d2] = b.nodes[pick].self
 		}
 	}
+	b.fillTables(bounds[d], bounds[d+1], depth+1)
 }
 
 // nearest returns the member of bucket nearest node i by dist, ties to the
 // smallest nodes-slice index.
-func nearest(i int32, bucket []int32, dist func(i, j int) float64) int32 {
+func nearest(i int32, bucket []ringKey, dist func(i, j int) float64) int32 {
 	best, bestD := int32(-1), 0.0
-	for _, j := range bucket {
-		if d := dist(int(i), int(j)); best == -1 || d < bestD || (d == bestD && j < best) {
-			best, bestD = j, d
+	for _, r := range bucket {
+		if d := dist(int(i), int(r.idx)); best == -1 || d < bestD || (d == bestD && r.idx < best) {
+			best, bestD = r.idx, d
 		}
 	}
 	return best
-}
-
-// tableSlot reads one routing-table slot without allocating the row: empty
-// slots (including wholly unallocated rows) read as Addr == NoNode. The
-// differential tests use it to compare tables structurally.
-func (n *Node) tableSlot(row, col int) Entry {
-	if n.rows == nil || n.rows[row] == nil {
-		return Entry{Addr: p2p.NoNode}
-	}
-	return n.rows[row][col]
 }

@@ -2,6 +2,8 @@ package dht
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,6 +126,137 @@ func FuzzDiffBuild(f *testing.F) {
 		size := int(n % 300)
 		diffRings(t, idSet(size, seed))
 	})
+}
+
+// arcNodes makes n nodes whose identifiers lie in `arcs` narrow arcs spread
+// evenly around the ring, set directly (FromNode never clusters them). With
+// every member close together a node near an arc's end finds its far-side
+// window past the antipode, where distance falls again. dups > 0 gives every
+// dups'th node its predecessor's identifier.
+func arcNodes(n, arcs, dups int, seed int64) []*Node {
+	rng := rand.New(rand.NewSource(seed))
+	nodes := freshNodes(idSet(n, seed))
+	for i, nd := range nodes {
+		nd.self.ID = u128{uint64(i%arcs)*(^uint64(0)/uint64(arcs)) + rng.Uint64()>>40, rng.Uint64()}.id()
+		if dups > 0 && i%dups == dups-1 {
+			nd.self.ID = nodes[i-1].self.ID
+		}
+	}
+	return nodes
+}
+
+// TestBuildMatchesLegacyOnArcs diffs Build against BuildLegacy on clustered
+// identifiers: on one arc leaf windows cross the antipode, so a window's
+// sides are not in distance order; on several a window spans the gaps.
+func TestBuildMatchesLegacyOnArcs(t *testing.T) {
+	for _, n := range []int{34, 60, 200} {
+		for _, arcs := range []int{1, 2, 3} {
+			for seed := int64(1); seed <= 3; seed++ {
+				fast, slow := arcNodes(n, arcs, 0, seed), arcNodes(n, arcs, 0, seed)
+				if arcs == 1 && crossed(fast) == 0 {
+					t.Fatalf("n=%d: no leaf window crosses the antipode", n)
+				}
+				Build(fast)
+				BuildLegacy(slow)
+				sameRings(t, fast, slow, "legacy")
+			}
+		}
+	}
+}
+
+// windowLeaves is the leaf rule alone: each node's 2·LeafSize sorted-ring
+// neighbours (every other node on a small ring) sorted by (Dist, ID,
+// nodes-slice index), the first LeafSize kept.
+func windowLeaves(nodes []*Node) [][]Entry {
+	n := len(nodes)
+	id := func(i int) ID { return nodes[i].self.ID }
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return id(a).Cmp(id(b)) })
+	out := make([][]Entry, n)
+	for p, i := range order {
+		var cands []int
+		for k := 1; k <= LeafSize && n-1 > 2*LeafSize; k++ {
+			cands = append(cands, order[(p-k+n)%n], order[(p+k)%n])
+		}
+		if n-1 <= 2*LeafSize {
+			cands = slices.DeleteFunc(slices.Clone(order), func(j int) bool { return j == i })
+		}
+		slices.SortFunc(cands, func(a, b int) int {
+			if c := Dist(id(a), id(i)).Cmp(Dist(id(b), id(i))); c != 0 {
+				return c
+			}
+			if c := id(a).Cmp(id(b)); c != 0 {
+				return c
+			}
+			return a - b
+		})
+		for _, j := range cands[:min(LeafSize, len(cands))] {
+			out[i] = append(out[i], nodes[j].self)
+		}
+	}
+	return out
+}
+
+// TestBuildLeavesWithDuplicates holds Build's leaf sets to the window rule on
+// rings where some identifiers repeat, so a window's side is out of order by
+// index and the merge must give way to the sort. (BuildLegacy is no oracle
+// here: it also sees a duplicate just outside the window.)
+func TestBuildLeavesWithDuplicates(t *testing.T) {
+	for _, n := range []int{20, 34, 60, 200} {
+		for _, arcs := range []int{1, 3, 1 << 20} {
+			for seed := int64(1); seed <= 3; seed++ {
+				nodes := arcNodes(n, arcs, 3, seed)
+				Build(nodes)
+				for i, want := range windowLeaves(nodes) {
+					if !slices.Equal(nodes[i].leaves, want) {
+						t.Fatalf("n=%d arcs=%d seed=%d node %d: leaves %v, window rule %v", n, arcs, seed, i, nodes[i].leaves, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// crossed counts the nodes whose LeafSize predecessors in sorted order do not
+// grow steadily farther away.
+func crossed(nodes []*Node) (count int) {
+	ids := make([]ID, len(nodes))
+	for i, nd := range nodes {
+		ids[i] = nd.self.ID
+	}
+	slices.SortFunc(ids, ID.Cmp)
+	n := len(ids)
+	for p, self := range ids {
+		for k := 1; k < LeafSize; k++ {
+			if Dist(ids[(p-k-1+n)%n], self).Less(Dist(ids[(p-k+n)%n], self)) {
+				count++
+				break
+			}
+		}
+	}
+	return count
+}
+
+// TestBuildAnyWorkerCount builds the same rings at GOMAXPROCS 1 and 2, plain
+// and with a distance table: the fan-out must not change a slot.
+func TestBuildAnyWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{2, 40, 1000} {
+		ids := idSet(n, 5)
+		dist := distMatrix(n, 5, 3)
+		var plain, near [2][]*Node
+		for w := range plain {
+			runtime.GOMAXPROCS(w + 1)
+			plain[w], near[w] = freshNodes(ids), freshNodes(ids)
+			Build(plain[w])
+			BuildNear(near[w], dist)
+		}
+		sameRings(t, plain[1], plain[0], "GOMAXPROCS 1")
+		sameRings(t, near[1], near[0], "GOMAXPROCS 1")
+	}
 }
 
 // TestBuildPutGetMatchesLegacy runs the same Put/Get workload over two

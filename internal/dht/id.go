@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/p2p"
 )
@@ -54,62 +55,97 @@ func (id ID) Digit(i int) int {
 // CommonPrefix returns the number of leading base-16 digits id shares
 // with o.
 func (id ID) CommonPrefix(o ID) int {
-	for i := 0; i < NumDigits; i++ {
-		if id.Digit(i) != o.Digit(i) {
-			return i
-		}
+	a, b := id.words(), o.words()
+	if x := a.hi ^ b.hi; x != 0 {
+		return bits.LeadingZeros64(x) / 4
+	}
+	if x := a.lo ^ b.lo; x != 0 {
+		return 16 + bits.LeadingZeros64(x)/4
 	}
 	return NumDigits
 }
 
 // Cmp compares identifiers as big-endian unsigned integers, returning
 // -1, 0, or 1.
-func (id ID) Cmp(o ID) int {
-	for i := 0; i < IDBytes; i++ {
-		switch {
-		case id[i] < o[i]:
-			return -1
-		case id[i] > o[i]:
-			return 1
-		}
-	}
-	return 0
-}
+func (id ID) Cmp(o ID) int { return id.words().cmp(o.words()) }
 
 // Less reports id < o as unsigned integers.
 func (id ID) Less(o ID) bool { return id.Cmp(o) < 0 }
 
 // sub returns id - o modulo 2^128.
-func sub(a, b ID) ID {
-	var r ID
-	var borrow uint16
-	for i := IDBytes - 1; i >= 0; i-- {
-		d := uint16(a[i]) - uint16(b[i]) - borrow
-		r[i] = byte(d)
-		borrow = (d >> 15) & 1
-	}
-	return r
-}
+func sub(a, b ID) ID { return a.words().sub(b.words()).id() }
 
 // Dist returns the circular distance min(a-b, b-a) mod 2^128.
-func Dist(a, b ID) ID {
-	d1 := sub(a, b)
-	d2 := sub(b, a)
-	if d1.Less(d2) {
-		return d1
-	}
-	return d2
-}
+func Dist(a, b ID) ID { return circDist(a.words(), b.words()).id() }
 
 // Closer reports whether a is strictly closer to key than b in circular
 // distance, breaking ties toward the numerically smaller identifier so the
 // "numerically closest node" is unique.
 func Closer(key, a, b ID) bool {
-	da, db := Dist(a, key), Dist(b, key)
-	if c := da.Cmp(db); c != 0 {
+	k, x, y := key.words(), a.words(), b.words()
+	if c := circDist(x, k).cmp(circDist(y, k)); c != 0 {
 		return c < 0
 	}
-	return a.Less(b)
+	return x.cmp(y) < 0
+}
+
+// u128 is an identifier as its two big-endian 64-bit halves, the form all
+// identifier arithmetic runs on: two word operations instead of 16 bytes.
+type u128 struct{ hi, lo uint64 }
+
+func (id ID) words() u128 {
+	// Indexing the array value, not slicing it, keeps id off the memory the
+	// race detector instruments; each half still compiles to one load.
+	return u128{
+		uint64(id[0])<<56 | uint64(id[1])<<48 | uint64(id[2])<<40 | uint64(id[3])<<32 |
+			uint64(id[4])<<24 | uint64(id[5])<<16 | uint64(id[6])<<8 | uint64(id[7]),
+		uint64(id[8])<<56 | uint64(id[9])<<48 | uint64(id[10])<<40 | uint64(id[11])<<32 |
+			uint64(id[12])<<24 | uint64(id[13])<<16 | uint64(id[14])<<8 | uint64(id[15]),
+	}
+}
+
+func (x u128) id() ID {
+	var id ID
+	binary.BigEndian.PutUint64(id[:8], x.hi)
+	binary.BigEndian.PutUint64(id[8:], x.lo)
+	return id
+}
+
+func (x u128) cmp(y u128) int {
+	lo, borrow := bits.Sub64(x.lo, y.lo, 0)
+	hi, borrow := bits.Sub64(x.hi, y.hi, borrow)
+	switch {
+	case borrow != 0:
+		return -1
+	case hi|lo != 0:
+		return 1
+	}
+	return 0
+}
+
+// digit is ID.Digit on words.
+func (x u128) digit(i int) int {
+	w := x.hi
+	if i >= NumDigits/2 {
+		w, i = x.lo, i-NumDigits/2
+	}
+	return int(w>>(60-4*i)) & 0xf
+}
+
+// sub returns x - y modulo 2^128.
+func (x u128) sub(y u128) u128 {
+	lo, borrow := bits.Sub64(x.lo, y.lo, 0)
+	hi, _ := bits.Sub64(x.hi, y.hi, borrow)
+	return u128{hi, lo}
+}
+
+// circDist is Dist on words: a−b is the shorter way round when it is below
+// 2^127 (at exactly 2^127 both ways are equal).
+func circDist(a, b u128) u128 {
+	if d := a.sub(b); d.hi>>63 == 0 {
+		return d
+	}
+	return b.sub(a)
 }
 
 // String renders the identifier as 32 hex digits.

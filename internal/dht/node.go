@@ -213,6 +213,15 @@ func (n *Node) tableRow(row int) *tableRow {
 	return r
 }
 
+// tableSlot reads one routing-table slot without allocating the row: empty
+// slots (including wholly unallocated rows) read as Addr == NoNode.
+func (n *Node) tableSlot(row, col int) Entry {
+	if n.rows == nil || n.rows[row] == nil {
+		return Entry{Addr: p2p.NoNode}
+	}
+	return n.rows[row][col]
+}
+
 // AddEntry incorporates a known (id, addr) pair into the leaf set and
 // routing table. It is the primitive the dynamic join/announce paths and the
 // legacy all-pairs build use; the sorted-ring Build writes the same slots
@@ -253,17 +262,18 @@ func sortEntries(s []Entry, less func(a, b Entry) bool) {
 	}
 }
 
-// knownEntries yields every live entry this node can route through. The
-// visit order (leaves, then table rows by ascending prefix length and digit)
-// matches the eager-array representation exactly, so routing decisions — and
-// with them every trace — are unchanged by the lazy rows.
-func (n *Node) knownEntries(visit func(Entry)) {
+// knownEntries yields every live entry this node can route through, less
+// the table rows before row `from`. The visit order (leaves, then table rows by
+// ascending prefix length and digit) matches the eager-array representation
+// exactly, so routing decisions — and with them every trace — are unchanged
+// by the lazy rows.
+func (n *Node) knownEntries(from int, visit func(Entry)) {
 	for _, e := range n.leaves {
 		if n.alive(e.Addr) {
 			visit(e)
 		}
 	}
-	for _, r := range n.rows {
+	for _, r := range n.rows[min(from, len(n.rows)):] {
 		if r == nil {
 			continue
 		}
@@ -286,12 +296,19 @@ func (n *Node) nextHop(key ID) Entry { return n.nextHopExcluding(key, p2p.NoNode
 // candidate set — the lookup-retry path uses it to route around a first
 // hop that swallowed the previous attempt (e.g. across a partition the
 // liveness oracle cannot see). avoid == NoNode excludes nothing.
+//
+// Table row r holds only entries sharing exactly r digits with self, so an
+// entry in a row r < selfPrefix shares r digits with the key, and one in a
+// row r > selfPrefix exactly selfPrefix: of the whole table only slot
+// (selfPrefix, key's next digit) can extend the prefix, and the first pass
+// reads the leaves and that slot, as Pastry does (paper §3). The fallback
+// reads the leaves and the rows from selfPrefix on, in the full scan's order.
 func (n *Node) nextHopExcluding(key ID, avoid p2p.NodeID) Entry {
 	selfPrefix := n.self.ID.CommonPrefix(key)
 	best := Entry{Addr: p2p.NoNode}
 	bestPrefix := -1
-	n.knownEntries(func(e Entry) {
-		if e.Addr == avoid {
+	longer := func(e Entry) {
+		if e.Addr == avoid || !n.alive(e.Addr) {
 			return
 		}
 		p := e.ID.CommonPrefix(key)
@@ -301,7 +318,15 @@ func (n *Node) nextHopExcluding(key ID, avoid p2p.NodeID) Entry {
 		if p > bestPrefix || (p == bestPrefix && Closer(key, e.ID, best.ID)) {
 			best, bestPrefix = e, p
 		}
-	})
+	}
+	for _, e := range n.leaves {
+		longer(e)
+	}
+	if selfPrefix < NumDigits {
+		if e := n.tableSlot(selfPrefix, key.Digit(selfPrefix)); e.Addr != p2p.NoNode {
+			longer(e)
+		}
+	}
 	if best.Addr != p2p.NoNode {
 		return best
 	}
@@ -309,7 +334,7 @@ func (n *Node) nextHopExcluding(key ID, avoid p2p.NodeID) Entry {
 	// least as long as self's AND which is strictly closer to the key.
 	// Requiring both keeps (prefix, distance) lexicographically monotone
 	// along the route, which guarantees termination.
-	n.knownEntries(func(e Entry) {
+	n.knownEntries(selfPrefix, func(e Entry) {
 		if e.Addr == avoid {
 			return
 		}
@@ -421,7 +446,7 @@ func (n *Node) deliver(rm RouteMsg) {
 		// Send the root's view (self, leaves, table) to the joiner, then
 		// adopt it.
 		entries := []Entry{n.self}
-		n.knownEntries(func(e Entry) { entries = append(entries, e) })
+		n.knownEntries(0, func(e Entry) { entries = append(entries, e) })
 		n.host.Send(p2p.Message{
 			Type: MsgState, To: rm.Join.New.Addr,
 			Size:    routeSize + 24*len(entries),

@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // ipLink is one undirected IP-layer link of an edge list: its endpoints and
@@ -387,7 +387,7 @@ func (g *Graph) Dijkstra(src int) []float64 {
 func (g *Graph) PairDistances(nodes []int) [][]float64 {
 	v := g.bypass()
 	out := make([][]float64, len(nodes))
-	fanOut(len(nodes), func() func(int) {
+	par.FanOut(len(nodes), func() func(int) {
 		rt, s := routeTable{dist: make([]float64, g.n)}, v.newSweepState()
 		return func(i int) {
 			v.sweep(nodes[i], &rt, &s)
@@ -399,27 +399,6 @@ func (g *Graph) PairDistances(nodes []int) [][]float64 {
 		}
 	})
 	return out
-}
-
-// fanOut runs items 0..n-1 over min(GOMAXPROCS, n) goroutines and returns
-// when all are done: each goroutine calls newWorker once — that is where a
-// worker allocates the scratch it reuses — and the returned func for items
-// w, w+workers, w+2·workers, …. Items must be independent and write only
-// their own results, which makes the outcome the same at any worker count.
-func fanOut(n int, newWorker func() func(item int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			do := newWorker()
-			for i := w; i < n; i += workers {
-				do(i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // settledPeer is one (peer, distance) pair produced by nearestPeers.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+
+	"repro/internal/par"
 )
 
 type overlayLink struct {
@@ -150,7 +152,7 @@ func BuildOverlay(g *Graph, cfg OverlayConfig, rng *rand.Rand) *Overlay {
 	k := cfg.Degree
 	found := make([]settledPeer, n*k) // peer u's nearest: found[u*k : u*k+count[u]]
 	count := make([]int32, n)
-	fanOut(n, func() func(int) {
+	par.FanOut(n, func() func(int) {
 		var ts truncState
 		return func(u int) {
 			count[u] = int32(copy(found[u*k:(u+1)*k], g.nearestPeers(o.peerIP[u], peerOf, k, &ts)))

@@ -45,18 +45,20 @@ go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitFor
 # candidate scoring, the dedupe key, next-hop planning). The run above had
 # them under the race detector only, whose runtime allocates differently;
 # these are the figures DESIGN.md quotes. The two benchmarks print the same
-# paths' objects, bytes and time into the log, and the third the objects of
-# one simulator event (0: a timer is a pooled event); the next ones do that for the
-# world build and the route plane: the three build passes (peer-latency matrix
-# at the paper's scale, on one core and fanned over two, the scale workload's
+# paths' objects, bytes and time into the log, the third the objects of
+# one simulator event (0: a timer is a pooled event) and the fourth one DHT
+# discovery lookup; the next ones do that for the
+# world build and the route plane: the four build passes (peer-latency matrix
+# at the paper's scale and the DHT ring at 1k-100k peers, each on one core and
+# fanned over two, the scale workload's
 # 300k-node graph generation and its compact mesh), the whole full overlay
 # build at the paper's scale (mesh search plus matrix), which is what
 # the steady workload's setup_s pays, 200 route-table sweeps on the scale
 # workload's overlay, which is its run_s, and one evicting route miss.
 echo "== allocation gates (no race detector) + compose/recovery-tick + world-build and route benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
-go test -run '^$' -bench 'BCPCompose|RecoveryTick|SimEventDispatch' -benchmem -benchtime 20x .
-go test -run '^$' -bench 'PairDistancesPaperScale' -benchmem -benchtime 3x -cpu 1,2 .
+go test -run '^$' -bench 'BCPCompose|RecoveryTick|SimEventDispatch|DHTLookup' -benchmem -benchtime 20x .
+go test -run '^$' -bench 'PairDistancesPaperScale|DHTBuildRing' -benchmem -benchtime 3x -cpu 1,2 .
 go test -run '^$' -bench 'GeneratePowerLaw300k|CompactMesh30k|TopologyPaperScale|RouteTables30k' -benchmem -benchtime 3x .
 go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 
