@@ -489,7 +489,8 @@ func BenchmarkCompactMesh30k(b *testing.B) {
 // overlay — 30,000 peers over a 300,000-node graph, built outside the timer —
 // one op routes once from each of 200 distinct sources. The default cache
 // holds 69 tables at this size, so the sources cycling through it miss every
-// time and an op is 200 route-table sweeps.
+// time and an op is 200 target-bounded queries: each starts its source's
+// sweep and settles it only until the target is final.
 func BenchmarkRouteTables30k(b *testing.B) {
 	rng := newSeededRng(79)
 	g := topology.GeneratePowerLaw(300000, 2, 2, 30, rng)
@@ -502,6 +503,39 @@ func BenchmarkRouteTables30k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j, src := range srcs {
 			ov.Route(src, srcs[(j+1)%len(srcs)])
+		}
+	}
+}
+
+// BenchmarkRouteOracle1k replays the route-oracle traffic BCP sends on the
+// §6.1 world's full overlay (1,000 peers over 10,000 IP nodes): bursts of 20
+// PathCost calls from one source to uniform targets, the cost of each
+// next-hop candidate of a probe, and one AllocBandwidth/ReleaseBandwidth pair
+// every 100 queries. An op is 100,000 queries from a cold cache, which holds
+// every source at this size: about a thousand sweeps started, the rest hits
+// and resumes, the composition workloads' mix.
+func BenchmarkRouteOracle1k(b *testing.B) {
+	rng := newSeededRng(79)
+	g := topology.GeneratePowerLaw(10000, 2, 2, 30, rng)
+	const queries, burst, pairEvery = 100_000, 20, 100
+	src, dst := make([]int, queries), make([]int, queries)
+	for q := range src {
+		src[q], dst[q] = rng.Intn(1000), rng.Intn(1000)
+		if q%burst != 0 {
+			src[q] = src[q-1]
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ov := topology.BuildOverlay(g, topology.OverlayConfig{NumPeers: 1000, Degree: 4}, newSeededRng(80))
+		b.StartTimer()
+		for q := range src {
+			ov.PathCost(src[q], dst[q])
+			if q%pairEvery == pairEvery-1 && ov.AllocBandwidth(src[q], dst[q], 100) {
+				ov.ReleaseBandwidth(src[q], dst[q], 100)
+			}
 		}
 	}
 }

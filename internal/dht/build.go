@@ -2,6 +2,7 @@ package dht
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/par"
@@ -44,7 +45,9 @@ func Build(nodes []*Node) { BuildNear(nodes, nil) }
 // BuildNear assumes the nodes are fresh (no prior entries) and all alive,
 // which is how every call site uses it: static construction happens before
 // any traffic or failure injection. Dynamic membership still goes through
-// Join/AddEntry, whose slots are first-write-wins, not proximity-chosen.
+// Join/AddEntry, whose slots are first-write-wins, not proximity-chosen. Two
+// nodes sharing an identifier are a caller's bug (FromNode never yields one):
+// BuildNear panics, naming both addresses and the identifier.
 func BuildNear(nodes []*Node, dist func(i, j int) float64) {
 	n := len(nodes)
 	if n < 2 {
@@ -54,14 +57,13 @@ func BuildNear(nodes []*Node, dist func(i, j int) float64) {
 	for i, nd := range nodes {
 		b.ring[i] = ringKey{nd.self.ID.words(), int32(i)}
 	}
-	// Ties (duplicate IDs) keep nodes-slice order so the construction below
-	// reproduces the legacy insertion order.
-	slices.SortFunc(b.ring, func(x, y ringKey) int {
-		if c := x.key.cmp(y.key); c != 0 {
-			return c
+	slices.SortFunc(b.ring, func(x, y ringKey) int { return x.key.cmp(y.key) })
+	for p := 1; p < n; p++ {
+		if x, y := b.ring[p-1].idx, b.ring[p].idx; b.ring[p-1].key == b.ring[p].key {
+			x, y = min(x, y), max(x, y)
+			panic(fmt.Sprintf("dht: nodes %d and %d share ring identifier %v", nodes[x].self.Addr, nodes[y].self.Addr, nodes[x].self.ID))
 		}
-		return cmp.Compare(x.idx, y.idx)
-	})
+	}
 	par.FanOut(n, func() func(int) {
 		cands := make([]leafCand, 0, 2*LeafSize)
 		return func(p int) { b.leaves(p, cands) }
@@ -73,7 +75,7 @@ func BuildNear(nodes []*Node, dist func(i, j int) float64) {
 }
 
 // ringBuild is one BuildNear: the nodes and their identifier words sorted by
-// (identifier, nodes-slice index) into the ring.
+// identifier into the ring.
 type ringBuild struct {
 	nodes []*Node
 	ring  []ringKey
@@ -86,15 +88,15 @@ type ringKey struct {
 }
 
 // leafCand is a leaf-set candidate: its circular distance to the node and
-// its ring position, which orders equal distances by (ID, nodes-slice index).
+// its ring position, which orders equal distances by ID.
 type leafCand struct {
 	dist u128
 	pos  int32
 }
 
 // leafOrder is the total order the legacy leaf insertion used: circular
-// distance, then numeric identifier, then (for duplicate identifiers)
-// nodes-slice insertion order.
+// distance, then numeric identifier — the two distinct identifiers at one
+// distance on either side of the node.
 func leafOrder(a, b leafCand) int {
 	if c := a.dist.cmp(b.dist); c != 0 {
 		return c
@@ -106,7 +108,7 @@ func leafOrder(a, b leafCand) int {
 // 2·LeafSize ring neighbors. Walking away from the node, each side's
 // distances grow until the side crosses the antipode, so the sides are
 // usually in leafOrder already and a merge of the two ranks the window; a
-// side that is not (it crosses, or holds duplicate identifiers) sorts it.
+// side that is not (it crosses) sorts it.
 func (b *ringBuild) leaves(p int, cands []leafCand) {
 	n := len(b.ring)
 	self := b.ring[p].key

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -131,16 +132,12 @@ func FuzzDiffBuild(f *testing.F) {
 // arcNodes makes n nodes whose identifiers lie in `arcs` narrow arcs spread
 // evenly around the ring, set directly (FromNode never clusters them). With
 // every member close together a node near an arc's end finds its far-side
-// window past the antipode, where distance falls again. dups > 0 gives every
-// dups'th node its predecessor's identifier.
-func arcNodes(n, arcs, dups int, seed int64) []*Node {
+// window past the antipode, where distance falls again.
+func arcNodes(n, arcs int, seed int64) []*Node {
 	rng := rand.New(rand.NewSource(seed))
 	nodes := freshNodes(idSet(n, seed))
 	for i, nd := range nodes {
 		nd.self.ID = u128{uint64(i%arcs)*(^uint64(0)/uint64(arcs)) + rng.Uint64()>>40, rng.Uint64()}.id()
-		if dups > 0 && i%dups == dups-1 {
-			nd.self.ID = nodes[i-1].self.ID
-		}
 	}
 	return nodes
 }
@@ -152,7 +149,7 @@ func TestBuildMatchesLegacyOnArcs(t *testing.T) {
 	for _, n := range []int{34, 60, 200} {
 		for _, arcs := range []int{1, 2, 3} {
 			for seed := int64(1); seed <= 3; seed++ {
-				fast, slow := arcNodes(n, arcs, 0, seed), arcNodes(n, arcs, 0, seed)
+				fast, slow := arcNodes(n, arcs, seed), arcNodes(n, arcs, seed)
 				if arcs == 1 && crossed(fast) == 0 {
 					t.Fatalf("n=%d: no leaf window crosses the antipode", n)
 				}
@@ -164,58 +161,27 @@ func TestBuildMatchesLegacyOnArcs(t *testing.T) {
 	}
 }
 
-// windowLeaves is the leaf rule alone: each node's 2·LeafSize sorted-ring
-// neighbours (every other node on a small ring) sorted by (Dist, ID,
-// nodes-slice index), the first LeafSize kept.
-func windowLeaves(nodes []*Node) [][]Entry {
-	n := len(nodes)
-	id := func(i int) ID { return nodes[i].self.ID }
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return id(a).Cmp(id(b)) })
-	out := make([][]Entry, n)
-	for p, i := range order {
-		var cands []int
-		for k := 1; k <= LeafSize && n-1 > 2*LeafSize; k++ {
-			cands = append(cands, order[(p-k+n)%n], order[(p+k)%n])
-		}
-		if n-1 <= 2*LeafSize {
-			cands = slices.DeleteFunc(slices.Clone(order), func(j int) bool { return j == i })
-		}
-		slices.SortFunc(cands, func(a, b int) int {
-			if c := Dist(id(a), id(i)).Cmp(Dist(id(b), id(i))); c != 0 {
-				return c
-			}
-			if c := id(a).Cmp(id(b)); c != 0 {
-				return c
-			}
-			return a - b
-		})
-		for _, j := range cands[:min(LeafSize, len(cands))] {
-			out[i] = append(out[i], nodes[j].self)
-		}
-	}
-	return out
-}
-
-// TestBuildLeavesWithDuplicates holds Build's leaf sets to the window rule on
-// rings where some identifiers repeat, so a window's side is out of order by
-// index and the merge must give way to the sort. (BuildLegacy is no oracle
-// here: it also sees a duplicate just outside the window.)
-func TestBuildLeavesWithDuplicates(t *testing.T) {
-	for _, n := range []int{20, 34, 60, 200} {
-		for _, arcs := range []int{1, 3, 1 << 20} {
-			for seed := int64(1); seed <= 3; seed++ {
-				nodes := arcNodes(n, arcs, 3, seed)
-				Build(nodes)
-				for i, want := range windowLeaves(nodes) {
-					if !slices.Equal(nodes[i].leaves, want) {
-						t.Fatalf("n=%d arcs=%d seed=%d node %d: leaves %v, window rule %v", n, arcs, seed, i, nodes[i].leaves, want)
+// TestBuildPanicsOnDuplicateIDs: two nodes sharing a ring identifier are a
+// caller's bug, and both builders refuse them with one line naming the two
+// addresses and the identifier, wherever the pair sits in the nodes slice.
+func TestBuildPanicsOnDuplicateIDs(t *testing.T) {
+	for _, c := range []struct{ n, first, second int }{{2, 0, 1}, {40, 3, 31}, {40, 38, 0}} {
+		nodes := freshNodes(idSet(c.n, 1))
+		nodes[c.second].self.ID = nodes[c.first].self.ID
+		lo, hi := min(c.first, c.second), max(c.first, c.second)
+		want := fmt.Sprintf("dht: nodes %d and %d share ring identifier %v", nodes[lo].self.Addr, nodes[hi].self.Addr, nodes[lo].self.ID)
+		for name, build := range map[string]func([]*Node){
+			"Build":     Build,
+			"BuildNear": func(nodes []*Node) { BuildNear(nodes, func(i, j int) float64 { return float64(i ^ j) }) },
+		} {
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%s with nodes %d and %d sharing an ID: panic %v, want %q", name, c.first, c.second, got, want)
 					}
-				}
-			}
+				}()
+				build(nodes)
+			}()
 		}
 	}
 }

@@ -105,7 +105,7 @@ func (g *legacyGraph) pairDistances(nodes []int) [][]float64 {
 func legacyTable(o *Overlay, a int) routeTable {
 	rt := newRouteTable(o.N())
 	for i := range rt.dist {
-		rt.dist[i], rt.prevPeer[i], rt.prevLink[i] = math.Inf(1), -1, -1
+		rt.dist[i], rt.prev[i] = math.Inf(1), step{-1, -1}
 	}
 	rt.dist[a] = 0
 	var pq distPQ
@@ -122,7 +122,7 @@ func legacyTable(o *Overlay, a int) routeTable {
 				to = l.v
 			}
 			if nd := it.dist + l.latency; nd < rt.dist[to] {
-				rt.dist[to], rt.prevPeer[to], rt.prevLink[to] = nd, it.node, int32(idx)
+				rt.dist[to], rt.prev[to] = nd, step{it.node, int32(idx)}
 				pq.push(distItem{node: int32(to), dist: nd})
 			}
 		}
@@ -131,9 +131,11 @@ func legacyTable(o *Overlay, a int) routeTable {
 }
 
 // sourceTable is the table Route answers a's queries from: the route cache's,
-// fetched through the oracle every query goes through. o must have two peers.
+// fetched through the oracle every query goes through and then settled to
+// the end through the resume path. o must have two peers.
 func sourceTable(o *Overlay, a int) *routeTable {
 	rt, _, _ := o.tree(a, (a+1)%o.N())
+	o.r.settle(-1, rt, &o.r.sweepState)
 	return rt
 }
 
@@ -141,10 +143,9 @@ func sourceTable(o *Overlay, a int) *routeTable {
 // bits, predecessor peer or link — or returns "".
 func tableDiff(got, want *routeTable) string {
 	for v := range want.dist {
-		if math.Float64bits(got.dist[v]) != math.Float64bits(want.dist[v]) ||
-			got.prevPeer[v] != want.prevPeer[v] || got.prevLink[v] != want.prevLink[v] {
+		if math.Float64bits(got.dist[v]) != math.Float64bits(want.dist[v]) || got.prev[v] != want.prev[v] {
 			return fmt.Sprintf("peer %d: (dist %v, prev %d, link %d), want (%v, %d, %d)",
-				v, got.dist[v], got.prevPeer[v], got.prevLink[v], want.dist[v], want.prevPeer[v], want.prevLink[v])
+				v, got.dist[v], got.prev[v].peer, got.prev[v].link, want.dist[v], want.prev[v].peer, want.prev[v].link)
 		}
 	}
 	return ""
@@ -547,14 +548,15 @@ func TestDiffRoutePaths(t *testing.T) {
 	check("300000/30000", o, rng.Perm(o.N())[:50])
 }
 
-// diffOverlayTables builds an overlay on g at route-cache bounds 1 and ∞ and
-// holds every source's table to the heap reference where adversarial weights
-// leave room for ties: every latency is the heap's to the bit, every
-// predecessor is tight (its link joins it to the node and dist[prev] + latency
-// == dist[node]) and at the heap's predecessor's distance, every chain is
-// acyclic and ends at the source, and the two bounds' tables are identical.
-// Which of two tight predecessors at one distance a node keeps is the tie
-// rule's choice, not the heap's.
+// diffOverlayTables builds an overlay on g at route-cache bounds 1, 2 and ∞
+// and holds every source's table to the heap reference where adversarial
+// weights leave room for ties: every latency is the heap's to the bit, every
+// predecessor is tight (its link joins it to the node and dist[prev] +
+// latency == dist[node]) and at the heap's predecessor's distance, every
+// chain is acyclic and ends at the source, and the bounds' tables — paused
+// and resumed, answering a query stream at K=2 — are identical to one
+// uninterrupted sweep's. Which of two tight predecessors at one distance a
+// node keeps is the tie rule's choice, not the heap's.
 func diffOverlayTables(t *testing.T, g *Graph, seed int64) {
 	t.Helper()
 	n := 1 + g.N()/2
@@ -563,16 +565,20 @@ func diffOverlayTables(t *testing.T, g *Graph, seed int64) {
 		return BuildOverlay(g, OverlayConfig{NumPeers: n, Degree: 1 + rng.Intn(4), RouteCacheSize: k, Compact: true}, rng)
 	}
 	one, all := build(1), build(n)
+	replayQueries(t, "K=2", build(2), rand.New(rand.NewSource(seed)), 4*n)
 	for a := 0; a < n; a++ {
 		got, want := sourceTable(one, a), legacyTable(one, a)
 		if d := tableDiff(got, sourceTable(all, a)); d != "" {
 			t.Fatalf("source %d: K=1 %s at K=∞", a, d)
 		}
+		if d := tableDiff(got, oneSweep(one, a)); d != "" {
+			t.Fatalf("source %d: resumed %s in one sweep", a, d)
+		}
 		for v, d := range got.dist {
 			if math.Float64bits(d) != math.Float64bits(want.dist[v]) {
 				t.Fatalf("source %d peer %d: sweep latency %v, heap %v", a, v, d, want.dist[v])
 			}
-			p, l := got.prevPeer[v], got.prevLink[v]
+			p, l := got.prev[v].peer, got.prev[v].link
 			if v == a || math.IsInf(d, 1) {
 				if p != -1 || l != -1 {
 					t.Fatalf("source %d peer %d (dist %v): predecessor %d link %d, want none", a, v, d, p, l)
@@ -586,7 +592,7 @@ func diffOverlayTables(t *testing.T, g *Graph, seed int64) {
 			if !(lk.u == v && lk.v == int(p) || lk.u == int(p) && lk.v == v) || got.dist[p]+lk.latency != d {
 				t.Fatalf("source %d peer %d: predecessor %d over link %d (%d-%d @%v) is not tight at %v", a, v, p, l, lk.u, lk.v, lk.latency, d)
 			}
-			if hp := want.prevPeer[v]; math.Float64bits(got.dist[p]) != math.Float64bits(want.dist[hp]) {
+			if hp := want.prev[v].peer; math.Float64bits(got.dist[p]) != math.Float64bits(want.dist[hp]) {
 				t.Fatalf("source %d peer %d: predecessor %d at %v, the heap's %d at %v", a, v, p, got.dist[p], hp, want.dist[hp])
 			}
 			at := v
@@ -594,7 +600,7 @@ func diffOverlayTables(t *testing.T, g *Graph, seed int64) {
 				if at < 0 || hops > n {
 					t.Fatalf("source %d peer %d: predecessor chain does not end at the source", a, v)
 				}
-				at = int(got.prevPeer[at])
+				at = int(got.prev[at].peer)
 			}
 		}
 	}

@@ -184,7 +184,8 @@ func bucketPlan(minPos, maxW float64) (inv float64, ringLen int) {
 
 // sweepState is one worker's reusable scratch for sweep: allocated once, its
 // buckets grown to their working size by the first sources, and shared by all
-// of that worker's sources. A sweep leaves every slot at -1.
+// of that worker's sources. Between sweeps it is empty: every slot -1, every
+// bucket empty (settle leaves it so).
 type sweepState struct {
 	slot []int32   // node -> ring slot holding its live entry, -1 when none
 	ring [][]int32 // ring[k]: nodes whose tentative distance fell in a bucket ≡ k
@@ -200,12 +201,13 @@ func (c *csr) newSweepState() sweepState {
 
 // sweep fills rt.dist with the shortest-path latency from src to every node
 // (+Inf where unreachable) by a bucket sweep — Dial's algorithm on float keys —
-// instead of a priority queue. Every improving relaxation gives the node a
-// live entry in the bucket of its new distance (slot dedups: one live entry
-// per node, older ones are skipped as stale); buckets are drained in
-// increasing order until no live entry is left. When rt.prevPeer is non-nil
-// the sweep also records each node's predecessor, peer and link (-1 at src
-// and where unreachable), which needs c.link.
+// instead of a priority queue: start, then settle with no target. Every
+// improving relaxation gives the node a live entry in the bucket of its new
+// distance (slot dedups: one live entry per node, older ones are skipped as
+// stale); buckets are drained in increasing order until no live entry is
+// left. When rt.prev is non-nil the sweep also records the step each node is
+// reached through, predecessor peer and link ({-1, -1} at src and where
+// unreachable), which needs c.link.
 //
 // Buckets are as wide as the smallest positive edge weight, so relaxing out
 // of the bucket being drained lands in a later one and a node is final when
@@ -239,23 +241,55 @@ func (c *csr) newSweepState() sweepState {
 //
 // sweep only reads c, so workers may share it.
 func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
-	dist, slot, ring := rt.dist, s.slot, s.ring
+	c.start(src, rt)
+	c.settle(-1, rt, s)
+}
+
+// start resets rt to the sweep from src before its first bucket: src at 0,
+// every other node at +Inf with no step, and src the one frontier entry.
+func (c *csr) start(src int, rt *routeTable) {
+	for i := range rt.dist {
+		rt.dist[i] = math.Inf(1)
+	}
+	for i := range rt.prev {
+		rt.prev[i] = step{-1, -1}
+	}
+	rt.dist[src] = 0
+	rt.frontier, rt.cur = append(rt.frontier[:0], int32(src)), 0
+}
+
+// final reports whether node t's distance and step in rt are final: rt is
+// complete, or its sweep has drained every bucket below t's own. Every live
+// entry then sits at a distance no smaller than the current bucket's floor,
+// above dist[t], so no relaxation can lower or tie it, nor any node's on its
+// chain. The test dist[t]·bucketInv < cur never reads +Inf as final.
+func (c *csr) final(rt *routeTable, t int) bool {
+	return len(rt.frontier) == 0 || rt.dist[t]*c.bucketInv < float64(rt.cur)
+}
+
+// settle runs rt's sweep on, in s's empty scratch, until node t is final —
+// to the end when t < 0 — and pauses it there.
+//
+// A pause moves the live entries into rt.frontier in ring order from the
+// current bucket — bucket by bucket, each bucket's entries in queue order,
+// stale ones dropped — and leaves s empty. A later settle puts them back
+// into the same buckets in the same order and drains on from the same
+// bucket, so a sweep paused any number of times performs exactly the
+// relaxations, in exactly the order, of one that never paused: its table is
+// the same to the bit. When no live entry is left the sweep is complete and
+// its frontier empty.
+func (c *csr) settle(t int, rt *routeTable, s *sweepState) {
+	dist, prev, slot, ring := rt.dist, rt.prev, s.slot, s.ring
 	off, to, w, leg, inv := c.off, c.to, c.w, c.leg, c.bucketInv
-	rec := rt.prevPeer != nil
+	rec := prev != nil
 	mask := len(ring) - 1
-	for i := range dist {
-		dist[i] = math.Inf(1)
+	for _, u := range rt.frontier {
+		b := int32(int(dist[u]*inv) & mask)
+		slot[u] = b
+		ring[b] = append(ring[b], u)
 	}
-	for i := range rt.prevPeer {
-		rt.prevPeer[i], rt.prevLink[i] = -1, -1
-	}
-	for k := range ring {
-		ring[k] = ring[k][:0] // stale entries the last source left behind
-	}
-	dist[src] = 0
-	slot[src] = 0
-	ring[0] = append(ring[0], int32(src))
-	for cur, live := 0, 1; live > 0; cur++ {
+	live, cur := len(rt.frontier), rt.cur
+	for ; live > 0 && (t < 0 || !(dist[t]*inv < float64(cur))); cur++ {
 		k := int32(cur & mask)
 		for done := 0; done < len(ring[k]); {
 			bucket := ring[k]
@@ -275,13 +309,13 @@ func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
 							continue
 						}
 						if nd == dist[v] {
-							if p := rt.prevPeer[v]; p >= 0 && du < dist[p] {
-								rt.prevPeer[v], rt.prevLink[v] = u, c.link[e]
+							if p := prev[v].peer; p >= 0 && du < dist[p] {
+								prev[v] = step{u, c.link[e]}
 							}
 							continue
 						}
 						dist[v] = nd
-						rt.prevPeer[v], rt.prevLink[v] = u, c.link[e]
+						prev[v] = step{u, c.link[e]}
 						if b := int32(int(nd*inv) & mask); slot[v] != b {
 							if slot[v] < 0 {
 								live++
@@ -308,6 +342,20 @@ func (c *csr) sweep(src int, rt *routeTable, s *sweepState) {
 				}
 			}
 			done = len(bucket)
+		}
+		ring[k] = ring[k][:0]
+	}
+	if cap(rt.frontier) < live {
+		rt.frontier = make([]int32, 0, live)
+	}
+	rt.frontier, rt.cur = rt.frontier[:0], cur
+	for j := range ring {
+		k := int32((cur + j) & mask)
+		for _, u := range ring[k] {
+			if slot[u] == k {
+				slot[u] = -1
+				rt.frontier = append(rt.frontier, u)
+			}
 		}
 		ring[k] = ring[k][:0]
 	}

@@ -13,7 +13,6 @@ type overlayLink struct {
 	u, v     int
 	latency  float64 // ms, from IP-layer shortest path between u and v
 	capacity float64 // kbps
-	avail    float64 // kbps still unallocated
 }
 
 // Path is an overlay-layer route between two peers: the peer sequence, the
@@ -37,7 +36,8 @@ type Overlay struct {
 	peerIP []int
 	lat    [][]float64 // pairwise peer latency over IP shortest paths; nil in compact mode
 	links  []overlayLink
-	adj    [][]int // per-peer incident link indices
+	avail  []float64 // per link: kbps still unallocated
+	adj    [][]int   // per-peer incident link indices
 
 	capMin, capMax float64 // link capacity range, for peers added later
 
@@ -61,17 +61,23 @@ type router struct {
 }
 
 // routeTable is one source's shortest-path tree, 16 B per peer: the latency
-// to every peer and the (peer, link) each is reached through, -1 at the source
-// and at unreachable peers. The IP layer's sweeps want distances only and
-// leave the predecessor arrays nil.
+// to every peer and the step each is reached through, {-1, -1} at the source
+// and at unreachable peers. A table is settled only as far as its queries
+// needed: frontier and cur hold its paused sweep (see settle), and the
+// frontier is empty once the table is complete. The IP layer's sweeps want
+// distances only and leave prev nil.
 type routeTable struct {
 	dist     []float64
-	prevPeer []int32
-	prevLink []int32
+	prev     []step
+	frontier []int32 // live entries of the paused sweep, in ring order
+	cur      int     // the bucket the paused sweep resumes at
 }
 
+// step is how a route reaches a peer: the peer before it and the link between.
+type step struct{ peer, link int32 }
+
 func newRouteTable(n int) routeTable {
-	return routeTable{dist: make([]float64, n), prevPeer: make([]int32, n), prevLink: make([]int32, n)}
+	return routeTable{dist: make([]float64, n), prev: make([]step, n)}
 }
 
 // routeSlot is one LRU entry: a full per-source routing table threaded on the
@@ -190,7 +196,8 @@ func (o *Overlay) link(u int, nearest []settledPeer, rng *rand.Rand) {
 		}
 		idx := len(o.links)
 		c := o.capMin + rng.Float64()*(o.capMax-o.capMin)
-		o.links = append(o.links, overlayLink{u: u, v: v, latency: sp.dist, capacity: c, avail: c})
+		o.links = append(o.links, overlayLink{u: u, v: v, latency: sp.dist, capacity: c})
+		o.avail = append(o.avail, c)
 		o.adj[u] = append(o.adj[u], idx)
 		o.adj[v] = append(o.adj[v], idx)
 	}
@@ -313,11 +320,14 @@ func (r *router) pushFront(s *routeSlot) {
 //
 // Per-source tables are cached in an LRU bounded by
 // OverlayConfig.RouteCacheSize and invalidated only by AddPeer, since links
-// otherwise never change. A miss sweeps a's whole table over the link CSR; on
-// a full cache it evicts the LRU table and sweeps into its arrays, so it
-// allocates nothing. A table depends on nothing but its source, so the cache
-// bound affects memory and recomputation, not results, and same-seed traces
-// stay byte-identical at any bound.
+// otherwise never change. A miss starts a's sweep over the link CSR — on a
+// full cache in the evicted LRU table's arrays, so it allocates nothing — and
+// every query settles a's table until b is final, resuming the sweep an
+// earlier query paused: each source is swept at most once, and only as far
+// as its targets. A paused sweep resumes exactly (see settle), so a table
+// depends on nothing but its source, the cache bound and the query order
+// affect memory and recomputation, not results, and same-seed traces stay
+// byte-identical at any bound.
 func (o *Overlay) tree(a, b int) (*routeTable, float64, bool) {
 	if a == b {
 		return nil, 0, true
@@ -333,7 +343,6 @@ func (o *Overlay) tree(a, b int) (*routeTable, float64, bool) {
 			r.unlink(s)
 			r.pushFront(s)
 		}
-		return &s.rt, s.rt.dist[b], !math.IsInf(s.rt.dist[b], 1)
 	case r.cached < o.routeCap:
 		s = &routeSlot{rt: newRouteTable(o.N())}
 		r.cached++
@@ -344,10 +353,15 @@ func (o *Overlay) tree(a, b int) (*routeTable, float64, bool) {
 		r.unlink(s)
 		r.slotOf[s.src] = nil
 	}
-	s.src = a
-	r.sweep(a, &s.rt, &r.sweepState)
-	r.pushFront(s)
-	r.slotOf[a] = s
+	if r.slotOf[a] != s { // a miss: start a's sweep in the slot
+		s.src = a
+		r.start(a, &s.rt)
+		r.pushFront(s)
+		r.slotOf[a] = s
+	}
+	if !r.final(&s.rt, b) {
+		r.settle(b, &s.rt, &r.sweepState)
+	}
 	return &s.rt, s.rt.dist[b], !math.IsInf(s.rt.dist[b], 1)
 }
 
@@ -367,15 +381,15 @@ func (o *Overlay) Route(a, b int) (Path, bool) {
 // right-sized allocations instead of append-grow + reverse.
 func (rt *routeTable) path(a, b int, lat float64) Path {
 	hops := 0
-	for at := b; at != a; at = int(rt.prevPeer[at]) {
+	for at := b; at != a; at = int(rt.prev[at].peer) {
 		hops++
 	}
 	peers := make([]int, hops+1)
 	links := make([]int, hops)
 	i := hops
-	for at := b; at != a; at = int(rt.prevPeer[at]) {
+	for at := b; at != a; at = int(rt.prev[at].peer) {
 		peers[i] = at
-		links[i-1] = int(rt.prevLink[at])
+		links[i-1] = int(rt.prev[at].link)
 		i--
 	}
 	peers[0] = a
@@ -396,10 +410,10 @@ func (o *Overlay) PathCost(a, b int) (latencyMs, bandAvail float64, ok bool) {
 
 func (o *Overlay) bottleneck(rt *routeTable, a, b int) float64 {
 	bw := math.Inf(1)
-	for at := b; at != a; at = int(rt.prevPeer[at]) {
-		if v := o.links[rt.prevLink[at]].avail; v < bw {
-			bw = v
-		}
+	for at := b; at != a; {
+		st := rt.prev[at]
+		bw = min(bw, o.avail[st.link])
+		at = int(st.peer)
 	}
 	return bw
 }
@@ -409,9 +423,7 @@ func (o *Overlay) bottleneck(rt *routeTable, a, b int) float64 {
 func (o *Overlay) AvailBandwidth(p Path) float64 {
 	bw := math.Inf(1)
 	for _, idx := range p.Links {
-		if a := o.links[idx].avail; a < bw {
-			bw = a
-		}
+		bw = min(bw, o.avail[idx])
 	}
 	return bw
 }
@@ -423,8 +435,8 @@ func (o *Overlay) AllocBandwidth(a, b int, bw float64) bool {
 	if !ok || o.bottleneck(rt, a, b) < bw {
 		return false
 	}
-	for at := b; at != a; at = int(rt.prevPeer[at]) {
-		o.links[rt.prevLink[at]].avail -= bw
+	for at := b; at != a; at = int(rt.prev[at].peer) {
+		o.avail[rt.prev[at].link] -= bw
 	}
 	return true
 }
@@ -436,12 +448,9 @@ func (o *Overlay) ReleaseBandwidth(a, b int, bw float64) {
 	if !ok {
 		return
 	}
-	for at := b; at != a; at = int(rt.prevPeer[at]) {
-		l := &o.links[rt.prevLink[at]]
-		l.avail += bw
-		if l.avail > l.capacity {
-			l.avail = l.capacity
-		}
+	for at := b; at != a; at = int(rt.prev[at].peer) {
+		l := rt.prev[at].link
+		o.avail[l] = min(o.avail[l]+bw, o.links[l].capacity)
 	}
 }
 

@@ -350,7 +350,7 @@ func matrixMesh(lat [][]float64, k int, capMin, capMax float64, rng *rand.Rand) 
 			}
 			linked[pairKey(u, v)] = true
 			c := capMin + rng.Float64()*(capMax-capMin)
-			links = append(links, overlayLink{u: u, v: v, latency: row[v], capacity: c, avail: c})
+			links = append(links, overlayLink{u: u, v: v, latency: row[v], capacity: c})
 		}
 	}
 	return links
@@ -374,7 +374,7 @@ func TestMeshMatchesNearestInRow(t *testing.T) {
 		for i := range want {
 			g, w := got[i], want[i]
 			if g.u != w.u || g.v != w.v || math.Float64bits(g.latency) != math.Float64bits(w.latency) ||
-				g.capacity != w.capacity || g.avail != w.avail {
+				g.capacity != w.capacity {
 				t.Fatalf("%s link %d: built %+v, matrix rule %+v", what, i, g, w)
 			}
 		}

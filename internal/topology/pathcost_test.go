@@ -133,7 +133,8 @@ func TestRecycledTableCarriesNothingOver(t *testing.T) {
 // TestPathCostAllocs pins the point of PathCost: a cost query on a cached
 // source allocates nothing, and neither does a miss on a full cache — the
 // evicted table's arrays and the router's one sweep scratch, its ring
-// buckets grown by the first sweeps, are reused.
+// buckets grown by the first sweeps, are reused — nor a query that resumes
+// a paused sweep whose frontier fits the table's capacity.
 func TestPathCostAllocs(t *testing.T) {
 	const peers = 400
 	o := cacheOverlay(t, peers, 2)
@@ -167,5 +168,29 @@ func TestPathCostAllocs(t *testing.T) {
 	}
 	if n := cachedTables(o); n != 2 {
 		t.Fatalf("K=2 cache holds %d tables", n)
+	}
+
+	// Each source's first query stops at a neighbor, its second resumes the
+	// sweep toward a far peer; a first cycle grows each slot's frontier.
+	resumes := 0
+	resume := func() {
+		a := srcs[i%len(srcs)]
+		l := o.links[o.adj[a][0]]
+		o.PathCost(a, l.u+l.v-a) // the link's other end
+		if paused(o, a, peers-1-a) {
+			resumes++
+		}
+		o.PathCost(a, peers-1-a)
+		i++
+	}
+	for n := 0; n < len(srcs); n++ {
+		resume()
+	}
+	resumes = 0
+	if avg := testing.AllocsPerRun(200, resume); avg != 0 {
+		t.Fatalf("PathCost resuming a paused sweep allocates %.2f objects, want 0", avg)
+	}
+	if resumes < 200 {
+		t.Fatalf("only %d of 200 second queries resumed a paused sweep", resumes)
 	}
 }

@@ -164,7 +164,7 @@ func TestRouteCacheInvalidatedByAddPeer(t *testing.T) {
 	// Eight sources through four slots: the later misses recycled tables, and
 	// every table they could recycle was sized after the arrival.
 	for s := o.r.head; s != nil; s = s.next {
-		if len(s.rt.dist) != o.N() || len(s.rt.prevPeer) != o.N() || len(s.rt.prevLink) != o.N() {
+		if len(s.rt.dist) != o.N() || len(s.rt.prev) != o.N() {
 			t.Fatalf("table of source %d has stale length %d, overlay has %d peers", s.src, len(s.rt.dist), o.N())
 		}
 	}
@@ -192,4 +192,147 @@ func TestRouteCacheDisconnectedComponents(t *testing.T) {
 			t.Fatalf("route 0→%d should not exist after severing peer 0", a)
 		}
 	}
+}
+
+// TestResumedSweepsMatchOneSweep replays seeded query streams on every
+// meshWorlds shape at seeds 1–3 and cache bounds 1, 2 and ∞ (replayQueries),
+// where tables pause, resume, complete, get evicted and start again. On the
+// scale workload's 30,000-peer world a query for a source's neighbor must
+// settle fewer peers than all of them.
+func TestResumedSweepsMatchOneSweep(t *testing.T) {
+	resumed := 0
+	for _, w := range meshWorlds {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := GeneratePowerLaw(w.ipNodes, 2, 2, 30, rng)
+			o := BuildOverlay(g, OverlayConfig{NumPeers: w.peers, Degree: 4, CapMin: 2000, CapMax: 10000, Compact: true}, rng)
+			for _, k := range []int{1, 2, o.N()} {
+				o.routeCap, o.r = k, nil
+				resumed += replayQueries(t, fmt.Sprintf("%d/%d seed %d K=%d", w.ipNodes, w.peers, seed, k), o, rng, 300)
+			}
+		}
+	}
+	// Peer 1 is queued at 1.5 in the bucket of peer 2 at 1.2, whose
+	// zero-weight link then lowers it to 1.2: a query for peer 1 is answered
+	// only once that bucket is drained.
+	zero := handOverlay(3, 1, overlayLink{u: 0, v: 1, latency: 1.5, capacity: 1000},
+		overlayLink{u: 0, v: 2, latency: 1.2, capacity: 1000}, overlayLink{u: 2, v: 1, latency: 0, capacity: 1000})
+	if lat, _, ok := zero.PathCost(0, 1); lat != 1.2 || !ok {
+		t.Fatalf("zero-weight triangle: PathCost(0, 1) = %v, %v; want 1.2 over the zero-weight link", lat, ok)
+	}
+	resumed += replayQueries(t, "zero-weight triangle", zero, rand.New(rand.NewSource(1)), 60)
+	if resumed == 0 {
+		t.Fatal("no query resumed a paused sweep; the test exercised nothing")
+	}
+	if testing.Short() {
+		t.Skip("300k-node world skipped in -short")
+	}
+	rng := rand.New(rand.NewSource(1))
+	g := GeneratePowerLaw(300_000, 2, 2, 30, rng)
+	o := BuildOverlay(g, OverlayConfig{NumPeers: 30_000, Degree: 4, CapMin: 2000, CapMax: 10000, Compact: true}, rng)
+	near := o.links[o.adj[0][0]].v // peer 0 opened its own links
+	rt, _, _ := o.tree(0, near)
+	settled := 0
+	for v, d := range rt.dist {
+		if o.r.final(rt, v) && !math.IsInf(d, 1) {
+			settled++
+		}
+	}
+	if settled >= o.N() || len(rt.frontier) == 0 {
+		t.Fatalf("a route to a neighbor settled %d of %d peers, frontier %d", settled, o.N(), len(rt.frontier))
+	}
+}
+
+// handOverlay is an overlay of n peers joined by links, in order, each with
+// its capacity free, and a route cache of k tables.
+func handOverlay(n, k int, links ...overlayLink) *Overlay {
+	o := &Overlay{peerIP: make([]int, n), adj: make([][]int, n), routeCap: k}
+	for _, l := range links {
+		o.adj[l.u] = append(o.adj[l.u], len(o.links))
+		o.adj[l.v] = append(o.adj[l.v], len(o.links))
+		o.links = append(o.links, l)
+		o.avail = append(o.avail, l.capacity)
+	}
+	return o
+}
+
+// replayQueries runs a seeded stream of PathCost and Route queries on o —
+// targets uniform, sources interleaved from a pool of five — and holds every
+// answer to the table one uninterrupted csr.sweep of its source gives (see
+// oneSweep), bit for bit, and the router's scratch to empty after every
+// query. It returns how many queries resumed a paused sweep.
+func replayQueries(t *testing.T, name string, o *Overlay, rng *rand.Rand, queries int) (resumed int) {
+	t.Helper()
+	whole := make(map[int]*routeTable)
+	pool := rng.Perm(o.N())[:min(5, o.N())]
+	for i := 0; i < queries; i++ {
+		a, b := pool[rng.Intn(len(pool))], rng.Intn(o.N())
+		if paused(o, a, b) {
+			resumed++
+		}
+		if whole[a] == nil {
+			whole[a] = oneSweep(o, a)
+		}
+		want := whole[a]
+		wantOK := a == b || !math.IsInf(want.dist[b], 1)
+		if i%2 == 0 {
+			lat, band, ok := o.PathCost(a, b)
+			wantLat, wantBand := 0.0, math.Inf(1)
+			if wantOK && a != b {
+				wantLat, wantBand = want.dist[b], o.bottleneck(want, a, b)
+			}
+			if ok != wantOK || ok && (math.Float64bits(lat) != math.Float64bits(wantLat) || math.Float64bits(band) != math.Float64bits(wantBand)) {
+				t.Fatalf("%s query %d: PathCost(%d, %d) = (%v, %v, %v), one sweep (%v, %v, %v)", name, i, a, b, lat, band, ok, wantLat, wantBand, wantOK)
+			}
+		} else {
+			got, ok := o.Route(a, b)
+			var wantPath Path
+			if wantOK {
+				wantPath = want.path(a, b, want.dist[b])
+			}
+			if pathString(got, ok) != pathString(wantPath, wantOK) {
+				t.Fatalf("%s query %d: Route(%d, %d) = %s, one sweep %s", name, i, a, b, pathString(got, ok), pathString(wantPath, wantOK))
+			}
+		}
+		if o.r != nil {
+			if d := scratchLeft(&o.r.sweepState); d != "" {
+				t.Fatalf("%s query %d (%d→%d): %s", name, i, a, b, d)
+			}
+		}
+	}
+	return resumed
+}
+
+// paused reports whether a query a→b would resume a's cached, paused sweep:
+// b is not final in it yet.
+func paused(o *Overlay, a, b int) bool {
+	if o.r == nil || o.r.slotOf[a] == nil || a == b {
+		return false
+	}
+	return !o.r.final(&o.r.slotOf[a].rt, b)
+}
+
+// oneSweep is a's table from one csr.sweep that never pauses, in a router of
+// its own: the reference every resumed table must equal.
+func oneSweep(o *Overlay, a int) *routeTable {
+	r := o.newRouter()
+	rt := newRouteTable(o.N())
+	r.sweep(a, &rt, &r.sweepState)
+	return &rt
+}
+
+// scratchLeft names what a sweep left in its scratch — a live slot or a
+// non-empty bucket — or returns "".
+func scratchLeft(s *sweepState) string {
+	for v, k := range s.slot {
+		if k != -1 {
+			return fmt.Sprintf("peer %d left in slot %d", v, k)
+		}
+	}
+	for k, b := range s.ring {
+		if len(b) != 0 {
+			return fmt.Sprintf("bucket %d left with %d entries", k, len(b))
+		}
+	}
+	return ""
 }

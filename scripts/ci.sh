@@ -53,13 +53,16 @@ go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitFor
 # fanned over two, the scale workload's
 # 300k-node graph generation and its compact mesh), the whole full overlay
 # build at the paper's scale (mesh search plus matrix), which is what
-# the steady workload's setup_s pays, 200 route-table sweeps on the scale
-# workload's overlay, which is its run_s, and one evicting route miss.
+# the steady workload's setup_s pays, 200 cold route queries on the scale
+# workload's overlay, each settling its source's sweep only until the target
+# is final, which are most of its run_s, the route-oracle traffic BCP sends
+# on the paper-scale overlay (bursts of cost queries, mostly hits), and one
+# evicting route miss.
 echo "== allocation gates (no race detector) + compose/recovery-tick + world-build and route benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
 go test -run '^$' -bench 'BCPCompose|RecoveryTick|SimEventDispatch|DHTLookup' -benchmem -benchtime 20x .
 go test -run '^$' -bench 'PairDistancesPaperScale|DHTBuildRing' -benchmem -benchtime 3x -cpu 1,2 .
-go test -run '^$' -bench 'GeneratePowerLaw300k|CompactMesh30k|TopologyPaperScale|RouteTables30k' -benchmem -benchtime 3x .
+go test -run '^$' -bench 'GeneratePowerLaw300k|CompactMesh30k|TopologyPaperScale|RouteTables30k|RouteOracle1k' -benchmem -benchtime 3x .
 go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 
 # Message gates, beside the allocation gates: one pinned small cell holds DHT
