@@ -382,10 +382,9 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		wire.Render(stdout)
 		met.Table("distribution metrics").Render(stdout)
-		met.PhaseTable("setup-latency phases (live histograms)").Render(stdout)
 		f := spans.Build()
 		span.Summary(f, "trace summary").Render(stdout)
-		span.PhaseTable(f, "setup-latency phases (span trees)").Render(stdout)
+		span.PhaseTable(f, "setup-latency phases").Render(stdout)
 	}
 	if *check {
 		if hung > 0 {

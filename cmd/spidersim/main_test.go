@@ -104,7 +104,8 @@ func TestSpecComposesTheSameEveryTime(t *testing.T) {
 // TestSmallRunChecksClean: one small valid run passes its own invariant and
 // counter check and writes a trace that spidertrace check then accepts and
 // that summarizes, the way spidertrace summary reads it, to the very rows
-// -stats printed for the run.
+// -stats printed for the run, and splits into the very setup-phase table
+// -stats printed last.
 func TestSmallRunChecksClean(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "run.jsonl.gz")
 	code, stdout, stderr := spidersim("-peers", "30", "-ipnodes", "200", "-requests", "5", "-check", "-stats", "-trace", trace)
@@ -118,9 +119,15 @@ func TestSmallRunChecksClean(t *testing.T) {
 	if err := obs.StreamTrace(trace, func(ev obs.Event) error { b.Add(ev); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	summary := span.Summary(b.Build(), "trace summary").String()
+	f := b.Build()
+	summary := span.Summary(f, "trace summary").String()
 	if !strings.Contains(summary, "events.compose.start ") || !strings.Contains(stdout, summary) {
 		t.Errorf("the trace file summarizes to\n%s\nwhich -stats did not print:\n%s", summary, stdout)
+	}
+	const phases = "# setup-latency phases\n"
+	_, printed, _ := strings.Cut(stdout, phases)
+	if want := span.PhaseTable(f, "setup-latency phases").String(); phases+printed != want {
+		t.Errorf("the trace file splits into\n%s\n-stats printed\n%s", want, phases+printed)
 	}
 	// The profile pair covers whatever the command line does.
 	cpu, mem := filepath.Join(t.TempDir(), "cpu.prof"), filepath.Join(t.TempDir(), "mem.prof")

@@ -141,9 +141,10 @@ func renderMetrics(reg *obs.Registry, met *obs.Metrics) []byte {
 }
 
 // appendHistogram writes one histogram in Prometheus histogram syntax: the
-// per-bucket counts are cumulative and end with le="+Inf".
+// per-bucket counts are cumulative and end with le="+Inf", which _count
+// repeats; the buckets and _sum come from one snapshot.
 func appendHistogram(b []byte, h *obs.Histogram) []byte {
-	bounds, counts := h.Buckets()
+	bounds, counts, sum := h.Buckets()
 	name := namespace + h.Name()
 	b = append(b, "# TYPE "...)
 	b = append(b, name...)
@@ -164,11 +165,11 @@ func appendHistogram(b []byte, h *obs.Histogram) []byte {
 	}
 	b = append(b, name...)
 	b = append(b, "_sum "...)
-	b = strconv.AppendFloat(b, h.Sum(), 'g', -1, 64)
+	b = strconv.AppendFloat(b, sum, 'g', -1, 64)
 	b = append(b, '\n')
 	b = append(b, name...)
 	b = append(b, "_count "...)
-	b = strconv.AppendInt(b, h.Count(), 10)
+	b = strconv.AppendInt(b, cum, 10)
 	b = append(b, '\n')
 	return b
 }

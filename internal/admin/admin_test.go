@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,6 +96,49 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if prev != 2 {
 		t.Fatalf("final cumulative bucket=%d want 2", prev)
+	}
+}
+
+// TestScrapeWhileObserving renders the exposition over and over while two
+// goroutines observe: every scrape must print each histogram's _count equal to
+// its le="+Inf" bucket, as the Prometheus text format requires. Run it under
+// -race.
+func TestScrapeWhileObserving(t *testing.T) {
+	met := obs.NewMetrics()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					met.SetupLatency.Observe(float64(i % 1000))
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+	for scrape := 0; scrape < 300; scrape++ {
+		values := map[string]string{}
+		for _, line := range strings.Split(string(renderMetrics(nil, met)), "\n") {
+			if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+				values[line[:i]] = line[i+1:]
+			}
+		}
+		for _, h := range met.Histograms() {
+			name := namespace + h.Name()
+			inf, count := values[name+`_bucket{le="+Inf"}`], values[name+"_count"]
+			if inf == "" || inf != count {
+				t.Fatalf("scrape %d: %s le=\"+Inf\" bucket %q, _count %q", scrape, name, inf, count)
+			}
+		}
+	}
+	if met.SetupLatency.Count() == 0 {
+		t.Fatal("no observation landed during the scrapes")
 	}
 }
 

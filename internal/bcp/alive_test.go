@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fgraph"
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -136,8 +137,12 @@ func TestAllCandidatesDownDropsWithDown(t *testing.T) {
 	if len(reasons) != 1 {
 		t.Fatalf("%d probes dropped (%v), want the one at peer 2", len(reasons), reasons)
 	}
-	if res.CollectPhase >= time.Millisecond {
-		t.Fatalf("CollectPhase %v: the collection waited for the dead branch's credit", res.CollectPhase)
+	b := span.NewBuilder()
+	for _, ev := range mem.Events() {
+		b.Add(ev)
+	}
+	if wait := b.Build().Tree(1).Phases.Collect; wait >= time.Millisecond {
+		t.Fatalf("collect phase %v: the collection waited for the dead branch's credit", wait)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fgraph"
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -257,6 +258,21 @@ func hostsAny(c *cluster.Cluster, req *service.Request) bool {
 	return false
 }
 
+// collectPhase is request req's collect phase in the span tree its trace evs
+// builds: the destination's wait between its last probe and selection.
+func collectPhase(t *testing.T, evs []obs.Event, req uint64) time.Duration {
+	t.Helper()
+	b := span.NewBuilder()
+	for _, ev := range evs {
+		b.Add(ev)
+	}
+	tr := b.Build().Tree(req)
+	if tr == nil {
+		t.Fatalf("the trace holds no tree for request %d", req)
+	}
+	return tr.Phases.Collect
+}
+
 // TestDroppedProbeReturnsItsCredit forces part of a request's probes to die on
 // the QoS check while others return: each dead probe sends its credit to the
 // destination, so the collector closes in the event of the later of its last
@@ -278,8 +294,8 @@ func TestDroppedProbeReturnsItsCredit(t *testing.T) {
 	if bound := got.first + collectWindow(req); got.selectDone.Dur != bound-got.last || got.selectDone.Dur <= 0 {
 		t.Fatalf("select.done early by %v, want %v before the window bound %v", got.selectDone.Dur, bound-got.last, bound)
 	}
-	if !out.Ok || out.CollectPhase >= time.Millisecond {
-		t.Fatalf("ok=%v CollectPhase=%v, want a success that waited < 1ms after its last probe", out.Ok, out.CollectPhase)
+	if wait := collectPhase(t, mem.Events(), req.ID); !out.Ok || wait >= time.Millisecond {
+		t.Fatalf("ok=%v collect phase %v, want a success that waited < 1ms after its last probe", out.Ok, wait)
 	}
 	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
@@ -360,8 +376,8 @@ func TestLostCreditFallsBackToWindow(t *testing.T) {
 	if want := got.first + window; got.selectDone == nil || got.selectDone.TS != want || got.selectDone.Dur != 0 {
 		t.Fatalf("selection %+v, want exactly at the window bound %v", got.selectDone, want)
 	}
-	if !out.Ok || out.CollectPhase <= 0 || out.CollectPhase > window {
-		t.Fatalf("ok=%v CollectPhase=%v, want a success that waited inside the %v window", out.Ok, out.CollectPhase, window)
+	if wait := collectPhase(t, mem.Events(), req.ID); !out.Ok || wait <= 0 || wait > window {
+		t.Fatalf("ok=%v collect phase %v, want a success that waited inside the %v window", out.Ok, wait, window)
 	}
 	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
@@ -395,33 +411,40 @@ func TestEmptyCollectionSendsNothing(t *testing.T) {
 }
 
 // TestCollectPhaseGate holds the gain: on a loss-free 200-peer cluster the
-// destination's residual wait after its last probe (Result.CollectPhase) has
-// a median below 1 ms — it was the full ~2 s window before early close.
+// destination's residual wait after its last probe (the collect phase of each
+// success's span tree) has a median below 1 ms — it was the full ~2 s window
+// before early close.
 func TestCollectPhaseGate(t *testing.T) {
 	cat := chaosCatalog(20)
-	c := cluster.New(cluster.Options{Seed: 3, IPNodes: 1000, Peers: 200, Catalog: cat})
+	spans := span.NewBuilder()
+	c := cluster.New(cluster.Options{Seed: 3, IPNodes: 1000, Peers: 200, Catalog: cat, Trace: obs.TracerFunc(spans.Add)})
 	gen := workload.NewGenerator(workload.Config{
 		Catalog: cat, Peers: 200, MinFuncs: 2, MaxFuncs: 4,
 		Budget: 20, DelayReqMin: 500, DelayReqMax: 2000,
 	}, c.Rng)
-	var waits []time.Duration
+	var ok []uint64
 	const nReqs = 60
 	for i := 0; i < nReqs; i++ {
 		req := gen.Next()
 		c.Sim.Schedule(time.Duration(i)*500*time.Millisecond, func() {
 			c.Peers[int(req.Source)].Engine.Compose(req, func(res bcp.Result) {
 				if res.Ok {
-					waits = append(waits, res.CollectPhase)
+					ok = append(ok, res.ReqID)
 				}
 			})
 		})
 	}
 	c.Sim.RunUntilIdle()
+	f := spans.Build()
+	var waits []time.Duration
+	for _, id := range ok {
+		waits = append(waits, f.Tree(id).Phases.Collect)
+	}
 	if len(waits) < nReqs/2 {
 		t.Fatalf("only %d of %d compositions succeeded", len(waits), nReqs)
 	}
 	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
 	if p50 := waits[len(waits)/2]; p50 >= time.Millisecond {
-		t.Fatalf("CollectPhase p50 = %v over %d setups, want < 1ms", p50, len(waits))
+		t.Fatalf("collect phase p50 = %v over %d setups, want < 1ms", p50, len(waits))
 	}
 }

@@ -138,20 +138,10 @@ type Result struct {
 	Ok      bool
 	Best    *service.Graph   // established service graph (nil if !Ok)
 	Backups []*service.Graph // other qualified graphs, best-first
-	// Setup-time breakdown (Fig. 10): discovery, probing+selection, and
-	// reverse-path session initialization.
+	// DiscoveryTime is the discovery share of SetupTime; the finer Fig. 10
+	// phases come from the trace's span trees (internal/obs/span).
 	DiscoveryTime time.Duration
-	ProbeTime     time.Duration
 	SetupTime     time.Duration
-	// Fine-grained phase partition of SetupTime for successful setups:
-	// DiscoveryTime + ProbePhase + CollectPhase + CommitPhase == SetupTime.
-	// ProbePhase runs from probe launch to the destination collecting its
-	// last probe, CollectPhase is the destination's residual wait before
-	// selection, CommitPhase is the reverse-path session commit back to the
-	// source. All zero when the destination's timing never reached us.
-	ProbePhase   time.Duration
-	CollectPhase time.Duration
-	CommitPhase  time.Duration
 }
 
 // Engine is one peer's BCP participant: it hosts components, processes
@@ -299,13 +289,7 @@ type composeState struct {
 	cb        func(Result)
 	started   time.Duration
 	discovery time.Duration
-	probesOut time.Duration
-	// Destination-side phase boundaries, learned from MsgChosen: when the
-	// collector saw its last probe and when selection finished. The shared
-	// virtual clock makes them directly comparable to this peer's timestamps.
-	collectEnd time.Duration
-	selectAt   time.Duration
-	giveUp     p2p.Timer
+	giveUp    p2p.Timer
 	// chosen is the graph the destination selected, learned from MsgChosen
 	// in parallel with the reverse ACK. If the ACK chain dies on a failed
 	// peer, the give-up path tears this graph down so the peers that did
@@ -400,9 +384,6 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 			if e.Met != nil && res.Ok {
 				e.Met.SetupLatency.ObserveDuration(res.SetupTime)
 				e.Met.DiscoveryLatency.ObserveDuration(res.DiscoveryTime)
-				e.Met.PhaseProbe.ObserveDuration(res.ProbePhase)
-				e.Met.PhaseCollect.ObserveDuration(res.CollectPhase)
-				e.Met.PhaseCommit.ObserveDuration(res.CommitPhase)
 			}
 			inner(res)
 		}
@@ -687,7 +668,6 @@ func (e *Engine) launchProbes(st *composeState, table []List) {
 			launched++
 		}
 	}
-	st.probesOut = e.host.Now()
 	if launched == 0 {
 		// Nothing to probe (e.g. no duplicates found for a source function):
 		// fail fast.
@@ -698,24 +678,17 @@ func (e *Engine) launchProbes(st *composeState, table []List) {
 }
 
 // onChosen records which graph the destination is confirming, so the
-// give-up path can release a partially committed session, plus the
-// destination's phase boundaries for the setup-latency breakdown.
+// give-up path can release a partially committed session.
 func (e *Engine) onChosen(_ p2p.Node, msg p2p.Message) {
 	ch := msg.Payload.(chosenMsg)
 	if st, ok := e.pending[ch.ReqID]; ok {
 		st.chosen = ch.Graph
-		st.collectEnd = ch.CollectEnd
-		st.selectAt = ch.SelectAt
 	}
 }
 
 type chosenMsg struct {
 	ReqID uint64
 	Graph *service.Graph
-	// CollectEnd is when the destination collected the request's last probe;
-	// SelectAt is when optimal composition selection completed.
-	CollectEnd time.Duration
-	SelectAt   time.Duration
 }
 
 // onResult delivers the final outcome to the waiting source callback.
@@ -740,21 +713,7 @@ func (e *Engine) onResult(_ p2p.Node, msg p2p.Message) {
 	delete(e.pending, res.ReqID)
 	st.giveUp.Stop()
 	res.DiscoveryTime = st.discovery
-	res.ProbeTime = st.probesOut - st.started
 	res.SetupTime = e.host.Now() - st.started
-	// Phase partition: discovery ends at probe launch (same event context),
-	// probing runs until the destination's last collected probe, collection
-	// until selection, commit until now. Monotone clamping keeps the four
-	// phases an exact non-negative partition of SetupTime even when a
-	// boundary is missing (e.g. the destination's timing never arrived).
-	if st.selectAt > 0 {
-		t1 := st.started + st.discovery
-		t2 := clampTS(st.collectEnd, t1, e.host.Now())
-		t3 := clampTS(st.selectAt, t2, e.host.Now())
-		res.ProbePhase = t2 - t1
-		res.CollectPhase = t3 - t2
-		res.CommitPhase = e.host.Now() - t3
-	}
 	if res.Ok {
 		e.admitIngress(res.Best)
 	}
@@ -780,7 +739,6 @@ func (e *Engine) onFail(_ p2p.Node, msg p2p.Message) {
 		ReqID:         f.ReqID,
 		Ok:            false,
 		DiscoveryTime: st.discovery,
-		ProbeTime:     st.probesOut - st.started,
 		SetupTime:     e.host.Now() - st.started,
 	})
 }
@@ -904,17 +862,6 @@ func sessionPairs(g *service.Graph, self p2p.NodeID) []allocKey {
 		}
 	}
 	return out
-}
-
-// clampTS bounds a destination-reported timestamp into [lo, hi].
-func clampTS(ts, lo, hi time.Duration) time.Duration {
-	if ts < lo {
-		return lo
-	}
-	if ts > hi {
-		return hi
-	}
-	return ts
 }
 
 // reqFromGraph recovers the per-component requirement attached to the graph

@@ -28,10 +28,6 @@ type collector struct {
 	credit uint64
 	bound  time.Duration
 	cancel p2p.Timer
-	// lastAt is when the most recent probe was accounted for — the boundary
-	// between the probe fan-out and residual collection-wait phases in the
-	// setup-latency breakdown reported back to the source.
-	lastAt time.Duration
 }
 
 // collectorFor returns request reqID's collector. The first report or
@@ -65,7 +61,6 @@ func (col *collector) accounted(uid uint64) bool {
 // account adds one probe's credit and closes collection in the event in
 // which the sum completes: every probe has then reported or died.
 func (e *Engine) account(reqID uint64, col *collector, credit uint64) {
-	col.lastAt = e.host.Now()
 	col.credit += credit
 	if col.credit == TotalCredit {
 		col.cancel.Stop()
@@ -156,10 +151,9 @@ func (e *Engine) finishCollect(reqID uint64) {
 
 	// Tell the sender which graph is being confirmed (in parallel with the
 	// ACK), so a broken ACK chain can be rolled back from the sender side.
-	// The phase boundaries ride along for the setup-latency breakdown.
 	e.host.Send(p2p.Message{
 		Type: MsgChosen, To: req.Source, Size: 96,
-		Payload: chosenMsg{ReqID: reqID, Graph: best, CollectEnd: col.lastAt, SelectAt: e.host.Now()},
+		Payload: chosenMsg{ReqID: reqID, Graph: best},
 	})
 	// Reverse-path session setup (§4.1 step 4): the ACK visits the chosen
 	// components sink-first, hardening each soft reservation.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/p2p"
 	"repro/internal/recovery"
 	"repro/internal/service"
@@ -92,6 +93,61 @@ func TestPartitionHealSoak(t *testing.T) {
 	checkDiscovery(t, c, cat)
 
 	// The trace must stay internally consistent through partition chaos.
+	for _, v := range chk.Finish() {
+		t.Errorf("invariant: %s", v)
+	}
+}
+
+// TestLossyWireSplitsEverySetup: on a hardened cluster over a lossy,
+// duplicating, jittery wire, the span tree of every successful composition
+// splits its setup time in full — discovery, probe, collect and commit add up
+// to Result.SetupTime with nothing left unattributed — although some bcp.chosen
+// messages, which carry no timing, are lost on the way to their sources.
+func TestLossyWireSplitsEverySetup(t *testing.T) {
+	bcfg, _ := cluster.Hardened(bcp.DefaultConfig(), recovery.DefaultConfig())
+	chk, spans := obs.NewChecker(), span.NewBuilder()
+	lost := 0
+	c := cluster.New(cluster.Options{
+		Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), BCP: bcfg,
+		Trace: obs.MultiTracer{obs.TracerFunc(chk.Add), obs.TracerFunc(spans.Add), obs.TracerFunc(func(ev obs.Event) {
+			if ev.Kind == obs.KindNetFault && ev.Note == obs.FaultLoss && ev.Comp == bcp.MsgChosen {
+				lost++
+			}
+		})},
+	})
+	c.ApplyFaultSpec(&simnet.FaultSpec{Loss: 0.05, Dup: 0.02, Jitter: 20 * time.Millisecond, Seed: 7})
+	gen := workload.NewGenerator(workload.Config{
+		Catalog: catalog(12), Peers: 120, MinFuncs: 2, MaxFuncs: 4,
+		Budget: 12, DelayReqMin: 500, DelayReqMax: 2000,
+	}, c.Rng)
+	setups := map[uint64]time.Duration{}
+	for i := 0; i < 200; i++ {
+		req := gen.Next()
+		c.Sim.Schedule(time.Duration(i)*500*time.Millisecond, func() {
+			c.Peers[int(req.Source)].Engine.Compose(req, func(res bcp.Result) {
+				if res.Ok {
+					setups[res.ReqID] = res.SetupTime
+				}
+			})
+		})
+	}
+	c.Sim.RunUntilIdle()
+
+	t.Logf("%d successes of 200, %d bcp.chosen lost", len(setups), lost)
+	if len(setups) < 100 || lost == 0 {
+		t.Fatalf("the cell exercised too little: %d successes, %d bcp.chosen lost", len(setups), lost)
+	}
+	f := spans.Build()
+	for id, setup := range setups {
+		tr := f.Tree(id)
+		if tr == nil || !tr.Ok {
+			t.Errorf("request %d succeeded but its span tree is %+v", id, tr)
+			continue
+		}
+		if ph := tr.Phases; ph.Named() != setup || ph.Wait != 0 {
+			t.Errorf("request %d: phases %+v name %v of a %v setup", id, ph, ph.Named(), setup)
+		}
+	}
 	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/federation"
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
@@ -168,27 +169,28 @@ func TestMaintenanceMessageBudget(t *testing.T) {
 // shedding cluster on a loss-free wire, tight enough that probes die of
 // shedding and of finding no candidate (≈ 500 of them, 200 shed). Each dead
 // probe returns its credit in one bcp.credit message, so the successes' median
-// wait after their last probe (Result.CollectPhase) stays below 1 ms; while
-// dead probes took their credit with them it read 2.35 s, the window.
+// wait after their last probe (the collect phase of their span trees) stays
+// below 1 ms; while dead probes took their credit with them it read 2.35 s,
+// the window.
 func TestCollectWaitBudget(t *testing.T) {
 	var capacity qos.Resources
 	capacity[qos.CPU], capacity[qos.Memory] = 6, 60
-	chk, reg := obs.NewChecker(), obs.NewRegistry()
+	chk, reg, spans := obs.NewChecker(), obs.NewRegistry(), span.NewBuilder()
 	c := cluster.New(cluster.Options{
 		Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), Capacity: capacity,
 		Load:  &cluster.LoadOptions{Model: qos.DefaultLoadModel(), Aware: true, Shed: 0.8},
-		Trace: obs.TracerFunc(chk.Add), Obs: reg,
+		Trace: obs.MultiTracer{obs.TracerFunc(chk.Add), obs.TracerFunc(spans.Add)}, Obs: reg,
 	})
 	gen := workload.NewGenerator(workload.Config{
 		Catalog: catalog(12), Peers: 120, MinFuncs: 3, MaxFuncs: 5, Budget: 8,
 	}, c.Rng)
-	var waits []time.Duration
+	var ok []uint64
 	for i := 0; i < 240; i++ {
 		req := gen.Next()
 		c.Sim.Schedule(time.Duration(i)*100*time.Millisecond, func() {
 			c.Peers[int(req.Source)].Engine.Compose(req, func(res bcp.Result) {
 				if res.Ok {
-					waits = append(waits, res.CollectPhase)
+					ok = append(ok, res.ReqID)
 				}
 			})
 		})
@@ -197,8 +199,8 @@ func TestCollectWaitBudget(t *testing.T) {
 
 	tot := reg.Totals()
 	credits := c.Net.Stats().ByType[bcp.MsgCredit]
-	slices.Sort(waits)
-	t.Logf("%d sessions, %d probes dropped (%d shed), %d credits sent, %d counted; CollectPhase p50 %v",
+	waits := collectWaits(spans.Build(), ok)
+	t.Logf("%d sessions, %d probes dropped (%d shed), %d credits sent, %d counted; collect phase p50 %v",
 		len(waits), tot.ProbesDropped, tot.ProbesShed, credits, tot.ProbesCredited, waits[len(waits)/2])
 	if tot.ProbesShed == 0 || len(waits) < 30 {
 		t.Fatalf("the cell exercised too little: %d shed, %d sessions", tot.ProbesShed, len(waits))
@@ -207,11 +209,22 @@ func TestCollectWaitBudget(t *testing.T) {
 		t.Errorf("%d bcp.credit messages for %d dropped probes", credits, tot.ProbesDropped)
 	}
 	if p50 := waits[len(waits)/2]; p50 >= time.Millisecond {
-		t.Errorf("CollectPhase p50 %v, want < 1ms", p50)
+		t.Errorf("collect phase p50 %v, want < 1ms", p50)
 	}
 	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)
 	}
+}
+
+// collectWaits returns the collect phase of each request in reqs, read from
+// its tree in f, in ascending order.
+func collectWaits(f *span.Forest, reqs []uint64) []time.Duration {
+	waits := make([]time.Duration, len(reqs))
+	for i, id := range reqs {
+		waits[i] = f.Tree(id).Phases.Collect
+	}
+	slices.Sort(waits)
+	return waits
 }
 
 // TestChurnCollectWait is the collect-wait gate under churn: a small recovery
@@ -219,7 +232,7 @@ func TestCollectWaitBudget(t *testing.T) {
 // for 30 s. Discovery keeps listing the dead peers' components, but next-hop
 // selection reads the liveness view, so no probe is sent to a peer already
 // down (the checker's probe-to-down) and only a crash in flight can strand a
-// probe's credit. The cell measures a CollectPhase of 0 for all 149
+// probe's credit. The cell measures a collect phase of 0 for all 154
 // successes, so the p99 ceiling is 1 ms, the resolution of "closed on
 // credit" (10 % above a measured 0 would be no ceiling at all); while probes
 // still went to dead peers it read p50 2.33 s and p99 3.2 s, the collect
@@ -227,10 +240,10 @@ func TestCollectWaitBudget(t *testing.T) {
 func TestChurnCollectWait(t *testing.T) {
 	const maxP99 = time.Millisecond
 	rc := recovery.DefaultConfig()
-	chk, reg := obs.NewChecker(), obs.NewRegistry()
+	chk, reg, spans := obs.NewChecker(), obs.NewRegistry(), span.NewBuilder()
 	c := cluster.New(cluster.Options{
 		Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), Recovery: &rc,
-		Trace: obs.TracerFunc(chk.Add), Obs: reg,
+		Trace: obs.MultiTracer{obs.TracerFunc(chk.Add), obs.TracerFunc(spans.Add)}, Obs: reg,
 	})
 	gen := workload.NewGenerator(workload.Config{
 		Catalog: catalog(12), Peers: 120, MinFuncs: 3, MaxFuncs: 5, Budget: 12,
@@ -244,7 +257,7 @@ func TestChurnCollectWait(t *testing.T) {
 		Churn:   []cluster.Churn{{Rng: rand.New(rand.NewSource(5)), Frac: 0.05, Ticks: ticks, DownFor: 30 * time.Second}},
 		Horizon: start + 2*time.Minute,
 	}, nil)
-	var waits []time.Duration
+	var ok []uint64
 	for i := 0; i < 200; i++ {
 		req := gen.Next()
 		c.Sim.Schedule(time.Duration(i)*500*time.Millisecond, func() {
@@ -254,7 +267,7 @@ func TestChurnCollectWait(t *testing.T) {
 			p := c.Peers[int(req.Source)]
 			p.Engine.Compose(req, func(res bcp.Result) {
 				if res.Ok {
-					waits = append(waits, res.CollectPhase)
+					ok = append(ok, res.ReqID)
 					p.Recovery.Establish(req, res)
 				}
 			})
@@ -263,16 +276,16 @@ func TestChurnCollectWait(t *testing.T) {
 	run.Finish()
 
 	tot := reg.Totals()
-	slices.Sort(waits)
+	waits := collectWaits(spans.Build(), ok)
 	st := c.RecoveryStats()
 	if len(waits) < 100 || st.FailuresDetected == 0 {
 		t.Fatalf("the cell exercised too little: %d sessions, %d failures detected", len(waits), st.FailuresDetected)
 	}
 	p99 := waits[len(waits)*99/100]
-	t.Logf("%d sessions, %d failures detected, %d probes dropped; CollectPhase p50 %v, p99 %v",
+	t.Logf("%d sessions, %d failures detected, %d probes dropped; collect phase p50 %v, p99 %v",
 		len(waits), st.FailuresDetected, tot.ProbesDropped, waits[len(waits)/2], p99)
 	if p99 >= maxP99 {
-		t.Errorf("CollectPhase p99 %v, want < %v", p99, maxP99)
+		t.Errorf("collect phase p99 %v, want < %v", p99, maxP99)
 	}
 	for _, v := range chk.Finish() {
 		t.Errorf("invariant: %s", v)

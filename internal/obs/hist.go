@@ -142,12 +142,13 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// Buckets returns copies of the bucket upper bounds and counts. The last
-// count is the +Inf overflow bucket, so len(counts) == len(bounds)+1.
-func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
+// Buckets returns copies of the bucket upper bounds and counts, and the sum
+// of the observations they count, all read in one snapshot. The last count is
+// the +Inf overflow bucket, so len(counts) == len(bounds)+1.
+func (h *Histogram) Buckets() (bounds []float64, counts []int64, sum float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]int64(nil), h.counts...)
+	return append([]float64(nil), h.bounds...), append([]int64(nil), h.counts...), h.sum
 }
 
 // Quantile estimates the q'th quantile (0 <= q <= 1) by linear
@@ -328,19 +329,9 @@ type Metrics struct {
 	// the distribution behind the paper's Figure 10.
 	SetupLatency *Histogram
 	// DiscoveryLatency is the decentralized discovery phase duration of
-	// every composition, in milliseconds — the first of the four setup
-	// phases (discovery → probe → collect → commit).
+	// successful compositions, in milliseconds. The later setup phases
+	// (probe, collect, commit) come from the trace's span trees.
 	DiscoveryLatency *Histogram
-	// PhaseProbe is the probe fan-out phase of each successful composition:
-	// first probe emission to the destination's last collected report, in
-	// milliseconds.
-	PhaseProbe *Histogram
-	// PhaseCollect is the destination's residual collection window: last
-	// collected report to optimal-selection completion, in milliseconds.
-	PhaseCollect *Histogram
-	// PhaseCommit is the reverse-path session commit phase: selection done
-	// to the source receiving the established session, in milliseconds.
-	PhaseCommit *Histogram
 	// ProbeHops is the hop count of each probe that completed its branch
 	// and reported to the destination.
 	ProbeHops *Histogram
@@ -372,9 +363,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		SetupLatency:     NewHistogram("setup_latency_ms", "ms", latency),
 		DiscoveryLatency: NewHistogram("discovery_latency_ms", "ms", latency),
-		PhaseProbe:       NewHistogram("phase_probe_ms", "ms", latency),
-		PhaseCollect:     NewHistogram("phase_collect_ms", "ms", latency),
-		PhaseCommit:      NewHistogram("phase_commit_ms", "ms", latency),
 		ProbeHops:        NewHistogram("probe_hops", "hops", LinearBounds(1, 1, 16)),
 		ProbeBudget:      NewHistogram("probe_budget", "units", LinearBounds(1, 1, 16)),
 		DHTLookup:        NewHistogram("dht_lookup_ms", "ms", latency),
@@ -390,29 +378,9 @@ func NewMetrics() *Metrics {
 // deterministic rendering.
 func (m *Metrics) Histograms() []*Histogram {
 	return []*Histogram{
-		m.SetupLatency, m.DiscoveryLatency, m.PhaseProbe, m.PhaseCollect,
-		m.PhaseCommit, m.ProbeHops, m.ProbeBudget,
+		m.SetupLatency, m.DiscoveryLatency, m.ProbeHops, m.ProbeBudget,
 		m.DHTLookup, m.Switchover, m.WireBytes, m.PeerLoad,
 	}
-}
-
-// PhaseHistograms lists the per-phase setup-latency histograms in phase
-// order: discovery, probe fan-out, collection tail, reverse-path commit.
-// Their per-request sum is the setup latency of SetupLatency.
-func (m *Metrics) PhaseHistograms() []*Histogram {
-	return []*Histogram{m.DiscoveryLatency, m.PhaseProbe, m.PhaseCollect, m.PhaseCommit}
-}
-
-// PhaseTable renders the per-phase latency breakdown of successful session
-// setups: one row per phase with count, mean, and tail quantiles.
-func (m *Metrics) PhaseTable(title string) *metrics.Table {
-	t := metrics.NewTable(title, "phase", "count", "mean", "p50", "p90", "p99", "max")
-	names := []string{"discovery", "probe", "collect", "commit"}
-	for i, h := range m.PhaseHistograms() {
-		t.AddRow(names[i], h.Count(), h.Mean(),
-			h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max())
-	}
-	return t
 }
 
 // Gauges lists every gauge in fixed declaration order.

@@ -44,7 +44,7 @@ func TestHistogramObserve(t *testing.T) {
 	if h.Min() != 0.5 || h.Max() != 500 {
 		t.Fatalf("Min=%v Max=%v", h.Min(), h.Max())
 	}
-	bounds, counts := h.Buckets()
+	bounds, counts, _ := h.Buckets()
 	if len(bounds) != 3 || len(counts) != 4 {
 		t.Fatalf("buckets: %v %v", bounds, counts)
 	}
@@ -59,7 +59,7 @@ func TestHistogramObserve(t *testing.T) {
 	if h.Count() != 6 {
 		t.Fatal("ObserveDuration did not record")
 	}
-	_, counts = h.Buckets()
+	_, counts, _ = h.Buckets()
 	if counts[2] != 2 {
 		t.Fatalf("20ms should land in le=100: %v", counts)
 	}

@@ -666,8 +666,8 @@ func firstTS(rs *reqState) time.Duration {
 }
 
 // lastAccounted returns the destination's last probe.collected or
-// probe.credited record — the collection boundary, as the collector's own
-// (bcp.Result.CollectPhase) — ties broken toward the smaller PID. It reports
+// probe.credited record — the collection boundary — ties broken toward the
+// smaller PID. It reports
 // false when no probe was collected: a collection of dead probes only
 // selects nothing, and its request keeps the Wait attribution.
 func lastAccounted(rs *reqState) (last obs.Event, ok bool) {

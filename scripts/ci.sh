@@ -73,8 +73,9 @@ go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 # recovery on, holds rec.* messages per session-interval the same way, so a
 # prober that walks every backup every interval does; a third, a shedding
 # cell, holds the successes' median wait after their last probe under 1 ms,
-# so a dead probe that stops returning its credit does; a fourth, a churned
-# recovery cell, holds the successes' p99 wait under 1 ms with the checker
+# read as the collect phase of each success's span tree, so a dead probe that
+# stops returning its credit does; a fourth, a churned recovery cell, holds
+# the successes' p99 span-tree collect phase under 1 ms with the checker
 # clean, so next-hop selection that stops reading the liveness view (p99 back
 # at the 3.2 s window, probes sent to peers already down) does; a fifth, on the
 # benchmark's steady world, holds the mean lookup under a ceiling, so routing
@@ -181,8 +182,9 @@ go test -run 'TestScale1mSlice' -count=1 ./internal/experiment/
 # file and on the committed golden trace; spidersim -check on a run), and
 # the gzip trace path must round-trip to the same events. The churn-free run
 # must issue every one of its 30 requests: one compose.start each. Counters
-# are folds of the events, so a -stats run prints the same counter tables
-# with a trace file attached and without one.
+# are folds of the events and histograms do not read the trace, so a -stats
+# run prints the same counter, wire and distribution tables with a trace file
+# attached and without one.
 echo "== trace determinism + invariant gate"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -203,7 +205,7 @@ gunzip -c "$tmp/c.jsonl.gz" | cmp - "$tmp/a.jsonl"
 "$tmp/spidertrace" check testdata/golden_trace.jsonl.gz
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -check > /dev/null
-counters() { awk '/^# per-layer counters/{on=1} /^# wire traffic/{on=0} on' "$1"; }
+counters() { awk '/^# per-layer counters/{on=1} /^# trace summary/{on=0} on' "$1"; }
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -stats > "$tmp/s1.txt"
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \

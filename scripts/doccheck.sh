@@ -15,18 +15,17 @@ cd "$(dirname "$0")/.."
 
 docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
 
-# Cited as deleted, with the measurement that deleted them: DESIGN.md's
-# sharding verdict, its constants paragraph, its world-build and probe-path
-# histories; EXPERIMENTS.md's "Why no trust layer" and its note on where the
-# micro-benchmarks live (spiderbench -bench); the verify skill's note on the
-# batch checker and trace loaders the streaming obs.Checker replaced.
-gone="Shards PutVia GetVia DynamicJoin dijkstraInto fanout internal/trust TrustAware -bench CheckTotals LoadTrace ReadTrace"
+# Cited as deleted, with the measurement that deleted them: EXPERIMENTS.md's
+# "Why no trust layer" and its note on where the micro-benchmarks live
+# (spiderbench -bench); the verify skill's note on the batch checker and trace
+# loaders the streaming obs.Checker replaced.
+gone="internal/trust TrustAware -bench CheckTotals LoadTrace ReadTrace"
 
 # Flags of the go tool and of the tests, for spans that cite one bare.
 gotool="-race -run -bench -benchmem -benchtime -count -cpu -cover -fuzz -fuzztime -update -v -timeout -o"
 
 # DESIGN.md may only shrink: the cap is its length when the cap was set.
-cap=1274
+cap=1222
 if [ "$(wc -l < DESIGN.md)" -gt "$cap" ]; then
     echo "doccheck: DESIGN.md has $(wc -l < DESIGN.md) lines, more than its cap of $cap: cut it, do not grow it"
     exit 1
