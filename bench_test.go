@@ -209,10 +209,8 @@ func BenchmarkAblationNextHopMetric(b *testing.B) {
 	run := func(random bool) float64 {
 		cfg := bcp.DefaultConfig()
 		cfg.RandomNextHop = random
+		cfg.SelectByDelay = true
 		c, gen := ablationCluster(72, cfg)
-		for _, p := range c.Peers {
-			p.Engine.SelectByDelay = true
-		}
 		_, delay := runBatch(c, gen, 15, func(r *service.Request) {
 			r.Budget = 4 // tight budget: selection quality matters
 			r.QoSReq[qos.Delay] = 5000
@@ -614,10 +612,9 @@ func BenchmarkCostFunction(b *testing.B) {
 	res[qos.CPU] = 1
 	res[qos.Memory] = 10
 	req := &service.Request{FGraph: fg, Res: res, Bandwidth: 100, Budget: 1}
-	w := service.DefaultWeights()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c := g.Cost(w, req); c <= 0 {
+		if c := g.Cost(req); c <= 0 {
 			b.Fatal("bad cost")
 		}
 	}

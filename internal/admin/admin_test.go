@@ -30,7 +30,7 @@ func testData() (*obs.Registry, *obs.Metrics) {
 	met := obs.NewMetrics()
 	met.SetupLatency.ObserveDuration(40 * time.Millisecond)
 	met.SetupLatency.ObserveDuration(3 * time.Millisecond)
-	met.ActiveSessions.Set(2)
+	met.ActiveSessions.Add(2)
 	return reg, met
 }
 

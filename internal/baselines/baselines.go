@@ -72,7 +72,7 @@ const maxExamined = 2_000_000
 // Optimal exhaustively enumerates every candidate service graph (all
 // composition patterns × all duplicate choices), keeps the qualified ones,
 // and returns the best under obj. It is the unbounded-flooding comparator.
-func Optimal(w World, req *service.Request, weights service.Weights, obj Objective) SearchResult {
+func Optimal(w World, req *service.Request, obj Objective) SearchResult {
 	var res SearchResult
 	maxPat := req.MaxPatterns
 	if maxPat <= 0 {
@@ -126,7 +126,7 @@ func Optimal(w World, req *service.Request, weights service.Weights, obj Objecti
 		if obj == MinDelay {
 			return g.QoS[qos.Delay]
 		}
-		return g.Cost(weights, req)
+		return g.Cost(req)
 	}
 	sort.SliceStable(res.Qualified, func(i, j int) bool {
 		return score(res.Qualified[i]) < score(res.Qualified[j])

@@ -41,7 +41,7 @@ func mkReq(c *cluster.Cluster, id uint64, nf int) *service.Request {
 func TestOptimalFindsQualified(t *testing.T) {
 	c, w := testWorld(40)
 	req := mkReq(c, 1, 3)
-	res := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinCost)
+	res := baselines.Optimal(w, req, baselines.MinCost)
 	if res.Best == nil {
 		t.Fatal("optimal found nothing")
 	}
@@ -60,9 +60,8 @@ func TestOptimalFindsQualified(t *testing.T) {
 		t.Fatalf("examined %d, want %d", res.Examined, want)
 	}
 	// Best must truly be minimal cost among qualified.
-	w0 := service.DefaultWeights()
 	for _, g := range res.Qualified {
-		if g.Cost(w0, req)+1e-9 < res.Best.Cost(w0, req) {
+		if g.Cost(req)+1e-9 < res.Best.Cost(req) {
 			t.Fatal("a qualified graph beats the reported best")
 		}
 	}
@@ -71,7 +70,7 @@ func TestOptimalFindsQualified(t *testing.T) {
 func TestOptimalMinDelayObjective(t *testing.T) {
 	c, w := testWorld(41)
 	req := mkReq(c, 2, 3)
-	res := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinDelay)
+	res := baselines.Optimal(w, req, baselines.MinDelay)
 	if res.Best == nil {
 		t.Fatal("optimal found nothing")
 	}
@@ -85,7 +84,7 @@ func TestOptimalMinDelayObjective(t *testing.T) {
 func TestOptimalSkipsDeadPeers(t *testing.T) {
 	c, w := testWorld(42)
 	req := mkReq(c, 3, 2)
-	before := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinCost)
+	before := baselines.Optimal(w, req, baselines.MinCost)
 	if before.Best == nil {
 		t.Skip("nothing composable")
 	}
@@ -94,7 +93,7 @@ func TestOptimalSkipsDeadPeers(t *testing.T) {
 	for _, s := range before.Best.Comps {
 		c.Net.Fail(s.Comp.Peer)
 	}
-	after := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinCost)
+	after := baselines.Optimal(w, req, baselines.MinCost)
 	for _, g := range after.Qualified {
 		for _, s := range g.Comps {
 			if !c.Net.Alive(s.Comp.Peer) {
@@ -147,7 +146,7 @@ func TestStaticDeterministic(t *testing.T) {
 func TestAdmitCommitsAndReleaseRestores(t *testing.T) {
 	c, w := testWorld(45)
 	req := mkReq(c, 6, 3)
-	res := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinCost)
+	res := baselines.Optimal(w, req, baselines.MinCost)
 	if res.Best == nil {
 		t.Fatal("nothing to admit")
 	}
@@ -180,7 +179,7 @@ func TestAdmitRollsBackOnFailure(t *testing.T) {
 	})
 	w := c.World()
 	req := mkReq(c, 7, 2)
-	res := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinCost)
+	res := baselines.Optimal(w, req, baselines.MinCost)
 	if res.Best == nil {
 		t.Skip("nothing composable")
 	}

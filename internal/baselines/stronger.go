@@ -140,7 +140,7 @@ type BacktrackStats struct {
 // partial delay only ever grow as the assignment extends). With an
 // unbounded depth and budget the result is exactly the exhaustive-search
 // optimum; the differential test certifies that on every small instance.
-func Backtracking(w World, req *service.Request, weights service.Weights, opt BacktrackOptions) (*service.Graph, BacktrackStats, bool) {
+func Backtracking(w World, req *service.Request, opt BacktrackOptions) (*service.Graph, BacktrackStats, bool) {
 	if opt.MaxExpand <= 0 {
 		opt.MaxExpand = DefaultMaxExpand
 	}
@@ -148,7 +148,6 @@ func Backtracking(w World, req *service.Request, weights service.Weights, opt Ba
 	if maxPat <= 0 {
 		maxPat = 4
 	}
-	wn := weights.Normalize()
 	var stats BacktrackStats
 	var best *service.Graph
 	bestScore := math.Inf(1)
@@ -222,7 +221,7 @@ func Backtracking(w World, req *service.Request, weights service.Weights, opt Ba
 					if avail[r] <= 0 {
 						return math.Inf(1)
 					}
-					cost += wn.Res[r] * req.Res[r] / avail[r]
+					cost += service.PsiWeight * req.Res[r] / avail[r]
 				}
 			}
 			return cost
@@ -232,7 +231,7 @@ func Backtracking(w World, req *service.Request, weights service.Weights, opt Ba
 		walk = func(i int) bool {
 			if i == n {
 				if g, ok := BuildGraph(w, req, pat, assign); ok && g.Qualified(req) {
-					score := g.Cost(weights, req)
+					score := g.Cost(req)
 					if opt.Objective == MinDelay {
 						score = g.QoS[qos.Delay]
 					}

@@ -22,7 +22,7 @@ func score(g *service.Graph, req *service.Request, obj baselines.Objective) floa
 	if obj == baselines.MinDelay {
 		return g.QoS[qos.Delay]
 	}
-	return g.Cost(service.DefaultWeights(), req)
+	return g.Cost(req)
 }
 
 // TestBacktrackingMatchesOptimal is the differential test the stress gates
@@ -31,7 +31,6 @@ func score(g *service.Graph, req *service.Request, obj baselines.Objective) floa
 // nil exactly when the oracle finds nothing qualified), for both
 // objectives, under generous and tight delay requirements.
 func TestBacktrackingMatchesOptimal(t *testing.T) {
-	weights := service.DefaultWeights()
 	checked := 0
 	for seed := int64(60); seed < 66; seed++ {
 		for nf := 2; nf <= 6; nf++ {
@@ -43,11 +42,11 @@ func TestBacktrackingMatchesOptimal(t *testing.T) {
 				req := mkReq(c, uint64(nf), nf)
 				req.QoSReq[qos.Delay] = delayReq
 				for _, obj := range []baselines.Objective{baselines.MinCost, baselines.MinDelay} {
-					oracle := baselines.Optimal(w, req, weights, obj)
+					oracle := baselines.Optimal(w, req, obj)
 					if oracle.Examined >= 2_000_000 {
 						t.Fatalf("seed=%d nf=%d: oracle truncated, shrink the world", seed, nf)
 					}
-					got, stats, ok := baselines.Backtracking(w, req, weights, baselines.BacktrackOptions{
+					got, stats, ok := baselines.Backtracking(w, req, baselines.BacktrackOptions{
 						Objective: obj, MaxExpand: 5_000_000,
 					})
 					if stats.Truncated {
@@ -86,7 +85,7 @@ func TestBacktrackingExpansionBound(t *testing.T) {
 	c, w := testWorld(61)
 	req := mkReq(c, 1, 5)
 	const budget = 5_000_000
-	full, fullStats, ok := baselines.Backtracking(w, req, service.DefaultWeights(), baselines.BacktrackOptions{MaxExpand: budget})
+	full, fullStats, ok := baselines.Backtracking(w, req, baselines.BacktrackOptions{MaxExpand: budget})
 	if !ok || fullStats.Truncated {
 		t.Fatalf("search with a %d budget on 50 peers should complete (ok=%v truncated=%v)", budget, ok, fullStats.Truncated)
 	}
@@ -94,7 +93,7 @@ func TestBacktrackingExpansionBound(t *testing.T) {
 		t.Fatalf("expanded=%d outside (0, %d]", fullStats.Expanded, budget)
 	}
 	for _, budget := range []int{1, 3, 10, 100} {
-		_, stats, _ := baselines.Backtracking(w, req, service.DefaultWeights(), baselines.BacktrackOptions{
+		_, stats, _ := baselines.Backtracking(w, req, baselines.BacktrackOptions{
 			MaxExpand: budget,
 		})
 		if stats.Expanded > budget {
@@ -111,15 +110,14 @@ func TestBacktrackingExpansionBound(t *testing.T) {
 // alternatives, so the search does strictly less work than the full run and
 // never beats the true optimum.
 func TestBacktrackingDepthBound(t *testing.T) {
-	weights := service.DefaultWeights()
 	c, w := testWorld(62)
 	req := mkReq(c, 2, 4)
-	_, fullStats, ok := baselines.Backtracking(w, req, weights, baselines.BacktrackOptions{})
+	_, fullStats, ok := baselines.Backtracking(w, req, baselines.BacktrackOptions{})
 	if !ok {
 		t.Skip("nothing composable")
 	}
-	oracle := baselines.Optimal(w, req, weights, baselines.MinCost)
-	shallow, shallowStats, shallowOK := baselines.Backtracking(w, req, weights, baselines.BacktrackOptions{Depth: 1})
+	oracle := baselines.Optimal(w, req, baselines.MinCost)
+	shallow, shallowStats, shallowOK := baselines.Backtracking(w, req, baselines.BacktrackOptions{Depth: 1})
 	if shallowStats.Expanded >= fullStats.Expanded {
 		t.Fatalf("depth bound did not shrink the search: %d vs %d", shallowStats.Expanded, fullStats.Expanded)
 	}
@@ -129,14 +127,13 @@ func TestBacktrackingDepthBound(t *testing.T) {
 		}
 	}
 	// Determinism: identical options, identical selection.
-	again, _, againOK := baselines.Backtracking(w, req, weights, baselines.BacktrackOptions{Depth: 1})
+	again, _, againOK := baselines.Backtracking(w, req, baselines.BacktrackOptions{Depth: 1})
 	if shallowOK != againOK || (shallowOK && shallow.Key() != again.Key()) {
 		t.Fatal("depth-bounded backtracking not deterministic")
 	}
 }
 
 func TestGreedyDeterministicAndNeverBeatsOptimal(t *testing.T) {
-	weights := service.DefaultWeights()
 	for seed := int64(70); seed < 75; seed++ {
 		c, w := testWorld(seed)
 		req := mkReq(c, uint64(seed), 3)
@@ -151,7 +148,7 @@ func TestGreedyDeterministicAndNeverBeatsOptimal(t *testing.T) {
 		if len(g1.Comps) != req.FGraph.NumFunctions() {
 			t.Fatalf("seed=%d: greedy assigned %d of %d functions", seed, len(g1.Comps), req.FGraph.NumFunctions())
 		}
-		oracle := baselines.Optimal(w, req, weights, baselines.MinCost)
+		oracle := baselines.Optimal(w, req, baselines.MinCost)
 		if g1.Qualified(req) {
 			if oracle.Best == nil {
 				t.Fatalf("seed=%d: greedy qualified where exhaustive search found nothing", seed)
@@ -206,7 +203,6 @@ func TestCommunitiesPartition(t *testing.T) {
 // the exhaustive search must agree one exists and the community choice can
 // only be costlier; its graphs are always structurally complete and alive.
 func TestCommunityValidAgainstExhaustive(t *testing.T) {
-	weights := service.DefaultWeights()
 	qualified := 0
 	for seed := int64(80); seed < 88; seed++ {
 		c, w := testWorld(seed)
@@ -227,7 +223,7 @@ func TestCommunityValidAgainstExhaustive(t *testing.T) {
 				t.Fatalf("seed=%d: community used a dead peer", seed)
 			}
 		}
-		oracle := baselines.Optimal(w, req, weights, baselines.MinCost)
+		oracle := baselines.Optimal(w, req, baselines.MinCost)
 		if g.Qualified(req) {
 			qualified++
 			if oracle.Best == nil {

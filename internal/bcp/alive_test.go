@@ -161,7 +161,7 @@ func TestSourceWithEveryCandidateDownFailsAtOnce(t *testing.T) {
 	if n := len(probedPeers(mem.Events())); n != 0 {
 		t.Fatalf("probes went to %d peers", n)
 	}
-	if after != res.DiscoveryTime || after >= DefaultConfig().GiveUpTimeout {
+	if after != res.DiscoveryTime || after >= GiveUpTimeout {
 		t.Fatalf("failed %v after the request with discovery at %v: want the failure as discovery ends", after, res.DiscoveryTime)
 	}
 }

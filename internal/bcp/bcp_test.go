@@ -364,10 +364,9 @@ func TestBackupsQualifiedAndDistinct(t *testing.T) {
 		seen[b.Key()] = true
 	}
 	// Best-first ordering by cost.
-	w := service.DefaultWeights()
-	prev := res.Best.Cost(w, req)
+	prev := res.Best.Cost(req)
 	for _, b := range res.Backups {
-		cost := b.Cost(w, req)
+		cost := b.Cost(req)
 		if cost+1e-9 < prev {
 			t.Fatal("backups not sorted by cost")
 		}
@@ -397,7 +396,7 @@ func TestSelectedGraphHasFiniteCost(t *testing.T) {
 	if !res.Ok {
 		t.Fatal("composition failed")
 	}
-	if cost := res.Best.Cost(service.DefaultWeights(), req); math.IsInf(cost, 1) || cost <= 0 {
+	if cost := res.Best.Cost(req); math.IsInf(cost, 1) || cost <= 0 {
 		t.Fatalf("cost=%v", cost)
 	}
 }

@@ -60,8 +60,7 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 	cfg := bcp.DefaultConfig()
 	if loss > 0 {
 		// Per-hop hardening: ack every probe hop, retransmit twice.
-		cfg.ProbeAckTimeout = 300 * time.Millisecond
-		cfg.ProbeRetries = 2
+		cfg.Hardened = true
 	}
 	chk := obs.NewChecker()
 	c := cluster.New(cluster.Options{
@@ -131,8 +130,8 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 	}
 }
 
-// TestHardeningOffKeepsBaselineTrace pins that the hardening knobs are
-// strictly opt-in: a zero ProbeAckTimeout must not change a clean-network
+// TestHardeningOffKeepsBaselineTrace pins that the hardening switch is
+// strictly opt-in: a Config without Hardened must not change a clean-network
 // trace by a single byte relative to the default configuration.
 func TestHardeningOffKeepsBaselineTrace(t *testing.T) {
 	render := func(cfg bcp.Config) []obs.Event {

@@ -42,7 +42,7 @@ func (e *Engine) sendAck(am ackMsg) {
 
 func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 	am := msg.Payload.(ackMsg)
-	if e.cfg.ProbeAckTimeout > 0 && e.ackSeen.seen(ackKey{req: am.ReqID, walk: am.Walk, pos: am.Pos}) {
+	if e.cfg.Hardened && e.ackSeen.seen(ackKey{req: am.ReqID, walk: am.Walk, pos: am.Pos}) {
 		// A duplicated ack copy (dup fault) must not re-walk the reverse
 		// path: the cascade would end in a duplicate answer.
 		return
@@ -174,7 +174,7 @@ func (e *Engine) commitSession(reqID uint64, compID string, res qos.Resources, l
 		delete(e.soft, softKey{reqID, compID})
 		h.cancel.Stop()
 		e.ledger.Commit(res)
-	} else if e.cfg.ShedThreshold > 0 && e.ledger.CommittedUtilization() >= e.cfg.ShedThreshold {
+	} else if t := e.shed(); t > 0 && e.ledger.CommittedUtilization() >= t {
 		// The soft reservation expired before the ACK arrived. A shedding
 		// peer declines this late direct admission just like it declines
 		// probes: without the gate, slow ACKs would push it past the

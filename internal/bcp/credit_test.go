@@ -25,10 +25,9 @@ import (
 // from where it died, and the paper's window timer stays as the bound for
 // requests that lost a report or a credit on the wire.
 
-// collectWindow is the window bound the default configuration gives req.
+// collectWindow is the window bound req's collection gets.
 func collectWindow(req *service.Request) time.Duration {
-	cfg := bcp.DefaultConfig()
-	return cfg.CollectTimeout + time.Duration(req.FGraph.NumFunctions())*cfg.CollectPerHop
+	return bcp.CollectTimeout + time.Duration(req.FGraph.NumFunctions())*bcp.CollectPerHop
 }
 
 // closeOf summarises the destination side of one request's trace.
@@ -402,7 +401,7 @@ func TestEmptyCollectionSendsNothing(t *testing.T) {
 	if got.selectDone != nil || c.Net.Stats().ByType[bcp.MsgResult] != results {
 		t.Fatalf("an empty collection answered: select.done %+v, %d results", got.selectDone, c.Net.Stats().ByType[bcp.MsgResult]-results)
 	}
-	if out.Ok || out.SetupTime < bcp.DefaultConfig().GiveUpTimeout {
+	if out.Ok || out.SetupTime < bcp.GiveUpTimeout {
 		t.Fatalf("ok=%v after %v, want the give-up timer's failure", out.Ok, out.SetupTime)
 	}
 	for _, v := range chk.Finish() {

@@ -38,45 +38,16 @@ type Config struct {
 	// SoftTimeout is how long a probe's temporary resource reservation is
 	// held before it self-cancels (§4.2 step 2.1).
 	SoftTimeout time.Duration
-	// CollectTimeout is the base of the upper bound on how long the
-	// destination collects one request's probes before running optimal
-	// composition selection (§4.3). Collection closes as soon as the
-	// probes' termination credit is complete (Probe.Credit); the window
-	// only decides when a probe or its credit was lost on the wire or at a
-	// crashed peer. The bound grows by CollectPerHop for every function in
-	// the request, since probes for deeper graphs spend longer in flight.
-	CollectTimeout time.Duration
-	// CollectPerHop extends the collection window bound per function node.
-	CollectPerHop time.Duration
-	// GiveUpTimeout bounds the sender's total wait for a composition
-	// outcome; if every probe dies en route no destination collector ever
-	// answers, and this timer converts silence into a failed Result.
-	GiveUpTimeout time.Duration
-	// ProbeAckTimeout, when positive, enables per-hop probe hardening for
-	// lossy networks: each probe/report transmission is acknowledged by the
-	// receiver, and an unacknowledged copy is retransmitted (same UID, no
-	// new budget) after this delay. Zero (the default) disables hardening
-	// entirely, preserving baseline traces byte for byte.
-	ProbeAckTimeout time.Duration
-	// ProbeRetries caps retransmits per transmission when hardening is on.
-	ProbeRetries int
-	// LoadAware folds each candidate peer's current utilization into the
-	// composite next-hop metric and makes optimal composition selection
-	// penalize graphs through loaded peers (the overload control plane).
-	// Needs the engine's Load oracle wired; off by default, preserving
-	// load-blind traces byte for byte.
-	LoadAware bool
-	// ShedThreshold, when positive, is the utilization at or above which a
-	// peer sheds load: it declines probe soft-allocation (the probe dies
-	// with reason "shed" instead of queueing) and peers that can see its
-	// load prune it from next-hop candidate lists. Zero disables shedding.
-	ShedThreshold float64
-	// LoadModel, when its Base is positive, is the processing-delay model
-	// the deployment runs under. Load-aware next-hop scoring uses it to
-	// charge each candidate its predicted queueing delay in the same units
-	// as path latency; with a zero model the scoring falls back to a flat
-	// utilization weight.
-	LoadModel qos.LoadModel
+	// Hardened enables per-hop probe hardening for lossy networks: each
+	// probe/report transmission is acknowledged by the receiver, and an
+	// unacknowledged copy is retransmitted (same UID, no new budget) after
+	// probeAckTimeout, at most probeRetries times. Off (the default) leaves
+	// baseline traces byte for byte as they are.
+	Hardened bool
+	// SelectByDelay switches optimal composition selection from the
+	// load-balancing ψ objective to minimum end-to-end delay, the objective
+	// of the paper's Figure 11 experiment.
+	SelectByDelay bool
 	// DisableCommutation turns off pattern exploration (ablation).
 	DisableCommutation bool
 	// RandomNextHop replaces the composite next-hop selection metric with a
@@ -89,13 +60,52 @@ type Config struct {
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
-	return Config{
-		SoftTimeout:    4 * time.Second,
-		CollectTimeout: 1200 * time.Millisecond,
-		CollectPerHop:  400 * time.Millisecond,
-		GiveUpTimeout:  10 * time.Second,
-	}
+	return Config{SoftTimeout: 4 * time.Second}
 }
+
+// LoadOptions configures the overload control plane.
+type LoadOptions struct {
+	// Model is the per-peer processing-delay model the deployment runs
+	// under: messages to a peer are delayed by Model.Delay(utilization) on
+	// top of the link latency. A zero Base disables the inflation, and
+	// load-aware scoring then falls back to a flat utilization weight;
+	// qos.DefaultLoadModel() is the standard.
+	Model qos.LoadModel
+	// Aware folds each candidate peer's current utilization into the
+	// composite next-hop metric and makes optimal composition selection
+	// penalize graphs through loaded peers.
+	Aware bool
+	// Shed, when positive, is the utilization at or above which a peer sheds
+	// load: it declines probe soft-allocation (the probe dies with reason
+	// "shed" instead of queueing) and peers that can see its load prune it
+	// from next-hop candidate lists. Zero disables shedding.
+	Shed float64
+}
+
+// LoadPlane is an engine's overload control plane: the deployment's
+// settings and the oracle that reports peers' utilization.
+type LoadPlane struct {
+	LoadOptions
+	Oracle LoadOracle
+}
+
+// The collection and give-up timers.
+const (
+	// CollectTimeout is the base of the upper bound on how long the
+	// destination collects one request's probes before running optimal
+	// composition selection (§4.3). Collection closes as soon as the
+	// probes' termination credit is complete (Probe.Credit); the window
+	// only decides when a probe or its credit was lost on the wire or at a
+	// crashed peer. The bound grows by CollectPerHop for every function in
+	// the request, since probes for deeper graphs spend longer in flight.
+	CollectTimeout = 1200 * time.Millisecond
+	// CollectPerHop extends the collection window bound per function node.
+	CollectPerHop = 400 * time.Millisecond
+	// GiveUpTimeout bounds the sender's total wait for a composition
+	// outcome; if every probe dies en route no destination collector ever
+	// answers, and this timer converts silence into a failed Result.
+	GiveUpTimeout = 10 * time.Second
+)
 
 // The protocol bounds no deployment varies.
 const (
@@ -115,6 +125,10 @@ const (
 	// maxBackups caps the number of qualified backup graphs returned to the
 	// source for proactive failure recovery.
 	maxBackups = 8
+	// probeAckTimeout is how long a hardened hop waits for a copy's
+	// acknowledgement before retransmitting it, at most probeRetries times.
+	probeAckTimeout = 300 * time.Millisecond
+	probeRetries    = 2
 )
 
 // Oracle answers local questions about the data plane: the overlay path a
@@ -188,17 +202,11 @@ type Engine struct {
 	walks   map[uint64]*walk
 	walkSeq uint64
 
-	// Weights for the ψ cost function used at selection time.
-	Weights service.Weights
-	// SelectByDelay switches optimal composition selection from the
-	// load-balancing ψ objective to minimum end-to-end delay, the objective
-	// of the paper's Figure 11 experiment.
-	SelectByDelay bool
-	// Load, when non-nil, reports peers' current utilization for the
-	// overload control plane: load-aware next-hop scoring (cfg.LoadAware)
-	// and overloaded-candidate pruning (cfg.ShedThreshold). The simulation
-	// backs it with the cluster's ledger view.
-	Load LoadOracle
+	// Load, when non-nil, is the overload control plane: load-aware
+	// next-hop scoring and selection (Aware) and overloaded-candidate
+	// pruning and shedding (Shed). The simulation backs its oracle with the
+	// cluster's ledger view.
+	Load *LoadPlane
 	// Trace, when non-nil, receives the probe-lifecycle and session-setup
 	// events of every request this engine touches. Nil (the default)
 	// disables tracing at the cost of one pointer check per site.
@@ -224,7 +232,7 @@ type Engine struct {
 	table []List
 	carry []List // the lists a probe carried, rebuilt (rebuilt)
 
-	// Hardening state (touched only when cfg.ProbeAckTimeout > 0, except
+	// Hardening state (touched only when cfg.Hardened, except
 	// doneReqs, which also guards against duplicated results): retransmit
 	// timers keyed by in-flight message UID, duplicate-suppression sets for
 	// received probe copies and report or credit copies (two sets, because a
@@ -250,6 +258,15 @@ type Engine struct {
 type LoadOracle interface {
 	Util(p p2p.NodeID) float64
 	Committed(p p2p.NodeID) float64
+}
+
+// shed is the overload-shedding threshold: 0 when the load plane is off or
+// does not shed.
+func (e *Engine) shed() float64 {
+	if e.Load == nil {
+		return 0
+	}
+	return e.Load.Shed
 }
 
 type softKey struct {
@@ -326,7 +343,6 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 		held:       make(map[uint64]*heldSession),
 		walks:      make(map[uint64]*walk),
 		retx:       make(map[uint64]*retxState),
-		Weights:    service.DefaultWeights(),
 	}
 	host.Handle(MsgProbe, e.onProbe)
 	host.Handle(MsgReport, e.onReport)
@@ -394,7 +410,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	}
 	st := &composeState{req: req, cb: cb, started: e.host.Now()}
 	e.pending[req.ID] = st
-	st.giveUp = e.host.After(e.cfg.GiveUpTimeout, func() {
+	st.giveUp = e.host.After(GiveUpTimeout, func() {
 		if cur, ok := e.pending[req.ID]; ok && cur == st {
 			delete(e.pending, req.ID)
 			// Release whatever a broken ACK chain already committed.

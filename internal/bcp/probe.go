@@ -40,7 +40,7 @@ type Probe struct {
 	// serve here: its floor-of-1 rules mint units.)
 	//
 	// The one thing that mints credit is a duplicated mid-path probe copy
-	// on a wire without per-hop hardening (dup= faults, ProbeAckTimeout 0):
+	// on a wire without per-hop hardening (dup= faults, Config.Hardened off):
 	// the receiver processes both copies and each lineage carries the full
 	// credit. The collected sum then either overshoots TotalCredit without
 	// ever equalling it, and the window timer decides, or lands on it with
@@ -225,7 +225,7 @@ func (p *Probe) prevFn() int {
 
 // onProbe is the per-hop probe processing of §4.2.
 func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
-	if e.cfg.ProbeAckTimeout > 0 {
+	if e.cfg.Hardened {
 		// Acknowledge every copy — the previous ack may itself have been
 		// lost — then process each probe instance at most once.
 		if e.ackHop(msg, &e.seenProbes) {
@@ -269,7 +269,7 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	// see each other's reservations — but a request is not shed against its own:
 	// a sibling of a probe that already holds this component adds no load.
 	_, mine := e.soft[softKey{reqID: pr.ReqID, compID: comp.ID}]
-	if !mine && e.cfg.ShedThreshold > 0 && e.ledger.CommittedUtilization() >= e.cfg.ShedThreshold {
+	if t := e.shed(); !mine && t > 0 && e.ledger.CommittedUtilization() >= t {
 		if e.Ctr != nil {
 			e.Ctr.ProbesShed.Add(1)
 		}
@@ -590,7 +590,7 @@ func (e *Engine) mayVisit(c, prevComp *service.Component, pr *Probe) bool {
 	if pr.visitedComp(c.ID) {
 		return false
 	}
-	if e.Load != nil && e.cfg.ShedThreshold > 0 && e.Load.Committed(c.Peer) >= e.cfg.ShedThreshold {
+	if t := e.shed(); t > 0 && e.Load.Oracle.Committed(c.Peer) >= t {
 		return false // overload shedding: the peer is declining new work
 	}
 	if !e.alive(c.Peer) {
@@ -647,16 +647,16 @@ func (e *Engine) nextHopScore(c *service.Component, req *service.Request) float6
 			score += req.Bandwidth / band
 		}
 	}
-	if e.cfg.LoadAware && e.Load != nil {
+	if e.Load != nil && e.Load.Aware {
 		// Load-aware probing: a saturated peer serves this session (and
 		// this very probe) at M/M/1-inflated latency. Charge each
 		// candidate its predicted queueing delay in the same units as
 		// path latency, so the trade is exactly "detour vs. queue": the
 		// convex model barely perturbs routing at moderate load but
 		// deflects probes hard off near-saturated peers.
-		u := e.Load.Util(c.Peer)
-		if e.cfg.LoadModel.Base > 0 {
-			score += float64(e.cfg.LoadModel.Delay(u)) / float64(50*time.Millisecond)
+		u := e.Load.Oracle.Util(c.Peer)
+		if e.Load.Model.Base > 0 {
+			score += float64(e.Load.Model.Delay(u)) / float64(50*time.Millisecond)
 		} else {
 			score += u * 3
 		}

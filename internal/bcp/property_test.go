@@ -41,7 +41,7 @@ func TestBudgetMonotoneQuality(t *testing.T) {
 		if !res.Ok {
 			return -1
 		}
-		return res.Best.Cost(c.Peers[0].Engine.Weights, req)
+		return res.Best.Cost(req)
 	}
 	small := cost(2)
 	large := cost(64)

@@ -5,10 +5,10 @@ import (
 	"repro/internal/p2p"
 )
 
-// Per-hop probe hardening (active when Config.ProbeAckTimeout > 0): probe
-// and report transmissions are acknowledged hop-by-hop, and unacknowledged
-// messages are retransmitted with the same UID — no new probe emission, no
-// budget spend — up to ProbeRetries times. Receivers acknowledge every copy
+// Per-hop probe hardening (active when Config.Hardened): probe and report
+// transmissions are acknowledged hop-by-hop, and unacknowledged messages are
+// retransmitted with the same UID — no new probe emission, no budget spend —
+// up to probeRetries times. Receivers acknowledge every copy
 // (the ack itself may have been lost) and suppress duplicate processing by
 // UID. With hardening off (the default) none of this state is touched and
 // baseline traces are byte-identical to pre-hardening runs.
@@ -32,7 +32,7 @@ type retxState struct {
 // checker can count wire copies per probe).
 func (e *Engine) sendReliable(msg p2p.Message, reqID, pid uint64) {
 	e.host.Send(msg)
-	if e.cfg.ProbeAckTimeout <= 0 || e.cfg.ProbeRetries <= 0 {
+	if !e.cfg.Hardened {
 		return
 	}
 	e.armRetx(msg, reqID, pid, 1)
@@ -45,12 +45,12 @@ func (e *Engine) sendReliable(msg p2p.Message, reqID, pid uint64) {
 func (e *Engine) armRetx(msg p2p.Message, reqID, pid uint64, try int) {
 	uid := msg.UID
 	st := &retxState{}
-	st.cancel = e.host.After(e.cfg.ProbeAckTimeout, func() {
+	st.cancel = e.host.After(probeAckTimeout, func() {
 		if cur, ok := e.retx[uid]; !ok || cur != st {
 			return
 		}
 		delete(e.retx, uid)
-		if try > e.cfg.ProbeRetries {
+		if try > probeRetries {
 			return
 		}
 		if e.Trace != nil {

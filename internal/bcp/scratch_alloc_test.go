@@ -21,7 +21,7 @@ import (
 func TestCandidateScoringAllocs(t *testing.T) {
 	_, engines := discoveryRing(1)
 	e := engines[0]
-	e.cfg.LoadAware = true
+	e.Load = awarePlane()
 	req := &service.Request{ID: 1, FGraph: fgraph.Linear("a", "b", "c"), Bandwidth: 50, QoSReq: qos.Unbounded()}
 	req.Res[qos.CPU], req.Res[qos.Memory] = 1, 10
 	var records []Probe

@@ -37,7 +37,7 @@ func (e *Engine) collectorFor(reqID uint64, funcs int) *collector {
 	if !ok {
 		col = &collector{}
 		e.collectors[reqID] = col
-		window := e.cfg.CollectTimeout + time.Duration(funcs)*e.cfg.CollectPerHop
+		window := CollectTimeout + time.Duration(funcs)*CollectPerHop
 		col.bound = e.host.Now() + window
 		col.cancel = e.host.After(window, func() { e.finishCollect(reqID) })
 	}
@@ -69,7 +69,7 @@ func (e *Engine) account(reqID uint64, col *collector, credit uint64) {
 }
 
 func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
-	if e.cfg.ProbeAckTimeout > 0 {
+	if e.cfg.Hardened {
 		// Same ack-then-dedup discipline as onProbe, on a separate seen-set:
 		// when the final hop is the destination itself, the probe and its
 		// report carry the same UID and must not suppress each other.
@@ -94,7 +94,7 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 // onCredit counts the credit a dead probe returned (dropProbe), under the
 // same ack-then-dedup discipline as a report.
 func (e *Engine) onCredit(_ p2p.Node, msg p2p.Message) {
-	if e.cfg.ProbeAckTimeout > 0 && e.ackHop(msg, &e.seenReports) {
+	if e.cfg.Hardened && e.ackHop(msg, &e.seenReports) {
 		return
 	}
 	cm := msg.Payload.(creditMsg)
@@ -119,7 +119,7 @@ func (e *Engine) finishCollect(reqID uint64) {
 		return
 	}
 	col.done = true
-	e.host.After(10*e.cfg.CollectTimeout, func() { delete(e.collectors, reqID) })
+	e.host.After(10*CollectTimeout, func() { delete(e.collectors, reqID) })
 	if len(col.records) == 0 {
 		return
 	}
@@ -161,7 +161,7 @@ func (e *Engine) finishCollect(reqID uint64) {
 }
 
 // maxUtil returns the highest probe-recorded utilization across the graph's
-// components, the load figure selection penalizes when LoadAware is on.
+// components, the load figure selection penalizes when the load plane is Aware.
 func maxUtil(g *service.Graph) float64 {
 	var u float64
 	for _, s := range g.Comps {
@@ -274,12 +274,12 @@ func (s *selection) build(req *service.Request, records []Probe, c *candidate) *
 // score is the figure selection minimizes within a tier.
 func (e *Engine) score(g *service.Graph, req *service.Request) float64 {
 	var s float64
-	if e.SelectByDelay {
+	if e.cfg.SelectByDelay {
 		s = g.QoS[qos.Delay]
 	} else {
-		s = g.Cost(e.Weights, req)
+		s = g.Cost(req)
 	}
-	if e.cfg.LoadAware {
+	if e.Load != nil && e.Load.Aware {
 		// Overload control: probes recorded each hop's utilization, and
 		// the hottest component bounds how slowly the session will run
 		// under the load-inflated processing model. Scaling the score by

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fgraph"
+	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
 )
@@ -30,12 +31,12 @@ func oracleSelect(e *Engine, req *service.Request, records []Probe) (candidates,
 	}
 	score := func(g *service.Graph) float64 {
 		var s float64
-		if e.SelectByDelay {
+		if e.cfg.SelectByDelay {
 			s = g.QoS[qos.Delay]
 		} else {
-			s = g.Cost(e.Weights, req)
+			s = g.Cost(req)
 		}
-		if e.cfg.LoadAware {
+		if e.Load != nil && e.Load.Aware {
 			s *= 1 + maxUtil(g)
 		}
 		return s
@@ -55,6 +56,18 @@ func oracleSelect(e *Engine, req *service.Request, records []Probe) (candidates,
 		return score(qualified[i]) < score(qualified[j])
 	})
 	return candidates, qualified
+}
+
+// idleLoad reports every peer idle.
+type idleLoad struct{}
+
+func (idleLoad) Util(p2p.NodeID) float64      { return 0 }
+func (idleLoad) Committed(p2p.NodeID) float64 { return 0 }
+
+// awarePlane is a load-aware plane that neither sheds nor inflates delays:
+// selection scales each score by its graph's recorded utilization.
+func awarePlane() *LoadPlane {
+	return &LoadPlane{LoadOptions: LoadOptions{Aware: true}, Oracle: idleLoad{}}
 }
 
 func oracleMergeRecords(req *service.Request, records []Probe) []*service.Graph {
@@ -267,8 +280,11 @@ func TestSelectionMatchesOracle(t *testing.T) {
 	catalogue := []string{"a", "b", "c", "d", "e", "f"}
 	sawDisagreement, sawCap, sawVariantTier, sawTie := false, false, false, false
 	for trial := 0; trial < 400; trial++ {
-		e.SelectByDelay = trial%3 == 1
-		e.cfg.LoadAware = trial%4 == 2
+		e.cfg.SelectByDelay = trial%3 == 1
+		e.Load = nil
+		if trial%4 == 2 {
+			e.Load = awarePlane()
+		}
 		e.cfg.DisableCommutation = trial%5 == 3
 		rng.Shuffle(len(catalogue), func(i, j int) { catalogue[i], catalogue[j] = catalogue[j], catalogue[i] })
 		req := &service.Request{ID: uint64(trial + 1), FGraph: randomShape(rng, catalogue[:2+rng.Intn(4)]), Bandwidth: 100}

@@ -45,7 +45,8 @@ type Options struct {
 	// Load, when non-nil, enables the overload control plane: every peer's
 	// probe handling and session traffic is slowed by the utilization-driven
 	// processing-delay model, and (per the option fields) BCP becomes
-	// load-aware and sheds work past a utilization threshold.
+	// load-aware and sheds work past a utilization threshold. Every engine
+	// gets it, with the cluster's ledger view as oracle, as its Load.
 	Load *LoadOptions
 	// Domains, when non-nil, federates the deployment: peers are partitioned
 	// into administrative domains per the spec, each domain gets its own DHT
@@ -78,18 +79,7 @@ const (
 )
 
 // LoadOptions configures the overload control plane on a deployment.
-type LoadOptions struct {
-	// Model is the per-peer processing-delay model: messages to a peer are
-	// delayed by Model.Delay(utilization) on top of the link latency. A zero
-	// Base disables the inflation; qos.DefaultLoadModel() is the standard.
-	Model qos.LoadModel
-	// Aware turns on load-aware next-hop selection and the selection-time
-	// load penalty (bcp.Config.LoadAware) on every engine.
-	Aware bool
-	// Shed is the overload-shedding utilization threshold
-	// (bcp.Config.ShedThreshold); zero disables shedding.
-	Shed float64
-}
+type LoadOptions = bcp.LoadOptions
 
 // Peer bundles one overlay node's protocol stack.
 type Peer struct {
@@ -117,6 +107,7 @@ type Cluster struct {
 	// Fed is the federation control plane (nil unless Options.Domains set).
 	Fed  *federation.Federation
 	opts Options
+	load *bcp.LoadPlane // every engine's Load; nil unless Options.Load set
 }
 
 // DomainPlan returns the domain plan of a federated cluster, nil otherwise.
@@ -139,8 +130,7 @@ func Catalog(n int) []string {
 // Hardened returns the protocol configs for a faulty wire: per-hop probe
 // retransmits and missed-pong hysteresis against spurious failure detection.
 func Hardened(b bcp.Config, r recovery.Config) (bcp.Config, recovery.Config) {
-	b.ProbeAckTimeout = 300 * time.Millisecond
-	b.ProbeRetries = 2
+	b.Hardened = true
 	r.MissedPongs = 3
 	return b, r
 }
@@ -199,15 +189,8 @@ func New(opts Options) *Cluster {
 	}
 	// The registry counts by folding events: it rides every layer's trace.
 	o.Trace = obs.Counting(o.Trace, o.Obs)
-	// Everything every engine shares is folded into o.BCP before the first
-	// one is built: a loaded deployment's overload control plane. The
-	// nil-Domains path must stay byte-identical to pre-federation clusters, so
-	// every federation branch below is gated on plan != nil.
-	if o.Load != nil {
-		o.BCP.LoadAware = o.Load.Aware
-		o.BCP.ShedThreshold = o.Load.Shed
-		o.BCP.LoadModel = o.Load.Model
-	}
+	// The nil-Domains path must stay byte-identical to pre-federation
+	// clusters, so every federation branch below is gated on plan != nil.
 	rng := rand.New(rand.NewSource(o.Seed))
 	sim := simnet.NewSim()
 	ip := topology.GeneratePowerLaw(o.IPNodes, 2, 2, 30, rng)
@@ -224,6 +207,9 @@ func New(opts Options) *Cluster {
 	net.SetObs(o.Trace, o.Obs, o.Metrics)
 
 	c := &Cluster{Sim: sim, Net: net, IP: ip, Overlay: ov, Rng: rng, opts: o}
+	if o.Load != nil {
+		c.load = &bcp.LoadPlane{LoadOptions: *o.Load, Oracle: loadOracle{c}}
+	}
 	if o.Load != nil && o.Load.Model.Base > 0 {
 		model := o.Load.Model
 		net.SetProcDelay(func(to p2p.NodeID, msgType string) time.Duration {
@@ -351,9 +337,7 @@ func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb flo
 	dn := dht.New(host, c.Net.Alive)
 	reg := registry.New(dn)
 	eng := bcp.NewEngine(host, c.Net.Alive, ledger, reg, c.Oracle(), comps, o.BCP)
-	if o.Load != nil {
-		eng.Load = loadOracle{c}
-	}
+	eng.Load = c.load
 	eng.Trace = o.Trace
 	dn.Trace = o.Trace
 	eng.Met = o.Metrics

@@ -287,6 +287,45 @@ func TestJoinWiresLikeNew(t *testing.T) {
 	}
 }
 
+// TestLoadPlaneReachesEveryEngine: the overload plane is declared once, in
+// Options.Load, and reaches every engine, a newcomer's too, as one field:
+// nil on an unloaded deployment, otherwise exactly those options beside an
+// oracle that reads the cluster's own ledgers.
+func TestLoadPlaneReachesEveryEngine(t *testing.T) {
+	off := cluster.New(cluster.Options{Seed: 10, Peers: 20, Catalog: catalog(4)})
+	off.Join([]string{"exotic"}, 0)
+	for i, p := range off.Peers {
+		if p.Engine.Load != nil {
+			t.Fatalf("peer %d of an unloaded deployment has a load plane", i)
+		}
+	}
+
+	opts := cluster.LoadOptions{Model: qos.DefaultLoadModel(), Aware: true, Shed: 0.6}
+	c := cluster.New(cluster.Options{Seed: 10, Peers: 20, Catalog: catalog(4), Load: &opts})
+	c.Join([]string{"exotic"}, 0)
+	for i, p := range c.Peers {
+		// Peers hold differing hard and soft CPU loads, so they read apart.
+		p.Ledger.CommitDirect(qos.Resources{qos.CPU: float64(i % 10)})
+		p.Ledger.Reserve(qos.Resources{qos.CPU: float64(i % 7)})
+	}
+	for i, p := range c.Peers {
+		plane := p.Engine.Load
+		if plane == nil || plane.LoadOptions != opts || plane.Oracle == nil {
+			t.Fatalf("peer %d: plane %+v, want options %+v and an oracle", i, plane, opts)
+		}
+		for j, q := range c.Peers {
+			id := p2p.NodeID(j)
+			if plane.Oracle.Util(id) != q.Ledger.Utilization() || plane.Oracle.Committed(id) != q.Ledger.CommittedUtilization() {
+				t.Fatalf("peer %d's oracle reads peer %d at %v/%v, its ledger at %v/%v", i, j,
+					plane.Oracle.Util(id), plane.Oracle.Committed(id), q.Ledger.Utilization(), q.Ledger.CommittedUtilization())
+			}
+		}
+	}
+	if u := c.Peers[3].Ledger.Utilization(); u == 0 || u == c.Peers[4].Ledger.Utilization() {
+		t.Fatalf("utilization %v does not tell peers apart", u)
+	}
+}
+
 // TestJoinRefusesPlannedDeployments: a domain plan is sized to the initial
 // peer count, so Join refuses it with a cluster: message instead of building
 // a peer no lookup can reach.

@@ -78,11 +78,11 @@ func TestObsTraceCounterConsistency(t *testing.T) {
 	if n := met.WireBytes.Count(); n != tot.MsgsSent {
 		t.Errorf("WireBytes observed %d, counters say %d messages sent", n, tot.MsgsSent)
 	}
-	if s := int64(met.WireBytes.Sum()); s != tot.BytesSent {
-		t.Errorf("WireBytes sum %d, counters say %d bytes sent", s, tot.BytesSent)
+	if _, _, sum := met.WireBytes.Buckets(); int64(sum) != tot.BytesSent {
+		t.Errorf("WireBytes sum %d, counters say %d bytes sent", int64(sum), tot.BytesSent)
 	}
-	if b := int64(met.ProbeBudget.Sum()); b != tot.BudgetSpent {
-		t.Errorf("ProbeBudget sum %d, counters say %d budget spent", b, tot.BudgetSpent)
+	if _, _, sum := met.ProbeBudget.Buckets(); int64(sum) != tot.BudgetSpent {
+		t.Errorf("ProbeBudget sum %d, counters say %d budget spent", int64(sum), tot.BudgetSpent)
 	}
 
 	// Setup latency is observed exactly once per successful composition

@@ -95,7 +95,9 @@ func Fig11(cfg Fig11Config) Fig11Result {
 func fig11Point(cfg Fig11Config, budget int, tracer obs.Tracer) Fig11Point {
 	// Fresh, identically seeded deployment per budget level: one media
 	// component per peer, generous capacity (the experiment studies delay,
-	// not admission).
+	// not admission), every engine selecting by delay.
+	bcpCfg := bcp.DefaultConfig()
+	bcpCfg.SelectByDelay = true
 	c := cluster.New(cluster.Options{
 		Seed:     cfg.Seed,
 		IPNodes:  cfg.IPNodes,
@@ -103,12 +105,10 @@ func fig11Point(cfg Fig11Config, budget int, tracer obs.Tracer) Fig11Point {
 		Catalog:  media.Functions(),
 		MinComps: 1,
 		MaxComps: 1,
+		BCP:      bcpCfg,
 		Trace:    tracer,
 		Obs:      cfg.Counters,
 	})
-	for _, p := range c.Peers {
-		p.Engine.SelectByDelay = true
-	}
 	w := c.World()
 	rng := newRng(cfg.Seed + 600)
 
@@ -147,7 +147,7 @@ func fig11Point(cfg Fig11Config, budget int, tracer obs.Tracer) Fig11Point {
 			randomD.Add(g.QoS[qos.Delay])
 		}
 		// Optimal baseline (exhaustive, min delay).
-		opt := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinDelay)
+		opt := baselines.Optimal(w, req, baselines.MinDelay)
 		if opt.Best != nil {
 			optimalD.Add(opt.Best.QoS[qos.Delay])
 		}

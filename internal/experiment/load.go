@@ -50,7 +50,7 @@ type algorithm struct {
 
 var (
 	algOptimal = algorithm{name: "optimal", pick: func(w baselines.World, req *service.Request, _ func(int) int) (*service.Graph, bool) {
-		res := baselines.Optimal(w, req, service.DefaultWeights(), baselines.MinCost)
+		res := baselines.Optimal(w, req, baselines.MinCost)
 		return res.Best, res.Best != nil
 	}}
 	algProbing20 = algorithm{name: "probing-0.2", probeFrac: 0.2}
@@ -65,7 +65,7 @@ var (
 		return baselines.Greedy(w, req)
 	}}
 	algBacktracking = algorithm{name: "backtracking", pick: func(w baselines.World, req *service.Request, _ func(int) int) (*service.Graph, bool) {
-		g, _, ok := baselines.Backtracking(w, req, service.DefaultWeights(), baselines.BacktrackOptions{})
+		g, _, ok := baselines.Backtracking(w, req, baselines.BacktrackOptions{})
 		return g, ok
 	}}
 	algCommunity = algorithm{name: "community", pick: func(w baselines.World, req *service.Request, _ func(int) int) (*service.Graph, bool) {

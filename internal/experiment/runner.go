@@ -22,12 +22,11 @@ import (
 // serial run emits in (cell i's events are contiguous and precede cell
 // i+1's), so N-worker output is byte-identical to serial — the JSONL encoding
 // carries only integer and string fields in fixed order, so a decode/re-emit
-// round trip reproduces the original bytes. Unlike the old whole-cell memory
-// buffers, spill memory is O(1) per in-flight cell regardless of trace size,
-// which is what lets the 100k sweep's discovery cells trace at full fidelity.
-// A cell whose spill file cannot be created falls back to an in-memory
-// buffer. With parallel <= 1 the cells run inline, in order, emitting
-// straight into the shared tracer — today's behavior.
+// round trip reproduces the original bytes. Spill memory is O(1) per
+// in-flight cell regardless of trace size. (The capacity sweep's cells pass
+// a nil shared tracer and trace nothing.) A cell whose spill file cannot be
+// created falls back to an in-memory buffer. With parallel <= 1 the cells
+// run inline, in order, emitting straight into the shared tracer.
 //
 // run receives the cell index and the tracer that cell must hand its cluster
 // (nil when tracing is off).

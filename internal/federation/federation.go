@@ -37,10 +37,9 @@ type Config struct {
 }
 
 const (
-	// voteTimeout bounds the origin coordinator's wait for all votes
-	// (sub-compositions give up after bcp's GiveUpTimeout, 10s, so this needs
-	// headroom above that).
-	voteTimeout = 12 * time.Second
+	// voteTimeout bounds the origin coordinator's wait for all votes, with
+	// headroom above the sub-compositions' own give-up timer.
+	voteTimeout = bcp.GiveUpTimeout + 2*time.Second
 	// clientTimeout bounds a client's wait for any outcome: a crashed or
 	// partitioned coordinator, or a commit acknowledgement that never comes,
 	// fails the request here; committed segments self-release at end of life.

@@ -87,15 +87,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return xs[rank]
 }
 
-// Min returns the smallest observation (+Inf for empty samples).
-func (s *Sample) Min() float64 {
-	m := math.Inf(1)
-	for _, x := range s.xs {
-		m = math.Min(m, x)
-	}
-	return m
-}
-
 // Max returns the largest observation (-Inf for empty samples).
 func (s *Sample) Max() float64 {
 	m := math.Inf(-1)
@@ -135,15 +126,6 @@ func (t *Timeline) Counts(horizon time.Duration) []int {
 	out := make([]int, n)
 	copy(out, t.counts)
 	return out
-}
-
-// Total returns the number of recorded events.
-func (t *Timeline) Total() int {
-	sum := 0
-	for _, c := range t.counts {
-		sum += c
-	}
-	return sum
 }
 
 // Table renders aligned experiment output: one Row per x-value, one column

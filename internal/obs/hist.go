@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -16,7 +15,7 @@ import (
 // traffic volume — unlike metrics.Sample, which retains every observation.
 // Boundaries are fixed at construction (log buckets for latencies and byte
 // sizes, linear for small integer quantities), which makes two histograms
-// from identically seeded runs identical and makes Merge exact.
+// from identically seeded runs identical.
 //
 // The histogram is safe for concurrent use: the live runtimes observe from
 // many goroutines and the admin endpoint snapshots while traffic flows. The
@@ -111,13 +110,6 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Mean returns the arithmetic mean (0 for an empty histogram).
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
@@ -126,13 +118,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Min and Max return the observed extremes (0 for an empty histogram).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
 }
 
 // Max returns the largest observation (0 for an empty histogram).
@@ -195,42 +180,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return lo + (hi-lo)*(rank-prev)/float64(c)
 	}
 	return h.max
-}
-
-// Merge folds o's buckets into h. The histograms must share identical
-// boundaries (same metric identity); anything else is an error.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == o {
-		return fmt.Errorf("obs: cannot merge histogram %s into itself", h.name)
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: merge %s/%s: bucket count mismatch", h.name, o.name)
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			return fmt.Errorf("obs: merge %s/%s: bounds differ at %d", h.name, o.name, i)
-		}
-	}
-	o.mu.Lock()
-	counts := append([]int64(nil), o.counts...)
-	count, sum, min, max := o.count, o.sum, o.min, o.max
-	o.mu.Unlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	if count > 0 {
-		if h.count == 0 || min < h.min {
-			h.min = min
-		}
-		if h.count == 0 || max > h.max {
-			h.max = max
-		}
-	}
-	h.count += count
-	h.sum += sum
-	return nil
 }
 
 // AppendJSON appends the histogram's fixed-field-order JSON encoding:
@@ -297,9 +246,6 @@ func NewGauge(name string) *Gauge { return &Gauge{name: name} }
 
 // Name returns the metric name.
 func (g *Gauge) Name() string { return g.name }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add moves the gauge by d.
 func (g *Gauge) Add(d int64) { g.v.Add(d) }

@@ -350,7 +350,7 @@ func (m *Manager) tryRecovery(s *Session) {
 		if oi != oj {
 			return oi > oj
 		}
-		return s.Backups[i].Cost(m.eng.Weights, s.Req) < s.Backups[j].Cost(m.eng.Weights, s.Req)
+		return s.Backups[i].Cost(s.Req) < s.Backups[j].Cost(s.Req)
 	})
 	cand := s.Backups[0]
 	s.setGraphs(s.Active, s.Backups[1:])

@@ -58,9 +58,8 @@ func TestRefusedSwitchoverReleasesItsCommits(t *testing.T) {
 		// The order tryRecovery tries them in: overlap with the active graph,
 		// then cost.
 		first, second := sess.Backups[0], sess.Backups[1]
-		w := c.Peers[int(req.Source)].Engine.Weights
 		if swap := cmp.Or(cmp.Compare(second.Overlap(sess.Active), first.Overlap(sess.Active)),
-			cmp.Compare(first.Cost(w, req), second.Cost(w, req))); swap > 0 {
+			cmp.Compare(first.Cost(req), second.Cost(req))); swap > 0 {
 			first, second = second, first
 		}
 		victim := failable(sess, first, second)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fgraph"
 	"repro/internal/p2p"
@@ -94,7 +93,6 @@ func TestFailProbProperties(t *testing.T) {
 // availability never increases ψ.
 func TestCostMonotoneInAvailability(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	w := DefaultWeights()
 	for trial := 0; trial < 200; trial++ {
 		g := randomGraph(rng, 2+rng.Intn(3), 50)
 		g.Links = []LinkSnapshot{{FromFn: -1, ToFn: 0, BandAvail: 100 + rng.Float64()*900}}
@@ -102,47 +100,16 @@ func TestCostMonotoneInAvailability(t *testing.T) {
 		res[qos.CPU] = 0.5
 		res[qos.Memory] = 5
 		req := &Request{FGraph: g.Pattern, Res: res, Bandwidth: 10, Budget: 1}
-		base := g.Cost(w, req)
+		base := g.Cost(req)
 
 		richer := &Graph{Pattern: g.Pattern, Comps: map[int]Snapshot{}, Links: g.Links}
 		for i, s := range g.Comps {
 			s.Avail = s.Avail.Add(s.Avail)
 			richer.Comps[i] = s
 		}
-		if richer.Cost(w, req) > base+1e-12 {
-			t.Fatalf("doubling availability raised cost: %v -> %v", base, richer.Cost(w, req))
+		if richer.Cost(req) > base+1e-12 {
+			t.Fatalf("doubling availability raised cost: %v -> %v", base, richer.Cost(req))
 		}
-	}
-}
-
-// Property (testing/quick): weight normalization always sums to 1 and
-// preserves proportions.
-func TestNormalizeProperty(t *testing.T) {
-	f := func(a, b, c uint8) bool {
-		var w Weights
-		w.Res[qos.CPU] = float64(a)
-		w.Res[qos.Memory] = float64(b)
-		w.Bandwidth = float64(c)
-		n := w.Normalize()
-		sum := n.Bandwidth
-		for _, x := range n.Res {
-			sum += x
-		}
-		if sum < 0.999999 || sum > 1.000001 {
-			return false
-		}
-		// Proportion preservation when the input is non-degenerate.
-		if a > 0 && c > 0 {
-			want := float64(a) / float64(c)
-			got := n.Res[qos.CPU] / n.Bandwidth
-			if got/want < 0.999999 || got/want > 1.000001 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

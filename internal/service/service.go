@@ -105,42 +105,10 @@ func (r *Request) Validate() error {
 	return nil
 }
 
-// Weights parameterizes the cost aggregation function ψ: one weight per
-// end-system resource type plus one for bandwidth (the n+1'th term of
-// Eq. 1). Weights should sum to 1; Normalize enforces it.
-type Weights struct {
-	Res       [qos.NumResources]float64
-	Bandwidth float64
-}
-
-// DefaultWeights returns uniform weights 1/(n+1) over the n end-system
-// resource types and bandwidth.
-func DefaultWeights() Weights {
-	var w Weights
-	u := 1.0 / float64(qos.NumResources+1)
-	for i := range w.Res {
-		w.Res[i] = u
-	}
-	w.Bandwidth = u
-	return w
-}
-
-// Normalize scales the weights to sum to 1. All-zero weights become
-// DefaultWeights.
-func (w Weights) Normalize() Weights {
-	sum := w.Bandwidth
-	for _, x := range w.Res {
-		sum += x
-	}
-	if sum <= 0 {
-		return DefaultWeights()
-	}
-	for i := range w.Res {
-		w.Res[i] /= sum
-	}
-	w.Bandwidth /= sum
-	return w
-}
+// PsiWeight is the weight of each term of the cost aggregation function ψ
+// (Eq. 1): uniform 1/(n+1) over the n end-system resource types and
+// bandwidth. The n+1 weights sum to exactly 1.
+const PsiWeight = 1 / float64(qos.NumResources+1)
 
 // Snapshot is one probed hop: the chosen component and its hosting peer's
 // resource availability at probe time.
@@ -346,9 +314,8 @@ func (g *Graph) Qualified(req *Request) bool {
 //
 // Smaller ψ means the available resources exceed the requirement by a larger
 // margin, so the minimum-ψ qualified graph achieves the best load balancing.
-// Hops with zero availability yield +Inf.
-func (g *Graph) Cost(w Weights, req *Request) float64 {
-	w = w.Normalize()
+// Every weight w_i is PsiWeight. Hops with zero availability yield +Inf.
+func (g *Graph) Cost(req *Request) float64 {
 	var cost float64
 	var buf [fnsBuf]int
 	for _, fn := range g.fns(buf[:0]) {
@@ -360,7 +327,7 @@ func (g *Graph) Cost(w Weights, req *Request) float64 {
 			if s.Avail[i] <= 0 {
 				return math.Inf(1)
 			}
-			cost += w.Res[i] * req.Res[i] / s.Avail[i]
+			cost += PsiWeight * req.Res[i] / s.Avail[i]
 		}
 	}
 	if req.Bandwidth > 0 {
@@ -368,7 +335,7 @@ func (g *Graph) Cost(w Weights, req *Request) float64 {
 			if l.BandAvail <= 0 {
 				return math.Inf(1)
 			}
-			cost += w.Bandwidth * req.Bandwidth / l.BandAvail
+			cost += PsiWeight * req.Bandwidth / l.BandAvail
 		}
 	}
 	return cost

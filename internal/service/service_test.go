@@ -88,21 +88,16 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-func TestWeightsNormalize(t *testing.T) {
-	w := Weights{Bandwidth: 2}
-	w.Res[qos.CPU] = 2
-	n := w.Normalize()
-	sum := n.Bandwidth
-	for _, x := range n.Res {
-		sum += x
+// TestPsiWeightsSumToOne: the n+1 uniform weights of ψ sum to exactly 1,
+// summed in the order the weights used to be normalized in, so scaling them
+// to sum to 1 would change no bit of any cost.
+func TestPsiWeightsSumToOne(t *testing.T) {
+	sum := PsiWeight
+	for range qos.NumResources {
+		sum += PsiWeight
 	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("weights sum to %v", sum)
-	}
-	// All-zero weights fall back to uniform.
-	u := (Weights{}).Normalize()
-	if u != DefaultWeights() {
-		t.Fatal("zero weights should normalize to default")
+	if sum != 1 || PsiWeight != 1/float64(qos.NumResources+1) {
+		t.Fatalf("%d weights of %v sum to %v", qos.NumResources+1, PsiWeight, sum)
 	}
 }
 
@@ -140,8 +135,7 @@ func TestCostPrefersIdleHosts(t *testing.T) {
 	// Same requirement, but the second graph's hosts are much more loaded.
 	idle, req := twoFnGraph(res(10, 100), res(10, 100))
 	busy, _ := twoFnGraph(res(1.2, 12), res(1.2, 12))
-	w := DefaultWeights()
-	ci, cb := idle.Cost(w, req), busy.Cost(w, req)
+	ci, cb := idle.Cost(req), busy.Cost(req)
 	if !(ci < cb) {
 		t.Fatalf("idle cost %v should be below busy cost %v", ci, cb)
 	}
@@ -149,35 +143,23 @@ func TestCostPrefersIdleHosts(t *testing.T) {
 
 func TestCostZeroAvailabilityInfinite(t *testing.T) {
 	g, req := twoFnGraph(res(10, 100), res(0, 100))
-	if c := g.Cost(DefaultWeights(), req); !math.IsInf(c, 1) {
+	if c := g.Cost(req); !math.IsInf(c, 1) {
 		t.Fatalf("cost with zero availability = %v, want +Inf", c)
 	}
 	g2, req2 := twoFnGraph(res(10, 100), res(10, 100))
 	g2.Links[0].BandAvail = 0
-	if c := g2.Cost(DefaultWeights(), req2); !math.IsInf(c, 1) {
+	if c := g2.Cost(req2); !math.IsInf(c, 1) {
 		t.Fatalf("cost with zero link bandwidth = %v, want +Inf", c)
 	}
 }
 
 func TestCostBandwidthTerm(t *testing.T) {
 	g, req := twoFnGraph(res(10, 100), res(10, 100))
-	base := g.Cost(DefaultWeights(), req)
+	base := g.Cost(req)
 	g.Links[1].BandAvail = 120 // much tighter than 1000
-	tight := g.Cost(DefaultWeights(), req)
+	tight := g.Cost(req)
 	if !(tight > base) {
 		t.Fatalf("tighter bandwidth should raise cost: %v vs %v", tight, base)
-	}
-}
-
-func TestCostWeightCustomization(t *testing.T) {
-	// CPU-heavy weighting must amplify a CPU-constrained hop more than a
-	// memory-heavy weighting does.
-	g, req := twoFnGraph(res(1.1, 100), res(10, 100))
-	var wc, wm Weights
-	wc.Res[qos.CPU] = 1
-	wm.Res[qos.Memory] = 1
-	if !(g.Cost(wc, req) > g.Cost(wm, req)) {
-		t.Fatal("CPU weighting should dominate for CPU-constrained hop")
 	}
 }
 
@@ -248,8 +230,7 @@ func TestGraphString(t *testing.T) {
 // and a rendered Key is one object, the string itself.
 func TestCostAndKeyAllocs(t *testing.T) {
 	g, req := twoFnGraph(res(10, 100), res(10, 100))
-	w := DefaultWeights()
-	if avg := testing.AllocsPerRun(100, func() { g.Cost(w, req) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { g.Cost(req) }); avg != 0 {
 		t.Fatalf("Cost allocates %.0f objects, want 0", avg)
 	}
 	buf := g.AppendAssignment(nil)

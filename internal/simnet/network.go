@@ -40,17 +40,14 @@ type Stats struct {
 // Network is the simulated message-passing layer connecting simNodes. All
 // operation happens on the owning Sim's event loop.
 //
-// The node table is split into a dense slice (indexed directly by NodeID, the
-// common case: experiments assign small sequential IDs) and a sparse map
-// fallback for outliers, so lookups on the send/deliver hot path cost an
-// array index instead of a map probe, and a million registered peers cost one
-// flat pointer slice.
+// The node table is one slice indexed directly by NodeID — IDs are the dense
+// 0..n−1 p2p.NodeID promises — so lookups on the send/deliver hot path cost
+// an array index, and a million registered peers cost one flat pointer slice.
 type Network struct {
 	sim     *Sim
 	rng     *rand.Rand
 	latency LatencyFunc
-	dense   []*simNode              // nodes with IDs in [0, len); nil = unregistered
-	sparse  map[p2p.NodeID]*simNode // negative or far-out-of-range IDs
+	dense   []*simNode // nodes with IDs in [0, len); nil = unregistered
 	count   int
 	stats   Stats
 	trace   obs.Tracer
@@ -74,12 +71,6 @@ type delivery struct {
 	epoch uint64
 	known bool
 }
-
-// denseSlack bounds how far past the current dense-table end an ID may land
-// while still growing the slice instead of falling back to the sparse map,
-// so scattered-but-small ID spaces (ring bases, cluster offsets) stay on
-// the fast path without a pathological ID exploding memory.
-const denseSlack = 1024
 
 // NewNetwork creates a network whose message delays come from latency and
 // whose randomness comes from rng (shared by all nodes; determinism follows
@@ -106,7 +97,7 @@ func (nw *Network) node(id p2p.NodeID) *simNode {
 	if id >= 0 && int(id) < len(nw.dense) {
 		return nw.dense[id]
 	}
-	return nw.sparse[id]
+	return nil
 }
 
 // scheduleDelivery queues msg for delivery after d using a pooled record.
@@ -148,11 +139,6 @@ func (nw *Network) SetObs(trace obs.Tracer, reg *obs.Registry, met *obs.Metrics)
 			n.ctr = reg.Node(n.id)
 		}
 	}
-	for id, n := range nw.sparse {
-		if n.ctr == nil {
-			n.ctr = reg.Node(id)
-		}
-	}
 }
 
 // SetProcDelay installs a receiver-side processing-delay model (nil removes
@@ -174,8 +160,12 @@ func (nw *Network) ResetStats() {
 	nw.stats = Stats{ByType: make(map[string]int64), BytesByType: make(map[string]int64)}
 }
 
-// AddNode creates and registers a live node with the given ID.
+// AddNode creates and registers a live node with the given ID. The table
+// grows to the highest ID + 1; a negative ID panics.
 func (nw *Network) AddNode(id p2p.NodeID) p2p.Node {
+	if id < 0 {
+		panic(fmt.Sprintf("simnet: negative node ID %d", id))
+	}
 	if nw.node(id) != nil {
 		panic(fmt.Sprintf("simnet: duplicate node %d", id))
 	}
@@ -183,20 +173,12 @@ func (nw *Network) AddNode(id p2p.NodeID) p2p.Node {
 	if nw.obsReg != nil {
 		n.ctr = nw.obsReg.Node(id)
 	}
-	switch {
-	case id >= 0 && int(id) < len(nw.dense):
-		nw.dense[id] = n
-	case id >= 0 && int(id) < len(nw.dense)+denseSlack:
+	if int(id) >= len(nw.dense) {
 		// append grows capacity geometrically, so n sequential adds copy
-		// O(n) slots in total; len stays highest id + 1.
+		// O(n) slots in total.
 		nw.dense = append(nw.dense, make([]*simNode, int(id)+1-len(nw.dense))...)
-		nw.dense[id] = n
-	default:
-		if nw.sparse == nil {
-			nw.sparse = make(map[p2p.NodeID]*simNode)
-		}
-		nw.sparse[id] = n
 	}
+	nw.dense[id] = n
 	nw.count++
 	return n
 }

@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -283,47 +285,46 @@ func TestAddNodeSequentialGrowthIsLinear(t *testing.T) {
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("%d sequential AddNodes took %v, want well under 5s", n, took)
 	}
-	if nw.NumNodes() != n || len(nw.dense) != n || nw.sparse != nil {
-		t.Fatalf("NumNodes=%d len(dense)=%d sparse=%d, want %d dense-only",
-			nw.NumNodes(), len(nw.dense), len(nw.sparse), n)
+	if nw.NumNodes() != n || len(nw.dense) != n {
+		t.Fatalf("NumNodes=%d len(dense)=%d, want %d", nw.NumNodes(), len(nw.dense), n)
 	}
 	if nw.Node(0) == nil || nw.Node(n-1) == nil || nw.Node(n) != nil {
 		t.Fatal("Node lookup misbehaved after growth")
 	}
 }
 
-// TestAddNodeDenseSlackAndSparseFallback pins the table's shape rules: an ID
-// within denseSlack of the end grows the dense slice to exactly id+1 (gap
-// slots unregistered), anything further out or negative lands in the map.
-func TestAddNodeDenseSlackAndSparseFallback(t *testing.T) {
+// TestAddNodeGrowsAndRefusesNegativeIDs pins the table's shape rules: an ID
+// past the end grows the table to exactly id+1 (gap slots unregistered), a
+// gap ID fills its slot in place, and a negative ID is refused with the ID
+// in the panic.
+func TestAddNodeGrowsAndRefusesNegativeIDs(t *testing.T) {
 	nw, _ := newTestNet(3)
-	near := p2p.NodeID(3 + denseSlack - 1)
-	far := near + denseSlack + 1
-	for _, id := range []p2p.NodeID{near, far, -7} {
-		if nw.AddNode(id).ID() != id {
-			t.Fatalf("AddNode(%d) returned a node with another ID", id)
-		}
+	far := p2p.NodeID(3000)
+	if nw.AddNode(far).ID() != far {
+		t.Fatalf("AddNode(%d) returned a node with another ID", far)
 	}
-	if len(nw.dense) != int(near)+1 {
-		t.Fatalf("len(dense)=%d, want highest dense id + 1 = %d", len(nw.dense), int(near)+1)
+	if len(nw.dense) != int(far)+1 || nw.NumNodes() != 4 {
+		t.Fatalf("len(dense)=%d NumNodes=%d, want %d and 4", len(nw.dense), nw.NumNodes(), int(far)+1)
 	}
-	if len(nw.sparse) != 2 || nw.sparse[far] == nil || nw.sparse[-7] == nil {
-		t.Fatalf("sparse table = %v, want exactly ids %d and -7", nw.sparse, far)
-	}
-	if nw.NumNodes() != 6 {
-		t.Fatalf("NumNodes=%d, want 6", nw.NumNodes())
-	}
-	for _, id := range []p2p.NodeID{0, 2, near, far, -7} {
+	for _, id := range []p2p.NodeID{0, 2, far} {
 		if nw.Node(id) == nil || !nw.Alive(id) {
 			t.Fatalf("node %d not found alive", id)
 		}
 	}
-	if nw.Node(3) != nil || nw.Node(near-1) != nil || nw.Node(far-1) != nil {
-		t.Fatal("gap slot reported a registered node")
+	if nw.Node(3) != nil || nw.Node(far-1) != nil || nw.Node(far+1) != nil || nw.Node(-7) != nil {
+		t.Fatal("an unregistered ID reported a node")
 	}
-	// A gap ID fills its dense slot in place.
 	nw.AddNode(5)
-	if nw.Node(5) == nil || len(nw.dense) != int(near)+1 || len(nw.sparse) != 2 {
-		t.Fatal("filling a dense gap changed the table shape")
+	if nw.Node(5) == nil || len(nw.dense) != int(far)+1 || nw.NumNodes() != 5 {
+		t.Fatal("filling a gap changed the table shape")
 	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "-7") {
+			t.Fatalf("AddNode(-7) panicked with %v, want a message naming -7", r)
+		}
+		if nw.NumNodes() != 5 {
+			t.Fatalf("NumNodes=%d after a refused add, want 5", nw.NumNodes())
+		}
+	}()
+	nw.AddNode(-7)
 }

@@ -61,7 +61,7 @@ func deploy(t *testing.T, n int, fns []string) *deployment {
 		var cap qos.Resources
 		cap[qos.CPU] = 10
 		cap[qos.Memory] = 100
-		eng := bcp.NewEngine(host, nil, qos.NewLedger(cap), reg, oracle, []service.Component{comp}, fastConfig())
+		eng := bcp.NewEngine(host, nil, qos.NewLedger(cap), reg, oracle, []service.Component{comp}, bcp.DefaultConfig())
 		med := media.Attach(host, eng.LocalComponent)
 		d.engines = append(d.engines, eng)
 		d.registries = append(d.registries, reg)
@@ -82,14 +82,6 @@ func deploy(t *testing.T, n int, fns []string) *deployment {
 	}
 	time.Sleep(300 * time.Millisecond)
 	return d
-}
-
-func fastConfig() bcp.Config {
-	cfg := bcp.DefaultConfig()
-	cfg.CollectTimeout = 300 * time.Millisecond
-	cfg.CollectPerHop = 50 * time.Millisecond
-	cfg.GiveUpTimeout = 5 * time.Second
-	return cfg
 }
 
 type flatOracle struct{}

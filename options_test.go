@@ -18,26 +18,29 @@ import (
 var testOnlyOptions = map[string]string{
 	"cluster.Options.QpLossMax": "the only way to get lossy components",
 
-	"bcp.Config.CollectTimeout": "the tcpnet test's wall clock",
-	"bcp.Config.CollectPerHop":  "the tcpnet test's wall clock",
-	"bcp.Config.GiveUpTimeout":  "the tcpnet test's wall clock",
-
 	"bcp.Config.DisableCommutation":     "ablation bench EXPERIMENTS.md tabulates",
 	"bcp.Config.RandomNextHop":          "ablation bench EXPERIMENTS.md tabulates",
 	"bcp.Config.DisableSoftReservation": "ablation bench EXPERIMENTS.md tabulates",
-	"recovery.Config.U":                 "ablation bench EXPERIMENTS.md tabulates",
-	"recovery.Config.MaxBackups":        "ablation bench EXPERIMENTS.md tabulates",
+	"recovery.Config.U":                 "the Eq. 2 unit tests set it; no ablation bench does",
+	"recovery.Config.MaxBackups":        "the Eq. 2 unit tests set it; no ablation bench does",
 	"recovery.Config.DisjointBackups":   "ablation bench EXPERIMENTS.md tabulates",
 }
 
+// wiring is the closed list of exported fields a protocol runtime struct may
+// have: what a deployment plugs in — the load plane and the observability
+// sinks — never a knob. Everything tunable belongs in a config struct.
+var wiring = map[string]bool{"Load": true, "Trace": true, "Ctr": true, "Met": true}
+
 // TestEveryOptionHasASetter is the knob ratchet: every field of the config
-// structs must be assigned (x.F = v) or keyed (T{F: v}) in at least one
-// non-test file other than the one declaring it. A field nothing sets is a
-// constant dressed as an option, and one only tests set is a capability no
-// deployment has: make it a constant, delete it, or give testOnlyOptions the
-// reason. Name-based on purpose — no type checking: a file counts if it is in,
-// or imports, the struct's package; a keyed literal counts unless it names
-// another type.
+// structs, and every exported field of the runtime structs, must be assigned
+// (x.F = v) or keyed (T{F: v}) in at least one non-test file other than the
+// one declaring it. A field nothing sets is a constant dressed as an option,
+// and one only tests set is a capability no deployment has: make it a
+// constant, delete it, or give testOnlyOptions the reason. A runtime struct's
+// exported fields must moreover be wiring. Name-based on purpose — no type
+// checking: a file counts if it is in, or imports, the struct's package; a
+// keyed literal counts unless it names another type. The count of fields it
+// covers is logged, so a change's knob delta shows in go test -v.
 func TestEveryOptionHasASetter(t *testing.T) {
 	fset, files := token.NewFileSet(), map[string]*ast.File{}
 	if err := filepath.WalkDir(".", func(p string, _ fs.DirEntry, err error) error {
@@ -48,11 +51,16 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	allowed := maps.Clone(testOnlyOptions)
-	for _, s := range []struct{ decl, name string }{ // declaring file, struct
-		{"internal/cluster/cluster.go", "Options"}, {"internal/cluster/cluster.go", "LoadOptions"},
-		{"internal/topology/overlay.go", "OverlayConfig"}, {"internal/bcp/engine.go", "Config"},
-		{"internal/recovery/recovery.go", "Config"}, {"internal/federation/federation.go", "Config"},
+	allowed, covered := maps.Clone(testOnlyOptions), 0
+	for _, s := range []struct {
+		decl, name string // declaring file, struct
+		runtime    bool   // exported fields only, and those wiring
+	}{
+		{"internal/cluster/cluster.go", "Options", false}, {"internal/bcp/engine.go", "LoadOptions", false},
+		{"internal/topology/overlay.go", "OverlayConfig", false}, {"internal/bcp/engine.go", "Config", false},
+		{"internal/recovery/recovery.go", "Config", false}, {"internal/federation/federation.go", "Config", false},
+		{"internal/bcp/engine.go", "Engine", true}, {"internal/dht/node.go", "Node", true},
+		{"internal/recovery/recovery.go", "Manager", true},
 	} {
 		decl, name := s.decl, s.name
 		dir, unset := path.Dir(decl), map[string]bool{}
@@ -60,12 +68,23 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == name {
 				for _, f := range ts.Type.(*ast.StructType).Fields.List {
 					for _, id := range f.Names {
-						unset[id.Name] = true
+						if !s.runtime {
+							unset[id.Name] = true
+						} else if id.IsExported() {
+							unset[id.Name] = true
+							if !wiring[id.Name] {
+								t.Errorf("%s: %s.%s is exported but not wiring (Load, Trace, Ctr, Met): a knob belongs in a config struct", decl, name, id.Name)
+							}
+						}
 					}
 				}
 			}
 			return true
 		})
+		if len(unset) == 0 {
+			t.Errorf("%s declares no struct %s with fields", decl, name)
+		}
+		covered += len(unset)
 		for file, f := range files {
 			reaches := path.Dir(file) == dir && file != decl
 			for _, im := range f.Imports {
@@ -106,4 +125,5 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	for key := range allowed {
 		t.Errorf("testOnlyOptions[%q]: no such field, or non-test code sets it now: drop the entry", key)
 	}
+	t.Logf("knobs: %d settable fields", covered)
 }

@@ -30,6 +30,13 @@ go test -race ./...
 echo "== spidernode flag table + live run (-race, 60s timeout)"
 go test -race -count=1 -timeout 60s ./cmd/spidernode
 
+# The socket runtime composes at the protocol's own collect and give-up
+# timers (bcp.CollectTimeout, bcp.GiveUpTimeout): five runs under the race
+# detector, and the same short timeout, keep a race or a wall-clock
+# regression from hiding behind one lucky run.
+echo "== tcpnet composition over real sockets (-race x5, 60s timeout)"
+go test -race -count=5 -timeout 60s ./internal/tcpnet
+
 # Recovery on the live runtime: every maintenance walk is one object handed
 # from peer goroutine to peer goroutine, and a switchover commits across
 # them. The same short timeout turns a lost pong that hangs into a failure. Ten
@@ -322,7 +329,11 @@ else
     echo "federate: orphaned reservations detected"; exit 1
 fi
 
-# The size every PR reports, counted one way: non-test Go outside benchmark/.
+# The size every PR reports, counted one way: non-test Go outside benchmark/,
+# and beside it the settable fields the knob ratchet (options_test.go) covers.
 echo "== non-test Go lines: $(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"
+knobs="$(go test -count=1 -run '^TestEveryOptionHasASetter$' -v . | sed -n 's/.*knobs: \([0-9]*\) settable fields.*/\1/p')"
+[ -n "$knobs" ] || { echo "the knob ratchet logged no field count"; exit 1; }
+echo "== knobs (settable fields): $knobs"
 
 echo "== ci ok"
