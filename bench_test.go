@@ -600,7 +600,7 @@ func BenchmarkCostFunction(b *testing.B) {
 	var avail qos.Resources
 	avail[qos.CPU] = 10
 	avail[qos.Memory] = 100
-	g := &service.Graph{Pattern: fg, Comps: map[int]service.Snapshot{}}
+	g := &service.Graph{Pattern: fg, Comps: make([]service.Snapshot, 3)}
 	for i := 0; i < 3; i++ {
 		g.Comps[i] = service.Snapshot{
 			Comp:  service.Component{ID: "c" + itoa(i), Peer: p2p.NodeID(i)},

@@ -131,6 +131,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		val  any
 		want string
 	}{
+		{*ipNodes >= 1, "ipnodes", *ipNodes, "at least 1"},
 		{*peers >= 2, "peers", *peers, "at least 2"},
 		{*functions >= 1, "functions", *functions, "at least 1"},
 		{*requests >= 0, "requests", *requests, "at least 0"},

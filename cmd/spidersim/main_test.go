@@ -32,6 +32,8 @@ func TestFlagMistakesExitWithOneLine(t *testing.T) {
 		{"-functions 0", "functions"},
 		{"-peers 500 -ipnodes 100", "peers"},
 		{"-peers 1", "peers"},
+		{"-ipnodes 0", "-ipnodes 0: want at least 1"},
+		{"-ipnodes -5", "-ipnodes -5: want at least 1"},
 		{"-domains domains=4,gateways=3 -peers 10", "domains"},
 		{"-domains domains=5 -functions 3 -peers 40 -ipnodes 200", "domains"},
 		{"-churn -0.5", "churn"},

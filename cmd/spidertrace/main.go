@@ -71,15 +71,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !known {
 		return fail("unknown command %q\n%s", cmd, usage)
 	}
-	unread := ""
+	unread, picks := "", 0 // picks counts -req and -k, which are alternatives
 	fs.Visit(func(f *flag.Flag) {
 		if unread == "" && !slices.Contains(read, f.Name) {
 			unread = f.Name
+		}
+		if f.Name == "req" || f.Name == "k" {
+			picks++
 		}
 	})
 	switch {
 	case unread != "":
 		return fail("-%s: %s does not read it", unread, cmd)
+	case picks == 2:
+		return fail("-req and -k: %s reads one or the other", cmd)
 	case *k < 1:
 		return fail("-k %d: want at least 1", *k)
 	case cmd == "waterfall" && *req == 0:

@@ -55,6 +55,7 @@ func TestBadInvocationsExitWithMessage(t *testing.T) {
 		{"check without a trace file", "usage:", []string{"check"}},
 		{"slow -k -1", "-k -1", []string{"slow", "-k", "-1", goldenTrace}},
 		{"critical -k 0", "-k 0", []string{"critical", "-k", "0", goldenTrace}},
+		{"critical reads -req or -k, not both", "-req and -k: critical", []string{"critical", "-req", "2", "-k", "3", goldenTrace}},
 		{"request not in trace", "999999", []string{"critical", "-req", "999999", goldenTrace}},
 		{"unreadable file", "no-such-trace", []string{"summary", filepath.Join(t.TempDir(), "no-such-trace.jsonl")}},
 		{"garbage file", "garbage.jsonl", []string{"phases", garbage}},

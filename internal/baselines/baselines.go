@@ -191,7 +191,7 @@ func Static(w World, req *service.Request) (*service.Graph, bool) {
 func BuildGraph(w World, req *service.Request, pat *fgraph.Graph, assign []service.Component) (*service.Graph, bool) {
 	g := &service.Graph{
 		Pattern: pat,
-		Comps:   make(map[int]service.Snapshot, len(assign)),
+		Comps:   make([]service.Snapshot, len(assign)),
 		Req:     req,
 	}
 	for i, c := range assign {
@@ -268,16 +268,14 @@ func Admit(w World, g *service.Graph) bool {
 			w.ReleaseBandwidth(l.a, l.b, req.Bandwidth)
 		}
 	}
-	fns := g.Fns()
-	for _, fn := range fns {
-		if !w.Commit(g.Comps[fn].Comp.Peer, req.Res) {
+	for _, s := range g.Comps {
+		if !w.Commit(s.Comp.Peer, req.Res) {
 			rollback()
 			return false
 		}
-		committed = append(committed, g.Comps[fn].Comp.Peer)
+		committed = append(committed, s.Comp.Peer)
 	}
-	for _, fn := range fns {
-		s := g.Comps[fn]
+	for fn, s := range g.Comps {
 		targets := []p2p.NodeID{}
 		succs := g.Pattern.Successors(fn)
 		if len(succs) == 0 {
@@ -308,12 +306,10 @@ func Admit(w World, g *service.Graph) bool {
 // Release frees everything Admit committed for g.
 func Release(w World, g *service.Graph) {
 	req := g.Req
-	fns := g.Fns()
-	for _, fn := range fns {
-		w.Free(g.Comps[fn].Comp.Peer, req.Res)
+	for _, s := range g.Comps {
+		w.Free(s.Comp.Peer, req.Res)
 	}
-	for _, fn := range fns {
-		s := g.Comps[fn]
+	for fn, s := range g.Comps {
 		succs := g.Pattern.Successors(fn)
 		if len(succs) == 0 {
 			w.ReleaseBandwidth(s.Comp.Peer, req.Dest, req.Bandwidth)

@@ -96,8 +96,7 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 				}
 				// The graph must instantiate every function of its pattern.
 				for _, fn := range res.Best.Pattern.TopoOrder() {
-					snap, ok := res.Best.Comps[fn]
-					if !ok || snap.Comp.ID == "" {
+					if !res.Best.Comps[fn].Assigned() {
 						t.Errorf("seed=%d loss=%g req=%d: function %d uninstantiated", seed, loss, req.ID, fn)
 					}
 				}

@@ -80,8 +80,8 @@ func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 		}
 	}
 	for _, s := range succs {
-		next, ok := am.Best.Comps[s]
-		if !ok {
+		next := am.Best.Comps[s]
+		if !next.Assigned() {
 			fail("vanished")
 			return
 		}
@@ -154,7 +154,7 @@ func (e *Engine) endWalk(id uint64, ok, answer bool) {
 // stream degrades rather than aborts if the sender's uplink is saturated.
 func (e *Engine) admitIngress(g *service.Graph) {
 	for _, fn := range g.Pattern.Sources() {
-		if s, ok := g.Comps[fn]; ok {
+		if s := g.Comps[fn]; s.Assigned() {
 			e.allocSessionBandwidth(g.Req.ID, s.Comp.Peer, g.Req.Bandwidth, g.Req.Lease)
 		}
 	}

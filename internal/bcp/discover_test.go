@@ -56,12 +56,12 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 	sent := nw.Stats().MessagesSent
 	start := nw.Sim().Now()
 	var elapsed time.Duration
-	e.discoverAllCached(asked, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) {
+	e.discover(asked, 0, func(tb []List, ok bool) {
 		if !ok {
 			t.Error("discovery failed")
 		}
 		table, elapsed = tb, nw.Sim().Now()-start
-	}))
+	})
 	if table != nil {
 		t.Fatal("cold resolution called back before any lookup could return")
 	}
@@ -86,9 +86,9 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 	cold := nw.Stats().MessagesSent - sent
 	sent = nw.Stats().MessagesSent
 	warm := false
-	e.discoverAllCached(asked, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) {
+	e.discover(asked, 0, func(tb []List, ok bool) {
 		warm = ok && len(tb) == len(asked) && len(tb[2].Comps) == 2
-	}))
+	})
 	if !warm {
 		t.Fatal("a resolution the cache serves must call back synchronously")
 	}
@@ -100,12 +100,12 @@ func TestDiscoverAllCachedJoinsLookups(t *testing.T) {
 func TestDiscoverAllCachedEmptyFunctionList(t *testing.T) {
 	_, engines := discoveryRing(5)
 	called := false
-	engines[0].discoverAllCached(nil, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) {
+	engines[0].discover(nil, 0, func(tb []List, ok bool) {
 		called = true
 		if !ok || len(tb) != 0 {
 			t.Errorf("tb=%v ok=%v", tb, ok)
 		}
-	}))
+	})
 	if !called {
 		t.Fatal("an empty resolution must call back synchronously")
 	}
@@ -156,7 +156,7 @@ func TestDiscoverAllCachedKeepsAnswersOfAFailedBatch(t *testing.T) {
 	// d's holders are up but unreachable: its lookup waits out both timeouts.
 	silence(nw, holders[1])
 	failed := false
-	e.discoverAllCached([]string{"a", "d"}, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) { failed = !ok && tb == nil }))
+	e.discover([]string{"a", "d"}, 0, func(tb []List, ok bool) { failed = !ok && tb == nil })
 	nw.Sim().RunUntilIdle()
 	if !failed {
 		t.Fatal("a batch with unreachable holders must report failure")
@@ -165,9 +165,9 @@ func TestDiscoverAllCachedKeepsAnswersOfAFailedBatch(t *testing.T) {
 
 	routed := nw.Stats().ByType[dht.MsgRoute]
 	served := false
-	e.discoverAllCached([]string{"a"}, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) {
+	e.discover([]string{"a"}, 0, func(tb []List, ok bool) {
 		served = ok && len(tb[0].Comps) == 1 && slices.Contains(holders[0], tb[0].Root)
-	}))
+	})
 	if !served || nw.Stats().ByType[dht.MsgRoute] != routed {
 		t.Fatalf("served from cache: %v, new dht.route messages: %d; want the answered list kept",
 			served, nw.Stats().ByType[dht.MsgRoute]-routed)
@@ -187,13 +187,13 @@ func TestDiscoverAllCachedServesAnAnswerOnArrival(t *testing.T) {
 	e.Ctr = &obs.NodeCounters{}
 	var order []string
 	batchFailed := false
-	e.discoverAllCached([]string{"a", "d"}, nil, nil, 0, discoveredFunc(func(_ []List, ok bool) { batchFailed = !ok }))
+	e.discover([]string{"a", "d"}, 0, func(_ []List, ok bool) { batchFailed = !ok })
 	for _, name := range []string{"second", "third"} {
-		e.discoverAllCached([]string{"a"}, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) {
+		e.discover([]string{"a"}, 0, func(tb []List, ok bool) {
 			if ok && len(tb[0].Comps) == 1 && slices.Contains(holders[0], tb[0].Root) {
 				order = append(order, name)
 			}
-		}))
+		})
 	}
 	nw.Sim().Run(start + time.Second)
 	if !slices.Equal(order, []string{"second", "third"}) || batchFailed {
@@ -201,7 +201,7 @@ func TestDiscoverAllCachedServesAnAnswerOnArrival(t *testing.T) {
 	}
 	gets := nw.Stats().ByType[dht.MsgRoute]
 	served := false
-	e.discoverAllCached([]string{"a"}, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) { served = ok && slices.Contains(holders[0], tb[0].Root) }))
+	e.discover([]string{"a"}, 0, func(tb []List, ok bool) { served = ok && slices.Contains(holders[0], tb[0].Root) })
 	if !served || nw.Stats().ByType[dht.MsgRoute] != gets {
 		t.Fatal("\"a\" was answered but is not served from the cache while \"d\" is still out")
 	}

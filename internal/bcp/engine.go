@@ -175,7 +175,7 @@ type Engine struct {
 	pending    map[uint64]*composeState
 	soft       map[softKey]softHold
 	cache      map[string]List
-	fetching   map[string][]waiter // lookups and refreshes in flight, by function
+	fetching   map[string]fetch // lookups and refreshes in flight, by function
 	// handed is what of each function's list this engine's probes have
 	// handed each first-hop peer (hand): at most peers × functions entries.
 	handed map[handKey]handedList
@@ -337,7 +337,7 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 		soft:       make(map[softKey]softHold),
 		cache:      make(map[string]List),
 		handed:     make(map[handKey]handedList),
-		fetching:   make(map[string][]waiter),
+		fetching:   make(map[string]fetch),
 		allocs:     make(map[allocKey]alloc),
 		renewed:    make(map[uint64]renewal),
 		held:       make(map[uint64]*heldSession),
@@ -428,7 +428,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 	for _, v := range req.Variants {
 		fns = append(fns, v.Functions()...)
 	}
-	e.discoverAllCached(fns, nil, nil, req.ID, discoveredFunc(func(table []List, ok bool) {
+	e.discover(fns, req.ID, func(table []List, ok bool) {
 		st.discovery = e.host.Now() - st.started
 		if e.Trace != nil {
 			e.Trace.Emit(obs.DiscDone(e.host.Now(), e.host.ID(), req.ID, ok, st.discovery))
@@ -440,7 +440,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 			return
 		}
 		e.launchProbes(st, table)
-	}))
+	})
 }
 
 // List is one function's duplicate list as a peer holds it — in its discovery
@@ -479,29 +479,29 @@ func entryOf(table []List, fn string) List {
 	return List{Fn: fn, Listing: registry.Listing{Root: p2p.NoNode}}
 }
 
-// afterDiscovery is what discoverAllCached continues into: a probe hop
-// (probeHop) or, through discoveredFunc, Compose.
-type afterDiscovery interface {
-	discovered(table []List, ok bool)
-}
-
-// discoveredFunc adapts a function to afterDiscovery.
-type discoveredFunc func(table []List, ok bool)
-
-func (f discoveredFunc) discovered(table []List, ok bool) { f(table, ok) }
-
-// resolution joins the lookups one discoverAllCached call waits on.
+// resolution joins the lookups one discoverAllCached call waits on, and is
+// the one object such a call allocates: its table (inline while short) and
+// what continues once the last lookup is in — done, or else the probe hop pr.
 type resolution struct {
 	table   []List
+	inline  [4]List
 	pending int
 	failed  bool
-	next    afterDiscovery
+	done    func(table []List, ok bool)
+	pr      Probe
 }
 
 // waiter is the table entry of a resolution that a function's lookup fills.
 type waiter struct {
 	st *resolution
 	i  int
+}
+
+// fetch is one function's lookup in flight and the resolutions waiting on
+// it, in the order they came: the first in place, any later ones in more.
+type fetch struct {
+	first waiter
+	more  []waiter
 }
 
 // discoverAllCached resolves function duplicate lists through the local
@@ -513,11 +513,13 @@ type waiter struct {
 // nil elsewhere — has the function's list: that one serves instead. A lookup
 // is attributed to span (the composition request that caused it) and handed to
 // the peer hints, when not nil, names for its function (NoNode = route from
-// scratch). next is continued once, with one entry per function in the order
-// given, or ok=false if a lookup timed out — before discoverAllCached returns
-// if the cache serves all. The table is then engine scratch, valid only inside
-// that call; a table that waited on a lookup is the resolution's own.
-func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []List, span uint64, next afterDiscovery) {
+// scratch). The table has one entry per function in the order given. When the
+// cache serves all it returns nil, and the table is e.table, engine scratch
+// valid only in the running handler. Otherwise it returns the resolution the
+// lookups fill, still holding one pending count for its caller, who sets what
+// continues and then retires that count (resolved); that continuation gets the
+// table, or ok=false if a lookup timed out.
+func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []List, span uint64) *resolution {
 	e.table = slices.Grow(e.table[:0], len(fns))[:len(fns)]
 	table := e.table
 	var st *resolution
@@ -538,14 +540,22 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []L
 			continue
 		}
 		if st == nil {
-			// pending starts at one for this loop itself, so the join cannot
-			// complete before every lookup is out.
-			table = slices.Clone(table)
-			st = &resolution{table: table, pending: 1, next: next}
+			// pending starts at one for the caller, so the join cannot
+			// complete before every lookup is out and the continuation set.
+			// A short table lives in the resolution; append spills a long one.
+			st = &resolution{pending: 1}
+			st.table = append(st.inline[:0], table...)
+			table = st.table
 		}
 		st.pending++
-		waiting, fetching := e.fetching[f]
-		e.fetching[f] = append(waiting, waiter{st, i})
+		w := waiter{st, i}
+		ft, fetching := e.fetching[f]
+		if ft.first.st == nil {
+			ft.first = w
+		} else {
+			ft.more = append(ft.more, w)
+		}
+		e.fetching[f] = ft
 		if fetching {
 			if e.Ctr != nil {
 				e.Ctr.DiscJoined.Add(1)
@@ -561,10 +571,18 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []L
 	if e.Ctr != nil {
 		e.Ctr.DiscCacheHits.Add(int64(hits))
 	}
+	return st
+}
+
+// discover is discoverAllCached without hints or carried lists, continued
+// into done.
+func (e *Engine) discover(fns []string, span uint64, done func(table []List, ok bool)) {
+	st := e.discoverAllCached(fns, nil, nil, span)
 	if st == nil {
-		next.discovered(table, true)
+		done(e.table, true)
 		return
 	}
+	st.done = done
 	e.resolved(st)
 }
 
@@ -574,7 +592,7 @@ func (e *Engine) refresh(fn string, known registry.Listing, span uint64) {
 	if _, out := e.fetching[fn]; out {
 		return
 	}
-	e.fetching[fn] = nil
+	e.fetching[fn] = fetch{}
 	if e.Ctr != nil {
 		e.Ctr.DiscStale.Add(1)
 	}
@@ -599,29 +617,41 @@ func (e *Engine) lookup(fn string, known registry.Listing, span uint64) {
 // then, and every resolution waiting on it gets it (or the timeout), in the
 // order they came. A failed refresh leaves the expired list in place.
 func (e *Engine) fetched(fn string, l registry.Listing, ok bool) {
-	waiting := e.fetching[fn]
+	ft := e.fetching[fn]
 	delete(e.fetching, fn)
 	got := List{Fn: fn, Listing: l, Expires: e.host.Now() + cacheTTL}
 	if ok {
 		e.cache[fn] = got
 	}
-	for _, w := range waiting {
-		w.st.table[w.i] = got
-		w.st.failed = w.st.failed || !ok
-		e.resolved(w.st)
+	if ft.first.st != nil {
+		e.answer(ft.first, got, ok)
+	}
+	for _, w := range ft.more {
+		e.answer(w, got, ok)
 	}
 }
 
-// resolved retires one pending lookup of st; the last one reports.
+// answer fills w's table entry with got, or marks its resolution failed.
+func (e *Engine) answer(w waiter, got List, ok bool) {
+	w.st.table[w.i] = got
+	w.st.failed = w.st.failed || !ok
+	e.resolved(w.st)
+}
+
+// resolved retires one pending count of st; the last one continues it.
 func (e *Engine) resolved(st *resolution) {
 	if st.pending--; st.pending > 0 {
 		return
 	}
+	table := st.table
 	if st.failed {
-		st.next.discovered(nil, false)
+		table = nil
+	}
+	if st.done != nil {
+		st.done(table, !st.failed)
 		return
 	}
-	st.next.discovered(st.table, true)
+	e.probeDiscovered(&st.pr, table, !st.failed)
 }
 
 // primaryPatternCap returns the pattern cap launchProbes explores per
@@ -785,12 +815,11 @@ func (e *Engine) TeardownExcept(old, keep *service.Graph) {
 		return
 	}
 	e.releaseLocal(old, keep)
-	// Notify peers in sorted function order: iterating the Comps map would
-	// reorder the teardown sends between otherwise identical runs.
+	// Notify peers in function order.
 	sent := make(map[p2p.NodeID]bool)
-	for _, fn := range old.Fns() {
-		p := old.Comps[fn].Comp.Peer
-		if p == e.host.ID() || sent[p] {
+	for _, s := range old.Comps {
+		p := s.Comp.Peer
+		if !s.Assigned() || p == e.host.ID() || sent[p] {
 			continue
 		}
 		sent[p] = true
@@ -817,9 +846,8 @@ func (e *Engine) releaseLocal(g, keep *service.Graph) {
 	if keep != nil && reqFromGraph(keep).ID != req.ID {
 		keep = nil
 	}
-	for _, fn := range g.Fns() {
-		s := g.Comps[fn]
-		if s.Comp.Peer != self {
+	for _, s := range g.Comps {
+		if !s.Assigned() || s.Comp.Peer != self {
 			continue
 		}
 		if keep == nil || !keep.Contains(s.Comp.ID) {
@@ -855,9 +883,8 @@ func (e *Engine) free(k allocKey) {
 func sessionPairs(g *service.Graph, self p2p.NodeID) []allocKey {
 	req := reqFromGraph(g)
 	var out []allocKey
-	for _, fn := range g.Fns() {
-		s := g.Comps[fn]
-		if s.Comp.Peer != self {
+	for fn, s := range g.Comps {
+		if !s.Assigned() || s.Comp.Peer != self {
 			continue
 		}
 		succs := g.Pattern.Successors(fn)
@@ -865,14 +892,14 @@ func sessionPairs(g *service.Graph, self p2p.NodeID) []allocKey {
 			out = append(out, allocKey{reqID: req.ID, a: self, b: req.Dest})
 		}
 		for _, succ := range succs {
-			if next, ok := g.Comps[succ]; ok {
+			if next := g.Comps[succ]; next.Assigned() {
 				out = append(out, allocKey{reqID: req.ID, a: self, b: next.Comp.Peer})
 			}
 		}
 	}
 	if self == req.Source {
 		for _, fn := range g.Pattern.Sources() {
-			if s, ok := g.Comps[fn]; ok {
+			if s := g.Comps[fn]; s.Assigned() {
 				out = append(out, allocKey{reqID: req.ID, a: self, b: s.Comp.Peer})
 			}
 		}

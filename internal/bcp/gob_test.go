@@ -85,10 +85,10 @@ func TestPayloadsCrossGob(t *testing.T) {
 
 	// A source's own reverse-path walk (a switchover, Confirm) carries its
 	// walk ID and the whole graph, and so do its answers.
-	g := &service.Graph{Pattern: fg, Req: req, Comps: map[int]service.Snapshot{
-		0: {Comp: service.Component{ID: "p5/a.0", Function: "a", Peer: 5}, Avail: avail},
-		1: {Comp: service.Component{ID: "p6/b.0", Function: "b", Peer: 6}},
-		2: {Comp: service.Component{ID: "p8/c.0", Function: "c", Peer: 8}},
+	g := &service.Graph{Pattern: fg, Req: req, Comps: []service.Snapshot{
+		{Comp: service.Component{ID: "p5/a.0", Function: "a", Peer: 5}, Avail: avail},
+		{Comp: service.Component{ID: "p6/b.0", Function: "b", Peer: 6}},
+		{Comp: service.Component{ID: "p8/c.0", Function: "c", Peer: 8}},
 	}}
 	ack := ackMsg{ReqID: 9, Walk: 3, Best: g, Order: []int{2, 1, 0}, Pos: 1}
 	gotAck, ok := roundTrip(ack).(ackMsg)

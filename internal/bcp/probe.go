@@ -350,25 +350,25 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		}
 		hints = append(hints, root)
 	}
-	e.discoverAllCached(names, hints, carried, pr.ReqID, &probeHop{e: e, pr: pr, succs: succs})
+	// A hop the cache serves goes on from here, on the stack; one that waits
+	// moves its probe into the resolution the lookups continue.
+	if st := e.discoverAllCached(names, hints, carried, pr.ReqID); st != nil {
+		st.pr = pr
+		e.resolved(st)
+		return
+	}
+	e.probeDiscovered(&pr, e.table, true)
 }
 
-// probeHop is one probe hop waiting on the duplicate lists of its successor
-// functions succs: the hop's copy of the probe and where it fans out, in the
-// one object discovery continues into.
-type probeHop struct {
-	e     *Engine
-	pr    Probe
-	succs []int
-}
-
-func (h *probeHop) discovered(table []List, ok bool) {
-	e, pr := h.e, &h.pr
+// probeDiscovered fans probe pr out to its successor functions once their
+// duplicate lists are in table, one entry each, or drops it if a lookup
+// failed.
+func (e *Engine) probeDiscovered(pr *Probe, table []List, ok bool) {
 	if !ok {
 		e.dropProbe(pr, "discovery")
 		return
 	}
-	if !e.spawnNext(pr, h.succs, table, nil) {
+	if !e.spawnNext(pr, pr.Pattern.Successors(pr.CurFn), table, nil) {
 		// No eligible next hop anywhere: the probe dies here. Without
 		// this record the probe would vanish from the accounting and
 		// break the trace checker's conservation invariant. "down" says

@@ -104,3 +104,46 @@ func TestNextHopPlanAllocs(t *testing.T) {
 		t.Fatalf("planning the next hops allocates %.0f objects", allocs)
 	}
 }
+
+// TestProbeHopAllocs: a hop whose successor's list is cached fans out on the
+// stack, allocating only its copy of Visited and one payload per child; a hop
+// that waits on a lookup allocates exactly one object more, the resolution
+// that holds its probe, its join count and its table.
+func TestProbeHopAllocs(t *testing.T) {
+	nw, engines, _ := viewWorld(t, nil, chainComp(2, "a", 0, 0), chainComp(4, "b", 0, 0), chainComp(5, "b", 0, 0))
+	hop, sim := engines[2], nw.Sim()
+	hop.Trace = nil
+	hop.cfg.DisableSoftReservation = true // a soft hold's timer closure is not the hop's to count
+	children := 0
+	for _, p := range []int{4, 5} {
+		engines[p].host.Handle(MsgProbe, func(p2p.Node, p2p.Message) { children++ })
+	}
+	req := &service.Request{ID: 1, FGraph: fgraph.Linear("a", "b"), QoSReq: qos.Unbounded(),
+		Bandwidth: 100, Source: 0, Dest: 1, Budget: 2}
+	msg := p2p.Message{Type: MsgProbe, From: 0, To: 2, Payload: Probe{ReqID: 1, Req: req, Pattern: req.FGraph,
+		Budget: 2, UID: 7, Credit: TotalCredit, CurFn: 0, CurCompID: "a@2"}}
+	probe := func() {
+		hop.onProbe(hop.host, msg)
+		sim.RunUntilIdle()
+	}
+	probe() // looks b up and caches it
+	if l, ok := hop.Remembered("b"); !ok || len(l.Comps) != 2 || children != 2 {
+		t.Fatalf("the first probe cached %d duplicates of b and sent %d children, want 2 and 2", len(l.Comps), children)
+	}
+	listing := hop.cache["b"].Listing
+	cached := testing.AllocsPerRun(50, probe)
+	// A refresh of b is out, so the hop joins it, and its answer continues the hop.
+	waiting := testing.AllocsPerRun(50, func() {
+		delete(hop.cache, "b")
+		hop.fetching["b"] = fetch{}
+		hop.onProbe(hop.host, msg)
+		hop.fetched("b", listing, true)
+		sim.RunUntilIdle()
+	})
+	if children != 2+2*(51+51) {
+		t.Fatalf("the hops sent %d children, want 2 each", children)
+	}
+	if cached != 1+2 || waiting != cached+1 {
+		t.Fatalf("a cached hop allocates %.0f objects (want 3: Visited and two payloads), a waiting one %.0f (want 4)", cached, waiting)
+	}
+}

@@ -3,6 +3,7 @@ package bcp
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -229,15 +230,13 @@ func (s *selection) merge(req *service.Request, records []Probe, recs []int32) b
 	g.Pattern, g.PatternIdx, g.Req = first.Pattern, first.PatternIdx, req
 	g.QoS = qos.Vector{}
 	g.Links = g.Links[:0]
-	if g.Comps == nil {
-		g.Comps = make(map[int]service.Snapshot)
-	}
+	g.Comps = slices.Grow(g.Comps[:0], g.Pattern.NumFunctions())[:g.Pattern.NumFunctions()]
 	clear(g.Comps)
 	for _, ri := range recs {
 		r := &records[ri]
 		for i := range r.Visited {
 			h := &r.Visited[i]
-			if prev, ok := g.Comps[h.Fn]; ok {
+			if prev := g.Comps[h.Fn]; prev.Assigned() {
 				if prev.Comp.ID != h.Snap.Comp.ID {
 					return false // branches disagree on a shared function
 				}
@@ -301,8 +300,12 @@ func (e *Engine) rank(req *service.Request, records []Probe) int {
 	// Conditional-branch semantics: graphs instantiating the primary
 	// function graph rank before variant fallbacks; within a tier, lowest
 	// score wins. (ψ sums per component, so comparing costs across shapes
-	// of different sizes would always favor the shortest variant.)
-	primaryPatterns := len(req.FGraph.Patterns(e.primaryPatternCap()))
+	// of different sizes would always favor the shortest variant.) Without
+	// variants every pattern is primary.
+	primaryPatterns := math.MaxInt
+	if len(req.Variants) > 0 {
+		primaryPatterns = len(req.FGraph.Patterns(e.primaryPatternCap()))
+	}
 
 	s.pats = s.pats[:0]
 	for i := range records {

@@ -142,10 +142,11 @@ func oracleEnumerateCombos(req *service.Request, patternIdx int, slots [][]Probe
 }
 
 func oracleMergeCombo(req *service.Request, patternIdx int, slots [][]Probe, idx []int) *service.Graph {
+	pat := slots[0][idx[0]].Pattern
 	g := &service.Graph{
-		Pattern:    slots[0][idx[0]].Pattern,
+		Pattern:    pat,
 		PatternIdx: patternIdx,
-		Comps:      make(map[int]service.Snapshot),
+		Comps:      make([]service.Snapshot, pat.NumFunctions()),
 		Req:        req,
 	}
 	type linkKey struct{ from, to int }
@@ -153,7 +154,7 @@ func oracleMergeCombo(req *service.Request, patternIdx int, slots [][]Probe, idx
 	for bi := range slots {
 		r := slots[bi][idx[bi]]
 		for _, h := range r.Visited {
-			if prev, ok := g.Comps[h.Fn]; ok {
+			if prev := g.Comps[h.Fn]; prev.Assigned() {
 				if prev.Comp.ID != h.Snap.Comp.ID {
 					return nil
 				}

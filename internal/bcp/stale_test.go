@@ -69,9 +69,9 @@ func TestExpiredListAnswersAtOnce(t *testing.T) {
 			c.DiscStale-before.DiscStale, c.DiscLookups-before.DiscLookups, c.DiscHinted-before.DiscHinted)
 	}
 	served := false
-	e.discoverAllCached(fns, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) {
+	e.discover(fns, 0, func(tb []List, ok bool) {
 		served = ok && slices.EqualFunc(tb, old, func(a, b List) bool { return a.Expires == b.Expires && a.Root == b.Root })
-	}))
+	})
 	if again := e.Ctr.Snapshot(); !served || again.DiscLookups != c.DiscLookups {
 		t.Fatalf("during the refreshes: served the expired lists at once %v, %d more lookups", served, again.DiscLookups-c.DiscLookups)
 	}
@@ -104,7 +104,7 @@ func TestFailedRefreshKeepsTheList(t *testing.T) {
 	e.Ctr = &obs.NodeCounters{}
 	mem := &obs.MemSink{}
 	e.reg.DHT().Trace = mem
-	e.discoverAllCached([]string{"a"}, nil, nil, 0, discoveredFunc(func([]List, bool) {}))
+	e.discover([]string{"a"}, 0, func([]List, bool) {})
 	sim.RunUntilIdle()
 	old, ok := e.Remembered("a")
 	if !ok || len(old.Comps) != 1 {
@@ -119,9 +119,9 @@ func TestFailedRefreshKeepsTheList(t *testing.T) {
 	silence(nw, others)
 	var got []List
 	served := false
-	e.discoverAllCached([]string{"a"}, nil, nil, 0, discoveredFunc(func(tb []List, ok bool) {
+	e.discover([]string{"a"}, 0, func(tb []List, ok bool) {
 		got, served = slices.Clone(tb), ok
-	}))
+	})
 	if !served || got[0].Expires != old.Expires || len(got[0].Comps) != 1 {
 		t.Fatalf("cut off with an expired list: served at once %v with %v; want the expired list", served, got)
 	}
@@ -134,7 +134,7 @@ func TestFailedRefreshKeepsTheList(t *testing.T) {
 	if l, _ := e.Remembered("a"); !failed || l.Expires != old.Expires || len(l.Comps) != 1 {
 		t.Fatalf("refresh failed %v; then held %v, want the old list kept", failed, l)
 	}
-	e.discoverAllCached([]string{"a"}, nil, nil, 0, discoveredFunc(func([]List, bool) {}))
+	e.discover([]string{"a"}, 0, func([]List, bool) {})
 	if c := e.Ctr.Snapshot(); c.DiscStale != 2 {
 		t.Fatalf("%d refreshes after the first one failed and the list was asked for again, want 2", c.DiscStale)
 	}

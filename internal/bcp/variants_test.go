@@ -1,11 +1,15 @@
 package bcp_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fgraph"
+	"repro/internal/service"
 )
+
+func unassigned(s service.Snapshot) bool { return !s.Assigned() }
 
 // Tests for the alternative-variant composition semantics (the paper's §8
 // future-work "more expressive composition semantics such as conditional
@@ -31,7 +35,7 @@ func TestVariantsComposeAcrossShapes(t *testing.T) {
 	}
 	// All candidates across best+backups are complete for their own shape.
 	for _, g := range append(res.Backups, res.Best) {
-		if len(g.Comps) != g.Pattern.NumFunctions() {
+		if len(g.Comps) != g.Pattern.NumFunctions() || slices.ContainsFunc(g.Comps, unassigned) {
 			t.Fatalf("incomplete candidate: %d/%d", len(g.Comps), g.Pattern.NumFunctions())
 		}
 	}

@@ -13,15 +13,21 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Graph is an immutable function graph. Build one with a Builder or Linear.
+// A graph is shared read-only, across goroutines too, so the facts derived
+// from its links (order, sources) are computed when it is made, never on
+// first use.
 type Graph struct {
 	fns     []string
 	succ    [][]int
 	pred    [][]int
 	commute [][2]int
+	// order is a topological order; sources, its head, the nodes with no
+	// predecessors.
+	order, sources []int
 }
 
 // Builder accumulates functions and links and validates them into a Graph.
@@ -88,7 +94,7 @@ func (b *Builder) Build() (*Graph, error) {
 		sort.Ints(g.succ[i])
 		sort.Ints(g.pred[i])
 	}
-	if _, err := g.topoOrder(); err != nil {
+	if err := g.derive(); err != nil {
 		return nil, err
 	}
 	if !g.weaklyConnected() {
@@ -132,16 +138,8 @@ func (g *Graph) Successors(i int) []int { return g.succ[i] }
 func (g *Graph) Predecessors(i int) []int { return g.pred[i] }
 
 // Sources returns the nodes with no predecessors (fed by the application
-// sender).
-func (g *Graph) Sources() []int {
-	var s []int
-	for i := range g.fns {
-		if len(g.pred[i]) == 0 {
-			s = append(s, i)
-		}
-	}
-	return s
-}
+// sender), in ascending order. The returned slice must not be modified.
+func (g *Graph) Sources() []int { return g.sources }
 
 // Sinks returns the nodes with no successors (feeding the destination).
 func (g *Graph) Sinks() []int {
@@ -158,45 +156,35 @@ func (g *Graph) Sinks() []int {
 // modified.
 func (g *Graph) Commutations() [][2]int { return g.commute }
 
-// TopoOrder returns a topological order of the function nodes.
-func (g *Graph) TopoOrder() []int {
-	order, err := g.topoOrder()
-	if err != nil {
-		// Build guarantees acyclicity, so this is unreachable for graphs
-		// constructed through the public API.
-		panic(err)
-	}
-	return order
-}
+// TopoOrder returns a topological order of the function nodes: breadth
+// first from the sources. The returned slice must not be modified.
+func (g *Graph) TopoOrder() []int { return g.order }
 
-func (g *Graph) topoOrder() ([]int, error) {
+// derive computes order and sources from the links, or reports a cycle.
+// Kahn's queue is order itself: a node is appended once its last
+// predecessor is, and the sources come first, in ascending order.
+func (g *Graph) derive() error {
 	n := len(g.fns)
 	indeg := make([]int, n)
+	order := make([]int, 0, n)
 	for i := range g.fns {
-		indeg[i] = len(g.pred[i])
-	}
-	var queue []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+		if indeg[i] = len(g.pred[i]); indeg[i] == 0 {
+			order = append(order, i)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range g.succ[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
+	sources := len(order)
+	for at := 0; at < len(order); at++ {
+		for _, v := range g.succ[order[at]] {
+			if indeg[v]--; indeg[v] == 0 {
+				order = append(order, v)
 			}
 		}
 	}
 	if len(order) != n {
-		return nil, errors.New("fgraph: dependency cycle")
+		return errors.New("fgraph: dependency cycle")
 	}
-	return order, nil
+	g.order, g.sources = order, order[:sources:sources]
+	return nil
 }
 
 func (g *Graph) weaklyConnected() bool {
@@ -229,13 +217,16 @@ func (g *Graph) weaklyConnected() bool {
 	return count == n
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. The derived order and sources are
+// shared, being read-only; whoever rewires the copy derives them again.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		fns:     append([]string(nil), g.fns...),
 		succ:    make([][]int, len(g.succ)),
 		pred:    make([][]int, len(g.pred)),
 		commute: append([][2]int(nil), g.commute...),
+		order:   g.order,
+		sources: g.sources,
 	}
 	for i := range g.succ {
 		c.succ[i] = append([]int(nil), g.succ[i]...)
@@ -248,18 +239,23 @@ func (g *Graph) Clone() *Graph {
 // and commutation links.
 func (g *Graph) Equal(o *Graph) bool { return g.signature() == o.signature() }
 
+// signature renders the functions and dependencies as
+// "0:name;1:name;|0>1;", one key string behind a stack buffer.
 func (g *Graph) signature() string {
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for i, f := range g.fns {
-		fmt.Fprintf(&b, "%d:%s;", i, f)
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(append(append(b, ':'), f...), ';')
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	for i := range g.succ {
 		for _, v := range g.succ[i] {
-			fmt.Fprintf(&b, "%d>%d;", i, v)
+			b = append(strconv.AppendInt(b, int64(i), 10), '>')
+			b = append(strconv.AppendInt(b, int64(v), 10), ';')
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the graph as "F1->F2 F1->F3 ..." with node names.
@@ -346,6 +342,9 @@ func (g *Graph) Patterns(max int) []*Graph {
 				continue
 			}
 			seen[sig] = true
+			if err := next.derive(); err != nil {
+				panic(err) // an exchange of a chain segment keeps the graph acyclic
+			}
 			patterns = append(patterns, next)
 			if max > 0 && len(patterns) >= max {
 				break

@@ -2,6 +2,7 @@ package fgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -289,9 +290,20 @@ func TestPatternsPreserveInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range g.Patterns(16) {
-			order := p.TopoOrder() // panics on cycle
+			order := p.TopoOrder()
 			if len(order) != n {
 				t.Fatalf("pattern lost nodes: %v", order)
+			}
+			// The derived facts are the pattern's own, not its parent's.
+			fresh := NewBuilder()
+			for i := 0; i < n; i++ {
+				fresh.AddFunction(p.Function(i))
+				for _, v := range p.Successors(i) {
+					fresh.AddDependency(i, v)
+				}
+			}
+			if f, err := fresh.Build(); err != nil || !slices.Equal(order, f.TopoOrder()) || !slices.Equal(p.Sources(), f.Sources()) {
+				t.Fatalf("pattern %v: order %v and sources %v, built afresh %v and %v (%v)", p, order, p.Sources(), f.TopoOrder(), f.Sources(), err)
 			}
 			for _, br := range p.Branches(0) {
 				seen := map[int]bool{}
@@ -348,5 +360,25 @@ func TestFunctionsCopy(t *testing.T) {
 	fs[0] = "mutated"
 	if g.Function(0) != "a" {
 		t.Fatal("Functions returned a live reference")
+	}
+}
+
+// TestSignatureAllocs: rendering a pattern's signature, as Patterns does for
+// every exchange it tries, allocates at most the key string.
+func TestSignatureAllocs(t *testing.T) {
+	b := NewBuilder()
+	for _, f := range []string{"fn0", "fn1", "fn2", "fn3", "fn4", "fn5"} {
+		b.AddFunction(f)
+	}
+	b.AddDependency(0, 1).AddDependency(1, 2).AddDependency(1, 3).AddDependency(2, 4).AddDependency(3, 4).AddDependency(4, 5)
+	g, err := b.AddCommutation(4, 5).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sig := g.signature(); sig != "0:fn0;1:fn1;2:fn2;3:fn3;4:fn4;5:fn5;|0>1;1>2;1>3;2>4;3>4;4>5;" {
+		t.Fatalf("signature %q", sig)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = g.signature() }); avg > 1 {
+		t.Fatalf("a signature allocates %.0f objects, want the string alone", avg)
 	}
 }

@@ -83,14 +83,14 @@ func TestStreamEndToEnd(t *testing.T) {
 	nw := simnet.NewNetwork(sim, simnet.ConstantLatency(2*time.Millisecond), rand.New(rand.NewSource(1)))
 
 	fg := fgraph.Linear(FnDownScale, FnStockTicker, FnRequant)
-	comps := map[int]service.Component{
-		0: {ID: "p1/down", Function: FnDownScale, Peer: 1},
-		1: {ID: "p2/stock", Function: FnStockTicker, Peer: 2},
-		2: {ID: "p3/requant", Function: FnRequant, Peer: 3},
+	comps := []service.Component{
+		{ID: "p1/down", Function: FnDownScale, Peer: 1},
+		{ID: "p2/stock", Function: FnStockTicker, Peer: 2},
+		{ID: "p3/requant", Function: FnRequant, Peer: 3},
 	}
 	graph := &service.Graph{
 		Pattern: fg,
-		Comps:   map[int]service.Snapshot{},
+		Comps:   make([]service.Snapshot, len(comps)),
 		Req:     &service.Request{ID: 9, Source: 0, Dest: 4},
 	}
 	for fn, c := range comps {
@@ -159,8 +159,8 @@ func TestStreamDropsWhenComponentGone(t *testing.T) {
 	fg := fgraph.Linear(FnRequant)
 	graph := &service.Graph{
 		Pattern: fg,
-		Comps: map[int]service.Snapshot{
-			0: {Comp: service.Component{ID: "p1/rq", Function: FnRequant, Peer: 1}},
+		Comps: []service.Snapshot{
+			{Comp: service.Component{ID: "p1/rq", Function: FnRequant, Peer: 1}},
 		},
 		Req: &service.Request{ID: 1, Source: 0, Dest: 2},
 	}

@@ -58,8 +58,8 @@ func (n *Node) OnDeliverADU(fn func(ADU, time.Duration)) { n.deliverADU = fn }
 // demonstration (each component still processes the ADU exactly once).
 func (n *Node) SendFrame(g *service.Graph, f Frame) error {
 	order := g.Pattern.TopoOrder()
-	first, ok := g.Comps[order[0]]
-	if !ok {
+	first := g.Comps[order[0]]
+	if !first.Assigned() {
 		return fmt.Errorf("media: graph has no component for function %d", order[0])
 	}
 	n.host.Send(p2p.Message{

@@ -197,8 +197,7 @@ func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 		for fn, snap := range g.Comps {
 			i := slices.IndexFunc(wm.Stops, func(st stop) bool { return st.Peer == snap.Comp.Peer })
 			if i >= 0 {
-				snap.Avail = wm.Avail[i]
-				g.Comps[fn] = snap
+				g.Comps[fn].Avail = wm.Avail[i]
 			}
 		}
 	}

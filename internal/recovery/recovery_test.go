@@ -250,7 +250,7 @@ func synthGraph(reqID uint64, comps ...service.Component) *service.Graph {
 		names[i] = c.Function
 	}
 	fg := fgraph.Linear(names...)
-	g := &service.Graph{Pattern: fg, Comps: map[int]service.Snapshot{}}
+	g := &service.Graph{Pattern: fg, Comps: make([]service.Snapshot, len(comps))}
 	for i, c := range comps {
 		var avail qos.Resources
 		avail[qos.CPU] = 10

@@ -17,7 +17,7 @@ func randomGraph(rng *rand.Rand, nf, poolSize int) *Graph {
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
 	}
-	g := &Graph{Pattern: fgraph.Linear(names...), Comps: map[int]Snapshot{}}
+	g := &Graph{Pattern: fgraph.Linear(names...), Comps: make([]Snapshot, nf)}
 	// Component IDs are distinct within a graph (a component serves exactly
 	// one function of a request; BCP's visited-set enforces it).
 	ids := rng.Perm(poolSize)
@@ -102,7 +102,7 @@ func TestCostMonotoneInAvailability(t *testing.T) {
 		req := &Request{FGraph: g.Pattern, Res: res, Bandwidth: 10, Budget: 1}
 		base := g.Cost(req)
 
-		richer := &Graph{Pattern: g.Pattern, Comps: map[int]Snapshot{}, Links: g.Links}
+		richer := &Graph{Pattern: g.Pattern, Comps: make([]Snapshot, len(g.Comps)), Links: g.Links}
 		for i, s := range g.Comps {
 			s.Avail = s.Avail.Add(s.Avail)
 			richer.Comps[i] = s
@@ -120,7 +120,7 @@ func TestKeyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 200; trial++ {
 		a := randomGraph(rng, 3, 8)
-		b := &Graph{Pattern: a.Pattern, Comps: map[int]Snapshot{}}
+		b := &Graph{Pattern: a.Pattern, Comps: make([]Snapshot, len(a.Comps))}
 		same := true
 		for i, s := range a.Comps {
 			if rng.Intn(4) == 0 {

@@ -9,7 +9,6 @@ package service
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -111,7 +110,8 @@ func (r *Request) Validate() error {
 const PsiWeight = 1 / float64(qos.NumResources+1)
 
 // Snapshot is one probed hop: the chosen component and its hosting peer's
-// resource availability at probe time.
+// resource availability at probe time. The zero Snapshot, whose component has
+// no ID, assigns nothing.
 type Snapshot struct {
 	Comp  Component
 	Avail qos.Resources // availability ra^vj recorded by the probe
@@ -120,6 +120,9 @@ type Snapshot struct {
 	// control plane folds into selection.
 	Util float64
 }
+
+// Assigned reports whether s assigns a component.
+func (s Snapshot) Assigned() bool { return s.Comp.ID != "" }
 
 // LinkSnapshot is one probed service link: the functions it connects
 // (FromFn == -1 for the source ingress, ToFn == -1 for the destination
@@ -147,9 +150,11 @@ func (l LinkSnapshot) Compare(o LinkSnapshot) int {
 // after selection it is the session's active (or backup) service graph.
 type Graph struct {
 	Pattern *fgraph.Graph
-	Comps   map[int]Snapshot // function index -> probed assignment
-	Links   []LinkSnapshot
-	QoS     qos.Vector // accumulated end-to-end QoS (branch-wise max)
+	// Comps[fn] is the probed assignment of function fn, one slot per
+	// function of Pattern; only a candidate being merged has unassigned ones.
+	Comps []Snapshot
+	Links []LinkSnapshot
+	QoS   qos.Vector // accumulated end-to-end QoS (branch-wise max)
 
 	// PatternIdx records which composition pattern this graph instantiates
 	// (indices past the primary graph's patterns belong to request
@@ -162,31 +167,12 @@ type Graph struct {
 	Req *Request
 }
 
-// fns appends the assigned function indices to buf in ascending order — the
-// one iteration order every float fold and every rendering of a graph uses,
-// because map order would differ between identically seeded runs. Callers
-// pass a small stack buffer, so graphs of ordinary size cost no allocation.
-func (g *Graph) fns(buf []int) []int {
-	for i := range g.Comps {
-		buf = append(buf, i)
-	}
-	slices.Sort(buf)
-	return buf
-}
-
 // Clone returns a copy of g with Comps and Links of its own.
 func (g *Graph) Clone() *Graph {
 	c := *g
-	c.Comps, c.Links = maps.Clone(g.Comps), slices.Clone(g.Links)
+	c.Comps, c.Links = slices.Clone(g.Comps), slices.Clone(g.Links)
 	return &c
 }
-
-// Fns returns the assigned function indices in ascending order.
-func (g *Graph) Fns() []int { return g.fns(make([]int, 0, len(g.Comps))) }
-
-// fnsBuf is the size of the stack buffer handed to fns: requests compose a
-// handful of functions, larger graphs spill to the heap.
-const fnsBuf = 16
 
 // Key returns a canonical signature of the graph: its composition pattern
 // plus the component assignment. Two graphs over different patterns (e.g.
@@ -205,11 +191,13 @@ func (g *Graph) Key() string {
 // function order) to dst and returns the extended buffer. Selection renders
 // a pattern once and then one assignment per candidate behind it.
 func (g *Graph) AppendAssignment(dst []byte) []byte {
-	var buf [fnsBuf]int
-	for _, i := range g.fns(buf[:0]) {
+	for i, s := range g.Comps {
+		if !s.Assigned() {
+			continue
+		}
 		dst = strconv.AppendInt(dst, int64(i), 10)
 		dst = append(dst, '=')
-		dst = append(dst, g.Comps[i].Comp.ID...)
+		dst = append(dst, s.Comp.ID...)
 		dst = append(dst, ';')
 	}
 	return dst
@@ -217,11 +205,11 @@ func (g *Graph) AppendAssignment(dst []byte) []byte {
 
 // Components returns the assigned components in function-index order.
 func (g *Graph) Components() []Component {
-	var buf [fnsBuf]int
-	idx := g.fns(buf[:0])
-	out := make([]Component, len(idx))
-	for k, i := range idx {
-		out[k] = g.Comps[i].Comp
+	out := make([]Component, 0, len(g.Comps))
+	for _, s := range g.Comps {
+		if s.Assigned() {
+			out = append(out, s.Comp)
+		}
 	}
 	return out
 }
@@ -229,7 +217,7 @@ func (g *Graph) Components() []Component {
 // Contains reports whether the graph uses the component with the given ID.
 func (g *Graph) Contains(componentID string) bool {
 	for _, s := range g.Comps {
-		if s.Comp.ID == componentID {
+		if s.Assigned() && s.Comp.ID == componentID {
 			return true
 		}
 	}
@@ -239,7 +227,7 @@ func (g *Graph) Contains(componentID string) bool {
 // ContainsPeer reports whether any assigned component is hosted on peer p.
 func (g *Graph) ContainsPeer(p p2p.NodeID) bool {
 	for _, s := range g.Comps {
-		if s.Comp.Peer == p {
+		if s.Assigned() && s.Comp.Peer == p {
 			return true
 		}
 	}
@@ -251,7 +239,9 @@ func (g *Graph) ContainsPeer(p p2p.NodeID) bool {
 func (g *Graph) Overlap(o *Graph) int {
 	ids := make(map[string]bool, len(o.Comps))
 	for _, s := range o.Comps {
-		ids[s.Comp.ID] = true
+		if s.Assigned() {
+			ids[s.Comp.ID] = true
+		}
 	}
 	n := 0
 	for _, s := range g.Comps {
@@ -268,6 +258,9 @@ func (g *Graph) FailProb() float64 {
 	seen := make(map[p2p.NodeID]float64)
 	peers := make([]p2p.NodeID, 0, len(g.Comps))
 	for _, s := range g.Comps {
+		if !s.Assigned() {
+			continue
+		}
 		if p, ok := seen[s.Comp.Peer]; !ok || s.Comp.FailProb > p {
 			if !ok {
 				peers = append(peers, s.Comp.Peer)
@@ -276,7 +269,7 @@ func (g *Graph) FailProb() float64 {
 		}
 	}
 	// Multiply in sorted peer order: float rounding depends on operation
-	// order, and map iteration would make the product run-dependent.
+	// order.
 	slices.Sort(peers)
 	alive := 1.0
 	for _, p := range peers {
@@ -285,18 +278,15 @@ func (g *Graph) FailProb() float64 {
 	return 1 - alive
 }
 
-// Qualified reports whether the graph satisfies the request: complete
-// assignment, QoS within Qreq, per-component resources within the probed
+// Qualified reports whether the graph satisfies the request: every slot
+// assigned, QoS within Qreq, per-component resources within the probed
 // availability, and bandwidth within every probed link's availability.
 func (g *Graph) Qualified(req *Request) bool {
-	if len(g.Comps) != g.Pattern.NumFunctions() {
-		return false
-	}
-	if !g.QoS.Satisfies(req.QoSReq) {
+	if len(g.Comps) != g.Pattern.NumFunctions() || !g.QoS.Satisfies(req.QoSReq) {
 		return false
 	}
 	for _, s := range g.Comps {
-		if !req.Res.Fits(s.Avail) {
+		if !s.Assigned() || !req.Res.Fits(s.Avail) {
 			return false
 		}
 	}
@@ -317,9 +307,10 @@ func (g *Graph) Qualified(req *Request) bool {
 // Every weight w_i is PsiWeight. Hops with zero availability yield +Inf.
 func (g *Graph) Cost(req *Request) float64 {
 	var cost float64
-	var buf [fnsBuf]int
-	for _, fn := range g.fns(buf[:0]) {
-		s := g.Comps[fn]
+	for _, s := range g.Comps {
+		if !s.Assigned() {
+			continue
+		}
 		for i := range s.Avail {
 			if req.Res[i] == 0 {
 				continue
@@ -343,13 +334,15 @@ func (g *Graph) Cost(req *Request) float64 {
 
 // String renders the assignment compactly, e.g. "f0→p3/scale.0 f1→p9/tick.1".
 func (g *Graph) String() string {
-	var buf [fnsBuf]int
 	var b strings.Builder
-	for k, i := range g.fns(buf[:0]) {
-		if k > 0 {
+	for i, s := range g.Comps {
+		if !s.Assigned() {
+			continue
+		}
+		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s→%s", g.Pattern.Function(i), g.Comps[i].Comp.ID)
+		fmt.Fprintf(&b, "%s→%s", g.Pattern.Function(i), s.Comp.ID)
 	}
 	return b.String()
 }

@@ -39,9 +39,9 @@ func twoFnGraph(availA, availB qos.Resources) (*Graph, *Request) {
 	}
 	g := &Graph{
 		Pattern: fg,
-		Comps: map[int]Snapshot{
-			0: {Comp: comp("c0", "a", 1, 0.1), Avail: availA},
-			1: {Comp: comp("c1", "b", 2, 0.2), Avail: availB},
+		Comps: []Snapshot{
+			{Comp: comp("c0", "a", 1, 0.1), Avail: availA},
+			{Comp: comp("c1", "b", 2, 0.2), Avail: availB},
 		},
 		Links: []LinkSnapshot{
 			{FromFn: -1, ToFn: 0, BandAvail: 1000},
@@ -125,9 +125,40 @@ func TestGraphQualified(t *testing.T) {
 	}
 	g.Links[1].BandAvail = 1000
 	// Incomplete assignment.
-	delete(g.Comps, 0)
+	g.Comps[0] = Snapshot{}
 	if g.Qualified(req) {
 		t.Fatal("incomplete graph qualified")
+	}
+}
+
+// TestQualifiedWantsEverySlotAssigned: a graph with any one function
+// unassigned, or with fewer slots than its pattern has functions, does not
+// qualify, however ample the rest.
+func TestQualifiedWantsEverySlotAssigned(t *testing.T) {
+	for fn := 0; fn < 2; fn++ {
+		g, req := twoFnGraph(res(5, 50), res(5, 50))
+		g.Comps[fn] = Snapshot{Avail: res(5, 50)}
+		if g.Qualified(req) {
+			t.Fatalf("a graph with function %d unassigned qualified", fn)
+		}
+	}
+	g, req := twoFnGraph(res(5, 50), res(5, 50))
+	if g.Comps = g.Comps[:1]; g.Qualified(req) {
+		t.Fatal("a graph with a slot missing qualified")
+	}
+}
+
+// TestCloneOwnsItsAssignment: writing a clone's slots or links leaves the
+// original as it was.
+func TestCloneOwnsItsAssignment(t *testing.T) {
+	g, _ := twoFnGraph(res(5, 50), res(5, 50))
+	key := g.Key()
+	c := g.Clone()
+	c.Comps[0] = Snapshot{Comp: comp("other", "a", 9, 0.1)}
+	c.Comps[1].Avail = res(1, 1)
+	c.Links[0].BandAvail = 1
+	if g.Key() != key || g.Comps[1].Avail != res(5, 50) || g.Links[0].BandAvail != 1000 {
+		t.Fatalf("mutating a clone changed the original: %s, %v", g, g.Links[0])
 	}
 }
 
@@ -171,9 +202,9 @@ func TestFailProb(t *testing.T) {
 	}
 	// Two components on the same peer count once.
 	fg := fgraph.Linear("a", "b")
-	g2 := &Graph{Pattern: fg, Comps: map[int]Snapshot{
-		0: {Comp: comp("x", "a", 7, 0.1)},
-		1: {Comp: comp("y", "b", 7, 0.1)},
+	g2 := &Graph{Pattern: fg, Comps: []Snapshot{
+		{Comp: comp("x", "a", 7, 0.1)},
+		{Comp: comp("y", "b", 7, 0.1)},
 	}}
 	if f := g2.FailProb(); math.Abs(f-0.1) > 1e-12 {
 		t.Fatalf("same-peer FailProb=%v, want 0.1", f)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -115,6 +116,32 @@ func TestProbeRoundTrip(t *testing.T) {
 	got.Pattern, got.Req = probe.Pattern, probe.Req
 	if !reflect.DeepEqual(got, probe) {
 		t.Fatalf("probe mangled:\n got %+v\nwant %+v", got, probe)
+	}
+}
+
+// TestServiceGraphRoundTrip: a selected graph, one assignment slot per
+// function of its pattern with the probed availability in each, crosses the
+// wire in a result unchanged, slot for slot.
+func TestServiceGraphRoundTrip(t *testing.T) {
+	RegisterAll()
+	fg := fgraph.Linear("x", "y", "z")
+	req := &service.Request{ID: 8, FGraph: fg, Budget: 3, Source: 0, Dest: 1, Bandwidth: 64}
+	g := &service.Graph{Pattern: fg, Req: req, PatternIdx: 1, Comps: make([]service.Snapshot, fg.NumFunctions())}
+	for fn := range g.Comps {
+		g.Comps[fn] = service.Snapshot{Comp: service.Component{ID: fmt.Sprintf("p%d/%s.0", fn+4, fg.Function(fn)),
+			Function: fg.Function(fn), Peer: p2p.NodeID(fn + 4), FailProb: 0.01 * float64(fn+1)}, Util: 0.125 * float64(fn)}
+		g.Comps[fn].Avail[qos.CPU], g.Comps[fn].Avail[qos.Memory] = 7.5-float64(fn), 90
+		g.Links = append(g.Links, service.LinkSnapshot{FromFn: fn - 1, ToFn: fn, BandAvail: 800, Latency: 4.25})
+	}
+	g.QoS[qos.Delay] = 120.5
+	res := bcp.Result{ReqID: 8, Ok: true, Best: g}
+	got, ok := roundTrip(t, res).(bcp.Result)
+	if !ok || got.Best == nil || !got.Best.Pattern.Equal(fg) || got.Best.Key() != g.Key() {
+		t.Fatalf("result or its graph mangled: %+v", got)
+	}
+	got.Best.Pattern, got.Best.Req = fg, req
+	if !reflect.DeepEqual(got.Best, g) {
+		t.Fatalf("graph mangled:\n got %+v\nwant %+v", got.Best, g)
 	}
 }
 

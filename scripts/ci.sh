@@ -48,8 +48,11 @@ echo "== live recovery: maintenance walks + switchover + paused timers (-race x1
 go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitForRecovery' ./internal/livenet
 
 # Allocation gates: the object budgets of one composition and one recovery
-# interval, and the paths that must allocate nothing at all (route cost,
-# candidate scoring, the dedupe key, next-hop planning). The run above had
+# interval, the paths that must allocate nothing at all (route cost,
+# candidate scoring, the dedupe key, next-hop planning), and the ones held to
+# a count: a probe hop (TestProbeHopAllocs: its Visited copy and one payload
+# per child, one object more when it waits on a lookup) and a function
+# graph's signature (TestSignatureAllocs: its key string). The run above had
 # them under the race detector only, whose runtime allocates differently;
 # these are the figures DESIGN.md quotes. The two benchmarks print the same
 # paths' objects, bytes and time into the log, the third the objects of
