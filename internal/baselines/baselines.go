@@ -74,11 +74,7 @@ const maxExamined = 2_000_000
 // and returns the best under obj. It is the unbounded-flooding comparator.
 func Optimal(w World, req *service.Request, obj Objective) SearchResult {
 	var res SearchResult
-	maxPat := req.MaxPatterns
-	if maxPat <= 0 {
-		maxPat = 4
-	}
-	for _, pat := range req.FGraph.Patterns(maxPat) {
+	for _, pat := range req.FGraph.Patterns() {
 		n := pat.NumFunctions()
 		lists := make([][]service.Component, n)
 		feasible := true
@@ -221,7 +217,7 @@ func BuildGraph(w World, req *service.Request, pat *fgraph.Graph, assign []servi
 	}
 	// Accumulate QoS per branch; merge with component-wise max.
 	var total qos.Vector
-	for _, br := range pat.Branches(16) {
+	for _, br := range pat.Branches() {
 		var q qos.Vector
 		prev := req.Source
 		prevFn := -1

@@ -144,15 +144,11 @@ func Backtracking(w World, req *service.Request, opt BacktrackOptions) (*service
 	if opt.MaxExpand <= 0 {
 		opt.MaxExpand = DefaultMaxExpand
 	}
-	maxPat := req.MaxPatterns
-	if maxPat <= 0 {
-		maxPat = 4
-	}
 	var stats BacktrackStats
 	var best *service.Graph
 	bestScore := math.Inf(1)
 
-	for _, pat := range req.FGraph.Patterns(maxPat) {
+	for _, pat := range req.FGraph.Patterns() {
 		n := pat.NumFunctions()
 		cands := make([][]service.Component, n)
 		feasible := true
@@ -176,7 +172,7 @@ func Backtracking(w World, req *service.Request, opt BacktrackOptions) (*service
 		if !feasible {
 			continue
 		}
-		branches := pat.Branches(16)
+		branches := pat.Branches()
 		assign := make([]service.Component, n)
 
 		// delayLB returns a lower bound on the final worst-branch delay once

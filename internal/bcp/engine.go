@@ -12,6 +12,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/fgraph"
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
@@ -114,11 +115,6 @@ const (
 	// cacheTTL is the age at which a cached function→duplicates list is
 	// refreshed; an older list still answers while its refresh is out.
 	cacheTTL = 30 * time.Second
-	// maxPatterns caps the commutation-induced composition patterns
-	// explored per request.
-	maxPatterns = 4
-	// maxBranches caps the DAG branch paths enumerated per pattern.
-	maxBranches = 8
 	// maxCandidates caps the merged candidate service graphs evaluated at
 	// the destination.
 	maxCandidates = 256
@@ -227,10 +223,11 @@ type Engine struct {
 	// Scratch of the two allocation-heavy steps, reused across requests:
 	// next-hop planning at every hop, selection at the destination; and the
 	// table discoverAllCached hands on when the cache serves every list.
-	next  nextHops
-	sel   selection
-	table []List
-	carry []List // the lists a probe carried, rebuilt (rebuilt)
+	next   nextHops
+	sel    selection
+	table  []List
+	carry  []List          // the lists a probe carried, rebuilt (rebuilt)
+	shapes []*fgraph.Graph // a request's patterns and its variants' (launchProbes)
 
 	// Hardening state (touched only when cfg.Hardened, except
 	// doneReqs, which also guards against duplicated results): retransmit
@@ -654,29 +651,31 @@ func (e *Engine) resolved(st *resolution) {
 	e.probeDiscovered(&st.pr, table, !st.failed)
 }
 
-// primaryPatternCap returns the pattern cap launchProbes explores per
-// function graph; selection uses it to tell primary candidates from variant
+// patternsOf returns the composition patterns launchProbes explores of
+// function graph g: only g itself under the DisableCommutation ablation.
+// Selection counts the primary graph's to tell its candidates from variant
 // fallbacks.
-func (e *Engine) primaryPatternCap() int {
+func (e *Engine) patternsOf(g *fgraph.Graph) []*fgraph.Graph {
 	if e.cfg.DisableCommutation {
-		return 1
+		return g.Patterns()[:1]
 	}
-	return maxPatterns
+	return g.Patterns()
 }
 
 // launchProbes splits the probing budget over composition patterns and
 // source functions and emits the initial probes (§4.1 step 1).
 func (e *Engine) launchProbes(st *composeState, table []List) {
 	req := st.req
-	maxPat := e.primaryPatternCap()
 	// Composition patterns come from the primary function graph's
 	// commutation links plus any alternative variants the request names
 	// (conditional-branch semantics): all are probed, and selection picks
-	// the best qualified graph across every shape.
-	patterns := req.FGraph.Patterns(maxPat)
+	// the best qualified graph across every shape. The graphs' own slices
+	// are read-only, so the list is built in scratch.
+	e.shapes = append(e.shapes[:0], e.patternsOf(req.FGraph)...)
 	for _, v := range req.Variants {
-		patterns = append(patterns, v.Patterns(maxPat)...)
+		e.shapes = append(e.shapes, e.patternsOf(v)...)
 	}
+	patterns := e.shapes
 	budgetPer := req.Budget / len(patterns)
 	if budgetPer < 1 {
 		budgetPer = 1

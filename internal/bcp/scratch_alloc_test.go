@@ -38,9 +38,7 @@ func TestCandidateScoringAllocs(t *testing.T) {
 		s.key = append(req.FGraph.AppendString(s.key[:0]), '|')
 		prefix := len(s.key)
 		for i := range records {
-			if !s.merge(req, records, []int32{int32(i)}) {
-				continue
-			}
+			s.merge(req, records, []int32{int32(i)})
 			s.key = s.trial.AppendAssignment(s.key[:prefix])
 			if s.addKey(s.key) && s.trial.Qualified(req) && e.score(&s.trial, req) > 0 {
 				scored++

@@ -193,7 +193,7 @@ type selection struct {
 	pats     []int
 	branchOf []int
 	recs     []int32
-	off      [maxBranches + 1]int
+	off      [fgraph.MaxBranches + 1]int
 }
 
 // candidate is one qualified combination: which record it takes per branch,
@@ -202,7 +202,7 @@ type candidate struct {
 	score   float64
 	variant bool // instantiates a request variant: ranks after every primary
 	n       int  // branches of its pattern
-	recs    [maxBranches]int32
+	recs    [fgraph.MaxBranches]int32
 }
 
 // addKey records key as seen and reports whether it was new. A request has
@@ -221,10 +221,10 @@ func (s *selection) addKey(key []byte) bool {
 	return true
 }
 
-// merge fills the trial graph from one record per branch, or reports false
-// if the records disagree on a shared function's component. Of a function or
-// link recorded by several branches the first record's snapshot stands.
-func (s *selection) merge(req *service.Request, records []Probe, recs []int32) bool {
+// merge fills the trial graph from one record per branch, records that
+// agree on every shared function's component. Of a function or link recorded
+// by several branches the first record's snapshot stands.
+func (s *selection) merge(req *service.Request, records []Probe, recs []int32) {
 	g := &s.trial
 	first := &records[recs[0]]
 	g.Pattern, g.PatternIdx, g.Req = first.Pattern, first.PatternIdx, req
@@ -235,14 +235,9 @@ func (s *selection) merge(req *service.Request, records []Probe, recs []int32) b
 	for _, ri := range recs {
 		r := &records[ri]
 		for i := range r.Visited {
-			h := &r.Visited[i]
-			if prev := g.Comps[h.Fn]; prev.Assigned() {
-				if prev.Comp.ID != h.Snap.Comp.ID {
-					return false // branches disagree on a shared function
-				}
-				continue
+			if h := &r.Visited[i]; !g.Comps[h.Fn].Assigned() {
+				g.Comps[h.Fn] = h.Snap
 			}
-			g.Comps[h.Fn] = h.Snap
 		}
 		for i := range r.Visited {
 			s.addLink(r.Visited[i].In)
@@ -251,7 +246,6 @@ func (s *selection) merge(req *service.Request, records []Probe, recs []int32) b
 		g.QoS = g.QoS.Max(r.QoS)
 	}
 	slices.SortFunc(g.Links, service.LinkSnapshot.Compare)
-	return true
 }
 
 func (s *selection) addLink(l service.LinkSnapshot) {
@@ -304,7 +298,7 @@ func (e *Engine) rank(req *service.Request, records []Probe) int {
 	// variants every pattern is primary.
 	primaryPatterns := math.MaxInt
 	if len(req.Variants) > 0 {
-		primaryPatterns = len(req.FGraph.Patterns(e.primaryPatternCap()))
+		primaryPatterns = len(e.patternsOf(req.FGraph))
 	}
 
 	s.pats = s.pats[:0]
@@ -341,7 +335,7 @@ func (e *Engine) rankPattern(req *service.Request, records []Probe, pi int, vari
 			pat = records[i].Pattern
 		}
 	}
-	branches := pat.Branches(maxBranches)
+	branches := pat.Branches()
 	s.branchOf = s.branchOf[:0]
 	for i := range records {
 		bi := -1
@@ -367,12 +361,21 @@ func (e *Engine) rankPattern(req *service.Request, records []Probe, pi int, vari
 	s.key = append(pat.AppendString(s.key[:0]), '|')
 	prefix := len(s.key)
 	c := candidate{variant: variant, n: len(branches)}
-	var idx [maxBranches]int
-	for {
-		for b := 0; b < c.n; b++ {
-			c.recs[b] = s.recs[s.off[b]+idx[b]]
-		}
-		if s.merge(req, records, c.recs[:c.n]) {
+	// Depth first over one record per branch, in odometer order (the last
+	// branch's record turns fastest). A record that disagrees with the
+	// records before it on a shared function's component advances its
+	// branch at once: no combination behind a disagreeing prefix is tried,
+	// which on a wide fan-out is nearly all of them.
+	var idx [fgraph.MaxBranches]int
+	for b := 0; ; {
+		c.recs[b] = s.recs[s.off[b]+idx[b]]
+		if agrees(records, c.recs[:b], c.recs[b]) {
+			if b < c.n-1 {
+				b++
+				idx[b] = 0
+				continue
+			}
+			s.merge(req, records, c.recs[:c.n])
 			s.key = s.trial.AppendAssignment(s.key[:prefix])
 			if s.addKey(s.key) {
 				if s.trial.Qualified(req) {
@@ -384,20 +387,31 @@ func (e *Engine) rankPattern(req *service.Request, records []Probe, pi int, vari
 				}
 			}
 		}
-		// Odometer increment.
-		k := c.n - 1
-		for k >= 0 {
-			idx[k]++
-			if s.off[k]+idx[k] < s.off[k+1] {
-				break
+		// Advance branch b, carrying into the branches before it.
+		for idx[b]++; s.off[b]+idx[b] == s.off[b+1]; idx[b]++ {
+			if b == 0 {
+				return true
 			}
-			idx[k] = 0
-			k--
-		}
-		if k < 0 {
-			return true
+			b--
 		}
 	}
+}
+
+// agrees reports whether record r visits every function it shares with the
+// records in prefix at the same component.
+func agrees(records []Probe, prefix []int32, r int32) bool {
+	hops := records[r].Visited
+	for _, p := range prefix {
+		for i := range records[p].Visited {
+			q := &records[p].Visited[i]
+			for j := range hops {
+				if hops[j].Fn == q.Fn && hops[j].Snap.Comp.ID != q.Snap.Comp.ID {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // branchIndex matches a record's visited function sequence to one of the

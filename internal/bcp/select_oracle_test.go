@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -41,7 +42,7 @@ func oracleSelect(e *Engine, req *service.Request, records []Probe) (candidates,
 		}
 		return s
 	}
-	primaryPatterns := len(req.FGraph.Patterns(e.primaryPatternCap()))
+	primaryPatterns := len(e.patternsOf(req.FGraph))
 	tier := func(g *service.Graph) int {
 		if g.PatternIdx < primaryPatterns {
 			return 0
@@ -87,7 +88,7 @@ func oracleMergeRecords(req *service.Request, records []Probe) []*service.Graph 
 	seen := make(map[string]bool)
 	for _, pi := range patIdx {
 		pat := patterns[pi].Pattern
-		branches := pat.Branches(maxBranches)
+		branches := pat.Branches()
 		slots := make([][]Probe, len(branches))
 		for i := range byPattern[pi] {
 			if bi := branchIndex(branches, &byPattern[pi][i]); bi >= 0 {
@@ -224,6 +225,23 @@ func randomShape(rng *rand.Rand, names []string) *fgraph.Graph {
 	return g
 }
 
+// fanOut builds names[0] -> each of the middle names -> the last name: as
+// many branches as middle names, every one through the same source and sink.
+func fanOut(names ...string) *fgraph.Graph {
+	b := fgraph.NewBuilder()
+	for _, n := range names {
+		b.AddFunction(n)
+	}
+	for i := 1; i < len(names)-1; i++ {
+		b.AddDependency(0, i).AddDependency(i, len(names)-1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // randomRecords draws what a collector could hold for req: per pattern and
 // branch a few probes (sometimes none, so the pattern is unusable), each
 // hop's component out of a small pool per function (so branches disagree on
@@ -231,15 +249,14 @@ func randomShape(rng *rand.Rand, names []string) *fgraph.Graph {
 // delays out of a few values (so scores tie and some candidates fail to
 // qualify), and now and then the same probe twice.
 func randomRecords(rng *rand.Rand, e *Engine, req *service.Request, perBranch, pool int) []Probe {
-	maxPat := e.primaryPatternCap()
-	patterns := req.FGraph.Patterns(maxPat)
+	patterns := slices.Clone(e.patternsOf(req.FGraph))
 	for _, v := range req.Variants {
-		patterns = append(patterns, v.Patterns(maxPat)...)
+		patterns = append(patterns, e.patternsOf(v)...)
 	}
 	var records []Probe
 	uid := uint64(0)
 	for pi, pat := range patterns {
-		for _, br := range pat.Branches(maxBranches) {
+		for _, br := range pat.Branches() {
 			n := rng.Intn(perBranch + 1)
 			for k := 0; k < n; k++ {
 				uid++
@@ -278,8 +295,8 @@ func TestSelectionMatchesOracle(t *testing.T) {
 	_, engines := discoveryRing(1)
 	e := engines[0]
 	rng := rand.New(rand.NewSource(17))
-	catalogue := []string{"a", "b", "c", "d", "e", "f"}
-	sawDisagreement, sawCap, sawVariantTier, sawTie := false, false, false, false
+	catalogue := []string{"a", "b", "c", "d", "e", "f", "g"}
+	sawDisagreement, sawCap, sawVariantTier, sawTie, sawWide := false, false, false, false, false
 	for trial := 0; trial < 400; trial++ {
 		e.cfg.SelectByDelay = trial%3 == 1
 		e.Load = nil
@@ -301,6 +318,11 @@ func TestSelectionMatchesOracle(t *testing.T) {
 			// distinct combinations than maxCandidates.
 			req.FGraph, req.Variants = fgraph.Linear(catalogue[:3]...), nil
 			perBranch, pool = 900, 8
+		}
+		if trial%10 == 4 {
+			// A fan-out of 3 to 5 branches that all share the source and
+			// the sink: most combinations disagree on one or the other.
+			req.FGraph = fanOut(catalogue[:2+3+trial/10%3]...)
 		}
 		records := randomRecords(rng, e, req, perBranch, pool)
 
@@ -325,7 +347,8 @@ func TestSelectionMatchesOracle(t *testing.T) {
 
 		sawCap = sawCap || len(wantAll) == maxCandidates
 		sawDisagreement = sawDisagreement || disagreeing(req, records)
-		primary := len(req.FGraph.Patterns(e.primaryPatternCap()))
+		primary := len(e.patternsOf(req.FGraph))
+		sawWide = sawWide || (len(req.FGraph.Branches()) >= 5 && len(want) > 0)
 		for i, g := range want {
 			sawVariantTier = sawVariantTier || (g.PatternIdx >= primary && want[0].PatternIdx < primary)
 			sawTie = sawTie || (i > 0 && e.score(g, req) == e.score(want[i-1], req))
@@ -333,9 +356,9 @@ func TestSelectionMatchesOracle(t *testing.T) {
 	}
 	// The generator must really have produced the cases the comparison is
 	// for; a quiet change to it would otherwise hollow the test out.
-	if !sawDisagreement || !sawCap || !sawVariantTier || !sawTie {
-		t.Fatalf("cases not covered: disagreeing branches %v, more than maxCandidates %v, variant tier %v, equal scores %v",
-			sawDisagreement, sawCap, sawVariantTier, sawTie)
+	if !sawDisagreement || !sawCap || !sawVariantTier || !sawTie || !sawWide {
+		t.Fatalf("cases not covered: disagreeing branches %v, more than maxCandidates %v, variant tier %v, equal scores %v, a qualified 5-branch fan-out %v",
+			sawDisagreement, sawCap, sawVariantTier, sawTie, sawWide)
 	}
 }
 

@@ -168,7 +168,6 @@ func (c *Coordinator) split(req *service.Request) ([]segment, bool) {
 		sub := c.subRequest(req, 0, dom, req.FGraph, len(fns), req.Dest)
 		sub.Variants = req.Variants
 		sub.Quota = req.Quota
-		sub.MaxPatterns = req.MaxPatterns
 		return []segment{{domain: dom, gw: sub.Source, sub: sub}}, true
 	}
 

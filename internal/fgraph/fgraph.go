@@ -4,9 +4,10 @@
 // composition order may be exchanged (§2.1 of the paper).
 //
 // The commutation links induce a set of composition patterns — the first
-// dimension of the paper's two-dimensional graph mapping problem (§2.4).
-// Patterns enumerates them; Branches decomposes a (pattern) graph into the
-// source→sink branch paths that individual composition probes traverse.
+// dimension of the paper's two-dimensional graph mapping problem (§2.4) —
+// and each pattern decomposes into the source→sink branch paths individual
+// composition probes traverse. Both are derived once, when a graph is built,
+// under the one cap pair every composer shares: MaxPatterns and MaxBranches.
 package fgraph
 
 import (
@@ -16,10 +17,20 @@ import (
 	"strconv"
 )
 
+// The shape caps of a request, shared by BCP and every baseline.
+const (
+	// MaxPatterns caps the composition patterns a graph derives from its
+	// commutation links, the graph itself included.
+	MaxPatterns = 4
+	// MaxBranches caps a graph's source→sink branch paths: Build refuses a
+	// graph with more, so no composer ever sees a truncated branch set.
+	MaxBranches = 8
+)
+
 // Graph is an immutable function graph. Build one with a Builder or Linear.
 // A graph is shared read-only, across goroutines too, so the facts derived
-// from its links (order, sources) are computed when it is made, never on
-// first use.
+// from its links (order, sources, patterns, branches) are computed when it
+// is made, never on first use.
 type Graph struct {
 	fns     []string
 	succ    [][]int
@@ -28,6 +39,10 @@ type Graph struct {
 	// order is a topological order; sources, its head, the nodes with no
 	// predecessors.
 	order, sources []int
+	// patterns are the composition patterns, pattern 0 the graph itself;
+	// branches are the source→sink paths.
+	patterns []*Graph
+	branches [][]int
 }
 
 // Builder accumulates functions and links and validates them into a Graph.
@@ -60,8 +75,8 @@ func (b *Builder) AddCommutation(a, c int) *Builder {
 }
 
 // Build validates the accumulated structure and returns the Graph. It
-// requires at least one function, in-range link endpoints, acyclicity, and
-// weak connectivity.
+// requires at least one function, in-range link endpoints, acyclicity, weak
+// connectivity and at most MaxBranches branch paths.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.fns)
 	if n == 0 {
@@ -99,6 +114,17 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	if !g.weaklyConnected() {
 		return nil, errors.New("fgraph: function graph is not connected")
+	}
+	// Counting stops one past the cap, so a path-explosive DAG costs
+	// nothing. An exchange of a chain segment keeps the count, so no
+	// pattern is over the cap either.
+	if g.branches = g.paths(MaxBranches + 1); len(g.branches) > MaxBranches {
+		return nil, fmt.Errorf("fgraph: %d or more branch paths, more than MaxBranches (%d)", len(g.branches), MaxBranches)
+	}
+	g.patterns = g.enumerate(MaxPatterns)
+	for i := 1; i < len(g.patterns); i++ {
+		p := g.patterns[i]
+		p.patterns, p.branches = g.patterns[i:i+1:i+1], p.paths(0)
 	}
 	return g, nil
 }
@@ -140,17 +166,6 @@ func (g *Graph) Predecessors(i int) []int { return g.pred[i] }
 // Sources returns the nodes with no predecessors (fed by the application
 // sender), in ascending order. The returned slice must not be modified.
 func (g *Graph) Sources() []int { return g.sources }
-
-// Sinks returns the nodes with no successors (feeding the destination).
-func (g *Graph) Sinks() []int {
-	var s []int
-	for i := range g.fns {
-		if len(g.succ[i]) == 0 {
-			s = append(s, i)
-		}
-	}
-	return s
-}
 
 // Commutations returns the commutation pairs. The slice must not be
 // modified.
@@ -217,14 +232,15 @@ func (g *Graph) weaklyConnected() bool {
 	return count == n
 }
 
-// Clone returns a deep copy of g. The derived order and sources are
-// shared, being read-only; whoever rewires the copy derives them again.
-func (g *Graph) Clone() *Graph {
+// clone returns a copy of g whose links may be rewired. The names,
+// commutation links, order and sources are shared, being read-only; whoever
+// rewires the copy derives order and sources again.
+func (g *Graph) clone() *Graph {
 	c := &Graph{
-		fns:     append([]string(nil), g.fns...),
+		fns:     g.fns,
 		succ:    make([][]int, len(g.succ)),
 		pred:    make([][]int, len(g.pred)),
-		commute: append([][2]int(nil), g.commute...),
+		commute: g.commute,
 		order:   g.order,
 		sources: g.sources,
 	}
@@ -320,20 +336,35 @@ func (g *Graph) swapAdjacent(a, b int) bool {
 	return true
 }
 
-// Patterns enumerates the composition patterns reachable from g by applying
-// commutation-link exchanges, including g itself, up to max graphs (max <= 0
-// means unbounded). Exploration is breadth-first, so patterns requiring
-// fewer exchanges come first.
-func (g *Graph) Patterns(max int) []*Graph {
+// Patterns returns the composition patterns of a graph made by Build: the
+// graph itself first, then those its commutation-link exchanges reach,
+// breadth first, so patterns requiring fewer exchanges come first — at most
+// MaxPatterns. A pattern's own patterns are itself alone: its exchanges
+// were explored from the graph it came out of. The returned slice must not
+// be modified.
+func (g *Graph) Patterns() []*Graph { return g.patterns }
+
+// Branches returns every source→sink dependency path, each as a slice of
+// node indices, in depth-first order. A probe traverses exactly one branch
+// (§4.3); the destination merges branch probes back into complete service
+// graphs. The returned slices must not be modified.
+func (g *Graph) Branches() [][]int { return g.branches }
+
+// enumerate returns g and the patterns its exchanges reach, breadth first,
+// up to max graphs (max <= 0 means unbounded).
+func (g *Graph) enumerate(max int) []*Graph {
+	patterns := []*Graph{g}
+	if len(g.commute) == 0 {
+		return patterns
+	}
 	seen := map[string]bool{g.signature(): true}
-	patterns := []*Graph{g.Clone()}
 	for at := 0; at < len(patterns); at++ {
-		if max > 0 && len(patterns) >= max {
-			break
-		}
 		cur := patterns[at]
 		for _, c := range cur.commute {
-			next := cur.Clone()
+			if max > 0 && len(patterns) >= max {
+				return patterns
+			}
+			next := cur.clone()
 			if !next.swapAdjacent(c[0], c[1]) {
 				continue
 			}
@@ -346,62 +377,34 @@ func (g *Graph) Patterns(max int) []*Graph {
 				panic(err) // an exchange of a chain segment keeps the graph acyclic
 			}
 			patterns = append(patterns, next)
-			if max > 0 && len(patterns) >= max {
-				break
-			}
 		}
 	}
 	return patterns
 }
 
-// Branches returns every source→sink dependency path, each as a slice of
-// node indices. A probe traverses exactly one branch (§4.3); the destination
-// merges branch probes back into complete service graphs. The number of
-// branches is capped at maxBranches to bound work on pathological DAGs
-// (maxBranches <= 0 means unbounded).
-func (g *Graph) Branches(maxBranches int) [][]int {
+// paths returns g's source→sink paths in depth-first order, stopping at max
+// of them (max <= 0 means unbounded).
+func (g *Graph) paths(max int) [][]int {
 	var out [][]int
-	var path []int
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
+	path := make([]int, 0, len(g.fns))
+	var dfs func(u int)
+	dfs = func(u int) {
+		if max > 0 && len(out) >= max {
+			return
+		}
 		path = append(path, u)
-		defer func() { path = path[:len(path)-1] }()
 		if len(g.succ[u]) == 0 {
 			out = append(out, append([]int(nil), path...))
-			return maxBranches <= 0 || len(out) < maxBranches
 		}
 		for _, v := range g.succ[u] {
-			if !dfs(v) {
-				return false
-			}
+			dfs(v)
 		}
-		return true
+		path = path[:len(path)-1]
 	}
-	for _, s := range g.Sources() {
-		if !dfs(s) {
-			break
-		}
+	for _, s := range g.sources {
+		dfs(s)
 	}
 	return out
-}
-
-// SharedFunctions returns the node indices that occur in more than one
-// branch — the functions on which branch probes must agree for their
-// recordings to merge into one service graph.
-func (g *Graph) SharedFunctions(maxBranches int) []int {
-	count := make([]int, len(g.fns))
-	for _, br := range g.Branches(maxBranches) {
-		for _, f := range br {
-			count[f]++
-		}
-	}
-	var shared []int
-	for i, c := range count {
-		if c > 1 {
-			shared = append(shared, i)
-		}
-	}
-	return shared
 }
 
 func containsInt(s []int, x int) bool {

@@ -3,6 +3,8 @@ package fgraph
 import (
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -28,9 +30,6 @@ func TestLinearGraph(t *testing.T) {
 	}
 	if got := g.Sources(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("sources=%v", got)
-	}
-	if got := g.Sinks(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("sinks=%v", got)
 	}
 	if got := g.Successors(0); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("succ(0)=%v", got)
@@ -125,7 +124,7 @@ func TestTopoOrder(t *testing.T) {
 
 func TestBranchesDiamond(t *testing.T) {
 	g := diamond(t)
-	br := g.Branches(0)
+	br := g.Branches()
 	if len(br) != 2 {
 		t.Fatalf("branches=%v", br)
 	}
@@ -147,28 +146,55 @@ func TestBranchesDiamond(t *testing.T) {
 
 func TestBranchesLinear(t *testing.T) {
 	g := Linear("a", "b", "c")
-	br := g.Branches(0)
+	br := g.Branches()
 	if len(br) != 1 || len(br[0]) != 3 {
 		t.Fatalf("branches=%v", br)
 	}
 }
 
+// TestBranchesCap: the path enumerator stops at its cap, which is how Build
+// counts a path-explosive DAG's branches without walking them all.
 func TestBranchesCap(t *testing.T) {
 	g := diamond(t)
-	br := g.Branches(1)
-	if len(br) != 1 {
+	if br := g.paths(1); len(br) != 1 || !slices.Equal(br[0], []int{0, 1, 3}) {
 		t.Fatalf("cap ignored: %v", br)
+	}
+	if br := g.paths(0); !slices.EqualFunc(br, g.Branches(), slices.Equal) {
+		t.Fatalf("unbounded paths %v, derived branches %v", br, g.Branches())
 	}
 }
 
-func TestSharedFunctions(t *testing.T) {
-	g := diamond(t)
-	shared := g.SharedFunctions(0)
-	if len(shared) != 2 || shared[0] != 0 || shared[1] != 3 {
-		t.Fatalf("shared=%v, want [0 3]", shared)
+// fanOut builds src -> k parallel functions -> sink: k branch paths.
+func fanOut(k int) *Builder {
+	b := NewBuilder()
+	b.AddFunction("src")
+	sink := b.AddFunction("sink")
+	for i := 0; i < k; i++ {
+		f := b.AddFunction("f" + strconv.Itoa(i))
+		b.AddDependency(0, f).AddDependency(f, sink)
 	}
-	if got := Linear("a", "b").SharedFunctions(0); got != nil {
-		t.Fatalf("linear graph has shared functions: %v", got)
+	return b
+}
+
+// TestBuildRefusesTooManyBranches: a graph past MaxBranches is refused with
+// the count in the error, one at the cap is built with every branch, and a
+// DAG with 2^40 paths is refused as fast as a fan-out.
+func TestBuildRefusesTooManyBranches(t *testing.T) {
+	g, err := fanOut(MaxBranches).Build()
+	if err != nil || len(g.Branches()) != MaxBranches {
+		t.Fatalf("%d-branch fan-out: %v", MaxBranches, err)
+	}
+	if _, err := fanOut(MaxBranches + 1).Build(); err == nil || !strings.Contains(err.Error(), "9 or more branch paths") {
+		t.Fatalf("%d-branch fan-out: err %v", MaxBranches+1, err)
+	}
+	b := NewBuilder()
+	b.AddFunction("head")
+	for i := 0; i < 40; i++ { // 40 diamonds in a row
+		l, r, join := b.AddFunction("l"), b.AddFunction("r"), b.AddFunction("j")
+		b.AddDependency(join-3, l).AddDependency(join-3, r).AddDependency(l, join).AddDependency(r, join)
+	}
+	if _, err := b.Build(); err == nil {
+		t.Fatal("a DAG with 2^40 branch paths was built")
 	}
 }
 
@@ -184,12 +210,12 @@ func TestPatternsLinearWithOneCommutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats := g.Patterns(0)
+	pats := g.Patterns()
 	if len(pats) != 2 {
 		t.Fatalf("patterns=%d, want 2", len(pats))
 	}
-	if !pats[0].Equal(g) {
-		t.Fatal("first pattern must be the original graph")
+	if pats[0] != g {
+		t.Fatal("first pattern must be the graph itself")
 	}
 	// The swapped pattern is a -> c -> b.
 	p := pats[1]
@@ -218,7 +244,7 @@ func TestPatternsTwoIndependentCommutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats := g.Patterns(0)
+	pats := g.Patterns()
 	if len(pats) != 4 {
 		t.Fatalf("patterns=%d, want 4", len(pats))
 	}
@@ -242,8 +268,15 @@ func TestPatternsRespectMax(t *testing.T) {
 	}
 	b.AddCommutation(1, 2).AddCommutation(3, 4)
 	g, _ := b.Build()
-	if got := g.Patterns(3); len(got) != 3 {
+	if got := g.enumerate(3); len(got) != 3 {
 		t.Fatalf("max not respected: %d", len(got))
+	}
+	// A third exchangeable pair reaches more patterns than a graph keeps.
+	b.AddFunction("f")
+	b.AddDependency(4, 5).AddCommutation(4, 5)
+	g, _ = b.Build()
+	if all, kept := len(g.enumerate(0)), len(g.Patterns()); all <= MaxPatterns || kept != MaxPatterns {
+		t.Fatalf("%d patterns reachable, %d kept; want more than %d and %d", all, kept, MaxPatterns, MaxPatterns)
 	}
 }
 
@@ -260,15 +293,18 @@ func TestPatternsNonSwappablePairIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pats := g.Patterns(0); len(pats) != 1 {
+	if pats := g.Patterns(); len(pats) != 1 {
 		t.Fatalf("patterns=%d, want 1", len(pats))
 	}
 }
 
 // Property: every pattern is a valid DAG over the same function multiset,
-// and every branch of every pattern visits each function at most once.
+// and every branch of every pattern visits each function at most once. The
+// enumeration walks past MaxPatterns; what Build keeps is its head, each
+// pattern with its own branches.
 func TestPatternsPreserveInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
+	widest := 0
 	for trial := 0; trial < 30; trial++ {
 		n := 3 + rng.Intn(5)
 		b := NewBuilder()
@@ -281,7 +317,7 @@ func TestPatternsPreserveInvariants(t *testing.T) {
 			b.AddDependency(i, i+1)
 		}
 		// Random commutation pairs on adjacent chain nodes.
-		for k := 0; k < 1+rng.Intn(2); k++ {
+		for k := 0; k < 1+rng.Intn(3); k++ {
 			i := rng.Intn(n - 1)
 			b.AddCommutation(i, i+1)
 		}
@@ -289,7 +325,17 @@ func TestPatternsPreserveInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range g.Patterns(16) {
+		all := g.enumerate(16)
+		widest = max(widest, len(all))
+		for i, p := range g.Patterns() {
+			if !p.Equal(all[i]) || !slices.EqualFunc(p.Branches(), p.paths(0), slices.Equal) {
+				t.Fatalf("pattern %d is %v with branches %v; enumerated %v with %v", i, p, p.Branches(), all[i], all[i].paths(0))
+			}
+			if ps := p.Patterns(); ps[0] != p || (i > 0 && len(ps) != 1) {
+				t.Fatalf("pattern %d's own patterns are %v", i, ps)
+			}
+		}
+		for _, p := range all {
 			order := p.TopoOrder()
 			if len(order) != n {
 				t.Fatalf("pattern lost nodes: %v", order)
@@ -305,7 +351,7 @@ func TestPatternsPreserveInvariants(t *testing.T) {
 			if f, err := fresh.Build(); err != nil || !slices.Equal(order, f.TopoOrder()) || !slices.Equal(p.Sources(), f.Sources()) {
 				t.Fatalf("pattern %v: order %v and sources %v, built afresh %v and %v (%v)", p, order, p.Sources(), f.TopoOrder(), f.Sources(), err)
 			}
-			for _, br := range p.Branches(0) {
+			for _, br := range p.paths(0) {
 				seen := map[int]bool{}
 				for _, f := range br {
 					if seen[f] {
@@ -322,11 +368,14 @@ func TestPatternsPreserveInvariants(t *testing.T) {
 			}
 		}
 	}
+	if widest <= MaxPatterns {
+		t.Fatalf("no trial reached more than %d patterns (at most %d)", MaxPatterns, widest)
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
 	g := diamond(t)
-	c := g.Clone()
+	c := g.clone()
 	if !c.Equal(g) {
 		t.Fatal("clone not equal")
 	}
@@ -363,7 +412,7 @@ func TestFunctionsCopy(t *testing.T) {
 	}
 }
 
-// TestSignatureAllocs: rendering a pattern's signature, as Patterns does for
+// TestSignatureAllocs: rendering a pattern's signature, as Build does for
 // every exchange it tries, allocates at most the key string.
 func TestSignatureAllocs(t *testing.T) {
 	b := NewBuilder()

@@ -30,8 +30,9 @@ func (g *Graph) GobEncode() ([]byte, error) {
 }
 
 // GobDecode implements gob.GobDecoder. The decoded graph passes the same
-// validation as Builder.Build, so a malformed peer cannot inject cyclic or
-// disconnected graphs.
+// validation as Builder.Build, so a malformed peer cannot inject cyclic,
+// disconnected or over-branched graphs, and derives the same patterns and
+// branches.
 func (g *Graph) GobDecode(data []byte) error {
 	var w wireGraph
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -52,5 +53,6 @@ func (g *Graph) GobDecode(data []byte) error {
 		return err
 	}
 	*g = *decoded
+	g.patterns[0] = g // pattern 0 is the graph itself, not the copy decoded
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -46,11 +47,11 @@ func TestGobRoundTripDAGWithCommutation(t *testing.T) {
 	if len(got.Commutations()) != 1 {
 		t.Fatal("commutation links lost")
 	}
-	// The decoded graph is fully functional.
-	if len(got.Patterns(0)) != len(g.Patterns(0)) {
+	// The decoded graph derived its shapes, pattern 0 itself.
+	if len(got.Patterns()) != len(g.Patterns()) || got.Patterns()[0] != got {
 		t.Fatal("patterns differ after round trip")
 	}
-	if len(got.Branches(0)) != len(g.Branches(0)) {
+	if !slices.EqualFunc(got.Branches(), g.Branches(), slices.Equal) {
 		t.Fatal("branches differ after round trip")
 	}
 }
@@ -83,6 +84,26 @@ func TestGobRoundTripProperty(t *testing.T) {
 		}
 		if got := roundTrip(t, g); !got.Equal(g) {
 			t.Fatalf("trial %d: round trip changed graph", trial)
+		}
+	}
+}
+
+// TestGobDecodeRefusesTooManyBranches: a peer cannot send a graph Build
+// would refuse; one at the cap decodes.
+func TestGobDecodeRefusesTooManyBranches(t *testing.T) {
+	for k := MaxBranches; k <= MaxBranches+1; k++ {
+		w := wireGraph{Fns: []string{"src", "sink"}}
+		for i := 0; i < k; i++ {
+			w.Fns = append(w.Fns, "f")
+			w.Deps = append(w.Deps, [2]int{0, 2 + i}, [2]int{2 + i, 1})
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		var g Graph
+		if err := g.GobDecode(buf.Bytes()); (err == nil) != (k <= MaxBranches) {
+			t.Fatalf("%d-branch fan-out: err %v", k, err)
 		}
 	}
 }

@@ -66,9 +66,8 @@ type Request struct {
 	// unless a teardown or a renewal comes first; 0 keeps it until torn down.
 	Lease time.Duration
 
-	Budget      int   // probing budget β (number of probes)
-	Quota       []int // per-function probing quota α; nil = replica-proportional default
-	MaxPatterns int   // cap on commutation-induced patterns; 0 = default
+	Budget int   // probing budget β (number of probes)
+	Quota  []int // per-function probing quota α; nil = replica-proportional default
 
 	// Variants are alternative function graphs that also satisfy the user
 	// (the paper's future-work "more expressive composition semantics such

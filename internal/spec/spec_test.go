@@ -2,9 +2,11 @@ package spec
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/fgraph"
 	"repro/internal/qos"
 )
 
@@ -87,6 +89,29 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(strings.NewReader(s)); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
+	}
+}
+
+// fanOutSpec declares s -> k parallel functions -> t: k branch paths.
+func fanOutSpec(k int) string {
+	var b strings.Builder
+	b.WriteString(`<composite name="fan"><function id="s" name="fn0"/><function id="t" name="fn1"/>`)
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&b, `<function id="m%d" name="fn%d"/><dependency from="s" to="m%d"/><dependency from="m%d" to="t"/>`, i, i+2, i, i)
+	}
+	b.WriteString(`</composite>`)
+	return b.String()
+}
+
+// TestParseRefusesTooManyBranches: a specification may declare no more
+// branch paths than fgraph.MaxBranches; one at the cap parses whole.
+func TestParseRefusesTooManyBranches(t *testing.T) {
+	req, err := Parse(strings.NewReader(fanOutSpec(fgraph.MaxBranches)))
+	if err != nil || len(req.FGraph.Branches()) != fgraph.MaxBranches {
+		t.Fatalf("%d-branch fan-out: %v", fgraph.MaxBranches, err)
+	}
+	if _, err := Parse(strings.NewReader(fanOutSpec(fgraph.MaxBranches + 1))); err == nil || !strings.Contains(err.Error(), "branch paths") {
+		t.Fatalf("%d-branch fan-out: err %v", fgraph.MaxBranches+1, err)
 	}
 }
 

@@ -270,28 +270,14 @@ func TestWeightedDistinctProperties(t *testing.T) {
 	}
 }
 
-// TestPickFunctionsHonorsPopularity is the regression test for the uniform-
-// sampling bug: with a popularity distribution configured, the generator
-// must skew function choice accordingly instead of silently sampling
-// uniformly.
+// TestPickFunctionsHonorsPopularity: a scenario's Zipf popularity skews
+// function choice, rank 0 dominating rank 9 by roughly the configured ratio
+// over many requests, instead of the generator sampling uniformly.
 func TestPickFunctionsHonorsPopularity(t *testing.T) {
 	cat := catalog(10)
-	pop := make([]float64, 10)
-	pop[3] = 1 // all mass on one function
-	g := NewGenerator(Config{Catalog: cat, Peers: 20, MinFuncs: 1, MaxFuncs: 1, Popularity: pop},
-		rand.New(rand.NewSource(2)))
-	for i := 0; i < 100; i++ {
-		r := g.Next()
-		if got := r.FGraph.Function(0); got != cat[3] {
-			t.Fatalf("request %d picked %q; popularity distribution ignored", i, got)
-		}
-	}
-
-	// Zipf-shaped popularity: rank 0 must dominate rank 9 by roughly the
-	// configured ratio over many requests.
-	g = NewGenerator(Config{
+	g := NewGenerator(Config{
 		Catalog: cat, Peers: 20, MinFuncs: 1, MaxFuncs: 1,
-		Popularity: ZipfWeights(10, 1.5),
+		Scenario: &Scenario{Zipf: 1.5},
 	}, rand.New(rand.NewSource(3)))
 	counts := map[string]int{}
 	for i := 0; i < 5000; i++ {

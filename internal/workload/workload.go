@@ -28,15 +28,6 @@ type Config struct {
 	// DelayReqMin/Max bound the sampled end-to-end delay requirement in ms
 	// (default 800..3000).
 	DelayReqMin, DelayReqMax float64
-	// LossReqMax, when positive, samples an end-to-end loss-rate
-	// requirement from [LossReqMax/2, LossReqMax). Zero leaves loss
-	// unconstrained.
-	LossReqMax float64
-	// BandwidthMin/Max bound the sampled bandwidth requirement in kbps
-	// (default 50..300).
-	BandwidthMin, BandwidthMax float64
-	// Res is the per-component requirement (default cpu=1, mem=10).
-	Res qos.Resources
 	// FailReq is the required failure probability (default 0.05).
 	FailReq float64
 
@@ -47,16 +38,18 @@ type Config struct {
 	// commutation link between two adjacent middle functions (default 0).
 	CommuteProb float64
 
-	// Popularity, when non-nil, weights function choice per catalogue index
-	// (weights need not be normalized; they must be non-negative and one per
-	// catalogue entry). Nil samples functions uniformly.
-	Popularity []float64
-	// Scenario, when non-nil, layers the time-varying stress shaping on top
-	// of Popularity: Zipf popularity (which then overrides Popularity) and
-	// flash-crowd boosts evaluated at the time passed to NextAt. Diurnal
-	// and churn keys are consumed by the experiment harness, not here.
+	// Scenario, when non-nil, shapes function popularity: Zipf popularity
+	// and flash-crowd boosts evaluated at the time passed to NextAt. Diurnal
+	// and churn keys are consumed by the experiment harness, not here. Nil
+	// samples functions uniformly.
 	Scenario *Scenario
 }
+
+// Every generated request asks each component for compRes and each
+// service link for a bandwidth drawn from [bandwidthMin, bandwidthMax) kbps.
+var compRes = qos.Resources{qos.CPU: 1, qos.Memory: 10}
+
+const bandwidthMin, bandwidthMax = 50, 300
 
 func (c Config) withDefaults() Config {
 	if c.MinFuncs == 0 {
@@ -70,13 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DelayReqMax == 0 {
 		c.DelayReqMin, c.DelayReqMax = 800, 3000
-	}
-	if c.BandwidthMax == 0 {
-		c.BandwidthMin, c.BandwidthMax = 50, 300
-	}
-	if c.Res == (qos.Resources{}) {
-		c.Res[qos.CPU] = 1
-		c.Res[qos.Memory] = 10
 	}
 	if c.FailReq == 0 {
 		c.FailReq = 0.05
@@ -102,15 +88,15 @@ func NewGenerator(cfg Config, rng *rand.Rand) *Generator {
 
 // Next returns the next random request. Source and destination are distinct
 // random peers; functions are distinct random catalogue entries, weighted by
-// the configured popularity distribution (uniform when none). Equivalent to
+// the scenario's popularity (uniform without one). Equivalent to
 // NextAt(0); scenario-driven callers should pass the arrival time so flash
 // windows shape popularity.
 func (g *Generator) Next() *service.Request { return g.NextAt(0) }
 
 // NextAt returns the next random request as of simulated time at: function
 // popularity reflects the scenario's state (Zipf curve plus any flash crowd
-// active at that instant). With no scenario and no popularity configured it
-// is byte-identical to the pre-scenario generator.
+// active at that instant). With no scenario it is byte-identical to the
+// pre-scenario generator.
 func (g *Generator) NextAt(at time.Duration) *service.Request {
 	c := g.cfg
 	g.nextID++
@@ -139,17 +125,13 @@ func (g *Generator) NextAt(at time.Duration) *service.Request {
 
 	q := qos.Unbounded()
 	q[qos.Delay] = c.DelayReqMin + g.rng.Float64()*(c.DelayReqMax-c.DelayReqMin)
-	if c.LossReqMax > 0 {
-		p := c.LossReqMax/2 + g.rng.Float64()*c.LossReqMax/2
-		q[qos.Loss] = qos.LossToAdditive(p)
-	}
 
 	return &service.Request{
 		ID:        g.nextID,
 		FGraph:    fg,
 		QoSReq:    q,
-		Res:       c.Res,
-		Bandwidth: c.BandwidthMin + g.rng.Float64()*(c.BandwidthMax-c.BandwidthMin),
+		Res:       compRes,
+		Bandwidth: bandwidthMin + g.rng.Float64()*(bandwidthMax-bandwidthMin),
 		FailReq:   c.FailReq,
 		Source:    src,
 		Dest:      dst,
@@ -159,16 +141,11 @@ func (g *Generator) NextAt(at time.Duration) *service.Request {
 
 // pickFunctions draws n distinct catalogue functions as of time at. Every
 // function choice routes through the one weighted sampler: the scenario's
-// time-varying weights when a scenario is set, the static Popularity
-// distribution otherwise, and the uniform draw when neither is configured.
-// (An earlier version ignored Popularity entirely and always sampled
-// uniformly; the regression test pins the weighted path.)
+// time-varying weights when a scenario is set, the uniform draw otherwise.
 func (g *Generator) pickFunctions(n int, at time.Duration) []string {
-	w := g.cfg.Popularity
+	var w []float64
 	if g.cfg.Scenario != nil {
-		if sw := g.cfg.Scenario.WeightsAt(at, g.cfg.Catalog); sw != nil {
-			w = sw
-		}
+		w = g.cfg.Scenario.WeightsAt(at, g.cfg.Catalog)
 	}
 	idx := weightedDistinct(g.rng, w, len(g.cfg.Catalog), n)
 	out := make([]string, n)

@@ -74,7 +74,7 @@ func TestDAGGeneration(t *testing.T) {
 	sawDiamond := false
 	for i := 0; i < 20; i++ {
 		r := g.Next()
-		if len(r.FGraph.Branches(0)) >= 2 {
+		if len(r.FGraph.Branches()) >= 2 {
 			sawDiamond = true
 			// Diamond: node 0 fans out to 1 and 2.
 			if s := r.FGraph.Successors(0); len(s) != 2 {
@@ -98,7 +98,7 @@ func TestCommutationGeneration(t *testing.T) {
 			t.Fatalf("request %d has %d commutation links, want 1", i, len(r.FGraph.Commutations()))
 		}
 		// Each commutation produces exactly one extra pattern.
-		if got := len(r.FGraph.Patterns(0)); got != 2 {
+		if got := len(r.FGraph.Patterns()); got != 2 {
 			t.Fatalf("patterns=%d, want 2", got)
 		}
 	}

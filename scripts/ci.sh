@@ -30,6 +30,13 @@ go test -race ./...
 echo "== spidernode flag table + live run (-race, 60s timeout)"
 go test -race -count=1 -timeout 60s ./cmd/spidernode
 
+# Selection once tried every combination of one probe record per branch, so
+# a fan-out request of six or seven branches, all through one source and one
+# sink, held the destination for minutes to hours; the same short timeout
+# turns an exponential selection that comes back into a failure, not a hang.
+echo "== wide fan-out selection (-race, 60s timeout)"
+go test -race -count=1 -timeout 60s -run TestWideFanOutCallsBack ./internal/cluster
+
 # The socket runtime composes at the protocol's own collect and give-up
 # timers (bcp.CollectTimeout, bcp.GiveUpTimeout): five runs under the race
 # detector, and the same short timeout, keep a race or a wall-clock

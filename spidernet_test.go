@@ -107,7 +107,7 @@ func TestRequestBuilderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(req.FGraph.Branches(0)); got != 2 {
+	if got := len(req.FGraph.Branches()); got != 2 {
 		t.Fatalf("branches=%d", got)
 	}
 	// Cycles rejected.
@@ -141,7 +141,7 @@ func TestRequestBuilderDefaultsAndIDs(t *testing.T) {
 	d := b.Function("c")
 	b.Depends(a, c).Depends(c, d).Commutes(c, d)
 	req := b.MustBuild()
-	if len(req.FGraph.Patterns(0)) != 2 {
+	if len(req.FGraph.Patterns()) != 2 {
 		t.Fatal("commutation did not create a second pattern")
 	}
 }
