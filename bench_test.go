@@ -230,8 +230,9 @@ func BenchmarkAblationBackupSelection(b *testing.B) {
 	run := func(disjoint bool) (switchovers int, meanRecoveryMs float64, replacedOut, recoveriesOut int) {
 		rc := recovery.DefaultConfig()
 		rc.DisjointBackups = disjoint
+		met := obs.NewMetrics()
 		c := cluster.New(cluster.Options{
-			Seed: 73, IPNodes: 400, Peers: 80, Recovery: &rc,
+			Seed: 73, IPNodes: 400, Peers: 80, Recovery: &rc, Metrics: met,
 		})
 		gen := workload.NewGenerator(workload.Config{
 			Catalog: c.FunctionsByReplicas()[:5], Peers: 80,
@@ -264,7 +265,6 @@ func BenchmarkAblationBackupSelection(b *testing.B) {
 			}
 		}
 		c.Sim.Run(c.Sim.Now() + 60*time.Second)
-		total, n := 0.0, 0
 		replaced, recoveries := 0, 0
 		for _, p := range c.Peers {
 			if p.Recovery == nil {
@@ -274,17 +274,8 @@ func BenchmarkAblationBackupSelection(b *testing.B) {
 			switchovers += st.Switchovers
 			recoveries += st.Switchovers + st.Reactives
 			replaced += st.ComponentsReplaced
-			for _, ev := range p.Recovery.Events() {
-				if ev.Kind == recovery.EventSwitchover {
-					total += float64(ev.RecoveryTime) / float64(time.Millisecond)
-					n++
-				}
-			}
 		}
-		if n > 0 {
-			meanRecoveryMs = total / float64(n)
-		}
-		return switchovers, meanRecoveryMs, replaced, recoveries
+		return switchovers, met.Switchover.Mean(), replaced, recoveries
 	}
 	for i := 0; i < b.N; i++ {
 		so, rt, rep, recov := run(false)

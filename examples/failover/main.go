@@ -7,16 +7,26 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	spidernet "repro"
 )
 
 func main() {
+	// Each recovery outcome is a rec.switchover, rec.reactive or rec.dead
+	// trace event; keep them to print under the summary.
+	var outcomes []spidernet.TraceEvent
 	net := spidernet.NewSim(spidernet.SimOptions{
 		Seed:     11,
 		Peers:    100,
 		Recovery: true, // attach the proactive failure recovery manager
+		Trace: spidernet.TracerFunc(func(ev spidernet.TraceEvent) {
+			switch ev.Kind {
+			case "rec.switchover", "rec.reactive", "rec.dead":
+				outcomes = append(outcomes, ev)
+			}
+		}),
 	})
 	fns := net.Functions()[:3]
 
@@ -69,8 +79,10 @@ func main() {
 	st := net.RecoveryStatsFor(req.Source)
 	fmt.Printf("\nrecovery summary: detected=%d switchovers=%d reactive=%d unrecovered=%d\n",
 		st.FailuresDetected, st.Switchovers, st.Reactives, st.Dead)
-	for _, ev := range net.RecoveryEventsFor(req.Source) {
-		fmt.Printf("  t=%-8v %-11s recovery-time=%v\n",
-			ev.Time.Round(time.Millisecond), ev.Kind, ev.RecoveryTime.Round(time.Millisecond))
+	for _, ev := range outcomes {
+		if ev.Node == req.Source && ev.Req == req.ID {
+			fmt.Printf("  t=%-8v %-11s recovery-time=%v\n",
+				ev.TS.Round(time.Millisecond), strings.TrimPrefix(ev.Kind, "rec."), ev.Dur.Round(time.Millisecond))
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Shape tests: the reproduced figures must exhibit the qualitative
@@ -43,8 +45,13 @@ func TestFig8Shape(t *testing.T) {
 	}
 }
 
+// TestFig9Shape also holds Fig 9 to its trace: each unit's count is that
+// cell's rec.dead events from the warm-up on, bucketed by TimeUnit.
 func TestFig9Shape(t *testing.T) {
-	res := fig9Default().res
+	mem := &obs.MemSink{}
+	cfg := DefaultFig9Config()
+	cfg.Sweep = Sweep{Seed: 1, Parallel: 1, Trace: mem}
+	res := Fig9(cfg)
 	if len(res.Points) != 60 {
 		t.Fatalf("points=%d", len(res.Points))
 	}
@@ -67,6 +74,32 @@ func TestFig9Shape(t *testing.T) {
 	// A small number of backups suffices (the paper reports ≈2.74).
 	if res.AvgBackups <= 0 || res.AvgBackups > 5 {
 		t.Fatalf("AvgBackups=%v out of plausible range", res.AvgBackups)
+	}
+
+	// The cells run in order, with recovery then without, each on a clock
+	// starting at zero: a timestamp going backward starts the second.
+	dead := [2][]int{make([]int, cfg.TimeUnits), make([]int, cfg.TimeUnits)}
+	cell := 0
+	var last time.Duration
+	for _, ev := range mem.Events() {
+		if ev.TS < last {
+			cell++
+		}
+		last = ev.TS
+		if ev.Kind == obs.KindRecDead && ev.TS >= fig9Warmup {
+			if u := int((ev.TS - fig9Warmup) / cfg.TimeUnit); u < cfg.TimeUnits {
+				dead[cell][u]++
+			}
+		}
+	}
+	if cell != 1 {
+		t.Fatalf("trace holds %d cells, want 2", cell+1)
+	}
+	for _, p := range res.Points {
+		if p.WithRecovery != dead[0][p.Minute] || p.WithoutRecovery != dead[1][p.Minute] {
+			t.Errorf("unit %d: with/without %d/%d, trace's rec.dead %d/%d",
+				p.Minute, p.WithRecovery, p.WithoutRecovery, dead[0][p.Minute], dead[1][p.Minute])
+		}
 	}
 }
 

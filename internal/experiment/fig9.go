@@ -96,22 +96,18 @@ func Fig9(cfg Fig9Config) Fig9Result {
 	recCfgs[1].Proactive = false
 	recCfgs[1].Reactive = false
 
-	tls := make([]*metrics.Timeline, 2)
+	dead := make([][]int, 2)
 	stats := make([]recovery.Stats, 2)
 	runCells(2, cfg.Parallel, cfg.Trace, func(i int, tracer obs.Tracer) {
-		tls[i], stats[i] = fig9Run(cfg, recCfgs[i], tracer)
+		dead[i], stats[i] = fig9Run(cfg, recCfgs[i], tracer)
 	})
-
-	horizon := time.Duration(cfg.TimeUnits) * cfg.TimeUnit
-	wi := tls[0].Counts(horizon)
-	wo := tls[1].Counts(horizon)
 
 	var out Fig9Result
 	for i := 0; i < cfg.TimeUnits; i++ {
 		out.Points = append(out.Points, Fig9Point{
 			Minute:          i,
-			WithoutRecovery: wo[i],
-			WithRecovery:    wi[i],
+			WithoutRecovery: dead[1][i],
+			WithRecovery:    dead[0][i],
 		})
 	}
 	out.AvgBackups = stats[0].AvgBackups()
@@ -135,10 +131,26 @@ func (r Fig9Result) Footnote() string {
 		r.AvgBackups, r.Switchovers, r.Reactives, r.DeadWithRecovery, r.DeadWithout)
 }
 
+// fig9Warmup lets the initial session population settle before churn starts.
+const fig9Warmup = 30 * time.Second
+
 // fig9Run simulates one protected (or unprotected) session population under
-// churn and returns the timeline of unrecovered failures.
-func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metrics.Timeline, recovery.Stats) {
-	opts := cfg.options(tracer)
+// churn and returns its unrecovered failures per time unit: the cell's own
+// rec.dead events from the end of the warm-up on, bucketed by TimeUnit.
+func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) ([]int, recovery.Stats) {
+	dead := make([]int, cfg.TimeUnits)
+	var count obs.Tracer = obs.TracerFunc(func(ev obs.Event) {
+		if ev.Kind != obs.KindRecDead || ev.TS < fig9Warmup {
+			return
+		}
+		if i := int((ev.TS - fig9Warmup) / cfg.TimeUnit); i < len(dead) {
+			dead[i]++
+		}
+	})
+	if tracer != nil {
+		count = obs.MultiTracer{tracer, count}
+	}
+	opts := cfg.options(count)
 	opts.BCP = bcp.DefaultConfig()
 	if cfg.Faults != nil {
 		opts.BCP, recCfg = cluster.Hardened(opts.BCP, recCfg)
@@ -161,7 +173,6 @@ func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metric
 		FailReq:     0.02,
 	}, newRng(cfg.Seed+300))
 
-	tl := metrics.NewTimeline(cfg.TimeUnit)
 	live := 0
 
 	// establish keeps composing until one session sticks (or attempts run
@@ -189,8 +200,7 @@ func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metric
 	for i := 0; i < cfg.Sessions; i++ {
 		establish(3)
 	}
-	// Let the initial population settle before churn starts.
-	c.Sim.Run(30 * time.Second)
+	c.Sim.Run(fig9Warmup)
 
 	// Fail ChurnFrac of the peers at every unit; right after each tick's
 	// failures, replace the sessions that died in earlier units to keep the
@@ -198,10 +208,10 @@ func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metric
 	churn := cluster.Churn{Rng: newRng(cfg.Seed + 400), Frac: cfg.ChurnFrac,
 		DownFor: time.Duration(cfg.RecoverAfter) * cfg.TimeUnit}
 	for unit := 0; unit < cfg.TimeUnits; unit++ {
-		churn.Ticks = append(churn.Ticks, 30*time.Second+time.Duration(unit)*cfg.TimeUnit)
+		churn.Ticks = append(churn.Ticks, fig9Warmup+time.Duration(unit)*cfg.TimeUnit)
 	}
 	run := c.Start(cluster.Plan{Churn: []cluster.Churn{churn},
-		Horizon: 30*time.Second + time.Duration(cfg.TimeUnits)*cfg.TimeUnit + 30*time.Second}, nil)
+		Horizon: fig9Warmup + time.Duration(cfg.TimeUnits)*cfg.TimeUnit + 30*time.Second}, nil)
 	for _, at := range churn.Ticks {
 		c.Sim.Schedule(at-c.Sim.Now(), func() {
 			for i := live - c.RecoveryStats().Dead; i < cfg.Sessions; i++ {
@@ -210,14 +220,5 @@ func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) (*metric
 		})
 	}
 	run.Finish()
-
-	// Every EventDead is an unrecovered failure.
-	for _, p := range c.Peers {
-		for _, ev := range p.Recovery.Events() {
-			if ev.Kind == recovery.EventDead && ev.Time >= 30*time.Second {
-				tl.Add(ev.Time - 30*time.Second)
-			}
-		}
-	}
-	return tl, c.RecoveryStats()
+	return dead, c.RecoveryStats()
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/fgraph"
-	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -64,10 +63,6 @@ type Coordinator struct {
 
 	pending map[uint64]*fedState
 	aborted map[uint64]bool // recently aborted fedIDs, for straggler votes
-
-	// Trace mirrors the cluster's tracer (coordinators themselves emit no
-	// events today; clients and agents carry the observable lifecycle).
-	Trace obs.Tracer
 }
 
 // NewCoordinator registers the coordinator protocol on domain d's

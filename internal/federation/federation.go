@@ -143,9 +143,7 @@ func New(d Deployment) *Federation {
 		}
 		fns := append([]string(nil), d.LocalFns[dom]...)
 		sort.Strings(fns)
-		co := NewCoordinator(d.Host(d.Plan.Coordinator(dom)), dom, d.Plan, d.Cfg, fns)
-		co.Trace = d.Trace
-		f.Coords = append(f.Coords, co)
+		f.Coords = append(f.Coords, NewCoordinator(d.Host(d.Plan.Coordinator(dom)), dom, d.Plan, d.Cfg, fns))
 	}
 	return f
 }

@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness uses: ratio counters, sample accumulators, time-bucketed event
-// timelines (for failure-frequency plots), and aligned table printing.
+// harness uses: ratio counters, sample accumulators and aligned table
+// printing.
 package metrics
 
 import (
@@ -94,38 +94,6 @@ func (s *Sample) Max() float64 {
 		m = math.Max(m, x)
 	}
 	return m
-}
-
-// Timeline buckets events by time for frequency-over-time plots
-// (Figure 9's failures per time unit).
-type Timeline struct {
-	bucket time.Duration
-	counts []int
-}
-
-// NewTimeline creates a timeline with the given bucket width.
-func NewTimeline(bucket time.Duration) *Timeline {
-	if bucket <= 0 {
-		panic("metrics: non-positive bucket")
-	}
-	return &Timeline{bucket: bucket}
-}
-
-// Add records one event at time t.
-func (t *Timeline) Add(at time.Duration) {
-	i := int(at / t.bucket)
-	for len(t.counts) <= i {
-		t.counts = append(t.counts, 0)
-	}
-	t.counts[i]++
-}
-
-// Counts returns per-bucket event counts up to horizon (padding zeros).
-func (t *Timeline) Counts(horizon time.Duration) []int {
-	n := int(horizon / t.bucket)
-	out := make([]int, n)
-	copy(out, t.counts)
-	return out
 }
 
 // Table renders aligned experiment output: one Row per x-value, one column

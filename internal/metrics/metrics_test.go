@@ -84,33 +84,6 @@ func TestSampleAddDuration(t *testing.T) {
 	}
 }
 
-func TestTimeline(t *testing.T) {
-	tl := NewTimeline(time.Minute)
-	tl.Add(30 * time.Second)  // bucket 0
-	tl.Add(90 * time.Second)  // bucket 1
-	tl.Add(100 * time.Second) // bucket 1
-	tl.Add(5 * time.Minute)   // bucket 5
-	counts := tl.Counts(10 * time.Minute)
-	if len(counts) != 10 {
-		t.Fatalf("len=%d", len(counts))
-	}
-	want := []int{1, 2, 0, 0, 0, 1, 0, 0, 0, 0}
-	for i, w := range want {
-		if counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d", i, counts[i], w)
-		}
-	}
-}
-
-func TestTimelineBadBucketPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTimeline(0)
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Figure X", "workload", "optimal", "probing")
 	tb.AddRow(50, 0.95, 0.93)

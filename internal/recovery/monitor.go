@@ -369,7 +369,7 @@ func (m *Manager) tryRecovery(s *Session) {
 			// walk committed it again.
 			m.eng.Teardown(cand)
 		case ok:
-			m.repaired(s, cand, EventSwitchover)
+			m.repaired(s, cand, obs.KindRecSwitchover)
 		default:
 			m.tryRecovery(s)
 		}
@@ -398,13 +398,13 @@ func (m *Manager) reactive(s *Session) {
 			return
 		}
 		s.Pool = slices.Clone(res.Backups)
-		m.repaired(s, res.Best, EventReactive)
+		m.repaired(s, res.Best, obs.KindRecReactive)
 	})
 }
 
 // repaired makes g the active graph of the broken session, releasing what
 // of the broken graph g does not reuse, and records the repair.
-func (m *Manager) repaired(s *Session, g *service.Graph, kind EventKind) {
+func (m *Manager) repaired(s *Session, g *service.Graph, kind string) {
 	old := s.Active
 	s.setGraphs(g, s.Backups)
 	m.stats.ComponentsReplaced += len(old.Comps) - g.Overlap(old)
@@ -417,27 +417,29 @@ func (m *Manager) repaired(s *Session, g *service.Graph, kind EventKind) {
 }
 
 func (m *Manager) kill(s *Session) {
-	m.record(s, EventDead)
+	m.record(s, obs.KindRecDead)
 	m.Close(s.ID)
 }
 
-func (m *Manager) record(s *Session, kind EventKind) {
+// record ends a failure with kind, one of obs.KindRecSwitchover,
+// KindRecReactive or KindRecDead: its trace event is the outcome's record.
+func (m *Manager) record(s *Session, kind string) {
 	s.failed = false
-	ev := Event{Time: m.host.Now(), Session: s.ID, Kind: kind}
+	now := m.host.Now()
+	var broken time.Duration // how long the session was broken; 0 when dead
 	switch kind {
-	case EventSwitchover:
+	case obs.KindRecSwitchover:
 		m.stats.Switchovers++
-		ev.RecoveryTime = m.host.Now() - s.brokenAt
+		broken = now - s.brokenAt
 		if m.Met != nil {
-			m.Met.Switchover.ObserveDuration(ev.RecoveryTime)
+			m.Met.Switchover.ObserveDuration(broken)
 		}
-	case EventReactive:
-		ev.RecoveryTime = m.host.Now() - s.brokenAt
-	case EventDead:
+	case obs.KindRecReactive:
+		broken = now - s.brokenAt
+	case obs.KindRecDead:
 		m.stats.Dead++
 	}
-	m.events = append(m.events, ev)
 	if m.Trace != nil {
-		m.Trace.Emit(obs.RecOutcome(ev.Time, m.host.ID(), s.ID, "rec."+kind.String(), ev.RecoveryTime))
+		m.Trace.Emit(obs.RecOutcome(now, m.host.ID(), s.ID, kind, broken))
 	}
 }

@@ -70,42 +70,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// EventKind classifies a recovery event.
-type EventKind int
-
-const (
-	// EventSwitchover is a failure repaired from a maintained backup.
-	EventSwitchover EventKind = iota
-	// EventReactive is a failure repaired by re-running BCP.
-	EventReactive
-	// EventDead is an unrecovered failure: the session is lost.
-	EventDead
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventSwitchover:
-		return "switchover"
-	case EventReactive:
-		return "reactive"
-	case EventDead:
-		return "dead"
-	default:
-		return "unknown"
-	}
-}
-
-// Event records one recovery outcome for the experiment harness.
-type Event struct {
-	Time    time.Duration
-	Session uint64
-	Kind    EventKind
-	// RecoveryTime is how long the session was broken before repair
-	// (zero for EventDead).
-	RecoveryTime time.Duration
-}
-
 // Stats aggregates a manager's lifetime counters.
 type Stats struct {
 	FailuresDetected int
@@ -182,7 +146,6 @@ type Manager struct {
 
 	sessions map[uint64]*Session // the live ones: Close alone ends one
 	stats    Stats
-	events   []Event
 
 	probeDue time.Duration // when the next tick is due; 0 when none is armed
 	ids      []uint64      // tick's session order, reused across ticks
@@ -230,9 +193,6 @@ func NewManager(eng *bcp.Engine, cfg Config) *Manager {
 
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
-
-// Events returns the recorded recovery events.
-func (m *Manager) Events() []Event { return append([]Event(nil), m.events...) }
 
 // Sessions returns the number of live sessions at this sender.
 func (m *Manager) Sessions() int { return len(m.sessions) }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/cluster"
 	"repro/internal/fgraph"
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
@@ -78,7 +79,9 @@ func TestEstablishMaintainsBackups(t *testing.T) {
 }
 
 func TestSwitchoverOnPeerFailure(t *testing.T) {
-	c := newCluster(31, recovery.DefaultConfig())
+	mem := &obs.MemSink{}
+	rc := recovery.DefaultConfig()
+	c := cluster.New(cluster.Options{Seed: 31, Peers: 80, Catalog: catalog(5), Recovery: &rc, Trace: mem})
 	req := makeReq(c, 2, 3, 60)
 	sess := establish(t, c, req)
 	if len(sess.Backups) == 0 {
@@ -114,10 +117,10 @@ func TestSwitchoverOnPeerFailure(t *testing.T) {
 	if s2.Active.ContainsPeer(victim) {
 		t.Fatal("recovered graph still uses the failed peer")
 	}
-	// Recovery events carry positive recovery times.
-	for _, ev := range mgr.Events() {
-		if ev.Kind != recovery.EventDead && ev.RecoveryTime <= 0 {
-			t.Fatalf("event %v has no recovery time", ev.Kind)
+	// Repairs carry positive recovery times.
+	for _, ev := range mem.Events() {
+		if (ev.Kind == obs.KindRecSwitchover || ev.Kind == obs.KindRecReactive) && ev.Dur <= 0 {
+			t.Fatalf("%s at %v has no recovery time", ev.Kind, ev.TS)
 		}
 	}
 }

@@ -339,6 +339,13 @@ else
     echo "federate: orphaned reservations detected"; exit 1
 fi
 
+# The failover example reads its session's recovery outcomes the way a user of
+# the facade does, from the rec.* trace events; it must print at least one
+# (the summary line above them names the kinds too, so match the outcome's).
+echo "== failover example (recovery outcomes from the trace)"
+failover="$(go run ./examples/failover)"
+echo "$failover" | grep -Eq '^  t=[^ ]+ +(switchover|reactive|dead) ' || { echo "failover printed no recovery outcome"; exit 1; }
+
 # The size every PR reports, counted one way: non-test Go outside benchmark/,
 # and beside it the settable fields the knob ratchet (options_test.go) covers.
 echo "== non-test Go lines: $(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"

@@ -69,12 +69,12 @@ type (
 	PeerID = p2p.NodeID
 	// FunctionGraph is the abstract function DAG of a request.
 	FunctionGraph = fgraph.Graph
-	// RecoveryEvent records one failure-recovery outcome.
-	RecoveryEvent = recovery.Event
 	// RecoveryStats aggregates recovery counters.
 	RecoveryStats = recovery.Stats
 	// Tracer receives structured protocol events (see internal/obs).
 	Tracer = obs.Tracer
+	// TracerFunc adapts a function to Tracer.
+	TracerFunc = obs.TracerFunc
 	// TraceEvent is one structured protocol event.
 	TraceEvent = obs.Event
 	// CounterRegistry collects per-node overhead counters.
@@ -179,14 +179,6 @@ func (s *Sim) RecoveryStatsFor(peer PeerID) RecoveryStats {
 		return mgr.Stats()
 	}
 	return RecoveryStats{}
-}
-
-// RecoveryEventsFor returns the recovery events recorded at a sender peer.
-func (s *Sim) RecoveryEventsFor(peer PeerID) []RecoveryEvent {
-	if mgr := s.c.Peers[int(peer)].Recovery; mgr != nil {
-		return mgr.Events()
-	}
-	return nil
 }
 
 // ActiveGraph returns the session's current active graph at its sender, or

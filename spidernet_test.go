@@ -77,15 +77,15 @@ func TestFacadeRecoveryFlow(t *testing.T) {
 	if st.FailuresDetected == 0 {
 		t.Fatal("failure undetected")
 	}
+	if st.Switchovers+st.Reactives == 0 {
+		t.Fatalf("failure not repaired: %+v", st)
+	}
 	g := net.ActiveGraph(req.Source, req.ID)
 	if g == nil {
 		t.Fatal("session not recovered")
 	}
 	if g.ContainsPeer(victim) {
 		t.Fatal("recovered graph still uses dead peer")
-	}
-	if len(net.RecoveryEventsFor(req.Source)) == 0 {
-		t.Fatal("no recovery events recorded")
 	}
 }
 
