@@ -57,8 +57,8 @@ func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 				snap.Comp.ID, reason))
 		}
 		e.host.Send(p2p.Message{
-			Type: MsgFail, To: req.Source, Size: 64,
-			Payload: failMsg{ReqID: am.ReqID, Walk: am.Walk, Graph: am.Best},
+			Type: MsgResult, To: req.Source, Size: 64,
+			Payload: Result{ReqID: am.ReqID, Walk: am.Walk, Best: am.Best},
 		})
 	}
 
@@ -127,7 +127,7 @@ func (e *Engine) Confirm(g, keep *service.Graph, timeout time.Duration, done fun
 	e.startAck(ackMsg{ReqID: g.Req.ID, Walk: id, Best: g})
 }
 
-// endWalk settles walk id on its answer (bcp.result or bcp.fail) or on its
+// endWalk settles walk id on its answer (a bcp.result, ok or not) or on its
 // timeout, whichever comes first; a duplicated answer finds nothing.
 func (e *Engine) endWalk(id uint64, ok, answer bool) {
 	w, found := e.walks[id]

@@ -29,7 +29,6 @@ const (
 	MsgAck      = "bcp.ack"
 	MsgChosen   = "bcp.chosen"
 	MsgResult   = "bcp.result"
-	MsgFail     = "bcp.fail"
 	MsgTeardown = "bcp.teardown"
 )
 
@@ -146,7 +145,7 @@ type Result struct {
 	ReqID   uint64
 	Walk    uint64 // the source's own walk a bcp.result answers (Confirm); 0 for a composition's
 	Ok      bool
-	Best    *service.Graph   // established service graph (nil if !Ok)
+	Best    *service.Graph   // established service graph (nil if !Ok; on a failed bcp.result, what to release)
 	Backups []*service.Graph // other qualified graphs, best-first
 	// DiscoveryTime is the discovery share of SetupTime; the finer Fig. 10
 	// phases come from the trace's span trees (internal/obs/span).
@@ -348,7 +347,6 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 	host.Handle(MsgAck, e.onAck)
 	host.Handle(MsgChosen, e.onChosen)
 	host.Handle(MsgResult, e.onResult)
-	host.Handle(MsgFail, e.onFail)
 	host.Handle(MsgTeardown, e.onTeardown)
 	e.sweepFn = e.sweep
 	return e
@@ -380,44 +378,25 @@ func (e *Engine) LocalComponent(id string) (service.Component, bool) {
 // composition probing, (3) destination-side optimal selection, (4)
 // reverse-path session setup.
 func (e *Engine) Compose(req *service.Request, cb func(Result)) {
+	st := &composeState{req: req, cb: cb, started: e.host.Now()}
 	err := req.Validate() // first: a rejected request may have no graph
-	if e.Trace != nil || e.Met != nil {
-		if e.Trace != nil {
-			fns := 0
-			if err == nil {
-				fns = req.FGraph.NumFunctions()
-			}
-			e.Trace.Emit(obs.ComposeStart(e.host.Now(), e.host.ID(), req.ID, fns, req.Budget))
+	if e.Trace != nil {
+		fns := 0
+		if err == nil {
+			fns = req.FGraph.NumFunctions()
 		}
-		inner := cb
-		cb = func(res Result) {
-			if e.Trace != nil {
-				e.Trace.Emit(obs.ComposeDone(e.host.Now(), e.host.ID(), req.ID, res.Ok, res.SetupTime))
-			}
-			if e.Met != nil && res.Ok {
-				e.Met.SetupLatency.ObserveDuration(res.SetupTime)
-				e.Met.DiscoveryLatency.ObserveDuration(res.DiscoveryTime)
-			}
-			inner(res)
-		}
+		e.Trace.Emit(obs.ComposeStart(st.started, e.host.ID(), req.ID, fns, req.Budget))
 	}
 	if err != nil {
-		cb(Result{ReqID: req.ID, Ok: false})
+		e.finish(st, Result{})
 		return
 	}
-	st := &composeState{req: req, cb: cb, started: e.host.Now()}
 	e.pending[req.ID] = st
 	st.giveUp = e.host.After(GiveUpTimeout, func() {
-		if cur, ok := e.pending[req.ID]; ok && cur == st {
-			delete(e.pending, req.ID)
+		if e.pending[req.ID] == st {
 			// Release whatever a broken ACK chain already committed.
 			e.Teardown(st.chosen)
-			cb(Result{
-				ReqID:         req.ID,
-				Ok:            false,
-				DiscoveryTime: st.discovery,
-				SetupTime:     e.host.Now() - st.started,
-			})
+			e.finish(st, Result{})
 		}
 	})
 
@@ -431,13 +410,32 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 			e.Trace.Emit(obs.DiscDone(e.host.Now(), e.host.ID(), req.ID, ok, st.discovery))
 		}
 		if !ok {
-			delete(e.pending, req.ID)
-			st.giveUp.Stop()
-			cb(Result{ReqID: req.ID, Ok: false, DiscoveryTime: st.discovery})
+			e.finish(st, Result{})
 			return
 		}
 		e.launchProbes(st, table)
 	})
+}
+
+// finish is the one way a composition ends, whatever ends it: an invalid
+// request, a discovery failure, nothing to launch, the give-up timer, or the
+// destination's bcp.result. It retires st, stamps res with st's request and
+// times from one clock read, records the outcome and calls back.
+func (e *Engine) finish(st *composeState, res Result) {
+	now := e.host.Now()
+	if e.pending[st.req.ID] == st {
+		delete(e.pending, st.req.ID)
+	}
+	st.giveUp.Stop()
+	res.ReqID, res.DiscoveryTime, res.SetupTime = st.req.ID, st.discovery, now-st.started
+	if e.Trace != nil {
+		e.Trace.Emit(obs.ComposeDone(now, e.host.ID(), res.ReqID, res.Ok, res.SetupTime))
+	}
+	if e.Met != nil && res.Ok {
+		e.Met.SetupLatency.ObserveDuration(res.SetupTime)
+		e.Met.DiscoveryLatency.ObserveDuration(res.DiscoveryTime)
+	}
+	st.cb(res)
 }
 
 // List is one function's duplicate list as a peer holds it — in its discovery
@@ -716,9 +714,7 @@ func (e *Engine) launchProbes(st *composeState, table []List) {
 	if launched == 0 {
 		// Nothing to probe (e.g. no duplicates found for a source function):
 		// fail fast.
-		delete(e.pending, req.ID)
-		st.giveUp.Stop()
-		st.cb(Result{ReqID: req.ID, Ok: false, DiscoveryTime: st.discovery})
+		e.finish(st, Result{})
 	}
 }
 
@@ -736,7 +732,8 @@ type chosenMsg struct {
 	Graph *service.Graph
 }
 
-// onResult delivers the final outcome to the waiting source callback.
+// onResult delivers the final outcome to the waiting source callback,
+// releasing what a refused reverse-path walk committed (Result.Best).
 func (e *Engine) onResult(_ p2p.Node, msg p2p.Message) {
 	res := msg.Payload.(Result)
 	if res.Walk != 0 {
@@ -755,43 +752,13 @@ func (e *Engine) onResult(_ p2p.Node, msg p2p.Message) {
 		return
 	}
 	e.doneReqs.seen(res.ReqID)
-	delete(e.pending, res.ReqID)
-	st.giveUp.Stop()
-	res.DiscoveryTime = st.discovery
-	res.SetupTime = e.host.Now() - st.started
 	if res.Ok {
 		e.admitIngress(res.Best)
+	} else {
+		e.Teardown(res.Best)
+		res = Result{}
 	}
-	st.cb(res)
-}
-
-// onFail handles a mid-ACK commit failure: the source gives up and tears
-// down whatever was committed (endWalk for a walk of its own).
-func (e *Engine) onFail(_ p2p.Node, msg p2p.Message) {
-	f := msg.Payload.(failMsg)
-	if f.Walk != 0 {
-		e.endWalk(f.Walk, false, true)
-		return
-	}
-	st, ok := e.pending[f.ReqID]
-	if !ok {
-		return
-	}
-	delete(e.pending, f.ReqID)
-	st.giveUp.Stop()
-	e.Teardown(f.Graph)
-	st.cb(Result{
-		ReqID:         f.ReqID,
-		Ok:            false,
-		DiscoveryTime: st.discovery,
-		SetupTime:     e.host.Now() - st.started,
-	})
-}
-
-type failMsg struct {
-	ReqID uint64
-	Walk  uint64
-	Graph *service.Graph
+	e.finish(st, res)
 }
 
 // teardownMsg releases one peer's registered allocations for graph Release,

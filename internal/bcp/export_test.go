@@ -37,3 +37,6 @@ func (e *Engine) TapProbes(f func(pr *Probe, size int)) {
 
 // Sweep runs e's lease sweep now, as its lease timer would.
 func (e *Engine) Sweep() { e.sweep() }
+
+// Pending returns how many of this engine's compositions have not ended.
+func (e *Engine) Pending() int { return len(e.pending) }

@@ -16,7 +16,6 @@ func RegisterGob() {
 	gobOnce.Do(func() {
 		gob.RegisterName("bcp.Probe", Probe{})
 		gob.RegisterName("bcp.Result", Result{})
-		gob.RegisterName("bcp.failMsg", failMsg{})
 		gob.RegisterName("bcp.teardownMsg", teardownMsg{})
 		gob.RegisterName("bcp.ackMsg", ackMsg{})
 		gob.RegisterName("bcp.probeAckMsg", probeAckMsg{})

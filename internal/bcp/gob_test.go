@@ -99,7 +99,7 @@ func TestPayloadsCrossGob(t *testing.T) {
 	if !reflect.DeepEqual(gotAck, ack) {
 		t.Errorf("ackMsg mangled:\n got %+v\nwant %+v", gotAck, ack)
 	}
-	for _, want := range []any{Result{ReqID: 9, Walk: 3, Ok: true}, failMsg{ReqID: 9, Walk: 3}} {
+	for _, want := range []any{Result{ReqID: 9, Walk: 3, Ok: true}, Result{ReqID: 9, Walk: 3}} {
 		if got := roundTrip(want); !reflect.DeepEqual(got, want) {
 			t.Errorf("%T mangled:\n got %+v\nwant %+v", want, got, want)
 		}

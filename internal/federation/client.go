@@ -61,34 +61,28 @@ func NewClient(host p2p.Node, coord p2p.NodeID) *Client {
 // on this peer, with the outcome — a coordinator that never answers resolves
 // as a failure after the client timeout.
 func (c *Client) Compose(req *service.Request, cb func(Result)) {
+	call := &clientCall{cb: cb, start: c.host.Now()}
+	c.pending[req.ID] = call
 	err := req.Validate()
 	if c.Trace != nil {
 		fns := 0
 		if err == nil {
 			fns = req.FGraph.NumFunctions()
 		}
-		c.Trace.Emit(obs.ComposeStart(c.host.Now(), c.host.ID(), req.ID, fns, req.Budget))
+		c.Trace.Emit(obs.ComposeStart(call.start, c.host.ID(), req.ID, fns, req.Budget))
 	}
 	if err != nil {
-		if c.Trace != nil {
-			c.Trace.Emit(obs.ComposeDone(c.host.Now(), c.host.ID(), req.ID, false, 0))
-		}
-		cb(Result{ReqID: req.ID})
+		c.resolve(req.ID, Result{})
 		return
 	}
-	call := &clientCall{cb: cb, start: c.host.Now()}
-	c.pending[req.ID] = call
 	id := req.ID
-	call.timer = c.host.After(clientTimeout, func() {
-		c.resolve(id, Result{ReqID: id})
-	})
+	call.timer = c.host.After(clientTimeout, func() { c.resolve(id, Result{}) })
 	c.host.Send(p2p.Message{Type: MsgCompose, To: c.coord, Size: 256,
 		Payload: composeMsg{Req: req}})
 }
 
 func (c *Client) onResult(_ p2p.Node, msg p2p.Message) {
-	m := msg.Payload.(resultMsg)
-	c.resolve(m.ReqID, Result{ReqID: m.ReqID})
+	c.resolve(msg.Payload.(resultMsg).ReqID, Result{})
 }
 
 func (c *Client) onDecided(_ p2p.Node, msg p2p.Message) {
@@ -100,16 +94,19 @@ func (c *Client) onDecided(_ p2p.Node, msg p2p.Message) {
 	if !m.Committed {
 		// A segment's hold expired before its commit decide arrived; the
 		// segments that did commit self-release at end of life.
-		c.resolve(m.FedID, Result{ReqID: m.FedID})
+		c.resolve(m.FedID, Result{})
 		return
 	}
 	call.acks |= 1 << m.Seg
 	if bits.OnesCount16(call.acks) == m.Ack.Segs {
-		c.resolve(m.FedID, Result{ReqID: m.FedID, Ok: true, Domains: m.Ack.Domains,
+		c.resolve(m.FedID, Result{Ok: true, Domains: m.Ack.Domains,
 			CommitLatency: c.host.Now() - m.Ack.PreparedAt})
 	}
 }
 
+// resolve is the one way a federated composition ends: it retires call id,
+// stamps r with the request and its setup time from one clock read, records
+// the outcome and calls back. An id already resolved is ignored.
 func (c *Client) resolve(id uint64, r Result) {
 	call, ok := c.pending[id]
 	if !ok {
@@ -117,9 +114,10 @@ func (c *Client) resolve(id uint64, r Result) {
 	}
 	delete(c.pending, id)
 	call.timer.Stop()
-	r.SetupTime = c.host.Now() - call.start
+	now := c.host.Now()
+	r.ReqID, r.SetupTime = id, now-call.start
 	if c.Trace != nil {
-		c.Trace.Emit(obs.ComposeDone(c.host.Now(), c.host.ID(), id, r.Ok, r.SetupTime))
+		c.Trace.Emit(obs.ComposeDone(now, c.host.ID(), id, r.Ok, r.SetupTime))
 	}
 	call.cb(r)
 }

@@ -17,14 +17,6 @@ import (
 	"repro/internal/p2p"
 )
 
-// Stats counts network-level overhead (atomically updated).
-type Stats struct {
-	MessagesSent int64
-	BytesSent    int64
-	Dropped      int64
-	Faulted      int64 // killed at send time by injected loss
-}
-
 // Network is a set of live peers exchanging messages with injected
 // latencies.
 type Network struct {
@@ -35,11 +27,7 @@ type Network struct {
 	mu    sync.Mutex
 	nodes map[p2p.NodeID]*LoopNode
 
-	messages atomic.Int64
-	bytes    atomic.Int64
-	dropped  atomic.Int64
-	faulted  atomic.Int64
-	closed   atomic.Bool
+	closed atomic.Bool
 
 	lossMu  sync.Mutex
 	lossP   float64
@@ -63,16 +51,6 @@ func NewNetwork(lat [][]float64, speedup float64) *Network {
 		start:   time.Now(),
 		speedup: speedup,
 		nodes:   make(map[p2p.NodeID]*LoopNode),
-	}
-}
-
-// Stats returns a snapshot of the overhead counters.
-func (nw *Network) Stats() Stats {
-	return Stats{
-		MessagesSent: nw.messages.Load(),
-		BytesSent:    nw.bytes.Load(),
-		Dropped:      nw.dropped.Load(),
-		Faulted:      nw.faulted.Load(),
 	}
 }
 
@@ -207,13 +185,10 @@ func (nw *Network) Close() {
 }
 
 func (nw *Network) send(msg p2p.Message) {
-	nw.messages.Add(1)
-	nw.bytes.Add(int64(msg.Size))
 	if nw.met != nil {
 		nw.met.WireBytes.Observe(float64(msg.Size))
 	}
 	if nw.loseSend() {
-		nw.faulted.Add(1)
 		if nw.trace != nil {
 			nw.trace.Emit(obs.NetFault(time.Since(nw.start), msg.From, msg.To,
 				obs.FaultLoss, msg.Type, msg.Size, msg.UID))
@@ -227,7 +202,6 @@ func (nw *Network) send(msg p2p.Message) {
 		dst := nw.nodes[msg.To]
 		nw.mu.Unlock()
 		if dst == nil || !dst.alive.Load() {
-			nw.dropped.Add(1)
 			if nw.trace != nil {
 				nw.trace.Emit(obs.NetDrop(time.Since(nw.start), msg.From, msg.To, msg.Type, msg.Size, msg.UID))
 			}

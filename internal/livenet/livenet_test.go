@@ -29,6 +29,8 @@ func flatLat(n int, ms float64) [][]float64 {
 func TestSendDeliver(t *testing.T) {
 	nw := NewNetwork(flatLat(2, 1), 1)
 	defer nw.Close()
+	reg := obs.NewRegistry()
+	nw.SetObs(obs.Counting(nil, reg), reg, nil)
 	a := nw.AddNode(0, 1)
 	b := nw.AddNode(1, 1)
 	got := make(chan p2p.Message, 1)
@@ -42,15 +44,16 @@ func TestSendDeliver(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("message never delivered")
 	}
-	st := nw.Stats()
-	if st.MessagesSent != 1 || st.BytesSent != 10 {
-		t.Fatalf("stats=%+v", st)
+	if tot := reg.Totals(); tot.MsgsSent != 1 || tot.BytesSent != 10 {
+		t.Fatalf("counters=%+v", tot)
 	}
 }
 
 func TestFailedNodeDropsTraffic(t *testing.T) {
 	nw := NewNetwork(flatLat(2, 1), 1)
 	defer nw.Close()
+	reg := obs.NewRegistry()
+	nw.SetObs(obs.Counting(nil, reg), reg, nil)
 	a := nw.AddNode(0, 1)
 	nw.AddNode(1, 1).Handle("ping", func(_ p2p.Node, _ p2p.Message) {
 		t.Error("delivered to failed node")
@@ -58,8 +61,8 @@ func TestFailedNodeDropsTraffic(t *testing.T) {
 	nw.Fail(1)
 	a.Send(p2p.Message{Type: "ping", To: 1})
 	time.Sleep(100 * time.Millisecond)
-	if nw.Stats().Dropped != 1 {
-		t.Fatalf("stats=%+v", nw.Stats())
+	if tot := reg.Totals(); tot.MsgsSent != 1 || tot.MsgsDrop != 1 {
+		t.Fatalf("counters=%+v", tot)
 	}
 	if nw.Alive(1) {
 		t.Fatal("failed node reported alive")

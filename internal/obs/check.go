@@ -32,6 +32,7 @@ const (
 	VioDoneWithoutStart  = "done-without-start"
 	VioDoneBeforeStart   = "done-before-start"
 	VioMultipleDone      = "multiple-done"
+	VioDoneDuration      = "done-duration"
 	VioIncompleteClose   = "incomplete-at-close"
 	VioCreditNoDrop      = "credit-without-drop"
 	VioCreditDouble      = "credit-double"
@@ -99,7 +100,8 @@ type emission struct {
 //     lease expires (session.expire) only where an earlier session.admit of
 //     the same node, request and component committed it;
 //   - compose.done happens at most once per request, after its
-//     compose.start;
+//     compose.start, and its Dur is exactly the time since that start,
+//     failures included;
 //   - the federation two-phase commit leaks nothing: every fed.prepare
 //     (keyed by its sub-session PID) is resolved by exactly one fed.commit
 //     or fed.abort — including the presumed-abort expiry, which traces as
@@ -460,6 +462,9 @@ func (c *Checker) Finish() []Violation {
 		case ev.TS < st.TS:
 			vs = append(vs, Violation{VioDoneBeforeStart,
 				fmt.Sprintf("compose.done req=%d at t=%v precedes compose.start at t=%v", ev.Req, ev.TS, st.TS)})
+		case ev.Dur != ev.TS-st.TS:
+			vs = append(vs, Violation{VioDoneDuration,
+				fmt.Sprintf("compose.done req=%d at t=%v has dur %v, %v after its compose.start", ev.Req, ev.TS, ev.Dur, ev.TS-st.TS)})
 		}
 		if doneSeen[ev.Req] {
 			vs = append(vs, Violation{VioMultipleDone,

@@ -160,6 +160,27 @@ func TestCheckNamedViolations(t *testing.T) {
 	}
 }
 
+// TestCheckDoneDuration: a compose.done's Dur is the time since its
+// compose.start, failures included. A failure stamped with no duration 88 ms
+// after its start (a discovery that found nothing to launch) is one
+// done-duration violation; the same failure with its 88 ms is clean.
+func TestCheckDoneDuration(t *testing.T) {
+	ms88 := 88 * time.Millisecond
+	for _, tc := range []struct {
+		dur  time.Duration
+		want int
+	}{{0, 1}, {ms88, 0}} {
+		vs := feed([]Event{
+			ComposeStart(0, 3, 40, 2, 8),
+			DiscDone(ms88, 3, 40, true, ms88),
+			ComposeDone(ms88, 3, 40, false, tc.dur),
+		}).Finish()
+		if len(vs) != tc.want || tc.want == 1 && vs[0].Name != VioDoneDuration {
+			t.Errorf("fail at 88 ms with dur %v: got %v, want %d %s", tc.dur, vs, tc.want, VioDoneDuration)
+		}
+	}
+}
+
 // faultTrace exercises per-copy conservation under injected faults and
 // retransmits: pid 201 is duplicated and loses one copy but returns; pid
 // 202 loses its only copy to injected loss; pid 203 is retransmitted and

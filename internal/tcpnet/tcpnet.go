@@ -51,22 +51,14 @@ type Transport struct {
 	mu    sync.Mutex
 	conns map[p2p.NodeID]*outConn
 
-	messages atomic.Int64
-	bytes    atomic.Int64
-	closed   atomic.Bool
-	wg       sync.WaitGroup
+	closed atomic.Bool
+	wg     sync.WaitGroup
 }
 
 type outConn struct {
 	mu  sync.Mutex
 	c   net.Conn
 	enc *gob.Encoder
-}
-
-// Stats reports transport-level counters.
-type Stats struct {
-	MessagesSent int64
-	BytesSent    int64
 }
 
 // New starts a transport for peer self, listening on listenAddr (use
@@ -100,11 +92,6 @@ func (t *Transport) Node() p2p.Node { return t.node }
 
 // Addr returns the listener's actual address (useful with ":0" ports).
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
-
-// Stats returns send counters.
-func (t *Transport) Stats() Stats {
-	return Stats{MessagesSent: t.messages.Load(), BytesSent: t.bytes.Load()}
-}
 
 // Exec runs fn on the node's event loop (for setup and test code).
 func (t *Transport) Exec(fn func()) { t.node.Post(fn) }
@@ -156,8 +143,6 @@ func (t *Transport) readLoop(c net.Conn) {
 // dialing (or redialing) as needed. Failures drop the message, like a real
 // network.
 func (t *Transport) send(msg p2p.Message) {
-	t.messages.Add(1)
-	t.bytes.Add(int64(msg.Size))
 	if msg.To == t.self {
 		// Loopback without a socket round trip.
 		t.node.Post(msg)

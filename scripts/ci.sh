@@ -241,6 +241,16 @@ cmp "$tmp/c1.txt" "$tmp/c2.txt"
 cmp "$tmp/ch1.jsonl" "$tmp/ch2.jsonl"
 downs="$(grep -c '"kind":"net.down"' "$tmp/ch1.jsonl")"
 [ "$downs" -eq 20 ] || { echo "spidersim -churn 0.05 traced $downs net.down events, want 20"; exit 1; }
+# A failure-heavy run: 120 functions over 40 peers leave many requests with
+# a function nobody provides, so 22 of its 34 failures end as discovery does
+# (nothing to launch) and 12 at the give-up timer. Each compose.done must
+# carry the time since its compose.start (the checker's done-duration), and
+# the run must fail some requests for that to mean anything.
+"$tmp/spidersim" -seed 3 -ipnodes 400 -peers 40 -functions 120 -requests 40 -duration 2m \
+    -check -trace "$tmp/fail.jsonl" > /dev/null
+"$tmp/spidertrace" check "$tmp/fail.jsonl"
+grep -q '"kind":"compose.done".*"note":"fail"' "$tmp/fail.jsonl" \
+    || { echo "the failure-heavy run traced no failed compose.done"; exit 1; }
 
 # Span gate: the causal span analyzer must be deterministic — the same trace
 # must render byte-identical reports across runs, and the committed golden
