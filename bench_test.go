@@ -8,6 +8,7 @@ package spidernet
 // quantities. Full-size runs: `go run ./cmd/spiderbench -fig all [-paper]`.
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -392,20 +393,38 @@ func BenchmarkRecoveryTick(b *testing.B) {
 }
 
 // BenchmarkSimEventDispatch measures the steady-state Schedule→fire cycle
-// of the indexed event queue with a warm freelist: no allocation per cycle
-// (the returned Timer is the pooled event and its generation).
+// of the event queue with a warm freelist, on an empty queue and on one
+// holding 6,400 events due over the next 64 ms (federate's peak queue is
+// 6,329 at seed 1), each cycle scheduling one more such event: no allocation
+// per cycle (the returned Timer is the pooled event and its generation).
 func BenchmarkSimEventDispatch(b *testing.B) {
-	sim := simnet.NewSim()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		sim.Schedule(0, fn)
-	}
-	sim.RunUntilIdle()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Schedule(time.Microsecond, fn)
-		sim.Step()
+	for _, pending := range []int{0, 6400} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			sim := simnet.NewSim()
+			fn := func() {}
+			for i := 0; i < 64; i++ {
+				sim.Schedule(0, fn)
+			}
+			sim.RunUntilIdle()
+			rng := newSeededRng(81)
+			delays := make([]time.Duration, 4096)
+			for i := range delays {
+				delays[i] = time.Microsecond
+				if pending > 0 {
+					delays[i] = time.Duration(rng.Int63n(int64(64 * time.Millisecond)))
+				}
+			}
+			for i := 0; i <= pending; i++ { // one more, then a cycle: the queue at its size
+				sim.Schedule(delays[i%len(delays)], fn)
+			}
+			sim.Step()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Schedule(delays[i%len(delays)], fn)
+				sim.Step()
+			}
+		})
 	}
 }
 
@@ -499,11 +518,13 @@ func BenchmarkRouteTables30k(b *testing.B) {
 
 // BenchmarkRouteOracle1k replays the route-oracle traffic BCP sends on the
 // §6.1 world's full overlay (1,000 peers over 10,000 IP nodes): bursts of 20
-// PathCost calls from one source to uniform targets, the cost of each
-// next-hop candidate of a probe, and one AllocBandwidth/ReleaseBandwidth pair
-// every 100 queries. An op is 100,000 queries from a cold cache, which holds
-// every source at this size: about a thousand sweeps started, the rest hits
-// and resumes, the composition workloads' mix.
+// PathLatency calls from one source to uniform targets, the latency of each
+// next-hop candidate of a probe, every fifth followed by the PathCost of a
+// candidate that passed the latency bound (18–50 % of them do on the
+// composition workloads), and one AllocBandwidth/ReleaseBandwidth pair every
+// 100 queries. An op is 100,000 queries from a cold cache, which holds every
+// source at this size: about a thousand sweeps started, the rest hits and
+// resumes, the composition workloads' mix.
 func BenchmarkRouteOracle1k(b *testing.B) {
 	rng := newSeededRng(79)
 	g := topology.GeneratePowerLaw(10000, 2, 2, 30, rng)
@@ -522,7 +543,10 @@ func BenchmarkRouteOracle1k(b *testing.B) {
 		ov := topology.BuildOverlay(g, topology.OverlayConfig{NumPeers: 1000, Degree: 4}, newSeededRng(80))
 		b.StartTimer()
 		for q := range src {
-			ov.PathCost(src[q], dst[q])
+			ov.PathLatency(src[q], dst[q])
+			if q%5 == 0 {
+				ov.PathCost(src[q], dst[q])
+			}
 			if q%pairEvery == pairEvery-1 && ov.AllocBandwidth(src[q], dst[q], 100) {
 				ov.ReleaseBandwidth(src[q], dst[q], 100)
 			}

@@ -134,6 +134,8 @@ type Oracle interface {
 	// Path returns the overlay path latency (ms) and bottleneck available
 	// bandwidth (kbps) between two peers, ok=false if disconnected.
 	Path(a, b p2p.NodeID) (latencyMs, bandAvail float64, ok bool)
+	// PathLatency is Path's latency alone, which costs no walk of the path.
+	PathLatency(a, b p2p.NodeID) (latencyMs float64, ok bool)
 	// AllocBandwidth reserves kbps on the overlay path between a and b.
 	AllocBandwidth(a, b p2p.NodeID, kbps float64) bool
 	// ReleaseBandwidth returns kbps to the overlay path between a and b.
@@ -171,6 +173,7 @@ type Engine struct {
 	soft       map[softKey]softHold
 	cache      map[string]List
 	fetching   map[string]fetch // lookups and refreshes in flight, by function
+	joiners    [][]waiter       // drained fetch.more slices, for later fetches to reuse
 	// handed is what of each function's list this engine's probes have
 	// handed each first-hop peer (hand): at most peers × functions entries.
 	handed map[handKey]handedList
@@ -545,9 +548,13 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []L
 		st.pending++
 		w := waiter{st, i}
 		ft, fetching := e.fetching[f]
-		if ft.first.st == nil {
+		switch {
+		case ft.first.st == nil:
 			ft.first = w
-		} else {
+		case ft.more == nil && len(e.joiners) > 0:
+			n := len(e.joiners) - 1
+			ft.more, e.joiners = append(e.joiners[n], w), e.joiners[:n]
+		default:
 			ft.more = append(ft.more, w)
 		}
 		e.fetching[f] = ft
@@ -610,7 +617,9 @@ func (e *Engine) lookup(fn string, known registry.Listing, span uint64) {
 
 // fetched ends the lookup of function fn: an answered list is cached there and
 // then, and every resolution waiting on it gets it (or the timeout), in the
-// order they came. A failed refresh leaves the expired list in place.
+// order they came. A failed refresh leaves the expired list in place. The
+// joiners' slice is handed back for reuse only once every answer is in, as an
+// answer's continuation may start a fetch of its own.
 func (e *Engine) fetched(fn string, l registry.Listing, ok bool) {
 	ft := e.fetching[fn]
 	delete(e.fetching, fn)
@@ -623,6 +632,10 @@ func (e *Engine) fetched(fn string, l registry.Listing, ok bool) {
 	}
 	for _, w := range ft.more {
 		e.answer(w, got, ok)
+	}
+	if ft.more != nil {
+		clear(ft.more)
+		e.joiners = append(e.joiners, ft.more[:0])
 	}
 }
 

@@ -600,10 +600,11 @@ func (e *Engine) mayVisit(c, prevComp *service.Component, pr *Probe) bool {
 	return true
 }
 
-// pickNextHop selects the k most promising candidates using the composite
-// local metric of step 2.3: network delay to the candidate, bandwidth
-// headroom on the path, and the candidate peer's failure probability. It
-// reorders cands (a piece of the engine's scratch) and returns its head.
+// pickNextHop selects the k ≥ 1 most promising candidates using the
+// composite local metric of step 2.3: network delay to the candidate,
+// bandwidth headroom on the path, and the candidate peer's failure
+// probability. It keeps the k best by (score, ID) in scratch, as a full sort
+// would order them, writes them to the head of cands and returns it.
 func (e *Engine) pickNextHop(cands []*service.Component, k int, req *service.Request) []*service.Component {
 	if k >= len(cands) {
 		return cands
@@ -615,32 +616,47 @@ func (e *Engine) pickNextHop(cands []*service.Component, k int, req *service.Req
 		}
 		return out
 	}
-	ss := e.next.scored[:0]
+	best := e.next.scored[:0]
 	for _, c := range cands {
-		ss = append(ss, scoredComp{c: c, score: e.nextHopScore(c, req)})
-	}
-	e.next.scored = ss
-	slices.SortFunc(ss, func(a, b scoredComp) int {
-		if c := cmp.Compare(a.score, b.score); c != 0 {
-			return c
+		lat, ok := e.oracle.PathLatency(e.host.ID(), c.Peer)
+		score := c.FailProb * 20
+		if !ok {
+			score += 1e9
+		} else {
+			score += lat / 50
 		}
-		return cmp.Compare(a.c.ID, b.c.ID)
-	})
-	for i := range cands[:k] {
-		cands[i] = ss[i].c
+		// Every later term is ≥ 0 and rounding is monotone, so score bounds
+		// the candidate's final score from below: one bound above the k-th
+		// best so far cannot be chosen, and its path is never walked.
+		if len(best) == k && score > best[k-1].score {
+			continue
+		}
+		sc := scoredComp{c: c, score: e.nextHopScore(c, req, score, ok)}
+		if i, _ := slices.BinarySearchFunc(best, sc, byScore); i < k {
+			best = slices.Insert(best[:min(len(best), k-1)], i, sc)
+		}
+	}
+	e.next.scored = best
+	for i := range best {
+		cands[i] = best[i].c
 	}
 	return cands[:k]
 }
 
-// nextHopScore is the composite local metric of one candidate; lower is
-// more promising.
-func (e *Engine) nextHopScore(c *service.Component, req *service.Request) float64 {
-	lat, band, ok := e.oracle.Path(e.host.ID(), c.Peer)
-	score := c.FailProb * 20
-	if !ok {
-		score += 1e9
-	} else {
-		score += lat / 50
+// byScore orders scored candidates by score, then ID: a total order.
+func byScore(a, b scoredComp) int {
+	if c := cmp.Compare(a.score, b.score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.c.ID, b.c.ID)
+}
+
+// nextHopScore completes the composite local metric of one candidate, lower
+// being more promising, from score, its failure and latency terms; reachable
+// is whether an overlay path to it exists.
+func (e *Engine) nextHopScore(c *service.Component, req *service.Request, score float64, reachable bool) float64 {
+	if reachable {
+		_, band, _ := e.oracle.Path(e.host.ID(), c.Peer)
 		if band <= 0 {
 			score += 1e9
 		} else if req.Bandwidth > 0 {

@@ -53,6 +53,7 @@ func TestCandidateScoringAllocs(t *testing.T) {
 type flatOracle struct{}
 
 func (flatOracle) Path(a, b p2p.NodeID) (float64, float64, bool)     { return float64(b%7) + 1, 1e6, true }
+func (flatOracle) PathLatency(a, b p2p.NodeID) (float64, bool)       { return float64(b%7) + 1, true }
 func (flatOracle) AllocBandwidth(a, b p2p.NodeID, kbps float64) bool { return true }
 func (flatOracle) ReleaseBandwidth(a, b p2p.NodeID, kbps float64)    {}
 

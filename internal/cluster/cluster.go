@@ -563,6 +563,10 @@ func (o overlayOracle) Path(a, b p2p.NodeID) (float64, float64, bool) {
 	return o.ov.PathCost(int(a), int(b))
 }
 
+func (o overlayOracle) PathLatency(a, b p2p.NodeID) (float64, bool) {
+	return o.ov.PathLatency(int(a), int(b))
+}
+
 func (o overlayOracle) AllocBandwidth(a, b p2p.NodeID, kbps float64) bool {
 	return o.ov.AllocBandwidth(int(a), int(b), kbps)
 }

@@ -68,6 +68,7 @@ type flatOracle struct {
 func (o *flatOracle) Path(a, b p2p.NodeID) (float64, float64, bool) {
 	return o.lat[int(a)][int(b)], 1e9, true
 }
+func (o *flatOracle) PathLatency(a, b p2p.NodeID) (float64, bool)       { return o.lat[int(a)][int(b)], true }
 func (o *flatOracle) AllocBandwidth(a, b p2p.NodeID, kbps float64) bool { return true }
 func (o *flatOracle) ReleaseBandwidth(a, b p2p.NodeID, kbps float64)    {}
 

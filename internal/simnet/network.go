@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"time"
@@ -50,6 +49,7 @@ type Network struct {
 	dense   []*simNode // nodes with IDs in [0, len); nil = unregistered
 	count   int
 	stats   Stats
+	byType  map[string]*typeCount // Stats' ByType and BytesByType, one entry a type
 	trace   obs.Tracer
 	obsReg  *obs.Registry
 	met     *obs.Metrics
@@ -63,6 +63,9 @@ type Network struct {
 	delPool []*delivery
 	delFn   func(any)
 }
+
+// typeCount is what one message type has sent: messages and bytes.
+type typeCount struct{ msgs, bytes int64 }
 
 // delivery is the pooled in-flight message record: the payload of one
 // scheduled deliver call.
@@ -151,13 +154,16 @@ func (nw *Network) SetProcDelay(f ProcDelayFunc) { nw.proc = f }
 // Stats returns a snapshot of the overhead counters.
 func (nw *Network) Stats() Stats {
 	s := nw.stats
-	s.ByType, s.BytesByType = maps.Clone(s.ByType), maps.Clone(s.BytesByType)
+	s.ByType, s.BytesByType = make(map[string]int64, len(nw.byType)), make(map[string]int64, len(nw.byType))
+	for typ, tc := range nw.byType {
+		s.ByType[typ], s.BytesByType[typ] = tc.msgs, tc.bytes
+	}
 	return s
 }
 
 // ResetStats zeroes the overhead counters.
 func (nw *Network) ResetStats() {
-	nw.stats = Stats{ByType: make(map[string]int64), BytesByType: make(map[string]int64)}
+	nw.stats, nw.byType = Stats{}, make(map[string]*typeCount)
 }
 
 // AddNode creates and registers a live node with the given ID. The table
@@ -235,8 +241,13 @@ func (nw *Network) Alive(id p2p.NodeID) bool {
 func (nw *Network) send(msg p2p.Message) {
 	nw.stats.MessagesSent++
 	nw.stats.BytesSent += int64(msg.Size)
-	nw.stats.ByType[msg.Type]++
-	nw.stats.BytesByType[msg.Type] += int64(msg.Size)
+	tc := nw.byType[msg.Type]
+	if tc == nil {
+		tc = &typeCount{}
+		nw.byType[msg.Type] = tc
+	}
+	tc.msgs++
+	tc.bytes += int64(msg.Size)
 	if nw.met != nil {
 		nw.met.WireBytes.Observe(float64(msg.Size))
 	}
@@ -375,7 +386,7 @@ func (n *simNode) Send(msg p2p.Message) {
 }
 
 func (n *simNode) After(d time.Duration, fn func()) p2p.Timer {
-	e := n.net.sim.enqueue(d)
+	e := n.net.sim.enqueue(d, true)
 	e.fn, e.node = fn, n
 	return p2p.NewTimer(e, e.gen)
 }

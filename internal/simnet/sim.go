@@ -5,7 +5,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"slices"
 	"time"
 
@@ -16,23 +15,33 @@ import (
 // concurrent use: everything runs in the single simulation goroutine, which
 // is what makes runs bit-for-bit reproducible.
 //
-// The event queue is an index-tracked binary heap: every queued event knows
-// its own heap slot, so cancellation removes the event immediately (no
-// tombstones accumulate across a long soak) and Pending is the heap length.
-// Fired and cancelled events return to a freelist and are reused by later
-// Schedule calls, and the handle Schedule returns is the event plus its
-// generation, so the steady-state Schedule→fire path allocates nothing.
+// The event queue is a 4-ary min-heap of slots holding each event's key
+// inline, so a sift compares without touching an event. A cancellable event
+// (Schedule, After) knows its own slot, so cancellation removes it at once
+// (no tombstones accumulate across a long soak) and Pending is the heap
+// length. Fired and cancelled events return to a freelist for later Schedule
+// calls, and the handle Schedule returns is the event plus its generation,
+// so the steady-state Schedule→fire path allocates nothing.
 type Sim struct {
 	now    time.Duration
-	events eventHeap
+	events []slot
 	seq    uint64
 	free   []*event
 }
 
+// slot is one queued event under its key: the virtual time it is due, then
+// the order it was scheduled in, a strict total order. seq's low bit marks
+// an event a handle can cancel, the only kind whose idx the heap keeps.
+type slot struct {
+	at  time.Duration
+	seq uint64
+	e   *event
+}
+
+func (a slot) less(b slot) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
 type event struct {
 	sim *Sim
-	at  time.Duration
-	seq uint64 // FIFO tie-break for simultaneous events
 	fn  func()
 	// call/arg is the allocation-free alternative to fn used by
 	// ScheduleCall: a long-lived function value applied to a per-event
@@ -43,7 +52,7 @@ type event struct {
 	// node, when set, armed this event as a timer: one that comes due while
 	// the node is down waits in node.parked until it recovers.
 	node *simNode
-	idx  int    // heap slot; -1 once popped (parked, fired or cancelled)
+	idx  int    // heap slot of a cancellable event; -1 once popped (parked, fired or cancelled)
 	gen  uint64 // incremented on recycle so stale handles are no-ops
 }
 
@@ -61,7 +70,7 @@ func (s *Sim) Pending() int { return len(s.events) }
 // clamped to zero. The returned Timer cancels the event if it has not yet
 // fired.
 func (s *Sim) Schedule(d time.Duration, fn func()) p2p.Timer {
-	e := s.enqueue(d)
+	e := s.enqueue(d, true)
 	e.fn = fn
 	return p2p.NewTimer(e, e.gen)
 }
@@ -72,17 +81,15 @@ func (s *Sim) Schedule(d time.Duration, fn func()) p2p.Timer {
 // per-event argument, so no closure is allocated. Ordering is shared with
 // Schedule — one clock, one sequence counter, one heap.
 func (s *Sim) ScheduleCall(d time.Duration, call func(any), arg any) {
-	e := s.enqueue(d)
+	e := s.enqueue(d, false)
 	e.call = call
 	e.arg = arg
 }
 
-// enqueue takes an event off the freelist (or allocates one), stamps it, and
-// pushes it on the heap. The caller fills in the payload.
-func (s *Sim) enqueue(d time.Duration) *event {
-	if d < 0 {
-		d = 0
-	}
+// enqueue takes an event off the freelist (or allocates one) and pushes it on
+// the heap, due after d; cancellable says a handle to it will be returned.
+// The caller fills in the payload.
+func (s *Sim) enqueue(d time.Duration, cancellable bool) *event {
 	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -91,10 +98,13 @@ func (s *Sim) enqueue(d time.Duration) *event {
 	} else {
 		e = &event{sim: s}
 	}
-	e.at = s.now + d
-	e.seq = s.seq
+	seq := s.seq << 1
+	if cancellable {
+		seq |= 1
+	}
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events = append(s.events, slot{s.now + max(d, 0), seq, e})
+	s.up(len(s.events) - 1)
 	return e
 }
 
@@ -106,7 +116,7 @@ func (e *event) Stop(gen uint64) {
 		return
 	}
 	if e.idx >= 0 {
-		heap.Remove(&e.sim.events, e.idx)
+		e.sim.remove(e.idx)
 	} else {
 		e.node.parked = slices.DeleteFunc(e.node.parked, func(p *event) bool { return p == e })
 	}
@@ -131,9 +141,11 @@ func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(*event)
-	s.now = e.at
+	top := s.remove(0)
+	e := top.e
+	s.now = top.at
 	if e.node != nil && !e.node.alive {
+		e.idx = -1
 		e.node.parked = append(e.node.parked, e)
 	} else {
 		s.fire(e)
@@ -170,31 +182,63 @@ func (s *Sim) RunUntilIdle() {
 	}
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// remove takes slot i off the heap, moving the last slot into its place,
+// and returns it; its event's idx is the caller's to reset.
+func (s *Sim) remove(i int) slot {
+	h := s.events
+	out, n := h[i], len(h)-1
+	h[i], h[n] = h[n], slot{}
+	s.events = h[:n]
+	if i < n && !s.down(i) {
+		s.up(i)
 	}
-	return h[i].seq < h[j].seq
+	return out
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// up sifts slot i toward the root.
+func (s *Sim) up(i int) {
+	h := s.events
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(h[p]) {
+			break
+		}
+		s.place(i, h[p])
+		i = p
+	}
+	s.place(i, x)
 }
-func (h *eventHeap) Push(x interface{}) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
+
+// down sifts slot i toward the leaves and reports whether it moved.
+func (s *Sim) down(i int) bool {
+	h := s.events
+	x, at := h[i], i
+	for {
+		c := 4*at + 1
+		if c >= len(h) {
+			break
+		}
+		m, end := c, min(c+4, len(h))
+		for j := c + 1; j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(x) {
+			break
+		}
+		s.place(at, h[m])
+		at = m
+	}
+	s.place(at, x)
+	return at != i
 }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+
+// place puts x in slot i, telling a cancellable event where it now is.
+func (s *Sim) place(i int, x slot) {
+	s.events[i] = x
+	if x.seq&1 != 0 {
+		x.e.idx = i
+	}
 }

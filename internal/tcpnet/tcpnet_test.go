@@ -87,6 +87,7 @@ func deploy(t *testing.T, n int, fns []string) *deployment {
 type flatOracle struct{}
 
 func (flatOracle) Path(a, b p2p.NodeID) (float64, float64, bool)     { return 1, 1e9, true }
+func (flatOracle) PathLatency(a, b p2p.NodeID) (float64, bool)       { return 1, true }
 func (flatOracle) AllocBandwidth(a, b p2p.NodeID, kbps float64) bool { return true }
 func (flatOracle) ReleaseBandwidth(a, b p2p.NodeID, kbps float64)    {}
 

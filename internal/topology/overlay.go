@@ -408,6 +408,13 @@ func (o *Overlay) PathCost(a, b int) (latencyMs, bandAvail float64, ok bool) {
 	return lat, o.bottleneck(rt, a, b), true
 }
 
+// PathLatency is PathCost's latency alone (+Inf when !ok): the cached table's
+// distance to b, with no walk of the predecessor chain.
+func (o *Overlay) PathLatency(a, b int) (latencyMs float64, ok bool) {
+	_, lat, ok := o.tree(a, b)
+	return lat, ok
+}
+
 func (o *Overlay) bottleneck(rt *routeTable, a, b int) float64 {
 	bw := math.Inf(1)
 	for at := b; at != a; {

@@ -26,8 +26,8 @@ func dropLinks(o *Overlay, drop func(u, v int) bool) {
 // peer and bandwidth reserved on random routes, PathCost must equal Route +
 // AvailBandwidth bit for bit — latency, bottleneck and ok — in every cache
 // state: cold (miss, room left), hit and full-and-evict (a sweep into the
-// victim's arrays). The reference overlay holds every source, so it is only
-// ever cold or hit.
+// victim's arrays), and PathLatency must equal its latency. The reference
+// overlay holds every source, so it is only ever cold or hit.
 func TestPathCostMatchesRoute(t *testing.T) {
 	const peers = 80
 	cut := func(u, v int) bool { return u == 0 || v == 0 || (u < peers/2) != (v < peers/2) }
@@ -71,6 +71,9 @@ func TestPathCostMatchesRoute(t *testing.T) {
 				math.Float64bits(band) != math.Float64bits(wantBand) {
 				t.Fatalf("K=%d %s %d→%d: PathCost (%v, %v, %v), Route+AvailBandwidth (%v, %v, %v)",
 					k, state, a, b, lat, band, ok, wantLat, wantBand, wantOK)
+			}
+			if l, lok := pc.PathLatency(a, b); lok != ok || ok && math.Float64bits(l) != math.Float64bits(lat) {
+				t.Fatalf("K=%d %s %d→%d: PathLatency (%v, %v), PathCost's latency (%v, %v)", k, state, a, b, l, lok, lat, ok)
 			}
 			if (a < peers/2) != (b < peers/2) && ok {
 				t.Fatalf("K=%d %d→%d crosses the cut but has a route", k, a, b)

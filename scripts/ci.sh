@@ -62,8 +62,9 @@ go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitFor
 # graph's signature (TestSignatureAllocs: its key string). The run above had
 # them under the race detector only, whose runtime allocates differently;
 # these are the figures DESIGN.md quotes. The two benchmarks print the same
-# paths' objects, bytes and time into the log, the third the objects of
-# one simulator event (0: a timer is a pooled event) and the fourth one DHT
+# paths' objects, bytes and time into the log, the third the objects and
+# time of one simulator event on an empty queue and on one 6,400 events deep,
+# federate's peak (0: a timer is a pooled event) and the fourth one DHT
 # discovery lookup; the next ones do that for the
 # world build and the route plane: the four build passes (peer-latency matrix
 # at the paper's scale and the DHT ring at 1k-100k peers, each on one core and
@@ -73,7 +74,8 @@ go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitFor
 # the steady workload's setup_s pays, 200 cold route queries on the scale
 # workload's overlay, each settling its source's sweep only until the target
 # is final, which are most of its run_s, the route-oracle traffic BCP sends
-# on the paper-scale overlay (bursts of cost queries, mostly hits), and one
+# on the paper-scale overlay (bursts of latency queries, every fifth followed
+# by a cost query, as next-hop scoring asks them; mostly hits), and one
 # evicting route miss.
 echo "== allocation gates (no race detector) + compose/recovery-tick + world-build and route benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
