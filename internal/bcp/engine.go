@@ -212,8 +212,8 @@ type Engine struct {
 	// Ctr, when non-nil, accumulates this peer's discovery and shedding
 	// counters, the ones no event records.
 	Ctr *obs.NodeCounters
-	// Met, when non-nil, observes composition latency and probe-shape
-	// histograms (the online metrics plane). Same nil-guard convention as
+	// Met, when non-nil, observes the peer-load histogram, which no event
+	// carries (the others fold from Trace). Same nil-guard convention as
 	// Trace.
 	Met *obs.Metrics
 
@@ -433,10 +433,6 @@ func (e *Engine) finish(st *composeState, res Result) {
 	res.ReqID, res.DiscoveryTime, res.SetupTime = st.req.ID, st.discovery, now-st.started
 	if e.Trace != nil {
 		e.Trace.Emit(obs.ComposeDone(now, e.host.ID(), res.ReqID, res.Ok, res.SetupTime))
-	}
-	if e.Met != nil && res.Ok {
-		e.Met.SetupLatency.ObserveDuration(res.SetupTime)
-		e.Met.DiscoveryLatency.ObserveDuration(res.DiscoveryTime)
 	}
 	st.cb(res)
 }

@@ -260,7 +260,6 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	util := e.ledger.Utilization()
 	if e.Met != nil {
 		e.Met.PeerLoad.Observe(util)
-		e.Met.PeerLoadMax.SetMax(int64(util * 1000))
 	}
 	// Overload shedding: a peer past the threshold declines new work outright
 	// instead of queueing what it will serve too slowly; the probe dies with an
@@ -327,9 +326,6 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 		if e.Trace != nil {
 			e.Trace.Emit(obs.ProbeReturned(e.host.Now(), e.host.ID(), pr.ReqID,
 				req.Dest, len(pr.Visited), ProbeSize(pr), pr.UID))
-		}
-		if e.Met != nil {
-			e.Met.ProbeHops.Observe(float64(len(pr.Visited)))
 		}
 		e.sendReliable(p2p.Message{Type: MsgReport, To: req.Dest,
 			Size: ProbeSize(pr), Payload: pr, UID: pr.UID}, pr.ReqID, pr.UID)
@@ -559,9 +555,6 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 				e.Trace.Emit(obs.ProbeSent(e.host.Now(), e.host.ID(), pr.ReqID,
 					c.Peer, pr.Pattern.Function(nf.fn), c.ID, newBudget, len(pr.Visited),
 					np.UID, pr.UID))
-			}
-			if e.Met != nil {
-				e.Met.ProbeBudget.Observe(float64(newBudget))
 			}
 			e.sendReliable(p2p.Message{Type: MsgProbe, To: c.Peer,
 				Size: ProbeSize(np), Payload: np, UID: np.UID}, pr.ReqID, np.UID)

@@ -187,8 +187,8 @@ func New(opts Options) *Cluster {
 	if err != nil {
 		panic(err.Error())
 	}
-	// The registry counts by folding events: it rides every layer's trace.
-	o.Trace = obs.Counting(o.Trace, o.Obs)
+	// The registry and the metrics fold events: they ride every layer's trace.
+	o.Trace = obs.Counting(o.Trace, o.Obs, o.Metrics)
 	// The nil-Domains path must stay byte-identical to pre-federation
 	// clusters, so every federation branch below is gated on plan != nil.
 	rng := rand.New(rand.NewSource(o.Seed))

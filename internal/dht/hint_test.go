@@ -134,6 +134,7 @@ func TestHintedGetRetriesAroundSilentHint(t *testing.T) {
 		Seed:  1,
 		Links: map[[2]p2p.NodeID]simnet.LinkFaults{{src.Addr(), holder}: {Loss: 1}},
 	})
+	lost := lossFaults(nw)
 	start := nw.Sim().Now()
 	var took time.Duration
 	var got lookup
@@ -144,8 +145,8 @@ func TestHintedGetRetriesAroundSilentHint(t *testing.T) {
 	if !got.ok || len(got.items) != 1 || nodes[got.from].StoredUnder(key) != 1 {
 		t.Fatalf("lookup after a swallowed hint: %+v", got)
 	}
-	if nw.Stats().Faulted != 1 {
-		t.Fatalf("%d messages died on the black-holed link, want the one hinted get", nw.Stats().Faulted)
+	if *lost != 1 {
+		t.Fatalf("%d messages died on the black-holed link, want the one hinted get", *lost)
 	}
 	if took < 200*time.Millisecond || took >= 400*time.Millisecond {
 		t.Fatalf("resolved after %v: want one timeout, then the retry", took)

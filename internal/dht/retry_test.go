@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/simnet"
 )
@@ -59,6 +60,7 @@ func TestGetRetriesViaAlternateRoute(t *testing.T) {
 		Seed:  1,
 		Links: map[[2]p2p.NodeID]simnet.LinkFaults{{p2p.NodeID(reqIdx), h1}: {Loss: 1}},
 	})
+	lost := lossFaults(nw)
 
 	var items []any
 	ok, called := false, false
@@ -75,7 +77,19 @@ func TestGetRetriesViaAlternateRoute(t *testing.T) {
 	if len(items) != 1 || items[0] != "meta" {
 		t.Fatalf("items=%v", items)
 	}
-	if nw.Stats().Faulted == 0 {
+	if *lost == 0 {
 		t.Fatal("fault link never exercised: test routed elsewhere")
 	}
+}
+
+// lossFaults counts the messages nw's fault plane loses, by their net.fault
+// events.
+func lossFaults(nw *simnet.Network) *int {
+	n := new(int)
+	nw.SetObs(obs.TracerFunc(func(ev obs.Event) {
+		if ev.Kind == obs.KindNetFault && ev.Note == obs.FaultLoss {
+			*n++
+		}
+	}), nil, nil)
+	return n
 }

@@ -30,7 +30,7 @@ func TestSendDeliver(t *testing.T) {
 	nw := NewNetwork(flatLat(2, 1), 1)
 	defer nw.Close()
 	reg := obs.NewRegistry()
-	nw.SetObs(obs.Counting(nil, reg), reg, nil)
+	nw.SetObs(obs.Counting(nil, reg, nil), reg, nil)
 	a := nw.AddNode(0, 1)
 	b := nw.AddNode(1, 1)
 	got := make(chan p2p.Message, 1)
@@ -53,7 +53,7 @@ func TestFailedNodeDropsTraffic(t *testing.T) {
 	nw := NewNetwork(flatLat(2, 1), 1)
 	defer nw.Close()
 	reg := obs.NewRegistry()
-	nw.SetObs(obs.Counting(nil, reg), reg, nil)
+	nw.SetObs(obs.Counting(nil, reg, nil), reg, nil)
 	a := nw.AddNode(0, 1)
 	nw.AddNode(1, 1).Handle("ping", func(_ p2p.Node, _ p2p.Message) {
 		t.Error("delivered to failed node")

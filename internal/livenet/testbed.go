@@ -95,8 +95,8 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 		opts.Capacity[qos.CPU] = 20
 		opts.Capacity[qos.Memory] = 200
 	}
-	// The registry counts by folding events: it rides every layer's trace.
-	opts.Trace = obs.Counting(opts.Trace, opts.Obs)
+	// The registry and the metrics fold events: they ride every layer's trace.
+	opts.Trace = obs.Counting(opts.Trace, opts.Obs, opts.Metrics)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	lat := topology.WideAreaLatencies(opts.Hosts, rng)
 	nw := NewNetwork(lat, opts.Speedup)

@@ -253,30 +253,19 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// SetMax raises the gauge to v if v exceeds the current value (a running
-// high-water mark). Safe under concurrent observers.
-func (g *Gauge) SetMax(v int64) {
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Metrics is the online metrics plane: the standard distribution metrics
-// every runtime wires into its hot paths. All fields are always non-nil on
-// a Metrics built by NewMetrics; producers hold a possibly-nil *Metrics and
-// guard each observation site with one pointer check, mirroring the Tracer
-// convention.
+// Metrics is the online metrics plane: the standard distribution metrics of
+// a run, all non-nil on a Metrics built by NewMetrics. Five histograms fold
+// from the events that carry their sample (Emit). DHTLookup, WireBytes,
+// PeerLoad and ActiveSessions, whose samples no event carries, are observed
+// at their sites, each guarded by one nil check of the producer's *Metrics.
 type Metrics struct {
-	// SetupLatency is the end-to-end session setup time of successful
-	// compositions (compose.start -> compose.done ok), in milliseconds —
-	// the distribution behind the paper's Figure 10.
+	// SetupLatency is the setup time of each ok compose.done (a federated
+	// request's own too), in milliseconds — the distribution behind the
+	// paper's Figure 10.
 	SetupLatency *Histogram
-	// DiscoveryLatency is the decentralized discovery phase duration of
-	// successful compositions, in milliseconds. The later setup phases
-	// (probe, collect, commit) come from the trace's span trees.
+	// DiscoveryLatency is the discovery phase duration of each ok disc.done,
+	// in milliseconds. The later setup phases (probe, collect, commit) come
+	// from the trace's span trees.
 	DiscoveryLatency *Histogram
 	// ProbeHops is the hop count of each probe that completed its branch
 	// and reported to the destination.
@@ -298,9 +287,23 @@ type Metrics struct {
 	PeerLoad *Histogram
 	// ActiveSessions counts sessions currently owned by recovery managers.
 	ActiveSessions *Gauge
-	// PeerLoadMax is the highest per-peer utilization seen anywhere, in
-	// permille (0..1000), a high-water mark for spotting hotspots.
-	PeerLoadMax *Gauge
+}
+
+// Emit folds ev into the histogram whose sample it carries, if any. A run
+// attaches it beside its registry (Counting), so every layer's events reach it.
+func (m *Metrics) Emit(ev Event) {
+	switch {
+	case ev.Kind == KindProbeSent || ev.Kind == KindProbeForwarded:
+		m.ProbeBudget.Observe(float64(ev.Budget))
+	case ev.Kind == KindProbeReturned:
+		m.ProbeHops.Observe(float64(ev.Hops))
+	case ev.Kind == KindRecSwitchover:
+		m.Switchover.ObserveDuration(ev.Dur)
+	case ev.Kind == KindComposeDone && ev.Note == "ok":
+		m.SetupLatency.ObserveDuration(ev.Dur)
+	case ev.Kind == KindDiscDone && ev.Note == "ok":
+		m.DiscoveryLatency.ObserveDuration(ev.Dur)
+	}
 }
 
 // NewMetrics builds the standard metric set with its canonical boundaries.
@@ -316,7 +319,6 @@ func NewMetrics() *Metrics {
 		WireBytes:        NewHistogram("wire_bytes", "bytes", ExpBounds(32, 2, 16)), // 32B .. 1MiB
 		PeerLoad:         NewHistogram("peer_load", "util", LinearBounds(0.05, 0.05, 20)),
 		ActiveSessions:   NewGauge("active_sessions"),
-		PeerLoadMax:      NewGauge("peer_load_max_permille"),
 	}
 }
 
@@ -331,7 +333,7 @@ func (m *Metrics) Histograms() []*Histogram {
 
 // Gauges lists every gauge in fixed declaration order.
 func (m *Metrics) Gauges() []*Gauge {
-	return []*Gauge{m.ActiveSessions, m.PeerLoadMax}
+	return []*Gauge{m.ActiveSessions}
 }
 
 // Table renders the non-empty histograms as a quantile summary table.

@@ -236,17 +236,27 @@ func (r *Registry) Emit(ev Event) {
 	}
 }
 
-// Counting returns the tracer a run hands its layers when reg counts it:
-// trace and reg both, reg alone when trace is nil, trace when reg is nil.
-// Attach it before the first message so every counted event is folded.
-func Counting(trace Tracer, reg *Registry) Tracer {
-	switch {
-	case reg == nil:
-		return trace
-	case trace == nil:
-		return reg
+// Counting returns the tracer a run hands its layers: those of trace, reg
+// and met that are non-nil, fanned out, or nil when none is. Attach it
+// before the first message so every counted event is folded.
+func Counting(trace Tracer, reg *Registry, met *Metrics) Tracer {
+	var ts MultiTracer
+	if trace != nil {
+		ts = append(ts, trace)
 	}
-	return MultiTracer{trace, reg}
+	if reg != nil {
+		ts = append(ts, reg)
+	}
+	if met != nil {
+		ts = append(ts, met)
+	}
+	switch len(ts) {
+	case 0:
+		return nil
+	case 1:
+		return ts[0]
+	}
+	return ts
 }
 
 // Merge adds every node's counters in o into r. Parallel sweeps give each

@@ -431,9 +431,6 @@ func (m *Manager) record(s *Session, kind string) {
 	case obs.KindRecSwitchover:
 		m.stats.Switchovers++
 		broken = now - s.brokenAt
-		if m.Met != nil {
-			m.Met.Switchover.ObserveDuration(broken)
-		}
 	case obs.KindRecReactive:
 		broken = now - s.brokenAt
 	case obs.KindRecDead:

@@ -140,8 +140,8 @@ type Manager struct {
 	// Trace receives recovery lifecycle events when non-nil.
 	Trace obs.Tracer
 
-	// Met, when non-nil, observes the switchover-duration histogram and the
-	// active-sessions gauge of the online metrics plane.
+	// Met, when non-nil, moves the active-sessions gauge of the online
+	// metrics plane (switchover durations fold from Trace).
 	Met *obs.Metrics
 
 	sessions map[uint64]*Session // the live ones: Close alone ends one

@@ -5,12 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/p2p"
 )
 
 func TestLossDropsEverythingAtRateOne(t *testing.T) {
 	nw, ns := newTestNet(2)
 	nw.SetFaults(FaultPlan{Seed: 1, Default: LinkFaults{Loss: 1}})
+	events := netEvents(nw)
 	delivered := 0
 	ns[1].Handle("ping", func(p2p.Node, p2p.Message) { delivered++ })
 	for i := 0; i < 10; i++ {
@@ -20,12 +22,11 @@ func TestLossDropsEverythingAtRateOne(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("delivered=%d, want 0 under loss=1", delivered)
 	}
-	st := nw.Stats()
-	if st.Faulted != 10 {
-		t.Fatalf("Faulted=%d, want 10", st.Faulted)
+	if events[obs.FaultLoss] != 10 {
+		t.Fatalf("events=%v, want 10 loss faults", events)
 	}
-	if st.Dropped != 0 {
-		t.Fatalf("Dropped=%d: fault kills must not count as dead-node drops", st.Dropped)
+	if events[obs.KindNetDrop] != 0 {
+		t.Fatalf("events=%v: fault kills must not count as dead-node drops", events)
 	}
 }
 
@@ -48,6 +49,7 @@ func TestLossZeroRateDrawsNothing(t *testing.T) {
 func TestDupDeliversTwice(t *testing.T) {
 	nw, ns := newTestNet(2)
 	nw.SetFaults(FaultPlan{Seed: 1, Default: LinkFaults{Dup: 1}})
+	events := netEvents(nw)
 	count := 0
 	ns[1].Handle("ping", func(p2p.Node, p2p.Message) { count++ })
 	ns[0].Send(p2p.Message{Type: "ping", To: 1})
@@ -55,8 +57,8 @@ func TestDupDeliversTwice(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("count=%d, want 2 under dup=1", count)
 	}
-	if st := nw.Stats(); st.Duplicated != 1 {
-		t.Fatalf("Duplicated=%d, want 1", st.Duplicated)
+	if events[obs.FaultDup] != 1 {
+		t.Fatalf("events=%v, want 1 dup fault", events)
 	}
 }
 
@@ -118,6 +120,7 @@ func TestPartitionWindowCutsBothDirectionsThenHeals(t *testing.T) {
 			From: 5 * time.Millisecond, Until: 15 * time.Millisecond,
 		}},
 	})
+	events := netEvents(nw)
 	var got []string
 	ns[0].Handle("m", func(_ p2p.Node, msg p2p.Message) { got = append(got, msg.Payload.(string)) })
 	ns[1].Handle("m", func(_ p2p.Node, msg p2p.Message) { got = append(got, msg.Payload.(string)) })
@@ -134,8 +137,8 @@ func TestPartitionWindowCutsBothDirectionsThenHeals(t *testing.T) {
 	if len(got) != 2 || got[0] != "before" || got[1] != "after" {
 		t.Fatalf("got=%v, want [before after]", got)
 	}
-	if st := nw.Stats(); st.Faulted != 2 {
-		t.Fatalf("Faulted=%d, want 2 partitioned sends", st.Faulted)
+	if events[obs.FaultPartition] != 2 {
+		t.Fatalf("events=%v, want 2 partitioned sends", events)
 	}
 }
 
@@ -251,6 +254,7 @@ func TestFaultDeterminism(t *testing.T) {
 // epoch die as drops.
 func TestInFlightMessageNotResurrectedByRecover(t *testing.T) {
 	nw, ns := newTestNet(2)
+	events := netEvents(nw)
 	delivered := 0
 	ns[1].Handle("ping", func(p2p.Node, p2p.Message) { delivered++ })
 	ns[0].Send(p2p.Message{Type: "ping", To: 1}) // arrives at t=10ms
@@ -260,8 +264,8 @@ func TestInFlightMessageNotResurrectedByRecover(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("delivered=%d: pre-crash in-flight message resurrected by Recover", delivered)
 	}
-	if st := nw.Stats(); st.Dropped != 1 {
-		t.Fatalf("Dropped=%d, want 1 (the stale-epoch copy must be accounted)", st.Dropped)
+	if events[obs.KindNetDrop] != 1 {
+		t.Fatalf("events=%v, want 1 net.drop (the stale-epoch copy must be accounted)", events)
 	}
 	// Post-recovery traffic flows normally.
 	ns[0].Send(p2p.Message{Type: "ping", To: 1})
@@ -274,6 +278,7 @@ func TestInFlightMessageNotResurrectedByRecover(t *testing.T) {
 func TestDuplicatedCopyNotResurrectedByRecover(t *testing.T) {
 	nw, ns := newTestNet(2)
 	nw.SetFaults(FaultPlan{Seed: 1, Default: LinkFaults{Dup: 1, Jitter: 30 * time.Millisecond}})
+	events := netEvents(nw)
 	delivered := 0
 	ns[1].Handle("ping", func(p2p.Node, p2p.Message) { delivered++ })
 	ns[0].Send(p2p.Message{Type: "ping", To: 1})
@@ -285,7 +290,7 @@ func TestDuplicatedCopyNotResurrectedByRecover(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("delivered=%d: duplicated pre-crash copy resurrected by Recover", delivered)
 	}
-	if st := nw.Stats(); st.Dropped != 2 {
-		t.Fatalf("Dropped=%d, want both stale copies dropped", st.Dropped)
+	if events[obs.KindNetDrop] != 2 {
+		t.Fatalf("events=%v, want both stale copies dropped", events)
 	}
 }

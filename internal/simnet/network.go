@@ -23,15 +23,12 @@ type ProcDelayFunc func(to p2p.NodeID, msgType string) time.Duration
 
 // Stats accumulates network-level overhead counters. The experiments use
 // these to compare SpiderNet's probing overhead with the baselines'
-// flooding / global-state-update overhead.
+// flooding / global-state-update overhead. A message dropped or killed by an
+// injected fault is recorded by its net.drop or net.fault event.
 type Stats struct {
 	MessagesSent int64
 	BytesSent    int64
 	Delivered    int64
-	Dropped      int64 // destination dead, unknown, or crashed since send
-	Unhandled    int64 // delivered but no handler registered
-	Faulted      int64 // killed at send time by injected loss or partition
-	Duplicated   int64 // extra copies injected by duplication faults
 	ByType       map[string]int64
 	BytesByType  map[string]int64 // BytesSent split like ByType
 }
@@ -270,13 +267,11 @@ func (nw *Network) send(msg p2p.Message) {
 		// draw consumed only when the matching rate is non-zero, so plans
 		// that differ in one knob replay the rest of the stream unchanged.
 		if fs.partitioned(msg.From, msg.To, nw.sim.Now()) {
-			nw.stats.Faulted++
 			nw.fault(msg, obs.FaultPartition)
 			return
 		}
 		lf := fs.link(msg.From, msg.To)
 		if lf.Loss > 0 && fs.frng.Float64() < lf.Loss {
-			nw.stats.Faulted++
 			nw.fault(msg, obs.FaultLoss)
 			return
 		}
@@ -293,7 +288,6 @@ func (nw *Network) send(msg p2p.Message) {
 			if lf.Jitter > 0 {
 				dd += time.Duration(fs.frng.Int63n(int64(lf.Jitter) + 1))
 			}
-			nw.stats.Duplicated++
 			nw.fault(msg, obs.FaultDup)
 			nw.scheduleDelivery(dd, msg, epoch, known)
 		}
@@ -311,7 +305,6 @@ func (nw *Network) fault(msg p2p.Message, kind string) {
 func (nw *Network) deliver(msg p2p.Message, epoch uint64, known bool) {
 	dst := nw.node(msg.To)
 	if dst == nil || !dst.alive || (known && dst.epoch != epoch) {
-		nw.stats.Dropped++
 		if nw.trace != nil {
 			nw.trace.Emit(obs.NetDrop(nw.sim.Now(), msg.From, msg.To, msg.Type, msg.Size, msg.UID))
 		}
@@ -319,7 +312,6 @@ func (nw *Network) deliver(msg p2p.Message, epoch uint64, known bool) {
 	}
 	h := dst.handler(msg.Type)
 	if h == nil {
-		nw.stats.Unhandled++
 		return
 	}
 	nw.stats.Delivered++

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/p2p"
 )
 
@@ -19,6 +20,21 @@ func newTestNet(nodes int) (*Network, []p2p.Node) {
 		ns[i] = nw.AddNode(p2p.NodeID(i))
 	}
 	return nw, ns
+}
+
+// netEvents attaches a tracer to nw that counts its net.drop events under
+// that kind and its net.fault events under their Note (obs.FaultLoss, ...).
+func netEvents(nw *Network) map[string]int {
+	n := map[string]int{}
+	nw.SetObs(obs.TracerFunc(func(ev obs.Event) {
+		switch ev.Kind {
+		case obs.KindNetDrop:
+			n[ev.Kind]++
+		case obs.KindNetFault:
+			n[ev.Note]++
+		}
+	}), nil, nil)
+	return n
 }
 
 func TestSendDeliversWithLatency(t *testing.T) {
@@ -53,6 +69,7 @@ func TestSendDeliversWithLatency(t *testing.T) {
 
 func TestSendToFailedNodeDropped(t *testing.T) {
 	nw, ns := newTestNet(2)
+	events := netEvents(nw)
 	delivered := false
 	ns[1].Handle("ping", func(p2p.Node, p2p.Message) { delivered = true })
 	nw.Fail(1)
@@ -61,8 +78,8 @@ func TestSendToFailedNodeDropped(t *testing.T) {
 	if delivered {
 		t.Fatal("message delivered to failed node")
 	}
-	if nw.Stats().Dropped != 1 {
-		t.Fatalf("stats=%+v", nw.Stats())
+	if events[obs.KindNetDrop] != 1 {
+		t.Fatalf("events=%v, want one net.drop", events)
 	}
 }
 
@@ -197,12 +214,12 @@ func TestAfterFireAllocs(t *testing.T) {
 	}
 }
 
-func TestUnhandledMessageCounted(t *testing.T) {
+func TestUnhandledMessageNotDelivered(t *testing.T) {
 	nw, ns := newTestNet(2)
 	ns[0].Send(p2p.Message{Type: "mystery", To: 1})
 	nw.Sim().RunUntilIdle()
-	if nw.Stats().Unhandled != 1 {
-		t.Fatalf("stats=%+v", nw.Stats())
+	if st := nw.Stats(); st.MessagesSent != 1 || st.Delivered != 0 {
+		t.Fatalf("stats=%+v, want one sent and none delivered", st)
 	}
 }
 

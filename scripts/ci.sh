@@ -201,9 +201,11 @@ go test -run 'TestScale1mSlice' -count=1 ./internal/experiment/
 # file and on the committed golden trace; spidersim -check on a run), and
 # the gzip trace path must round-trip to the same events. The churn-free run
 # must issue every one of its 30 requests: one compose.start each. Counters
-# are folds of the events and histograms do not read the trace, so a -stats
-# run prints the same counter, wire and distribution tables with a trace file
-# attached and without one.
+# and five histograms are folds of the events, which the run emits whether a
+# trace file is attached or not, and the other histograms are observed at
+# their sites, so a -stats run prints the same counter, wire and distribution
+# tables with a trace file and without one, federated (where a federated
+# request's own compose.done is a setup sample too) or not.
 echo "== trace determinism + invariant gate"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -225,14 +227,16 @@ gunzip -c "$tmp/c.jsonl.gz" | cmp - "$tmp/a.jsonl"
 "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
     -check > /dev/null
 counters() { awk '/^# per-layer counters/{on=1} /^# trace summary/{on=0} on' "$1"; }
-"$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
-    -stats > "$tmp/s1.txt"
-"$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
-    -stats -trace "$tmp/s.jsonl" > "$tmp/s2.txt"
-counters "$tmp/s1.txt" > "$tmp/c1.txt"
-counters "$tmp/s2.txt" > "$tmp/c2.txt"
-[ -s "$tmp/c1.txt" ] || { echo "spidersim -stats printed no counter tables"; exit 1; }
-cmp "$tmp/c1.txt" "$tmp/c2.txt"
+for fed in "" "-domains domains=2,gateways=1"; do
+    "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
+        $fed -stats > "$tmp/s1.txt"
+    "$tmp/spidersim" -seed 7 -ipnodes 600 -peers 80 -requests 30 -duration 3m \
+        $fed -stats -trace "$tmp/s.jsonl" > "$tmp/s2.txt"
+    counters "$tmp/s1.txt" > "$tmp/c1.txt"
+    counters "$tmp/s2.txt" > "$tmp/c2.txt"
+    [ -s "$tmp/c1.txt" ] || { echo "spidersim $fed -stats printed no counter tables"; exit 1; }
+    cmp "$tmp/c1.txt" "$tmp/c2.txt"
+done
 # A churned run goes through a cluster.Plan's churn clause: deterministic,
 # checker-clean, and failing exactly what it asks for — five minute ticks
 # of 5 % of 80 peers, refilling a pick that is already down, are 20 failures.
