@@ -14,8 +14,8 @@ import (
 
 // sameList reports whether two duplicate lists hold the same components in
 // the same order.
-func sameList(a, b []service.Component) bool {
-	return slices.EqualFunc(a, b, func(x, y service.Component) bool { return x.ID == y.ID })
+func sameList(a, b []*service.Component) bool {
+	return slices.EqualFunc(a, b, func(x, y *service.Component) bool { return x.ID == y.ID })
 }
 
 // TestSecondProbeCarriesOnlyTheTail: peer 2 hosts the only a, so every
@@ -157,7 +157,7 @@ func TestShortHopIgnoresTheTail(t *testing.T) {
 func TestHandRestartsWhenTheListChanges(t *testing.T) {
 	_, engines := discoveryRing(2)
 	e, g := engines[0], fgraph.Linear("a", "b", "c")
-	comps := []service.Component{{ID: "b@1"}, {ID: "b@2"}, {ID: "b@3"}}
+	comps := []*service.Component{{ID: "b@1"}, {ID: "b@2"}, {ID: "b@3"}}
 	for i, step := range []struct {
 		peer, root      p2p.NodeID
 		items           int

@@ -62,7 +62,7 @@ func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 		})
 	}
 
-	if _, hosted := e.LocalComponent(snap.Comp.ID); !hosted {
+	if e.LocalComponent(snap.Comp.ID) == nil {
 		fail("vanished") // component vanished between probing and setup
 		return
 	}

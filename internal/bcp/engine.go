@@ -364,15 +364,15 @@ func (e *Engine) Ledger() *qos.Ledger { return e.ledger }
 // LocalComponents returns the components hosted on this peer.
 func (e *Engine) LocalComponents() []service.Component { return e.local }
 
-// LocalComponent finds a hosted component by ID, reporting whether this
-// peer still hosts it.
-func (e *Engine) LocalComponent(id string) (service.Component, bool) {
-	for _, c := range e.local {
-		if c.ID == id {
-			return c, true
+// LocalComponent finds a hosted component by ID, nil if this peer does not
+// host it. The record is the engine's own and must not be written.
+func (e *Engine) LocalComponent(id string) *service.Component {
+	for i := range e.local {
+		if e.local[i].ID == id {
+			return &e.local[i]
 		}
 	}
-	return service.Component{}, false
+	return nil
 }
 
 // Compose initiates QoS-aware service composition for req from this peer
@@ -440,9 +440,10 @@ func (e *Engine) finish(st *composeState, res Result) {
 // List is one function's duplicate list as a peer holds it — in its discovery
 // cache, in a resolved table, or riding a source's probe to its first hop: the
 // listing with who answered it, and when the peer that looked it up refreshes
-// it. Comps is shared by every holder and never written. On a probe, Base is
-// how many leading items the source handed this hop before, and Comps only the
-// tail past them (0 and the whole list elsewhere).
+// it. Comps and the records it points at are shared by every holder and never
+// written. On a probe, Base is how many leading items the source handed this
+// hop before, and Comps only the tail past them (0 and the whole list
+// elsewhere).
 type List struct {
 	Fn string
 	registry.Listing

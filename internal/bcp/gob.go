@@ -21,6 +21,7 @@ func RegisterGob() {
 		gob.RegisterName("bcp.probeAckMsg", probeAckMsg{})
 		gob.RegisterName("bcp.chosenMsg", chosenMsg{})
 		gob.RegisterName("bcp.creditMsg", creditMsg{})
-		gob.RegisterName("service.Component", service.Component{})
+		// registry reads a lookup's items as *service.Component.
+		gob.RegisterName("service.Component", &service.Component{})
 	})
 }

@@ -21,7 +21,9 @@ import (
 // source hands its first hop; a routed get that names the peer and the number
 // of items its sender holds; the response that leaves those items out; and
 // the credit a dead probe returns to the destination; and a source's own
-// reverse-path walk with its walk ID.
+// reverse-path walk with its walk ID. A listed component is a pointer to its
+// registered record, in a response's items and in a probe's lists alike, and
+// must decode as one with every field equal.
 func TestPayloadsCrossGob(t *testing.T) {
 	RegisterGob()
 	dht.RegisterGob()
@@ -45,7 +47,7 @@ func TestPayloadsCrossGob(t *testing.T) {
 	get := dht.RouteMsg{Key: dht.Key("fn:b"), Hops: 1, Span: 9,
 		Get: dht.GetPayload{ReqID: 3, Origin: 4, Root: 7, Held: 2}}
 	b2 := service.Component{ID: "p6/b.2", Function: "b", Peer: 6, InFormat: 1}
-	resp := dht.GetResp{ReqID: 3, Items: []any{b2}, Base: 2, Hops: 1}
+	resp := dht.GetResp{ReqID: 3, Items: []any{&b2}, Base: 2, Hops: 1}
 	credit := creditMsg{ReqID: 9, UID: 4<<32 | 18, Credit: TotalCredit / 8, Funcs: 3}
 	for _, want := range []any{get, resp, credit} {
 		if got := roundTrip(want); !reflect.DeepEqual(got, want) {
@@ -70,7 +72,7 @@ func TestPayloadsCrossGob(t *testing.T) {
 		Hints: []Hint{{Fn: 2, Root: 8}},
 		Lists: []List{{
 			Fn:      "c",
-			Listing: registry.Listing{Comps: []service.Component{{ID: "p8/c.0", Function: "c", Peer: 8}, b2}, Root: 8, Held: 3},
+			Listing: registry.Listing{Comps: []*service.Component{{ID: "p8/c.0", Function: "c", Peer: 8}, &b2}, Root: 8, Held: 3},
 			Expires: 31 * time.Second,
 		}},
 	}

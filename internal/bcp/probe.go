@@ -251,8 +251,8 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 
 	// The component the probe came to examine must still be hosted here
 	// (discovery meta-data can be stale in a churning overlay).
-	comp, ok := e.LocalComponent(pr.CurCompID)
-	if !ok {
+	comp := e.LocalComponent(pr.CurCompID)
+	if comp == nil {
 		e.dropProbe(&pr, "stale-component")
 		return
 	}
@@ -302,7 +302,7 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	// copy of the shared branch prefix (see Probe.Visited).
 	pr.Visited = append(slices.Clip(pr.Visited), Hop{
 		Fn:   pr.CurFn,
-		Snap: service.Snapshot{Comp: comp, Avail: e.ledger.AvailableHard(), Util: util},
+		Snap: service.Snapshot{Comp: *comp, Avail: e.ledger.AvailableHard(), Util: util},
 		In:   service.LinkSnapshot{FromFn: pr.prevFn(), ToFn: pr.CurFn, BandAvail: band, Latency: lat},
 	})
 
@@ -429,7 +429,7 @@ func (e *Engine) holdSoft(reqID uint64, compID string, res qos.Resources) bool {
 // quota is the probing quota of next-hop function fn with duplicate list
 // comps: the request's explicit per-function quota, else
 // replica-proportional.
-func (pr *Probe) quota(fn int, comps []service.Component) int {
+func (pr *Probe) quota(fn int, comps []*service.Component) int {
 	if pr.Req.Quota != nil {
 		if q := pr.Req.Quota[fn]; q > 0 {
 			return q
@@ -499,8 +499,8 @@ func (e *Engine) planNext(pr *Probe, nextFns []int, table []List) int {
 			bk = 1
 		}
 		lo := len(nx.elig)
-		for ci := range comps {
-			if c := &comps[ci]; e.mayVisit(c, prevComp, pr) {
+		for _, c := range comps {
+			if e.mayVisit(c, prevComp, pr) {
 				nx.elig = append(nx.elig, c)
 			}
 		}

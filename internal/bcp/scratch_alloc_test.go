@@ -76,7 +76,7 @@ func TestNextHopPlanAllocs(t *testing.T) {
 	for _, fn := range []string{"b", "c"} {
 		d := List{Fn: fn}
 		for i := 0; i < 24; i++ {
-			d.Comps = append(d.Comps, service.Component{
+			d.Comps = append(d.Comps, &service.Component{
 				ID: fmt.Sprintf("p%d/%s", i, fn), Function: fn, Peer: p2p.NodeID(i), InFormat: i % 3,
 			})
 		}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/obs/span"
 	"repro/internal/p2p"
 	"repro/internal/recovery"
-	"repro/internal/service"
+	"repro/internal/registry"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -159,7 +159,7 @@ func checkDiscovery(t *testing.T, c *cluster.Cluster, cat []string) {
 		for _, fn := range cat {
 			fn := fn
 			ok := false
-			c.Peers[src].Registry.Discover(fn, 2*time.Second, func(_ []service.Component, _ int, got bool) {
+			c.Peers[src].Registry.DiscoverSpan(fn, 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(_ registry.Listing, _ int, got bool) {
 				ok = got
 			})
 			c.Sim.RunUntilIdle()

@@ -14,6 +14,7 @@ import (
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
+	"repro/internal/registry"
 	"repro/internal/service"
 )
 
@@ -41,8 +42,8 @@ func TestClusterDefaults(t *testing.T) {
 		t.Fatal("no functions deployed")
 	}
 	found := false
-	c.Peers[0].Registry.Discover(fns[0], time.Second, func(comps []service.Component, _ int, ok bool) {
-		found = ok && len(comps) == c.Replicas(fns[0])
+	c.Peers[0].Registry.DiscoverSpan(fns[0], 0, registry.Listing{Root: p2p.NoNode}, time.Second, func(l registry.Listing, _ int, ok bool) {
+		found = ok && len(l.Comps) == c.Replicas(fns[0])
 	})
 	c.Sim.RunUntilIdle()
 	if !found {
@@ -176,8 +177,8 @@ func TestDynamicPeerArrival(t *testing.T) {
 	}
 	// Discoverable from an old peer.
 	found := false
-	c.Peers[3].Registry.Discover("exotic", 2*time.Second, func(comps []service.Component, _ int, ok bool) {
-		found = ok && len(comps) == 1
+	c.Peers[3].Registry.DiscoverSpan("exotic", 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(l registry.Listing, _ int, ok bool) {
+		found = ok && len(l.Comps) == 1
 	})
 	c.Sim.Run(c.Sim.Now() + 10*time.Second)
 	if !found {

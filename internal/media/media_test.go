@@ -103,12 +103,11 @@ func TestStreamEndToEnd(t *testing.T) {
 	var got []Frame
 	for id := p2p.NodeID(0); id <= 4; id++ {
 		id := id
-		node := Attach(nw.AddNode(id), func(cid string) (service.Component, bool) {
-			c, ok := hostComps[id]
-			if ok && c.ID == cid {
-				return c, true
+		node := Attach(nw.AddNode(id), func(cid string) *service.Component {
+			if c, ok := hostComps[id]; ok && c.ID == cid {
+				return &c
 			}
-			return service.Component{}, false
+			return nil
 		})
 		if id == 0 {
 			src = node
@@ -164,12 +163,12 @@ func TestStreamDropsWhenComponentGone(t *testing.T) {
 		},
 		Req: &service.Request{ID: 1, Source: 0, Dest: 2},
 	}
-	src := Attach(nw.AddNode(0), func(string) (service.Component, bool) { return service.Component{}, false })
-	Attach(nw.AddNode(1), func(string) (service.Component, bool) {
-		return service.Component{}, false // component vanished
+	src := Attach(nw.AddNode(0), func(string) *service.Component { return nil })
+	Attach(nw.AddNode(1), func(string) *service.Component {
+		return nil // component vanished
 	})
 	delivered := false
-	dst := Attach(nw.AddNode(2), func(string) (service.Component, bool) { return service.Component{}, false })
+	dst := Attach(nw.AddNode(2), func(string) *service.Component { return nil })
 	dst.OnDeliver(func(Frame) { delivered = true })
 
 	if err := src.SendFrame(graph, NewFrame(0, 100, 100)); err != nil {

@@ -31,14 +31,14 @@ type ADU struct {
 // that hosts components or terminates sessions.
 type Node struct {
 	host       p2p.Node
-	lookup     func(id string) (service.Component, bool)
+	lookup     func(id string) *service.Component
 	deliver    func(Frame)
 	deliverADU func(ADU, time.Duration)
 }
 
 // Attach registers the data-plane handler on host. lookup resolves locally
 // hosted components (e.g. bcp.Engine.LocalComponent).
-func Attach(host p2p.Node, lookup func(id string) (service.Component, bool)) *Node {
+func Attach(host p2p.Node, lookup func(id string) *service.Component) *Node {
 	n := &Node{host: host, lookup: lookup}
 	host.Handle(MsgADU, n.onADU)
 	return n
@@ -102,8 +102,8 @@ func (n *Node) onADU(_ p2p.Node, msg p2p.Message) {
 	}
 	fn := adu.Order[adu.Pos]
 	snap := adu.Graph.Comps[fn]
-	comp, hosted := n.lookup(snap.Comp.ID)
-	if !hosted {
+	comp := n.lookup(snap.Comp.ID)
+	if comp == nil {
 		return // component gone mid-stream; recovery will switch graphs
 	}
 	if t, ok := ForFunction(comp.Function); ok {

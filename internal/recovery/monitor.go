@@ -165,7 +165,7 @@ func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 	}
 	m.eng.Renew(wm.ReqID, m.cfg.Lease())
 	for _, id := range wm.Stops[i].Comps {
-		if _, hosted := m.eng.LocalComponent(id); !hosted {
+		if m.eng.LocalComponent(id) == nil {
 			wm.Missing = append(wm.Missing, id)
 		}
 	}

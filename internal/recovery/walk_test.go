@@ -160,7 +160,7 @@ func TestWalkUnderDuplication(t *testing.T) {
 				t.Errorf("pong %d: stop %d (peer %d) reported %v, its ledger has %v available", pongs, i, peer, got, avail)
 			}
 			for _, id := range p.Comps[i] {
-				if _, hosted := eng.LocalComponent(id); !hosted {
+				if eng.LocalComponent(id) == nil {
 					want = append(want, id)
 				}
 			}

@@ -69,7 +69,8 @@ func TestDeltaDiscoverEqualsFullDiscover(t *testing.T) {
 				down = p2p.NoNode
 			case op == 8 && known.Held > 0:
 				known.Held += 1000
-				known.Comps = []service.Component{mkComp(99, "f", 99)}
+				claim := mkComp(99, "f", 99)
+				known.Comps = []*service.Component{&claim}
 				forged++
 			case op == 9 && known.Root != p2p.NoNode:
 				nw.SetFaults(simnet.FaultPlan{Seed: seed, Links: map[[2]p2p.NodeID]simnet.LinkFaults{

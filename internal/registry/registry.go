@@ -25,41 +25,37 @@ func New(node *dht.Node) *Registry { return &Registry{node: node} }
 // FunctionKey returns the DHT key a function name maps to.
 func FunctionKey(function string) dht.ID { return dht.Key("fn:" + function) }
 
-// Register shares a service component: its meta-data is stored in the DHT
-// under its function name's key.
+// Register shares a service component: one record of its meta-data is
+// stored in the DHT under its function name's key. Every listing, cache entry
+// and probe list that names the component points at that record, which is
+// never written after.
 func (r *Registry) Register(c service.Component) {
-	r.node.Put(FunctionKey(c.Function), c, dht.ItemSize)
-}
-
-// Discover retrieves the meta-data list of all components providing
-// function. cb fires exactly once with the duplicate list (possibly empty)
-// and the DHT hop count, or ok=false if the lookup timed out.
-func (r *Registry) Discover(function string, timeout time.Duration, cb func(comps []service.Component, hops int, ok bool)) {
-	r.DiscoverSpan(function, 0, Listing{Root: p2p.NoNode}, timeout, func(l Listing, hops int, ok bool) {
-		cb(l.Comps, hops, ok)
-	})
+	r.node.Put(FunctionKey(c.Function), &c, dht.ItemSize)
 }
 
 // Listing is a function's duplicate list as one peer's store answered it.
 type Listing struct {
-	Comps []service.Component
-	Root  p2p.NodeID // the peer that answered (NoNode: nobody has)
-	Held  int        // items Root's store held under the key, duplicates and all
+	Comps []*service.Component // the records Register stored, shared and read-only
+	Root  p2p.NodeID           // the peer that answered (NoNode: nobody has)
+	Held  int                  // items Root's store held under the key, duplicates and all
 }
 
-// DiscoverSpan is Discover with the composition-request ID attached (the DHT
-// lookup stamps every hop event with span so trace span trees can attribute
-// discovery traffic to the request), tried first at known.Root, the peer that
-// answered an earlier lookup of function (dht.Node.GetSpan), which sends only
-// what its store gained since if the caller still has that answer (known.Held
-// and known.Comps; a hint alone leaves them zero). cb gets the whole listing.
+// DiscoverSpan retrieves the meta-data list of all components providing
+// function. cb fires exactly once with the whole listing (possibly empty) and
+// the DHT hop count, or ok=false if the lookup timed out. The lookup stamps
+// every hop event with span, the composition-request ID, so trace span trees
+// can attribute discovery traffic to the request. It is tried first at
+// known.Root, the peer that answered an earlier lookup of function
+// (dht.Node.GetSpan), which sends only what its store gained since if the
+// caller still has that answer (known.Held and known.Comps; a hint alone
+// leaves them zero; Listing{Root: p2p.NoNode} knows nothing).
 func (r *Registry) DiscoverSpan(function string, span uint64, known Listing, timeout time.Duration, cb func(l Listing, hops int, ok bool)) {
 	r.node.GetSpan(FunctionKey(function), span, known.Root, known.Held, timeout, func(items []any, base int, from p2p.NodeID, hops int, ok bool) {
 		if !ok {
 			cb(Listing{Root: p2p.NoNode}, 0, false)
 			return
 		}
-		var have []service.Component
+		var have []*service.Component
 		if base > 0 {
 			have = known.Comps
 		}
@@ -67,18 +63,19 @@ func (r *Registry) DiscoverSpan(function string, span uint64, known Listing, tim
 	})
 }
 
-// components returns have (never written to) plus the component meta-data
-// among items, one per component ID (a component that registered again after
-// a rejoin is stored twice). Duplicate lists are a handful to a few dozen
-// entries, so the scan for an ID already taken is cheaper than a set.
-func components(have []service.Component, items []any) []service.Component {
+// components returns have (never written to) plus the component records
+// among items, one per component ID, the first stored (a component that
+// registered again after a rejoin is stored twice). Duplicate lists are a
+// handful to a few dozen entries, so the scan for an ID already taken is
+// cheaper than a set.
+func components(have []*service.Component, items []any) []*service.Component {
 	if len(items) == 0 {
 		return have
 	}
-	comps := append(make([]service.Component, 0, len(have)+len(items)), have...)
+	comps := append(make([]*service.Component, 0, len(have)+len(items)), have...)
 next:
 	for _, it := range items {
-		c, isComp := it.(service.Component)
+		c, isComp := it.(*service.Component)
 		if !isComp {
 			continue
 		}

@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,12 +47,12 @@ func TestRegisterDiscover(t *testing.T) {
 	}
 	nw.Sim().RunUntilIdle()
 
-	var got []service.Component
-	regs[11].Discover("upscale", time.Second, func(comps []service.Component, hops int, ok bool) {
+	var got []*service.Component
+	regs[11].DiscoverSpan("upscale", 0, Listing{Root: p2p.NoNode}, time.Second, func(l Listing, _ int, ok bool) {
 		if !ok {
 			t.Error("discover failed")
 		}
-		got = comps
+		got = l.Comps
 	})
 	nw.Sim().RunUntilIdle()
 	if len(got) != 3 {
@@ -72,10 +73,10 @@ func TestRegisterDiscover(t *testing.T) {
 func TestDiscoverUnknownFunctionEmpty(t *testing.T) {
 	nw, regs := cluster(t, 20)
 	called := false
-	regs[0].Discover("nonexistent", time.Second, func(comps []service.Component, _ int, ok bool) {
+	regs[0].DiscoverSpan("nonexistent", 0, Listing{Root: p2p.NoNode}, time.Second, func(l Listing, _ int, ok bool) {
 		called = true
-		if !ok || len(comps) != 0 {
-			t.Errorf("comps=%v ok=%v", comps, ok)
+		if !ok || len(l.Comps) != 0 {
+			t.Errorf("comps=%v ok=%v", l.Comps, ok)
 		}
 	})
 	nw.Sim().RunUntilIdle()
@@ -90,9 +91,9 @@ func TestDiscoverDeduplicatesReplicaCopies(t *testing.T) {
 	regs[5].Register(c)
 	regs[5].Register(c) // double registration
 	nw.Sim().RunUntilIdle()
-	regs[20].Discover("filter", time.Second, func(comps []service.Component, _ int, ok bool) {
-		if !ok || len(comps) != 1 {
-			t.Errorf("want exactly 1 after dedup, got %d (ok=%v)", len(comps), ok)
+	regs[20].DiscoverSpan("filter", 0, Listing{Root: p2p.NoNode}, time.Second, func(l Listing, _ int, ok bool) {
+		if !ok || len(l.Comps) != 1 {
+			t.Errorf("want exactly 1 after dedup, got %d (ok=%v)", len(l.Comps), ok)
 		}
 	})
 	nw.Sim().RunUntilIdle()
@@ -117,8 +118,8 @@ func TestDiscoverSurvivesRootFailure(t *testing.T) {
 	nw.Fail(p2p.NodeID(root))
 
 	found := false
-	regs[(root+5)%60].Discover("resilient", time.Second, func(comps []service.Component, _ int, ok bool) {
-		found = ok && len(comps) == 1
+	regs[(root+5)%60].DiscoverSpan("resilient", 0, Listing{Root: p2p.NoNode}, time.Second, func(l Listing, _ int, ok bool) {
+		found = ok && len(l.Comps) == 1
 	})
 	nw.Sim().RunUntilIdle()
 	if !found {
@@ -137,4 +138,69 @@ func TestFunctionKeyStable(t *testing.T) {
 	if FunctionKey("node:0") == dht.FromNode(0) {
 		t.Fatal("function key collides with node id namespace")
 	}
+}
+
+// TestListingsShareTheRegisteredRecord: a listed component is the record
+// Register stored, not a copy of it. Two peers' answers for one function point
+// at the answering store's records; a delta refresh keeps the pointers the
+// asker holds and appends the store's new ones; and a component registered
+// again, as after a rejoin, is listed once, as its first record.
+func TestListingsShareTheRegisteredRecord(t *testing.T) {
+	nw, regs := cluster(t, 40)
+	for i := 0; i < 4; i++ {
+		regs[i].Register(mkComp(i, "f", i))
+	}
+	nw.Sim().RunUntilIdle()
+	// stored returns the records under f as peer id's own store holds them.
+	stored := func(id p2p.NodeID) []*service.Component {
+		var out []*service.Component
+		regs[id].DHT().Get(FunctionKey("f"), time.Second, func(items []any, _ int, _ bool) {
+			for _, it := range items {
+				out = append(out, it.(*service.Component))
+			}
+		})
+		nw.Sim().RunUntilIdle()
+		return out
+	}
+	lookup := func(r *Registry, known Listing) Listing {
+		var got Listing
+		r.DiscoverSpan("f", 0, known, time.Second, func(l Listing, _ int, ok bool) {
+			if !ok {
+				t.Fatalf("lookup holding %d of peer %d's items failed", known.Held, known.Root)
+			}
+			got = l
+		})
+		nw.Sim().RunUntilIdle()
+		return got
+	}
+
+	a, b := lookup(regs[11], Listing{Root: p2p.NoNode}), lookup(regs[23], Listing{Root: p2p.NoNode})
+	for _, l := range []Listing{a, b} {
+		if recs := stored(l.Root); len(recs) != 4 || !slices.Equal(l.Comps, recs) {
+			t.Fatalf("peer %d answered %v, not its stored records %v", l.Root, l.Comps, recs)
+		}
+	}
+	if !slices.Equal(a.Comps, b.Comps) {
+		t.Fatalf("two askers hold different records: %v and %v", a.Comps, b.Comps)
+	}
+
+	regs[4].Register(mkComp(4, "f", 4))
+	regs[0].Register(mkComp(0, "f", 0)) // registered again, as after a rejoin
+	nw.Sim().RunUntilIdle()
+	delta := lookup(regs[11], a)
+	recs := stored(delta.Root)
+	if delta.Root != a.Root || delta.Held != 6 || len(recs) != 6 {
+		t.Fatalf("refresh answered by %d holding %d (store %d), want %d holding 6", delta.Root, delta.Held, len(recs), a.Root)
+	}
+	if want := append(slices.Clip(a.Comps), recs[4]); !slices.Equal(delta.Comps, want) {
+		t.Fatalf("refresh listed %v, want the %d held records then the new one: %v", delta.Comps, len(a.Comps), want)
+	}
+	if recs[5].ID != recs[0].ID || recs[5] == recs[0] || slices.Contains(delta.Comps, recs[5]) {
+		t.Fatalf("component %s registered again: stored %p and %p, listed %v", recs[0].ID, recs[0], recs[5], delta.Comps)
+	}
+	if full := lookup(regs[23], Listing{Root: p2p.NoNode}); !slices.Equal(full.Comps, delta.Comps) {
+		t.Fatalf("full lookup listed %v, the refresh %v", full.Comps, delta.Comps)
+	}
+	t.Logf("peers 11 and 23 list the %d records peers %d and %d store; a refresh from %d held kept them and appended 1; %s, stored twice, is listed once as its first record",
+		len(a.Comps), a.Root, b.Root, a.Held, recs[0].ID)
 }

@@ -95,12 +95,12 @@ func TestDHTOverRealSockets(t *testing.T) {
 	d := deploy(t, 6, []string{"alpha", "beta"})
 	got := make(chan int, 1)
 	d.transports[5].Exec(func() {
-		d.registries[5].Discover("alpha", 2*time.Second, func(comps []service.Component, _ int, ok bool) {
+		d.registries[5].DiscoverSpan("alpha", 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(l registry.Listing, _ int, ok bool) {
 			if !ok {
 				got <- -1
 				return
 			}
-			got <- len(comps)
+			got <- len(l.Comps)
 		})
 	})
 	select {

@@ -20,9 +20,9 @@ import (
 // duplicates is a 20-item duplicate list of function fn7 shaped as a cluster
 // draws it: IDs "p<peer>/fn7.<k>", a random service delay, loss and failure
 // probability, one CPU unit and ten memory units each.
-func duplicates() []service.Component {
+func duplicates() []*service.Component {
 	rng := rand.New(rand.NewSource(1))
-	comps := make([]service.Component, 20)
+	comps := make([]*service.Component, 20)
 	for i := range comps {
 		peer := 10 + rng.Intn(290)
 		c := service.Component{ID: fmt.Sprintf("p%d/fn7.%d", peer, i%2), Function: "fn7",
@@ -30,7 +30,7 @@ func duplicates() []service.Component {
 		c.Qp[qos.Delay] = 5 + rng.Float64()*45
 		c.Qp[qos.Loss] = qos.LossToAdditive(rng.Float64() * 0.01)
 		c.Res[qos.CPU], c.Res[qos.Memory] = 1, 10
-		comps[i] = c
+		comps[i] = &c
 	}
 	return comps
 }
@@ -55,7 +55,7 @@ func TestModelledSizesMatchTheEncoding(t *testing.T) {
 		return bcp.Probe{ReqID: req.ID, Req: req, Pattern: fg, Budget: 12, UID: 17<<32 | 93, Credit: bcp.TotalCredit / 2,
 			CurFn: 0, CurCompID: "p42/fn3.0", Hints: []bcp.Hint{{Fn: 1, Root: 133}, {Fn: 2, Root: 87}}, Lists: lists}
 	}
-	list := func(base int, comps []service.Component) bcp.List {
+	list := func(base int, comps []*service.Component) bcp.List {
 		return bcp.List{Fn: "fn7", Listing: registry.Listing{Comps: comps, Root: 133, Held: 20},
 			Expires: 41*time.Second + 250*time.Millisecond, Base: base}
 	}

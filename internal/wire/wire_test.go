@@ -42,9 +42,9 @@ func TestRegisterAllRoundTrip(t *testing.T) {
 	RegisterAll()
 	RegisterAll() // idempotent
 
-	// DHT routing message with a nested service.Component payload — the
-	// combination the discovery layer actually puts on the wire.
-	comp := service.Component{ID: "p3/scale.0", Function: "scale", Peer: 3}
+	// DHT routing message with a nested component record — the combination
+	// the discovery layer actually puts on the wire.
+	comp := &service.Component{ID: "p3/scale.0", Function: "scale", Peer: 3}
 	rm := dht.RouteMsg{
 		Key:  dht.Key("scale"),
 		Hops: 2,
@@ -57,7 +57,7 @@ func TestRegisterAllRoundTrip(t *testing.T) {
 	if got.Key != rm.Key || got.Hops != 2 || got.Put == nil {
 		t.Fatalf("RouteMsg mangled: %+v", got)
 	}
-	if c, ok := got.Put.Item.(service.Component); !ok || c.ID != comp.ID || c.Peer != comp.Peer {
+	if c, ok := got.Put.Item.(*service.Component); !ok || *c != *comp {
 		t.Fatalf("nested Component mangled: %#v", got.Put.Item)
 	}
 
@@ -94,13 +94,14 @@ func TestProbeRoundTrip(t *testing.T) {
 			In:   service.LinkSnapshot{FromFn: fn - 1, ToFn: fn, BandAvail: 900 - float64(fn), Latency: 12.5},
 		}
 	}
+	tail := hop(1, "c3").Snap.Comp
 	probe := bcp.Probe{
 		ReqID: 7, Req: req, PatternIdx: 1, Pattern: fg, Budget: 3, UID: 2<<32 | 9, Credit: bcp.TotalCredit / 3,
 		CurFn: 1, CurCompID: "c1",
 		Visited: []bcp.Hop{hop(0, "c0"), hop(1, "c1")},
 		Egress:  service.LinkSnapshot{FromFn: 1, ToFn: -1, BandAvail: 640, Latency: 3},
 		// A list's tail past the items the hop was handed before.
-		Lists: []bcp.List{{Fn: "y", Listing: registry.Listing{Comps: []service.Component{hop(1, "c3").Snap.Comp}, Root: 5, Held: 3},
+		Lists: []bcp.List{{Fn: "y", Listing: registry.Listing{Comps: []*service.Component{&tail}, Root: 5, Held: 3},
 			Expires: 31 * time.Second, Base: 2}},
 	}
 	probe.QoS[qos.Delay] = 41.5

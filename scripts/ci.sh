@@ -118,11 +118,15 @@ go test -run '^$' -bench 'OverlayRouteEvict' -benchmem .
 # list every time, and a hop that never got the first probe counts the tail
 # short, looks the function up at the hinted peer and composes — so probes
 # that carry whole lists again, or a hop that trusts a tail it cannot rebuild,
-# fail here. -v prints what each measured.
-echo "== discovery + maintenance message gates, collect-wait gates, lookup gate, drain gate, lookup completeness, stale discovery cache, carried tails"
+# fail here. A listed component is the record its registrar stored: two
+# askers' lists and a delta refresh point at the store's records, and a
+# component registered twice is listed once, as its first record — so
+# listings that copy components again fail here. -v prints what each measured.
+echo "== discovery + maintenance message gates, collect-wait gates, lookup gate, drain gate, lookup completeness, stale discovery cache, carried tails, shared records"
 go test -run 'DiscoveryMessageBudget|MaintenanceMessageBudget|CollectWaitBudget|ChurnCollectWait|LookupStretch|DrainAfterChurn' -count=1 -v ./internal/cluster
 go test -run 'HoldersAnswerWithTheRootsItems|StaleAnswersNeedAPeerThatWasDown|HolderWithAGapRoutesOn' -count=1 -v ./internal/dht
 go test -run 'ExpiredListAnswersAtOnce|FailedRefreshKeepsTheList|SecondProbeCarriesOnlyTheTail|ShortHopIgnoresTheTail|HandRestartsWhenTheListChanges' -count=1 -v ./internal/bcp
+go test -run 'ListingsShareTheRegisteredRecord' -count=1 -v ./internal/registry
 
 # The benchmark is a module of its own (benchmark/go.mod), so ./... above
 # never descends into it: vet and test it here, so an internal/ rename that

@@ -25,7 +25,7 @@ gone="internal/trust TrustAware -bench CheckTotals LoadTrace ReadTrace"
 gotool="-race -run -bench -benchmem -benchtime -count -cpu -cover -fuzz -fuzztime -update -v -timeout -o"
 
 # DESIGN.md may only shrink: the cap is its length when the cap was set.
-cap=848
+cap=847
 if [ "$(wc -l < DESIGN.md)" -gt "$cap" ]; then
     echo "doccheck: DESIGN.md has $(wc -l < DESIGN.md) lines, more than its cap of $cap: cut it, do not grow it"
     exit 1
