@@ -498,10 +498,29 @@ func (n *Node) sendReplica(to p2p.NodeID, rm ReplicaMsg) {
 	n.host.Send(p2p.Message{Type: MsgReplica, To: to, Size: routeSize + ItemSize*len(rm.Items), Payload: rm})
 }
 
-// onReplica merges a root's copy into this node's store (idempotent for
-// comparable items) and claims the key for that root at the count it sent,
-// or drops the claim on a stop notice. A root of the key (one that copied it
-// before, and then missed items while down) copies what it gained on.
+// Keyed is a stored item that names itself: a transport that decodes each
+// message hands a holder fresh pointers to records it has, so a merge compares
+// Keyed items by key.
+type Keyed interface{ ItemKey() string }
+
+// sameItem reports whether a and b are one stored item: equal keys if both are
+// Keyed, == otherwise.
+func sameItem(a, b any) bool {
+	ka, okA := a.(Keyed)
+	kb, okB := b.(Keyed)
+	if okA && okB {
+		return ka.ItemKey() == kb.ItemKey()
+	}
+	return a == b
+}
+
+// onReplica merges a root's copy into this node's store and claims the key
+// for that root at the count it sent, or drops the claim on a stop notice.
+// The merge is idempotent however the copy arrived: it adds only items the
+// store does not hold, a Keyed item by its key (a record stored twice at the
+// root, as after a re-registration, is held once, the first), any other by
+// ==. A root of the key (one that copied it before, and then missed items
+// while down) copies what it gained on.
 func (n *Node) onReplica(_ p2p.Node, msg p2p.Message) {
 	rm := msg.Payload.(ReplicaMsg)
 	if len(rm.Items) == 0 {
@@ -512,7 +531,7 @@ func (n *Node) onReplica(_ p2p.Node, msg p2p.Message) {
 	have := n.store[rm.Key]
 	had := len(have)
 	for _, it := range rm.Items {
-		if !slices.Contains(have, it) {
+		if !slices.ContainsFunc(have, func(h any) bool { return sameItem(h, it) }) {
 			have = append(have, it)
 		}
 	}

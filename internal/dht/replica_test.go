@@ -1,12 +1,15 @@
 package dht
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/p2p"
+	"repro/internal/service"
 	"repro/internal/simnet"
 )
 
@@ -224,4 +227,96 @@ func TestHolderWithAGapRoutesOn(t *testing.T) {
 	if got := getVia(t, nw, holder, key, p2p.NoNode); got.from != holder.Addr() || len(got.items) != 3 {
 		t.Fatalf("the holder with all 3 items did not answer them: %+v", got)
 	}
+}
+
+// gobCopy round-trips rm through encoding/gob, as tcpnet carries it: every
+// *service.Component item decodes to a fresh record.
+func gobCopy(t *testing.T, rm ReplicaMsg) ReplicaMsg {
+	t.Helper()
+	var buf bytes.Buffer
+	var got ReplicaMsg
+	if err := gob.NewEncoder(&buf).Encode(rm); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// componentRing is a ring whose key "fn:gob" holds three component records,
+// put from different peers and settled.
+func componentRing(t *testing.T) (*simnet.Network, []*Node, ID) {
+	gob.Register(&service.Component{})
+	nw, nodes := ring(t, 60)
+	key := Key("fn:gob")
+	for i := 0; i < 3; i++ {
+		nodes[i*7].Put(key, &service.Component{ID: fmt.Sprintf("p%d/gob.0", i*7), Function: "gob", Peer: p2p.NodeID(i * 7)}, ItemSize)
+	}
+	nw.Sim().RunUntilIdle()
+	return nw, nodes, key
+}
+
+// TestDecodedCopiesMergeOnce: over a real transport each ReplicaMsg decodes
+// to fresh records, none pointer-equal to what the holder has. A holder that is
+// a root of the key too (it took a put as its root) copies on whatever a merge
+// adds, so a merge by pointer would send the list back and forth between two
+// roots without end. The same copy, gob-decoded twice, must leave the store as
+// it was and send nothing.
+func TestDecodedCopiesMergeOnce(t *testing.T) {
+	nw, nodes, key := componentRing(t)
+	root := rootOf(nw, nodes, key)
+	i := slices.IndexFunc(nodes, func(nd *Node) bool { return nd != root && nd.vouches(key) })
+	if i < 0 {
+		t.Fatal("no holder answers for the key")
+	}
+	holder := nodes[i]
+	holder.replicate(key, 0) // the holder becomes a root of the key as well
+	nw.Sim().RunUntilIdle()
+	if _, isRoot := holder.picks[key]; !isRoot {
+		t.Fatal("the holder picked no replicas")
+	}
+	want := slices.Clone(holder.store[key])
+	sent := nw.Stats().MessagesSent
+	full := ReplicaMsg{Key: key, Items: slices.Clip(root.store[key]), Count: root.StoredUnder(key)}
+	for range 2 {
+		rm := gobCopy(t, full)
+		if c, ok := rm.Items[0].(*service.Component); !ok || c == root.store[key][0] {
+			t.Fatalf("the decoded item is %T, not a fresh *service.Component", rm.Items[0])
+		}
+		holder.onReplica(nil, p2p.Message{From: root.Addr(), Payload: rm})
+		nw.Sim().RunUntilIdle()
+	}
+	if !slices.Equal(holder.store[key], want) {
+		t.Fatalf("two decoded copies of the root's %d items left the holder's store at %d items, want its %d", len(full.Items), len(holder.store[key]), len(want))
+	}
+	if n := nw.Stats().MessagesSent - sent; n != 0 {
+		t.Fatalf("merging copies it already held sent %d messages", n)
+	}
+	t.Logf("holder %d merged 2 decoded copies of %d items: store stays %d, 0 messages", holder.Addr(), len(full.Items), len(want))
+}
+
+// TestReRegisteredRecordHeldOnce: a component registered again with the same
+// ID, as after a rejoin, is stored twice at the root, and each replica holds
+// it once, as the first record it was sent.
+func TestReRegisteredRecordHeldOnce(t *testing.T) {
+	nw, nodes, key := componentRing(t)
+	root := rootOf(nw, nodes, key)
+	first := root.store[key][0].(*service.Component)
+	again := *first
+	nodes[0].Put(key, &again, ItemSize)
+	nw.Sim().RunUntilIdle()
+	if got := root.StoredUnder(key); got != 4 {
+		t.Fatalf("the root stores %d items, want 4 (the re-registration appended)", got)
+	}
+	picks := root.picks[key]
+	if len(picks) == 0 {
+		t.Fatal("the root picked no replicas")
+	}
+	for _, id := range picks {
+		if st := nodes[id].store[key]; len(st) != 3 || st[0] != any(first) {
+			t.Fatalf("replica %d holds %d items (first %v), want 3 with the first record first", id, len(st), st[0])
+		}
+	}
+	t.Logf("root holds 4 items with %s twice; each of its %d replicas holds 3, the first record first", first.ID, len(picks))
 }

@@ -27,8 +27,9 @@ func FunctionKey(function string) dht.ID { return dht.Key("fn:" + function) }
 
 // Register shares a service component: one record of its meta-data is
 // stored in the DHT under its function name's key. Every listing, cache entry
-// and probe list that names the component points at that record, which is
-// never written after.
+// and probe list that names the component points at that record (past a
+// transport that decodes each message, at the copy it decoded), and nothing
+// writes it after.
 func (r *Registry) Register(c service.Component) {
 	r.node.Put(FunctionKey(c.Function), &c, dht.ItemSize)
 }

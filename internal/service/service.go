@@ -41,6 +41,9 @@ type Component struct {
 	FailProb  float64       // estimated failure probability of the hosting peer
 }
 
+// ItemKey is the component's ID: a DHT replica holds one record per ID.
+func (c *Component) ItemKey() string { return c.ID }
+
 // Compatible reports whether next can consume prev's output: the formats
 // must match unless either side is a wildcard.
 func Compatible(prev, next Component) bool {
