@@ -130,6 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	common := experiment.Common{Paper: *paper, Faults: fspec}
 	common.Seed, common.Parallel = *seed, *parallel
 	var tf *obs.TraceFile
+	var spans *span.Builder
 	if *traceFile != "" {
 		var err error
 		if tf, err = obs.CreateTrace(*traceFile); err != nil {
@@ -140,6 +141,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *stats {
 		common.Counters = obs.NewRegistry()
+		// With -trace too, the span forest is built from the events the
+		// file receives, in the same order, as the figures run.
+		if tf != nil {
+			spans = span.NewBuilder()
+			common.Trace = obs.MultiTracer{tf, obs.TracerFunc(spans.Add)}
+		}
 	}
 
 	for _, f := range selected {
@@ -177,18 +184,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg.Table("per-layer counters (all nodes)").Render(stdout)
 		reg.PerNodeTable("busiest nodes", 10).Render(stdout)
 	}
-	// With both -trace and -stats set, rebuild the span forest from the trace
-	// just written and report where the setup time went.
-	if tf != nil && *stats {
-		b := span.NewBuilder()
-		if err := obs.StreamTrace(*traceFile, func(ev obs.Event) error {
-			b.Add(ev)
-			return nil
-		}); err != nil {
-			fmt.Fprintf(stderr, "trace: %v\n", err)
-			return 1
-		}
-		span.PhaseTable(b.Build(), "setup-latency phases (from trace)").Render(stdout)
+	if spans != nil {
+		span.PhaseTable(spans.Build(), "setup-latency phases (from trace)").Render(stdout)
 	}
 	return 0
 }

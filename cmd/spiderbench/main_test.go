@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/obs"
+	"repro/internal/obs/span"
 )
 
 // spiderbench runs the command in-process and returns its exit code and both
@@ -92,5 +95,25 @@ func TestRunsAFigure(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestPhaseTableMatchesTheTraceFile: with -trace and -stats, the phase table
+// built from the events as the figure runs is the one the trace file it wrote
+// rebuilds into.
+func TestPhaseTableMatchesTheTraceFile(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "overhead.jsonl.gz")
+	code, stdout, stderr := spiderbench("-fig", "overhead", "-trace", trace, "-stats")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	b := span.NewBuilder()
+	if err := obs.StreamTrace(trace, func(ev obs.Event) error { b.Add(ev); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	const title = "# setup-latency phases (from trace)\n"
+	_, printed, _ := strings.Cut(stdout, title)
+	if want := span.PhaseTable(b.Build(), "setup-latency phases (from trace)").String(); title+printed != want {
+		t.Errorf("the trace file rebuilds into\n%s\n-stats printed\n%s", want, title+printed)
 	}
 }

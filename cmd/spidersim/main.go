@@ -209,11 +209,13 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
+	// The summary's latency rows read the histograms folded from the run's
+	// events, so every run folds them.
+	met := obs.NewMetrics()
 	var (
 		trace   obs.Tracer
 		tf      *obs.TraceFile
 		reg     *obs.Registry
-		met     *obs.Metrics
 		checker *obs.Checker
 		spans   *span.Builder
 		events  int
@@ -234,7 +236,7 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		tracers = append(tracers, obs.TracerFunc(func(ev obs.Event) { events++; checker.Add(ev) }))
 	}
 	if *stats {
-		reg, met = obs.NewRegistry(), obs.NewMetrics()
+		reg = obs.NewRegistry()
 		spans = span.NewBuilder()
 		tracers = append(tracers, obs.TracerFunc(spans.Add))
 	}
@@ -303,18 +305,14 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		churnTicks(scn.ChurnRate, scn.ChurnAt, scn.ChurnAt+scn.ChurnDur)
 	}
 	var ok metrics.Ratio
-	var setup, discovery, commitLat metrics.Sample // commitLat: cross-domain sessions
+	var commitLat metrics.Sample // cross-domain sessions: no event carries the client's commit latency
 	run := c.Start(plan, func(_ int, o cluster.Outcome) {
 		if o.Skipped {
 			return
 		}
 		ok.Add(o.Ok)
-		if o.Ok {
-			setup.AddDuration(o.SetupTime)
-			discovery.AddDuration(o.DiscoveryTime)
-			if o.Domains > 1 {
-				commitLat.AddDuration(o.CommitLatency)
-			}
+		if o.Ok && o.Domains > 1 {
+			commitLat.AddDuration(o.CommitLatency)
 		}
 	})
 	run.Finish()
@@ -336,13 +334,16 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	t.AddRow("success ratio", ok.Value())
 	t.AddRow("hung compositions", hung)
-	t.AddRow("avg setup time", time.Duration(setup.Mean()*float64(time.Millisecond)))
-	if dspec == nil { // a federation.Result carries no discovery time
-		t.AddRow("avg discovery time", time.Duration(discovery.Mean()*float64(time.Millisecond)))
-	}
-	t.AddRow("messages sent", st.MessagesSent)
-	t.AddRow("bytes sent", st.BytesSent)
-	t.AddRow("probes sent", st.ByType[bcp.MsgProbe])
+	// Each latency row names the events it averages: a federated request's
+	// segments compose, discover and report like any other composition.
+	mean := func(h *obs.Histogram) time.Duration { return time.Duration(h.Mean() * float64(time.Millisecond)) }
+	t.AddRow(fmt.Sprintf("avg setup time (%d ok compose.done)", met.SetupLatency.Count()), mean(met.SetupLatency))
+	t.AddRow(fmt.Sprintf("avg discovery time (%d ok disc.done)", met.DiscoveryLatency.Count()), mean(met.DiscoveryLatency))
+	// The network's tally starts when cluster.New has settled; the registry
+	// counts from the first registration.
+	t.AddRow("messages sent (after setup)", st.MessagesSent)
+	t.AddRow("bytes sent (after setup)", st.BytesSent)
+	t.AddRow("probes sent (after setup)", st.ByType[bcp.MsgProbe])
 	if dspec != nil {
 		led := c.Fed.TotalLedger()
 		t.AddRow("cross-domain sessions", commitLat.N())
@@ -370,9 +371,9 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(stderr, "trace: %d events -> %s\n", n, *traceFile)
 	}
 	if *stats {
-		reg.Table("per-layer counters (all nodes)").Render(stdout)
+		reg.Table("per-layer counters (all nodes, setup included)").Render(stdout)
 		reg.PerNodeTable("busiest nodes", 10).Render(stdout)
-		wire := metrics.NewTable("wire traffic by message type", "type", "msgs", "bytes", "byte share")
+		wire := metrics.NewTable("wire traffic by message type (after setup)", "type", "msgs", "bytes", "byte share")
 		types := make([]string, 0, len(st.ByType))
 		for typ := range st.ByType {
 			types = append(types, typ)

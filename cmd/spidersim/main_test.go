@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -193,8 +195,8 @@ func TestChurnFailsWhatItAsksFor(t *testing.T) {
 // TestEveryRequestIsIssued: arrivals count from the instant cluster.New
 // settled, so a churn-free run issues all of its -requests — one drawn before
 // the build settled is not dropped — and traces one compose.start each. The
-// table's discovery row is printed only where something measured it: a
-// federation.Result carries no discovery time.
+// table's discovery row reads the fold of disc.done events, which a federated
+// request's segments emit too, so a federated run prints it as well.
 func TestEveryRequestIsIssued(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "run.jsonl")
 	code, stdout, stderr := spidersim("-peers", "30", "-ipnodes", "200", "-requests", "40", "-duration", "2s", "-trace", trace)
@@ -214,7 +216,47 @@ func TestEveryRequestIsIssued(t *testing.T) {
 		t.Errorf("-requests 40 traced %d compose.start events", starts)
 	}
 	code, stdout, stderr = spidersim("-peers", "30", "-ipnodes", "200", "-functions", "6", "-requests", "10", "-duration", "10s", "-domains", "domains=2")
-	if code != 0 || !strings.Contains(stdout, "fed commits ") || strings.Contains(stdout, "discovery time") {
-		t.Errorf("federated run: exit %d, want no discovery row\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	if code != 0 || !strings.Contains(stdout, "fed commits ") || !strings.Contains(stdout, "avg discovery time ") {
+		t.Errorf("federated run: exit %d, want a discovery row\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}
+
+// TestSummaryReadsTheFold: the summary's latency rows are the means of the
+// very histograms -stats prints, setup over every ok compose.done (a
+// federated request's segments included) and discovery over every ok
+// disc.done, and each row names how many events it averages.
+func TestSummaryReadsTheFold(t *testing.T) {
+	code, stdout, stderr := spidersim("-seed", "1", "-peers", "60", "-ipnodes", "400", "-functions", "12",
+		"-requests", "30", "-duration", "40s", "-domains", "domains=2,gateways=1", "-stats")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	row := func(prefix string) []string {
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, prefix) {
+				return strings.Fields(line)
+			}
+		}
+		t.Fatalf("stdout has no row %q:\n%s", prefix, stdout)
+		return nil
+	}
+	for _, c := range []struct {
+		hist, summary, events string
+		n                     int
+	}{
+		{"setup_latency_ms ", "avg setup time ", "ok compose.done", 73},
+		{"discovery_latency_ms ", "avg discovery time ", "ok disc.done", 50},
+	} {
+		h := row(c.hist) // name unit count mean p50 p90 p99 max
+		mean, err := strconv.ParseFloat(h[3], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%s(%d %s)", c.summary, c.n, c.events)
+		s := row(c.summary)
+		if h[2] != strconv.Itoa(c.n) || !strings.Contains(stdout, label+" ") || s[len(s)-1] != fmt.Sprintf("%.1fms", mean) {
+			t.Errorf("%s counts %s with mean %s; want %d, and a summary row %q reading %.1fms, got %q",
+				c.hist, h[2], h[3], c.n, label, mean, strings.Join(s, " "))
+		}
 	}
 }

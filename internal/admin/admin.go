@@ -7,7 +7,7 @@
 // Endpoints:
 //
 //	/healthz        liveness probe ("ok")
-//	/metrics        Prometheus text format (counters, histograms, gauges)
+//	/metrics        Prometheus text format (counters, histograms)
 //	/snapshot       fixed-field-order JSON of the same data
 //	/debug/pprof/*  standard Go profiling (heap, profile, trace, ...)
 //
@@ -82,7 +82,7 @@ func Handler(reg *obs.Registry, met *obs.Metrics) http.Handler {
 
 // renderMetrics writes the Prometheus text exposition format (v0.0.4):
 // HELP/TYPE headers, counter totals plus per-node breakdowns, histograms
-// with cumulative le buckets and _sum/_count, and gauges.
+// with cumulative le buckets and _sum/_count.
 func renderMetrics(reg *obs.Registry, met *obs.Metrics) []byte {
 	b := make([]byte, 0, 4096)
 	if reg != nil {
@@ -124,17 +124,6 @@ func renderMetrics(reg *obs.Registry, met *obs.Metrics) []byte {
 	if met != nil {
 		for _, h := range met.Histograms() {
 			b = appendHistogram(b, h)
-		}
-		for _, g := range met.Gauges() {
-			b = append(b, "# TYPE "...)
-			b = append(b, namespace...)
-			b = append(b, g.Name()...)
-			b = append(b, " gauge\n"...)
-			b = append(b, namespace...)
-			b = append(b, g.Name()...)
-			b = append(b, ' ')
-			b = strconv.AppendInt(b, g.Value(), 10)
-			b = append(b, '\n')
 		}
 	}
 	return b

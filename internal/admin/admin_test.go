@@ -30,7 +30,6 @@ func testData() (*obs.Registry, *obs.Metrics) {
 	met := obs.NewMetrics()
 	met.SetupLatency.ObserveDuration(40 * time.Millisecond)
 	met.SetupLatency.ObserveDuration(3 * time.Millisecond)
-	met.ActiveSessions.Add(2)
 	return reg, met
 }
 
@@ -72,8 +71,6 @@ func TestMetricsExposition(t *testing.T) {
 		"spidernet_setup_latency_ms_count 2",
 		"spidernet_setup_latency_ms_sum 43",
 		`spidernet_setup_latency_ms_bucket{le="+Inf"} 2`,
-		"# TYPE spidernet_active_sessions gauge",
-		"spidernet_active_sessions 2",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q:\n%s", want, body)
@@ -165,7 +162,6 @@ func TestSnapshotJSON(t *testing.T) {
 		`"totals":{"msgs_sent":11`,
 		`"3":{"msgs_sent":10`,
 		`"metrics":{"histograms":[`,
-		`"active_sessions":2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("snapshot missing %q:\n%s", want, body)

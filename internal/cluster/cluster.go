@@ -350,7 +350,6 @@ func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb flo
 	if o.Recovery != nil {
 		rec = recovery.NewManager(eng, *o.Recovery)
 		rec.Trace = o.Trace
-		rec.Met = o.Metrics
 	}
 	p := &Peer{
 		Node: host, Ledger: ledger, DHT: dn, Registry: reg, Engine: eng, Recovery: rec,

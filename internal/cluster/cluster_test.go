@@ -281,7 +281,7 @@ func TestJoinWiresLikeNew(t *testing.T) {
 		t.Error("newcomer's engine and DHT node share no counter block")
 	case p.Engine.Trace == nil || p.DHT.Trace == nil || p.Recovery.Trace == nil:
 		t.Error("newcomer is not traced")
-	case p.Engine.Met == nil || p.DHT.Met == nil || p.Recovery.Met == nil:
+	case p.Engine.Met == nil || p.DHT.Met == nil:
 		t.Error("newcomer feeds no histograms")
 	case p.Media == nil || p.Fed != nil:
 		t.Error("newcomer media/federation wiring differs from an unfederated sibling's")

@@ -47,12 +47,12 @@ type Churn struct {
 }
 
 // Outcome is what became of one arrival: skipped, because its source was
-// down at its instant, or completed. A composition reports its setup and
-// discovery times, a federated one its domain count and commit latency.
+// down at its instant, or completed. A composition reports its setup time,
+// a federated one its domain count and commit latency too.
 type Outcome struct {
-	Skipped, Ok                             bool
-	SetupTime, DiscoveryTime, CommitLatency time.Duration
-	Domains                                 int
+	Skipped, Ok              bool
+	SetupTime, CommitLatency time.Duration
+	Domains                  int
 }
 
 // Run is a plan queued on a cluster, with its tally: arrivals issued, issued
@@ -130,7 +130,7 @@ func (r *Run) issue(i int, req *service.Request) {
 			req.Lease = r.plan.Life + recovery.DefaultConfig().Lease()
 		}
 		p.Engine.Compose(req, func(res bcp.Result) {
-			r.report(i, Outcome{Ok: res.Ok, SetupTime: res.SetupTime, DiscoveryTime: res.DiscoveryTime})
+			r.report(i, Outcome{Ok: res.Ok, SetupTime: res.SetupTime})
 			switch {
 			case !res.Ok:
 			case p.Recovery != nil:

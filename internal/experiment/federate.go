@@ -143,9 +143,15 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 	dom := c.DomainPlan()
 	catalog := opts.Catalog
 
-	// Catalogue homing is round-robin by index, so a request's domain span
-	// is known at injection time — the denominator of the cross-domain
+	// Every function has one home domain, the plan's, so a request's domain
+	// span is known at injection time — the denominator of the cross-domain
 	// success ratio.
+	home := make(map[string]int, len(catalog))
+	for d := range dom.NumDomains {
+		for _, fn := range dom.CatalogFor(d, catalog) {
+			home[fn] = d
+		}
+	}
 	gen := workload.NewGenerator(workload.Config{
 		Catalog:  catalog,
 		Peers:    cfg.Peers,
@@ -185,7 +191,7 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 	arrivalRng := newRng(cfg.Seed + 200)
 	for k := range xd {
 		req := gen.Next()
-		xd[k] = spansDomains(req.FGraph.Functions(), catalog, domains)
+		xd[k] = spansDomains(req.FGraph.Functions(), home)
 		xdShare.Add(xd[k])
 		at := time.Duration(arrivalRng.Float64() * float64(cfg.Window))
 		plan.Arrivals = append(plan.Arrivals, cluster.Arrival{At: at, Req: req})
@@ -218,18 +224,12 @@ func federateRun(cfg FederateConfig, domains, gateways int, scenario string, tra
 	}
 }
 
-// spansDomains reports whether a function set crosses domain boundaries
-// under the cluster's round-robin catalogue homing (catalog[i] lives in
-// domain i mod domains) — ground truth for the cross-domain denominator,
-// known at injection time.
-func spansDomains(fns []string, catalog []string, domains int) bool {
-	homeOf := make(map[string]int, len(catalog))
-	for i, fn := range catalog {
-		homeOf[fn] = i % domains
-	}
+// spansDomains reports whether a function set crosses domain boundaries,
+// given each function's home domain.
+func spansDomains(fns []string, home map[string]int) bool {
 	seen := -1
 	for _, fn := range fns {
-		d := homeOf[fn]
+		d := home[fn]
 		if seen >= 0 && d != seen {
 			return true
 		}

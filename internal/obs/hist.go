@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -233,31 +232,13 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// Gauge is a named instantaneous value (e.g. active sessions). Atomic, so
-// the live runtimes may move it from any goroutine while the admin endpoint
-// reads it.
-type Gauge struct {
-	name string
-	v    atomic.Int64
-}
-
-// NewGauge creates a gauge with a Prometheus-style metric name.
-func NewGauge(name string) *Gauge { return &Gauge{name: name} }
-
-// Name returns the metric name.
-func (g *Gauge) Name() string { return g.name }
-
-// Add moves the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Metrics is the online metrics plane: the standard distribution metrics of
 // a run, all non-nil on a Metrics built by NewMetrics. Five histograms fold
-// from the events that carry their sample (Emit). DHTLookup, WireBytes,
-// PeerLoad and ActiveSessions, whose samples no event carries, are observed
-// at their sites, each guarded by one nil check of the producer's *Metrics.
+// from the events that carry their sample (Emit). Three are observed at
+// their sites, each guarded by one nil check of the producer's *Metrics,
+// because no event carries their sample: dht_lookup_ms (no event spans a
+// lookup's round trip), wire_bytes (a sent message is traced only when it is
+// dropped or faulted) and peer_load (the utilization a probe handler reads).
 type Metrics struct {
 	// SetupLatency is the setup time of each ok compose.done (a federated
 	// request's own too), in milliseconds — the distribution behind the
@@ -285,8 +266,6 @@ type Metrics struct {
 	// while handling a probe — the load distribution the overload control
 	// plane acts on.
 	PeerLoad *Histogram
-	// ActiveSessions counts sessions currently owned by recovery managers.
-	ActiveSessions *Gauge
 }
 
 // Emit folds ev into the histogram whose sample it carries, if any. A run
@@ -318,7 +297,6 @@ func NewMetrics() *Metrics {
 		Switchover:       NewHistogram("recovery_switchover_ms", "ms", latency),
 		WireBytes:        NewHistogram("wire_bytes", "bytes", ExpBounds(32, 2, 16)), // 32B .. 1MiB
 		PeerLoad:         NewHistogram("peer_load", "util", LinearBounds(0.05, 0.05, 20)),
-		ActiveSessions:   NewGauge("active_sessions"),
 	}
 }
 
@@ -329,11 +307,6 @@ func (m *Metrics) Histograms() []*Histogram {
 		m.SetupLatency, m.DiscoveryLatency, m.ProbeHops, m.ProbeBudget,
 		m.DHTLookup, m.Switchover, m.WireBytes, m.PeerLoad,
 	}
-}
-
-// Gauges lists every gauge in fixed declaration order.
-func (m *Metrics) Gauges() []*Gauge {
-	return []*Gauge{m.ActiveSessions}
 }
 
 // Table renders the non-empty histograms as a quantile summary table.
@@ -358,16 +331,6 @@ func (m *Metrics) AppendJSON(b []byte) []byte {
 		}
 		b = h.AppendJSON(b)
 	}
-	b = append(b, `],"gauges":{`...)
-	for i, g := range m.Gauges() {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '"')
-		b = append(b, g.Name()...)
-		b = append(b, `":`...)
-		b = strconv.AppendInt(b, g.Value(), 10)
-	}
-	b = append(b, '}', '}')
+	b = append(b, ']', '}')
 	return b
 }

@@ -106,29 +106,15 @@ func TestHistogramJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	g := NewGauge("sessions")
-	g.Add(5)
-	g.Add(-2)
-	if g.Value() != 3 || g.Name() != "sessions" {
-		t.Fatalf("gauge=%d name=%s", g.Value(), g.Name())
-	}
-}
-
 func TestMetricsTableAndJSON(t *testing.T) {
 	m := NewMetrics()
 	m.SetupLatency.ObserveDuration(40 * time.Millisecond)
 	m.ProbeHops.Observe(3)
-	m.ActiveSessions.Add(2)
 	tbl := m.Table("metrics").String()
 	if !strings.Contains(tbl, "setup_latency_ms") || !strings.Contains(tbl, "probe_hops") {
 		t.Fatalf("table:\n%s", tbl)
 	}
 	if strings.Contains(tbl, "dht_lookup_ms") {
 		t.Fatalf("empty histograms should be omitted:\n%s", tbl)
-	}
-	js := string(m.AppendJSON(nil))
-	if !strings.Contains(js, `"active_sessions":2`) {
-		t.Fatalf("json: %s", js)
 	}
 }

@@ -140,10 +140,6 @@ type Manager struct {
 	// Trace receives recovery lifecycle events when non-nil.
 	Trace obs.Tracer
 
-	// Met, when non-nil, moves the active-sessions gauge of the online
-	// metrics plane (switchover durations fold from Trace).
-	Met *obs.Metrics
-
 	sessions map[uint64]*Session // the live ones: Close alone ends one
 	stats    Stats
 
@@ -212,9 +208,6 @@ func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
 	if m.Trace != nil {
 		m.Trace.Emit(obs.SessionEstablish(m.host.Now(), m.host.ID(), s.ID, len(s.Backups)))
 	}
-	if m.Met != nil {
-		m.Met.ActiveSessions.Add(1)
-	}
 	if m.host.Now() >= m.probeDue {
 		m.probeDue = m.host.Now() + probeInterval
 	}
@@ -231,9 +224,6 @@ func (m *Manager) Close(id uint64) {
 	s.alive = false
 	if s.failed && m.Trace != nil {
 		m.Trace.Emit(obs.RecOutcome(m.host.Now(), m.host.ID(), id, obs.KindRecClosed, m.host.Now()-s.brokenAt))
-	}
-	if m.Met != nil {
-		m.Met.ActiveSessions.Add(-1)
 	}
 	m.eng.Teardown(s.Active)
 	delete(m.sessions, id)

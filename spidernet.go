@@ -79,7 +79,7 @@ type (
 	TraceEvent = obs.Event
 	// CounterRegistry collects per-node overhead counters.
 	CounterRegistry = obs.Registry
-	// Metrics is the online histogram/gauge metric set.
+	// Metrics is the online histogram metric set.
 	Metrics = obs.Metrics
 )
 
@@ -87,7 +87,7 @@ type (
 // via SimOptions.Counters or LiveOptions.Counters.
 func NewCounterRegistry() *CounterRegistry { return obs.NewRegistry() }
 
-// NewMetrics creates the standard histogram/gauge metric set to attach via
+// NewMetrics creates the standard histogram metric set to attach via
 // SimOptions.Metrics or LiveOptions.Metrics.
 func NewMetrics() *Metrics { return obs.NewMetrics() }
 
@@ -105,7 +105,7 @@ type SimOptions struct {
 
 	Trace    Tracer           // optional structured event sink
 	Counters *CounterRegistry // optional per-node overhead counters
-	Metrics  *Metrics         // optional histogram/gauge metric set
+	Metrics  *Metrics         // optional histogram metric set
 }
 
 // Sim is a simulated SpiderNet deployment on a virtual clock.
@@ -239,7 +239,7 @@ type LiveOptions struct {
 
 	Trace    Tracer           // optional structured event sink (live traces are not byte-reproducible)
 	Counters *CounterRegistry // optional per-node overhead counters
-	Metrics  *Metrics         // optional histogram/gauge metric set
+	Metrics  *Metrics         // optional histogram metric set
 }
 
 // Live is a live wide-area deployment (the PlanetLab stand-in). Close it
