@@ -2,8 +2,10 @@ package bcp_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/bcp"
 	"repro/internal/cluster"
@@ -371,6 +373,31 @@ func TestBackupsQualifiedAndDistinct(t *testing.T) {
 			t.Fatal("backups not sorted by cost")
 		}
 		prev = cost
+	}
+}
+
+// TestBackupsOwnTheirSlices: the backups are copied out as one batch, their
+// assignments end to end in one array and their links in another, so each
+// graph's slices are clipped to its own part: appending to one backup's, or
+// writing one of its snapshots, leaves the next backup and the best graph
+// as they were.
+func TestBackupsOwnTheirSlices(t *testing.T) {
+	c := cluster.New(cluster.Options{Seed: 17, Peers: 80, Catalog: catalog(5)})
+	res := compose(c, req3(c, 10, 60))
+	if !res.Ok || len(res.Backups) < 2 {
+		t.Fatalf("composed %v with %d backups, want two at least", res.Ok, len(res.Backups))
+	}
+	b0, b1 := res.Backups[0], res.Backups[1]
+	if unsafe.Pointer(&b1.Comps[0]) != unsafe.Add(unsafe.Pointer(&b0.Comps[0]), uintptr(len(b0.Comps))*unsafe.Sizeof(b0.Comps[0])) ||
+		unsafe.Pointer(&b1.Links[0]) != unsafe.Add(unsafe.Pointer(&b0.Links[0]), uintptr(len(b0.Links))*unsafe.Sizeof(b0.Links[0])) {
+		t.Fatal("the backups' assignments or links are not one batch")
+	}
+	best, next := res.Best.Clone(), b1.Clone()
+	b0.Comps[len(b0.Comps)-1].Util = 99
+	b0.Comps = append(b0.Comps, b0.Comps[0])
+	b0.Links = append(b0.Links, service.LinkSnapshot{FromFn: 7, ToFn: 7, Latency: 99})
+	if !reflect.DeepEqual(b1, next) || !reflect.DeepEqual(res.Best, best) {
+		t.Fatal("writing one backup changed another graph")
 	}
 }
 

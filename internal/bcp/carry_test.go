@@ -117,7 +117,7 @@ func TestShortHopIgnoresTheTail(t *testing.T) {
 	hop.Ctr = &obs.NodeCounters{}
 	var got []Probe
 	hop.host.Handle(MsgProbe, func(n p2p.Node, msg p2p.Message) {
-		if got = append(got, msg.Payload.(Probe)); len(got) > 1 {
+		if got = append(got, *msg.Payload.(*Probe)); len(got) > 1 {
 			hop.onProbe(n, msg)
 		}
 	})

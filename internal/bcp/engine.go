@@ -177,6 +177,11 @@ type Engine struct {
 	// handed is what of each function's list this engine's probes have
 	// handed each first-hop peer (hand): at most peers × functions entries.
 	handed map[handKey]handedList
+	// softQ[softHead:] are the soft holds in the order they were made, each
+	// expired by one firing of expireSoftFn, e.expireSoft bound once.
+	softQ        []queuedHold
+	softHead     int
+	expireSoftFn func()
 
 	// Session-scoped allocations: committed components and admitted service
 	// links. Commits and bandwidth admissions are idempotent per key, and
@@ -293,11 +298,17 @@ type alloc struct {
 type renewal struct{ at, due time.Duration }
 
 // softHold is one temporary reservation. seq tells a hold from a later one
-// under the same key, should a cancelled expiry timer fire after all.
+// under the same key, whose queue entry comes after the earlier one's.
 type softHold struct {
 	res    qos.Resources
 	cancel p2p.Timer
 	seq    uint64
+}
+
+// queuedHold is soft hold seq of key in the engine's expiry queue.
+type queuedHold struct {
+	key softKey
+	seq uint64
 }
 
 type composeState struct {
@@ -351,7 +362,7 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 	host.Handle(MsgChosen, e.onChosen)
 	host.Handle(MsgResult, e.onResult)
 	host.Handle(MsgTeardown, e.onTeardown)
-	e.sweepFn = e.sweep
+	e.sweepFn, e.expireSoftFn = e.sweep, e.expireSoft
 	return e
 }
 

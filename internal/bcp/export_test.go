@@ -28,9 +28,9 @@ func (e *Engine) Remembered(fn string) (List, bool) {
 // that way).
 func (e *Engine) TapProbes(f func(pr *Probe, size int)) {
 	e.host.Handle(MsgProbe, func(n p2p.Node, msg p2p.Message) {
-		pr := msg.Payload.(Probe)
+		pr := *msg.Payload.(*Probe)
 		f(&pr, msg.Size)
-		msg.Payload = pr
+		msg.Payload = &pr
 		e.onProbe(n, msg)
 	})
 }

@@ -14,7 +14,7 @@ var gobOnce sync.Once
 // call multiple times.
 func RegisterGob() {
 	gobOnce.Do(func() {
-		gob.RegisterName("bcp.Probe", Probe{})
+		gob.RegisterName("bcp.Probe", &Probe{})
 		gob.RegisterName("bcp.Result", Result{})
 		gob.RegisterName("bcp.teardownMsg", teardownMsg{})
 		gob.RegisterName("bcp.ackMsg", ackMsg{})

@@ -76,12 +76,15 @@ func TestPayloadsCrossGob(t *testing.T) {
 			Expires: 31 * time.Second,
 		}},
 	}
-	got, ok := roundTrip(probe).(Probe)
-	if !ok || !got.Pattern.Equal(fg) || !got.Req.FGraph.Equal(fg) || got.Req.Budget != 12 {
+	got, ok := roundTrip(&probe).(*Probe)
+	if !ok {
+		t.Fatalf("probe decoded as %T, want *Probe", roundTrip(&probe))
+	}
+	if !got.Pattern.Equal(fg) || !got.Req.FGraph.Equal(fg) || got.Req.Budget != 12 {
 		t.Fatalf("probe pattern or request mangled: %+v", got)
 	}
 	got.Pattern, got.Req = fg, req
-	if !reflect.DeepEqual(got, probe) {
+	if !reflect.DeepEqual(*got, probe) {
 		t.Errorf("probe mangled:\n got %+v\nwant %+v", got, probe)
 	}
 

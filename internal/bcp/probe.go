@@ -232,7 +232,8 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 			return
 		}
 	}
-	pr := msg.Payload.(Probe)
+	// The payload is shared with the sender's other copies; see spawnNext.
+	pr := *msg.Payload.(*Probe)
 	req := pr.Req
 
 	// What the source handed along is kept where this peer holds nothing live
@@ -327,8 +328,9 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 			e.Trace.Emit(obs.ProbeReturned(e.host.Now(), e.host.ID(), pr.ReqID,
 				req.Dest, len(pr.Visited), ProbeSize(pr), pr.UID))
 		}
+		rep := pr // only the report escapes, not the hop's own copy
 		e.sendReliable(p2p.Message{Type: MsgReport, To: req.Dest,
-			Size: ProbeSize(pr), Payload: pr, UID: pr.UID}, pr.ReqID, pr.UID)
+			Size: ProbeSize(pr), Payload: &rep, UID: pr.UID}, pr.ReqID, pr.UID)
 		return
 	}
 
@@ -415,15 +417,30 @@ func (e *Engine) holdSoft(reqID uint64, compID string, res qos.Resources) bool {
 		return false
 	}
 	e.holdSeq++
-	seq := e.holdSeq
-	cancel := e.host.After(e.cfg.SoftTimeout, func() {
-		if cur, ok := e.soft[key]; ok && cur.seq == seq {
-			delete(e.soft, key)
-			e.ledger.Release(res)
-		}
-	})
-	e.soft[key] = softHold{res: res, cancel: cancel, seq: seq}
+	if len(e.softQ) == cap(e.softQ) && 2*e.softHead >= len(e.softQ) { // else append doubles it
+		e.softQ, e.softHead = e.softQ[:copy(e.softQ, e.softQ[e.softHead:])], 0
+	}
+	e.softQ = append(e.softQ, queuedHold{key: key, seq: e.holdSeq})
+	cancel := e.host.After(e.cfg.SoftTimeout, e.expireSoftFn)
+	e.soft[key] = softHold{res: res, cancel: cancel, seq: e.holdSeq}
 	return true
+}
+
+// expireSoft releases the oldest live soft hold. Every hold waits the same
+// SoftTimeout, so their timers fire in the order the holds were made (parked
+// ones too, on recovery). A committed hold stopped its timer and left the
+// map: its entry, or one whose key was re-held since, is passed over.
+func (e *Engine) expireSoft() {
+	for e.softHead < len(e.softQ) {
+		q := e.softQ[e.softHead]
+		e.softQ[e.softHead] = queuedHold{}
+		e.softHead++
+		if h, ok := e.soft[q.key]; ok && h.seq == q.seq {
+			delete(e.soft, q.key)
+			e.ledger.Release(h.res)
+			return
+		}
+	}
 }
 
 // quota is the probing quota of next-hop function fn with duplicate list
@@ -517,6 +534,7 @@ func (e *Engine) planNext(pr *Probe, nextFns []int, table []List) int {
 // table holds one entry per next-hop function, in order; carry is everything
 // the source resolved, for its probes to take their successors' lists from
 // (hand), nil at later hops. It returns true if at least one probe was sent.
+// The children are one allocation, sent by pointer and never written after.
 func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 	// The credit split needs the number of children before the first one
 	// leaves.
@@ -524,6 +542,7 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 	if children == 0 {
 		return false
 	}
+	kids := make([]Probe, children)
 	emitted := 0
 	for _, nf := range e.next.fns {
 		if nf.probes == 0 {
@@ -541,13 +560,13 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 		}
 		for _, c := range e.pickNextHop(e.next.elig[nf.lo:nf.hi], nf.probes, pr.Req) {
 			// The child shares pr's Visited slice; see Probe.Visited.
-			np := *pr
+			np := &kids[emitted]
+			*np = *pr
 			at := len(sent)
 			sent = e.hand(sent, c.Peer, pr.Pattern, succs, carry)
 			np.Hints, np.Lists = below, slices.Clip(sent[at:])
 			np.Budget = newBudget
 			np.Credit = creditShare(pr.Credit, children, emitted)
-			emitted++
 			np.CurFn = nf.fn
 			np.CurCompID = c.ID
 			np.UID = e.nextProbeUID()
@@ -557,7 +576,8 @@ func (e *Engine) spawnNext(pr *Probe, nextFns []int, table, carry []List) bool {
 					np.UID, pr.UID))
 			}
 			e.sendReliable(p2p.Message{Type: MsgProbe, To: c.Peer,
-				Size: ProbeSize(np), Payload: np, UID: np.UID}, pr.ReqID, np.UID)
+				Size: ProbeSize(*np), Payload: np, UID: np.UID}, pr.ReqID, np.UID)
+			emitted++
 		}
 	}
 	return true

@@ -105,21 +105,22 @@ func TestNextHopPlanAllocs(t *testing.T) {
 }
 
 // TestProbeHopAllocs: a hop whose successor's list is cached fans out on the
-// stack, allocating only its copy of Visited and one payload per child; a hop
-// that waits on a lookup allocates exactly one object more, the resolution
-// that holds its probe, its join count and its table.
+// stack, allocating only its copy of Visited and its children, in one batch;
+// its soft hold, a map value and an expiry queue entry armed with the
+// engine's one bound callback, allocates nothing. A hop that waits on a
+// lookup allocates exactly one object more, the resolution that holds its
+// probe, its join count and its table.
 func TestProbeHopAllocs(t *testing.T) {
 	nw, engines, _ := viewWorld(t, nil, chainComp(2, "a", 0, 0), chainComp(4, "b", 0, 0), chainComp(5, "b", 0, 0))
 	hop, sim := engines[2], nw.Sim()
 	hop.Trace = nil
-	hop.cfg.DisableSoftReservation = true // a soft hold's timer closure is not the hop's to count
 	children := 0
 	for _, p := range []int{4, 5} {
 		engines[p].host.Handle(MsgProbe, func(p2p.Node, p2p.Message) { children++ })
 	}
 	req := &service.Request{ID: 1, FGraph: fgraph.Linear("a", "b"), QoSReq: qos.Unbounded(),
 		Bandwidth: 100, Source: 0, Dest: 1, Budget: 2}
-	msg := p2p.Message{Type: MsgProbe, From: 0, To: 2, Payload: Probe{ReqID: 1, Req: req, Pattern: req.FGraph,
+	msg := p2p.Message{Type: MsgProbe, From: 0, To: 2, Payload: &Probe{ReqID: 1, Req: req, Pattern: req.FGraph,
 		Budget: 2, UID: 7, Credit: TotalCredit, CurFn: 0, CurCompID: "a@2"}}
 	probe := func() {
 		hop.onProbe(hop.host, msg)
@@ -142,7 +143,10 @@ func TestProbeHopAllocs(t *testing.T) {
 	if children != 2+2*(51+51) {
 		t.Fatalf("the hops sent %d children, want 2 each", children)
 	}
-	if cached != 1+2 || waiting != cached+1 {
-		t.Fatalf("a cached hop allocates %.0f objects (want 3: Visited and two payloads), a waiting one %.0f (want 4)", cached, waiting)
+	if hop.holdSeq == 0 || len(hop.soft) != 0 || hop.ledger.CommittedUtilization() != 0 {
+		t.Fatalf("%d soft holds made, %d outlived their expiry", hop.holdSeq, len(hop.soft))
+	}
+	if cached != 1+1 || waiting != cached+1 {
+		t.Fatalf("a cached hop allocates %.0f objects (want 2: Visited and the children), a waiting one %.0f (want 3)", cached, waiting)
 	}
 }

@@ -78,7 +78,7 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 			return
 		}
 	}
-	pr := msg.Payload.(Probe)
+	pr := *msg.Payload.(*Probe)
 	col := e.collectorFor(pr.ReqID, pr.Req.FGraph.NumFunctions())
 	if col.accounted(pr.UID) {
 		return
@@ -144,11 +144,7 @@ func (e *Engine) finishCollect(reqID uint64) {
 		return
 	}
 	best := sel.build(req, records, &sel.cands[0])
-	nb := min(len(sel.cands)-1, maxBackups)
-	backups := make([]*service.Graph, nb)
-	for i := range backups {
-		backups[i] = sel.build(req, records, &sel.cands[1+i])
-	}
+	backups := sel.buildAll(req, records, sel.cands[1:min(len(sel.cands), 1+maxBackups)])
 
 	// Tell the sender which graph is being confirmed (in parallel with the
 	// ACK), so a broken ACK chain can be rolled back from the sender side.
@@ -262,6 +258,29 @@ func (s *selection) addLink(l service.LinkSnapshot) {
 func (s *selection) build(req *service.Request, records []Probe, c *candidate) *service.Graph {
 	s.merge(req, records, c.recs[:c.n])
 	return s.trial.Clone()
+}
+
+// buildAll is build for each of cands, as one batch: the graphs share one
+// array, and their assignments and links one array each, every graph's
+// slices clipped to its own part so that an append copies it out. The first
+// pass only sizes the arrays, so no scratch outlives the call.
+func (s *selection) buildAll(req *service.Request, records []Probe, cands []candidate) []*service.Graph {
+	nc, nl := 0, 0
+	for i := range cands {
+		s.merge(req, records, cands[i].recs[:cands[i].n])
+		nc, nl = nc+len(s.trial.Comps), nl+len(s.trial.Links)
+	}
+	gs, out := make([]service.Graph, len(cands)), make([]*service.Graph, len(cands))
+	comps, links := make([]service.Snapshot, 0, nc), make([]service.LinkSnapshot, 0, nl)
+	for i := range cands {
+		s.merge(req, records, cands[i].recs[:cands[i].n])
+		c, l := len(comps), len(links)
+		comps, links = append(comps, s.trial.Comps...), append(links, s.trial.Links...)
+		gs[i] = s.trial
+		gs[i].Comps, gs[i].Links = comps[c:len(comps):len(comps)], links[l:len(links):len(links)]
+		out[i] = &gs[i]
+	}
+	return out
 }
 
 // score is the figure selection minimizes within a tier.

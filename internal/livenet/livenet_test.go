@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bcp"
 	"repro/internal/fgraph"
 	"repro/internal/media"
 	"repro/internal/obs"
@@ -306,5 +307,70 @@ func TestTestbedConcurrentCompositions(t *testing.T) {
 	}
 	if okCount == 0 {
 		t.Fatal("all concurrent compositions failed")
+	}
+}
+
+// TestSoftHoldsDrainLive: a batch of concurrent compositions leaves soft
+// reservations on the candidates selection did not pick, which only their
+// expiry releases; once SoftTimeout has passed on the compressed clock no
+// peer holds one. Each ledger is read on its own peer's loop.
+func TestSoftHoldsDrainLive(t *testing.T) {
+	cfg := bcp.DefaultConfig()
+	cfg.SoftTimeout = 20 * time.Second // outlives the batch, so holds are seen live
+	tb := NewTestbed(TestbedOptions{Hosts: 40, Seed: 6, Speedup: 50, BCP: cfg})
+	defer tb.Close()
+	var fns []string
+	for _, f := range media.Functions() {
+		if tb.Replicas(f) > 1 {
+			fns = append(fns, f)
+		}
+		if len(fns) == 2 {
+			break
+		}
+	}
+	var res qos.Resources
+	res[qos.CPU] = 1
+	res[qos.Memory] = 10
+	q := qos.Unbounded()
+	q[qos.Delay] = 10000
+	softHolders := func() int {
+		held := make(chan bool, len(tb.Peers))
+		for i, p := range tb.Peers {
+			tb.Net.Exec(p2p.NodeID(i), func() { held <- p.Ledger.SoftAllocated() != (qos.Resources{}) })
+		}
+		n := 0
+		for range tb.Peers {
+			if <-held {
+				n++
+			}
+		}
+		return n
+	}
+
+	const N = 8
+	results := make(chan bool, N)
+	for i := 0; i < N; i++ {
+		req := &service.Request{
+			ID: uint64(200 + i), FGraph: fgraph.Linear(fns...), QoSReq: q,
+			Res: res, Bandwidth: 10,
+			Source: p2p.NodeID(i * 2), Dest: p2p.NodeID(i*2 + 1), Budget: 8,
+		}
+		go func() { results <- tb.Compose(req).Ok }()
+	}
+	for i := 0; i < N; i++ {
+		select {
+		case <-results:
+		case <-time.After(30 * time.Second):
+			t.Fatal("composition timed out")
+		}
+	}
+	n := softHolders()
+	if n == 0 {
+		t.Fatal("no peer soft-holds anything after the batch: the test drains nothing")
+	}
+	t.Logf("%d of %d peers soft-hold a reservation after the batch", n, len(tb.Peers))
+	tb.Settle(cfg.SoftTimeout + time.Second)
+	if n = softHolders(); n != 0 {
+		t.Fatalf("%d peers still soft-hold a reservation %v after SoftTimeout", n, cfg.SoftTimeout)
 	}
 }

@@ -229,11 +229,11 @@ func TestGobRoundTripOfProtocolPayloads(t *testing.T) {
 		ReqID: 7, Req: req, Pattern: fg, Budget: 3, CurFn: 0, CurCompID: "c0",
 		Visited: []bcp.Hop{{Fn: 0, Snap: service.Snapshot{Comp: service.Component{ID: "c0", Function: "x"}}}},
 	}
-	got := make(chan bcp.Probe, 1)
+	got := make(chan *bcp.Probe, 1)
 	b.Node().Handle(bcp.MsgProbe, func(_ p2p.Node, msg p2p.Message) {
-		got <- msg.Payload.(bcp.Probe)
+		got <- msg.Payload.(*bcp.Probe)
 	})
-	a.Node().Send(p2p.Message{Type: bcp.MsgProbe, To: 1, Payload: probe})
+	a.Node().Send(p2p.Message{Type: bcp.MsgProbe, To: 1, Payload: &probe})
 	select {
 	case p := <-got:
 		if p.ReqID != 7 || p.Req.ID != 7 || p.Pattern.NumFunctions() != 2 {

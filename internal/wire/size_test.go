@@ -51,8 +51,8 @@ func TestModelledSizesMatchTheEncoding(t *testing.T) {
 	fg := fgraph.Linear("fn3", "fn7", "fn1")
 	req := &service.Request{ID: 4242, FGraph: fg, QoSReq: qos.Unbounded(), Source: 17, Dest: 211, Budget: 24, Bandwidth: 100}
 	req.Res[qos.CPU], req.Res[qos.Memory] = 1, 10
-	probe := func(lists ...bcp.List) bcp.Probe {
-		return bcp.Probe{ReqID: req.ID, Req: req, Pattern: fg, Budget: 12, UID: 17<<32 | 93, Credit: bcp.TotalCredit / 2,
+	probe := func(lists ...bcp.List) *bcp.Probe {
+		return &bcp.Probe{ReqID: req.ID, Req: req, Pattern: fg, Budget: 12, UID: 17<<32 | 93, Credit: bcp.TotalCredit / 2,
 			CurFn: 0, CurCompID: "p42/fn3.0", Hints: []bcp.Hint{{Fn: 1, Root: 133}, {Fn: 2, Root: 87}}, Lists: lists}
 	}
 	list := func(base int, comps []*service.Component) bcp.List {
@@ -70,7 +70,7 @@ func TestModelledSizesMatchTheEncoding(t *testing.T) {
 		{"dht.get.resp item (dht.ItemSize)", dht.GetResp{ReqID: 31, Items: items, Hops: 2},
 			dht.GetResp{ReqID: 31, Base: 20, Hops: 2}, len(items), dht.ItemSize},
 		{"bcp.probe list item (dht.ItemSize)", whole, tail, len(comps), dht.ItemSize},
-		{"bcp.probe list, no items (probeListSize)", tail, bare, 1, bcp.ProbeSize(tail) - bcp.ProbeSize(bare)},
+		{"bcp.probe list, no items (probeListSize)", tail, bare, 1, bcp.ProbeSize(*tail) - bcp.ProbeSize(*bare)},
 	} {
 		var buf bytes.Buffer
 		enc := gob.NewEncoder(&buf)

@@ -105,9 +105,9 @@ func TestProbeRoundTrip(t *testing.T) {
 			Expires: 31 * time.Second, Base: 2}},
 	}
 	probe.QoS[qos.Delay] = 41.5
-	got, ok := roundTrip(t, probe).(bcp.Probe)
+	got, ok := roundTrip(t, &probe).(*bcp.Probe)
 	if !ok {
-		t.Fatalf("Probe decoded as %T", roundTrip(t, probe))
+		t.Fatalf("Probe decoded as %T, want *bcp.Probe", roundTrip(t, &probe))
 	}
 	if !got.Pattern.Equal(fg) || !got.Req.FGraph.Equal(fg) || got.Req.Bandwidth != 64 {
 		t.Fatalf("pattern or request mangled: %+v", got)
@@ -115,7 +115,7 @@ func TestProbeRoundTrip(t *testing.T) {
 	// The graphs decode into fresh objects; everything else must be equal
 	// field for field.
 	got.Pattern, got.Req = probe.Pattern, probe.Req
-	if !reflect.DeepEqual(got, probe) {
+	if !reflect.DeepEqual(*got, probe) {
 		t.Fatalf("probe mangled:\n got %+v\nwant %+v", got, probe)
 	}
 }

@@ -50,15 +50,18 @@ go test -race -count=5 -timeout 60s ./internal/tcpnet
 # runs, because a graph one peer refreshes while another reads it raced about
 # once in sixteen. Beside it, the crash model on real time: a downed peer's
 # loop parks the timers that come due and fires them, in due order, when the
-# peer is back (its margins are tens of milliseconds, sized for 2 cores).
-echo "== live recovery: maintenance walks + switchover + paused timers (-race x10, 60s timeout)"
-go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitForRecovery' ./internal/livenet
+# peer is back (its margins are tens of milliseconds, sized for 2 cores). And
+# the soft holds a batch leaves on the candidates selection did not pick,
+# which an engine expires through one queue in the order they were made, all
+# drain once SoftTimeout has passed on the compressed clock.
+echo "== live recovery: maintenance walks + switchover + paused timers + soft-hold drain (-race x10, 60s timeout)"
+go test -race -count=10 -timeout 60s -run 'TestTestbedRecovery|TestTimersWaitForRecovery|TestSoftHoldsDrainLive' ./internal/livenet
 
 # Allocation gates: the object budgets of one composition and one recovery
 # interval, the paths that must allocate nothing at all (route cost,
 # candidate scoring, the dedupe key, next-hop planning), and the ones held to
-# a count: a probe hop (TestProbeHopAllocs: its Visited copy and one payload
-# per child, one object more when it waits on a lookup) and a function
+# a count: a probe hop (TestProbeHopAllocs: its Visited copy and one batch
+# of children, one object more when it waits on a lookup) and a function
 # graph's signature (TestSignatureAllocs: its key string). The run above had
 # them under the race detector only, whose runtime allocates differently;
 # these are the figures DESIGN.md quotes. The two benchmarks print the same
