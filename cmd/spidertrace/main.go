@@ -2,7 +2,8 @@
 // gzipped): it rebuilds the causal span tree of every composition request and
 // reports where the setup time went, or checks the protocol invariants.
 // Traces are decoded streaming, so multi-gigabyte sweep traces analyze in
-// constant memory.
+// constant memory. A trace is a sequence of runs, each opened by a run.start
+// event (a sweep has one per cell), and IDs are scoped to their run.
 //
 // Usage:
 //
@@ -10,12 +11,12 @@
 //
 // Commands:
 //
-//	summary [-orphans] forest rollup: requests, outcomes, phase totals, events per kind, orphans
+//	summary [-orphans] forest rollup: runs, requests, outcomes, phase totals, events per kind, orphans
 //	phases             per-phase latency breakdown across all requests
 //	slow [-k N]        top-k slowest requests with per-phase columns
 //	waterfall -req N   span waterfall of one request (federated subs nested)
 //	critical [-req N | -k N]   critical path of one request, or of the top-k slowest
-//	check              protocol invariants (obs.Checker): one line per violation, exit 1 on any
+//	check              protocol invariants (obs.Checker) per run: one line per violation, exit 1 on any
 //
 // Every report is deterministic in the trace contents, so identically seeded
 // runs produce byte-identical output — CI diffs reports across reruns.

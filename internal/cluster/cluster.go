@@ -188,7 +188,11 @@ func New(opts Options) *Cluster {
 		panic(err.Error())
 	}
 	// The registry and the metrics fold events: they ride every layer's trace.
+	// A run.start opens it: request IDs, PIDs and the clock restart per cluster.
 	o.Trace = obs.Counting(o.Trace, o.Obs, o.Metrics)
+	if o.Trace != nil {
+		o.Trace.Emit(obs.RunStart(o.Seed))
+	}
 	// The nil-Domains path must stay byte-identical to pre-federation
 	// clusters, so every federation branch below is gated on plan != nil.
 	rng := rand.New(rand.NewSource(o.Seed))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fgraph"
 	"repro/internal/media"
 	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -264,7 +265,8 @@ func TestTestbedComposeEndToEnd(t *testing.T) {
 }
 
 func TestTestbedConcurrentCompositions(t *testing.T) {
-	tb := NewTestbed(TestbedOptions{Hosts: 40, Seed: 6, Speedup: 50})
+	mem := &obs.MemSink{}
+	tb := NewTestbed(TestbedOptions{Hosts: 40, Seed: 6, Speedup: 50, Trace: mem})
 	defer tb.Close()
 	var fns []string
 	for _, f := range media.Functions() {
@@ -307,6 +309,22 @@ func TestTestbedConcurrentCompositions(t *testing.T) {
 	}
 	if okCount == 0 {
 		t.Fatal("all concurrent compositions failed")
+	}
+
+	// Peer goroutines stamp an event before they take the sink, so the
+	// trace's clock goes backward here and there; it is still one run.
+	tb.Close()
+	b, c := span.NewBuilder(), obs.NewChecker()
+	for _, ev := range mem.Events() {
+		b.Add(ev)
+		c.Add(ev)
+	}
+	f := b.Build()
+	if f.Runs != 1 || len(f.Trees) != N || len(f.Orphans) != 0 {
+		t.Errorf("trace reads as %d runs, %d trees, %d orphans; want 1, %d, 0", f.Runs, len(f.Trees), len(f.Orphans), N)
+	}
+	if vs := c.Finish(); len(vs) != 0 {
+		t.Errorf("live trace violates %d invariants: %v", len(vs), vs)
 	}
 }
 

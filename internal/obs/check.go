@@ -118,11 +118,14 @@ type emission struct {
 //     latest rec.attempt: before the switchover's own deadline, or with the
 //     re-composition the attempt names not yet at its compose.done.
 //
+// Each holds per run: a run.start after any event closes the run before it.
 // Traces cut off mid-run (a simulator duration expiring with probes in
 // flight) can legitimately fail the conservation check; the seeded CI runs
 // are sized so all probing settles before the cutoff.
 type Checker struct {
-	vs []Violation
+	closed  [][]Violation // the verdicts of the runs a run.start closed
+	started bool
+	vs      []Violation
 
 	emitted  map[uint64]emission
 	terms    map[uint64]int
@@ -189,6 +192,12 @@ func NewChecker() *Checker {
 
 // Add folds one event into the checker's state.
 func (c *Checker) Add(ev Event) {
+	if ev.Kind == KindRunStart && c.started {
+		closed := append(c.closed, c.finishRun())
+		*c = *NewChecker()
+		c.closed = closed
+	}
+	c.started = true
 	c.last = max(c.last, ev.TS)
 	switch ev.Kind {
 	case KindFedPrepare:
@@ -340,9 +349,24 @@ func (c *Checker) Add(ev Event) {
 	}
 }
 
-// Finish runs the whole-trace accounting over the accumulated state and
-// returns every violation found, including those reported during Add.
+// Finish returns every run's violations, those reported during Add included;
+// when there are several runs, each Detail starts with its run's ordinal.
 func (c *Checker) Finish() []Violation {
+	runs := append(c.closed, c.finishRun())
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	var vs []Violation
+	for i, run := range runs {
+		for _, v := range run {
+			vs = append(vs, Violation{v.Name, fmt.Sprintf("run %d: %s", i+1, v.Detail)})
+		}
+	}
+	return vs
+}
+
+// finishRun is one run's end-of-run accounting.
+func (c *Checker) finishRun() []Violation {
 	vs := c.vs
 
 	// Probe accounting, in pid order for deterministic reports.

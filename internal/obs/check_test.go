@@ -2,6 +2,7 @@ package obs
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -49,6 +50,40 @@ func hasViolation(vs []Violation, name string) bool {
 func TestCheckCleanTrace(t *testing.T) {
 	if vs := feed(cleanTrace()).Finish(); len(vs) != 0 {
 		t.Fatalf("clean trace flagged: %v", vs)
+	}
+}
+
+// TestCheckScopesEachRun: two copies of one clean run reuse their request
+// IDs and PIDs. With a run.start between them they check clean, and a defect
+// in the second copy is reported with that run's ordinal; a lone run's
+// Detail carries none. Without the run.start the stream is one run, whose
+// PIDs repeat.
+func TestCheckScopesEachRun(t *testing.T) {
+	two := func(second []Event, sep ...Event) []Event {
+		evs := append(append([]Event{RunStart(1)}, cleanTrace()...), sep...)
+		return append(evs, second...)
+	}
+	if vs := feed(two(cleanTrace(), RunStart(2))).Finish(); len(vs) != 0 {
+		t.Fatalf("two clean runs flagged: %v", vs)
+	}
+	// pid 102 loses its drop record and leaks.
+	leaky := slices.DeleteFunc(cleanTrace(), func(ev Event) bool { return ev.Kind == KindProbeDropped })
+	vs := feed(two(leaky, RunStart(2))).Finish()
+	if !hasViolation(vs, VioProbeConservation) {
+		t.Fatalf("the second run's leak went unreported: %v", vs)
+	}
+	for _, v := range vs {
+		if !strings.HasPrefix(v.Detail, "run 2: ") {
+			t.Errorf("violation %v does not name run 2", v)
+		}
+	}
+	for _, v := range feed(append([]Event{RunStart(1)}, leaky...)).Finish() {
+		if strings.HasPrefix(v.Detail, "run ") {
+			t.Errorf("a lone run's violation %v names its run", v)
+		}
+	}
+	if vs := feed(two(cleanTrace())).Finish(); !hasViolation(vs, VioProbeDuplicatePID) {
+		t.Fatalf("without a run.start the copies are one run, want %s: %v", VioProbeDuplicatePID, vs)
 	}
 }
 

@@ -9,6 +9,7 @@
 //
 // The event taxonomy covers the whole stack:
 //
+//	run.start                           a run begins: IDs and the clock restart
 //	compose.start / compose.done        BCP composition lifecycle (source)
 //	disc.done                           discovery phase boundary (source)
 //	probe.sent / probe.forwarded        probe lifecycle (§4.2)
@@ -31,6 +32,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"repro/internal/p2p"
@@ -39,6 +41,7 @@ import (
 // Event kinds. Producers use the typed constructors below; consumers switch
 // on these constants.
 const (
+	KindRunStart       = "run.start"
 	KindComposeStart   = "compose.start"
 	KindComposeDone    = "compose.done"
 	KindDiscDone       = "disc.done"
@@ -160,6 +163,12 @@ func (f TracerFunc) Emit(ev Event) { f(ev) }
 
 // Typed event constructors. They only build the Event value; the caller
 // guards with `if tracer != nil` so the disabled path does no work.
+
+// RunStart opens a run: the code that scopes request IDs, PIDs and the clock
+// emits it first, so a trace of several runs (a sweep's cells) splits on it.
+func RunStart(seed int64) Event {
+	return Event{Kind: KindRunStart, Node: p2p.NoNode, Peer: p2p.NoNode, Note: fmt.Sprintf("seed=%d", seed)}
+}
 
 // ComposeStart records a source starting composition for req.
 func ComposeStart(ts time.Duration, node p2p.NodeID, req uint64, funcs, budget int) Event {

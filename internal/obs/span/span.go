@@ -132,11 +132,12 @@ type Forest struct {
 	// Trees holds the top-level request trees, grouped by run and sorted by
 	// request ID within each run; federated sub-compositions hang off their
 	// parent's Subs. Sweep traces (spiderbench) concatenate many independent
-	// cells into one file — a virtual-clock regression marks each boundary —
-	// so request and probe IDs are scoped per run, never across runs.
+	// cells into one file, each opened by a run.start event, so request and
+	// probe IDs are scoped per run, never across runs.
 	Trees []*Tree
 	// Runs counts the independent runs the trace concatenates (1 for a plain
-	// spidersim trace, one per cell for an experiment sweep).
+	// spidersim trace or a file without run.start, one per cell for an
+	// experiment sweep).
 	Runs int
 	// Orphans lists unattributable events, in trace order.
 	Orphans []Orphan
@@ -181,15 +182,13 @@ func (f *Forest) All(fn func(*Tree)) {
 }
 
 // Builder folds a trace into per-request span state one event at a time.
-// A timestamp regression (the virtual clock starting over) closes the
-// current run and opens a fresh one: request IDs and probe UIDs restart per
-// run in concatenated sweep traces, so linkage state never leaks across the
-// boundary.
+// A run.start after any event closes the current run and opens a fresh one:
+// request IDs and probe UIDs restart per run in concatenated sweep traces,
+// so linkage state never leaks across the boundary.
 type Builder struct {
 	reqs     map[uint64]*reqState
 	pidReq   map[uint64]uint64 // probe identity → owning request, this run
 	archived []map[uint64]*reqState
-	lastTS   time.Duration
 	orphans  []Orphan
 	events   int
 	kinds    map[string]int
@@ -258,19 +257,19 @@ func (b *Builder) orphan(ev obs.Event, reason string) {
 	b.orphans = append(b.orphans, Orphan{Ev: ev, Reason: reason})
 }
 
-// Add folds one event. Events are expected in trace (timestamp) order, the
-// order every sink writes them in; a timestamp going backward means a new
-// run started (sweep traces concatenate cells).
+// Add folds one event, in the order the sink wrote them, which a live
+// runtime's timestamps need not follow.
 func (b *Builder) Add(ev obs.Event) {
 	b.events++
 	b.kinds[ev.Kind]++
-	if ev.TS < b.lastTS {
-		b.archived = append(b.archived, b.reqs)
-		b.reqs = make(map[uint64]*reqState)
-		b.pidReq = make(map[uint64]uint64)
-	}
-	b.lastTS = ev.TS
 	switch ev.Kind {
+	case obs.KindRunStart:
+		if b.events > 1 {
+			b.archived = append(b.archived, b.reqs)
+			b.reqs = make(map[uint64]*reqState)
+			b.pidReq = make(map[uint64]uint64)
+		}
+		return
 	case obs.KindNetDrop, obs.KindNetFault:
 		// Wire records carry the casualty's protocol identity but no request;
 		// probes resolve through the global pid index, everything else (report

@@ -289,41 +289,80 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 	}
 }
 
-// addSweep folds two concatenated runs (sweep cells) into b, each composing
-// the same request IDs with the same probe IDs; only the clock regression at
-// the boundary separates them.
-func addSweep(b *Builder, reqs ...uint64) {
+// runEvents composes each request once, request i from offset+10i ms on,
+// every one with the probe ID 10+req.
+func runEvents(offset int, reqs ...uint64) []obs.Event {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	for run := 0; run < 2; run++ {
-		for i, req := range reqs {
-			t0, pid := 10*i, 10+req
-			b.Add(obs.ComposeStart(ms(t0+1), 3, req, 2, 10))
-			b.Add(obs.ProbeSent(ms(t0+2), 3, req, 4, "f", "c", 5, 0, pid, 0))
-			b.Add(obs.ProbeReturned(ms(t0+3), 4, req, 3, 1, 64, pid))
-			b.Add(obs.ProbeCollected(ms(t0+4), 5, req, 4, 1, pid))
-			b.Add(obs.SelectDone(ms(t0+5), 5, req, 1, 1, 0))
-			b.Add(obs.ComposeDone(ms(t0+6), 3, req, true, ms(5)))
+	var evs []obs.Event
+	for i, req := range reqs {
+		t0, pid := offset+10*i, 10+req
+		evs = append(evs,
+			obs.ComposeStart(ms(t0+1), 3, req, 2, 10),
+			obs.ProbeSent(ms(t0+2), 3, req, 4, "f", "c", 5, 0, pid, 0),
+			obs.ProbeReturned(ms(t0+3), 4, req, 3, 1, 64, pid),
+			obs.ProbeCollected(ms(t0+4), 5, req, 4, 1, pid),
+			obs.SelectDone(ms(t0+5), 5, req, 1, 1, 0),
+			obs.ComposeDone(ms(t0+6), 3, req, true, ms(5)))
+	}
+	return evs
+}
+
+// addSweep folds two concatenated runs (sweep cells) into b, each opened by
+// a run.start and composing the same request IDs with the same probe IDs.
+func addSweep(b *Builder, reqs ...uint64) {
+	for seed := int64(1); seed <= 2; seed++ {
+		addAll(b, append([]obs.Event{obs.RunStart(seed)}, runEvents(0, reqs...)...))
+	}
+}
+
+// TestRunBoundariesScopeIDs: a run.start, and nothing else, opens a run.
+// Request and probe IDs reused across runs are not duplicates; a live
+// runtime's stamps, which go backward where a goroutine stamped an event
+// before another took the sink, stay one run; and a second run whose clock
+// starts after the first one ended is still a run of its own.
+func TestRunBoundariesScopeIDs(t *testing.T) {
+	live := runEvents(0, 1, 2, 3)
+	for k := 6; k < len(live); k += 6 {
+		// Each compose.done written after the next request's compose.start.
+		live[k-1], live[k] = live[k], live[k-1]
+	}
+	later := append([]obs.Event{obs.RunStart(1)}, runEvents(0, 7)...)
+	later = append(append(later, obs.RunStart(2)), runEvents(100, 7)...)
+	for _, tc := range []struct {
+		name string
+		add  func(b *Builder)
+		runs int
+		reqs []uint64
+	}{
+		{"two cells", func(b *Builder) { addSweep(b, 7) }, 2, []uint64{7, 7}},
+		{"live stamps out of order", func(b *Builder) { addAll(b, live) }, 1, []uint64{1, 2, 3}},
+		{"second cell starts later", func(b *Builder) { addAll(b, later) }, 2, []uint64{7, 7}},
+	} {
+		b := NewBuilder()
+		tc.add(b)
+		f := b.Build()
+		if f.Runs != tc.runs {
+			t.Errorf("%s: runs = %d, want %d", tc.name, f.Runs, tc.runs)
+		}
+		if len(f.Orphans) != 0 {
+			t.Errorf("%s: orphans %+v", tc.name, f.Orphans)
+		}
+		var reqs []uint64
+		for _, tr := range f.Trees {
+			reqs = append(reqs, tr.Req)
+			if !tr.Ok || tr.Phases.Attribution() != 1 {
+				t.Errorf("%s: tree %+v not fully rebuilt", tc.name, tr)
+			}
+		}
+		if !slices.Equal(reqs, tc.reqs) {
+			t.Errorf("%s: trees of requests %v, want one per request %v", tc.name, reqs, tc.reqs)
 		}
 	}
 }
 
-func TestRunBoundariesScopeIDs(t *testing.T) {
-	b := NewBuilder()
-	addSweep(b, 7)
-	f := b.Build()
-	if f.Runs != 2 {
-		t.Fatalf("runs = %d, want 2", f.Runs)
-	}
-	if len(f.Orphans) != 0 {
-		t.Fatalf("ID reuse across runs misread as duplicates: %+v", f.Orphans)
-	}
-	if len(f.Trees) != 2 {
-		t.Fatalf("want one tree per run, got %d", len(f.Trees))
-	}
-	for _, tr := range f.Trees {
-		if tr.Req != 7 || !tr.Ok || tr.Phases.Attribution() != 1 {
-			t.Errorf("run tree %+v not fully rebuilt", tr)
-		}
+func addAll(b *Builder, evs []obs.Event) {
+	for _, ev := range evs {
+		b.Add(ev)
 	}
 }
 
@@ -338,8 +377,8 @@ func TestSweepSummaryCountsEveryCell(t *testing.T) {
 	for _, n := range f.Kinds {
 		sum += n
 	}
-	if f.Events != 36 || sum != f.Events {
-		t.Fatalf("%d events, %d summed over kinds %v; want 36 both ways", f.Events, sum, f.Kinds)
+	if f.Events != 38 || sum != f.Events {
+		t.Fatalf("%d events, %d summed over kinds %v; want 38 both ways (36 and 2 run.start)", f.Events, sum, f.Kinds)
 	}
 	rows := strings.Join(strings.Fields(Summary(f, "sweep").String()), " ")
 	for _, want := range []string{

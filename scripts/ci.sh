@@ -341,21 +341,24 @@ cmp "$tmp/d1.jsonl" "$tmp/d2.jsonl"
 # Figure gates. Every simulated figure must (1) print exactly the committed
 # golden tables — internal/experiment/testdata/figures.golden is the
 # concatenated stdout of `spiderbench -fig F` over the loop below; after a
-# deliberate protocol change regenerate it from that loop — and (2) be
-# byte-identical, tables and trace, at any worker count. Fig 11's cells are
+# deliberate protocol change regenerate it from that loop — (2) be
+# byte-identical, tables and trace, at any worker count, and (3) leave a
+# trace every cell of which passes spidertrace check: each cell's cluster
+# opens its run with a run.start, and the checker holds each run on its own. Fig 11's cells are
 # single requests on an idle world, scale's compare load-aware against
 # load-blind composition, stress's replay adversarial workloads through five
 # algorithms, federate's drive the cross-domain 2PC under faults: between them
 # every layer's determinism is on the line. The acceptance thresholds
 # themselves (spidernet >= strawmen, p99 bounds, load-aware wins) live in the
 # package tests that `go test ./...` above already enforced.
-echo "== figure gate (golden tables + parallel determinism, trace included)"
+echo "== figure gate (golden tables + parallel determinism, trace included + every cell checked)"
 go build -o "$tmp/spiderbench" ./cmd/spiderbench
 for fig in 8 9 11 scale stress overhead federate; do
     "$tmp/spiderbench" -fig "$fig" -parallel 1 -trace "$tmp/$fig.p1.jsonl" > "$tmp/$fig.p1.txt" 2> /dev/null
     "$tmp/spiderbench" -fig "$fig" -parallel 8 -trace "$tmp/$fig.p8.jsonl" > "$tmp/$fig.p8.txt" 2> /dev/null
     cmp "$tmp/$fig.p1.txt" "$tmp/$fig.p8.txt"
     cmp "$tmp/$fig.p1.jsonl" "$tmp/$fig.p8.jsonl"
+    "$tmp/spidertrace" check "$tmp/$fig.p1.jsonl"
     cat "$tmp/$fig.p1.txt" >> "$tmp/figures.txt"
 done
 cmp "$tmp/figures.txt" internal/experiment/testdata/figures.golden
