@@ -179,17 +179,12 @@ func simulate(args []string, stdout, stderr io.Writer) (err error) {
 	}
 
 	recCfg := recovery.DefaultConfig()
-	bcpCfg := bcp.DefaultConfig()
-	if fspec != nil {
-		bcpCfg, recCfg = cluster.Hardened(bcpCfg, recCfg)
-	}
 	catalog := cluster.Catalog(*functions)
 	opts := cluster.Options{
 		Seed:     *seed,
 		IPNodes:  *ipNodes,
 		Peers:    *peers,
 		Catalog:  catalog,
-		BCP:      bcpCfg,
 		Recovery: &recCfg,
 		Domains:  dspec,
 	}

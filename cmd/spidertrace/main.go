@@ -135,13 +135,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "waterfall", "critical":
 		trees := f.Slowest(*k)
 		if *req != 0 {
-			t := f.Tree(*req)
-			if t == nil {
+			trees = nil // request IDs restart per run: every run's request *req
+			for run := 1; run <= f.Runs; run++ {
+				if t := f.Tree(run, *req); t != nil {
+					trees = append(trees, t)
+				}
+			}
+			if trees == nil {
 				return fail("request %d not in trace", *req)
 			}
-			trees = []*span.Tree{t}
 		}
 		for _, t := range trees {
+			if f.Runs > 1 {
+				fmt.Fprintf(stdout, "run %d\n", t.Run)
+			}
 			if cmd == "waterfall" {
 				fmt.Fprint(stdout, span.Waterfall(t))
 			} else {

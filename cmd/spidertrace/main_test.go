@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 const goldenTrace = "../../testdata/golden_trace.jsonl.gz"
@@ -152,5 +155,42 @@ func TestCheckVerdicts(t *testing.T) {
 	if code != 1 || strings.Count(stdout, "\n") != 1 || !strings.Contains(stdout, "probe-conservation") ||
 		!strings.HasPrefix(stderr, "spidertrace: ") {
 		t.Errorf("check on a trace missing a probe.returned: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestEveryRunsRequest: request IDs restart per run, so in a trace of two
+// runs -req 1 shows both runs' request 1, each headed by its run, and slow
+// says which run each request is from.
+func TestEveryRunsRequest(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	for run, wall := range []time.Duration{5 * time.Millisecond, 9 * time.Millisecond} {
+		sink.Emit(obs.RunStart(int64(run + 1)))
+		sink.Emit(obs.ComposeStart(0, 0, 1, 2, 8))
+		sink.Emit(obs.ComposeDone(wall, 0, 1, true, wall))
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "two-runs.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for cmd, want := range map[string]string{
+		"waterfall": "run 1\nreq 1  wall 5ms  (ok)\n",
+		"critical":  "run 1\nreq 1  critical path (2 steps, wall 5ms)\n",
+	} {
+		code, stdout, stderr := spidertrace(cmd, "-req", "1", path)
+		second := strings.ReplaceAll(strings.ReplaceAll(want, "run 1", "run 2"), "5ms", "9ms")
+		if code != 0 || stderr != "" || !strings.HasPrefix(stdout, want) || !strings.Contains(stdout, "\n"+second) {
+			t.Errorf("%s -req 1: exit %d, stderr %q, stdout %q: want run 1's request 1, then run 2's", cmd, code, stderr, stdout)
+		}
+	}
+	code, stdout, _ := spidertrace("slow", path)
+	lines := strings.Split(stdout, "\n")
+	if code != 0 || len(lines) < 4 || strings.Fields(lines[1])[0] != "run" ||
+		!strings.HasPrefix(strings.Join(strings.Fields(lines[2]), " "), "2 1 ok 9.0ms") ||
+		!strings.HasPrefix(strings.Join(strings.Fields(lines[3]), " "), "1 1 ok 5.0ms") {
+		t.Errorf("slow: exit %d, stdout %q: want a run column, run 2's request first", code, stdout)
 	}
 }

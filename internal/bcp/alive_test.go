@@ -141,7 +141,7 @@ func TestAllCandidatesDownDropsWithDown(t *testing.T) {
 	for _, ev := range mem.Events() {
 		b.Add(ev)
 	}
-	if wait := b.Build().Tree(1).Phases.Collect; wait >= time.Millisecond {
+	if wait := b.Build().Tree(1, 1).Phases.Collect; wait >= time.Millisecond {
 		t.Fatalf("collect phase %v: the collection waited for the dead branch's credit", wait)
 	}
 }

@@ -34,7 +34,7 @@ func TestComposeUnderChaos(t *testing.T) {
 		loss := loss
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				runChaosSeed(t, seed, loss, loss/4)
+				runChaosSeed(t, seed, loss, loss/4, true)
 			}
 		})
 	}
@@ -46,34 +46,38 @@ func TestComposeUnderChaos(t *testing.T) {
 	// overshoots the total (window bound) or lands on it.
 	t.Run("dup=0.25 unhardened", func(t *testing.T) {
 		for seed := int64(1); seed <= int64(seeds); seed++ {
-			runChaosSeed(t, seed, 0, 0.25)
+			runChaosSeed(t, seed, 0, 0.25, false)
 		}
 	})
 }
 
-func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
+// runChaosSeed composes over a jittery wire with the given loss and
+// duplication. hardened installs the plan through the cluster, which hardens
+// every engine for it (per-hop acks, two retransmits); otherwise the plan is
+// set on the network alone and the engines stay as on a clean wire.
+func runChaosSeed(t *testing.T, seed int64, loss, dup float64, hardened bool) {
 	t.Helper()
 	const nPeers = 24
 	const nReqs = 6
 	cat := chaosCatalog(6)
 
-	cfg := bcp.DefaultConfig()
-	if loss > 0 {
-		// Per-hop hardening: ack every probe hop, retransmit twice.
-		cfg.Hardened = true
-	}
 	chk := obs.NewChecker()
 	c := cluster.New(cluster.Options{
 		Seed: seed, IPNodes: 150, Peers: nPeers, Catalog: cat,
-		BCP: cfg, Trace: obs.TracerFunc(chk.Add),
+		Trace: obs.TracerFunc(chk.Add),
 	})
 	// Faults start after the registration warm-up so the DHT holds the full
 	// catalogue; a fresh per-run fault seed decorrelates the loss pattern
 	// from the workload.
-	c.ApplyFaults(simnet.FaultPlan{
+	plan := simnet.FaultPlan{
 		Seed:    seed * 7919,
 		Default: simnet.LinkFaults{Loss: loss, Dup: dup, Jitter: 10 * time.Millisecond},
-	})
+	}
+	if hardened {
+		c.ApplyFaults(plan)
+	} else {
+		c.Net.SetFaults(plan.Shift(c.Sim.Now()))
+	}
 
 	gen := workload.NewGenerator(workload.Config{
 		Catalog: cat, Peers: nPeers, MinFuncs: 2, MaxFuncs: 3,
@@ -120,7 +124,7 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 	}
 
 	for _, v := range chk.Finish() {
-		if loss == 0 && dup > 0 && v.Name == obs.VioProbeDoubleTerm {
+		if !hardened && v.Name == obs.VioProbeDoubleTerm {
 			// Without hardening nobody de-duplicates a copied probe: it is
 			// processed, and so terminates, once per copy.
 			continue
@@ -129,16 +133,22 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 	}
 }
 
-// TestHardeningOffKeepsBaselineTrace pins that the hardening switch is
-// strictly opt-in: a Config without Hardened must not change a clean-network
-// trace by a single byte relative to the default configuration.
+// TestHardeningOffKeepsBaselineTrace pins that only a fault plan that
+// injects something hardens a deployment: a cluster given no plan, or a plan
+// that injects nothing, traces a clean-network run byte for byte as one never
+// given a plan.
 func TestHardeningOffKeepsBaselineTrace(t *testing.T) {
-	render := func(cfg bcp.Config) []obs.Event {
+	render := func(apply func(*cluster.Cluster)) []obs.Event {
 		mem := &obs.MemSink{}
 		c := cluster.New(cluster.Options{
-			Seed: 5, IPNodes: 150, Peers: 24, Catalog: chaosCatalog(6),
-			BCP: cfg, Trace: mem,
+			Seed: 5, IPNodes: 150, Peers: 24, Catalog: chaosCatalog(6), Trace: mem,
 		})
+		apply(c)
+		for _, p := range c.Peers {
+			if p.Engine.Hardened() {
+				t.Fatalf("peer %d hardened by a plan that injects nothing", p.Node.ID())
+			}
+		}
 		gen := workload.NewGenerator(workload.Config{
 			Catalog: chaosCatalog(6), Peers: 24, MinFuncs: 2, MaxFuncs: 3,
 			Budget: 12, DelayReqMin: 500, DelayReqMax: 2000,
@@ -152,12 +162,18 @@ func TestHardeningOffKeepsBaselineTrace(t *testing.T) {
 		c.Sim.RunUntilIdle()
 		return mem.Events()
 	}
-	base := render(bcp.DefaultConfig())
-	again := render(bcp.DefaultConfig())
-	if len(base) == 0 {
+	base := fmt.Sprintf("%v", render(func(*cluster.Cluster) {}))
+	if base == "[]" {
 		t.Fatal("no events")
 	}
-	if fmt.Sprintf("%v", base) != fmt.Sprintf("%v", again) {
-		t.Fatal("baseline trace not deterministic")
+	for name, apply := range map[string]func(*cluster.Cluster){
+		"no plan":        func(*cluster.Cluster) {},
+		"nil spec":       func(c *cluster.Cluster) { c.ApplyFaultSpec(nil) },
+		"zero-rate spec": func(c *cluster.Cluster) { c.ApplyFaultSpec(&simnet.FaultSpec{Seed: 4}) },
+		"zero-rate plan": func(c *cluster.Cluster) { c.ApplyFaults(simnet.FaultPlan{Seed: 9}) },
+	} {
+		if got := fmt.Sprintf("%v", render(apply)); got != base {
+			t.Errorf("%s: trace differs from a run never given a plan", name)
+		}
 	}
 }

@@ -265,7 +265,7 @@ func collectPhase(t *testing.T, evs []obs.Event, req uint64) time.Duration {
 	for _, ev := range evs {
 		b.Add(ev)
 	}
-	tr := b.Build().Tree(req)
+	tr := b.Build().Tree(1, req)
 	if tr == nil {
 		t.Fatalf("the trace holds no tree for request %d", req)
 	}
@@ -313,7 +313,7 @@ func TestDuplicatedCreditCountsOnce(t *testing.T) {
 	for _, p := range c.Peers {
 		dup.Links[[2]p2p.NodeID{p.Node.ID(), req.Dest}] = simnet.LinkFaults{Dup: 1}
 	}
-	c.ApplyFaults(dup)
+	c.Net.SetFaults(dup.Shift(c.Sim.Now()))
 	out, credit := composeCredit(c, req)
 	got := closeIn(mem.Events(), req.ID)
 	if got.dropped == 0 || got.collected == 0 || got.credited != got.dropped {
@@ -437,7 +437,7 @@ func TestCollectPhaseGate(t *testing.T) {
 	f := spans.Build()
 	var waits []time.Duration
 	for _, id := range ok {
-		waits = append(waits, f.Tree(id).Phases.Collect)
+		waits = append(waits, f.Tree(1, id).Phases.Collect)
 	}
 	if len(waits) < nReqs/2 {
 		t.Fatalf("only %d of %d compositions succeeded", len(waits), nReqs)

@@ -38,12 +38,6 @@ type Config struct {
 	// SoftTimeout is how long a probe's temporary resource reservation is
 	// held before it self-cancels (§4.2 step 2.1).
 	SoftTimeout time.Duration
-	// Hardened enables per-hop probe hardening for lossy networks: each
-	// probe/report transmission is acknowledged by the receiver, and an
-	// unacknowledged copy is retransmitted (same UID, no new budget) after
-	// probeAckTimeout, at most probeRetries times. Off (the default) leaves
-	// baseline traces byte for byte as they are.
-	Hardened bool
 	// SelectByDelay switches optimal composition selection from the
 	// load-balancing ψ objective to minimum end-to-end delay, the objective
 	// of the paper's Figure 11 experiment.
@@ -236,13 +230,14 @@ type Engine struct {
 	carry  []List          // the lists a probe carried, rebuilt (rebuilt)
 	shapes []*fgraph.Graph // a request's patterns and its variants' (launchProbes)
 
-	// Hardening state (touched only when cfg.Hardened, except
+	// Hardening state (touched only when hardened, except
 	// doneReqs, which also guards against duplicated results): retransmit
 	// timers keyed by in-flight message UID, duplicate-suppression sets for
 	// received probe copies and report or credit copies (two sets, because a
 	// leaf that is also the destination sees the same UID as both; a probe
 	// either reports or returns its credit, never both), delivered requests,
 	// and processed reverse-path ack positions.
+	hardened    bool // Harden was called: the wire injects faults
 	retx        map[uint64]*retxState
 	seenProbes  seenSet[uint64]
 	seenReports seenSet[uint64]
@@ -368,6 +363,14 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 
 // Host returns the underlying transport node.
 func (e *Engine) Host() p2p.Node { return e.host }
+
+// Harden turns on per-hop probe hardening (reliable.go) for a wire that
+// injects faults; the deployment installing them calls it before any
+// composition traffic.
+func (e *Engine) Harden() { e.hardened = true }
+
+// Hardened reports whether Harden was called.
+func (e *Engine) Hardened() bool { return e.hardened }
 
 // Ledger returns this peer's resource ledger.
 func (e *Engine) Ledger() *qos.Ledger { return e.ledger }

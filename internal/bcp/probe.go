@@ -40,8 +40,9 @@ type Probe struct {
 	// serve here: its floor-of-1 rules mint units.)
 	//
 	// The one thing that mints credit is a duplicated mid-path probe copy
-	// on a wire without per-hop hardening (dup= faults, Config.Hardened off):
-	// the receiver processes both copies and each lineage carries the full
+	// on a wire without per-hop hardening (dup= faults set on the network
+	// directly, past the deployment that would harden its engines): the
+	// receiver processes both copies and each lineage carries the full
 	// credit. The collected sum then either overshoots TotalCredit without
 	// ever equalling it, and the window timer decides, or lands on it with
 	// one copy's worth of reports, and the collector closes on those while
@@ -225,12 +226,10 @@ func (p *Probe) prevFn() int {
 
 // onProbe is the per-hop probe processing of §4.2.
 func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
-	if e.cfg.Hardened {
-		// Acknowledge every copy — the previous ack may itself have been
-		// lost — then process each probe instance at most once.
-		if e.ackHop(msg, &e.seenProbes) {
-			return
-		}
+	// Hardened: acknowledge every copy — the previous ack may itself have been
+	// lost — then process each probe instance at most once.
+	if e.hardened && e.ackHop(msg, &e.seenProbes) {
+		return
 	}
 	// The payload is shared with the sender's other copies; see spawnNext.
 	pr := *msg.Payload.(*Probe)
@@ -270,9 +269,6 @@ func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	// a sibling of a probe that already holds this component adds no load.
 	_, mine := e.soft[softKey{reqID: pr.ReqID, compID: comp.ID}]
 	if t := e.shed(); !mine && t > 0 && e.ledger.CommittedUtilization() >= t {
-		if e.Ctr != nil {
-			e.Ctr.ProbesShed.Add(1)
-		}
 		e.dropProbe(&pr, "shed")
 		return
 	}

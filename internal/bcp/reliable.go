@@ -5,13 +5,12 @@ import (
 	"repro/internal/p2p"
 )
 
-// Per-hop probe hardening (active when Config.Hardened): probe and report
-// transmissions are acknowledged hop-by-hop, and unacknowledged messages are
-// retransmitted with the same UID — no new probe emission, no budget spend —
-// up to probeRetries times. Receivers acknowledge every copy
-// (the ack itself may have been lost) and suppress duplicate processing by
-// UID. With hardening off (the default) none of this state is touched and
-// baseline traces are byte-identical to pre-hardening runs.
+// Per-hop probe hardening, on once Engine.Harden is called (a deployment does
+// when its fault plan injects something): probe, report and credit sends are
+// acknowledged hop by hop and an unacknowledged one is retransmitted with the
+// same UID — no new probe, no budget spend — up to probeRetries times.
+// Receivers acknowledge every copy (the ack may have been lost) and process a
+// UID once. On a clean wire none of this state is touched.
 
 // probeAckMsg acknowledges receipt of one probe or report copy by UID.
 type probeAckMsg struct {
@@ -32,7 +31,7 @@ type retxState struct {
 // checker can count wire copies per probe).
 func (e *Engine) sendReliable(msg p2p.Message, reqID, pid uint64) {
 	e.host.Send(msg)
-	if !e.cfg.Hardened {
+	if !e.hardened {
 		return
 	}
 	e.armRetx(msg, reqID, pid, 1)

@@ -70,13 +70,11 @@ func (e *Engine) account(reqID uint64, col *collector, credit uint64) {
 }
 
 func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
-	if e.cfg.Hardened {
-		// Same ack-then-dedup discipline as onProbe, on a separate seen-set:
-		// when the final hop is the destination itself, the probe and its
-		// report carry the same UID and must not suppress each other.
-		if e.ackHop(msg, &e.seenReports) {
-			return
-		}
+	// Same ack-then-dedup discipline as onProbe, on a separate seen-set: when
+	// the final hop is the destination itself, the probe and its report carry
+	// the same UID and must not suppress each other.
+	if e.hardened && e.ackHop(msg, &e.seenReports) {
+		return
 	}
 	pr := *msg.Payload.(*Probe)
 	col := e.collectorFor(pr.ReqID, pr.Req.FGraph.NumFunctions())
@@ -95,7 +93,7 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 // onCredit counts the credit a dead probe returned (dropProbe), under the
 // same ack-then-dedup discipline as a report.
 func (e *Engine) onCredit(_ p2p.Node, msg p2p.Message) {
-	if e.cfg.Hardened && e.ackHop(msg, &e.seenReports) {
+	if e.hardened && e.ackHop(msg, &e.seenReports) {
 		return
 	}
 	cm := msg.Payload.(creditMsg)

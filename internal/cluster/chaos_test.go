@@ -24,11 +24,11 @@ import (
 func TestPartitionHealSoak(t *testing.T) {
 	const nPeers = 30
 	cat := catalog(6)
-	bcfg, rc := cluster.Hardened(bcp.DefaultConfig(), recovery.DefaultConfig())
+	rc := recovery.DefaultConfig()
 	chk := obs.NewChecker()
 	c := cluster.New(cluster.Options{
 		Seed: 21, IPNodes: 200, Peers: nPeers, Catalog: cat,
-		BCP: bcfg, Recovery: &rc, Trace: obs.TracerFunc(chk.Add),
+		Recovery: &rc, Trace: obs.TracerFunc(chk.Add),
 	})
 
 	peers := make([]p2p.NodeID, nPeers)
@@ -36,7 +36,8 @@ func TestPartitionHealSoak(t *testing.T) {
 		peers[i] = p2p.NodeID(i)
 	}
 	// 20s partition starting at t=30s (sessions are up by then), plus a
-	// little ambient loss so the MissedPongs hysteresis is exercised too.
+	// little ambient loss so the hardened wire's three-silence hysteresis is
+	// exercised too.
 	spec := simnet.FaultSpec{
 		Loss: 0.02, Jitter: 5 * time.Millisecond,
 		PartDur: 20 * time.Second, PartAt: 30 * time.Second, Seed: 99,
@@ -104,11 +105,10 @@ func TestPartitionHealSoak(t *testing.T) {
 // to Result.SetupTime with nothing left unattributed — although some bcp.chosen
 // messages, which carry no timing, are lost on the way to their sources.
 func TestLossyWireSplitsEverySetup(t *testing.T) {
-	bcfg, _ := cluster.Hardened(bcp.DefaultConfig(), recovery.DefaultConfig())
 	chk, spans := obs.NewChecker(), span.NewBuilder()
 	lost := 0
 	c := cluster.New(cluster.Options{
-		Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12), BCP: bcfg,
+		Seed: 3, IPNodes: 600, Peers: 120, Catalog: catalog(12),
 		Trace: obs.MultiTracer{obs.TracerFunc(chk.Add), obs.TracerFunc(spans.Add), obs.TracerFunc(func(ev obs.Event) {
 			if ev.Kind == obs.KindNetFault && ev.Note == obs.FaultLoss && ev.Comp == bcp.MsgChosen {
 				lost++
@@ -139,7 +139,7 @@ func TestLossyWireSplitsEverySetup(t *testing.T) {
 	}
 	f := spans.Build()
 	for id, setup := range setups {
-		tr := f.Tree(id)
+		tr := f.Tree(1, id)
 		if tr == nil || !tr.Ok {
 			t.Errorf("request %d succeeded but its span tree is %+v", id, tr)
 			continue
@@ -219,5 +219,16 @@ func TestFaultTraceDeterministic(t *testing.T) {
 	other := render(simnet.FaultPlan{Seed: 6, Default: simnet.LinkFaults{Loss: 0.1, Dup: 0.05, Jitter: 8 * time.Millisecond}})
 	if string(a) == string(other) {
 		t.Error("changing the fault seed changed nothing under 10% loss")
+	}
+}
+
+// TestJoinerFollowsTheWire: a plan that injects faults hardens the peers it
+// finds and every peer that joins after it.
+func TestJoinerFollowsTheWire(t *testing.T) {
+	c := cluster.New(cluster.Options{Seed: 2, IPNodes: 100, Peers: 20, Catalog: catalog(4)})
+	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Loss: 0.05}})
+	if p := c.Join([]string{"fn0"}, 0); !p.Engine.Hardened() || !c.Peers[0].Engine.Hardened() {
+		t.Fatalf("a faulty wire left a peer unhardened: joiner %v, peer 0 %v",
+			p.Engine.Hardened(), c.Peers[0].Engine.Hardened())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/baselines"
@@ -105,9 +106,10 @@ type Cluster struct {
 	Peers   []*Peer
 	Rng     *rand.Rand
 	// Fed is the federation control plane (nil unless Options.Domains set).
-	Fed  *federation.Federation
-	opts Options
-	load *bcp.LoadPlane // every engine's Load; nil unless Options.Load set
+	Fed      *federation.Federation
+	opts     Options
+	load     *bcp.LoadPlane // every engine's Load; nil unless Options.Load set
+	hardened bool           // a fault plan that injects something was applied
 }
 
 // DomainPlan returns the domain plan of a federated cluster, nil otherwise.
@@ -125,14 +127,6 @@ func Catalog(n int) []string {
 		out[i] = fmt.Sprintf("fn%d", i)
 	}
 	return out
-}
-
-// Hardened returns the protocol configs for a faulty wire: per-hop probe
-// retransmits and missed-pong hysteresis against spurious failure detection.
-func Hardened(b bcp.Config, r recovery.Config) (bcp.Config, recovery.Config) {
-	b.Hardened = true
-	r.MissedPongs = 3
-	return b, r
 }
 
 func (o *Options) withDefaults() Options {
@@ -342,6 +336,9 @@ func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb flo
 	reg := registry.New(dn)
 	eng := bcp.NewEngine(host, c.Net.Alive, ledger, reg, c.Oracle(), comps, o.BCP)
 	eng.Load = c.load
+	if c.hardened {
+		eng.Harden()
+	}
 	eng.Trace = o.Trace
 	dn.Trace = o.Trace
 	eng.Met = o.Metrics
@@ -403,18 +400,8 @@ func (c *Cluster) Join(components []string, bootstrap p2p.NodeID) *Peer {
 	return p
 }
 
-// Replicas returns how many components provide fn across live peers.
-func (c *Cluster) Replicas(fn string) int {
-	n := 0
-	for _, p := range c.Peers {
-		for _, comp := range p.Components {
-			if comp.Function == fn {
-				n++
-			}
-		}
-	}
-	return n
-}
+// Replicas returns how many components provide fn, live or not.
+func (c *Cluster) Replicas(fn string) int { return len(c.ComponentsFor(fn)) }
 
 // ComponentsFor returns every component providing fn, live or not.
 func (c *Cluster) ComponentsFor(fn string) []service.Component {
@@ -429,29 +416,23 @@ func (c *Cluster) ComponentsFor(fn string) []service.Component {
 	return out
 }
 
-// FunctionsByReplicas returns the provided functions sorted by replica
-// count descending — convenient for building requests that are actually
-// satisfiable.
+// FunctionsByReplicas returns the provided functions of the catalogue sorted
+// by replica count descending, ties in catalogue order — convenient for
+// building requests that are actually satisfiable.
 func (c *Cluster) FunctionsByReplicas() []string {
-	type fc struct {
-		fn string
-		n  int
+	n := make(map[string]int)
+	for _, p := range c.Peers {
+		for _, comp := range p.Components {
+			n[comp.Function]++
+		}
 	}
-	var fcs []fc
+	var out []string
 	for _, fn := range c.opts.Catalog {
-		if n := c.Replicas(fn); n > 0 {
-			fcs = append(fcs, fc{fn, n})
+		if n[fn] > 0 {
+			out = append(out, fn)
 		}
 	}
-	for i := 1; i < len(fcs); i++ {
-		for j := i; j > 0 && fcs[j].n > fcs[j-1].n; j-- {
-			fcs[j], fcs[j-1] = fcs[j-1], fcs[j]
-		}
-	}
-	out := make([]string, len(fcs))
-	for i, f := range fcs {
-		out[i] = f.fn
-	}
+	slices.SortStableFunc(out, func(a, b string) int { return n[b] - n[a] })
 	return out
 }
 
@@ -462,8 +443,18 @@ func (c *Cluster) Oracle() bcp.Oracle { return overlayOracle{c.Overlay} }
 // windows in the plan are interpreted relative to "now" (the plan's From/Until
 // are offsets from the moment of the call), so a plan built once can be
 // applied after the registration warm-up without adjusting for settle time.
+// A plan that injects something also hardens every peer, and every peer that
+// joins later, for it (bcp.Engine.Harden; recovery then waits out three silent
+// walks, not one); one that injects nothing hardens nothing. Apply it after
+// New and before the first composition, so no traffic predates the hardening.
 func (c *Cluster) ApplyFaults(plan simnet.FaultPlan) {
 	c.Net.SetFaults(plan.Shift(c.Sim.Now()))
+	if !plan.Empty() {
+		c.hardened = true
+		for _, p := range c.Peers {
+			p.Engine.Harden()
+		}
+	}
 }
 
 // ApplyFaultSpec expands a parsed fault spec over every peer and installs it;

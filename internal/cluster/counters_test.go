@@ -69,13 +69,13 @@ func churnRun(trace obs.Tracer, reg *obs.Registry) {
 }
 
 // faultRun composes through ambient loss and duplication and a 20 s
-// partition, on the hardened stack (per-hop probe retransmits).
+// partition, on the stack the plan hardens (per-hop probe retransmits).
 func faultRun(trace obs.Tracer, reg *obs.Registry) {
 	const nPeers = 40
-	bcfg, rc := cluster.Hardened(bcp.DefaultConfig(), recovery.DefaultConfig())
+	rc := recovery.DefaultConfig()
 	c := cluster.New(cluster.Options{
 		Seed: 3, IPNodes: 300, Peers: nPeers, Catalog: catalog(6),
-		BCP: bcfg, Recovery: &rc, Obs: reg, Trace: trace,
+		Recovery: &rc, Obs: reg, Trace: trace,
 	})
 	peers := make([]p2p.NodeID, nPeers)
 	for i := range peers {

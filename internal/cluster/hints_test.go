@@ -221,7 +221,7 @@ func TestCollectWaitBudget(t *testing.T) {
 func collectWaits(f *span.Forest, reqs []uint64) []time.Duration {
 	waits := make([]time.Duration, len(reqs))
 	for i, id := range reqs {
-		waits[i] = f.Tree(id).Phases.Collect
+		waits[i] = f.Tree(1, id).Phases.Collect
 	}
 	slices.Sort(waits)
 	return waits

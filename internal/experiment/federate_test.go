@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bcp"
 	"repro/internal/obs"
 )
 
@@ -30,7 +31,10 @@ func federateTestConfig() FederateConfig {
 // not — no reservation is orphaned. At the test config every cell's 2PC
 // ledger balances too, crash cells included; the default sweep's crash cells
 // lose a gateway with prepares still open, so the balance is held there only
-// where every agent survives.
+// where every agent survives. The loss cells run on the wire their fault plan
+// hardened: a lost probe is retransmitted, so its termination credit arrives
+// and a commit's median stays under the shortest collection window a
+// one-function segment can sit out.
 func TestFederateHealthyCellsSucceed(t *testing.T) {
 	res := federateDefault().res
 	if len(res.Points) != 20 {
@@ -48,6 +52,11 @@ func TestFederateHealthyCellsSucceed(t *testing.T) {
 		if (testCfg || !strings.HasSuffix(p.Scenario, "crash")) && p.Prepares != p.Commits+p.Aborts {
 			t.Errorf("cell %d/%d/%s: ledger does not balance: %d prepares, %d commits, %d aborts",
 				p.Domains, p.Gateways, p.Scenario, p.Prepares, p.Commits, p.Aborts)
+		}
+		if window := bcp.CollectTimeout + bcp.CollectPerHop; !testCfg && p.Scenario == "loss=0.1" &&
+			p.CommitP50 >= float64(window.Milliseconds()) {
+			t.Errorf("cell %d/%d/%s: commit p50 %.0f ms, want under the %v collection window",
+				p.Domains, p.Gateways, p.Scenario, p.CommitP50, window)
 		}
 		if p.Scenario != "none" {
 			continue

@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bcp"
-	"repro/internal/cluster"
 	"repro/internal/fgraph"
 	"repro/internal/livenet"
 	"repro/internal/media"
 	"repro/internal/metrics"
 	"repro/internal/p2p"
 	"repro/internal/qos"
-	"repro/internal/recovery"
 	"repro/internal/service"
 )
 
@@ -82,18 +79,12 @@ type Fig10Result struct {
 // draw distinct functions from the six-function media catalogue deployed
 // one-component-per-host, exactly like the paper's prototype (§6.2).
 func Fig10(cfg Fig10Config) Fig10Result {
-	tbOpts := livenet.TestbedOptions{
+	tb := livenet.NewTestbed(livenet.TestbedOptions{
 		Hosts:   cfg.Hosts,
 		Seed:    cfg.Seed,
 		Speedup: cfg.Speedup,
 		Loss:    cfg.Loss,
-	}
-	if cfg.Loss > 0 {
-		// Timer values are protocol time; the live runtime compresses them
-		// by the speedup like every other timer.
-		tbOpts.BCP, _ = cluster.Hardened(bcp.DefaultConfig(), recovery.Config{})
-	}
-	tb := livenet.NewTestbed(tbOpts)
+	})
 	defer tb.Close()
 
 	rng := newRng(cfg.Seed + 500)

@@ -151,10 +151,6 @@ func fig9Run(cfg Fig9Config, recCfg recovery.Config, tracer obs.Tracer) ([]int, 
 		count = obs.MultiTracer{tracer, count}
 	}
 	opts := cfg.options(count)
-	opts.BCP = bcp.DefaultConfig()
-	if cfg.Faults != nil {
-		opts.BCP, recCfg = cluster.Hardened(opts.BCP, recCfg)
-	}
 	opts.Recovery = &recCfg
 	c := cluster.New(opts)
 	c.ApplyFaultSpec(cfg.Faults)

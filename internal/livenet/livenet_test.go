@@ -328,6 +328,20 @@ func TestTestbedConcurrentCompositions(t *testing.T) {
 	}
 }
 
+// TestLossHardensTheTestbed: a testbed whose wire drops messages hardens
+// every engine for it, and one on a clean wire hardens none.
+func TestLossHardensTheTestbed(t *testing.T) {
+	for _, loss := range []float64{0, 0.1} {
+		tb := NewTestbed(TestbedOptions{Hosts: 12, Seed: 5, Speedup: 50, Loss: loss})
+		for i, p := range tb.Peers {
+			if p.Engine.Hardened() != (loss > 0) {
+				t.Errorf("loss %g: engine %d hardened=%v", loss, i, p.Engine.Hardened())
+			}
+		}
+		tb.Close()
+	}
+}
+
 // TestSoftHoldsDrainLive: a batch of concurrent compositions leaves soft
 // reservations on the candidates selection did not pick, which only their
 // expiry releases; once SoftTimeout has passed on the compressed clock no

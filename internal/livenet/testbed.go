@@ -25,7 +25,8 @@ type TestbedOptions struct {
 	BCP     bcp.Config
 	// Loss, when positive, kills each message send with this probability
 	// (seeded by Seed, so a fixed-seed run injects a repeatable loss
-	// pattern even though live-runtime timing is not reproducible).
+	// pattern even though live-runtime timing is not reproducible), and
+	// hardens every engine for it (bcp.Engine.Harden).
 	Loss float64
 	// Capacity per host (default cpu=20, mem=200).
 	Capacity qos.Resources
@@ -123,6 +124,9 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 			Qp:       qp,
 		}}
 		eng := bcp.NewEngine(host, nw.Alive, ledger, reg, oracle, comps, opts.BCP)
+		if opts.Loss > 0 {
+			eng.Harden()
+		}
 		eng.Trace = opts.Trace
 		dn.Trace = opts.Trace
 		eng.Met = opts.Metrics

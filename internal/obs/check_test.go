@@ -345,6 +345,19 @@ func TestRegistryFoldsEvents(t *testing.T) {
 	}
 }
 
+// TestRegistryFoldsByNote: a row with a note counts only the events of its
+// kinds that carry it — a shed probe is dropped and shed, any other drop is
+// only dropped.
+func TestRegistryFoldsByNote(t *testing.T) {
+	got := fold([]Event{
+		ProbeDropped(time.Millisecond, 4, 1, "f", "p4/f", "shed", 1, 7),
+		ProbeDropped(time.Millisecond, 4, 1, "f", "p4/f", "qos", 1, 8),
+	}).Totals()
+	if want := (Counters{ProbesDropped: 2, ProbesShed: 1}); got != want {
+		t.Fatalf("folded %+v, want %+v", got, want)
+	}
+}
+
 func TestRegistryFoldsFaults(t *testing.T) {
 	want := Counters{
 		ProbesSent:     3,

@@ -101,9 +101,11 @@ type CounterSpec struct {
 	col   string // PerNodeTable column, empty if the table leaves it out
 	// kinds are the events Registry.Emit folds into the counter, on the
 	// emitting node (none: the producer adds to it directly, as the trace
-	// has no per-event record of it); sum says the counter adds up their
-	// Budget instead of counting them.
+	// has no per-event record of it); note, when set, is the Note they must
+	// carry to count; sum says the counter adds up their Budget instead of
+	// counting them.
 	kinds []string
+	note  string
 	sum   bool
 	node  func(*NodeCounters) *atomic.Int64
 	get   func(*Counters) *int64
@@ -144,7 +146,7 @@ var CounterTable = []CounterSpec{
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.BudgetSpent }, get: func(c *Counters) *int64 { return &c.BudgetSpent }},
 	{name: "probe_retransmits", label: "probe retransmits", help: "Per-hop probe retransmits (same PID, no budget).", kinds: []string{KindProbeRetx},
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesRetx }, get: func(c *Counters) *int64 { return &c.ProbesRetx }},
-	{name: "probes_shed", label: "probes shed", help: "BCP probes declined by overload shedding.",
+	{name: "probes_shed", label: "probes shed", help: "BCP probes declined by overload shedding.", kinds: []string{KindProbeDropped}, note: "shed",
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.ProbesShed }, get: func(c *Counters) *int64 { return &c.ProbesShed }},
 	{name: "dht_hops", col: "dht-hops", label: "dht hops", help: "DHT messages forwarded.", kinds: []string{KindDHTHop},
 		node: func(c *NodeCounters) *atomic.Int64 { return &c.DHTHops }, get: func(c *Counters) *int64 { return &c.DHTHops }},
@@ -220,7 +222,8 @@ func (r *Registry) Node(id p2p.NodeID) *NodeCounters {
 }
 
 // Emit folds ev into the emitting node's block: one for each CounterTable
-// row whose kinds name ev.Kind, or ev.Budget for a sum row.
+// row whose kinds name ev.Kind and whose note, if any, is ev.Note, or
+// ev.Budget for a sum row.
 func (r *Registry) Emit(ev Event) {
 	rows := folds[ev.Kind]
 	if rows == nil {
@@ -228,6 +231,9 @@ func (r *Registry) Emit(ev Event) {
 	}
 	c := r.Node(ev.Node)
 	for _, k := range rows {
+		if k.note != "" && k.note != ev.Note {
+			continue
+		}
 		n := int64(1)
 		if k.sum {
 			n = int64(ev.Budget)

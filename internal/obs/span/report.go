@@ -127,10 +127,15 @@ func (f *Forest) Slowest(k int) []*Tree {
 	return out
 }
 
-// SlowTable renders the top-k slowest requests with their phase breakdowns.
+// SlowTable renders the top-k slowest requests with their phase breakdowns;
+// a trace of several runs says which run each request is from.
 func SlowTable(f *Forest, k int, title string) *metrics.Table {
-	t := metrics.NewTable(title, "req", "status", "wall",
-		"disc", "probe", "collect", "commit", "wait", "attr")
+	skip := 1 // the run column, for a trace of one run
+	if f.Runs > 1 {
+		skip = 0
+	}
+	t := metrics.NewTable(title, []string{"run", "req", "status", "wall",
+		"disc", "probe", "collect", "commit", "wait", "attr"}[skip:]...)
 	for _, tr := range f.Slowest(k) {
 		status := "pending"
 		if tr.Done {
@@ -141,8 +146,8 @@ func SlowTable(f *Forest, k int, title string) *metrics.Table {
 			}
 		}
 		p := tr.Phases
-		t.AddRow(tr.Req, status, tr.Wall, p.Discovery, p.Probe, p.Collect, p.Commit,
-			p.Wait, pct(p.Attribution()))
+		t.AddRow([]any{tr.Run, tr.Req, status, tr.Wall, p.Discovery, p.Probe, p.Collect,
+			p.Commit, p.Wait, pct(p.Attribution())}[skip:]...)
 	}
 	return t
 }

@@ -106,6 +106,7 @@ type Step struct {
 // Tree is the reconstructed causal view of one request.
 type Tree struct {
 	Req  uint64
+	Run  int  // the run (1-based, in trace order) the request belongs to
 	Ok   bool // compose.done reported ok
 	Done bool // a compose.done was seen
 	// Root is the compose span; Wall its length.
@@ -150,13 +151,13 @@ type Forest struct {
 	WireDrops int
 }
 
-// Tree finds a request's tree, descending into federated subs. Nil if the
-// trace never saw the request.
-func (f *Forest) Tree(req uint64) *Tree {
+// Tree finds request req's tree in run (1-based), descending into federated
+// subs. Nil if that run never saw the request.
+func (f *Forest) Tree(run int, req uint64) *Tree {
 	var find func(ts []*Tree) *Tree
 	find = func(ts []*Tree) *Tree {
 		for _, t := range ts {
-			if t.Req == req {
+			if t.Run == run && t.Req == req {
 				return t
 			}
 			if sub := find(t.Subs); sub != nil {
@@ -395,17 +396,15 @@ func (rs *reqState) fedState(sub uint64) *fedSub {
 func (b *Builder) Build() *Forest {
 	f := &Forest{Events: b.events, Kinds: maps.Clone(b.kinds), WireDrops: b.wire}
 	f.Orphans = append(f.Orphans, b.orphans...)
-	for _, run := range b.archived {
-		buildRun(f, run)
+	for _, reqs := range append(b.archived, b.reqs) {
 		f.Runs++
+		buildRun(f, reqs)
 	}
-	buildRun(f, b.reqs)
-	f.Runs++
 	return f
 }
 
-// buildRun assembles one run's trees (request and probe IDs are scoped to a
-// run) and appends its unclaimed roots to the forest.
+// buildRun assembles run f.Runs's trees (request and probe IDs are scoped to
+// a run) and appends its unclaimed roots to the forest.
 func buildRun(f *Forest, reqs map[uint64]*reqState) {
 	ids := make([]uint64, 0, len(reqs))
 	for id := range reqs {
@@ -423,6 +422,7 @@ func buildRun(f *Forest, reqs map[uint64]*reqState) {
 			})
 		}
 		trees[id] = buildTree(rs)
+		trees[id].Run = f.Runs
 	}
 
 	// Federation linkage: a tree whose 2PC names sub-session IDs that exist

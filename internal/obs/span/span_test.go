@@ -184,7 +184,7 @@ func TestOrphansReportedNotDropped(t *testing.T) {
 		}
 	}
 	// Orphaned events still appear in the trees instead of vanishing.
-	tr := f.Tree(42)
+	tr := f.Tree(1, 42)
 	if tr == nil {
 		t.Fatal("tree 42 missing")
 	}
@@ -197,7 +197,7 @@ func TestOrphansReportedNotDropped(t *testing.T) {
 	if probes == 0 {
 		t.Error("orphan-lineage probes dropped from the tree")
 	}
-	if f.Tree(99) == nil {
+	if f.Tree(1, 99) == nil {
 		t.Error("start-less request dropped from the forest")
 	}
 }
@@ -242,7 +242,7 @@ func TestFederationLinking(t *testing.T) {
 	if parent.Req != 9 || len(parent.Subs) != 2 {
 		t.Fatalf("parent=%d subs=%d", parent.Req, len(parent.Subs))
 	}
-	if f.Tree(sub(1)) == nil {
+	if f.Tree(1, sub(1)) == nil {
 		t.Fatal("sub tree not findable through the forest")
 	}
 	if p := parent.Phases; p.Total() != parent.Wall || p.Attribution() < 0.95 {
@@ -478,18 +478,18 @@ func TestCreditIsACollectionBoundary(t *testing.T) {
 	if len(f.Orphans) != 0 {
 		t.Fatalf("orphans: %+v", f.Orphans)
 	}
-	if got, want := f.Tree(42).Phases, (Phases{Discovery: ms(1), Probe: ms(5), Commit: ms(3)}); got != want {
+	if got, want := f.Tree(1, 42).Phases, (Phases{Discovery: ms(1), Probe: ms(5), Commit: ms(3)}); got != want {
 		t.Errorf("phases %+v, want %+v", got, want)
 	}
 	var path []string
-	for _, st := range f.Tree(42).Critical {
+	for _, st := range f.Tree(1, 42).Critical {
 		path = append(path, st.What)
 	}
 	if got, want := strings.Join(path, " | "), "compose.start | disc.done (ok) | probe p8/f → n8 | "+
 		"dropped(shed), credit → n1 | probe.credited (last) | select.done (1 qualified) | compose.done (ok)"; got != want {
 		t.Errorf("critical path\n got %s\nwant %s", got, want)
 	}
-	if got, want := f.Tree(43).Phases, (Phases{Discovery: ms(1), Wait: ms(89)}); got != want {
+	if got, want := f.Tree(1, 43).Phases, (Phases{Discovery: ms(1), Wait: ms(89)}); got != want {
 		t.Errorf("empty collection phases %+v, want %+v", got, want)
 	}
 }

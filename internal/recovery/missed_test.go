@@ -5,56 +5,59 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/p2p"
 	"repro/internal/recovery"
 	"repro/internal/simnet"
 )
 
-// blipSource cuts the session source off from every other peer for a window
-// long enough to silence one or two maintenance-probe rounds but shorter
-// than three.
-func blipSource(c *cluster.Cluster, nPeers int) {
+// blip cuts peer 0, the session source, off from every other peer for a
+// window long enough to silence one or two maintenance-probe rounds but
+// shorter than three.
+func blip(nPeers int) simnet.FaultPlan {
 	others := make([]p2p.NodeID, 0, nPeers-1)
 	for i := 1; i < nPeers; i++ {
 		others = append(others, p2p.NodeID(i))
 	}
-	c.ApplyFaults(simnet.FaultPlan{
+	return simnet.FaultPlan{
 		Seed: 1,
 		Partitions: []simnet.Partition{{
 			Name: "blip", A: []p2p.NodeID{0}, B: others,
 			From: 1 * time.Second, Until: 4 * time.Second,
 		}},
-	})
+	}
 }
 
-// TestMissedPongsToleratesTransientSilence: with MissedPongs=3, a network
-// blip that silences at most two consecutive probe rounds must not be
-// declared a failure; with the eager default of 1 the same blip must be.
+// TestMissedPongsToleratesTransientSilence: on a wire the fault plan
+// hardened, which waits out three silent walks, a network blip that silences
+// at most two consecutive probe rounds must not be declared a failure; with
+// the same blip set on the network alone, past the hardening, the clean
+// wire's eager one silence must declare it.
 func TestMissedPongsToleratesTransientSilence(t *testing.T) {
-	run := func(missed int) (detected int, alive bool) {
-		cfg := recovery.DefaultConfig()
-		cfg.MissedPongs = missed
-		c := newCluster(33, cfg)
+	run := func(hardened bool) (detected int, alive bool) {
+		c := newCluster(33, recovery.DefaultConfig())
 		req := makeReq(c, 4, 3, 60)
 		establish(t, c, req)
-		blipSource(c, len(c.Peers))
+		if hardened {
+			c.ApplyFaults(blip(len(c.Peers)))
+		} else {
+			c.Net.SetFaults(blip(len(c.Peers)).Shift(c.Sim.Now()))
+		}
 		c.Sim.Run(c.Sim.Now() + 30*time.Second)
 		mgr := c.Peers[int(req.Source)].Recovery
 		return mgr.Stats().FailuresDetected, mgr.Session(req.ID) != nil
 	}
 
-	detected, alive := run(3)
+	detected, alive := run(true)
 	if detected != 0 {
-		t.Errorf("MissedPongs=3: %d failures detected across a 2-round blip, want 0", detected)
+		t.Errorf("hardened: %d failures detected across a 2-round blip, want 0", detected)
 	}
 	if !alive {
-		t.Error("MissedPongs=3: session did not survive the blip")
+		t.Error("hardened: session did not survive the blip")
 	}
 
-	detected, _ = run(1)
+	detected, _ = run(false)
 	if detected == 0 {
-		t.Error("MissedPongs=1: the same blip went undetected (hysteresis leaked into the default)")
+		t.Error("unhardened: the same blip went undetected (hysteresis leaked onto the clean wire)")
 	}
 }
 
@@ -66,7 +69,8 @@ func TestDuplicatedControlTrafficHarmless(t *testing.T) {
 	c := newCluster(34, recovery.DefaultConfig())
 	req := makeReq(c, 5, 3, 60)
 	establish(t, c, req)
-	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Dup: 1}})
+	// On the network alone: the engines keep the clean wire's one silence.
+	c.Net.SetFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Dup: 1}}.Shift(c.Sim.Now()))
 	c.Sim.Run(c.Sim.Now() + 30*time.Second)
 	mgr := c.Peers[int(req.Source)].Recovery
 	if st := mgr.Stats(); st.FailuresDetected != 0 {
@@ -89,15 +93,13 @@ func backupOnlyPeer(sess *recovery.Session) (peer, prev p2p.NodeID) {
 	return p2p.NoNode, p2p.NoNode
 }
 
-// TestHysteresisStillFindsDeadBackup: with MissedPongs=3 a dead peer that
-// only a backup uses silences every full walk while the active graph keeps
-// answering in between. Those answers must not reset the backups' count: the
-// backup is dropped after MissedPongs full walks, and the healthy active
-// graph is never blamed.
+// TestHysteresisStillFindsDeadBackup: on a wire a jitter plan hardened, a
+// dead peer that only a backup uses silences every full walk while the
+// active graph keeps answering in between. Those answers must not reset the
+// backups' count: the backup is dropped after three full walks, and the
+// healthy active graph is never blamed.
 func TestHysteresisStillFindsDeadBackup(t *testing.T) {
-	cfg := recovery.DefaultConfig()
-	cfg.MissedPongs = 3
-	c := newCluster(34, cfg)
+	c := newCluster(34, recovery.DefaultConfig())
 	req := makeReq(c, 5, 3, 60)
 	sess := establish(t, c, req)
 	victim, _ := backupOnlyPeer(sess)
@@ -105,10 +107,11 @@ func TestHysteresisStillFindsDeadBackup(t *testing.T) {
 		t.Skip("no peer that only a backup uses")
 	}
 	active := sess.Active
+	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Jitter: time.Millisecond}})
 	c.Net.Fail(victim)
-	// One period until the next full walk, MissedPongs − 1 more, then the
-	// deadline and the pings.
-	c.Sim.Run(c.Sim.Now() + time.Duration(cfg.MissedPongs*recovery.BackupEvery+1)*recovery.ProbeInterval)
+	// One period until the next full walk, two more (the hardened wire's three
+	// silences), then the deadline and the pings.
+	c.Sim.Run(c.Sim.Now() + time.Duration(3*recovery.BackupEvery+1)*recovery.ProbeInterval)
 	mgr := c.Peers[int(req.Source)].Recovery
 	if st := mgr.Stats(); st.FailuresDetected != 0 || st.Localizations != 1 || sess.Active != active {
 		t.Fatalf("want one localization and the active graph left alone: %+v", st)
@@ -120,15 +123,14 @@ func TestHysteresisStillFindsDeadBackup(t *testing.T) {
 	}
 }
 
-// TestSilencePastActivePathSparesIt: with MissedPongs=3, a cut between two
-// live peers that only full walks cross silences every full walk with nobody
-// dead — the active graph, heard from in between, is not declared failed.
-// The same cut between two peers of the active graph still is.
+// TestSilencePastActivePathSparesIt: on the wire the cut's plan hardens, a
+// cut between two live peers that only full walks cross silences every full
+// walk with nobody dead — the active graph, heard from in between, is not
+// declared failed. The same cut between two peers of the active graph still
+// is.
 func TestSilencePastActivePathSparesIt(t *testing.T) {
 	run := func(onActive bool) (recovery.Stats, bool) {
-		cfg := recovery.DefaultConfig()
-		cfg.MissedPongs = 3
-		c := newCluster(34, cfg)
+		c := newCluster(34, recovery.DefaultConfig())
 		req := makeReq(c, 5, 3, 60)
 		sess := establish(t, c, req)
 		a, b := backupOnlyPeer(sess)

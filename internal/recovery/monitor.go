@@ -163,7 +163,7 @@ func (m *Manager) onProbe(_ p2p.Node, msg p2p.Message) {
 	if i < 0 {
 		return
 	}
-	m.eng.Renew(wm.ReqID, m.cfg.Lease())
+	m.eng.Renew(wm.ReqID, m.cfg.lease(m.silences()))
 	for _, id := range wm.Stops[i].Comps {
 		if m.eng.LocalComponent(id) == nil {
 			wm.Missing = append(wm.Missing, id)
@@ -187,7 +187,7 @@ func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 	if !ok {
 		return
 	}
-	m.eng.Renew(wm.ReqID, m.cfg.Lease())
+	m.eng.Renew(wm.ReqID, m.cfg.lease(m.silences()))
 	s.lastPong = m.host.Now()
 	s.silent = 0
 	if stops, _ := s.plan(); len(wm.Stops) >= len(stops) {
@@ -210,11 +210,18 @@ func (m *Manager) onPong(_ p2p.Node, msg p2p.Message) {
 	}
 }
 
+// silences is how many consecutive silent walks make a failure: one on a
+// clean wire, three on a hardened one, where a lost probe or pong is no failure.
+func (m *Manager) silences() int {
+	if m.eng.Hardened() {
+		return 3
+	}
+	return 1
+}
+
 // checkPong fires pongTimeout after a walk left: no pong since then makes
-// the walk silent. One silent walk is not yet a failure when MissedPongs > 1:
-// on lossy links the probe (or its pong) may simply have been dropped, so
-// only MissedPongs consecutive silences send the source looking for the
-// reason. The stretch only full walks reach keeps its own count, which only
+// the walk silent. Only silences() consecutive silent walks send the source
+// looking for the reason. The stretch only full walks reach keeps its own count, which only
 // a full walk's pong resets: the active graph answering in between says
 // nothing about a dead backup — and clears the active graph of that silence.
 func (m *Manager) checkPong(sessID uint64, sentAt time.Duration, full bool) {
@@ -226,7 +233,7 @@ func (m *Manager) checkPong(sessID uint64, sentAt time.Duration, full bool) {
 	if full {
 		s.silentFull++
 	}
-	n := max(m.cfg.MissedPongs, 1)
+	n := m.silences()
 	if s.silent < n && s.silentFull < n {
 		return
 	}

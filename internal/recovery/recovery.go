@@ -29,12 +29,6 @@ const (
 
 // Config tunes the recovery manager.
 type Config struct {
-	// MissedPongs is how many consecutive maintenance walks must go
-	// unanswered before a graph can be declared failed. 1 (the default)
-	// reacts to the first silence; lossy networks raise it so a single
-	// dropped probe or pong doesn't trigger a spurious switchover. 0 is
-	// treated as 1.
-	MissedPongs int
 	// U is the configurable upper-bound factor of the backup-count formula
 	// (Eq. 2).
 	U float64
@@ -52,21 +46,23 @@ type Config struct {
 }
 
 // Lease is how long a maintenance walk's renewal keeps a session's
-// allocations on a peer: until a walk comes round after the longest repair —
-// MissedPongs silent walks, the pings that localize the silence, a switchover
-// attempt on every backup, then the tick and walk that renew the new graph.
-func (c Config) Lease() time.Duration {
-	return time.Duration(max(c.MissedPongs, 1)+1)*(probeInterval+pongTimeout) + pingTimeout + time.Duration(c.MaxBackups)*setupTimeout
+// allocations on a peer of a clean wire, where one silent walk is a failure.
+func (c Config) Lease() time.Duration { return c.lease(1) }
+
+// lease lasts until a walk comes round after the longest repair — silences
+// silent walks, the pings that localize the silence, a switchover attempt on
+// every backup, then the tick and walk that renew the new graph.
+func (c Config) lease(silences int) time.Duration {
+	return time.Duration(silences+1)*(probeInterval+pongTimeout) + pingTimeout + time.Duration(c.MaxBackups)*setupTimeout
 }
 
 // DefaultConfig returns the settings used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		MissedPongs: 1,
-		U:           2.0,
-		MaxBackups:  5,
-		Proactive:   true,
-		Reactive:    true,
+		U:          2.0,
+		MaxBackups: 5,
+		Proactive:  true,
+		Reactive:   true,
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bcp"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/p2p"
@@ -270,14 +269,14 @@ func TestCloseDuringSwitchover(t *testing.T) {
 	}
 }
 
-// TestHardenedSwitchoverUnderDuplication: on the hardened wire config with
-// every message duplicated, a session's switchover still commits, and the
-// duplicated acks do not walk the backup again: each of its components is
-// admitted once.
+// TestHardenedSwitchoverUnderDuplication: on a wire the fault plan hardened,
+// with every message duplicated, a session's switchover still commits, and
+// the duplicated acks do not walk the backup again: each of its components
+// is admitted once.
 func TestHardenedSwitchoverUnderDuplication(t *testing.T) {
-	bcfg, rc := cluster.Hardened(bcp.DefaultConfig(), recovery.DefaultConfig())
+	rc := recovery.DefaultConfig()
 	mem := &obs.MemSink{}
-	c := cluster.New(cluster.Options{Seed: 31, Peers: 80, Catalog: catalog(5), BCP: bcfg, Recovery: &rc, Trace: mem})
+	c := cluster.New(cluster.Options{Seed: 31, Peers: 80, Catalog: catalog(5), Recovery: &rc, Trace: mem})
 	req := makeReq(c, 2, 3, 60)
 	sess := establish(t, c, req)
 	if len(sess.Backups) == 0 {

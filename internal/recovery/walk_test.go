@@ -176,7 +176,8 @@ func TestWalkUnderDuplication(t *testing.T) {
 			reported++
 		}
 	})
-	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Dup: 1}})
+	// On the network alone: the engines keep the clean wire's one silence.
+	c.Net.SetFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Dup: 1}}.Shift(c.Sim.Now()))
 	c.Sim.Run(c.Sim.Now() + 2*recovery.BackupEvery*recovery.ProbeInterval)
 	if pongs == 0 || full == 0 {
 		t.Fatalf("%d pongs, %d of full walks: the walk was not exercised", pongs, full)
