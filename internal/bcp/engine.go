@@ -171,11 +171,11 @@ type Engine struct {
 	// handed is what of each function's list this engine's probes have
 	// handed each first-hop peer (hand): at most peers × functions entries.
 	handed map[handKey]handedList
-	// softQ[softHead:] are the soft holds in the order they were made, each
-	// expired by one firing of expireSoftFn, e.expireSoft bound once.
-	softQ        []queuedHold
-	softHead     int
-	expireSoftFn func()
+	// The engine's fixed-delay timers: soft holds' expiry, the sources'
+	// give-up and the closed collectors' cleanup.
+	softs   p2p.Timers[softKey]
+	giveUps p2p.Timers[*composeState]
+	closed  p2p.Timers[uint64]
 
 	// Session-scoped allocations: committed components and admitted service
 	// links. Commits and bandwidth admissions are idempotent per key, and
@@ -217,9 +217,8 @@ type Engine struct {
 	Met *obs.Metrics
 
 	// probeSeq numbers the probes this engine emits, for trace-checkable
-	// probe identities; holdSeq numbers its soft reservations.
+	// probe identities.
 	probeSeq uint64
-	holdSeq  uint64
 
 	// Scratch of the two allocation-heavy steps, reused across requests:
 	// next-hop planning at every hop, selection at the destination; and the
@@ -292,18 +291,10 @@ type alloc struct {
 // renewal is a request's last lease renewal on this peer and its deadline.
 type renewal struct{ at, due time.Duration }
 
-// softHold is one temporary reservation. seq tells a hold from a later one
-// under the same key, whose queue entry comes after the earlier one's.
+// softHold is one temporary reservation.
 type softHold struct {
 	res    qos.Resources
 	cancel p2p.Timer
-	seq    uint64
-}
-
-// queuedHold is soft hold seq of key in the engine's expiry queue.
-type queuedHold struct {
-	key softKey
-	seq uint64
 }
 
 type composeState struct {
@@ -357,7 +348,10 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 	host.Handle(MsgChosen, e.onChosen)
 	host.Handle(MsgResult, e.onResult)
 	host.Handle(MsgTeardown, e.onTeardown)
-	e.sweepFn, e.expireSoftFn = e.sweep, e.expireSoft
+	e.sweepFn = e.sweep
+	e.softs.Init(host, e.expireSoft)
+	e.giveUps.Init(host, e.giveUp)
+	e.closed.Init(host, func(reqID uint64) { delete(e.collectors, reqID) })
 	return e
 }
 
@@ -409,13 +403,7 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 		return
 	}
 	e.pending[req.ID] = st
-	st.giveUp = e.host.After(GiveUpTimeout, func() {
-		if e.pending[req.ID] == st {
-			// Release whatever a broken ACK chain already committed.
-			e.Teardown(st.chosen)
-			e.finish(st, Result{})
-		}
-	})
+	st.giveUp = e.giveUps.After(GiveUpTimeout, st)
 
 	fns := req.FGraph.Functions()
 	for _, v := range req.Variants {
@@ -432,6 +420,15 @@ func (e *Engine) Compose(req *service.Request, cb func(Result)) {
 		}
 		e.launchProbes(st, table)
 	})
+}
+
+// giveUp ends st GiveUpTimeout after it started unless it already ended,
+// releasing whatever a broken ACK chain already committed.
+func (e *Engine) giveUp(st *composeState) {
+	if e.pending[st.req.ID] == st {
+		e.Teardown(st.chosen)
+		e.finish(st, Result{})
+	}
 }
 
 // finish is the one way a composition ends, whatever ends it: an invalid

@@ -412,30 +412,16 @@ func (e *Engine) holdSoft(reqID uint64, compID string, res qos.Resources) bool {
 	if !e.ledger.Reserve(res) {
 		return false
 	}
-	e.holdSeq++
-	if len(e.softQ) == cap(e.softQ) && 2*e.softHead >= len(e.softQ) { // else append doubles it
-		e.softQ, e.softHead = e.softQ[:copy(e.softQ, e.softQ[e.softHead:])], 0
-	}
-	e.softQ = append(e.softQ, queuedHold{key: key, seq: e.holdSeq})
-	cancel := e.host.After(e.cfg.SoftTimeout, e.expireSoftFn)
-	e.soft[key] = softHold{res: res, cancel: cancel, seq: e.holdSeq}
+	e.soft[key] = softHold{res: res, cancel: e.softs.After(e.cfg.SoftTimeout, key)}
 	return true
 }
 
-// expireSoft releases the oldest live soft hold. Every hold waits the same
-// SoftTimeout, so their timers fire in the order the holds were made (parked
-// ones too, on recovery). A committed hold stopped its timer and left the
-// map: its entry, or one whose key was re-held since, is passed over.
-func (e *Engine) expireSoft() {
-	for e.softHead < len(e.softQ) {
-		q := e.softQ[e.softHead]
-		e.softQ[e.softHead] = queuedHold{}
-		e.softHead++
-		if h, ok := e.soft[q.key]; ok && h.seq == q.seq {
-			delete(e.soft, q.key)
-			e.ledger.Release(h.res)
-			return
-		}
+// expireSoft releases soft hold key SoftTimeout after it was made. A
+// committed hold stopped its entry when it left the map.
+func (e *Engine) expireSoft(key softKey) {
+	if h, ok := e.soft[key]; ok {
+		delete(e.soft, key)
+		e.ledger.Release(h.res)
 	}
 }
 

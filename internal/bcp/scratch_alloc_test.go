@@ -114,6 +114,8 @@ func TestProbeHopAllocs(t *testing.T) {
 	nw, engines, _ := viewWorld(t, nil, chainComp(2, "a", 0, 0), chainComp(4, "b", 0, 0), chainComp(5, "b", 0, 0))
 	hop, sim := engines[2], nw.Sim()
 	hop.Trace = nil
+	expired := 0
+	hop.softs.Init(hop.host, func(key softKey) { expired++; hop.expireSoft(key) })
 	children := 0
 	for _, p := range []int{4, 5} {
 		engines[p].host.Handle(MsgProbe, func(p2p.Node, p2p.Message) { children++ })
@@ -143,8 +145,8 @@ func TestProbeHopAllocs(t *testing.T) {
 	if children != 2+2*(51+51) {
 		t.Fatalf("the hops sent %d children, want 2 each", children)
 	}
-	if hop.holdSeq == 0 || len(hop.soft) != 0 || hop.ledger.CommittedUtilization() != 0 {
-		t.Fatalf("%d soft holds made, %d outlived their expiry", hop.holdSeq, len(hop.soft))
+	if expired == 0 || len(hop.soft) != 0 || hop.ledger.CommittedUtilization() != 0 {
+		t.Fatalf("%d soft holds expired, %d outlived their expiry", expired, len(hop.soft))
 	}
 	if cached != 1+1 || waiting != cached+1 {
 		t.Fatalf("a cached hop allocates %.0f objects (want 2: Visited and the children), a waiting one %.0f (want 3)", cached, waiting)

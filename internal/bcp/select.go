@@ -118,7 +118,7 @@ func (e *Engine) finishCollect(reqID uint64) {
 		return
 	}
 	col.done = true
-	e.host.After(10*CollectTimeout, func() { delete(e.collectors, reqID) })
+	e.closed.After(10*CollectTimeout, reqID)
 	if len(col.records) == 0 {
 		return
 	}

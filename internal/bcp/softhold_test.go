@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/p2p"
 	"repro/internal/qos"
 )
 
@@ -32,7 +33,8 @@ func TestSoftHoldsExpireInTheirOwnOrder(t *testing.T) {
 	type hold struct {
 		key       softKey
 		made, due time.Duration
-		seq       uint64
+		seq       int
+		cancel    p2p.Timer // the hold's own entry, which a re-made hold's is not
 		committed bool
 		released  time.Duration // -1 while live
 	}
@@ -48,7 +50,7 @@ func TestSoftHoldsExpireInTheirOwnOrder(t *testing.T) {
 			case h.committed:
 				hard++
 			case h.released >= 0:
-			case !ok || cur.seq != h.seq:
+			case !ok || cur.cancel != h.cancel:
 				h.released = sim.Now()
 				released = append(released, h)
 			default:
@@ -63,8 +65,7 @@ func TestSoftHoldsExpireInTheirOwnOrder(t *testing.T) {
 		}
 	}
 	// Every firing of the engine's one expiry callback is observed.
-	expire := e.expireSoftFn
-	e.expireSoftFn = func() { expire(); observe() }
+	e.softs.Init(e.host, func(key softKey) { e.expireSoft(key); observe() })
 
 	at := func(d time.Duration, f func()) { sim.Schedule(d-sim.Now(), func() { f(); observe() }) }
 	soft := func(reqID uint64, compID string, due time.Duration) func() {
@@ -72,7 +73,8 @@ func TestSoftHoldsExpireInTheirOwnOrder(t *testing.T) {
 			if !e.holdSoft(reqID, compID, res) {
 				t.Fatalf("hold (%d, %s) refused", reqID, compID)
 			}
-			h := &hold{key: softKey{reqID, compID}, made: sim.Now(), due: due, seq: e.holdSeq, released: -1}
+			key := softKey{reqID, compID}
+			h := &hold{key: key, made: sim.Now(), due: due, seq: len(holds), cancel: e.soft[key].cancel, released: -1}
 			holds = append(holds, h)
 		}
 	}
@@ -112,7 +114,7 @@ func TestSoftHoldsExpireInTheirOwnOrder(t *testing.T) {
 			t.Errorf("hold %v made at %v released at %v, want %v", h.key, h.made, h.released, h.due)
 		}
 	}
-	if !slices.IsSortedFunc(released, func(a, b *hold) int { return int(a.seq) - int(b.seq) }) {
+	if !slices.IsSortedFunc(released, func(a, b *hold) int { return a.seq - b.seq }) {
 		for _, h := range released {
 			t.Logf("released %v (hold %d) at %v", h.key, h.seq, h.released)
 		}

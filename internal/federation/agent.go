@@ -73,9 +73,11 @@ type Agent struct {
 	domain int
 	cfg    Config
 
-	holds     map[uint64]holdRec // subID -> held reservation
-	committed map[uint64]bool    // subID tombstones for duplicate decides
-	seen      map[uint64]bool    // subID dedup for duplicated prepares, until Hold after resolution
+	holds     map[uint64]holdRec        // subID -> held reservation
+	committed map[uint64]*service.Graph // subID -> its graph (nil: expired first) for Life; dedups decides
+	seen      map[uint64]bool           // subID dedup for duplicated prepares, until Hold after resolution
+	forget    p2p.Timers[uint64]        // seen entries, Hold after their resolution
+	lives     p2p.Timers[uint64]        // committed entries, Life after their commit
 
 	// Ledger counts this gateway's 2PC outcomes.
 	Ledger Ledger
@@ -88,9 +90,11 @@ func NewAgent(host p2p.Node, eng *bcp.Engine, domain int, cfg Config) *Agent {
 	a := &Agent{
 		host: host, eng: eng, domain: domain, cfg: cfg,
 		holds:     make(map[uint64]holdRec),
-		committed: make(map[uint64]bool),
+		committed: make(map[uint64]*service.Graph),
 		seen:      make(map[uint64]bool),
 	}
+	a.forget.Init(host, func(subID uint64) { delete(a.seen, subID) })
+	a.lives.Init(host, a.end)
 	host.Handle(MsgPrepare, a.onPrepare)
 	host.Handle(MsgDecide, a.onDecide)
 	return a
@@ -130,7 +134,7 @@ func (a *Agent) onPrepare(_ p2p.Node, msg p2p.Message) {
 // jitter, far less than Hold, so the dedup set stays bounded by the prepares
 // of the last Hold plus those in flight.
 func (a *Agent) resolved(subID uint64) {
-	a.host.After(a.cfg.Hold, func() { delete(a.seen, subID) })
+	a.forget.After(a.cfg.Hold, subID)
 }
 
 // expire is the presumed-abort path: the hold window elapsed with no
@@ -167,25 +171,28 @@ func (a *Agent) onDecide(_ p2p.Node, msg p2p.Message) {
 		// Duplicate decide for an already-committed sub-session, or a decide
 		// that lost the race against hold expiry. Re-acknowledging a
 		// committed one keeps the client's ack collection idempotent.
-		a.ack(m, a.committed[m.SubID])
+		_, committed := a.committed[m.SubID]
+		a.ack(m, committed)
 		return
 	}
 	g := a.eng.Promote(m.SubID)
 	delete(a.holds, m.SubID)
 	a.resolved(m.SubID)
-	a.committed[m.SubID] = true
+	a.committed[m.SubID] = g
 	a.Ledger.Commits++
 	if a.Trace != nil {
 		a.Trace.Emit(obs.FedCommit(a.host.Now(), a.host.ID(), rec.fedID, m.SubID, a.domain))
 	}
-	sub := m.SubID
-	a.host.After(a.cfg.Life, func() {
-		delete(a.committed, sub)
-		if g != nil {
-			a.eng.Teardown(g)
-		}
-	})
+	a.lives.After(a.cfg.Life, m.SubID)
 	a.ack(m, true)
+}
+
+// end closes a committed sub-session at the end of its life.
+func (a *Agent) end(subID uint64) {
+	if g := a.committed[subID]; g != nil {
+		a.eng.Teardown(g)
+	}
+	delete(a.committed, subID)
 }
 
 // ack answers a commit decide to the request's client.

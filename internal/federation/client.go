@@ -42,6 +42,7 @@ type Client struct {
 	host    p2p.Node
 	coord   p2p.NodeID
 	pending map[uint64]*clientCall
+	expiry  p2p.Timers[uint64] // the calls' give-up timeouts
 
 	// Trace, when non-nil, receives the compose lifecycle events for
 	// federated requests (sub-compositions are traced by the gateways' BCP
@@ -52,6 +53,7 @@ type Client struct {
 // NewClient registers the client protocol on one peer.
 func NewClient(host p2p.Node, coord p2p.NodeID) *Client {
 	c := &Client{host: host, coord: coord, pending: make(map[uint64]*clientCall)}
+	c.expiry.Init(host, func(id uint64) { c.resolve(id, Result{}) })
 	host.Handle(MsgResult, c.onResult)
 	host.Handle(MsgDecided, c.onDecided)
 	return c
@@ -75,8 +77,7 @@ func (c *Client) Compose(req *service.Request, cb func(Result)) {
 		c.resolve(req.ID, Result{})
 		return
 	}
-	id := req.ID
-	call.timer = c.host.After(clientTimeout, func() { c.resolve(id, Result{}) })
+	call.timer = c.expiry.After(clientTimeout, req.ID)
 	c.host.Send(p2p.Message{Type: MsgCompose, To: c.coord, Size: 256,
 		Payload: composeMsg{Req: req}})
 }

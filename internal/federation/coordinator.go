@@ -62,7 +62,9 @@ type Coordinator struct {
 	remote   map[string][]int // fn -> sorted providing domains
 
 	pending map[uint64]*fedState
-	aborted map[uint64]bool // recently aborted fedIDs, for straggler votes
+	aborted map[uint64]bool       // recently aborted fedIDs, for straggler votes
+	votes   p2p.Timers[*fedState] // the rounds' vote timeouts
+	forget  p2p.Timers[uint64]    // aborted entries, Hold after the abort
 }
 
 // NewCoordinator registers the coordinator protocol on domain d's
@@ -75,6 +77,8 @@ func NewCoordinator(host p2p.Node, d int, plan *DomainPlan, cfg Config, localFns
 		pending:  make(map[uint64]*fedState),
 		aborted:  make(map[uint64]bool),
 	}
+	c.votes.Init(host, func(st *fedState) { c.decide(st, false) })
+	c.forget.Init(host, func(fid uint64) { delete(c.aborted, fid) })
 	for _, fn := range localFns {
 		c.remote[fn] = []int{d}
 	}
@@ -143,7 +147,7 @@ func (c *Coordinator) onCompose(_ p2p.Node, msg p2p.Message) {
 			Payload: prepareMsg{FedID: st.fedID, Seg: i, SubID: s.sub.ID,
 				Sub: s.sub, Domain: s.domain}})
 	}
-	st.voteTimer = c.host.After(voteTimeout, func() { c.decide(st, false) })
+	st.voteTimer = c.votes.After(voteTimeout, st)
 }
 
 // split partitions the request's function graph into per-domain segments.
@@ -339,9 +343,8 @@ func (c *Coordinator) decide(st *fedState, commit bool) {
 				Payload: decideMsg{FedID: st.fedID, Seg: i, SubID: s.sub.ID, Commit: false}})
 		}
 	}
-	fid := st.fedID
-	c.aborted[fid] = true
-	c.host.After(c.cfg.Hold, func() { delete(c.aborted, fid) })
+	c.aborted[st.fedID] = true
+	c.forget.After(c.cfg.Hold, st.fedID)
 	c.fail(st)
 }
 

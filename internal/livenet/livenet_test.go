@@ -347,9 +347,7 @@ func TestLossHardensTheTestbed(t *testing.T) {
 // expiry releases; once SoftTimeout has passed on the compressed clock no
 // peer holds one. Each ledger is read on its own peer's loop.
 func TestSoftHoldsDrainLive(t *testing.T) {
-	cfg := bcp.DefaultConfig()
-	cfg.SoftTimeout = 20 * time.Second // outlives the batch, so holds are seen live
-	tb := NewTestbed(TestbedOptions{Hosts: 40, Seed: 6, Speedup: 50, BCP: cfg})
+	tb := NewTestbed(TestbedOptions{Hosts: 40, Seed: 6, Speedup: 50})
 	defer tb.Close()
 	var fns []string
 	for _, f := range media.Functions() {
@@ -401,8 +399,9 @@ func TestSoftHoldsDrainLive(t *testing.T) {
 		t.Fatal("no peer soft-holds anything after the batch: the test drains nothing")
 	}
 	t.Logf("%d of %d peers soft-hold a reservation after the batch", n, len(tb.Peers))
-	tb.Settle(cfg.SoftTimeout + time.Second)
+	timeout := bcp.DefaultConfig().SoftTimeout
+	tb.Settle(timeout + time.Second)
 	if n = softHolders(); n != 0 {
-		t.Fatalf("%d peers still soft-hold a reservation %v after SoftTimeout", n, cfg.SoftTimeout)
+		t.Fatalf("%d peers still soft-hold a reservation %v after SoftTimeout", n, timeout)
 	}
 }

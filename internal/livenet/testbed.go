@@ -21,15 +21,11 @@ type TestbedOptions struct {
 	Hosts   int     // default 102, the paper's PlanetLab host count
 	Seed    int64   // default 1
 	Speedup float64 // latency/timer compression; default 1 (real time)
-	Catalog []string
-	BCP     bcp.Config
 	// Loss, when positive, kills each message send with this probability
 	// (seeded by Seed, so a fixed-seed run injects a repeatable loss
 	// pattern even though live-runtime timing is not reproducible), and
 	// hardens every engine for it (bcp.Engine.Harden).
 	Loss float64
-	// Capacity per host (default cpu=20, mem=200).
-	Capacity qos.Resources
 	// Trace, when non-nil, receives structured events from every layer.
 	// Live-runtime timestamps come from the wall clock, so traces are not
 	// byte-reproducible the way simulator traces are.
@@ -86,16 +82,7 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 	if opts.Speedup == 0 {
 		opts.Speedup = 1
 	}
-	if opts.Catalog == nil {
-		opts.Catalog = media.Functions()
-	}
-	if opts.BCP == (bcp.Config{}) {
-		opts.BCP = bcp.DefaultConfig()
-	}
-	if opts.Capacity == (qos.Resources{}) {
-		opts.Capacity[qos.CPU] = 20
-		opts.Capacity[qos.Memory] = 200
-	}
+	catalog, capacity := media.Functions(), qos.Resources{qos.CPU: 20, qos.Memory: 200} // per host
 	// The registry and the metrics fold events: they ride every layer's trace.
 	opts.Trace = obs.Counting(opts.Trace, opts.Obs, opts.Metrics)
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -111,10 +98,10 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 	dhtNodes := make([]*dht.Node, opts.Hosts)
 	for i := 0; i < opts.Hosts; i++ {
 		host := nw.AddNode(p2p.NodeID(i), opts.Seed)
-		ledger := qos.NewLedger(opts.Capacity)
+		ledger := qos.NewLedger(capacity)
 		dn := dht.New(host, nw.Alive)
 		reg := registry.New(dn)
-		fn := opts.Catalog[rng.Intn(len(opts.Catalog))]
+		fn := catalog[rng.Intn(len(catalog))]
 		var qp qos.Vector
 		qp[qos.Delay] = 5 + rng.Float64()*25
 		comps := []service.Component{{
@@ -123,7 +110,7 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 			Peer:     p2p.NodeID(i),
 			Qp:       qp,
 		}}
-		eng := bcp.NewEngine(host, nw.Alive, ledger, reg, oracle, comps, opts.BCP)
+		eng := bcp.NewEngine(host, nw.Alive, ledger, reg, oracle, comps, bcp.DefaultConfig())
 		if opts.Loss > 0 {
 			eng.Harden()
 		}

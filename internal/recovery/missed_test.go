@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/p2p"
 	"repro/internal/recovery"
+	"repro/internal/service"
 	"repro/internal/simnet"
 )
 
@@ -96,8 +97,8 @@ func backupOnlyPeer(sess *recovery.Session) (peer, prev p2p.NodeID) {
 // TestHysteresisStillFindsDeadBackup: on a wire a jitter plan hardened, a
 // dead peer that only a backup uses silences every full walk while the
 // active graph keeps answering in between. Those answers must not reset the
-// backups' count: the backup is dropped after three full walks, and the
-// healthy active graph is never blamed.
+// backups' count: two silent full walks leave the backup held and localize
+// nothing, the third drops it, and the healthy active graph is never blamed.
 func TestHysteresisStillFindsDeadBackup(t *testing.T) {
 	c := newCluster(34, recovery.DefaultConfig())
 	req := makeReq(c, 5, 3, 60)
@@ -107,12 +108,27 @@ func TestHysteresisStillFindsDeadBackup(t *testing.T) {
 		t.Skip("no peer that only a backup uses")
 	}
 	active := sess.Active
+	mgr := c.Peers[int(req.Source)].Recovery
 	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Jitter: time.Millisecond}})
 	c.Net.Fail(victim)
-	// One period until the next full walk, two more (the hardened wire's three
-	// silences), then the deadline and the pings.
-	c.Sim.Run(c.Sim.Now() + time.Duration(3*recovery.BackupEvery+1)*recovery.ProbeInterval)
-	mgr := c.Peers[int(req.Source)].Recovery
+	// The source's only session walks through the backups' peers on its
+	// 1st, 4th, 7th... walk; each of those from now on is silent.
+	full := func() int { return (mgr.Stats().Walks + recovery.BackupEvery - 1) / recovery.BackupEvery }
+	held := func() bool {
+		return slices.ContainsFunc(sess.Backups, func(g *service.Graph) bool { return g.ContainsPeer(victim) })
+	}
+	if !held() {
+		t.Fatalf("no backup uses peer %d", victim)
+	}
+	for third := full() + 3; full() < third; {
+		c.Sim.Run(c.Sim.Now() + 100*time.Millisecond)
+	}
+	// The third silent full walk just left: two deadlines passed.
+	if st := mgr.Stats(); st.Localizations != 0 || !held() {
+		t.Fatalf("after two silent full walks: %d localizations, backup on peer %d held %v; want 0 and held",
+			st.Localizations, victim, held())
+	}
+	c.Sim.Run(c.Sim.Now() + 2*recovery.ProbeInterval) // its deadline and the pings
 	if st := mgr.Stats(); st.FailuresDetected != 0 || st.Localizations != 1 || sess.Active != active {
 		t.Fatalf("want one localization and the active graph left alone: %+v", st)
 	}

@@ -40,22 +40,21 @@ const (
 // below 2^40).
 const reattemptShift = 40
 
-// armProbes makes sure a tick fires at due. Whichever timer armed for the
-// pending instant fires first ticks and re-arms; its twins and superseded
-// timers do nothing. Establish arms one each time because a source that
-// crashed lost its timers for good, however short the outage.
-func (m *Manager) armProbes(due time.Duration) {
-	m.probeDue = due
-	m.host.After(due-m.host.Now(), func() {
-		if m.probeDue != due {
-			return
-		}
-		m.probeDue = 0
-		m.tick()
-		if len(m.sessions) > 0 {
-			m.armProbes(m.host.Now() + probeInterval)
-		}
-	})
+// onTick is m.ticks' callback. Whichever entry queued for the pending
+// instant fires first ticks and queues the next; its twins and superseded
+// entries do nothing. Establish queues one each time because a source that
+// crashed lost its timers for good, however short the outage. The dues never
+// decrease, as m.ticks needs.
+func (m *Manager) onTick(due time.Duration) {
+	if m.probeDue != due {
+		return
+	}
+	m.probeDue = 0
+	m.tick()
+	if len(m.sessions) > 0 {
+		m.probeDue = m.host.Now() + probeInterval
+		m.ticks.After(probeInterval, m.probeDue)
+	}
 }
 
 // tick sends each session's maintenance walk and schedules its deadline.
@@ -88,30 +87,42 @@ type stop struct {
 // plan lists the distinct peers of the session's graphs in walk order — the
 // active graph's in its topological order, so the walk travels the service
 // path, then those only the maintained backups use — and returns how many
-// belong to the active graph. It is rebuilt only after the graphs changed.
+// belong to the active graph. It is rebuilt only after the graphs changed,
+// into one array of stops and one of their component IDs, and never written
+// after: walks in flight share it.
 func (s *Session) plan() ([]stop, int) {
 	if s.stops != nil {
 		return s.stops, s.activeStops
 	}
-	add := func(g *service.Graph) {
+	graphs := append(append(make([]*service.Graph, 0, 8), s.Active), s.Backups...)
+	n, active := 0, 0
+	for _, g := range graphs {
+		n += len(g.Comps)
+	}
+	stops, ids := make([]stop, 0, n), make([]string, 0, n)
+	for _, g := range graphs {
 		for _, fn := range g.Pattern.TopoOrder() {
-			c := g.Comps[fn].Comp
-			i := slices.IndexFunc(s.stops, func(st stop) bool { return st.Peer == c.Peer })
-			if i < 0 {
-				i = len(s.stops)
-				s.stops = append(s.stops, stop{Peer: c.Peer})
-			}
-			if !slices.Contains(s.stops[i].Comps, c.ID) {
-				s.stops[i].Comps = append(s.stops[i].Comps, c.ID)
+			if p := g.Comps[fn].Comp.Peer; !slices.ContainsFunc(stops, func(st stop) bool { return st.Peer == p }) {
+				stops = append(stops, stop{Peer: p})
 			}
 		}
+		if g == s.Active {
+			active = len(stops)
+		}
 	}
-	add(s.Active)
-	s.activeStops = len(s.stops)
-	for _, b := range s.Backups {
-		add(b)
+	for i := range stops {
+		from := len(ids)
+		for _, g := range graphs {
+			for _, fn := range g.Pattern.TopoOrder() {
+				if c := g.Comps[fn].Comp; c.Peer == stops[i].Peer && !slices.Contains(ids[from:], c.ID) {
+					ids = append(ids, c.ID) // within cap: n bounds them all
+				}
+			}
+		}
+		stops[i].Comps = ids[from:len(ids):len(ids)]
 	}
-	return s.stops, s.activeStops
+	s.stops, s.activeStops = stops, active
+	return stops, active
 }
 
 // walk launches one maintenance walk for s: a single rec.probe that visits
@@ -134,8 +145,15 @@ func (m *Manager) walk(s *Session) {
 		Type: MsgProbe, To: stops[0].Peer, Size: walkSize(len(stops)),
 		Payload: newWalk(s, m.host.ID(), stops),
 	})
-	sess := s.ID
-	m.host.After(pongTimeout, func() { m.checkPong(sess, sentAt, full) })
+	m.pongs.After(pongTimeout, pongWait{sess: s.ID, sentAt: sentAt, full: full})
+}
+
+// pongWait is a walk's deadline in m.pongs: the walk of session sess that
+// left at sentAt, through the backups' peers too when full.
+type pongWait struct {
+	sess   uint64
+	sentAt time.Duration
+	full   bool
 }
 
 // newWalk returns a walk of s along stops with one zero Avail slot per stop.
@@ -224,13 +242,13 @@ func (m *Manager) silences() int {
 // looking for the reason. The stretch only full walks reach keeps its own count, which only
 // a full walk's pong resets: the active graph answering in between says
 // nothing about a dead backup — and clears the active graph of that silence.
-func (m *Manager) checkPong(sessID uint64, sentAt time.Duration, full bool) {
-	s, ok := m.sessions[sessID]
-	if !ok || s.awaitingFix || s.lastPong >= sentAt {
+func (m *Manager) checkPong(w pongWait) {
+	s, ok := m.sessions[w.sess]
+	if !ok || s.awaitingFix || s.lastPong >= w.sentAt {
 		return
 	}
 	s.silent++
-	if full {
+	if w.full {
 		s.silentFull++
 	}
 	n := m.silences()
@@ -299,14 +317,13 @@ func (m *Manager) failGraphs(s *Session, broken func(*service.Graph) bool, since
 	m.tryRecovery(s)
 }
 
-// await parks cb under a fresh ID until reply delivers a verdict for it or d
-// passes; cb fires exactly once, a timeout counting as failure.
-func (m *Manager) await(d time.Duration, cb func(ok bool)) uint64 {
+// await parks cb under a fresh ID until reply delivers a verdict for it or
+// pingTimeout passes; cb fires exactly once, a timeout counting as failure.
+func (m *Manager) await(cb func(ok bool)) uint64 {
 	m.waitSeq++
-	id := m.waitSeq
-	m.wait[id] = cb
-	m.host.After(d, func() { m.reply(id, false) })
-	return id
+	m.wait[m.waitSeq] = cb
+	m.waits.After(pingTimeout, m.waitSeq)
+	return m.waitSeq
 }
 
 func (m *Manager) reply(id uint64, ok bool) {
@@ -318,7 +335,7 @@ func (m *Manager) reply(id uint64, ok bool) {
 
 // ping checks one peer's liveness with a direct round trip.
 func (m *Manager) ping(p p2p.NodeID, cb func(ok bool)) {
-	id := m.await(pingTimeout, cb)
+	id := m.await(cb)
 	m.host.Send(p2p.Message{Type: MsgPing, To: p, Size: 16, Payload: pingMsg{ID: id, Origin: m.host.ID()}})
 }
 

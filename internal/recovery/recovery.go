@@ -139,10 +139,13 @@ type Manager struct {
 	sessions map[uint64]*Session // the live ones: Close alone ends one
 	stats    Stats
 
-	probeDue time.Duration // when the next tick is due; 0 when none is armed
-	ids      []uint64      // tick's session order, reused across ticks
+	probeDue time.Duration             // when the next tick is due; 0 when none is armed
+	ticks    p2p.Timers[time.Duration] // the maintenance ticks, by the instant each is for
+	pongs    p2p.Timers[pongWait]      // the walks' deadlines
+	ids      []uint64                  // tick's session order, reused across ticks
 	waitSeq  uint64
 	wait     map[uint64]func(ok bool) // pings awaiting their ack
+	waits    p2p.Timers[uint64]       // and their timeouts
 }
 
 // walkMsg is one maintenance walk: it visits Stops in order, each writing its
@@ -176,6 +179,9 @@ func NewManager(eng *bcp.Engine, cfg Config) *Manager {
 		sessions: make(map[uint64]*Session),
 		wait:     make(map[uint64]func(bool)),
 	}
+	m.ticks.Init(m.host, m.onTick)
+	m.pongs.Init(m.host, m.checkPong)
+	m.waits.Init(m.host, func(id uint64) { m.reply(id, false) })
 	m.host.Handle(MsgProbe, m.onProbe)
 	m.host.Handle(MsgPong, m.onPong)
 	m.host.Handle(MsgPing, m.onPing)
@@ -207,7 +213,7 @@ func (m *Manager) Establish(req *service.Request, res bcp.Result) *Session {
 	if m.host.Now() >= m.probeDue {
 		m.probeDue = m.host.Now() + probeInterval
 	}
-	m.armProbes(m.probeDue)
+	m.ticks.After(m.probeDue-m.host.Now(), m.probeDue)
 	return s
 }
 

@@ -444,3 +444,47 @@ func TestBriefOutageDoesNotStopMonitoring(t *testing.T) {
 		t.Fatalf("%d walks in five intervals after the outage, want both sessions walked every interval", got)
 	}
 }
+
+// TestPongRefreshesTheFirstStop: a pong refreshes the availability of every
+// snapshot hosted on a stop of its walk, the first stop's too. Load lands on
+// the walk's first peer; after one pong of a walk that left since, every
+// snapshot on that peer, in the active graph and the backups, reads the
+// peer's fresh AvailableHard.
+func TestPongRefreshesTheFirstStop(t *testing.T) {
+	c := newCluster(30, recovery.DefaultConfig())
+	req := makeReq(c, 1, 3, 60)
+	sess := establish(t, c, req)
+	mgr := c.Peers[int(req.Source)].Recovery
+	pongs := 0
+	recovery.TapPongs(mgr, func(recovery.Pong) { pongs++ })
+	peers, _ := recovery.WalkPeers(sess)
+	ledger := c.Peers[int(peers[0])].Engine.Ledger()
+	load := ledger.Available()
+	for k := range load {
+		load[k] /= 2
+	}
+	if !ledger.CommitDirect(load) {
+		t.Fatalf("peer %d refused half its available resources", peers[0])
+	}
+	fresh := ledger.AvailableHard()
+	for walks := mgr.Stats().Walks; mgr.Stats().Walks == walks; {
+		c.Sim.Run(c.Sim.Now() + 10*time.Millisecond)
+	}
+	for seen := pongs; pongs == seen; {
+		c.Sim.Run(c.Sim.Now() + 10*time.Millisecond)
+	}
+	checked := 0
+	for _, g := range append([]*service.Graph{sess.Active}, sess.Backups...) {
+		for _, snap := range g.Comps {
+			if snap.Comp.Peer == peers[0] {
+				checked++
+				if snap.Avail != fresh {
+					t.Errorf("%s on the first stop (peer %d) reads %v, its ledger has %v available", snap.Comp.ID, peers[0], snap.Avail, fresh)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no snapshot on the first stop, peer %d", peers[0])
+	}
+}

@@ -59,7 +59,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		{"internal/cluster/cluster.go", "Options", false}, {"internal/bcp/engine.go", "LoadOptions", false},
 		{"internal/topology/overlay.go", "OverlayConfig", false}, {"internal/bcp/engine.go", "Config", false},
 		{"internal/recovery/recovery.go", "Config", false}, {"internal/federation/federation.go", "Config", false},
-		{"internal/workload/workload.go", "Config", false},
+		{"internal/workload/workload.go", "Config", false}, {"internal/livenet/testbed.go", "TestbedOptions", false},
 		{"internal/bcp/engine.go", "Engine", true}, {"internal/dht/node.go", "Node", true},
 		{"internal/recovery/recovery.go", "Manager", true},
 	} {
