@@ -271,32 +271,17 @@ func Admit(w World, g *service.Graph) bool {
 		}
 		committed = append(committed, s.Comp.Peer)
 	}
-	for fn, s := range g.Comps {
-		targets := []p2p.NodeID{}
-		succs := g.Pattern.Successors(fn)
-		if len(succs) == 0 {
-			targets = append(targets, req.Dest)
-		}
-		for _, sc := range succs {
-			targets = append(targets, g.Comps[sc].Comp.Peer)
-		}
-		for _, to := range targets {
-			if !w.AllocBandwidth(s.Comp.Peer, to, req.Bandwidth) {
-				rollback()
-				return false
-			}
-			allocated = append(allocated, pair{s.Comp.Peer, to})
-		}
-	}
-	for _, fn := range g.Pattern.Sources() {
-		to := g.Comps[fn].Comp.Peer
-		if !w.AllocBandwidth(req.Source, to, req.Bandwidth) {
-			rollback()
+	if g.ReservedPairs(func(_ int, a, b p2p.NodeID) bool {
+		if !w.AllocBandwidth(a, b, req.Bandwidth) {
 			return false
 		}
-		allocated = append(allocated, pair{req.Source, to})
+		allocated = append(allocated, pair{a, b})
+		return true
+	}) {
+		return true
 	}
-	return true
+	rollback()
+	return false
 }
 
 // Release frees everything Admit committed for g.
@@ -305,18 +290,10 @@ func Release(w World, g *service.Graph) {
 	for _, s := range g.Comps {
 		w.Free(s.Comp.Peer, req.Res)
 	}
-	for fn, s := range g.Comps {
-		succs := g.Pattern.Successors(fn)
-		if len(succs) == 0 {
-			w.ReleaseBandwidth(s.Comp.Peer, req.Dest, req.Bandwidth)
-		}
-		for _, sc := range succs {
-			w.ReleaseBandwidth(s.Comp.Peer, g.Comps[sc].Comp.Peer, req.Bandwidth)
-		}
-	}
-	for _, fn := range g.Pattern.Sources() {
-		w.ReleaseBandwidth(req.Source, g.Comps[fn].Comp.Peer, req.Bandwidth)
-	}
+	g.ReservedPairs(func(_ int, a, b p2p.NodeID) bool {
+		w.ReleaseBandwidth(a, b, req.Bandwidth)
+		return true
+	})
 }
 
 // CentralizedOverheadPerPeriod returns the number of state-update messages

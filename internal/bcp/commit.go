@@ -153,11 +153,12 @@ func (e *Engine) endWalk(id uint64, ok, answer bool) {
 // serving g's source functions) under g's request ID. Best-effort: the
 // stream degrades rather than aborts if the sender's uplink is saturated.
 func (e *Engine) admitIngress(g *service.Graph) {
-	for _, fn := range g.Pattern.Sources() {
-		if s := g.Comps[fn]; s.Assigned() {
-			e.allocSessionBandwidth(g.Req.ID, s.Comp.Peer, g.Req.Bandwidth, g.Req.Lease)
+	g.ReservedPairs(func(fn int, _, b p2p.NodeID) bool {
+		if fn < 0 {
+			e.allocSessionBandwidth(g.Req.ID, b, g.Req.Bandwidth, g.Req.Lease)
 		}
-	}
+		return true
+	})
 }
 
 // commitSession hardens this peer's allocation for one component of a

@@ -192,8 +192,8 @@ type Engine struct {
 
 	// held holds established service graphs whose session fate is pending an
 	// external two-phase-commit decision (the federation layer's prepare
-	// window). Each entry releases itself when its hold timer fires.
-	held map[uint64]*heldSession
+	// window), until the holder promotes or aborts them.
+	held map[uint64]*service.Graph
 
 	// walks are the reverse-path walks this source started (Confirm).
 	walks   map[uint64]*walk
@@ -336,7 +336,7 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 		fetching:   make(map[string]fetch),
 		allocs:     make(map[allocKey]alloc),
 		renewed:    make(map[uint64]renewal),
-		held:       make(map[uint64]*heldSession),
+		held:       make(map[uint64]*service.Graph),
 		walks:      make(map[uint64]*walk),
 		retx:       make(map[uint64]*retxState),
 	}
@@ -826,11 +826,15 @@ func (e *Engine) onTeardown(_ p2p.Node, msg p2p.Message) {
 // those keep still needs. Allocations are keyed by request, so keep spares a
 // component only when it runs under g's request: a reactive re-composition's
 // graph allocated its own. Only registered allocations are freed, so double
-// teardowns and partially set-up graphs are safe.
+// teardowns and partially set-up graphs are safe; a graph without a request
+// was never set up.
 func (e *Engine) releaseLocal(g, keep *service.Graph) {
-	req := reqFromGraph(g)
+	req := g.Req
+	if req == nil {
+		return
+	}
 	self := e.host.ID()
-	if keep != nil && reqFromGraph(keep).ID != req.ID {
+	if keep != nil && (keep.Req == nil || keep.Req.ID != req.ID) {
 		keep = nil
 	}
 	for _, s := range g.Comps {
@@ -865,40 +869,15 @@ func (e *Engine) free(k allocKey) {
 }
 
 // sessionPairs lists the overlay endpoint pairs peer self allocates for
-// graph g: outgoing service links of its hosted components, the egress link
-// of sink components, and — when self is the sender — the ingress links.
+// graph g: those of g.ReservedPairs that leave self — the outgoing service
+// links of its components and, when self is the sender, the ingress links.
 func sessionPairs(g *service.Graph, self p2p.NodeID) []allocKey {
-	req := reqFromGraph(g)
 	var out []allocKey
-	for fn, s := range g.Comps {
-		if !s.Assigned() || s.Comp.Peer != self {
-			continue
+	g.ReservedPairs(func(_ int, a, b p2p.NodeID) bool {
+		if a == self {
+			out = append(out, allocKey{reqID: g.Req.ID, a: a, b: b})
 		}
-		succs := g.Pattern.Successors(fn)
-		if len(succs) == 0 {
-			out = append(out, allocKey{reqID: req.ID, a: self, b: req.Dest})
-		}
-		for _, succ := range succs {
-			if next := g.Comps[succ]; next.Assigned() {
-				out = append(out, allocKey{reqID: req.ID, a: self, b: next.Comp.Peer})
-			}
-		}
-	}
-	if self == req.Source {
-		for _, fn := range g.Pattern.Sources() {
-			if s := g.Comps[fn]; s.Assigned() {
-				out = append(out, allocKey{reqID: req.ID, a: self, b: s.Comp.Peer})
-			}
-		}
-	}
+		return true
+	})
 	return out
-}
-
-// reqFromGraph recovers the per-component requirement attached to the graph
-// when it was selected (stored by the collector).
-func reqFromGraph(g *service.Graph) *service.Request {
-	if g.Req != nil {
-		return g.Req
-	}
-	return &service.Request{}
 }

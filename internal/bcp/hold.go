@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/p2p"
 	"repro/internal/service"
 )
 
@@ -17,64 +16,28 @@ import (
 // has not yet decided the session's fate. The federation layer's two-phase
 // commit holds each per-domain sub-session here during the prepare window
 // and then either promotes it into a normal bounded-life session or releases
-// it; a hold that outlives its window presumes abort and releases itself, so
-// a crashed or partitioned coordinator can never leak the reservation.
+// it. The window is the holder's: it times it, and releases a hold that
+// outlives it through AbortHold, so a crashed or partitioned coordinator can
+// never leak the reservation.
 
-// heldSession is one established graph awaiting an external decision.
-type heldSession struct {
-	g      *service.Graph
-	cancel p2p.Timer
-}
+// Hold registers an established service graph as a held reservation under a
+// key not held already, until Promote or AbortHold resolves it.
+func (e *Engine) Hold(key uint64, g *service.Graph) { e.held[key] = g }
 
-// Hold registers an established service graph as a held reservation: if no
-// Promote or AbortHold arrives within d, the engine tears the graph down
-// across its peers and invokes onExpire. Holding again under the same key
-// replaces the previous hold (its timer is cancelled, its graph released).
-func (e *Engine) Hold(key uint64, g *service.Graph, d time.Duration, onExpire func()) {
-	if prev, ok := e.held[key]; ok {
-		prev.cancel.Stop()
-		delete(e.held, key)
-		e.Teardown(prev.g)
-	}
-	hs := &heldSession{g: g}
-	hs.cancel = e.host.After(d, func() {
-		if cur, ok := e.held[key]; ok && cur == hs {
-			delete(e.held, key)
-			e.Teardown(hs.g)
-			if onExpire != nil {
-				onExpire()
-			}
-		}
-	})
-	e.held[key] = hs
-}
-
-// Promote resolves a hold as committed: the expiry timer is cancelled and
-// the graph returned to the caller, who now owns the session (and its
-// eventual Teardown). Returns nil if the hold already expired or was
-// aborted.
+// Promote resolves a hold as committed: the graph is returned to the caller,
+// who now owns the session (and its eventual Teardown). Returns nil if the
+// hold was already aborted.
 func (e *Engine) Promote(key uint64) *service.Graph {
-	hs, ok := e.held[key]
-	if !ok {
-		return nil
-	}
-	hs.cancel.Stop()
+	g := e.held[key]
 	delete(e.held, key)
-	return hs.g
+	return g
 }
 
-// AbortHold resolves a hold as aborted: the expiry timer is cancelled and
-// the graph torn down across its peers. Returns the released graph, nil if
-// the hold already expired or was promoted.
-func (e *Engine) AbortHold(key uint64) *service.Graph {
-	hs, ok := e.held[key]
-	if !ok {
-		return nil
-	}
-	hs.cancel.Stop()
+// AbortHold resolves a hold as aborted: the graph is torn down across its
+// peers.
+func (e *Engine) AbortHold(key uint64) {
+	e.Teardown(e.held[key])
 	delete(e.held, key)
-	e.Teardown(hs.g)
-	return hs.g
 }
 
 // Held returns the number of reservations currently held.

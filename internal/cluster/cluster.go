@@ -16,12 +16,11 @@ import (
 	"repro/internal/bcp"
 	"repro/internal/dht"
 	"repro/internal/federation"
-	"repro/internal/media"
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/peer"
 	"repro/internal/qos"
 	"repro/internal/recovery"
-	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -82,17 +81,12 @@ const (
 // LoadOptions configures the overload control plane on a deployment.
 type LoadOptions = bcp.LoadOptions
 
-// Peer bundles one overlay node's protocol stack.
+// Peer is one overlay node's protocol stack and what the simulated
+// deployment adds to it.
 type Peer struct {
-	Node       p2p.Node
-	Ledger     *qos.Ledger
-	DHT        *dht.Node
-	Registry   *registry.Registry
-	Engine     *bcp.Engine
-	Recovery   *recovery.Manager
-	Media      *media.Node
-	Components []service.Component
-	FailProb   float64
+	*peer.Peer
+	Recovery *recovery.Manager
+	FailProb float64
 	// Fed is the peer's federation client (nil unless Options.Domains set).
 	Fed *federation.Client
 }
@@ -330,31 +324,15 @@ func (c *Cluster) drawComponent(id p2p.NodeID, k int, fn string, failProb float6
 // failure probability — are its arguments; it draws nothing from the rng.
 func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb float64) *Peer {
 	o := &c.opts
-	host := c.Net.AddNode(id)
-	ledger := qos.NewLedger(o.Capacity)
-	dn := dht.New(host, c.Net.Alive)
-	reg := registry.New(dn)
-	eng := bcp.NewEngine(host, c.Net.Alive, ledger, reg, c.Oracle(), comps, o.BCP)
-	eng.Load = c.load
+	p := &Peer{FailProb: failProb, Peer: peer.New(c.Net.AddNode(id), c.Net.Alive, c.Oracle(),
+		o.Capacity, comps, o.BCP, o.Trace, o.Metrics, o.Obs)}
+	p.Engine.Load = c.load
 	if c.hardened {
-		eng.Harden()
+		p.Engine.Harden()
 	}
-	eng.Trace = o.Trace
-	dn.Trace = o.Trace
-	eng.Met = o.Metrics
-	dn.Met = o.Metrics
-	if o.Obs != nil {
-		eng.Ctr = o.Obs.Node(id)
-		dn.Ctr = eng.Ctr
-	}
-	var rec *recovery.Manager
 	if o.Recovery != nil {
-		rec = recovery.NewManager(eng, *o.Recovery)
-		rec.Trace = o.Trace
-	}
-	p := &Peer{
-		Node: host, Ledger: ledger, DHT: dn, Registry: reg, Engine: eng, Recovery: rec,
-		Media: media.Attach(host, eng.LocalComponent), Components: comps, FailProb: failProb,
+		p.Recovery = recovery.NewManager(p.Engine, *o.Recovery)
+		p.Recovery.Trace = o.Trace
 	}
 	c.Peers = append(c.Peers, p)
 	return p

@@ -94,7 +94,6 @@ func Fig9(cfg Fig9Config) Fig9Result {
 	recCfgs[0] = recovery.DefaultConfig()
 	recCfgs[1] = recovery.DefaultConfig()
 	recCfgs[1].Proactive = false
-	recCfgs[1].Reactive = false
 
 	dead := make([][]int, 2)
 	stats := make([]recovery.Stats, 2)

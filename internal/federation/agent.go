@@ -56,9 +56,11 @@ type decidedMsg struct {
 	Ack       commitAck
 }
 
+// holdRec is one held reservation: its request, and its hold window's timer.
 type holdRec struct {
-	fedID uint64
-	seg   int
+	fedID  uint64
+	seg    int
+	expiry p2p.Timer
 }
 
 // Agent is the participant side of the two-phase commit, hosted on every
@@ -74,6 +76,7 @@ type Agent struct {
 	cfg    Config
 
 	holds     map[uint64]holdRec        // subID -> held reservation
+	windows   p2p.Timers[uint64]        // holds, Hold after their prepare
 	committed map[uint64]*service.Graph // subID -> its graph (nil: expired first) for Life; dedups decides
 	seen      map[uint64]bool           // subID dedup for duplicated prepares, until Hold after resolution
 	forget    p2p.Timers[uint64]        // seen entries, Hold after their resolution
@@ -93,6 +96,7 @@ func NewAgent(host p2p.Node, eng *bcp.Engine, domain int, cfg Config) *Agent {
 		committed: make(map[uint64]*service.Graph),
 		seen:      make(map[uint64]bool),
 	}
+	a.windows.Init(host, a.expire)
 	a.forget.Init(host, func(subID uint64) { delete(a.seen, subID) })
 	a.lives.Init(host, a.end)
 	host.Handle(MsgPrepare, a.onPrepare)
@@ -118,8 +122,8 @@ func (a *Agent) onPrepare(_ p2p.Node, msg p2p.Message) {
 			return
 		}
 		sub := m.SubID
-		a.eng.Hold(sub, res.Best, a.cfg.Hold, func() { a.expire(sub) })
-		a.holds[sub] = holdRec{fedID: m.FedID, seg: m.Seg}
+		a.eng.Hold(sub, res.Best)
+		a.holds[sub] = holdRec{fedID: m.FedID, seg: m.Seg, expiry: a.windows.After(a.cfg.Hold, sub)}
 		a.Ledger.Prepares++
 		if a.Trace != nil {
 			a.Trace.Emit(obs.FedPrepare(a.host.Now(), a.host.ID(), m.FedID, sub, a.domain))
@@ -138,12 +142,10 @@ func (a *Agent) resolved(subID uint64) {
 }
 
 // expire is the presumed-abort path: the hold window elapsed with no
-// decision, and the engine has already torn the reservation down.
+// decision, so the reservation is released.
 func (a *Agent) expire(subID uint64) {
-	rec, ok := a.holds[subID]
-	if !ok {
-		return
-	}
+	rec := a.holds[subID]
+	a.eng.AbortHold(subID)
 	delete(a.holds, subID)
 	a.resolved(subID)
 	a.Ledger.Expires++
@@ -156,6 +158,7 @@ func (a *Agent) onDecide(_ p2p.Node, msg p2p.Message) {
 	m := msg.Payload.(decideMsg)
 	if !m.Commit {
 		if rec, ok := a.holds[m.SubID]; ok {
+			rec.expiry.Stop()
 			a.eng.AbortHold(m.SubID)
 			delete(a.holds, m.SubID)
 			a.resolved(m.SubID)
@@ -175,6 +178,7 @@ func (a *Agent) onDecide(_ p2p.Node, msg p2p.Message) {
 		a.ack(m, committed)
 		return
 	}
+	rec.expiry.Stop()
 	g := a.eng.Promote(m.SubID)
 	delete(a.holds, m.SubID)
 	a.resolved(m.SubID)

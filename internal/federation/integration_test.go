@@ -516,3 +516,64 @@ func TestPrepareDedupForgets(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldExpiresAfterItsWindow: a prepared segment that hears no decide is
+// released exactly Hold after its prepare — the gateway's engine holds it
+// until then and nothing after, and the peers it reserved on drain by the
+// teardown, not by a lease — counts one expiry, traces one fed.abort noted
+// expire, and answers a commit decide that comes later with not-committed.
+func TestHoldExpiresAfterItsWindow(t *testing.T) {
+	mem := &obs.MemSink{}
+	c := fedCluster(21, 2, 1, mem)
+	gw, agent := c.DomainPlan().Gateways(1)[0], c.Fed.Agents[1]
+	eng, hold := c.Peers[int(gw)].Engine, c.Fed.Cfg.Hold
+	client := c.DomainPlan().Members[0][1]
+	var answers []bool
+	c.Peers[int(client)].Node.Handle(federation.MsgDecided, func(_ p2p.Node, msg p2p.Message) {
+		answers = append(answers, federation.Committed(msg.Payload))
+	})
+	const fedID = 7
+	sub := fedRequest(federation.SubID(fedID, 0), gw, "fn1", "fn3") // leased for ever: only the expiry releases it
+	c.Sim.Schedule(0, func() { agent.Prepare(c.DomainPlan().Coordinator(0), fedID, sub) })
+
+	var prepared time.Duration
+	c.Sim.Run(hold)
+	for _, ev := range mem.Events() {
+		if ev.Kind == obs.KindFedPrepare && ev.PID == sub.ID {
+			prepared = ev.TS
+		}
+	}
+	if prepared == 0 {
+		t.Fatal("the segment was not prepared")
+	}
+	c.Sim.Run(prepared + hold - 1)
+	if eng.Held() != 1 || orphanCount(c) == 0 {
+		t.Fatalf("1 ns before its window ends: %d held, %d peers reserved; want 1 and some", eng.Held(), orphanCount(c))
+	}
+	c.Sim.Run(prepared + hold)
+	if eng.Held() != 0 {
+		t.Fatalf("%d held when the window ended, want 0", eng.Held())
+	}
+	c.Sim.Run(prepared + hold + 5*time.Second)
+	if n := orphanCount(c); n != 0 {
+		t.Fatalf("%d peers still reserved 5 s after the expiry", n)
+	}
+	if led := agent.Ledger; led != (federation.Ledger{Prepares: 1, Expires: 1}) {
+		t.Fatalf("ledger %+v, want one prepare and one expiry", led)
+	}
+	var aborts []obs.Event
+	for _, ev := range mem.Events() {
+		if ev.Kind == obs.KindFedAbort {
+			aborts = append(aborts, ev)
+		}
+	}
+	if len(aborts) != 1 || aborts[0].Note != "expire" || aborts[0].PID != sub.ID || aborts[0].TS != prepared+hold {
+		t.Fatalf("fed.abort events %+v, want one noted expire for %d at %v", aborts, sub.ID, prepared+hold)
+	}
+
+	c.Sim.Schedule(0, func() { agent.Commit(fedID, client) })
+	c.Sim.Run(c.Sim.Now() + 5*time.Second)
+	if len(answers) != 1 || answers[0] {
+		t.Fatalf("a commit decide after the expiry was answered %v, want one not-committed", answers)
+	}
+}

@@ -14,8 +14,8 @@
 // drives the two-phase commit for requests originating in its domain. Every
 // peer carries a thin Client that forwards compositions to its coordinator.
 //
-// Fault tolerance is timeout-driven presumed abort: a held reservation that
-// hears no decision self-releases after the hold window, a coordinator that
+// Fault tolerance is timeout-driven presumed abort: a gateway releases a held
+// reservation that hears no decision after the hold window, a coordinator that
 // collects no quorum of votes aborts, and committed sessions are bounded
 // leases (they self-release at end of life, with a per-holder TTL backstop
 // in BCP), so no reservation outlives its session even when a gateway or

@@ -10,8 +10,8 @@ import (
 	"repro/internal/media"
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/peer"
 	"repro/internal/qos"
-	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/topology"
 )
@@ -37,21 +37,10 @@ type TestbedOptions struct {
 	Metrics *obs.Metrics
 }
 
-// TestbedPeer is one live host's protocol stack.
-type TestbedPeer struct {
-	Node       p2p.Node
-	Ledger     *qos.Ledger
-	DHT        *dht.Node
-	Registry   *registry.Registry
-	Engine     *bcp.Engine
-	Media      *media.Node
-	Components []service.Component
-}
-
 // Testbed is a live deployment: the PlanetLab stand-in.
 type Testbed struct {
 	Net   *Network
-	Peers []*TestbedPeer
+	Peers []*peer.Peer
 	opts  TestbedOptions
 }
 
@@ -97,10 +86,6 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 	tb := &Testbed{Net: nw, opts: opts}
 	dhtNodes := make([]*dht.Node, opts.Hosts)
 	for i := 0; i < opts.Hosts; i++ {
-		host := nw.AddNode(p2p.NodeID(i), opts.Seed)
-		ledger := qos.NewLedger(capacity)
-		dn := dht.New(host, nw.Alive)
-		reg := registry.New(dn)
 		fn := catalog[rng.Intn(len(catalog))]
 		var qp qos.Vector
 		qp[qos.Delay] = 5 + rng.Float64()*25
@@ -110,24 +95,13 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 			Peer:     p2p.NodeID(i),
 			Qp:       qp,
 		}}
-		eng := bcp.NewEngine(host, nw.Alive, ledger, reg, oracle, comps, bcp.DefaultConfig())
+		p := peer.New(nw.AddNode(p2p.NodeID(i), opts.Seed), nw.Alive, oracle, capacity, comps,
+			bcp.DefaultConfig(), opts.Trace, opts.Metrics, opts.Obs)
 		if opts.Loss > 0 {
-			eng.Harden()
+			p.Engine.Harden()
 		}
-		eng.Trace = opts.Trace
-		dn.Trace = opts.Trace
-		eng.Met = opts.Metrics
-		dn.Met = opts.Metrics
-		if opts.Obs != nil {
-			eng.Ctr = opts.Obs.Node(host.ID())
-			dn.Ctr = eng.Ctr
-		}
-		med := media.Attach(host, eng.LocalComponent)
-		tb.Peers = append(tb.Peers, &TestbedPeer{
-			Node: host, Ledger: ledger, DHT: dn, Registry: reg,
-			Engine: eng, Media: med, Components: comps,
-		})
-		dhtNodes[i] = dn
+		tb.Peers = append(tb.Peers, p)
+		dhtNodes[i] = p.DHT
 	}
 	// Static DHT construction happens before any traffic, so direct calls
 	// are safe; registrations then flow as real messages. Routing-table slots

@@ -355,15 +355,15 @@ func (m *Manager) onPingAck(_ p2p.Node, msg p2p.Message) {
 
 // tryRecovery attempts switchover to the best maintained backup — failGraphs
 // already took those on a localized dead peer; exhausting the backups
-// triggers reactive re-composition (if enabled); exhausting that kills the
-// session.
+// triggers reactive re-composition; exhausting that, or recovery being off,
+// kills the session.
 func (m *Manager) tryRecovery(s *Session) {
-	if !m.cfg.Proactive || len(s.Backups) == 0 {
-		if m.cfg.Reactive {
-			m.reactive(s)
-		} else {
-			m.kill(s)
-		}
+	if !m.cfg.Proactive {
+		m.kill(s)
+		return
+	}
+	if len(s.Backups) == 0 {
+		m.reactive(s)
 		return
 	}
 	// Best candidate: largest overlap with the broken graph for the cheapest

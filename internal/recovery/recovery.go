@@ -34,12 +34,10 @@ type Config struct {
 	U float64
 	// MaxBackups is an absolute cap on maintained backups per session.
 	MaxBackups int
-	// Proactive enables backup maintenance; when false the manager only
-	// detects failures (the paper's "without recovery" baseline keeps even
-	// reactive recovery off).
+	// Proactive enables recovery: backup maintenance, and BCP
+	// re-composition once the backups are gone. When false the manager only
+	// detects failures (the paper's "without recovery" baseline).
 	Proactive bool
-	// Reactive enables BCP re-composition when all backups are gone.
-	Reactive bool
 	// DisjointBackups selects fully peer-disjoint backups instead of the
 	// paper's overlap-maximizing rule (ablation).
 	DisjointBackups bool
@@ -62,7 +60,6 @@ func DefaultConfig() Config {
 		U:          2.0,
 		MaxBackups: 5,
 		Proactive:  true,
-		Reactive:   true,
 	}
 }
 

@@ -128,7 +128,6 @@ func TestSwitchoverOnPeerFailure(t *testing.T) {
 func TestNoRecoveryBaselineDies(t *testing.T) {
 	cfg := recovery.DefaultConfig()
 	cfg.Proactive = false
-	cfg.Reactive = false
 	c := newCluster(32, cfg)
 	req := makeReq(c, 3, 3, 40)
 	sess := establish(t, c, req)

@@ -47,7 +47,7 @@ func TestRefusedSwitchoverReleasesItsCommits(t *testing.T) {
 	staged := 0
 	for seed := int64(30); seed < 40; seed++ {
 		cfg := recovery.DefaultConfig()
-		cfg.MaxBackups, cfg.Reactive = 2, false
+		cfg.MaxBackups = 2
 		c := newCluster(seed, cfg)
 		req := makeReq(c, 1, 3, 60)
 		sess := establish(t, c, req)

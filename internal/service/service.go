@@ -280,6 +280,37 @@ func (g *Graph) FailProb() float64 {
 	return 1 - alive
 }
 
+// ReservedPairs calls visit with each overlay pair (from, to) a session on g
+// reserves bandwidth on, in one fixed order — bandwidth is float arithmetic
+// on shared overlay links, so every admission and release walks it alike: for
+// each function fn in index order, its component's egress, to each
+// successor's component in Successors order or to Req.Dest for a sink; then
+// the sender's ingress to each Sources() component, with fn -1, as a
+// LinkSnapshot numbers it. Unassigned slots reserve nothing. A visit that
+// returns false stops the walk, and ReservedPairs returns false.
+func (g *Graph) ReservedPairs(visit func(fn int, from, to p2p.NodeID) bool) bool {
+	for fn, s := range g.Comps {
+		if !s.Assigned() {
+			continue
+		}
+		succs := g.Pattern.Successors(fn)
+		if len(succs) == 0 && !visit(fn, s.Comp.Peer, g.Req.Dest) {
+			return false
+		}
+		for _, sc := range succs {
+			if next := g.Comps[sc]; next.Assigned() && !visit(fn, s.Comp.Peer, next.Comp.Peer) {
+				return false
+			}
+		}
+	}
+	for _, fn := range g.Pattern.Sources() {
+		if s := g.Comps[fn]; s.Assigned() && !visit(-1, g.Req.Source, s.Comp.Peer) {
+			return false
+		}
+	}
+	return true
+}
+
 // Qualified reports whether the graph satisfies the request: every slot
 // assigned, QoS within Qreq, per-component resources within the probed
 // availability, and bandwidth within every probed link's availability.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fgraph"
@@ -273,5 +274,58 @@ func TestCostAndKeyAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { _ = g.Key() }); avg > 1 {
 		t.Fatalf("Key allocates %.0f objects, want the string alone", avg)
+	}
+}
+
+// TestReservedPairsOrder pins the one enumeration every admission and release
+// walks: each function's egress in index order, successors in Successors
+// order and the receiver for a sink, then the sender's ingress (fn -1) to
+// each source component. A sender hosting a component reserves its own
+// ingress; an unassigned slot reserves nothing; a visit can stop the walk.
+func TestReservedPairsOrder(t *testing.T) {
+	type pair struct {
+		fn       int
+		from, to p2p.NodeID
+	}
+	b := fgraph.NewBuilder()
+	for _, f := range []string{"a", "b", "c", "d"} {
+		b.AddFunction(f)
+	}
+	diamond, err := b.AddDependency(0, 2).AddDependency(0, 1).AddDependency(1, 3).AddDependency(2, 3).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph := func(pat *fgraph.Graph, peers ...int) *Graph {
+		g := &Graph{Pattern: pat, Comps: make([]Snapshot, len(peers)), Req: &Request{Source: 1, Dest: 9}}
+		for fn, p := range peers {
+			if p >= 0 {
+				g.Comps[fn].Comp = comp(pat.Function(fn), pat.Function(fn), p, 0)
+			}
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		limit int // visits before the walk is stopped; 0: none
+		want  []pair
+	}{
+		{"chain, the sender hosts the source", graph(fgraph.Linear("a", "b", "c"), 1, 5, 6), 0,
+			[]pair{{0, 1, 5}, {1, 5, 6}, {2, 6, 9}, {-1, 1, 1}}},
+		{"diamond, one successor unassigned", graph(diamond, 2, 3, -1, 4), 0,
+			[]pair{{0, 2, 3}, {1, 3, 4}, {3, 4, 9}, {-1, 1, 2}}},
+		{"diamond", graph(diamond, 2, 3, 7, 4), 0,
+			[]pair{{0, 2, 3}, {0, 2, 7}, {1, 3, 4}, {2, 7, 4}, {3, 4, 9}, {-1, 1, 2}}},
+		{"diamond, stopped at the third pair", graph(diamond, 2, 3, 7, 4), 3,
+			[]pair{{0, 2, 3}, {0, 2, 7}, {1, 3, 4}}},
+	} {
+		var got []pair
+		done := tc.g.ReservedPairs(func(fn int, from, to p2p.NodeID) bool {
+			got = append(got, pair{fn, from, to})
+			return len(got) != tc.limit
+		})
+		if done != (tc.limit == 0) || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: ReservedPairs = %v after %v, want %v after %v", tc.name, done, got, tc.limit == 0, tc.want)
+		}
 	}
 }
