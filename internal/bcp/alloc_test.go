@@ -44,7 +44,7 @@ func TestComposeAllocBudget(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(50, compose)
 	t.Logf("one composition allocates %.0f objects", avg)
-	const budget = 224 // measured 213; 214 while the give-up timer armed a closure of its own, 261 while every soft hold armed a closure of its own, every child probe was boxed on its own and every backup graph was three objects; 273 while the source derived the request's patterns on every Compose and the destination each pattern's branches on every collection, 358 while every probe hop allocated a continuation, selection re-derived the request's patterns and an assignment was a map; 475 while timers cost two closures and a waiting hop a heap Probe and a closure, 598 before the first hops stopped looking up what the source's probes now hand them
+	const budget = 193 // measured 184; 213 while each DHT lookup allocated two closures, its pending record and a timeout closure; 214 while the give-up timer armed a closure of its own, 261 while every soft hold armed a closure of its own, every child probe was boxed on its own and every backup graph was three objects; 273 while the source derived the request's patterns on every Compose and the destination each pattern's branches on every collection, 358 while every probe hop allocated a continuation, selection re-derived the request's patterns and an assignment was a map; 475 while timers cost two closures and a waiting hop a heap Probe and a closure, 598 before the first hops stopped looking up what the source's probes now hand them
 	if avg > budget {
 		t.Fatalf("one composition allocates %.0f objects, budget %d", avg, budget)
 	}

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/dht"
 	"repro/internal/fgraph"
 	"repro/internal/obs"
 	"repro/internal/p2p"
@@ -166,7 +167,8 @@ type Engine struct {
 	pending    map[uint64]*composeState
 	soft       map[softKey]softHold
 	cache      map[string]List
-	fetching   map[string]fetch // lookups and refreshes in flight, by function
+	fetching   map[dht.ID]fetch // lookups and refreshes in flight, by function key
+	foundFn    func(dht.Answer) // e.onFound, bound once: every lookup's callback
 	joiners    [][]waiter       // drained fetch.more slices, for later fetches to reuse
 	// handed is what of each function's list this engine's probes have
 	// handed each first-hop peer (hand): at most peers × functions entries.
@@ -333,7 +335,7 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 		soft:       make(map[softKey]softHold),
 		cache:      make(map[string]List),
 		handed:     make(map[handKey]handedList),
-		fetching:   make(map[string]fetch),
+		fetching:   make(map[dht.ID]fetch),
 		allocs:     make(map[allocKey]alloc),
 		renewed:    make(map[uint64]renewal),
 		held:       make(map[uint64]*service.Graph),
@@ -349,6 +351,7 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 	host.Handle(MsgResult, e.onResult)
 	host.Handle(MsgTeardown, e.onTeardown)
 	e.sweepFn = e.sweep
+	e.foundFn = e.onFound
 	e.softs.Init(host, e.expireSoft)
 	e.giveUps.Init(host, e.giveUp)
 	e.closed.Init(host, func(reqID uint64) { delete(e.collectors, reqID) })
@@ -505,7 +508,11 @@ type waiter struct {
 
 // fetch is one function's lookup in flight and the resolutions waiting on
 // it, in the order they came: the first in place, any later ones in more.
+// have is what a delta answer extends: the records of the expired list a
+// refresh sends, none for a first lookup.
 type fetch struct {
+	fn    string
+	have  []*service.Component
 	first waiter
 	more  []waiter
 }
@@ -555,7 +562,9 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []L
 		}
 		st.pending++
 		w := waiter{st, i}
-		ft, fetching := e.fetching[f]
+		key := registry.FunctionKey(f)
+		ft, fetching := e.fetching[key]
+		ft.fn = f
 		switch {
 		case ft.first.st == nil:
 			ft.first = w
@@ -565,7 +574,7 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []L
 		default:
 			ft.more = append(ft.more, w)
 		}
-		e.fetching[f] = ft
+		e.fetching[key] = ft
 		if fetching {
 			if e.Ctr != nil {
 				e.Ctr.DiscJoined.Add(1)
@@ -576,7 +585,7 @@ func (e *Engine) discoverAllCached(fns []string, hints []p2p.NodeID, carried []L
 		if hints != nil {
 			hint = hints[i]
 		}
-		e.lookup(f, registry.Listing{Root: hint}, span)
+		e.lookup(key, registry.Listing{Root: hint}, span)
 	}
 	if e.Ctr != nil {
 		e.Ctr.DiscCacheHits.Add(int64(hits))
@@ -599,41 +608,46 @@ func (e *Engine) discover(fns []string, span uint64, done func(table []List, ok 
 // refresh renews the expired list known of function fn unless a lookup of fn
 // is already out; nobody waits on it.
 func (e *Engine) refresh(fn string, known registry.Listing, span uint64) {
-	if _, out := e.fetching[fn]; out {
+	key := registry.FunctionKey(fn)
+	if _, out := e.fetching[key]; out {
 		return
 	}
-	e.fetching[fn] = fetch{}
+	e.fetching[key] = fetch{fn: fn, have: known.Comps}
 	if e.Ctr != nil {
 		e.Ctr.DiscStale.Add(1)
 	}
-	e.lookup(fn, known, span)
+	e.lookup(key, known, span)
 }
 
-// lookup sends the DHT lookup of function fn to known.Root first, which sends
-// only what is new if it answered known (registry.DiscoverSpan).
-func (e *Engine) lookup(fn string, known registry.Listing, span uint64) {
+// lookup sends the DHT lookup of the function whose key is key to known.Root
+// first, which sends only what is new if it answered known
+// (registry.Discover). The answer comes back to onFound.
+func (e *Engine) lookup(key dht.ID, known registry.Listing, span uint64) {
 	if e.Ctr != nil {
 		e.Ctr.DiscLookups.Add(1)
 		if known.Root != p2p.NoNode {
 			e.Ctr.DiscHinted.Add(1)
 		}
 	}
-	e.reg.DiscoverSpan(fn, span, known, discoveryTimeout, func(l registry.Listing, _ int, ok bool) {
-		e.fetched(fn, l, ok)
-	})
+	e.reg.Discover(key, span, known, discoveryTimeout, e.foundFn)
 }
 
-// fetched ends the lookup of function fn: an answered list is cached there and
-// then, and every resolution waiting on it gets it (or the timeout), in the
-// order they came. A failed refresh leaves the expired list in place. The
-// joiners' slice is handed back for reuse only once every answer is in, as an
-// answer's continuation may start a fetch of its own.
-func (e *Engine) fetched(fn string, l registry.Listing, ok bool) {
-	ft := e.fetching[fn]
-	delete(e.fetching, fn)
-	got := List{Fn: fn, Listing: l, Expires: e.host.Now() + cacheTTL}
+// onFound ends the lookup a answers.
+func (e *Engine) onFound(a dht.Answer) {
+	e.fetched(a.Key, registry.Answered(e.fetching[a.Key].have, a), a.OK)
+}
+
+// fetched ends the lookup of the function whose key is key: an answered list
+// is cached there and then, and every resolution waiting on it gets it (or
+// the timeout), in the order they came. A failed refresh leaves the expired
+// list in place. The joiners' slice is handed back for reuse only once every
+// answer is in, as an answer's continuation may start a fetch of its own.
+func (e *Engine) fetched(key dht.ID, l registry.Listing, ok bool) {
+	ft := e.fetching[key]
+	delete(e.fetching, key)
+	got := List{Fn: ft.fn, Listing: l, Expires: e.host.Now() + cacheTTL}
 	if ok {
-		e.cache[fn] = got
+		e.cache[ft.fn] = got
 	}
 	if ft.first.st != nil {
 		e.answer(ft.first, got, ok)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fgraph"
 	"repro/internal/p2p"
 	"repro/internal/qos"
+	"repro/internal/registry"
 	"repro/internal/service"
 )
 
@@ -137,9 +138,9 @@ func TestProbeHopAllocs(t *testing.T) {
 	// A refresh of b is out, so the hop joins it, and its answer continues the hop.
 	waiting := testing.AllocsPerRun(50, func() {
 		delete(hop.cache, "b")
-		hop.fetching["b"] = fetch{}
+		hop.fetching[registry.FunctionKey("b")] = fetch{fn: "b"}
 		hop.onProbe(hop.host, msg)
-		hop.fetched("b", listing, true)
+		hop.fetched(registry.FunctionKey("b"), listing, true)
 		sim.RunUntilIdle()
 	})
 	if children != 2+2*(51+51) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bcp"
 	"repro/internal/cluster"
+	"repro/internal/dht"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/p2p"
@@ -159,8 +160,8 @@ func checkDiscovery(t *testing.T, c *cluster.Cluster, cat []string) {
 		for _, fn := range cat {
 			fn := fn
 			ok := false
-			c.Peers[src].Registry.DiscoverSpan(fn, 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(_ registry.Listing, _ int, got bool) {
-				ok = got
+			c.Peers[src].Registry.Discover(registry.FunctionKey(fn), 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(a dht.Answer) {
+				ok = a.OK
 			})
 			c.Sim.RunUntilIdle()
 			if !ok {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bcp"
 	"repro/internal/cluster"
+	"repro/internal/dht"
 	"repro/internal/federation"
 	"repro/internal/fgraph"
 	"repro/internal/obs"
@@ -42,8 +43,8 @@ func TestClusterDefaults(t *testing.T) {
 		t.Fatal("no functions deployed")
 	}
 	found := false
-	c.Peers[0].Registry.DiscoverSpan(fns[0], 0, registry.Listing{Root: p2p.NoNode}, time.Second, func(l registry.Listing, _ int, ok bool) {
-		found = ok && len(l.Comps) == c.Replicas(fns[0])
+	c.Peers[0].Registry.Discover(registry.FunctionKey(fns[0]), 0, registry.Listing{Root: p2p.NoNode}, time.Second, func(a dht.Answer) {
+		found = a.OK && len(registry.Answered(nil, a).Comps) == c.Replicas(fns[0])
 	})
 	c.Sim.RunUntilIdle()
 	if !found {
@@ -177,8 +178,8 @@ func TestDynamicPeerArrival(t *testing.T) {
 	}
 	// Discoverable from an old peer.
 	found := false
-	c.Peers[3].Registry.DiscoverSpan("exotic", 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(l registry.Listing, _ int, ok bool) {
-		found = ok && len(l.Comps) == 1
+	c.Peers[3].Registry.Discover(registry.FunctionKey("exotic"), 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(a dht.Answer) {
+		found = a.OK && len(registry.Answered(nil, a).Comps) == 1
 	})
 	c.Sim.Run(c.Sim.Now() + 10*time.Second)
 	if !found {

@@ -313,14 +313,13 @@ func TestLookupStretch(t *testing.T) {
 		src, fn := p2p.NodeID(rng.Intn(len(c.Peers))), fns[rng.Intn(len(fns))]
 		c.Sim.Schedule(time.Duration(i)*time.Second, func() {
 			start := c.Sim.Now()
-			c.Peers[src].DHT.GetSpan(registry.FunctionKey(fn), 0, p2p.NoNode, 0, 5*time.Second,
-				func(_ []any, _ int, from p2p.NodeID, _ int, ok bool) {
-					if ok {
-						answered++
-						lookupMs += float64(c.Sim.Now()-start) / float64(time.Millisecond)
-						rttMs += 2 * c.Overlay.Latency(int(src), int(from))
-					}
-				})
+			c.Peers[src].DHT.GetSpan(registry.FunctionKey(fn), 0, p2p.NoNode, 0, 5*time.Second, func(a dht.Answer) {
+				if a.OK {
+					answered++
+					lookupMs += float64(c.Sim.Now()-start) / float64(time.Millisecond)
+					rttMs += 2 * c.Overlay.Latency(int(src), int(a.From))
+				}
+			})
 		})
 	}
 	c.Sim.RunUntilIdle()

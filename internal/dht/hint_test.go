@@ -32,8 +32,8 @@ func getHeld(t *testing.T, nw *simnet.Network, n *Node, key ID, via p2p.NodeID, 
 	t.Helper()
 	var out lookup
 	calls := 0
-	n.GetSpan(key, 0, via, held, time.Second, func(items []any, base int, from p2p.NodeID, hops int, ok bool) {
-		out = lookup{items, base, from, hops, ok}
+	n.GetSpan(key, 0, via, held, time.Second, func(a Answer) {
+		out = lookup{a.Items, a.Base, a.From, a.Hops, a.OK}
 		calls++
 	})
 	nw.Sim().RunUntilIdle()
@@ -138,8 +138,8 @@ func TestHintedGetRetriesAroundSilentHint(t *testing.T) {
 	start := nw.Sim().Now()
 	var took time.Duration
 	var got lookup
-	src.GetSpan(key, 0, holder, 0, 200*time.Millisecond, func(items []any, base int, from p2p.NodeID, hops int, ok bool) {
-		got, took = lookup{items, base, from, hops, ok}, nw.Sim().Now()-start
+	src.GetSpan(key, 0, holder, 0, 200*time.Millisecond, func(a Answer) {
+		got, took = lookup{a.Items, a.Base, a.From, a.Hops, a.OK}, nw.Sim().Now()-start
 	})
 	nw.Sim().RunUntilIdle()
 	if !got.ok || len(got.items) != 1 || nodes[got.from].StoredUnder(key) != 1 {

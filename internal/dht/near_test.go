@@ -155,11 +155,11 @@ func TestBuildNearKeepsRoots(t *testing.T) {
 			r.holders = append(r.holders, holders)
 			for src := range nodes {
 				k, src := k, src
-				nodes[src].GetSpan(key, 0, p2p.NoNode, 0, time.Second, func(items []any, _ int, from p2p.NodeID, _ int, ok bool) {
-					if !ok || !slices.Contains(holders, from) {
-						t.Errorf("key %d from node %d: ok=%v, answered by %d, not one of its holders %v", k, src, ok, from, holders)
+				nodes[src].GetSpan(key, 0, p2p.NoNode, 0, time.Second, func(a Answer) {
+					if !a.OK || !slices.Contains(holders, a.From) {
+						t.Errorf("key %d from node %d: ok=%v, answered by %d, not one of its holders %v", k, src, a.OK, a.From, holders)
 					}
-					r.answers[k][src] = items
+					r.answers[k][src] = a.Items
 				})
 			}
 		}

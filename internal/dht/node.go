@@ -120,7 +120,8 @@ type Node struct {
 	picks   map[ID][]p2p.NodeID // per key this node is the root of: the leaves copying it
 	claims  map[ID]claim        // per key this node holds a copy of for a root
 	nextReq uint64
-	pending map[uint64]*getReq // allocated on first in-flight lookup
+	pending []getReq // lookups in flight, in the order their timers were armed
+	fire    func()   // n.timeOut, bound on the first lookup: every lookup timer's callback
 
 	// Trace receives routing events when non-nil; Ctr accumulates the
 	// delta-answer counter; Met observes lookup-latency histograms. All are
@@ -136,17 +137,34 @@ type claim struct {
 	count int
 }
 
+// getReq is one lookup in flight, held by value in Node.pending.
 type getReq struct {
+	id   uint64
 	key  ID
 	span uint64 // composition request the lookup serves, for trace spans
 	// One of the two is set; Get's own shape spares it an adapter closure per lookup.
 	cb       func(items []any, hops int, ok bool)
-	cbFrom   func(items []any, base int, from p2p.NodeID, hops int, ok bool)
+	answer   func(Answer)
 	cancel   p2p.Timer
+	due      time.Duration // host clock at which the armed timer fires
 	retried  bool
 	timeout  time.Duration
 	started  time.Duration // host clock at Get, for the lookup histogram
 	firstHop p2p.NodeID    // route used first; the retry avoids it
+}
+
+// Answer is one lookup's outcome as GetSpan hands it to its callback: the
+// items and hop count, who answered and how many leading items (Base, 0 or
+// the held count asked with) it left out as already held, or OK false after
+// two timeouts. Key is the key looked up, so one callback, bound once, tells
+// its caller's lookups apart.
+type Answer struct {
+	Key   ID
+	Items []any
+	Base  int
+	From  p2p.NodeID
+	Hops  int
+	OK    bool
 }
 
 // tableRow is one routing-table row: the known entry (if any) for each next
@@ -162,9 +180,10 @@ type tableRow [16]Entry
 // for Pastry's neighbor keepalives: routing skips entries it reports dead.
 // A nil alive treats every peer as up.
 //
-// All per-node collections (routing rows, the item store, the pending-lookup
-// map) are allocated on first use, so a freshly built node that never stores
-// or looks anything up costs little more than its leaf set.
+// All per-node collections (routing rows, the item store, the lookups in
+// flight and their timers' one callback) are allocated on first use, so a
+// freshly built node that never stores or looks anything up costs little more
+// than its leaf set.
 func New(host p2p.Node, alive func(p2p.NodeID) bool) *Node {
 	if alive == nil {
 		alive = func(p2p.NodeID) bool { return true }
@@ -586,29 +605,36 @@ func (n *Node) Put(key ID, item any, size int) {
 // items and hop count on success, or ok=false after two timeouts. The call
 // is asynchronous; cb runs on this node's event context.
 func (n *Node) Get(key ID, timeout time.Duration, cb func(items []any, hops int, ok bool)) {
-	n.get(&getReq{key: key, cb: cb, timeout: timeout}, p2p.NoNode, 0)
+	n.get(getReq{key: key, cb: cb, timeout: timeout}, p2p.NoNode, 0)
 }
 
 // GetSpan is Get with the composition-request ID the lookup serves attached
 // (its routing and timeout events carry span, so trace span trees claim the
 // lookup), handed directly to via, the peer that answered an earlier lookup of
 // key (NoNode = route as Get does), with the number of items of that answer the
-// caller still holds (0 = none). cb also learns who answered this one and how
-// many leading items (base, 0 or held) the answer left out as already held.
-func (n *Node) GetSpan(key ID, span uint64, via p2p.NodeID, held int, timeout time.Duration, cb func(items []any, base int, from p2p.NodeID, hops int, ok bool)) {
-	n.get(&getReq{key: key, span: span, cbFrom: cb, timeout: timeout}, via, held)
+// caller still holds (0 = none). cb gets the whole Answer; a caller that binds
+// it once reads which lookup it answers from Answer.Key.
+func (n *Node) GetSpan(key ID, span uint64, via p2p.NodeID, held int, timeout time.Duration, cb func(Answer)) {
+	n.get(getReq{key: key, span: span, answer: cb, timeout: timeout}, via, held)
 }
 
-func (n *Node) get(req *getReq, via p2p.NodeID, held int) {
+func (n *Node) get(req getReq, via p2p.NodeID, held int) {
 	n.nextReq++
-	id := n.nextReq
+	req.id = n.nextReq
 	req.started = n.host.Now()
-	if n.pending == nil {
-		n.pending = make(map[uint64]*getReq)
+	if n.fire == nil {
+		n.fire = n.timeOut
 	}
-	n.pending[id] = req
-	req.cancel = n.host.After(req.timeout, func() { n.getTimeout(id) })
-	req.firstHop = n.sendGet(id, req.key, req.span, via, p2p.NoNode, held)
+	n.arm(&req)
+	req.firstHop = n.sendGet(req.id, req.key, req.span, via, p2p.NoNode, held)
+	n.pending = append(n.pending, req)
+}
+
+// arm starts req's timer with req's own delay, as a timer of its own would, so
+// the runtime's timer stream is one timer per try whatever else is in flight.
+func (n *Node) arm(req *getReq) {
+	req.cancel = n.host.After(req.timeout, n.fire)
+	req.due = n.host.Now() + max(req.timeout, 0)
 }
 
 // sendGet sends a get toward key's root and returns the hop actually used:
@@ -633,45 +659,66 @@ func (n *Node) sendGet(reqID uint64, key ID, span uint64, via, avoid p2p.NodeID,
 }
 
 // done reports a finished lookup to whichever callback it was issued with.
-func (req *getReq) done(items []any, base int, from p2p.NodeID, hops int, ok bool) {
+func (req *getReq) done(a Answer) {
 	if req.cb != nil {
-		req.cb(items, hops, ok)
+		req.cb(a.Items, a.Hops, a.OK)
 		return
 	}
-	req.cbFrom(items, base, from, hops, ok)
+	req.answer(a)
 }
 
-func (n *Node) getTimeout(id uint64) {
-	req, ok := n.pending[id]
-	if !ok {
+// take removes pending lookup i and returns it.
+func (n *Node) take(i int) getReq {
+	req := n.pending[i]
+	n.pending = slices.Delete(n.pending, i, i+1)
+	return req
+}
+
+// timeOut is every lookup timer's callback. It times out the lookup due
+// first, of those due at once the one armed first: the order the simulator
+// fires their timers in, so each firing is the timed-out lookup's own. A
+// runtime that fires near-equal timers out of order still times out every
+// lookup once, the one due first on each firing.
+func (n *Node) timeOut() {
+	i := -1
+	for j := range n.pending {
+		if i < 0 || n.pending[j].due < n.pending[i].due {
+			i = j
+		}
+	}
+	if i < 0 {
 		return
 	}
+	req := n.take(i)
 	if !req.retried {
 		req.retried = true
 		if n.Trace != nil {
 			n.Trace.Emit(obs.DHTGetTimeout(n.host.Now(), n.self.Addr, req.span, true))
 		}
-		req.cancel = n.host.After(req.timeout, func() { n.getTimeout(id) })
+		n.arm(&req)
+		n.pending = append(n.pending, req) // armed last
 		// Retry via a different routing-table entry: the first hop may be
 		// unreachable (partitioned, overloaded) without being seen as dead.
 		// Whoever the re-route reaches is asked for the whole list.
-		n.sendGet(id, req.key, req.span, p2p.NoNode, req.firstHop, 0)
+		n.sendGet(req.id, req.key, req.span, p2p.NoNode, req.firstHop, 0)
 		return
 	}
-	delete(n.pending, id)
 	if n.Trace != nil {
 		n.Trace.Emit(obs.DHTGetTimeout(n.host.Now(), n.self.Addr, req.span, false))
 	}
-	req.done(nil, 0, p2p.NoNode, 0, false)
+	req.done(Answer{Key: req.key, From: p2p.NoNode})
 }
 
 func (n *Node) onGetResp(_ p2p.Node, msg p2p.Message) {
 	gr := msg.Payload.(GetResp)
-	req, ok := n.pending[gr.ReqID]
-	if !ok {
+	i := 0
+	for i < len(n.pending) && n.pending[i].id != gr.ReqID {
+		i++
+	}
+	if i == len(n.pending) {
 		return // late duplicate after timeout
 	}
-	delete(n.pending, gr.ReqID)
+	req := n.take(i)
 	req.cancel.Stop()
 	if n.Met != nil {
 		n.Met.DHTLookup.ObserveDuration(n.host.Now() - req.started)
@@ -679,5 +726,5 @@ func (n *Node) onGetResp(_ p2p.Node, msg p2p.Message) {
 	if gr.Base > 0 && n.Ctr != nil {
 		n.Ctr.DiscDelta.Add(1)
 	}
-	req.done(gr.Items, gr.Base, msg.From, gr.Hops, true)
+	req.done(Answer{Key: req.key, Items: gr.Items, Base: gr.Base, From: msg.From, Hops: gr.Hops, OK: true})
 }

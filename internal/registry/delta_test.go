@@ -18,7 +18,7 @@ func discoverBoth(t *testing.T, nw *simnet.Network, r *Registry, known Listing) 
 	t.Helper()
 	answers := 0
 	ask := func(k Listing, out *Listing) {
-		r.DiscoverSpan("f", 0, k, 200*time.Millisecond, func(l Listing, _ int, ok bool) {
+		discover(r, "f", k, 200*time.Millisecond, func(l Listing, ok bool) {
 			if !ok {
 				t.Fatalf("lookup holding %d of peer %d's items failed", k.Held, k.Root)
 			}
@@ -129,7 +129,7 @@ func TestDeltaDiscoverSendsOnlyWhatIsNew(t *testing.T) {
 	wire := func(known Listing) (Listing, int64) {
 		before := nw.Stats().BytesSent
 		var out Listing
-		asker.DiscoverSpan("f", 0, known, time.Second, func(l Listing, _ int, _ bool) { out = l })
+		discover(asker, "f", known, time.Second, func(l Listing, _ bool) { out = l })
 		nw.Sim().RunUntilIdle()
 		return out, nw.Stats().BytesSent - before
 	}

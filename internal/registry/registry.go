@@ -41,27 +41,31 @@ type Listing struct {
 	Held  int                  // items Root's store held under the key, duplicates and all
 }
 
-// DiscoverSpan retrieves the meta-data list of all components providing
-// function. cb fires exactly once with the whole listing (possibly empty) and
-// the DHT hop count, or ok=false if the lookup timed out. The lookup stamps
-// every hop event with span, the composition-request ID, so trace span trees
-// can attribute discovery traffic to the request. It is tried first at
-// known.Root, the peer that answered an earlier lookup of function
-// (dht.Node.GetSpan), which sends only what its store gained since if the
-// caller still has that answer (known.Held and known.Comps; a hint alone
-// leaves them zero; Listing{Root: p2p.NoNode} knows nothing).
-func (r *Registry) DiscoverSpan(function string, span uint64, known Listing, timeout time.Duration, cb func(l Listing, hops int, ok bool)) {
-	r.node.GetSpan(FunctionKey(function), span, known.Root, known.Held, timeout, func(items []any, base int, from p2p.NodeID, hops int, ok bool) {
-		if !ok {
-			cb(Listing{Root: p2p.NoNode}, 0, false)
-			return
-		}
-		var have []*service.Component
-		if base > 0 {
-			have = known.Comps
-		}
-		cb(Listing{Comps: components(have, items), Root: from, Held: base + len(items)}, hops, true)
-	})
+// Discover sends the DHT lookup of the duplicate list stored under key, a
+// function's FunctionKey. The lookup stamps every hop event with span, the
+// composition-request ID, so trace span trees can attribute discovery traffic
+// to the request. It is tried first at known.Root, the peer that answered an
+// earlier lookup of the function (dht.Node.GetSpan), which sends only what its
+// store gained since if the caller still has that answer (known.Held; a hint
+// alone leaves it zero; Listing{Root: p2p.NoNode} knows nothing). cb fires
+// exactly once with the answer, which Answered reads as a listing; a caller
+// that binds cb once tells its lookups apart by dht.Answer.Key.
+func (r *Registry) Discover(key dht.ID, span uint64, known Listing, timeout time.Duration, cb func(dht.Answer)) {
+	r.node.GetSpan(key, span, known.Root, known.Held, timeout, cb)
+}
+
+// Answered returns the listing answer a gives: the whole list, possibly empty,
+// or, when a left out the records the lookup said it held, have (the asking
+// listing's Comps) followed by the rest. A timed-out lookup lists nothing and
+// names no root.
+func Answered(have []*service.Component, a dht.Answer) Listing {
+	if !a.OK {
+		return Listing{Root: p2p.NoNode}
+	}
+	if a.Base == 0 {
+		have = nil
+	}
+	return Listing{Comps: components(have, a.Items), Root: a.From, Held: a.Base + len(a.Items)}
 }
 
 // components returns have (never written to) plus the component records

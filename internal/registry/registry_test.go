@@ -48,7 +48,7 @@ func TestRegisterDiscover(t *testing.T) {
 	nw.Sim().RunUntilIdle()
 
 	var got []*service.Component
-	regs[11].DiscoverSpan("upscale", 0, Listing{Root: p2p.NoNode}, time.Second, func(l Listing, _ int, ok bool) {
+	discover(regs[11], "upscale", Listing{Root: p2p.NoNode}, time.Second, func(l Listing, ok bool) {
 		if !ok {
 			t.Error("discover failed")
 		}
@@ -73,7 +73,7 @@ func TestRegisterDiscover(t *testing.T) {
 func TestDiscoverUnknownFunctionEmpty(t *testing.T) {
 	nw, regs := cluster(t, 20)
 	called := false
-	regs[0].DiscoverSpan("nonexistent", 0, Listing{Root: p2p.NoNode}, time.Second, func(l Listing, _ int, ok bool) {
+	discover(regs[0], "nonexistent", Listing{Root: p2p.NoNode}, time.Second, func(l Listing, ok bool) {
 		called = true
 		if !ok || len(l.Comps) != 0 {
 			t.Errorf("comps=%v ok=%v", l.Comps, ok)
@@ -91,7 +91,7 @@ func TestDiscoverDeduplicatesReplicaCopies(t *testing.T) {
 	regs[5].Register(c)
 	regs[5].Register(c) // double registration
 	nw.Sim().RunUntilIdle()
-	regs[20].DiscoverSpan("filter", 0, Listing{Root: p2p.NoNode}, time.Second, func(l Listing, _ int, ok bool) {
+	discover(regs[20], "filter", Listing{Root: p2p.NoNode}, time.Second, func(l Listing, ok bool) {
 		if !ok || len(l.Comps) != 1 {
 			t.Errorf("want exactly 1 after dedup, got %d (ok=%v)", len(l.Comps), ok)
 		}
@@ -118,13 +118,19 @@ func TestDiscoverSurvivesRootFailure(t *testing.T) {
 	nw.Fail(p2p.NodeID(root))
 
 	found := false
-	regs[(root+5)%60].DiscoverSpan("resilient", 0, Listing{Root: p2p.NoNode}, time.Second, func(l Listing, _ int, ok bool) {
+	discover(regs[(root+5)%60], "resilient", Listing{Root: p2p.NoNode}, time.Second, func(l Listing, ok bool) {
 		found = ok && len(l.Comps) == 1
 	})
 	nw.Sim().RunUntilIdle()
 	if !found {
 		t.Fatal("discovery did not survive root failure")
 	}
+}
+
+// discover runs one lookup of function fn from r by an asker holding known,
+// and hands cb the listing it answers.
+func discover(r *Registry, fn string, known Listing, timeout time.Duration, cb func(l Listing, ok bool)) {
+	r.Discover(FunctionKey(fn), 0, known, timeout, func(a dht.Answer) { cb(Answered(known.Comps, a), a.OK) })
 }
 
 func TestFunctionKeyStable(t *testing.T) {
@@ -164,7 +170,7 @@ func TestListingsShareTheRegisteredRecord(t *testing.T) {
 	}
 	lookup := func(r *Registry, known Listing) Listing {
 		var got Listing
-		r.DiscoverSpan("f", 0, known, time.Second, func(l Listing, _ int, ok bool) {
+		discover(r, "f", known, time.Second, func(l Listing, ok bool) {
 			if !ok {
 				t.Fatalf("lookup holding %d of peer %d's items failed", known.Held, known.Root)
 			}

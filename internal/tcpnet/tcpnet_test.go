@@ -95,12 +95,12 @@ func TestDHTOverRealSockets(t *testing.T) {
 	d := deploy(t, 6, []string{"alpha", "beta"})
 	got := make(chan int, 1)
 	d.transports[5].Exec(func() {
-		d.registries[5].DiscoverSpan("alpha", 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(l registry.Listing, _ int, ok bool) {
-			if !ok {
+		d.registries[5].Discover(registry.FunctionKey("alpha"), 0, registry.Listing{Root: p2p.NoNode}, 2*time.Second, func(a dht.Answer) {
+			if !a.OK {
 				got <- -1
 				return
 			}
-			got <- len(l.Comps)
+			got <- len(registry.Answered(nil, a).Comps)
 		})
 	})
 	select {

@@ -71,24 +71,25 @@ go test -race -count=10 -timeout 60s -run 'TestTimers' ./internal/p2p
 # planning, a walk's stops, a lease renewal, a simulator timer and a timer
 # queue's entry); and the ones held to a count: a probe hop
 # (TestProbeHopAllocs: its Visited copy and one batch of children, one object
-# more when it waits on a lookup) and a function graph's signature
-# (TestSignatureAllocs: its key string). The run above had them under the race
-# detector only, whose runtime allocates differently; these are the figures
-# DESIGN.md quotes. Four benchmarks then print objects, bytes and time into
-# the log: one composition and one recovery interval, the paths the two
-# budgets hold; one simulator event on an empty queue and on one 6,400 events
-# deep, about federate's peak (0 objects: a timer is a pooled event); and one
-# DHT discovery lookup. The next ones do that for the world build and the
-# route plane: the four build passes (peer-latency matrix at the paper's scale
-# and the DHT ring at 1k-100k peers, each on one core and fanned over two, the
-# scale workload's 300k-node graph generation and its compact mesh), the
-# whole full overlay build at the paper's scale (mesh search plus matrix),
-# which is what the steady workload's setup_s pays, 200 cold route queries on
-# the scale workload's overlay, each settling its source's sweep only until
-# the target is final, which are most of its run_s, the route-oracle traffic
-# BCP sends on the paper-scale overlay (bursts of latency queries, every fifth
-# followed by a cost query, as next-hop scoring asks them; mostly hits), and
-# one evicting route miss.
+# more when it waits on a lookup), a warm DHT lookup (TestWarmLookupAllocs:
+# its wire messages alone, a boxed RouteMsg per hop and the GetResp) and a
+# function graph's signature (TestSignatureAllocs: its key string). The run
+# above had them under the race detector only, whose runtime allocates
+# differently; these are the figures DESIGN.md quotes. Four benchmarks then
+# print objects, bytes and time into the log: one composition and one recovery
+# interval, the paths the two budgets hold; one simulator event on an empty
+# queue and on one 6,400 events deep, about federate's peak (0 objects: a
+# timer is a pooled event); and one DHT discovery lookup. The next ones do
+# that for the world build and the route plane: the four build passes
+# (peer-latency matrix at the paper's scale and the DHT ring at 1k-100k peers,
+# each on one core and fanned over two, the scale workload's 300k-node graph
+# generation and its compact mesh), the whole full overlay build at the
+# paper's scale (mesh search plus matrix), which is what the steady workload's
+# setup_s pays, 200 cold route queries on the scale workload's overlay, each
+# settling its source's sweep only until the target is final, which are most
+# of its run_s, the route-oracle traffic BCP sends on the paper-scale overlay
+# (bursts of latency queries, every fifth followed by a cost query, as
+# next-hop scoring asks them; mostly hits), and one evicting route miss.
 echo "== allocation gates (no race detector) + compose/recovery-tick + world-build and route benchmarks"
 go test -run 'Alloc' -count=1 ./internal/...
 go test -run '^$' -bench 'BCPCompose|RecoveryTick|SimEventDispatch|DHTLookup' -benchmem -benchtime 20x .
