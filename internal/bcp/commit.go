@@ -70,25 +70,11 @@ func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 		fail("resources")
 		return
 	}
-	// Outgoing service links: to each successor's component, or to the
-	// receiving application for sink functions.
-	succs := am.Best.Pattern.Successors(fn)
-	if len(succs) == 0 {
-		if !e.allocSessionBandwidth(am.ReqID, req.Dest, req.Bandwidth, req.Lease) {
-			fail("bandwidth")
-			return
-		}
-	}
-	for _, s := range succs {
-		next := am.Best.Comps[s]
-		if !next.Assigned() {
-			fail("vanished")
-			return
-		}
-		if !e.allocSessionBandwidth(am.ReqID, next.Comp.Peer, req.Bandwidth, req.Lease) {
-			fail("bandwidth")
-			return
-		}
+	if !am.Best.Egress(fn, func(_, to p2p.NodeID) bool {
+		return e.allocSessionBandwidth(am.ReqID, to, req.Bandwidth, req.Lease)
+	}) {
+		fail("bandwidth")
+		return
 	}
 	if e.Trace != nil {
 		e.Trace.Emit(obs.SessionAdmit(e.host.Now(), e.host.ID(), am.ReqID, snap.Comp.ID))

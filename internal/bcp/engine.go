@@ -836,12 +836,12 @@ func (e *Engine) onTeardown(_ p2p.Node, msg p2p.Message) {
 	e.releaseLocal(tm.Release, tm.Keep)
 }
 
-// releaseLocal frees this peer's registered allocations for graph g, except
-// those keep still needs. Allocations are keyed by request, so keep spares a
-// component only when it runs under g's request: a reactive re-composition's
-// graph allocated its own. Only registered allocations are freed, so double
-// teardowns and partially set-up graphs are safe; a graph without a request
-// was never set up.
+// releaseLocal frees this peer's allocations for graph g — its components
+// here and the pairs of g.ReservedPairs leaving it — except those keep still
+// needs. Allocations are keyed by request, so keep spares one only when it
+// runs under g's request: a reactive re-composition allocated its own. Only
+// registered allocations are freed, so double teardowns and partially set-up
+// graphs are safe; a graph without a request was never set up.
 func (e *Engine) releaseLocal(g, keep *service.Graph) {
 	req := g.Req
 	if req == nil {
@@ -859,17 +859,12 @@ func (e *Engine) releaseLocal(g, keep *service.Graph) {
 			e.free(allocKey{reqID: req.ID, compID: s.Comp.ID})
 		}
 	}
-	keepPairs := make(map[allocKey]bool)
-	if keep != nil {
-		for _, pair := range sessionPairs(keep, self) {
-			keepPairs[pair] = true
+	g.ReservedPairs(func(_ int, a, b p2p.NodeID) bool {
+		if a == self && (keep == nil || !keep.Reserves(a, b)) {
+			e.free(allocKey{reqID: req.ID, a: a, b: b})
 		}
-	}
-	for _, pair := range sessionPairs(g, self) {
-		if !keepPairs[pair] {
-			e.free(pair)
-		}
-	}
+		return true
+	})
 }
 
 // free releases allocation k if this peer holds it.
@@ -880,18 +875,4 @@ func (e *Engine) free(k allocKey) {
 		e.oracle.ReleaseBandwidth(k.a, k.b, a.kbps)
 	}
 	delete(e.allocs, k)
-}
-
-// sessionPairs lists the overlay endpoint pairs peer self allocates for
-// graph g: those of g.ReservedPairs that leave self — the outgoing service
-// links of its components and, when self is the sender, the ingress links.
-func sessionPairs(g *service.Graph, self p2p.NodeID) []allocKey {
-	var out []allocKey
-	g.ReservedPairs(func(_ int, a, b p2p.NodeID) bool {
-		if a == self {
-			out = append(out, allocKey{reqID: g.Req.ID, a: a, b: b})
-		}
-		return true
-	})
-	return out
 }

@@ -6,11 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/qos"
 	"repro/internal/recovery"
+	"repro/internal/service"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -89,6 +91,85 @@ func TestDrainAfterChurn(t *testing.T) {
 				}
 			}
 			t.Logf("seed %d, churn %.0f %%: %d allocations expired, %d of %d arrivals answered", seed, 100*frac, expired, run.Completed, run.Issued)
+		}
+	}
+}
+
+// TestDrainConservesBandwidth: a run returns every overlay pair's bandwidth.
+// One schedule — 300 requests, half of them diamonds, one a second, each
+// session living a minute — runs on a cluster of seed 3 with recovery, with
+// and without 2 % of the peers failing every 10 s (each down 20 s), once
+// composed by BCP and maintained by recovery (switchovers and
+// re-compositions included) and once admitted by a global-view baseline
+// (Plan.Admit). After each drain, every peer pair's route reads the available
+// bandwidth it reads on a fresh cluster of that seed (to float rounding:
+// sessions reserve and release a link in interleaved order), and no peer
+// holds any reservation. ReleaseBandwidth clamps at a link's capacity, so
+// this catches a pair released less often than it was reserved, not one
+// released more.
+func TestDrainConservesBandwidth(t *testing.T) {
+	const seed = 3
+	build := func() *cluster.Cluster {
+		rc := recovery.DefaultConfig()
+		return cluster.New(cluster.Options{Seed: seed, IPNodes: 1200, Peers: 120, Catalog: catalog(20), Recovery: &rc})
+	}
+	fresh := build()
+	avail := func(c *cluster.Cluster, a, b int) float64 {
+		p, _ := c.Overlay.Route(a, b)
+		return c.Overlay.AvailBandwidth(p)
+	}
+	for _, frac := range []float64{0, 0.02} {
+		for _, global := range []bool{false, true} {
+			c := build()
+			gen := workload.NewGenerator(workload.Config{
+				Catalog: catalog(20), Peers: 120, MinFuncs: 3, MaxFuncs: 5, Budget: 40,
+				DelayReqMin: 4000, DelayReqMax: 8000, FailReq: 0.02, DAGProb: 0.5,
+			}, rand.New(rand.NewSource(seed+300)))
+			origin := c.Sim.Now()
+			plan := cluster.Plan{Life: time.Minute, Horizon: origin + 500*time.Second}
+			for i := 0; i < 300; i++ {
+				plan.Arrivals = append(plan.Arrivals, cluster.Arrival{At: origin + time.Duration(i)*time.Second, Req: gen.Next()})
+			}
+			if frac > 0 {
+				ch := cluster.Churn{Rng: rand.New(rand.NewSource(seed + 400)), Frac: frac, DownFor: 20 * time.Second}
+				for at := 10 * time.Second; at <= 300*time.Second; at += 10 * time.Second {
+					ch.Ticks = append(ch.Ticks, origin+at)
+				}
+				plan.Churn = []cluster.Churn{ch}
+			}
+			ok := 0
+			if global {
+				w := c.World()
+				plan.Admit = func(req *service.Request) (func(), bool) {
+					g, ok := baselines.Greedy(w, req)
+					if !ok || !baselines.Admit(w, g) {
+						return nil, false
+					}
+					return func() { baselines.Release(w, g) }, true
+				}
+			}
+			run := c.Start(plan, func(_ int, o cluster.Outcome) {
+				if o.Ok {
+					ok++
+				}
+			})
+			run.Finish()
+
+			held := 0
+			for a := range c.Peers {
+				for b := range c.Peers {
+					if got, want := avail(c, a, b), avail(fresh, a, b); a != b && math.Abs(got-want) > 1e-6*want {
+						held++
+						if held <= 5 {
+							t.Errorf("churn %.0f %%, global view %v: route %d→%d reads %.1f kbps after the drain, %.1f fresh", 100*frac, global, a, b, got, want)
+						}
+					}
+				}
+			}
+			if held > 0 || c.Orphans() > 0 {
+				t.Errorf("churn %.0f %%, global view %v: %d routes below their fresh bandwidth, %d peers holding anything after the drain", 100*frac, global, held, c.Orphans())
+			}
+			t.Logf("churn %.0f %%, global view %v: %d of %d arrivals composed", 100*frac, global, ok, run.Issued)
 		}
 	}
 }

@@ -56,3 +56,28 @@ func TestSplitKeepsDomainZeroForTheNextFunction(t *testing.T) {
 		t.Fatalf("split a (domain 0 only), b (domains 0 and 1) from domain 1: ok=%v, %+v; want one segment in domain 0", ok, segs)
 	}
 }
+
+// TestSingleDomainPrefersTheOrigin pins where an unsplittable request goes:
+// to the coordinator's own domain when it provides every function, even
+// with a lower-numbered domain that does too; else to the lowest-numbered
+// domain that provides every function, never to one that provides only
+// some; and nowhere when none provides them all.
+func TestSingleDomainPrefersTheOrigin(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		origin int
+		remote map[string][]int
+		want   int
+		ok     bool
+	}{
+		{"the origin provides all", 2, map[string][]int{"a": {0, 1, 2}, "b": {0, 1, 2}}, 2, true},
+		{"the lowest domain that provides all", 2, map[string][]int{"a": {0, 1, 2}, "b": {1}}, 1, true},
+		{"the lowest of two that provide all", 1, map[string][]int{"a": {0, 2}, "b": {0, 1, 2}}, 0, true},
+		{"none provides all", 0, map[string][]int{"a": {0, 1}, "b": {2}}, -1, false},
+	} {
+		c := splitter(t, tc.origin, tc.remote)
+		if got, ok := c.singleDomain([]string{"a", "b"}); got != tc.want || ok != tc.ok {
+			t.Errorf("%s: singleDomain from domain %d = %d, %v; want %d, %v", tc.name, tc.origin, got, ok, tc.want, tc.ok)
+		}
+	}
+}

@@ -59,3 +59,7 @@ func TapPongs(m *Manager, fn func(Pong)) {
 		m.onPong(n, msg)
 	})
 }
+
+// TryRecovery starts s's recovery at m as a detected failure would: it picks
+// the backup to switch over to and sends its walk, without running the clock.
+func TryRecovery(m *Manager, s *Session) { m.tryRecovery(s) }

@@ -280,27 +280,51 @@ func (g *Graph) FailProb() float64 {
 	return 1 - alive
 }
 
-// ReservedPairs calls visit with each overlay pair (from, to) a session on g
-// reserves bandwidth on, in one fixed order — bandwidth is float arithmetic
-// on shared overlay links, so every admission and release walks it alike: for
-// each function fn in index order, its component's egress, to each
-// successor's component in Successors order or to Req.Dest for a sink; then
-// the sender's ingress to each Sources() component, with fn -1, as a
-// LinkSnapshot numbers it. Unassigned slots reserve nothing. A visit that
-// returns false stops the walk, and ReservedPairs returns false.
-func (g *Graph) ReservedPairs(visit func(fn int, from, to p2p.NodeID) bool) bool {
-	for fn, s := range g.Comps {
-		if !s.Assigned() {
-			continue
-		}
-		succs := g.Pattern.Successors(fn)
-		if len(succs) == 0 && !visit(fn, s.Comp.Peer, g.Req.Dest) {
+// Egress calls visit with each overlay pair fn's component reserves (§4.1
+// step 4): to each successor's component in Successors order, or to Req.Dest
+// for a sink. An unassigned slot or successor reserves nothing. A visit that
+// returns false stops the walk, and Egress returns false.
+func (g *Graph) Egress(fn int, visit func(from, to p2p.NodeID) bool) bool {
+	s := g.Comps[fn]
+	if !s.Assigned() {
+		return true
+	}
+	succs := g.Pattern.Successors(fn)
+	if len(succs) == 0 {
+		return visit(s.Comp.Peer, g.Req.Dest)
+	}
+	for _, sc := range succs {
+		if next := g.Comps[sc]; next.Assigned() && !visit(s.Comp.Peer, next.Comp.Peer) {
 			return false
 		}
-		for _, sc := range succs {
-			if next := g.Comps[sc]; next.Assigned() && !visit(fn, s.Comp.Peer, next.Comp.Peer) {
-				return false
-			}
+	}
+	return true
+}
+
+// ReservedPairs calls visit with each overlay pair (from, to) a session on g
+// reserves bandwidth on, in one order, as bandwidth is float arithmetic on
+// shared links: each function's Egress in index order, then the sender's
+// ingress to each Sources() component (fn -1, as a LinkSnapshot numbers it).
+// A pair several service links map onto is visited once, where it first
+// occurs: a session reserves it once, whichever composer admits it. A visit
+// returning false stops the walk, and ReservedPairs returns false. It
+// allocates nothing.
+func (g *Graph) ReservedPairs(visit func(fn int, from, to p2p.NodeID) bool) bool {
+	k := 0
+	return g.eachPair(func(fn int, from, to p2p.NodeID) bool {
+		k++
+		return g.occurs(k-1, from, to) || visit(fn, from, to)
+	})
+}
+
+// Reserves reports whether a session on g reserves the overlay pair (from, to).
+func (g *Graph) Reserves(from, to p2p.NodeID) bool { return g.occurs(math.MaxInt, from, to) }
+
+// eachPair is ReservedPairs' order with every repetition of a pair.
+func (g *Graph) eachPair(visit func(fn int, from, to p2p.NodeID) bool) bool {
+	for fn := range g.Comps {
+		if !g.Egress(fn, func(from, to p2p.NodeID) bool { return visit(fn, from, to) }) {
+			return false
 		}
 	}
 	for _, fn := range g.Pattern.Sources() {
@@ -309,6 +333,14 @@ func (g *Graph) ReservedPairs(visit func(fn int, from, to p2p.NodeID) bool) bool
 		}
 	}
 	return true
+}
+
+// occurs reports whether (from, to) is among the first n pairs eachPair visits.
+func (g *Graph) occurs(n int, from, to p2p.NodeID) bool {
+	return !g.eachPair(func(_ int, a, b p2p.NodeID) bool {
+		n--
+		return n < 0 || a != from || b != to
+	})
 }
 
 // Qualified reports whether the graph satisfies the request: every slot

@@ -281,7 +281,9 @@ func TestCostAndKeyAllocs(t *testing.T) {
 // walks: each function's egress in index order, successors in Successors
 // order and the receiver for a sink, then the sender's ingress (fn -1) to
 // each source component. A sender hosting a component reserves its own
-// ingress; an unassigned slot reserves nothing; a visit can stop the walk.
+// ingress; an unassigned slot reserves nothing; a visit can stop the walk. A
+// pair several service links map onto is visited once, where it first
+// occurs, and the walk allocates nothing.
 func TestReservedPairsOrder(t *testing.T) {
 	type pair struct {
 		fn       int
@@ -318,6 +320,12 @@ func TestReservedPairsOrder(t *testing.T) {
 			[]pair{{0, 2, 3}, {0, 2, 7}, {1, 3, 4}, {2, 7, 4}, {3, 4, 9}, {-1, 1, 2}}},
 		{"diamond, stopped at the third pair", graph(diamond, 2, 3, 7, 4), 3,
 			[]pair{{0, 2, 3}, {0, 2, 7}, {1, 3, 4}}},
+		{"diamond, both middle functions on one peer feed the sink's", graph(diamond, 2, 3, 3, 4), 0,
+			[]pair{{0, 2, 3}, {1, 3, 4}, {3, 4, 9}, {-1, 1, 2}}},
+		{"diamond across the sender and one peer", graph(diamond, 2, 1, 1, 2), 0,
+			[]pair{{0, 2, 1}, {1, 1, 2}, {3, 2, 9}}},
+		{"chain, the ingress repeats an egress", graph(fgraph.Linear("a", "b", "c"), 5, 1, 5), 0,
+			[]pair{{0, 5, 1}, {1, 1, 5}, {2, 5, 9}}},
 	} {
 		var got []pair
 		done := tc.g.ReservedPairs(func(fn int, from, to p2p.NodeID) bool {
@@ -326,6 +334,21 @@ func TestReservedPairsOrder(t *testing.T) {
 		})
 		if done != (tc.limit == 0) || !slices.Equal(got, tc.want) {
 			t.Errorf("%s: ReservedPairs = %v after %v, want %v after %v", tc.name, done, got, tc.limit == 0, tc.want)
+		}
+		if tc.limit > 0 {
+			continue
+		}
+		for _, p := range tc.want {
+			if !tc.g.Reserves(p.from, p.to) {
+				t.Errorf("%s: Reserves(%d, %d) = false", tc.name, p.from, p.to)
+			}
+		}
+		if tc.g.Reserves(9, 1) {
+			t.Errorf("%s: Reserves(9, 1) = true", tc.name)
+		}
+		n := 0
+		if avg := testing.AllocsPerRun(100, func() { tc.g.ReservedPairs(func(int, p2p.NodeID, p2p.NodeID) bool { n++; return true }) }); avg != 0 {
+			t.Errorf("%s: ReservedPairs allocates %.0f objects, want 0", tc.name, avg)
 		}
 	}
 }
