@@ -34,28 +34,15 @@ func TestComposeUnderChaos(t *testing.T) {
 		loss := loss
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
-				runChaosSeed(t, seed, loss, loss/4, true)
+				runChaosSeed(t, seed, loss, loss/4)
 			}
 		})
 	}
-	// Duplication on an unhardened wire is the one fault that mints
-	// termination credit (see bcp.Probe.Credit): a duplicated mid-path probe
-	// is processed twice and both lineages carry its full credit. The
-	// collector must still answer every request exactly once, selecting
-	// only from probes that really returned, whether the inflated sum
-	// overshoots the total (window bound) or lands on it.
-	t.Run("dup=0.25 unhardened", func(t *testing.T) {
-		for seed := int64(1); seed <= int64(seeds); seed++ {
-			runChaosSeed(t, seed, 0, 0.25, false)
-		}
-	})
 }
 
 // runChaosSeed composes over a jittery wire with the given loss and
-// duplication. hardened installs the plan through the cluster, which hardens
-// every engine for it (per-hop acks, two retransmits); otherwise the plan is
-// set on the network alone and the engines stay as on a clean wire.
-func runChaosSeed(t *testing.T, seed int64, loss, dup float64, hardened bool) {
+// duplication, which hardens every engine (per-hop acks, two retransmits).
+func runChaosSeed(t *testing.T, seed int64, loss, dup float64) {
 	t.Helper()
 	const nPeers = 24
 	const nReqs = 6
@@ -69,15 +56,10 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64, hardened bool) {
 	// Faults start after the registration warm-up so the DHT holds the full
 	// catalogue; a fresh per-run fault seed decorrelates the loss pattern
 	// from the workload.
-	plan := simnet.FaultPlan{
+	c.ApplyFaults(simnet.FaultPlan{
 		Seed:    seed * 7919,
 		Default: simnet.LinkFaults{Loss: loss, Dup: dup, Jitter: 10 * time.Millisecond},
-	}
-	if hardened {
-		c.ApplyFaults(plan)
-	} else {
-		c.Net.SetFaults(plan.Shift(c.Sim.Now()))
-	}
+	})
 
 	gen := workload.NewGenerator(workload.Config{
 		Catalog: cat, Peers: nPeers, MinFuncs: 2, MaxFuncs: 3,
@@ -124,11 +106,6 @@ func runChaosSeed(t *testing.T, seed int64, loss, dup float64, hardened bool) {
 	}
 
 	for _, v := range chk.Finish() {
-		if !hardened && v.Name == obs.VioProbeDoubleTerm {
-			// Without hardening nobody de-duplicates a copied probe: it is
-			// processed, and so terminates, once per copy.
-			continue
-		}
 		t.Errorf("seed=%d loss=%g invariant: %s", seed, loss, v)
 	}
 }
@@ -176,4 +153,29 @@ func TestHardeningOffKeepsBaselineTrace(t *testing.T) {
 			t.Errorf("%s: trace differs from a run never given a plan", name)
 		}
 	}
+}
+
+// TestHardeningFollowsTheWire: an engine is hardened exactly while its
+// network injects faults, whether the plan was set on the network or applied
+// by the cluster, and so is a peer that joins under the plan.
+func TestHardeningFollowsTheWire(t *testing.T) {
+	c := cluster.New(cluster.Options{Seed: 2, IPNodes: 100, Peers: 20, Catalog: chaosCatalog(4)})
+	want := func(stage string, hardened bool) {
+		t.Helper()
+		for _, p := range c.Peers {
+			if p.Engine.Hardened() != hardened {
+				t.Fatalf("%s: peer %d hardened=%v, want %v", stage, p.Node.ID(), p.Engine.Hardened(), hardened)
+			}
+		}
+	}
+	c.Net.SetFaults(simnet.FaultPlan{Seed: 3})
+	want("a plan that injects nothing", false)
+	c.Net.SetFaults(simnet.FaultPlan{Seed: 3, Default: simnet.LinkFaults{Dup: 0.1}})
+	want("a duplicating plan", true)
+	c.Join([]string{"fn0"}, 0)
+	want("a duplicating plan, after a join", true)
+	c.Net.SetFaults(simnet.FaultPlan{})
+	want("a cleared plan", false)
+	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Loss: 0.05}})
+	want("a lossy plan the cluster applied", true)
 }

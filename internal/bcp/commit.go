@@ -42,7 +42,7 @@ func (e *Engine) sendAck(am ackMsg) {
 
 func (e *Engine) onAck(_ p2p.Node, msg p2p.Message) {
 	am := msg.Payload.(ackMsg)
-	if e.hardened && e.ackSeen.seen(ackKey{req: am.ReqID, walk: am.Walk, pos: am.Pos}) {
+	if e.Hardened() && e.ackSeen.seen(ackKey{req: am.ReqID, walk: am.Walk, pos: am.Pos}) {
 		// A duplicated ack copy (dup fault) must not re-walk the reverse
 		// path: the cascade would end in a duplicate answer.
 		return

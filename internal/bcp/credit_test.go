@@ -302,10 +302,12 @@ func TestDroppedProbeReturnsItsCredit(t *testing.T) {
 }
 
 // TestDuplicatedCreditCountsOnce duplicates every message into the
-// destination on a wire without hardening: each dead probe's credit arrives
-// twice, and the collector must count it once. Counted twice, a copy would
-// stand in for a live sibling's equal share, and collection would close before
-// that sibling reported (or overshoot the total and wait out the window).
+// destination: each dead probe's credit arrives twice, and the destination
+// must count it once (its hardened receiver drops the copy by UID;
+// TestCollectorCountsACopyOnce holds the collector's own guard). Counted
+// twice, a copy would stand in for a live sibling's equal share, and
+// collection would close before that sibling reported (or overshoot the total
+// and wait out the window).
 func TestDuplicatedCreditCountsOnce(t *testing.T) {
 	mem, chk := &obs.MemSink{}, obs.NewChecker()
 	c, req := splitRequest(t)(obs.MultiTracer{mem, obs.TracerFunc(chk.Add)})

@@ -27,7 +27,7 @@ func discoveryRing(n int) (*simnet.Network, []*Engine) {
 	for i := range nodes {
 		host := nw.AddNode(p2p.NodeID(i))
 		nodes[i] = dht.New(host, nw.Alive)
-		engines[i] = NewEngine(host, nil, qos.NewLedger(qos.Resources{}), registry.New(nodes[i]), nil, nil, DefaultConfig())
+		engines[i] = NewEngine(host, nil, nw.Faulty, qos.NewLedger(qos.Resources{}), registry.New(nodes[i]), nil, nil, DefaultConfig())
 	}
 	dht.Build(nodes)
 	return nw, engines

@@ -232,13 +232,14 @@ type Engine struct {
 	shapes []*fgraph.Graph // a request's patterns and its variants' (launchProbes)
 
 	// Hardening state (touched only when hardened, except
-	// doneReqs, which also guards against duplicated results): retransmit
-	// timers keyed by in-flight message UID, duplicate-suppression sets for
+	// doneReqs, which also guards against duplicated results): whether the
+	// runtime's wire injects faults (nil: it never does), retransmit timers
+	// keyed by in-flight message UID, duplicate-suppression sets for
 	// received probe copies and report or credit copies (two sets, because a
 	// leaf that is also the destination sees the same UID as both; a probe
 	// either reports or returns its credit, never both), delivered requests,
 	// and processed reverse-path ack positions.
-	hardened    bool // Harden was called: the wire injects faults
+	faulty      func() bool
 	retx        map[uint64]*retxState
 	seenProbes  seenSet[uint64]
 	seenReports seenSet[uint64]
@@ -315,16 +316,18 @@ type composeState struct {
 // NewEngine creates the BCP engine for one peer and registers its message
 // handlers. alive is the liveness view dht.New reads: next-hop selection
 // skips candidates on peers it reports down, and nil treats every peer as
-// up. ledger tracks this peer's end-system resources; local lists the
-// components it hosts (they must already be registered with reg by the
-// caller).
-func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, reg *registry.Registry, oracle Oracle, local []service.Component, cfg Config) *Engine {
+// up. faulty reports whether the runtime's wire injects faults, which
+// hardens the engine while it does; nil is a wire that never does. ledger
+// tracks this peer's end-system resources; local lists the components it
+// hosts (they must already be registered with reg by the caller).
+func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, faulty func() bool, ledger *qos.Ledger, reg *registry.Registry, oracle Oracle, local []service.Component, cfg Config) *Engine {
 	if alive == nil {
 		alive = func(p2p.NodeID) bool { return true }
 	}
 	e := &Engine{
 		host:       host,
 		alive:      alive,
+		faulty:     faulty,
 		ledger:     ledger,
 		reg:        reg,
 		oracle:     oracle,
@@ -361,13 +364,9 @@ func NewEngine(host p2p.Node, alive func(p2p.NodeID) bool, ledger *qos.Ledger, r
 // Host returns the underlying transport node.
 func (e *Engine) Host() p2p.Node { return e.host }
 
-// Harden turns on per-hop probe hardening (reliable.go) for a wire that
-// injects faults; the deployment installing them calls it before any
-// composition traffic.
-func (e *Engine) Harden() { e.hardened = true }
-
-// Hardened reports whether Harden was called.
-func (e *Engine) Hardened() bool { return e.hardened }
+// Hardened reports whether per-hop probe hardening (reliable.go) is on: it
+// is exactly while the runtime's wire injects faults.
+func (e *Engine) Hardened() bool { return e.faulty != nil && e.faulty() }
 
 // Ledger returns this peer's resource ledger.
 func (e *Engine) Ledger() *qos.Ledger { return e.ledger }

@@ -37,21 +37,10 @@ type Probe struct {
 	// every probe has then reported or died. Credit is never re-created, and
 	// is lost only with a lost wire copy or a crashed peer; the sum then
 	// stays short and the collection window timer decides. (Budget cannot
-	// serve here: its floor-of-1 rules mint units.)
-	//
-	// The one thing that mints credit is a duplicated mid-path probe copy
-	// on a wire without per-hop hardening (dup= faults set on the network
-	// directly, past the deployment that would harden its engines): the
-	// receiver processes both copies and each lineage carries the full
-	// credit. The collected sum then either overshoots TotalCredit without
-	// ever equalling it, and the window timer decides, or lands on it with
-	// one copy's worth of reports, and the collector closes on those while
-	// the rest arrive as stragglers (about half each at dup=0.25). Either
-	// way selection only sees probes that really returned; obs.Checker
-	// excuses such a request from its complete-at-close invariant.
-	// Hardening de-duplicates the copy at the receiver, so it never mints,
-	// and a duplicated report or credit copy is dropped by UID at the
-	// collector.
+	// serve here: its floor-of-1 rules mint units.) A duplicated copy
+	// never counts twice: a wire that duplicates hardens its engines, whose
+	// receivers process each probe, report and credit UID once, and the
+	// collector counts a UID once on any wire.
 	//
 	// A split that ran out of credit (more children than units) would hand
 	// out zeros and let the collector close before those children report;
@@ -228,7 +217,7 @@ func (p *Probe) prevFn() int {
 func (e *Engine) onProbe(_ p2p.Node, msg p2p.Message) {
 	// Hardened: acknowledge every copy — the previous ack may itself have been
 	// lost — then process each probe instance at most once.
-	if e.hardened && e.ackHop(msg, &e.seenProbes) {
+	if e.Hardened() && e.ackHop(msg, &e.seenProbes) {
 		return
 	}
 	// The payload is shared with the sender's other copies; see spawnNext.

@@ -5,8 +5,8 @@ import (
 	"repro/internal/p2p"
 )
 
-// Per-hop probe hardening, on once Engine.Harden is called (a deployment does
-// when its fault plan injects something): probe, report and credit sends are
+// Per-hop probe hardening, on while the runtime's wire injects faults
+// (Engine.Hardened): probe, report and credit sends are
 // acknowledged hop by hop and an unacknowledged one is retransmitted with the
 // same UID — no new probe, no budget spend — up to probeRetries times.
 // Receivers acknowledge every copy (the ack may have been lost) and process a
@@ -31,7 +31,7 @@ type retxState struct {
 // checker can count wire copies per probe).
 func (e *Engine) sendReliable(msg p2p.Message, reqID, pid uint64) {
 	e.host.Send(msg)
-	if !e.hardened {
+	if !e.Hardened() {
 		return
 	}
 	e.armRetx(msg, reqID, pid, 1)

@@ -73,7 +73,7 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 	// Same ack-then-dedup discipline as onProbe, on a separate seen-set: when
 	// the final hop is the destination itself, the probe and its report carry
 	// the same UID and must not suppress each other.
-	if e.hardened && e.ackHop(msg, &e.seenReports) {
+	if e.Hardened() && e.ackHop(msg, &e.seenReports) {
 		return
 	}
 	pr := *msg.Payload.(*Probe)
@@ -93,7 +93,7 @@ func (e *Engine) onReport(_ p2p.Node, msg p2p.Message) {
 // onCredit counts the credit a dead probe returned (dropProbe), under the
 // same ack-then-dedup discipline as a report.
 func (e *Engine) onCredit(_ p2p.Node, msg p2p.Message) {
-	if e.hardened && e.ackHop(msg, &e.seenReports) {
+	if e.Hardened() && e.ackHop(msg, &e.seenReports) {
 		return
 	}
 	cm := msg.Payload.(creditMsg)

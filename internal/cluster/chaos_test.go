@@ -222,14 +222,3 @@ func TestFaultTraceDeterministic(t *testing.T) {
 		t.Error("changing the fault seed changed nothing under 10% loss")
 	}
 }
-
-// TestJoinerFollowsTheWire: a plan that injects faults hardens the peers it
-// finds and every peer that joins after it.
-func TestJoinerFollowsTheWire(t *testing.T) {
-	c := cluster.New(cluster.Options{Seed: 2, IPNodes: 100, Peers: 20, Catalog: catalog(4)})
-	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Loss: 0.05}})
-	if p := c.Join([]string{"fn0"}, 0); !p.Engine.Hardened() || !c.Peers[0].Engine.Hardened() {
-		t.Fatalf("a faulty wire left a peer unhardened: joiner %v, peer 0 %v",
-			p.Engine.Hardened(), c.Peers[0].Engine.Hardened())
-	}
-}

@@ -100,10 +100,9 @@ type Cluster struct {
 	Peers   []*Peer
 	Rng     *rand.Rand
 	// Fed is the federation control plane (nil unless Options.Domains set).
-	Fed      *federation.Federation
-	opts     Options
-	load     *bcp.LoadPlane // every engine's Load; nil unless Options.Load set
-	hardened bool           // a fault plan that injects something was applied
+	Fed  *federation.Federation
+	opts Options
+	load *bcp.LoadPlane // every engine's Load; nil unless Options.Load set
 }
 
 // DomainPlan returns the domain plan of a federated cluster, nil otherwise.
@@ -324,12 +323,9 @@ func (c *Cluster) drawComponent(id p2p.NodeID, k int, fn string, failProb float6
 // failure probability — are its arguments; it draws nothing from the rng.
 func (c *Cluster) newPeer(id p2p.NodeID, comps []service.Component, failProb float64) *Peer {
 	o := &c.opts
-	p := &Peer{FailProb: failProb, Peer: peer.New(c.Net.AddNode(id), c.Net.Alive, c.Oracle(),
+	p := &Peer{FailProb: failProb, Peer: peer.New(c.Net.AddNode(id), c.Net.Alive, c.Net.Faulty, c.Oracle(),
 		o.Capacity, comps, o.BCP, o.Trace, o.Metrics, o.Obs)}
 	p.Engine.Load = c.load
-	if c.hardened {
-		p.Engine.Harden()
-	}
 	if o.Recovery != nil {
 		p.Recovery = recovery.NewManager(p.Engine, *o.Recovery)
 		p.Recovery.Trace = o.Trace
@@ -421,18 +417,10 @@ func (c *Cluster) Oracle() bcp.Oracle { return overlayOracle{c.Overlay} }
 // windows in the plan are interpreted relative to "now" (the plan's From/Until
 // are offsets from the moment of the call), so a plan built once can be
 // applied after the registration warm-up without adjusting for settle time.
-// A plan that injects something also hardens every peer, and every peer that
-// joins later, for it (bcp.Engine.Harden; recovery then waits out three silent
-// walks, not one); one that injects nothing hardens nothing. Apply it after
-// New and before the first composition, so no traffic predates the hardening.
+// The engines are hardened while the plan injects something (Net.Faulty), so
+// apply it before the first composition: no traffic then predates hardening.
 func (c *Cluster) ApplyFaults(plan simnet.FaultPlan) {
 	c.Net.SetFaults(plan.Shift(c.Sim.Now()))
-	if !plan.Empty() {
-		c.hardened = true
-		for _, p := range c.Peers {
-			p.Engine.Harden()
-		}
-	}
 }
 
 // ApplyFaultSpec expands a parsed fault spec over every peer and installs it;

@@ -33,8 +33,9 @@ type Fig9Config struct {
 	// Budget is the probing budget for session (re-)composition.
 	Budget int
 	// Faults, when non-nil, layers wire faults (loss/dup/jitter/partition)
-	// on top of the churn in both runs, with the protocol hardening knobs
-	// (probe retransmits, missed-pong hysteresis) switched on.
+	// on top of the churn in both runs; a spec that injects something
+	// hardens the engines (probe retransmits, three silent walks before a
+	// failure).
 	Faults *simnet.FaultSpec
 }
 

@@ -66,6 +66,14 @@ func (nw *Network) SetLoss(p float64, seed int64) {
 	nw.lossRng = rand.New(rand.NewSource(seed))
 }
 
+// Faulty reports whether the network injects loss: the protocol engines on
+// it are hardened exactly while it does.
+func (nw *Network) Faulty() bool {
+	nw.lossMu.Lock()
+	defer nw.lossMu.Unlock()
+	return nw.lossP > 0
+}
+
 // loseSend decides (under the loss lock — send runs from many goroutines)
 // whether this message is killed by injected loss.
 func (nw *Network) loseSend() bool {

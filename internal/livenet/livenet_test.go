@@ -329,17 +329,25 @@ func TestTestbedConcurrentCompositions(t *testing.T) {
 }
 
 // TestLossHardensTheTestbed: a testbed whose wire drops messages hardens
-// every engine for it, and one on a clean wire hardens none.
+// every engine for it, one on a clean wire hardens none, and switching the
+// loss off turns hardening off.
 func TestLossHardensTheTestbed(t *testing.T) {
-	for _, loss := range []float64{0, 0.1} {
-		tb := NewTestbed(TestbedOptions{Hosts: 12, Seed: 5, Speedup: 50, Loss: loss})
+	want := func(tb *Testbed, stage string, hardened bool) {
+		t.Helper()
 		for i, p := range tb.Peers {
-			if p.Engine.Hardened() != (loss > 0) {
-				t.Errorf("loss %g: engine %d hardened=%v", loss, i, p.Engine.Hardened())
+			if p.Engine.Hardened() != hardened {
+				t.Errorf("%s: engine %d hardened=%v", stage, i, p.Engine.Hardened())
 			}
 		}
-		tb.Close()
 	}
+	clean := NewTestbed(TestbedOptions{Hosts: 12, Seed: 5, Speedup: 50})
+	want(clean, "clean wire", false)
+	clean.Close()
+	lossy := NewTestbed(TestbedOptions{Hosts: 12, Seed: 5, Speedup: 50, Loss: 0.1})
+	want(lossy, "loss 0.1", true)
+	lossy.Net.SetLoss(0, 5)
+	want(lossy, "loss switched off", false)
+	lossy.Close()
 }
 
 // TestSoftHoldsDrainLive: a batch of concurrent compositions leaves soft

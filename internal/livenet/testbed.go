@@ -23,8 +23,8 @@ type TestbedOptions struct {
 	Speedup float64 // latency/timer compression; default 1 (real time)
 	// Loss, when positive, kills each message send with this probability
 	// (seeded by Seed, so a fixed-seed run injects a repeatable loss
-	// pattern even though live-runtime timing is not reproducible), and
-	// hardens every engine for it (bcp.Engine.Harden).
+	// pattern even though live-runtime timing is not reproducible); every
+	// engine is hardened while the wire drops messages (Network.Faulty).
 	Loss float64
 	// Trace, when non-nil, receives structured events from every layer.
 	// Live-runtime timestamps come from the wall clock, so traces are not
@@ -95,11 +95,8 @@ func NewTestbed(opts TestbedOptions) *Testbed {
 			Peer:     p2p.NodeID(i),
 			Qp:       qp,
 		}}
-		p := peer.New(nw.AddNode(p2p.NodeID(i), opts.Seed), nw.Alive, oracle, capacity, comps,
+		p := peer.New(nw.AddNode(p2p.NodeID(i), opts.Seed), nw.Alive, nw.Faulty, oracle, capacity, comps,
 			bcp.DefaultConfig(), opts.Trace, opts.Metrics, opts.Obs)
-		if opts.Loss > 0 {
-			p.Engine.Harden()
-		}
 		tb.Peers = append(tb.Peers, p)
 		dhtNodes[i] = p.DHT
 	}

@@ -142,14 +142,12 @@ type Checker struct {
 	wireDrops   map[uint64]int
 	strayPIDs   []uint64 // drop/retx/fault records naming unemitted pids
 	// Complete-at-close: returned probes not yet collected (pid -> request),
-	// dropped probes (-> request) and their probe.credited records, requests
-	// whose collector closed early (-> select.done time), and requests
-	// excused because a duplicated probe copy minted credit.
+	// dropped probes (-> request) and their probe.credited records, and
+	// requests whose collector closed early (-> select.done time).
 	uncollected map[uint64]uint64
 	dropped     map[uint64]uint64
 	credited    map[uint64]Event
 	earlyClose  map[uint64]time.Duration
-	minted      map[uint64]bool
 	// Federation 2PC lifecycle, keyed by sub-session PID.
 	fedPrep         map[uint64]Event
 	fedPrepCount    map[uint64]int
@@ -179,7 +177,6 @@ func NewChecker() *Checker {
 		dropped:         make(map[uint64]uint64),
 		credited:        make(map[uint64]Event),
 		earlyClose:      make(map[uint64]time.Duration),
-		minted:          make(map[uint64]bool),
 		fedPrep:         make(map[uint64]Event),
 		fedPrepCount:    make(map[uint64]int),
 		fedResolve:      make(map[uint64]Event),
@@ -330,9 +327,6 @@ func (c *Checker) Add(ev Event) {
 			c.wireDrops[ev.PID]++
 		case FaultDup:
 			c.extraCopies[ev.PID]++
-			if em, ok := c.emitted[ev.PID]; ok {
-				c.minted[em.req] = true
-			}
 		}
 		c.strayPIDs = append(c.strayPIDs, ev.PID)
 	case KindProbeRetx:
@@ -443,13 +437,13 @@ func (c *Checker) finishRun() []Violation {
 	// dead probes whose credit it closed without.
 	lost := make([]uint64, 0, len(c.uncollected))
 	for pid, req := range c.uncollected {
-		if _, early := c.earlyClose[req]; early && !c.minted[req] {
+		if _, early := c.earlyClose[req]; early {
 			lost = append(lost, pid)
 		}
 	}
 	for pid, req := range c.dropped {
 		at, early := c.earlyClose[req]
-		if cr, ok := c.credited[pid]; early && !c.minted[req] && (!ok || cr.TS > at) {
+		if cr, ok := c.credited[pid]; early && (!ok || cr.TS > at) {
 			lost = append(lost, pid)
 		}
 	}

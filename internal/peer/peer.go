@@ -28,15 +28,16 @@ type Peer struct {
 
 // New builds the stack of host, which hosts comps with capacity to spare, on
 // a runtime whose liveness view is alive and whose data plane is oracle. The
-// engine runs cfg; the engine and the DHT node emit to trace, observe met and,
-// when ctrs is non-nil, count into host's row of it. What a deployment adds
-// on top — hardening, the load plane, recovery — is its caller's.
-func New(host p2p.Node, alive func(p2p.NodeID) bool, oracle bcp.Oracle, capacity qos.Resources,
+// engine runs cfg, hardened while faulty reports that the runtime's wire
+// injects faults (nil: it never does); the engine and the DHT node emit to
+// trace, observe met and, when ctrs is non-nil, count into host's row of it.
+// What a deployment adds on top — the load plane, recovery — is its caller's.
+func New(host p2p.Node, alive func(p2p.NodeID) bool, faulty func() bool, oracle bcp.Oracle, capacity qos.Resources,
 	comps []service.Component, cfg bcp.Config, trace obs.Tracer, met *obs.Metrics, ctrs *obs.Registry) *Peer {
 	ledger := qos.NewLedger(capacity)
 	dn := dht.New(host, alive)
 	reg := registry.New(dn)
-	eng := bcp.NewEngine(host, alive, ledger, reg, oracle, comps, cfg)
+	eng := bcp.NewEngine(host, alive, faulty, ledger, reg, oracle, comps, cfg)
 	eng.Trace, dn.Trace = trace, trace
 	eng.Met, dn.Met = met, met
 	if ctrs != nil {

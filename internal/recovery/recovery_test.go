@@ -344,11 +344,7 @@ func TestBackupCountFormula(t *testing.T) {
 		for i := 0; i < poolSize; i++ {
 			pool = append(pool, synthGraph(9, sc(fmt.Sprintf("X%d", i+2), "x", 30+i, 0.1)))
 		}
-		res := bcp.Result{Ok: true, Best: g, Backups: pool}
-		sess := mgr.Establish(req, res)
-		n := mgr.BackupCount(sess)
-		mgr.Close(sess.ID)
-		return n
+		return mgr.BackupCount(&recovery.Session{ID: 9, Req: req, Active: g, Pool: pool})
 	}
 
 	// qratio 0.5, F=0.05, Freq=0.05 → U*(0.5+1)=1.5 → γ=1 (pool allows).

@@ -124,8 +124,9 @@ func TestWalkVisitsEveryPeerOnce(t *testing.T) {
 	}
 }
 
-// TestWalkUnderDuplication: with every message duplicated on every link, the
-// copies of one walk share one object at every stop. Each stop still checks
+// TestWalkUnderDuplication: with every message duplicated on every link,
+// which hardens the engines, the copies of one walk share one object at
+// every stop. Each stop still checks
 // its own components — a pong reports missing exactly those of its stops'
 // components their peers no longer host — and every pong carries every
 // stop's availability. A component only a backup uses goes missing halfway,
@@ -176,8 +177,7 @@ func TestWalkUnderDuplication(t *testing.T) {
 			reported++
 		}
 	})
-	// On the network alone: the engines keep the clean wire's one silence.
-	c.Net.SetFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Dup: 1}}.Shift(c.Sim.Now()))
+	c.ApplyFaults(simnet.FaultPlan{Seed: 1, Default: simnet.LinkFaults{Dup: 1}})
 	c.Sim.Run(c.Sim.Now() + 2*recovery.BackupEvery*recovery.ProbeInterval)
 	if pongs == 0 || full == 0 {
 		t.Fatalf("%d pongs, %d of full walks: the walk was not exercised", pongs, full)

@@ -149,3 +149,7 @@ func (nw *Network) SetFaults(plan FaultPlan) {
 	}
 	nw.faults = newFaultState(plan)
 }
+
+// Faulty reports whether an installed plan injects faults: the protocol
+// engines on the network are hardened exactly while it does.
+func (nw *Network) Faulty() bool { return nw.faults != nil }

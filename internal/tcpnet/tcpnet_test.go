@@ -61,7 +61,7 @@ func deploy(t *testing.T, n int, fns []string) *deployment {
 		var cap qos.Resources
 		cap[qos.CPU] = 10
 		cap[qos.Memory] = 100
-		eng := bcp.NewEngine(host, nil, qos.NewLedger(cap), reg, oracle, []service.Component{comp}, bcp.DefaultConfig())
+		eng := bcp.NewEngine(host, nil, nil, qos.NewLedger(cap), reg, oracle, []service.Component{comp}, bcp.DefaultConfig())
 		med := media.Attach(host, eng.LocalComponent)
 		d.engines = append(d.engines, eng)
 		d.registries = append(d.registries, reg)

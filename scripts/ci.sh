@@ -324,6 +324,10 @@ echo "== chaos gate: flash-crowd cell"
     -scenario "zipf=1.1,flash=fn0:6@60s+60s" \
     -faults "loss=0.2,dup=0.05,jitter=10ms,seed=3" -check -trace "$tmp/fc2.jsonl" > /dev/null
 cmp "$tmp/fc1.jsonl" "$tmp/fc2.jsonl"
+# Duplication-heavy cell: -check's complete-at-close holds with no excuse for
+# duplicated copies, since a duplicating wire hardens every engine.
+echo "== chaos gate: duplication-heavy cell"
+"$tmp/spidersim" -seed 1 -requests 200 -duration 5m -faults "loss=0.05,dup=0.2,jitter=20ms,seed=1" -check > /dev/null
 
 # Federation chaos gate: partition one whole domain across the commit window
 # of a federated run. After the heal and a full lease drain the run must show
